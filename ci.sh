@@ -74,6 +74,13 @@ rm -f results/elastic_sweep_smoke.csv
 cargo run --release --offline --locked -p qserve-bench --bin reproduce -- elastic_sweep_smoke >/dev/null
 test -s results/elastic_sweep_smoke.csv
 
+# The benchmark is a package of its own (own [workspace] and lock file, so
+# no --locked: see benchmark/run.sh): its contract tests, then one quick
+# functional-serve run through the driver's entry point — the data plane's
+# outputs are checked against solo greedy generation inside the run.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --workload func_serve --quick --seconds 1 --trace 0 >/dev/null
+
 # Every example must run end to end, offline (smoke: exit status only).
 for ex in quickstart generate kv4_attention paged_serving prefix_caching \
           cluster_serving heterogeneous_fleet roofline serving_throughput \

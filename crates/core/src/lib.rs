@@ -18,6 +18,10 @@
 //! * [`reorder`] — **activation-aware channel reordering** (§4.3.3).
 //! * [`clipping`] — **weight clipping** via grid search on layer/block output
 //!   MSE (§4.3.4).
+//! * [`pack`] — the INT4 storage format: the `w0,w16,w1,w17,…` interleave
+//!   and three-op unpack of Figure 13. It lives here, not in the kernels
+//!   crate, because the weight types pack themselves once at `quantize`
+//!   time (the offline half of §5.2's compute-aware reorder).
 //! * [`kv_quant`] — per-head, dynamic, asymmetric INT4/INT8 KV quantization
 //!   (§5.1).
 //! * [`pipeline`] — the end-to-end QoQ recipe applied to a transformer block,
@@ -26,6 +30,7 @@
 
 pub mod clipping;
 pub mod kv_quant;
+pub mod pack;
 pub mod pipeline;
 pub mod progressive;
 pub mod reorder;

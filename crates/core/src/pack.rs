@@ -102,23 +102,47 @@ pub fn pack_lanes_i8(v: [i8; 4]) -> ByteLanes {
         | ((v[3] as u8 as u32) << 24)
 }
 
-/// Packs a whole row of UINT4 codes (length a multiple of 32) into
-/// interleaved 128-bit words.
-///
-/// # Panics
-/// Panics if `codes.len()` is not a multiple of 32.
+/// Packs a whole row of UINT4 codes into interleaved 128-bit words. A row
+/// whose length is not a multiple of 32 is zero-padded into its final word
+/// (real deployments pad channel counts; padded lanes multiply against zero
+/// activations and contribute nothing).
 pub fn pack_row(codes: &[u8]) -> Vec<PackedInt4> {
-    assert!(
-        codes.len() % 32 == 0,
-        "row length {} not a multiple of 32",
-        codes.len()
-    );
-    codes.chunks(32).map(pack_interleaved).collect()
+    codes
+        .chunks(32)
+        .map(|chunk| {
+            let mut padded = [0u8; 32];
+            padded[..chunk.len()].copy_from_slice(chunk);
+            pack_interleaved(&padded)
+        })
+        .collect()
 }
 
-/// Unpacks a row produced by [`pack_row`].
+/// Unpacks a row produced by [`pack_row`] (padding lanes included).
 pub fn unpack_row(packed: &[PackedInt4]) -> Vec<u8> {
-    packed.iter().flat_map(|p| unpack_interleaved(p)).collect()
+    packed.iter().flat_map(unpack_interleaved).collect()
+}
+
+/// Packs a row-major `n×k` code matrix row by row: `k.div_ceil(32)` words
+/// per row, the storage order the W4A8 main loops stream. This is the
+/// offline step — the weight types run it once at `quantize` time.
+///
+/// # Panics
+/// Panics if `codes.len()` is not a multiple of `k`.
+pub fn pack_rows(codes: &[u8], k: usize) -> Vec<PackedInt4> {
+    assert!(k > 0 && codes.len() % k == 0, "code length {} not a multiple of k {}", codes.len(), k);
+    codes.chunks(k).flat_map(pack_row).collect()
+}
+
+/// Inverts [`pack_rows`], dropping each row's padding lanes.
+pub fn unpack_rows(packed: &[PackedInt4], k: usize) -> Vec<u8> {
+    packed
+        .chunks(k.div_ceil(32))
+        .flat_map(|row| {
+            let mut codes = unpack_row(row);
+            codes.truncate(k);
+            codes
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -198,6 +222,16 @@ mod tests {
     fn pack_row_round_trip() {
         let codes: Vec<u8> = (0..128).map(|i| (i * 7 % 16) as u8).collect();
         assert_eq!(unpack_row(&pack_row(&codes)), codes);
+    }
+
+    #[test]
+    fn ragged_rows_pad_and_round_trip() {
+        // k = 40: two words per row, the second one 8 codes + 24 zero lanes.
+        let codes: Vec<u8> = (0..3 * 40).map(|i| (i * 5 % 16) as u8).collect();
+        let packed = pack_rows(&codes, 40);
+        assert_eq!(packed.len(), 3 * 2);
+        assert_eq!(unpack_rows(&packed, 40), codes);
+        assert!(unpack_interleaved(&packed[1])[8..].iter().all(|&c| c == 0));
     }
 
     #[test]

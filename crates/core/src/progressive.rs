@@ -14,6 +14,7 @@
 //! register-level-parallel `vadd4` arithmetic with no per-lane overflow
 //! checks (§5.2.3, Figure 14).
 
+use crate::pack::{pack_rows, unpack_rows, PackedInt4};
 use qserve_quant::params::IntQParams;
 use qserve_quant::rounding::round_clamp;
 use qserve_tensor::fp16::round_f16;
@@ -45,8 +46,10 @@ pub struct ProgressiveWeight {
     n: usize,
     k: usize,
     group_size: usize,
-    /// UINT4 codes (`0..=15`), row-major `n×k`.
-    codes: Vec<u8>,
+    /// UINT4 codes (`0..=15`) in the W4A8 kernels' storage order, packed
+    /// once here: per output channel, `k.div_ceil(32)` interleaved 128-bit
+    /// words ([`crate::pack`]). The only copy of the codes this type keeps.
+    packed: Vec<PackedInt4>,
     /// Level-1 integer params, one per group: `n * (k / group_size)`.
     group_params: Vec<IntQParams>,
     /// Level-0 per-channel FP16 scales, length `n`.
@@ -102,7 +105,7 @@ impl ProgressiveWeight {
             n,
             k,
             group_size,
-            codes,
+            packed: pack_rows(&codes, k),
             group_params,
             channel_scales,
         }
@@ -123,9 +126,16 @@ impl ProgressiveWeight {
         self.group_size
     }
 
-    /// Raw UINT4 codes, row-major.
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
+    /// Raw UINT4 codes, row-major `n×k`, unpacked from the stored words.
+    pub fn codes(&self) -> Vec<u8> {
+        unpack_rows(&self.packed, self.k)
+    }
+
+    /// Output channel `row`'s codes as stored: `k.div_ceil(32)` interleaved
+    /// words, the final one zero-padded when `k` is not a multiple of 32.
+    pub fn packed_row(&self, row: usize) -> &[PackedInt4] {
+        let words = self.k.div_ceil(32);
+        &self.packed[row * words..(row + 1) * words]
     }
 
     /// Level-1 parameters, one per `(row, group)` in row-major group order.
@@ -145,12 +155,13 @@ impl ProgressiveWeight {
     /// By the protective-range invariant this never saturates; the method
     /// checks that in debug builds.
     pub fn intermediate_int8(&self) -> Vec<i8> {
+        let codes = self.codes();
         let mut out = vec![0i8; self.n * self.k];
         let groups_per_row = self.k / self.group_size;
         for i in 0..self.n {
             for j in 0..self.k {
                 let p = self.group_params[i * groups_per_row + j / self.group_size];
-                out[i * self.k + j] = p.dequantize(self.codes[i * self.k + j]);
+                out[i * self.k + j] = p.dequantize(codes[i * self.k + j]);
             }
         }
         out
@@ -168,12 +179,13 @@ impl ProgressiveWeight {
     /// Maximum |intermediate| over the whole tensor — must be ≤ 127 by the
     /// protective-range guarantee (≤ 127 always; ≤ 119 + s/2 in theory).
     pub fn max_intermediate_abs(&self) -> i32 {
+        let codes = self.codes();
         let groups_per_row = self.k / self.group_size;
         let mut max = 0i32;
         for i in 0..self.n {
             for j in 0..self.k {
                 let p = self.group_params[i * groups_per_row + j / self.group_size];
-                let v = (i32::from(self.codes[i * self.k + j]) - i32::from(p.zero))
+                let v = (i32::from(codes[i * self.k + j]) - i32::from(p.zero))
                     * i32::from(p.scale);
                 max = max.max(v.abs());
             }
@@ -190,8 +202,9 @@ impl ProgressiveWeight {
 pub struct PerChannelW4 {
     n: usize,
     k: usize,
-    /// UINT4 codes (`0..=15`), row-major `n×k`.
-    codes: Vec<u8>,
+    /// UINT4 codes (`0..=15`), packed once at quantize time in the kernels'
+    /// storage order (see [`ProgressiveWeight`]).
+    packed: Vec<PackedInt4>,
     /// Per-channel FP16 scales, length `n`.
     scales: Vec<f32>,
     /// Per-channel UINT4 zero points, length `n`.
@@ -221,7 +234,7 @@ impl PerChannelW4 {
         Self {
             n,
             k,
-            codes,
+            packed: pack_rows(&codes, k),
             scales,
             zeros,
         }
@@ -237,9 +250,16 @@ impl PerChannelW4 {
         self.k
     }
 
-    /// Raw UINT4 codes, row-major.
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
+    /// Raw UINT4 codes, row-major `n×k`, unpacked from the stored words.
+    pub fn codes(&self) -> Vec<u8> {
+        unpack_rows(&self.packed, self.k)
+    }
+
+    /// Output channel `row`'s codes as stored (see
+    /// [`ProgressiveWeight::packed_row`]).
+    pub fn packed_row(&self, row: usize) -> &[PackedInt4] {
+        let words = self.k.div_ceil(32);
+        &self.packed[row * words..(row + 1) * words]
     }
 
     /// Per-channel FP16 scales.
@@ -254,8 +274,9 @@ impl PerChannelW4 {
 
     /// Dequantizes to floating point: `(q − z)·s` per channel.
     pub fn dequantize(&self) -> Matrix {
+        let codes = self.codes();
         Matrix::from_fn(self.n, self.k, |i, j| {
-            (f32::from(self.codes[i * self.k + j]) - f32::from(self.zeros[i])) * self.scales[i]
+            (f32::from(codes[i * self.k + j]) - f32::from(self.zeros[i])) * self.scales[i]
         })
     }
 }

@@ -12,11 +12,36 @@
 //!
 //! This module emulates the kernel's *numerics* bit-for-bit in binary16; the
 //! latency model for Table 1 lives in `qserve-gpusim`.
+//!
+//! There is one spelling of the arithmetic, [`fused_decode_attention`]: it
+//! walks borrowed [`KvLane`]s — a paged cache's bytes where they lie (KV4
+//! nibbles still packed), or a materialised [`QuantizedKvHead`] through the
+//! [`decode_attention_fp16`] adapter — dequantizes each lane once for the
+//! whole GQA group, and allocates nothing per token. It runs on the calling
+//! thread: a 256-token head costs tens of microseconds end to end, the same
+//! order as one pool fork-join, so forking inside a head cannot pay.
 
 use qserve_core::kv_quant::{KvPrecision, QuantizedHeadToken};
 use qserve_tensor::fp16::{round_f16, F16};
 use qserve_tensor::ops::softmax_inplace;
-use qserve_tensor::pool;
+
+/// The binary16 value `0x6400 | code` — exactly `1024 + code`, the magic
+/// bias with a code ORed into its (all-zero) mantissa — widened to the
+/// `f32` the emulation computes in: binary16 mantissa bit `i` is `f32`
+/// mantissa bit `i + 13`, and `1024.0f32` is `0x4480_0000`.
+#[inline]
+fn magic_bias(code: u8) -> f32 {
+    f32::from_bits(0x4480_0000 | (u32::from(code) << 13))
+}
+
+/// The two-op dequantization of one code: an fp16 subtraction of the
+/// pre-biased zero point `1024 + z` (exact — both operands and the
+/// difference are small integers) and one fp16 multiply by the scale.
+/// `scale` must be a binary16 value; the result is one too.
+#[inline]
+fn dequant(code: u8, bias_zero: f32, scale: f32) -> f32 {
+    round_f16((magic_bias(code) - bias_zero) * scale)
+}
 
 /// The fp16 magic-bias dequantization (Kim et al. 2022): ORing a 4-bit code
 /// into the mantissa of the fp16 constant `1024.0` (bits `0x6400`) yields
@@ -24,6 +49,9 @@ use qserve_tensor::pool;
 /// fp16 subtraction of `1024 + z` then recovers `q − z` exactly, and one
 /// multiply applies the scale — two arithmetic ops per element instead of
 /// five (mask, shift, cvt, mul, sub).
+///
+/// The 10-bit mantissa of `1024.0` is zero, so any 8-bit code fits exactly —
+/// the same trick covers both KV4 and KV8 codes.
 ///
 /// # Example
 /// ```
@@ -33,11 +61,7 @@ use qserve_tensor::pool;
 /// assert_eq!(v.to_f32(), 2.5); // (13 − 8) · 0.5
 /// ```
 pub fn magic_bias_dequant(code: u8, zero: u8, scale: F16) -> F16 {
-    // The 10-bit mantissa of 1024.0 (0x6400) is zero, so any 8-bit code fits
-    // exactly — the same trick covers both KV4 and KV8 codes.
-    let biased = F16::from_bits(0x6400 | u16::from(code)); // = 1024 + code
-    let bias_and_zero = F16::from_bits(0x6400 | u16::from(zero)); // = 1024 + zero
-    biased.sub(bias_and_zero).mul(scale)
+    F16::from_f32(dequant(code, magic_bias(zero), scale.to_f32()))
 }
 
 /// Scalar 5-op reference dequantization (mask/shift happen upstream here):
@@ -45,6 +69,170 @@ pub fn magic_bias_dequant(code: u8, zero: u8, scale: F16) -> F16 {
 /// rounded, as the naive kernel would produce.
 pub fn naive_dequant(code: u8, zero: u8, scale: f32) -> f32 {
     round_f16((f32::from(code) - f32::from(zero)) * scale)
+}
+
+/// How one token-head's codes sit in memory.
+#[derive(Debug, Clone, Copy)]
+pub enum LaneCodes<'a> {
+    /// One code per byte (KV8 pages, and [`QuantizedHeadToken`] at either
+    /// precision).
+    Bytes(&'a [u8]),
+    /// Two codes per byte, low nibble first — a KV4 page's bytes as stored.
+    Nibbles(&'a [u8]),
+}
+
+impl LaneCodes<'_> {
+    /// Materialises the lane's `head_dim` codes one per byte (an odd
+    /// `head_dim` leaves the last byte's high nibble unused).
+    pub fn unpack(&self, head_dim: usize) -> Vec<u8> {
+        match *self {
+            LaneCodes::Bytes(codes) => codes.to_vec(),
+            LaneCodes::Nibbles(bytes) => {
+                let mut codes = Vec::with_capacity(2 * bytes.len());
+                for &byte in bytes {
+                    codes.extend([byte & 0x0F, byte >> 4]);
+                }
+                codes.truncate(head_dim);
+                codes
+            }
+        }
+    }
+}
+
+/// One cached token's K *or* V features for one head, borrowed from
+/// wherever they live: what the fused kernel reads per token-head.
+#[derive(Debug, Clone, Copy)]
+pub struct KvLane<'a> {
+    /// The quantized features.
+    pub codes: LaneCodes<'a>,
+    /// Dynamic per-token-head scale, a binary16 value (as stored in a page).
+    pub scale: f32,
+    /// Dynamic per-token-head zero point.
+    pub zero: u8,
+}
+
+impl KvLane<'_> {
+    /// Dequantizes the lane's `out.len()` features with the magic-bias
+    /// trick; scale and zero are decoded once for the whole lane.
+    ///
+    /// # Panics
+    /// Panics if the lane does not hold exactly `out.len()` codes.
+    fn dequantize_into(&self, out: &mut [f32]) {
+        let bias_zero = magic_bias(self.zero);
+        match self.codes {
+            LaneCodes::Bytes(codes) => {
+                assert_eq!(codes.len(), out.len(), "head_dim mismatch");
+                for (o, &code) in out.iter_mut().zip(codes) {
+                    *o = dequant(code, bias_zero, self.scale);
+                }
+            }
+            LaneCodes::Nibbles(bytes) => {
+                assert_eq!(bytes.len(), out.len().div_ceil(2), "head_dim mismatch");
+                let mut pairs = out.chunks_exact_mut(2);
+                for (pair, &byte) in pairs.by_ref().zip(bytes) {
+                    pair[0] = dequant(byte & 0x0F, bias_zero, self.scale);
+                    pair[1] = dequant(byte >> 4, bias_zero, self.scale);
+                }
+                // An odd head_dim leaves the last byte's high nibble unused.
+                if let ([last], Some(&byte)) = (pairs.into_remainder(), bytes.last()) {
+                    *last = dequant(byte & 0x0F, bias_zero, self.scale);
+                }
+            }
+        }
+    }
+}
+
+/// Buffers [`fused_decode_attention`] reuses from call to call, so a walk
+/// over many heads, sequences and layers allocates nothing per token.
+#[derive(Debug, Default)]
+pub struct AttentionScratch {
+    /// Scaled queries in binary16, `group × head_dim`.
+    q16: Vec<f32>,
+    /// Scores, then probabilities: one contiguous row per query head.
+    scores: Vec<f32>,
+    /// One dequantized lane, `head_dim`.
+    lane: Vec<f32>,
+}
+
+/// QServe's fused decode attention for one KV head and the `group` query
+/// heads that share it (GQA), emulating the FP16 compute path: Q·K products
+/// and the softmax·V reduction run in binary16 with FP32 accumulation (the
+/// HMMA accumulate width), K/V elements dequantized with the two-op
+/// magic-bias trick.
+///
+/// "Fused" means the kernel consumes the cache where it lies: `keys` and
+/// `values` yield one borrowed [`KvLane`] per cached token, each lane is
+/// dequantized once into a `head_dim` buffer and used by every query head of
+/// the group, and nothing is materialised in between. `queries` and `out`
+/// are `group × head_dim`, head-major; both walks must yield exactly `seq`
+/// lanes.
+///
+/// # Panics
+/// Panics if `seq == 0`, a walk's length differs from `seq`, the query and
+/// output widths disagree or are not a multiple of `head_dim`, or a lane's
+/// width is not `head_dim`.
+pub fn fused_decode_attention<'a>(
+    queries: &[f32],
+    head_dim: usize,
+    seq: usize,
+    keys: impl Iterator<Item = KvLane<'a>>,
+    values: impl Iterator<Item = KvLane<'a>>,
+    scratch: &mut AttentionScratch,
+    out: &mut [f32],
+) {
+    assert!(seq > 0, "empty KV cache");
+    assert_eq!(queries.len(), out.len(), "one output per query feature");
+    assert!(
+        head_dim > 0 && queries.len() % head_dim == 0,
+        "query width {} not a multiple of head_dim {}",
+        queries.len(),
+        head_dim
+    );
+    let d = head_dim;
+    let scale = 1.0 / (d as f32).sqrt();
+    let AttentionScratch { q16, scores, lane } = scratch;
+    q16.clear();
+    q16.extend(queries.iter().map(|&v| round_f16(v * scale)));
+    scores.clear();
+    scores.resize(q16.len() / d * seq, 0.0);
+    lane.clear();
+    lane.resize(d, 0.0);
+
+    // Stage 1: scores = q·Kᵀ in fp16 multiplies, fp32 accumulation. (The
+    // walks use internal iteration — `fold` — so a paged walk compiles to
+    // plain nested loops over pages and slots.)
+    let walked = keys.fold(0, |t, key| {
+        key.dequantize_into(lane);
+        for (q, row) in q16.chunks_exact(d).zip(scores.chunks_exact_mut(seq)) {
+            let mut acc = 0.0f32;
+            for (&qi, &k) in q.iter().zip(lane.iter()) {
+                acc += round_f16(qi * k);
+            }
+            row[t] = acc;
+        }
+        t + 1
+    });
+    assert_eq!(walked, seq, "key walk length");
+
+    // Stage 2: softmax on CUDA cores (fp32, as in the real kernel).
+    for row in scores.chunks_exact_mut(seq) {
+        softmax_inplace(row);
+    }
+
+    // Stage 3: out = Σ p_t · V_t, fp16 multiplies, fp32 accumulation; each
+    // output feature accumulates over the tokens in cache order.
+    out.fill(0.0);
+    let walked = values.fold(0, |t, value| {
+        value.dequantize_into(lane);
+        for (o, row) in out.chunks_exact_mut(d).zip(scores.chunks_exact(seq)) {
+            let p16 = round_f16(row[t]);
+            for (oj, &v) in o.iter_mut().zip(lane.iter()) {
+                *oj += round_f16(p16 * v);
+            }
+        }
+        t + 1
+    });
+    assert_eq!(walked, seq, "value walk length");
 }
 
 /// One head's quantized KV sequence: per-token codes and dynamic params, as
@@ -85,81 +273,37 @@ impl QuantizedKvHead {
     }
 }
 
-/// QServe's fused decode attention for one head, emulating the FP16 compute
-/// path: Q·K products and the softmax·V reduction run in binary16 with FP32
-/// accumulation (the HMMA accumulate width), K/V elements dequantized with
-/// the two-op magic-bias trick.
+/// The lane of a materialised token: its codes one per byte, its scale as
+/// the binary16 value a page would hold.
+fn token_lane(token: &QuantizedHeadToken) -> KvLane<'_> {
+    KvLane {
+        codes: LaneCodes::Bytes(&token.codes),
+        scale: round_f16(token.params.scale),
+        zero: token.params.zero as u8,
+    }
+}
+
+/// [`fused_decode_attention`] for one query head over a materialised
+/// [`QuantizedKvHead`] — the same inner loops, fed from owned tokens
+/// instead of page bytes.
 ///
 /// Returns the attention output (length = head_dim).
 ///
 /// # Panics
-/// Panics if the cache is empty or `q.len()` differs from the stored
-/// head_dim.
+/// Panics if the cache is empty, holds different numbers of keys and
+/// values, or `q.len()` differs from the stored head_dim.
 pub fn decode_attention_fp16(q: &[f32], cache: &QuantizedKvHead) -> Vec<f32> {
-    assert!(cache.seq_len() > 0, "empty KV cache");
-    let d = q.len();
-    let seq = cache.seq_len();
-    let scale = 1.0 / (d as f32).sqrt();
-    let q16: Vec<F16> = q.iter().map(|&v| F16::from_f32(v * scale)).collect();
-    let p = pool::global();
-
-    // Stage 1: scores = q·Kᵀ in fp16 multiplies, fp32 accumulation. Each
-    // token's score is an independent dot product, so token blocks fork
-    // across the pool and concatenate in block order — per-element
-    // arithmetic identical to the sequential loop.
-    let score_one = |tok: &QuantizedHeadToken| -> f32 {
-        assert_eq!(tok.codes.len(), d, "head_dim mismatch");
-        let s16 = F16::from_f32(tok.params.scale);
-        let z = tok.params.zero as u8;
-        let mut acc = 0.0f32;
-        for (qi, &code) in q16.iter().zip(&tok.codes) {
-            let kv = magic_bias_dequant(code, z, s16);
-            acc += qi.mul(kv).to_f32();
-        }
-        acc
-    };
-    let mut scores: Vec<f32> = if seq >= 256 && p.threads() > 1 {
-        let blocks = crate::gemm::col_blocks(seq, p.threads());
-        p.par_map(&blocks, |_, &(s, e)| {
-            cache.keys[s..e].iter().map(score_one).collect::<Vec<f32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        cache.keys.iter().map(score_one).collect()
-    };
-
-    // Stage 2: softmax on CUDA cores (fp32, as in the real kernel).
-    softmax_inplace(&mut scores);
-
-    // Stage 3: out = Σ p_t · V_t, fp16 multiplies, fp32 accumulation. Each
-    // output feature accumulates over *tokens* in order, so the fork is
-    // over head-dim column blocks — every block walks the tokens in the
-    // same sequence the scalar loop does, keeping each accumulator's
-    // rounding history bit-identical.
-    let stage3 = |j0: usize, j1: usize| -> Vec<f32> {
-        let mut out = vec![0.0f32; j1 - j0];
-        for (tok, &pw) in cache.values.iter().zip(&scores) {
-            let s16 = F16::from_f32(tok.params.scale);
-            let z = tok.params.zero as u8;
-            let p16 = F16::from_f32(pw);
-            for (o, &code) in out.iter_mut().zip(&tok.codes[j0..j1]) {
-                let v = magic_bias_dequant(code, z, s16);
-                *o += p16.mul(v).to_f32();
-            }
-        }
-        out
-    };
-    if seq >= 256 && d >= 32 && p.threads() > 1 {
-        let blocks = crate::gemm::col_blocks(d, p.threads());
-        p.par_map(&blocks, |_, &(s, e)| stage3(s, e))
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        stage3(0, d)
-    }
+    let mut out = vec![0.0f32; q.len()];
+    fused_decode_attention(
+        q,
+        q.len(),
+        cache.seq_len(),
+        cache.keys.iter().map(token_lane),
+        cache.values.iter().map(token_lane),
+        &mut AttentionScratch::default(),
+        &mut out,
+    );
+    out
 }
 
 /// FP32 reference attention over the *dequantized* cache — isolates the

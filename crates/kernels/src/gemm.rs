@@ -16,8 +16,8 @@
 //! Both are verified bit-exact against integer references; [`gemm_w8a8`]
 //! provides the TRT-LLM-style W8A8 baseline of Figure 5(a).
 
-use crate::mma::{mma_i8_accumulate, mma_i8_nt};
-use crate::pack::{lane_i8, unpack_register};
+use crate::mma::{dot_i8, mma_i8_nt};
+use crate::pack::{lane_i8, unpack_register, ByteLanes, PackedInt4};
 use crate::rlp::{dequant_sub_after_mul, splat4};
 use qserve_core::progressive::{PerChannelW4, ProgressiveWeight};
 use qserve_quant::rounding::round_clamp;
@@ -25,32 +25,72 @@ use qserve_tensor::fp16::round_f16;
 use qserve_tensor::pool;
 use qserve_tensor::Matrix;
 
-/// Splits `n` output channels into contiguous `[start, end)` blocks, one
-/// unit of fork-join work each — at most `threads` blocks, each at least
-/// [`MIN_COLS_PER_BLOCK`] wide so a tiny GEMM never pays fork overhead.
-/// Every output element is computed by exactly one block with the same
-/// per-element arithmetic as the sequential loop (the INT32 accumulators
-/// are per-element and the FP16/FP32 epilogues touch one element at a
-/// time), so any block split is bit-exact by construction.
-pub(crate) fn col_blocks(n: usize, threads: usize) -> Vec<(usize, usize)> {
+/// Runs a W4A8 kernel body over the `n` output channels of an `m×n` GEMM.
+///
+/// `fill(start, end, panel)` computes output channels `[start, end)` for
+/// every token into a row-major `m×(end−start)` panel. Output channels are
+/// independent — the INT32 accumulators are per element and the epilogues
+/// touch one element at a time — so any split is bit-exact by construction.
+///
+/// The channels fork into at most `threads` contiguous blocks of at least
+/// [`MIN_COLS_PER_BLOCK`] columns, so a tiny GEMM never pays fork overhead.
+/// With one block (one pool thread, or a narrow `n`) the panel *is* the
+/// output and `fill` writes straight into it; only a real fork builds
+/// per-block panels and scatters them back in block order.
+fn over_col_blocks(
+    m: usize,
+    n: usize,
+    fill: impl Fn(usize, usize, &mut [f32]) + Sync,
+) -> Matrix {
     const MIN_COLS_PER_BLOCK: usize = 16;
-    let blocks = threads.min(n.div_ceil(MIN_COLS_PER_BLOCK)).max(1);
+    let p = pool::global();
+    let blocks = p.threads().min(n.div_ceil(MIN_COLS_PER_BLOCK)).max(1);
+    let mut out = Matrix::zeros(m, n);
+    if blocks == 1 {
+        fill(0, n, out.as_mut_slice());
+        return out;
+    }
     let per = n.div_ceil(blocks);
-    (0..blocks)
+    let ranges: Vec<(usize, usize)> = (0..blocks)
         .map(|b| (b * per, ((b + 1) * per).min(n)))
-        .filter(|&(s, e)| s < e)
-        .collect()
-}
-
-/// Scatters per-block `m×(end−start)` column panels back into the `m×n`
-/// output, in block order.
-fn scatter_panels(out: &mut Matrix, n: usize, blocks: &[(usize, usize)], panels: Vec<Vec<f32>>) {
+        .filter(|&(start, end)| start < end)
+        .collect();
+    let panels = p.par_map(&ranges, |_, &(start, end)| {
+        let mut panel = vec![0.0f32; m * (end - start)];
+        fill(start, end, &mut panel);
+        panel
+    });
     let dst = out.as_mut_slice();
-    for (&(start, end), panel) in blocks.iter().zip(panels) {
-        let nb = end - start;
-        for (i, row) in panel.chunks_exact(nb).enumerate() {
+    for (&(start, end), panel) in ranges.iter().zip(panels) {
+        for (i, row) in panel.chunks_exact(end - start).enumerate() {
             dst[i * n + start..i * n + end].copy_from_slice(row);
         }
+    }
+    out
+}
+
+/// Walks a stored weight row in input-channel order, handing
+/// `f(offset, register)` the byte-lane register that holds channels
+/// `offset .. offset + 4`: the three-op unpack of Figure 13 lands four
+/// consecutive weights in each output register — `w0..w15` in a word's low
+/// registers, `w16..w31` in its high ones.
+#[inline]
+fn for_each_register(row: &[PackedInt4], mut f: impl FnMut(usize, ByteLanes)) {
+    for (idx, word) in row.iter().enumerate() {
+        for (r, &reg) in word.regs.iter().enumerate() {
+            f(32 * idx + 4 * r, unpack_register(reg).0);
+        }
+        for (r, &reg) in word.regs.iter().enumerate() {
+            f(32 * idx + 16 + 4 * r, unpack_register(reg).1);
+        }
+    }
+}
+
+/// Spills a register's four byte lanes to four consecutive i8 slots.
+#[inline]
+fn store_lanes(dst: &mut [i8], reg: ByteLanes) {
+    for (l, slot) in dst.iter_mut().enumerate() {
+        *slot = lane_i8(reg, l);
     }
 }
 
@@ -124,9 +164,10 @@ pub fn gemm_w8a8(x: &QuantizedActivations, w_codes: &[i8], w_scales: &[f32], n: 
 
 /// Per-channel W4A8 GEMM (§5.2.2).
 ///
-/// Main loop: UINT4 codes unpacked with the three-op RLP sequence and fed
-/// *as unsigned values* (all ≤ 15, so they fit in `i8`) straight into the
-/// INT8 MMA — no subtraction, no multiplication. Epilogue (Equation 12):
+/// Main loop: the stored words (packed offline by [`PerChannelW4::quantize`])
+/// unpacked with the three-op RLP sequence and fed *as unsigned values*
+/// (all ≤ 15, so they fit in `i8`) straight into the INT8 MMA — no
+/// subtraction, no multiplication. Epilogue (Equation 12):
 ///
 /// ```text
 /// O[i][j] = (acc[i][j] − t_X[i]·z[j]) · s_X[i] · s_W[j]
@@ -136,60 +177,33 @@ pub fn gemm_w8a8(x: &QuantizedActivations, w_codes: &[i8], w_scales: &[f32], n: 
 /// Panics if `x.k != w.k()`.
 pub fn gemm_w4a8_per_channel(x: &QuantizedActivations, w: &PerChannelW4) -> Matrix {
     assert_eq!(x.k, w.k(), "reduction dimension mismatch");
-    let (n, k) = (w.n(), w.k());
-    // Output channels are independent, so the whole kernel — unpack, MMA,
-    // epilogue — runs as a fork-join over column blocks; panels scatter
-    // back in block order and every element's arithmetic is the sequential
-    // kernel's exactly.
-    let p = pool::global();
-    let blocks = col_blocks(n, p.threads());
-    let panels = p.par_map(&blocks, |_, &(start, end)| {
+    let (m, k) = (x.m, w.k());
+    over_col_blocks(m, w.n(), |start, end, panel| {
         let nb = end - start;
-        // Main loop: unpack this block's weight rows through the real
-        // packed representation (pack → 3-op unpack), collect i8 codes.
-        // Rows whose length is not a multiple of 32 are zero-padded into
-        // the final word (real deployments pad channel counts; padded
-        // lanes multiply against zero activations and contribute nothing).
-        let mut w_i8 = vec![0i8; nb * k];
-        for j in 0..nb {
-            let row_codes = &w.codes()[(start + j) * k..(start + j + 1) * k];
-            let base = j * k;
-            for (idx, chunk) in row_codes.chunks(32).enumerate() {
-                let mut padded = [0u8; 32];
-                padded[..chunk.len()].copy_from_slice(chunk);
-                let word = crate::pack::pack_interleaved(&padded);
-                let word_base = base + idx * 32;
-                for (r, &reg) in word.regs.iter().enumerate() {
-                    let (low, high) = unpack_register(reg);
-                    for l in 0..4 {
-                        for (lanes, off) in [(low, 4 * r + l), (high, 16 + 4 * r + l)] {
-                            if word_base + off < base + k {
-                                w_i8[word_base + off] = lane_i8(lanes, l);
-                            }
-                        }
-                    }
-                }
+        // One weight row at a time: unpacked once from the stored words,
+        // reused by every token. A final word's padding lanes sit past `k`
+        // and never reach the MMA.
+        let mut w_row = vec![0i8; k.div_ceil(32) * 32];
+        for (j, row) in (start..end).enumerate() {
+            for_each_register(w.packed_row(row), |off, codes| {
+                store_lanes(&mut w_row[off..off + 4], codes);
+            });
+            let (zero, scale) = (i32::from(w.zeros()[row]), w.scales()[row]);
+            for i in 0..m {
+                let acc = dot_i8(&x.codes[i * k..(i + 1) * k], &w_row[..k]);
+                // Epilogue: subtraction after multiplication, fused
+                // zero-point term.
+                let corrected = acc - x.token_sums[i] * zero;
+                panel[i * nb + j] = corrected as f32 * x.scales[i] * scale;
             }
         }
-        let acc = mma_i8_nt(&x.codes, &w_i8, x.m, nb, k);
-        // Epilogue: subtraction after multiplication, fused zero-point term.
-        let mut panel = vec![0.0f32; x.m * nb];
-        for i in 0..x.m {
-            for j in 0..nb {
-                let corrected = acc[i * nb + j] - x.token_sums[i] * i32::from(w.zeros()[start + j]);
-                panel[i * nb + j] = corrected as f32 * x.scales[i] * w.scales()[start + j];
-            }
-        }
-        panel
-    });
-    let mut out = Matrix::zeros(x.m, n);
-    scatter_panels(&mut out, n, &blocks, panels);
-    out
+    })
 }
 
 /// Per-group W4A8 GEMM (§5.2.3).
 ///
-/// Main loop, per 4-lane register: `vmul` by the u8 group scale, `vadd4`
+/// Main loop, per 4-lane register of the stored words (packed offline by
+/// [`ProgressiveWeight::quantize`]): `vmul` by the u8 group scale, `vadd4`
 /// with the packed `−z·s` constant (subtraction **after** multiplication —
 /// safe because progressive quantization keeps every lane in `[-128, 127]`),
 /// yielding signed INT8 intermediates for the MMA. Epilogue: level-0 FP16
@@ -197,70 +211,44 @@ pub fn gemm_w4a8_per_channel(x: &QuantizedActivations, w: &PerChannelW4) -> Matr
 ///
 /// # Panics
 /// Panics if dimensions mismatch or the group size is not a multiple of 4
-/// (one dequant register spans 4 consecutive input channels). Reductions
-/// that are not multiples of 32 are zero-padded into the final slice.
+/// (one dequant register spans 4 consecutive input channels).
 pub fn gemm_w4a8_per_group(x: &QuantizedActivations, w: &ProgressiveWeight) -> Matrix {
     assert_eq!(x.k, w.k(), "reduction dimension mismatch");
-    let (n, k, g) = (w.n(), w.k(), w.group_size());
+    let (m, k, g) = (x.m, w.k(), w.group_size());
     assert!(g % 4 == 0 || g == k, "group size must be a multiple of 4 for RLP");
     let groups_per_row = k / g;
-
-    // Fork-join over column blocks: each block runs the whole 32-channel
-    // main loop for its weight rows. INT32 accumulation is per output
-    // element, so the block split cannot change any accumulator value.
-    let p = pool::global();
-    let blocks = col_blocks(n, p.threads());
-    let panels = p.par_map(&blocks, |_, &(start, end)| {
+    over_col_blocks(m, w.n(), |start, end, panel| {
         let nb = end - start;
-        let mut acc = vec![0i32; x.m * nb];
-        // Process the reduction in 32-channel slices, mirroring the main loop.
-        let mut w_slice = vec![0i8; nb * 32];
-        let mut x_slice = vec![0i8; x.m * 32];
-        for k0 in (0..k).step_by(32) {
-            let valid = (k - k0).min(32);
-            // Dequantize this slice of every weight row with real RLP registers.
-            for j in 0..nb {
-                let row = start + j;
-                let mut padded = [0u8; 32];
-                padded[..valid].copy_from_slice(&w.codes()[row * k + k0..row * k + k0 + valid]);
-                let word = crate::pack::pack_interleaved(&padded);
-                for (r, &reg) in word.regs.iter().enumerate() {
-                    let (low, high) = unpack_register(reg);
-                    for (reg_lanes, base_off) in [(low, 4 * r), (high, 16 + 4 * r)] {
-                        // Padded lanes pair with zero activations; clamp their
-                        // group lookup to the row's last group.
-                        let k_abs = (k0 + base_off).min(k - 1);
-                        let p = w.group_params()[row * groups_per_row + k_abs / g];
+        // One weight row at a time: unpacked and level-2 dequantized with
+        // real RLP registers once, then reused by every token — the M rows
+        // amortise the main loop's dequantization (§5.2.3).
+        let mut w_row = vec![0i8; k.div_ceil(32) * 32];
+        for (j, row) in (start..end).enumerate() {
+            let mut params = w.group_params()[row * groups_per_row..][..groups_per_row].iter();
+            let (mut scale, mut neg_zs, mut group_end) = (0u8, 0u32, 0usize);
+            for_each_register(w.packed_row(row), |off, codes| {
+                // A register never straddles groups (`g % 4 == 0`); a final
+                // word's padding lanes sit past `k`, keep the last group's
+                // parameters and never reach the MMA.
+                if off >= group_end {
+                    if let Some(p) = params.next() {
                         let zs = u32::from(p.zero) * u32::from(p.scale);
                         debug_assert!(zs <= 255);
-                        let neg_zs = splat4((zs as u8 as i8).wrapping_neg() as u8);
-                        let dq = dequant_sub_after_mul(reg_lanes, p.scale, neg_zs);
-                        for l in 0..4 {
-                            w_slice[j * 32 + base_off + l] = lane_i8(dq, l);
-                        }
+                        scale = p.scale;
+                        neg_zs = splat4((zs as u8 as i8).wrapping_neg() as u8);
+                        group_end += g;
                     }
                 }
-            }
-            for i in 0..x.m {
-                let dst = &mut x_slice[i * 32..(i + 1) * 32];
-                dst.fill(0);
-                dst[..valid].copy_from_slice(&x.codes[i * k + k0..i * k + k0 + valid]);
-            }
-            mma_i8_accumulate(&mut acc, &x_slice, &w_slice, x.m, nb, 32);
-        }
-
-        let mut panel = vec![0.0f32; x.m * nb];
-        for i in 0..x.m {
-            for j in 0..nb {
-                panel[i * nb + j] =
-                    acc[i * nb + j] as f32 * x.scales[i] * w.channel_scales()[start + j];
+                let intermediates = dequant_sub_after_mul(codes, scale, neg_zs);
+                store_lanes(&mut w_row[off..off + 4], intermediates);
+            });
+            let scale = w.channel_scales()[row];
+            for i in 0..m {
+                let acc = dot_i8(&x.codes[i * k..(i + 1) * k], &w_row[..k]);
+                panel[i * nb + j] = acc as f32 * x.scales[i] * scale;
             }
         }
-        panel
-    });
-    let mut out = Matrix::zeros(x.m, n);
-    scatter_panels(&mut out, n, &blocks, panels);
-    out
+    })
 }
 
 #[cfg(test)]
@@ -327,11 +315,12 @@ mod tests {
         let pw = PerChannelW4::quantize(&w);
         let y_kernel = gemm_w4a8_per_channel(&q, &pw);
         // Reference: explicit integer dequant (q_w − z) then integer GEMM.
+        let codes = pw.codes();
         for i in 0..4 {
             for j in 0..8 {
                 let mut acc = 0i64;
                 for p in 0..64 {
-                    let qw = i64::from(pw.codes()[j * 64 + p]) - i64::from(pw.zeros()[j]);
+                    let qw = i64::from(codes[j * 64 + p]) - i64::from(pw.zeros()[j]);
                     acc += i64::from(q.codes[i * 64 + p]) * qw;
                 }
                 let expect = acc as f32 * q.scales[i] * pw.scales()[j];
@@ -419,5 +408,45 @@ mod tests {
         let q = quantize_activations_int8(&Matrix::zeros(1, 32));
         let w = ProgressiveWeight::quantize(&Matrix::zeros(4, 64), 32);
         gemm_w4a8_per_group(&q, &w);
+    }
+    /// The kernels over the offline-packed words against the scalar integer
+    /// reference, bit for bit, on the shapes the packed layout makes
+    /// awkward: reductions that are not a multiple of the 32-weight word
+    /// (a zero-padded final word), groups as small as one register, one
+    /// group per row, and token counts from a single decode row to a
+    /// prefill chunk.
+    #[test]
+    fn packed_kernels_match_integer_reference_on_ragged_shapes() {
+        let mut rng = TensorRng::seed(12);
+        // (k, group size): 40, 72 and 100 are not multiples of 32; a group
+        // of 32 can only divide a k that is.
+        for (k, g) in [(40, 4), (40, 40), (72, 4), (72, 72), (100, 4), (96, 32), (64, 32)] {
+            for m in [1, 7, 32] {
+                let n = 19;
+                let (_, q) = acts(&mut rng, m, k);
+                let w = rng.heavy_tailed(n, k, 0.1, 0.05, 6.0);
+
+                let pw = ProgressiveWeight::quantize(&w, g);
+                let y = gemm_w4a8_per_group(&q, &pw);
+                let inter = pw.intermediate_int8();
+                let pc = PerChannelW4::quantize(&w);
+                let y_pc = gemm_w4a8_per_channel(&q, &pc);
+                let codes = pc.codes();
+                for i in 0..m {
+                    for j in 0..n {
+                        let (mut acc, mut acc_pc) = (0i64, 0i64);
+                        for p in 0..k {
+                            let x = i64::from(q.codes[i * k + p]);
+                            acc += x * i64::from(inter[j * k + p]);
+                            acc_pc += x * (i64::from(codes[j * k + p]) - i64::from(pc.zeros()[j]));
+                        }
+                        let expect = acc as f32 * q.scales[i] * pw.channel_scales()[j];
+                        assert_eq!(y[(i, j)].to_bits(), expect.to_bits(), "per-group k={k} g={g} m={m} ({i}, {j})");
+                        let expect = acc_pc as f32 * q.scales[i] * pc.scales()[j];
+                        assert_eq!(y_pc[(i, j)].to_bits(), expect.to_bits(), "per-channel k={k} m={m} ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,8 @@
 //! Modules:
 //!
 //! * [`pack`] — INT4 nibble packing with the `w0,w16,w1,w17,…` interleave of
-//!   Figure 13, and the three-op unpack.
+//!   Figure 13, and the three-op unpack (re-exported from `qserve-core`,
+//!   whose weight types pack themselves offline at `quantize` time).
 //! * [`rlp`] — register-level parallelism primitives: `vadd4`, lane-parallel
 //!   u8 multiply, and the overflow demonstration of Figure 14.
 //! * [`reorder`] — compute-aware weight reordering (Figure 12): the 32×32
@@ -31,10 +32,10 @@ pub mod attention;
 pub mod baseline_gemm;
 pub mod gemm;
 pub mod mma;
-pub mod pack;
 pub mod reorder;
 pub mod rlp;
 
 pub use baseline_gemm::{gemm_w4a16, gemm_w4a4_atom};
 pub use gemm::{gemm_w4a8_per_channel, gemm_w4a8_per_group, gemm_w8a8, quantize_activations_int8};
 pub use pack::{pack_interleaved, unpack_interleaved, PackedInt4};
+pub use qserve_core::pack;

@@ -4,25 +4,24 @@
 //! fragments and accumulates exactly into signed 32-bit integers. Integer MMA
 //! is associative and exact, so a faithful emulation only needs the same
 //! dtypes: `i8 × i8 → i32` with wrapping-free accumulation (overflow is
-//! impossible for LLM-sized reductions: `k ≤ 2²⁴` elements × max product
-//! `2¹⁴` < `2³¹`).
+//! impossible for LLM-sized reductions: `k < 2¹⁶` elements × max product
+//! `2¹⁴` ≤ `2³⁰`, which [`dot_i8`] asserts).
 
 /// Exact dot product of two signed 8-bit vectors into i32, the unit of work
 /// one tensor-core MMA performs per output element.
 ///
+/// The overflow bound is checked once per call, not per element: with
+/// `len < 2¹⁶` the sum is at most `2¹⁶ · 2¹⁴ = 2³⁰ < 2³¹` in magnitude, so
+/// the loop body is a plain widening multiply-add the compiler vectorises
+/// (the paper's k dimensions are ≤ 2¹⁵).
+///
 /// # Panics
-/// Debug-panics on accumulator overflow, which cannot happen for
-/// `len < 2^16` (the paper's k dimensions are ≤ 2^15).
+/// Panics if the lengths differ or `len ≥ 2¹⁶`.
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = acc
-            .checked_add(i32::from(x) * i32::from(y))
-            .expect("i32 MMA accumulator overflow");
-    }
-    acc
+    assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
+    assert!(a.len() < 1 << 16, "reduction of {} could overflow the i32 MMA accumulator", a.len());
+    a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum()
 }
 
 /// An `m×n×k` INT8 GEMM producing INT32 partial sums — the main loop of
@@ -45,22 +44,6 @@ pub fn mma_i8_nt(a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
     out
 }
 
-/// Tile-level MMA: accumulates `c += a·bᵀ` for one `k`-slice, mirroring how
-/// the GPU main loop accumulates one tile per iteration. Used by the W4A8
-/// kernels which dequantize one group at a time.
-pub fn mma_i8_accumulate(c: &mut [i32], a: &[i8], b: &[i8], m: usize, n: usize, k: usize) {
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), n * k, "B size mismatch");
-    for i in 0..m {
-        let ar = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let br = &b[j * k..(j + 1) * k];
-            c[i * n + j] += dot_i8(ar, br);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,6 +54,21 @@ mod tests {
         assert_eq!(dot_i8(&[1, 2, 3], &[4, 5, 6]), 32);
         assert_eq!(dot_i8(&[-128; 4], &[-128; 4]), 4 * 16384);
         assert_eq!(dot_i8(&[], &[]), 0);
+    }
+
+    #[test]
+    fn dot_is_exact_at_the_extremes_of_the_bound() {
+        // The largest admitted reduction of the largest products: 65535 ·
+        // 2¹⁴ < 2³⁰, no wrap.
+        let n = (1 << 16) - 1;
+        assert_eq!(dot_i8(&vec![-128; n], &vec![-128; n]), n as i32 * 16384);
+        assert_eq!(dot_i8(&vec![-128; n], &vec![127; n]), n as i32 * -16256);
+    }
+
+    #[test]
+    #[should_panic(expected = "could overflow")]
+    fn dot_rejects_reductions_past_the_bound() {
+        dot_i8(&vec![0; 1 << 16], &vec![0; 1 << 16]);
     }
 
     #[test]
@@ -87,24 +85,6 @@ mod tests {
                 assert_eq!(c[i * 4 + j], expect);
             }
         }
-    }
-
-    #[test]
-    fn accumulate_equals_single_shot() {
-        // Splitting the reduction into two k-slices must give identical
-        // results (integer MMA is exact).
-        let a: Vec<i8> = (0..32).map(|v| ((v * 7) % 256) as u8 as i8).collect(); // 2x16
-        let b: Vec<i8> = (0..48).map(|v| ((v * 13) % 256) as u8 as i8).collect(); // 3x16
-        let full = mma_i8_nt(&a, &b, 2, 3, 16);
-        let mut c = vec![0i32; 6];
-        // Slice k into [0,8) and [8,16).
-        let a0: Vec<i8> = (0..2).flat_map(|i| a[i * 16..i * 16 + 8].to_vec()).collect();
-        let a1: Vec<i8> = (0..2).flat_map(|i| a[i * 16 + 8..(i + 1) * 16].to_vec()).collect();
-        let b0: Vec<i8> = (0..3).flat_map(|j| b[j * 16..j * 16 + 8].to_vec()).collect();
-        let b1: Vec<i8> = (0..3).flat_map(|j| b[j * 16 + 8..(j + 1) * 16].to_vec()).collect();
-        mma_i8_accumulate(&mut c, &a0, &b0, 2, 3, 8);
-        mma_i8_accumulate(&mut c, &a1, &b1, 2, 3, 8);
-        assert_eq!(c, full);
     }
 
     props! {

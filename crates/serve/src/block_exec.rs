@@ -7,9 +7,10 @@
 //! This is the data plane the latency-simulating [`crate::engine`] models;
 //! integration tests check it against the reference fake-quant forward pass.
 
-use crate::attention_exec::paged_decode_attention;
+use crate::attention_exec::paged_decode_attention_into;
 use crate::kv_cache::{KvCacheError, PagedKvCache, SequenceId};
 use qserve_core::pipeline::{DeployedWeight, QuantizedBlock};
+use qserve_kernels::attention::AttentionScratch;
 use qserve_kernels::gemm::{gemm_w4a8_per_channel, gemm_w4a8_per_group, quantize_activations_int8};
 use qserve_tensor::ops::{rmsnorm, swiglu};
 use qserve_tensor::Matrix;
@@ -64,11 +65,17 @@ impl BlockRuntime {
         }
     }
 
-    /// One decode step for a batch of sequences: each row of `x` is one
-    /// sequence's current hidden state; KV states live in (and grow into)
-    /// the paged cache. Returns the block output (FP16-domain `f32`).
+    /// One step for a batch of rows: each row of `x` is the hidden state of
+    /// one token of `seqs[i]`; KV states live in (and grow into) the paged
+    /// cache. Every GEMM runs once over all `m = x.rows()` rows. Returns the
+    /// block output (FP16-domain `f32`).
     ///
-    /// `positions[i]` is sequence `i`'s current token index (for RoPE).
+    /// `positions[i]` is row `i`'s token index (for RoPE). Rows append to
+    /// the cache and attend one after another, in row order, so a sequence
+    /// may appear in several rows at consecutive positions — a prefill
+    /// chunk — and each of its rows sees exactly the tokens before it:
+    /// causal by construction. Rows are otherwise independent, so a row's
+    /// output does not depend on which other rows share its batch.
     ///
     /// # Errors
     /// Propagates cache errors (unknown sequence / out of pages).
@@ -109,10 +116,10 @@ impl BlockRuntime {
 
         // ---- KV cache append (dynamic per-head quantization) + attention.
         let mut attn_out = Matrix::zeros(x.rows(), self.query_heads * d);
+        let mut scratch = AttentionScratch::default();
         for (i, &seq) in seqs.iter().enumerate() {
             cache.append_token(seq, layer, k.row(i), v.row(i))?;
-            let out = paged_decode_attention(cache, seq, layer, q.row(i))?;
-            attn_out.row_mut(i).copy_from_slice(&out);
+            paged_decode_attention_into(cache, seq, layer, q.row(i), &mut scratch, attn_out.row_mut(i))?;
         }
 
         // ---- Output projection (its own quantization node, §5.1).
@@ -129,9 +136,9 @@ impl BlockRuntime {
         Ok(x.add(&self.w4a8(6, &inter_q)))
     }
 
-    /// Prefill: runs the prompt token-by-token through [`Self::decode_step`]
-    /// (numerically equivalent to batched prefill for this reference
-    /// runtime), returning the final hidden state of the last token.
+    /// Prefill: runs the whole prompt through [`Self::decode_step`] as one
+    /// `m = prompt_hidden.rows()` batch — row `t` is `seq`'s token at
+    /// position `t` — returning the final hidden state of the last token.
     ///
     /// # Errors
     /// Propagates cache errors.
@@ -146,12 +153,22 @@ impl BlockRuntime {
         ffn_norm: &[f32],
         rope_base: f32,
     ) -> Result<Matrix, KvCacheError> {
-        let mut last = Matrix::zeros(1, prompt_hidden.cols());
-        for t in 0..prompt_hidden.rows() {
-            let x = prompt_hidden.slice_rows(t, t + 1);
-            last = self.decode_step(&x, &[seq], &[t], layer, cache, attn_norm, ffn_norm, rope_base)?;
+        let tokens = prompt_hidden.rows();
+        if tokens == 0 {
+            return Ok(Matrix::zeros(1, prompt_hidden.cols()));
         }
-        Ok(last)
+        let positions: Vec<usize> = (0..tokens).collect();
+        let out = self.decode_step(
+            prompt_hidden,
+            &vec![seq; tokens],
+            &positions,
+            layer,
+            cache,
+            attn_norm,
+            ffn_norm,
+            rope_base,
+        )?;
+        Ok(out.slice_rows(tokens - 1, tokens))
     }
 }
 

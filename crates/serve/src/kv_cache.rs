@@ -19,6 +19,7 @@
 //! *unique* pages, which is what memory-aware admission must gate on.
 
 use qserve_core::kv_quant::{quantize_head, KvPrecision, QuantizedHeadToken};
+use qserve_kernels::attention::{KvLane, LaneCodes};
 use qserve_quant::params::QParams;
 use qserve_tensor::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use std::collections::HashMap;
@@ -438,38 +439,34 @@ impl PagedKvCache {
         let precision = self.config.precision;
         let head_dim = self.config.head_dim;
 
+        // Slot layout: K codes of every head, V codes of every head, then
+        // the parameter block — per-head (scale, zero) for K, then for V.
         let mut cursor = slot * slot_bytes;
-        {
-            let page = &mut self.pages[page_idx];
-            for half in [k, v] {
-                for head in half.chunks(head_dim) {
-                    if precision == KvPrecision::Fp16 {
-                        for &x in head {
-                            let bits = f32_to_f16_bits(x);
-                            page.data[cursor..cursor + 2].copy_from_slice(&bits.to_le_bytes());
-                            cursor += 2;
-                        }
-                    } else {
-                        let q = quantize_head(head, precision);
-                        cursor = write_codes(&mut page.data, cursor, &q, precision);
+        let mut params_cursor = cursor + self.config.kv_heads * self.config.head_code_bytes();
+        let page = &mut self.pages[page_idx];
+        for half in [k, v] {
+            for head in half.chunks(head_dim) {
+                if precision == KvPrecision::Fp16 {
+                    for &x in head {
+                        let bits = f32_to_f16_bits(x);
+                        page.data[cursor..cursor + 2].copy_from_slice(&bits.to_le_bytes());
+                        cursor += 2;
                     }
+                } else {
+                    // One dynamic quantization per head: its codes and its
+                    // (scale, zero) come from the same token.
+                    let q = quantize_head(head, precision);
+                    cursor = write_codes(&mut page.data, cursor, &q, precision);
+                    let s = f32_to_f16_bits(q.params.scale);
+                    let z = f32_to_f16_bits(q.params.zero as f32);
+                    page.data[params_cursor..params_cursor + 2].copy_from_slice(&s.to_le_bytes());
+                    page.data[params_cursor + 2..params_cursor + 4]
+                        .copy_from_slice(&z.to_le_bytes());
+                    params_cursor += 4;
                 }
             }
-            // Parameter block: per-head (scale, zero) for K then V.
-            if precision != KvPrecision::Fp16 {
-                for half in [k, v] {
-                    for head in half.chunks(head_dim) {
-                        let q = quantize_head(head, precision);
-                        let s = f32_to_f16_bits(q.params.scale);
-                        let z = f32_to_f16_bits(q.params.zero as f32);
-                        page.data[cursor..cursor + 2].copy_from_slice(&s.to_le_bytes());
-                        page.data[cursor + 2..cursor + 4].copy_from_slice(&z.to_le_bytes());
-                        cursor += 4;
-                    }
-                }
-            }
-            page.filled = slot + 1;
         }
+        page.filled = slot + 1;
         self.layer_lens.get_mut(&seq).unwrap()[layer] += 1;
         if layer == 0 {
             *self.lens.get_mut(&seq).unwrap() += 1;
@@ -477,8 +474,37 @@ impl PagedKvCache {
         Ok(())
     }
 
-    /// Reads back one head's quantized K and V streams for attention
-    /// (`layer`, `head`), decoding pages in order.
+    /// A borrowed view of one `(sequence, layer, KV head)`: its cached
+    /// tokens where they lie in the pages, for the fused attention kernel
+    /// to walk in place.
+    ///
+    /// # Errors
+    /// [`KvCacheError::UnknownSequence`].
+    ///
+    /// # Panics
+    /// Panics if `layer` or `head` is out of range.
+    pub fn head_view(
+        &self,
+        seq: SequenceId,
+        layer: usize,
+        head: usize,
+    ) -> Result<PagedHeadView<'_>, KvCacheError> {
+        let table = self
+            .tables
+            .get(&seq)
+            .ok_or(KvCacheError::UnknownSequence(seq))?;
+        assert!(head < self.config.kv_heads, "head out of range");
+        Ok(PagedHeadView {
+            config: self.config,
+            pages: &self.pages,
+            table: &table[layer],
+            own_len: self.layer_lens[&seq][layer],
+            head,
+        })
+    }
+
+    /// Reads back one head's quantized K and V streams (`layer`, `head`),
+    /// materialising what [`PagedKvCache::head_view`] walks.
     ///
     /// # Errors
     /// [`KvCacheError::UnknownSequence`].
@@ -488,52 +514,13 @@ impl PagedKvCache {
         layer: usize,
         head: usize,
     ) -> Result<(Vec<QuantizedHeadToken>, Vec<QuantizedHeadToken>), KvCacheError> {
-        let table = self
-            .tables
-            .get(&seq)
-            .ok_or(KvCacheError::UnknownSequence(seq))?;
-        assert!(head < self.config.kv_heads, "head out of range");
-        let mut keys = Vec::new();
-        let mut values = Vec::new();
-        // Cap at this sequence's own token count: a shared tail page may be
-        // filled further by the sequence it was forked from.
-        let mut remaining = self.layer_lens[&seq][layer];
-        for &page_idx in &table[layer] {
-            let page = &self.pages[page_idx];
-            for slot in 0..page.filled.min(remaining) {
-                let (kq, vq) = self.read_slot_head(page, slot, head);
-                keys.push(kq);
-                values.push(vq);
-            }
-            remaining = remaining.saturating_sub(page.filled);
-        }
-        Ok((keys, values))
-    }
-
-    fn read_slot_head(&self, page: &KvPage, slot: usize, head: usize) -> (QuantizedHeadToken, QuantizedHeadToken) {
-        let cfg = &self.config;
-        let slot_base = slot * cfg.token_slot_bytes();
-        let head_bytes = cfg.head_code_bytes() / 2; // per K or V
-        let read_half = |half: usize| -> QuantizedHeadToken {
-            let code_base = slot_base + (half * cfg.kv_heads + head) * head_bytes;
-            let codes = read_codes(&page.data, code_base, cfg.head_dim, cfg.precision);
-            let params = if cfg.precision == KvPrecision::Fp16 {
-                QParams { scale: 1.0, zero: 0 }
-            } else {
-                let params_base = slot_base
-                    + 2 * cfg.kv_heads * head_bytes
-                    + (half * cfg.kv_heads + head) * 4;
-                let s = f16_bits_to_f32(u16::from_le_bytes(
-                    page.data[params_base..params_base + 2].try_into().unwrap(),
-                ));
-                let z = f16_bits_to_f32(u16::from_le_bytes(
-                    page.data[params_base + 2..params_base + 4].try_into().unwrap(),
-                ));
-                QParams { scale: s, zero: z as i32 }
-            };
-            QuantizedHeadToken { codes, params }
+        let view = self.head_view(seq, layer, head)?;
+        let head_dim = self.config.head_dim;
+        let materialise = |lane: KvLane<'_>| QuantizedHeadToken {
+            codes: lane.codes.unpack(head_dim),
+            params: QParams { scale: lane.scale, zero: i32::from(lane.zero) },
         };
-        (read_half(0), read_half(1))
+        Ok((view.keys().map(materialise).collect(), view.values().map(materialise).collect()))
     }
 
     /// Immutable snapshot of a page's raw bytes (for tests/debug).
@@ -757,6 +744,87 @@ impl KvPageExport {
     }
 }
 
+/// One `(sequence, layer, KV head)` of a [`PagedKvCache`], borrowed: the
+/// page table, the pages it points into and the sequence's own token count.
+/// [`PagedHeadView::keys`] and [`PagedHeadView::values`] walk the cached
+/// tokens in order and hand out each one's codes *as stored* (KV4 nibbles
+/// stay packed) with its `(scale, zero)` decoded from the slot's parameter
+/// block — no copy, no allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct PagedHeadView<'a> {
+    config: KvCacheConfig,
+    pages: &'a [KvPage],
+    table: &'a [usize],
+    /// This sequence's own token count in this layer: a shared tail page may
+    /// be filled further by the sequence it was forked from, and those
+    /// slots are not this sequence's to read.
+    own_len: usize,
+    head: usize,
+}
+
+impl<'a> PagedHeadView<'a> {
+    /// Tokens a walk yields.
+    pub fn len(&self) -> usize {
+        let mut remaining = self.own_len;
+        let mut len = 0;
+        for &page in self.table {
+            let filled = self.pages[page].filled;
+            len += filled.min(remaining);
+            remaining = remaining.saturating_sub(filled);
+        }
+        len
+    }
+
+    /// Whether the walk is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cached keys, oldest first.
+    pub fn keys(&self) -> impl Iterator<Item = KvLane<'a>> + 'a {
+        self.lanes(0)
+    }
+
+    /// The cached values, oldest first.
+    pub fn values(&self) -> impl Iterator<Item = KvLane<'a>> + 'a {
+        self.lanes(1)
+    }
+
+    /// Walks K (`half` 0) or V (`half` 1): pages in table order, slots in
+    /// page order, capped at the sequence's own length.
+    fn lanes(&self, half: usize) -> impl Iterator<Item = KvLane<'a>> + 'a {
+        let cfg = self.config;
+        let pages = self.pages;
+        let head_bytes = cfg.head_code_bytes() / 2; // per K or V
+        let lane_index = half * cfg.kv_heads + self.head;
+        let code_base = lane_index * head_bytes;
+        let params_base = 2 * cfg.kv_heads * head_bytes + lane_index * 4;
+        let mut remaining = self.own_len;
+        self.table.iter().flat_map(move |&page| {
+            let page = &pages[page];
+            let own = page.filled.min(remaining);
+            remaining = remaining.saturating_sub(page.filled);
+            page.data.chunks_exact(cfg.token_slot_bytes()).take(own).map(move |slot| {
+                if cfg.precision == KvPrecision::Fp16 {
+                    // FP16 features are not codes and carry no parameter
+                    // block; the quantized kernels reject the empty lane.
+                    return KvLane { codes: LaneCodes::Bytes(&[]), scale: 1.0, zero: 0 };
+                }
+                let codes = &slot[code_base..code_base + head_bytes];
+                let f16_at = |at: usize| f16_bits_to_f32(u16::from_le_bytes([slot[at], slot[at + 1]]));
+                KvLane {
+                    codes: match cfg.precision {
+                        KvPrecision::Int4 => LaneCodes::Nibbles(codes),
+                        _ => LaneCodes::Bytes(codes),
+                    },
+                    scale: f16_at(params_base),
+                    zero: f16_at(params_base + 2) as u8,
+                }
+            })
+        })
+    }
+}
+
 fn write_codes(
     data: &mut [u8],
     mut cursor: usize,
@@ -781,28 +849,6 @@ fn write_codes(
         KvPrecision::Fp16 => unreachable!("fp16 handled inline"),
     }
     cursor
-}
-
-fn read_codes(data: &[u8], base: usize, head_dim: usize, precision: KvPrecision) -> Vec<u8> {
-    match precision {
-        KvPrecision::Int8 => data[base..base + head_dim].to_vec(),
-        KvPrecision::Int4 => {
-            let mut out = Vec::with_capacity(head_dim);
-            for i in 0..head_dim.div_ceil(2) {
-                let byte = data[base + i];
-                out.push(byte & 0x0F);
-                if out.len() < head_dim {
-                    out.push(byte >> 4);
-                }
-            }
-            out
-        }
-        KvPrecision::Fp16 => {
-            // FP16 codes are not used through this path; represented as
-            // empty (read_head returns params scale=1 and empty codes).
-            Vec::new()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1409,5 +1455,55 @@ mod tests {
         assert_eq!(tiny.import_pages(SequenceId(1), &image), Err(KvCacheError::OutOfPages));
         assert_eq!(tiny.used_pages(), 0);
         assert_eq!(tiny.free_pages(), 1);
+    }
+    /// The page layout, byte for byte, against a layout written out
+    /// independently here: per slot, K codes of every head, V codes of every
+    /// head, then per-head FP16 (scale, zero) for K and for V — each head
+    /// quantized exactly once.
+    #[test]
+    fn page_bytes_match_the_documented_slot_layout() {
+        for precision in [KvPrecision::Int4, KvPrecision::Int8] {
+            // head_dim 5: an odd KV4 head ends on a half-used byte.
+            for head_dim in [8, 5] {
+                let geometry = KvCacheConfig { head_dim, layers: 1, ..cfg(precision) };
+                let width = geometry.kv_heads * head_dim;
+                let mut rng = TensorRng::seed(37);
+                let mut c = PagedKvCache::new(geometry, 4);
+                let s = SequenceId(0);
+                c.register(s).unwrap();
+                let mut expect = vec![0u8; geometry.page_bytes()];
+                let mut at = 0;
+                for _ in 0..3 {
+                    let k: Vec<f32> = (0..width).map(|_| rng.normal(1.0)).collect();
+                    let v: Vec<f32> = (0..width).map(|_| rng.normal(1.0)).collect();
+                    c.append_token(s, 0, &k, &v).unwrap();
+                    let heads: Vec<QuantizedHeadToken> = k
+                        .chunks(head_dim)
+                        .chain(v.chunks(head_dim))
+                        .map(|head| quantize_head(head, precision))
+                        .collect();
+                    for q in &heads {
+                        if precision == KvPrecision::Int8 {
+                            expect[at..at + head_dim].copy_from_slice(&q.codes);
+                            at += head_dim;
+                        } else {
+                            for pair in q.codes.chunks(2) {
+                                expect[at] = pair[0] | (pair.get(1).copied().unwrap_or(0) << 4);
+                                at += 1;
+                            }
+                        }
+                    }
+                    for q in &heads {
+                        expect[at..at + 2].copy_from_slice(&f32_to_f16_bits(q.params.scale).to_le_bytes());
+                        expect[at + 2..at + 4]
+                            .copy_from_slice(&f32_to_f16_bits(q.params.zero as f32).to_le_bytes());
+                        at += 4;
+                    }
+                    assert_eq!(at % geometry.token_slot_bytes(), 0, "slot size");
+                }
+                let page = c.layer_pages(s, 0)[0];
+                assert_eq!(c.page_bytes_snapshot(page), expect, "{:?} d={}", precision, head_dim);
+            }
+        }
     }
 }

@@ -78,27 +78,53 @@ impl ModelRuntime {
         self.cache.release(seq)
     }
 
-    /// Runs one token through every layer (prefill and decode share this
-    /// path), returning the logits row.
+    /// The batched step: runs `rows` — each one token of one sequence —
+    /// through every layer as a single `m = rows.len()` activation matrix,
+    /// one W4A8 GEMM per projection, and returns the logits of the rows
+    /// named in `logits_for` (indices into `rows`, in that order); the
+    /// final norm and the vocabulary projection run for those rows only.
+    ///
+    /// A row's position is its sequence's cached length plus the number of
+    /// earlier rows of the same sequence, so a sequence repeated in
+    /// consecutive rows is a prefill chunk (see
+    /// [`BlockRuntime::decode_step`]). Rows are independent of their batch:
+    /// every result is bit-identical to feeding the same tokens through
+    /// [`ModelRuntime::step`] one at a time.
     ///
     /// # Errors
     /// Propagates cache errors (e.g. out of pages).
-    pub fn step(&mut self, seq: SequenceId, token: u32) -> Result<Vec<f32>, KvCacheError> {
-        let pos = self.cache.seq_len(seq);
+    ///
+    /// # Panics
+    /// Panics if an index in `logits_for` is out of range.
+    pub fn step_batch(
+        &mut self,
+        rows: &[(SequenceId, u32)],
+        logits_for: &[usize],
+    ) -> Result<Vec<Vec<f32>>, KvCacheError> {
+        if rows.is_empty() {
+            assert!(logits_for.is_empty(), "logits requested from an empty batch");
+            return Ok(Vec::new());
+        }
         let h = self.model.config.hidden;
-        let mut x = Matrix::zeros(1, h);
-        x.row_mut(0).copy_from_slice(
-            self.model
-                .embedding
-                .row(token as usize % self.model.config.vocab),
-        );
+        let mut x = Matrix::zeros(rows.len(), h);
+        let mut seqs = Vec::with_capacity(rows.len());
+        let mut positions = Vec::with_capacity(rows.len());
+        let mut next_pos: HashMap<SequenceId, usize> = HashMap::new();
+        for (i, &(seq, token)) in rows.iter().enumerate() {
+            x.row_mut(i)
+                .copy_from_slice(self.model.embedding.row(token as usize % self.model.config.vocab));
+            let pos = next_pos.entry(seq).or_insert_with(|| self.cache.seq_len(seq));
+            seqs.push(seq);
+            positions.push(*pos);
+            *pos += 1;
+        }
         for (layer, (runtime, (attn_norm, ffn_norm))) in
             self.blocks.iter().zip(&self.model.norms).enumerate()
         {
             x = runtime.decode_step(
                 &x,
-                &[seq],
-                &[pos],
+                &seqs,
+                &positions,
                 layer,
                 &mut self.cache,
                 attn_norm,
@@ -106,9 +132,41 @@ impl ModelRuntime {
                 self.model.rope_base,
             )?;
         }
-        let x = rmsnorm(&x, &self.model.final_norm, 1e-5);
-        let logits = x.matmul_nt(&self.model.embedding).scale(1.0 / (h as f32).sqrt());
-        Ok(logits.row(0).to_vec())
+        if logits_for.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut wanted = Matrix::zeros(logits_for.len(), h);
+        for (i, &row) in logits_for.iter().enumerate() {
+            wanted.row_mut(i).copy_from_slice(x.row(row));
+        }
+        let wanted = rmsnorm(&wanted, &self.model.final_norm, 1e-5);
+        let logits = wanted.matmul_nt(&self.model.embedding).scale(1.0 / (h as f32).sqrt());
+        Ok((0..logits.rows()).map(|i| logits.row(i).to_vec()).collect())
+    }
+
+    /// Runs one token through every layer (a one-row
+    /// [`ModelRuntime::step_batch`]), returning the logits row.
+    ///
+    /// # Errors
+    /// Propagates cache errors (e.g. out of pages).
+    pub fn step(&mut self, seq: SequenceId, token: u32) -> Result<Vec<f32>, KvCacheError> {
+        let mut logits = self.step_batch(&[(seq, token)], &[0])?;
+        Ok(logits.pop().expect("one row requested"))
+    }
+
+    /// Runs `tokens` of one sequence as a single prefill batch, returning
+    /// the last token's logits when `want_logits` (and there is a token),
+    /// an empty row otherwise.
+    fn prefill_slice(
+        &mut self,
+        seq: SequenceId,
+        tokens: &[u32],
+        want_logits: bool,
+    ) -> Result<Vec<f32>, KvCacheError> {
+        let rows: Vec<(SequenceId, u32)> = tokens.iter().map(|&t| (seq, t)).collect();
+        let last = rows.len().checked_sub(1).filter(|_| want_logits);
+        let mut logits = self.step_batch(&rows, last.as_slice())?;
+        Ok(logits.pop().unwrap_or_default())
     }
 
     /// Greedy generation: prefills `prompt`, then emits `max_new` tokens by
@@ -173,8 +231,10 @@ impl ModelRuntime {
     /// stack, driven by the shared [`Scheduler`] core: the policy orders
     /// admission, a page ledger mirroring this runtime's [`PagedKvCache`]
     /// geometry gates it (peak-reserving, so the cache can never run out of
-    /// pages mid-flight), and every decode tick runs one true token step —
-    /// W4A8 GEMMs, paged KV4 attention — for every running sequence.
+    /// pages mid-flight), and every decode tick runs one true batched step
+    /// ([`ModelRuntime::step_batch`]) — W4A8 GEMMs at `m = B`, paged KV4
+    /// attention — over all decodable sequences; each prefill remainder or
+    /// chunk slice runs as one `m = tokens` batch of its own.
     ///
     /// With [`SchedOptions::share_prefixes`] on, admission consults a
     /// [`PrefixIndex`] over the live sequences' prompts and *forks* the
@@ -259,12 +319,8 @@ impl ModelRuntime {
                     // a same-wave sibling's prefix is cached before the next
                     // member's fork (the cascade the scheduler's grants
                     // assume).
-                    let mut last = Vec::new();
-                    for &t in &feed {
-                        last = self.step(seq, t)?;
-                    }
+                    logits.insert(id, self.prefill_slice(seq, &feed, true)?);
                     prefill_steps += feed.len();
-                    logits.insert(id, last);
                     feed.clear();
                 }
                 pending.insert(id, feed);
@@ -275,12 +331,11 @@ impl ModelRuntime {
                 for (id, n, _past) in sched.prefill_chunks(c) {
                     let seq = SequenceId(id.0);
                     let feed = pending.get_mut(&id).expect("chunk for a live request");
-                    let mut last = Vec::new();
-                    for t in feed.drain(..n) {
-                        last = self.step(seq, t)?;
-                    }
+                    let slice: Vec<u32> = feed.drain(..n).collect();
+                    let finished = feed.is_empty();
+                    let last = self.prefill_slice(seq, &slice, finished)?;
                     prefill_steps += n;
-                    if feed.is_empty() {
+                    if finished {
                         logits.insert(id, last);
                     }
                 }
@@ -297,9 +352,10 @@ impl ModelRuntime {
             // be released from the real cache here.
             let preempted = sched.make_room(&mut budget);
             assert!(preempted.is_empty(), "peak-reserving budget cannot preempt");
-            // One real decode step per decodable sequence: sample greedily
-            // from the last logits, then advance the model (skipping the
-            // forward pass for sequences that just finished).
+            // One real decode step for all decodable sequences at once:
+            // sample greedily from the last logits, then advance the model
+            // with a single batched step (sequences that just finished
+            // stay out of the batch).
             let step_requests: Vec<(RequestId, usize)> = sched
                 .running()
                 .iter()
@@ -309,13 +365,17 @@ impl ModelRuntime {
             if step_requests.is_empty() {
                 continue; // every resident is still chunk-prefilling
             }
+            let mut rows = Vec::with_capacity(step_requests.len());
             for (id, remaining) in step_requests {
                 let next = argmax(&logits[&id]) as u32;
                 outputs.entry(id).or_default().push(next);
                 if remaining > 1 {
-                    let l = self.step(SequenceId(id.0), next)?;
-                    logits.insert(id, l);
+                    rows.push((SequenceId(id.0), next));
                 }
+            }
+            let every_row: Vec<usize> = (0..rows.len()).collect();
+            for (&(seq, _), l) in rows.iter().zip(self.step_batch(&rows, &every_row)?) {
+                logits.insert(RequestId(seq.0), l);
             }
             for id in sched.decode_step(1.0, &mut budget) {
                 self.finish_sequence(SequenceId(id.0))?;
@@ -625,5 +685,152 @@ mod tests {
             order.iter().position(|&(_, i)| i == id).unwrap()
         };
         assert!(rank(&rc, shortest) <= rank(&ra, shortest));
+    }
+    /// The regression pin behind the benchmark's `sim_digest` on
+    /// `func_serve`, which hashes exactly these fields: with sharing and
+    /// chunking on, the batched data plane serves the tokens and the step
+    /// indices the token-at-a-time loops served before it (values recorded
+    /// from the parent commit), and each request still equals a solo greedy
+    /// run on a fresh deployment.
+    #[test]
+    fn shared_chunked_serve_is_pinned_to_the_pre_batching_values() {
+        use crate::scheduler::Fcfs;
+        let (_, mut rt) = deploy_small();
+        let served = rt
+            .serve_with(
+                &shared_spec(6, 33),
+                3,
+                Box::new(Fcfs),
+                SchedOptions { share_prefixes: true, chunk_tokens: Some(8), ..SchedOptions::default() },
+            )
+            .unwrap();
+        let pinned: [(&[u32], usize, usize); 6] = [
+            (&[275, 275, 275], 52, 54),
+            (&[345, 345, 345, 345], 52, 67),
+            (&[305, 305, 305], 52, 54),
+            (&[283, 283], 113, 114),
+            (&[283, 283, 283, 283], 67, 99),
+            (&[283, 283], 81, 90),
+        ];
+        assert_eq!(served.len(), pinned.len());
+        for (r, (output, first_token_step, finish_step)) in served.iter().zip(pinned) {
+            assert_eq!(r.output, output, "request {:?} tokens", r.id);
+            assert_eq!(r.first_token_step, first_token_step, "request {:?} first token", r.id);
+            assert_eq!(r.finish_step, finish_step, "request {:?} finish", r.id);
+            let (_, mut solo) = deploy_small();
+            let s = solo.start_sequence().unwrap();
+            let expect = solo.generate_greedy(s, &r.prompt, r.output.len()).unwrap();
+            assert_eq!(r.output, expect, "request {:?} diverged from solo greedy", r.id);
+        }
+        assert_eq!(rt.cache().used_pages(), 0);
+    }
+
+    #[test]
+    fn logits_come_back_in_the_requested_order_only() {
+        let (_, mut rt) = deploy_small();
+        let (_, mut reference) = deploy_small();
+        let (a, b) = (rt.start_sequence().unwrap(), rt.start_sequence().unwrap());
+        for r in [a, b] {
+            assert_eq!(reference.start_sequence().unwrap(), r);
+        }
+        let rows = [(a, 3), (b, 9), (a, 4)];
+        let got = rt.step_batch(&rows, &[2, 1]).unwrap();
+        let one_by_one: Vec<Vec<f32>> =
+            rows.iter().map(|&(s, t)| reference.step(s, t).unwrap()).collect();
+        assert_eq!(got, vec![one_by_one[2].clone(), one_by_one[1].clone()]);
+        assert!(rt.step_batch(&rows, &[]).unwrap().is_empty());
+        assert_eq!(rt.cache().seq_len(a), 4, "rows without logits still advance the cache");
+        assert!(rt.step_batch(&[], &[]).unwrap().is_empty());
+    }
+
+    qserve_tensor::props! {
+        /// The bit-exactness contract of the batched step: any mix of
+        /// sequences in one batch — fresh ones, forks of a live prefix
+        /// (copy-on-write tails), a sequence repeated at consecutive
+        /// positions (a prefill chunk), single decode rows, interleaved in
+        /// any order, KV4 or KV8, per-group or per-channel weights — yields,
+        /// row for row, the logits of the same tokens fed one `step` at a
+        /// time to a fresh deployment, and leaves the same KV bytes behind.
+        fn batched_step_equals_token_at_a_time(rng, cases = 10) {
+            use qserve_core::kv_quant::KvPrecision;
+            let model = SyntheticModel::small(2);
+            let calib = TensorRng::seed(1).token_sequence(32, model.config.vocab);
+            let cfg = QoqConfig {
+                kv_precision: if rng.int_in(0, 1) == 0 { KvPrecision::Int4 } else { KvPrecision::Int8 },
+                ..if rng.int_in(0, 1) == 0 {
+                    QoqConfig { weight_granularity: WeightGranularity::PerGroup(32), ..QoqConfig::w4a8kv4_g128() }
+                } else {
+                    QoqConfig::w4a8kv4_per_channel()
+                }
+            };
+            let mut batched = ModelRuntime::deploy(&model, &cfg, &calib, 256);
+            let mut reference = ModelRuntime::deploy(&model, &cfg, &calib, 256);
+            let mut live = Vec::new();
+            for _ in 0..2 {
+                live.push(batched.start_sequence().unwrap());
+                reference.start_sequence().unwrap();
+            }
+            for _tick in 0..rng.int_in(3, 5) {
+                // Sometimes fork a live prefix first (pages are 16 tokens, so
+                // prefixes end mid-page and on page boundaries alike).
+                let donors: Vec<SequenceId> =
+                    live.iter().copied().filter(|&s| batched.cache.seq_len(s) > 0).collect();
+                if !donors.is_empty() && rng.int_in(0, 2) == 0 {
+                    let parent = donors[rng.int_in(0, donors.len() as i64 - 1) as usize];
+                    let prefix = rng.int_in(1, batched.cache.seq_len(parent) as i64) as usize;
+                    let child = SequenceId(batched.next_seq);
+                    for rt in [&mut batched, &mut reference] {
+                        rt.next_seq += 1;
+                        rt.cache.fork(parent, child, prefix).unwrap();
+                    }
+                    live.push(child);
+                }
+                // Each live sequence contributes nothing, one decode row or
+                // a chunk; rows of different sequences interleave at random.
+                let mut queues: Vec<(SequenceId, Vec<u32>)> = live
+                    .iter()
+                    .map(|&s| {
+                        let n = match rng.int_in(0, 2) {
+                            0 => 0,
+                            1 => 1,
+                            _ => rng.int_in(2, 20) as usize,
+                        };
+                        (s, rng.token_sequence(n, model.config.vocab))
+                    })
+                    .filter(|(_, tokens)| !tokens.is_empty())
+                    .collect();
+                let mut rows = Vec::new();
+                while !queues.is_empty() {
+                    let pick = rng.int_in(0, queues.len() as i64 - 1) as usize;
+                    rows.push((queues[pick].0, queues[pick].1.remove(0)));
+                    if queues[pick].1.is_empty() {
+                        queues.remove(pick);
+                    }
+                }
+                let every_row: Vec<usize> = (0..rows.len()).collect();
+                let got = batched.step_batch(&rows, &every_row).unwrap();
+                for (i, (&(seq, token), got)) in rows.iter().zip(&got).enumerate() {
+                    let want = reference.step(seq, token).unwrap();
+                    assert!(
+                        got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                        "row {} ({:?}, token {}) of a {}-row batch differs from its solo step",
+                        i, seq, token, rows.len()
+                    );
+                }
+            }
+            let kv = *batched.cache.config();
+            for &seq in &live {
+                assert_eq!(batched.cache.seq_len(seq), reference.cache.seq_len(seq));
+                for layer in 0..kv.layers {
+                    for head in 0..kv.kv_heads {
+                        assert_eq!(
+                            batched.cache.read_head(seq, layer, head).unwrap(),
+                            reference.cache.read_head(seq, layer, head).unwrap(),
+                            "{:?} layer {} head {} cached different KV", seq, layer, head
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -110,9 +110,32 @@ impl From<F16> for f32 {
 /// (round-to-nearest, ties-to-even), returning an `f32`.
 ///
 /// This is the workhorse for "FP16 math" in kernel emulation:
-/// `round_f16(a * b)` behaves like a half-precision multiply.
+/// `round_f16(a * b)` behaves like a half-precision multiply. It is
+/// bit-identical to `f16_bits_to_f32(f32_to_f16_bits(value))` for every
+/// input, but never leaves the `f32` container:
+///
+/// * binary16 **subnormals and zero** (`|x| < 2⁻¹⁴`): the representable
+///   values are the multiples of `2⁻²⁴`, which is exactly the `f32` spacing
+///   in `[0.5, 1)` — adding and subtracting `0.5` lets the FPU's own
+///   round-to-nearest-even do the work;
+/// * binary16 **normals** and the overflow margin (`2⁻¹⁴ ≤ |x| < 65520`):
+///   drop 13 mantissa bits with ties-to-even as integer arithmetic on the
+///   bit pattern (a carry out of the mantissa correctly bumps the exponent);
+/// * `|x| ≥ 65520` rounds to ±∞, and NaN becomes the quiet NaN.
+#[inline]
 pub fn round_f16(value: f32) -> f32 {
-    f16_bits_to_f32(f32_to_f16_bits(value))
+    let bits = value.to_bits();
+    let abs = bits & 0x7FFF_FFFF;
+    let rounded = if abs < 0x3880_0000 {
+        ((f32::from_bits(abs) + 0.5) - 0.5).to_bits()
+    } else if abs < 0x477F_F000 {
+        (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF
+    } else if abs <= 0x7F80_0000 {
+        0x7F80_0000
+    } else {
+        0x7FC0_0000
+    };
+    f32::from_bits((bits & 0x8000_0000) | rounded)
 }
 
 /// Converts `f32` bits to binary16 bits with round-to-nearest-even,
@@ -175,18 +198,16 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 }
 
 /// Converts binary16 bits to an exactly-equal `f32`.
+#[inline]
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = u32::from(bits & 0x8000) << 16;
     let exp = (bits >> 10) & 0x1F;
     let mant = u32::from(bits & 0x03FF);
 
     if exp == 0 {
-        if mant == 0 {
-            return f32::from_bits(sign);
-        }
-        // Subnormal: value = mant * 2^-24.
-        let v = (mant as f32) * (-24f32).exp2();
-        return if sign != 0 { -v } else { v };
+        // Zero or subnormal: value = mant · 2⁻²⁴ (`0x3380_0000`), exact.
+        let v = (mant as f32) * f32::from_bits(0x3380_0000);
+        return f32::from_bits(sign | v.to_bits());
     }
     if exp == 0x1F {
         return if mant == 0 {
@@ -281,6 +302,51 @@ mod tests {
             }
             let back = F16::from_f32(h.to_f32());
             assert_eq!(back.to_bits(), bits, "bits {:#06x} failed round trip", bits);
+        }
+    }
+
+    #[test]
+    fn round_f16_fast_paths_match_the_bit_level_conversion() {
+        let reference = |v: f32| f16_bits_to_f32(f32_to_f16_bits(v));
+        let check = |bits: u32| {
+            let v = f32::from_bits(bits);
+            let (fast, slow) = (round_f16(v), reference(v));
+            assert!(
+                fast.to_bits() == slow.to_bits() || (fast.is_nan() && slow.is_nan()),
+                "bits {:#010x}: fast {:#010x} vs reference {:#010x}",
+                bits,
+                fast.to_bits(),
+                slow.to_bits()
+            );
+        };
+        // Every binary16 value, the f32 halfway to its successor (a tie),
+        // and the f32 neighbours of both — all rounding decisions, in the
+        // subnormal, normal and overflow ranges, either sign.
+        for h in 0..=u16::MAX {
+            if F16::from_bits(h).is_nan() || F16::from_bits(h).is_infinite() {
+                continue;
+            }
+            let lo = F16::from_bits(h).to_f32();
+            let hi = F16::from_bits(h.wrapping_add(1)).to_f32();
+            let tie = if hi.is_finite() { (lo + hi) / 2.0 } else { lo * 1.000_244 };
+            for centre in [lo.to_bits(), tie.to_bits()] {
+                for delta in -2i32..=2 {
+                    check(centre.wrapping_add_signed(delta));
+                }
+            }
+        }
+        // The range boundaries of the fast paths, f32 subnormals, ±0, ±∞, NaN.
+        for centre in [0u32, 1, 0x007F_FFFF, 0x0080_0000, 0x3300_0000, 0x3880_0000, 0x477F_E000, 0x477F_F000, 0x4780_0000, 0x7F80_0000, 0x7FC0_0000] {
+            for delta in -3i32..=3 {
+                check(centre.wrapping_add_signed(delta));
+                check(centre.wrapping_add_signed(delta) | 0x8000_0000);
+            }
+        }
+        // A coprime stride across the whole f32 space.
+        let mut bits = 0u32;
+        for _ in 0..2_000_000 {
+            check(bits);
+            bits = bits.wrapping_add(2_147_483_629 / 1000 * 2 + 1);
         }
     }
 

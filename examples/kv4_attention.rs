@@ -7,7 +7,7 @@
 //! ```
 
 use qserve::core::kv_quant::KvPrecision;
-use qserve::kernels::attention::{decode_attention_fp16, magic_bias_dequant, QuantizedKvHead};
+use qserve::kernels::attention::{fused_decode_attention, magic_bias_dequant, AttentionScratch};
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve::tensor::fp16::F16;
 use qserve::tensor::ops::attention_single;
@@ -53,11 +53,18 @@ fn main() {
     // --- Decode attention against the quantized cache --------------------
     let head = 2;
     let q: Vec<f32> = (0..cfg.head_dim).map(|_| rng.normal(1.0)).collect();
-    let (k_toks, v_toks) = cache.read_head(seq, 0, head).expect("registered");
-    let mut kv_head = QuantizedKvHead::new(KvPrecision::Int4);
-    kv_head.keys = k_toks;
-    kv_head.values = v_toks;
-    let out_kv4 = decode_attention_fp16(&q, &kv_head);
+    // The fused kernel walks the page bytes in place: no token is copied out.
+    let view = cache.head_view(seq, 0, head).expect("registered");
+    let mut out_kv4 = vec![0.0f32; cfg.head_dim];
+    fused_decode_attention(
+        &q,
+        cfg.head_dim,
+        view.len(),
+        view.keys(),
+        view.values(),
+        &mut AttentionScratch::default(),
+        &mut out_kv4,
+    );
 
     // FP32 reference over the unquantized K/V slices of that head.
     let lo = head * cfg.head_dim;

@@ -24,8 +24,9 @@ fn reordered_storage_preserves_gemm_bits() {
 
     // Reorder into compute order and back — the kernel consumes the same
     // codes either way.
-    let reordered = ReorderedWeight::from_codes(pw.codes(), 32, 128);
-    assert_eq!(reordered.to_codes(), pw.codes());
+    let codes = pw.codes();
+    let reordered = ReorderedWeight::from_codes(&codes, 32, 128);
+    assert_eq!(reordered.to_codes(), codes);
     let y_after = gemm_w4a8_per_group(&qx, &pw);
     assert_eq!(y_direct.as_slice(), y_after.as_slice());
 }
@@ -82,11 +83,12 @@ fn per_channel_deployment_bit_exact() {
         panic!("expected per-channel weights");
     };
     let y = gemm_w4a8_per_channel(&qx, pc);
+    let codes = pc.codes();
     for i in 0..2 {
         for j in 0..pc.n() {
             let mut acc = 0i64;
             for p in 0..pc.k() {
-                let qw = i64::from(pc.codes()[j * pc.k() + p]) - i64::from(pc.zeros()[j]);
+                let qw = i64::from(codes[j * pc.k() + p]) - i64::from(pc.zeros()[j]);
                 acc += i64::from(qx.codes[i * pc.k() + p]) * qw;
             }
             let expect = acc as f32 * qx.scales[i] * pc.scales()[j];
