@@ -75,11 +75,23 @@ cargo run --release --offline --locked -p qserve-bench --bin reproduce -- elasti
 test -s results/elastic_sweep_smoke.csv
 
 # The benchmark is a package of its own (own [workspace] and lock file, so
-# no --locked: see benchmark/run.sh): its contract tests, then one quick
-# functional-serve run through the driver's entry point — the data plane's
-# outputs are checked against solo greedy generation inside the run.
+# no --locked: see benchmark/run.sh): its contract tests, then quick runs
+# through the driver's entry point — the functional data plane (outputs
+# checked against solo greedy generation inside the run) and the paged
+# simulator under swap preemption + chunked prefill. run.sh exits 0 even
+# when an output check fails; the verdict is the JSON on the last stdout
+# line, so that line is what gets asserted.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --workload func_serve --quick --seconds 1 --trace 0 >/dev/null
+for workload in func_serve longctx_pressure; do
+    verdict=$(bash benchmark/run.sh --workload "$workload" --quick --seconds 1 --trace 0 | tail -n 1)
+    case "$verdict" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "ci.sh: benchmark smoke '$workload' failed its checks: $verdict" >&2
+        exit 1
+        ;;
+    esac
+done
 
 # Every example must run end to end, offline (smoke: exit status only).
 for ex in quickstart generate kv4_attention paged_serving prefix_caching \

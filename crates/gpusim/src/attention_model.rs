@@ -216,16 +216,19 @@ pub fn attention_decode_latency_with(
 /// Decode-attention latency from batch-level totals: `batch` sequences with
 /// `total_tokens` cached KV tokens between them. One kernel launch serves the
 /// whole batch, so the per-launch overhead is charged once regardless of how
-/// the tokens are distributed across sequences.
-fn decode_latency_from_totals(
+/// the tokens are distributed across sequences — which is why a caller that
+/// already tracks the two integers (the scheduler does) can price a step
+/// without materializing the per-sequence lengths.
+pub fn attention_decode_latency_totals(
     gpu: &GpuSpec,
     kernel: AttentionKernel,
-    batch: f64,
-    total_tokens: f64,
+    batch: usize,
+    total_tokens: usize,
     query_heads: usize,
     kv_heads: usize,
     head_dim: usize,
 ) -> AttentionLatency {
+    let (batch, total_tokens) = (batch as f64, total_tokens as f64);
     let elems = 2.0 * total_tokens * kv_heads as f64 * head_dim as f64;
     let tokens_heads = total_tokens * kv_heads as f64;
 
@@ -258,11 +261,11 @@ pub fn attention_decode_latency(
     kernel: AttentionKernel,
     shape: AttentionShape,
 ) -> AttentionLatency {
-    decode_latency_from_totals(
+    attention_decode_latency_totals(
         gpu,
         kernel,
-        shape.batch as f64,
-        shape.batch as f64 * shape.seq_len as f64,
+        shape.batch,
+        shape.batch * shape.seq_len,
         shape.query_heads,
         shape.kv_heads,
         shape.head_dim,
@@ -281,12 +284,11 @@ pub fn attention_decode_latency_hetero(
     kv_heads: usize,
     head_dim: usize,
 ) -> AttentionLatency {
-    let total: usize = seq_lens.iter().sum();
-    decode_latency_from_totals(
+    attention_decode_latency_totals(
         gpu,
         kernel,
-        seq_lens.len() as f64,
-        total as f64,
+        seq_lens.len(),
+        seq_lens.iter().sum(),
         query_heads,
         kv_heads,
         head_dim,

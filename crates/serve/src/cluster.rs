@@ -207,9 +207,7 @@ impl Replica {
     /// the queue with: a chunk boundary while any resident prefill is
     /// mid-chunking, otherwise a completion step.
     fn next_event(&self) -> Event {
-        if self.sched.options().chunk_tokens.is_some()
-            && self.sched.running().iter().any(|r| r.prefill_remaining() > 0)
-        {
+        if self.sched.options().chunk_tokens.is_some() && self.sched.prefilling() > 0 {
             Event::ChunkBoundary(self.life.epoch())
         } else {
             Event::Completion(self.life.epoch())
@@ -961,6 +959,7 @@ impl Cluster {
         // still balance from first principles.
         for rep in &reps {
             rep.budget.assert_consistent();
+            rep.sched.assert_mirrors_ledger(&rep.budget);
         }
         let slices: Vec<ReplicaSlice<'_>> = reps.iter().map(Replica::slice).collect();
         Ok(aggregate(

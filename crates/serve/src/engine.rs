@@ -25,9 +25,8 @@ use crate::scheduler::{
     Scheduler, SchedulerStats, SchedulingPolicy, UnboundedBudget,
 };
 use qserve_gpusim::attention_model::{
-    attention_decode_latency, attention_decode_latency_hetero, attention_prefill_latency,
+    attention_decode_latency_totals, attention_prefill_latency,
     attention_prefill_latency_chunked, attention_prefill_latency_hetero, AttentionLatency,
-    AttentionShape,
 };
 use qserve_gpusim::gemm_model::{gemm_latency, GemmShape};
 use qserve_gpusim::tp::{HostLink, TpGroup};
@@ -153,12 +152,8 @@ pub(crate) struct TickScratch {
     chunks: Vec<(RequestId, usize, usize)>,
     /// `(new_tokens, past_tokens)` pairs priced by the cost model.
     pairs: Vec<(usize, usize)>,
-    /// Decodable-resident worklist ([`Scheduler::make_room_into`]).
-    ids: Vec<RequestId>,
-    /// Ids evicted by this tick's preemptions.
+    /// Ids evicted by this tick's preemptions ([`Scheduler::make_room`]).
     preempted: Vec<RequestId>,
-    /// KV lengths of this tick's decoding sequences.
-    lens: Vec<usize>,
     /// Ids retired by this tick's decode step.
     done: Vec<RequestId>,
 }
@@ -504,33 +499,31 @@ impl ServingEngine {
     /// `seq_len` (the homogeneous special case of
     /// [`ServingEngine::decode_step_latency_hetero`]).
     pub fn decode_step_latency(&self, batch: usize, seq_len: usize) -> f64 {
-        let attn = attention_decode_latency(
-            &self.gpu,
-            self.system.attention_kernel(),
-            AttentionShape {
-                batch,
-                seq_len,
-                query_heads: self.tp.shard(self.model.heads),
-                kv_heads: self.tp.shard(self.model.kv_heads),
-                head_dim: self.model.head_dim(),
-            },
-        );
-        self.decode_cost(batch, attn)
+        self.decode_step_latency_totals(batch, batch * seq_len)
     }
 
     /// Latency of one decode step over a heterogeneous batch: attention is
     /// charged per-sequence at each sequence's true KV length (summed), not
     /// at the batch-mean length, so mixed-length batches are costed honestly.
     pub fn decode_step_latency_hetero(&self, seq_lens: &[usize]) -> f64 {
-        let attn = attention_decode_latency_hetero(
+        self.decode_step_latency_totals(seq_lens.len(), seq_lens.iter().sum())
+    }
+
+    /// [`ServingEngine::decode_step_latency_hetero`] from the two integers
+    /// it reduces its argument to: `batch` sequences holding `total_tokens`
+    /// cached tokens between them. What the tick prices from, straight off
+    /// [`Scheduler::decode_totals`].
+    pub fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
+        let attn = attention_decode_latency_totals(
             &self.gpu,
             self.system.attention_kernel(),
-            seq_lens,
+            batch,
+            total_tokens,
             self.tp.shard(self.model.heads),
             self.tp.shard(self.model.kv_heads),
             self.model.head_dim(),
         );
-        self.decode_cost(seq_lens.len(), attn)
+        self.decode_cost(batch, attn)
     }
 
     /// Shared prefill accounting over a wave totalling `tokens` prompt
@@ -662,7 +655,7 @@ impl ServingEngine {
         budget: &mut dyn KvBudget,
         scratch: &mut TickScratch,
     ) {
-        let TickScratch { wave, chunks, pairs, ids, preempted, lens, done } = scratch;
+        let TickScratch { wave, chunks, pairs, preempted, done } = scratch;
         sched.admit_into(budget, wave);
         match sched.options().chunk_tokens {
             None => {
@@ -694,7 +687,7 @@ impl ServingEngine {
             }
             return;
         }
-        sched.make_room_into(budget, ids, preempted);
+        sched.make_room(budget, preempted);
         // Price this tick's host-link traffic (swap-ins drained at admit,
         // swap-outs from make-room) into the replica's clock: preemption by
         // swap is not free, it costs a PCIe round trip per page.
@@ -705,11 +698,11 @@ impl ServingEngine {
                     .transfer_latency(swap_pages as f64 * self.kv_page_bytes() as f64),
             );
         }
-        sched.decoding_seq_lens_into(lens);
-        if lens.is_empty() {
+        let (batch, total_tokens) = sched.decode_totals();
+        if batch == 0 {
             return; // every resident is still chunk-prefilling
         }
-        sched.decode_step_into(self.decode_step_latency_hetero(lens), budget, done);
+        sched.decode_step_into(self.decode_step_latency_totals(batch, total_tokens), budget, done);
     }
 
     /// The unified entry point: serves `spec` under the batch-limit
@@ -1094,6 +1087,40 @@ mod tests {
     }
 
     #[test]
+    fn totals_priced_step_equals_the_per_sequence_price_bit_for_bit() {
+        // The tick prices decode from the scheduler's `(count, Σ seq_len)`
+        // counters; the lengths themselves are never materialized. On every
+        // tick of a chunked, preempting run the two spellings must agree to
+        // the bit — the counters and the adapter in one check.
+        let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
+        let opts = SchedOptions { chunk_tokens: Some(64), ..SchedOptions::default() };
+        let reqs = WorkloadSpec::chat(24, 5).sample();
+        let mut sched = Scheduler::with_options(reqs, 6, Box::new(Fcfs), opts);
+        let mut budget = PageBudget::new(16, 2, 160, Reservation::OnDemand);
+        let mut scratch = TickScratch::default();
+        let mut compared = 0usize;
+        while !sched.is_done() {
+            let lens: Vec<usize> = sched
+                .running()
+                .iter()
+                .filter(|r| r.prefill_remaining() == 0)
+                .map(|r| r.seq_len)
+                .collect();
+            let (batch, total_tokens) = sched.decode_totals();
+            assert_eq!((batch, total_tokens), (lens.len(), lens.iter().sum()));
+            if batch > 0 {
+                assert_eq!(
+                    e.decode_step_latency_totals(batch, total_tokens).to_bits(),
+                    e.decode_step_latency_hetero(&lens).to_bits()
+                );
+                compared += 1;
+            }
+            e.scheduler_tick_scratch(&mut sched, &mut budget, &mut scratch);
+        }
+        assert!(sched.stats().preemptions > 0 && compared > 100, "the run must churn");
+    }
+
+    #[test]
     fn hetero_decode_charges_true_lengths() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         // A mixed batch must cost more than its shortest-uniform batch and
@@ -1339,13 +1366,13 @@ mod tests {
                     last_decode = None;
                     continue;
                 }
-                sched.make_room(budget);
-                let lens = sched.decoding_seq_lens();
-                if lens.is_empty() {
+                sched.make_room(budget, &mut Vec::new());
+                let (batch, total_tokens) = sched.decode_totals();
+                if batch == 0 {
                     continue;
                 }
-                let survivors = lens.len() > sched.decode_step(
-                    e.decode_step_latency_hetero(&lens),
+                let survivors = batch > sched.decode_step(
+                    e.decode_step_latency_totals(batch, total_tokens),
                     budget,
                 ).len();
                 if let Some(t) = last_decode {

@@ -31,6 +31,10 @@ pub struct SwappedEntry {
     /// Prefix-sharing pool the entry still references; its pages stayed
     /// on device, pinned by this reference.
     pub group: Option<u64>,
+    /// Prompt tokens that pool's pages serve for this entry — carried
+    /// through the round trip so the ledger audit can still add the
+    /// entry's footprint up to its sequence length.
+    pub covered_tokens: usize,
 }
 
 /// A bounded host-memory page pool holding swapped-out KV state.
@@ -90,10 +94,14 @@ impl HostTier {
     /// Panics when `id` is not swapped out — asking the size of released
     /// (or never-parked) holdings is ledger corruption.
     pub fn pages_of(&self, id: RequestId) -> usize {
-        self.swapped
-            .get(&id)
+        self.get(id)
             .expect("swap-in of a request with no host-tier holdings (released or never swapped)")
             .pages
+    }
+
+    /// What `id` holds in the tier, if it is swapped out.
+    pub fn get(&self, id: RequestId) -> Option<&SwappedEntry> {
+        self.swapped.get(&id)
     }
 
     /// Parks `entry` for `id`, charging its pages against the tier.
@@ -168,7 +176,13 @@ mod tests {
     use super::*;
 
     fn entry(pages: usize) -> SwappedEntry {
-        SwappedEntry { tokens: pages * 4, reserved_per_layer: pages, pages, group: None }
+        SwappedEntry {
+            tokens: pages * 4,
+            reserved_per_layer: pages,
+            pages,
+            group: None,
+            covered_tokens: 0,
+        }
     }
 
     #[test]

@@ -277,6 +277,7 @@ impl ModelRuntime {
         let mut outputs: HashMap<RequestId, Vec<u32>> = HashMap::new();
         let mut logits: HashMap<RequestId, Vec<f32>> = HashMap::new();
         let mut done: Vec<ServedRequest> = Vec::new();
+        let mut preempted: Vec<RequestId> = Vec::new();
 
         while !sched.is_done() {
             let wave = sched.admit(&mut budget);
@@ -350,7 +351,7 @@ impl ModelRuntime {
             // Peak reservation means growth can never fail; if this driver
             // ever moves to on-demand reservation, preempted ids must also
             // be released from the real cache here.
-            let preempted = sched.make_room(&mut budget);
+            sched.make_room(&mut budget, &mut preempted);
             assert!(preempted.is_empty(), "peak-reserving budget cannot preempt");
             // One real decode step for all decodable sequences at once:
             // sample greedily from the last logits, then advance the model

@@ -18,7 +18,7 @@
 //! while !done {
 //!     admit(budget)            // policy picks, budget gates, wave returned
 //!     charge_prefill(dt)       // driver prices the admitted wave
-//!     make_room(budget)        // grow every resident; preempt on pressure
+//!     make_room(budget, out)   // grow every resident; preempt on pressure
 //!     decode_step(dt, budget)  // one token for the whole batch; retire
 //! }
 //! ```
@@ -33,6 +33,14 @@ use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 // KV memory budgets
 // ---------------------------------------------------------------------------
 
+/// A resident's seat in its budget's ledger, handed out by admission and
+/// swap-in and passed back to [`KvBudget::grow`] every tick — the per-token
+/// hot path indexes with it instead of looking the request id up. Opaque to
+/// the scheduler; valid until the request is released, swapped out or
+/// evicted (slots are reused afterwards).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KvHandle(usize);
+
 /// Abstracts "is there KV memory for this?" so admission and growth can be
 /// gated by a real page pool, a simulated one, or nothing at all.
 pub trait KvBudget {
@@ -42,8 +50,9 @@ pub trait KvBudget {
 
     /// Reserves what admitting a request needs: it starts at `start_tokens`
     /// (prompt + recomputed output) and may reach `peak_tokens`. Returns
-    /// `false` to refuse admission.
-    fn admit(&mut self, id: RequestId, start_tokens: usize, peak_tokens: usize) -> bool;
+    /// the resident's ledger handle, or `None` to refuse admission.
+    fn admit(&mut self, id: RequestId, start_tokens: usize, peak_tokens: usize)
+        -> Option<KvHandle>;
 
     /// Like [`KvBudget::admit`], but the first `shared_tokens` of the
     /// request's prompt belong to prefix-sharing group `group`: a budget
@@ -58,14 +67,15 @@ pub trait KvBudget {
         shared_tokens: usize,
         start_tokens: usize,
         peak_tokens: usize,
-    ) -> bool {
+    ) -> Option<KvHandle> {
         let _ = (group, shared_tokens);
         self.admit(id, start_tokens, peak_tokens)
     }
 
-    /// Accounts one more cached token for `id`; `false` means the pool is
-    /// exhausted and someone must be preempted.
-    fn grow(&mut self, id: RequestId) -> bool;
+    /// Accounts one more cached token for the resident behind `handle`;
+    /// `false` means the pool is exhausted (nothing was charged) and someone
+    /// must be preempted.
+    fn grow(&mut self, handle: KvHandle) -> bool;
 
     /// Returns everything `id` holds to the pool.
     fn release(&mut self, id: RequestId);
@@ -80,13 +90,13 @@ pub trait KvBudget {
         None
     }
 
-    /// Brings a swapped-out request's pages back on device. Returns the
-    /// device pages re-acquired, or `None` when the device pool cannot
-    /// hold them yet. Implementations must fail loudly (panic, not
-    /// `None`) when `id` was never swapped out or its holdings were
-    /// released in the meantime — that is ledger corruption, not
-    /// back-pressure.
-    fn swap_in(&mut self, _id: RequestId) -> Option<usize> {
+    /// Brings a swapped-out request's pages back on device. Returns its
+    /// new ledger handle and the device pages re-acquired, or `None` when
+    /// the device pool cannot hold them yet. Implementations must fail
+    /// loudly (panic, not `None`) when `id` was never swapped out or its
+    /// holdings were released in the meantime — that is ledger corruption,
+    /// not back-pressure.
+    fn swap_in(&mut self, _id: RequestId) -> Option<(KvHandle, usize)> {
         None
     }
 
@@ -107,10 +117,10 @@ impl KvBudget for UnboundedBudget {
     fn free_tokens(&self) -> usize {
         usize::MAX
     }
-    fn admit(&mut self, _id: RequestId, _start: usize, _peak: usize) -> bool {
-        true
+    fn admit(&mut self, _id: RequestId, _start: usize, _peak: usize) -> Option<KvHandle> {
+        Some(KvHandle::default())
     }
-    fn grow(&mut self, _id: RequestId) -> bool {
+    fn grow(&mut self, _handle: KvHandle) -> bool {
         true
     }
     fn release(&mut self, _id: RequestId) {}
@@ -131,11 +141,16 @@ pub enum Reservation {
 
 #[derive(Debug, Clone, Copy)]
 struct PageEntry {
+    /// The resident this slot belongs to — lets the audit prove a handle
+    /// and the id map name the same entry.
+    id: RequestId,
     /// Tokens in the entry's *private* region (beyond any shared pool pages).
     tokens: usize,
     reserved_per_layer: usize,
     /// Prefix-sharing pool this entry holds a reference on.
     group: Option<u64>,
+    /// Prompt tokens served by that pool's pages instead of private ones.
+    covered_tokens: usize,
 }
 
 /// One prefix-sharing group's pooled pages: charged once, refcounted by the
@@ -158,7 +173,14 @@ pub struct PageBudget {
     free_pages: usize,
     peak_used: usize,
     mode: Reservation,
-    entries: std::collections::BTreeMap<RequestId, PageEntry>,
+    /// Resident entries in a dense slab indexed by [`KvHandle`]: the
+    /// per-token [`KvBudget::grow`] is an index, not a map walk. Vacated
+    /// slots are `None` and reused through `free_slots`.
+    slab: Vec<Option<PageEntry>>,
+    free_slots: Vec<usize>,
+    /// `RequestId → slab slot`, for the per-request events (release, swap,
+    /// audit) that only know the id.
+    slots: std::collections::BTreeMap<RequestId, usize>,
     pools: std::collections::BTreeMap<u64, SharedPool>,
     /// Pools holding a control-plane *anchor* reference: prefix pages
     /// imported by a cross-replica migration stay resident (and the pool
@@ -182,7 +204,9 @@ impl PageBudget {
             free_pages: total_pages,
             peak_used: 0,
             mode,
-            entries: std::collections::BTreeMap::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
+            slots: std::collections::BTreeMap::new(),
             pools: std::collections::BTreeMap::new(),
             anchors: std::collections::BTreeSet::new(),
             host: None,
@@ -238,9 +262,21 @@ impl PageBudget {
     /// # Panics
     /// Panics on any drift between the counters and the entry/pool maps.
     pub fn assert_consistent(&self) {
+        assert_eq!(
+            self.slots.len() + self.free_slots.len(),
+            self.slab.len(),
+            "ledger slab drift: live + free slots != slab"
+        );
+        for (&id, &slot) in &self.slots {
+            assert_eq!(
+                self.slab[slot].map(|e| e.id),
+                Some(id),
+                "request {:?} maps to a slot it does not own",
+                id
+            );
+        }
         let reserved: usize = self
-            .entries
-            .values()
+            .entries()
             .map(|e| e.reserved_per_layer * self.layers)
             .sum();
         let pooled: usize = self
@@ -262,7 +298,7 @@ impl PageBudget {
             // prefix pages stay on device even while the private pages sit
             // in the host tier. A migration anchor is one more reference,
             // held by the control plane rather than a member.
-            let resident = self.entries.values().filter(|e| e.group == Some(*g)).count();
+            let resident = self.entries().filter(|e| e.group == Some(*g)).count();
             let swapped = self
                 .host
                 .as_ref()
@@ -278,7 +314,7 @@ impl PageBudget {
         for g in &self.anchors {
             assert!(self.pools.contains_key(g), "anchor references a dead pool {}", g);
         }
-        for e in self.entries.values() {
+        for e in self.entries() {
             if let Some(g) = e.group {
                 assert!(self.pools.contains_key(&g), "entry references a dead pool {}", g);
             }
@@ -287,7 +323,7 @@ impl PageBudget {
             host.assert_consistent();
             for (id, e) in host.entries() {
                 assert!(
-                    !self.entries.contains_key(&id),
+                    !self.slots.contains_key(&id),
                     "request {:?} is both resident and swapped out",
                     id
                 );
@@ -300,6 +336,50 @@ impl PageBudget {
                 }
             }
         }
+    }
+
+    /// The resident entries, in slot order.
+    fn entries(&self) -> impl Iterator<Item = &PageEntry> {
+        self.slab.iter().flatten()
+    }
+
+    /// Seats `entry` in a free slab slot (reusing vacated ones first) and
+    /// records it under its id.
+    fn seat(&mut self, entry: PageEntry) -> KvHandle {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            self.slab.len() - 1
+        });
+        self.slab[slot] = Some(entry);
+        let prev = self.slots.insert(entry.id, slot);
+        assert!(prev.is_none(), "request {:?} is already resident in the ledger", entry.id);
+        KvHandle(slot)
+    }
+
+    /// Vacates `id`'s slot, returning its entry (`None` when not resident).
+    fn unseat(&mut self, id: RequestId) -> Option<PageEntry> {
+        let slot = self.slots.remove(&id)?;
+        self.free_slots.push(slot);
+        Some(self.slab[slot].take().expect("id map names a vacant ledger slot"))
+    }
+
+    /// Audit hook: the tokens the ledger holds for resident `id` (private +
+    /// pool-covered), after checking that `handle` and the id map resolve
+    /// to the same live entry.
+    ///
+    /// # Panics
+    /// Panics when `handle` is stale or belongs to another request.
+    #[doc(hidden)]
+    pub fn resident_footprint(&self, handle: KvHandle, id: RequestId) -> usize {
+        assert_eq!(self.slots.get(&id), Some(&handle.0), "request {:?}: handle/id-map drift", id);
+        let e = self.slab[handle.0].as_ref().expect("handle names a vacant ledger slot");
+        e.tokens + e.covered_tokens
+    }
+
+    /// Audit hook: number of resident (on-device) entries.
+    #[doc(hidden)]
+    pub fn resident_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Pages one sequence of `tokens` needs per layer.
@@ -389,8 +469,8 @@ impl KvBudget for PageBudget {
         self.free_pages / self.layers * self.page_tokens
     }
 
-    fn admit(&mut self, id: RequestId, start_tokens: usize, peak_tokens: usize) -> bool {
-        self.admit_shared(id, None, 0, start_tokens, peak_tokens)
+    fn admit(&mut self, id: RequestId, start: usize, peak: usize) -> Option<KvHandle> {
+        self.admit_shared(id, None, 0, start, peak)
     }
 
     fn admit_shared(
@@ -400,7 +480,7 @@ impl KvBudget for PageBudget {
         shared_tokens: usize,
         start_tokens: usize,
         peak_tokens: usize,
-    ) -> bool {
+    ) -> Option<KvHandle> {
         // Only fully covered prefix pages are shared; the partial boundary
         // page is private (the cache would copy-on-write it anyway).
         let group = group.filter(|_| shared_tokens >= self.page_tokens);
@@ -423,7 +503,7 @@ impl KvBudget for PageBudget {
         let per_layer = self.pages_for(reserve_tokens.saturating_sub(covered_tokens));
         let need = per_layer * self.layers + pool_need;
         if need > self.free_pages {
-            return false;
+            return None;
         }
         self.take(need);
         if let Some(g) = group {
@@ -433,42 +513,41 @@ impl KvBudget for PageBudget {
             });
             pool.refs += 1;
         }
-        let prev = self.entries.insert(
+        Some(self.seat(PageEntry {
             id,
-            PageEntry {
-                tokens: start_tokens
-                    .checked_sub(covered_tokens)
-                    .expect("shared coverage exceeds the request's start tokens"),
-                reserved_per_layer: per_layer,
-                group,
-            },
-        );
-        assert!(prev.is_none(), "request {:?} admitted twice", id);
-        true
+            tokens: start_tokens
+                .checked_sub(covered_tokens)
+                .expect("shared coverage exceeds the request's start tokens"),
+            reserved_per_layer: per_layer,
+            group,
+            covered_tokens,
+        }))
     }
 
-    fn grow(&mut self, id: RequestId) -> bool {
-        let layers = self.layers;
-        let page_tokens = self.page_tokens;
-        let entry = self.entries.get_mut(&id).expect("grow() on unadmitted request");
-        entry.tokens += 1;
-        let need_per_layer = entry.tokens.div_ceil(page_tokens);
-        if need_per_layer <= entry.reserved_per_layer {
+    fn grow(&mut self, handle: KvHandle) -> bool {
+        let entry = self.slab[handle.0].as_mut().expect("grow() on a vacant ledger slot");
+        // Fifteen tokens in sixteen land inside the pages already held:
+        // one compare against the reserved capacity, no division.
+        if entry.tokens < entry.reserved_per_layer * self.page_tokens {
+            entry.tokens += 1;
             return true;
         }
-        let need = (need_per_layer - entry.reserved_per_layer) * layers;
+        let need_per_layer = (entry.tokens + 1).div_ceil(self.page_tokens);
+        let need = need_per_layer
+            .checked_sub(entry.reserved_per_layer)
+            .expect("entry holds more tokens than it reserved")
+            * self.layers;
         if need > self.free_pages {
-            entry.tokens =
-                entry.tokens.checked_sub(1).expect("grow() rollback on an empty entry");
             return false;
         }
-        self.entries.get_mut(&id).unwrap().reserved_per_layer = need_per_layer;
+        entry.tokens += 1;
+        entry.reserved_per_layer = need_per_layer;
         self.take(need);
         true
     }
 
     fn release(&mut self, id: RequestId) {
-        if let Some(entry) = self.entries.remove(&id) {
+        if let Some(entry) = self.unseat(id) {
             self.free_pages += entry.reserved_per_layer * self.layers;
             if let Some(g) = entry.group {
                 self.unref_pool(g);
@@ -487,21 +566,22 @@ impl KvBudget for PageBudget {
 
     fn swap_out(&mut self, id: RequestId) -> Option<usize> {
         // No tier attached → the caller falls back to recompute.
-        self.host.as_ref()?;
-        let entry = self.entries.get(&id).expect("swap_out() on unadmitted request");
+        let host_free = self.host.as_ref()?.free_pages();
+        let slot = *self.slots.get(&id).expect("swap_out() on unadmitted request");
+        let entry = self.slab[slot].expect("id map names a vacant ledger slot");
         let pages = entry.reserved_per_layer * self.layers;
-        let host = self.host.as_mut().expect("checked above");
-        if pages > host.free_pages() {
+        if pages > host_free {
             return None;
         }
-        let entry = self.entries.remove(&id).expect("checked above");
-        host.park(
+        self.unseat(id);
+        self.host.as_mut().expect("checked above").park(
             id,
             SwappedEntry {
                 tokens: entry.tokens,
                 reserved_per_layer: entry.reserved_per_layer,
                 pages,
                 group: entry.group,
+                covered_tokens: entry.covered_tokens,
             },
         );
         // The pool reference (if any) is deliberately kept: the swapped
@@ -511,7 +591,7 @@ impl KvBudget for PageBudget {
         Some(pages)
     }
 
-    fn swap_in(&mut self, id: RequestId) -> Option<usize> {
+    fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
         let host = self.host.as_mut().expect("swap_in() without a host tier");
         // Loud on a missing entry: swapping back pages whose owner was
         // released is ledger corruption, not back-pressure.
@@ -521,16 +601,14 @@ impl KvBudget for PageBudget {
         }
         let swapped = host.take(id);
         self.take(pages);
-        let prev = self.entries.insert(
+        let handle = self.seat(PageEntry {
             id,
-            PageEntry {
-                tokens: swapped.tokens,
-                reserved_per_layer: swapped.reserved_per_layer,
-                group: swapped.group,
-            },
-        );
-        assert!(prev.is_none(), "request {:?} swapped in while already resident", id);
-        Some(pages)
+            tokens: swapped.tokens,
+            reserved_per_layer: swapped.reserved_per_layer,
+            group: swapped.group,
+            covered_tokens: swapped.covered_tokens,
+        });
+        Some((handle, pages))
     }
 
     fn peak_pages(&self) -> usize {
@@ -561,6 +639,13 @@ pub trait SchedulingPolicy: Send {
     /// Index into `running` of the preemption victim when the pool runs dry.
     /// Default: the most recently admitted resident (LIFO, protects the
     /// oldest request's progress).
+    ///
+    /// The answer is a *preference*: [`Scheduler::make_room`] clamps it up
+    /// to the resident whose growth was just refused (and never below
+    /// index 1). Residents before that one have already been charged this
+    /// tick's token and will decode it; evicting one of them would park or
+    /// wipe a token that was never generated, so only the not-yet-charged
+    /// suffix is evictable. The LIFO default always lands in that suffix.
     fn victim(&self, running: &[Request]) -> Option<usize> {
         running.len().checked_sub(1)
     }
@@ -755,6 +840,17 @@ pub struct Scheduler {
     pending: VecDeque<Request>,
     /// Admitted requests, in admission order (LIFO preemption indexes this).
     running: Vec<Request>,
+    /// Each resident's ledger handle, parallel to `running` and kept in
+    /// step at every push and removal. A column beside the requests rather
+    /// than a `Request` field: a request's public shape (and its `Debug`
+    /// text, which run digests hash) stays independent of the budget.
+    handles: Vec<KvHandle>,
+    /// Residents with `prefill_remaining() > 0` — incremental twin of the
+    /// scan, like `outstanding`. The rest of `running` is decodable.
+    prefilling: usize,
+    /// Σ `seq_len` over the decodable residents: with their count, all the
+    /// cost model needs to price a decode step.
+    decode_tokens: usize,
     finished: Vec<Request>,
     clock: f64,
     prefill_time: f64,
@@ -853,6 +949,9 @@ impl Scheduler {
             opts,
             pending: VecDeque::new(),
             running: Vec::new(),
+            handles: Vec::new(),
+            prefilling: 0,
+            decode_tokens: 0,
             finished: Vec::new(),
             clock: 0.0,
             prefill_time: 0.0,
@@ -877,10 +976,7 @@ impl Scheduler {
     /// construction.
     pub fn submit(&mut self, req: Request) {
         self.outstanding += owed(&req);
-        let at = self
-            .pending
-            .partition_point(|r| (r.ready_s, r.id) <= (req.ready_s, req.id));
-        self.pending.insert(at, req);
+        self.enqueue(req);
     }
 
     /// The sharing/chunking options this scheduler runs under — the single
@@ -936,31 +1032,98 @@ impl Scheduler {
         &self.running
     }
 
-    /// Current KV length of every running sequence, in admission order.
-    pub fn running_seq_lens(&self) -> Vec<usize> {
-        self.running.iter().map(|r| r.seq_len).collect()
+    /// Residents still in (chunked) prefill. O(1) — a counter, audited
+    /// against the scan in debug builds.
+    pub fn prefilling(&self) -> usize {
+        debug_assert_eq!(
+            self.prefilling,
+            self.running.iter().filter(|r| r.prefill_remaining() > 0).count(),
+            "prefilling counter drifted from the ground-truth scan"
+        );
+        self.prefilling
     }
 
-    /// KV lengths of the sequences that will decode this tick — the running
-    /// requests whose (possibly chunked) prefill has completed. Without
-    /// chunking every resident qualifies, so this equals
-    /// [`Scheduler::running_seq_lens`].
-    pub fn decoding_seq_lens(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.decoding_seq_lens_into(&mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`Scheduler::decoding_seq_lens`]: clears and
-    /// refills `out` so a driver can reuse one scratch buffer per tick.
-    pub fn decoding_seq_lens_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
+    /// `(count, Σ seq_len)` of the sequences that will decode this tick —
+    /// the residents whose (possibly chunked) prefill has completed; all a
+    /// cost model needs to price the step. O(1), audited like
+    /// [`Scheduler::prefilling`].
+    pub fn decode_totals(&self) -> (usize, usize) {
+        debug_assert_eq!(
+            self.decode_tokens,
             self.running
                 .iter()
                 .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.seq_len),
+                .map(|r| r.seq_len)
+                .sum::<usize>(),
+            "decodable-token counter drifted from the ground-truth scan"
         );
+        (self.running.len() - self.prefilling(), self.decode_tokens)
+    }
+
+    /// Appends an admitted (or swapped-back) resident and its ledger handle,
+    /// filing it under the aggregate it belongs to.
+    fn push_resident(&mut self, req: Request, handle: KvHandle) {
+        if req.prefill_remaining() > 0 {
+            self.prefilling += 1;
+        } else {
+            self.decode_tokens += req.seq_len;
+        }
+        self.running.push(req);
+        self.handles.push(handle);
+    }
+
+    /// Removes resident `idx` and its handle, keeping the aggregates honest.
+    fn remove_resident(&mut self, idx: usize) -> Request {
+        let req = self.running.remove(idx);
+        self.handles.remove(idx);
+        if req.prefill_remaining() > 0 {
+            self.prefilling =
+                self.prefilling.checked_sub(1).expect("prefilling counter underflow at eviction");
+        } else {
+            self.decode_tokens = self
+                .decode_tokens
+                .checked_sub(req.seq_len)
+                .expect("decodable-token counter underflow at eviction");
+        }
+        req
+    }
+
+    /// Differential audit of the scheduler against its page ledger: every
+    /// resident's handle and id resolve to the same ledger entry, that
+    /// entry's footprint (private + pool-covered tokens) equals the tokens
+    /// the request has materialized or reserved (`prefill_len()`), every
+    /// swapped-out request's parked footprint says the same, and the ledger
+    /// holds no resident the scheduler does not run. Holds between ticks
+    /// (after [`Scheduler::decode_step`] or an early-out tick).
+    ///
+    /// # Panics
+    /// Panics on any disagreement.
+    #[doc(hidden)]
+    pub fn assert_mirrors_ledger(&self, budget: &PageBudget) {
+        assert_eq!(self.handles.len(), self.running.len(), "handle column out of step");
+        assert_eq!(budget.resident_count(), self.running.len(), "ledger holds a stranger");
+        for (r, &h) in self.running.iter().zip(&self.handles) {
+            assert_eq!(
+                budget.resident_footprint(h, r.id),
+                r.prefill_len(),
+                "request {:?}: ledger footprint != sequence length",
+                r.id
+            );
+        }
+        if let Some(host) = budget.host_tier() {
+            let mut swapped = 0usize;
+            for r in self.pending.iter().filter(|r| r.state == RequestState::Swapped) {
+                let e = host.get(r.id).expect("swapped request has no host-tier holdings");
+                assert_eq!(
+                    e.tokens + e.covered_tokens,
+                    r.prefill_len(),
+                    "request {:?}: parked footprint != sequence length",
+                    r.id
+                );
+                swapped += 1;
+            }
+            assert_eq!(swapped, host.len(), "host tier holds a stranger");
+        }
     }
 
     /// Longest prefix of `candidate`'s prompt already materialized by a
@@ -1031,7 +1194,9 @@ impl Scheduler {
         wave.ids.clear();
         wave.prefill_lens.clear();
         wave.shared_lens.clear();
-        while self.running.len() < self.batch_limit {
+        // An empty backlog (the steady state of a draining replica) skips
+        // the arrival search, the policy call and its free-token division.
+        while self.running.len() < self.batch_limit && !self.pending.is_empty() {
             let arrived = self.arrived();
             if arrived == 0 {
                 break;
@@ -1058,7 +1223,7 @@ impl Scheduler {
             // driver prices the page transfer instead of recompute.
             if candidate.state == RequestState::Swapped {
                 let id = candidate.id;
-                let Some(pages) = budget.swap_in(id) else {
+                let Some((handle, pages)) = budget.swap_in(id) else {
                     assert!(
                         !(self.running.is_empty() && wave.ids.is_empty()),
                         "request {:?} can never swap back onto an idle device",
@@ -1070,7 +1235,7 @@ impl Scheduler {
                 self.swap_in_pages += pages;
                 let mut req = self.pending.remove(idx).expect("policy index in bounds");
                 req.state = RequestState::Running;
-                self.running.push(req);
+                self.push_resident(req, handle);
                 continue;
             }
             // Prefix-aware admission hold: when a resident sibling is still
@@ -1117,13 +1282,13 @@ impl Scheduler {
                 (Some(_), 0) => candidate.prefix_len,
                 (Some(_), grant) => grant,
             };
-            if !budget.admit_shared(
+            let Some(handle) = budget.admit_shared(
                 candidate.id,
                 group,
                 pool_tokens,
                 candidate.prefill_len(),
                 candidate.peak_len(),
-            ) {
+            ) else {
                 assert!(
                     !(self.running.is_empty() && wave.ids.is_empty()),
                     "request {:?} (peak {} tokens) can never fit the KV budget",
@@ -1131,7 +1296,7 @@ impl Scheduler {
                     candidate.peak_len()
                 );
                 break;
-            }
+            };
             let mut req = self.pending.remove(idx).expect("policy index in bounds");
             req.state = RequestState::Running;
             req.shared_len = shared;
@@ -1153,7 +1318,7 @@ impl Scheduler {
             wave.ids.push(req.id);
             wave.prefill_lens.push(req.prefill_len());
             wave.shared_lens.push(shared);
-            self.running.push(req);
+            self.push_resident(req, handle);
         }
     }
 
@@ -1185,6 +1350,9 @@ impl Scheduler {
     ) {
         assert!(chunk_tokens > 0, "chunk size must be positive");
         out.clear();
+        if self.prefilling == 0 {
+            return; // pure-decode tick: no resident to walk for
+        }
         let mut taken = 0usize;
         for r in &mut self.running {
             let remaining = r.prefill_remaining();
@@ -1194,6 +1362,14 @@ impl Scheduler {
                 r.prefilled += take;
                 r.seq_len = r.prefilled;
                 taken += take;
+                if take == remaining {
+                    // Last chunk: the resident joins the decodable set.
+                    self.prefilling = self
+                        .prefilling
+                        .checked_sub(1)
+                        .expect("prefilling counter underflow in chunked prefill");
+                    self.decode_tokens += r.seq_len;
+                }
             }
         }
         self.outstanding = self
@@ -1268,6 +1444,9 @@ impl Scheduler {
     pub fn evict_all(&mut self, budget: &mut dyn KvBudget) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
         victims.append(&mut self.running);
+        self.handles.clear();
+        self.prefilling = 0;
+        self.decode_tokens = 0;
         let mut lost = 0usize;
         for req in &mut victims {
             match req.state {
@@ -1300,91 +1479,73 @@ impl Scheduler {
     }
 
     /// Accounts one token of KV growth for every resident about to decode,
-    /// preempting (policy-chosen victims, recompute-style) until the budget
-    /// fits. Residents still in chunked prefill do not grow — their prompt
-    /// footprint was reserved at admission. Returns the preempted ids. Call
-    /// once per tick, before pricing the decode step, so the step is costed
-    /// on the surviving batch.
+    /// preempting (policy-chosen victims) until the budget fits. Residents
+    /// still in chunked prefill do not grow — their prompt footprint was
+    /// reserved at admission. `preempted` is cleared and refilled with the
+    /// recompute-preempted ids (swap victims are not listed: their KV state
+    /// survives). Call once per tick, before pricing the decode step, so the
+    /// step is costed on the surviving batch.
+    ///
+    /// One in-place pass in admission order; a refusal evicts a victim from
+    /// the not-yet-grown suffix (see [`SchedulingPolicy::victim`]) and
+    /// retries, so the cursor never moves backwards.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
     /// even one request, which admission should have refused.
-    pub fn make_room(&mut self, budget: &mut dyn KvBudget) -> Vec<RequestId> {
-        let mut preempted = Vec::new();
-        let mut ids = Vec::new();
-        self.make_room_into(budget, &mut ids, &mut preempted);
-        preempted
-    }
-
-    /// Allocation-free twin of [`Scheduler::make_room`]: `ids` is internal
-    /// scratch for the decodable-resident worklist, `preempted` receives the
-    /// evicted ids; both are cleared and refilled.
-    pub fn make_room_into(
-        &mut self,
-        budget: &mut dyn KvBudget,
-        ids: &mut Vec<RequestId>,
-        preempted: &mut Vec<RequestId>,
-    ) {
-        ids.clear();
+    pub fn make_room(&mut self, budget: &mut dyn KvBudget, preempted: &mut Vec<RequestId>) {
         preempted.clear();
-        ids.extend(
-            self.running
-                .iter()
-                .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.id),
-        );
-        // Ids leave `running` during this call only as eviction victims:
-        // either preempted (collected in `preempted`) or swapped out. A
-        // membership check against those few victims replaces a full
-        // O(running) rescan per id — same skip decision, linear tick.
-        let mut swapped: Vec<RequestId> = Vec::new();
-        for &id in ids.iter() {
-            loop {
-                if preempted.contains(&id) || swapped.contains(&id) {
-                    break; // already evicted as someone else's victim
-                }
-                if budget.grow(id) {
-                    break;
-                }
-                assert!(
-                    self.running.len() > 1,
-                    "KV budget cannot hold even one growing sequence (request {:?})",
-                    id
-                );
-                let victim = self
-                    .policy
-                    .victim(&self.running)
-                    .filter(|&v| v < self.running.len())
-                    .unwrap_or(self.running.len() - 1);
-                // Never evict the oldest resident: guarantees someone always
-                // finishes, so preemption cannot livelock.
-                let victim = victim.max(1);
-                if self.opts.preemption == PreemptionMode::Swap {
-                    if let Some(pages) = budget.swap_out(self.running[victim].id) {
-                        self.tick_swap_pages += pages;
-                        self.swap_out_pages += pages;
-                        self.swap_outs += 1;
-                        swapped.push(self.running[victim].id);
-                        let mut req = self.running.remove(victim);
-                        // KV state survives on the host tier: `seq_len` /
-                        // `prefilled` are kept, so nothing is re-owed — the
-                        // driver pays the page transfer, not recompute.
-                        req.state = RequestState::Swapped;
-                        let at = self.pending.partition_point(|r| {
-                            (r.ready_s, r.id) <= (req.ready_s, req.id)
-                        });
-                        self.pending.insert(at, req);
-                        continue;
-                    }
-                }
-                preempted.push(self.running[victim].id);
-                self.preempt(victim, budget);
+        let mut i = 0;
+        while i < self.running.len() {
+            // With nobody prefilling, the dense handle column is all the
+            // pass reads.
+            let decodable = self.prefilling == 0 || self.running[i].prefill_remaining() == 0;
+            if !decodable || budget.grow(self.handles[i]) {
+                i += 1;
+                continue;
             }
+            assert!(
+                self.running.len() > 1,
+                "KV budget cannot hold even one growing sequence (request {:?})",
+                self.running[i].id
+            );
+            let last = self.running.len() - 1;
+            // At or after the cursor (nobody already charged this tick), and
+            // never the oldest resident: someone always finishes, so
+            // preemption cannot livelock.
+            let chosen = self.policy.victim(&self.running).filter(|&v| v <= last);
+            let victim = chosen.unwrap_or(last).max(i).max(1);
+            if self.opts.preemption == PreemptionMode::Swap {
+                if let Some(pages) = budget.swap_out(self.running[victim].id) {
+                    self.tick_swap_pages += pages;
+                    self.swap_out_pages += pages;
+                    self.swap_outs += 1;
+                    let mut req = self.remove_resident(victim);
+                    // KV state survives on the host tier: `seq_len` /
+                    // `prefilled` are kept, so nothing is re-owed — the
+                    // driver pays the page transfer, not recompute.
+                    req.state = RequestState::Swapped;
+                    self.enqueue(req);
+                    continue;
+                }
+            }
+            preempted.push(self.running[victim].id);
+            self.preempt(victim, budget);
+            // `victim == i` removed the refused resident itself: whoever
+            // shifted into slot `i` is next. Otherwise retry `i`.
         }
     }
 
+    /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an
+    /// evicted resident that is its original place, so FCFS re-admits it
+    /// first.
+    fn enqueue(&mut self, req: Request) {
+        let at = self.pending.partition_point(|r| (r.ready_s, r.id) <= (req.ready_s, req.id));
+        self.pending.insert(at, req);
+    }
+
     fn preempt(&mut self, idx: usize, budget: &mut dyn KvBudget) {
-        let mut req = self.running.remove(idx);
+        let mut req = self.remove_resident(idx);
         budget.release(req.id);
         req.state = RequestState::Preempted;
         req.seq_len = 0;
@@ -1395,11 +1556,7 @@ impl Scheduler {
         req.shared_len = 0;
         req.preemptions += 1;
         self.preemptions += 1;
-        // Re-queue at its original ready slot so FCFS re-admits it first.
-        let at = self.pending.partition_point(|r| {
-            (r.ready_s, r.id) <= (req.ready_s, req.id)
-        });
-        self.pending.insert(at, req);
+        self.enqueue(req);
     }
 
     /// One decode step for the decodable part of the running batch: charges
@@ -1426,15 +1583,13 @@ impl Scheduler {
         budget: &mut dyn KvBudget,
         done: &mut Vec<RequestId>,
     ) {
-        assert!(
-            self.running.iter().any(|r| r.prefill_remaining() == 0),
-            "decode_step with no decodable resident"
-        );
+        assert!(self.running.len() > self.prefilling, "decode_step with no decodable resident");
         self.clock += dt;
         self.decode_time += dt;
         let clock = self.clock;
         done.clear();
         let mut decoded = 0usize;
+        let mut retired_tokens = 0usize;
         let mut retiring = false;
         for r in &mut self.running {
             if r.prefill_remaining() > 0 {
@@ -1457,10 +1612,12 @@ impl Scheduler {
             // order, exactly as the old per-index `Vec::remove` loop did —
             // without shifting the tail once per retirement.
             self.retire_scratch.clear();
-            for mut req in self.running.drain(..) {
+            let mut kept = 0;
+            for (i, mut req) in self.running.drain(..).enumerate() {
                 // Only a token decoded this tick can satisfy this (residents
                 // never linger at their output length across ticks).
                 if req.generated == req.output_len {
+                    retired_tokens += req.seq_len;
                     budget.release(req.id);
                     req.state = RequestState::Finished;
                     req.finish_s = Some(clock);
@@ -1473,10 +1630,18 @@ impl Scheduler {
                     self.finished.push(req);
                 } else {
                     self.retire_scratch.push(req);
+                    self.handles[kept] = self.handles[i];
+                    kept += 1;
                 }
             }
+            self.handles.truncate(kept);
             std::mem::swap(&mut self.running, &mut self.retire_scratch);
         }
+        // Every decodable sequence grew by one token; the retired ones left
+        // with everything they held.
+        self.decode_tokens = (self.decode_tokens + decoded)
+            .checked_sub(retired_tokens)
+            .expect("decodable-token counter underflow at retirement");
         self.outstanding = self
             .outstanding
             .checked_sub(decoded)
@@ -1580,7 +1745,7 @@ mod tests {
                 sched.idle_until_arrival();
                 continue;
             }
-            sched.make_room(budget);
+            sched.make_room(budget, &mut Vec::new());
             if sched.running().is_empty() {
                 continue;
             }
@@ -1627,13 +1792,13 @@ mod tests {
     fn page_budget_tracks_cache_arithmetic() {
         let mut b = PageBudget::new(4, 2, 8, Reservation::OnDemand);
         let id = RequestId(0);
-        assert!(b.admit(id, 5, 16)); // 2 pages × 2 layers
+        let h = b.admit(id, 5, 16).expect("fits"); // 2 pages × 2 layers
         assert_eq!(b.free_pages(), 4);
         for _ in 0..3 {
-            assert!(b.grow(id)); // 6,7,8 tokens: still 2 pages
+            assert!(b.grow(h)); // 6,7,8 tokens: still 2 pages
         }
         assert_eq!(b.free_pages(), 4);
-        assert!(b.grow(id)); // 9 tokens: 3rd page on both layers
+        assert!(b.grow(h)); // 9 tokens: 3rd page on both layers
         assert_eq!(b.free_pages(), 2);
         b.release(id);
         assert_eq!(b.free_pages(), 8);
@@ -1643,10 +1808,10 @@ mod tests {
     fn peak_reservation_never_fails_growth() {
         let mut b = PageBudget::new(4, 1, 4, Reservation::Peak);
         let id = RequestId(1);
-        assert!(b.admit(id, 1, 16)); // all 4 pages reserved up front
-        assert!(!b.admit(RequestId(2), 1, 4), "pool exhausted by the peak hold");
+        let h = b.admit(id, 1, 16).expect("fits"); // all 4 pages reserved up front
+        assert!(b.admit(RequestId(2), 1, 4).is_none(), "pool exhausted by the peak hold");
         for _ in 0..15 {
-            assert!(b.grow(id));
+            assert!(b.grow(h));
         }
     }
 
@@ -1673,12 +1838,12 @@ mod tests {
         // 6 suffix+output... (peak 40 - 32 covered = 8 tokens = 2 pages ×
         // 2 layers = 4 pages).
         let mut b = PageBudget::new(4, 2, 64, Reservation::Peak);
-        assert!(b.admit_shared(RequestId(0), Some(7), 32, 36, 40));
+        assert!(b.admit_shared(RequestId(0), Some(7), 32, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 4, "pool + first private part");
-        assert!(b.admit_shared(RequestId(1), Some(7), 32, 36, 40));
+        assert!(b.admit_shared(RequestId(1), Some(7), 32, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 8, "second member joins the pool free");
         // An unshared admission of the same shape pays full freight.
-        assert!(b.admit_shared(RequestId(2), None, 0, 36, 40));
+        assert!(b.admit_shared(RequestId(2), None, 0, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 8 - 20);
         // Pool pages outlive the first member and free with the last.
         b.release(RequestId(0));
@@ -1695,11 +1860,11 @@ mod tests {
         // A 5-token prefix over 4-token pages shares only the one full page;
         // the boundary page is private (the cache would COW it).
         let mut b = PageBudget::new(4, 1, 16, Reservation::OnDemand);
-        assert!(b.admit_shared(RequestId(0), Some(1), 5, 8, 8));
+        assert!(b.admit_shared(RequestId(0), Some(1), 5, 8, 8).is_some());
         // Pool: 1 page; private: 8 - 4 covered = 4 tokens = 1 page.
         assert_eq!(b.free_pages(), 14);
         // Below one page of sharing, the group is ignored outright.
-        assert!(b.admit_shared(RequestId(1), Some(2), 3, 8, 8));
+        assert!(b.admit_shared(RequestId(1), Some(2), 3, 8, 8).is_some());
         assert_eq!(b.free_pages(), 12);
         b.release(RequestId(0));
         b.release(RequestId(1));
@@ -1764,8 +1929,8 @@ mod tests {
             if !chunks.is_empty() {
                 sched.charge_prefill(0.1 * chunks.len() as f64);
             }
-            sched.make_room(budget);
-            if sched.decoding_seq_lens().is_empty() {
+            sched.make_room(budget, &mut Vec::new());
+            if sched.decode_totals().0 == 0 {
                 continue;
             }
             sched.decode_step(0.01, budget);
@@ -1865,7 +2030,7 @@ mod tests {
                 sched.idle_until_arrival();
                 continue;
             }
-            sched.make_room(&mut budget);
+            sched.make_room(&mut budget, &mut Vec::new());
             assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
             if sched.running().is_empty() {
                 continue;

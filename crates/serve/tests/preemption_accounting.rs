@@ -51,6 +51,7 @@ fn drive(
             "used + free must equal total step-wise"
         );
     };
+    let mut preempted: Vec<RequestId> = Vec::new();
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
@@ -86,14 +87,15 @@ fn drive(
             .filter(|r| r.prefill_remaining() > 0)
             .map(|r| r.id)
             .collect();
-        for id in sched.make_room(budget) {
+        sched.make_room(budget, &mut preempted);
+        for &id in &preempted {
             if mid_prefill.contains(&id) {
                 mid_prefill_preemptions += 1;
             }
             evicted_once.insert(id);
         }
         audit(budget);
-        if sched.decoding_seq_lens().is_empty() {
+        if sched.decode_totals().0 == 0 {
             continue;
         }
         sched.decode_step(0.01, budget);

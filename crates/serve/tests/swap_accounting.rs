@@ -57,7 +57,7 @@ fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
             sched.idle_until_arrival();
             continue;
         }
-        sched.make_room(budget);
+        sched.make_room(budget, &mut Vec::new());
         audit(budget);
         // The engine's contract: drain the tick's page movement once and
         // price it; zero pages must cost zero seconds.
@@ -65,7 +65,7 @@ fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
         if pages > 0 {
             sched.charge_swap(0.001 * pages as f64);
         }
-        if sched.decoding_seq_lens().is_empty() {
+        if sched.decode_totals().0 == 0 {
             continue;
         }
         sched.decode_step(0.01, budget);
@@ -194,7 +194,7 @@ fn swap_refuses_when_the_host_tier_is_full() {
     let mut b = PageBudget::new(16, 1, 8, Reservation::OnDemand);
     b.enable_host_tier(1);
     let id = RequestId(7);
-    assert!(b.admit(id, 40, 72), "the pool holds one 40-token request");
+    assert!(b.admit(id, 40, 72).is_some(), "the pool holds one 40-token request");
     let used = b.used_pages();
     assert!(used > 1, "the request must need more pages than the tier holds");
     assert_eq!(b.swap_out(id), None, "a full host tier refuses the swap");
@@ -211,7 +211,7 @@ fn swap_back_of_released_holdings_fails_loudly() {
     // return None.
     let mut b = swap_budget(16, 1, 8);
     let id = RequestId(3);
-    assert!(b.admit(id, 40, 72));
+    assert!(b.admit(id, 40, 72).is_some());
     let moved = b.swap_out(id).expect("the roomy tier accepts the swap");
     assert!(moved > 0);
     b.release(id);

@@ -84,7 +84,7 @@ fn main() {
         if !wave.ids.is_empty() {
             sched.charge_prefill(wave.prefill_lens.iter().sum::<usize>() as f64);
         }
-        sched.make_room(&mut budget); // no-op under peak reservation
+        sched.make_room(&mut budget, &mut Vec::new()); // no-op under peak reservation
 
         // One decode tick: fused KV4 attention for every running sequence,
         // then append this step's KV (as the engine would after projections).

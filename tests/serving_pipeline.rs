@@ -387,8 +387,8 @@ props! {
                 sched.idle_until_arrival();
                 continue;
             }
-            sched.make_room(budget);
-            if sched.decoding_seq_lens().is_empty() {
+            sched.make_room(budget, &mut Vec::new());
+            if sched.decode_totals().0 == 0 {
                 continue;
             }
             sched.decode_step(0.01, budget);
