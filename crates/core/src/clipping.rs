@@ -6,7 +6,7 @@
 //! minimizing *layer output* MSE `‖XWᵀ − X·Q(W;α)ᵀ‖` for most layers, and
 //! *block output* MSE for `q_proj`/`k_proj` (Equation 10).
 
-use qserve_quant::{matrixq::QuantizedMatrix, QuantSpec};
+use qserve_quant::{matrixq::fake_quant_clipped, QuantSpec};
 use qserve_tensor::stats::mse;
 use qserve_tensor::Matrix;
 
@@ -28,10 +28,7 @@ pub fn default_grid() -> Vec<f32> {
 /// Grid-searches `α` minimizing the *tensor* quantization error
 /// `‖W − Q(W; α)‖` — the cheaper objective mentioned in §4.3.4.
 pub fn search_clip_tensor(w: &Matrix, spec: QuantSpec, grid: &[f32]) -> ClipSearchResult {
-    search_over(grid, |alpha| {
-        let qw = QuantizedMatrix::quantize_clipped(w, spec, alpha).dequantize();
-        mse(w, &qw)
-    })
+    search_over(grid, |alpha| mse(w, &fake_quant_clipped(w, spec, alpha)))
 }
 
 /// Grid-searches `α` minimizing the *layer output* error
@@ -45,8 +42,7 @@ pub fn search_clip_layer_output(
 ) -> ClipSearchResult {
     let y_ref = x.matmul_nt(w);
     search_over(grid, |alpha| {
-        let qw = QuantizedMatrix::quantize_clipped(w, spec, alpha).dequantize();
-        mse(&y_ref, &x.matmul_nt(&qw))
+        mse(&y_ref, &x.matmul_nt(&fake_quant_clipped(w, spec, alpha)))
     })
 }
 
@@ -99,10 +95,7 @@ mod tests {
         // scale; saturating it buys resolution for the 127 small weights.
         let mut w = TensorRng::seed(2).gaussian(1, 128, 0.02);
         w[(0, 0)] = 0.25;
-        let no_clip = {
-            let q = QuantizedMatrix::quantize_clipped(&w, int4_spec(), 1.0).dequantize();
-            mse(&w, &q)
-        };
+        let no_clip = mse(&w, &fake_quant_clipped(&w, int4_spec(), 1.0));
         let r = search_clip_tensor(&w, int4_spec(), &default_grid());
         assert!(r.error <= no_clip, "search must never be worse than α=1");
         assert!(r.alpha < 1.0, "outliers should trigger clipping");

@@ -12,7 +12,7 @@
 
 use qserve_quant::params::QParams;
 use qserve_quant::rounding::round_clamp;
-use qserve_tensor::fp16::round_f16;
+use qserve_tensor::fp16::f16_step;
 
 /// KV cache precision (the paper compares KV8 and KV4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,11 +70,7 @@ pub fn quantize_head(features: &[f32], precision: KvPrecision) -> QuantizedHeadT
     let (lo, hi) = features
         .iter()
         .fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let scale = if hi == lo {
-        1.0
-    } else {
-        round_f16((hi - lo) / qmax as f32).max(f32::MIN_POSITIVE)
-    };
+    let scale = f16_step(hi - lo, qmax as f32);
     let zero = round_clamp(-lo / scale, qmin, qmax);
     let params = QParams { scale, zero };
     let codes = features
@@ -189,6 +185,17 @@ mod tests {
     fn zero_vector_is_exact() {
         let q = quantize_head(&[0.0; 8], KvPrecision::Int4);
         assert_eq!(dequantize_head(&q), vec![0.0; 8]);
+    }
+
+    #[test]
+    fn a_head_below_fp16_resolution_is_a_zero_vector() {
+        let feats: Vec<f32> = (0..16).map(|j| (j as f32 - 7.5) * 1.0e-9).collect();
+        for precision in [KvPrecision::Int4, KvPrecision::Int8] {
+            let q = quantize_head(&feats, precision);
+            assert_eq!(q.params, QParams { scale: 1.0, zero: 0 });
+            assert!(q.codes.iter().all(|&c| c == 0));
+            assert_eq!(dequantize_head(&q), vec![0.0; 16]);
+        }
     }
 
     #[test]

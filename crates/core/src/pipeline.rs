@@ -24,9 +24,12 @@ use crate::progressive::{PerChannelW4, ProgressiveWeight};
 use crate::reorder::ChannelReorder;
 use crate::rotation::hadamard;
 use crate::smooth_attention::SmoothAttentionScales;
-use crate::smoothing::SmoothingScales;
+use crate::smoothing::{
+    default_alpha_grid, search_smoothing, search_smoothing_from_stats, SmoothingScales,
+};
 use qserve_quant::{Granularity, QuantSpec};
 use qserve_tensor::ops::swiglu;
+use qserve_tensor::stats::col_abs_max;
 use qserve_tensor::Matrix;
 
 /// Weight quantization granularity (the paper's two deployment configs).
@@ -240,6 +243,10 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
         "calibration width must equal hidden size"
     );
     let hidden = block.hidden();
+    let group = match cfg.weight_granularity {
+        WeightGranularity::PerGroup(g) => Some(g),
+        WeightGranularity::PerChannel => None,
+    };
 
     // ------------------------------------------------------------------
     // Stage 1: block input rotation (input modules only).
@@ -305,34 +312,18 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     let smooth_o = if cfg.output_smoothing {
         let v_act = calib_rot.matmul_nt(&wv);
         let kvw = wv.rows();
-        let ax = qserve_tensor::stats::col_abs_max(&v_act);
-        let aw_full = qserve_tensor::stats::col_abs_max(&wo);
+        let ax = col_abs_max(&v_act);
+        let aw_full = col_abs_max(&wo);
         let reps = wo.cols() / kvw;
         let aw: Vec<f32> = (0..kvw)
             .map(|j| (0..reps).map(|r| aw_full[r * kvw + j]).fold(0.0f32, f32::max))
             .collect();
-        let pick = |alpha: f32| SmoothingScales::from_stats(&ax, &aw, alpha);
         let s = if cfg.output_smoothing_search {
-            use qserve_quant::matrixq::rtn_fake_quant;
             let o_in = tile_cols(&v_act, wo.cols());
-            let w_spec = clip_spec(group_of(cfg), wo.cols());
-            let a8 = QuantSpec::int8_symmetric(Granularity::PerRow);
-            let y_ref = o_in.matmul_nt(&wo);
-            let mut best = (f64::INFINITY, pick(cfg.output_smoothing_alpha));
-            for alpha in crate::smoothing::default_alpha_grid() {
-                let cand = pick(alpha);
-                let lt = tile_lambda(cand.lambda(), wo.cols());
-                let inv: Vec<f32> = lt.iter().map(|l| 1.0 / l).collect();
-                let xq = rtn_fake_quant(&o_in.scale_cols(&inv), a8);
-                let wq = rtn_fake_quant(&wo.scale_cols(&lt), w_spec);
-                let err = qserve_tensor::stats::mse(&y_ref, &xq.matmul_nt(&wq));
-                if err < best.0 {
-                    best = (err, cand);
-                }
-            }
-            best.1
+            let spec = clip_spec(group, wo.cols());
+            search_smoothing_from_stats(&o_in, &wo, &ax, &aw, spec, &default_alpha_grid()).0
         } else {
-            pick(cfg.output_smoothing_alpha)
+            SmoothingScales::from_stats(&ax, &aw, cfg.output_smoothing_alpha)
         };
         let lambda_tiled = tile_lambda(s.lambda(), wo.cols());
         wo = wo.scale_cols(&lambda_tiled);
@@ -342,19 +333,17 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     } else {
         None
     };
+    // `w_gate` is rotated once and never rescaled, so its calibration
+    // activation serves both the down_proj smoothing statistics and the
+    // down_proj clip search. (The `wv` / `w_up` activations do not: those
+    // weights are rescaled in between, and a rescaled product rounds
+    // differently from a product of rescaled weights.)
+    let gate_act = calib_rot.matmul_nt(&w_gate);
     let smooth_d = if cfg.output_smoothing {
-        let gate_act = calib_rot.matmul_nt(&w_gate);
-        let up_act = calib_rot.matmul_nt(&w_up);
-        let inter = swiglu(&gate_act, &up_act);
+        let inter = swiglu(&gate_act, &calib_rot.matmul_nt(&w_up));
         let s = if cfg.output_smoothing_search {
-            let spec = clip_spec(group_of(cfg), w_down.cols());
-            let (s, _) = crate::smoothing::search_smoothing(
-                &inter,
-                &w_down,
-                spec,
-                &crate::smoothing::default_alpha_grid(),
-            );
-            s
+            let spec = clip_spec(group, w_down.cols());
+            search_smoothing(&inter, &w_down, spec, &default_alpha_grid()).0
         } else {
             SmoothingScales::from_calibration(&inter, &w_down, cfg.output_smoothing_alpha)
         };
@@ -369,20 +358,9 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     // Stages 4-6 per layer: reorder → clip → quantize, then invert
     // everything for the fake-quant frame.
     // ------------------------------------------------------------------
-    let group = match cfg.weight_granularity {
-        WeightGranularity::PerGroup(g) => Some(g),
-        WeightGranularity::PerChannel => None,
-    };
     // Calibration inputs per layer, in the transformed frame.
-    let attn_out_calib = {
-        let v_act = calib_rot.matmul_nt(&wv);
-        tile_cols(&v_act, wo.cols())
-    };
-    let ffn_inter_calib = {
-        let g = calib_rot.matmul_nt(&w_gate);
-        let u = calib_rot.matmul_nt(&w_up);
-        swiglu(&g, &u)
-    };
+    let attn_out_calib = tile_cols(&calib_rot.matmul_nt(&wv), wo.cols());
+    let ffn_inter_calib = swiglu(&gate_act, &calib_rot.matmul_nt(&w_up));
 
     let transformed: [(&'static str, &Matrix, &Matrix); 7] = [
         ("q_proj", &wq, &calib_rot),
@@ -549,14 +527,6 @@ fn tile_lambda(lambda: &[f32], target: usize) -> Vec<f32> {
         out.extend_from_slice(lambda);
     }
     out
-}
-
-/// The group size of a config's weight granularity (None = per-channel).
-fn group_of(cfg: &QoqConfig) -> Option<usize> {
-    match cfg.weight_granularity {
-        WeightGranularity::PerGroup(g) => Some(g),
-        WeightGranularity::PerChannel => None,
-    }
 }
 
 /// Tiles activation columns up to `target` width (GQA value replication).

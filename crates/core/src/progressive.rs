@@ -17,7 +17,7 @@
 use crate::pack::{pack_rows, unpack_rows, PackedInt4};
 use qserve_quant::params::IntQParams;
 use qserve_quant::rounding::round_clamp;
-use qserve_tensor::fp16::round_f16;
+use qserve_tensor::fp16::f16_step;
 use qserve_tensor::stats::row_abs_max;
 use qserve_tensor::Matrix;
 
@@ -74,11 +74,7 @@ impl ProgressiveWeight {
         let mut channel_scales = Vec::with_capacity(n);
         let mut level0 = vec![0i8; n * k];
         for (i, am) in row_abs_max(w).into_iter().enumerate() {
-            let scale = if am.abs().to_bits() == 0 {
-                1.0
-            } else {
-                round_f16(am / PROTECTIVE_QMAX as f32)
-            };
+            let scale = f16_step(am, PROTECTIVE_QMAX as f32);
             channel_scales.push(scale);
             for (j, &x) in w.row(i).iter().enumerate() {
                 level0[i * k + j] =
@@ -223,7 +219,7 @@ impl PerChannelW4 {
             let (lo, hi) = row
                 .iter()
                 .fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            let scale = if hi == lo { 1.0 } else { round_f16((hi - lo) / 15.0) };
+            let scale = f16_step(hi - lo, 15.0);
             let zero = round_clamp(-lo / scale, 0, 15) as u8;
             scales.push(scale);
             zeros.push(zero);
@@ -347,7 +343,7 @@ impl NaiveDoubleQuant {
         for i in 0..n {
             let row = &fp_scales[i * groups_per_row..(i + 1) * groups_per_row];
             let smax = row.iter().cloned().fold(0.0f32, f32::max);
-            let cscale = if smax.abs().to_bits() == 0 { 1.0 } else { round_f16(smax / 255.0) };
+            let cscale = f16_step(smax, 255.0);
             channel_scales.push(cscale);
             for (g, &s) in row.iter().enumerate() {
                 scale_codes[i * groups_per_row + g] = round_clamp(s / cscale, 0, 255) as u8;
@@ -465,6 +461,48 @@ mod tests {
         let w = Matrix::zeros(4, 32);
         let pw = ProgressiveWeight::quantize(&w, 16);
         assert_eq!(pw.dequantize(), w);
+    }
+
+    /// Rows whose range over the code span underflows an FP16 scale: one
+    /// all-tiny, one tiny and one-sided, next to a healthy row.
+    fn below_fp16_resolution() -> Matrix {
+        Matrix::from_fn(3, 32, |i, j| match i {
+            0 => (j as f32 - 15.5) * 1.0e-9,
+            1 => j as f32 * -1.0e-10,
+            _ => (j as f32 - 15.5) * 0.01,
+        })
+    }
+
+    fn assert_tiny_rows_vanish(back: &Matrix, scales: &[f32]) {
+        assert!(scales.iter().all(|s| s.is_finite() && *s > 0.0), "{scales:?}");
+        assert!(back.as_slice().iter().all(|v| v.is_finite()));
+        assert!(back.row(0).iter().chain(back.row(1)).all(|v| v.abs() < 1.0e-6));
+        assert!(back.row(2).iter().any(|v| v.abs() > 0.1), "the healthy row survives");
+    }
+
+    #[test]
+    fn progressive_scale_underflow_is_a_zero_row_not_a_zero_scale() {
+        let pw = ProgressiveWeight::quantize(&below_fp16_resolution(), 16);
+        assert_eq!(pw.channel_scales()[..2], [1.0, 1.0]);
+        assert!(pw.intermediate_int8()[..64].iter().all(|&q| q == 0));
+        assert_tiny_rows_vanish(&pw.dequantize(), pw.channel_scales());
+    }
+
+    #[test]
+    fn per_channel_scale_underflow_is_a_zero_row_not_a_zero_scale() {
+        let pc = PerChannelW4::quantize(&below_fp16_resolution());
+        assert_eq!(pc.scales()[..2], [1.0, 1.0]);
+        assert_eq!(pc.zeros()[..2], [0, 0]);
+        assert!(pc.codes()[..64].iter().all(|&q| q == 0));
+        assert_tiny_rows_vanish(&pc.dequantize(), pc.scales());
+    }
+
+    #[test]
+    fn double_quant_scale_of_scales_underflow_stays_finite() {
+        let naive = NaiveDoubleQuant::quantize(&below_fp16_resolution(), 16);
+        assert_eq!(naive.channel_scales[..2], [1.0, 1.0]);
+        assert!(naive.scale_codes[..4].iter().all(|&c| c == 0));
+        assert_tiny_rows_vanish(&naive.dequantize(), &naive.channel_scales);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! migration. Unlike SmoothQuant, the paper finds the migration strength `α`
 //! "should be near 0", i.e. `λ` is determined mostly by the *weights*.
 
-use qserve_tensor::stats::col_abs_max;
+use qserve_quant::matrixq::rtn_fake_quant;
+use qserve_quant::{Granularity, QuantSpec};
+use qserve_tensor::stats::{col_abs_max, mse};
 use qserve_tensor::Matrix;
 
 /// Per-channel smoothing factors for one output module.
@@ -91,20 +93,44 @@ impl SmoothingScales {
 pub fn search_smoothing(
     x: &Matrix,
     w: &Matrix,
-    weight_spec: qserve_quant::QuantSpec,
+    weight_spec: QuantSpec,
     grid: &[f32],
 ) -> (SmoothingScales, f32) {
-    use qserve_quant::matrixq::rtn_fake_quant;
-    use qserve_quant::{Granularity, QuantSpec};
+    search_smoothing_from_stats(x, w, &col_abs_max(x), &col_abs_max(w), weight_spec, grid)
+}
+
+/// [`search_smoothing`] over λ built from the caller's per-channel absmax
+/// statistics instead of `x`'s and `w`'s own. The statistics may be narrower
+/// than the layer (GQA: one entry per KV channel, aggregated over the query
+/// groups that replicate it); each candidate is tiled across the layer's
+/// channels to be scored and returned at the statistics' width.
+///
+/// # Panics
+/// Panics if the grid is empty, the statistics' lengths differ or do not
+/// divide the channel count, or `x` and `w` disagree on it.
+pub(crate) fn search_smoothing_from_stats(
+    x: &Matrix,
+    w: &Matrix,
+    ax: &[f32],
+    aw: &[f32],
+    weight_spec: QuantSpec,
+    grid: &[f32],
+) -> (SmoothingScales, f32) {
     assert!(!grid.is_empty(), "alpha grid must be non-empty");
+    assert_eq!(x.cols(), w.cols(), "activation/weight channel mismatch");
+    let reps = x.cols() / ax.len().max(1);
+    assert_eq!(ax.len() * reps, x.cols(), "statistics do not tile the channels");
     let act_spec = QuantSpec::int8_symmetric(Granularity::PerRow);
     let y_ref = x.matmul_nt(w);
     let mut best: Option<(f64, SmoothingScales, f32)> = None;
     for &alpha in grid {
-        let s = SmoothingScales::from_calibration(x, w, alpha);
-        let xq = rtn_fake_quant(&s.apply_to_activation(x), act_spec);
-        let wq = rtn_fake_quant(&s.fold_into_consumer(w), weight_spec);
-        let err = qserve_tensor::stats::mse(&y_ref, &xq.matmul_nt(&wq));
+        let s = SmoothingScales::from_stats(ax, aw, alpha);
+        let tiled = SmoothingScales {
+            lambda: s.lambda.repeat(reps),
+        };
+        let xq = rtn_fake_quant(&tiled.apply_to_activation(x), act_spec);
+        let wq = rtn_fake_quant(&tiled.fold_into_consumer(w), weight_spec);
+        let err = mse(&y_ref, &xq.matmul_nt(&wq));
         if best.as_ref().map(|(e, _, _)| err < *e).unwrap_or(true) {
             best = Some((err, s, alpha));
         }
@@ -123,7 +149,6 @@ mod tests {
     use super::*;
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::stats::sqnr_db;
-    use qserve_quant::{matrixq::rtn_fake_quant, Granularity, QuantSpec};
 
     #[test]
     fn smoothing_preserves_output() {

@@ -21,7 +21,7 @@ use crate::pack::{lane_i8, unpack_register, ByteLanes, PackedInt4};
 use crate::rlp::{dequant_sub_after_mul, splat4};
 use qserve_core::progressive::{PerChannelW4, ProgressiveWeight};
 use qserve_quant::rounding::round_clamp;
-use qserve_tensor::fp16::round_f16;
+use qserve_tensor::fp16::f16_step;
 use qserve_tensor::pool;
 use qserve_tensor::Matrix;
 
@@ -123,7 +123,7 @@ pub fn quantize_activations_int8(x: &Matrix) -> QuantizedActivations {
     for i in 0..m {
         let row = x.row(i);
         let am = row.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let scale = if am.abs().to_bits() == 0 { 1.0 } else { round_f16(am / 127.0) };
+        let scale = f16_step(am, 127.0);
         scales.push(scale);
         let mut sum = 0i32;
         for (j, &v) in row.iter().enumerate() {
@@ -273,6 +273,22 @@ mod tests {
                 assert!((back - x[(i, j)]).abs() <= q.scales[i], "within one step");
             }
         }
+    }
+
+    #[test]
+    fn a_row_below_fp16_resolution_quantizes_to_zero_not_to_saturation() {
+        // absmax / 127 underflows binary16: the stored scale used to be 0.0,
+        // every x / 0 saturated and the token sum was −127·k garbage.
+        let mut tiny = Matrix::full(2, 31, 1.0);
+        for (j, v) in tiny.row_mut(0).iter_mut().enumerate() {
+            *v = (j as f32 - 15.0) * 1.0e-9;
+        }
+        let q = quantize_activations_int8(&tiny);
+        assert_eq!(q.scales[0], 1.0);
+        assert!(q.scales.iter().all(|s| s.is_finite() && *s > 0.0));
+        assert!(q.codes[..31].iter().all(|&c| c == 0));
+        assert_eq!(q.token_sums[0], 0);
+        assert!(q.codes[31..].iter().all(|&c| c == 127), "the healthy row is untouched");
     }
 
     #[test]

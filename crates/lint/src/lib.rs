@@ -33,6 +33,11 @@
 //! - `float-sort` — `partial_cmp(..).unwrap()`/`.expect(..)` anywhere: a
 //!   NaN panics mid-comparison and partial orders are how float sorts go
 //!   non-deterministic (`f64::total_cmp` is the sanctioned form).
+//! - `fused-accumulate` — `.mul_add(..)` / `f32::mul_add` / `f64::mul_add`
+//!   in the numeric crates (`tensor`, `quant`, `core`, `kernels`, `model`):
+//!   a fused multiply-add rounds once where `a * b + c` rounds twice, and
+//!   the tiled GEMM, the quantizers and every frozen digest are bit-exact
+//!   only because accumulation is unfused and in index order.
 //! - `hygiene` — `todo!`, `unimplemented!`, `dbg!` anywhere.
 //!
 //! A finding is suppressed by an allow comment with a mandatory reason:
@@ -63,6 +68,7 @@ pub const LINTS: &[&str] = &[
     "raw-cast",
     "float-eq",
     "float-sort",
+    "fused-accumulate",
     "hygiene",
 ];
 
@@ -118,6 +124,9 @@ pub struct FileScope {
     pub wall_clock: bool,
     /// Ledger / cost-model file: accounting rules apply.
     pub accounting: bool,
+    /// Numeric crate whose results are pinned bit for bit:
+    /// fused-accumulate applies.
+    pub numeric: bool,
 }
 
 /// How a workspace-relative path is linted.
@@ -153,7 +162,10 @@ pub fn classify(rel: &str) -> Option<FileKind> {
             | "crates/serve/src/control.rs"
             | "crates/serve/src/report.rs"
     ) || rel.starts_with("crates/gpusim/src/");
-    Some(FileKind::Rust(FileScope { sim, wall_clock, accounting }))
+    let numeric = rel.strip_prefix("crates/").is_some_and(|r| {
+        ["tensor/", "quant/", "core/", "kernels/", "model/"].iter().any(|k| r.starts_with(k))
+    });
+    Some(FileKind::Rust(FileScope { sim, wall_clock, accounting, numeric }))
 }
 
 /// Lints one file given as a string, classified by its (pseudo-)path.
@@ -380,7 +392,14 @@ mod tests {
         assert!(matches!(classify("crates/tensor/src/pool.rs"),
             Some(FileKind::Rust(s)) if !s.sim && !s.wall_clock));
         assert!(matches!(classify("crates/tensor/src/matrix.rs"),
-            Some(FileKind::Rust(s)) if s.wall_clock));
+            Some(FileKind::Rust(s)) if s.wall_clock && s.numeric));
+        for numeric in ["quant/src/rounding.rs", "core/src/pipeline.rs", "model/tests/x.rs"] {
+            assert!(matches!(classify(&format!("crates/{numeric}")),
+                Some(FileKind::Rust(s)) if s.numeric));
+        }
+        for other in ["crates/serve/src/engine.rs", "crates/corelike/src/x.rs", "src/lib.rs"] {
+            assert!(matches!(classify(other), Some(FileKind::Rust(s)) if !s.numeric));
+        }
         assert!(matches!(classify("crates/lint/src/main.rs"),
             Some(FileKind::Rust(s)) if !s.wall_clock));
         assert!(matches!(classify("Cargo.toml"), Some(FileKind::Manifest)));

@@ -61,6 +61,9 @@ pub fn lint_rust(rel: &str, src: &str, scope: &FileScope) -> FileOutcome {
         unchecked_sub(rel, toks, &mut findings);
         raw_cast(rel, toks, &mut findings);
     }
+    if scope.numeric {
+        fused_accumulate(rel, toks, &mut findings);
+    }
 
     apply_allows(findings, allows)
 }
@@ -184,6 +187,32 @@ fn float_sort(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                     "`partial_cmp(..).{}(..)` panics on NaN mid-comparison; use `f64::total_cmp` for a deterministic total order",
                     text(toks, j as isize + 2)
                 ),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// fused-accumulate: `.mul_add(` / `f32::mul_add` / `f64::mul_add` in the
+// numeric crates — one rounding where `a * b + c` has two, so a fused step
+// anywhere in an accumulation moves bits the frozen digests pin
+// ---------------------------------------------------------------------------
+
+fn fused_accumulate(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if toks[i].kind != TokKind::Ident || toks[i].text != "mul_add" {
+            continue;
+        }
+        let at = i as isize;
+        let method = text(toks, at - 1) == "." && text(toks, at + 1) == "(";
+        let float_path =
+            text(toks, at - 1) == "::" && matches!(text(toks, at - 2), "f32" | "f64");
+        if method || float_path {
+            out.push(finding(
+                rel,
+                &toks[i],
+                "fused-accumulate",
+                "`mul_add` rounds once where `a * b + c` rounds twice; bit-exact kernels and quantizers accumulate unfused, in index order — write the multiply and the add separately".to_string(),
             ));
         }
     }
@@ -550,7 +579,7 @@ mod tests {
     use super::*;
 
     fn scope_all() -> FileScope {
-        FileScope { sim: true, wall_clock: true, accounting: true }
+        FileScope { sim: true, wall_clock: true, accounting: true, numeric: true }
     }
 
     fn lints_of(src: &str) -> Vec<(&'static str, u32, u32)> {
@@ -634,7 +663,7 @@ mod tests {
         assert!(lints_of("let x = flag.load(Ordering::Relaxed);").is_empty());
         assert!(lints_of("let fetch_add = 3; let y = fetch_add + 1;").is_empty());
         // The pool itself is out of scope entirely.
-        let scope = FileScope { sim: false, wall_clock: false, accounting: false };
+        let scope = FileScope { sim: false, wall_clock: false, accounting: false, numeric: false };
         let src = "use std::sync::Mutex;\nlet n = next.fetch_add(1, Ordering::Relaxed);\n";
         assert!(lint_rust("crates/tensor/src/pool.rs", src, &scope).findings.is_empty());
     }
@@ -690,8 +719,28 @@ mod tests {
     }
 
     #[test]
+    fn fused_accumulate_catches_method_and_float_path_forms() {
+        let got = lints_of("fn f(a: f32, b: f32, c: f32) -> f32 { a.mul_add(b, c) }");
+        assert_eq!(got, vec![("fused-accumulate", 1, 41)]);
+        let got = lints_of("let y = f32::mul_add(a, b, c);\nlet z = f64::mul_add(a, b, c);");
+        assert_eq!(got, vec![("fused-accumulate", 1, 14), ("fused-accumulate", 2, 14)]);
+        // A method reference passed as a function value fuses just the same.
+        assert_eq!(lints_of("let g = f32::mul_add;").len(), 1);
+    }
+
+    #[test]
+    fn fused_accumulate_leaves_definitions_and_unfused_code_alone() {
+        assert!(lints_of("impl F16 { fn mul_add(self, b: F16, c: F16) -> F16 { self } }").is_empty());
+        assert!(lints_of("let y = F16::mul_add(a, b, c);").is_empty());
+        assert!(lints_of("acc += a * b;").is_empty());
+        assert!(lints_of("let s = \"x.mul_add(y, z)\"; // a.mul_add(b, c)").is_empty());
+        let scope = FileScope { numeric: false, ..scope_all() };
+        assert!(lint_rust("crates/serve/src/x.rs", "a.mul_add(b, c);", &scope).findings.is_empty());
+    }
+
+    #[test]
     fn scope_gates_rules() {
-        let off = FileScope { sim: false, wall_clock: false, accounting: false };
+        let off = FileScope { sim: false, wall_clock: false, accounting: false, numeric: false };
         let src = "use std::collections::HashMap;\nlet m: HashMap<u32,u32> = HashMap::new();\nfor x in &m {}\nlet y = free_pages - 1;\n";
         assert!(lint_rust("crates/core/src/x.rs", src, &off).findings.is_empty());
     }

@@ -2,7 +2,6 @@
 
 use crate::params::QParams;
 use crate::{Granularity, QuantSpec};
-use qserve_tensor::stats::{row_abs_max, row_min_max};
 use qserve_tensor::Matrix;
 
 /// A quantized matrix: integer codes plus one [`QParams`] per sharing unit.
@@ -35,46 +34,13 @@ impl QuantizedMatrix {
     /// # Panics
     /// Panics if `alpha` is not in `(0, 1]` or the granularity is invalid.
     pub fn quantize_clipped(m: &Matrix, spec: QuantSpec, alpha: f32) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "clip ratio must be in (0,1]");
         let (rows, cols) = m.shape();
         let (qmin, qmax) = spec.q_range();
-        let n_params = spec.granularity.param_count(rows, cols);
-        let mut params = vec![QParams::default(); n_params];
-
-        match spec.granularity {
-            Granularity::PerTensor => {
-                params[0] = Self::params_for_slice(m.as_slice(), spec, alpha, qmin, qmax);
-            }
-            Granularity::PerRow => {
-                if spec.symmetric {
-                    for (i, am) in row_abs_max(m).into_iter().enumerate() {
-                        params[i] = QParams::symmetric(am * alpha, qmax);
-                    }
-                } else {
-                    for (i, (lo, hi)) in row_min_max(m).into_iter().enumerate() {
-                        params[i] = QParams::asymmetric(lo * alpha, hi * alpha, qmin, qmax);
-                    }
-                }
-            }
-            Granularity::PerGroup { group_size } => {
-                let groups_per_row = cols / group_size;
-                for i in 0..rows {
-                    let row = m.row(i);
-                    for g in 0..groups_per_row {
-                        let slice = &row[g * group_size..(g + 1) * group_size];
-                        params[i * groups_per_row + g] =
-                            Self::params_for_slice(slice, spec, alpha, qmin, qmax);
-                    }
-                }
-            }
-        }
-
+        let mut params = vec![QParams::default(); spec.granularity.param_count(rows, cols)];
         let mut codes = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for (j, &x) in m.row(i).iter().enumerate() {
-                let p = params[spec.granularity.param_index(i, j, cols)];
-                codes.push(p.quantize(x, qmin, qmax));
-            }
+        for (slot, (p, unit)) in params.iter_mut().zip(units(m, spec, alpha)) {
+            *slot = p;
+            codes.extend(unit.iter().map(|&x| p.quantize(x, qmin, qmax)));
         }
         Self {
             spec,
@@ -85,25 +51,14 @@ impl QuantizedMatrix {
         }
     }
 
-    fn params_for_slice(slice: &[f32], spec: QuantSpec, alpha: f32, qmin: i32, qmax: i32) -> QParams {
-        if spec.symmetric {
-            let am = slice.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-            QParams::symmetric(am * alpha, qmax)
-        } else {
-            let (lo, hi) = slice
-                .iter()
-                .fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            QParams::asymmetric(lo * alpha, hi * alpha, qmin, qmax)
-        }
-    }
-
     /// Reconstructs the floating-point matrix `(q − z)·s`.
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let p = self.params[self.spec.granularity.param_index(i, j, self.cols)];
-                out[(i, j)] = p.dequantize(self.codes[i * self.cols + j]);
+        let unit = unit_len(self.spec.granularity, self.rows, self.cols);
+        let units = out.as_mut_slice().chunks_mut(unit).zip(self.codes.chunks(unit));
+        for (p, (dst, src)) in self.params.iter().zip(units) {
+            for (o, &q) in dst.iter_mut().zip(src) {
+                *o = p.dequantize(q);
             }
         }
         out
@@ -140,10 +95,66 @@ impl QuantizedMatrix {
     }
 }
 
+/// Elements that share one `(s, z)` lie contiguously in row-major order at
+/// every granularity — the whole tensor, one row, or one group of a row — so
+/// a matrix is walked one parameter unit at a time as fixed-length chunks.
+fn unit_len(granularity: Granularity, rows: usize, cols: usize) -> usize {
+    let len = match granularity {
+        Granularity::PerTensor => rows * cols,
+        Granularity::PerRow => cols,
+        Granularity::PerGroup { group_size } => group_size,
+    };
+    len.max(1)
+}
+
+/// Each parameter unit of `m` with the `(s, z)` its own range (shrunk by the
+/// clip ratio `alpha`) yields, in [`Granularity::param_index`] order.
+///
+/// # Panics
+/// Panics if `alpha` is not in `(0, 1]` or a per-group size does not divide
+/// the column count.
+fn units(m: &Matrix, spec: QuantSpec, alpha: f32) -> impl Iterator<Item = (QParams, &[f32])> {
+    assert!(alpha > 0.0 && alpha <= 1.0, "clip ratio must be in (0,1]");
+    let (rows, cols) = m.shape();
+    let (qmin, qmax) = spec.q_range();
+    // Validates the group size.
+    spec.granularity.param_count(rows, cols);
+    m.as_slice()
+        .chunks(unit_len(spec.granularity, rows, cols))
+        .map(move |unit| {
+            let p = if spec.symmetric {
+                let am = unit.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+                QParams::symmetric(am * alpha, qmax)
+            } else {
+                let (lo, hi) = unit
+                    .iter()
+                    .fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                QParams::asymmetric(lo * alpha, hi * alpha, qmin, qmax)
+            };
+            (p, unit)
+        })
+}
+
+/// Quantize-dequantize under a clip ratio in one pass:
+/// `quantize_clipped(m, spec, α).dequantize()` bit for bit, without ever
+/// holding the codes or the parameter vector — the form the clip and
+/// smoothing grid searches evaluate once per candidate.
+///
+/// # Panics
+/// As [`QuantizedMatrix::quantize_clipped`].
+pub fn fake_quant_clipped(m: &Matrix, spec: QuantSpec, alpha: f32) -> Matrix {
+    let (qmin, qmax) = spec.q_range();
+    let mut data = Vec::with_capacity(m.len());
+    for (p, unit) in units(m, spec, alpha) {
+        data.extend(unit.iter().map(|&x| p.dequantize(p.quantize(x, qmin, qmax))));
+    }
+    Matrix::from_vec(m.rows(), m.cols(), data)
+}
+
 /// Convenience: round-to-nearest (RTN) quantize-dequantize in one step, the
 /// baseline every table in the paper compares against.
 pub fn rtn_fake_quant(m: &Matrix, spec: QuantSpec) -> Matrix {
-    QuantizedMatrix::quantize(m, spec).dequantize()
+    fake_quant_clipped(m, spec, 1.0)
 }
 
 #[cfg(test)]

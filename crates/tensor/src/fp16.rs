@@ -74,6 +74,7 @@ impl F16 {
     /// Fused multiply-add rounding once, like the HFMA2 instruction family:
     /// `round16(a * b + c)`.
     pub fn mul_add(self, b: F16, c: F16) -> F16 {
+        // lint: allow(fused-accumulate) -- this is the emulated HFMA2, fused by definition; no f32 accumulation runs through it
         F16::from_f32(f32::mul_add(self.to_f32(), b.to_f32(), c.to_f32()))
     }
 
@@ -136,6 +137,25 @@ pub fn round_f16(value: f32) -> f32 {
         0x7FC0_0000
     };
     f32::from_bits((bits & 0x8000_0000) | rounded)
+}
+
+/// The step size a quantizer stores in FP16 for a dynamic range `range`
+/// spread over `levels` integer steps: `round_f16(range / levels)`, or `1.0`
+/// when that is not a positive number.
+///
+/// Two inputs land on the fallback. An empty range (`range == 0`) has
+/// nothing to resolve. A range below `levels · 2⁻²⁵` has a quotient that
+/// *underflows* binary16 to zero, and a zero step would turn every `x / step`
+/// into ±∞ or NaN; such values are below half of FP16's smallest subnormal,
+/// so coding them all as zero under step 1 loses nothing FP16 could hold.
+#[inline]
+pub fn f16_step(range: f32, levels: f32) -> f32 {
+    let step = round_f16(range / levels);
+    if step > 0.0 {
+        step
+    } else {
+        1.0
+    }
 }
 
 /// Converts `f32` bits to binary16 bits with round-to-nearest-even,
@@ -351,12 +371,27 @@ mod tests {
     }
 
     #[test]
+    fn f16_step_falls_back_on_empty_and_underflowing_ranges() {
+        assert_eq!(f16_step(12.7, 127.0), round_f16(12.7 / 127.0));
+        assert_eq!(f16_step(0.0, 127.0), 1.0);
+        // 127 · 2⁻²⁵ is the tie that rounds to the even neighbour, zero.
+        let tie = 127.0 * 2.0f32.powi(-25);
+        assert_eq!(round_f16(tie / 127.0), 0.0);
+        assert_eq!(f16_step(tie, 127.0), 1.0);
+        assert_eq!(f16_step(1.0e-9, 15.0), 1.0);
+        // Just above it the smallest subnormal survives.
+        assert_eq!(f16_step(tie * 1.01, 127.0), 2.0f32.powi(-24));
+        assert_eq!(f16_step(f32::INFINITY, 15.0), f32::INFINITY);
+        assert_eq!(f16_step(f32::NAN, 15.0), 1.0);
+    }
+
+    #[test]
     fn mul_add_rounds_once() {
         // Pick values where (a*b) rounding differs from fused rounding.
         let a = F16::from_f32(3.0 + (-10f32).exp2() * 3.0);
         let b = F16::from_f32(3.0);
         let c = F16::from_f32(-9.0);
-        let fused = a.mul_add(b, c);
+        let fused = F16::mul_add(a, b, c);
         let split = a.mul(b).add(c);
         // They may differ by at most one ULP; both must be valid f16.
         assert_eq!(round_f16(fused.to_f32()), fused.to_f32());

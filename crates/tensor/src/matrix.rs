@@ -223,6 +223,12 @@ impl Matrix {
     /// `X` holds one token per row, `W` holds one output channel per row, and
     /// both share the reduction (input-channel) dimension `k`.
     ///
+    /// Every output element is `((0 + x₀w₀) + x₁w₁) + …` in `f32`, one
+    /// unfused multiply and one add per step, in index order. The 4×4 and
+    /// 1×4 register tiles below only interleave sixteen (or four) such
+    /// chains so the adder's latency overlaps; no chain is reassociated, so
+    /// the result is bit-identical to the one-accumulator loop at any shape.
+    ///
     /// # Panics
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
@@ -232,16 +238,27 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
+        let (m4, n4) = (m - m % 4, n - n % 4);
         let mut out = Matrix::zeros(m, n);
+        for i in (0..m4).step_by(4) {
+            for j in (0..n4).step_by(4) {
+                let acc = dot_tile::<4>(&self.data, &other.data, k, i, j);
+                for (a, row) in acc.iter().enumerate() {
+                    out.data[(i + a) * n + j..][..4].copy_from_slice(row);
+                }
+            }
+        }
+        for i in m4..m {
+            for j in (0..n4).step_by(4) {
+                let [row] = dot_tile::<1>(&self.data, &other.data, k, i, j);
+                out.data[i * n + j..][..4].copy_from_slice(&row);
+            }
+        }
         for i in 0..m {
             let xi = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
+            for j in n4..n {
                 let wj = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (a, b) in xi.iter().zip(wj.iter()) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
+                out.data[i * n + j] = xi.iter().zip(wj).fold(0.0f32, |acc, (a, b)| acc + a * b);
             }
         }
         out
@@ -443,6 +460,24 @@ impl Matrix {
             .sum::<f64>()
             .sqrt() as f32
     }
+}
+
+/// The `MR×4` block of `X·Wᵀ` whose corner is row `i` of `x` and row `j` of
+/// `w` (both row-major with `k` columns): `MR·4` independent accumulators,
+/// each summing its own products in index order.
+#[inline(always)]
+fn dot_tile<const MR: usize>(x: &[f32], w: &[f32], k: usize, i: usize, j: usize) -> [[f32; 4]; MR] {
+    let xr: [&[f32]; MR] = std::array::from_fn(|a| &x[(i + a) * k..(i + a + 1) * k]);
+    let wr: [&[f32]; 4] = std::array::from_fn(|b| &w[(j + b) * k..(j + b + 1) * k]);
+    let mut acc = [[0.0f32; 4]; MR];
+    for p in 0..k {
+        for a in 0..MR {
+            for b in 0..4 {
+                acc[a][b] += xr[a][p] * wr[b][p];
+            }
+        }
+    }
+    acc
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -9,7 +9,77 @@ fn small_matrix(rng: &mut TensorRng, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, prop::vec_f32(rng, -100.0, 100.0, rows * cols))
 }
 
+/// `matmul_nt` as it was first written: one accumulator per output element,
+/// products added in index order. Kept as the oracle the register-tiled
+/// kernel must match bit for bit.
+fn matmul_nt_naive(x: &Matrix, w: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), w.rows());
+    for i in 0..x.rows() {
+        for j in 0..w.rows() {
+            let mut acc = 0.0f32;
+            for (a, b) in x.row(i).iter().zip(w.row(j)) {
+                acc += a * b;
+            }
+            out[(i, j)] = acc;
+        }
+    }
+    out
+}
+
+/// Values whose products and sums exercise every special path of the adder:
+/// NaN, both infinities (∞ − ∞ and 0·∞ arise), signed zero, subnormals and
+/// the largest finite value (overflow to ∞ mid-sum).
+const SPECIALS: [f32; 9] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    0.0,
+    1.0e-40,
+    -3.0e-42,
+    f32::MIN_POSITIVE,
+    f32::MAX,
+];
+
+fn planted_matrix(rng: &mut TensorRng, rows: usize, cols: usize) -> Matrix {
+    let mut m = small_matrix(rng, rows, cols);
+    if !m.is_empty() {
+        for _ in 0..rng.index(4) {
+            let at = rng.index(m.len());
+            m.as_mut_slice()[at] = SPECIALS[rng.index(SPECIALS.len())];
+        }
+    }
+    m
+}
+
 props! {
+    /// The register-tiled `matmul_nt` performs, per output element, the
+    /// same `f32` operations in the same order as the naive loop: equal
+    /// bits on every tile/edge combination (m, n ∈ 0..=9), at reduction
+    /// lengths on both sides of the tile loop's trip counts, with special
+    /// values planted in both operands. A NaN must meet a NaN; which of two
+    /// NaN payloads an addition keeps is the one thing left to the compiler.
+    fn matmul_nt_is_bit_equal_to_the_naive_loop(rng, cases = 8) {
+        for k in [0, 1, 7, 128, 344] {
+            for m in 0..=9 {
+                for n in 0..=9 {
+                    let x = planted_matrix(rng, m, k);
+                    let w = planted_matrix(rng, n, k);
+                    let (tiled, naive) = (x.matmul_nt(&w), matmul_nt_naive(&x, &w));
+                    assert_eq!(tiled.shape(), (m, n));
+                    for (at, (t, o)) in tiled.as_slice().iter().zip(naive.as_slice()).enumerate() {
+                        assert!(
+                            t.to_bits() == o.to_bits() || (t.is_nan() && o.is_nan()),
+                            "{m}x{k}x{n}, element {at}: tiled {t:e} ({:#x}) vs naive {o:e} ({:#x})",
+                            t.to_bits(),
+                            o.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// (A + B) + C == A + (B + C) exactly is false in floats, but the
     /// element-wise ops must commute: A + B == B + A bitwise.
     fn add_commutes(rng) {
