@@ -35,44 +35,18 @@ QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --te
 QSERVE_BENCH_FAST=1 cargo bench --offline --locked -p qserve-bench --bench par_scaling >/dev/null
 test -s results/BENCH_par_scaling.json
 
-# The reproduce binary is the user-facing entry point; prove it writes CSV.
-# Clear the artifact first so a stale file cannot mask a broken write path.
-rm -f results/table1.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- table1 >/dev/null
-test -s results/table1.csv
-
-# Smoke the prefix-sharing/chunked-prefill grid the same way.
-rm -f results/prefix_sweep.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- prefix_sweep >/dev/null
-test -s results/prefix_sweep.csv
-
-# And the multi-replica cluster grid.
-rm -f results/cluster_sweep.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- cluster_sweep >/dev/null
-test -s results/cluster_sweep.csv
-
-# And the heterogeneous-fleet × admission grid (the full grid is small).
-rm -f results/hetero_sweep.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- hetero_sweep >/dev/null
-test -s results/hetero_sweep.csv
-
-# And the CI-sized mega_sweep (10k requests through the event-driven core;
-# the full million-request id is `mega_sweep`, minutes of runtime).
-rm -f results/mega_sweep_smoke.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- mega_sweep_smoke >/dev/null
-test -s results/mega_sweep_smoke.csv
-
-# And the CI-sized failure sweep (crash/drain/upgrade × recompute/swap on
-# the 4-replica fleet; the full-pressure id is `failure_sweep`).
-rm -f results/failure_sweep_smoke.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- failure_sweep_smoke >/dev/null
-test -s results/failure_sweep_smoke.csv
-
-# And the CI-sized control-plane sweep (deadline routing, prefix
-# migration, elastic autoscaling; the full id is `elastic_sweep`).
-rm -f results/elastic_sweep_smoke.csv
-cargo run --release --offline --locked -p qserve-bench --bin reproduce -- elastic_sweep_smoke >/dev/null
-test -s results/elastic_sweep_smoke.csv
+# The reproduce binary is the user-facing entry point; prove it writes CSV
+# for the paper table, the prefix/chunk and cluster grids, the (small, so
+# full) heterogeneous-fleet grid, and the CI-sized event-core, failure and
+# control-plane sweeps (their full ids — `mega_sweep`, `failure_sweep`,
+# `elastic_sweep` — take minutes). Clear each artifact first so a stale
+# file cannot mask a broken write path.
+for id in table1 prefix_sweep cluster_sweep hetero_sweep mega_sweep_smoke \
+          failure_sweep_smoke elastic_sweep_smoke; do
+    rm -f "results/$id.csv"
+    cargo run --release --offline --locked -p qserve-bench --bin reproduce -- "$id" >/dev/null
+    test -s "results/$id.csv"
+done
 
 # The benchmark is a package of its own (own [workspace] and lock file, so
 # no --locked: see benchmark/run.sh): its contract tests, then quick runs

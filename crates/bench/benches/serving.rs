@@ -102,7 +102,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 engine
-                    .run_workload(black_box(&spec), Box::new(ShortestJobFirst))
+                    .serve(black_box(&spec), Box::new(ShortestJobFirst), ServeConfig::worst_case())
                     .expect("serves"),
             )
         })

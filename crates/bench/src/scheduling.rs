@@ -18,11 +18,76 @@ use qserve_serve::scheduler::{
     Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
     ShortestJobFirst,
 };
-use qserve_serve::{FaultPlan, ServingEngine, ServingReport, SystemConfig};
+use qserve_serve::{
+    ClusterReport, FaultPlan, ServeConfig, ServingEngine, SystemConfig,
+};
 use qserve_tensor::pool;
 
 /// Deterministic seed for the sweep's sampled workloads.
 const SWEEP_SEED: u64 = 20240603;
+
+/// The sweeps' A100 engine: Llama-2-7B under QServe per-channel W4A8KV4.
+fn a100_qserve() -> ServingEngine {
+    ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel)
+        .expect("A100 serves Llama-2-7B")
+}
+
+/// The sweeps' L40S engine: Llama-2-7B under QServe per-group W4A8KV4.
+fn l40s_qserve() -> ServingEngine {
+    ServingEngine::new(GpuSpec::l40s(), ModelConfig::llama2_7b(), SystemConfig::QServePerGroup)
+        .expect("L40S serves Llama-2-7B")
+}
+
+/// The standard interactive / standard / best-effort tier cycle every
+/// deadline-carrying sweep workload runs under.
+fn slo_cycle() -> SloSpec {
+    SloSpec::Cycle(vec![
+        Slo::interactive(2.0, 8.0),
+        Slo::standard(6.0, 20.0),
+        Slo::best_effort(),
+    ])
+}
+
+/// One cluster cell, the way every sweep runs it: memory-aware admission
+/// over on-demand paged replicas, under `plan` ([`FaultPlan::none`] is the
+/// fault-free driver bit for bit).
+fn serve_cell(
+    cluster: &mut Cluster,
+    spec: &WorkloadSpec,
+    opts: SchedOptions,
+    plan: &FaultPlan,
+) -> ClusterReport {
+    cluster
+        .serve_paged_faulty(
+            spec,
+            || Box::new(MemoryAware::default()),
+            Reservation::OnDemand,
+            opts,
+            plan,
+        )
+        .expect("workload must be servable")
+}
+
+/// Scenario arms are independent clusters built up front: serves them
+/// concurrently on the pool and returns the reports in arm order.
+fn serve_arms(
+    arms: &mut [Cluster],
+    spec: &WorkloadSpec,
+    opts: SchedOptions,
+) -> Vec<ClusterReport> {
+    pool::global()
+        .par_map_mut(arms, |_, cluster| serve_cell(cluster, spec, opts, &FaultPlan::none()))
+}
+
+/// Grid cells are independent serves: fans them out on the worker pool and
+/// pushes their rows in grid order (`par_map` preserves submission order,
+/// so the CSV is byte-identical at any thread count; a cell's panic
+/// propagates to this thread).
+fn fill_grid<C: Sync>(t: &mut Table, cells: &[C], row: impl Fn(&C) -> Vec<String> + Sync) {
+    for r in pool::global().par_map(cells, |_, cell| row(cell)) {
+        t.push_row(r);
+    }
+}
 
 fn policies() -> Vec<(&'static str, fn() -> Box<dyn SchedulingPolicy>)> {
     vec![
@@ -49,20 +114,6 @@ fn workloads() -> Vec<(&'static str, WorkloadSpec)> {
     ]
 }
 
-fn run(engine: &ServingEngine, spec: &WorkloadSpec, policy: &str) -> ServingReport {
-    let make = policies()
-        .into_iter()
-        .find(|(n, _)| *n == policy)
-        .expect("known policy")
-        .1;
-    if policy == "memory-aware" {
-        engine
-            .run_workload_paged(spec, make(), Reservation::OnDemand)
-            .expect("workload must be servable")
-    } else {
-        engine.run_workload(spec, make()).expect("workload must be servable")
-    }
-}
 
 /// **sched_sweep**: policy × workload grid on A100 / Llama-2-7B / QServe —
 /// throughput, TTFT and latency percentiles for every combination. Where
@@ -86,15 +137,17 @@ pub fn sched_sweep() -> Table {
             "Preempt",
         ],
     );
-    let engine = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
+    let engine = a100_qserve();
     for (wname, spec) in workloads() {
-        for (pname, _) in policies() {
-            let r = run(&engine, &spec, pname);
+        for (pname, make) in policies() {
+            // Memory-aware admission needs a page ledger to look at; the
+            // order-only policies run under worst-case peak sizing.
+            let cfg = if pname == "memory-aware" {
+                ServeConfig::paged(Reservation::OnDemand)
+            } else {
+                ServeConfig::worst_case()
+            };
+            let r = engine.serve(&spec, make(), cfg).expect("workload must be servable");
             t.push_row(vec![
                 wname.to_string(),
                 pname.to_string(),
@@ -154,12 +207,7 @@ pub fn prefix_sweep() -> Table {
             "Peak pages",
         ],
     );
-    let engine = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
+    let engine = a100_qserve();
     for prefix_len in [0usize, 2048, 3584] {
         let spec = prefix_workload(prefix_len);
         for chunk in [None, Some(2048usize), Some(512)] {
@@ -168,13 +216,9 @@ pub fn prefix_sweep() -> Table {
                 chunk_tokens: chunk,
                 ..SchedOptions::default()
             };
+            let cfg = ServeConfig::paged(Reservation::OnDemand).with_opts(opts);
             let r = engine
-                .run_workload_paged_with(
-                    &spec,
-                    Box::new(MemoryAware::default()),
-                    Reservation::OnDemand,
-                    opts,
-                )
+                .serve(&spec, Box::new(MemoryAware::default()), cfg)
                 .expect("workload must be servable");
             t.push_row(vec![
                 prefix_len.to_string(),
@@ -224,15 +268,7 @@ pub fn cluster_sweep() -> Table {
             "Peak pages/replica",
         ],
     );
-    let engine = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
-    // Grid cells are independent serves: fan them out on the worker pool
-    // and collect rows back in grid order (`par_map` preserves submission
-    // order, so the CSV is byte-identical at any thread count).
+    let engine = a100_qserve();
     let mut cells: Vec<(usize, &'static str, fn() -> Box<dyn RoutingPolicy>, usize)> = Vec::new();
     for replicas in [1usize, 2, 4] {
         for (rname, mk_routing) in routings() {
@@ -241,21 +277,15 @@ pub fn cluster_sweep() -> Table {
             }
         }
     }
-    let rows = pool::global().par_map(&cells, |_, &(replicas, rname, mk_routing, prefix_len)| {
+    fill_grid(&mut t, &cells, |&(replicas, rname, mk_routing, prefix_len)| {
         let spec = prefix_workload(prefix_len);
         let opts = SchedOptions {
             share_prefixes: prefix_len > 0,
             chunk_tokens: None,
             ..SchedOptions::default()
         };
-        let r = Cluster::new(engine.clone(), replicas, mk_routing())
-            .serve_paged(
-                &spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                opts,
-            )
-            .expect("workload must be servable");
+        let mut cluster = Cluster::new(engine.clone(), replicas, mk_routing());
+        let r = serve_cell(&mut cluster, &spec, opts, &FaultPlan::none());
         vec![
             replicas.to_string(),
             rname.to_string(),
@@ -268,9 +298,6 @@ pub fn cluster_sweep() -> Table {
             r.max_replica_peak_pages.to_string(),
         ]
     });
-    for row in rows {
-        t.push_row(row);
-    }
     t
 }
 
@@ -279,18 +306,7 @@ pub fn cluster_sweep() -> Table {
 /// Each replica's prefill/decode costs, page pool and speed profile come
 /// from its own spec — the L40S replicas really are ~2× slower at decode.
 fn hetero_fleets() -> Vec<(&'static str, Vec<ServingEngine>)> {
-    let a100 = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
-    let l40s = ServingEngine::new(
-        GpuSpec::l40s(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerGroup,
-    )
-    .expect("L40S serves Llama-2-7B");
+    let (a100, l40s) = (a100_qserve(), l40s_qserve());
     vec![
         ("4xA100", vec![a100.clone(); 4]),
         ("1xA100+3xL40S", vec![a100.clone(), a100, l40s.clone(), l40s]),
@@ -305,11 +321,7 @@ fn hetero_fleets() -> Vec<(&'static str, Vec<ServingEngine>)> {
 fn slo_workload() -> WorkloadSpec {
     WorkloadSpec::mixed(768, SWEEP_SEED)
         .with_arrivals(ArrivalPattern::Poisson { rate_rps: 96.0 })
-        .with_slos(SloSpec::Cycle(vec![
-            Slo::interactive(2.0, 8.0),
-            Slo::standard(6.0, 20.0),
-            Slo::best_effort(),
-        ]))
+        .with_slos(slo_cycle())
 }
 
 fn hetero_routings() -> Vec<(&'static str, fn() -> Box<dyn RoutingPolicy>)> {
@@ -357,8 +369,6 @@ pub fn hetero_sweep() -> Table {
     );
     let spec = slo_workload();
     let fleets = hetero_fleets();
-    // Same pattern as `cluster_sweep`: independent cells fanned out on the
-    // pool, rows collected back in grid order.
     type HeteroCell = (
         usize,
         &'static str,
@@ -375,16 +385,10 @@ pub fn hetero_sweep() -> Table {
             }
         }
     }
-    let rows = pool::global().par_map(&cells, |_, &(fi, fname, rname, mk_routing, aname, mk_admission)| {
-        let r = Cluster::heterogeneous(fleets[fi].1.clone(), mk_routing())
-            .with_admission(mk_admission())
-            .serve_paged(
-                &spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                SchedOptions::default(),
-            )
-            .expect("workload must be servable");
+    fill_grid(&mut t, &cells, |&(fi, fname, rname, mk_routing, aname, mk_admission)| {
+        let mut cluster = Cluster::heterogeneous(fleets[fi].1.clone(), mk_routing())
+            .with_admission(mk_admission());
+        let r = serve_cell(&mut cluster, &spec, SchedOptions::default(), &FaultPlan::none());
         let utils: Vec<f64> = r.per_replica.iter().map(|p| p.utilization).collect();
         let min_util = utils.iter().copied().fold(f64::INFINITY, f64::min);
         let max_util = utils.iter().copied().fold(0.0f64, f64::max);
@@ -402,9 +406,6 @@ pub fn hetero_sweep() -> Table {
             fnum(max_util, 2),
         ]
     });
-    for row in rows {
-        t.push_row(row);
-    }
     t
 }
 
@@ -412,13 +413,7 @@ pub fn hetero_sweep() -> Table {
 /// under QServe per-channel — homogeneous on purpose, so the experiment
 /// stresses arrival volume rather than fleet asymmetry.
 fn mega_fleet() -> Vec<ServingEngine> {
-    let a100 = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
-    vec![a100; 4]
+    vec![a100_qserve(); 4]
 }
 
 /// Offered load for the `mega_sweep` trace, requests per second across the
@@ -453,14 +448,8 @@ fn mega_sweep_sized(name: &'static str, num_requests: usize) -> Table {
         ],
     );
     let spec = WorkloadSpec::production(num_requests, MEGA_RATE_RPS, SWEEP_SEED);
-    let r = Cluster::heterogeneous(mega_fleet(), Box::new(LeastOutstanding))
-        .serve_paged(
-            &spec,
-            || Box::new(MemoryAware::default()),
-            Reservation::OnDemand,
-            SchedOptions::default(),
-        )
-        .expect("workload must be servable");
+    let mut cluster = Cluster::heterogeneous(mega_fleet(), Box::new(LeastOutstanding));
+    let r = serve_cell(&mut cluster, &spec, SchedOptions::default(), &FaultPlan::none());
     assert_eq!(r.completed, num_requests, "mega_sweep must finish every request");
     t.push_row(vec![
         num_requests.to_string(),
@@ -514,11 +503,7 @@ fn failure_workload(num_requests: usize) -> WorkloadSpec {
         output: LengthDist::Uniform { lo: 256, hi: 512 },
         arrival: ArrivalPattern::Poisson { rate_rps: 64.0 },
         sharing: PrefixSharing::None,
-        slo: SloSpec::Cycle(vec![
-            Slo::interactive(2.0, 8.0),
-            Slo::standard(6.0, 20.0),
-            Slo::best_effort(),
-        ]),
+        slo: slo_cycle(),
         seed: SWEEP_SEED,
     }
 }
@@ -571,9 +556,6 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
     );
     let spec = failure_workload(num_requests);
     let fleet = mega_fleet();
-    // Scenario × preemption cells fanned out on the pool; each cell still
-    // asserts its own conservation contract (a pool task's panic propagates
-    // to this thread), and rows land in grid order.
     let mut cells: Vec<(&'static str, FaultPlan, Option<f64>, &'static str, PreemptionMode)> =
         Vec::new();
     for (scenario, plan, fault_at) in failure_scenarios(fleet.len()) {
@@ -583,17 +565,10 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
             cells.push((scenario, plan.clone(), fault_at, pname, preemption));
         }
     }
-    let rows = pool::global().par_map(&cells, |_, (scenario, plan, fault_at, pname, preemption)| {
+    fill_grid(&mut t, &cells, |(scenario, plan, fault_at, pname, preemption)| {
         let opts = SchedOptions { preemption: *preemption, ..SchedOptions::default() };
-        let r = Cluster::heterogeneous(fleet.clone(), Box::new(LeastOutstanding))
-            .serve_paged_faulty(
-                &spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                opts,
-                plan,
-            )
-            .expect("workload must be servable");
+        let mut cluster = Cluster::heterogeneous(fleet.clone(), Box::new(LeastOutstanding));
+        let r = serve_cell(&mut cluster, &spec, opts, plan);
         // The acceptance invariant: a fault may requeue or shed work,
         // never lose it.
         assert_eq!(
@@ -629,9 +604,6 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
             fnum(swap_mb, 1),
         ]
     });
-    for row in rows {
-        t.push_row(row);
-    }
     t
 }
 
@@ -653,16 +625,6 @@ pub fn failure_sweep() -> Table {
 /// fleet, fault schedule and seed).
 pub fn failure_sweep_smoke() -> Table {
     failure_sweep_sized("failure_sweep_smoke", 64)
-}
-
-/// The standard interactive / standard / best-effort tier cycle the elastic
-/// sweep's deadline scenarios run under.
-fn slo_cycle() -> SloSpec {
-    SloSpec::Cycle(vec![
-        Slo::interactive(2.0, 8.0),
-        Slo::standard(6.0, 20.0),
-        Slo::best_effort(),
-    ])
 }
 
 /// The control plane's migration trigger for the elastic sweep: a pinned
@@ -713,19 +675,8 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
             "GPU-s",
         ],
     );
-    let a100 = ServingEngine::new(
-        GpuSpec::a100(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerChannel,
-    )
-    .expect("A100 serves Llama-2-7B");
-    let l40s = ServingEngine::new(
-        GpuSpec::l40s(),
-        ModelConfig::llama2_7b(),
-        SystemConfig::QServePerGroup,
-    )
-    .expect("L40S serves Llama-2-7B");
-    let mut push = |scenario: &str, arm: &str, fleet: &str, n: usize, r: &qserve_serve::ClusterReport| {
+    let (a100, l40s) = (a100_qserve(), l40s_qserve());
+    let mut push = |scenario: &str, arm: &str, fleet: &str, n: usize, r: &ClusterReport| {
         assert_eq!(
             r.completed + r.shed,
             n,
@@ -765,22 +716,11 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     // TTFT is only feasible on the A100, and only a feasibility-aware
     // router knows that.
     let mixed_fleet = vec![a100.clone(), l40s.clone(), l40s.clone(), l40s.clone()];
-    // Scenario arms are independent clusters: build them up front, serve
-    // them concurrently on the pool, read the reports back in arm order.
     let mut routing_arms = vec![
         Cluster::heterogeneous(mixed_fleet.clone(), Box::new(LeastOutstanding)),
         Cluster::heterogeneous(mixed_fleet.clone(), Box::new(DeadlineAware)),
     ];
-    let mut reports = pool::global().par_map_mut(&mut routing_arms, |_, cluster| {
-        cluster
-            .serve_paged(
-                &deadline_spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                SchedOptions::default(),
-            )
-            .expect("workload must be servable")
-    });
+    let mut reports = serve_arms(&mut routing_arms, &deadline_spec, SchedOptions::default());
     let da = reports.pop().expect("deadline-aware arm");
     let lo = reports.pop().expect("least-outstanding arm");
     assert!(
@@ -812,16 +752,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
         Cluster::heterogeneous(pair.clone(), Box::new(LeastOutstanding))
             .with_migration(migration_config(true)),
     ];
-    let mut reports = pool::global().par_map_mut(&mut migration_arms, |_, cluster| {
-        cluster
-            .serve_paged(
-                &migrate_spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                share_opts,
-            )
-            .expect("workload must be servable")
-    });
+    let mut reports = serve_arms(&mut migration_arms, &migrate_spec, share_opts);
     let migrate = reports.pop().expect("migrate-pages arm");
     let repin = reports.pop().expect("repin arm");
     let shed = reports.pop().expect("shed arm");
@@ -879,16 +810,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
             },
         ),
     ];
-    let mut reports = pool::global().par_map_mut(&mut elastic_arms, |_, cluster| {
-        cluster
-            .serve_paged(
-                &elastic_spec,
-                || Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
-                SchedOptions::default(),
-            )
-            .expect("workload must be servable")
-    });
+    let mut reports = serve_arms(&mut elastic_arms, &elastic_spec, SchedOptions::default());
     let elastic = reports.pop().expect("elastic arm");
     let static_max = reports.pop().expect("static-max arm");
     let static_min = reports.pop().expect("static-min arm");

@@ -28,25 +28,26 @@
 //!   fixed cadence and closes the gap to its target through the *fault
 //!   machinery* — scale-down injects a `Drain` fault, scale-up a `Restart`
 //!   fault — so autoscaled lifecycles are exactly fault-plan lifecycles;
-//! * [`Cluster::serve_paged`] replays the workload in arrival order and
-//!   hands the end-of-run state to [`crate::report`] for aggregation into
-//!   a [`ClusterReport`].
+//! * [`Cluster::serve_paged`] replays the workload in arrival order through
+//!   a private [`Driver`] — one pop loop, one handler method per event
+//!   kind — and hands the end-of-run state to [`crate::report`] for
+//!   aggregation into a [`ClusterReport`].
 //!
-//! A 1-replica cluster performs exactly the ticks
-//! [`ServingEngine::run_workload_paged_with`] performs, so its numbers are
-//! bit-identical to the single-engine report; a static fleet under the
-//! extracted control plane replays the inline PR-8 driver decision for
-//! decision — the invariants that pin this layer to the golden-snapshot
-//! CSVs.
+//! A 1-replica cluster performs exactly the ticks [`ServingEngine::serve`]
+//! performs, so its numbers are bit-identical to the single-engine report;
+//! a static fleet under the extracted control plane replays the inline
+//! PR-8 driver decision for decision — the invariants that pin this layer
+//! to the golden-snapshot CSVs.
 
 use crate::engine::{EngineUnavailable, ServingEngine, SpeedProfile, TickScratch};
-use crate::event::EventQueue;
+use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, WorkloadSpec};
 use crate::scheduler::{
     KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
 };
+use qserve_tensor::pool::Pool;
 
 pub use crate::control::{
     Admission, AdmissionPolicy, AdmitAll, AutoscaleConfig, AutoscalePolicy, ControlPlane,
@@ -59,22 +60,17 @@ pub use crate::report::{ClusterReport, ReplicaReport};
 // Replicas
 // ---------------------------------------------------------------------------
 
-/// What the cluster's event queue is waiting on. Purely descriptive — every
-/// event advances its lane the same way (arrivals run a control-plane
-/// decision; replica events run one tick) — but naming the *reason* a
-/// replica re-arms keeps traces and the queue's ordering contract legible.
+/// What the cluster's event queue is waiting on — one kind per handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// Lane 0: the next request reaches the front door.
     Arrival,
-    /// A replica's next tick retires or decodes resident requests. Carries
-    /// the replica's lifecycle epoch at arming time: a crash or restart
-    /// bumps the epoch, so any event armed before it pops as stale and is
-    /// dropped instead of ticking a dead incarnation.
-    Completion(u64),
-    /// A replica's next tick advances a chunked prefill one chunk (same
-    /// epoch stamp).
-    ChunkBoundary(u64),
+    /// Lane `i + 1`: replica `i`'s next scheduling tick — a decode step that
+    /// retires or advances residents, or a chunked prefill's next chunk.
+    /// Carries the replica's lifecycle epoch at arming time: a crash or
+    /// restart bumps the epoch, so any event armed before it pops as stale
+    /// and is dropped instead of ticking a dead incarnation.
+    Tick(u64),
     /// Lane `u64::MAX`: a scheduled lifecycle event — index into the run's
     /// fault table (plan faults plus dynamically chained restarts).
     Fault(usize),
@@ -84,16 +80,20 @@ enum Event {
     Autoscale,
 }
 
+/// The front-door lane sorts before every replica lane at an equal
+/// timestamp: the arrival is routed first, then replicas tick by index.
+const ARRIVAL_LANE: u64 = 0;
+
 /// The fault lane sorts after every arrival (lane 0) and replica lane
 /// (`i + 1`) at an equal timestamp: a crash at `t` observes the world with
 /// that instant's arrival routed and every tick due at `t` taken.
 const FAULT_LANE: u64 = u64::MAX;
 
 /// One engine replica: its own scheduler core, page ledger and clock,
-/// advanced one tick at a time — the incremental form of
-/// [`ServingEngine::run_scheduled_with`]'s loop body. Lifecycle flags
-/// (accepting/online/epoch) and the provisioned-time bill live in
-/// [`Lifecycle`], shared with the fault layer.
+/// advanced one tick at a time — the incremental form of the loop under
+/// [`ServingEngine::serve`]. Lifecycle flags (accepting/online/epoch) and
+/// the provisioned-time bill live in [`Lifecycle`], shared with the fault
+/// layer.
 struct Replica {
     engine: ServingEngine,
     speed: SpeedProfile,
@@ -143,74 +143,37 @@ impl Replica {
         }
     }
 
-    /// The pre-event-core snapshot: same fields, but the outstanding work
-    /// comes from the O(residents) ground-truth scan. Kept for the
-    /// step-driven reference driver so its benchmarked cost profile stays
-    /// the one the event core actually replaced.
-    fn view_scan(&self, index: usize) -> ReplicaView {
-        ReplicaView {
-            outstanding_tokens: self.sched.outstanding_tokens_scan(),
-            ..self.view(index)
-        }
-    }
-
     fn submit(&mut self, req: Request) {
         self.routed += 1;
         self.sched.submit(req);
     }
 
-    /// One scheduling tick — [`ServingEngine::scheduler_tick`], the same
-    /// loop body `run_scheduled_with` drives, so a lone replica replays the
-    /// single-engine run exactly by construction. Allocates its scratch per
-    /// tick; the step-driven reference keeps this cost profile.
+    /// One scheduling tick — [`ServingEngine::tick`], the same loop body
+    /// [`ServingEngine::serve`] drives, so a lone replica replays the
+    /// single-engine run exactly by construction — on the replica-owned
+    /// scratch buffers: zero per-tick allocation.
     fn tick(&mut self) {
-        self.engine.scheduler_tick(&mut self.sched, &mut self.budget);
+        self.engine.tick(&mut self.sched, &mut self.budget, &mut self.scratch);
     }
 
-    /// [`Replica::tick`] with the replica-owned scratch buffers — identical
-    /// arithmetic, zero per-tick allocation; the event core's hot path.
-    fn tick_scratch(&mut self) {
-        self.engine
-            .scheduler_tick_scratch(&mut self.sched, &mut self.budget, &mut self.scratch);
-    }
-
-    /// Replays this replica's slice of the event loop up to `barrier`: tick
-    /// after tick while the event the queue *would* re-arm — `(clock, lane)`
-    /// under the queue's `(time bits, lane)` order, with `-0.0` normalized
-    /// the way [`EventQueue::push`] does — still precedes the barrier key.
-    /// Exactly the ticks the sequential loop would pop before reaching the
-    /// barrier event, because between them this replica's events outrank
-    /// everything else in the queue and touch only replica-local state.
-    /// A replica that drains mid-window closes its provisioned-time bill at
-    /// its own clock, as the sequential arm does; upgrade completions never
-    /// reach here (windows are disabled for plans containing upgrades).
-    fn advance_to_barrier(&mut self, lane: u64, barrier: Option<(f64, u64)>) {
+    /// Replays this replica's slice of the event loop up to `barrier` (a
+    /// `(time key, lane)` queue key): tick after tick while the event the
+    /// queue *would* re-arm — `(clock, lane)`, the clock keyed by
+    /// [`time_key`] as [`EventQueue::push`] keys it — still precedes the
+    /// barrier key. Exactly the ticks the sequential loop would pop before
+    /// reaching the barrier event, because between them this replica's
+    /// events outrank everything else in the queue and touch only
+    /// replica-local state. A replica that drains mid-window stops there;
+    /// the merge settles it as the sequential arm would.
+    fn advance_to_barrier(&mut self, lane: u64, barrier: Option<(u64, u64)>) {
         loop {
-            self.tick_scratch();
+            self.tick();
             if self.done() {
-                let idle_at = self.clock();
-                self.life.release_idle(idle_at);
                 return;
             }
-            let Some((bt, bl)) = barrier else { continue };
-            let bits = self.clock().to_bits();
-            // −0.0 has the sign bit set; fold it onto +0.0 so the integer
-            // comparison agrees with the queue's normalized push order.
-            let tb = if bits == 1u64 << 63 { 0 } else { bits };
-            if (tb, lane) >= (bt.to_bits(), bl) {
+            if barrier.is_some_and(|key| (time_key(self.clock()), lane) >= key) {
                 return;
             }
-        }
-    }
-
-    /// What this replica's next tick will do — the event kind it re-arms
-    /// the queue with: a chunk boundary while any resident prefill is
-    /// mid-chunking, otherwise a completion step.
-    fn next_event(&self) -> Event {
-        if self.sched.options().chunk_tokens.is_some() && self.sched.prefilling() > 0 {
-            Event::ChunkBoundary(self.life.epoch())
-        } else {
-            Event::Completion(self.life.epoch())
         }
     }
 
@@ -245,7 +208,7 @@ pub struct Cluster {
     /// Private worker pool for intra-run replica parallelism; `None` uses
     /// the process-global pool (sized by `QSERVE_THREADS`). Tests that
     /// compare thread counts in one process set this per cluster.
-    pool: Option<qserve_tensor::pool::Pool>,
+    pool: Option<Pool>,
 }
 
 impl Cluster {
@@ -282,7 +245,7 @@ impl Cluster {
     /// count produces the same bit-identical report — this knob trades
     /// wall-clock only.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = Some(qserve_tensor::pool::Pool::new(threads));
+        self.pool = Some(Pool::new(threads));
         self
     }
 
@@ -318,16 +281,6 @@ impl Cluster {
         assert!(autoscale.interval_s > 0.0, "autoscale interval must be positive");
         self.autoscale = Some(autoscale);
         self
-    }
-
-    /// The routing policy's report name.
-    pub fn routing_name(&self) -> &'static str {
-        self.control.routing_name()
-    }
-
-    /// The admission policy's report name.
-    pub fn admission_name(&self) -> &'static str {
-        self.control.admission_name()
     }
 
     /// Builds one fresh replica per engine, each sized by *its own*
@@ -389,9 +342,9 @@ impl Cluster {
     ///   snapshot as of the arrival instant and decides shed / route /
     ///   migrate-then-route; the owning replica is armed at its clock (if
     ///   it was drained);
-    /// * **next-completion** / **next-chunk-boundary** — the replica runs
-    ///   exactly one scheduling tick (scratch-reusing, allocation-free) and
-    ///   is re-armed at its advanced clock until it drains.
+    /// * **replica tick** — the replica runs exactly one scheduling tick
+    ///   (scratch-reusing, allocation-free) and is re-armed at its advanced
+    ///   clock until it drains.
     ///
     /// Because the heap pops `(time, lane)` in the same order the retired
     /// step driver's min-clock scans selected (arrivals win time-ties, then
@@ -413,104 +366,6 @@ impl Cluster {
         opts: SchedOptions,
     ) -> Result<ClusterReport, EngineUnavailable> {
         self.serve_paged_faulty(spec, mk_policy, reservation, opts, &FaultPlan::none())
-    }
-
-    /// Hands `req` to replica `choice`, arming its event lane if it was
-    /// drained (a drained replica had no queue entry; it re-enters at its
-    /// current clock — its first tick idles it forward to the new
-    /// request's arrival if needed).
-    fn deliver(reps: &mut [Replica], choice: usize, req: Request, queue: &mut EventQueue<Event>) {
-        let was_drained = reps[choice].done();
-        reps[choice].submit(req);
-        if was_drained {
-            queue.push(reps[choice].clock(), choice as u64 + 1, reps[choice].next_event());
-        }
-    }
-
-    /// Routes one already-admitted request (a crash victim, or a parked
-    /// request delivered at a restart) through the control plane's
-    /// requeue path (admission bypassed — the request was admitted once
-    /// and the cluster owes it a finish). Returns the request back when
-    /// *no* replica accepts work (the caller parks it until a restart).
-    fn route_requeued(
-        control: &mut ControlPlane,
-        reps: &mut [Replica],
-        views: &mut Vec<ReplicaView>,
-        queue: &mut EventQueue<Event>,
-        req: Request,
-    ) -> Option<Request> {
-        views.clear();
-        views.extend(reps.iter().enumerate().map(|(i, r)| r.view(i)));
-        let Some(choice) = control.place_requeued(&req, views) else {
-            return Some(req);
-        };
-        assert!(
-            choice < reps.len(),
-            "routing policy '{}' picked replica {} of {}",
-            control.routing_name(),
-            choice,
-            reps.len()
-        );
-        Self::deliver(reps, choice, req, queue);
-        None
-    }
-
-    /// A replica that drained with an upgrade pending goes offline for its
-    /// downtime: bump the epoch (stale events drop) and chain a restart
-    /// fault at `clock + downtime` on the fault lane.
-    fn begin_upgrade_downtime(
-        rep: &mut Replica,
-        replica: usize,
-        faults: &mut Vec<Fault>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let (downtime_s, _) =
-            rep.life.pending_upgrade().expect("upgrade downtime without a pending upgrade");
-        let restart_at = rep.clock() + downtime_s;
-        rep.life.go_offline(rep.clock());
-        faults.push(Fault { at_s: restart_at, replica, kind: FaultKind::Restart });
-        queue.push(restart_at, FAULT_LANE, Event::Fault(faults.len() - 1));
-    }
-
-    /// Executes a [`Placement::Migrate`]: copies prefix group `group`'s
-    /// COW pages from `from` to `to`, charging the destination's page
-    /// ledger for the copy (the source keeps its pages — its residents are
-    /// still decoding against them), anchoring the imported pool so it
-    /// survives until members arrive, warming the destination scheduler so
-    /// those members alias the moved prefix instead of re-prefilling, and
-    /// pricing the transfer into the destination's clock at link
-    /// bandwidth. A destination that already holds the pool, or lacks the
-    /// free pages, declines the copy — the request still routes there (the
-    /// pin moved), it just rebuilds the prefix the slow way.
-    fn migrate_group(
-        reps: &mut [Replica],
-        group: u64,
-        from: usize,
-        to: usize,
-        link: qserve_gpusim::HostLink,
-        now: f64,
-        totals: &mut MigrationTotals,
-    ) {
-        let Some(pages_per_layer) = reps[from].budget.pool_pages_per_layer(group) else {
-            // The source pool already drained (its last member finished
-            // between the saturation estimate and now): nothing to copy.
-            return;
-        };
-        let Some(pages) = reps[to].budget.import_pool(group, pages_per_layer) else {
-            return;
-        };
-        let warm_tokens = pages_per_layer * reps[to].budget.page_tokens();
-        reps[to].sched.install_warm_prefix(group, warm_tokens);
-        let bytes =
-            u64::try_from(pages).expect("page count fits u64") * reps[to].engine.kv_page_bytes();
-        // The copy lands as of the arrival instant and occupies the
-        // destination for the transfer time — identical cost shape to a
-        // swap, but across the replica fabric.
-        reps[to].sched.advance_clock_to(now);
-        reps[to].sched.charge_migration(link.transfer_latency(bytes as f64));
-        totals.migrations += 1;
-        totals.pages += pages;
-        totals.bytes += bytes;
     }
 
     /// [`Cluster::serve_paged`] with a deterministic lifecycle [`FaultPlan`]
@@ -571,40 +426,66 @@ impl Cluster {
         if let Some(auto) = &mut self.autoscale {
             auto.policy.reset();
         }
-        let mut reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
-        let mut shed: Vec<Request> = Vec::new();
-        // Admitted-then-crashed requests with nowhere to go (no replica
-        // accepting): they wait for a restart instead of being shed.
-        let mut parked: Vec<Request> = Vec::new();
-        let mut requeued = 0usize;
-        let mut lost_prefill = 0usize;
-        let mut migration_totals = MigrationTotals::default();
+        let reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
+        let mut driver = Driver::new(self, reps, Self::sorted_trace(spec), plan);
+        driver.run();
+        Ok(driver.finish())
+    }
+}
 
-        const ARRIVAL_LANE: u64 = 0;
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        // The runtime fault table: plan faults up front, chained restarts,
-        // rolling-upgrade hops and autoscaler decisions appended as the
-        // run discovers them.
-        let mut faults: Vec<Fault> = plan.faults().to_vec();
-        for (idx, f) in faults.iter().enumerate() {
-            assert!(
-                f.replica < reps.len(),
-                "fault plan targets replica {} of a {}-replica fleet",
-                f.replica,
-                reps.len()
-            );
-            queue.push(f.at_s, FAULT_LANE, Event::Fault(idx));
-        }
-        if let Some(auto) = &self.autoscale {
-            queue.push(auto.interval_s, FAULT_LANE, Event::Autoscale);
-        }
-        let mut arrivals = Self::sorted_trace(spec).into_iter();
-        let mut next_arrival = arrivals.next();
-        if let Some(r) = &next_arrival {
-            queue.push(r.arrival_s, ARRIVAL_LANE, Event::Arrival);
-        }
-        // One views buffer reused across every arrival decision.
-        let mut views: Vec<ReplicaView> = Vec::with_capacity(reps.len());
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// One run of the event loop: the state `serve_paged_faulty` builds, pops
+/// events against and folds into a report. Each event kind has one handler
+/// method; everything a handler touches is a field here.
+struct Driver<'a> {
+    control: &'a mut ControlPlane,
+    autoscale: Option<&'a mut AutoscaleConfig>,
+    pool: &'a Pool,
+    /// Whether consecutive replica ticks may advance concurrently (see
+    /// [`Driver::new`] for the gate's soundness argument).
+    windows_enabled: bool,
+    reps: Vec<Replica>,
+    queue: EventQueue<Event>,
+    /// The runtime fault table: plan faults up front, chained restarts,
+    /// rolling-upgrade hops and autoscaler decisions appended as the run
+    /// discovers them.
+    faults: Vec<Fault>,
+    /// The trace in front-door order; `next_arrival` is the one request
+    /// whose `Arrival` event is queued.
+    arrivals: std::vec::IntoIter<Request>,
+    next_arrival: Option<Request>,
+    shed: Vec<Request>,
+    /// Admitted-then-crashed requests with nowhere to go (no replica
+    /// accepting): they wait for a restart instead of being shed.
+    parked: Vec<Request>,
+    /// One views buffer reused across every control-plane decision.
+    views: Vec<ReplicaView>,
+    requeued: usize,
+    lost_prefill: usize,
+    migrations: MigrationTotals,
+    /// The barrier window being formed, in pop order, and the same replica
+    /// indices ascending (reused buffers).
+    window: Vec<usize>,
+    sorted_window: Vec<usize>,
+}
+
+impl<'a> Driver<'a> {
+    /// Seeds the queue: every plan fault, the autoscaler's first decision
+    /// point, the first arrival.
+    ///
+    /// # Panics
+    /// Panics if the plan targets a replica the fleet doesn't have.
+    fn new(
+        cluster: &'a mut Cluster,
+        reps: Vec<Replica>,
+        trace: Vec<Request>,
+        plan: &FaultPlan,
+    ) -> Self {
+        let Cluster { control, autoscale, pool, .. } = cluster;
+        let pool = pool.as_ref().unwrap_or_else(|| qserve_tensor::pool::global());
         // Intra-run replica parallelism: consecutive fresh replica-lane
         // events form a *window* bounded by the next arrival/fault/autoscale
         // key (or a second event on a lane already windowed). Replicas in a
@@ -615,443 +496,452 @@ impl Cluster {
         // only sources of new `Upgrade` entries at runtime are rolling
         // chains of *planned* upgrades — the autoscaler injects only
         // `Drain`/`Restart` — so a plan-level scan is a sound gate.
-        let pool = match &self.pool {
-            Some(p) => p,
-            None => qserve_tensor::pool::global(),
-        };
         let windows_enabled = pool.threads() > 1
             && !plan
                 .faults()
                 .iter()
                 .any(|f| matches!(f.kind, FaultKind::Upgrade { .. }));
-        let mut window: Vec<usize> = Vec::with_capacity(reps.len());
-        let mut sorted_window: Vec<usize> = Vec::with_capacity(reps.len());
-        while let Some((now, lane, kind)) = queue.pop() {
-            match kind {
-                Event::Arrival => {
-                    let req = next_arrival.take().expect("arrival event without a request");
-                    views.clear();
-                    views.extend(reps.iter().enumerate().map(|(i, r)| r.view(i)));
-                    match self.control.place(&req, &views) {
-                        Placement::Shed => shed.push(req),
-                        Placement::Route(choice) => {
-                            assert!(
-                                choice < reps.len(),
-                                "routing policy '{}' picked replica {} of {}",
-                                self.control.routing_name(),
-                                choice,
-                                reps.len()
-                            );
-                            Self::deliver(&mut reps, choice, req, &mut queue);
-                        }
-                        Placement::Migrate { group, from, to } => {
-                            assert!(
-                                to < reps.len() && from < reps.len(),
-                                "control plane migrated group {group} between replicas {from}→{to} of {}",
-                                reps.len()
-                            );
-                            let link = self
-                                .control
-                                .migration()
-                                .expect("migrate placement without a migration config")
-                                .link;
-                            Self::migrate_group(
-                                &mut reps,
-                                group,
-                                from,
-                                to,
-                                link,
-                                now,
-                                &mut migration_totals,
-                            );
-                            Self::deliver(&mut reps, to, req, &mut queue);
-                        }
-                    }
-                    next_arrival = arrivals.next();
-                    if let Some(r) = &next_arrival {
-                        queue.push(r.arrival_s, ARRIVAL_LANE, Event::Arrival);
-                    }
-                }
-                Event::Completion(epoch) | Event::ChunkBoundary(epoch) => {
-                    // lint: allow(raw-cast) -- lane = replica index + 1 by construction, so the u64 → usize round trip is exact
-                    let i = (lane - 1) as usize;
-                    if epoch != reps[i].life.epoch() {
-                        // Armed by a previous incarnation; the crash or
-                        // restart that bumped the epoch already decided
-                        // this replica's future.
-                        continue;
-                    }
-                    if windows_enabled {
-                        window.clear();
-                        window.push(i);
-                        // Widen: pull every queue head that is a *fresh*
-                        // replica event on a lane not yet in the window.
-                        // Stale-epoch heads drop here exactly as the check
-                        // above would drop them; a head on a windowed lane
-                        // stops the scan (it could depend on this window's
-                        // outcome), as does any arrival/fault/autoscale key.
-                        loop {
-                            let Some((_, l2)) = queue.peek() else { break };
-                            if l2 == ARRIVAL_LANE || l2 == FAULT_LANE {
-                                break;
-                            }
-                            // lint: allow(raw-cast) -- replica lane, exact as above
-                            let j = (l2 - 1) as usize;
-                            if window.contains(&j) {
-                                break;
-                            }
-                            let Some((_, _, k2)) = queue.pop() else { break };
-                            let fresh = match k2 {
-                                Event::Completion(e2) | Event::ChunkBoundary(e2) => {
-                                    e2 == reps[j].life.epoch()
-                                }
-                                _ => unreachable!("non-replica event on replica lane {l2}"),
-                            };
-                            if fresh {
-                                window.push(j);
-                            }
-                        }
-                        if window.len() > 1 {
-                            let barrier = queue.peek();
-                            sorted_window.clear();
-                            sorted_window.extend_from_slice(&window);
-                            sorted_window.sort_unstable();
-                            // Carve disjoint `&mut Replica`s out of the
-                            // fleet (ascending order makes each split valid)
-                            // and advance them concurrently to the barrier.
-                            let mut lanes: Vec<(u64, &mut Replica)> =
-                                Vec::with_capacity(sorted_window.len());
-                            let mut tail = reps.as_mut_slice();
-                            let mut base = 0usize;
-                            for &j in &sorted_window {
-                                let (_, rest) = tail.split_at_mut(j - base);
-                                let (one, rest) = rest.split_at_mut(1);
-                                lanes.push((j as u64 + 1, &mut one[0]));
-                                tail = rest;
-                                base = j + 1;
-                            }
-                            pool.par_map_mut(&mut lanes, |_, (l, rep)| {
-                                rep.advance_to_barrier(*l, barrier);
-                            });
-                            // Sequential merge: one re-arm per still-busy
-                            // replica. Lanes are distinct, so push order
-                            // (and thus `seq`) cannot affect pop order.
-                            for &j in &window {
-                                if !reps[j].done() {
-                                    queue.push(
-                                        reps[j].clock(),
-                                        j as u64 + 1,
-                                        reps[j].next_event(),
-                                    );
-                                }
-                            }
-                            continue;
-                        }
-                        // Singleton window: the sequential arm below is
-                        // already the exact replay.
-                    }
-                    reps[i].tick_scratch();
-                    if reps[i].done() {
-                        if reps[i].life.pending_upgrade().is_some() {
-                            // Last resident finished under a pending
-                            // upgrade: the downtime starts now.
-                            Self::begin_upgrade_downtime(
-                                &mut reps[i],
-                                i,
-                                &mut faults,
-                                &mut queue,
-                            );
-                        } else {
-                            // A drained (non-accepting) replica going idle
-                            // leaves the fleet bill; accepting replicas
-                            // stay provisioned (no-op).
-                            let idle_at = reps[i].clock();
-                            reps[i].life.release_idle(idle_at);
-                        }
-                    } else {
-                        queue.push(reps[i].clock(), lane, reps[i].next_event());
-                    }
-                }
-                Event::Fault(idx) => {
-                    let Fault { replica, kind, .. } = faults[idx];
-                    match kind {
-                        FaultKind::Crash => {
-                            let victims = {
-                                let rep = &mut reps[replica];
-                                if rep.life.crash(now) {
-                                    let (victims, lost) =
-                                        rep.sched.evict_all(&mut rep.budget);
-                                    // Anchored (migrated-in) pools die with
-                                    // the replica: release the control
-                                    // plane's refs, then audit that every
-                                    // page the crash destroyed was
-                                    // released, none minted.
-                                    rep.budget.release_anchors();
-                                    rep.budget.assert_consistent();
-                                    assert_eq!(
-                                        rep.budget.free_pages(),
-                                        rep.budget.total_pages(),
-                                        "crash left pages allocated on replica {replica}"
-                                    );
-                                    lost_prefill += lost;
-                                    rep.requeued_away += victims.len();
-                                    victims
-                                } else {
-                                    Vec::new()
-                                }
-                            };
-                            for mut req in victims {
-                                // Requeued work becomes eligible at the
-                                // crash instant; TTFT/latency still run
-                                // from the original arrival.
-                                req.ready_s = now;
-                                req.requeues += 1;
-                                requeued += 1;
-                                if let Some(back) = Self::route_requeued(
-                                    &mut self.control,
-                                    &mut reps,
-                                    &mut views,
-                                    &mut queue,
-                                    req,
-                                ) {
-                                    parked.push(back);
-                                }
-                            }
-                        }
-                        FaultKind::Drain => {
-                            let rep = &mut reps[replica];
-                            rep.life.drain();
-                            if rep.done() {
-                                // Already idle: the bill closes at the
-                                // drain instant, not at some stale clock.
-                                rep.life.release_idle(now);
-                            }
-                        }
-                        FaultKind::Restart => {
-                            let chained = {
-                                let rep = &mut reps[replica];
-                                if !rep.life.online() {
-                                    // A crashed/upgrading replica comes
-                                    // back with its clock at the restart
-                                    // instant (an online drained replica
-                                    // re-opens admission only).
-                                    rep.sched.advance_clock_to(now);
-                                }
-                                rep.life.restart(now)
-                            };
-                            if let Some((downtime_s, true)) = chained {
-                                if replica + 1 < reps.len() {
-                                    // Rolling: this replica is back, the
-                                    // next one starts its upgrade now.
-                                    faults.push(Fault {
-                                        at_s: now,
-                                        replica: replica + 1,
-                                        kind: FaultKind::Upgrade { downtime_s, rolling: true },
-                                    });
-                                    queue.push(now, FAULT_LANE, Event::Fault(faults.len() - 1));
-                                }
-                            }
-                            // A replica accepts again: deliver parked work.
-                            for req in std::mem::take(&mut parked) {
-                                if let Some(back) = Self::route_requeued(
-                                    &mut self.control,
-                                    &mut reps,
-                                    &mut views,
-                                    &mut queue,
-                                    req,
-                                ) {
-                                    parked.push(back);
-                                }
-                            }
-                        }
-                        FaultKind::Upgrade { downtime_s, rolling } => {
-                            let rep = &mut reps[replica];
-                            if rep.life.online() {
-                                rep.life.begin_upgrade(downtime_s, rolling);
-                                if rep.done() {
-                                    // Already idle: the downtime starts at
-                                    // the fault instant, not the stale
-                                    // clock of its last tick.
-                                    rep.sched.advance_clock_to(now);
-                                    Self::begin_upgrade_downtime(
-                                        &mut reps[replica],
-                                        replica,
-                                        &mut faults,
-                                        &mut queue,
-                                    );
-                                }
-                            } else if rolling && replica + 1 < reps.len() {
-                                // A dead replica can't upgrade; pass the
-                                // wave along so the fleet still finishes.
-                                faults.push(Fault {
-                                    at_s: now,
-                                    replica: replica + 1,
-                                    kind: FaultKind::Upgrade { downtime_s, rolling },
-                                });
-                                queue.push(now, FAULT_LANE, Event::Fault(faults.len() - 1));
-                            }
-                        }
-                    }
-                }
-                Event::Autoscale => {
-                    // The scaler acts (and re-arms) only while traffic
-                    // still arrives; after the last arrival the fleet
-                    // drains naturally and the run can end.
-                    if next_arrival.is_none() {
-                        continue;
-                    }
-                    let auto =
-                        self.autoscale.as_mut().expect("autoscale event without a config");
-                    views.clear();
-                    views.extend(reps.iter().enumerate().map(|(i, r)| r.view(i)));
-                    let accepting = views.iter().filter(|v| v.accepting).count();
-                    let target =
-                        auto.policy.target_online(now, &views).clamp(1, reps.len());
-                    if target > accepting {
-                        // Wake standbys (and drained/crashed replicas),
-                        // lowest index first, through Restart faults — the
-                        // exact path a fault-plan restart takes. Replicas
-                        // mid-upgrade keep their pending downtime.
-                        let mut need = target - accepting;
-                        for (i, rep) in reps.iter().enumerate() {
-                            if need == 0 {
-                                break;
-                            }
-                            if !rep.life.accepting() && rep.life.pending_upgrade().is_none() {
-                                faults.push(Fault {
-                                    at_s: now,
-                                    replica: i,
-                                    kind: FaultKind::Restart,
-                                });
-                                queue.push(now, FAULT_LANE, Event::Fault(faults.len() - 1));
-                                need -= 1;
-                            }
-                        }
-                    } else if target < accepting {
-                        // Drain the highest-index accepting replicas —
-                        // scale-down *is* the drain fault.
-                        let mut excess = accepting - target;
-                        for (i, rep) in reps.iter().enumerate().rev() {
-                            if excess == 0 {
-                                break;
-                            }
-                            if rep.life.accepting() {
-                                faults.push(Fault {
-                                    at_s: now,
-                                    replica: i,
-                                    kind: FaultKind::Drain,
-                                });
-                                queue.push(now, FAULT_LANE, Event::Fault(faults.len() - 1));
-                                excess -= 1;
-                            }
-                        }
-                    }
-                    queue.push(now + auto.interval_s, FAULT_LANE, Event::Autoscale);
-                }
+        let mut arrivals = trace.into_iter();
+        let next_arrival = arrivals.next();
+        let mut driver = Self {
+            control,
+            autoscale: autoscale.as_mut(),
+            pool,
+            windows_enabled,
+            views: Vec::with_capacity(reps.len()),
+            window: Vec::with_capacity(reps.len()),
+            sorted_window: Vec::with_capacity(reps.len()),
+            reps,
+            queue: EventQueue::new(),
+            faults: Vec::with_capacity(plan.faults().len()),
+            arrivals,
+            next_arrival,
+            shed: Vec::new(),
+            parked: Vec::new(),
+            requeued: 0,
+            lost_prefill: 0,
+            migrations: MigrationTotals::default(),
+        };
+        for f in plan.faults() {
+            assert!(
+                f.replica < driver.reps.len(),
+                "fault plan targets replica {} of a {}-replica fleet",
+                f.replica,
+                driver.reps.len()
+            );
+            driver.inject(f.at_s, f.replica, f.kind);
+        }
+        if let Some(auto) = &driver.autoscale {
+            driver.queue.push(auto.interval_s, FAULT_LANE, Event::Autoscale);
+        }
+        driver.arm_arrival();
+        driver
+    }
+
+    /// The pop loop: one handler per event kind.
+    fn run(&mut self) {
+        while let Some((now, lane, event)) = self.queue.pop() {
+            match event {
+                Event::Arrival => self.on_arrival(now),
+                // lint: allow(raw-cast) -- lane = replica index + 1 by construction, so the u64 → usize round trip is exact
+                Event::Tick(epoch) => self.on_tick((lane - 1) as usize, epoch),
+                Event::Fault(idx) => self.on_fault(now, idx),
+                Event::Autoscale => self.on_autoscale(now),
             }
         }
+    }
+
+    /// Audits every ledger and folds the run into its report.
+    fn finish(mut self) -> ClusterReport {
         // A run that ends with work still parked had no restart to deliver
         // it to: those requests are shed, keeping the workload partition
         // (finished ∪ shed) exact.
-        shed.append(&mut parked);
+        self.shed.append(&mut self.parked);
         // End-of-run ledger audit: migration charged pages on two ledgers,
         // the autoscaler opened and closed replicas — every budget must
         // still balance from first principles.
-        for rep in &reps {
+        for rep in &self.reps {
             rep.budget.assert_consistent();
             rep.sched.assert_mirrors_ledger(&rep.budget);
         }
-        let slices: Vec<ReplicaSlice<'_>> = reps.iter().map(Replica::slice).collect();
-        Ok(aggregate(
+        let slices: Vec<ReplicaSlice<'_>> = self.reps.iter().map(Replica::slice).collect();
+        aggregate(
             self.control.routing_name(),
             self.control.admission_name(),
             &slices,
-            &shed,
-            requeued,
-            lost_prefill,
-            migration_totals,
-        ))
+            &self.shed,
+            self.requeued,
+            self.lost_prefill,
+            self.migrations,
+        )
     }
 
-    /// The retired step-driven driver, kept verbatim as the equivalence
-    /// oracle for the event core (`props!` tests) and the baseline arm of
-    /// the `event_core` wall-clock benchmark. Its cost profile is the one
-    /// the event core replaced: an O(replicas) min-clock scan per step, an
-    /// O(residents) outstanding-work scan per replica per arrival, and a
-    /// freshly allocated snapshot/scratch set per decision. Not part of the
-    /// serving API.
-    ///
-    /// # Panics
-    /// Panics if the control plane asks for a migration — the step driver
-    /// exists to pin *static* configurations bit-for-bit and models no
-    /// page movement.
-    #[doc(hidden)]
-    pub fn serve_paged_step_reference(
-        &mut self,
-        spec: &WorkloadSpec,
-        mk_policy: impl Fn() -> Box<dyn SchedulingPolicy>,
-        reservation: Reservation,
-        opts: SchedOptions,
-    ) -> Result<ClusterReport, EngineUnavailable> {
-        /// Index of the lowest-clock replica that still has work and whose
-        /// clock is strictly below `horizon` (ties to the lowest index) —
-        /// the linear scan the event queue's ordering subsumes.
-        fn laggard(reps: &[Replica], horizon: f64) -> Option<usize> {
-            let mut best: Option<usize> = None;
-            for (i, r) in reps.iter().enumerate() {
-                if r.done() || r.clock() >= horizon {
-                    continue;
-                }
-                if best.is_none_or(|b| r.clock() < reps[b].clock()) {
-                    best = Some(i);
-                }
-            }
-            best
-        }
+    // -- shared steps -------------------------------------------------------
 
-        self.control.reset();
-        let mut reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
-        let mut shed: Vec<Request> = Vec::new();
-        for req in Self::sorted_trace(spec) {
-            // Advance every replica that still has work and lags this
-            // arrival (lowest clock first, ties to the lowest index), so
-            // the decision observes each replica as of the arrival instant.
-            while let Some(i) = laggard(&reps, req.arrival_s) {
-                reps[i].tick();
-            }
-            let views: Vec<ReplicaView> =
-                reps.iter().enumerate().map(|(i, r)| r.view_scan(i)).collect();
-            match self.control.place(&req, &views) {
-                Placement::Shed => shed.push(req),
-                Placement::Route(choice) => {
-                    assert!(
-                        choice < reps.len(),
-                        "routing policy '{}' picked replica {} of {}",
-                        self.control.routing_name(),
-                        choice,
-                        reps.len()
-                    );
-                    reps[choice].submit(req);
-                }
-                Placement::Migrate { .. } => {
-                    panic!("the step reference models no page migration")
-                }
-            }
+    /// Queues the `Arrival` event of the request waiting at the front door.
+    fn arm_arrival(&mut self) {
+        if let Some(r) = &self.next_arrival {
+            self.queue.push(r.arrival_s, ARRIVAL_LANE, Event::Arrival);
         }
-        // Drain: keep ticking the furthest-behind replica until all finish.
-        while let Some(i) = laggard(&reps, f64::INFINITY) {
-            reps[i].tick();
-        }
-        let slices: Vec<ReplicaSlice<'_>> = reps.iter().map(Replica::slice).collect();
-        Ok(aggregate(
+    }
+
+    /// Queues replica `i`'s next tick at its clock, stamped with its
+    /// current epoch.
+    fn arm(&mut self, i: usize) {
+        let rep = &self.reps[i];
+        self.queue.push(rep.clock(), i as u64 + 1, Event::Tick(rep.life.epoch()));
+    }
+
+    /// Appends a lifecycle event to the fault table and schedules it on the
+    /// fault lane.
+    fn inject(&mut self, at_s: f64, replica: usize, kind: FaultKind) {
+        self.faults.push(Fault { at_s, replica, kind });
+        self.queue.push(at_s, FAULT_LANE, Event::Fault(self.faults.len() - 1));
+    }
+
+    /// Snapshots every replica into the shared views buffer.
+    fn refresh_views(&mut self) {
+        self.views.clear();
+        self.views.extend(self.reps.iter().enumerate().map(|(i, r)| r.view(i)));
+    }
+
+    /// A replica index the control plane chose, checked against the fleet
+    /// size.
+    fn checked(&self, choice: usize) -> usize {
+        assert!(
+            choice < self.reps.len(),
+            "control plane (routing '{}') picked replica {} of {}",
             self.control.routing_name(),
-            self.control.admission_name(),
-            &slices,
-            &shed,
-            0,
-            0,
-            MigrationTotals::default(),
-        ))
+            choice,
+            self.reps.len()
+        );
+        choice
+    }
+
+    /// Hands `req` to replica `choice`, arming its event lane if it was
+    /// drained (a drained replica had no queue entry; it re-enters at its
+    /// current clock — its first tick idles it forward to the new
+    /// request's arrival if needed).
+    fn deliver(&mut self, choice: usize, req: Request) {
+        let was_drained = self.reps[choice].done();
+        self.reps[choice].submit(req);
+        if was_drained {
+            self.arm(choice);
+        }
+    }
+
+    /// Routes one already-admitted request (a crash victim, or a parked
+    /// request delivered at a restart) through the control plane's
+    /// requeue path (admission bypassed — the request was admitted once
+    /// and the cluster owes it a finish). When *no* replica accepts work
+    /// the request is parked until a restart.
+    fn route_requeued(&mut self, req: Request) {
+        self.refresh_views();
+        match self.control.place_requeued(&req, &self.views) {
+            Some(choice) => {
+                let choice = self.checked(choice);
+                self.deliver(choice, req);
+            }
+            None => self.parked.push(req),
+        }
+    }
+
+    /// After replica `i` ticked: re-arm it while it has work; once it runs
+    /// dry, start the downtime of a pending upgrade (its last resident just
+    /// finished) or let a drained (non-accepting) replica leave the fleet
+    /// bill — accepting replicas stay provisioned (no-op).
+    fn settle(&mut self, i: usize) {
+        if !self.reps[i].done() {
+            self.arm(i);
+        } else if self.reps[i].life.pending_upgrade().is_some() {
+            self.begin_upgrade_downtime(i);
+        } else {
+            let idle_at = self.reps[i].clock();
+            self.reps[i].life.release_idle(idle_at);
+        }
+    }
+
+    /// A replica that drained with an upgrade pending goes offline for its
+    /// downtime: bump the epoch (stale events drop) and chain a restart
+    /// fault at `clock + downtime` on the fault lane.
+    fn begin_upgrade_downtime(&mut self, replica: usize) {
+        let rep = &mut self.reps[replica];
+        let (downtime_s, _) =
+            rep.life.pending_upgrade().expect("upgrade downtime without a pending upgrade");
+        let restart_at = rep.clock() + downtime_s;
+        rep.life.go_offline(rep.clock());
+        self.inject(restart_at, replica, FaultKind::Restart);
+    }
+
+    /// Executes a [`Placement::Migrate`]: copies prefix group `group`'s
+    /// COW pages from `from` to `to`, charging the destination's page
+    /// ledger for the copy (the source keeps its pages — its residents are
+    /// still decoding against them), anchoring the imported pool so it
+    /// survives until members arrive, warming the destination scheduler so
+    /// those members alias the moved prefix instead of re-prefilling, and
+    /// pricing the transfer into the destination's clock at link
+    /// bandwidth. A destination that already holds the pool, or lacks the
+    /// free pages, declines the copy — the request still routes there (the
+    /// pin moved), it just rebuilds the prefix the slow way.
+    fn migrate_group(&mut self, group: u64, from: usize, to: usize, now: f64) {
+        let link = self
+            .control
+            .migration()
+            .expect("migrate placement without a migration config")
+            .link;
+        let Some(pages_per_layer) = self.reps[from].budget.pool_pages_per_layer(group) else {
+            // The source pool already drained (its last member finished
+            // between the saturation estimate and now): nothing to copy.
+            return;
+        };
+        let dest = &mut self.reps[to];
+        let Some(pages) = dest.budget.import_pool(group, pages_per_layer) else {
+            return;
+        };
+        let warm_tokens = pages_per_layer * dest.budget.page_tokens();
+        dest.sched.install_warm_prefix(group, warm_tokens);
+        let bytes =
+            u64::try_from(pages).expect("page count fits u64") * dest.engine.kv_page_bytes();
+        // The copy lands as of the arrival instant and occupies the
+        // destination for the transfer time — identical cost shape to a
+        // swap, but across the replica fabric.
+        dest.sched.advance_clock_to(now);
+        dest.sched.charge_migration(link.transfer_latency(bytes as f64));
+        self.migrations.migrations += 1;
+        self.migrations.pages += pages;
+        self.migrations.bytes += bytes;
+    }
+
+    // -- handlers -----------------------------------------------------------
+
+    /// The request at the front door meets the control plane: shed, route,
+    /// or migrate-then-route; then the next arrival is queued.
+    fn on_arrival(&mut self, now: f64) {
+        let req = self.next_arrival.take().expect("arrival event without a request");
+        self.refresh_views();
+        match self.control.place(&req, &self.views) {
+            Placement::Shed => self.shed.push(req),
+            Placement::Route(choice) => {
+                let choice = self.checked(choice);
+                self.deliver(choice, req);
+            }
+            Placement::Migrate { group, from, to } => {
+                let (from, to) = (self.checked(from), self.checked(to));
+                self.migrate_group(group, from, to, now);
+                self.deliver(to, req);
+            }
+        }
+        self.next_arrival = self.arrivals.next();
+        self.arm_arrival();
+    }
+
+    /// Replica `i`'s tick event: one scheduling tick — or, when barrier
+    /// windows are on and other replicas' ticks follow in the queue, every
+    /// tick of all of them up to the next barrier.
+    fn on_tick(&mut self, i: usize, epoch: u64) {
+        if epoch != self.reps[i].life.epoch() {
+            // Armed by a previous incarnation; the crash or restart that
+            // bumped the epoch already decided this replica's future.
+            return;
+        }
+        if self.windows_enabled && self.form_window(i) {
+            self.advance_window();
+            return;
+        }
+        // Singleton window: the sequential arm is already the exact replay.
+        self.reps[i].tick();
+        self.settle(i);
+    }
+
+    /// Widens a window from replica `first`: pulls every queue head that is
+    /// a *fresh* replica event on a lane not yet in the window. Stale-epoch
+    /// heads drop here exactly as [`Driver::on_tick`] would drop them; a
+    /// head on a windowed lane stops the scan (it could depend on this
+    /// window's outcome), as does any arrival/fault/autoscale key. Returns
+    /// whether more than one replica joined.
+    fn form_window(&mut self, first: usize) -> bool {
+        self.window.clear();
+        self.window.push(first);
+        while let Some((_, lane)) = self.queue.peek() {
+            if lane == ARRIVAL_LANE || lane == FAULT_LANE {
+                break;
+            }
+            // lint: allow(raw-cast) -- replica lane, exact as in `run`
+            let j = (lane - 1) as usize;
+            if self.window.contains(&j) {
+                break;
+            }
+            let Some((_, _, Event::Tick(epoch))) = self.queue.pop() else {
+                unreachable!("non-replica event on replica lane {lane}")
+            };
+            if epoch == self.reps[j].life.epoch() {
+                self.window.push(j);
+            }
+        }
+        self.window.len() > 1
+    }
+
+    /// Advances every replica of the formed window concurrently up to the
+    /// barrier (the queue's new head), then merges them back.
+    fn advance_window(&mut self) {
+        let barrier = self.queue.peek().map(|(t, lane)| (time_key(t), lane));
+        self.sorted_window.clear();
+        self.sorted_window.extend_from_slice(&self.window);
+        self.sorted_window.sort_unstable();
+        // Carve disjoint `&mut Replica`s out of the fleet (ascending order
+        // makes each split valid) and advance them concurrently to the
+        // barrier.
+        let mut lanes: Vec<(u64, &mut Replica)> = Vec::with_capacity(self.sorted_window.len());
+        let mut tail = self.reps.as_mut_slice();
+        let mut base = 0usize;
+        for &j in &self.sorted_window {
+            let (_, rest) = tail.split_at_mut(j - base);
+            let (one, rest) = rest.split_at_mut(1);
+            lanes.push((j as u64 + 1, &mut one[0]));
+            tail = rest;
+            base = j + 1;
+        }
+        self.pool.par_map_mut(&mut lanes, |_, (lane, rep)| {
+            rep.advance_to_barrier(*lane, barrier);
+        });
+        // Sequential merge: one re-arm per still-busy replica. Lanes are
+        // distinct, so push order (and thus `seq`) cannot affect pop order.
+        for k in 0..self.window.len() {
+            self.settle(self.window[k]);
+        }
+    }
+
+    /// A lifecycle event from the fault table fires.
+    fn on_fault(&mut self, now: f64, idx: usize) {
+        let Fault { replica, kind, .. } = self.faults[idx];
+        match kind {
+            FaultKind::Crash => self.crash(now, replica),
+            FaultKind::Drain => self.drain(now, replica),
+            FaultKind::Restart => self.restart(now, replica),
+            FaultKind::Upgrade { downtime_s, rolling } => {
+                self.upgrade(now, replica, downtime_s, rolling);
+            }
+        }
+    }
+
+    /// The replica's KV pool dies; its residents requeue through routing.
+    /// A crash on an already-dead replica evicts nothing.
+    fn crash(&mut self, now: f64, replica: usize) {
+        let rep = &mut self.reps[replica];
+        if !rep.life.crash(now) {
+            return;
+        }
+        let (victims, lost) = rep.sched.evict_all(&mut rep.budget);
+        // Anchored (migrated-in) pools die with the replica: release the
+        // control plane's refs, then audit that every page the crash
+        // destroyed was released, none minted.
+        rep.budget.release_anchors();
+        rep.budget.assert_consistent();
+        assert_eq!(
+            rep.budget.free_pages(),
+            rep.budget.total_pages(),
+            "crash left pages allocated on replica {replica}"
+        );
+        rep.requeued_away += victims.len();
+        self.lost_prefill += lost;
+        for mut req in victims {
+            // Requeued work becomes eligible at the crash instant;
+            // TTFT/latency still run from the original arrival.
+            req.ready_s = now;
+            req.requeues += 1;
+            self.requeued += 1;
+            self.route_requeued(req);
+        }
+    }
+
+    /// The replica stops accepting; residents finish normally.
+    fn drain(&mut self, now: f64, replica: usize) {
+        let rep = &mut self.reps[replica];
+        rep.life.drain();
+        if rep.done() {
+            // Already idle: the bill closes at the drain instant, not at
+            // some stale clock.
+            rep.life.release_idle(now);
+        }
+    }
+
+    /// The replica re-opens (or comes back online), chains a rolling
+    /// upgrade to the next replica, and parked work is delivered.
+    fn restart(&mut self, now: f64, replica: usize) {
+        let rep = &mut self.reps[replica];
+        if !rep.life.online() {
+            // A crashed/upgrading replica comes back with its clock at the
+            // restart instant (an online drained replica re-opens admission
+            // only).
+            rep.sched.advance_clock_to(now);
+        }
+        if let Some((downtime_s, true)) = rep.life.restart(now) {
+            if replica + 1 < self.reps.len() {
+                // Rolling: this replica is back, the next one starts its
+                // upgrade now.
+                self.inject(now, replica + 1, FaultKind::Upgrade { downtime_s, rolling: true });
+            }
+        }
+        // A replica accepts again: deliver parked work.
+        for req in std::mem::take(&mut self.parked) {
+            self.route_requeued(req);
+        }
+    }
+
+    /// The replica stops accepting and, once idle, sits out its downtime.
+    fn upgrade(&mut self, now: f64, replica: usize, downtime_s: f64, rolling: bool) {
+        let rep = &mut self.reps[replica];
+        if rep.life.online() {
+            rep.life.begin_upgrade(downtime_s, rolling);
+            if rep.done() {
+                // Already idle: the downtime starts at the fault instant,
+                // not the stale clock of its last tick.
+                rep.sched.advance_clock_to(now);
+                self.begin_upgrade_downtime(replica);
+            }
+        } else if rolling && replica + 1 < self.reps.len() {
+            // A dead replica can't upgrade; pass the wave along so the
+            // fleet still finishes.
+            self.inject(now, replica + 1, FaultKind::Upgrade { downtime_s, rolling });
+        }
+    }
+
+    /// The autoscaler's decision point: close the gap between the accepting
+    /// replicas and the policy's target through `Restart`/`Drain` faults at
+    /// this instant, then re-arm one interval later.
+    fn on_autoscale(&mut self, now: f64) {
+        // The scaler acts (and re-arms) only while traffic still arrives;
+        // after the last arrival the fleet drains naturally and the run can
+        // end.
+        if self.next_arrival.is_none() {
+            return;
+        }
+        self.refresh_views();
+        let auto = self.autoscale.as_mut().expect("autoscale event without a config");
+        let interval_s = auto.interval_s;
+        let accepting = self.views.iter().filter(|v| v.accepting).count();
+        let target = auto.policy.target_online(now, &self.views).clamp(1, self.reps.len());
+        // Wake standbys (and drained/crashed replicas), lowest index first,
+        // through Restart faults — the exact path a fault-plan restart
+        // takes. Replicas mid-upgrade keep their pending downtime.
+        let mut need = target.saturating_sub(accepting);
+        for i in 0..self.reps.len() {
+            let life = &self.reps[i].life;
+            if need > 0 && !life.accepting() && life.pending_upgrade().is_none() {
+                self.inject(now, i, FaultKind::Restart);
+                need -= 1;
+            }
+        }
+        // Drain the highest-index accepting replicas — scale-down *is* the
+        // drain fault.
+        let mut excess = accepting.saturating_sub(target);
+        for i in (0..self.reps.len()).rev() {
+            if excess > 0 && self.reps[i].life.accepting() {
+                self.inject(now, i, FaultKind::Drain);
+                excess -= 1;
+            }
+        }
+        self.queue.push(now + interval_s, FAULT_LANE, Event::Autoscale);
     }
 }
 
@@ -1059,6 +949,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::baselines::SystemConfig;
+    use crate::engine::ServeConfig;
     use crate::request::{ArrivalPattern, PrefixSharing, Slo, SloSpec};
     use crate::scheduler::{Fcfs, MemoryAware};
     use qserve_gpusim::{GpuSpec, HostLink, TpGroup};
@@ -1077,6 +968,78 @@ mod tests {
         WorkloadSpec::shared_prefix(4, 2048, 48, 71)
     }
 
+    impl Cluster {
+        /// The retired step-driven driver, kept as the equivalence oracle
+        /// for the event core: no queue, an O(replicas) min-clock scan per
+        /// step, a freshly collected snapshot per decision — advance
+        /// whichever replica is furthest behind, route the arrival, repeat.
+        ///
+        /// # Panics
+        /// Panics if the control plane asks for a migration — the step
+        /// driver exists to pin *static* configurations bit-for-bit and
+        /// models no page movement.
+        fn serve_paged_step_reference(
+            &mut self,
+            spec: &WorkloadSpec,
+            mk_policy: impl Fn() -> Box<dyn SchedulingPolicy>,
+            reservation: Reservation,
+            opts: SchedOptions,
+        ) -> Result<ClusterReport, EngineUnavailable> {
+            /// Index of the lowest-clock replica that still has work and
+            /// whose clock is strictly below `horizon` (ties to the lowest
+            /// index) — the linear scan the event queue's ordering subsumes.
+            fn laggard(reps: &[Replica], horizon: f64) -> Option<usize> {
+                let mut best: Option<usize> = None;
+                for (i, r) in reps.iter().enumerate() {
+                    if r.done() || r.clock() >= horizon {
+                        continue;
+                    }
+                    if best.is_none_or(|b| r.clock() < reps[b].clock()) {
+                        best = Some(i);
+                    }
+                }
+                best
+            }
+
+            self.control.reset();
+            let mut reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
+            let mut shed: Vec<Request> = Vec::new();
+            for req in Self::sorted_trace(spec) {
+                // Advance every replica that still has work and lags this
+                // arrival (lowest clock first, ties to the lowest index), so
+                // the decision observes each replica as of the arrival
+                // instant.
+                while let Some(i) = laggard(&reps, req.arrival_s) {
+                    reps[i].tick();
+                }
+                let views: Vec<ReplicaView> =
+                    reps.iter().enumerate().map(|(i, r)| r.view(i)).collect();
+                match self.control.place(&req, &views) {
+                    Placement::Shed => shed.push(req),
+                    Placement::Route(choice) => reps[choice].submit(req),
+                    Placement::Migrate { .. } => {
+                        panic!("the step reference models no page migration")
+                    }
+                }
+            }
+            // Drain: keep ticking the furthest-behind replica until all
+            // finish.
+            while let Some(i) = laggard(&reps, f64::INFINITY) {
+                reps[i].tick();
+            }
+            let slices: Vec<ReplicaSlice<'_>> = reps.iter().map(Replica::slice).collect();
+            Ok(aggregate(
+                self.control.routing_name(),
+                self.control.admission_name(),
+                &slices,
+                &shed,
+                0,
+                0,
+                MigrationTotals::default(),
+            ))
+        }
+    }
+
     #[test]
     fn one_replica_cluster_bit_identical_to_single_engine() {
         // The pinning invariant: a 1-replica TP=1 cluster performs exactly
@@ -1091,11 +1054,10 @@ mod tests {
             ),
         ] {
             let single = e
-                .run_workload_paged_with(
+                .serve(
                     &spec,
                     Box::new(MemoryAware::default()),
-                    Reservation::OnDemand,
-                    opts,
+                    ServeConfig::paged(Reservation::OnDemand).with_opts(opts),
                 )
                 .expect("serves");
             let mut cluster = Cluster::new(e.clone(), 1, Box::new(RoundRobin::default()));
@@ -1122,12 +1084,7 @@ mod tests {
         let spec = WorkloadSpec::chat(24, 5)
             .with_arrivals(ArrivalPattern::Poisson { rate_rps: 4.0 });
         let single = e
-            .run_workload_paged_with(
-                &spec,
-                Box::new(Fcfs),
-                Reservation::OnDemand,
-                SchedOptions::default(),
-            )
+            .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::OnDemand))
             .expect("serves");
         let mut cluster = Cluster::new(e, 1, Box::new(LeastOutstanding));
         let report = cluster

@@ -11,11 +11,11 @@
 //! per-sequence at each sequence's true KV length. The request lifecycle
 //! (admission order, memory gating, preemption, latency accounting) lives in
 //! the shared [`crate::scheduler`] core, which exactly one driver loop ticks:
-//! [`ServingEngine::scheduler_tick`] behind [`ServingEngine::serve`]. Every
-//! public entry point — the fixed-batch Figure 17 protocol, worst-case-sized
-//! heterogeneous serving, paged on-demand admission — is a declarative
-//! [`ServeConfig`] over that one core, so making the engine spec-parametric
-//! (heterogeneous fleets) changes a single code path.
+//! [`ServingEngine::tick`] behind [`ServingEngine::serve`]. Every protocol —
+//! the fixed-batch Figure 17 runs, worst-case-sized heterogeneous serving,
+//! paged on-demand admission — is a declarative [`ServeConfig`] over that
+//! one entry point, so making the engine spec-parametric (heterogeneous
+//! fleets) changes a single code path.
 
 use crate::baselines::SystemConfig;
 use crate::memory::MemoryPlan;
@@ -142,13 +142,13 @@ impl ServingReport {
 
 /// Reusable per-tick buffers for the hot admit/charge/drain path. One lives
 /// per driver (or per cluster replica) and is cleared-and-refilled by
-/// [`ServingEngine::scheduler_tick_scratch`] every tick, so steady-state
-/// serving performs no per-tick heap allocation at all.
+/// [`ServingEngine::tick`] every tick, so steady-state serving performs no
+/// per-tick heap allocation at all.
 #[derive(Debug, Default)]
 pub(crate) struct TickScratch {
-    /// The admitted wave ([`Scheduler::admit_into`]).
+    /// The admitted wave ([`Scheduler::admit`]).
     wave: AdmittedWave,
-    /// Chunked-prefill slices ([`Scheduler::prefill_chunks_into`]).
+    /// Chunked-prefill slices ([`Scheduler::prefill_chunks`]).
     chunks: Vec<(RequestId, usize, usize)>,
     /// `(new_tokens, past_tokens)` pairs priced by the cost model.
     pairs: Vec<(usize, usize)>,
@@ -251,8 +251,8 @@ pub enum KvModel {
 }
 
 /// One serving run, declaratively: batch-limit derivation, memory model and
-/// scheduler options. Every public entry point is a named `ServeConfig`
-/// over the same [`ServingEngine::serve`] core.
+/// scheduler options — the one argument that tells [`ServingEngine::serve`]
+/// which protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Concurrency-limit derivation.
@@ -593,26 +593,14 @@ impl ServingEngine {
         self.prefill_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s)
     }
 
-    /// Drives the shared scheduler core over this engine's cost model: the
-    /// one continuous-batching simulation loop every entry point funnels
-    /// through (legacy knobs: no sharing, whole-prompt prefill).
-    pub fn run_scheduled(
-        &self,
-        requests: Vec<Request>,
-        batch_limit: usize,
-        policy: Box<dyn SchedulingPolicy>,
-        budget: &mut dyn KvBudget,
-    ) -> ServingReport {
-        self.run_scheduled_with(requests, batch_limit, policy, budget, SchedOptions::default())
-    }
-
-    /// [`ServingEngine::run_scheduled`] with explicit prefix-sharing /
-    /// chunked-prefill options. With the default options this is the legacy
-    /// loop tick for tick; with sharing on, admitted requests skip the
-    /// aliased part of their prompt; with chunking on, prompts prefill in
-    /// `chunk_tokens`-sized slices interleaved with decode steps for the
-    /// already-full residents.
-    pub fn run_scheduled_with(
+    /// Drives the shared scheduler core over this engine's cost model to
+    /// completion: [`ServingEngine::tick`] in a loop, the one
+    /// continuous-batching simulation under [`ServingEngine::serve`]. With
+    /// the default options this is the legacy loop tick for tick; with
+    /// sharing on, admitted requests skip the aliased part of their prompt;
+    /// with chunking on, prompts prefill in `chunk_tokens`-sized slices
+    /// interleaved with decode steps for the already-full residents.
+    fn drive(
         &self,
         requests: Vec<Request>,
         batch_limit: usize,
@@ -623,40 +611,30 @@ impl ServingEngine {
         let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
         let mut scratch = TickScratch::default();
         while !sched.is_done() {
-            self.scheduler_tick_scratch(&mut sched, budget, &mut scratch);
+            self.tick(&mut sched, budget, &mut scratch);
         }
         ServingReport::from_stats(sched.stats(), batch_limit, budget.peak_pages())
     }
 
     /// One scheduling tick priced by this engine's cost model: admit, charge
     /// (possibly chunked) prefill, idle if nothing runs, make room, decode.
-    /// The single loop body behind [`ServingEngine::run_scheduled_with`]
-    /// *and* every [`crate::cluster`] replica — one implementation, so a
-    /// 1-replica cluster is bit-identical to the single-engine run by
-    /// construction. The chunking knob comes from the scheduler itself
+    /// The single loop body behind [`ServingEngine::serve`] *and* every
+    /// [`crate::cluster`] replica — one implementation, so a 1-replica
+    /// cluster is bit-identical to the single-engine run by construction.
+    /// The chunking knob comes from the scheduler itself
     /// ([`Scheduler::options`]), so pricing can never disagree with the
-    /// admission behavior those options drive.
-    pub(crate) fn scheduler_tick(&self, sched: &mut Scheduler, budget: &mut dyn KvBudget) {
-        // Fresh scratch per tick: same math as the scratch-reusing path
-        // (bit-identical clocks), with the per-tick allocation profile the
-        // step-driven reference driver is benchmarked against.
-        let mut scratch = TickScratch::default();
-        self.scheduler_tick_scratch(sched, budget, &mut scratch);
-    }
-
-    /// [`ServingEngine::scheduler_tick`] with caller-owned scratch buffers:
-    /// the hot admit/charge/drain path allocates nothing per tick, which is
-    /// where a million-request run would otherwise spend its allocator
-    /// budget. The arithmetic is identical — only the buffers' lifetimes
-    /// differ — so both entry points produce bit-identical schedules.
-    pub(crate) fn scheduler_tick_scratch(
+    /// admission behavior those options drive. The buffers are the
+    /// caller's: the hot admit/charge/drain path allocates nothing per
+    /// tick, which is where a million-request run would otherwise spend its
+    /// allocator budget.
+    pub(crate) fn tick(
         &self,
         sched: &mut Scheduler,
         budget: &mut dyn KvBudget,
         scratch: &mut TickScratch,
     ) {
         let TickScratch { wave, chunks, pairs, preempted, done } = scratch;
-        sched.admit_into(budget, wave);
+        sched.admit(budget, wave);
         match sched.options().chunk_tokens {
             None => {
                 if !wave.ids.is_empty() {
@@ -671,7 +649,7 @@ impl ServingEngine {
                 }
             }
             Some(chunk_tokens) => {
-                sched.prefill_chunks_into(chunk_tokens, chunks);
+                sched.prefill_chunks(chunk_tokens, chunks);
                 if !chunks.is_empty() {
                     pairs.clear();
                     pairs.extend(chunks.iter().map(|&(_, c, p)| (c, p)));
@@ -702,15 +680,13 @@ impl ServingEngine {
         if batch == 0 {
             return; // every resident is still chunk-prefilling
         }
-        sched.decode_step_into(self.decode_step_latency_totals(batch, total_tokens), budget, done);
+        sched.decode_step(self.decode_step_latency_totals(batch, total_tokens), budget, done);
     }
 
-    /// The unified entry point: serves `spec` under the batch-limit
-    /// derivation, memory model and scheduler options `cfg` declares. Every
-    /// other `run_*` method is a one-line [`ServeConfig`] over this, and
-    /// this is nothing but [`ServingEngine::run_scheduled_with`] —
-    /// i.e. [`ServingEngine::scheduler_tick`] in a loop — so there is
-    /// exactly one serving code path to keep spec-parametric.
+    /// The one entry point: serves `spec` under the batch-limit derivation,
+    /// memory model and scheduler options `cfg` declares. It sizes the limit
+    /// and the budget, then runs [`ServingEngine::tick`] in a loop — so
+    /// there is exactly one serving code path to keep spec-parametric.
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when the config's sizing cannot
@@ -743,13 +719,7 @@ impl ServingEngine {
                         b
                     }
                 };
-                Ok(self.run_scheduled_with(
-                    spec.sample(),
-                    limit,
-                    policy,
-                    &mut UnboundedBudget,
-                    cfg.opts,
-                ))
+                Ok(self.drive(spec.sample(), limit, policy, &mut UnboundedBudget, cfg.opts))
             }
             KvModel::Paged(reservation) => {
                 let (mut budget, optimistic) = self.paged_budget(spec, reservation)?;
@@ -764,72 +734,11 @@ impl ServingEngine {
                     BatchLimit::WorstCase => self.plan.max_batch(spec.max_peak_len()).max(1),
                     BatchLimit::Optimistic => optimistic,
                 };
-                Ok(self.run_scheduled_with(spec.sample(), limit, policy, &mut budget, cfg.opts))
+                Ok(self.drive(spec.sample(), limit, policy, &mut budget, cfg.opts))
             }
         }
     }
 
-    /// Serves a heterogeneous workload under the device memory constraint
-    /// with conservative peak-sized admission: the batch limit is what the
-    /// memory plan guarantees for the *largest possible* request, so no
-    /// preemption can occur. Alias for [`ServeConfig::worst_case`].
-    ///
-    /// # Errors
-    /// [`EngineUnavailable::OutOfMemory`] when not even one worst-case
-    /// request fits.
-    pub fn run_workload(
-        &self,
-        spec: &WorkloadSpec,
-        policy: Box<dyn SchedulingPolicy>,
-    ) -> Result<ServingReport, EngineUnavailable> {
-        self.serve(spec, policy, ServeConfig::worst_case())
-    }
-
-    /// Serves a heterogeneous workload against a page-granular KV ledger
-    /// (mirroring [`crate::PagedKvCache`] geometry). With
-    /// [`Reservation::OnDemand`] the scheduler admits beyond the worst-case
-    /// batch and preempts under pressure — the aggressive mode that pays off
-    /// on mixed workloads; with [`Reservation::Peak`] it reproduces
-    /// conservative sizing at page granularity. Alias for
-    /// [`ServeConfig::paged`].
-    ///
-    /// # Errors
-    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
-    /// the whole page pool.
-    pub fn run_workload_paged(
-        &self,
-        spec: &WorkloadSpec,
-        policy: Box<dyn SchedulingPolicy>,
-        reservation: Reservation,
-    ) -> Result<ServingReport, EngineUnavailable> {
-        self.serve(spec, policy, ServeConfig::paged(reservation))
-    }
-
-    /// [`ServingEngine::run_workload_paged`] with prefix-sharing /
-    /// chunked-prefill options — the entry point behind the `prefix_sweep`
-    /// grid.
-    ///
-    /// # Errors
-    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
-    /// the whole page pool.
-    pub fn run_workload_paged_with(
-        &self,
-        spec: &WorkloadSpec,
-        policy: Box<dyn SchedulingPolicy>,
-        reservation: Reservation,
-        opts: SchedOptions,
-    ) -> Result<ServingReport, EngineUnavailable> {
-        self.serve(spec, policy, ServeConfig::paged(reservation).with_opts(opts))
-    }
-
-    /// Sizes the page ledger and the optimistic batch limit this engine
-    /// uses for paged serving of `spec` — the sizing behind
-    /// [`ServingEngine::run_workload_paged_with`], shared with
-    /// [`crate::cluster`] so every replica mirrors the single-engine math.
-    ///
-    /// # Errors
-    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
-    /// the whole page pool.
     /// Bytes one simulated KV page holds: [`SIM_PAGE_TOKENS`] tokens of one
     /// layer's K+V at this engine's KV precision — what a page's trip over
     /// the host link is priced at.
@@ -839,6 +748,14 @@ impl ServingEngine {
         page_tokens * self.plan.kv_bytes_per_token / layers
     }
 
+    /// Sizes the page ledger and the optimistic batch limit this engine
+    /// uses for paged serving of `spec` — the sizing behind
+    /// [`ServingEngine::serve`], shared with [`crate::cluster`] so every
+    /// replica mirrors the single-engine math.
+    ///
+    /// # Errors
+    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
+    /// the whole page pool.
     pub fn paged_budget(
         &self,
         spec: &WorkloadSpec,
@@ -1115,7 +1032,7 @@ mod tests {
                 );
                 compared += 1;
             }
-            e.scheduler_tick_scratch(&mut sched, &mut budget, &mut scratch);
+            e.tick(&mut sched, &mut budget, &mut scratch);
         }
         assert!(sched.stats().preemptions > 0 && compared > 100, "the run must churn");
     }
@@ -1216,10 +1133,10 @@ mod tests {
         // parking them behind long-document requests.
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         let spec = WorkloadSpec::mixed(48, 17);
-        let fcfs =
-            e.run_scheduled(spec.sample(), 4, Box::new(Fcfs), &mut UnboundedBudget);
-        let sjf =
-            e.run_scheduled(spec.sample(), 4, Box::new(ShortestJobFirst), &mut UnboundedBudget);
+        let fcfs = e.serve(&spec, Box::new(Fcfs), ServeConfig::fixed_batch(4)).expect("serves");
+        let sjf = e
+            .serve(&spec, Box::new(ShortestJobFirst), ServeConfig::fixed_batch(4))
+            .expect("serves");
         assert_eq!(fcfs.completed, 48);
         assert_eq!(sjf.completed, 48);
         assert!(
@@ -1240,7 +1157,11 @@ mod tests {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         let spec = WorkloadSpec::mixed(32, 23);
         let r = e
-            .run_workload_paged(&spec, Box::new(MemoryAware::default()), Reservation::OnDemand)
+            .serve(
+                &spec,
+                Box::new(MemoryAware::default()),
+                ServeConfig::paged(Reservation::OnDemand),
+            )
             .expect("serves");
         assert_eq!(r.completed, 32);
         assert!(r.throughput_tps > 0.0);
@@ -1258,10 +1179,10 @@ mod tests {
         let spec = WorkloadSpec::shared_prefix(4, 512, 32, 41);
         let opts = crate::scheduler::SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() };
         let shared = e
-            .run_workload_paged_with(&spec, Box::new(Fcfs), Reservation::Peak, opts)
+            .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::Peak).with_opts(opts))
             .expect("serves");
         let private = e
-            .run_workload_paged(&spec, Box::new(Fcfs), Reservation::Peak)
+            .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::Peak))
             .expect("serves");
         assert_eq!(shared.completed, 32);
         assert_eq!(private.completed, 32);
@@ -1292,7 +1213,7 @@ mod tests {
         let spec = WorkloadSpec::mixed(24, 19)
             .with_arrivals(ArrivalPattern::Uniform { rate_rps: 4.0 });
         let whole = e
-            .run_workload_paged(&spec, Box::new(Fcfs), Reservation::Peak)
+            .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::Peak))
             .expect("serves");
         for chunk in [256usize, 1024] {
             let opts = crate::scheduler::SchedOptions {
@@ -1301,7 +1222,7 @@ mod tests {
                 ..SchedOptions::default()
             };
             let chunked = e
-                .run_workload_paged_with(&spec, Box::new(Fcfs), Reservation::Peak, opts)
+                .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::Peak).with_opts(opts))
                 .expect("serves");
             assert_eq!(chunked.completed, 24);
             // Work conserved: identical generated-token totals.
@@ -1313,7 +1234,7 @@ mod tests {
             );
             // Deterministic replay.
             let again = e
-                .run_workload_paged_with(&spec, Box::new(Fcfs), Reservation::Peak, opts)
+                .serve(&spec, Box::new(Fcfs), ServeConfig::paged(Reservation::Peak).with_opts(opts))
                 .expect("serves");
             assert_eq!(chunked, again);
         }
@@ -1340,26 +1261,19 @@ mod tests {
             let mut sched = Scheduler::with_options(mk_reqs(), 8, Box::new(Fcfs), opts);
             let budget: &mut dyn KvBudget = &mut UnboundedBudget;
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);
+            let (mut wave, mut chunks, mut done) =
+                (AdmittedWave::default(), Vec::new(), Vec::new());
             while !sched.is_done() {
-                let wave = sched.admit(budget);
-                match chunk_tokens {
-                    None => {
-                        let chunks: Vec<(usize, usize)> =
-                            wave.prefill_lens.iter().map(|&l| (l, 0)).collect();
-                        if !chunks.is_empty() {
-                            sched.charge_prefill(e.prefill_latency_chunked(&chunks));
-                        }
-                    }
+                sched.admit(budget, &mut wave);
+                let pairs: Vec<(usize, usize)> = match chunk_tokens {
+                    None => wave.prefill_lens.iter().map(|&l| (l, 0)).collect(),
                     Some(c) => {
-                        let pairs: Vec<(usize, usize)> = sched
-                            .prefill_chunks(c)
-                            .iter()
-                            .map(|&(_, n, p)| (n, p))
-                            .collect();
-                        if !pairs.is_empty() {
-                            sched.charge_prefill(e.prefill_latency_chunked(&pairs));
-                        }
+                        sched.prefill_chunks(c, &mut chunks);
+                        chunks.iter().map(|&(_, n, p)| (n, p)).collect()
                     }
+                };
+                if !pairs.is_empty() {
+                    sched.charge_prefill(e.prefill_latency_chunked(&pairs));
                 }
                 if sched.running().is_empty() {
                     sched.idle_until_arrival();
@@ -1371,10 +1285,12 @@ mod tests {
                 if batch == 0 {
                     continue;
                 }
-                let survivors = batch > sched.decode_step(
+                sched.decode_step(
                     e.decode_step_latency_totals(batch, total_tokens),
                     budget,
-                ).len();
+                    &mut done,
+                );
+                let survivors = batch > done.len();
                 if let Some(t) = last_decode {
                     worst = worst.max(sched.clock() - t);
                 }
@@ -1391,24 +1307,6 @@ mod tests {
             chunked,
             whole
         );
-    }
-
-    #[test]
-    fn legacy_options_reproduce_legacy_run_exactly() {
-        // The options-driven loop with defaults must equal the legacy entry
-        // point bit for bit — the engine-level half of the golden-snapshot
-        // guarantee.
-        let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let spec = WorkloadSpec::mixed(16, 3);
-        let legacy = e.run_scheduled(spec.sample(), 4, Box::new(Fcfs), &mut UnboundedBudget);
-        let opted = e.run_scheduled_with(
-            spec.sample(),
-            4,
-            Box::new(Fcfs),
-            &mut UnboundedBudget,
-            crate::scheduler::SchedOptions::default(),
-        );
-        assert_eq!(legacy, opted);
     }
 
     #[test]
@@ -1525,7 +1423,7 @@ mod tests {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         let spec = WorkloadSpec::chat(24, 3)
             .with_arrivals(ArrivalPattern::Poisson { rate_rps: 2.0 });
-        let r = e.run_workload(&spec, Box::new(Fcfs)).expect("serves");
+        let r = e.serve(&spec, Box::new(Fcfs), ServeConfig::worst_case()).expect("serves");
         assert_eq!(r.completed, 24);
         assert!(r.total_time_s > 0.0);
     }

@@ -33,10 +33,9 @@
 //!
 //! * **next-arrival** — lane 0: the front door hands the next request of
 //!   the sorted trace to routing at its arrival time.
-//! * **next-completion** — replica lanes: a decoding replica's next tick
-//!   retires or advances resident sequences at `clock + decode_latency`.
-//! * **next-chunk-boundary** — replica lanes: under chunked prefill the
-//!   next tick lands on a prefill chunk edge rather than a decode step.
+//! * **replica tick** — replica lanes: a busy replica's next scheduling
+//!   tick, at its advanced clock — a decode step that retires or advances
+//!   resident sequences, or under chunked prefill a chunk edge.
 //! * **fault** — lane `u64::MAX`: injected lifecycle events (crash,
 //!   drain, restart, upgrade) from a [`crate::fault::FaultPlan`]. The
 //!   maximal lane means a fault scheduled at time `t` fires *after* the
@@ -57,6 +56,16 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// The queue's time key: `time`'s bit pattern, which for the non-negative
+/// finite floats the queue holds orders exactly like the value. The cluster
+/// driver's barrier-window replay compares clocks under this same key.
+pub(crate) fn time_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    // −0.0 passes the `>= 0.0` gate but has the sign bit set; fold it
+    // onto +0.0 so the integer order agrees with the value order.
+    if bits == 1u64 << 63 { 0 } else { bits }
+}
 
 /// One scheduled event. Ordering ignores the payload entirely: the key
 /// `(time_bits, lane, seq)` is strictly total because `seq` is unique.
@@ -111,13 +120,9 @@ impl<T> EventQueue<T> {
     /// finite floats.
     pub fn push(&mut self, time: f64, lane: u64, payload: T) {
         assert!(time >= 0.0, "event time must be non-negative, got {time}");
-        let bits = time.to_bits();
-        // −0.0 passes the `>= 0.0` gate but has the sign bit set; fold it
-        // onto +0.0 so the integer order agrees with the value order.
-        let time_bits = if bits == 1u64 << 63 { 0 } else { bits };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(std::cmp::Reverse(Entry { time_bits, lane, seq, payload }));
+        self.heap.push(std::cmp::Reverse(Entry { time_bits: time_key(time), lane, seq, payload }));
     }
 
     /// Removes and returns the earliest event as `(time, lane, payload)`;
@@ -205,6 +210,9 @@ mod tests {
         // And it orders as zero: a +0.0 on a lower lane wins the tie.
         q.push(0.0, 2, ());
         assert_eq!(q.pop().map(|(_, l, _)| l), Some(2));
+        // The one key both the queue and the window replay order by.
+        assert_eq!(time_key(-0.0), time_key(0.0));
+        assert!(time_key(0.0) < time_key(f64::MIN_POSITIVE));
     }
 
     #[test]

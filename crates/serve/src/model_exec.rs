@@ -7,7 +7,9 @@ use crate::block_exec::BlockRuntime;
 use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId};
 use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
-use crate::scheduler::{PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy};
+use crate::scheduler::{
+    AdmittedWave, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
+};
 use qserve_core::pipeline::{quantize_block, QoqConfig};
 use qserve_model::forward::collect_calibration;
 use qserve_model::synth::SyntheticModel;
@@ -277,10 +279,14 @@ impl ModelRuntime {
         let mut outputs: HashMap<RequestId, Vec<u32>> = HashMap::new();
         let mut logits: HashMap<RequestId, Vec<f32>> = HashMap::new();
         let mut done: Vec<ServedRequest> = Vec::new();
+        // The scheduler steps' out-buffers, reused across every tick.
+        let mut wave = AdmittedWave::default();
+        let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
         let mut preempted: Vec<RequestId> = Vec::new();
+        let mut retired: Vec<RequestId> = Vec::new();
 
         while !sched.is_done() {
-            let wave = sched.admit(&mut budget);
+            sched.admit(&mut budget, &mut wave);
             let mut prefill_steps = 0usize;
             for ((&id, &full), &shared) in
                 wave.ids.iter().zip(&wave.prefill_lens).zip(&wave.shared_lens)
@@ -329,7 +335,8 @@ impl ModelRuntime {
             // Chunked work is metered by the scheduler and interleaved with
             // decode steps for the already-full residents.
             if let Some(c) = opts.chunk_tokens {
-                for (id, n, _past) in sched.prefill_chunks(c) {
+                sched.prefill_chunks(c, &mut chunks);
+                for &(id, n, _past) in &chunks {
                     let seq = SequenceId(id.0);
                     let feed = pending.get_mut(&id).expect("chunk for a live request");
                     let slice: Vec<u32> = feed.drain(..n).collect();
@@ -378,7 +385,8 @@ impl ModelRuntime {
             for (&(seq, _), l) in rows.iter().zip(self.step_batch(&rows, &every_row)?) {
                 logits.insert(RequestId(seq.0), l);
             }
-            for id in sched.decode_step(1.0, &mut budget) {
+            sched.decode_step(1.0, &mut budget, &mut retired);
+            for &id in &retired {
                 self.finish_sequence(SequenceId(id.0))?;
                 index.remove(SequenceId(id.0));
                 logits.remove(&id);

@@ -16,12 +16,15 @@
 //!
 //! ```text
 //! while !done {
-//!     admit(budget)            // policy picks, budget gates, wave returned
-//!     charge_prefill(dt)       // driver prices the admitted wave
-//!     make_room(budget, out)   // grow every resident; preempt on pressure
-//!     decode_step(dt, budget)  // one token for the whole batch; retire
+//!     admit(budget, wave)           // policy picks, budget gates
+//!     charge_prefill(dt)            // driver prices the admitted wave
+//!     make_room(budget, out)        // grow every resident; preempt on pressure
+//!     decode_step(dt, budget, done) // one token for the whole batch; retire
 //! }
 //! ```
+//!
+//! Every step fills a caller-owned buffer (cleared first), so a driver that
+//! keeps its buffers across ticks allocates nothing per tick.
 
 use std::collections::VecDeque;
 
@@ -867,7 +870,7 @@ pub struct Scheduler {
     /// counter ([`Scheduler::take_tick_swap_pages`]) — what one tick must
     /// be priced for.
     tick_swap_pages: usize,
-    /// Incremental twin of [`Scheduler::outstanding_tokens_scan`]: for every
+    /// Incremental twin of the `outstanding_tokens_scan` walk: for every
     /// queued/running request, `owed = prefill_remaining() + remaining()`
     /// collapses to `input_len + output_len − prefilled`, so the counter
     /// only moves when `prefilled` changes or a request enters/leaves the
@@ -885,7 +888,7 @@ pub struct Scheduler {
     /// with the same `latency_s()` float the exact path reads later.
     latency_sketch: PercentileSketch,
     /// Reusable survivor buffer for the retirement compaction in
-    /// [`Scheduler::decode_step_into`] — swapped with `running` so a tick
+    /// [`Scheduler::decode_step`] — swapped with `running` so a tick
     /// that retires requests does one stable pass instead of O(batch) moves
     /// per `Vec::remove`.
     retire_scratch: Vec<Request>,
@@ -1000,11 +1003,9 @@ impl Scheduler {
     }
 
     /// Ground-truth recomputation of [`Scheduler::outstanding_tokens`] by
-    /// scanning every queued + running request — O(residents). The retired
-    /// step-driven reference driver still uses this, which is one of the
-    /// per-arrival scans the event core's counter eliminates.
-    #[doc(hidden)]
-    pub fn outstanding_tokens_scan(&self) -> usize {
+    /// scanning every queued + running request — O(residents); what the
+    /// counter is audited against.
+    fn outstanding_tokens_scan(&self) -> usize {
         self.pending.iter().chain(&self.running).map(owed).sum()
     }
 
@@ -1181,16 +1182,9 @@ impl Scheduler {
     /// and the budget confirm, until the batch limit is hit, the policy
     /// holds, or the budget refuses. When the machine is idle the first
     /// arrived request is force-admitted past a holding policy — a policy
-    /// may shape order, not deadlock the system.
-    pub fn admit(&mut self, budget: &mut dyn KvBudget) -> AdmittedWave {
-        let mut wave = AdmittedWave::default();
-        self.admit_into(budget, &mut wave);
-        wave
-    }
-
-    /// Allocation-free twin of [`Scheduler::admit`]: clears and refills
-    /// `wave` in place so a driver can reuse one wave across ticks.
-    pub fn admit_into(&mut self, budget: &mut dyn KvBudget, wave: &mut AdmittedWave) {
+    /// may shape order, not deadlock the system. `wave` is cleared and
+    /// refilled with what was admitted.
+    pub fn admit(&mut self, budget: &mut dyn KvBudget, wave: &mut AdmittedWave) {
         wave.ids.clear();
         wave.prefill_lens.clear();
         wave.shared_lens.clear();
@@ -1325,25 +1319,14 @@ impl Scheduler {
     /// One chunked-prefill tick: every running request still prefilling
     /// advances by at most `chunk_tokens` tokens and is reported as
     /// `(id, new_tokens, past_tokens)` — `past_tokens` being the context
-    /// those new tokens attend over (aliased prefix + earlier chunks). The
-    /// driver prices the returned chunks (e.g. via
+    /// those new tokens attend over (aliased prefix + earlier chunks) —
+    /// into `out`, cleared first. The driver prices the chunks (e.g. via
     /// `attention_prefill_latency_chunked`) and calls
     /// [`Scheduler::charge_prefill`].
     ///
     /// # Panics
     /// Panics if `chunk_tokens` is zero.
-    pub fn prefill_chunks(&mut self, chunk_tokens: usize) -> Vec<(RequestId, usize, usize)> {
-        let mut out = Vec::new();
-        self.prefill_chunks_into(chunk_tokens, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`Scheduler::prefill_chunks`]: clears and
-    /// refills `out`.
-    ///
-    /// # Panics
-    /// Panics if `chunk_tokens` is zero.
-    pub fn prefill_chunks_into(
+    pub fn prefill_chunks(
         &mut self,
         chunk_tokens: usize,
         out: &mut Vec<(RequestId, usize, usize)>,
@@ -1561,23 +1544,13 @@ impl Scheduler {
 
     /// One decode step for the decodable part of the running batch: charges
     /// `dt`, advances every fully-prefilled resident by one token, stamps
-    /// TTFTs, retires finished requests (releasing their budget) and returns
-    /// their ids. Residents still in chunked prefill are untouched.
+    /// TTFTs, retires finished requests (releasing their budget) and lists
+    /// their ids in `done`, cleared first. Residents still in chunked
+    /// prefill are untouched.
     ///
     /// # Panics
     /// Panics if no resident is ready to decode.
-    pub fn decode_step(&mut self, dt: f64, budget: &mut dyn KvBudget) -> Vec<RequestId> {
-        let mut done = Vec::new();
-        self.decode_step_into(dt, budget, &mut done);
-        done
-    }
-
-    /// Allocation-free twin of [`Scheduler::decode_step`]: clears and
-    /// refills `done` with the retired ids.
-    ///
-    /// # Panics
-    /// Panics if no resident is ready to decode.
-    pub fn decode_step_into(
+    pub fn decode_step(
         &mut self,
         dt: f64,
         budget: &mut dyn KvBudget,
@@ -1734,10 +1707,11 @@ mod tests {
         decode_cost: f64,
     ) -> SchedulerStats {
         let mut guard = 0usize;
+        let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 1_000_000, "scheduler failed to converge");
-            let wave = sched.admit(budget);
+            sched.admit(budget, &mut wave);
             if !wave.ids.is_empty() {
                 sched.charge_prefill(prefill_cost * wave.ids.len() as f64);
             }
@@ -1749,7 +1723,7 @@ mod tests {
             if sched.running().is_empty() {
                 continue;
             }
-            sched.decode_step(decode_cost, budget);
+            sched.decode_step(decode_cost, budget, &mut done);
         }
         sched.stats()
     }
@@ -1887,7 +1861,8 @@ mod tests {
             Box::new(Fcfs),
             SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() },
         );
-        let wave = sched.admit(&mut UnboundedBudget);
+        let mut wave = AdmittedWave::default();
+        sched.admit(&mut UnboundedBudget, &mut wave);
         assert_eq!(wave.prefill_lens, vec![12, 12, 12, 12]);
         assert_eq!(
             wave.shared_lens,
@@ -1896,7 +1871,7 @@ mod tests {
         );
         // Sharing off: no grants.
         let mut sched = Scheduler::new(reqs, 4, Box::new(Fcfs));
-        let wave = sched.admit(&mut UnboundedBudget);
+        sched.admit(&mut UnboundedBudget, &mut wave);
         assert_eq!(wave.shared_lens, vec![0, 0, 0, 0]);
     }
 
@@ -1913,16 +1888,17 @@ mod tests {
         );
         let budget: &mut dyn KvBudget = &mut UnboundedBudget;
         let mut guard = 0;
+        let (mut wave, mut chunks, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 10_000);
-            let wave = sched.admit(budget);
+            sched.admit(budget, &mut wave);
             // Chunked admission materializes nothing up front.
             for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
                 let r = sched.running().iter().find(|r| r.id == id).unwrap();
                 assert_eq!(r.prefilled, shared);
             }
-            let chunks = sched.prefill_chunks(4);
+            sched.prefill_chunks(4, &mut chunks);
             for &(_, new, past) in &chunks {
                 assert!(new <= 4 && past + new <= 10);
             }
@@ -1933,7 +1909,7 @@ mod tests {
             if sched.decode_totals().0 == 0 {
                 continue;
             }
-            sched.decode_step(0.01, budget);
+            sched.decode_step(0.01, budget, &mut done);
         }
         let stats = sched.stats();
         assert_eq!(stats.completed, 3);
@@ -2004,10 +1980,10 @@ mod tests {
         let reqs = vec![crate::request::Request::new(crate::request::RequestId(0), 8, 4, 0.0)];
         let mut sched = Scheduler::new(reqs, 1, Box::new(Fcfs));
         assert_eq!(sched.outstanding_tokens(), 12);
-        sched.admit(&mut UnboundedBudget);
+        sched.admit(&mut UnboundedBudget, &mut AdmittedWave::default());
         // Whole-prompt prefill materialized at admission: output remains.
         assert_eq!(sched.outstanding_tokens(), 4);
-        sched.decode_step(0.01, &mut UnboundedBudget);
+        sched.decode_step(0.01, &mut UnboundedBudget, &mut Vec::new());
         assert_eq!(sched.outstanding_tokens(), 3);
     }
 
@@ -2021,10 +1997,11 @@ mod tests {
         let mut budget = PageBudget::new(4, 1, 16, Reservation::OnDemand);
         let mut sched = Scheduler::new(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
         let mut guard = 0usize;
+        let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000);
-            sched.admit(&mut budget);
+            sched.admit(&mut budget, &mut wave);
             assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
             if sched.running().is_empty() {
                 sched.idle_until_arrival();
@@ -2035,7 +2012,7 @@ mod tests {
             if sched.running().is_empty() {
                 continue;
             }
-            sched.decode_step(0.01, &mut budget);
+            sched.decode_step(0.01, &mut budget, &mut done);
             assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
         }
         assert!(sched.stats().preemptions > 0, "the churn path was not exercised");

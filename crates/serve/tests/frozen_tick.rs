@@ -14,8 +14,8 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler,
-    SchedulingPolicy,
+    AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
+    SchedOptions, Scheduler, SchedulingPolicy,
 };
 
 struct Scenario {
@@ -70,12 +70,15 @@ fn run(s: &Scenario) -> Outcome {
         preemption: s.preemption,
     };
     let mut sched = Scheduler::with_options(spec.sample(), 8, policy, opts);
+    let mut wave = AdmittedWave::default();
+    let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
     let mut preempted: Vec<RequestId> = Vec::new();
+    let mut done: Vec<RequestId> = Vec::new();
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 1_000_000, "scheduler failed to converge");
-        let wave = sched.admit(&mut budget);
+        sched.admit(&mut budget, &mut wave);
         match s.chunk_tokens {
             None => {
                 if !wave.ids.is_empty() {
@@ -85,7 +88,7 @@ fn run(s: &Scenario) -> Outcome {
                 }
             }
             Some(c) => {
-                let chunks = sched.prefill_chunks(c);
+                sched.prefill_chunks(c, &mut chunks);
                 if !chunks.is_empty() {
                     let work: usize = chunks.iter().map(|&(_, new, past)| new * 8 + past).sum();
                     sched.charge_prefill(1e-3 + 1e-5 * work as f64);
@@ -109,7 +112,8 @@ fn run(s: &Scenario) -> Outcome {
         if batch == 0 {
             continue;
         }
-        sched.decode_step(2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64, &mut budget);
+        let dt = 2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64;
+        sched.decode_step(dt, &mut budget, &mut done);
     }
     budget.assert_consistent();
     assert_eq!(budget.free_pages(), budget.total_pages(), "every page returned");

@@ -15,8 +15,8 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler,
-    SchedulingPolicy,
+    AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
+    Scheduler, SchedulingPolicy,
 };
 use qserve_tensor::rng::TensorRng;
 
@@ -108,7 +108,8 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim) };
     let n = case.spec.num_requests;
     let mut sched = Scheduler::with_options(case.spec.sample(), case.batch_limit, policy, case.opts);
-    let mut preempted = Vec::new();
+    let (mut wave, mut chunks) = (AdmittedWave::default(), Vec::new());
+    let (mut preempted, mut done) = (Vec::new(), Vec::new());
     let mut ticks = 0usize;
     while !sched.is_done() {
         ticks += 1;
@@ -123,9 +124,9 @@ fn drive_audited(case: &Case) -> (usize, usize) {
                 sched.submit(req);
             }
         }
-        sched.admit(&mut budget);
+        sched.admit(&mut budget, &mut wave);
         if let Some(c) = case.opts.chunk_tokens {
-            let chunks = sched.prefill_chunks(c);
+            sched.prefill_chunks(c, &mut chunks);
             if !chunks.is_empty() {
                 sched.charge_prefill(0.01 * chunks.len() as f64);
             }
@@ -138,7 +139,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         let swap_pages = sched.take_tick_swap_pages();
         sched.charge_swap(1e-4 * swap_pages as f64);
         if sched.decode_totals().0 > 0 {
-            sched.decode_step(0.01, &mut budget);
+            sched.decode_step(0.01, &mut budget, &mut done);
         }
         budget.assert_consistent();
         sched.assert_mirrors_ledger(&budget);
@@ -203,12 +204,12 @@ fn a_victim_before_the_cursor_is_never_parked_a_token_ahead() {
     budget.enable_host_tier(64);
     let opts = SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() };
     let mut sched = Scheduler::with_options(reqs, 6, Box::new(SecondOldest), opts);
-    let mut preempted = Vec::new();
+    let (mut wave, mut preempted, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
     while !sched.is_done() {
-        sched.admit(&mut budget);
+        sched.admit(&mut budget, &mut wave);
         sched.make_room(&mut budget, &mut preempted);
         sched.take_tick_swap_pages();
-        sched.decode_step(0.01, &mut budget);
+        sched.decode_step(0.01, &mut budget, &mut done);
         sched.assert_mirrors_ledger(&budget);
     }
     assert!(sched.swap_outs() > 0, "the pool must force swaps");

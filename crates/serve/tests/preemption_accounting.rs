@@ -13,7 +13,7 @@
 
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    Fcfs, PageBudget, Reservation, SchedOptions, Scheduler, SchedulerStats,
+    AdmittedWave, Fcfs, PageBudget, Reservation, SchedOptions, Scheduler, SchedulerStats,
 };
 use std::collections::HashMap;
 
@@ -51,12 +51,15 @@ fn drive(
             "used + free must equal total step-wise"
         );
     };
+    let mut wave = AdmittedWave::default();
+    let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
     let mut preempted: Vec<RequestId> = Vec::new();
+    let mut done: Vec<RequestId> = Vec::new();
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 100_000, "scheduler failed to converge");
-        let wave = sched.admit(budget);
+        sched.admit(budget, &mut wave);
         audit(budget);
         for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
             if evicted_once.contains(&id) && shared > 0 {
@@ -70,7 +73,7 @@ fn drive(
                 }
             }
             Some(c) => {
-                let chunks = sched.prefill_chunks(c);
+                sched.prefill_chunks(c, &mut chunks);
                 chunk_tokens_metered += chunks.iter().map(|&(_, n, _)| n).sum::<usize>();
                 if !chunks.is_empty() {
                     sched.charge_prefill(0.1 * chunks.len() as f64);
@@ -98,7 +101,7 @@ fn drive(
         if sched.decode_totals().0 == 0 {
             continue;
         }
-        sched.decode_step(0.01, budget);
+        sched.decode_step(0.01, budget, &mut done);
         audit(budget);
         for r in sched.running().iter().chain(sched.finished()) {
             if r.generated > 0 {

@@ -15,8 +15,8 @@
 
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler,
-    SchedulerStats,
+    AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
+    Scheduler, SchedulerStats,
 };
 
 /// Drives a swap-mode scheduler to completion, pricing host-link
@@ -38,11 +38,12 @@ fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
             "device used + free must equal total step-wise"
         );
     };
+    let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 100_000, "scheduler failed to converge");
-        let wave = sched.admit(budget);
+        sched.admit(budget, &mut wave);
         audit(budget);
         if !wave.ids.is_empty() {
             sched.charge_prefill(0.1 * wave.ids.len() as f64);
@@ -68,7 +69,7 @@ fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
         if sched.decode_totals().0 == 0 {
             continue;
         }
-        sched.decode_step(0.01, budget);
+        sched.decode_step(0.01, budget, &mut done);
         audit(budget);
     }
     assert_eq!(budget.free_pages(), total, "every device page returned at the end");

@@ -12,7 +12,7 @@ use qserve::core::kv_quant::KvPrecision;
 use qserve::serve::attention_exec::paged_decode_attention;
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve::serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
-use qserve::serve::scheduler::{Fcfs, PageBudget, Reservation, Scheduler};
+use qserve::serve::scheduler::{AdmittedWave, Fcfs, PageBudget, Reservation, Scheduler};
 use qserve::tensor::rng::TensorRng;
 
 fn main() {
@@ -61,8 +61,9 @@ fn main() {
         (0..width).map(|_| rng.normal(1.0)).collect()
     };
     let mut step = 0usize;
+    let (mut wave, mut retired) = (AdmittedWave::default(), Vec::new());
     while !sched.is_done() {
-        let wave = sched.admit(&mut budget);
+        sched.admit(&mut budget, &mut wave);
         for (&id, &len) in wave.ids.iter().zip(&wave.prefill_lens) {
             let seq = SequenceId(id.0);
             cache.register(seq).expect("fresh sequence");
@@ -107,7 +108,8 @@ fn main() {
                 );
             }
         }
-        for id in sched.decode_step(1.0, &mut budget) {
+        sched.decode_step(1.0, &mut budget, &mut retired);
+        for &id in &retired {
             let seq = SequenceId(id.0);
             let before = cache.free_pages();
             cache.release(seq).expect("registered");

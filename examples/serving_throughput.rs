@@ -10,7 +10,7 @@
 
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
-use qserve::serve::engine::Workload;
+use qserve::serve::engine::{ServeConfig, Workload};
 use qserve::serve::request::WorkloadSpec;
 use qserve::serve::scheduler::{Fcfs, MemoryAware, Reservation, ShortestJobFirst};
 use qserve::serve::{ServingEngine, SystemConfig};
@@ -71,14 +71,14 @@ fn main() {
         spec.input.bounds().1
     );
     let runs = [
-        ("fcfs", engine.run_workload(&spec, Box::new(Fcfs))),
-        ("sjf", engine.run_workload(&spec, Box::new(ShortestJobFirst))),
+        ("fcfs", engine.serve(&spec, Box::new(Fcfs), ServeConfig::worst_case())),
+        ("sjf", engine.serve(&spec, Box::new(ShortestJobFirst), ServeConfig::worst_case())),
         (
             "memory-aware",
-            engine.run_workload_paged(
+            engine.serve(
                 &spec,
                 Box::new(MemoryAware::default()),
-                Reservation::OnDemand,
+                ServeConfig::paged(Reservation::OnDemand),
             ),
         ),
     ];

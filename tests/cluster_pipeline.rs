@@ -13,7 +13,7 @@ use qserve::serve::request::{
 use qserve::serve::scheduler::{
     Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
 };
-use qserve::serve::{FaultPlan, ServingEngine, SystemConfig};
+use qserve::serve::{FaultPlan, ServeConfig, ServingEngine, SystemConfig};
 use qserve::tensor::props;
 
 fn engine() -> ServingEngine {
@@ -42,11 +42,10 @@ fn one_replica_tp1_cluster_equals_single_engine_bitwise() {
     let spec = WorkloadSpec::shared_prefix(4, 1024, 32, 19);
     let opts = SchedOptions { share_prefixes: true, chunk_tokens: Some(512), ..SchedOptions::default() };
     let single = e
-        .run_workload_paged_with(
+        .serve(
             &spec,
             Box::new(MemoryAware::default()),
-            Reservation::OnDemand,
-            opts,
+            ServeConfig::paged(Reservation::OnDemand).with_opts(opts),
         )
         .expect("serves");
     let policies: Vec<Box<dyn RoutingPolicy>> = vec![

@@ -8,7 +8,7 @@ use qserve::serve::engine::{ServeConfig, Workload};
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve::serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
 use qserve::serve::scheduler::{
-    Fcfs, KvBudget, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
+    AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
     SchedulingPolicy, ShortestJobFirst, UnboundedBudget,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
@@ -88,11 +88,14 @@ fn fixed_workload_report_identical_across_policies() {
         SystemConfig::QServePerChannel,
     )
     .unwrap();
-    let reqs = WorkloadSpec::paper(48).sample();
-    let fcfs = e.run_scheduled(reqs.clone(), 16, Box::new(Fcfs), &mut UnboundedBudget);
-    let sjf = e.run_scheduled(reqs, 16, Box::new(ShortestJobFirst), &mut UnboundedBudget);
+    let spec = WorkloadSpec::paper(48);
+    let run = |policy: Box<dyn SchedulingPolicy>| {
+        e.serve(&spec, policy, ServeConfig::fixed_batch(16)).expect("serves")
+    };
+    let fcfs = run(Box::new(Fcfs));
+    let sjf = run(Box::new(ShortestJobFirst));
     assert_eq!(fcfs, sjf);
-    // And the unified entry point is the same path, bit for bit.
+    // And the fixed-shape `Workload` spells the same spec, bit for bit.
     assert_eq!(
         fcfs,
         e.serve(
@@ -115,10 +118,14 @@ fn heterogeneous_policies_complete_and_expose_percentiles() {
     let spec = WorkloadSpec::mixed(40, 31)
         .with_arrivals(ArrivalPattern::Poisson { rate_rps: 8.0 });
     for report in [
-        e.run_workload(&spec, Box::new(Fcfs)).expect("serves"),
-        e.run_workload(&spec, Box::new(ShortestJobFirst)).expect("serves"),
-        e.run_workload_paged(&spec, Box::new(MemoryAware::default()), Reservation::OnDemand)
-            .expect("serves"),
+        e.serve(&spec, Box::new(Fcfs), ServeConfig::worst_case()).expect("serves"),
+        e.serve(&spec, Box::new(ShortestJobFirst), ServeConfig::worst_case()).expect("serves"),
+        e.serve(
+            &spec,
+            Box::new(MemoryAware::default()),
+            ServeConfig::paged(Reservation::OnDemand),
+        )
+        .expect("serves"),
     ] {
         assert_eq!(report.completed, 40);
         assert!(report.mean_ttft_s > 0.0);
@@ -372,13 +379,14 @@ props! {
         };
         let batch_limit = rng.int_in(1, 4) as usize;
         let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
+        let (mut wave, mut chunks, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
         let mut guard = 0;
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000, "scheduler failed to converge");
-            sched.admit(budget);
+            sched.admit(budget, &mut wave);
             if let Some(c) = opts.chunk_tokens {
-                let chunks = sched.prefill_chunks(c);
+                sched.prefill_chunks(c, &mut chunks);
                 if !chunks.is_empty() {
                     sched.charge_prefill(0.01 * chunks.len() as f64);
                 }
@@ -391,7 +399,7 @@ props! {
             if sched.decode_totals().0 == 0 {
                 continue;
             }
-            sched.decode_step(0.01, budget);
+            sched.decode_step(0.01, budget, &mut done);
         }
         let finished = sched.finished();
         assert_eq!(finished.len(), n, "every request finishes");
