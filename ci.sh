@@ -29,6 +29,14 @@ QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 # this fails naming the experiment that drifted).
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --test golden_snapshots
 
+# The functional data plane has a parallel arm too: the W4A8 GEMMs fork
+# their output columns into panels once n >= 32 and the pool has threads —
+# a branch no 1-thread run reaches (the benchmark's included) — and every
+# panel reads the one widened activation buffer. Same kernel properties,
+# same frozen logits and KV bytes, at four threads.
+QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-kernels
+QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func
+
 # Thread-scaling smoke: runs the same trace at 1/2/4 pool threads,
 # asserts the reports are identical, and writes the machine-readable
 # baseline to results/BENCH_par_scaling.json.

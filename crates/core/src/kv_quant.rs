@@ -43,6 +43,12 @@ impl KvPrecision {
             KvPrecision::Int4 => (0, 15),
         }
     }
+
+    /// Bytes one head's `head_dim` stored elements occupy (KV4 packs two
+    /// codes per byte; an odd `head_dim` leaves the last high nibble unused).
+    pub fn lane_bytes(self, head_dim: usize) -> usize {
+        (head_dim * self.bits() as usize).div_ceil(8)
+    }
 }
 
 /// One token's worth of quantized K or V features for a single head,
@@ -56,16 +62,21 @@ pub struct QuantizedHeadToken {
     pub params: QParams,
 }
 
-/// Quantizes one head's feature vector (length = head_dim) dynamically:
-/// asymmetric, range computed from this very vector.
+/// Quantizes one head's feature vector (length = head_dim) dynamically —
+/// asymmetric, range computed from this very vector — writing the codes
+/// **as a KV page stores them** straight into `codes_out`: one byte per code
+/// for KV8, two codes per byte (low nibble first) for KV4. Returns the
+/// dynamic parameters; nothing is allocated.
 ///
 /// # Panics
-/// Panics if `precision` is [`KvPrecision::Fp16`] (nothing to quantize).
-pub fn quantize_head(features: &[f32], precision: KvPrecision) -> QuantizedHeadToken {
+/// Panics if `precision` is [`KvPrecision::Fp16`] (nothing to quantize) or
+/// `codes_out` is not exactly [`KvPrecision::lane_bytes`] long.
+pub fn quantize_head_into(features: &[f32], precision: KvPrecision, codes_out: &mut [u8]) -> QParams {
     assert!(
         precision != KvPrecision::Fp16,
         "quantize_head called with FP16 precision"
     );
+    assert_eq!(codes_out.len(), precision.lane_bytes(features.len()), "code buffer size mismatch");
     let (qmin, qmax) = precision.q_range();
     let (lo, hi) = features
         .iter()
@@ -73,10 +84,35 @@ pub fn quantize_head(features: &[f32], precision: KvPrecision) -> QuantizedHeadT
     let scale = f16_step(hi - lo, qmax as f32);
     let zero = round_clamp(-lo / scale, qmin, qmax);
     let params = QParams { scale, zero };
-    let codes = features
-        .iter()
-        .map(|&x| params.quantize(x, qmin, qmax) as u8)
-        .collect();
+    let code = |x: f32| params.quantize(x, qmin, qmax) as u8;
+    if precision == KvPrecision::Int4 {
+        let mut pairs = features.chunks_exact(2);
+        for (byte, pair) in codes_out.iter_mut().zip(pairs.by_ref()) {
+            *byte = code(pair[0]) | (code(pair[1]) << 4);
+        }
+        // An odd head_dim leaves the last byte's high nibble zero.
+        if let ([x], Some(byte)) = (pairs.remainder(), codes_out.last_mut()) {
+            *byte = code(*x);
+        }
+    } else {
+        for (byte, &x) in codes_out.iter_mut().zip(features) {
+            *byte = code(x);
+        }
+    }
+    params
+}
+
+/// [`quantize_head_into`] materialised: the codes one per byte, whatever
+/// the precision.
+///
+/// # Panics
+/// Panics if `precision` is [`KvPrecision::Fp16`] (nothing to quantize).
+pub fn quantize_head(features: &[f32], precision: KvPrecision) -> QuantizedHeadToken {
+    let mut codes = vec![0u8; precision.lane_bytes(features.len())];
+    let params = quantize_head_into(features, precision, &mut codes);
+    if precision == KvPrecision::Int4 {
+        codes = codes.iter().flat_map(|&byte| [byte & 0x0F, byte >> 4]).take(features.len()).collect();
+    }
     QuantizedHeadToken { codes, params }
 }
 
@@ -179,6 +215,43 @@ mod tests {
             "head 1 precision should be unaffected by head 0 outlier"
         );
         assert!(tokens[0].params.scale > tokens[1].params.scale * 10.0);
+    }
+
+    /// `quantize_head_into` writes a page's bytes: KV8 one code per byte,
+    /// KV4 two per byte with the low nibble first and an odd head's last
+    /// high nibble zero — the codes `quantize_head` hands back one per byte,
+    /// each the element-wise quantization under the returned parameters.
+    #[test]
+    fn quantize_head_into_packs_what_quantize_head_returns() {
+        let mut rng = TensorRng::seed(7);
+        for head_dim in [1usize, 2, 5, 16, 17, 128] {
+            let feats: Vec<f32> = (0..head_dim).map(|_| rng.normal(1.5)).collect();
+            for precision in [KvPrecision::Int4, KvPrecision::Int8] {
+                // A dirty buffer: every byte, and the unused nibble, must be written.
+                let mut packed = vec![0xFFu8; precision.lane_bytes(head_dim)];
+                let params = quantize_head_into(&feats, precision, &mut packed);
+                let token = quantize_head(&feats, precision);
+                assert_eq!(token.params, params);
+                let (qmin, qmax) = precision.q_range();
+                let expect: Vec<u8> = feats.iter().map(|&x| params.quantize(x, qmin, qmax) as u8).collect();
+                assert_eq!(token.codes, expect, "{:?} d={}", precision, head_dim);
+                match precision {
+                    KvPrecision::Int4 => {
+                        assert_eq!(packed.len(), head_dim.div_ceil(2));
+                        for (byte, pair) in packed.iter().zip(expect.chunks(2)) {
+                            assert_eq!(*byte, pair[0] | (pair.get(1).copied().unwrap_or(0) << 4));
+                        }
+                    }
+                    _ => assert_eq!(packed, expect),
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code buffer size mismatch")]
+    fn quantize_head_into_rejects_a_wrong_sized_buffer() {
+        quantize_head_into(&[0.0; 9], KvPrecision::Int4, &mut [0u8; 4]);
     }
 
     #[test]

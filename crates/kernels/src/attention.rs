@@ -13,13 +13,16 @@
 //! This module emulates the kernel's *numerics* bit-for-bit in binary16; the
 //! latency model for Table 1 lives in `qserve-gpusim`.
 //!
-//! There is one spelling of the arithmetic, [`fused_decode_attention`]: it
-//! walks borrowed [`KvLane`]s — a paged cache's bytes where they lie (KV4
-//! nibbles still packed), or a materialised [`QuantizedKvHead`] through the
-//! [`decode_attention_fp16`] adapter — dequantizes each lane once for the
-//! whole GQA group, and allocates nothing per token. It runs on the calling
-//! thread: a 256-token head costs tens of microseconds end to end, the same
-//! order as one pool fork-join, so forking inside a head cannot pay.
+//! There is one spelling of the arithmetic, [`HeadTile`]: one KV head's
+//! cache is dequantized **once** — from borrowed [`KvLane`]s, a paged
+//! cache's bytes where they lie (KV4 nibbles still packed) or a materialised
+//! [`QuantizedKvHead`] — into a tile that every row reading that head in the
+//! step then attends over: the query heads of a GQA group, and every row of
+//! a prefill chunk at its own causal length. Dequantization is paid per
+//! (sequence, layer, KV head) per step, not per row; nothing dequantized
+//! outlives the step. It runs on the calling thread: a 256-token head costs
+//! tens of microseconds end to end, the same order as one pool fork-join,
+//! so forking inside a head cannot pay.
 
 use qserve_core::kv_quant::{KvPrecision, QuantizedHeadToken};
 use qserve_tensor::fp16::{round_f16, F16};
@@ -117,6 +120,7 @@ impl KvLane<'_> {
     ///
     /// # Panics
     /// Panics if the lane does not hold exactly `out.len()` codes.
+    #[inline]
     fn dequantize_into(&self, out: &mut [f32]) {
         let bias_zero = magic_bias(self.zero);
         match self.codes {
@@ -128,111 +132,150 @@ impl KvLane<'_> {
             }
             LaneCodes::Nibbles(bytes) => {
                 assert_eq!(bytes.len(), out.len().div_ceil(2), "head_dim mismatch");
+                // A 4-bit code under one (scale, zero) has only sixteen
+                // possible values: dequantize each once — a counted loop
+                // over consecutive codes, which the compiler vectorises —
+                // and look the lane's codes up.
+                let mut table = [0.0f32; 16];
+                for (code, value) in table.iter_mut().enumerate() {
+                    *value = dequant(code as u8, bias_zero, self.scale);
+                }
                 let mut pairs = out.chunks_exact_mut(2);
                 for (pair, &byte) in pairs.by_ref().zip(bytes) {
-                    pair[0] = dequant(byte & 0x0F, bias_zero, self.scale);
-                    pair[1] = dequant(byte >> 4, bias_zero, self.scale);
+                    pair[0] = table[usize::from(byte & 0x0F)];
+                    pair[1] = table[usize::from(byte >> 4)];
                 }
                 // An odd head_dim leaves the last byte's high nibble unused.
                 if let ([last], Some(&byte)) = (pairs.into_remainder(), bytes.last()) {
-                    *last = dequant(byte & 0x0F, bias_zero, self.scale);
+                    *last = table[usize::from(byte & 0x0F)];
                 }
             }
         }
     }
 }
 
-/// Buffers [`fused_decode_attention`] reuses from call to call, so a walk
-/// over many heads, sequences and layers allocates nothing per token.
+/// One KV head's cached keys and values, dequantized for one step.
+///
+/// "Fused" still means the kernel consumes the cache where it lies — the
+/// lanes are borrowed, nothing quantized is copied — but the two-op
+/// magic-bias dequantization now runs once per cached token per step:
+/// [`HeadTile::reset`] sizes the tile, [`HeadTile::push`] dequantizes one
+/// token's K and V lanes into it, and [`HeadTile::attend`] then serves any
+/// number of rows, each over its own visible prefix. Keys are stored
+/// feature-major (`head_dim × seq`) so the score loop is unit-stride over
+/// tokens; values token-major (`seq × head_dim`) so the output loop is
+/// unit-stride over features. The buffers are reused from fill to fill, so
+/// a step over many heads, sequences and layers allocates nothing per
+/// token.
 #[derive(Debug, Default)]
-pub struct AttentionScratch {
+pub struct HeadTile {
+    head_dim: usize,
+    /// Tokens the tile was sized for, and how many have been pushed.
+    seq: usize,
+    filled: usize,
+    /// Dequantized keys, `head_dim × seq`, feature-major.
+    keys: Vec<f32>,
+    /// Dequantized values, `seq × head_dim`, token-major.
+    values: Vec<f32>,
+    /// One dequantized key lane on its way into a column of `keys`.
+    lane: Vec<f32>,
     /// Scaled queries in binary16, `group × head_dim`.
     q16: Vec<f32>,
-    /// Scores, then probabilities: one contiguous row per query head.
+    /// One query head's scores, then probabilities.
     scores: Vec<f32>,
-    /// One dequantized lane, `head_dim`.
-    lane: Vec<f32>,
 }
 
-/// QServe's fused decode attention for one KV head and the `group` query
-/// heads that share it (GQA), emulating the FP16 compute path: Q·K products
-/// and the softmax·V reduction run in binary16 with FP32 accumulation (the
-/// HMMA accumulate width), K/V elements dequantized with the two-op
-/// magic-bias trick.
-///
-/// "Fused" means the kernel consumes the cache where it lies: `keys` and
-/// `values` yield one borrowed [`KvLane`] per cached token, each lane is
-/// dequantized once into a `head_dim` buffer and used by every query head of
-/// the group, and nothing is materialised in between. `queries` and `out`
-/// are `group × head_dim`, head-major; both walks must yield exactly `seq`
-/// lanes.
-///
-/// # Panics
-/// Panics if `seq == 0`, a walk's length differs from `seq`, the query and
-/// output widths disagree or are not a multiple of `head_dim`, or a lane's
-/// width is not `head_dim`.
-pub fn fused_decode_attention<'a>(
-    queries: &[f32],
-    head_dim: usize,
-    seq: usize,
-    keys: impl Iterator<Item = KvLane<'a>>,
-    values: impl Iterator<Item = KvLane<'a>>,
-    scratch: &mut AttentionScratch,
-    out: &mut [f32],
-) {
-    assert!(seq > 0, "empty KV cache");
-    assert_eq!(queries.len(), out.len(), "one output per query feature");
-    assert!(
-        head_dim > 0 && queries.len() % head_dim == 0,
-        "query width {} not a multiple of head_dim {}",
-        queries.len(),
-        head_dim
-    );
-    let d = head_dim;
-    let scale = 1.0 / (d as f32).sqrt();
-    let AttentionScratch { q16, scores, lane } = scratch;
-    q16.clear();
-    q16.extend(queries.iter().map(|&v| round_f16(v * scale)));
-    scores.clear();
-    scores.resize(q16.len() / d * seq, 0.0);
-    lane.clear();
-    lane.resize(d, 0.0);
-
-    // Stage 1: scores = q·Kᵀ in fp16 multiplies, fp32 accumulation. (The
-    // walks use internal iteration — `fold` — so a paged walk compiles to
-    // plain nested loops over pages and slots.)
-    let walked = keys.fold(0, |t, key| {
-        key.dequantize_into(lane);
-        for (q, row) in q16.chunks_exact(d).zip(scores.chunks_exact_mut(seq)) {
-            let mut acc = 0.0f32;
-            for (&qi, &k) in q.iter().zip(lane.iter()) {
-                acc += round_f16(qi * k);
-            }
-            row[t] = acc;
-        }
-        t + 1
-    });
-    assert_eq!(walked, seq, "key walk length");
-
-    // Stage 2: softmax on CUDA cores (fp32, as in the real kernel).
-    for row in scores.chunks_exact_mut(seq) {
-        softmax_inplace(row);
+impl HeadTile {
+    /// Empties the tile and sizes it for `seq` tokens of `head_dim`
+    /// features; exactly `seq` [`HeadTile::push`]es must follow.
+    ///
+    /// # Panics
+    /// Panics if `head_dim == 0`.
+    pub fn reset(&mut self, head_dim: usize, seq: usize) {
+        assert!(head_dim > 0, "head_dim must be positive");
+        (self.head_dim, self.seq, self.filled) = (head_dim, seq, 0);
+        // Every element is overwritten by the pushes; no need to clear.
+        self.keys.resize(head_dim * seq, 0.0);
+        self.values.resize(head_dim * seq, 0.0);
+        self.lane.resize(head_dim, 0.0);
     }
 
-    // Stage 3: out = Σ p_t · V_t, fp16 multiplies, fp32 accumulation; each
-    // output feature accumulates over the tokens in cache order.
-    out.fill(0.0);
-    let walked = values.fold(0, |t, value| {
-        value.dequantize_into(lane);
-        for (o, row) in out.chunks_exact_mut(d).zip(scores.chunks_exact(seq)) {
-            let p16 = round_f16(row[t]);
-            for (oj, &v) in o.iter_mut().zip(lane.iter()) {
-                *oj += round_f16(p16 * v);
+    /// Dequantizes the next cached token's key and value lanes into the
+    /// tile (tokens arrive oldest first).
+    ///
+    /// # Panics
+    /// Panics if the tile is already full or a lane's width is not
+    /// `head_dim`.
+    #[inline]
+    pub fn push(&mut self, key: KvLane<'_>, value: KvLane<'_>) {
+        let (d, t) = (self.head_dim, self.filled);
+        assert!(t < self.seq, "more lanes than the tile was sized for");
+        key.dequantize_into(&mut self.lane);
+        for (slot, &k) in self.keys[t..].iter_mut().step_by(self.seq).zip(&self.lane) {
+            *slot = k;
+        }
+        value.dequantize_into(&mut self.values[t * d..(t + 1) * d]);
+        self.filled += 1;
+    }
+
+    /// QServe's decode attention for the `group` query heads that share
+    /// this KV head (GQA), over the first `visible` cached tokens,
+    /// emulating the FP16 compute path: Q·K products and the softmax·V
+    /// reduction run in binary16 with FP32 accumulation (the HMMA
+    /// accumulate width). `queries` and `out` are `group × head_dim`,
+    /// head-major.
+    ///
+    /// A decode row attends over the whole tile; row `r` of a prefill chunk
+    /// whose K/V were appended before the fill attends over
+    /// `past + r + 1` — causal by construction, and bit-identical to a
+    /// tile filled with only those tokens: a token's dequantized lane does
+    /// not depend on what follows it, each score accumulates its
+    /// `head_dim` products in index order from zero, and each output
+    /// feature accumulates over the visible tokens in cache order.
+    ///
+    /// # Panics
+    /// Panics if `visible == 0` or exceeds the tile, the tile is not
+    /// completely filled, or the query and output widths disagree or are
+    /// not a multiple of `head_dim`.
+    pub fn attend(&mut self, queries: &[f32], visible: usize, out: &mut [f32]) {
+        assert!(visible > 0, "empty KV cache");
+        assert_eq!(self.filled, self.seq, "tile fill incomplete");
+        assert!(visible <= self.seq, "{} visible tokens in a tile of {}", visible, self.seq);
+        assert_eq!(queries.len(), out.len(), "one output per query feature");
+        let d = self.head_dim;
+        assert!(
+            queries.len() % d == 0,
+            "query width {} not a multiple of head_dim {}",
+            queries.len(),
+            d
+        );
+        let scale = 1.0 / (d as f32).sqrt();
+        self.q16.clear();
+        self.q16.extend(queries.iter().map(|&v| round_f16(v * scale)));
+        self.scores.resize(visible, 0.0);
+        let scores = &mut self.scores[..];
+        for (q, o) in self.q16.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            // Stage 1: scores = q·Kᵀ in fp16 multiplies, fp32 accumulation,
+            // one feature at a time across all visible tokens.
+            scores.fill(0.0);
+            for (&qj, k) in q.iter().zip(self.keys.chunks_exact(self.seq)) {
+                for (score, &k) in scores.iter_mut().zip(&k[..visible]) {
+                    *score += round_f16(qj * k);
+                }
+            }
+            // Stage 2: softmax on CUDA cores (fp32, as in the real kernel).
+            softmax_inplace(scores);
+            // Stage 3: out = Σ p_t · V_t, fp16 multiplies, fp32
+            // accumulation, tokens in cache order.
+            o.fill(0.0);
+            for (&p, v) in scores.iter().zip(self.values.chunks_exact(d)) {
+                let p16 = round_f16(p);
+                for (oj, &v) in o.iter_mut().zip(v) {
+                    *oj += round_f16(p16 * v);
+                }
             }
         }
-        t + 1
-    });
-    assert_eq!(walked, seq, "value walk length");
+    }
 }
 
 /// One head's quantized KV sequence: per-token codes and dynamic params, as
@@ -283,9 +326,9 @@ fn token_lane(token: &QuantizedHeadToken) -> KvLane<'_> {
     }
 }
 
-/// [`fused_decode_attention`] for one query head over a materialised
-/// [`QuantizedKvHead`] — the same inner loops, fed from owned tokens
-/// instead of page bytes.
+/// [`HeadTile`] decode attention for one query head over a materialised
+/// [`QuantizedKvHead`] — the same tile, filled from owned tokens instead of
+/// page bytes, attended once over everything it holds.
 ///
 /// Returns the attention output (length = head_dim).
 ///
@@ -293,16 +336,14 @@ fn token_lane(token: &QuantizedHeadToken) -> KvLane<'_> {
 /// Panics if the cache is empty, holds different numbers of keys and
 /// values, or `q.len()` differs from the stored head_dim.
 pub fn decode_attention_fp16(q: &[f32], cache: &QuantizedKvHead) -> Vec<f32> {
+    assert_eq!(cache.keys.len(), cache.values.len(), "one value per key");
+    let mut tile = HeadTile::default();
+    tile.reset(q.len(), cache.seq_len());
+    for (key, value) in cache.keys.iter().zip(&cache.values) {
+        tile.push(token_lane(key), token_lane(value));
+    }
     let mut out = vec![0.0f32; q.len()];
-    fused_decode_attention(
-        q,
-        q.len(),
-        cache.seq_len(),
-        cache.keys.iter().map(token_lane),
-        cache.values.iter().map(token_lane),
-        &mut AttentionScratch::default(),
-        &mut out,
-    );
+    tile.attend(q, cache.seq_len(), &mut out);
     out
 }
 
@@ -447,5 +488,130 @@ mod tests {
     #[should_panic(expected = "empty KV cache")]
     fn rejects_empty_cache() {
         decode_attention_fp16(&[0.0; 8], &QuantizedKvHead::new(KvPrecision::Int4));
+    }
+
+    /// The kernel this module shipped before the tile, kept as the oracle:
+    /// one call per row, every lane dequantized element by element (no
+    /// table) into a `head_dim` buffer, each score a sequential dot over one
+    /// lane, each output feature accumulated lane by lane.
+    fn lane_at_a_time_attention(queries: &[f32], head_dim: usize, keys: &[KvLane<'_>], values: &[KvLane<'_>]) -> Vec<f32> {
+        fn dequantize(lane: &KvLane<'_>, out: &mut [f32]) {
+            let bias_zero = magic_bias(lane.zero);
+            let codes = lane.codes.unpack(out.len());
+            assert_eq!(codes.len(), out.len(), "head_dim mismatch");
+            for (o, &code) in out.iter_mut().zip(&codes) {
+                *o = dequant(code, bias_zero, lane.scale);
+            }
+        }
+        let (d, seq) = (head_dim, keys.len());
+        assert_eq!(values.len(), seq);
+        let scale = 1.0 / (d as f32).sqrt();
+        let q16: Vec<f32> = queries.iter().map(|&v| round_f16(v * scale)).collect();
+        let mut scores = vec![0.0f32; q16.len() / d * seq];
+        let mut lane = vec![0.0f32; d];
+        for (t, key) in keys.iter().enumerate() {
+            dequantize(key, &mut lane);
+            for (q, row) in q16.chunks_exact(d).zip(scores.chunks_exact_mut(seq)) {
+                let mut acc = 0.0f32;
+                for (&qi, &k) in q.iter().zip(lane.iter()) {
+                    acc += round_f16(qi * k);
+                }
+                row[t] = acc;
+            }
+        }
+        for row in scores.chunks_exact_mut(seq) {
+            softmax_inplace(row);
+        }
+        let mut out = vec![0.0f32; queries.len()];
+        for (t, value) in values.iter().enumerate() {
+            dequantize(value, &mut lane);
+            for (o, row) in out.chunks_exact_mut(d).zip(scores.chunks_exact(seq)) {
+                let p16 = round_f16(row[t]);
+                for (oj, &v) in o.iter_mut().zip(lane.iter()) {
+                    *oj += round_f16(p16 * v);
+                }
+            }
+        }
+        out
+    }
+
+    qserve_tensor::props! {
+        /// The exactness contract of the tile: filled **once** and attended
+        /// at every visible length `1..=seq`, it returns, `to_bits`, what
+        /// the lane-at-a-time oracle returns when called afresh for each
+        /// length — KV4 and KV8, head widths from one byte to 128 (odd ones
+        /// leave a half-used nibble), GQA groups of 1 / 2 / 4, and both
+        /// sources: tokens materialised one code per byte
+        /// ([`QuantizedKvHead`]) and lanes packed as a page stores them
+        /// (KV4 nibbles in place). A reused tile (the next case's fill is
+        /// shorter or longer than the last) must not see stale data.
+        fn tile_filled_once_equals_the_lane_at_a_time_oracle_at_every_length(rng, cases = 24) {
+            let mut tile = HeadTile::default();
+            for precision in [KvPrecision::Int4, KvPrecision::Int8] {
+                let d = [2usize, 6, 16, 17, 128][rng.int_in(0, 4) as usize];
+                let group = [1usize, 2, 4][rng.int_in(0, 2) as usize];
+                let seq = rng.int_in(1, if d == 128 { 12 } else { 37 }) as usize;
+                let spread = [1.0e-4f32, 1.0, 300.0][rng.int_in(0, 2) as usize];
+                let kv = rng.gaussian(2 * seq, d, spread);
+                let queries = rng.gaussian(seq, group * d, 1.0);
+
+                // Source 1: materialised tokens, one code per byte.
+                let mut head = QuantizedKvHead::new(precision);
+                // Source 2: the same tokens packed as a page stores them.
+                let lane_bytes = precision.lane_bytes(d);
+                let mut packed = vec![0u8; 2 * seq * lane_bytes];
+                let mut params = Vec::new();
+                for (t, bytes) in packed.chunks_exact_mut(lane_bytes).enumerate() {
+                    params.push(qserve_core::kv_quant::quantize_head_into(kv.row(t), precision, bytes));
+                }
+                for t in 0..seq {
+                    head.append(kv.row(2 * t), kv.row(2 * t + 1));
+                }
+                let page_lane = |t: usize| KvLane {
+                    codes: match precision {
+                        KvPrecision::Int4 => LaneCodes::Nibbles(&packed[t * lane_bytes..(t + 1) * lane_bytes]),
+                        _ => LaneCodes::Bytes(&packed[t * lane_bytes..(t + 1) * lane_bytes]),
+                    },
+                    scale: params[t].scale,
+                    zero: params[t].zero as u8,
+                };
+                let sources: [(Vec<KvLane<'_>>, Vec<KvLane<'_>>); 2] = [
+                    (head.keys.iter().map(token_lane).collect(), head.values.iter().map(token_lane).collect()),
+                    ((0..seq).map(|t| page_lane(2 * t)).collect(), (0..seq).map(|t| page_lane(2 * t + 1)).collect()),
+                ];
+                for (keys, values) in &sources {
+                    tile.reset(d, seq);
+                    for (&key, &value) in keys.iter().zip(values) {
+                        tile.push(key, value);
+                    }
+                    for visible in 1..=seq {
+                        let q = queries.row(visible - 1);
+                        let mut got = vec![f32::NAN; q.len()];
+                        tile.attend(q, visible, &mut got);
+                        let want = lane_at_a_time_attention(q, d, &keys[..visible], &values[..visible]);
+                        assert!(
+                            got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                            "{:?} d={} group={} seq={} visible={} spread={}", precision, d, group, seq, visible, spread
+                        );
+                    }
+                }
+                // The one-row adapter is the tile attended at full length.
+                let q = &queries.row(seq - 1)[..d];
+                let want = lane_at_a_time_attention(q, d, &sources[0].0, &sources[0].1);
+                let got = decode_attention_fp16(q, &head);
+                assert!(got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile fill incomplete")]
+    fn a_half_filled_tile_refuses_to_attend() {
+        let mut head = QuantizedKvHead::new(KvPrecision::Int4);
+        head.append(&[0.5; 4], &[0.25; 4]);
+        let mut tile = HeadTile::default();
+        tile.reset(4, 2);
+        tile.push(token_lane(&head.keys[0]), token_lane(&head.values[0]));
+        tile.attend(&[1.0; 4], 1, &mut [0.0; 4]);
     }
 }

@@ -16,8 +16,8 @@
 //! Both are verified bit-exact against integer references; [`gemm_w8a8`]
 //! provides the TRT-LLM-style W8A8 baseline of Figure 5(a).
 
-use crate::mma::{dot_i8, mma_i8_nt};
-use crate::pack::{lane_i8, unpack_register, ByteLanes, PackedInt4};
+use crate::mma::{dot_rows_i16, mma_i8_nt};
+use crate::pack::{unpack_register, ByteLanes, PackedInt4};
 use crate::rlp::{dequant_sub_after_mul, splat4};
 use qserve_core::progressive::{PerChannelW4, ProgressiveWeight};
 use qserve_quant::rounding::round_clamp;
@@ -69,29 +69,36 @@ fn over_col_blocks(
     out
 }
 
-/// Walks a stored weight row in input-channel order, handing
-/// `f(offset, register)` the byte-lane register that holds channels
-/// `offset .. offset + 4`: the three-op unpack of Figure 13 lands four
-/// consecutive weights in each output register — `w0..w15` in a word's low
-/// registers, `w16..w31` in its high ones.
+/// Unpacks a stored weight row into byte-lane registers in input-channel
+/// order: register `r` (channels `4r .. 4r + 4`) is `lanes[4r .. 4r + 4]`,
+/// little-endian. The three-op unpack of Figure 13 lands `w0..w15` in a
+/// word's low registers and `w16..w31` in its high ones, so each half of a
+/// word is written as a unit.
 #[inline]
-fn for_each_register(row: &[PackedInt4], mut f: impl FnMut(usize, ByteLanes)) {
-    for (idx, word) in row.iter().enumerate() {
-        for (r, &reg) in word.regs.iter().enumerate() {
-            f(32 * idx + 4 * r, unpack_register(reg).0);
-        }
-        for (r, &reg) in word.regs.iter().enumerate() {
-            f(32 * idx + 16 + 4 * r, unpack_register(reg).1);
+fn unpack_row(row: &[PackedInt4], lanes: &mut [u8]) {
+    for (word, out) in row.iter().zip(lanes.chunks_exact_mut(32)) {
+        let (low, high) = out.split_at_mut(16);
+        for ((&reg, low), high) in word.regs.iter().zip(low.chunks_exact_mut(4)).zip(high.chunks_exact_mut(4)) {
+            let (l, h) = unpack_register(reg);
+            low.copy_from_slice(&l.to_le_bytes());
+            high.copy_from_slice(&h.to_le_bytes());
         }
     }
 }
 
-/// Spills a register's four byte lanes to four consecutive i8 slots.
+/// Spills the byte lanes the MMA consumes — signed INT8 — as the i16 lanes
+/// its main loop multiplies.
 #[inline]
-fn store_lanes(dst: &mut [i8], reg: ByteLanes) {
-    for (l, slot) in dst.iter_mut().enumerate() {
-        *slot = lane_i8(reg, l);
+fn widen_lanes(lanes: &[u8], w_row: &mut [i16]) {
+    for (wide, &lane) in w_row.iter_mut().zip(lanes) {
+        *wide = i16::from(lane as i8);
     }
+}
+
+/// The activation codes widened to i16, once per GEMM call: `m·k` lane
+/// conversions against `m·n·k` multiply-adds, shared by every column block.
+fn widen(x: &QuantizedActivations) -> Vec<i16> {
+    x.codes.iter().map(|&code| i16::from(code)).collect()
 }
 
 /// Per-token symmetric INT8 activations plus the precomputed token sums
@@ -178,24 +185,24 @@ pub fn gemm_w8a8(x: &QuantizedActivations, w_codes: &[i8], w_scales: &[f32], n: 
 pub fn gemm_w4a8_per_channel(x: &QuantizedActivations, w: &PerChannelW4) -> Matrix {
     assert_eq!(x.k, w.k(), "reduction dimension mismatch");
     let (m, k) = (x.m, w.k());
+    let x16 = widen(x);
     over_col_blocks(m, w.n(), |start, end, panel| {
         let nb = end - start;
         // One weight row at a time: unpacked once from the stored words,
         // reused by every token. A final word's padding lanes sit past `k`
         // and never reach the MMA.
-        let mut w_row = vec![0i8; k.div_ceil(32) * 32];
+        let mut lanes = vec![0u8; k.div_ceil(32) * 32];
+        let mut w_row = vec![0i16; lanes.len()];
         for (j, row) in (start..end).enumerate() {
-            for_each_register(w.packed_row(row), |off, codes| {
-                store_lanes(&mut w_row[off..off + 4], codes);
-            });
+            unpack_row(w.packed_row(row), &mut lanes);
+            widen_lanes(&lanes, &mut w_row);
             let (zero, scale) = (i32::from(w.zeros()[row]), w.scales()[row]);
-            for i in 0..m {
-                let acc = dot_i8(&x.codes[i * k..(i + 1) * k], &w_row[..k]);
+            dot_rows_i16(&x16, m, k, &w_row, |i, acc| {
                 // Epilogue: subtraction after multiplication, fused
                 // zero-point term.
                 let corrected = acc - x.token_sums[i] * zero;
                 panel[i * nb + j] = corrected as f32 * x.scales[i] * scale;
-            }
+            });
         }
     })
 }
@@ -217,36 +224,36 @@ pub fn gemm_w4a8_per_group(x: &QuantizedActivations, w: &ProgressiveWeight) -> M
     let (m, k, g) = (x.m, w.k(), w.group_size());
     assert!(g % 4 == 0 || g == k, "group size must be a multiple of 4 for RLP");
     let groups_per_row = k / g;
+    let x16 = widen(x);
     over_col_blocks(m, w.n(), |start, end, panel| {
         let nb = end - start;
         // One weight row at a time: unpacked and level-2 dequantized with
         // real RLP registers once, then reused by every token — the M rows
         // amortise the main loop's dequantization (§5.2.3).
-        let mut w_row = vec![0i8; k.div_ceil(32) * 32];
+        let mut lanes = vec![0u8; k.div_ceil(32) * 32];
+        let mut w_row = vec![0i16; lanes.len()];
         for (j, row) in (start..end).enumerate() {
-            let mut params = w.group_params()[row * groups_per_row..][..groups_per_row].iter();
-            let (mut scale, mut neg_zs, mut group_end) = (0u8, 0u32, 0usize);
-            for_each_register(w.packed_row(row), |off, codes| {
-                // A register never straddles groups (`g % 4 == 0`); a final
-                // word's padding lanes sit past `k`, keep the last group's
-                // parameters and never reach the MMA.
-                if off >= group_end {
-                    if let Some(p) = params.next() {
-                        let zs = u32::from(p.zero) * u32::from(p.scale);
-                        debug_assert!(zs <= 255);
-                        scale = p.scale;
-                        neg_zs = splat4((zs as u8 as i8).wrapping_neg() as u8);
-                        group_end += g;
-                    }
+            unpack_row(w.packed_row(row), &mut lanes);
+            // Groups, then the registers of each, so `(scale, −z·s)` is
+            // fixed across the inner loop. A register never straddles
+            // groups (`g % 4 == 0`, or one group spans the row); a final
+            // word's padding lanes sit past the last group, stay raw codes
+            // and never reach the MMA.
+            let params = &w.group_params()[row * groups_per_row..][..groups_per_row];
+            for (group, p) in lanes.chunks_mut(g.next_multiple_of(4)).zip(params) {
+                let zs = u32::from(p.zero) * u32::from(p.scale);
+                debug_assert!(zs <= 255);
+                let neg_zs = splat4((zs as u8 as i8).wrapping_neg() as u8);
+                for reg in group.chunks_exact_mut(4) {
+                    let codes = ByteLanes::from_le_bytes([reg[0], reg[1], reg[2], reg[3]]);
+                    reg.copy_from_slice(&dequant_sub_after_mul(codes, p.scale, neg_zs).to_le_bytes());
                 }
-                let intermediates = dequant_sub_after_mul(codes, scale, neg_zs);
-                store_lanes(&mut w_row[off..off + 4], intermediates);
-            });
-            let scale = w.channel_scales()[row];
-            for i in 0..m {
-                let acc = dot_i8(&x.codes[i * k..(i + 1) * k], &w_row[..k]);
-                panel[i * nb + j] = acc as f32 * x.scales[i] * scale;
             }
+            widen_lanes(&lanes, &mut w_row);
+            let scale = w.channel_scales()[row];
+            dot_rows_i16(&x16, m, k, &w_row, |i, acc| {
+                panel[i * nb + j] = acc as f32 * x.scales[i] * scale;
+            });
         }
     })
 }
@@ -425,6 +432,46 @@ mod tests {
         let w = ProgressiveWeight::quantize(&Matrix::zeros(4, 64), 32);
         gemm_w4a8_per_group(&q, &w);
     }
+    qserve_tensor::props! {
+        /// Both W4A8 kernels against the i64 scalar reference, bit for bit,
+        /// at every token-tile remainder (m = 1, 3, 4, 5, 32, 33), on odd
+        /// and ragged reductions (k = 4 … 344, with every legal group shape:
+        /// one register, a few registers, one group spanning a row whose
+        /// length is not even a multiple of 4) and at output widths on both
+        /// sides of the column-block fork (n = 37 splits into panels once
+        /// the pool has threads, sharing the widened activations).
+        fn tiled_kernels_match_i64_reference_at_every_tile_remainder(rng, cases = 6) {
+            for (k, groups) in [(4usize, &[4usize][..]), (40, &[4, 8, 40]), (100, &[4, 20, 100]), (127, &[127]), (344, &[8, 344])] {
+                let g = groups[rng.int_in(0, groups.len() as i64 - 1) as usize];
+                let n = [3usize, 37][rng.int_in(0, 1) as usize];
+                let w = rng.heavy_tailed(n, k, 0.1, 0.05, 6.0);
+                let pw = ProgressiveWeight::quantize(&w, g);
+                let inter = pw.intermediate_int8();
+                let pc = PerChannelW4::quantize(&w);
+                let codes = pc.codes();
+                for m in [1usize, 3, 4, 5, 32, 33] {
+                    let (_, q) = acts(rng, m, k);
+                    let y = gemm_w4a8_per_group(&q, &pw);
+                    let y_pc = gemm_w4a8_per_channel(&q, &pc);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let (mut acc, mut acc_pc) = (0i64, 0i64);
+                            for p in 0..k {
+                                let x = i64::from(q.codes[i * k + p]);
+                                acc += x * i64::from(inter[j * k + p]);
+                                acc_pc += x * (i64::from(codes[j * k + p]) - i64::from(pc.zeros()[j]));
+                            }
+                            let expect = acc as f32 * q.scales[i] * pw.channel_scales()[j];
+                            assert_eq!(y[(i, j)].to_bits(), expect.to_bits(), "per-group k={k} g={g} n={n} m={m} ({i}, {j})");
+                            let expect = acc_pc as f32 * q.scales[i] * pc.scales()[j];
+                            assert_eq!(y_pc[(i, j)].to_bits(), expect.to_bits(), "per-channel k={k} n={n} m={m} ({i}, {j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The kernels over the offline-packed words against the scalar integer
     /// reference, bit for bit, on the shapes the packed layout makes
     /// awkward: reductions that are not a multiple of the 32-weight word

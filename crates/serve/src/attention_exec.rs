@@ -1,19 +1,20 @@
 //! Functional attention execution over the paged cache: wires the §5.1 page
-//! layout to the §5.3 fused kernel so the serving stack can produce *real*
+//! layout to the §5.3 kernel so the serving stack can produce *real*
 //! attention outputs, not just simulated latencies.
 
 use crate::kv_cache::{KvCacheError, PagedKvCache, SequenceId};
-use qserve_kernels::attention::{fused_decode_attention, AttentionScratch};
+use qserve_kernels::attention::HeadTile;
 
-/// Runs QServe's fused decode attention for one sequence and one layer
-/// directly over the paged cache.
+/// Runs QServe's decode attention for one sequence and one layer directly
+/// over the paged cache: a run of one row (see [`paged_run_attention`]).
 ///
 /// `query` is the full-width query row (`query_heads × head_dim`); GQA maps
 /// query head `h` onto KV head `h / (query_heads / kv_heads)`. Returns the
 /// concatenated per-head outputs (`query_heads × head_dim`).
 ///
 /// # Errors
-/// Propagates [`KvCacheError`] for unknown sequences.
+/// [`KvCacheError::UnknownSequence`]; [`KvCacheError::NotQuantized`] on an
+/// FP16 cache.
 ///
 /// # Panics
 /// Panics if `query.len()` is not a multiple of the cache head_dim, or the
@@ -25,45 +26,60 @@ pub fn paged_decode_attention(
     query: &[f32],
 ) -> Result<Vec<f32>, KvCacheError> {
     let mut out = vec![0.0f32; query.len()];
-    paged_decode_attention_into(cache, seq, layer, query, &mut AttentionScratch::default(), &mut out)?;
+    paged_run_attention(cache, seq, layer, query, query.len(), &mut HeadTile::default(), &mut out)?;
     Ok(out)
 }
 
-/// [`paged_decode_attention`] into a caller-owned output row, with the
-/// kernel's buffers reused across calls (a batched step runs one call per
-/// row and layer).
-pub(crate) fn paged_decode_attention_into(
+/// Attention for a *run*: consecutive rows of one sequence — a prefill
+/// chunk, or a single decode row — whose K/V are already appended.
+/// `queries` and `out` hold the run's rows back to back, `width =
+/// query_heads × head_dim` each. Every KV head is dequantized into `tile`
+/// once, and row `r` of an `n`-row run attends over the first
+/// `len − n + r + 1` cached tokens: itself and everything before it.
+///
+/// # Errors
+/// [`KvCacheError::UnknownSequence`]; [`KvCacheError::NotQuantized`] on an
+/// FP16 cache.
+///
+/// # Panics
+/// Panics if `width` is not a multiple of the cache head_dim or of
+/// `kv_heads × head_dim`, the rows are ragged, or the run is longer than
+/// the sequence's cache.
+pub(crate) fn paged_run_attention(
     cache: &PagedKvCache,
     seq: SequenceId,
     layer: usize,
-    query: &[f32],
-    scratch: &mut AttentionScratch,
+    queries: &[f32],
+    width: usize,
+    tile: &mut HeadTile,
     out: &mut [f32],
 ) -> Result<(), KvCacheError> {
     let cfg = cache.config();
     assert!(
-        query.len() % cfg.head_dim == 0,
+        width > 0 && width % cfg.head_dim == 0,
         "query width {} not a multiple of head_dim {}",
-        query.len(),
+        width,
         cfg.head_dim
     );
-    let query_heads = query.len() / cfg.head_dim;
+    let query_heads = width / cfg.head_dim;
     assert!(
         query_heads % cfg.kv_heads == 0,
         "query heads {} not a multiple of kv heads {}",
         query_heads,
         cfg.kv_heads
     );
+    assert!(queries.len() % width == 0 && queries.len() == out.len(), "ragged run");
+    let rows = queries.len() / width;
     // The query heads of one GQA group are contiguous: each KV head is
-    // walked once, in place, for its whole group.
+    // dequantized once for its whole group and the whole run.
     let group_width = query_heads / cfg.kv_heads * cfg.head_dim;
-    for (kv_head, (q, o)) in query
-        .chunks_exact(group_width)
-        .zip(out.chunks_exact_mut(group_width))
-        .enumerate()
-    {
-        let view = cache.head_view(seq, layer, kv_head)?;
-        fused_decode_attention(q, cfg.head_dim, view.len(), view.keys(), view.values(), scratch, o);
+    for kv_head in 0..cfg.kv_heads {
+        let cached = cache.head_view(seq, layer, kv_head)?.fill(tile);
+        let past = cached.checked_sub(rows).expect("a run's K/V are appended before it attends");
+        let group = kv_head * group_width..(kv_head + 1) * group_width;
+        for (r, (q, o)) in queries.chunks_exact(width).zip(out.chunks_exact_mut(width)).enumerate() {
+            tile.attend(&q[group.clone()], past + r + 1, &mut o[group.clone()]);
+        }
     }
     Ok(())
 }
@@ -208,5 +224,108 @@ mod tests {
                 assert_eq!(bits(&fused(&cache, parent)), bits(&materialised(&cache, parent)));
             }
         }
+    }
+
+    qserve_tensor::props! {
+        /// A tile filled once from the pages and attended at every visible
+        /// length equals, `to_bits`, a fresh materialisation of exactly that
+        /// many tokens through `decode_attention_fp16` — which the kernel
+        /// crate's own property ties to the lane-at-a-time oracle — over
+        /// KV4 / KV8, head widths 2 … 128 (odd ones too), GQA groups of
+        /// 1 / 2 / 4 and pages of 4 or 16 tokens, so lengths straddle page
+        /// boundaries. The child is forked mid-page or on a boundary, its
+        /// parent then fills the shared tail page further, and the child is
+        /// checked against a private sequence that only ever held its own
+        /// tokens (the materialisation shares the page walk with the fill,
+        /// so it cannot catch a walk that reads the parent's slots). A
+        /// whole run through `paged_run_attention` equals the same rows
+        /// attended one by one as they were appended.
+        fn paged_tile_equals_fresh_materialisation_at_every_visible_length(rng, cases = 16) {
+            use qserve_kernels::attention::{decode_attention_fp16, QuantizedKvHead};
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let precision = [KvPrecision::Int4, KvPrecision::Int8][rng.int_in(0, 1) as usize];
+            let head_dim = [2usize, 6, 16, 17, 128][rng.int_in(0, 4) as usize];
+            let kv_heads = rng.int_in(1, 2) as usize;
+            let group = [1usize, 2, 4][rng.int_in(0, 2) as usize];
+            let page_tokens = [4usize, 16][rng.int_in(0, 1) as usize];
+            let cfg = KvCacheConfig { page_tokens, kv_heads, head_dim, layers: 1, precision };
+            let width = kv_heads * group * head_dim;
+            let len = rng.int_in(2, if head_dim == 128 { 10 } else { 36 }) as usize;
+            let prefix = rng.int_in(1, len as i64 - 1) as usize;
+            let extra = rng.int_in(0, 3) as usize; // the child's own tokens after the fork
+            let kv = rng.gaussian(2 * (len + extra), kv_heads * head_dim, 1.0);
+            let queries = rng.gaussian(len + extra, width, 1.0);
+            let (parent, child, private) = (SequenceId(0), SequenceId(1), SequenceId(2));
+            let mut cache = PagedKvCache::new(cfg, 64);
+            cache.register(parent).unwrap();
+            cache.register(private).unwrap();
+            // Row by row, as a decode loop would: append, attend.
+            let mut one_by_one = Vec::new();
+            for t in 0..len {
+                cache.append_token(parent, 0, kv.row(2 * t), kv.row(2 * t + 1)).unwrap();
+                one_by_one.push(paged_decode_attention(&cache, parent, 0, queries.row(t)).unwrap());
+                if t < prefix {
+                    cache.append_token(private, 0, kv.row(2 * t), kv.row(2 * t + 1)).unwrap();
+                }
+                if t + 1 == prefix {
+                    cache.fork(parent, child, prefix).unwrap();
+                }
+            }
+            // A run of the last `n` rows, attended in one call.
+            let n = rng.int_in(1, len as i64) as usize;
+            let run: Vec<f32> = (len - n..len).flat_map(|t| queries.row(t).to_vec()).collect();
+            let mut out = vec![f32::NAN; run.len()];
+            paged_run_attention(&cache, parent, 0, &run, width, &mut HeadTile::default(), &mut out).unwrap();
+            for (r, got) in out.chunks_exact(width).enumerate() {
+                assert_eq!(bits(got), bits(&one_by_one[len - n + r]), "row {} of a {}-row run", r, n);
+            }
+            // The child diverges (its first append copies the shared tail).
+            for t in len..len + extra {
+                for seq in [child, private] {
+                    cache.append_token(seq, 0, kv.row(2 * t), kv.row(2 * t + 1)).unwrap();
+                }
+            }
+            let mut tile = HeadTile::default();
+            for (seq, tokens) in [(parent, len), (child, prefix + extra), (private, prefix + extra)] {
+                for kv_head in 0..kv_heads {
+                    assert_eq!(cache.head_view(seq, 0, kv_head).unwrap().fill(&mut tile), tokens);
+                    let twin = if seq == child { private } else { seq };
+                    let (keys, values) = cache.read_head(twin, 0, kv_head).unwrap();
+                    let heads = kv_head * group * head_dim..(kv_head + 1) * group * head_dim;
+                    for visible in 1..=tokens {
+                        let q = &queries.row(visible - 1)[heads.clone()];
+                        let mut got = vec![f32::NAN; q.len()];
+                        tile.attend(q, visible, &mut got);
+                        let fresh = QuantizedKvHead {
+                            keys: keys[..visible].to_vec(),
+                            values: values[..visible].to_vec(),
+                            precision,
+                        };
+                        let want: Vec<f32> =
+                            q.chunks_exact(head_dim).flat_map(|q| decode_attention_fp16(q, &fresh)).collect();
+                        assert_eq!(
+                            bits(&got), bits(&want),
+                            "{:?} {:?} d={} group={} page={} visible={}/{}", precision, seq, head_dim, group, page_tokens, visible, tokens
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An FP16 cache holds features, not codes: the quantized kernel must
+    /// refuse it by name at the door — it used to die inside the kernel
+    /// with `head_dim mismatch` — and a step must refuse before it appends.
+    #[test]
+    fn an_fp16_cache_is_rejected_by_name_not_inside_the_kernel() {
+        let cfg = KvCacheConfig { page_tokens: 8, kv_heads: 2, head_dim: 16, layers: 1, precision: KvPrecision::Fp16 };
+        let mut cache = PagedKvCache::new(cfg, 8);
+        cache.register(SequenceId(0)).unwrap();
+        cache.append_token(SequenceId(0), 0, &[0.5; 32], &[0.25; 32]).unwrap();
+        let refused = paged_decode_attention(&cache, SequenceId(0), 0, &[0.0; 32]).unwrap_err();
+        assert_eq!(refused, KvCacheError::NotQuantized(KvPrecision::Fp16));
+        assert!(refused.to_string().contains("Fp16"), "the message names the precision: {refused}");
+        assert_eq!(cache.read_head(SequenceId(0), 0, 0).unwrap_err(), refused);
+        assert_eq!(cache.head_view(SequenceId(0), 0, 0).unwrap_err(), refused);
     }
 }

@@ -7,10 +7,10 @@
 //! This is the data plane the latency-simulating [`crate::engine`] models;
 //! integration tests check it against the reference fake-quant forward pass.
 
-use crate::attention_exec::paged_decode_attention_into;
+use crate::attention_exec::paged_run_attention;
 use crate::kv_cache::{KvCacheError, PagedKvCache, SequenceId};
 use qserve_core::pipeline::{DeployedWeight, QuantizedBlock};
-use qserve_kernels::attention::AttentionScratch;
+use qserve_kernels::attention::HeadTile;
 use qserve_kernels::gemm::{gemm_w4a8_per_channel, gemm_w4a8_per_group, quantize_activations_int8};
 use qserve_tensor::ops::{rmsnorm, swiglu};
 use qserve_tensor::Matrix;
@@ -70,15 +70,18 @@ impl BlockRuntime {
     /// cache. Every GEMM runs once over all `m = x.rows()` rows. Returns the
     /// block output (FP16-domain `f32`).
     ///
-    /// `positions[i]` is row `i`'s token index (for RoPE). Rows append to
-    /// the cache and attend one after another, in row order, so a sequence
-    /// may appear in several rows at consecutive positions — a prefill
-    /// chunk — and each of its rows sees exactly the tokens before it:
-    /// causal by construction. Rows are otherwise independent, so a row's
-    /// output does not depend on which other rows share its batch.
+    /// `positions[i]` is row `i`'s token index (for RoPE). Consecutive rows
+    /// of one sequence form a *run* — a prefill chunk, or a single decode
+    /// row: the run's K/V are appended first, each KV head is dequantized
+    /// once, and row `r` of the run attends over the tokens before it plus
+    /// itself — causal by construction. Runs go in row order, so a sequence
+    /// may come back later in the batch as another run. Rows are otherwise
+    /// independent, so a row's output does not depend on which other rows
+    /// share its batch.
     ///
     /// # Errors
-    /// Propagates cache errors (unknown sequence / out of pages).
+    /// Propagates cache errors (unknown sequence / out of pages / an FP16
+    /// cache, which the quantized attention kernel cannot read).
     ///
     /// # Panics
     /// Panics on shape mismatches with the cache geometry.
@@ -93,6 +96,26 @@ impl BlockRuntime {
         ffn_norm: &[f32],
         rope_base: f32,
     ) -> Result<Matrix, KvCacheError> {
+        let mut tile = HeadTile::default();
+        self.decode_step_with(x, seqs, positions, layer, cache, attn_norm, ffn_norm, rope_base, &mut tile)
+    }
+
+    /// [`Self::decode_step`] with the attention tile supplied by the caller,
+    /// so one step's layers share its buffers.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decode_step_with(
+        &self,
+        x: &Matrix,
+        seqs: &[SequenceId],
+        positions: &[usize],
+        layer: usize,
+        cache: &mut PagedKvCache,
+        attn_norm: &[f32],
+        ffn_norm: &[f32],
+        rope_base: f32,
+        tile: &mut HeadTile,
+    ) -> Result<Matrix, KvCacheError> {
+        cache.require_quantized()?;
         assert_eq!(x.rows(), seqs.len(), "one row per sequence");
         assert_eq!(seqs.len(), positions.len(), "positions per sequence");
         let d = self.head_dim;
@@ -114,12 +137,26 @@ impl BlockRuntime {
             }
         }
 
-        // ---- KV cache append (dynamic per-head quantization) + attention.
-        let mut attn_out = Matrix::zeros(x.rows(), self.query_heads * d);
-        let mut scratch = AttentionScratch::default();
-        for (i, &seq) in seqs.iter().enumerate() {
-            cache.append_token(seq, layer, k.row(i), v.row(i))?;
-            paged_decode_attention_into(cache, seq, layer, q.row(i), &mut scratch, attn_out.row_mut(i))?;
+        // ---- KV cache append (dynamic per-head quantization) + attention,
+        // one run of same-sequence rows at a time.
+        let width = self.query_heads * d;
+        let mut attn_out = Matrix::zeros(x.rows(), width);
+        let mut start = 0;
+        for run in seqs.chunk_by(|a, b| a == b) {
+            let end = start + run.len();
+            for i in start..end {
+                cache.append_token(run[0], layer, k.row(i), v.row(i))?;
+            }
+            paged_run_attention(
+                cache,
+                run[0],
+                layer,
+                &q.as_slice()[start * width..end * width],
+                width,
+                tile,
+                &mut attn_out.as_mut_slice()[start * width..end * width],
+            )?;
+            start = end;
         }
 
         // ---- Output projection (its own quantization node, §5.1).
@@ -281,5 +318,24 @@ mod tests {
                 .unwrap();
             assert_eq!(cache.seq_len(seq), t + 1);
         }
+    }
+
+    #[test]
+    fn a_step_on_an_fp16_cache_is_refused_before_anything_is_appended() {
+        let (model, runtime, quantized) = setup();
+        let mut cache = PagedKvCache::new(
+            KvCacheConfig { precision: KvPrecision::Fp16, ..*quantized.config() },
+            16,
+        );
+        let seq = SequenceId(0);
+        cache.register(seq).unwrap();
+        let h = model.config.hidden;
+        let norms = vec![1.0f32; h];
+        let x = TensorRng::seed(9).gaussian(2, h, 1.0);
+        let refused = runtime
+            .decode_step(&x, &[seq, seq], &[0, 1], 0, &mut cache, &norms, &norms, 10000.0)
+            .unwrap_err();
+        assert_eq!(refused, KvCacheError::NotQuantized(KvPrecision::Fp16));
+        assert_eq!((cache.seq_len(seq), cache.used_pages()), (0, 0));
     }
 }

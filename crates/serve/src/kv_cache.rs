@@ -18,8 +18,8 @@
 //! [`PagedKvCache::used_pages`] / [`PagedKvCache::free_pages`] count
 //! *unique* pages, which is what memory-aware admission must gate on.
 
-use qserve_core::kv_quant::{quantize_head, KvPrecision, QuantizedHeadToken};
-use qserve_kernels::attention::{KvLane, LaneCodes};
+use qserve_core::kv_quant::{quantize_head_into, KvPrecision, QuantizedHeadToken};
+use qserve_kernels::attention::{HeadTile, KvLane, LaneCodes};
 use qserve_quant::params::QParams;
 use qserve_tensor::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use std::collections::HashMap;
@@ -46,8 +46,7 @@ pub struct KvCacheConfig {
 impl KvCacheConfig {
     /// Bytes for one token's K+V features of one head (codes only).
     fn head_code_bytes(&self) -> usize {
-        // Ceil for 4-bit: two codes per byte.
-        2 * (self.head_dim * self.precision.bits() as usize).div_ceil(8)
+        2 * self.precision.lane_bytes(self.head_dim)
     }
 
     /// Bytes for one token slot in a page: codes for all heads + per-head
@@ -152,6 +151,9 @@ pub enum KvCacheError {
         /// Tokens the fork requested.
         want: usize,
     },
+    /// The W4A8KV4 kernels were pointed at a cache that holds no codes and
+    /// no per-head parameters (an FP16 cache).
+    NotQuantized(KvPrecision),
 }
 
 impl std::fmt::Display for KvCacheError {
@@ -162,6 +164,9 @@ impl std::fmt::Display for KvCacheError {
             KvCacheError::DuplicateSequence(s) => write!(f, "duplicate sequence {:?}", s),
             KvCacheError::PrefixTooLong { have, want } => {
                 write!(f, "fork prefix of {} tokens exceeds parent's {}", want, have)
+            }
+            KvCacheError::NotQuantized(precision) => {
+                write!(f, "a {:?} KV cache holds no quantized lanes for the KV4/KV8 kernels to read", precision)
             }
         }
     }
@@ -438,6 +443,7 @@ impl PagedKvCache {
         let slot_bytes = self.config.token_slot_bytes();
         let precision = self.config.precision;
         let head_dim = self.config.head_dim;
+        let lane_bytes = precision.lane_bytes(head_dim);
 
         // Slot layout: K codes of every head, V codes of every head, then
         // the parameter block — per-head (scale, zero) for K, then for V.
@@ -453,12 +459,14 @@ impl PagedKvCache {
                         cursor += 2;
                     }
                 } else {
-                    // One dynamic quantization per head: its codes and its
-                    // (scale, zero) come from the same token.
-                    let q = quantize_head(head, precision);
-                    cursor = write_codes(&mut page.data, cursor, &q, precision);
-                    let s = f32_to_f16_bits(q.params.scale);
-                    let z = f32_to_f16_bits(q.params.zero as f32);
+                    // One dynamic quantization per head, straight into the
+                    // slot: its codes and its (scale, zero) come from the
+                    // same token.
+                    let params =
+                        quantize_head_into(head, precision, &mut page.data[cursor..cursor + lane_bytes]);
+                    cursor += lane_bytes;
+                    let s = f32_to_f16_bits(params.scale);
+                    let z = f32_to_f16_bits(params.zero as f32);
                     page.data[params_cursor..params_cursor + 2].copy_from_slice(&s.to_le_bytes());
                     page.data[params_cursor + 2..params_cursor + 4]
                         .copy_from_slice(&z.to_le_bytes());
@@ -474,12 +482,25 @@ impl PagedKvCache {
         Ok(())
     }
 
-    /// A borrowed view of one `(sequence, layer, KV head)`: its cached
-    /// tokens where they lie in the pages, for the fused attention kernel
-    /// to walk in place.
+    /// `Ok` when the cache holds what the quantized kernels read — codes and
+    /// per-head `(scale, zero)` — i.e. it is not an FP16 cache.
     ///
     /// # Errors
-    /// [`KvCacheError::UnknownSequence`].
+    /// [`KvCacheError::NotQuantized`].
+    pub(crate) fn require_quantized(&self) -> Result<(), KvCacheError> {
+        match self.config.precision {
+            KvPrecision::Fp16 => Err(KvCacheError::NotQuantized(KvPrecision::Fp16)),
+            KvPrecision::Int8 | KvPrecision::Int4 => Ok(()),
+        }
+    }
+
+    /// A borrowed view of one `(sequence, layer, KV head)`: its cached
+    /// tokens where they lie in the pages, for the attention kernel to
+    /// dequantize in one pass.
+    ///
+    /// # Errors
+    /// [`KvCacheError::UnknownSequence`]; [`KvCacheError::NotQuantized`] on
+    /// an FP16 cache, whose slots hold features, not lanes.
     ///
     /// # Panics
     /// Panics if `layer` or `head` is out of range.
@@ -489,17 +510,30 @@ impl PagedKvCache {
         layer: usize,
         head: usize,
     ) -> Result<PagedHeadView<'_>, KvCacheError> {
+        self.require_quantized()?;
         let table = self
             .tables
             .get(&seq)
             .ok_or(KvCacheError::UnknownSequence(seq))?;
-        assert!(head < self.config.kv_heads, "head out of range");
+        let cfg = &self.config;
+        assert!(head < cfg.kv_heads, "head out of range");
+        let lane_bytes = cfg.precision.lane_bytes(cfg.head_dim);
+        // Slot layout (see `append_token`): lane `l` of a slot is K head `l`
+        // for `l < kv_heads`, V head `l − kv_heads` after; its codes sit at
+        // `l · lane_bytes`, its (scale, zero) in the block after all codes.
+        let lane = |half: usize| {
+            let l = half * cfg.kv_heads + head;
+            (l * lane_bytes, 2 * cfg.kv_heads * lane_bytes + 4 * l)
+        };
         Ok(PagedHeadView {
-            config: self.config,
             pages: &self.pages,
             table: &table[layer],
             own_len: self.layer_lens[&seq][layer],
-            head,
+            head_dim: cfg.head_dim,
+            nibbles: cfg.precision == KvPrecision::Int4,
+            slot_bytes: cfg.token_slot_bytes(),
+            lane_bytes,
+            lanes: [lane(0), lane(1)],
         })
     }
 
@@ -507,7 +541,7 @@ impl PagedKvCache {
     /// materialising what [`PagedKvCache::head_view`] walks.
     ///
     /// # Errors
-    /// [`KvCacheError::UnknownSequence`].
+    /// [`KvCacheError::UnknownSequence`], [`KvCacheError::NotQuantized`].
     pub fn read_head(
         &self,
         seq: SequenceId,
@@ -745,34 +779,34 @@ impl KvPageExport {
 }
 
 /// One `(sequence, layer, KV head)` of a [`PagedKvCache`], borrowed: the
-/// page table, the pages it points into and the sequence's own token count.
-/// [`PagedHeadView::keys`] and [`PagedHeadView::values`] walk the cached
-/// tokens in order and hand out each one's codes *as stored* (KV4 nibbles
-/// stay packed) with its `(scale, zero)` decoded from the slot's parameter
-/// block — no copy, no allocation.
+/// page table, the pages it points into, the sequence's own token count and
+/// the head's byte offsets inside a token slot, derived once. The page is
+/// the unit of the walk: [`PagedHeadView::fill`] (and `keys` / `values` /
+/// `len` on the same walk) visits each page's own slots in order and hands
+/// out each token's codes *as stored* (KV4 nibbles stay packed) with its
+/// `(scale, zero)` decoded from the slot's parameter block — no copy, no
+/// allocation.
 #[derive(Debug, Clone, Copy)]
 pub struct PagedHeadView<'a> {
-    config: KvCacheConfig,
     pages: &'a [KvPage],
     table: &'a [usize],
     /// This sequence's own token count in this layer: a shared tail page may
     /// be filled further by the sequence it was forked from, and those
     /// slots are not this sequence's to read.
     own_len: usize,
-    head: usize,
+    head_dim: usize,
+    /// Two codes per byte (KV4) rather than one (KV8).
+    nibbles: bool,
+    slot_bytes: usize,
+    lane_bytes: usize,
+    /// `(codes offset, parameter offset)` within a slot, for K then V.
+    lanes: [(usize, usize); 2],
 }
 
 impl<'a> PagedHeadView<'a> {
     /// Tokens a walk yields.
     pub fn len(&self) -> usize {
-        let mut remaining = self.own_len;
-        let mut len = 0;
-        for &page in self.table {
-            let filled = self.pages[page].filled;
-            len += filled.min(remaining);
-            remaining = remaining.saturating_sub(filled);
-        }
-        len
+        self.page_slots().map(|slots| slots.len() / self.slot_bytes).sum()
     }
 
     /// Whether the walk is empty.
@@ -782,79 +816,68 @@ impl<'a> PagedHeadView<'a> {
 
     /// The cached keys, oldest first.
     pub fn keys(&self) -> impl Iterator<Item = KvLane<'a>> + 'a {
-        self.lanes(0)
+        self.walk(0)
     }
 
     /// The cached values, oldest first.
     pub fn values(&self) -> impl Iterator<Item = KvLane<'a>> + 'a {
-        self.lanes(1)
+        self.walk(1)
     }
 
-    /// Walks K (`half` 0) or V (`half` 1): pages in table order, slots in
-    /// page order, capped at the sequence's own length.
-    fn lanes(&self, half: usize) -> impl Iterator<Item = KvLane<'a>> + 'a {
-        let cfg = self.config;
-        let pages = self.pages;
-        let head_bytes = cfg.head_code_bytes() / 2; // per K or V
-        let lane_index = half * cfg.kv_heads + self.head;
-        let code_base = lane_index * head_bytes;
-        let params_base = 2 * cfg.kv_heads * head_bytes + lane_index * 4;
+    /// Dequantizes the head's whole cache into `tile`, one pass over the
+    /// pages: two counted loops, pages in table order and this sequence's
+    /// own slots in page order. Returns the number of tokens the tile now
+    /// holds ([`PagedHeadView::len`], computed once).
+    pub fn fill(&self, tile: &mut HeadTile) -> usize {
+        let len = self.len();
+        tile.reset(self.head_dim, len);
+        for slots in self.page_slots() {
+            for slot in slots.chunks_exact(self.slot_bytes) {
+                tile.push(self.lane(slot, 0), self.lane(slot, 1));
+            }
+        }
+        len
+    }
+
+    /// The page-granular walk: for each page of the table, the bytes of the
+    /// slots that are this sequence's own — all of a private page's filled
+    /// slots, a shared tail page's only up to the sequence's own length.
+    fn page_slots(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let (pages, slot_bytes) = (self.pages, self.slot_bytes);
         let mut remaining = self.own_len;
-        self.table.iter().flat_map(move |&page| {
+        self.table.iter().map(move |&page| {
             let page = &pages[page];
             let own = page.filled.min(remaining);
             remaining = remaining.saturating_sub(page.filled);
-            page.data.chunks_exact(cfg.token_slot_bytes()).take(own).map(move |slot| {
-                if cfg.precision == KvPrecision::Fp16 {
-                    // FP16 features are not codes and carry no parameter
-                    // block; the quantized kernels reject the empty lane.
-                    return KvLane { codes: LaneCodes::Bytes(&[]), scale: 1.0, zero: 0 };
-                }
-                let codes = &slot[code_base..code_base + head_bytes];
-                let f16_at = |at: usize| f16_bits_to_f32(u16::from_le_bytes([slot[at], slot[at + 1]]));
-                KvLane {
-                    codes: match cfg.precision {
-                        KvPrecision::Int4 => LaneCodes::Nibbles(codes),
-                        _ => LaneCodes::Bytes(codes),
-                    },
-                    scale: f16_at(params_base),
-                    zero: f16_at(params_base + 2) as u8,
-                }
-            })
+            &page.data[..own * slot_bytes]
         })
     }
-}
 
-fn write_codes(
-    data: &mut [u8],
-    mut cursor: usize,
-    q: &QuantizedHeadToken,
-    precision: KvPrecision,
-) -> usize {
-    match precision {
-        KvPrecision::Int8 => {
-            for &c in &q.codes {
-                data[cursor] = c;
-                cursor += 1;
-            }
+    /// The K (`half` 0) or V (`half` 1) lane of one token slot.
+    #[inline]
+    fn lane(&self, slot: &'a [u8], half: usize) -> KvLane<'a> {
+        let (codes_at, params_at) = self.lanes[half];
+        let codes = &slot[codes_at..codes_at + self.lane_bytes];
+        let f16_at = |at: usize| f16_bits_to_f32(u16::from_le_bytes([slot[at], slot[at + 1]]));
+        KvLane {
+            codes: if self.nibbles { LaneCodes::Nibbles(codes) } else { LaneCodes::Bytes(codes) },
+            scale: f16_at(params_at),
+            zero: f16_at(params_at + 2) as u8,
         }
-        KvPrecision::Int4 => {
-            for pair in q.codes.chunks(2) {
-                let lo = pair[0] & 0x0F;
-                let hi = pair.get(1).copied().unwrap_or(0) & 0x0F;
-                data[cursor] = lo | (hi << 4);
-                cursor += 1;
-            }
-        }
-        KvPrecision::Fp16 => unreachable!("fp16 handled inline"),
     }
-    cursor
+
+    /// K or V lanes in cache order, on the page walk.
+    fn walk(&self, half: usize) -> impl Iterator<Item = KvLane<'a>> + 'a {
+        let view = *self;
+        self.page_slots()
+            .flat_map(move |slots| slots.chunks_exact(view.slot_bytes).map(move |slot| view.lane(slot, half)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qserve_core::kv_quant::dequantize_head;
+    use qserve_core::kv_quant::{dequantize_head, quantize_head};
     use qserve_tensor::rng::TensorRng;
 
     fn cfg(precision: KvPrecision) -> KvCacheConfig {

@@ -11,6 +11,7 @@ use crate::scheduler::{
     AdmittedWave, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
 };
 use qserve_core::pipeline::{quantize_block, QoqConfig};
+use qserve_kernels::attention::HeadTile;
 use qserve_model::forward::collect_calibration;
 use qserve_model::synth::SyntheticModel;
 use qserve_tensor::ops::rmsnorm;
@@ -120,10 +121,13 @@ impl ModelRuntime {
             positions.push(*pos);
             *pos += 1;
         }
+        // One attention tile for the whole step: its buffers are reused by
+        // every head, run and layer, and dropped with the step.
+        let mut tile = HeadTile::default();
         for (layer, (runtime, (attn_norm, ffn_norm))) in
             self.blocks.iter().zip(&self.model.norms).enumerate()
         {
-            x = runtime.decode_step(
+            x = runtime.decode_step_with(
                 &x,
                 &seqs,
                 &positions,
@@ -132,6 +136,7 @@ impl ModelRuntime {
                 attn_norm,
                 ffn_norm,
                 self.model.rope_base,
+                &mut tile,
             )?;
         }
         if logits_for.is_empty() {

@@ -7,7 +7,7 @@
 //! ```
 
 use qserve::core::kv_quant::KvPrecision;
-use qserve::kernels::attention::{fused_decode_attention, magic_bias_dequant, AttentionScratch};
+use qserve::kernels::attention::{magic_bias_dequant, HeadTile};
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve::tensor::fp16::F16;
 use qserve::tensor::ops::attention_single;
@@ -53,18 +53,13 @@ fn main() {
     // --- Decode attention against the quantized cache --------------------
     let head = 2;
     let q: Vec<f32> = (0..cfg.head_dim).map(|_| rng.normal(1.0)).collect();
-    // The fused kernel walks the page bytes in place: no token is copied out.
+    // The kernel reads the page bytes in place — no quantized token is
+    // copied out — dequantizing the head once into a tile it then attends.
     let view = cache.head_view(seq, 0, head).expect("registered");
+    let mut tile = HeadTile::default();
+    let cached = view.fill(&mut tile);
     let mut out_kv4 = vec![0.0f32; cfg.head_dim];
-    fused_decode_attention(
-        &q,
-        cfg.head_dim,
-        view.len(),
-        view.keys(),
-        view.values(),
-        &mut AttentionScratch::default(),
-        &mut out_kv4,
-    );
+    tile.attend(&q, cached, &mut out_kv4);
 
     // FP32 reference over the unquantized K/V slices of that head.
     let lo = head * cfg.head_dim;
