@@ -37,12 +37,6 @@ QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --te
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-kernels
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func
 
-# Thread-scaling smoke: runs the same trace at 1/2/4 pool threads,
-# asserts the reports are identical, and writes the machine-readable
-# baseline to results/BENCH_par_scaling.json.
-QSERVE_BENCH_FAST=1 cargo bench --offline --locked -p qserve-bench --bench par_scaling >/dev/null
-test -s results/BENCH_par_scaling.json
-
 # The reproduce binary is the user-facing entry point; prove it writes CSV
 # for the paper table, the prefix/chunk and cluster grids, the (small, so
 # full) heterogeneous-fleet grid, and the CI-sized event-core, failure and

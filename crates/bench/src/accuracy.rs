@@ -22,7 +22,7 @@ use qserve_tensor::Matrix;
 
 /// The quantization schemes compared in Table 2, in row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
+enum Scheme {
     /// FP16 baseline.
     Fp16,
     /// W8A8 per-channel/per-token (SmoothQuant row).
@@ -45,7 +45,7 @@ pub enum Scheme {
 
 impl Scheme {
     /// All Table 2 rows in order.
-    pub fn table2_rows() -> Vec<Self> {
+    fn table2_rows() -> Vec<Self> {
         vec![
             Scheme::Fp16,
             Scheme::W8A8,
@@ -77,7 +77,7 @@ impl Scheme {
 
 /// Evaluation artifacts for one (model, scheme) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemeResult {
+struct SchemeResult {
     /// Pseudo-perplexity.
     pub perplexity: f64,
     /// Top-1 agreement with FP16 (zero-shot accuracy proxy).
@@ -107,7 +107,7 @@ fn rtn_blocks(model: &SyntheticModel, spec: QuantSpec) -> Vec<BlockWeights> {
 }
 
 /// Evaluates one scheme on one synthetic model.
-pub fn evaluate(model: &SyntheticModel, scheme: Scheme, calib: &[u32], eval: &[u32]) -> SchemeResult {
+fn evaluate(model: &SyntheticModel, scheme: Scheme, calib: &[u32], eval: &[u32]) -> SchemeResult {
     let ref_logits = forward_logits(model, eval);
     let no_rot = vec![None; model.blocks.len()];
     let g = WeightGranularity::PerGroup(REDUCED_GROUP);
@@ -177,7 +177,7 @@ pub fn evaluate(model: &SyntheticModel, scheme: Scheme, calib: &[u32], eval: &[u
 }
 
 /// Builds the reduced synthetic twin of a full model config.
-pub fn reduced_model(full: &ModelConfig, seed_salt: u64) -> SyntheticModel {
+fn reduced_model(full: &ModelConfig, seed_salt: u64) -> SyntheticModel {
     let cfg = SyntheticModel::reduced_config(full, 128, 2);
     let opts = SynthesisOptions {
         seed: 0x9_5E2 ^ seed_salt,
@@ -288,7 +288,7 @@ pub fn table5() -> Table {
 }
 
 /// The Figure 16 ablation ladder configs, in the paper's order.
-pub fn figure16_ladder() -> Vec<(&'static str, QoqConfig)> {
+fn figure16_ladder() -> Vec<(&'static str, QoqConfig)> {
     let g = WeightGranularity::PerGroup(REDUCED_GROUP);
     let rtn = QoqConfig::rtn(g);
     vec![

@@ -1,437 +1,5 @@
-//! Minimal in-repo timing harness for the `benches/` targets.
-//!
-//! The build environment has no crates.io access, so the micro-benchmarks
-//! run on this small criterion-shaped shim instead of `criterion`: same
-//! bench-file structure (`Criterion::bench_function`, groups, `b.iter`),
-//! wall-clock measurement via `std::time::Instant`, and a plain-text report.
-//!
-//! Method: each benchmark is warmed up, then the iteration count is
-//! calibrated so one sample takes roughly [`TARGET_SAMPLE_TIME`]; the
-//! harness collects [`SAMPLES`] samples and reports the median, minimum and
-//! maximum per-iteration time. Set `QSERVE_BENCH_FAST=1` to shrink both
-//! knobs (used by CI smoke runs where relative numbers do not matter).
+//! The optimisation barrier, at the path `benchmark/src/surface.rs` binds
+//! (`qserve_bench::timing::black_box`). Nothing else is left of the in-repo
+//! timing harness: the repository measures itself in `benchmark/` only.
 
 pub use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-/// Per-sample time budget the calibration aims for.
-pub const TARGET_SAMPLE_TIME: Duration = Duration::from_millis(20);
-
-/// Samples collected per benchmark.
-pub const SAMPLES: usize = 11;
-
-/// True when `QSERVE_BENCH_FAST=1` asks for a CI-sized smoke run — exposed
-/// so single-shot macro-benchmarks can scale their inputs by the same knob
-/// (this module is the only place allowed to read the environment).
-pub fn fast_mode() -> bool {
-    std::env::var_os("QSERVE_BENCH_FAST").is_some_and(|v| v != "0")
-}
-
-/// Top-level harness handle — records results, printing each benchmark's
-/// line as it completes (mirrors `criterion::Criterion` closely enough for
-/// our benches).
-#[derive(Debug, Default)]
-pub struct Criterion {
-    results: Vec<BenchResult>,
-}
-
-/// One benchmark's measured statistics (per-iteration nanoseconds).
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Full benchmark id, e.g. `w4a8_gemm/per_group/8`.
-    pub name: String,
-    /// Median per-iteration time.
-    pub median_ns: f64,
-    /// Fastest sample.
-    pub min_ns: f64,
-    /// Slowest sample.
-    pub max_ns: f64,
-    /// Iterations per sample after calibration.
-    pub iters: u64,
-}
-
-/// Names a parameterized benchmark within a group.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// `BenchmarkId::new("per_group", 8)` → `per_group/8`.
-    pub fn new(function_name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        Self { name: format!("{}/{}", function_name, parameter) }
-    }
-}
-
-/// Passed to benchmark closures; owns the measurement loop.
-#[derive(Debug)]
-pub struct Bencher {
-    result: Option<(u64, Vec<Duration>)>,
-}
-
-impl Bencher {
-    /// Measures `f` called in a tight loop.
-    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        let (iters, samples) = measure(|n| {
-            let start = Instant::now();
-            for _ in 0..n {
-                black_box(f());
-            }
-            start.elapsed()
-        });
-        self.result = Some((iters, samples));
-    }
-
-    /// Measures `routine` on a fresh `setup()` product per iteration; only
-    /// the routine is timed.
-    pub fn iter_with_setup<S, O>(
-        &mut self,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> O,
-    ) {
-        let (iters, samples) = measure(|n| {
-            let mut total = Duration::ZERO;
-            for _ in 0..n {
-                let input = setup();
-                let start = Instant::now();
-                let out = routine(input);
-                total += start.elapsed();
-                black_box(out);
-            }
-            total
-        });
-        self.result = Some((iters, samples));
-    }
-}
-
-/// Calibrates an iteration count against [`TARGET_SAMPLE_TIME`], then
-/// collects [`SAMPLES`] timed samples of `run(iters)`.
-fn measure(mut run: impl FnMut(u64) -> Duration) -> (u64, Vec<Duration>) {
-    let (target, samples) = if fast_mode() {
-        (Duration::from_millis(1), 3)
-    } else {
-        (TARGET_SAMPLE_TIME, SAMPLES)
-    };
-    // Warmup + calibration: grow the iteration count until one sample is
-    // long enough to time reliably.
-    let mut iters: u64 = 1;
-    loop {
-        let t = run(iters);
-        if t >= target || iters >= 1 << 30 {
-            break;
-        }
-        iters = if t.is_zero() {
-            iters * 16
-        } else {
-            // Aim 1.2× past target so the loop usually exits next round.
-            let scale = target.as_secs_f64() / t.as_secs_f64() * 1.2;
-            (iters as f64 * scale.clamp(1.5, 16.0)).ceil() as u64
-        };
-    }
-    let timed = (0..samples).map(|_| run(iters)).collect();
-    (iters, timed)
-}
-
-impl Criterion {
-    /// Runs and records one benchmark.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let mut b = Bencher { result: None };
-        f(&mut b);
-        let (iters, samples) = b.result.expect("benchmark closure never called b.iter()");
-        let mut per_iter: Vec<f64> =
-            samples.iter().map(|d| d.as_nanos() as f64 / iters as f64).collect();
-        per_iter.sort_by(f64::total_cmp);
-        let result = BenchResult {
-            name: name.to_string(),
-            median_ns: per_iter[per_iter.len() / 2],
-            min_ns: per_iter[0],
-            max_ns: per_iter[per_iter.len() - 1],
-            iters,
-        };
-        println!(
-            "{:<44} {:>12} /iter  (min {}, max {}, {} iters/sample)",
-            result.name,
-            fmt_ns(result.median_ns),
-            fmt_ns(result.min_ns),
-            fmt_ns(result.max_ns),
-            result.iters,
-        );
-        self.results.push(result);
-        self
-    }
-
-    /// Times `f` exactly once and returns `(elapsed_ns, output)` — for
-    /// macro-benchmarks whose single run takes seconds to minutes, where
-    /// [`Criterion::bench_function`]'s calibrated multi-sample loop would
-    /// multiply the cost ~12×. The single measurement is recorded (and
-    /// printed) with `median == min == max` and one iteration per sample.
-    pub fn bench_once<O>(&mut self, name: &str, f: impl FnOnce() -> O) -> (f64, O) {
-        let start = Instant::now();
-        let out = black_box(f());
-        let ns = start.elapsed().as_nanos() as f64;
-        let result = BenchResult {
-            name: name.to_string(),
-            median_ns: ns,
-            min_ns: ns,
-            max_ns: ns,
-            iters: 1,
-        };
-        println!(
-            "{:<44} {:>12} /iter  (single shot)",
-            result.name,
-            fmt_ns(result.median_ns),
-        );
-        self.results.push(result);
-        (ns, out)
-    }
-
-    /// Opens a named group; benchmark ids are prefixed with `group/`.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.to_string() }
-    }
-
-    /// All results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-}
-
-/// A named group of related benchmarks.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one parameterized benchmark within the group.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let full = format!("{}/{}", self.name, id.name);
-        self.criterion.bench_function(&full, |b| f(b, input));
-        self
-    }
-
-    /// Ends the group (kept for criterion API parity; no-op).
-    pub fn finish(self) {}
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{:.0} ns", ns)
-    }
-}
-
-/// Writes a machine-readable perf baseline as `results/BENCH_<id>.json`
-/// next to the reproduce CSVs, so perf regressions diff like goldens do.
-///
-/// The JSON is hand-rolled (the build environment has no serde): an object
-/// with the bench id, the fast-mode flag, every recorded [`BenchResult`],
-/// and a flat `metrics` map of derived numbers (speedups, wall-clock
-/// tokens/s per thread count, …). Non-finite metric values serialize as
-/// `null`; names pass through [`json_escape`]. Returns the written path.
-pub fn write_json_report(
-    id: &str,
-    results: &[BenchResult],
-    metrics: &[(String, f64)],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(id)));
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"iters\": {}}}{}\n",
-            json_escape(&r.name),
-            json_num(r.median_ns),
-            json_num(r.min_ns),
-            json_num(r.max_ns),
-            r.iters,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            json_escape(name),
-            json_num(*value),
-            if i + 1 < metrics.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  }\n}\n");
-
-    // Benches run with the package directory as cwd, the reproduce binary
-    // with the workspace root; anchor on the manifest dir so both agree.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dir = root.join("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{id}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// JSON number literal for `v` — `null` when non-finite (JSON has no
-/// Infinity/NaN), otherwise Rust's shortest-roundtrip float formatting,
-/// which is valid JSON for all finite values.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Declares `fn $group()` running the listed benchmark functions with one
-/// shared [`Criterion`] (the `criterion_group!` replacement).
-#[macro_export]
-macro_rules! bench_group {
-    ($group:ident, $($function:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::timing::Criterion::default();
-            $($function(&mut criterion);)+
-        }
-    };
-}
-
-/// Declares `fn main()` invoking the groups (the `criterion_main!`
-/// replacement). Bench binaries are built with `harness = false`, and cargo
-/// passes test-harness flags like `--bench` when running them via
-/// `cargo bench`/`cargo test --benches`; those are accepted and ignored.
-#[macro_export]
-macro_rules! bench_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    use std::sync::Mutex;
-
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    fn run_with_fast_mode<T>(f: impl FnOnce() -> T) -> T {
-        // Tests run on parallel threads and getenv/setenv are not
-        // thread-safe: serialize the mutation and restore on panic too.
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                std::env::remove_var("QSERVE_BENCH_FAST");
-            }
-        }
-        let _restore = Restore;
-        std::env::set_var("QSERVE_BENCH_FAST", "1");
-        f()
-    }
-
-    #[test]
-    fn bench_function_records_sane_stats() {
-        run_with_fast_mode(|| {
-            let mut c = Criterion::default();
-            c.bench_function("spin", |b| {
-                b.iter(|| {
-                    let mut acc = 0u64;
-                    for i in 0..100u64 {
-                        acc = acc.wrapping_add(black_box(i));
-                    }
-                    acc
-                })
-            });
-            let r = &c.results()[0];
-            assert_eq!(r.name, "spin");
-            assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
-            assert!(r.median_ns > 0.0);
-        });
-    }
-
-    #[test]
-    fn groups_prefix_names() {
-        run_with_fast_mode(|| {
-            let mut c = Criterion::default();
-            let mut g = c.benchmark_group("g");
-            g.bench_with_input(BenchmarkId::new("f", 7), &7, |b, &n| {
-                b.iter(|| black_box(n) * 2)
-            });
-            g.finish();
-            assert_eq!(c.results()[0].name, "g/f/7");
-        });
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        run_with_fast_mode(|| {
-            let results = vec![BenchResult {
-                name: "a/b/1".to_string(),
-                median_ns: 1.5e6,
-                min_ns: 1.0e6,
-                max_ns: 2.0e6,
-                iters: 3,
-            }];
-            let metrics =
-                vec![("speedup".to_string(), 2.5), ("bad".to_string(), f64::INFINITY)];
-            let path = write_json_report("timing_selftest", &results, &metrics)
-                .expect("write json report");
-            let body = std::fs::read_to_string(&path).expect("read back");
-            std::fs::remove_file(&path).ok();
-            assert!(body.contains("\"bench\": \"timing_selftest\""));
-            assert!(body.contains("\"name\": \"a/b/1\""));
-            assert!(body.contains("\"median_ns\": 1500000"));
-            assert!(body.contains("\"speedup\": 2.5"));
-            // Non-finite metrics must not produce invalid JSON tokens.
-            assert!(body.contains("\"bad\": null"));
-            assert!(!body.contains("inf"));
-        });
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn iter_with_setup_excludes_setup() {
-        run_with_fast_mode(|| {
-            let mut c = Criterion::default();
-            c.bench_function("setup", |b| {
-                b.iter_with_setup(|| vec![1u8; 64], |v| v.iter().map(|&x| x as u64).sum::<u64>())
-            });
-            assert_eq!(c.results().len(), 1);
-        });
-    }
-}

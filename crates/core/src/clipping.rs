@@ -4,7 +4,8 @@
 //! (`W_max = α·max(W)`) trades saturation error on a few large weights for
 //! resolution on the many small ones. QoQ grid-searches the clip ratio `α`
 //! minimizing *layer output* MSE `‖XWᵀ − X·Q(W;α)ᵀ‖` for most layers, and
-//! *block output* MSE for `q_proj`/`k_proj` (Equation 10).
+//! *block output* MSE for `q_proj`/`k_proj` (Equation 10); this pipeline
+//! uses the layer-output objective for every layer.
 
 use qserve_quant::{matrixq::fake_quant_clipped, QuantSpec};
 use qserve_tensor::stats::mse;
@@ -12,6 +13,7 @@ use qserve_tensor::Matrix;
 
 /// Result of a clip-ratio grid search.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint: allow(unreferenced-pub) -- return type of `search_clip_layer_output`; callers read its fields
 pub struct ClipSearchResult {
     /// The winning clip ratio `α ∈ (0, 1]`.
     pub alpha: f32,
@@ -23,12 +25,6 @@ pub struct ClipSearchResult {
 /// matching the granularity used by AWQ/Atom-style searches.
 pub fn default_grid() -> Vec<f32> {
     (0..=10).map(|i| 1.0 - 0.05 * i as f32).collect()
-}
-
-/// Grid-searches `α` minimizing the *tensor* quantization error
-/// `‖W − Q(W; α)‖` — the cheaper objective mentioned in §4.3.4.
-pub fn search_clip_tensor(w: &Matrix, spec: QuantSpec, grid: &[f32]) -> ClipSearchResult {
-    search_over(grid, |alpha| mse(w, &fake_quant_clipped(w, spec, alpha)))
 }
 
 /// Grid-searches `α` minimizing the *layer output* error
@@ -46,16 +42,7 @@ pub fn search_clip_layer_output(
     })
 }
 
-/// Grid-searches `α` minimizing an arbitrary block-output objective
-/// (Equation 10): the caller supplies `block(α) → MSE`, e.g. running the
-/// whole attention block with the clipped q/k projection.
-pub fn search_clip_block_output(
-    grid: &[f32],
-    block_error: impl FnMut(f32) -> f64,
-) -> ClipSearchResult {
-    search_over(grid, block_error)
-}
-
+/// The grid minimum of an arbitrary objective `α → MSE`.
 fn search_over(grid: &[f32], mut objective: impl FnMut(f32) -> f64) -> ClipSearchResult {
     assert!(!grid.is_empty(), "clip grid must be non-empty");
     let mut best = ClipSearchResult {
@@ -80,6 +67,13 @@ mod tests {
 
     fn int4_spec() -> QuantSpec {
         QuantSpec::int4_symmetric(Granularity::PerRow)
+    }
+
+    /// The *tensor* objective `‖W − Q(W; α)‖` — the cheaper search §4.3.4
+    /// mentions, here as the baseline the layer-output search is compared
+    /// against.
+    fn search_clip_tensor(w: &Matrix, spec: QuantSpec, grid: &[f32]) -> ClipSearchResult {
+        search_over(grid, |alpha| mse(w, &fake_quant_clipped(w, spec, alpha)))
     }
 
     #[test]
@@ -125,13 +119,13 @@ mod tests {
     #[test]
     fn block_output_search_returns_grid_minimum() {
         // Synthetic convex objective with minimum at 0.7.
-        let r = search_clip_block_output(&default_grid(), |a| f64::from((a - 0.7) * (a - 0.7)));
+        let r = search_over(&default_grid(), |a| f64::from((a - 0.7) * (a - 0.7)));
         assert!((r.alpha - 0.7).abs() < 1e-6);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_grid_rejected() {
-        search_clip_block_output(&[], |_| 0.0);
+        search_over(&[], |_| 0.0);
     }
 }

@@ -15,13 +15,19 @@
 //!   rotation of block inputs to suppress activation outliers.
 //! * [`smoothing`] — **block output smoothing** (§4.3.2): SmoothQuant-style
 //!   migration for output modules with migration strength near 0.
-//! * [`reorder`] — **activation-aware channel reordering** (§4.3.3).
+//! * [`reorder`] — **activation-aware channel reordering** (§4.3.3): a
+//!   permutation of *input channels* by activation salience, chosen from
+//!   calibration data and used by [`pipeline`]. Not the compute-aware weight
+//!   reorder of §5.2 / Figure 12 — that is a storage layout, and [`pack`] is
+//!   the only one this workspace has.
 //! * [`clipping`] — **weight clipping** via grid search on layer/block output
 //!   MSE (§4.3.4).
 //! * [`pack`] — the INT4 storage format: the `w0,w16,w1,w17,…` interleave
 //!   and three-op unpack of Figure 13. It lives here, not in the kernels
 //!   crate, because the weight types pack themselves once at `quantize`
-//!   time (the offline half of §5.2's compute-aware reorder).
+//!   time ([`pack::pack_rows`]): "store weights in the order the main loop
+//!   streams them", decided here once and pinned by
+//!   `tests/frozen_deployment.rs`.
 //! * [`kv_quant`] — per-head, dynamic, asymmetric INT4/INT8 KV quantization
 //!   (§5.1).
 //! * [`pipeline`] — the end-to-end QoQ recipe applied to a transformer block,

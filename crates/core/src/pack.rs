@@ -106,7 +106,7 @@ pub fn pack_lanes_i8(v: [i8; 4]) -> ByteLanes {
 /// whose length is not a multiple of 32 is zero-padded into its final word
 /// (real deployments pad channel counts; padded lanes multiply against zero
 /// activations and contribute nothing).
-pub fn pack_row(codes: &[u8]) -> Vec<PackedInt4> {
+fn pack_row(codes: &[u8]) -> Vec<PackedInt4> {
     codes
         .chunks(32)
         .map(|chunk| {
@@ -117,7 +117,7 @@ pub fn pack_row(codes: &[u8]) -> Vec<PackedInt4> {
         .collect()
 }
 
-/// Unpacks a row produced by [`pack_row`] (padding lanes included).
+/// Unpacks one row of [`pack_rows`]' output (padding lanes included).
 pub fn unpack_row(packed: &[PackedInt4]) -> Vec<u8> {
     packed.iter().flat_map(unpack_interleaved).collect()
 }

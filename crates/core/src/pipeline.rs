@@ -190,6 +190,7 @@ impl DeployedWeight {
 
 /// Per-layer diagnostics from the quantization run.
 #[derive(Debug, Clone, PartialEq)]
+// lint: allow(unreferenced-pub) -- element type of the public `QuantizedBlock::reports`; callers read its fields
 pub struct LayerReport {
     /// Layer name (`q_proj`, …).
     pub name: String,
@@ -215,20 +216,6 @@ pub struct QuantizedBlock {
     /// quantizes activations in this rotated frame; evaluation must do the
     /// same to see rotation's benefit on the A8 side.
     pub input_rotation: Option<Matrix>,
-}
-
-impl QuantizedBlock {
-    /// Fake-quantizes a block-input activation exactly as deployment would:
-    /// rotate into the deployed frame, per-token symmetric INT8, rotate
-    /// back. Without rotation this is plain per-token INT8 RTN.
-    pub fn fake_quantize_input(&self, x: &Matrix) -> Matrix {
-        use qserve_quant::matrixq::rtn_fake_quant;
-        let spec = QuantSpec::int8_symmetric(Granularity::PerRow);
-        match &self.input_rotation {
-            Some(q) => rtn_fake_quant(&x.matmul_nn(q), spec).matmul_nt(q),
-            None => rtn_fake_quant(x, spec),
-        }
-    }
 }
 
 /// Applies the full QoQ pipeline to one block given calibration block inputs
@@ -695,8 +682,15 @@ mod tests {
         // W4A8 error with the fake-quant weights and per-token INT8 inputs
         // quantized in the deployed (possibly rotated) frame.
         let err_for = |cfg: &QoqConfig| {
+            use qserve_quant::matrixq::rtn_fake_quant;
             let qb = quantize_block(&block, &calib, cfg);
-            let x_q = qb.fake_quantize_input(&calib);
+            // The block input as deployment quantizes it: rotate into the
+            // deployed frame, per-token symmetric INT8, rotate back.
+            let spec = QuantSpec::int8_symmetric(Granularity::PerRow);
+            let x_q = match &qb.input_rotation {
+                Some(q) => rtn_fake_quant(&calib.matmul_nn(q), spec).matmul_nt(q),
+                None => rtn_fake_quant(&calib, spec),
+            };
             let y1 = x_q.matmul_nt(&qb.fake.wq);
             qserve_tensor::stats::mse(&y_ref, &y1)
         };

@@ -22,7 +22,7 @@ use qserve_tensor::stats::row_abs_max;
 use qserve_tensor::Matrix;
 
 /// The protective symmetric INT8 bound of §4.1.
-pub const PROTECTIVE_QMAX: i32 = 119;
+const PROTECTIVE_QMAX: i32 = 119;
 
 /// A weight tensor quantized with QoQ progressive group quantization
 /// ("W4A8KV4 g128" in the paper's tables).
@@ -277,125 +277,125 @@ impl PerChannelW4 {
     }
 }
 
-/// The *naive* two-level scheme of VSQuant / QLoRA's DoubleQuant (§4.1,
-/// bottom of Figure 6), implemented for comparison: quantize directly to
-/// INT4 with per-group FP16 scales, then quantize those *scales* per channel
-/// to UINT8.
-///
-/// Crucially, `Q_W · s⁽¹⁾` here does **not** reconstruct an 8-bit integer
-/// tensor — the group scales are quantized floats, so dequantization must go
-/// through floating point and the GEMM cannot stay on INT8 tensor cores.
-/// [`NaiveDoubleQuant::int8_intermediate_exists`] makes that failure mode
-/// checkable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NaiveDoubleQuant {
-    n: usize,
-    k: usize,
-    group_size: usize,
-    /// UINT4 codes, row-major.
-    codes: Vec<u8>,
-    /// Per-group UINT4 zero points.
-    zeros: Vec<u8>,
-    /// Per-group UINT8 quantized scale codes.
-    scale_codes: Vec<u8>,
-    /// Per-channel FP16 scale-of-scales.
-    channel_scales: Vec<f32>,
-}
-
-impl NaiveDoubleQuant {
-    /// Quantizes an `n×k` weight with group-first double quantization.
-    ///
-    /// # Panics
-    /// Panics if `group_size` does not divide `k`.
-    pub fn quantize(w: &Matrix, group_size: usize) -> Self {
-        let (n, k) = w.shape();
-        assert!(
-            group_size > 0 && k % group_size == 0,
-            "group size {} must divide k {}",
-            group_size,
-            k
-        );
-        let groups_per_row = k / group_size;
-        let mut codes = vec![0u8; n * k];
-        let mut zeros = Vec::with_capacity(n * groups_per_row);
-        let mut fp_scales = Vec::with_capacity(n * groups_per_row);
-        for i in 0..n {
-            let row = w.row(i);
-            for g in 0..groups_per_row {
-                let grp = &row[g * group_size..(g + 1) * group_size];
-                let (lo, hi) = grp
-                    .iter()
-                    .fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-                let scale = if hi == lo { 1.0 } else { (hi - lo) / 15.0 };
-                let zero = round_clamp(-lo / scale, 0, 15) as u8;
-                for (off, &x) in grp.iter().enumerate() {
-                    codes[i * k + g * group_size + off] =
-                        round_clamp(x / scale + f32::from(zero), 0, 15) as u8;
-                }
-                zeros.push(zero);
-                fp_scales.push(scale);
-            }
-        }
-        // Level 2: per-channel UINT8 quantization of the group scales
-        // (scales are positive, so an unsigned symmetric code suffices).
-        let mut scale_codes = vec![0u8; n * groups_per_row];
-        let mut channel_scales = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = &fp_scales[i * groups_per_row..(i + 1) * groups_per_row];
-            let smax = row.iter().cloned().fold(0.0f32, f32::max);
-            let cscale = f16_step(smax, 255.0);
-            channel_scales.push(cscale);
-            for (g, &s) in row.iter().enumerate() {
-                scale_codes[i * groups_per_row + g] = round_clamp(s / cscale, 0, 255) as u8;
-            }
-        }
-        Self {
-            n,
-            k,
-            group_size,
-            codes,
-            zeros,
-            scale_codes,
-            channel_scales,
-        }
-    }
-
-    /// Dequantizes to floating point: `(q − z) · ŝ_group` with
-    /// `ŝ_group = scale_code · s_channel` — two float multiplies deep.
-    pub fn dequantize(&self) -> Matrix {
-        let groups_per_row = self.k / self.group_size;
-        Matrix::from_fn(self.n, self.k, |i, j| {
-            let gi = i * groups_per_row + j / self.group_size;
-            let s = f32::from(self.scale_codes[gi]) * self.channel_scales[i];
-            (f32::from(self.codes[i * self.k + j]) - f32::from(self.zeros[gi])) * s
-        })
-    }
-
-    /// Whether `(q − z) · scale_code` lands on an INT8-representable integer
-    /// grid for every element — the property QoQ's progressive order
-    /// guarantees and this scheme does **not**: scale codes up to 255 make
-    /// the products overflow INT8 almost always.
-    pub fn int8_intermediate_exists(&self) -> bool {
-        let groups_per_row = self.k / self.group_size;
-        for i in 0..self.n {
-            for j in 0..self.k {
-                let gi = i * groups_per_row + j / self.group_size;
-                let v = (i32::from(self.codes[i * self.k + j]) - i32::from(self.zeros[gi]))
-                    * i32::from(self.scale_codes[gi]);
-                if !(-128..=127).contains(&v) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::stats::{relative_error, sqnr_db};
+
+    /// The *naive* two-level scheme of VSQuant / QLoRA's DoubleQuant (§4.1,
+    /// bottom of Figure 6), implemented for comparison: quantize directly to
+    /// INT4 with per-group FP16 scales, then quantize those *scales* per channel
+    /// to UINT8.
+    ///
+    /// Crucially, `Q_W · s⁽¹⁾` here does **not** reconstruct an 8-bit integer
+    /// tensor — the group scales are quantized floats, so dequantization must go
+    /// through floating point and the GEMM cannot stay on INT8 tensor cores.
+    /// [`NaiveDoubleQuant::int8_intermediate_exists`] makes that failure mode
+    /// checkable.
+    #[derive(Debug, Clone, PartialEq)]
+    struct NaiveDoubleQuant {
+        n: usize,
+        k: usize,
+        group_size: usize,
+        /// UINT4 codes, row-major.
+        codes: Vec<u8>,
+        /// Per-group UINT4 zero points.
+        zeros: Vec<u8>,
+        /// Per-group UINT8 quantized scale codes.
+        scale_codes: Vec<u8>,
+        /// Per-channel FP16 scale-of-scales.
+        channel_scales: Vec<f32>,
+    }
+
+    impl NaiveDoubleQuant {
+        /// Quantizes an `n×k` weight with group-first double quantization.
+        ///
+        /// # Panics
+        /// Panics if `group_size` does not divide `k`.
+        fn quantize(w: &Matrix, group_size: usize) -> Self {
+            let (n, k) = w.shape();
+            assert!(
+                group_size > 0 && k % group_size == 0,
+                "group size {} must divide k {}",
+                group_size,
+                k
+            );
+            let groups_per_row = k / group_size;
+            let mut codes = vec![0u8; n * k];
+            let mut zeros = Vec::with_capacity(n * groups_per_row);
+            let mut fp_scales = Vec::with_capacity(n * groups_per_row);
+            for i in 0..n {
+                let row = w.row(i);
+                for g in 0..groups_per_row {
+                    let grp = &row[g * group_size..(g + 1) * group_size];
+                    let (lo, hi) = grp
+                        .iter()
+                        .fold((0.0f32, 0.0f32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                    let scale = if hi == lo { 1.0 } else { (hi - lo) / 15.0 };
+                    let zero = round_clamp(-lo / scale, 0, 15) as u8;
+                    for (off, &x) in grp.iter().enumerate() {
+                        codes[i * k + g * group_size + off] =
+                            round_clamp(x / scale + f32::from(zero), 0, 15) as u8;
+                    }
+                    zeros.push(zero);
+                    fp_scales.push(scale);
+                }
+            }
+            // Level 2: per-channel UINT8 quantization of the group scales
+            // (scales are positive, so an unsigned symmetric code suffices).
+            let mut scale_codes = vec![0u8; n * groups_per_row];
+            let mut channel_scales = Vec::with_capacity(n);
+            for i in 0..n {
+                let row = &fp_scales[i * groups_per_row..(i + 1) * groups_per_row];
+                let smax = row.iter().cloned().fold(0.0f32, f32::max);
+                let cscale = f16_step(smax, 255.0);
+                channel_scales.push(cscale);
+                for (g, &s) in row.iter().enumerate() {
+                    scale_codes[i * groups_per_row + g] = round_clamp(s / cscale, 0, 255) as u8;
+                }
+            }
+            Self {
+                n,
+                k,
+                group_size,
+                codes,
+                zeros,
+                scale_codes,
+                channel_scales,
+            }
+        }
+
+        /// Dequantizes to floating point: `(q − z) · ŝ_group` with
+        /// `ŝ_group = scale_code · s_channel` — two float multiplies deep.
+        fn dequantize(&self) -> Matrix {
+            let groups_per_row = self.k / self.group_size;
+            Matrix::from_fn(self.n, self.k, |i, j| {
+                let gi = i * groups_per_row + j / self.group_size;
+                let s = f32::from(self.scale_codes[gi]) * self.channel_scales[i];
+                (f32::from(self.codes[i * self.k + j]) - f32::from(self.zeros[gi])) * s
+            })
+        }
+
+        /// Whether `(q − z) · scale_code` lands on an INT8-representable integer
+        /// grid for every element — the property QoQ's progressive order
+        /// guarantees and this scheme does **not**: scale codes up to 255 make
+        /// the products overflow INT8 almost always.
+        fn int8_intermediate_exists(&self) -> bool {
+            let groups_per_row = self.k / self.group_size;
+            for i in 0..self.n {
+                for j in 0..self.k {
+                    let gi = i * groups_per_row + j / self.group_size;
+                    let v = (i32::from(self.codes[i * self.k + j]) - i32::from(self.zeros[gi]))
+                        * i32::from(self.scale_codes[gi]);
+                    if !(-128..=127).contains(&v) {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+    }
 
     #[test]
     fn protective_invariant_holds_on_gaussian() {

@@ -26,24 +26,6 @@ impl ChannelReorder {
         }
     }
 
-    /// Builds from an explicit permutation.
-    ///
-    /// # Panics
-    /// Panics if `perm` is not a permutation of `0..perm.len()`.
-    pub fn from_permutation(perm: Vec<usize>) -> Self {
-        let mut seen = vec![false; perm.len()];
-        for &p in &perm {
-            assert!(p < perm.len() && !seen[p], "not a permutation");
-            seen[p] = true;
-        }
-        Self { perm }
-    }
-
-    /// The permutation: output position `j` takes input channel `perm[j]`.
-    pub fn permutation(&self) -> &[usize] {
-        &self.perm
-    }
-
     /// The inverse permutation.
     pub fn inverse(&self) -> ChannelReorder {
         let mut inv = vec![0usize; self.perm.len()];
@@ -89,12 +71,12 @@ mod tests {
         let mut rng = TensorRng::seed(2);
         let x = rng.with_outlier_channels(32, 8, 1.0, &[5], 20.0);
         let r = ChannelReorder::from_activations(&x);
-        assert_eq!(r.permutation()[0], 5, "most salient channel first");
+        assert_eq!(r.perm[0], 5, "most salient channel first");
     }
 
     #[test]
     fn inverse_round_trips() {
-        let r = ChannelReorder::from_permutation(vec![2, 0, 3, 1]);
+        let r = ChannelReorder { perm: vec![2, 0, 3, 1] };
         let m = Matrix::from_fn(2, 4, |i, j| (i * 4 + j) as f32);
         let back = r.inverse().apply_to_weight(&r.apply_to_weight(&m));
         assert_eq!(back, m);
@@ -121,7 +103,8 @@ mod tests {
         let r = ChannelReorder::from_activations(&x);
         let w_re = r.apply_to_weight(&w);
         let raw = ProgressiveWeight::quantize(&w, 32).dequantize();
-        let reordered = ChannelReorder::from_permutation(r.inverse().permutation().to_vec())
+        let reordered = r
+            .inverse()
             .apply_to_weight(&ProgressiveWeight::quantize(&w_re, 32).dequantize());
         let raw_sqnr = sqnr_db(&w, &raw);
         let re_sqnr = sqnr_db(&w, &reordered);
@@ -131,11 +114,5 @@ mod tests {
             re_sqnr,
             raw_sqnr
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn rejects_invalid_permutation() {
-        ChannelReorder::from_permutation(vec![0, 0, 1]);
     }
 }

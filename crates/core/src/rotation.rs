@@ -42,48 +42,25 @@ pub fn hadamard(n: usize) -> Matrix {
     })
 }
 
-/// Rotates block-input activations: `x ← x Q` (each row right-multiplied).
-pub fn rotate_activation(x: &Matrix, q: &Matrix) -> Matrix {
-    x.matmul_nn(q)
-}
-
-/// Rotates an input-module weight (`n×k`, rows are output channels) so it
-/// consumes rotated activations: `W ← W Q` — then `(xQ)(WQ)ᵀ = xWᵀ`.
-pub fn rotate_weight_for_input(w: &Matrix, q: &Matrix) -> Matrix {
-    w.matmul_nn(q)
-}
-
-/// Folds `Qᵀ` into the *previous* block's output-module weight so the rotated
-/// activation is produced for free (Figure 8): `W_prev ← Qᵀ W_prev` in the
-/// paper's column convention, which for our row-major `n×k` layout (output
-/// channel per row, `y = x Wᵀ`) is `W_prev ← Q W_prev`... specifically the
-/// produced activation `y = x W_prevᵀ` becomes `y Q = x (Qᵀ W_prevᵀ)ᵀ`, i.e.
-/// the stored weight becomes `W_prev Q` as well.
-pub fn fold_rotation_into_producer(w_prev: &Matrix, q: &Matrix) -> Matrix {
-    // Producer weight is n×k with y = x·W_prevᵀ (y has n channels). We want
-    // the producer to emit y·Q directly: y·Q = x·W_prevᵀ·Q = x·(Qᵀ·W_prev)ᵀ.
-    q.transpose().matmul_nn(w_prev)
-}
-
-/// Measures the outlier "spread" of a matrix: max per-channel absmax divided
-/// by mean per-channel absmax. 1.0 ⇒ perfectly flat channels.
-pub fn channel_spread(x: &Matrix) -> f32 {
-    let am = qserve_tensor::stats::col_abs_max(x);
-    let max = am.iter().cloned().fold(0.0f32, f32::max);
-    let mean = am.iter().sum::<f32>() / am.len().max(1) as f32;
-    if mean.abs().to_bits() == 0 {
-        1.0
-    } else {
-        max / mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::stats::sqnr_db;
     use qserve_quant::{matrixq::rtn_fake_quant, Granularity, QuantSpec};
+
+    /// Measures the outlier "spread" of a matrix: max per-channel absmax divided
+    /// by mean per-channel absmax. 1.0 ⇒ perfectly flat channels.
+    fn channel_spread(x: &Matrix) -> f32 {
+        let am = qserve_tensor::stats::col_abs_max(x);
+        let max = am.iter().cloned().fold(0.0f32, f32::max);
+        let mean = am.iter().sum::<f32>() / am.len().max(1) as f32;
+        if mean.abs().to_bits() == 0 {
+            1.0
+        } else {
+            max / mean
+        }
+    }
 
     #[test]
     fn hadamard_is_orthonormal() {
@@ -118,7 +95,8 @@ mod tests {
         let w = rng.gaussian(4, 16, 0.3);
         let q = hadamard(16);
         let y0 = x.matmul_nt(&w);
-        let y1 = rotate_activation(&x, &q).matmul_nt(&rotate_weight_for_input(&w, &q));
+        // Activations `x ← x Q`, the input module's weight `W ← W Q`.
+        let y1 = x.matmul_nn(&q).matmul_nt(&w.matmul_nn(&q));
         for (a, b) in y0.as_slice().iter().zip(y1.as_slice()) {
             assert!((a - b).abs() < 1e-3 * a.abs().max(1.0), "{} vs {}", a, b);
         }
@@ -129,7 +107,7 @@ mod tests {
         let mut rng = TensorRng::seed(2);
         let x = rng.with_outlier_channels(64, 128, 1.0, &[5, 40, 77], 15.0);
         let q = hadamard(128);
-        let rx = rotate_activation(&x, &q);
+        let rx = x.matmul_nn(&q);
         assert!(
             channel_spread(&rx) < channel_spread(&x) * 0.4,
             "rotation should flatten channels: {} -> {}",
@@ -143,7 +121,7 @@ mod tests {
         let mut rng = TensorRng::seed(3);
         let x = rng.with_outlier_channels(64, 128, 1.0, &[5, 40, 77], 15.0);
         let q = hadamard(128);
-        let rx = rotate_activation(&x, &q);
+        let rx = x.matmul_nn(&q);
         // Per-token (row) symmetric INT8 like QServe activations.
         let spec = QuantSpec::int8_symmetric(Granularity::PerRow);
         // Compare error *in the rotated frame* vs the raw frame — what the
@@ -151,20 +129,6 @@ mod tests {
         let raw = sqnr_db(&x, &rtn_fake_quant(&x, spec));
         let rot = sqnr_db(&rx, &rtn_fake_quant(&rx, spec));
         assert!(rot > raw, "rotated SQNR {} should beat raw {}", rot, raw);
-    }
-
-    #[test]
-    fn producer_fold_produces_rotated_activation() {
-        let mut rng = TensorRng::seed(4);
-        let xprev = rng.gaussian(4, 8, 1.0);
-        let wprev = rng.gaussian(16, 8, 0.3); // produces 16-channel output
-        let q = hadamard(16);
-        let y_then_rotate = rotate_activation(&xprev.matmul_nt(&wprev), &q);
-        let folded = fold_rotation_into_producer(&wprev, &q);
-        let direct = xprev.matmul_nt(&folded);
-        for (a, b) in y_then_rotate.as_slice().iter().zip(direct.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{} vs {}", a, b);
-        }
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl SmoothAttentionScales {
         self.head_dim
     }
 
-    /// Scales a Query activation: `Q ← QΛ` (columns multiplied by λ).
-    pub fn apply_to_queries(&self, q: &Matrix) -> Matrix {
-        q.scale_cols(&self.lambda)
-    }
-
-    /// Scales a Key activation: `K ← KΛ⁻¹` (columns divided by λ).
-    pub fn apply_to_keys(&self, k: &Matrix) -> Matrix {
-        let inv: Vec<f32> = self.lambda.iter().map(|l| 1.0 / l).collect();
-        k.scale_cols(&inv)
-    }
-
     /// Folds Λ into the query projection weight (`n×k`, rows are output
     /// channels): `W_Q ← ΛW_Q`, i.e. output channel `i` scaled by `λᵢ`.
     pub fn fold_into_wq(&self, wq: &Matrix) -> Matrix {
@@ -94,6 +83,20 @@ mod tests {
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::stats::{col_abs_max, sqnr_db};
     use qserve_quant::{matrixq::rtn_fake_quant, Granularity, QuantSpec};
+
+    /// What the folded weights produce, applied to activations directly.
+    impl SmoothAttentionScales {
+        /// Scales a Query activation: `Q ← QΛ` (columns multiplied by λ).
+        fn apply_to_queries(&self, q: &Matrix) -> Matrix {
+            q.scale_cols(&self.lambda)
+        }
+
+        /// Scales a Key activation: `K ← KΛ⁻¹` (columns divided by λ).
+        fn apply_to_keys(&self, k: &Matrix) -> Matrix {
+            let inv: Vec<f32> = self.lambda.iter().map(|l| 1.0 / l).collect();
+            k.scale_cols(&inv)
+        }
+    }
 
     fn outlier_keys(rng: &mut TensorRng, tokens: usize, heads: usize, d: usize) -> Matrix {
         // Outlier channels fixed per head, ~10x magnitude (Figure 7).

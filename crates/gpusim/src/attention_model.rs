@@ -12,9 +12,9 @@
 use crate::spec::GpuSpec;
 
 /// Achieved fraction of peak bandwidth for paged-KV gather traffic.
-pub const ATTN_BW_EFFICIENCY: f64 = 0.6;
+const ATTN_BW_EFFICIENCY: f64 = 0.6;
 /// Achieved fraction of peak CUDA-core throughput in the fused kernel.
-pub const ATTN_CUDA_EFFICIENCY: f64 = 0.6;
+const ATTN_CUDA_EFFICIENCY: f64 = 0.6;
 
 /// The attention kernel designs compared in Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,7 +98,7 @@ pub struct AttentionShape {
 
 impl AttentionShape {
     /// Total KV elements touched: K and V, all heads, all cached tokens.
-    pub fn kv_elements(&self) -> f64 {
+    fn kv_elements(&self) -> f64 {
         2.0 * self.batch as f64 * self.seq_len as f64 * self.kv_heads as f64 * self.head_dim as f64
     }
 }
@@ -332,22 +332,6 @@ pub fn attention_prefill_latency(
     prefill_latency_from_totals(gpu, kernel, b * s, b * s * s, query_heads, kv_heads, head_dim)
 }
 
-/// Prefill attention for a wave of prompts with *per-sequence* lengths; the
-/// quadratic causal work is charged at each prompt's true length. For a
-/// homogeneous wave this is exactly [`attention_prefill_latency`].
-pub fn attention_prefill_latency_hetero(
-    gpu: &GpuSpec,
-    kernel: AttentionKernel,
-    input_lens: &[usize],
-    query_heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> f64 {
-    let total: usize = input_lens.iter().sum();
-    let total_sq: f64 = input_lens.iter().map(|&s| (s * s) as f64).sum();
-    prefill_latency_from_totals(gpu, kernel, total as f64, total_sq, query_heads, kv_heads, head_dim)
-}
-
 /// Prefill attention for a wave of prompt *chunks*: each entry is
 /// `(new_tokens, past_tokens)` — `new_tokens` fresh prompt tokens attending
 /// causally over `past_tokens` of already-cached context (an aliased shared
@@ -358,9 +342,9 @@ pub fn attention_prefill_latency_hetero(
 /// whole prompt `s²` — and because `(Σcᵢ)² = Σ cᵢ·(cᵢ + 2pᵢ)` exactly when
 /// the `pᵢ` are the running sums, every term is an exact integer and a
 /// single chunk with no past, `(s, 0)`, is **bit-identical** to
-/// [`attention_prefill_latency_hetero`] on `[s]`. That identity is what
-/// keeps the un-shared, un-chunked paper protocol byte-stable while shared
-/// or chunked runs reuse the same cost model.
+/// [`attention_prefill_latency`] at batch 1 and length `s`. That identity is
+/// what keeps the un-shared, un-chunked paper protocol byte-stable while
+/// shared or chunked runs reuse the same cost model.
 pub fn attention_prefill_latency_chunked(
     gpu: &GpuSpec,
     kernel: AttentionKernel,
@@ -377,6 +361,22 @@ pub fn attention_prefill_latency_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Prefill attention for a wave of prompts with *per-sequence* lengths; the
+    /// quadratic causal work is charged at each prompt's true length. For a
+    /// homogeneous wave this is exactly [`attention_prefill_latency`].
+    fn attention_prefill_latency_hetero(
+        gpu: &GpuSpec,
+        kernel: AttentionKernel,
+        input_lens: &[usize],
+        query_heads: usize,
+        kv_heads: usize,
+        head_dim: usize,
+    ) -> f64 {
+        let total: usize = input_lens.iter().sum();
+        let total_sq: f64 = input_lens.iter().map(|&s| (s * s) as f64).sum();
+        prefill_latency_from_totals(gpu, kernel, total as f64, total_sq, query_heads, kv_heads, head_dim)
+    }
 
     /// Llama-2-7B attention geometry at the paper's benchmark batch.
     fn shape(seq: usize) -> AttentionShape {

@@ -20,9 +20,9 @@
 use crate::spec::GpuSpec;
 
 /// Fraction of peak HBM bandwidth a well-tuned GEMM achieves.
-pub const GEMM_BW_EFFICIENCY: f64 = 0.8;
+const GEMM_BW_EFFICIENCY: f64 = 0.8;
 /// Fraction of peak CUDA-core throughput achieved inside a main loop.
-pub const CUDA_EFFICIENCY: f64 = 0.6;
+const CUDA_EFFICIENCY: f64 = 0.6;
 
 /// The GEMM kernel designs compared in the paper (Figures 2b, 15, 17, 18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,6 +170,7 @@ const TILE_M: f64 = 128.0;
 
 /// Breakdown of one modelled GEMM execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint: allow(unreferenced-pub) -- return type of `gemm_latency` (bound by benchmark/src/surface.rs); callers read its fields
 pub struct GemmLatency {
     /// Memory pipeline time (occupancy-adjusted), seconds.
     pub memory_s: f64,

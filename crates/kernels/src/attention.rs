@@ -67,13 +67,6 @@ pub fn magic_bias_dequant(code: u8, zero: u8, scale: F16) -> F16 {
     F16::from_f32(dequant(code, magic_bias(zero), scale.to_f32()))
 }
 
-/// Scalar 5-op reference dequantization (mask/shift happen upstream here):
-/// integer subtract, int→float convert, float multiply — in fp32 then
-/// rounded, as the naive kernel would produce.
-pub fn naive_dequant(code: u8, zero: u8, scale: f32) -> f32 {
-    round_f16((f32::from(code) - f32::from(zero)) * scale)
-}
-
 /// How one token-head's codes sit in memory.
 #[derive(Debug, Clone, Copy)]
 pub enum LaneCodes<'a> {
@@ -347,29 +340,29 @@ pub fn decode_attention_fp16(q: &[f32], cache: &QuantizedKvHead) -> Vec<f32> {
     out
 }
 
-/// FP32 reference attention over the *dequantized* cache — isolates the
-/// fp16-arithmetic error from the quantization error in tests.
-pub fn decode_attention_fp32_reference(q: &[f32], cache: &QuantizedKvHead) -> Vec<f32> {
-    use qserve_core::kv_quant::dequantize_head;
-    let d = q.len();
-    let keys = qserve_tensor::Matrix::from_vec(
-        cache.seq_len(),
-        d,
-        cache.keys.iter().flat_map(dequantize_head).collect(),
-    );
-    let values = qserve_tensor::Matrix::from_vec(
-        cache.seq_len(),
-        d,
-        cache.values.iter().flat_map(dequantize_head).collect(),
-    );
-    qserve_tensor::ops::attention_single(q, &keys, &values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::Matrix;
+
+    /// Scalar 5-op reference dequantization (mask/shift happen upstream here):
+    /// integer subtract, int→float convert, float multiply — in fp32 then
+    /// rounded, as the naive kernel would produce.
+    fn naive_dequant(code: u8, zero: u8, scale: f32) -> f32 {
+        round_f16((f32::from(code) - f32::from(zero)) * scale)
+    }
+
+    /// FP32 reference attention over the *dequantized* cache — isolates the
+    /// fp16-arithmetic error from the quantization error in tests.
+    fn decode_attention_fp32_reference(q: &[f32], cache: &QuantizedKvHead) -> Vec<f32> {
+        use qserve_core::kv_quant::dequantize_head;
+        let d = q.len();
+        let dequantized = |tokens: &[QuantizedHeadToken]| {
+            Matrix::from_vec(cache.seq_len(), d, tokens.iter().flat_map(dequantize_head).collect())
+        };
+        qserve_tensor::ops::attention_single(q, &dequantized(&cache.keys), &dequantized(&cache.values))
+    }
 
     #[test]
     fn magic_bias_exact_for_all_codes() {

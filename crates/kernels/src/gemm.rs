@@ -13,10 +13,9 @@
 //!   sequence, then hits the same INT8 MMA; only the level-0 FP16 channel
 //!   scales appear in the epilogue.
 //!
-//! Both are verified bit-exact against integer references; [`gemm_w8a8`]
-//! provides the TRT-LLM-style W8A8 baseline of Figure 5(a).
+//! Both are verified bit-exact against integer references.
 
-use crate::mma::{dot_rows_i16, mma_i8_nt};
+use crate::mma::dot_rows_i16;
 use crate::pack::{unpack_register, ByteLanes, PackedInt4};
 use crate::rlp::{dequant_sub_after_mul, splat4};
 use qserve_core::progressive::{PerChannelW4, ProgressiveWeight};
@@ -147,26 +146,6 @@ pub fn quantize_activations_int8(x: &Matrix) -> QuantizedActivations {
         m,
         k,
     }
-}
-
-/// W8A8 GEMM baseline (Figure 5a): INT8 MMA main loop, FP16 `s_W × s_X`
-/// outer-product scaling in the epilogue.
-///
-/// `w_codes` is `n×k` row-major, `w_scales` per output channel.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn gemm_w8a8(x: &QuantizedActivations, w_codes: &[i8], w_scales: &[f32], n: usize) -> Matrix {
-    assert_eq!(w_codes.len(), n * x.k, "weight size mismatch");
-    assert_eq!(w_scales.len(), n, "weight scale count mismatch");
-    let acc = mma_i8_nt(&x.codes, w_codes, x.m, n, x.k);
-    let mut out = Matrix::zeros(x.m, n);
-    for i in 0..x.m {
-        for j in 0..n {
-            out[(i, j)] = acc[i * n + j] as f32 * x.scales[i] * w_scales[j];
-        }
-    }
-    out
 }
 
 /// Per-channel W4A8 GEMM (§5.2.2).
@@ -308,26 +287,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn w8a8_close_to_fp32_reference() {
-        let mut rng = TensorRng::seed(3);
-        let (x, q) = acts(&mut rng, 8, 64);
-        let w = rng.gaussian(16, 64, 0.1);
-        // Quantize weights per-channel INT8.
-        let mut codes = vec![0i8; 16 * 64];
-        let mut scales = vec![0.0f32; 16];
-        for j in 0..16 {
-            let am = w.row(j).iter().fold(0.0f32, |a, v| a.max(v.abs()));
-            scales[j] = am / 127.0;
-            for (p, &v) in w.row(j).iter().enumerate() {
-                codes[j * 64 + p] = round_clamp(v / scales[j], -127, 127) as i8;
-            }
-        }
-        let y = gemm_w8a8(&q, &codes, &scales, 16);
-        let y_ref = x.matmul_nt(&w);
-        assert!(relative_error(&y_ref, &y) < 0.02);
-    }
-
     /// The per-channel epilogue zero-point fusion must be *exactly* the
     /// dequantize-then-matmul result (integer identity, Equation 12).
     #[test]
@@ -437,11 +396,13 @@ mod tests {
         /// at every token-tile remainder (m = 1, 3, 4, 5, 32, 33), on odd
         /// and ragged reductions (k = 4 … 344, with every legal group shape:
         /// one register, a few registers, one group spanning a row whose
-        /// length is not even a multiple of 4) and at output widths on both
+        /// length is not even a multiple of 4), on the paper's g128 — whole
+        /// 128-bit words per group, several groups per row (k = 256, 512) —
+        /// and at output widths on both
         /// sides of the column-block fork (n = 37 splits into panels once
         /// the pool has threads, sharing the widened activations).
         fn tiled_kernels_match_i64_reference_at_every_tile_remainder(rng, cases = 6) {
-            for (k, groups) in [(4usize, &[4usize][..]), (40, &[4, 8, 40]), (100, &[4, 20, 100]), (127, &[127]), (344, &[8, 344])] {
+            for (k, groups) in [(4usize, &[4usize][..]), (40, &[4, 8, 40]), (100, &[4, 20, 100]), (127, &[127]), (344, &[8, 344]), (256, &[32, 128]), (512, &[128])] {
                 let g = groups[rng.int_in(0, groups.len() as i64 - 1) as usize];
                 let n = [3usize, 37][rng.int_in(0, 1) as usize];
                 let w = rng.heavy_tailed(n, k, 0.1, 0.05, 6.0);

@@ -59,99 +59,15 @@ pub(crate) fn dot_rows_i16(x: &[i16], m: usize, k: usize, w: &[i16], mut emit: i
     }
 }
 
-/// Exact dot product of two signed 8-bit vectors into i32, the unit of work
-/// one tensor-core MMA performs per output element: both operands widened
-/// to i16 a block at a time and reduced by [`dot_i16`], the main loop the
-/// W4A8 kernels run.
-///
-/// # Panics
-/// Panics if the lengths differ or `len ≥ 2¹⁶`.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-    assert!(a.len() < 1 << 16, "reduction of {} could overflow the i32 MMA accumulator", a.len());
-    const BLOCK: usize = 256;
-    let (mut a16, mut b16) = ([0i16; BLOCK], [0i16; BLOCK]);
-    let mut acc = 0i32;
-    let widen = |wide: &mut [i16; BLOCK], narrow: &[i8]| {
-        for (wide, &narrow) in wide.iter_mut().zip(narrow) {
-            *wide = i16::from(narrow);
-        }
-    };
-    for (a, b) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
-        widen(&mut a16, a);
-        widen(&mut b16, b);
-        acc += dot_i16([&a16[..a.len()]], &b16[..b.len()])[0];
-    }
-    acc
-}
-
-/// An `m×n×k` INT8 GEMM producing INT32 partial sums — the main loop of
-/// Figure 5(a)/(d) with all iterations unrolled. `a` is `m×k` row-major,
-/// `b` is `n×k` row-major (output-channel rows, as in `Y = X Wᵀ`).
-///
-/// # Panics
-/// Panics if slice lengths disagree with the dimensions.
-pub fn mma_i8_nt(a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), n * k, "B size mismatch");
-    let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        let ar = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let br = &b[j * k..(j + 1) * k];
-            out[i * n + j] = dot_i8(ar, br);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qserve_tensor::{prop, props};
 
-    #[test]
-    fn dot_known_values() {
-        assert_eq!(dot_i8(&[1, 2, 3], &[4, 5, 6]), 32);
-        assert_eq!(dot_i8(&[-128; 4], &[-128; 4]), 4 * 16384);
-        assert_eq!(dot_i8(&[], &[]), 0);
-    }
-
-    #[test]
-    fn dot_is_exact_at_the_extremes_of_the_bound() {
-        // The largest admitted reduction of the largest products: 65535 ·
-        // 2¹⁴ < 2³⁰, no wrap.
-        let n = (1 << 16) - 1;
-        assert_eq!(dot_i8(&vec![-128; n], &vec![-128; n]), n as i32 * 16384);
-        assert_eq!(dot_i8(&vec![-128; n], &vec![127; n]), n as i32 * -16256);
-    }
-
-    #[test]
-    #[should_panic(expected = "could overflow")]
-    fn dot_rejects_reductions_past_the_bound() {
-        dot_i8(&vec![0; 1 << 16], &vec![0; 1 << 16]);
-    }
-
-    #[test]
-    fn gemm_matches_naive() {
-        let a: Vec<i8> = (0..6).map(|v| v as i8).collect(); // 2x3
-        let b: Vec<i8> = (0..12).map(|v| (v as i8) - 6).collect(); // 4x3
-        let c = mma_i8_nt(&a, &b, 2, 4, 3);
-        for i in 0..2 {
-            for j in 0..4 {
-                let mut expect = 0i32;
-                for p in 0..3 {
-                    expect += i32::from(a[i * 3 + p]) * i32::from(b[j * 3 + p]);
-                }
-                assert_eq!(c[i * 4 + j], expect);
-            }
-        }
-    }
-
-    /// The bound, reached through the GEMMs' tiled core as well as through
-    /// `dot_i8`: the longest admitted reduction of the largest products, in
-    /// a five-row call (one full token tile and a remainder row), so no
-    /// i16 lane and no i32 accumulator can wrap on either path.
+    /// The bound, reached through the GEMMs' tiled core: the longest
+    /// admitted reduction of the largest products, in a five-row call (one
+    /// full token tile and a remainder row), so no i16 lane and no i32
+    /// accumulator can wrap.
     #[test]
     fn tiled_rows_are_exact_at_the_extremes_of_the_bound() {
         let k = (1 << 16) - 1;
@@ -163,8 +79,6 @@ mod tests {
             let mut got = vec![0i32; m];
             dot_rows_i16(&vec![x; m * k], m, k, &w_row, |i, acc| got[i] = acc);
             assert_eq!(got, vec![k as i32 * each; m], "x={x} w={w}");
-            let narrow = dot_i8(&vec![x as i8; k], &vec![w as i8; k]);
-            assert_eq!(narrow, k as i32 * each, "dot_i8 x={x} w={w}");
         }
     }
 
@@ -176,8 +90,8 @@ mod tests {
     }
 
     props! {
-        /// Every token-tile remainder and every block edge of `dot_i8`'s
-        /// widening: the tiled rows, the one-row dot and the i64 sum agree.
+        /// Every token-tile remainder, on reductions from empty to several
+        /// hundred lanes: the tiled rows and the i64 sum agree.
         fn prop_tiled_rows_match_i64_reference(rng, cases = 32) {
             let m = rng.int_in(0, 2 * TOKEN_TILE as i64 + 1) as usize;
             let k = [0usize, 1, 7, 255, 256, 257, 600][rng.int_in(0, 6) as usize];
@@ -191,21 +105,6 @@ mod tests {
                 let row = &x[i * k..(i + 1) * k];
                 let expect: i64 = row.iter().zip(&w).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
                 assert_eq!(i64::from(got), expect, "row {i} of m={m} k={k}");
-                assert_eq!(i64::from(dot_i8(row, &w)), expect, "dot_i8 row {i} k={k}");
-            }
-        }
-
-        fn prop_gemm_matches_i64_reference(rng) {
-            let a = prop::vec_i8(rng, -128, 127, 3 * 8);
-            let b = prop::vec_i8(rng, -128, 127, 2 * 8);
-            let c = mma_i8_nt(&a, &b, 3, 2, 8);
-            for i in 0..3 {
-                for j in 0..2 {
-                    let expect: i64 = (0..8)
-                        .map(|p| i64::from(a[i * 8 + p]) * i64::from(b[j * 8 + p]))
-                        .sum();
-                    assert_eq!(i64::from(c[i * 2 + j]), expect);
-                }
             }
         }
     }

@@ -19,18 +19,10 @@ use crate::pack::ByteLanes;
 /// operation. Carries do **not** propagate across lanes (each lane wraps
 /// mod 256), exactly like the PTX `vadd4.u32.u32.u32` instruction.
 #[inline]
-pub fn vadd4(a: ByteLanes, b: ByteLanes) -> ByteLanes {
+fn vadd4(a: ByteLanes, b: ByteLanes) -> ByteLanes {
     // Classic SWAR: add the low 7 bits of each lane, then fix up the MSBs.
     let low = (a & 0x7F7F_7F7F).wrapping_add(b & 0x7F7F_7F7F);
     (low ^ ((a ^ b) & 0x8080_8080)) & 0xFFFF_FFFF
-}
-
-/// `vsub4`: four lane-wise 8-bit subtractions (two's complement wrap).
-#[inline]
-pub fn vsub4(a: ByteLanes, b: ByteLanes) -> ByteLanes {
-    // a - b = a + (~b + 1) per lane.
-    let not_b = !b;
-    vadd4(vadd4(a, not_b), 0x0101_0101)
 }
 
 /// The simulated 4-way multiply: one 32×32 multiply treating the register as
@@ -40,23 +32,10 @@ pub fn vsub4(a: ByteLanes, b: ByteLanes) -> ByteLanes {
 ///
 /// **Lane-exact only when every `lane × scale ≤ 255`.** This function mirrors
 /// the hardware faithfully: it performs the full 32-bit multiply, so if a
-/// product overflows 8 bits the carry corrupts the next lane — use
-/// [`mul4_checked`] to detect that in tests.
+/// product overflows 8 bits the carry corrupts the next lane.
 #[inline]
-pub fn mul4_u8(lanes: ByteLanes, scale: u8) -> ByteLanes {
+fn mul4_u8(lanes: ByteLanes, scale: u8) -> ByteLanes {
     lanes.wrapping_mul(u32::from(scale))
-}
-
-/// Like [`mul4_u8`] but returns `None` when any lane product exceeds 255 —
-/// the condition under which the RLP simulation is invalid.
-pub fn mul4_checked(lanes: ByteLanes, scale: u8) -> Option<ByteLanes> {
-    for l in 0..4 {
-        let v = (lanes >> (8 * l)) & 0xFF;
-        if v * u32::from(scale) > 255 {
-            return None;
-        }
-    }
-    Some(mul4_u8(lanes, scale))
 }
 
 /// Broadcasts one `u8` into all four byte lanes (the packed `-z·s` constant
@@ -77,29 +56,33 @@ pub fn dequant_sub_after_mul(codes: ByteLanes, scale: u8, neg_zs: ByteLanes) -> 
     vadd4(mul4_u8(codes, scale), neg_zs)
 }
 
-/// Reference scalar dequantization for one lane: `(q − z)·s` in full
-/// precision.
-#[inline]
-pub fn dequant_scalar(q: u8, zero: u8, scale: u8) -> i32 {
-    (i32::from(q) - i32::from(zero)) * i32::from(scale)
-}
-
-/// Subtraction-*before*-multiplication on packed lanes — the order Figure
-/// 14(a) shows is broken: lane values `(q − z)` are signed, and the register
-/// multiply treats the register as one unsigned integer, so negative lanes
-/// and large products corrupt neighbours. Provided so tests can demonstrate
-/// the failure mode.
-#[inline]
-pub fn dequant_sub_before_mul_broken(codes: ByteLanes, zero: u8, scale: u8) -> ByteLanes {
-    let diff = vsub4(codes, splat4(zero));
-    mul4_u8(diff, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pack::{lane_i8, lane_u8, pack_lanes_i8};
     use qserve_tensor::{prop, props, props_assume};
+
+    /// `vsub4`: four lane-wise 8-bit subtractions (two's complement wrap).
+    fn vsub4(a: ByteLanes, b: ByteLanes) -> ByteLanes {
+        // a - b = a + (~b + 1) per lane.
+        let not_b = !b;
+        vadd4(vadd4(a, not_b), 0x0101_0101)
+    }
+
+    /// Reference scalar dequantization for one lane: `(q − z)·s` in full
+    /// precision.
+    fn dequant_scalar(q: u8, zero: u8, scale: u8) -> i32 {
+        (i32::from(q) - i32::from(zero)) * i32::from(scale)
+    }
+
+    /// Subtraction-*before*-multiplication on packed lanes — the order Figure
+    /// 14(a) shows is broken: lane values `(q − z)` are signed, and the register
+    /// multiply treats the register as one unsigned integer, so negative lanes
+    /// and large products corrupt neighbours.
+    fn dequant_sub_before_mul_broken(codes: ByteLanes, zero: u8, scale: u8) -> ByteLanes {
+        let diff = vsub4(codes, splat4(zero));
+        mul4_u8(diff, scale)
+    }
 
     #[test]
     fn vadd4_no_cross_lane_carry() {
@@ -150,7 +133,6 @@ mod tests {
         let r = mul4_u8(codes, 20);
         assert_eq!(lane_u8(r, 0), 0x2C, "lane 0 truncated");
         assert_eq!(lane_u8(r, 1), 0x01, "carry leaked into lane 1");
-        assert_eq!(mul4_checked(codes, 20), None);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   simulation crates (`serve`, `gpusim`, `bench`); unordered iteration is
 //!   how bit-identical goldens die.
 //! - `wall-clock` — `std::time::{Instant, SystemTime}`, `std::env`, and
-//!   `std::thread` outside `qserve_bench::timing` and the
-//!   `qserve_tensor::pool` worker pool (the one sanctioned home for OS
-//!   threads; everything else forks through it).
+//!   `std::thread` outside the `qserve_tensor::pool` worker pool (the one
+//!   sanctioned home for OS threads and for `QSERVE_THREADS`; everything
+//!   else forks through it). Nothing in the workspace reads a clock: the
+//!   repository is timed from outside, by `benchmark/`.
 //! - `nondeterministic-parallel` — `Mutex`/`RwLock` shared state and atomic
 //!   read-modify-write calls (`fetch_add`, `compare_exchange`, ..) outside
 //!   the pool's own merge machinery; accumulating across threads in
@@ -39,6 +40,12 @@
 //!   the tiled GEMM, the quantizers and every frozen digest are bit-exact
 //!   only because accumulation is unfused and in index order.
 //! - `hygiene` — `todo!`, `unimplemented!`, `dbg!` anywhere.
+//! - `unreferenced-pub` — a `pub fn | struct | enum | trait | type | const |
+//!   static | mod` defined under `crates/*/src` whose name no *other* scanned
+//!   file mentions (workspace crates, `src/`, `tests/`, `examples/`,
+//!   `benchmark/`). `pub` is what hides an item from rustc's `dead_code`;
+//!   this is the one rule that needs every file at once
+//!   ([`lint_sources`]).
 //!
 //! A finding is suppressed by an allow comment with a mandatory reason:
 //!
@@ -51,12 +58,12 @@
 
 pub mod lexer;
 pub mod manifest;
-pub mod rules;
+mod rules;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use lexer::{Comment, Tok};
+use lexer::{lex, Comment, Tok};
 
 /// Lint names that may appear in an allow directive.
 pub const LINTS: &[&str] = &[
@@ -70,6 +77,7 @@ pub const LINTS: &[&str] = &[
     "float-sort",
     "fused-accumulate",
     "hygiene",
+    "unreferenced-pub",
 ];
 
 /// One reported violation.
@@ -90,7 +98,7 @@ impl fmt::Display for Finding {
 
 /// One parsed `lint: allow(..) -- reason` directive.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     pub lint: String,
     pub reason: String,
     /// The code line this directive suppresses.
@@ -99,6 +107,7 @@ pub struct Allow {
 
 /// A finding that an allow directive suppressed, with its recorded reason.
 #[derive(Debug, Clone)]
+// lint: allow(unreferenced-pub) -- element type of the public `WorkspaceReport::suppressed`; `main` reads its fields
 pub struct Suppressed {
     pub finding: Finding,
     pub reason: String,
@@ -117,8 +126,8 @@ pub struct FileOutcome {
 pub struct FileScope {
     /// Simulation crate: unordered-iteration applies.
     pub sim: bool,
-    /// Wall-clock isolation applies (everything but `qserve_bench::timing`,
-    /// `qserve_tensor::pool` and this lint crate itself). The same flag
+    /// Wall-clock isolation applies (everything but `qserve_tensor::pool`
+    /// and this lint crate itself). The same flag
     /// gates `nondeterministic-parallel`: the files allowed to spawn
     /// threads are exactly the files allowed to synchronize them.
     pub wall_clock: bool,
@@ -131,14 +140,14 @@ pub struct FileScope {
 
 /// How a workspace-relative path is linted.
 #[derive(Debug, Clone, Copy)]
-pub enum FileKind {
+enum FileKind {
     Rust(FileScope),
     Manifest,
 }
 
 /// Classifies a workspace-relative path (`/`-separated). Returns `None` for
 /// files the linter does not look at.
-pub fn classify(rel: &str) -> Option<FileKind> {
+fn classify(rel: &str) -> Option<FileKind> {
     if rel.ends_with("Cargo.toml") {
         return Some(FileKind::Manifest);
     }
@@ -148,9 +157,7 @@ pub fn classify(rel: &str) -> Option<FileKind> {
     let sim = rel.starts_with("crates/serve/")
         || rel.starts_with("crates/gpusim/")
         || rel.starts_with("crates/bench/");
-    let wall_clock = !rel.starts_with("crates/lint/")
-        && rel != "crates/bench/src/timing.rs"
-        && rel != "crates/tensor/src/pool.rs";
+    let wall_clock = !rel.starts_with("crates/lint/") && rel != "crates/tensor/src/pool.rs";
     let accounting = matches!(
         rel,
         "crates/serve/src/scheduler.rs"
@@ -184,7 +191,7 @@ pub fn lint_file_str(rel: &str, src: &str) -> FileOutcome {
 ///
 /// `toks` provides the code lines: an own-line directive targets the next
 /// line that holds any token.
-pub fn parse_directives(
+pub(crate) fn parse_directives(
     comments: &[Comment],
     rel: &str,
     toks: &[Tok],
@@ -195,7 +202,7 @@ pub fn parse_directives(
 
 /// As [`parse_directives`], over an explicit sorted list of content lines
 /// (the manifest checker has no token stream).
-pub fn parse_directives_on(
+pub(crate) fn parse_directives_on(
     comments: &[Comment],
     rel: &str,
     content_lines: &[u32],
@@ -256,7 +263,7 @@ pub fn parse_directives_on(
 }
 
 /// Splits raw findings into (kept, suppressed) under the allow directives.
-pub fn apply_allows(findings: Vec<Finding>, allows: Vec<Allow>) -> FileOutcome {
+pub(crate) fn apply_allows(findings: Vec<Finding>, allows: Vec<Allow>) -> FileOutcome {
     let mut out = FileOutcome { allow_comments: allows.len(), ..Default::default() };
     for f in findings {
         let hit = allows.iter().find(|a| a.lint == f.lint && a.target_line == f.line);
@@ -283,10 +290,46 @@ fn skip_dir(rel: &str) -> bool {
     matches!(rel, "target" | ".git" | "results") || rel == "crates/lint/tests/fixtures"
 }
 
+impl WorkspaceReport {
+    fn absorb(&mut self, outcome: FileOutcome) {
+        self.findings.extend(outcome.findings);
+        self.suppressed.extend(outcome.suppressed);
+        self.allow_comments += outcome.allow_comments;
+        self.files_scanned += 1;
+    }
+}
+
+/// Lints a set of files given as `(workspace-relative path, source)`: the
+/// per-file rules on each, then the one rule that needs every file at once
+/// (`unreferenced-pub`). Findings come back sorted by (file, line, col).
+/// Pure — [`lint_workspace`] feeds it from disk, the cross-file tests from
+/// memory.
+pub fn lint_sources(sources: &[(String, String)]) -> WorkspaceReport {
+    let mut report = WorkspaceReport::default();
+    let mut rust = Vec::new();
+    for (rel, src) in sources {
+        match classify(rel) {
+            Some(FileKind::Rust(scope)) => rust.push((rel.as_str(), scope, lex(src))),
+            Some(FileKind::Manifest) => report.absorb(manifest::lint_manifest(rel, src)),
+            None => {}
+        }
+    }
+    let streams: Vec<(&str, &[Tok])> =
+        rust.iter().map(|(rel, _, lexed)| (*rel, &lexed.toks[..])).collect();
+    let unreferenced = rules::unreferenced_pub(&streams);
+    for ((rel, scope, lexed), cross_file) in rust.iter().zip(unreferenced) {
+        report.absorb(rules::lint_lexed(rel, lexed, scope, cross_file));
+    }
+    report.findings.sort_by(|a, b| {
+        (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint))
+    });
+    report
+}
+
 /// Walks the workspace rooted at `root` and lints every `.rs` file and
-/// `Cargo.toml`, returning findings sorted by (file, line, col).
+/// `Cargo.toml` it holds through [`lint_sources`].
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
-    let mut files: Vec<(PathBuf, String)> = Vec::new();
+    let mut sources: Vec<(String, String)> = Vec::new();
     let mut stack: Vec<PathBuf> = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<PathBuf> =
@@ -305,23 +348,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
                     stack.push(path);
                 }
             } else if classify(&rel).is_some() {
-                files.push((path, rel));
+                if let Ok(src) = std::fs::read_to_string(&path) {
+                    sources.push((rel, src));
+                }
             }
         }
     }
-    let mut report = WorkspaceReport::default();
-    for (path, rel) in files {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        let outcome = lint_file_str(&rel, &src);
-        report.findings.extend(outcome.findings);
-        report.suppressed.extend(outcome.suppressed);
-        report.allow_comments += outcome.allow_comments;
-        report.files_scanned += 1;
-    }
-    report.findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint))
-    });
-    Ok(report)
+    Ok(lint_sources(&sources))
 }
 
 #[cfg(test)]
@@ -388,7 +421,7 @@ mod tests {
         assert!(matches!(classify("crates/core/src/rotation.rs"),
             Some(FileKind::Rust(s)) if !s.sim && !s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/bench/src/timing.rs"),
-            Some(FileKind::Rust(s)) if s.sim && !s.wall_clock));
+            Some(FileKind::Rust(s)) if s.sim && s.wall_clock));
         assert!(matches!(classify("crates/tensor/src/pool.rs"),
             Some(FileKind::Rust(s)) if !s.sim && !s.wall_clock));
         assert!(matches!(classify("crates/tensor/src/matrix.rs"),

@@ -7,7 +7,9 @@
 //! the false-positive escape hatch is an allow comment with a mandatory
 //! reason.
 
-use crate::lexer::{lex, Tok, TokKind};
+use std::collections::HashSet;
+
+use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::{apply_allows, parse_directives, FileOutcome, FileScope, Finding};
 
 /// Methods whose call on a `HashMap`/`HashSet` observes iteration order.
@@ -43,9 +45,21 @@ fn is_counter_ident(name: &str) -> bool {
 
 /// Lints one Rust source file under the given scope flags.
 pub fn lint_rust(rel: &str, src: &str, scope: &FileScope) -> FileOutcome {
-    let lexed = lex(src);
+    lint_lexed(rel, &lex(src), scope, Vec::new())
+}
+
+/// As [`lint_rust`], over an already lexed file. `cross_file` holds what a
+/// workspace-level pass ([`unreferenced_pub`]) found in this file; those
+/// findings meet the file's allow directives here, with the per-file ones.
+pub(crate) fn lint_lexed(
+    rel: &str,
+    lexed: &Lexed,
+    scope: &FileScope,
+    cross_file: Vec<Finding>,
+) -> FileOutcome {
     let toks = &lexed.toks;
     let (allows, mut findings) = parse_directives(&lexed.comments, rel, &lexed.toks);
+    findings.extend(cross_file);
 
     hygiene(rel, toks, &mut findings);
     float_eq(rel, toks, &mut findings);
@@ -84,6 +98,94 @@ fn kind(toks: &[Tok], i: isize) -> Option<TokKind> {
 
 fn finding(rel: &str, tok: &Tok, lint: &'static str, message: String) -> Finding {
     Finding { file: rel.to_string(), line: tok.line, col: tok.col, lint, message }
+}
+
+// ---------------------------------------------------------------------------
+// unreferenced-pub: a `pub` item under `crates/*/src` that no other scanned
+// file names. `pub` hides an item from rustc's `dead_code`; this pass is the
+// second caller check that visibility switched off. Identifier-level, like
+// everything here: a common name (`new`, `len`) is always "referenced".
+// ---------------------------------------------------------------------------
+
+/// Item keywords that, after `pub`, introduce a named definition.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// The name token of the item a plain `pub` at `toks[i]` introduces, with
+/// its keyword. `pub(crate)` / `pub(super)` are rustc's to audit, and
+/// `pub use`, fields and variants define nothing.
+fn pub_item(toks: &[Tok], i: usize) -> Option<(&str, &Tok)> {
+    let mut j = i as isize + 1;
+    if text(toks, j) == "const" && text(toks, j + 1) == "fn" {
+        j += 1;
+    }
+    let keyword = *ITEM_KEYWORDS.iter().find(|k| **k == text(toks, j))?;
+    let name = toks.get(j as usize + 1)?;
+    (name.kind == TokKind::Ident && name.text != "_").then_some((keyword, name))
+}
+
+/// Items an exported macro of this file names as `$crate::path::item`: the
+/// macro expands in other crates, so every file that invokes it references
+/// the item — through tokens only the expansion holds.
+fn named_by_exported_macros(toks: &[Tok]) -> HashSet<&str> {
+    let mut names = HashSet::new();
+    for i in 0..toks.len() {
+        if toks[i].text != "$" || text(toks, i as isize + 1) != "crate" {
+            continue;
+        }
+        let mut j = i as isize + 2;
+        while text(toks, j) == "::" && kind(toks, j + 1) == Some(TokKind::Ident) {
+            j += 2;
+        }
+        names.insert(text(toks, j - 1));
+    }
+    names
+}
+
+/// The workspace-level pass: one list of findings per file of `files`
+/// (`(workspace-relative path, tokens)`), in order. Every file counts as a
+/// reference site; only definitions under `crates/<name>/src/` are flagged
+/// (`benchmark/`, `tests/` and `examples/` are callers, not API).
+pub(crate) fn unreferenced_pub(files: &[(&str, &[Tok])]) -> Vec<Vec<Finding>> {
+    let idents: Vec<HashSet<&str>> = files
+        .iter()
+        .map(|(_, toks)| {
+            toks.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str()).collect()
+        })
+        .collect();
+    let mut out = vec![Vec::new(); files.len()];
+    for (at, (rel, toks)) in files.iter().enumerate() {
+        let in_crate_src = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
+        if !in_crate_src {
+            continue;
+        }
+        let via_macro = named_by_exported_macros(toks);
+        for i in 0..toks.len() {
+            if toks[i].kind != TokKind::Ident || toks[i].text != "pub" {
+                continue;
+            }
+            let Some((keyword, name)) = pub_item(toks, i) else { continue };
+            let named_elsewhere = via_macro.contains(name.text.as_str())
+                || idents
+                    .iter()
+                    .enumerate()
+                    .any(|(other, set)| other != at && set.contains(name.text.as_str()));
+            if !named_elsewhere {
+                out[at].push(finding(
+                    rel,
+                    &toks[i],
+                    "unreferenced-pub",
+                    format!(
+                        "`pub {} {}` is named by no other file in the workspace, `benchmark/`, `examples/` or `tests/`; make it private (or `pub(crate)`) so rustc's `dead_code` can see it, or delete it",
+                        keyword, name.text
+                    ),
+                ));
+            }
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +321,8 @@ fn fused_accumulate(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// wall-clock: std::env / std::thread paths and the Instant / SystemTime
-// types are off-limits outside qserve_bench::timing
+// wall-clock: std::env / std::thread paths are off-limits outside
+// qserve_tensor::pool, and the Instant / SystemTime types everywhere
 // ---------------------------------------------------------------------------
 
 fn wall_clock(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
@@ -239,7 +341,7 @@ fn wall_clock(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                         t,
                         "wall-clock",
                         format!(
-                            "`std::{}` is forbidden in simulation code; only `qserve_bench::timing` may touch the process environment",
+                            "`std::{}` is forbidden in simulation code; only `qserve_tensor::pool` spawns threads and reads `QSERVE_THREADS`",
                             seg
                         ),
                     ));
@@ -251,7 +353,7 @@ fn wall_clock(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                     t,
                     "wall-clock",
                     format!(
-                        "wall-clock type `{}` is forbidden in simulation code; only `qserve_bench::timing` measures real time",
+                        "wall-clock type `{}` is forbidden in simulation code; nothing in the workspace reads a clock — `benchmark/` times it from outside",
                         t.text
                     ),
                 ));

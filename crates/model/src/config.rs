@@ -51,12 +51,12 @@ impl ModelConfig {
     }
 
     /// Llama (v1) 7B.
-    pub fn llama_7b() -> Self {
+    fn llama_7b() -> Self {
         Self::dense("Llama-7B", 4096, 32, 32, 32, 11008, 32_000)
     }
 
     /// Llama (v1) 13B.
-    pub fn llama_13b() -> Self {
+    fn llama_13b() -> Self {
         Self::dense("Llama-13B", 5120, 40, 40, 40, 13824, 32_000)
     }
 
@@ -80,7 +80,7 @@ impl ModelConfig {
     }
 
     /// Yi-34B.
-    pub fn yi_34b() -> Self {
+    fn yi_34b() -> Self {
         Self::dense("Yi-34B", 7168, 60, 56, 8, 20480, 64_000)
     }
 
@@ -143,18 +143,13 @@ impl ModelConfig {
     }
 
     /// Linear-layer parameter count of one transformer block (all experts).
-    pub fn block_params(&self) -> u64 {
+    fn block_params(&self) -> u64 {
         let h = self.hidden as u64;
         let kv = (self.kv_heads * self.head_dim()) as u64;
         let f = self.ffn as u64;
         let attn = h * h + 2 * h * kv + h * h; // q, k, v, o
         let ffn = 3 * h * f * self.experts as u64; // gate, up, down per expert
         attn + ffn
-    }
-
-    /// Total parameters including embeddings and LM head.
-    pub fn total_params(&self) -> u64 {
-        self.block_params() * self.layers as u64 + 2 * (self.vocab as u64 * self.hidden as u64)
     }
 
     /// Device bytes for the weights at `weight_bits` for block linears;
@@ -199,6 +194,13 @@ impl ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ModelConfig {
+        /// Total parameters including embeddings and LM head.
+        fn total_params(&self) -> u64 {
+            self.block_params() * self.layers as u64 + 2 * (self.vocab as u64 * self.hidden as u64)
+        }
+    }
 
     #[test]
     fn llama2_7b_param_count_close_to_7b() {

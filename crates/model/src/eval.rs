@@ -12,7 +12,7 @@
 //!   Tables 3/5 (FP16 scores 1.0 by construction; each scheme's deficit
 //!   mirrors its accuracy drop).
 
-use crate::forward::{collect_calibration, forward_logits_kv};
+use crate::forward::collect_calibration;
 use crate::synth::SyntheticModel;
 use qserve_core::kv_quant::KvPrecision;
 use qserve_core::pipeline::{quantize_block, QoqConfig};
@@ -40,43 +40,6 @@ pub fn pseudo_perplexity_from_logits(logits: &Matrix, tokens: &[u32]) -> f64 {
     (nll / count as f64).exp()
 }
 
-/// Pseudo-perplexity of a model (optionally with KV fake quantization).
-pub fn pseudo_perplexity(model: &SyntheticModel, tokens: &[u32], kv: KvPrecision) -> f64 {
-    pseudo_perplexity_from_logits(&forward_logits_kv(model, tokens, kv), tokens)
-}
-
-/// Mean KL divergence `KL(softmax(reference) ‖ softmax(candidate))` over
-/// positions, in nats — a sensitive, distribution-level damage metric
-/// (lower is better; 0 for identical logits).
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn mean_kl_divergence(reference: &Matrix, candidate: &Matrix) -> f64 {
-    assert_eq!(reference.shape(), candidate.shape(), "KL shape mismatch");
-    let mut total = 0.0f64;
-    for t in 0..reference.rows() {
-        let p = log_softmax(reference.row(t));
-        let q = log_softmax(candidate.row(t));
-        let mut kl = 0.0f64;
-        for (lp, lq) in p.iter().zip(&q) {
-            kl += lp.exp() * (lp - lq);
-        }
-        total += kl;
-    }
-    total / reference.rows().max(1) as f64
-}
-
-fn log_softmax(row: &[f32]) -> Vec<f64> {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let lse: f64 = row
-        .iter()
-        .map(|&v| f64::from(v - max).exp())
-        .sum::<f64>()
-        .ln()
-        + f64::from(max);
-    row.iter().map(|&v| f64::from(v) - lse).collect()
-}
-
 /// Fraction of positions whose argmax token matches between two logit sets.
 pub fn top1_agreement(reference: &Matrix, candidate: &Matrix) -> f64 {
     assert_eq!(reference.shape(), candidate.shape());
@@ -102,6 +65,7 @@ pub fn top1_agreement(reference: &Matrix, candidate: &Matrix) -> f64 {
 /// A fake-quantized model plus the per-block input rotations deployment
 /// would apply before activation quantization.
 #[derive(Debug, Clone)]
+// lint: allow(unreferenced-pub) -- return type of `quantize_model`; callers read its fields
 pub struct QuantizedModel {
     /// The model with fake-quantized block weights.
     pub model: SyntheticModel,
@@ -131,13 +95,6 @@ pub fn quantize_model(
         rotations,
         kv_precision: cfg.kv_precision,
     }
-}
-
-/// Deployment-faithful forward pass of a quantized model: INT8 per-token
-/// activation quantization at every GEMM input (rotated frame where
-/// applicable) and quantized KV caches.
-pub fn quantized_forward_logits(q: &QuantizedModel, tokens: &[u32]) -> Matrix {
-    custom_forward_logits(&q.model, &q.rotations, Some(8), q.kv_precision, tokens)
 }
 
 /// Generic quantized forward pass: any activation bit width (None = FP16
@@ -176,47 +133,51 @@ pub fn custom_forward_logits(
         .scale(1.0 / (h as f32).sqrt())
 }
 
-/// One row of a Table 2-style comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeEval {
-    /// Scheme label as printed.
-    pub scheme: String,
-    /// Pseudo-perplexity (lower is better).
-    pub perplexity: f64,
-    /// Top-1 agreement with the FP16 model (1.0 = perfect).
-    pub agreement: f64,
-    /// Mean squared logit distortion vs the FP16 model (lower is better) —
-    /// the least-noisy damage metric at reduced model scale.
-    pub distortion: f64,
-}
-
-/// Evaluates one quantization configuration end to end.
-pub fn evaluate_scheme(
-    model: &SyntheticModel,
-    scheme: &str,
-    cfg: &QoqConfig,
-    calib_tokens: &[u32],
-    eval_tokens: &[u32],
-) -> SchemeEval {
-    let quantized = quantize_model(model, cfg, calib_tokens);
-    let ref_logits = forward_logits_kv(model, eval_tokens, KvPrecision::Fp16);
-    let q_logits = quantized_forward_logits(&quantized, eval_tokens);
-    SchemeEval {
-        scheme: scheme.to_string(),
-        perplexity: pseudo_perplexity_from_logits(&q_logits, eval_tokens),
-        agreement: top1_agreement(&ref_logits, &q_logits),
-        distortion: qserve_tensor::stats::mse(&ref_logits, &q_logits),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::forward_logits_kv;
     use qserve_core::pipeline::WeightGranularity;
     use qserve_tensor::rng::TensorRng;
 
     fn tokens(seed: u64, len: usize, vocab: usize) -> Vec<u32> {
         TensorRng::seed(seed).token_sequence(len, vocab)
+    }
+
+    /// Pseudo-perplexity of a model (optionally with KV fake quantization).
+    fn pseudo_perplexity(model: &SyntheticModel, tokens: &[u32], kv: KvPrecision) -> f64 {
+        pseudo_perplexity_from_logits(&forward_logits_kv(model, tokens, kv), tokens)
+    }
+
+    /// One quantization configuration's damage, end to end.
+    struct SchemeEval {
+        /// Pseudo-perplexity (lower is better).
+        perplexity: f64,
+        /// Top-1 agreement with the FP16 model (1.0 = perfect).
+        agreement: f64,
+        /// Mean squared logit distortion vs the FP16 model (lower is better) —
+        /// the least-noisy damage metric at reduced model scale.
+        distortion: f64,
+    }
+
+    /// Quantizes with `cfg`, then runs the deployment-faithful forward pass:
+    /// INT8 per-token activations at every GEMM input (rotated frame where
+    /// applicable) and the configuration's KV precision.
+    fn evaluate_scheme(
+        model: &SyntheticModel,
+        cfg: &QoqConfig,
+        calib_tokens: &[u32],
+        eval_tokens: &[u32],
+    ) -> SchemeEval {
+        let q = quantize_model(model, cfg, calib_tokens);
+        let ref_logits = forward_logits_kv(model, eval_tokens, KvPrecision::Fp16);
+        let q_logits =
+            custom_forward_logits(&q.model, &q.rotations, Some(8), q.kv_precision, eval_tokens);
+        SchemeEval {
+            perplexity: pseudo_perplexity_from_logits(&q_logits, eval_tokens),
+            agreement: top1_agreement(&ref_logits, &q_logits),
+            distortion: qserve_tensor::stats::mse(&ref_logits, &q_logits),
+        }
     }
 
     #[test]
@@ -253,7 +214,7 @@ mod tests {
             weight_granularity: WeightGranularity::PerGroup(32),
             ..QoqConfig::w4a8kv4_g128()
         };
-        let s = evaluate_scheme(&model, "qoq", &cfg, &calib, &eval);
+        let s = evaluate_scheme(&model, &cfg, &calib, &eval);
         assert!(
             s.perplexity >= base * 0.98,
             "quantized ppl {} should not beat fp16 {} meaningfully",
@@ -273,7 +234,6 @@ mod tests {
         let g = WeightGranularity::PerGroup(32);
         let qoq = evaluate_scheme(
             &model,
-            "qoq",
             &QoqConfig {
                 weight_granularity: g,
                 ..QoqConfig::w4a8kv4_g128()
@@ -281,7 +241,7 @@ mod tests {
             &calib,
             &eval,
         );
-        let rtn = evaluate_scheme(&model, "rtn", &QoqConfig::rtn(g), &calib, &eval);
+        let rtn = evaluate_scheme(&model, &QoqConfig::rtn(g), &calib, &eval);
         assert!(
             qoq.distortion < rtn.distortion,
             "QoQ distortion {} must beat RTN {}",
@@ -296,21 +256,6 @@ mod tests {
             qoq.perplexity,
             rtn.perplexity
         );
-    }
-
-    #[test]
-    fn kl_divergence_zero_for_identical_and_orders_damage() {
-        let model = SyntheticModel::small(2);
-        let eval = tokens(9, 48, model.config.vocab);
-        let ref_logits = crate::forward::forward_logits(&model, &eval);
-        assert!(mean_kl_divergence(&ref_logits, &ref_logits) < 1e-12);
-        // KV4 must diverge more than KV8.
-        let kv8 = crate::forward::forward_logits_kv(&model, &eval, KvPrecision::Int8);
-        let kv4 = crate::forward::forward_logits_kv(&model, &eval, KvPrecision::Int4);
-        let d8 = mean_kl_divergence(&ref_logits, &kv8);
-        let d4 = mean_kl_divergence(&ref_logits, &kv4);
-        assert!(d8 >= 0.0 && d4 >= 0.0, "KL is non-negative");
-        assert!(d8 < d4, "KV8 KL {} should be below KV4 KL {}", d8, d4);
     }
 
     #[test]

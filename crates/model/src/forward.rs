@@ -9,7 +9,7 @@ use qserve_tensor::Matrix;
 
 /// Fake-quantizes a K or V activation per token and per head, as the KV
 /// cache write path would (§5.1's dynamic per-head quantization).
-pub fn fake_quant_kv(x: &Matrix, head_dim: usize, precision: KvPrecision) -> Matrix {
+fn fake_quant_kv(x: &Matrix, head_dim: usize, precision: KvPrecision) -> Matrix {
     if precision == KvPrecision::Fp16 {
         return x.clone();
     }
@@ -53,11 +53,6 @@ pub enum ActQuant {
 }
 
 impl ActQuant {
-    /// QServe's INT8 activation path.
-    pub fn int8(rotation: Option<Matrix>) -> Self {
-        ActQuant::PerToken { bits: 8, rotation }
-    }
-
     fn spec(bits: u8) -> qserve_quant::QuantSpec {
         use qserve_quant::{Granularity, QuantSpec};
         QuantSpec {
@@ -96,7 +91,7 @@ impl ActQuant {
 
 /// [`block_forward`] with the KV activations squeezed through a quantized
 /// KV cache at the given precision (the accuracy cost KV4 incurs).
-pub fn block_forward_kv(
+fn block_forward_kv(
     x: &Matrix,
     block: &BlockWeights,
     attn_norm: &[f32],

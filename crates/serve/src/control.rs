@@ -75,7 +75,7 @@ impl ReplicaView {
     /// Estimated seconds to drain the replica's outstanding work at its
     /// reference decode throughput — the queueing-delay proxy both
     /// work-normalized routing and admission control price with.
-    pub fn est_queue_s(&self) -> f64 {
+    fn est_queue_s(&self) -> f64 {
         self.outstanding_tokens as f64 / self.speed.decode_tps
     }
 
@@ -91,7 +91,7 @@ impl ReplicaView {
     /// at the reference decode throughput. Deliberately crude — a router
     /// must decide from a snapshot, not a simulation — but priced
     /// per-replica, so a slow replica is honestly worse than a fast one.
-    pub fn estimate(&self, req: &Request) -> (f64, f64) {
+    fn estimate(&self, req: &Request) -> (f64, f64) {
         let wait_s = if self.waiting > 0 { self.est_queue_s() } else { 0.0 };
         let ttft =
             wait_s + req.input_len as f64 / self.speed.prefill_tps + self.speed.decode_step_s;

@@ -26,7 +26,7 @@ use crate::scheduler::{
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency,
-    attention_prefill_latency_chunked, attention_prefill_latency_hetero, AttentionLatency,
+    attention_prefill_latency_chunked, AttentionLatency,
 };
 use qserve_gpusim::gemm_model::{gemm_latency, GemmShape};
 use qserve_gpusim::tp::{HostLink, TpGroup};
@@ -513,7 +513,7 @@ impl ServingEngine {
     /// it reduces its argument to: `batch` sequences holding `total_tokens`
     /// cached tokens between them. What the tick prices from, straight off
     /// [`Scheduler::decode_totals`].
-    pub fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
+    fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
         let attn = attention_decode_latency_totals(
             &self.gpu,
             self.system.attention_kernel(),
@@ -539,7 +539,7 @@ impl ServingEngine {
     }
 
     /// Latency to prefill `batch` fresh requests of `input_len` tokens.
-    pub fn prefill_latency(&self, batch: usize, input_len: usize) -> f64 {
+    fn prefill_latency(&self, batch: usize, input_len: usize) -> f64 {
         if batch == 0 {
             return 0.0;
         }
@@ -555,29 +555,12 @@ impl ServingEngine {
         self.prefill_cost(batch * input_len, attn_s)
     }
 
-    /// Latency to prefill a wave of prompts with per-request lengths —
-    /// causal attention is quadratic per prompt, so each is charged at its
-    /// true length.
-    pub fn prefill_latency_hetero(&self, input_lens: &[usize]) -> f64 {
-        if input_lens.is_empty() {
-            return 0.0;
-        }
-        let attn_s = attention_prefill_latency_hetero(
-            &self.gpu,
-            self.system.attention_kernel(),
-            input_lens,
-            self.tp.shard(self.model.heads),
-            self.tp.shard(self.model.kv_heads),
-            self.model.head_dim(),
-        );
-        self.prefill_cost(input_lens.iter().sum(), attn_s)
-    }
-
     /// Latency to prefill a wave of prompt chunks `(new_tokens,
     /// past_tokens)`: only the new tokens run through the GEMMs and write
     /// KV, while attention still covers the cached past (aliased shared
-    /// prefix and/or earlier chunks). A whole prompt as one `(s, 0)` chunk
-    /// is bit-identical to [`ServingEngine::prefill_latency_hetero`].
+    /// prefix and/or earlier chunks). A wave of whole prompts, each one
+    /// `(s, 0)` chunk, is bit-identical to [`ServingEngine::prefill_latency`]
+    /// when the lengths are equal.
     pub fn prefill_latency_chunked(&self, chunks: &[(usize, usize)]) -> f64 {
         if chunks.is_empty() {
             return 0.0;
@@ -998,8 +981,8 @@ mod tests {
         for (batch, len) in [(1usize, 1024usize), (16, 1024), (64, 1536), (7, 129)] {
             let lens = vec![len; batch];
             assert_eq!(e.decode_step_latency_hetero(&lens), e.decode_step_latency(batch, len));
-            let inputs = vec![len; batch];
-            assert_eq!(e.prefill_latency_hetero(&inputs), e.prefill_latency(batch, len));
+            let whole_prompts = vec![(len, 0); batch];
+            assert_eq!(e.prefill_latency_chunked(&whole_prompts), e.prefill_latency(batch, len));
         }
     }
 

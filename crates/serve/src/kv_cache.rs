@@ -355,30 +355,8 @@ impl PagedKvCache {
     }
 
     /// Pages a sequence of `tokens` cached tokens needs per layer.
-    pub fn pages_for_tokens(&self, tokens: usize) -> usize {
+    fn pages_for_tokens(&self, tokens: usize) -> usize {
         tokens.div_ceil(self.config.page_tokens)
-    }
-
-    /// Whether `extra_tokens` more tokens can be appended to `seq` without
-    /// exhausting the pool (across all layers). A forked sequence whose tail
-    /// page is still shared needs one extra page per layer for the
-    /// copy-on-write duplicate its first append triggers.
-    pub fn can_grow(&self, seq: SequenceId, extra_tokens: usize) -> bool {
-        let cur = self.seq_len(seq);
-        let mut need_per_layer = self
-            .pages_for_tokens(cur + extra_tokens)
-            .checked_sub(self.pages_for_tokens(cur))
-            .expect("page demand shrank while growing");
-        if extra_tokens > 0 && cur % self.config.page_tokens != 0 {
-            if let Some(table) = self.tables.get(&seq) {
-                if let Some(&tail) = table[0].last() {
-                    if self.refcounts[tail] > 1 {
-                        need_per_layer += 1;
-                    }
-                }
-            }
-        }
-        need_per_layer * self.config.layers <= self.free_list.len()
     }
 
     /// Appends one token's K/V features for one layer, quantizing on the
@@ -555,16 +533,6 @@ impl PagedKvCache {
             params: QParams { scale: lane.scale, zero: i32::from(lane.zero) },
         };
         Ok((view.keys().map(materialise).collect(), view.values().map(materialise).collect()))
-    }
-
-    /// Immutable snapshot of a page's raw bytes (for tests/debug).
-    pub fn page_bytes_snapshot(&self, page: usize) -> Vec<u8> {
-        self.pages[page].data.clone()
-    }
-
-    /// Whether `seq` is currently swapped out to host memory.
-    pub fn is_swapped(&self, seq: SequenceId) -> bool {
-        self.host.contains_key(&seq)
     }
 
     /// Swaps `seq` out to host memory: every *private* page (refcount 1)
@@ -787,6 +755,7 @@ impl KvPageExport {
 /// `(scale, zero)` decoded from the slot's parameter block — no copy, no
 /// allocation.
 #[derive(Debug, Clone, Copy)]
+// lint: allow(unreferenced-pub) -- return type of the public `PagedKvCache::head_view`; `attention_exec` calls its methods
 pub struct PagedHeadView<'a> {
     pages: &'a [KvPage],
     table: &'a [usize],
@@ -1056,16 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn can_grow_accounting() {
-        let mut c = PagedKvCache::new(cfg(KvPrecision::Int4), 4);
-        let s = SequenceId(0);
-        c.register(s).unwrap();
-        assert!(c.can_grow(s, 4)); // 1 page × 2 layers
-        assert!(c.can_grow(s, 8)); // 2 pages × 2 layers = all 4
-        assert!(!c.can_grow(s, 9)); // needs 3 pages per layer = 6 > 4
-    }
-
-    #[test]
     fn per_head_params_stored_independently() {
         // Head 0 huge, head 1 small: stored scales must differ.
         let mut c = PagedKvCache::new(cfg(KvPrecision::Int4), 8);
@@ -1199,30 +1158,6 @@ mod tests {
     }
 
     #[test]
-    fn can_grow_accounts_for_cow_copy() {
-        // Pool of 3 pages, 1 layer. Parent fills page 0 and half of page 1;
-        // child forks the full 6 tokens. One page is free. The child *can*
-        // grow by one (COW copy into the free page), but a second sequence
-        // in the same state could not.
-        let geometry = KvCacheConfig { layers: 1, ..cfg(KvPrecision::Int4) };
-        let mut c = PagedKvCache::new(geometry, 3);
-        let (parent, child) = (SequenceId(0), SequenceId(1));
-        c.register(parent).unwrap();
-        let a = vec![1.0f32; 16];
-        for _ in 0..6 {
-            c.append_token(parent, 0, &a, &a).unwrap();
-        }
-        c.fork(parent, child, 6).unwrap();
-        assert!(c.can_grow(child, 1), "COW copy fits in the last free page");
-        assert!(!c.can_grow(child, 3), "copy + fresh page exceed the pool");
-        c.append_token(child, 0, &a, &a).unwrap();
-        assert_eq!(c.free_pages(), 0);
-        // Now that the tail is private, growth within it needs no pages.
-        assert!(c.can_grow(child, 1));
-        assert!(!c.can_grow(parent, 3), "parent would need a fresh page");
-    }
-
-    #[test]
     fn peak_used_pages_tracks_high_water() {
         let mut c = PagedKvCache::new(cfg(KvPrecision::Int4), 16);
         assert_eq!(c.peak_used_pages(), 0);
@@ -1272,7 +1207,7 @@ mod tests {
         let out = c.swap_out(s).unwrap();
         assert_eq!(out, used_before, "all pages were private; all must move");
         assert_eq!(c.used_pages(), 0, "device side fully freed");
-        assert!(c.is_swapped(s));
+        assert!(c.host.contains_key(&s));
         assert_eq!(
             c.read_head(s, 0, 0),
             Err(KvCacheError::UnknownSequence(s)),
@@ -1363,7 +1298,7 @@ mod tests {
             }
         }
         assert_eq!(c.swap_in(a), Err(KvCacheError::OutOfPages));
-        assert!(c.is_swapped(a), "a failed swap-in leaves the image parked");
+        assert!(c.host.contains_key(&a), "a failed swap-in leaves the image parked");
         c.release(b).unwrap();
         assert_eq!(c.swap_in(a).unwrap(), 2, "retry succeeds once room frees");
         assert_eq!(c.seq_len(a), 4);
@@ -1381,7 +1316,7 @@ mod tests {
         }
         c.swap_out(s).unwrap();
         c.release(s).unwrap();
-        assert!(!c.is_swapped(s));
+        assert!(!c.host.contains_key(&s));
         assert_eq!(c.used_pages(), 0);
         // The image is gone: swapping back in is an error, not a resurrection.
         assert_eq!(c.swap_in(s), Err(KvCacheError::UnknownSequence(s)));
@@ -1525,7 +1460,7 @@ mod tests {
                     assert_eq!(at % geometry.token_slot_bytes(), 0, "slot size");
                 }
                 let page = c.layer_pages(s, 0)[0];
-                assert_eq!(c.page_bytes_snapshot(page), expect, "{:?} d={}", precision, head_dim);
+                assert_eq!(c.pages[page].data, expect, "{:?} d={}", precision, head_dim);
             }
         }
     }

@@ -6,7 +6,7 @@ use qserve_model::ModelConfig;
 
 /// Workspace reserved for activations, cublas scratch, CUDA context etc.,
 /// as a fraction of device memory.
-pub const WORKSPACE_FRACTION: f64 = 0.08;
+const WORKSPACE_FRACTION: f64 = 0.08;
 
 /// A memory plan for serving one model on one GPU.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -537,22 +537,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Multi-turn conversations: each of `conversations` runs `turns`
-    /// turns whose prompts accumulate the whole history, so consecutive
-    /// turns share an ever-growing prefix.
-    pub fn multi_turn(conversations: usize, turns: usize, seed: u64) -> Self {
-        assert!(conversations > 0 && turns > 0, "degenerate conversation spec");
-        Self {
-            num_requests: conversations * turns,
-            input: LengthDist::Uniform { lo: 16, hi: 96 },
-            output: LengthDist::Uniform { lo: 16, hi: 96 },
-            arrival: ArrivalPattern::Batch,
-            sharing: PrefixSharing::MultiTurn { conversations, turns },
-            slo: SloSpec::None,
-            seed,
-        }
-    }
-
     /// Replaces the sharing structure (builder-style).
     ///
     /// # Panics
@@ -775,6 +759,23 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WorkloadSpec {
+        /// Multi-turn conversations: each of `conversations` runs `turns`
+        /// turns whose prompts accumulate the whole history, so consecutive
+        /// turns share an ever-growing prefix.
+        fn multi_turn(conversations: usize, turns: usize, seed: u64) -> Self {
+            Self {
+                num_requests: conversations * turns,
+                input: LengthDist::Uniform { lo: 16, hi: 96 },
+                output: LengthDist::Uniform { lo: 16, hi: 96 },
+                arrival: ArrivalPattern::Batch,
+                sharing: PrefixSharing::MultiTurn { conversations, turns },
+                slo: SloSpec::None,
+                seed,
+            }
+        }
+    }
 
     #[test]
     fn lifecycle_accessors() {

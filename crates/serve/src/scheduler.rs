@@ -42,6 +42,7 @@ use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 /// the scheduler; valid until the request is released, swapped out or
 /// evicted (slots are reused afterwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// lint: allow(unreferenced-pub) -- in the method signatures of the public `KvBudget` trait, which `engine`, `cluster` and the tests name
 pub struct KvHandle(usize);
 
 /// Abstracts "is there KV memory for this?" so admission and growth can be
@@ -373,7 +374,7 @@ impl PageBudget {
     /// # Panics
     /// Panics when `handle` is stale or belongs to another request.
     #[doc(hidden)]
-    pub fn resident_footprint(&self, handle: KvHandle, id: RequestId) -> usize {
+    fn resident_footprint(&self, handle: KvHandle, id: RequestId) -> usize {
         assert_eq!(self.slots.get(&id), Some(&handle.0), "request {:?}: handle/id-map drift", id);
         let e = self.slab[handle.0].as_ref().expect("handle names a vacant ledger slot");
         e.tokens + e.covered_tokens
@@ -381,7 +382,7 @@ impl PageBudget {
 
     /// Audit hook: number of resident (on-device) entries.
     #[doc(hidden)]
-    pub fn resident_count(&self) -> usize {
+    fn resident_count(&self) -> usize {
         self.slots.len()
     }
 
@@ -436,14 +437,6 @@ impl PageBudget {
         self.pools.insert(group, SharedPool { pages_per_layer, refs: 1 });
         self.anchors.insert(group);
         Some(need)
-    }
-
-    /// Drops the control-plane anchor on `group`, if one exists; the pool's
-    /// pages free once its last member also leaves.
-    pub fn release_anchor(&mut self, group: u64) {
-        if self.anchors.remove(&group) {
-            self.unref_pool(group);
-        }
     }
 
     /// Drops every control-plane anchor — a crashed replica's imported
@@ -1161,11 +1154,6 @@ impl Scheduler {
         &self.finished
     }
 
-    /// The policy's report name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Preemption events so far (available before anything finishes,
     /// unlike [`Scheduler::stats`]).
     pub fn preemptions(&self) -> usize {
@@ -1392,11 +1380,6 @@ impl Scheduler {
     pub fn charge_migration(&mut self, dt: f64) {
         self.clock += dt;
         self.migration_time += dt;
-    }
-
-    /// Seconds spent receiving migrated prefix pages.
-    pub fn migration_time_s(&self) -> f64 {
-        self.migration_time
     }
 
     /// Cumulative swap-out preemption events.

@@ -61,7 +61,7 @@ impl Default for PercentileSketch {
 impl PercentileSketch {
     /// Sub-bucket resolution: 2^5 = 32 buckets per power of two, giving a
     /// ≤ 2.2% relative error on every reported quantile.
-    pub const SUB_BUCKET_BITS: u32 = 5;
+    const SUB_BUCKET_BITS: u32 = 5;
 
     const SUB_BUCKETS: usize = 1 << Self::SUB_BUCKET_BITS;
     /// Mantissa bits dropped when mapping a float's bits to a bucket.

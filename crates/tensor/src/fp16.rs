@@ -25,10 +25,6 @@ use std::fmt;
 pub struct F16(u16);
 
 impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
-    /// One.
-    pub const ONE: F16 = F16(0x3C00);
     /// Largest finite binary16 value (65504).
     pub const MAX: F16 = F16(0x7BFF);
     /// Smallest positive normal value (2⁻¹⁴).
@@ -69,13 +65,6 @@ impl F16 {
     /// FP16 multiplication: `round16(a * b)`.
     pub fn mul(self, other: F16) -> F16 {
         F16::from_f32(self.to_f32() * other.to_f32())
-    }
-
-    /// Fused multiply-add rounding once, like the HFMA2 instruction family:
-    /// `round16(a * b + c)`.
-    pub fn mul_add(self, b: F16, c: F16) -> F16 {
-        // lint: allow(fused-accumulate) -- this is the emulated HFMA2, fused by definition; no f32 accumulation runs through it
-        F16::from_f32(f32::mul_add(self.to_f32(), b.to_f32(), c.to_f32()))
     }
 
     /// Whether the value is NaN.
@@ -383,18 +372,5 @@ mod tests {
         assert_eq!(f16_step(tie * 1.01, 127.0), 2.0f32.powi(-24));
         assert_eq!(f16_step(f32::INFINITY, 15.0), f32::INFINITY);
         assert_eq!(f16_step(f32::NAN, 15.0), 1.0);
-    }
-
-    #[test]
-    fn mul_add_rounds_once() {
-        // Pick values where (a*b) rounding differs from fused rounding.
-        let a = F16::from_f32(3.0 + (-10f32).exp2() * 3.0);
-        let b = F16::from_f32(3.0);
-        let c = F16::from_f32(-9.0);
-        let fused = F16::mul_add(a, b, c);
-        let split = a.mul(b).add(c);
-        // They may differ by at most one ULP; both must be valid f16.
-        assert_eq!(round_f16(fused.to_f32()), fused.to_f32());
-        assert_eq!(round_f16(split.to_f32()), split.to_f32());
     }
 }

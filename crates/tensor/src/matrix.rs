@@ -146,11 +146,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -259,26 +254,6 @@ impl Matrix {
             for j in n4..n {
                 let wj = &other.data[j * k..(j + 1) * k];
                 out.data[i * n + j] = xi.iter().zip(wj).fold(0.0f32, |acc, (a, b)| acc + a * b);
-            }
-        }
-        out
-    }
-
-    /// `Y = self · otherᵀ` accumulated in `f64` for use as a ground-truth
-    /// reference in kernel bit-exactness tests.
-    pub fn matmul_nt_f64(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt_f64 reduction mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let xi = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let wj = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f64;
-                for (a, b) in xi.iter().zip(wj.iter()) {
-                    acc += f64::from(*a) * f64::from(*b);
-                }
-                out.data[i * n + j] = acc as f32;
             }
         }
         out
@@ -430,23 +405,6 @@ impl Matrix {
         out
     }
 
-    /// Stacks `mats` vertically (all must share the column count).
-    ///
-    /// # Panics
-    /// Panics if column counts differ or `mats` is empty.
-    pub fn vcat(mats: &[&Matrix]) -> Matrix {
-        assert!(!mats.is_empty(), "vcat of zero matrices");
-        let cols = mats[0].cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for m in mats {
-            assert_eq!(m.cols, cols, "vcat column mismatch");
-            data.extend_from_slice(&m.data);
-            rows += m.rows;
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Maximum absolute element, 0 for an empty matrix.
     pub fn abs_max(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -580,15 +538,6 @@ mod tests {
         let c = m.slice_cols(2, 4);
         assert_eq!(c.shape(), (4, 2));
         assert_eq!(c[(0, 0)], 2.0);
-    }
-
-    #[test]
-    fn vcat_stacks() {
-        let a = Matrix::full(1, 2, 1.0);
-        let b = Matrix::full(2, 2, 2.0);
-        let v = Matrix::vcat(&[&a, &b]);
-        assert_eq!(v.shape(), (3, 2));
-        assert_eq!(v.row(2), &[2.0, 2.0]);
     }
 
     #[test]

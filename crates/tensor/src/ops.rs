@@ -35,15 +35,6 @@ pub fn softmax_inplace(v: &mut [f32]) {
     }
 }
 
-/// Row-wise softmax of a matrix (e.g. attention scores).
-pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.rows() {
-        softmax_inplace(out.row_mut(i));
-    }
-    out
-}
-
 /// RMS normalization of each row: `x / sqrt(mean(x²) + eps) * gain`.
 ///
 /// # Panics
@@ -65,7 +56,7 @@ pub fn rmsnorm(x: &Matrix, gain: &[f32], eps: f32) -> Matrix {
 }
 
 /// SiLU (sigmoid-weighted linear unit): `x * sigmoid(x)`.
-pub fn silu(x: f32) -> f32 {
+fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 

@@ -19,11 +19,11 @@
 //!
 //! Sizing: [`Pool::new`] takes an explicit thread count (`0` means the
 //! machine's available parallelism); the process-wide [`global`] pool reads
-//! `QSERVE_THREADS` once (this module and `qserve_bench::timing` are the
-//! only code allowed to touch the environment — enforced by
-//! `qserve-lint`'s `wall-clock` rule). A 1-thread pool runs every fork
-//! inline on the caller with no worker threads at all, which is what the
-//! golden suite pins (`QSERVE_THREADS=1` in `ci.sh`).
+//! `QSERVE_THREADS` once (this module is the only library code allowed to
+//! touch the environment — enforced by `qserve-lint`'s `wall-clock` rule).
+//! A 1-thread pool runs every fork inline on the caller with no worker
+//! threads at all, which is what the golden suite pins (`QSERVE_THREADS=1`
+//! in `ci.sh`).
 //!
 //! Nesting: a fork issued *from inside* a pool task runs inline on that
 //! worker instead of re-entering the queue. This keeps one blocked-waiter
@@ -312,14 +312,14 @@ impl<T> SyncSlice<T> {
 }
 
 /// The machine's available parallelism (1 if the query fails).
-pub fn default_parallelism() -> usize {
+fn default_parallelism() -> usize {
     thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// The thread count the process-wide pool was (or will be) built with:
 /// `QSERVE_THREADS` when set to a positive integer, otherwise the machine's
 /// available parallelism.
-pub fn configured_threads() -> usize {
+fn configured_threads() -> usize {
     match std::env::var("QSERVE_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,

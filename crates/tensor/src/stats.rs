@@ -22,17 +22,6 @@ pub fn row_abs_max(m: &Matrix) -> Vec<f32> {
         .collect()
 }
 
-/// Per-row minimum and maximum (asymmetric quantization range).
-pub fn row_min_max(m: &Matrix) -> Vec<(f32, f32)> {
-    (0..m.rows())
-        .map(|i| {
-            m.row(i).iter().fold((f32::MAX, f32::MIN), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            })
-        })
-        .collect()
-}
-
 /// Mean squared error between two equal-shaped matrices.
 ///
 /// # Panics
@@ -128,12 +117,6 @@ mod tests {
     fn row_abs_max_basic() {
         let m = Matrix::from_rows(&[vec![1.0, -5.0], vec![-2.0, 3.0]]);
         assert_eq!(row_abs_max(&m), vec![5.0, 3.0]);
-    }
-
-    #[test]
-    fn row_min_max_basic() {
-        let m = Matrix::from_rows(&[vec![1.0, -5.0, 2.0]]);
-        assert_eq!(row_min_max(&m), vec![(-5.0, 2.0)]);
     }
 
     #[test]

@@ -3,33 +3,11 @@
 
 use qserve::core::kv_quant::{quantize_token_row, KvPrecision};
 use qserve::core::pipeline::{quantize_block, DeployedWeight, QoqConfig, WeightGranularity};
-use qserve::core::progressive::ProgressiveWeight;
 use qserve::kernels::attention::{decode_attention_fp16, QuantizedKvHead};
-use qserve::kernels::reorder::ReorderedWeight;
 use qserve::kernels::{gemm_w4a8_per_channel, gemm_w4a8_per_group, quantize_activations_int8};
 use qserve::model::synth::SyntheticModel;
 use qserve::tensor::rng::TensorRng;
 use qserve::tensor::Matrix;
-
-/// Progressive weights → compute-aware reorder → round trip → per-group GEMM:
-/// the storage transformation must not change a single output bit.
-#[test]
-fn reordered_storage_preserves_gemm_bits() {
-    let mut rng = TensorRng::seed(1);
-    let w = rng.gaussian(32, 128, 0.05);
-    let pw = ProgressiveWeight::quantize(&w, 32);
-    let x = rng.gaussian(4, 128, 1.0);
-    let qx = quantize_activations_int8(&x);
-    let y_direct = gemm_w4a8_per_group(&qx, &pw);
-
-    // Reorder into compute order and back — the kernel consumes the same
-    // codes either way.
-    let codes = pw.codes();
-    let reordered = ReorderedWeight::from_codes(&codes, 32, 128);
-    assert_eq!(reordered.to_codes(), codes);
-    let y_after = gemm_w4a8_per_group(&qx, &pw);
-    assert_eq!(y_direct.as_slice(), y_after.as_slice());
-}
 
 /// The pipeline's deployed per-group weights must produce, through the
 /// emulated kernel, exactly the dequantize-then-matmul result of the same
