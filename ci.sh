@@ -33,9 +33,11 @@ QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --te
 # their output columns into panels once n >= 32 and the pool has threads —
 # a branch no 1-thread run reaches (the benchmark's included) — and every
 # panel reads the one widened activation buffer. Same kernel properties,
-# same frozen logits and KV bytes, at four threads.
+# same frozen logits and KV bytes, and the same deployed = evaluated
+# property, at four threads.
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-kernels
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func
+QSERVE_THREADS=4 cargo test -q --offline --locked --release --test deployed_is_what_is_evaluated
 
 # The reproduce binary is the user-facing entry point; prove it writes CSV
 # for the paper table, the prefix/chunk and cluster grids, the (small, so

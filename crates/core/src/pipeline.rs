@@ -11,12 +11,27 @@
 //! 5. weight clipping grid search;
 //! 6. progressive group quantization (or per-channel W4).
 //!
+//! Stages 2, 3 and 5 are folded into the weights. Stages 1 and 4 change the
+//! *frame* a deployed GEMM reads its input in, so the artifact says how to
+//! feed it — one [`ActivationFrame`] per quantization node:
+//!
+//! * the block input (read by `q/k/v` and `gate/up`): rotated, then gathered
+//!   by the node's channel order;
+//! * the attention output (read by `out_proj`): gathered;
+//! * the FFN intermediate (read by `down_proj`): gathered.
+//!
+//! Where a KV-width quantity meets a query-width one (SmoothAttention's λ,
+//! out_proj's smoothing and calibration), [`gqa_kv_map`] is the one
+//! definition of which query heads share which KV head.
+//!
 //! The returned [`QuantizedBlock`] carries both the *deployment* form
-//! (quantized codes per layer) and a *fake-quantized* [`BlockWeights`] mapped
-//! back to the original frame — every transform applied, the weight
-//! quantized, then the transform inverted — so accuracy evaluation can drop
-//! the fake weights into an unmodified forward pass. This mirrors how
-//! AWQ/QuaRot-style papers evaluate transformed quantization schemes.
+//! (quantized codes per layer, plus the three frames) and a *fake-quantized*
+//! [`BlockWeights`] mapped back to the original frame — every transform
+//! applied, the weight quantized, then the transform inverted — so accuracy
+//! evaluation can drop the fake weights into an unmodified forward pass.
+//! This mirrors how AWQ/QuaRot-style papers evaluate transformed
+//! quantization schemes; `tests/deployed_is_what_is_evaluated.rs` holds the
+//! two forms to the same function.
 
 use crate::clipping::{default_grid, search_clip_layer_output};
 use crate::kv_quant::KvPrecision;
@@ -24,13 +39,15 @@ use crate::progressive::{PerChannelW4, ProgressiveWeight};
 use crate::reorder::ChannelReorder;
 use crate::rotation::hadamard;
 use crate::smooth_attention::SmoothAttentionScales;
-use crate::smoothing::{
-    default_alpha_grid, search_smoothing, search_smoothing_from_stats, SmoothingScales,
-};
+use crate::smoothing::{default_alpha_grid, search_smoothing, search_smoothing_from_stats};
 use qserve_quant::{Granularity, QuantSpec};
 use qserve_tensor::ops::swiglu;
 use qserve_tensor::stats::col_abs_max;
 use qserve_tensor::Matrix;
+use std::borrow::Cow;
+
+/// SmoothAttention's exponent α (§4.2: 0.5 is "good enough in practice").
+const SMOOTH_ATTENTION_ALPHA: f32 = 0.5;
 
 /// Weight quantization granularity (the paper's two deployment configs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,17 +70,11 @@ pub struct QoqConfig {
     pub rotation: bool,
     /// Enable SmoothAttention (§4.2).
     pub smooth_attention: bool,
-    /// SmoothAttention exponent α (paper: 0.5).
-    pub smooth_attention_alpha: f32,
-    /// Enable block output smoothing (§4.3.2).
+    /// Enable block output smoothing (§4.3.2). The migration strength is
+    /// grid-searched per layer with a quantization-aware objective
+    /// ([`search_smoothing`]; the paper fixes it near 0 for the real
+    /// checkpoints).
     pub output_smoothing: bool,
-    /// Output-smoothing migration strength (paper: near 0), used when
-    /// `output_smoothing_search` is off.
-    pub output_smoothing_alpha: f32,
-    /// Grid-search the migration strength per layer with a
-    /// quantization-aware objective (robust default; the paper fixes α
-    /// near 0 for the real checkpoints).
-    pub output_smoothing_search: bool,
     /// Enable activation-aware channel reordering (§4.3.3).
     pub channel_reorder: bool,
     /// Enable weight clipping grid search (§4.3.4).
@@ -84,10 +95,7 @@ impl QoqConfig {
             kv_precision: KvPrecision::Int4,
             rotation: true,
             smooth_attention: true,
-            smooth_attention_alpha: 0.5,
             output_smoothing: true,
-            output_smoothing_alpha: 0.05,
-            output_smoothing_search: true,
             channel_reorder: true,
             weight_clipping: true,
         }
@@ -110,10 +118,7 @@ impl QoqConfig {
             kv_precision: KvPrecision::Int4,
             rotation: false,
             smooth_attention: false,
-            smooth_attention_alpha: 0.5,
             output_smoothing: false,
-            output_smoothing_alpha: 0.05,
-            output_smoothing_search: true,
             channel_reorder: false,
             weight_clipping: false,
         }
@@ -143,13 +148,30 @@ pub struct BlockWeights {
     pub head_dim: usize,
 }
 
+/// Position of `q_proj` in [`BlockWeights::layers`] order — the order of
+/// [`QuantizedBlock::deployed`] and [`QuantizedBlock::reports`] too.
+pub const Q_PROJ: usize = 0;
+/// Position of `k_proj`.
+pub const K_PROJ: usize = 1;
+/// Position of `v_proj`.
+pub const V_PROJ: usize = 2;
+/// Position of `out_proj`, the one reader of the attention-output frame.
+pub const OUT_PROJ: usize = 3;
+/// Position of `gate_proj`.
+pub const GATE_PROJ: usize = 4;
+/// Position of `up_proj`.
+pub const UP_PROJ: usize = 5;
+/// Position of `down_proj`, the one reader of the FFN-intermediate frame.
+pub const DOWN_PROJ: usize = 6;
+
 impl BlockWeights {
     /// Hidden (block input/output) width.
     pub fn hidden(&self) -> usize {
         self.wq.cols()
     }
 
-    /// Names and references of the seven linear layers, in a fixed order.
+    /// Names and references of the seven linear layers, in the fixed order
+    /// [`Q_PROJ`] … [`DOWN_PROJ`] name.
     pub fn layers(&self) -> [(&'static str, &Matrix); 7] {
         [
             ("q_proj", &self.wq),
@@ -160,6 +182,13 @@ impl BlockWeights {
             ("up_proj", &self.w_up),
             ("down_proj", &self.w_down),
         ]
+    }
+
+    /// The inverse of [`Self::layers`]: a block from its seven projections
+    /// in that order.
+    fn from_layers(layers: [Matrix; 7], head_dim: usize) -> Self {
+        let [wq, wk, wv, wo, w_gate, w_up, w_down] = layers;
+        Self { wq, wk, wv, wo, w_gate, w_up, w_down, head_dim }
     }
 
     /// Total parameter count across the seven projections.
@@ -201,6 +230,64 @@ pub struct LayerReport {
     pub clip_alpha: f32,
 }
 
+/// The GQA head layout, spelled once: query head `h` reads KV head
+/// `h / (heads / kv_heads)`, so the query heads sharing a KV head are
+/// contiguous. Returns, for each of the `query_width` query-side channels,
+/// the KV-side channel it pairs with; widening a KV-width vector or matrix
+/// is a gather through the map, the fold back a reduction over it. With
+/// `head_dim = 1` the widths are head counts and the map is head to head.
+///
+/// # Panics
+/// Panics unless `head_dim` divides both widths and the KV head count
+/// divides the query head count.
+pub fn gqa_kv_map(kv_width: usize, query_width: usize, head_dim: usize) -> Vec<usize> {
+    assert!(
+        head_dim > 0 && kv_width % head_dim == 0 && query_width % head_dim == 0,
+        "widths {} / {} are not whole heads of {}",
+        kv_width,
+        query_width,
+        head_dim
+    );
+    let (kv_heads, heads) = (kv_width / head_dim, query_width / head_dim);
+    assert!(
+        kv_heads > 0 && heads % kv_heads == 0,
+        "query heads {} not a multiple of kv heads {}",
+        heads,
+        kv_heads
+    );
+    let group = heads / kv_heads;
+    (0..query_width).map(|c| c / head_dim / group * head_dim + c % head_dim).collect()
+}
+
+/// How a floating-point activation must be presented to the deployed GEMMs
+/// of one quantization node, before per-token INT8: rotated (§4.3.1, the
+/// block input only), then gathered into the channel order the node's
+/// per-group weights were quantized in (§4.3.3). QServe fuses both into the
+/// norm / activation kernel that writes the INT8 tensor; this stack applies
+/// them at the node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActivationFrame {
+    /// The rotation `Q` (`x ← xQ`), when this is the block input and
+    /// rotation is on.
+    pub rotation: Option<Matrix>,
+    /// The channel gather, when reordering is on and weights are per-group.
+    pub reorder: Option<ChannelReorder>,
+}
+
+impl ActivationFrame {
+    /// `x` in this frame — what the node quantizes.
+    pub fn apply<'a>(&self, x: &'a Matrix) -> Cow<'a, Matrix> {
+        let mut x = Cow::Borrowed(x);
+        if let Some(q) = &self.rotation {
+            x = Cow::Owned(x.matmul_nn(q));
+        }
+        if let Some(r) = &self.reorder {
+            x = Cow::Owned(r.apply_to_activation(&x));
+        }
+        x
+    }
+}
+
 /// Output of [`quantize_block`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBlock {
@@ -212,10 +299,15 @@ pub struct QuantizedBlock {
     pub deployed: Vec<(String, DeployedWeight)>,
     /// Per-layer diagnostics.
     pub reports: Vec<LayerReport>,
-    /// The block-input rotation matrix (if rotation was enabled). Deployment
-    /// quantizes activations in this rotated frame; evaluation must do the
-    /// same to see rotation's benefit on the A8 side.
-    pub input_rotation: Option<Matrix>,
+    /// Frame of the block input, read by `q/k/v` and `gate/up`. Evaluation
+    /// over [`Self::fake`] quantizes block inputs under its rotation to see
+    /// rotation's benefit on the A8 side (the gather it can skip: per-token
+    /// absmax quantization is invariant under a channel permutation).
+    pub input_frame: ActivationFrame,
+    /// Frame of the attention output, read by `out_proj`.
+    pub attn_out_frame: ActivationFrame,
+    /// Frame of the FFN intermediate, read by `down_proj`.
+    pub ffn_inter_frame: ActivationFrame,
 }
 
 /// Applies the full QoQ pipeline to one block given calibration block inputs
@@ -238,27 +330,14 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     // ------------------------------------------------------------------
     // Stage 1: block input rotation (input modules only).
     // ------------------------------------------------------------------
-    let rot = if cfg.rotation {
-        Some(block_rotation_matrix(hidden))
-    } else {
-        None
-    };
+    let rot = cfg.rotation.then(|| block_rotation_matrix(hidden));
     let rotate_in = |w: &Matrix| -> Matrix {
         match &rot {
             Some(q) => w.matmul_nn(q),
             None => w.clone(),
         }
     };
-    let unrotate_in = |w: &Matrix| -> Matrix {
-        match &rot {
-            Some(q) => w.matmul_nt(q), // W·Qᵀ undoes W·Q for orthogonal Q
-            None => w.clone(),
-        }
-    };
-    let calib_rot = match &rot {
-        Some(q) => calib_x.matmul_nn(q),
-        None => calib_x.clone(),
-    };
+    let calib_rot = rotate_in(calib_x);
 
     let mut wq = rotate_in(&block.wq);
     let mut wk = rotate_in(&block.wk);
@@ -268,14 +347,17 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     let mut wo = block.wo.clone();
     let mut w_down = block.w_down.clone();
 
+    // W_Q's rows and W_O's columns are query-wide, W_K's and W_V's rows
+    // KV-wide: every fold that pairs them widens through this map.
+    let kv_of = gqa_kv_map(wk.rows(), wq.rows(), block.head_dim);
+
     // ------------------------------------------------------------------
     // Stage 2: SmoothAttention (uses pre-RoPE keys from calibration).
     // ------------------------------------------------------------------
     let smooth_attn = if cfg.smooth_attention {
         let keys = calib_rot.matmul_nt(&wk);
-        let s = SmoothAttentionScales::from_keys(&keys, block.head_dim, cfg.smooth_attention_alpha);
-        // GQA: queries have `r` heads per kv head; tile λ across query heads.
-        let q_lambda = tile_lambda(s.lambda(), wq.rows());
+        let s = SmoothAttentionScales::from_keys(&keys, block.head_dim, SMOOTH_ATTENTION_ALPHA);
+        let q_lambda = tile_lambda(s.lambda(), &kv_of);
         wq = wq.scale_rows(&q_lambda);
         wk = s.fold_into_wk(&wk);
         Some((s, q_lambda))
@@ -292,30 +374,24 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     //   the V activation is the right statistic;
     //   down_proj consumes swiglu(gate, up).
     // GQA constraint: out_proj's input channels replicate each V channel
-    // across `reps` query-head groups, so λ must be periodic with the KV
-    // width for the producer fold into W_V to stay exact. We therefore
+    // once per query head of its group, so λ must be constant across a
+    // group for the producer fold into W_V to stay exact. We therefore
     // compute λ at KV width from group-aggregated consumer statistics and
-    // tile it across the groups.
+    // widen it across the groups.
     let smooth_o = if cfg.output_smoothing {
         let v_act = calib_rot.matmul_nt(&wv);
-        let kvw = wv.rows();
         let ax = col_abs_max(&v_act);
-        let aw_full = col_abs_max(&wo);
-        let reps = wo.cols() / kvw;
-        let aw: Vec<f32> = (0..kvw)
-            .map(|j| (0..reps).map(|r| aw_full[r * kvw + j]).fold(0.0f32, f32::max))
-            .collect();
-        let s = if cfg.output_smoothing_search {
-            let o_in = tile_cols(&v_act, wo.cols());
-            let spec = clip_spec(group, wo.cols());
-            search_smoothing_from_stats(&o_in, &wo, &ax, &aw, spec, &default_alpha_grid()).0
-        } else {
-            SmoothingScales::from_stats(&ax, &aw, cfg.output_smoothing_alpha)
-        };
-        let lambda_tiled = tile_lambda(s.lambda(), wo.cols());
+        let mut aw = vec![0.0f32; ax.len()];
+        for (&j, &a) in kv_of.iter().zip(&col_abs_max(&wo)) {
+            aw[j] = aw[j].max(a);
+        }
+        let o_in = tile_cols(&v_act, &kv_of);
+        let spec = clip_spec(group, wo.cols());
+        let (s, _) =
+            search_smoothing_from_stats(&o_in, &wo, &ax, &aw, &kv_of, spec, &default_alpha_grid());
+        let lambda_tiled = tile_lambda(s.lambda(), &kv_of);
         wo = wo.scale_cols(&lambda_tiled);
-        let inv: Vec<f32> = s.lambda().iter().map(|l| 1.0 / l).collect();
-        wv = wv.scale_rows(&inv);
+        wv = s.fold_into_producer(&wv);
         Some((s, lambda_tiled))
     } else {
         None
@@ -328,12 +404,8 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     let gate_act = calib_rot.matmul_nt(&w_gate);
     let smooth_d = if cfg.output_smoothing {
         let inter = swiglu(&gate_act, &calib_rot.matmul_nt(&w_up));
-        let s = if cfg.output_smoothing_search {
-            let spec = clip_spec(group, w_down.cols());
-            search_smoothing(&inter, &w_down, spec, &default_alpha_grid()).0
-        } else {
-            SmoothingScales::from_calibration(&inter, &w_down, cfg.output_smoothing_alpha)
-        };
+        let spec = clip_spec(group, w_down.cols());
+        let (s, _) = search_smoothing(&inter, &w_down, spec, &default_alpha_grid());
         w_down = s.fold_into_consumer(&w_down);
         w_up = s.fold_into_producer(&w_up);
         Some(s)
@@ -342,134 +414,104 @@ pub fn quantize_block(block: &BlockWeights, calib_x: &Matrix, cfg: &QoqConfig) -
     };
 
     // ------------------------------------------------------------------
-    // Stages 4-6 per layer: reorder → clip → quantize, then invert
-    // everything for the fake-quant frame.
+    // Stage 4 per quantization node: the frame its GEMMs read, and the
+    // node's calibration activations in that frame.
     // ------------------------------------------------------------------
-    // Calibration inputs per layer, in the transformed frame.
-    let attn_out_calib = tile_cols(&calib_rot.matmul_nt(&wv), wo.cols());
+    let attn_out_calib = tile_cols(&calib_rot.matmul_nt(&wv), &kv_of);
     let ffn_inter_calib = swiglu(&gate_act, &calib_rot.matmul_nt(&w_up));
-
-    let transformed: [(&'static str, &Matrix, &Matrix); 7] = [
-        ("q_proj", &wq, &calib_rot),
-        ("k_proj", &wk, &calib_rot),
-        ("v_proj", &wv, &calib_rot),
-        ("out_proj", &wo, &attn_out_calib),
-        ("gate_proj", &w_gate, &calib_rot),
-        ("up_proj", &w_up, &calib_rot),
-        ("down_proj", &w_down, &ffn_inter_calib),
-    ];
-
-    let mut deployed = Vec::with_capacity(7);
-    let mut fake_transformed: Vec<Matrix> = Vec::with_capacity(7);
-    let mut reports = Vec::with_capacity(7);
-
-    for (name, w, layer_calib) in transformed {
-        let reorderer = if cfg.channel_reorder && group.is_some() {
-            Some(ChannelReorder::from_activations(layer_calib))
-        } else {
-            None
+    let node = |rotation: Option<Matrix>, calib: Matrix| -> (ActivationFrame, Matrix) {
+        let reorder = (cfg.channel_reorder && group.is_some())
+            .then(|| ChannelReorder::from_activations(&calib));
+        let calib = match &reorder {
+            Some(r) => r.apply_to_activation(&calib),
+            None => calib,
         };
-        let w_re = match &reorderer {
+        (ActivationFrame { rotation, reorder }, calib)
+    };
+    let (input_frame, input_calib) = node(rot, calib_rot);
+    let (attn_out_frame, attn_out_calib) = node(None, attn_out_calib);
+    let (ffn_inter_frame, ffn_inter_calib) = node(None, ffn_inter_calib);
+
+    // ------------------------------------------------------------------
+    // Stages 4-6 per layer: reorder → clip → quantize, then undo the
+    // reorder for the fake-quant frame.
+    // ------------------------------------------------------------------
+    let transformed = BlockWeights { wq, wk, wv, wo, w_gate, w_up, w_down, head_dim: block.head_dim };
+    let mut deployed = Vec::with_capacity(7);
+    let mut fake_transformed = Vec::with_capacity(7);
+    let mut clip_alphas = Vec::with_capacity(7);
+    for (layer, (name, w)) in transformed.layers().into_iter().enumerate() {
+        let (frame, calib) = match layer {
+            OUT_PROJ => (&attn_out_frame, &attn_out_calib),
+            DOWN_PROJ => (&ffn_inter_frame, &ffn_inter_calib),
+            _ => (&input_frame, &input_calib),
+        };
+        let w_re = match &frame.reorder {
             Some(r) => r.apply_to_weight(w),
             None => w.clone(),
         };
-
         let clip_alpha = if cfg.weight_clipping {
-            let x_re = match &reorderer {
-                Some(r) => r.apply_to_activation(layer_calib),
-                None => layer_calib.clone(),
-            };
             let spec = clip_spec(group, w_re.cols());
-            search_clip_layer_output(&x_re, &w_re, spec, &default_grid()).alpha
+            search_clip_layer_output(calib, &w_re, spec, &default_grid()).alpha
         } else {
             1.0
         };
         let w_clipped = clip_weight(&w_re, clip_alpha);
 
-        let (dep, fake_re) = match group {
+        let dep = match group {
             Some(g) => {
                 let g = effective_group(g, w_clipped.cols());
-                let pw = ProgressiveWeight::quantize(&w_clipped, g);
-                let f = pw.dequantize();
-                (DeployedWeight::Progressive(pw), f)
+                DeployedWeight::Progressive(ProgressiveWeight::quantize(&w_clipped, g))
             }
-            None => {
-                let pc = PerChannelW4::quantize(&w_clipped);
-                let f = pc.dequantize();
-                (DeployedWeight::PerChannel(pc), f)
-            }
+            None => DeployedWeight::PerChannel(PerChannelW4::quantize(&w_clipped)),
         };
-        // Undo reorder to return to the (rotated/smoothed) frame.
-        let fake_t = match &reorderer {
+        let fake_re = dep.dequantize();
+        fake_transformed.push(match &frame.reorder {
             Some(r) => r.inverse().apply_to_weight(&fake_re),
             None => fake_re,
-        };
+        });
         deployed.push((name.to_string(), dep));
-        fake_transformed.push(fake_t);
-        reports.push((name, clip_alpha));
+        clip_alphas.push(clip_alpha);
     }
 
     // ------------------------------------------------------------------
     // Invert stages 3 → 2 → 1 to express fake weights in the original frame.
     // ------------------------------------------------------------------
-    let mut f_wq = fake_transformed[0].clone();
-    let mut f_wk = fake_transformed[1].clone();
-    let mut f_wv = fake_transformed[2].clone();
-    let mut f_wo = fake_transformed[3].clone();
-    let f_wgate = fake_transformed[4].clone();
-    let mut f_wup = fake_transformed[5].clone();
-    let mut f_wdown = fake_transformed[6].clone();
-
+    let layers: [Matrix; 7] = fake_transformed.try_into().expect("seven layers quantized");
+    let mut fake = BlockWeights::from_layers(layers, block.head_dim);
+    let inverse = |lambda: &[f32]| -> Vec<f32> { lambda.iter().map(|l| 1.0 / l).collect() };
     if let Some(s) = &smooth_d {
-        let inv: Vec<f32> = s.lambda().iter().map(|l| 1.0 / l).collect();
-        f_wdown = f_wdown.scale_cols(&inv);
-        f_wup = f_wup.scale_rows(s.lambda());
+        fake.w_down = fake.w_down.scale_cols(&inverse(s.lambda()));
+        fake.w_up = fake.w_up.scale_rows(s.lambda());
     }
     if let Some((s, lambda_tiled)) = &smooth_o {
-        let inv_tiled: Vec<f32> = lambda_tiled.iter().map(|l| 1.0 / l).collect();
-        f_wo = f_wo.scale_cols(&inv_tiled);
-        f_wv = f_wv.scale_rows(s.lambda());
+        fake.wo = fake.wo.scale_cols(&inverse(lambda_tiled));
+        fake.wv = fake.wv.scale_rows(s.lambda());
     }
     if let Some((s, q_lambda)) = &smooth_attn {
-        let qinv: Vec<f32> = q_lambda.iter().map(|l| 1.0 / l).collect();
-        f_wq = f_wq.scale_rows(&qinv);
-        f_wk = f_wk.scale_rows(s.lambda());
+        fake.wq = fake.wq.scale_rows(&inverse(q_lambda));
+        fake.wk = fake.wk.scale_rows(s.lambda());
     }
-    let f_wq = unrotate_in(&f_wq);
-    let f_wk = unrotate_in(&f_wk);
-    let f_wv = unrotate_in(&f_wv);
-    let f_wgate = unrotate_in(&f_wgate);
-    let f_wup = unrotate_in(&f_wup);
-
-    let fake = BlockWeights {
-        wq: f_wq,
-        wk: f_wk,
-        wv: f_wv,
-        wo: f_wo,
-        w_gate: f_wgate,
-        w_up: f_wup,
-        w_down: f_wdown,
-        head_dim: block.head_dim,
-    };
+    if let Some(q) = &input_frame.rotation {
+        // W·Qᵀ undoes W·Q for orthogonal Q.
+        for w in [&mut fake.wq, &mut fake.wk, &mut fake.wv, &mut fake.w_gate, &mut fake.w_up] {
+            *w = w.matmul_nt(q);
+        }
+    }
 
     let reports = block
         .layers()
         .iter()
         .zip(fake.layers().iter())
-        .zip(reports)
-        .map(|(((name, orig), (_, fq)), (_, alpha))| LayerReport {
+        .zip(clip_alphas)
+        .map(|(((name, orig), (_, fq)), clip_alpha)| LayerReport {
             name: (*name).to_string(),
             weight_sqnr_db: qserve_tensor::stats::sqnr_db(orig, fq),
-            clip_alpha: alpha,
+            clip_alpha,
         })
         .collect();
 
-    QuantizedBlock {
-        fake,
-        deployed,
-        reports,
-        input_rotation: rot,
-    }
+    QuantizedBlock { fake, deployed, reports, input_frame, attn_out_frame, ffn_inter_frame }
 }
 
 /// Block-diagonal scaled-Hadamard rotation for arbitrary `n`: the largest
@@ -500,38 +542,15 @@ fn largest_pow2_divisor(n: usize) -> usize {
     }
 }
 
-/// Tiles a kv-width λ up to the query width (GQA head replication).
-fn tile_lambda(lambda: &[f32], target: usize) -> Vec<f32> {
-    assert!(
-        target % lambda.len() == 0,
-        "query width {} not a multiple of kv width {}",
-        target,
-        lambda.len()
-    );
-    let reps = target / lambda.len();
-    let mut out = Vec::with_capacity(target);
-    for _ in 0..reps {
-        out.extend_from_slice(lambda);
-    }
-    out
+/// Widens a KV-width λ to query width through a [`gqa_kv_map`].
+fn tile_lambda(lambda: &[f32], kv_of: &[usize]) -> Vec<f32> {
+    kv_of.iter().map(|&j| lambda[j]).collect()
 }
 
-/// Tiles activation columns up to `target` width (GQA value replication).
-fn tile_cols(x: &Matrix, target: usize) -> Matrix {
-    if x.cols() == target {
-        return x.clone();
-    }
-    assert!(target % x.cols() == 0, "cannot tile {} to {}", x.cols(), target);
-    let reps = target / x.cols();
-    let mut out = Matrix::zeros(x.rows(), target);
-    for i in 0..x.rows() {
-        let src = x.row(i);
-        let dst = out.row_mut(i);
-        for r in 0..reps {
-            dst[r * x.cols()..(r + 1) * x.cols()].copy_from_slice(src);
-        }
-    }
-    out
+/// Widens KV-width activation columns to query width through a
+/// [`gqa_kv_map`] (each V channel replicated to the query heads reading it).
+fn tile_cols(x: &Matrix, kv_of: &[usize]) -> Matrix {
+    Matrix::from_fn(x.rows(), kv_of.len(), |i, c| x[(i, kv_of[c])])
 }
 
 fn clip_spec(group: Option<usize>, cols: usize) -> QuantSpec {
@@ -663,7 +682,7 @@ mod tests {
         let block = test_block(&mut rng, 64, 4, 2);
         let calib = outlier_calib(&mut rng, 16, 64);
         let qb = quantize_block(&block, &calib, &QoqConfig::w4a8kv4_per_channel());
-        assert!(matches!(qb.deployed[0].1, DeployedWeight::PerChannel(_)));
+        assert!(matches!(qb.deployed[Q_PROJ].1, DeployedWeight::PerChannel(_)));
     }
 
     #[test]
@@ -687,7 +706,7 @@ mod tests {
             // The block input as deployment quantizes it: rotate into the
             // deployed frame, per-token symmetric INT8, rotate back.
             let spec = QuantSpec::int8_symmetric(Granularity::PerRow);
-            let x_q = match &qb.input_rotation {
+            let x_q = match &qb.input_frame.rotation {
                 Some(q) => rtn_fake_quant(&calib.matmul_nn(q), spec).matmul_nt(q),
                 None => rtn_fake_quant(&calib, spec),
             };
@@ -734,9 +753,14 @@ mod tests {
 
     #[test]
     fn tile_lambda_replicates() {
+        // Two KV heads of width 2 under four query heads: each KV head's λ
+        // lands on the two contiguous query heads of its group — not on
+        // every other one, which a single KV head cannot tell apart.
         let l = vec![1.0, 2.0, 3.0, 4.0];
-        let tiled = tile_lambda(&l, 8);
-        assert_eq!(tiled, vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0]);
+        let tiled = tile_lambda(&l, &gqa_kv_map(4, 8, 2));
+        assert_eq!(tiled, vec![1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0]);
+        // Head to head (`head_dim = 1`): 8 query heads over 2 KV heads.
+        assert_eq!(gqa_kv_map(2, 8, 1), vec![0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -5,8 +5,14 @@
 //! mixed-precision; QoQ instead *reorders input channels by salience* so that
 //! channels with similar magnitude land in the same quantization group,
 //! letting each group's scale fit its members snugly. The permutation is
-//! applied offline to weights (and folded into the preceding layer), so it is
-//! free at inference time.
+//! applied offline to the weights' input channels; the activation side is a
+//! gather at the quantization node that feeds them, which QServe fuses into
+//! the norm / activation kernel that writes the INT8 tensor — that is what
+//! makes it free at inference time. This stack does the same unfused:
+//! [`crate::pipeline::ActivationFrame`] carries the node's permutation and
+//! the runtime gathers by it before per-token INT8. Nothing is folded into
+//! the preceding layer's rows (out_proj's order interleaves attention heads
+//! and could not be).
 
 use qserve_tensor::stats::{argsort_desc, col_abs_max};
 use qserve_tensor::Matrix;

@@ -14,31 +14,21 @@ use qserve_tensor::Matrix;
 
 /// Per-channel smoothing factors for one output module.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SmoothingScales {
+pub(crate) struct SmoothingScales {
     lambda: Vec<f32>,
 }
 
 impl SmoothingScales {
-    /// Computes `λⱼ = max|Xⱼ|^α / max|Wⱼ|^(1−α)` from calibration
-    /// activations `X` (`tokens × k`) and the consumer weight `W` (`n×k`,
-    /// input channel = column).
+    /// Computes `λⱼ = max|Xⱼ|^α / max|Wⱼ|^(1−α)` from the per-channel absmax
+    /// of the activations `X` and of the consumer weight `W`'s input
+    /// channels (the pipeline aggregates the latter across GQA head groups).
     ///
     /// `α → 0` makes λ weight-dominated, per the paper's finding. Channels
-    /// where both statistics vanish get `λ = 1`.
-    ///
-    /// # Panics
-    /// Panics if `x.cols() != w.cols()` or `alpha ∉ [0, 1]`.
-    pub fn from_calibration(x: &Matrix, w: &Matrix, alpha: f32) -> Self {
-        assert_eq!(x.cols(), w.cols(), "activation/weight channel mismatch");
-        Self::from_stats(&col_abs_max(x), &col_abs_max(w), alpha)
-    }
-
-    /// Builds λ directly from per-channel absmax statistics (used by the
-    /// pipeline to aggregate consumer statistics across GQA head groups).
+    /// where either statistic vanishes get `λ = 1`.
     ///
     /// # Panics
     /// Panics if lengths differ or `alpha ∉ [0, 1]`.
-    pub fn from_stats(ax: &[f32], aw: &[f32], alpha: f32) -> Self {
+    fn from_stats(ax: &[f32], aw: &[f32], alpha: f32) -> Self {
         assert_eq!(ax.len(), aw.len(), "stat length mismatch");
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
         let lambda = ax
@@ -90,43 +80,45 @@ impl SmoothingScales {
 /// strength).
 ///
 /// Returns the winning scales and the α chosen.
-pub fn search_smoothing(
+pub(crate) fn search_smoothing(
     x: &Matrix,
     w: &Matrix,
     weight_spec: QuantSpec,
     grid: &[f32],
 ) -> (SmoothingScales, f32) {
-    search_smoothing_from_stats(x, w, &col_abs_max(x), &col_abs_max(w), weight_spec, grid)
+    let own: Vec<usize> = (0..x.cols()).collect();
+    search_smoothing_from_stats(x, w, &col_abs_max(x), &col_abs_max(w), &own, weight_spec, grid)
 }
 
 /// [`search_smoothing`] over λ built from the caller's per-channel absmax
 /// statistics instead of `x`'s and `w`'s own. The statistics may be narrower
 /// than the layer (GQA: one entry per KV channel, aggregated over the query
-/// groups that replicate it); each candidate is tiled across the layer's
-/// channels to be scored and returned at the statistics' width.
+/// heads that replicate it): `stat_of[c]` is the statistic channel `c` of
+/// the layer reads (`pipeline::gqa_kv_map`). Each candidate is widened
+/// through it to be scored and returned at the statistics' width.
 ///
 /// # Panics
-/// Panics if the grid is empty, the statistics' lengths differ or do not
-/// divide the channel count, or `x` and `w` disagree on it.
+/// Panics if the grid is empty, the statistics' lengths differ, `stat_of`
+/// does not cover the channels, or `x` and `w` disagree on their count.
 pub(crate) fn search_smoothing_from_stats(
     x: &Matrix,
     w: &Matrix,
     ax: &[f32],
     aw: &[f32],
+    stat_of: &[usize],
     weight_spec: QuantSpec,
     grid: &[f32],
 ) -> (SmoothingScales, f32) {
     assert!(!grid.is_empty(), "alpha grid must be non-empty");
     assert_eq!(x.cols(), w.cols(), "activation/weight channel mismatch");
-    let reps = x.cols() / ax.len().max(1);
-    assert_eq!(ax.len() * reps, x.cols(), "statistics do not tile the channels");
+    assert_eq!(stat_of.len(), x.cols(), "one statistic per channel");
     let act_spec = QuantSpec::int8_symmetric(Granularity::PerRow);
     let y_ref = x.matmul_nt(w);
     let mut best: Option<(f64, SmoothingScales, f32)> = None;
     for &alpha in grid {
         let s = SmoothingScales::from_stats(ax, aw, alpha);
         let tiled = SmoothingScales {
-            lambda: s.lambda.repeat(reps),
+            lambda: stat_of.iter().map(|&j| s.lambda[j]).collect(),
         };
         let xq = rtn_fake_quant(&tiled.apply_to_activation(x), act_spec);
         let wq = rtn_fake_quant(&tiled.fold_into_consumer(w), weight_spec);
@@ -140,7 +132,7 @@ pub(crate) fn search_smoothing_from_stats(
 }
 
 /// The default α grid for [`search_smoothing`].
-pub fn default_alpha_grid() -> Vec<f32> {
+pub(crate) fn default_alpha_grid() -> Vec<f32> {
     vec![0.0, 0.15, 0.3, 0.5, 0.65, 0.8]
 }
 
@@ -149,6 +141,15 @@ mod tests {
     use super::*;
     use qserve_tensor::rng::TensorRng;
     use qserve_tensor::stats::sqnr_db;
+
+    impl SmoothingScales {
+        /// [`SmoothingScales::from_stats`] over `x`'s and `w`'s own
+        /// per-channel absmax, at a fixed migration strength.
+        fn from_calibration(x: &Matrix, w: &Matrix, alpha: f32) -> Self {
+            assert_eq!(x.cols(), w.cols(), "activation/weight channel mismatch");
+            Self::from_stats(&col_abs_max(x), &col_abs_max(w), alpha)
+        }
+    }
 
     #[test]
     fn smoothing_preserves_output() {

@@ -12,10 +12,10 @@
 //!   Tables 3/5 (FP16 scores 1.0 by construction; each scheme's deficit
 //!   mirrors its accuracy drop).
 
-use crate::forward::collect_calibration;
+use crate::forward::{collect_calibration, forward_hidden, lm_head, ActQuant};
 use crate::synth::SyntheticModel;
 use qserve_core::kv_quant::KvPrecision;
-use qserve_core::pipeline::{quantize_block, QoqConfig};
+use qserve_core::pipeline::{quantize_block, QoqConfig, QuantizedBlock};
 use qserve_tensor::Matrix;
 
 /// Exp of the mean next-token cross-entropy of `logits` against the shifted
@@ -40,19 +40,23 @@ pub fn pseudo_perplexity_from_logits(logits: &Matrix, tokens: &[u32]) -> f64 {
     (nll / count as f64).exp()
 }
 
+/// Index of the largest logit — the greedy sampler. Among equal maxima the
+/// last wins (`Iterator::max_by`); 0 for an empty row.
+pub fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
 /// Fraction of positions whose argmax token matches between two logit sets.
 pub fn top1_agreement(reference: &Matrix, candidate: &Matrix) -> f64 {
     assert_eq!(reference.shape(), candidate.shape());
     if reference.rows() == 0 {
         return 1.0;
     }
-    let argmax = |row: &[f32]| -> usize {
-        row.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    };
     let mut hits = 0usize;
     for t in 0..reference.rows() {
         if argmax(reference.row(t)) == argmax(candidate.row(t)) {
@@ -75,21 +79,30 @@ pub struct QuantizedModel {
     pub kv_precision: KvPrecision,
 }
 
-/// Quantizes every block of a model with QoQ and returns the fake-quantized
-/// model (weights replaced layer by layer, calibrated on `calib_tokens`).
+/// Quantizes every block of `model` with QoQ, each calibrated on its own
+/// full-precision input over `calib_tokens` — the one deployment loop:
+/// evaluation keeps each artifact's fake weights ([`quantize_model`]), the
+/// serving runtime its deployed ones.
+pub fn quantize_blocks(
+    model: &SyntheticModel,
+    cfg: &QoqConfig,
+    calib_tokens: &[u32],
+) -> Vec<QuantizedBlock> {
+    let calib = collect_calibration(model, calib_tokens);
+    model.blocks.iter().zip(&calib).map(|(b, x)| quantize_block(b, x, cfg)).collect()
+}
+
+/// [`quantize_blocks`], keeping what evaluation reads: the fake-quantized
+/// model (weights replaced layer by layer) and each block's input rotation.
 pub fn quantize_model(
     model: &SyntheticModel,
     cfg: &QoqConfig,
     calib_tokens: &[u32],
 ) -> QuantizedModel {
-    let calib = collect_calibration(model, calib_tokens);
-    let mut blocks = Vec::with_capacity(model.blocks.len());
-    let mut rotations = Vec::with_capacity(model.blocks.len());
-    for (b, x) in model.blocks.iter().zip(&calib) {
-        let qb = quantize_block(b, x, cfg);
-        blocks.push(qb.fake);
-        rotations.push(qb.input_rotation);
-    }
+    let (blocks, rotations) = quantize_blocks(model, cfg, calib_tokens)
+        .into_iter()
+        .map(|qb| (qb.fake, qb.input_frame.rotation))
+        .unzip();
     QuantizedModel {
         model: model.with_blocks(blocks),
         rotations,
@@ -107,36 +120,17 @@ pub fn custom_forward_logits(
     kv: KvPrecision,
     tokens: &[u32],
 ) -> Matrix {
-    use crate::forward::{block_forward_full, ActQuant};
-    use qserve_tensor::ops::rmsnorm;
     assert_eq!(rotations.len(), model.blocks.len(), "rotation count mismatch");
-    let h = model.config.hidden;
-    let mut x = Matrix::zeros(tokens.len(), h);
-    for (t, &id) in tokens.iter().enumerate() {
-        x.row_mut(t)
-            .copy_from_slice(model.embedding.row(id as usize % model.config.vocab));
-    }
-    for ((block, (attn_norm, ffn_norm)), rotation) in
-        model.blocks.iter().zip(&model.norms).zip(rotations)
-    {
-        let aq = match act_bits {
-            Some(bits) => ActQuant::PerToken {
-                bits,
-                rotation: rotation.clone(),
-            },
-            None => ActQuant::None,
-        };
-        x = block_forward_full(&x, block, attn_norm, ffn_norm, model.rope_base, kv, &aq);
-    }
-    let x = rmsnorm(&x, &model.final_norm, 1e-5);
-    x.matmul_nt(&model.embedding)
-        .scale(1.0 / (h as f32).sqrt())
+    let stream = forward_hidden(model, tokens, kv, |layer| match act_bits {
+        Some(bits) => ActQuant::PerToken { bits, rotation: rotations[layer].clone() },
+        None => ActQuant::None,
+    });
+    lm_head(model, &stream[model.blocks.len()])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::forward_logits_kv;
     use qserve_core::pipeline::WeightGranularity;
     use qserve_tensor::rng::TensorRng;
 
@@ -146,7 +140,9 @@ mod tests {
 
     /// Pseudo-perplexity of a model (optionally with KV fake quantization).
     fn pseudo_perplexity(model: &SyntheticModel, tokens: &[u32], kv: KvPrecision) -> f64 {
-        pseudo_perplexity_from_logits(&forward_logits_kv(model, tokens, kv), tokens)
+        let no_rot = vec![None; model.blocks.len()];
+        let logits = custom_forward_logits(model, &no_rot, None, kv, tokens);
+        pseudo_perplexity_from_logits(&logits, tokens)
     }
 
     /// One quantization configuration's damage, end to end.
@@ -170,7 +166,7 @@ mod tests {
         eval_tokens: &[u32],
     ) -> SchemeEval {
         let q = quantize_model(model, cfg, calib_tokens);
-        let ref_logits = forward_logits_kv(model, eval_tokens, KvPrecision::Fp16);
+        let ref_logits = crate::forward::forward_logits(model, eval_tokens);
         let q_logits =
             custom_forward_logits(&q.model, &q.rotations, Some(8), q.kv_precision, eval_tokens);
         SchemeEval {

@@ -3,7 +3,7 @@
 
 use crate::synth::SyntheticModel;
 use qserve_core::kv_quant::{dequantize_token_row, quantize_token_row, KvPrecision};
-use qserve_core::pipeline::BlockWeights;
+use qserve_core::pipeline::{gqa_kv_map, BlockWeights};
 use qserve_tensor::ops::{attention_causal, rmsnorm, rope_matrix, swiglu};
 use qserve_tensor::Matrix;
 
@@ -22,7 +22,8 @@ fn fake_quant_kv(x: &Matrix, head_dim: usize, precision: KvPrecision) -> Matrix 
 }
 
 /// Runs one transformer block on a `tokens × hidden` input (prefill-style,
-/// causal). Returns the block output (with residuals applied).
+/// causal) in full precision. Returns the block output (with residuals
+/// applied).
 pub fn block_forward(
     x: &Matrix,
     block: &BlockWeights,
@@ -30,7 +31,7 @@ pub fn block_forward(
     ffn_norm: &[f32],
     rope_base: f32,
 ) -> Matrix {
-    block_forward_kv(x, block, attn_norm, ffn_norm, rope_base, KvPrecision::Fp16)
+    block_forward_full(x, block, attn_norm, ffn_norm, rope_base, KvPrecision::Fp16, &ActQuant::None)
 }
 
 /// How GEMM-input activations are treated during a forward pass.
@@ -47,7 +48,7 @@ pub enum ActQuant {
     PerToken {
         /// Activation bit width (8 for W4A8, 4 for W4A4).
         bits: u8,
-        /// The block-input rotation (from `QuantizedBlock::input_rotation`).
+        /// The block-input rotation (`QuantizedBlock::input_frame`'s).
         rotation: Option<Matrix>,
     },
 }
@@ -64,18 +65,14 @@ impl ActQuant {
         }
     }
 
-    /// Fake-quantizes a *block-input* activation (rotation-aware).
+    /// Fake-quantizes a *block-input* activation: in the rotated frame when
+    /// there is one, and back.
     fn block_input(&self, x: &Matrix) -> Matrix {
-        use qserve_quant::matrixq::rtn_fake_quant;
         match self {
-            ActQuant::None => x.clone(),
-            ActQuant::PerToken { bits, rotation } => {
-                let spec = Self::spec(*bits);
-                match rotation {
-                    Some(q) => rtn_fake_quant(&x.matmul_nn(q), spec).matmul_nt(q),
-                    None => rtn_fake_quant(x, spec),
-                }
+            ActQuant::PerToken { rotation: Some(q), .. } => {
+                self.intermediate(&x.matmul_nn(q)).matmul_nt(q)
             }
+            _ => self.intermediate(x),
         }
     }
 
@@ -89,29 +86,9 @@ impl ActQuant {
     }
 }
 
-/// [`block_forward`] with the KV activations squeezed through a quantized
-/// KV cache at the given precision (the accuracy cost KV4 incurs).
-fn block_forward_kv(
-    x: &Matrix,
-    block: &BlockWeights,
-    attn_norm: &[f32],
-    ffn_norm: &[f32],
-    rope_base: f32,
-    kv_precision: KvPrecision,
-) -> Matrix {
-    block_forward_full(
-        x,
-        block,
-        attn_norm,
-        ffn_norm,
-        rope_base,
-        kv_precision,
-        &ActQuant::None,
-    )
-}
-
-/// The fully-featured block forward: KV-cache precision plus deployment-
-/// faithful activation quantization.
+/// The block forward: the KV activations squeezed through a quantized KV
+/// cache at `kv_precision` (the accuracy cost KV4 incurs) and
+/// deployment-faithful activation quantization.
 pub fn block_forward_full(
     x: &Matrix,
     block: &BlockWeights,
@@ -124,8 +101,7 @@ pub fn block_forward_full(
     let d = block.head_dim;
     let hidden = block.wq.cols();
     let heads = block.wq.rows() / d;
-    let kv_heads = block.wk.rows() / d;
-    let group = heads / kv_heads;
+    let kv_head_of = gqa_kv_map(block.wk.rows() / d, heads, 1);
 
     // ---- Attention ----
     let normed = act_quant.block_input(&rmsnorm(x, attn_norm, 1e-5));
@@ -139,8 +115,7 @@ pub fn block_forward_full(
 
     let tokens = x.rows();
     let mut attn_out = Matrix::zeros(tokens, heads * d);
-    for h in 0..heads {
-        let kv_h = h / group;
+    for (h, &kv_h) in kv_head_of.iter().enumerate() {
         let qh = q.slice_cols(h * d, (h + 1) * d);
         let kh = k.slice_cols(kv_h * d, (kv_h + 1) * d);
         let vh = v.slice_cols(kv_h * d, (kv_h + 1) * d);
@@ -162,49 +137,59 @@ pub fn block_forward_full(
     x.add(&inter.matmul_nt(&block.w_down))
 }
 
-/// Full-model forward: token ids → logits (`tokens × vocab`). The LM head is
-/// tied to the embedding table.
-pub fn forward_logits(model: &SyntheticModel, tokens: &[u32]) -> Matrix {
-    forward_logits_kv(model, tokens, KvPrecision::Fp16)
-}
-
-/// [`forward_logits`] with KV-cache fake quantization at every layer.
-pub fn forward_logits_kv(
-    model: &SyntheticModel,
-    tokens: &[u32],
-    kv_precision: KvPrecision,
-) -> Matrix {
-    let h = model.config.hidden;
-    let mut x = Matrix::zeros(tokens.len(), h);
+/// The embedding rows of `tokens` (`tokens × hidden`), ids taken modulo the
+/// vocabulary.
+pub fn embed(model: &SyntheticModel, tokens: &[u32]) -> Matrix {
+    let mut x = Matrix::zeros(tokens.len(), model.config.hidden);
     for (t, &id) in tokens.iter().enumerate() {
         x.row_mut(t)
             .copy_from_slice(model.embedding.row(id as usize % model.config.vocab));
     }
-    for (block, (attn_norm, ffn_norm)) in model.blocks.iter().zip(&model.norms) {
-        x = block_forward_kv(&x, block, attn_norm, ffn_norm, model.rope_base, kv_precision);
-    }
-    let x = rmsnorm(&x, &model.final_norm, 1e-5);
+    x
+}
+
+/// Final norm and the LM head (tied to the embedding table): hidden states
+/// → logits (`rows × vocab`).
+pub fn lm_head(model: &SyntheticModel, hidden: &Matrix) -> Matrix {
     // Temperature 1/√hidden keeps the random model's logit range sane so
     // pseudo-perplexity differences are numerically meaningful.
-    x.matmul_nt(&model.embedding)
+    let h = model.config.hidden;
+    rmsnorm(hidden, &model.final_norm, 1e-5)
+        .matmul_nt(&model.embedding)
         .scale(1.0 / (h as f32).sqrt())
 }
 
-/// Collects the *block inputs* at every layer for calibration — what
-/// `qserve_core::pipeline::quantize_block` consumes.
+/// The model forward: embeds `tokens` and runs every block through
+/// [`block_forward_full`] with `act_quant(layer)`. Returns the residual
+/// stream — entry `l` is block `l`'s input, the last entry the final hidden
+/// state [`lm_head`] reads.
+pub fn forward_hidden(
+    model: &SyntheticModel,
+    tokens: &[u32],
+    kv_precision: KvPrecision,
+    act_quant: impl Fn(usize) -> ActQuant,
+) -> Vec<Matrix> {
+    let mut stream = vec![embed(model, tokens)];
+    for (layer, (block, (attn_norm, ffn_norm))) in model.blocks.iter().zip(&model.norms).enumerate() {
+        let aq = act_quant(layer);
+        let x = &stream[layer];
+        stream.push(block_forward_full(x, block, attn_norm, ffn_norm, model.rope_base, kv_precision, &aq));
+    }
+    stream
+}
+
+/// Full-precision model forward: token ids → logits (`tokens × vocab`).
+pub fn forward_logits(model: &SyntheticModel, tokens: &[u32]) -> Matrix {
+    let stream = forward_hidden(model, tokens, KvPrecision::Fp16, |_| ActQuant::None);
+    lm_head(model, &stream[model.blocks.len()])
+}
+
+/// Collects the *block inputs* at every layer of the full-precision model
+/// for calibration — what `qserve_core::pipeline::quantize_block` consumes.
 pub fn collect_calibration(model: &SyntheticModel, tokens: &[u32]) -> Vec<Matrix> {
-    let h = model.config.hidden;
-    let mut x = Matrix::zeros(tokens.len(), h);
-    for (t, &id) in tokens.iter().enumerate() {
-        x.row_mut(t)
-            .copy_from_slice(model.embedding.row(id as usize % model.config.vocab));
-    }
-    let mut calib = Vec::with_capacity(model.blocks.len());
-    for (block, (attn_norm, ffn_norm)) in model.blocks.iter().zip(&model.norms) {
-        calib.push(x.clone());
-        x = block_forward(&x, block, attn_norm, ffn_norm, model.rope_base);
-    }
-    calib
+    let mut stream = forward_hidden(model, tokens, KvPrecision::Fp16, |_| ActQuant::None);
+    stream.truncate(model.blocks.len());
+    stream
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@ use qserve_kernels::attention::HeadTile;
 /// Runs QServe's decode attention for one sequence and one layer directly
 /// over the paged cache: a run of one row (see [`paged_run_attention`]).
 ///
-/// `query` is the full-width query row (`query_heads × head_dim`); GQA maps
-/// query head `h` onto KV head `h / (query_heads / kv_heads)`. Returns the
-/// concatenated per-head outputs (`query_heads × head_dim`).
+/// `query` is the full-width query row (`query_heads × head_dim`); which
+/// query heads read which KV head is [`qserve_core::pipeline::gqa_kv_map`]'s
+/// to say. Returns the concatenated per-head outputs (`query_heads ×
+/// head_dim`).
 ///
 /// # Errors
 /// [`KvCacheError::UnknownSequence`]; [`KvCacheError::NotQuantized`] on an
@@ -70,7 +71,8 @@ pub(crate) fn paged_run_attention(
     );
     assert!(queries.len() % width == 0 && queries.len() == out.len(), "ragged run");
     let rows = queries.len() / width;
-    // The query heads of one GQA group are contiguous: each KV head is
+    // The query heads reading one KV head are contiguous (the layout
+    // `qserve_core::pipeline::gqa_kv_map` defines): each KV head is
     // dequantized once for its whole group and the whole run.
     let group_width = query_heads / cfg.kv_heads * cfg.head_dim;
     for kv_head in 0..cfg.kv_heads {

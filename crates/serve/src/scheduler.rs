@@ -9,7 +9,7 @@
 //! executes it: the analytic engine drives it with cost-model latencies
 //! ([`crate::ServingEngine`]), while the functional path drives it with real
 //! quantized forward passes over the paged KV4 cache
-//! ([`crate::ModelRuntime::serve`]). That split is what keeps exactly one
+//! ([`crate::ModelRuntime::serve_with`]). That split is what keeps exactly one
 //! decode/prefill accounting implementation in the tree.
 //!
 //! A driver loop ticks the core:

@@ -8,10 +8,19 @@
 //! ```
 
 use qserve::core::pipeline::{QoqConfig, WeightGranularity};
-use qserve::model::forward::forward_logits;
+use qserve::model::eval::{argmax, quantize_blocks};
+use qserve::model::forward::{block_forward, collect_calibration, forward_logits};
 use qserve::model::synth::SyntheticModel;
-use qserve::serve::ModelRuntime;
+use qserve::serve::kv_cache::KvCacheConfig;
+use qserve::serve::{BlockRuntime, ModelRuntime, PagedKvCache, SequenceId};
 use qserve::tensor::rng::TensorRng;
+use qserve::tensor::stats::relative_error;
+
+/// The deployed = evaluated property's KV4 bound
+/// (`tests/deployed_is_what_is_evaluated.rs`): a deployed block whose
+/// residual branch is further than this from the reference is not computing
+/// the quantized function.
+const BRANCH_ERROR_BOUND: f64 = 0.20;
 
 fn main() {
     let model = SyntheticModel::small(2);
@@ -42,19 +51,9 @@ fn main() {
     let mut full: Vec<u32> = prompt.clone();
     full.extend(&generated);
     let ref_logits = forward_logits(&model, &full);
-    let mut agree = 0;
-    for t in 0..full.len() - 1 {
-        let row = ref_logits.row(t);
-        let ref_next = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i as u32)
-            .unwrap();
-        if t + 1 < full.len() && ref_next == full[t + 1] {
-            agree += 1;
-        }
-    }
+    let agree = (0..full.len() - 1)
+        .filter(|&t| argmax(ref_logits.row(t)) as u32 == full[t + 1])
+        .count();
     println!(
         "\nFP16 reference would have picked the same next token at {}/{} positions",
         agree,
@@ -62,4 +61,39 @@ fn main() {
     );
     runtime.finish_sequence(seq).expect("registered");
     println!("sequence retired; all pages returned to the pool.");
+
+    // Token agreement is a coarse check — the residual stream decides most
+    // argmaxes on its own. What each deployed block *adds* to the stream is
+    // the sharper one: its residual branch `out − x` against the FP16
+    // block's, on the model's own activations along the same trajectory.
+    let inputs = collect_calibration(&model, &full);
+    let positions: Vec<usize> = (0..full.len()).collect();
+    let mut mean = 0.0;
+    for (layer, qb) in quantize_blocks(&model, &cfg, &calib).iter().enumerate() {
+        let (x, (attn_norm, ffn_norm)) = (&inputs[layer], &model.norms[layer]);
+        let mut cache = PagedKvCache::new(
+            KvCacheConfig {
+                page_tokens: 16,
+                kv_heads: model.config.kv_heads,
+                head_dim: model.config.head_dim(),
+                layers: 1,
+                precision: cfg.kv_precision,
+            },
+            4,
+        );
+        let seq = SequenceId(0);
+        cache.register(seq).expect("fresh cache");
+        let deployed = BlockRuntime::new(qb)
+            .decode_step(x, &vec![seq; full.len()], &positions, 0, &mut cache, attn_norm, ffn_norm, model.rope_base)
+            .expect("capacity");
+        let reference = block_forward(x, &model.blocks[layer], attn_norm, ffn_norm, model.rope_base);
+        let err = relative_error(&reference.sub(x), &deployed.sub(x));
+        println!("block {layer}: deployed residual branch vs FP16, relative error {err:.4}");
+        mean += err / model.config.layers as f64;
+    }
+    println!("mean branch error {mean:.4} (bound {BRANCH_ERROR_BOUND})");
+    if mean > BRANCH_ERROR_BOUND {
+        eprintln!("the deployed blocks do not compute the quantized model");
+        std::process::exit(1);
+    }
 }

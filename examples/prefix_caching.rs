@@ -40,7 +40,8 @@ fn main() {
     println!("workload: 8 requests, 2 tenants × 40-token system prompt + private suffixes\n");
 
     let mut private_rt = deploy();
-    let private = private_rt.serve(&spec, 4, Box::new(Fcfs)).expect("serves");
+    let private =
+        private_rt.serve_with(&spec, 4, Box::new(Fcfs), SchedOptions::default()).expect("serves");
     let private_peak = private_rt.cache().peak_used_pages();
 
     let mut shared_rt = deploy();

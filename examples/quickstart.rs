@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qserve::core::pipeline::{quantize_block, DeployedWeight, QoqConfig, WeightGranularity};
+use qserve::core::pipeline::{
+    quantize_block, DeployedWeight, QoqConfig, WeightGranularity, Q_PROJ,
+};
 use qserve::kernels::{gemm_w4a8_per_group, quantize_activations_int8};
 use qserve::model::forward::collect_calibration;
 use qserve::model::synth::SyntheticModel;
@@ -49,7 +51,7 @@ fn main() {
     //    W4A8 GEMM with register-level-parallel dequantization.
     let x = rng.gaussian(8, model.config.hidden, 1.0);
     let qx = quantize_activations_int8(&x);
-    let (name, deployed) = &qb.deployed[0];
+    let (name, deployed) = &qb.deployed[Q_PROJ];
     let DeployedWeight::Progressive(pw) = deployed else {
         unreachable!("g128 config produces progressive weights");
     };
