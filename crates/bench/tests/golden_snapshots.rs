@@ -52,6 +52,16 @@ const GOLDEN: &[(&str, &[&str])] = &[
     // both static fleets. Pinning it freezes the attainment gap, the
     // migrated-byte count and the GPU-seconds bill.
     ("elastic_sweep", &[include_str!("../../../tests/golden/elastic_sweep.csv")]),
+    // The cost model's own tables (PR 21, recorded on the commit before its
+    // one-row-per-kernel rewrite): the only end-to-end coverage of the
+    // per-layer step breakdown, the roofline curves, the DGQ-unfused and
+    // saturating GEMM variants and the §6.4 attention ladder.
+    ("fig2a", &[include_str!("../../../tests/golden/fig2a.csv")]),
+    ("fig2b", &[include_str!("../../../tests/golden/fig2b.csv")]),
+    ("fig3", &[include_str!("../../../tests/golden/fig3.csv")]),
+    ("fig18", &[include_str!("../../../tests/golden/fig18.csv")]),
+    ("attn_breakdown", &[include_str!("../../../tests/golden/attn_breakdown.csv")]),
+    ("microbench", &[include_str!("../../../tests/golden/microbench.csv")]),
 ];
 
 #[test]
