@@ -6,10 +6,10 @@ use qserve_gpusim::attention_model::{
     AttentionOptimizations, AttentionShape,
 };
 use qserve_gpusim::gemm_model::{gemm_latency, GemmConfig, GemmShape};
-use qserve_gpusim::roofline::{attainable_gemm_ops, GemmPrecision};
+use qserve_gpusim::roofline::attainable_gemm_ops;
 use qserve_gpusim::GpuSpec;
 use qserve_model::ModelConfig;
-use qserve_serve::engine::{EngineUnavailable, ServeConfig, Workload};
+use qserve_serve::engine::{EngineUnavailable, LayerCost, ServeConfig, Workload};
 use qserve_serve::scheduler::Fcfs;
 use qserve_serve::{ServingEngine, SystemConfig};
 
@@ -21,38 +21,18 @@ pub fn fig2a() -> Table {
         "decode latency share (%) of attention vs GEMM, Llama-2-7B on A100, 1024+512 workload",
         &["Batch", "Attention %", "GEMM %", "Others %"],
     );
-    let gpu = GpuSpec::a100();
-    let model = ModelConfig::llama2_7b();
+    let engine = ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::TrtFp16)
+        .expect("FP16 Llama-2-7B fits an A100");
     let seq = 1024 + 256; // mean context during decoding
     for batch in [1usize, 2, 4, 8, 16, 32, 64] {
-        let gemm: f64 = model
-            .decode_gemm_shapes()
-            .iter()
-            .map(|&(n, k)| {
-                gemm_latency(&gpu, GemmConfig::TrtFp16, GemmShape { m: batch, n, k }).total_s
-            })
-            .sum();
-        let attn = attention_decode_latency(
-            &gpu,
-            AttentionKernel::Fp16Kv,
-            AttentionShape {
-                batch,
-                seq_len: seq,
-                query_heads: model.heads,
-                kv_heads: model.kv_heads,
-                head_dim: model.head_dim(),
-            },
-        )
-        .total_s;
-        let others = 4.0
-            * (2.0 * 2.0 * batch as f64 * model.hidden as f64 / gpu.dram_bytes_per_s
-                + gpu.kernel_overhead_s);
-        let total = gemm + attn + others;
+        let cost = engine.decode_layer_cost(batch, batch * seq);
+        let LayerCost { gemm_s, attention_s, misc_s, all_reduce_s } = cost;
+        let total = cost.total_s();
         t.push_row(vec![
             batch.to_string(),
-            fnum(100.0 * attn / total, 1),
-            fnum(100.0 * gemm / total, 1),
-            fnum(100.0 * others / total, 1),
+            fnum(100.0 * attention_s / total, 1),
+            fnum(100.0 * gemm_s / total, 1),
+            fnum(100.0 * (misc_s + all_reduce_s) / total, 1),
         ]);
     }
     t
@@ -91,17 +71,15 @@ pub fn fig3() -> Table {
     let (n, k) = (4096.0, 4096.0);
     for m in [1u32, 8, 16, 32, 64, 78, 96, 128, 160, 192, 256, 512] {
         let mut row = vec![m.to_string()];
-        for prec in [
-            GemmPrecision::Fp16Fp16,
-            GemmPrecision::Int8Int8,
-            GemmPrecision::Int4Fp16,
-            GemmPrecision::Int4Int8,
-            GemmPrecision::Int4Int4,
+        // Each precision pair, by a kernel that runs it.
+        for cfg in [
+            GemmConfig::TrtFp16,
+            GemmConfig::TrtW8A8,
+            GemmConfig::TrtW4A16,
+            GemmConfig::QServeW4A8PerChannel,
+            GemmConfig::AtomW4A4,
         ] {
-            row.push(fnum(
-                attainable_gemm_ops(&gpu, prec, f64::from(m), n, k) / 1e12,
-                1,
-            ));
+            row.push(fnum(attainable_gemm_ops(&gpu, cfg, f64::from(m), n, k) / 1e12, 1));
         }
         t.push_row(row);
     }

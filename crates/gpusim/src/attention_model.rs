@@ -32,51 +32,56 @@ pub enum AttentionKernel {
     Kv4Hadamard,
 }
 
-impl AttentionKernel {
+/// The constants the decode formula reads for one kernel design: what a
+/// cached token costs to fetch, and the CUDA-core ops the fused loop spends
+/// on each KV element, by kind.
+#[derive(Debug, Clone, Copy)]
+struct AttentionRow {
     /// KV storage bits per element.
-    pub fn kv_bits(self) -> u32 {
-        match self {
-            AttentionKernel::Fp16Kv => 16,
-            AttentionKernel::Kv8Static => 8,
-            _ => 4,
-        }
-    }
-
+    kv_bits: u32,
     /// Dynamic per-(token, head) parameter bytes (scale + zero for K and V).
-    fn param_bytes_per_token_head(self) -> f64 {
-        match self {
-            // FP16 scale + FP16 zero, for K and for V (§5.1).
-            AttentionKernel::Kv4Naive | AttentionKernel::Kv4QServe | AttentionKernel::Kv4Hadamard => 8.0,
-            // Static scales live in constant memory.
-            AttentionKernel::Fp16Kv | AttentionKernel::Kv8Static => 0.0,
-        }
-    }
+    param_bytes_per_token_head: f64,
+    /// Dequantization ops per element.
+    dequant_ops: f64,
+    /// QK and SV multiply-accumulate ops per element.
+    mac_ops: f64,
+    /// Loop-control ops per element.
+    control_ops: f64,
+    /// Nibble / parameter addressing ops per element.
+    address_ops: f64,
+    /// The per-element work runs on the FP16 (packed half2) pipe.
+    fp16_pipe: bool,
+}
 
-    /// CUDA-core ops per KV element in the fused decode kernel
-    /// (dequant + MAC + control + addressing).
-    fn ops_per_element(self) -> f64 {
+impl AttentionKernel {
+    fn row(self) -> AttentionRow {
         match self {
             // No dequant; FP32 MAC (2) + control (1).
-            AttentionKernel::Fp16Kv => 3.0,
-            // Convert+scale (2) + MAC (2) + control (1).
-            AttentionKernel::Kv8Static => 5.0,
-            // Mask/shift/cvt/mul/sub (5) + MAC (2) + control (2) + nibble
-            // addressing (1).
-            AttentionKernel::Kv4Naive => 10.0,
-            // Magic-bias dequant (2) + packed-half MAC (1) + simplified
-            // control (0.5) — runs on the FP16 pipe.
-            AttentionKernel::Kv4QServe => 3.5,
+            AttentionKernel::Fp16Kv => AttentionRow {
+                kv_bits: 16,
+                param_bytes_per_token_head: 0.0,
+                dequant_ops: 0.0,
+                mac_ops: 2.0,
+                control_ops: 1.0,
+                address_ops: 0.0,
+                fp16_pipe: false,
+            },
+            // Convert+scale (2); static scales live in constant memory.
+            AttentionKernel::Kv8Static => {
+                AttentionRow { kv_bits: 8, dequant_ops: 2.0, ..AttentionKernel::Fp16Kv.row() }
+            }
+            AttentionKernel::Kv4Naive => AttentionOptimizations::none().row(),
+            AttentionKernel::Kv4QServe => AttentionOptimizations::all().row(),
             // Naive dequant + on-the-fly Hadamard: +log2(128)=7 FMA/element.
-            AttentionKernel::Kv4Hadamard => 17.0,
+            AttentionKernel::Kv4Hadamard => {
+                AttentionRow { dequant_ops: 5.0 + 7.0, ..AttentionOptimizations::none().row() }
+            }
         }
     }
 
-    /// Which CUDA pipe the per-element work runs on.
-    fn cuda_ops_rate(self, gpu: &GpuSpec) -> f64 {
-        match self {
-            AttentionKernel::Kv4QServe => gpu.fp16_cuda_ops,
-            _ => gpu.fp32_cuda_ops,
-        }
+    /// KV storage bits per element.
+    pub fn kv_bits(self) -> u32 {
+        self.row().kv_bits
     }
 }
 
@@ -97,9 +102,16 @@ pub struct AttentionShape {
 }
 
 impl AttentionShape {
-    /// Total KV elements touched: K and V, all heads, all cached tokens.
-    fn kv_elements(&self) -> f64 {
-        2.0 * self.batch as f64 * self.seq_len as f64 * self.kv_heads as f64 * self.head_dim as f64
+    fn latency(&self, gpu: &GpuSpec, row: AttentionRow) -> AttentionLatency {
+        decode_latency(
+            gpu,
+            row,
+            self.batch,
+            self.batch * self.seq_len,
+            self.query_heads,
+            self.kv_heads,
+            self.head_dim,
+        )
     }
 }
 
@@ -151,6 +163,23 @@ impl AttentionOptimizations {
         }
     }
 
+    /// The KV4 kernel these switches build: dynamic per-head FP16 scale +
+    /// zero for K and for V (§5.1), and the §5.3 op budget.
+    fn row(self) -> AttentionRow {
+        AttentionRow {
+            kv_bits: 4,
+            param_bytes_per_token_head: 8.0,
+            // Mask/shift/cvt/mul/sub (5), or the magic-bias pair (2).
+            dequant_ops: if self.bit_tricks { 2.0 } else { 5.0 },
+            // Each half (QK, SV) contributes one MAC; fp16 packing halves it.
+            mac_ops: (if self.fp16_qk { 0.5 } else { 1.0 }) + (if self.fp16_sv { 0.5 } else { 1.0 }),
+            control_ops: if self.simplified_control { 0.5 } else { 2.0 },
+            address_ops: if self.prefetch_params { 0.0 } else { 1.0 },
+            // The FP16 pipe is only usable once both products are halves.
+            fp16_pipe: self.fp16_qk && self.fp16_sv,
+        }
+    }
+
     /// The cumulative ladder of §6.4, in the paper's order.
     pub fn ladder() -> Vec<(&'static str, Self)> {
         let mut cur = Self::none();
@@ -169,40 +198,34 @@ impl AttentionOptimizations {
     }
 }
 
-/// Models a KV4 decode-attention launch with an explicit optimization set —
-/// the §6.4 breakdown. [`AttentionKernel::Kv4Naive`] ≡ none,
-/// [`AttentionKernel::Kv4QServe`] ≡ all.
-pub fn attention_decode_latency_with(
+/// The one decode formula, over batch-level totals.
+fn decode_latency(
     gpu: &GpuSpec,
-    opts: AttentionOptimizations,
-    shape: AttentionShape,
+    row: AttentionRow,
+    batch: usize,
+    total_tokens: usize,
+    query_heads: usize,
+    kv_heads: usize,
+    head_dim: usize,
 ) -> AttentionLatency {
-    let elems = shape.kv_elements();
-    let tokens_heads = shape.batch as f64 * shape.seq_len as f64 * shape.kv_heads as f64;
+    let (batch, total_tokens) = (batch as f64, total_tokens as f64);
+    let elems = 2.0 * total_tokens * kv_heads as f64 * head_dim as f64;
+    let tokens_heads = total_tokens * kv_heads as f64;
 
-    // Per-element op budget, mirroring `AttentionKernel::ops_per_element`.
-    let dequant = if opts.bit_tricks { 2.0 } else { 5.0 };
-    // Each half (QK, SV) contributes one MAC; fp16 packing halves its cost.
-    let mac = (if opts.fp16_qk { 0.5 } else { 1.0 }) + (if opts.fp16_sv { 0.5 } else { 1.0 });
-    let control = if opts.simplified_control { 0.5 } else { 2.0 };
-    let address = if opts.prefetch_params { 0.0 } else { 1.0 };
-    let ops = dequant + mac + control + address;
-
-    // The FP16 pipe is only usable once both products are halves.
-    let rate = if opts.fp16_qk && opts.fp16_sv {
-        gpu.fp16_cuda_ops
-    } else {
-        gpu.fp32_cuda_ops
-    };
-    let group = (shape.query_heads / shape.kv_heads).max(1) as f64;
-    let compute_s = ops * elems * group / (rate * ATTN_CUDA_EFFICIENCY);
-
-    let kv_bytes = elems * 0.5;
-    let param_bytes = tokens_heads * 8.0;
-    let qo_bytes = 2.0 * 2.0 * shape.batch as f64 * shape.query_heads as f64 * shape.head_dim as f64;
-    let score_bytes = 4.0 * shape.batch as f64 * shape.query_heads as f64 * shape.seq_len as f64;
+    // Memory: quantized KV + dynamic params + queries/outputs/scores.
+    let kv_bytes = elems * f64::from(row.kv_bits) / 8.0;
+    let param_bytes = tokens_heads * row.param_bytes_per_token_head;
+    let qo_bytes = 2.0 * 2.0 * batch * query_heads as f64 * head_dim as f64;
+    let score_bytes = 4.0 * total_tokens * query_heads as f64;
     let memory_s =
         (kv_bytes + param_bytes + qo_bytes + score_bytes) / (gpu.dram_bytes_per_s * ATTN_BW_EFFICIENCY);
+
+    // Compute: per-element fused-kernel work. GQA replays each KV element
+    // for every query head in its group.
+    let ops = row.dequant_ops + row.mac_ops + row.control_ops + row.address_ops;
+    let rate = if row.fp16_pipe { gpu.fp16_cuda_ops } else { gpu.fp32_cuda_ops };
+    let group = (query_heads / kv_heads).max(1) as f64;
+    let compute_s = ops * elems * group / (rate * ATTN_CUDA_EFFICIENCY);
 
     let total_s = memory_s.max(compute_s) + gpu.kernel_overhead_s;
     AttentionLatency {
@@ -228,31 +251,7 @@ pub fn attention_decode_latency_totals(
     kv_heads: usize,
     head_dim: usize,
 ) -> AttentionLatency {
-    let (batch, total_tokens) = (batch as f64, total_tokens as f64);
-    let elems = 2.0 * total_tokens * kv_heads as f64 * head_dim as f64;
-    let tokens_heads = total_tokens * kv_heads as f64;
-
-    // Memory: quantized KV + dynamic params + queries/outputs/scores.
-    let kv_bytes = elems * f64::from(kernel.kv_bits()) / 8.0;
-    let param_bytes = tokens_heads * kernel.param_bytes_per_token_head();
-    let qo_bytes = 2.0 * 2.0 * batch * query_heads as f64 * head_dim as f64;
-    let score_bytes = 4.0 * total_tokens * query_heads as f64;
-    let memory_s =
-        (kv_bytes + param_bytes + qo_bytes + score_bytes) / (gpu.dram_bytes_per_s * ATTN_BW_EFFICIENCY);
-
-    // Compute: per-element fused-kernel work. GQA replays each KV element
-    // for every query head in its group.
-    let group = (query_heads / kv_heads).max(1) as f64;
-    let compute_s =
-        kernel.ops_per_element() * elems * group / (kernel.cuda_ops_rate(gpu) * ATTN_CUDA_EFFICIENCY);
-
-    let total_s = memory_s.max(compute_s) + gpu.kernel_overhead_s;
-    AttentionLatency {
-        memory_s,
-        compute_s,
-        total_s,
-        compute_bound: compute_s > memory_s,
-    }
+    decode_latency(gpu, kernel.row(), batch, total_tokens, query_heads, kv_heads, head_dim)
 }
 
 /// Models one decode-attention launch.
@@ -261,15 +260,17 @@ pub fn attention_decode_latency(
     kernel: AttentionKernel,
     shape: AttentionShape,
 ) -> AttentionLatency {
-    attention_decode_latency_totals(
-        gpu,
-        kernel,
-        shape.batch,
-        shape.batch * shape.seq_len,
-        shape.query_heads,
-        shape.kv_heads,
-        shape.head_dim,
-    )
+    shape.latency(gpu, kernel.row())
+}
+
+/// Models a KV4 decode-attention launch with an explicit optimization set —
+/// the §6.4 breakdown.
+pub fn attention_decode_latency_with(
+    gpu: &GpuSpec,
+    opts: AttentionOptimizations,
+    shape: AttentionShape,
+) -> AttentionLatency {
+    shape.latency(gpu, opts.row())
 }
 
 /// Models one decode-attention launch over a *heterogeneous* batch: each
@@ -317,21 +318,6 @@ fn prefill_latency_from_totals(
     compute_s.max(memory_s) + gpu.kernel_overhead_s
 }
 
-/// Prefill (context) attention: causal `S×S` attention on FP16 tensor cores
-/// plus the KV-cache quantize-and-write pass.
-pub fn attention_prefill_latency(
-    gpu: &GpuSpec,
-    kernel: AttentionKernel,
-    batch: usize,
-    seq_len: usize,
-    query_heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> f64 {
-    let (b, s) = (batch as f64, seq_len as f64);
-    prefill_latency_from_totals(gpu, kernel, b * s, b * s * s, query_heads, kv_heads, head_dim)
-}
-
 /// Prefill attention for a wave of prompt *chunks*: each entry is
 /// `(new_tokens, past_tokens)` — `new_tokens` fresh prompt tokens attending
 /// causally over `past_tokens` of already-cached context (an aliased shared
@@ -341,10 +327,10 @@ pub fn attention_prefill_latency(
 /// The causal work of a chunk is `c·(c + 2p)` in the same units that give a
 /// whole prompt `s²` — and because `(Σcᵢ)² = Σ cᵢ·(cᵢ + 2pᵢ)` exactly when
 /// the `pᵢ` are the running sums, every term is an exact integer and a
-/// single chunk with no past, `(s, 0)`, is **bit-identical** to
-/// [`attention_prefill_latency`] at batch 1 and length `s`. That identity is
-/// what keeps the un-shared, un-chunked paper protocol byte-stable while
-/// shared or chunked runs reuse the same cost model.
+/// single chunk with no past, `(s, 0)`, is **bit-identical** to the closed
+/// form for one whole prompt of length `s`. That identity is what keeps the
+/// un-shared, un-chunked paper protocol byte-stable while shared or chunked
+/// runs reuse the same cost model.
 pub fn attention_prefill_latency_chunked(
     gpu: &GpuSpec,
     kernel: AttentionKernel,
@@ -362,9 +348,25 @@ pub fn attention_prefill_latency_chunked(
 mod tests {
     use super::*;
 
+    /// Prefill (context) attention for `batch` fresh prompts of `seq_len`
+    /// tokens, from the closed form `Σs = b·s`, `Σs² = b·s²` — the
+    /// homogeneous oracle the chunked entry point must reproduce.
+    fn attention_prefill_latency(
+        gpu: &GpuSpec,
+        kernel: AttentionKernel,
+        batch: usize,
+        seq_len: usize,
+        query_heads: usize,
+        kv_heads: usize,
+        head_dim: usize,
+    ) -> f64 {
+        let (b, s) = (batch as f64, seq_len as f64);
+        prefill_latency_from_totals(gpu, kernel, b * s, b * s * s, query_heads, kv_heads, head_dim)
+    }
+
     /// Prefill attention for a wave of prompts with *per-sequence* lengths; the
     /// quadratic causal work is charged at each prompt's true length. For a
-    /// homogeneous wave this is exactly [`attention_prefill_latency`].
+    /// homogeneous wave this is exactly `attention_prefill_latency`.
     fn attention_prefill_latency_hetero(
         gpu: &GpuSpec,
         kernel: AttentionKernel,
@@ -514,16 +516,21 @@ mod tests {
 
     #[test]
     fn breakdown_endpoints_match_named_kernels() {
-        let gpu = GpuSpec::a100();
-        let s = shape(512);
-        let naive_named = attention_decode_latency(&gpu, AttentionKernel::Kv4Naive, s).total_s;
-        let naive_opts =
-            attention_decode_latency_with(&gpu, AttentionOptimizations::none(), s).total_s;
-        assert!((naive_named / naive_opts - 1.0).abs() < 0.15);
-        let ours_named = attention_decode_latency(&gpu, AttentionKernel::Kv4QServe, s).total_s;
-        let ours_opts =
-            attention_decode_latency_with(&gpu, AttentionOptimizations::all(), s).total_s;
-        assert!((ours_named / ours_opts - 1.0).abs() < 0.15);
+        // The named kernels *are* the ladder's two ends: same row, same bits.
+        for gpu in [GpuSpec::a100(), GpuSpec::l40s()] {
+            for (kernel, opts) in [
+                (AttentionKernel::Kv4Naive, AttentionOptimizations::none()),
+                (AttentionKernel::Kv4QServe, AttentionOptimizations::all()),
+            ] {
+                for s in [shape(512), AttentionShape { kv_heads: 8, ..shape(1537) }] {
+                    let named = attention_decode_latency(&gpu, kernel, s);
+                    let built = attention_decode_latency_with(&gpu, opts, s);
+                    assert_eq!(named.memory_s.to_bits(), built.memory_s.to_bits());
+                    assert_eq!(named.compute_s.to_bits(), built.compute_s.to_bits());
+                    assert_eq!(named.total_s.to_bits(), built.total_s.to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -557,6 +564,15 @@ mod tests {
                 &gpu, AttentionKernel::Kv4QServe, &chunks, 32, 32, 128,
             );
             assert_eq!(hetero.to_bits(), chunked.to_bits(), "lens {:?}", lens);
+        }
+        // And the closed form b·s, b·s² for a wave of equal prompts.
+        for (batch, len) in [(1usize, 1024usize), (7, 513), (64, 1024)] {
+            let closed =
+                attention_prefill_latency(&gpu, AttentionKernel::Kv8Static, batch, len, 32, 8, 128);
+            let chunked = attention_prefill_latency_chunked(
+                &gpu, AttentionKernel::Kv8Static, &vec![(len, 0); batch], 32, 8, 128,
+            );
+            assert_eq!(closed.to_bits(), chunked.to_bits(), "{} x {}", batch, len);
         }
     }
 

@@ -12,7 +12,7 @@
 //!   W4A16, *partial-sum* conversion for W4A4, and the cheap
 //!   register-level-parallel sequence for QServe's W4A8.
 //!
-//! `latency = max(mem, tc + dequant) + launch overhead`: tensor-core and
+//! `latency = max(mem, tc) + dequant + launch overhead`: tensor-core and
 //! CUDA-core work sit on the same dependency chain inside the main loop
 //! (they cannot overlap within an iteration), while memory transfers are
 //! pipelined against compute via `cp.async` multi-stage buffering (§5.2.4).
@@ -57,96 +57,98 @@ pub enum GemmConfig {
     QServeW4A8Saturated,
 }
 
+/// The constants [`gemm_latency`] reads for one kernel design. A kernel is
+/// one row of these; nothing else in the model knows a kernel by name.
+#[derive(Debug, Clone, Copy)]
+struct GemmRow {
+    weight_bits: u32,
+    /// Activation storage bits — also the tensor-core operand width: every
+    /// design computes at its activation precision (W4A16 converts weights
+    /// up to FP16, W4A8 up to INT8).
+    act_bits: u32,
+    /// Main-loop CUDA-core ops per *weight element load*.
+    ops_per_weight: f64,
+    /// Main-loop CUDA-core ops per *partial-sum element per k-tile*.
+    ops_per_partial_sum: f64,
+    /// Fraction of warps left in flight for latency hiding.
+    occupancy: f64,
+    /// Quantization group size along `k`, for kernels with per-group scales.
+    group_size: Option<f64>,
+    /// The dequantization sequence is pure INT32 logic (lop3 / vadd4) at the
+    /// full ALU rate, not converts on the FP32 pipe.
+    int32_dequant: bool,
+    /// Dequantization runs as a kernel of its own before the GEMM.
+    unfused: bool,
+}
+
 impl GemmConfig {
+    fn row(self) -> GemmRow {
+        // Figure 5a at 16 bits: nothing to dequantize, per-channel scales.
+        const FP16: GemmRow = GemmRow {
+            weight_bits: 16,
+            act_bits: 16,
+            ops_per_weight: 0.0,
+            ops_per_partial_sum: 0.0,
+            occupancy: 1.0,
+            group_size: None,
+            int32_dequant: false,
+            unfused: false,
+        };
+        const G128: Option<f64> = Some(128.0);
+        // Figure 13: 3 logic ops unpack 8 weights.
+        const UNPACK: f64 = 3.0 / 8.0;
+        const W4A8_G128: GemmRow =
+            GemmRow { weight_bits: 4, act_bits: 8, ops_per_weight: UNPACK, group_size: G128, ..FP16 };
+        match self {
+            GemmConfig::TrtFp16 => FP16,
+            GemmConfig::TrtW8A8 => GemmRow { weight_bits: 8, act_bits: 8, ..FP16 },
+            // Figure 5b: INT4→FP16 with fast lop3 tricks + per-group scale FMA.
+            GemmConfig::TrtW4A16 => {
+                GemmRow { weight_bits: 4, ops_per_weight: 1.0, group_size: G128, ..FP16 }
+            }
+            // Figure 5c, §3.2: the *sums* are dequantized — INT32→FP32 convert
+            // + two scale FMAs + add each ("equivalent to 50 tensor core
+            // MACs") — while every weight still pays the scale/zero fetches
+            // and strided addressing of two group-quantized operands, and the
+            // duplicate INT32 + FP32 accumulator sets cut the warps in flight.
+            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => GemmRow {
+                weight_bits: 4,
+                act_bits: 4,
+                ops_per_weight: 1.0,
+                ops_per_partial_sum: 4.0,
+                occupancy: 0.6,
+                group_size: G128,
+                ..FP16
+            },
+            // §5.2.2: zero-points fused into the epilogue; the unpack is all.
+            GemmConfig::QServeW4A8PerChannel => {
+                GemmRow { group_size: None, int32_dequant: true, ..W4A8_G128 }
+            }
+            // Figure 14b: + one vmul and one vadd4 per 4 weights.
+            GemmConfig::QServeW4A8PerGroup => {
+                GemmRow { ops_per_weight: UNPACK + 2.0 / 4.0, int32_dequant: true, ..W4A8_G128 }
+            }
+            // §4.1: the main loop dequantizes nothing; the cost is the kernel
+            // before it (priced in `gemm_latency`).
+            GemmConfig::DgqW4A8Unfused => GemmRow { ops_per_weight: 0.0, unfused: true, ..W4A8_G128 },
+            // §4.1: per-lane saturating mul+sub with no 4-way packing — the
+            // unpack plus ~1.4 scalar saturated ops per element of a lane, on
+            // the FP32 pipe.
+            GemmConfig::QServeW4A8Saturated => {
+                GemmRow { ops_per_weight: UNPACK + 5.6, ..W4A8_G128 }
+            }
+        }
+    }
+
     /// Weight storage bits.
     pub fn weight_bits(self) -> u32 {
-        match self {
-            GemmConfig::TrtFp16 => 16,
-            GemmConfig::TrtW8A8 => 8,
-            _ => 4,
-        }
+        self.row().weight_bits
     }
 
-    /// Activation storage bits.
+    /// Activation storage bits, which is also the tensor-core operand width
+    /// the kernel computes in.
     pub fn act_bits(self) -> u32 {
-        match self {
-            GemmConfig::TrtFp16 | GemmConfig::TrtW4A16 => 16,
-            GemmConfig::TrtW8A8
-            | GemmConfig::QServeW4A8PerChannel
-            | GemmConfig::QServeW4A8PerGroup
-            | GemmConfig::DgqW4A8Unfused
-            | GemmConfig::QServeW4A8Saturated => 8,
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => 4,
-        }
-    }
-
-    /// Tensor-core operand width the kernel computes in.
-    pub fn compute_bits(self) -> u32 {
-        match self {
-            GemmConfig::TrtFp16 | GemmConfig::TrtW4A16 => 16,
-            GemmConfig::TrtW8A8
-            | GemmConfig::QServeW4A8PerChannel
-            | GemmConfig::QServeW4A8PerGroup
-            | GemmConfig::DgqW4A8Unfused
-            | GemmConfig::QServeW4A8Saturated => 8,
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => 4,
-        }
-    }
-
-    /// Main-loop CUDA-core dequantization ops charged per *weight element
-    /// load* (weight-dequantizing kernels).
-    fn dequant_ops_per_weight(self) -> f64 {
-        match self {
-            GemmConfig::TrtFp16 | GemmConfig::TrtW8A8 => 0.0,
-            // INT4→FP16 with fast lop3 tricks + per-group scale FMA.
-            GemmConfig::TrtW4A16 => 1.0,
-            // Partial-sum kernels dequantize sums, not weights, but still
-            // pay per-operand scale/zero fetches and the strided-address
-            // arithmetic of two group-quantized operands.
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => 1.0,
-            // 3 logic ops per 8 weights (Figure 13).
-            GemmConfig::QServeW4A8PerChannel => 3.0 / 8.0,
-            // + one vmul and one vadd4 per 4 weights (Figure 14b).
-            GemmConfig::QServeW4A8PerGroup => 3.0 / 8.0 + 2.0 / 4.0,
-            // Dequantization happens in its own kernel (cost added to the
-            // memory term in `gemm_latency`), not the main loop.
-            GemmConfig::DgqW4A8Unfused => 0.0,
-            // Per-lane saturating mul+sub with no 4-way packing: the
-            // unpack plus ~1.4 scalar saturated ops per element.
-            GemmConfig::QServeW4A8Saturated => 3.0 / 8.0 + 5.6,
-        }
-    }
-
-    /// Main-loop CUDA-core ops charged per *partial-sum element per k-tile*
-    /// (the Atom/QuaRot cost: INT32→FP32 convert + two scale FMAs + add,
-    /// §3.2 "de-quantizing one single partial sum … is equivalent to 50
-    /// tensor core MACs").
-    fn dequant_ops_per_partial_sum(self) -> f64 {
-        match self {
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => 4.0,
-            _ => 0.0,
-        }
-    }
-
-    /// Occupancy factor: Atom/QuaRot hold both INT32 and FP32 accumulator
-    /// sets, halving in-flight warps available for latency hiding (§3.2).
-    fn occupancy(self) -> f64 {
-        match self {
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => 0.6,
-            _ => 1.0,
-        }
-    }
-
-    /// Quantization group size along `k` for kernels with per-group scales.
-    fn group_size(self) -> Option<f64> {
-        match self {
-            GemmConfig::TrtW4A16 => Some(128.0),
-            GemmConfig::AtomW4A4 | GemmConfig::QuarotW4A4 => Some(128.0),
-            GemmConfig::QServeW4A8PerGroup
-            | GemmConfig::DgqW4A8Unfused
-            | GemmConfig::QServeW4A8Saturated => Some(128.0),
-            _ => None,
-        }
+        self.row().act_bits
     }
 }
 
@@ -202,50 +204,45 @@ impl GemmLatency {
 /// issue slots, so it is charged additively (this is exactly the overhead
 /// Figure 18 measures).
 pub fn gemm_latency(gpu: &GpuSpec, cfg: GemmConfig, shape: GemmShape) -> GemmLatency {
+    // Shape first, row second: converted after the row's branch, (n, k) are
+    // re-read as one 16-byte load over the caller's three fresh 8-byte
+    // stores, and the failed store forward doubles the cost of the call.
     let (m, n, k) = (shape.m as f64, shape.n as f64, shape.k as f64);
+    let row = cfg.row();
     let ops = 2.0 * m * n * k;
+    let bandwidth = gpu.dram_bytes_per_s * GEMM_BW_EFFICIENCY;
 
     // Memory: weights + activations + FP16 outputs + group scales. Reduced
     // occupancy also hurts latency hiding on the memory side (§3.2).
-    let mut bytes = n * k * f64::from(cfg.weight_bits()) / 8.0
-        + m * k * f64::from(cfg.act_bits()) / 8.0
+    let mut bytes = n * k * f64::from(row.weight_bits) / 8.0
+        + m * k * f64::from(row.act_bits) / 8.0
         + m * n * 2.0;
-    if let Some(g) = cfg.group_size() {
+    if let Some(g) = row.group_size {
         bytes += n * (k / g) * 2.0; // FP16 or u8+u4 scales per group
     }
-    let memory_s = bytes / (gpu.dram_bytes_per_s * GEMM_BW_EFFICIENCY * cfg.occupancy());
+    let memory_s = bytes / (bandwidth * row.occupancy);
 
     // Tensor cores.
-    let tensor_core_s = ops / (gpu.tc_ops_for_bits(cfg.compute_bits()) * cfg.occupancy());
+    let tensor_core_s = ops / (gpu.tc_ops_for_bits(row.act_bits) * row.occupancy);
 
-    // CUDA-core dequantization in the main loop. QServe's unpack/RLP
-    // sequence is pure INT32 logic (lop3/vadd4) running at full ALU rate;
-    // W4A16's INT→FP16 conversion and Atom's partial-sum conversion run on
-    // the FP32 pipe at fused-kernel efficiency.
+    // CUDA-core dequantization in the main loop: per weight load (weights
+    // are re-loaded once per output tile) and per partial sum per k-tile.
     let weight_loads = n * k * (m / TILE_M).max(1.0).ceil();
-    let mut dequant_ops = cfg.dequant_ops_per_weight() * weight_loads;
-    if cfg.dequant_ops_per_partial_sum() > 0.0 {
-        dequant_ops += cfg.dequant_ops_per_partial_sum() * m * n * (k / K_TILE);
-    }
-    let dequant_rate = match cfg {
-        GemmConfig::QServeW4A8PerChannel | GemmConfig::QServeW4A8PerGroup => gpu.int32_alu_ops,
-        // Saturating / converting instructions do not pack lanes and run at
-        // the scalar FP32 pipe rate.
-        _ => gpu.fp32_cuda_ops * CUDA_EFFICIENCY * cfg.occupancy(),
-    };
-    let dequant_s = if dequant_ops > 0.0 {
-        dequant_ops / dequant_rate
+    let dequant_ops =
+        row.ops_per_weight * weight_loads + row.ops_per_partial_sum * m * n * (k / K_TILE);
+    let dequant_rate = if row.int32_dequant {
+        gpu.int32_alu_ops
     } else {
-        0.0
+        gpu.fp32_cuda_ops * CUDA_EFFICIENCY * row.occupancy
     };
+    let dequant_s = dequant_ops / dequant_rate;
 
-    // DGQ runs dequantization as a standalone kernel: read W4, write W8,
-    // then the GEMM re-reads W8 — pure extra memory traffic plus a launch.
-    let unfused_s = if cfg == GemmConfig::DgqW4A8Unfused {
+    // A standalone dequantization kernel reads W4 and writes W8, then the
+    // GEMM re-reads W8 — pure extra memory traffic plus a launch.
+    let unfused_s = if row.unfused {
         let dequant_kernel_bytes = n * k * 0.5 + n * k; // read INT4, write INT8
         let gemm_extra_read = n * k * 0.5; // GEMM streams INT8, not INT4
-        (dequant_kernel_bytes + gemm_extra_read) / (gpu.dram_bytes_per_s * GEMM_BW_EFFICIENCY)
-            + gpu.kernel_overhead_s
+        (dequant_kernel_bytes + gemm_extra_read) / bandwidth + gpu.kernel_overhead_s
     } else {
         0.0
     };

@@ -9,12 +9,10 @@
 //! * [`spec`] — A100-80G-SXM4 and L40S-48G datasheets (tensor-core TOPS per
 //!   precision, CUDA-core throughput, HBM bandwidth, capacity, price).
 //! * [`roofline`] — attainable-performance curves (Figure 3).
-//! * [`gemm_model`] — main-loop latency for every precision configuration in
-//!   the paper's comparison (TRT FP16/W8A8/W4A16, Atom/QuaRot W4A4, QServe
-//!   W4A8 per-channel/per-group), including dequantization overhead
-//!   (Figure 18) and register-pressure occupancy effects (§3.2).
-//! * [`attention_model`] — decode/prefill attention latency for KV8,
-//!   naive KV4, and QServe KV4 (Table 1).
+//! * [`gemm_model`] / [`attention_model`] — main-loop GEMM latency and
+//!   decode/prefill attention latency for every kernel design in the
+//!   paper's comparison. A design is one row of constants; the README's
+//!   "Where a cost comes from" tables list them with their paper sources.
 //! * [`tp`] — tensor-parallel groups: exact-integer shard shapes plus a
 //!   ring all-reduce cost term (TP=1 degenerates to the single-GPU model
 //!   bit for bit).

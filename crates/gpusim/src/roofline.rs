@@ -1,49 +1,12 @@
 //! Roofline analysis (Figure 3): attainable GEMM performance versus
 //! computation intensity for each weight/activation precision pair, and the
-//! attention-side KV-precision rooflines.
+//! attention-side KV-precision rooflines. A precision pair is named by a
+//! kernel that runs it ([`GemmConfig`]), so the roofline and
+//! [`crate::gemm_latency`] read the same bit widths and the first is a floor
+//! under the second.
 
+use crate::gemm_model::GemmConfig;
 use crate::spec::GpuSpec;
-
-/// One of the precision pairs plotted in Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GemmPrecision {
-    /// FP16 weights × FP16 activations.
-    Fp16Fp16,
-    /// INT8 × INT8 (W8A8).
-    Int8Int8,
-    /// INT4 weights × FP16 activations (W4A16, weight-only).
-    Int4Fp16,
-    /// INT4 weights × INT8 activations (W4A8 — QServe).
-    Int4Int8,
-    /// INT4 × INT4 (W4A4 — Atom/QuaRot).
-    Int4Int4,
-}
-
-impl GemmPrecision {
-    /// Weight storage bits.
-    pub fn weight_bits(self) -> u32 {
-        match self {
-            GemmPrecision::Fp16Fp16 => 16,
-            GemmPrecision::Int8Int8 => 8,
-            GemmPrecision::Int4Fp16 | GemmPrecision::Int4Int8 | GemmPrecision::Int4Int4 => 4,
-        }
-    }
-
-    /// Activation storage bits.
-    pub fn act_bits(self) -> u32 {
-        match self {
-            GemmPrecision::Fp16Fp16 | GemmPrecision::Int4Fp16 => 16,
-            GemmPrecision::Int8Int8 | GemmPrecision::Int4Int8 => 8,
-            GemmPrecision::Int4Int4 => 4,
-        }
-    }
-
-    /// Tensor-core operand width — the *compute* precision (W4A16 computes
-    /// in FP16; W4A8 computes in INT8).
-    pub fn compute_bits(self) -> u32 {
-        self.weight_bits().max(self.act_bits()).max(4)
-    }
-}
 
 /// Attainable performance (operations/second) of a decode-stage GEMM at
 /// computation intensity `m` MACs/element (≈ token batch size, §3.1), for
@@ -52,12 +15,12 @@ impl GemmPrecision {
 /// The model: moving one weight element costs `weight_bits/8` bytes and
 /// yields `m` MACs = `2m` ops; activations add `m·act_bits/(8)` bytes per
 /// `n` weight elements (negligible for the decode regime but included).
-pub fn attainable_gemm_ops(gpu: &GpuSpec, prec: GemmPrecision, m: f64, n: f64, k: f64) -> f64 {
+pub fn attainable_gemm_ops(gpu: &GpuSpec, cfg: GemmConfig, m: f64, n: f64, k: f64) -> f64 {
     let ops = 2.0 * m * n * k;
-    let bytes = n * k * f64::from(prec.weight_bits()) / 8.0
-        + m * k * f64::from(prec.act_bits()) / 8.0
+    let bytes = n * k * f64::from(cfg.weight_bits()) / 8.0
+        + m * k * f64::from(cfg.act_bits()) / 8.0
         + m * n * 2.0; // FP16 outputs
-    let compute_time = ops / gpu.tc_ops_for_bits(prec.compute_bits());
+    let compute_time = ops / gpu.tc_ops_for_bits(cfg.act_bits());
     let memory_time = bytes / gpu.dram_bytes_per_s;
     ops / compute_time.max(memory_time)
 }
@@ -76,8 +39,8 @@ pub fn attainable_attention_ops(gpu: &GpuSpec, kv_bits: u32) -> f64 {
 /// crossover.
 pub fn crossover_batch(
     gpu: &GpuSpec,
-    a: GemmPrecision,
-    b: GemmPrecision,
+    a: GemmConfig,
+    b: GemmConfig,
     n: f64,
     k: f64,
 ) -> Option<u32> {
@@ -100,12 +63,19 @@ mod tests {
     const N: f64 = 4096.0;
     const K: f64 = 4096.0;
 
+    // Figure 3's five precision pairs, each by a kernel that runs it.
+    const FP16: GemmConfig = GemmConfig::TrtFp16;
+    const W8A8: GemmConfig = GemmConfig::TrtW8A8;
+    const W4A16: GemmConfig = GemmConfig::TrtW4A16;
+    const W4A8: GemmConfig = GemmConfig::QServeW4A8PerChannel;
+    const W4A4: GemmConfig = GemmConfig::AtomW4A4;
+
     #[test]
     fn w4a16_w8a8_crossover_near_78() {
         // §3.1: "W4A16 has a higher theoretical throughput when m < 78,
         // while W8A8 performs better when m > 78."
         let gpu = GpuSpec::a100();
-        let m = crossover_batch(&gpu, GemmPrecision::Int4Fp16, GemmPrecision::Int8Int8, N, K)
+        let m = crossover_batch(&gpu, W4A16, W8A8, N, K)
             .expect("curves must cross");
         assert!((70..=90).contains(&m), "crossover at {}, expected ≈78", m);
     }
@@ -117,9 +87,9 @@ mod tests {
         let gpu = GpuSpec::a100();
         for m in [1u32, 4, 16, 64, 78, 128, 256, 512] {
             let m = f64::from(m);
-            let w4a8 = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int8, m, N, K);
-            let w4a16 = attainable_gemm_ops(&gpu, GemmPrecision::Int4Fp16, m, N, K);
-            let w8a8 = attainable_gemm_ops(&gpu, GemmPrecision::Int8Int8, m, N, K);
+            let w4a8 = attainable_gemm_ops(&gpu, W4A8, m, N, K);
+            let w4a16 = attainable_gemm_ops(&gpu, W4A16, m, N, K);
+            let w8a8 = attainable_gemm_ops(&gpu, W8A8, m, N, K);
             assert!(w4a8 >= w4a16 * 0.999, "m={}: W4A8 {} < W4A16 {}", m, w4a8, w4a16);
             assert!(w4a8 >= w8a8 * 0.999, "m={}: W4A8 {} < W8A8 {}", m, w4a8, w8a8);
         }
@@ -130,13 +100,13 @@ mod tests {
         // §3.2: "W4A4 starts to achieve better theoretical GEMM performance
         // when m … exceeds 78" (INT4 TC is 2× INT8 TC).
         let gpu = GpuSpec::a100();
-        let small = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int4, 16.0, N, K);
-        let w4a8_small = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int8, 16.0, N, K);
+        let small = attainable_gemm_ops(&gpu, W4A4, 16.0, N, K);
+        let w4a8_small = attainable_gemm_ops(&gpu, W4A8, 16.0, N, K);
         // Identical weight traffic; W4A4 saves a sliver of activation bytes,
         // hence the 2% tolerance.
         assert!(small <= w4a8_small * 1.02);
-        let big = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int4, 256.0, N, K);
-        let w4a8_big = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int8, 256.0, N, K);
+        let big = attainable_gemm_ops(&gpu, W4A4, 256.0, N, K);
+        let w4a8_big = attainable_gemm_ops(&gpu, W4A8, 256.0, N, K);
         assert!(big > w4a8_big);
     }
 
@@ -145,9 +115,9 @@ mod tests {
         // At m=1 everything is weight-bandwidth bound: 4-bit weights should
         // be ~2× faster than 8-bit, ~4× faster than FP16.
         let gpu = GpuSpec::a100();
-        let f16 = attainable_gemm_ops(&gpu, GemmPrecision::Fp16Fp16, 1.0, N, K);
-        let w8 = attainable_gemm_ops(&gpu, GemmPrecision::Int8Int8, 1.0, N, K);
-        let w4 = attainable_gemm_ops(&gpu, GemmPrecision::Int4Fp16, 1.0, N, K);
+        let f16 = attainable_gemm_ops(&gpu, FP16, 1.0, N, K);
+        let w8 = attainable_gemm_ops(&gpu, W8A8, 1.0, N, K);
+        let w4 = attainable_gemm_ops(&gpu, W4A16, 1.0, N, K);
         assert!((w8 / f16 - 2.0).abs() < 0.1);
         assert!((w4 / f16 - 4.0).abs() < 0.4);
     }
@@ -155,7 +125,7 @@ mod tests {
     #[test]
     fn compute_bound_large_batch_tracks_tc_peak() {
         let gpu = GpuSpec::a100();
-        let w8 = attainable_gemm_ops(&gpu, GemmPrecision::Int8Int8, 2048.0, N, K);
+        let w8 = attainable_gemm_ops(&gpu, W8A8, 2048.0, N, K);
         assert!(w8 > 0.85 * gpu.int8_tc_ops, "should approach INT8 peak");
     }
 
@@ -168,9 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn compute_bits_selection() {
-        assert_eq!(GemmPrecision::Int4Fp16.compute_bits(), 16);
-        assert_eq!(GemmPrecision::Int4Int8.compute_bits(), 8);
-        assert_eq!(GemmPrecision::Int4Int4.compute_bits(), 4);
+    fn tensor_core_width_is_the_activation_width() {
+        // W4A16 computes in FP16, W4A8 in INT8, W4A4 in INT4.
+        assert_eq!(W4A16.act_bits(), 16);
+        assert_eq!(W4A8.act_bits(), 8);
+        assert_eq!(W4A4.act_bits(), 4);
     }
 }

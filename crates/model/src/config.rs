@@ -174,21 +174,6 @@ impl ModelConfig {
         };
         (data + params) * self.layers as u64
     }
-
-    /// Decode-stage GEMM shapes `(n, k)` of one block, with the token batch
-    /// supplying `m`. MoE counts active experts (compute) — memory-side
-    /// expert traffic is handled by the serving model.
-    pub fn decode_gemm_shapes(&self) -> Vec<(usize, usize)> {
-        let h = self.hidden;
-        let kv = self.kv_heads * self.head_dim();
-        let e = self.active_experts;
-        vec![
-            (h + 2 * kv, h),        // fused QKV projection
-            (h, h),                 // attention output projection
-            (2 * self.ffn * e, h),  // fused gate+up
-            (h, self.ffn * e),      // down
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -263,14 +248,6 @@ mod tests {
         let mha = ModelConfig::llama2_7b().kv_bytes_per_token(4);
         let gqa = ModelConfig::llama3_8b().kv_bytes_per_token(4);
         assert!(gqa < mha);
-    }
-
-    #[test]
-    fn decode_shapes_have_four_gemms() {
-        let shapes = ModelConfig::llama2_7b().decode_gemm_shapes();
-        assert_eq!(shapes.len(), 4);
-        assert_eq!(shapes[0], (4096 * 3, 4096)); // MHA: q+k+v all hidden-sized
-        assert_eq!(shapes[3], (4096, 11008));
     }
 
     #[test]

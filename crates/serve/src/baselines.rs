@@ -75,22 +75,14 @@ impl SystemConfig {
         }
     }
 
-    /// Weight storage bits (for the memory plan).
+    /// Weight storage bits (for the memory plan): what the GEMM kernel reads.
     pub fn weight_bits(self) -> u32 {
-        match self {
-            Self::TrtFp16 => 16,
-            Self::TrtW8A8 => 8,
-            _ => 4,
-        }
+        self.gemm_config().weight_bits()
     }
 
-    /// KV cache bits (for the memory plan).
+    /// KV cache bits (for the memory plan): what the attention kernel reads.
     pub fn kv_bits(self) -> u32 {
-        match self {
-            Self::TrtFp16 => 16,
-            Self::TrtW8A8 | Self::TrtW4A16 => 8,
-            _ => 4,
-        }
+        self.attention_kernel().kv_bits()
     }
 
     /// End-to-end runtime efficiency: scheduler/runtime maturity outside the
@@ -166,9 +158,21 @@ mod tests {
 
     #[test]
     fn precision_bits_consistent() {
-        assert_eq!(SystemConfig::TrtFp16.weight_bits(), 16);
-        assert_eq!(SystemConfig::QServePerGroup.weight_bits(), 4);
-        assert_eq!(SystemConfig::QServePerGroup.kv_bits(), 4);
-        assert_eq!(SystemConfig::TrtW4A16.kv_bits(), 8);
+        // The memory plan budgets what the two kernels move, and the display
+        // name advertises the same precision — three tables, one answer.
+        for sys in SystemConfig::all() {
+            let (gemm, attn) = (sys.gemm_config(), sys.attention_kernel());
+            assert_eq!(sys.weight_bits(), gemm.weight_bits(), "{}", sys.name());
+            assert_eq!(sys.kv_bits(), attn.kv_bits(), "{}", sys.name());
+            let advertised = if gemm == GemmConfig::TrtFp16 {
+                format!("FP{}", gemm.weight_bits())
+            } else {
+                format!("W{}A{}", gemm.weight_bits(), gemm.act_bits())
+            };
+            assert!(sys.name().contains(&advertised), "{} is not {}", sys.name(), advertised);
+            if sys.is_qserve() {
+                assert!(sys.name().contains(&format!("KV{}", attn.kv_bits())));
+            }
+        }
     }
 }

@@ -25,8 +25,7 @@ use crate::scheduler::{
     Scheduler, SchedulerStats, SchedulingPolicy, UnboundedBudget,
 };
 use qserve_gpusim::attention_model::{
-    attention_decode_latency_totals, attention_prefill_latency,
-    attention_prefill_latency_chunked, AttentionLatency,
+    attention_decode_latency_totals, attention_prefill_latency_chunked,
 };
 use qserve_gpusim::gemm_model::{gemm_latency, GemmShape};
 use qserve_gpusim::tp::{HostLink, TpGroup};
@@ -319,6 +318,29 @@ pub struct SpeedProfile {
     pub decode_step_s: f64,
 }
 
+/// What one decoder layer of a step costs, by kernel family — the split
+/// Figure 2a plots. Every step price the engine quotes is
+/// `total_s() × layers / runtime efficiency + step overhead`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
+    /// The layer's GEMMs (attention projections + FFN / routed experts).
+    pub gemm_s: f64,
+    /// The attention launch.
+    pub attention_s: f64,
+    /// Auxiliary elementwise kernels (norms, activation quant, RoPE,
+    /// residual): activation reads + writes and their launches.
+    pub misc_s: f64,
+    /// The two tensor-parallel all-reduces. Exactly `0.0` at TP=1.
+    pub all_reduce_s: f64,
+}
+
+impl LayerCost {
+    /// The layer's total, seconds.
+    pub fn total_s(&self) -> f64 {
+        self.gemm_s + self.attention_s + self.misc_s + self.all_reduce_s
+    }
+}
+
 impl ServingEngine {
     /// Builds an engine, checking model support and device memory.
     ///
@@ -397,7 +419,7 @@ impl ServingEngine {
         SpeedProfile {
             gpu: self.gpu.name,
             decode_tps: REF_BATCH as f64 / step_s,
-            prefill_tps: REF_LEN as f64 / self.prefill_latency(1, REF_LEN),
+            prefill_tps: REF_LEN as f64 / self.prefill_latency_chunked(&[(REF_LEN, 0)]),
             decode_step_s: step_s,
         }
     }
@@ -434,8 +456,8 @@ impl ServingEngine {
 
     /// The uncached GEMM model behind [`Self::layer_gemm_latency`].
     ///
-    /// Dense models run the four fused GEMMs of
-    /// [`ModelConfig::decode_gemm_shapes`]. MoE models route each token to
+    /// Dense models run four fused GEMMs per layer: QKV, attention out, FFN
+    /// gate+up, FFN down. MoE models route each token to
     /// `active_experts` of `experts` FFNs: every touched expert's weights
     /// stream from HBM while each processes only its share of tokens — the
     /// memory-bound regime that makes Mixtral expensive to serve.
@@ -472,27 +494,27 @@ impl ServingEngine {
         t
     }
 
-    /// Per-layer tensor-parallel communication: the two row-parallel
-    /// projections (attention out, FFN down) each end in a ring all-reduce
-    /// over the FP16 activation tile. Exactly `0.0` at TP=1.
-    fn layer_all_reduce_latency(&self, tokens: usize) -> f64 {
-        let act_bytes = 2.0 * tokens as f64 * self.model.hidden as f64;
-        2.0 * self.tp.all_reduce_latency(act_bytes)
+    /// The one step price: a step pushing `tokens` tokens through every layer
+    /// — a decode batch or a prefill wave — around the given attention launch.
+    fn layer_cost(&self, tokens: usize, attention_s: f64) -> LayerCost {
+        // One FP16 activation tile.
+        let tile_bytes = 2.0 * tokens as f64 * self.model.hidden as f64;
+        LayerCost {
+            gemm_s: self.layer_gemm_latency(tokens),
+            attention_s,
+            // Each auxiliary kernel reads and writes the tile and is launched.
+            misc_s: MISC_KERNELS_PER_LAYER
+                * (2.0 * tile_bytes / self.gpu.dram_bytes_per_s + self.gpu.kernel_overhead_s),
+            // The two row-parallel projections (attention out, FFN down) each
+            // end in a ring all-reduce over the tile.
+            all_reduce_s: 2.0 * self.tp.all_reduce_latency(tile_bytes),
+        }
     }
 
-    /// One decode step: layer GEMMs at the batch size, a given attention
-    /// launch, auxiliary kernels — the single decode accounting everything
-    /// funnels through.
-    fn decode_cost(&self, batch: usize, attn: AttentionLatency) -> f64 {
-        let mut t = self.layer_gemm_latency(batch);
-        t += attn.total_s;
-        // Auxiliary elementwise kernels: activation reads+writes + launches.
-        let act_bytes = 2.0 * 2.0 * batch as f64 * self.model.hidden as f64;
-        t += MISC_KERNELS_PER_LAYER
-            * (act_bytes / self.gpu.dram_bytes_per_s + self.gpu.kernel_overhead_s);
-        t += self.layer_all_reduce_latency(batch);
-        let per_layer = t;
-        per_layer * self.model.layers as f64 / self.system.runtime_efficiency() + STEP_OVERHEAD_S
+    /// A whole step from its per-layer cost.
+    fn step_latency(&self, layer: LayerCost) -> f64 {
+        layer.total_s() * self.model.layers as f64 / self.system.runtime_efficiency()
+            + STEP_OVERHEAD_S
     }
 
     /// Latency of one decode step with `batch` sequences all at KV length
@@ -509,11 +531,10 @@ impl ServingEngine {
         self.decode_step_latency_totals(seq_lens.len(), seq_lens.iter().sum())
     }
 
-    /// [`ServingEngine::decode_step_latency_hetero`] from the two integers
-    /// it reduces its argument to: `batch` sequences holding `total_tokens`
-    /// cached tokens between them. What the tick prices from, straight off
-    /// [`Scheduler::decode_totals`].
-    fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
+    /// The per-layer cost of a decode step over `batch` sequences holding
+    /// `total_tokens` cached tokens between them — what Figure 2a splits
+    /// into attention / GEMM / others.
+    pub fn decode_layer_cost(&self, batch: usize, total_tokens: usize) -> LayerCost {
         let attn = attention_decode_latency_totals(
             &self.gpu,
             self.system.attention_kernel(),
@@ -523,44 +544,22 @@ impl ServingEngine {
             self.tp.shard(self.model.kv_heads),
             self.model.head_dim(),
         );
-        self.decode_cost(batch, attn)
+        self.layer_cost(batch, attn.total_s)
     }
 
-    /// Shared prefill accounting over a wave totalling `tokens` prompt
-    /// tokens with the given attention latency.
-    fn prefill_cost(&self, tokens: usize, attn_s: f64) -> f64 {
-        let mut t = self.layer_gemm_latency(tokens);
-        t += attn_s;
-        let act_bytes = 2.0 * 2.0 * tokens as f64 * self.model.hidden as f64;
-        t += MISC_KERNELS_PER_LAYER
-            * (act_bytes / self.gpu.dram_bytes_per_s + self.gpu.kernel_overhead_s);
-        t += self.layer_all_reduce_latency(tokens);
-        t * self.model.layers as f64 / self.system.runtime_efficiency() + STEP_OVERHEAD_S
-    }
-
-    /// Latency to prefill `batch` fresh requests of `input_len` tokens.
-    fn prefill_latency(&self, batch: usize, input_len: usize) -> f64 {
-        if batch == 0 {
-            return 0.0;
-        }
-        let attn_s = attention_prefill_latency(
-            &self.gpu,
-            self.system.attention_kernel(),
-            batch,
-            input_len,
-            self.tp.shard(self.model.heads),
-            self.tp.shard(self.model.kv_heads),
-            self.model.head_dim(),
-        );
-        self.prefill_cost(batch * input_len, attn_s)
+    /// [`ServingEngine::decode_step_latency_hetero`] from the two integers
+    /// it reduces its argument to: `batch` sequences holding `total_tokens`
+    /// cached tokens between them. What the tick prices from, straight off
+    /// [`Scheduler::decode_totals`].
+    fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
+        self.step_latency(self.decode_layer_cost(batch, total_tokens))
     }
 
     /// Latency to prefill a wave of prompt chunks `(new_tokens,
     /// past_tokens)`: only the new tokens run through the GEMMs and write
     /// KV, while attention still covers the cached past (aliased shared
-    /// prefix and/or earlier chunks). A wave of whole prompts, each one
-    /// `(s, 0)` chunk, is bit-identical to [`ServingEngine::prefill_latency`]
-    /// when the lengths are equal.
+    /// prefix and/or earlier chunks). A wave of whole prompts is one `(s, 0)`
+    /// chunk each.
     pub fn prefill_latency_chunked(&self, chunks: &[(usize, usize)]) -> f64 {
         if chunks.is_empty() {
             return 0.0;
@@ -573,7 +572,7 @@ impl ServingEngine {
             self.tp.shard(self.model.kv_heads),
             self.model.head_dim(),
         );
-        self.prefill_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s)
+        self.step_latency(self.layer_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s))
     }
 
     /// Drives the shared scheduler core over this engine's cost model to
@@ -981,8 +980,6 @@ mod tests {
         for (batch, len) in [(1usize, 1024usize), (16, 1024), (64, 1536), (7, 129)] {
             let lens = vec![len; batch];
             assert_eq!(e.decode_step_latency_hetero(&lens), e.decode_step_latency(batch, len));
-            let whole_prompts = vec![(len, 0); batch];
-            assert_eq!(e.prefill_latency_chunked(&whole_prompts), e.prefill_latency(batch, len));
         }
     }
 
@@ -1312,9 +1309,10 @@ mod tests {
                 legacy.decode_step_latency(batch, len).to_bits(),
                 tp1.decode_step_latency(batch, len).to_bits()
             );
+            let whole_prompts = vec![(len, 0); batch];
             assert_eq!(
-                legacy.prefill_latency(batch, len).to_bits(),
-                tp1.prefill_latency(batch, len).to_bits()
+                legacy.prefill_latency_chunked(&whole_prompts).to_bits(),
+                tp1.prefill_latency_chunked(&whole_prompts).to_bits()
             );
         }
         let wl = Workload::paper(32);

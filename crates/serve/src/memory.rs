@@ -24,23 +24,12 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// Builds the plan; returns `None` when the weights alone exceed the
-    /// device (the "OOM" entries of Table 4).
-    pub fn plan(
-        model: &ModelConfig,
-        gpu: &GpuSpec,
-        weight_bits: u32,
-        kv_bits: u32,
-    ) -> Option<Self> {
-        Self::plan_tp(model, gpu, weight_bits, kv_bits, 1)
-    }
-
-    /// Builds the plan for a `tp_ways`-GPU tensor-parallel group: weights
-    /// and KV heads shard evenly, so each GPU holds a `1/tp_ways` slice of
-    /// both and the group's token capacity is what one GPU's KV budget can
-    /// hold at the per-GPU per-token cost. All quantities stay exact
-    /// integers (`div_ceil`), so `tp_ways = 1` is [`MemoryPlan::plan`]
-    /// bit for bit.
+    /// Builds the plan for a `tp_ways`-GPU tensor-parallel group (1 = one
+    /// GPU); returns `None` when the weights alone exceed the device (the
+    /// "OOM" entries of Table 4). Weights and KV heads shard evenly, so each
+    /// GPU holds a `1/tp_ways` slice of both and the group's token capacity
+    /// is what one GPU's KV budget can hold at the per-GPU per-token cost.
+    /// All quantities stay exact integers (`div_ceil`).
     ///
     /// The KV split is exact only when `tp_ways` divides the model's KV
     /// head count — [`crate::ServingEngine::with_tp`] enforces that, so the
@@ -93,15 +82,15 @@ mod tests {
     #[test]
     fn fp16_70b_oom_on_both_gpus() {
         let m = ModelConfig::llama2_70b();
-        assert!(MemoryPlan::plan(&m, &GpuSpec::a100(), 16, 16).is_none());
-        assert!(MemoryPlan::plan(&m, &GpuSpec::l40s(), 16, 16).is_none());
+        assert!(MemoryPlan::plan_tp(&m, &GpuSpec::a100(), 16, 16, 1).is_none());
+        assert!(MemoryPlan::plan_tp(&m, &GpuSpec::l40s(), 16, 16, 1).is_none());
     }
 
     #[test]
     fn w4_70b_fits_both_gpus() {
         let m = ModelConfig::llama2_70b();
-        assert!(MemoryPlan::plan(&m, &GpuSpec::a100(), 4, 4).is_some());
-        let l40s = MemoryPlan::plan(&m, &GpuSpec::l40s(), 4, 4).expect("fits");
+        assert!(MemoryPlan::plan_tp(&m, &GpuSpec::a100(), 4, 4, 1).is_some());
+        let l40s = MemoryPlan::plan_tp(&m, &GpuSpec::l40s(), 4, 4, 1).expect("fits");
         assert!(l40s.max_batch(1536) >= 1, "must admit at least one sequence");
     }
 
@@ -110,8 +99,8 @@ mod tests {
         // "QServe effectively maintains the same batch size as TensorRT-LLM
         // on the A100" despite L40S's smaller memory — driven by W4 + KV4.
         let m = ModelConfig::llama2_7b();
-        let a100_w8 = MemoryPlan::plan(&m, &GpuSpec::a100(), 8, 8).unwrap();
-        let l40s_qserve = MemoryPlan::plan(&m, &GpuSpec::l40s(), 4, 4).unwrap();
+        let a100_w8 = MemoryPlan::plan_tp(&m, &GpuSpec::a100(), 8, 8, 1).unwrap();
+        let l40s_qserve = MemoryPlan::plan_tp(&m, &GpuSpec::l40s(), 4, 4, 1).unwrap();
         let b_w8 = a100_w8.max_batch(1536);
         let b_qs = l40s_qserve.max_batch(1536);
         assert!(
@@ -126,20 +115,10 @@ mod tests {
     fn kv4_doubles_max_tokens_vs_kv8() {
         let m = ModelConfig::llama2_7b();
         let gpu = GpuSpec::a100();
-        let kv8 = MemoryPlan::plan(&m, &gpu, 4, 8).unwrap();
-        let kv4 = MemoryPlan::plan(&m, &gpu, 4, 4).unwrap();
+        let kv8 = MemoryPlan::plan_tp(&m, &gpu, 4, 8, 1).unwrap();
+        let kv4 = MemoryPlan::plan_tp(&m, &gpu, 4, 4, 1).unwrap();
         let ratio = kv4.max_tokens as f64 / kv8.max_tokens as f64;
         assert!((1.7..2.1).contains(&ratio), "ratio {}", ratio);
-    }
-
-    #[test]
-    fn tp1_plan_identical_to_single_gpu_plan() {
-        let m = ModelConfig::llama2_7b();
-        let gpu = GpuSpec::a100();
-        assert_eq!(
-            MemoryPlan::plan(&m, &gpu, 4, 4),
-            MemoryPlan::plan_tp(&m, &gpu, 4, 4, 1)
-        );
     }
 
     #[test]
@@ -161,7 +140,7 @@ mod tests {
     fn plan_accounts_sum_to_capacity() {
         let m = ModelConfig::llama2_7b();
         let gpu = GpuSpec::a100();
-        let p = MemoryPlan::plan(&m, &gpu, 4, 4).unwrap();
+        let p = MemoryPlan::plan_tp(&m, &gpu, 4, 4, 1).unwrap();
         assert_eq!(
             p.weight_bytes + p.workspace_bytes + p.kv_budget_bytes,
             gpu.memory_bytes

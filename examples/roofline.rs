@@ -5,10 +5,8 @@
 //! cargo run --release --example roofline
 //! ```
 
-use qserve::gpusim::roofline::{
-    attainable_attention_ops, attainable_gemm_ops, crossover_batch, GemmPrecision,
-};
-use qserve::gpusim::GpuSpec;
+use qserve::gpusim::roofline::{attainable_attention_ops, attainable_gemm_ops, crossover_batch};
+use qserve::gpusim::{GemmConfig, GpuSpec};
 
 fn bar(tops: f64, scale: f64) -> String {
     "#".repeat((tops / scale).round() as usize)
@@ -23,9 +21,10 @@ fn main() {
     );
     println!("{:>5}  {:>9} {:>9} {:>9}  (TOPS)", "m", "W4A16", "W8A8", "W4A8");
     for m in [1u32, 4, 8, 16, 32, 64, 78, 96, 128, 192, 256, 384, 512] {
-        let w4a16 = attainable_gemm_ops(&gpu, GemmPrecision::Int4Fp16, f64::from(m), n, k) / 1e12;
-        let w8a8 = attainable_gemm_ops(&gpu, GemmPrecision::Int8Int8, f64::from(m), n, k) / 1e12;
-        let w4a8 = attainable_gemm_ops(&gpu, GemmPrecision::Int4Int8, f64::from(m), n, k) / 1e12;
+        let tops = |cfg| attainable_gemm_ops(&gpu, cfg, f64::from(m), n, k) / 1e12;
+        let w4a16 = tops(GemmConfig::TrtW4A16);
+        let w8a8 = tops(GemmConfig::TrtW8A8);
+        let w4a8 = tops(GemmConfig::QServeW4A8PerChannel);
         println!(
             "{:>5}  {:>9.0} {:>9.0} {:>9.0}  {}",
             m,
@@ -36,7 +35,7 @@ fn main() {
         );
     }
 
-    match crossover_batch(&gpu, GemmPrecision::Int4Fp16, GemmPrecision::Int8Int8, n, k) {
+    match crossover_batch(&gpu, GemmConfig::TrtW4A16, GemmConfig::TrtW8A8, n, k) {
         Some(m) => println!(
             "\nW4A16 and W8A8 cross at m ≈ {} (paper, §3.1: m ≈ 78). \
              W4A8 sits on the upper envelope of both.",

@@ -1,13 +1,16 @@
 //! The paper's headline claims, checked end to end across crates.
 
 use qserve::core::progressive::ProgressiveWeight;
-use qserve::gpusim::attention_model::{attention_decode_latency, AttentionKernel, AttentionShape};
+use qserve::gpusim::attention_model::{
+    attention_decode_latency, attention_decode_latency_totals, AttentionKernel, AttentionShape,
+};
 use qserve::gpusim::gemm_model::{gemm_latency, GemmConfig, GemmShape};
-use qserve::gpusim::roofline::{crossover_batch, GemmPrecision};
+use qserve::gpusim::roofline::{attainable_attention_ops, attainable_gemm_ops, crossover_batch};
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
 use qserve::serve::engine::Workload;
 use qserve::serve::{ServingEngine, SystemConfig};
+use qserve::tensor::rng::TensorRng;
 use qserve::tensor::{prop, props, Matrix};
 
 /// §3.1: the W4A16/W8A8 roofline crossover sits near m = 78 on A100.
@@ -15,8 +18,8 @@ use qserve::tensor::{prop, props, Matrix};
 fn claim_roofline_crossover() {
     let m = crossover_batch(
         &GpuSpec::a100(),
-        GemmPrecision::Int4Fp16,
-        GemmPrecision::Int8Int8,
+        GemmConfig::TrtW4A16,
+        GemmConfig::TrtW8A8,
         4096.0,
         4096.0,
     )
@@ -133,6 +136,62 @@ fn claim_72b_dramatic_win() {
 }
 
 props! {
+    /// §3.1's roofline is a floor under the latency model: no kernel design,
+    /// on either GPU, at any shape, finishes a GEMM faster than its precision
+    /// pair's `max(ops / tensor-core peak, bytes / bandwidth)`, and no decode
+    /// attention launch streams its cached KV faster than the memory roof
+    /// allows. Both sides read the same bit widths off the same kernel row,
+    /// so this can only fail if the latency model stops charging a resource.
+    fn prop_roofline_is_a_floor_under_every_latency(rng, cases = 256) {
+        let gpu = if rng.choose(&[true, false]) { GpuSpec::a100() } else { GpuSpec::l40s() };
+        let dim = |rng: &mut TensorRng, hi| usize::try_from(rng.int_in(1, hi)).expect("positive");
+
+        let cfg = rng.choose(&[
+            GemmConfig::TrtFp16,
+            GemmConfig::TrtW8A8,
+            GemmConfig::TrtW4A16,
+            GemmConfig::AtomW4A4,
+            GemmConfig::QuarotW4A4,
+            GemmConfig::QServeW4A8PerChannel,
+            GemmConfig::QServeW4A8PerGroup,
+            GemmConfig::DgqW4A8Unfused,
+            GemmConfig::QServeW4A8Saturated,
+        ]);
+        let (m, n, k) = (dim(rng, 8192), dim(rng, 32768), dim(rng, 32768));
+        let (mf, nf, kf) = (m as f64, n as f64, k as f64);
+        let floor_s = 2.0 * mf * nf * kf / attainable_gemm_ops(&gpu, cfg, mf, nf, kf);
+        let modelled = gemm_latency(&gpu, cfg, GemmShape { m, n, k }).total_s;
+        assert!(
+            modelled >= floor_s,
+            "{:?} {}x{}x{} on {}: {} s beats its roofline {} s",
+            cfg, m, n, k, gpu.name, modelled, floor_s
+        );
+
+        let kernel = rng.choose(&[
+            AttentionKernel::Fp16Kv,
+            AttentionKernel::Kv8Static,
+            AttentionKernel::Kv4Naive,
+            AttentionKernel::Kv4QServe,
+            AttentionKernel::Kv4Hadamard,
+        ]);
+        let kv_heads = rng.choose(&[1usize, 2, 8, 32, 64]);
+        let query_heads = kv_heads * rng.choose(&[1usize, 4, 8]);
+        let head_dim = rng.choose(&[64usize, 128]);
+        let batch = dim(rng, 512);
+        let total_tokens = batch * dim(rng, 8192);
+        let kv_elements = 2.0 * total_tokens as f64 * kv_heads as f64 * head_dim as f64;
+        let floor_s = 2.0 * kv_elements / attainable_attention_ops(&gpu, kernel.kv_bits());
+        let modelled = attention_decode_latency_totals(
+            &gpu, kernel, batch, total_tokens, query_heads, kv_heads, head_dim,
+        )
+        .total_s;
+        assert!(
+            modelled >= floor_s,
+            "{:?} b={} tokens={} {}:{}x{} on {}: {} s beats its roofline {} s",
+            kernel, batch, total_tokens, query_heads, kv_heads, head_dim, gpu.name, modelled, floor_s
+        );
+    }
+
     /// §4.1 protective range, end to end: for arbitrary weight tensors the
     /// progressive intermediates never leave the INT8 range — the invariant
     /// that licenses register-level parallelism in the kernel.
