@@ -72,7 +72,7 @@ for workload in func_serve longctx_pressure; do
 done
 
 # Every example must run end to end, offline (smoke: exit status only).
-for ex in quickstart generate kv4_attention paged_serving prefix_caching \
+for ex in quickstart generate kv4_attention prefix_caching \
           cluster_serving heterogeneous_fleet roofline serving_throughput \
           ablation replica_failover elastic_fleet; do
     cargo run --release --offline --locked --example "$ex" >/dev/null

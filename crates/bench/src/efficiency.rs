@@ -9,9 +9,9 @@ use qserve_gpusim::gemm_model::{gemm_latency, GemmConfig, GemmShape};
 use qserve_gpusim::roofline::attainable_gemm_ops;
 use qserve_gpusim::GpuSpec;
 use qserve_model::ModelConfig;
-use qserve_serve::engine::{EngineUnavailable, LayerCost, ServeConfig, Workload};
+use qserve_serve::engine::{EngineUnavailable, LayerCost, ServeConfig};
 use qserve_serve::scheduler::Fcfs;
-use qserve_serve::{ServingEngine, SystemConfig};
+use qserve_serve::{ServingEngine, SystemConfig, WorkloadSpec};
 
 /// **Figure 2a**: runtime share of attention vs GEMM vs others on Llama-2-7B
 /// (A100), batch 1→64, decoding at the workload's mean context length.
@@ -54,7 +54,7 @@ pub fn fig2b() -> Table {
         SystemConfig::AtomW4A4,
         SystemConfig::QuarotW4A4,
     ] {
-        t.push_row(vec![sys.name().to_string(), throughput_cell(&GpuSpec::a100(), &model, sys)]);
+        t.push_row(vec![sys.name().to_string(), throughput_cell(paper_throughput(&GpuSpec::a100(), &model, sys))]);
     }
     t
 }
@@ -117,29 +117,31 @@ pub fn table1() -> Table {
     t
 }
 
-fn throughput_cell(gpu: &GpuSpec, model: &ModelConfig, sys: SystemConfig) -> String {
-    match ServingEngine::new(gpu.clone(), model.clone(), sys) {
-        Ok(e) => match e.max_throughput(&Workload::paper(64)) {
-            Ok(r) => fnum(r.throughput_tps, 0),
-            Err(EngineUnavailable::OutOfMemory) => "OOM".to_string(),
-            Err(EngineUnavailable::NotSupported) => "N.S.".to_string(),
-        },
-        Err(EngineUnavailable::OutOfMemory) => "OOM".to_string(),
-        Err(EngineUnavailable::NotSupported) => "N.S.".to_string(),
-    }
+/// Maximum achievable throughput (tokens/s) of `sys` serving `model` on
+/// `gpu` under the paper's §6.3 protocol: 1024 in / 512 out, the batch
+/// derived from device memory.
+fn paper_throughput(gpu: &GpuSpec, model: &ModelConfig, sys: SystemConfig) -> Result<f64, EngineUnavailable> {
+    let engine = ServingEngine::new(gpu.clone(), model.clone(), sys)?;
+    Ok(engine.max_throughput(&WorkloadSpec::paper(64))?.throughput_tps)
+}
+
+/// A throughput as a table cell: whole tokens/s, or why there is none.
+fn throughput_cell(tps: Result<f64, EngineUnavailable>) -> String {
+    tps.map_or_else(|unavailable| unavailable.to_string(), |tps| fnum(tps, 0))
 }
 
 /// **Table 4 / Figure 15**: maximum achievable throughput of every system on
 /// every model, for one GPU.
 pub fn table4(gpu: &GpuSpec) -> Table {
-    let qserve = SystemConfig::qserve_for(gpu.name);
+    // The three TRT configurations lead and QServe closes: the speed-up row
+    // reads them back by position.
     let systems = [
         SystemConfig::TrtFp16,
         SystemConfig::TrtW4A16,
         SystemConfig::TrtW8A8,
         SystemConfig::AtomW4A4,
         SystemConfig::QuarotW4A4,
-        qserve,
+        SystemConfig::qserve_for(gpu.name),
     ];
     let mut header = vec!["System".to_string()];
     let models = ModelConfig::throughput_suite();
@@ -149,32 +151,23 @@ pub fn table4(gpu: &GpuSpec) -> Table {
         &format!("max throughput (tokens/s) on {}, 1024 in / 512 out", gpu.name),
         &header.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
     );
-    for sys in systems {
+    // Every (system, model) cell is simulated once.
+    let cells: Vec<Vec<Result<f64, EngineUnavailable>>> = systems
+        .iter()
+        .map(|&sys| models.iter().map(|m| paper_throughput(gpu, m, sys)).collect())
+        .collect();
+    for (sys, tps) in systems.iter().zip(&cells) {
         let mut row = vec![sys.name().to_string()];
-        for m in &models {
-            row.push(throughput_cell(gpu, m, sys));
-        }
+        row.extend(tps.iter().map(|&tps| throughput_cell(tps)));
         t.push_row(row);
     }
     // Speedup row: QServe over the best TRT config per model.
+    let (trt, qserve) = (&cells[..3], &cells[systems.len() - 1]);
     let mut row = vec!["Speedup vs best TRT".to_string()];
-    for m in &models {
-        let q = ServingEngine::new(gpu.clone(), m.clone(), qserve)
-            .ok()
-            .and_then(|e| e.max_throughput(&Workload::paper(64)).ok())
-            .map(|r| r.throughput_tps);
-        let best = [SystemConfig::TrtFp16, SystemConfig::TrtW4A16, SystemConfig::TrtW8A8]
-            .into_iter()
-            .filter_map(|s| {
-                ServingEngine::new(gpu.clone(), m.clone(), s)
-                    .ok()?
-                    .max_throughput(&Workload::paper(64))
-                    .ok()
-            })
-            .map(|r| r.throughput_tps)
-            .fold(0.0f64, f64::max);
-        row.push(match q {
-            Some(q) if best > 0.0 => format!("{}x", fnum(q / best, 2)),
+    for m in 0..models.len() {
+        let best = trt.iter().filter_map(|sys| sys[m].ok()).fold(0.0f64, f64::max);
+        row.push(match qserve[m] {
+            Ok(q) if best > 0.0 => format!("{}x", fnum(q / best, 2)),
             _ => "—".to_string(),
         });
     }
@@ -202,7 +195,7 @@ pub fn fig16_efficiency() -> Table {
         let kv_kb = model.kv_bytes_per_token(sys.kv_bits()) as f64 / 1024.0;
         t.push_row(vec![
             label.to_string(),
-            throughput_cell(&gpu, &model, sys),
+            throughput_cell(paper_throughput(&gpu, &model, sys)),
             fnum(weights_gb, 2),
             fnum(kv_kb, 1),
         ]);
@@ -234,12 +227,12 @@ pub fn fig17(model: &ModelConfig, batches: &[usize]) -> Table {
         match ServingEngine::new(gpu.clone(), model.clone(), sys) {
             Ok(e) => {
                 for &b in batches {
-                    if e.memory_max_batch(&Workload::paper(64)) < b {
+                    if e.plan().max_batch(WorkloadSpec::paper(64).max_peak_len()) < b {
                         row.push("OOM".to_string());
                     } else {
                         let r = e
                             .serve(
-                                &Workload::paper(b * 2).spec(),
+                                &WorkloadSpec::paper(b * 2),
                                 Box::new(Fcfs),
                                 ServeConfig::fixed_batch(b),
                             )
@@ -299,16 +292,8 @@ pub fn table6() -> Table {
         ModelConfig::llama2_7b(),
         ModelConfig::mistral_7b(),
     ] {
-        let trt = ServingEngine::new(gpu.clone(), m.clone(), SystemConfig::TrtW8A8)
-            .unwrap()
-            .max_throughput(&Workload::paper(64))
-            .unwrap()
-            .throughput_tps;
-        let qserve = ServingEngine::new(gpu.clone(), m.clone(), SystemConfig::QServePerChannel)
-            .unwrap()
-            .max_throughput(&Workload::paper(64))
-            .unwrap()
-            .throughput_tps;
+        let trt = paper_throughput(&gpu, &m, SystemConfig::TrtW8A8).unwrap();
+        let qserve = paper_throughput(&gpu, &m, SystemConfig::QServePerChannel).unwrap();
         t.push_row(vec![
             m.name.clone(),
             fnum(trt, 2),
@@ -332,7 +317,6 @@ pub fn fig1() -> Table {
             "tok/s/$ ratio (L40S/A100)",
         ],
     );
-    let wl = Workload::paper(64);
     let a100 = GpuSpec::a100();
     let l40s = GpuSpec::l40s();
     for m in [
@@ -343,19 +327,9 @@ pub fn fig1() -> Table {
     ] {
         let trt = [SystemConfig::TrtFp16, SystemConfig::TrtW4A16, SystemConfig::TrtW8A8]
             .into_iter()
-            .filter_map(|s| {
-                ServingEngine::new(a100.clone(), m.clone(), s)
-                    .ok()?
-                    .max_throughput(&wl)
-                    .ok()
-            })
-            .map(|r| r.throughput_tps)
+            .filter_map(|s| paper_throughput(&a100, &m, s).ok())
             .fold(0.0f64, f64::max);
-        let qserve = ServingEngine::new(l40s.clone(), m.clone(), SystemConfig::QServePerGroup)
-            .ok()
-            .and_then(|e| e.max_throughput(&wl).ok())
-            .map(|r| r.throughput_tps)
-            .unwrap_or(0.0);
+        let qserve = paper_throughput(&l40s, &m, SystemConfig::QServePerGroup).unwrap_or(0.0);
         let per_dollar = (qserve / l40s.price_usd) / (trt / a100.price_usd);
         t.push_row(vec![
             m.name.clone(),

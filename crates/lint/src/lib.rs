@@ -164,7 +164,6 @@ fn classify(rel: &str) -> Option<FileKind> {
             | "crates/serve/src/kv_cache.rs"
             | "crates/serve/src/memory.rs"
             | "crates/serve/src/engine.rs"
-            | "crates/serve/src/host_tier.rs"
             | "crates/serve/src/fault.rs"
             | "crates/serve/src/control.rs"
             | "crates/serve/src/report.rs"
@@ -407,8 +406,6 @@ mod tests {
     #[test]
     fn classification_scopes_rules_by_path() {
         assert!(matches!(classify("crates/serve/src/scheduler.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/host_tier.rs"),
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/serve/src/fault.rs"),
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));

@@ -191,7 +191,26 @@ impl RoutingPolicy for LeastOutstanding {
 /// Ungrouped requests fall back to least-outstanding.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixAffinity {
-    pinned: std::collections::HashMap<u64, usize>,
+    pinned: PinTable,
+}
+
+/// Prefix-group → home replica. BTreeMap: pin state iterates
+/// deterministically in debug dumps and tests.
+type PinTable = std::collections::BTreeMap<u64, usize>;
+
+/// The pin rule, once for [`PrefixAffinity`] and [`ControlPlane`]: a pin
+/// only holds while its replica accepts work; a group's first member, or a
+/// group whose home crashed or drained, (re-)pins to the least-loaded
+/// accepting replica (the prefix pages are rebuilt there).
+fn follow_pin(pins: &mut PinTable, group: u64, replicas: &[ReplicaView]) -> usize {
+    match pins.get(&group) {
+        Some(&r) if r < replicas.len() && replicas[r].accepting => r,
+        _ => {
+            let choice = least_outstanding(replicas);
+            pins.insert(group, choice);
+            choice
+        }
+    }
 }
 
 impl RoutingPolicy for PrefixAffinity {
@@ -200,17 +219,7 @@ impl RoutingPolicy for PrefixAffinity {
     }
     fn route(&mut self, req: &Request, replicas: &[ReplicaView]) -> usize {
         match req.prefix_group {
-            Some(g) => match self.pinned.get(&g) {
-                // A pin only holds while its replica accepts work; a group
-                // whose home crashed or drained re-pins to the least-loaded
-                // accepting replica (the prefix pages are rebuilt there).
-                Some(&r) if r < replicas.len() && replicas[r].accepting => r,
-                _ => {
-                    let choice = least_outstanding(replicas);
-                    self.pinned.insert(g, choice);
-                    choice
-                }
-            },
+            Some(g) => follow_pin(&mut self.pinned, g, replicas),
             None => least_outstanding(replicas),
         }
     }
@@ -492,15 +501,14 @@ pub struct ControlPlane {
     routing: Box<dyn RoutingPolicy>,
     admission: Box<dyn AdmissionPolicy>,
     migration: Option<MigrationConfig>,
-    /// Prefix-group pins when migration is managed here. BTreeMap: pin
-    /// state iterates deterministically in debug dumps and tests.
-    pins: std::collections::BTreeMap<u64, usize>,
+    /// Prefix-group pins when migration is managed here.
+    pins: PinTable,
 }
 
 impl ControlPlane {
     /// A control plane running `routing` behind `admission`, no migration.
     pub fn new(routing: Box<dyn RoutingPolicy>, admission: Box<dyn AdmissionPolicy>) -> Self {
-        Self { routing, admission, migration: None, pins: std::collections::BTreeMap::new() }
+        Self { routing, admission, migration: None, pins: PinTable::new() }
     }
 
     /// Replaces the admission policy.
@@ -579,23 +587,14 @@ impl ControlPlane {
     /// relieved destination exists, move the pin (and, when configured,
     /// the pages).
     fn place_pinned(
-        pins: &mut std::collections::BTreeMap<u64, usize>,
+        pins: &mut PinTable,
         cfg: &MigrationConfig,
         group: u64,
         views: &[ReplicaView],
     ) -> Placement {
-        let home = pins
-            .get(&group)
-            .copied()
-            .filter(|&r| r < views.len() && views[r].accepting);
-        let Some(home) = home else {
-            // First member, or the home crashed/drained: (re-)pin to the
-            // least-loaded accepting replica — exactly PrefixAffinity's
-            // re-pin rule (the pages are rebuilt there).
-            let choice = least_outstanding(views);
-            pins.insert(group, choice);
-            return Placement::Route(choice);
-        };
+        // A fresh pin is the least-loaded replica itself: saturated or not,
+        // nowhere is better, and it routes home below.
+        let home = follow_pin(pins, group, views);
         let backlog = views[home].est_queue_s();
         if backlog <= cfg.saturation_queue_s {
             return Placement::Route(home);

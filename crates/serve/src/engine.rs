@@ -40,39 +40,6 @@ const MISC_KERNELS_PER_LAYER: f64 = 4.0;
 /// functional cache's default geometry ([`crate::ModelRuntime`]).
 const SIM_PAGE_TOKENS: usize = 16;
 
-/// The benchmark workload (§6.3: "input sequence length of 1024 and output
-/// sequence length of 512").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Workload {
-    /// Prompt tokens per request.
-    pub input_len: usize,
-    /// Generated tokens per request.
-    pub output_len: usize,
-    /// Total requests to serve.
-    pub num_requests: usize,
-}
-
-impl Workload {
-    /// The paper's benchmark shape with `num_requests` requests.
-    pub fn paper(num_requests: usize) -> Self {
-        Self {
-            input_len: 1024,
-            output_len: 512,
-            num_requests,
-        }
-    }
-
-    /// Peak sequence length a finished request occupies.
-    pub fn peak_len(&self) -> usize {
-        self.input_len + self.output_len
-    }
-
-    /// The equivalent fixed-shape [`WorkloadSpec`].
-    pub fn spec(&self) -> WorkloadSpec {
-        WorkloadSpec::fixed(self.input_len, self.output_len, self.num_requests)
-    }
-}
-
 /// Result of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingReport {
@@ -424,11 +391,6 @@ impl ServingEngine {
         }
     }
 
-    /// Memory-derived batch limit for a workload (0 ⇒ cannot serve).
-    pub fn memory_max_batch(&self, workload: &Workload) -> usize {
-        self.plan.max_batch(workload.peak_len())
-    }
-
     /// GEMM latency of one decoder layer at token batch `batch`, memoized
     /// in [`GemmMemo`] (the model is pure in `(spec, batch)`, and every
     /// tick prices 4–8 GEMM shapes at a recurring handful of batch sizes).
@@ -766,17 +728,15 @@ impl ServingEngine {
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when not even one sequence fits.
-    pub fn max_throughput(&self, workload: &Workload) -> Result<ServingReport, EngineUnavailable> {
-        let batch = self.memory_max_batch(workload);
+    pub fn max_throughput(&self, spec: &WorkloadSpec) -> Result<ServingReport, EngineUnavailable> {
+        // Memory-derived batch limit: every request sized at its peak.
+        let batch = self.plan.max_batch(spec.max_peak_len());
         if batch == 0 {
             return Err(EngineUnavailable::OutOfMemory);
         }
         // Serve enough requests for steady state (≥2 full waves).
-        let wl = Workload {
-            num_requests: workload.num_requests.max(batch * 2),
-            ..*workload
-        };
-        self.serve(&wl.spec(), Box::new(Fcfs), ServeConfig::fixed_batch(batch))
+        let spec = WorkloadSpec { num_requests: spec.num_requests.max(batch * 2), ..spec.clone() };
+        self.serve(&spec, Box::new(Fcfs), ServeConfig::fixed_batch(batch))
     }
 }
 
@@ -792,20 +752,20 @@ mod tests {
 
     /// The old `run_with_batch` protocol through the unified entry point:
     /// FCFS at an explicit limit, memory encoded in the limit.
-    fn run_batch(e: &ServingEngine, wl: &Workload, limit: usize) -> ServingReport {
-        e.serve(&wl.spec(), Box::new(Fcfs), ServeConfig::fixed_batch(limit)).expect("serves")
+    fn run_batch(e: &ServingEngine, wl: &WorkloadSpec, limit: usize) -> ServingReport {
+        e.serve(wl, Box::new(Fcfs), ServeConfig::fixed_batch(limit)).expect("serves")
     }
 
     /// The old `run_with_arrivals` protocol: uniformly staggered arrivals
     /// at `rate_rps`, FCFS at an explicit limit.
-    fn run_arrivals(e: &ServingEngine, wl: &Workload, limit: usize, rate_rps: f64) -> ServingReport {
-        let spec = wl.spec().with_arrivals(ArrivalPattern::Uniform { rate_rps });
+    fn run_arrivals(e: &ServingEngine, wl: &WorkloadSpec, limit: usize, rate_rps: f64) -> ServingReport {
+        let spec = wl.clone().with_arrivals(ArrivalPattern::Uniform { rate_rps });
         e.serve(&spec, Box::new(Fcfs), ServeConfig::fixed_batch(limit)).expect("serves")
     }
 
     fn tput(gpu: GpuSpec, model: ModelConfig, sys: SystemConfig) -> f64 {
         engine(gpu, model, sys)
-            .max_throughput(&Workload::paper(64))
+            .max_throughput(&WorkloadSpec::paper(64))
             .expect("serves")
             .throughput_tps
     }
@@ -816,7 +776,7 @@ mod tests {
             .filter_map(|s| {
                 ServingEngine::new(gpu.clone(), model.clone(), s)
                     .ok()?
-                    .max_throughput(&Workload::paper(64))
+                    .max_throughput(&WorkloadSpec::paper(64))
                     .ok()
             })
             .map(|r| r.throughput_tps)
@@ -925,7 +885,7 @@ mod tests {
     #[test]
     fn larger_batch_higher_throughput_until_saturation() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let wl = Workload::paper(256);
+        let wl = WorkloadSpec::paper(256);
         let t8 = run_batch(&e, &wl, 8).throughput_tps;
         let t64 = run_batch(&e, &wl, 64).throughput_tps;
         assert!(t64 > t8 * 2.0, "batching should pay: {} vs {}", t64, t8);
@@ -934,11 +894,7 @@ mod tests {
     #[test]
     fn all_requests_complete_and_tokens_conserved() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let wl = Workload {
-            input_len: 128,
-            output_len: 32,
-            num_requests: 100,
-        };
+        let wl = WorkloadSpec::fixed(128, 32, 100);
         let r = run_batch(&e, &wl, 16);
         assert_eq!(r.completed, 100);
         assert!((r.throughput_tps * r.total_time_s - 3200.0).abs() < 1.0);
@@ -951,7 +907,7 @@ mod tests {
         let m = ModelConfig::llama2_7b();
         let q = engine(GpuSpec::l40s(), m.clone(), SystemConfig::QServePerGroup);
         let t = engine(GpuSpec::l40s(), m, SystemConfig::TrtW8A8);
-        let wl = Workload::paper(128);
+        let wl = WorkloadSpec::paper(128);
         for batch in [16usize, 32, 64] {
             let sq = run_batch(&q, &wl, batch).throughput_tps;
             let st = run_batch(&t, &wl, batch).throughput_tps;
@@ -1043,14 +999,14 @@ mod tests {
             t_dense
         );
         // And it still serves end to end.
-        let r = moe.max_throughput(&Workload::paper(16)).expect("serves");
+        let r = moe.max_throughput(&WorkloadSpec::paper(16)).expect("serves");
         assert!(r.throughput_tps > 0.0);
     }
 
     #[test]
     fn simulation_is_deterministic() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let wl = Workload::paper(32);
+        let wl = WorkloadSpec::paper(32);
         let a = run_batch(&e, &wl, 16);
         let b = run_batch(&e, &wl, 16);
         assert_eq!(a, b);
@@ -1062,13 +1018,10 @@ mod tests {
         // queueing delay dominates. Throughput under light load tracks the
         // offered rate, not the system's peak.
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let wl = Workload {
-            input_len: 256,
-            output_len: 64,
-            num_requests: 48,
-        };
+        let output_len = 64;
+        let wl = WorkloadSpec::fixed(256, output_len, 48);
         let offline = run_batch(&e, &wl, 16);
-        let peak_rps = offline.throughput_tps / wl.output_len as f64;
+        let peak_rps = offline.throughput_tps / output_len as f64;
         let light = run_arrivals(&e, &wl, 16, peak_rps * 0.3);
         let heavy = run_arrivals(&e, &wl, 16, peak_rps * 3.0);
         assert!(
@@ -1086,11 +1039,7 @@ mod tests {
     #[test]
     fn latency_stats_sane_and_fifo_bounded() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        let wl = Workload {
-            input_len: 128,
-            output_len: 32,
-            num_requests: 64,
-        };
+        let wl = WorkloadSpec::fixed(128, 32, 64);
         let r = run_batch(&e, &wl, 8);
         assert!(r.mean_request_latency_s > 0.0);
         assert!(r.max_request_latency_s >= r.mean_request_latency_s);
@@ -1315,7 +1264,7 @@ mod tests {
                 tp1.prefill_latency_chunked(&whole_prompts).to_bits()
             );
         }
-        let wl = Workload::paper(32);
+        let wl = WorkloadSpec::paper(32);
         assert_eq!(run_batch(&legacy, &wl, 16), run_batch(&tp1, &wl, 16));
     }
 
@@ -1395,7 +1344,7 @@ mod tests {
             TpGroup::nvlink(4),
         )
         .expect("70B FP16 fits a 4-way group");
-        let r = tp4.max_throughput(&Workload::paper(8)).expect("serves");
+        let r = tp4.max_throughput(&WorkloadSpec::paper(8)).expect("serves");
         assert!(r.throughput_tps > 0.0);
     }
 

@@ -67,8 +67,9 @@ impl KvCacheConfig {
     }
 }
 
-/// One page: raw storage plus the count of filled token slots.
-#[derive(Debug, Clone)]
+/// One page: raw storage plus the count of filled token slots — on device,
+/// parked in host memory, or inside an exported image, a page is this.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct KvPage {
     data: Vec<u8>,
     filled: usize,
@@ -83,16 +84,84 @@ enum SwappedSlot {
     /// underneath it.
     Resident(usize),
     /// A private page whose bytes moved to host memory.
-    Host { data: Vec<u8>, filled: usize },
+    Host(KvPage),
 }
 
-/// Host-memory image of a swapped-out sequence — exactly what swap-in
-/// needs to rebuild the device-side page table byte for byte.
+/// Everything the cache knows about one sequence — the one record a
+/// lifecycle call looks up, and the one a swap moves between tiers. `S` is
+/// what a page-table slot holds: a device page index while the sequence is
+/// resident, a [`SwappedSlot`] while it is off-device (exactly what swap-in
+/// needs to rebuild the device-side page table byte for byte).
 #[derive(Debug, Clone)]
-struct SwappedSeq {
-    table: Vec<Vec<SwappedSlot>>,
-    len: usize,
+struct SeqRecord<S> {
+    /// Page table: per layer, ordered slots.
+    table: Vec<Vec<S>>,
+    /// Per-layer token counts: a forked sequence may own fewer tokens of
+    /// its shared tail page than the page's `filled` says.
     layer_lens: Vec<usize>,
+}
+
+impl<S> SeqRecord<S> {
+    /// Cached token count: layer 0's (callers append the same token to
+    /// every layer).
+    fn len(&self) -> usize {
+        self.layer_lens.first().copied().unwrap_or(0)
+    }
+}
+
+/// The device page pool: a free list over fixed-size pages, and the
+/// refcounts that let several sequences alias one page.
+#[derive(Debug)]
+struct PagePool {
+    pages: Vec<KvPage>,
+    free_list: Vec<usize>,
+    /// Sequences referencing each page (0 = free).
+    refcounts: Vec<u32>,
+    /// High-water mark of unique allocated pages over the cache's life.
+    peak_used: usize,
+}
+
+impl PagePool {
+    /// *Unique* pages currently allocated.
+    fn used(&self) -> usize {
+        self.pages
+            .len()
+            .checked_sub(self.free_list.len())
+            .expect("free list grew past the page pool")
+    }
+
+    /// Pops a free page, resetting its state and tracking the high-water
+    /// mark of unique residency.
+    fn alloc(&mut self) -> Result<usize, KvCacheError> {
+        let page = self.free_list.pop().ok_or(KvCacheError::OutOfPages)?;
+        self.pages[page].filled = 0;
+        self.refcounts[page] = 1;
+        self.peak_used = self.peak_used.max(self.used());
+        Ok(page)
+    }
+
+    /// Pops a free page and restores `image` onto it verbatim. Callers
+    /// reserve first: running dry here is a bug, not back-pressure.
+    fn alloc_restored(&mut self, image: &KvPage) -> usize {
+        let page = self.alloc().expect("reserved above");
+        self.pages[page].data.copy_from_slice(&image.data);
+        self.pages[page].filled = image.filled;
+        page
+    }
+
+    /// Drops one reference to `page`, recycling it when nobody is left.
+    /// The underflow check is a hard assert: a double-unref in a release
+    /// build would otherwise wrap the refcount to `u32::MAX` and leak the
+    /// page (plus every sequence that later aliased it) forever.
+    fn unref(&mut self, page: usize) {
+        self.refcounts[page] = self.refcounts[page]
+            .checked_sub(1)
+            .expect("page refcount underflow: unref of a free page");
+        if self.refcounts[page] == 0 {
+            self.pages[page].filled = 0;
+            self.free_list.push(page);
+        }
+    }
 }
 
 /// A paged, quantized KV cache for many sequences.
@@ -117,22 +186,12 @@ struct SwappedSeq {
 #[derive(Debug)]
 pub struct PagedKvCache {
     config: KvCacheConfig,
-    pages: Vec<KvPage>,
-    free_list: Vec<usize>,
-    /// Sequences referencing each page (0 = free).
-    refcounts: Vec<u32>,
-    /// Page table: per sequence, per layer, ordered page indices.
-    tables: HashMap<SequenceId, Vec<Vec<usize>>>,
-    /// Cached token count per sequence (advanced on layer 0).
-    lens: HashMap<SequenceId, usize>,
-    /// Per-sequence, per-layer token counts: a forked sequence may own fewer
-    /// tokens of its shared tail page than the page's `filled` says.
-    layer_lens: HashMap<SequenceId, Vec<usize>>,
-    /// Host-memory images of swapped-out sequences (never iterated — keyed
-    /// access only, so determinism is safe).
-    host: HashMap<SequenceId, SwappedSeq>,
-    /// High-water mark of unique allocated pages over the cache's life.
-    peak_used: usize,
+    pool: PagePool,
+    /// Resident sequences.
+    seqs: HashMap<SequenceId, SeqRecord<usize>>,
+    /// Swapped-out sequences (never iterated — keyed access only, so
+    /// determinism is safe).
+    host: HashMap<SequenceId, SeqRecord<SwappedSlot>>,
 }
 
 /// Errors from cache operations.
@@ -154,6 +213,14 @@ pub enum KvCacheError {
     /// The W4A8KV4 kernels were pointed at a cache that holds no codes and
     /// no per-head parameters (an FP16 cache).
     NotQuantized(KvPrecision),
+    /// An image was exported from a cache of a different geometry: its
+    /// pages do not fit this cache's page tables or slot layout.
+    GeometryMismatch {
+        /// Geometry of the cache the image was exported from.
+        image: KvCacheConfig,
+        /// Geometry of the cache asked to import it.
+        cache: KvCacheConfig,
+    },
 }
 
 impl std::fmt::Display for KvCacheError {
@@ -167,6 +234,9 @@ impl std::fmt::Display for KvCacheError {
             }
             KvCacheError::NotQuantized(precision) => {
                 write!(f, "a {:?} KV cache holds no quantized lanes for the KV4/KV8 kernels to read", precision)
+            }
+            KvCacheError::GeometryMismatch { image, cache } => {
+                write!(f, "a KV image exported from {:?} does not fit a cache of {:?}", image, cache)
             }
         }
     }
@@ -185,14 +255,14 @@ impl PagedKvCache {
             .collect();
         Self {
             config,
-            pages,
-            free_list: (0..total_pages).rev().collect(),
-            refcounts: vec![0; total_pages],
-            tables: HashMap::new(),
-            lens: HashMap::new(),
-            layer_lens: HashMap::new(),
+            pool: PagePool {
+                pages,
+                free_list: (0..total_pages).rev().collect(),
+                refcounts: vec![0; total_pages],
+                peak_used: 0,
+            },
+            seqs: HashMap::new(),
             host: HashMap::new(),
-            peak_used: 0,
         }
     }
 
@@ -203,27 +273,24 @@ impl PagedKvCache {
 
     /// Free pages remaining.
     pub fn free_pages(&self) -> usize {
-        self.free_list.len()
+        self.pool.free_list.len()
     }
 
     /// *Unique* pages currently allocated to sequences — shared prefix pages
     /// count once no matter how many sequences alias them.
     pub fn used_pages(&self) -> usize {
-        self.pages
-            .len()
-            .checked_sub(self.free_list.len())
-            .expect("free list grew past the page pool")
+        self.pool.used()
     }
 
     /// High-water mark of [`PagedKvCache::used_pages`] over the cache's life
     /// — the true-residency number the `prefix_sweep` experiment reports.
     pub fn peak_used_pages(&self) -> usize {
-        self.peak_used
+        self.pool.peak_used
     }
 
     /// Sequences referencing `page` (0 = free).
     pub fn page_refcount(&self, page: usize) -> u32 {
-        self.refcounts[page]
+        self.pool.refcounts[page]
     }
 
     /// The ordered page indices a sequence holds for one layer
@@ -232,31 +299,7 @@ impl PagedKvCache {
     /// # Panics
     /// Panics on an unknown sequence or out-of-range layer.
     pub fn layer_pages(&self, seq: SequenceId, layer: usize) -> &[usize] {
-        &self.tables[&seq][layer]
-    }
-
-    /// Pops a free page, resetting its state and tracking the high-water
-    /// mark of unique residency.
-    fn alloc_page(&mut self) -> Result<usize, KvCacheError> {
-        let page = self.free_list.pop().ok_or(KvCacheError::OutOfPages)?;
-        self.pages[page].filled = 0;
-        self.refcounts[page] = 1;
-        self.peak_used = self.peak_used.max(self.used_pages());
-        Ok(page)
-    }
-
-    /// Drops one reference to `page`, recycling it when nobody is left.
-    /// The underflow check is a hard assert: a double-unref in a release
-    /// build would otherwise wrap the refcount to `u32::MAX` and leak the
-    /// page (plus every sequence that later aliased it) forever.
-    fn unref_page(&mut self, page: usize) {
-        self.refcounts[page] = self.refcounts[page]
-            .checked_sub(1)
-            .expect("page refcount underflow: unref of a free page");
-        if self.refcounts[page] == 0 {
-            self.pages[page].filled = 0;
-            self.free_list.push(page);
-        }
+        &self.seqs[&seq].table[layer]
     }
 
     /// Registers a new sequence.
@@ -264,12 +307,11 @@ impl PagedKvCache {
     /// # Errors
     /// [`KvCacheError::DuplicateSequence`] if already present.
     pub fn register(&mut self, seq: SequenceId) -> Result<(), KvCacheError> {
-        if self.tables.contains_key(&seq) {
+        if self.seqs.contains_key(&seq) {
             return Err(KvCacheError::DuplicateSequence(seq));
         }
-        self.tables.insert(seq, vec![Vec::new(); self.config.layers]);
-        self.lens.insert(seq, 0);
-        self.layer_lens.insert(seq, vec![0; self.config.layers]);
+        let layers = self.config.layers;
+        self.seqs.insert(seq, SeqRecord { table: vec![Vec::new(); layers], layer_lens: vec![0; layers] });
         Ok(())
     }
 
@@ -291,29 +333,25 @@ impl PagedKvCache {
         child: SequenceId,
         prefix_tokens: usize,
     ) -> Result<(), KvCacheError> {
-        if !self.tables.contains_key(&parent) {
-            return Err(KvCacheError::UnknownSequence(parent));
-        }
-        if self.tables.contains_key(&child) {
+        let source = self.seqs.get(&parent).ok_or(KvCacheError::UnknownSequence(parent))?;
+        if self.seqs.contains_key(&child) {
             return Err(KvCacheError::DuplicateSequence(child));
         }
-        let have = self.seq_len(parent);
+        let have = source.len();
         if prefix_tokens > have {
             return Err(KvCacheError::PrefixTooLong { have, want: prefix_tokens });
         }
         let shared_pages = self.pages_for_tokens(prefix_tokens);
-        let table: Vec<Vec<usize>> = self.tables[&parent]
+        let table: Vec<Vec<usize>> = source
+            .table
             .iter()
             .map(|layer| layer[..shared_pages.min(layer.len())].to_vec())
             .collect();
-        for layer in &table {
-            for &page in layer {
-                self.refcounts[page] += 1;
-            }
+        for &page in table.iter().flatten() {
+            self.pool.refcounts[page] += 1;
         }
-        self.tables.insert(child, table);
-        self.lens.insert(child, prefix_tokens);
-        self.layer_lens.insert(child, vec![prefix_tokens; self.config.layers]);
+        let layer_lens = vec![prefix_tokens; self.config.layers];
+        self.seqs.insert(child, SeqRecord { table, layer_lens });
         Ok(())
     }
 
@@ -323,35 +361,26 @@ impl PagedKvCache {
     /// # Errors
     /// [`KvCacheError::UnknownSequence`] if not registered.
     pub fn release(&mut self, seq: SequenceId) -> Result<(), KvCacheError> {
-        if let Some(image) = self.host.remove(&seq) {
+        if let Some(parked) = self.host.remove(&seq) {
             // Releasing a swapped-out sequence: drop its host bytes and the
             // refcounts it still holds on resident shared pages.
-            for layer in image.table {
-                for slot in layer {
-                    if let SwappedSlot::Resident(page) = slot {
-                        self.unref_page(page);
-                    }
+            for slot in parked.table.into_iter().flatten() {
+                if let SwappedSlot::Resident(page) = slot {
+                    self.pool.unref(page);
                 }
             }
             return Ok(());
         }
-        let table = self
-            .tables
-            .remove(&seq)
-            .ok_or(KvCacheError::UnknownSequence(seq))?;
-        self.lens.remove(&seq);
-        self.layer_lens.remove(&seq);
-        for layer in table {
-            for page in layer {
-                self.unref_page(page);
-            }
+        let record = self.seqs.remove(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
+        for page in record.table.into_iter().flatten() {
+            self.pool.unref(page);
         }
         Ok(())
     }
 
     /// Cached token count of a sequence (0 if unknown).
     pub fn seq_len(&self, seq: SequenceId) -> usize {
-        self.lens.get(&seq).copied().unwrap_or(0)
+        self.seqs.get(&seq).map_or(0, SeqRecord::len)
     }
 
     /// Pages a sequence of `tokens` cached tokens needs per layer.
@@ -384,50 +413,48 @@ impl PagedKvCache {
         assert_eq!(k.len(), width, "K width mismatch");
         assert_eq!(v.len(), width, "V width mismatch");
         assert!(layer < self.config.layers, "layer out of range");
-        if !self.tables.contains_key(&seq) {
-            return Err(KvCacheError::UnknownSequence(seq));
-        }
+        let Self { config, pool, seqs, .. } = self;
+        let record = seqs.get_mut(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
         // This sequence's write position in this layer — distinct from the
         // tail page's `filled`, which a longer-prefix sharer may have set.
-        let tokens = self.layer_lens[&seq][layer];
-        let slot = tokens % self.config.page_tokens;
-        let page_idx = if slot == 0 && self.tables[&seq][layer].len() * self.config.page_tokens
-            <= tokens
-        {
+        let tokens = record.layer_lens[layer];
+        let slot = tokens % config.page_tokens;
+        let table = &mut record.table[layer];
+        let page_idx = if slot == 0 && table.len() * config.page_tokens <= tokens {
             // Tail full (or table empty): start a fresh private page.
-            let page = self.alloc_page()?;
-            self.tables.get_mut(&seq).unwrap()[layer].push(page);
+            let page = pool.alloc()?;
+            table.push(page);
             page
         } else {
-            let tail_idx = tokens / self.config.page_tokens;
-            let page = self.tables[&seq][layer][tail_idx];
-            if self.refcounts[page] > 1 {
+            let tail_idx = tokens / config.page_tokens;
+            let page = table[tail_idx];
+            if pool.refcounts[page] > 1 {
                 // Copy-on-write: duplicate the shared prefix bytes we own,
                 // then diverge privately.
-                let copy = self.alloc_page()?;
+                let copy = pool.alloc()?;
                 let (src_data, src_filled) = {
-                    let src = &self.pages[page];
+                    let src = &pool.pages[page];
                     (src.data.clone(), slot.min(src.filled))
                 };
-                self.pages[copy].data = src_data;
-                self.pages[copy].filled = src_filled;
-                self.tables.get_mut(&seq).unwrap()[layer][tail_idx] = copy;
-                self.unref_page(page);
+                pool.pages[copy].data = src_data;
+                pool.pages[copy].filled = src_filled;
+                table[tail_idx] = copy;
+                pool.unref(page);
                 copy
             } else {
                 page
             }
         };
-        let slot_bytes = self.config.token_slot_bytes();
-        let precision = self.config.precision;
-        let head_dim = self.config.head_dim;
+        let slot_bytes = config.token_slot_bytes();
+        let precision = config.precision;
+        let head_dim = config.head_dim;
         let lane_bytes = precision.lane_bytes(head_dim);
 
         // Slot layout: K codes of every head, V codes of every head, then
         // the parameter block — per-head (scale, zero) for K, then for V.
         let mut cursor = slot * slot_bytes;
-        let mut params_cursor = cursor + self.config.kv_heads * self.config.head_code_bytes();
-        let page = &mut self.pages[page_idx];
+        let mut params_cursor = cursor + config.kv_heads * config.head_code_bytes();
+        let page = &mut pool.pages[page_idx];
         for half in [k, v] {
             for head in half.chunks(head_dim) {
                 if precision == KvPrecision::Fp16 {
@@ -453,10 +480,7 @@ impl PagedKvCache {
             }
         }
         page.filled = slot + 1;
-        self.layer_lens.get_mut(&seq).unwrap()[layer] += 1;
-        if layer == 0 {
-            *self.lens.get_mut(&seq).unwrap() += 1;
-        }
+        record.layer_lens[layer] += 1;
         Ok(())
     }
 
@@ -489,10 +513,7 @@ impl PagedKvCache {
         head: usize,
     ) -> Result<PagedHeadView<'_>, KvCacheError> {
         self.require_quantized()?;
-        let table = self
-            .tables
-            .get(&seq)
-            .ok_or(KvCacheError::UnknownSequence(seq))?;
+        let record = self.seqs.get(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
         let cfg = &self.config;
         assert!(head < cfg.kv_heads, "head out of range");
         let lane_bytes = cfg.precision.lane_bytes(cfg.head_dim);
@@ -504,9 +525,9 @@ impl PagedKvCache {
             (l * lane_bytes, 2 * cfg.kv_heads * lane_bytes + 4 * l)
         };
         Ok(PagedHeadView {
-            pages: &self.pages,
-            table: &table[layer],
-            own_len: self.layer_lens[&seq][layer],
+            pages: &self.pool.pages,
+            table: &record.table[layer],
+            own_len: record.layer_lens[layer],
             head_dim: cfg.head_dim,
             nibbles: cfg.precision == KvPrecision::Int4,
             slot_bytes: cfg.token_slot_bytes(),
@@ -545,30 +566,21 @@ impl PagedKvCache {
     /// [`KvCacheError::UnknownSequence`] when `seq` is not resident
     /// (unregistered, or already swapped out).
     pub fn swap_out(&mut self, seq: SequenceId) -> Result<usize, KvCacheError> {
-        let table = self
-            .tables
-            .remove(&seq)
-            .ok_or(KvCacheError::UnknownSequence(seq))?;
-        let len = self.lens.remove(&seq).expect("tables/lens in sync");
-        let layer_lens = self.layer_lens.remove(&seq).expect("tables/layer_lens in sync");
+        let SeqRecord { table, layer_lens } =
+            self.seqs.remove(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
         let mut moved = 0usize;
-        let mut swapped_table: Vec<Vec<SwappedSlot>> = Vec::with_capacity(table.len());
-        for layer in table {
-            let mut slots = Vec::with_capacity(layer.len());
-            for page in layer {
-                if self.refcounts[page] == 1 {
-                    moved += 1;
-                    let data = self.pages[page].data.clone();
-                    let filled = self.pages[page].filled;
-                    self.unref_page(page);
-                    slots.push(SwappedSlot::Host { data, filled });
-                } else {
-                    slots.push(SwappedSlot::Resident(page));
-                }
+        let mut park = |page: usize| {
+            if self.pool.refcounts[page] == 1 {
+                moved += 1;
+                let image = self.pool.pages[page].clone();
+                self.pool.unref(page);
+                SwappedSlot::Host(image)
+            } else {
+                SwappedSlot::Resident(page)
             }
-            swapped_table.push(slots);
-        }
-        self.host.insert(seq, SwappedSeq { table: swapped_table, len, layer_lens });
+        };
+        let table = table.into_iter().map(|layer| layer.into_iter().map(&mut park).collect()).collect();
+        self.host.insert(seq, SeqRecord { table, layer_lens });
         Ok(moved)
     }
 
@@ -594,31 +606,18 @@ impl PagedKvCache {
             .table
             .iter()
             .flatten()
-            .filter(|s| matches!(s, SwappedSlot::Host { .. }))
+            .filter(|s| matches!(s, SwappedSlot::Host(_)))
             .count();
-        if needed > self.free_list.len() {
+        if needed > self.pool.free_list.len() {
             return Err(KvCacheError::OutOfPages);
         }
-        let image = self.host.remove(&seq).expect("checked above");
-        let mut table: Vec<Vec<usize>> = Vec::with_capacity(image.table.len());
-        for layer in image.table {
-            let mut pages = Vec::with_capacity(layer.len());
-            for slot in layer {
-                match slot {
-                    SwappedSlot::Resident(page) => pages.push(page),
-                    SwappedSlot::Host { data, filled } => {
-                        let page = self.alloc_page().expect("reserved above");
-                        self.pages[page].data.copy_from_slice(&data);
-                        self.pages[page].filled = filled;
-                        pages.push(page);
-                    }
-                }
-            }
-            table.push(pages);
-        }
-        self.tables.insert(seq, table);
-        self.lens.insert(seq, image.len);
-        self.layer_lens.insert(seq, image.layer_lens);
+        let SeqRecord { table, layer_lens } = self.host.remove(&seq).expect("checked above");
+        let mut restore = |slot: SwappedSlot| match slot {
+            SwappedSlot::Resident(page) => page,
+            SwappedSlot::Host(image) => self.pool.alloc_restored(&image),
+        };
+        let table = table.into_iter().map(|layer| layer.into_iter().map(&mut restore).collect()).collect();
+        self.seqs.insert(seq, SeqRecord { table, layer_lens });
         Ok(needed)
     }
 
@@ -637,83 +636,64 @@ impl PagedKvCache {
         seq: SequenceId,
         prefix_tokens: usize,
     ) -> Result<KvPageExport, KvCacheError> {
-        let table = self
-            .tables
-            .get(&seq)
-            .ok_or(KvCacheError::UnknownSequence(seq))?;
-        let have = self.seq_len(seq);
+        let record = self.seqs.get(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
+        let have = record.len();
         if prefix_tokens > have {
             return Err(KvCacheError::PrefixTooLong { have, want: prefix_tokens });
         }
         let shared_pages = self.pages_for_tokens(prefix_tokens);
-        let layers = table
+        let layers = record
+            .table
             .iter()
             .map(|layer| {
+                // The tail page may be filled past the exported prefix by
+                // the exporting sequence's own suffix; the importer's token
+                // count caps its reads, same as a fork's.
                 layer[..shared_pages.min(layer.len())]
                     .iter()
-                    .map(|&page| ExportedPage {
-                        data: self.pages[page].data.clone(),
-                        // The tail page may be filled past the exported
-                        // prefix by the exporting sequence's own suffix;
-                        // the importer's token count caps its reads, same
-                        // as a fork's.
-                        filled: self.pages[page].filled,
-                    })
+                    .map(|&page| self.pool.pages[page].clone())
                     .collect()
             })
             .collect();
-        Ok(KvPageExport { tokens: prefix_tokens, layers })
+        Ok(KvPageExport { config: self.config, tokens: prefix_tokens, layers })
     }
 
     /// Imports an exported prefix image as the new sequence `seq`: one
     /// fresh device page per exported page, bytes restored verbatim, so
     /// every subsequent read of the first `image.tokens()` tokens — and of
     /// any fork taken off `seq` — is byte-identical to the source replica's.
-    /// Returns the device pages allocated (what crossed the link). On
-    /// [`KvCacheError::OutOfPages`] nothing is allocated or registered.
+    /// Returns the device pages allocated (what crossed the link). On any
+    /// error nothing is allocated or registered.
     ///
     /// # Errors
-    /// [`KvCacheError::DuplicateSequence`] when `seq` already exists;
-    /// [`KvCacheError::OutOfPages`] when the pool cannot hold the image.
+    /// [`KvCacheError::GeometryMismatch`] when the image was exported from a
+    /// cache of another geometry; [`KvCacheError::DuplicateSequence`] when
+    /// `seq` already exists; [`KvCacheError::OutOfPages`] when the pool
+    /// cannot hold the image.
     pub fn import_pages(
         &mut self,
         seq: SequenceId,
         image: &KvPageExport,
     ) -> Result<usize, KvCacheError> {
-        if self.tables.contains_key(&seq) || self.host.contains_key(&seq) {
+        if image.config != self.config {
+            return Err(KvCacheError::GeometryMismatch { image: image.config, cache: self.config });
+        }
+        if self.seqs.contains_key(&seq) || self.host.contains_key(&seq) {
             return Err(KvCacheError::DuplicateSequence(seq));
         }
         let needed = image.pages();
-        if needed > self.free_list.len() {
+        if needed > self.pool.free_list.len() {
             return Err(KvCacheError::OutOfPages);
         }
-        let table: Vec<Vec<usize>> = image
+        let table = image
             .layers
             .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|exported| {
-                        let page = self.alloc_page().expect("reserved above");
-                        self.pages[page].data.copy_from_slice(&exported.data);
-                        self.pages[page].filled = exported.filled;
-                        page
-                    })
-                    .collect()
-            })
+            .map(|layer| layer.iter().map(|page| self.pool.alloc_restored(page)).collect())
             .collect();
-        self.tables.insert(seq, table);
-        self.lens.insert(seq, image.tokens);
-        self.layer_lens.insert(seq, vec![image.tokens; self.config.layers]);
+        let layer_lens = vec![image.tokens; self.config.layers];
+        self.seqs.insert(seq, SeqRecord { table, layer_lens });
         Ok(needed)
     }
-}
-
-/// One exported KV page: raw bytes plus its filled-slot count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ExportedPage {
-    data: Vec<u8>,
-    filled: usize,
 }
 
 /// A portable, self-contained image of one sequence prefix's KV pages —
@@ -721,8 +701,10 @@ struct ExportedPage {
 /// [`PagedKvCache::import_pages`] restores on another replica's cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvPageExport {
+    /// Geometry of the exporting cache — what the page bytes mean.
+    config: KvCacheConfig,
     tokens: usize,
-    layers: Vec<Vec<ExportedPage>>,
+    layers: Vec<Vec<KvPage>>,
 }
 
 impl KvPageExport {
@@ -1413,6 +1395,21 @@ mod tests {
         assert_eq!(tiny.import_pages(SequenceId(1), &image), Err(KvCacheError::OutOfPages));
         assert_eq!(tiny.used_pages(), 0);
         assert_eq!(tiny.free_pages(), 1);
+        // An image from a cache of another geometry is refused before a
+        // page is popped: more layers would register a table `append_token`
+        // cannot index, another precision is another page size.
+        for other in [
+            KvCacheConfig { layers: 3, ..cfg(KvPrecision::Int4) },
+            cfg(KvPrecision::Int8),
+        ] {
+            let mut dst = PagedKvCache::new(other, 32);
+            assert_eq!(
+                dst.import_pages(SequenceId(1), &image),
+                Err(KvCacheError::GeometryMismatch { image: cfg(KvPrecision::Int4), cache: other })
+            );
+            assert_eq!(dst.free_pages(), 32, "nothing allocated");
+            assert_eq!(dst.register(SequenceId(1)), Ok(()), "nothing registered");
+        }
     }
     /// The page layout, byte for byte, against a layout written out
     /// independently here: per slot, K codes of every head, V codes of every
@@ -1460,7 +1457,7 @@ mod tests {
                     assert_eq!(at % geometry.token_slot_bytes(), 0, "slot size");
                 }
                 let page = c.layer_pages(s, 0)[0];
-                assert_eq!(c.pages[page].data, expect, "{:?} d={}", precision, head_dim);
+                assert_eq!(c.pool.pages[page].data, expect, "{:?} d={}", precision, head_dim);
             }
         }
     }

@@ -17,7 +17,10 @@
 //!   [`SchedulingPolicy`] admission (FCFS, shortest-job-first,
 //!   memory-aware), KV page budgets with optional recompute preemption, and
 //!   latency/TTFT statistics. Shared by the analytic engine and the real
-//!   execution path — the single continuous-batching implementation.
+//!   execution path — the single continuous-batching implementation. The
+//!   page ledger ([`PageBudget`]) also holds the modeled host-memory KV
+//!   tier behind swap-style preemption, where victims spill private pages
+//!   at PCIe cost instead of recomputing.
 //! * [`engine`] — a continuous-batching serving engine running against the
 //!   `qserve-gpusim` cost model: the scheduler core driven by per-sequence
 //!   prefill/decode costs (each sequence charged at its true KV length),
@@ -41,9 +44,6 @@
 //!   seeded crash/drain/restart/rolling-upgrade schedules injected as the
 //!   cluster's fault event lane, so failures interleave reproducibly
 //!   with arrivals and completions.
-//! * [`host_tier`] — the modeled host-memory KV tier: the page ledger
-//!   behind swap-style preemption, where victims spill private pages at
-//!   PCIe cost instead of recomputing.
 //! * [`sketch`] — streaming fixed-bucket percentile sketch: O(1) insert,
 //!   deterministic quantiles, bounded memory — latency percentiles for
 //!   million-request traces without buffering every sample.
@@ -60,7 +60,6 @@ pub mod control;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod host_tier;
 pub mod kv_cache;
 pub mod memory;
 pub mod model_exec;
@@ -82,11 +81,10 @@ pub use report::{ClusterReport, ReplicaReport};
 pub use model_exec::ModelRuntime;
 pub use baselines::SystemConfig;
 pub use engine::{
-    BatchLimit, KvModel, ServeConfig, ServingEngine, ServingReport, SpeedProfile, Workload,
+    BatchLimit, KvModel, ServeConfig, ServingEngine, ServingReport, SpeedProfile,
 };
 pub use event::EventQueue;
 pub use fault::{Fault, FaultKind, FaultPlan, Lifecycle};
-pub use host_tier::{HostTier, SwappedEntry};
 pub use kv_cache::{KvPageExport, PagedKvCache, SequenceId};
 pub use prefix::PrefixIndex;
 pub use request::{

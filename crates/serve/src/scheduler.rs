@@ -28,7 +28,6 @@
 
 use std::collections::VecDeque;
 
-use crate::host_tier::{HostTier, SwappedEntry};
 use crate::request::{Request, RequestId, RequestState};
 use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 
@@ -191,9 +190,21 @@ pub struct PageBudget {
     /// alive) even before the first local member admits, and between
     /// members. One anchor is at most one extra reference per pool.
     anchors: std::collections::BTreeSet<u64>,
-    /// Modeled host-memory tier for swap-style preemption (`None` = no
-    /// tier, swaps refuse and callers fall back to recompute).
-    host: Option<HostTier>,
+    /// Capacity in pages of the modeled host-memory tier behind swap-style
+    /// preemption (`None` = no tier, swaps refuse and callers fall back to
+    /// recompute).
+    host_capacity: Option<usize>,
+    /// Host pages currently holding swapped KV state.
+    host_used: usize,
+    /// Swapped-out requests: the entry itself, parked whole — exactly what
+    /// swap-in seats again. Shared prefix pages never move — siblings keep
+    /// reading them on device, pinned by the entry's pool reference
+    /// (`group`) — so only *private* pages cross the link, and the driver
+    /// prices that transfer via [`qserve_gpusim::HostLink`]. Like the
+    /// device ledger, every subtraction is checked: swapping back an entry
+    /// that was released in the meantime (or never parked) is ledger
+    /// corruption and fails loudly instead of minting pages.
+    parked: std::collections::BTreeMap<RequestId, PageEntry>,
 }
 
 impl PageBudget {
@@ -213,7 +224,9 @@ impl PageBudget {
             slots: std::collections::BTreeMap::new(),
             pools: std::collections::BTreeMap::new(),
             anchors: std::collections::BTreeSet::new(),
-            host: None,
+            host_capacity: None,
+            host_used: 0,
+            parked: std::collections::BTreeMap::new(),
         }
     }
 
@@ -225,14 +238,8 @@ impl PageBudget {
     /// # Panics
     /// Panics if a tier is already attached.
     pub fn enable_host_tier(&mut self, capacity_pages: usize) {
-        assert!(self.host.is_none(), "host tier already attached");
-        self.host = Some(HostTier::new(capacity_pages));
-    }
-
-    /// The attached host tier, if any — read-only view for audits and
-    /// reports.
-    pub fn host_tier(&self) -> Option<&HostTier> {
-        self.host.as_ref()
+        assert!(self.host_capacity.is_none(), "host tier already attached");
+        self.host_capacity = Some(capacity_pages);
     }
 
     /// Total pages in the pool.
@@ -303,10 +310,7 @@ impl PageBudget {
             // in the host tier. A migration anchor is one more reference,
             // held by the control plane rather than a member.
             let resident = self.entries().filter(|e| e.group == Some(*g)).count();
-            let swapped = self
-                .host
-                .as_ref()
-                .map_or(0, |h| h.entries().filter(|(_, e)| e.group == Some(*g)).count());
+            let swapped = self.parked.values().filter(|e| e.group == Some(*g)).count();
             let anchor = usize::from(self.anchors.contains(g));
             assert_eq!(pool.refs, resident + swapped + anchor, "pool {} refcount drift", g);
             assert!(
@@ -323,21 +327,28 @@ impl PageBudget {
                 assert!(self.pools.contains_key(&g), "entry references a dead pool {}", g);
             }
         }
-        if let Some(host) = &self.host {
-            host.assert_consistent();
-            for (id, e) in host.entries() {
+        // The host tier, from first principles: the used-page counter must
+        // equal the sum over parked entries, within capacity.
+        let parked: usize = self.parked.values().map(|e| e.reserved_per_layer * self.layers).sum();
+        assert_eq!(self.host_used, parked, "host tier drift: used {} != parked {}", self.host_used, parked);
+        assert!(
+            self.host_used <= self.host_capacity_pages(),
+            "host tier overflow: used {} > capacity {}",
+            self.host_used,
+            self.host_capacity_pages()
+        );
+        for (id, e) in &self.parked {
+            assert!(
+                !self.slots.contains_key(id),
+                "request {:?} is both resident and swapped out",
+                id
+            );
+            if let Some(g) = e.group {
                 assert!(
-                    !self.slots.contains_key(&id),
-                    "request {:?} is both resident and swapped out",
-                    id
+                    self.pools.contains_key(&g),
+                    "swapped entry references a dead pool {}",
+                    g
                 );
-                if let Some(g) = e.group {
-                    assert!(
-                        self.pools.contains_key(&g),
-                        "swapped entry references a dead pool {}",
-                        g
-                    );
-                }
             }
         }
     }
@@ -365,6 +376,38 @@ impl PageBudget {
         let slot = self.slots.remove(&id)?;
         self.free_slots.push(slot);
         Some(self.slab[slot].take().expect("id map names a vacant ledger slot"))
+    }
+
+    /// Host pages still free (`None` without a tier).
+    fn host_free_pages(&self) -> Option<usize> {
+        let free = self.host_capacity?.checked_sub(self.host_used);
+        Some(free.expect("host tier ledger drift: used exceeds capacity"))
+    }
+
+    /// Parks `entry` in the host tier, charging its pages against it.
+    ///
+    /// # Panics
+    /// Panics if the request is already parked or the tier lacks room —
+    /// [`KvBudget::swap_out`] checks [`PageBudget::host_free_pages`] first.
+    fn park(&mut self, entry: PageEntry) {
+        let pages = entry.reserved_per_layer * self.layers;
+        let free = self.host_free_pages().expect("park() without a host tier");
+        assert!(pages <= free, "host tier overflow: parking {} pages with {} free", pages, free);
+        self.host_used += pages;
+        let prev = self.parked.insert(entry.id, entry);
+        assert!(prev.is_none(), "request {:?} swapped out twice", entry.id);
+    }
+
+    /// Removes `id`'s parked entry, returning its pages to the tier (`None`
+    /// when `id` is not swapped out — release is idempotent; swap-in, which
+    /// must not be, expects the entry).
+    fn unpark(&mut self, id: RequestId) -> Option<PageEntry> {
+        let entry = self.parked.remove(&id)?;
+        self.host_used = self
+            .host_used
+            .checked_sub(entry.reserved_per_layer * self.layers)
+            .expect("host tier ledger drift: entry pages exceed used");
+        Some(entry)
     }
 
     /// Audit hook: the tokens the ledger holds for resident `id` (private +
@@ -451,12 +494,12 @@ impl PageBudget {
     /// Host-tier pages in use (0 without a tier) — surfaced to the control
     /// plane through the replica snapshot.
     pub fn host_used_pages(&self) -> usize {
-        self.host.as_ref().map_or(0, HostTier::used_pages)
+        self.host_used
     }
 
     /// Host-tier capacity in pages (0 without a tier).
     pub fn host_capacity_pages(&self) -> usize {
-        self.host.as_ref().map_or(0, HostTier::capacity_pages)
+        self.host_capacity.unwrap_or(0)
     }
 }
 
@@ -549,7 +592,7 @@ impl KvBudget for PageBudget {
                 self.unref_pool(g);
             }
             assert!(self.free_pages <= self.total_pages, "page ledger over-released");
-        } else if let Some(swapped) = self.host.as_mut().and_then(|h| h.evict(id)) {
+        } else if let Some(swapped) = self.unpark(id) {
             // Releasing a swapped-out request frees host pages, not device
             // pages — but its shared-pool reference (device-resident) must
             // still be dropped, or the pool leaks.
@@ -562,7 +605,7 @@ impl KvBudget for PageBudget {
 
     fn swap_out(&mut self, id: RequestId) -> Option<usize> {
         // No tier attached → the caller falls back to recompute.
-        let host_free = self.host.as_ref()?.free_pages();
+        let host_free = self.host_free_pages()?;
         let slot = *self.slots.get(&id).expect("swap_out() on unadmitted request");
         let entry = self.slab[slot].expect("id map names a vacant ledger slot");
         let pages = entry.reserved_per_layer * self.layers;
@@ -570,16 +613,7 @@ impl KvBudget for PageBudget {
             return None;
         }
         self.unseat(id);
-        self.host.as_mut().expect("checked above").park(
-            id,
-            SwappedEntry {
-                tokens: entry.tokens,
-                reserved_per_layer: entry.reserved_per_layer,
-                pages,
-                group: entry.group,
-                covered_tokens: entry.covered_tokens,
-            },
-        );
+        self.park(entry);
         // The pool reference (if any) is deliberately kept: the swapped
         // member still pins its shared prefix pages on device.
         self.free_pages += pages;
@@ -588,23 +622,21 @@ impl KvBudget for PageBudget {
     }
 
     fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
-        let host = self.host.as_mut().expect("swap_in() without a host tier");
+        assert!(self.host_capacity.is_some(), "swap_in() without a host tier");
         // Loud on a missing entry: swapping back pages whose owner was
         // released is ledger corruption, not back-pressure.
-        let pages = host.pages_of(id);
+        let pages = self
+            .parked
+            .get(&id)
+            .expect("swap-in of a request with no host-tier holdings (released or never swapped)")
+            .reserved_per_layer
+            * self.layers;
         if pages > self.free_pages {
             return None;
         }
-        let swapped = host.take(id);
+        let entry = self.unpark(id).expect("checked above");
         self.take(pages);
-        let handle = self.seat(PageEntry {
-            id,
-            tokens: swapped.tokens,
-            reserved_per_layer: swapped.reserved_per_layer,
-            group: swapped.group,
-            covered_tokens: swapped.covered_tokens,
-        });
-        Some((handle, pages))
+        Some((self.seat(entry), pages))
     }
 
     fn peak_pages(&self) -> usize {
@@ -1104,10 +1136,10 @@ impl Scheduler {
                 r.id
             );
         }
-        if let Some(host) = budget.host_tier() {
+        if budget.host_capacity.is_some() {
             let mut swapped = 0usize;
             for r in self.pending.iter().filter(|r| r.state == RequestState::Swapped) {
-                let e = host.get(r.id).expect("swapped request has no host-tier holdings");
+                let e = budget.parked.get(&r.id).expect("swapped request has no host-tier holdings");
                 assert_eq!(
                     e.tokens + e.covered_tokens,
                     r.prefill_len(),
@@ -1116,7 +1148,7 @@ impl Scheduler {
                 );
                 swapped += 1;
             }
-            assert_eq!(swapped, host.len(), "host tier holds a stranger");
+            assert_eq!(swapped, budget.parked.len(), "host tier holds a stranger");
         }
     }
 
@@ -1759,6 +1791,51 @@ mod tests {
         assert_eq!(b.free_pages(), 2);
         b.release(id);
         assert_eq!(b.free_pages(), 8);
+    }
+
+    /// A parked entry of `pages` private pages per layer.
+    fn parked_entry(id: u64, pages: usize) -> PageEntry {
+        PageEntry {
+            id: RequestId(id),
+            tokens: pages * 4,
+            reserved_per_layer: pages,
+            group: None,
+            covered_tokens: 0,
+        }
+    }
+
+    fn host_budget(host_pages: usize) -> PageBudget {
+        let mut b = PageBudget::new(4, 1, 8, Reservation::OnDemand);
+        b.enable_host_tier(host_pages);
+        b
+    }
+
+    #[test]
+    fn park_unpark_round_trip_conserves_host_pages() {
+        let mut b = host_budget(8);
+        b.park(parked_entry(1, 3));
+        b.assert_consistent();
+        assert_eq!(b.host_used_pages(), 3);
+        assert_eq!(b.host_free_pages(), Some(5));
+        let back = b.unpark(RequestId(1)).expect("parked above");
+        assert_eq!((back.id, back.tokens, back.reserved_per_layer), (RequestId(1), 12, 3));
+        assert!(b.unpark(RequestId(1)).is_none(), "a second unpark is a no-op");
+        b.assert_consistent();
+        assert_eq!(b.host_used_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "host tier overflow")]
+    fn park_past_capacity_fails_loudly() {
+        host_budget(2).park(parked_entry(4, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "swapped out twice")]
+    fn double_park_fails_loudly() {
+        let mut b = host_budget(8);
+        b.park(parked_entry(5, 1));
+        b.park(parked_entry(5, 1));
     }
 
     #[test]

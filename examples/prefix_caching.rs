@@ -1,7 +1,8 @@
 //! Shared-prefix serving: multi-tenant traffic through the real quantized
 //! stack, with each tenant's system prompt stored once in the paged KV4
 //! cache (fork + copy-on-write) and chunked prefill interleaving prompt
-//! processing with decode.
+//! processing with decode — with the cache's page accounting printed
+//! alongside: the pool's geometry, peak unique pages, every page returned.
 //!
 //! ```text
 //! cargo run --release --example prefix_caching
@@ -40,6 +41,13 @@ fn main() {
     println!("workload: 8 requests, 2 tenants × 40-token system prompt + private suffixes\n");
 
     let mut private_rt = deploy();
+    let (geometry, total_pages) = (*private_rt.cache().config(), private_rt.cache().free_pages());
+    println!(
+        "paged KV4 cache: {} pages × {} tokens × {} B (per-head fp16 scales inline)\n",
+        total_pages,
+        geometry.page_tokens,
+        geometry.page_bytes()
+    );
     let private =
         private_rt.serve_with(&spec, 4, Box::new(Fcfs), SchedOptions::default()).expect("serves");
     let private_peak = private_rt.cache().peak_used_pages();
@@ -75,5 +83,12 @@ fn main() {
         private_peak - shared_peak
     );
     assert!(shared_peak < private_peak);
-    assert_eq!(shared_rt.cache().used_pages(), 0, "every page returned");
+    for rt in [&private_rt, &shared_rt] {
+        assert_eq!(rt.cache().used_pages(), 0, "every page must return to the pool");
+    }
+    println!(
+        "free pages {} / {} on both runs — no leaks, every page accounted for",
+        shared_rt.cache().free_pages(),
+        total_pages
+    );
 }

@@ -10,13 +10,13 @@
 
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
-use qserve::serve::engine::{ServeConfig, Workload};
+use qserve::serve::engine::ServeConfig;
 use qserve::serve::request::WorkloadSpec;
 use qserve::serve::scheduler::{Fcfs, MemoryAware, Reservation, ShortestJobFirst};
 use qserve::serve::{ServingEngine, SystemConfig};
 
 fn main() {
-    let workload = Workload::paper(64);
+    let workload = WorkloadSpec::paper(64);
     for gpu in [GpuSpec::a100(), GpuSpec::l40s()] {
         println!("=== {} (memory {} GiB) ===", gpu.name, gpu.memory_bytes >> 30);
         for model in [

@@ -8,8 +8,7 @@ use qserve::gpusim::gemm_model::{gemm_latency, GemmConfig, GemmShape};
 use qserve::gpusim::roofline::{attainable_attention_ops, attainable_gemm_ops, crossover_batch};
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
-use qserve::serve::engine::Workload;
-use qserve::serve::{ServingEngine, SystemConfig};
+use qserve::serve::{ServingEngine, SystemConfig, WorkloadSpec};
 use qserve::tensor::rng::TensorRng;
 use qserve::tensor::{prop, props, Matrix};
 
@@ -73,7 +72,7 @@ fn claim_kv4_attention_gpu_dependence() {
 /// both GPUs, with the larger gains on L40S.
 #[test]
 fn claim_end_to_end_speedups() {
-    let wl = Workload::paper(48);
+    let wl = WorkloadSpec::paper(48);
     let best_trt = |gpu: &GpuSpec, m: &ModelConfig| -> f64 {
         [SystemConfig::TrtFp16, SystemConfig::TrtW4A16, SystemConfig::TrtW8A8]
             .into_iter()
@@ -120,7 +119,7 @@ fn claim_end_to_end_speedups() {
 /// the paper) because W8A8 barely fits while W4A8KV4 runs comfortably.
 #[test]
 fn claim_72b_dramatic_win() {
-    let wl = Workload::paper(16);
+    let wl = WorkloadSpec::paper(16);
     let m = ModelConfig::qwen15_72b();
     let q = ServingEngine::new(GpuSpec::a100(), m.clone(), SystemConfig::QServePerChannel)
         .unwrap()

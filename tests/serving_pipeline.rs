@@ -4,7 +4,7 @@
 use qserve::core::kv_quant::KvPrecision;
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
-use qserve::serve::engine::{ServeConfig, Workload};
+use qserve::serve::engine::ServeConfig;
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve::serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
 use qserve::serve::scheduler::{
@@ -23,13 +23,9 @@ fn engine_completes_any_feasible_workload() {
     )
     .unwrap();
     for (requests, batch) in [(1usize, 1usize), (7, 3), (64, 64), (100, 13)] {
-        let wl = Workload {
-            input_len: 64,
-            output_len: 16,
-            num_requests: requests,
-        };
+        let wl = WorkloadSpec::fixed(64, 16, requests);
         let r = e
-            .serve(&wl.spec(), Box::new(Fcfs), ServeConfig::fixed_batch(batch))
+            .serve(&wl, Box::new(Fcfs), ServeConfig::fixed_batch(batch))
             .expect("serves");
         assert_eq!(r.completed, requests);
         let tokens = (requests * 16) as f64;
@@ -42,11 +38,7 @@ fn throughput_ordering_stable_across_workloads() {
     // QServe > best TRT must hold for short and long generations alike.
     let m = ModelConfig::llama2_7b();
     for (input, output) in [(256usize, 128usize), (1024, 512), (2048, 256)] {
-        let wl = Workload {
-            input_len: input,
-            output_len: output,
-            num_requests: 32,
-        };
+        let wl = WorkloadSpec::fixed(input, output, 32);
         let q = ServingEngine::new(GpuSpec::a100(), m.clone(), SystemConfig::QServePerChannel)
             .unwrap()
             .max_throughput(&wl)
@@ -69,11 +61,11 @@ fn memory_constrained_batch_respected() {
         SystemConfig::QServePerGroup,
     )
     .unwrap();
-    let wl = Workload::paper(16);
-    let batch = e.memory_max_batch(&wl);
+    let wl = WorkloadSpec::paper(16);
+    let batch = e.plan().max_batch(wl.max_peak_len());
     assert!(batch >= 1, "70B W4KV4 must fit L40S");
     // The plan's token capacity must cover the batch at peak length.
-    assert!(e.plan().max_tokens >= (batch * wl.peak_len()) as u64);
+    assert!(e.plan().max_tokens >= (batch * wl.max_peak_len()) as u64);
 }
 
 #[test]
@@ -95,11 +87,11 @@ fn fixed_workload_report_identical_across_policies() {
     let fcfs = run(Box::new(Fcfs));
     let sjf = run(Box::new(ShortestJobFirst));
     assert_eq!(fcfs, sjf);
-    // And the fixed-shape `Workload` spells the same spec, bit for bit.
+    // And `paper` is the fixed 1024 / 512 shape, bit for bit.
     assert_eq!(
         fcfs,
         e.serve(
-            &Workload::paper(48).spec(),
+            &WorkloadSpec::fixed(1024, 512, 48),
             Box::new(Fcfs),
             ServeConfig::fixed_batch(16),
         )
