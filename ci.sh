@@ -34,9 +34,12 @@ QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --te
 # a branch no 1-thread run reaches (the benchmark's included) — and every
 # panel reads the one widened activation buffer. Same kernel properties,
 # same frozen logits and KV bytes, and the same deployed = evaluated
-# property, at four threads.
+# property, at four threads. `serve_with` reaches those GEMMs through
+# `Scheduler::tick`, so the frozen tick and the functional-vs-counts
+# lockstep differential run on this arm too.
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-kernels
-QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func
+QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func --test frozen_tick
+QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --lib functional_serve_ticks_in_lockstep
 QSERVE_THREADS=4 cargo test -q --offline --locked --release --test deployed_is_what_is_evaluated
 
 # The reproduce binary is the user-facing entry point; prove it writes CSV

@@ -39,13 +39,13 @@
 //! PR-8 driver decision for decision — the invariants that pin this layer
 //! to the golden-snapshot CSVs.
 
-use crate::engine::{EngineUnavailable, ServingEngine, SpeedProfile, TickScratch};
+use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, WorkloadSpec};
 use crate::scheduler::{
-    KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
+    KvBudget, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
 };
 use qserve_tensor::pool::Pool;
 
@@ -100,8 +100,8 @@ struct Replica {
     sched: Scheduler,
     budget: PageBudget,
     routed: usize,
-    /// Per-replica tick buffers, reused across the replica's whole run.
-    scratch: TickScratch,
+    /// The cost model's pair buffer, reused across the replica's whole run.
+    pairs: Vec<(usize, usize)>,
     /// Accepting/online/epoch state plus the GPU-seconds windows — one
     /// state machine for fault plans and the autoscaler alike.
     life: Lifecycle,
@@ -148,12 +148,13 @@ impl Replica {
         self.sched.submit(req);
     }
 
-    /// One scheduling tick — [`ServingEngine::tick`], the same loop body
-    /// [`ServingEngine::serve`] drives, so a lone replica replays the
-    /// single-engine run exactly by construction — on the replica-owned
-    /// scratch buffers: zero per-tick allocation.
+    /// One scheduling tick — [`Scheduler::tick`] priced by this replica's
+    /// engine, the same loop body [`ServingEngine::serve`] drives, so a lone
+    /// replica replays the single-engine run exactly by construction — on
+    /// scheduler- and replica-owned buffers: zero per-tick allocation.
     fn tick(&mut self) {
-        self.engine.tick(&mut self.sched, &mut self.budget, &mut self.scratch);
+        let mut exec = CostModel { engine: &self.engine, pairs: &mut self.pairs };
+        self.sched.tick(&mut self.budget, &mut exec);
     }
 
     /// Replays this replica's slice of the event loop up to `barrier` (a
@@ -301,20 +302,15 @@ impl Cluster {
             .iter()
             .enumerate()
             .map(|(i, engine)| -> Result<Replica, EngineUnavailable> {
-                let (mut budget, batch_limit) = engine.paged_budget(spec, reservation)?;
-                if opts.preemption == PreemptionMode::Swap {
-                    // Host DRAM dwarfs device HBM; 4× the device pool is a
-                    // deliberately generous tier so swap policy, not host
-                    // capacity, decides preemption outcomes.
-                    budget.enable_host_tier(4 * budget.total_pages());
-                }
+                let (budget, batch_limit) =
+                    engine.paged_budget(spec, reservation, opts.preemption)?;
                 Ok(Replica {
                     engine: engine.clone(),
                     speed: engine.speed_profile(),
                     sched: Scheduler::open(batch_limit, mk_policy(), opts),
                     budget,
                     routed: 0,
-                    scratch: TickScratch::default(),
+                    pairs: Vec::new(),
                     life: Lifecycle::fresh(i < initial_online),
                     requeued_away: 0,
                 })
@@ -322,12 +318,11 @@ impl Cluster {
             .collect()
     }
 
-    /// The workload trace in front-door order: sorted by `(arrival_s, id)`.
+    /// The workload trace in front-door order, `(arrival_s, id)` — the order
+    /// [`WorkloadSpec::sample`] emits (a tested postcondition of it).
     fn sorted_trace(spec: &WorkloadSpec) -> Vec<Request> {
-        let mut requests = spec.sample();
-        requests.sort_by(|a, b| {
-            a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id))
-        });
+        let requests = spec.sample();
+        debug_assert!(requests.windows(2).all(|w| (w[0].arrival_s, w[0].id) <= (w[1].arrival_s, w[1].id)));
         requests
     }
 

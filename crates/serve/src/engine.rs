@@ -10,8 +10,9 @@
 //! decode step costs on this (GPU, model, system) triple, charged
 //! per-sequence at each sequence's true KV length. The request lifecycle
 //! (admission order, memory gating, preemption, latency accounting) lives in
-//! the shared [`crate::scheduler`] core, which exactly one driver loop ticks:
-//! [`ServingEngine::tick`] behind [`ServingEngine::serve`]. Every protocol —
+//! the shared [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the
+//! order of a step; the engine is its pricing [`TickExecutor`]
+//! ([`CostModel`]) behind [`ServingEngine::serve`]. Every protocol —
 //! the fixed-batch Figure 17 runs, worst-case-sized heterogeneous serving,
 //! paged on-demand admission — is a declarative [`ServeConfig`] over that
 //! one entry point, so making the engine spec-parametric (heterogeneous
@@ -22,7 +23,7 @@ use crate::memory::MemoryPlan;
 use crate::request::{Request, RequestId, WorkloadSpec};
 use crate::scheduler::{
     AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulerStats, SchedulingPolicy, UnboundedBudget,
+    Scheduler, SchedulerStats, SchedulingPolicy, TickExecutor, UnboundedBudget,
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency_chunked,
@@ -39,6 +40,10 @@ const MISC_KERNELS_PER_LAYER: f64 = 4.0;
 /// Page size (tokens) of the simulated KV page ledger — matches the
 /// functional cache's default geometry ([`crate::ModelRuntime`]).
 const SIM_PAGE_TOKENS: usize = 16;
+/// Host-tier pages per device page under swap preemption. Host DRAM dwarfs
+/// device HBM: a deliberately generous tier, so swap policy, not host
+/// capacity, decides preemption outcomes.
+const HOST_TIER_FACTOR: usize = 4;
 
 /// Result of one serving simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,22 +111,44 @@ impl ServingReport {
     }
 }
 
-/// Reusable per-tick buffers for the hot admit/charge/drain path. One lives
-/// per driver (or per cluster replica) and is cleared-and-refilled by
-/// [`ServingEngine::tick`] every tick, so steady-state serving performs no
-/// per-tick heap allocation at all.
-#[derive(Debug, Default)]
-pub(crate) struct TickScratch {
-    /// The admitted wave ([`Scheduler::admit`]).
-    wave: AdmittedWave,
-    /// Chunked-prefill slices ([`Scheduler::prefill_chunks`]).
-    chunks: Vec<(RequestId, usize, usize)>,
-    /// `(new_tokens, past_tokens)` pairs priced by the cost model.
-    pairs: Vec<(usize, usize)>,
-    /// Ids evicted by this tick's preemptions ([`Scheduler::make_room`]).
-    preempted: Vec<RequestId>,
-    /// Ids retired by this tick's decode step.
-    done: Vec<RequestId>,
+/// The analytic [`TickExecutor`]: nothing runs, every step of
+/// [`Scheduler::tick`] is priced by `engine`'s cost model. Pricing reads the
+/// chunking knob off the scheduler itself ([`Scheduler::options`]), so it can
+/// never disagree with the admission behavior those options drive.
+pub(crate) struct CostModel<'a> {
+    pub(crate) engine: &'a ServingEngine,
+    /// `(new_tokens, past_tokens)` pairs handed to the cost model — the
+    /// owner's buffer, reused across ticks so pricing allocates nothing.
+    pub(crate) pairs: &'a mut Vec<(usize, usize)>,
+}
+
+impl TickExecutor for CostModel<'_> {
+    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+        if sched.options().chunk_tokens.is_some() {
+            return 0.0; // priced chunk by chunk
+        }
+        self.pairs.clear();
+        self.pairs.extend(
+            wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(&full, &shared)| (full - shared, shared)),
+        );
+        self.engine.prefill_latency_chunked(self.pairs)
+    }
+
+    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+        self.pairs.clear();
+        self.pairs.extend(chunks.iter().map(|&(_, c, p)| (c, p)));
+        self.engine.prefill_latency_chunked(self.pairs)
+    }
+
+    /// A PCIe round trip per page.
+    fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
+        HostLink::pcie4().transfer_latency(pages as f64 * self.engine.kv_page_bytes() as f64)
+    }
+
+    fn decode(&mut self, sched: &Scheduler) -> f64 {
+        let (batch, total_tokens) = sched.decode_totals();
+        self.engine.decode_step_latency_totals(batch, total_tokens)
+    }
 }
 
 /// Memo table for [`ServingEngine::layer_gemm_latency`]: the GEMM model is
@@ -538,12 +565,13 @@ impl ServingEngine {
     }
 
     /// Drives the shared scheduler core over this engine's cost model to
-    /// completion: [`ServingEngine::tick`] in a loop, the one
-    /// continuous-batching simulation under [`ServingEngine::serve`]. With
-    /// the default options this is the legacy loop tick for tick; with
-    /// sharing on, admitted requests skip the aliased part of their prompt;
-    /// with chunking on, prompts prefill in `chunk_tokens`-sized slices
-    /// interleaved with decode steps for the already-full residents.
+    /// completion: [`Scheduler::tick`] in a loop with [`CostModel`] as its
+    /// executor, the one continuous-batching simulation under
+    /// [`ServingEngine::serve`]. With the default options this is the legacy
+    /// loop tick for tick; with sharing on, admitted requests skip the
+    /// aliased part of their prompt; with chunking on, prompts prefill in
+    /// `chunk_tokens`-sized slices interleaved with decode steps for the
+    /// already-full residents.
     fn drive(
         &self,
         requests: Vec<Request>,
@@ -553,83 +581,16 @@ impl ServingEngine {
         opts: SchedOptions,
     ) -> ServingReport {
         let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
-        let mut scratch = TickScratch::default();
+        let mut exec = CostModel { engine: self, pairs: &mut Vec::new() };
         while !sched.is_done() {
-            self.tick(&mut sched, budget, &mut scratch);
+            sched.tick(budget, &mut exec);
         }
         ServingReport::from_stats(sched.stats(), batch_limit, budget.peak_pages())
     }
 
-    /// One scheduling tick priced by this engine's cost model: admit, charge
-    /// (possibly chunked) prefill, idle if nothing runs, make room, decode.
-    /// The single loop body behind [`ServingEngine::serve`] *and* every
-    /// [`crate::cluster`] replica — one implementation, so a 1-replica
-    /// cluster is bit-identical to the single-engine run by construction.
-    /// The chunking knob comes from the scheduler itself
-    /// ([`Scheduler::options`]), so pricing can never disagree with the
-    /// admission behavior those options drive. The buffers are the
-    /// caller's: the hot admit/charge/drain path allocates nothing per
-    /// tick, which is where a million-request run would otherwise spend its
-    /// allocator budget.
-    pub(crate) fn tick(
-        &self,
-        sched: &mut Scheduler,
-        budget: &mut dyn KvBudget,
-        scratch: &mut TickScratch,
-    ) {
-        let TickScratch { wave, chunks, pairs, preempted, done } = scratch;
-        sched.admit(budget, wave);
-        match sched.options().chunk_tokens {
-            None => {
-                if !wave.ids.is_empty() {
-                    pairs.clear();
-                    pairs.extend(
-                        wave.prefill_lens
-                            .iter()
-                            .zip(&wave.shared_lens)
-                            .map(|(&full, &shared)| (full - shared, shared)),
-                    );
-                    sched.charge_prefill(self.prefill_latency_chunked(pairs));
-                }
-            }
-            Some(chunk_tokens) => {
-                sched.prefill_chunks(chunk_tokens, chunks);
-                if !chunks.is_empty() {
-                    pairs.clear();
-                    pairs.extend(chunks.iter().map(|&(_, c, p)| (c, p)));
-                    sched.charge_prefill(self.prefill_latency_chunked(pairs));
-                }
-            }
-        }
-        if sched.running().is_empty() {
-            // A drained-but-open scheduler (cluster replica between routing
-            // decisions) has nothing to idle toward.
-            if !sched.is_done() {
-                sched.idle_until_arrival();
-            }
-            return;
-        }
-        sched.make_room(budget, preempted);
-        // Price this tick's host-link traffic (swap-ins drained at admit,
-        // swap-outs from make-room) into the replica's clock: preemption by
-        // swap is not free, it costs a PCIe round trip per page.
-        let swap_pages = sched.take_tick_swap_pages();
-        if swap_pages > 0 {
-            sched.charge_swap(
-                HostLink::pcie4()
-                    .transfer_latency(swap_pages as f64 * self.kv_page_bytes() as f64),
-            );
-        }
-        let (batch, total_tokens) = sched.decode_totals();
-        if batch == 0 {
-            return; // every resident is still chunk-prefilling
-        }
-        sched.decode_step(self.decode_step_latency_totals(batch, total_tokens), budget, done);
-    }
-
     /// The one entry point: serves `spec` under the batch-limit derivation,
     /// memory model and scheduler options `cfg` declares. It sizes the limit
-    /// and the budget, then runs [`ServingEngine::tick`] in a loop — so
+    /// and the budget, then runs [`Scheduler::tick`] in a loop — so
     /// there is exactly one serving code path to keep spec-parametric.
     ///
     /// # Errors
@@ -666,13 +627,8 @@ impl ServingEngine {
                 Ok(self.drive(spec.sample(), limit, policy, &mut UnboundedBudget, cfg.opts))
             }
             KvModel::Paged(reservation) => {
-                let (mut budget, optimistic) = self.paged_budget(spec, reservation)?;
-                if cfg.opts.preemption == PreemptionMode::Swap {
-                    // Host DRAM dwarfs device HBM: a generous 4× tier so
-                    // swap policy, not host capacity, decides outcomes
-                    // (mirrors the cluster's replica sizing).
-                    budget.enable_host_tier(4 * budget.total_pages());
-                }
+                let (mut budget, optimistic) =
+                    self.paged_budget(spec, reservation, cfg.opts.preemption)?;
                 let limit = match cfg.batch {
                     BatchLimit::Fixed(n) => n,
                     BatchLimit::WorstCase => self.plan.max_batch(spec.max_peak_len()).max(1),
@@ -692,18 +648,20 @@ impl ServingEngine {
         page_tokens * self.plan.kv_bytes_per_token / layers
     }
 
-    /// Sizes the page ledger and the optimistic batch limit this engine
-    /// uses for paged serving of `spec` — the sizing behind
+    /// Sizes the page ledger — with its host tier attached under
+    /// [`PreemptionMode::Swap`] — and the optimistic batch limit this engine
+    /// uses for paged serving of `spec`: the sizing behind
     /// [`ServingEngine::serve`], shared with [`crate::cluster`] so every
     /// replica mirrors the single-engine math.
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
     /// the whole page pool.
-    pub fn paged_budget(
+    pub(crate) fn paged_budget(
         &self,
         spec: &WorkloadSpec,
         reservation: Reservation,
+        preemption: PreemptionMode,
     ) -> Result<(PageBudget, usize), EngineUnavailable> {
         let layers = self.model.layers;
         // `max_tokens` counts whole-model tokens; each occupies a slot in
@@ -711,10 +669,13 @@ impl ServingEngine {
         let total_pages = (usize::try_from(self.plan.max_tokens).expect("KV token budget fits usize")
             * layers)
             / SIM_PAGE_TOKENS;
-        let budget = PageBudget::new(SIM_PAGE_TOKENS, layers, total_pages, reservation);
+        let mut budget = PageBudget::new(SIM_PAGE_TOKENS, layers, total_pages, reservation);
         let worst = spec.max_peak_len().div_ceil(SIM_PAGE_TOKENS) * layers;
         if worst > total_pages {
             return Err(EngineUnavailable::OutOfMemory);
+        }
+        if preemption == PreemptionMode::Swap {
+            budget.enable_host_tier(HOST_TIER_FACTOR * total_pages);
         }
         // The batch limit caps concurrency at what the pool could hold if
         // every request were as small as possible; the page budget is the
@@ -950,7 +911,7 @@ mod tests {
         let reqs = WorkloadSpec::chat(24, 5).sample();
         let mut sched = Scheduler::with_options(reqs, 6, Box::new(Fcfs), opts);
         let mut budget = PageBudget::new(16, 2, 160, Reservation::OnDemand);
-        let mut scratch = TickScratch::default();
+        let mut exec = CostModel { engine: &e, pairs: &mut Vec::new() };
         let mut compared = 0usize;
         while !sched.is_done() {
             let lens: Vec<usize> = sched
@@ -968,7 +929,7 @@ mod tests {
                 );
                 compared += 1;
             }
-            e.tick(&mut sched, &mut budget, &mut scratch);
+            sched.tick(&mut budget, &mut exec);
         }
         assert!(sched.stats().preemptions > 0 && compared > 100, "the run must churn");
     }
@@ -1188,42 +1149,36 @@ mod tests {
         let worst_gap = |chunk_tokens: Option<usize>| -> f64 {
             let opts = crate::scheduler::SchedOptions { share_prefixes: false, chunk_tokens, ..SchedOptions::default() };
             let mut sched = Scheduler::with_options(mk_reqs(), 8, Box::new(Fcfs), opts);
-            let budget: &mut dyn KvBudget = &mut UnboundedBudget;
+            // The engine's own pricing, plus a note of which ticks decoded.
+            struct Watched<'a>(CostModel<'a>, bool);
+            impl TickExecutor for Watched<'_> {
+                fn prefill_wave(&mut self, s: &Scheduler, wave: &AdmittedWave) -> f64 {
+                    self.0.prefill_wave(s, wave)
+                }
+                fn prefill_chunks(&mut self, s: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+                    self.0.prefill_chunks(s, chunks)
+                }
+                fn swap(&mut self, s: &Scheduler, pages: usize) -> f64 {
+                    self.0.swap(s, pages)
+                }
+                fn decode(&mut self, s: &Scheduler) -> f64 {
+                    self.1 = true;
+                    self.0.decode(s)
+                }
+            }
+            let mut exec = Watched(CostModel { engine: &e, pairs: &mut Vec::new() }, false);
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);
-            let (mut wave, mut chunks, mut done) =
-                (AdmittedWave::default(), Vec::new(), Vec::new());
             while !sched.is_done() {
-                sched.admit(budget, &mut wave);
-                let pairs: Vec<(usize, usize)> = match chunk_tokens {
-                    None => wave.prefill_lens.iter().map(|&l| (l, 0)).collect(),
-                    Some(c) => {
-                        sched.prefill_chunks(c, &mut chunks);
-                        chunks.iter().map(|&(_, n, p)| (n, p)).collect()
+                sched.tick(&mut UnboundedBudget, &mut exec);
+                if std::mem::take(&mut exec.1) {
+                    if let Some(t) = last_decode {
+                        worst = worst.max(sched.clock() - t);
                     }
-                };
-                if !pairs.is_empty() {
-                    sched.charge_prefill(e.prefill_latency_chunked(&pairs));
+                    // Survivors: someone who decoded this tick is still mid-decode.
+                    last_decode = (sched.decode_totals().0 > 0).then_some(sched.clock());
+                } else if sched.running().is_empty() {
+                    last_decode = None; // idled
                 }
-                if sched.running().is_empty() {
-                    sched.idle_until_arrival();
-                    last_decode = None;
-                    continue;
-                }
-                sched.make_room(budget, &mut Vec::new());
-                let (batch, total_tokens) = sched.decode_totals();
-                if batch == 0 {
-                    continue;
-                }
-                sched.decode_step(
-                    e.decode_step_latency_totals(batch, total_tokens),
-                    budget,
-                    &mut done,
-                );
-                let survivors = batch > done.len();
-                if let Some(t) = last_decode {
-                    worst = worst.max(sched.clock() - t);
-                }
-                last_decode = survivors.then_some(sched.clock());
             }
             assert_eq!(sched.stats().completed, 24);
             worst

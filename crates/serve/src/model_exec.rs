@@ -9,6 +9,7 @@ use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
     AdmittedWave, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
+    TickExecutor,
 };
 use qserve_core::pipeline::QoqConfig;
 use qserve_kernels::attention::HeadTile;
@@ -206,6 +207,165 @@ pub struct ServedRequest {
     pub finish_step: usize,
 }
 
+/// The functional [`TickExecutor`] behind [`ModelRuntime::serve_with`]: every
+/// step [`Scheduler::tick`] sequences runs through the deployed model over
+/// the real [`PagedKvCache`], and the clock is charged *model steps* — one per
+/// prefilled token, `1.0` per decode.
+struct FunctionalExecutor<'a> {
+    rt: &'a mut ModelRuntime,
+    prompts: HashMap<RequestId, Vec<u32>>,
+    index: PrefixIndex,
+    /// Prompt/recompute tokens still to run through the model, per live
+    /// request (the post-fork remainder).
+    pending: HashMap<RequestId, Vec<u32>>,
+    outputs: HashMap<RequestId, Vec<u32>>,
+    logits: HashMap<RequestId, Vec<f32>>,
+    /// The first cache error a hook met (hooks return costs, not results):
+    /// every later hook is a no-op and `serve_with` returns it after the tick.
+    failed: Option<KvCacheError>,
+}
+
+impl<'a> FunctionalExecutor<'a> {
+    /// The executor, and the peak-reserving page ledger that gates it.
+    fn new(rt: &'a mut ModelRuntime, prompts: HashMap<RequestId, Vec<u32>>) -> (Self, PageBudget) {
+        let cfg = *rt.cache.config();
+        let total_pages = rt.cache.free_pages() + rt.cache.used_pages();
+        let budget = PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
+        let (index, failed) = (PrefixIndex::new(), None);
+        let (pending, outputs, logits) = (HashMap::new(), HashMap::new(), HashMap::new());
+        (Self { rt, prompts, index, pending, outputs, logits, failed }, budget)
+    }
+
+    /// Runs `step` unless an earlier one failed; a failure costs nothing.
+    fn attempt(&mut self, step: impl FnOnce(&mut Self) -> Result<f64, KvCacheError>) -> f64 {
+        if self.failed.is_some() {
+            return 0.0;
+        }
+        step(self).unwrap_or_else(|e| {
+            self.failed = Some(e);
+            0.0
+        })
+    }
+}
+
+impl TickExecutor for FunctionalExecutor<'_> {
+    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+        self.attempt(|this| {
+            let mut prefill_steps = 0usize;
+            for ((&id, &full), &shared) in
+                wave.ids.iter().zip(&wave.prefill_lens).zip(&wave.shared_lens)
+            {
+                let seq = SequenceId(id.0);
+                let prompt = &this.prompts[&id];
+                if shared > 0 {
+                    // The prefix layer: a live donor holding at least the
+                    // granted prefix, found by longest-prefix match with a
+                    // same-group fallback (the index may surface a sibling
+                    // that matches further but is not yet fully cached).
+                    let donor = this
+                        .index
+                        .longest_shared_prefix(prompt)
+                        .filter(|&(d, lcp)| lcp >= shared && this.rt.cache.seq_len(d) >= shared)
+                        .map(|(d, _)| d)
+                        .or_else(|| {
+                            sched.running().iter().map(|r| SequenceId(r.id.0)).find(|&d| {
+                                this.rt.cache.seq_len(d) >= shared
+                                    && this
+                                        .prompts
+                                        .get(&RequestId(d.0))
+                                        .is_some_and(|p| p.len() >= shared && p[..shared] == prompt[..shared])
+                            })
+                        })
+                        .expect("scheduler granted a prefix no live sequence can donate");
+                    this.rt.cache.fork(donor, seq, shared)?;
+                } else {
+                    this.rt.cache.register(seq)?;
+                }
+                this.index.insert(seq, prompt.clone());
+                // Recompute-style remainder: un-aliased prompt plus any
+                // generated tokens (peak reservation means none in practice).
+                let mut feed: Vec<u32> = prompt[shared..].to_vec();
+                feed.extend(this.outputs.get(&id).into_iter().flatten().copied());
+                debug_assert_eq!(shared + feed.len(), full);
+                if sched.options().chunk_tokens.is_none() {
+                    // Whole remainder runs right here, member by member — so
+                    // a same-wave sibling's prefix is cached before the next
+                    // member's fork (the cascade the scheduler's grants
+                    // assume).
+                    this.logits.insert(id, this.rt.prefill_slice(seq, &feed, true)?);
+                    prefill_steps += feed.len();
+                    feed.clear();
+                }
+                this.pending.insert(id, feed);
+            }
+            Ok(prefill_steps as f64)
+        })
+    }
+
+    /// Chunked work is metered by the scheduler and interleaved with decode
+    /// steps for the already-full residents.
+    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+        self.attempt(|this| {
+            let mut prefill_steps = 0usize;
+            for &(id, n, _past) in chunks {
+                let feed = this.pending.get_mut(&id).expect("chunk for a live request");
+                let slice: Vec<u32> = feed.drain(..n).collect();
+                let finished = feed.is_empty();
+                let last = this.rt.prefill_slice(SequenceId(id.0), &slice, finished)?;
+                prefill_steps += n;
+                if finished {
+                    this.logits.insert(id, last);
+                }
+            }
+            Ok(prefill_steps as f64)
+        })
+    }
+
+    fn swap(&mut self, _: &Scheduler, _pages: usize) -> f64 {
+        unreachable!("peak-reserving budget cannot swap")
+    }
+
+    /// One real decode step for all decodable sequences at once: sample
+    /// greedily from the last logits, then advance the model with a single
+    /// batched step (sequences that just finished stay out of the batch).
+    fn decode(&mut self, sched: &Scheduler) -> f64 {
+        self.attempt(|this| {
+            let mut rows = Vec::new();
+            for r in sched.running().iter().filter(|r| r.prefill_remaining() == 0) {
+                let next = argmax(&this.logits[&r.id]) as u32;
+                this.outputs.entry(r.id).or_default().push(next);
+                if r.remaining() > 1 {
+                    rows.push((SequenceId(r.id.0), next));
+                }
+            }
+            let every_row: Vec<usize> = (0..rows.len()).collect();
+            for (&(seq, _), l) in rows.iter().zip(this.rt.step_batch(&rows, &every_row)?) {
+                this.logits.insert(RequestId(seq.0), l);
+            }
+            Ok(1.0)
+        })
+    }
+
+    /// Peak reservation means growth can never fail; if this driver ever
+    /// moves to on-demand reservation, preempted ids must also be released
+    /// from the real cache here.
+    fn preempted(&mut self, _: &Scheduler, ids: &[RequestId]) {
+        assert!(ids.is_empty(), "peak-reserving budget cannot preempt");
+    }
+
+    fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
+        self.attempt(|this| {
+            for &id in ids {
+                this.rt.finish_sequence(SequenceId(id.0))?;
+                this.index.remove(SequenceId(id.0));
+                this.logits.remove(&id);
+                this.pending.remove(&id);
+            }
+            Ok(0.0)
+        });
+    }
+}
+
 impl ModelRuntime {
     /// Serves a whole heterogeneous workload through the real quantized
     /// stack, driven by the shared [`Scheduler`] core: the policy orders
@@ -242,145 +402,26 @@ impl ModelRuntime {
         opts: SchedOptions,
     ) -> Result<Vec<ServedRequest>, KvCacheError> {
         let requests = spec.sample();
-        let vocab = self.model.config.vocab;
-        let prompts = spec.synth_prompts(&requests, vocab);
-
-        let cfg = *self.cache.config();
-        let total_pages = self.cache.free_pages() + self.cache.used_pages();
-        let mut budget =
-            PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
+        let prompts = spec.synth_prompts(&requests, self.model.config.vocab);
         let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
-        let mut index = PrefixIndex::new();
-        // Prompt/recompute tokens still to run through the model, per live
-        // request (the post-fork remainder).
-        let mut pending: HashMap<RequestId, Vec<u32>> = HashMap::new();
-        let mut outputs: HashMap<RequestId, Vec<u32>> = HashMap::new();
-        let mut logits: HashMap<RequestId, Vec<f32>> = HashMap::new();
-        let mut done: Vec<ServedRequest> = Vec::new();
-        // The scheduler steps' out-buffers, reused across every tick.
-        let mut wave = AdmittedWave::default();
-        let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
-        let mut preempted: Vec<RequestId> = Vec::new();
-        let mut retired: Vec<RequestId> = Vec::new();
-
+        let (mut exec, mut budget) = FunctionalExecutor::new(self, prompts);
         while !sched.is_done() {
-            sched.admit(&mut budget, &mut wave);
-            let mut prefill_steps = 0usize;
-            for ((&id, &full), &shared) in
-                wave.ids.iter().zip(&wave.prefill_lens).zip(&wave.shared_lens)
-            {
-                let seq = SequenceId(id.0);
-                let prompt = &prompts[&id];
-                if shared > 0 {
-                    // The prefix layer: a live donor holding at least the
-                    // granted prefix, found by longest-prefix match with a
-                    // same-group fallback (the index may surface a sibling
-                    // that matches further but is not yet fully cached).
-                    let donor = index
-                        .longest_shared_prefix(prompt)
-                        .filter(|&(d, lcp)| lcp >= shared && self.cache.seq_len(d) >= shared)
-                        .map(|(d, _)| d)
-                        .or_else(|| {
-                            sched.running().iter().map(|r| SequenceId(r.id.0)).find(|&d| {
-                                self.cache.seq_len(d) >= shared
-                                    && prompts
-                                        .get(&RequestId(d.0))
-                                        .is_some_and(|p| p.len() >= shared && p[..shared] == prompt[..shared])
-                            })
-                        })
-                        .expect("scheduler granted a prefix no live sequence can donate");
-                    self.cache.fork(donor, seq, shared)?;
-                } else {
-                    self.cache.register(seq)?;
-                }
-                index.insert(seq, prompt.clone());
-                // Recompute-style remainder: un-aliased prompt plus any
-                // generated tokens (peak reservation means none in practice).
-                let mut feed: Vec<u32> = prompt[shared..].to_vec();
-                feed.extend(outputs.get(&id).into_iter().flatten().copied());
-                debug_assert_eq!(shared + feed.len(), full);
-                if opts.chunk_tokens.is_none() {
-                    // Whole remainder runs right here, member by member — so
-                    // a same-wave sibling's prefix is cached before the next
-                    // member's fork (the cascade the scheduler's grants
-                    // assume).
-                    logits.insert(id, self.prefill_slice(seq, &feed, true)?);
-                    prefill_steps += feed.len();
-                    feed.clear();
-                }
-                pending.insert(id, feed);
-            }
-            // Chunked work is metered by the scheduler and interleaved with
-            // decode steps for the already-full residents.
-            if let Some(c) = opts.chunk_tokens {
-                sched.prefill_chunks(c, &mut chunks);
-                for &(id, n, _past) in &chunks {
-                    let seq = SequenceId(id.0);
-                    let feed = pending.get_mut(&id).expect("chunk for a live request");
-                    let slice: Vec<u32> = feed.drain(..n).collect();
-                    let finished = feed.is_empty();
-                    let last = self.prefill_slice(seq, &slice, finished)?;
-                    prefill_steps += n;
-                    if finished {
-                        logits.insert(id, last);
-                    }
-                }
-            }
-            if prefill_steps > 0 {
-                sched.charge_prefill(prefill_steps as f64);
-            }
-            if sched.running().is_empty() {
-                sched.idle_until_arrival();
-                continue;
-            }
-            // Peak reservation means growth can never fail; if this driver
-            // ever moves to on-demand reservation, preempted ids must also
-            // be released from the real cache here.
-            sched.make_room(&mut budget, &mut preempted);
-            assert!(preempted.is_empty(), "peak-reserving budget cannot preempt");
-            // One real decode step for all decodable sequences at once:
-            // sample greedily from the last logits, then advance the model
-            // with a single batched step (sequences that just finished
-            // stay out of the batch).
-            let step_requests: Vec<(RequestId, usize)> = sched
-                .running()
-                .iter()
-                .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| (r.id, r.remaining()))
-                .collect();
-            if step_requests.is_empty() {
-                continue; // every resident is still chunk-prefilling
-            }
-            let mut rows = Vec::with_capacity(step_requests.len());
-            for (id, remaining) in step_requests {
-                let next = argmax(&logits[&id]) as u32;
-                outputs.entry(id).or_default().push(next);
-                if remaining > 1 {
-                    rows.push((SequenceId(id.0), next));
-                }
-            }
-            let every_row: Vec<usize> = (0..rows.len()).collect();
-            for (&(seq, _), l) in rows.iter().zip(self.step_batch(&rows, &every_row)?) {
-                logits.insert(RequestId(seq.0), l);
-            }
-            sched.decode_step(1.0, &mut budget, &mut retired);
-            for &id in &retired {
-                self.finish_sequence(SequenceId(id.0))?;
-                index.remove(SequenceId(id.0));
-                logits.remove(&id);
-                pending.remove(&id);
+            sched.tick(&mut budget, &mut exec);
+            if let Some(e) = exec.failed.take() {
+                return Err(e);
             }
         }
-
-        for r in sched.finished() {
-            done.push(ServedRequest {
+        let mut done: Vec<ServedRequest> = sched
+            .finished()
+            .iter()
+            .map(|r| ServedRequest {
                 id: r.id,
-                prompt: prompts[&r.id].clone(),
-                output: outputs.remove(&r.id).unwrap_or_default(),
+                prompt: exec.prompts[&r.id].clone(),
+                output: exec.outputs.remove(&r.id).unwrap_or_default(),
                 first_token_step: r.first_token_s.expect("finished") as usize,
                 finish_step: r.finish_s.expect("finished") as usize,
-            });
-        }
+            })
+            .collect();
         done.sort_by_key(|r| r.id);
         Ok(done)
     }
@@ -613,10 +654,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_turn_serve_with_sharing_completes_consistently() {
-        use crate::scheduler::Fcfs;
-        let spec = crate::request::WorkloadSpec {
+    fn multi_turn_spec() -> crate::request::WorkloadSpec {
+        crate::request::WorkloadSpec {
             num_requests: 6,
             input: crate::request::LengthDist::Uniform { lo: 2, hi: 5 },
             output: crate::request::LengthDist::Uniform { lo: 2, hi: 3 },
@@ -624,7 +663,13 @@ mod tests {
             sharing: crate::request::PrefixSharing::MultiTurn { conversations: 2, turns: 3 },
             slo: crate::request::SloSpec::None,
             seed: 27,
-        };
+        }
+    }
+
+    #[test]
+    fn multi_turn_serve_with_sharing_completes_consistently() {
+        use crate::scheduler::Fcfs;
+        let spec = multi_turn_spec();
         let (_, mut private_rt) = deploy_small();
         let private = private_rt.serve_with(&spec, 3, Box::new(Fcfs), SchedOptions::default()).unwrap();
         let (_, mut shared_rt) = deploy_small();
@@ -641,6 +686,77 @@ mod tests {
             assert_eq!(s.output, p.output, "sharing changed {:?}", s.id);
         }
         assert_eq!(shared_rt.cache().used_pages(), 0);
+    }
+
+    /// ROADMAP 3a end to end — analytic vs. functional driver as a
+    /// differential: the functional executor over the real `PagedKvCache`
+    /// and a counts-only twin that executes nothing (and charges the
+    /// functional clock: tokens per prefill, `1.0` per decode) tick the same
+    /// workload through `Scheduler::tick` side by side. Tick by tick the
+    /// two schedulers hold equal residents (so equal admitted ids and equal
+    /// per-request progress), equal finished records (`first_token_s`,
+    /// `finish_s`) and the same clock bits; the peak-reserving ledger books
+    /// ahead of the cache throughout; and everything drains.
+    #[test]
+    fn functional_serve_ticks_in_lockstep_with_a_counts_only_twin() {
+        use crate::scheduler::Fcfs;
+        struct Counts;
+        impl TickExecutor for Counts {
+            fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+                if sched.options().chunk_tokens.is_some() {
+                    return 0.0;
+                }
+                let computed: usize =
+                    wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(full, shared)| full - shared).sum();
+                computed as f64
+            }
+            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+                chunks.iter().map(|&(_, new, _)| new).sum::<usize>() as f64
+            }
+            fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
+                unreachable!("peak-reserving budget cannot swap")
+            }
+            fn decode(&mut self, _: &Scheduler) -> f64 {
+                1.0
+            }
+        }
+        let sharing = SchedOptions { share_prefixes: true, ..SchedOptions::default() };
+        for (spec, opts) in [
+            (tiny_spec(5, 13), SchedOptions::default()),
+            (shared_spec(6, 33), sharing),
+            (shared_spec(6, 33), SchedOptions { chunk_tokens: Some(8), ..sharing }),
+            (multi_turn_spec(), sharing),
+        ] {
+            let (_, mut rt) = deploy_small();
+            let requests = spec.sample();
+            let prompts = spec.synth_prompts(&requests, rt.model.config.vocab);
+            let mut counted = Scheduler::with_options(requests.clone(), 3, Box::new(Fcfs), opts);
+            let mut served = Scheduler::with_options(requests, 3, Box::new(Fcfs), opts);
+            let (mut exec, mut ledger) = FunctionalExecutor::new(&mut rt, prompts);
+            let mut counted_ledger = ledger.clone();
+            let mut ticks = 0usize;
+            while !served.is_done() {
+                ticks += 1;
+                served.tick(&mut ledger, &mut exec);
+                assert_eq!(exec.failed, None, "tick {ticks}: the cache refused what the ledger admitted");
+                counted.tick(&mut counted_ledger, &mut Counts);
+                assert_eq!(served.running(), counted.running(), "tick {ticks}: residents");
+                assert_eq!(served.finished(), counted.finished(), "tick {ticks}: finished records");
+                assert_eq!(served.clock().to_bits(), counted.clock().to_bits(), "tick {ticks}: clock");
+                assert_eq!(ledger.used_pages(), counted_ledger.used_pages(), "tick {ticks}: ledgers");
+                assert!(
+                    ledger.used_pages() >= exec.rt.cache.used_pages(),
+                    "tick {ticks}: ledger books {} pages, the cache holds {}",
+                    ledger.used_pages(),
+                    exec.rt.cache.used_pages()
+                );
+            }
+            assert!(counted.is_done() && served.finished().len() == spec.num_requests);
+            for drained in [&ledger, &counted_ledger] {
+                assert_eq!(drained.free_pages(), drained.total_pages(), "a ledger kept pages");
+            }
+            assert_eq!(rt.cache.used_pages(), 0, "the cache kept pages");
+        }
     }
 
     #[test]

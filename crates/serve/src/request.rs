@@ -607,7 +607,9 @@ impl WorkloadSpec {
 
     /// Samples the workload: `num_requests` requests with ids `0..n`, lengths
     /// drawn from the distributions, arrival times from the pattern and
-    /// prefix groups from the sharing structure. Deterministic in `seed`.
+    /// prefix groups from the sharing structure. Deterministic in `seed`,
+    /// and emitted in `(arrival_s, id)` order — the front-door order the
+    /// cluster consumes as is.
     pub fn sample(&self) -> Vec<Request> {
         match self.arrival {
             ArrivalPattern::Uniform { rate_rps } | ArrivalPattern::Poisson { rate_rps } => {
@@ -998,6 +1000,44 @@ mod tests {
             // Mean inter-arrival should be in the vicinity of 1/rate.
             let span = reqs.last().unwrap().arrival_s;
             assert!(span > 49.0 / 4.0 * 0.5 && span < 49.0 / 4.0 * 2.0, "span {}", span);
+        }
+    }
+
+    qserve_tensor::props! {
+        /// The postcondition `Cluster::sorted_trace` relies on instead of
+        /// sorting: every arrival pattern × sharing structure samples in
+        /// `(arrival_s, id)` order, ids `0..n`, arrivals finite from `0.0`.
+        fn sample_emits_front_door_order(rng, cases = 64) {
+            let rate_rps = 0.5 + 40.0 * f64::from(rng.next_f32());
+            let arrival = match rng.int_in(0, 3) {
+                0 => ArrivalPattern::Batch,
+                1 => ArrivalPattern::Uniform { rate_rps },
+                2 => ArrivalPattern::Poisson { rate_rps },
+                _ => ArrivalPattern::Diurnal {
+                    trough_rps: rate_rps * f64::from(rng.next_f32()),
+                    peak_rps: rate_rps,
+                    period_s: 1.0 + 60.0 * f64::from(rng.next_f32()),
+                },
+            };
+            let (conversations, turns) = (rng.int_in(1, 5) as usize, rng.int_in(1, 6) as usize);
+            let sharing = match rng.int_in(0, 2) {
+                0 => PrefixSharing::None,
+                1 => PrefixSharing::Groups { groups: 3, prefix_len: rng.int_in(1, 40) as usize },
+                _ => PrefixSharing::MultiTurn { conversations, turns },
+            };
+            let spec = WorkloadSpec {
+                num_requests: conversations * turns,
+                sharing,
+                ..WorkloadSpec::chat(0, rng.next_u64()).with_arrivals(arrival)
+            };
+            let reqs = spec.sample();
+            assert_eq!(reqs.len(), spec.num_requests);
+            assert!(reqs.iter().enumerate().all(|(i, r)| r.id == RequestId(i as u64)));
+            assert!(reqs.iter().all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0));
+            assert!(
+                reqs.windows(2).all(|w| (w[0].arrival_s, w[0].id) <= (w[1].arrival_s, w[1].id)),
+                "{:?} × {:?} sampled out of (arrival_s, id) order", arrival, sharing
+            );
         }
     }
 }

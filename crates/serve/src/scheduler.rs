@@ -4,27 +4,18 @@
 //! The core owns the queue → running → finished lifecycle of
 //! [`Request`]s — admission order (delegated to a pluggable
 //! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`]),
-//! recompute-style preemption, clock/phase accounting, and latency
-//! statistics. It deliberately does *not* know what a step costs or what
-//! executes it: the analytic engine drives it with cost-model latencies
-//! ([`crate::ServingEngine`]), while the functional path drives it with real
-//! quantized forward passes over the paged KV4 cache
-//! ([`crate::ModelRuntime::serve_with`]). That split is what keeps exactly one
-//! decode/prefill accounting implementation in the tree.
-//!
-//! A driver loop ticks the core:
-//!
-//! ```text
-//! while !done {
-//!     admit(budget, wave)           // policy picks, budget gates
-//!     charge_prefill(dt)            // driver prices the admitted wave
-//!     make_room(budget, out)        // grow every resident; preempt on pressure
-//!     decode_step(dt, budget, done) // one token for the whole batch; retire
-//! }
-//! ```
-//!
-//! Every step fills a caller-owned buffer (cleared first), so a driver that
-//! keeps its buffers across ticks allocates nothing per tick.
+//! recompute- and swap-style preemption, clock/phase accounting, latency
+//! statistics — and the *order* of a tick: [`Scheduler::tick`] is the only
+//! place the steps are sequenced and gated, and the steps themselves are
+//! private. It deliberately does *not* know what a step costs or what
+//! executes it. That is a [`TickExecutor`], and the tree has two: the
+//! analytic engine prices each step with its cost model
+//! ([`crate::ServingEngine`]), the functional path runs it as real quantized
+//! forward passes over the paged KV4 cache
+//! ([`crate::ModelRuntime::serve_with`]). The scheduler owns the order, the
+//! executor owns the price — that split is what keeps exactly one
+//! decode/prefill accounting implementation, and exactly one driver loop, in
+//! the tree. The per-step obligations live on the trait's hooks.
 
 use std::collections::VecDeque;
 
@@ -41,7 +32,6 @@ use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 /// the scheduler; valid until the request is released, swapped out or
 /// evicted (slots are reused afterwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-// lint: allow(unreferenced-pub) -- in the method signatures of the public `KvBudget` trait, which `engine`, `cluster` and the tests name
 pub struct KvHandle(usize);
 
 /// Abstracts "is there KV memory for this?" so admission and growth can be
@@ -764,6 +754,52 @@ pub struct AdmittedWave {
     pub shared_lens: Vec<usize>,
 }
 
+/// What a driver contributes to [`Scheduler::tick`]: it runs or prices each
+/// step and returns what the clock is charged for it — seconds from a cost
+/// model, model steps from the functional runtime. Nothing here is about
+/// order or conditions; the tick owns those. Every hook sees the scheduler
+/// read-only, as the step left it ([`Scheduler::running`],
+/// [`Scheduler::decode_totals`], [`Scheduler::clock`]). Return the cost of
+/// what you ran: the tick charges exactly that, and having run nothing
+/// costs `0.0`.
+pub trait TickExecutor {
+    /// Admission seated `wave` (never empty). Under whole-prompt prefill
+    /// member `i` runs `prefill_lens[i] − shared_lens[i]` new tokens over
+    /// `shared_lens[i]` already-cached ones — a resident sibling's aliased
+    /// prefix, never charged compute — here, in wave order: a later member's
+    /// grant may alias an earlier member of the same wave. Under chunked
+    /// prefill ([`SchedOptions::chunk_tokens`]) nothing of a prompt runs at
+    /// admission — its tokens arrive through
+    /// [`TickExecutor::prefill_chunks`] — so seat the members and return
+    /// `0.0`.
+    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64;
+
+    /// One slice per resident still prefilling (never empty), as
+    /// `(id, new, past)`: run `new` tokens attending over the `past` tokens
+    /// already cached for `id` — its aliased prefix plus earlier chunks.
+    fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64;
+
+    /// `pages` KV pages crossed the host link this tick: swap-ins at
+    /// admission plus swap-outs in make-room. Only asked for a positive
+    /// count — zero pages cost zero seconds, so the tick charges nothing.
+    fn swap(&mut self, sched: &Scheduler, pages: usize) -> f64;
+
+    /// One decode step over the decodable residents — those of `running()`
+    /// with `prefill_remaining() == 0`, at least one. Called after growth
+    /// and preemption, so the step is costed on the surviving batch, and
+    /// before the scheduler advances anyone.
+    fn decode(&mut self, sched: &Scheduler) -> f64;
+
+    /// Make-room recompute-preempted `ids` (possibly none): their KV state
+    /// is gone. Swap victims are not listed — theirs survives on the host
+    /// tier.
+    fn preempted(&mut self, _sched: &Scheduler, _ids: &[RequestId]) {}
+
+    /// The decode step just charged retired `ids` (possibly none), in
+    /// admission order; the budget has already released them.
+    fn retired(&mut self, _sched: &Scheduler, _ids: &[RequestId]) {}
+}
+
 /// What happens to a preemption victim when the page pool runs dry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PreemptionMode {
@@ -853,8 +889,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// The continuous-batching lifecycle state machine. See the module docs for
-/// the driver contract.
+/// The continuous-batching lifecycle state machine, advanced by
+/// [`Scheduler::tick`].
 pub struct Scheduler {
     policy: Box<dyn SchedulingPolicy>,
     batch_limit: usize,
@@ -891,9 +927,8 @@ pub struct Scheduler {
     /// Cumulative pages spilled to / restored from the host tier.
     swap_out_pages: usize,
     swap_in_pages: usize,
-    /// Pages moved across the host link since the driver last drained the
-    /// counter ([`Scheduler::take_tick_swap_pages`]) — what one tick must
-    /// be priced for.
+    /// Pages moved across the host link and not yet priced — drained once
+    /// per tick, after make-room.
     tick_swap_pages: usize,
     /// Incremental twin of the `outstanding_tokens_scan` walk: for every
     /// queued/running request, `owed = prefill_remaining() + remaining()`
@@ -917,6 +952,14 @@ pub struct Scheduler {
     /// that retires requests does one stable pass instead of O(batch) moves
     /// per `Vec::remove`.
     retire_scratch: Vec<Request>,
+    /// The tick's out-buffers, each cleared and refilled by its step and
+    /// lent to the executor's hook: what admission seated, this tick's
+    /// chunked-prefill slices `(id, new, past)`, the ids make-room
+    /// recompute-preempted and the ids the decode step retired.
+    wave: AdmittedWave,
+    chunks: Vec<(RequestId, usize, usize)>,
+    preempted: Vec<RequestId>,
+    retired: Vec<RequestId>,
 }
 
 /// Tokens of work still owed to one queued or running request.
@@ -925,19 +968,6 @@ fn owed(r: &Request) -> usize {
 }
 
 impl Scheduler {
-    /// Builds a scheduler over `requests` with a fixed concurrency limit and
-    /// the legacy behavior (no sharing, whole-prompt prefill).
-    ///
-    /// # Panics
-    /// Panics if `batch_limit` is zero or `requests` is empty.
-    pub fn new(
-        requests: Vec<Request>,
-        batch_limit: usize,
-        policy: Box<dyn SchedulingPolicy>,
-    ) -> Self {
-        Self::with_options(requests, batch_limit, policy, SchedOptions::default())
-    }
-
     /// Builds a scheduler with explicit prefix-sharing / chunked-prefill
     /// options.
     ///
@@ -995,6 +1025,10 @@ impl Scheduler {
             migration_time: 0.0,
             latency_sketch: PercentileSketch::new(),
             retire_scratch: Vec::new(),
+            wave: AdmittedWave::default(),
+            chunks: Vec::new(),
+            preempted: Vec::new(),
+            retired: Vec::new(),
         }
     }
 
@@ -1198,16 +1232,65 @@ impl Scheduler {
         self.pending.partition_point(|r| r.ready_s <= self.clock)
     }
 
-    /// Admission tick: repeatedly let the policy pick among arrived requests
+    /// One scheduling tick, the only spelling of the driver contract: admit
+    /// and prefill the wave, advance chunked prefills, idle when nothing
+    /// runs, make room, price the host-link traffic, decode. `exec` runs or
+    /// prices each step; the tick sequences and gates them and charges the
+    /// clock. Every serving path — [`crate::ServingEngine`]'s `serve`, each
+    /// [`crate::cluster`] replica, [`crate::ModelRuntime::serve_with`] — is
+    /// this in a loop, so a 1-replica cluster is bit-identical to the
+    /// single-engine run by construction. Statically dispatched: the hooks
+    /// inline into the replica hot path.
+    pub fn tick<E: TickExecutor>(&mut self, budget: &mut dyn KvBudget, exec: &mut E) {
+        self.admit(budget);
+        if !self.wave.ids.is_empty() {
+            let dt = exec.prefill_wave(self, &self.wave);
+            self.charge_prefill(dt);
+        }
+        if let Some(chunk_tokens) = self.opts.chunk_tokens {
+            self.prefill_chunks(chunk_tokens);
+            if !self.chunks.is_empty() {
+                let dt = exec.prefill_chunks(self, &self.chunks);
+                self.charge_prefill(dt);
+            }
+        }
+        if self.running.is_empty() {
+            // Idle forward to the next arrival. A drained-but-open scheduler
+            // (cluster replica between routing decisions) has none.
+            if let Some(next) = self.pending.front() {
+                self.clock = self.clock.max(next.ready_s);
+            }
+            return;
+        }
+        self.make_room(budget);
+        exec.preempted(self, &self.preempted);
+        // This tick's host-link traffic (swap-ins at admission, swap-outs
+        // from make-room) goes into the clock: preemption by swap is not
+        // free. Zero pages, zero seconds.
+        let pages = std::mem::take(&mut self.tick_swap_pages);
+        if pages > 0 {
+            let dt = exec.swap(self, pages);
+            self.clock += dt;
+            self.swap_time += dt;
+        }
+        if self.running.len() == self.prefilling {
+            return; // every resident is still chunk-prefilling
+        }
+        let dt = exec.decode(self);
+        self.decode_step(dt, budget);
+        exec.retired(self, &self.retired);
+    }
+
+    /// Admission step: repeatedly let the policy pick among arrived requests
     /// and the budget confirm, until the batch limit is hit, the policy
     /// holds, or the budget refuses. When the machine is idle the first
     /// arrived request is force-admitted past a holding policy — a policy
     /// may shape order, not deadlock the system. `wave` is cleared and
     /// refilled with what was admitted.
-    pub fn admit(&mut self, budget: &mut dyn KvBudget, wave: &mut AdmittedWave) {
-        wave.ids.clear();
-        wave.prefill_lens.clear();
-        wave.shared_lens.clear();
+    fn admit(&mut self, budget: &mut dyn KvBudget) {
+        self.wave.ids.clear();
+        self.wave.prefill_lens.clear();
+        self.wave.shared_lens.clear();
         // An empty backlog (the steady state of a draining replica) skips
         // the arrival search, the policy call and its free-token division.
         while self.running.len() < self.batch_limit && !self.pending.is_empty() {
@@ -1226,7 +1309,7 @@ impl Scheduler {
                 .select(&self.pending.as_slices().0[..arrived], &self.running, budget)
                 .or_else(|| {
                     // Idle machine: progress beats policy caution.
-                    (self.running.is_empty() && wave.ids.is_empty()).then_some(0)
+                    (self.running.is_empty() && self.wave.ids.is_empty()).then_some(0)
                 });
             let Some(idx) = choice else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
@@ -1239,7 +1322,7 @@ impl Scheduler {
                 let id = candidate.id;
                 let Some((handle, pages)) = budget.swap_in(id) else {
                     assert!(
-                        !(self.running.is_empty() && wave.ids.is_empty()),
+                        !(self.running.is_empty() && self.wave.ids.is_empty()),
                         "request {:?} can never swap back onto an idle device",
                         id
                     );
@@ -1304,7 +1387,7 @@ impl Scheduler {
                 candidate.peak_len(),
             ) else {
                 assert!(
-                    !(self.running.is_empty() && wave.ids.is_empty()),
+                    !(self.running.is_empty() && self.wave.ids.is_empty()),
                     "request {:?} (peak {} tokens) can never fit the KV budget",
                     candidate.id,
                     candidate.peak_len()
@@ -1329,30 +1412,20 @@ impl Scheduler {
                 .outstanding
                 .checked_sub(req.prefilled - was_prefilled)
                 .expect("outstanding-token counter underflow at admission");
-            wave.ids.push(req.id);
-            wave.prefill_lens.push(req.prefill_len());
-            wave.shared_lens.push(shared);
+            self.wave.ids.push(req.id);
+            self.wave.prefill_lens.push(req.prefill_len());
+            self.wave.shared_lens.push(shared);
             self.push_resident(req, handle);
         }
     }
 
-    /// One chunked-prefill tick: every running request still prefilling
+    /// One chunked-prefill step: every running request still prefilling
     /// advances by at most `chunk_tokens` tokens and is reported as
     /// `(id, new_tokens, past_tokens)` — `past_tokens` being the context
     /// those new tokens attend over (aliased prefix + earlier chunks) —
-    /// into `out`, cleared first. The driver prices the chunks (e.g. via
-    /// `attention_prefill_latency_chunked`) and calls
-    /// [`Scheduler::charge_prefill`].
-    ///
-    /// # Panics
-    /// Panics if `chunk_tokens` is zero.
-    pub fn prefill_chunks(
-        &mut self,
-        chunk_tokens: usize,
-        out: &mut Vec<(RequestId, usize, usize)>,
-    ) {
-        assert!(chunk_tokens > 0, "chunk size must be positive");
-        out.clear();
+    /// into `chunks`, cleared first.
+    fn prefill_chunks(&mut self, chunk_tokens: usize) {
+        self.chunks.clear();
         if self.prefilling == 0 {
             return; // pure-decode tick: no resident to walk for
         }
@@ -1361,7 +1434,7 @@ impl Scheduler {
             let remaining = r.prefill_remaining();
             if remaining > 0 {
                 let take = remaining.min(chunk_tokens);
-                out.push((r.id, take, r.prefilled));
+                self.chunks.push((r.id, take, r.prefilled));
                 r.prefilled += take;
                 r.seq_len = r.prefilled;
                 taken += take;
@@ -1381,27 +1454,10 @@ impl Scheduler {
             .expect("outstanding-token counter underflow in chunked prefill");
     }
 
-    /// Charges `dt` seconds of prefill work for the last admitted wave.
-    pub fn charge_prefill(&mut self, dt: f64) {
+    /// Charges `dt` of prefill work.
+    fn charge_prefill(&mut self, dt: f64) {
         self.clock += dt;
         self.prefill_time += dt;
-    }
-
-    /// Pages moved across the host link since the last drain — swap-outs
-    /// from [`Scheduler::make_room`] plus swap-ins from
-    /// [`Scheduler::admit`]. The driver drains this once per tick, prices
-    /// the transfer (e.g. [`qserve_gpusim::HostLink::transfer_latency`])
-    /// and calls [`Scheduler::charge_swap`]; zero pages must be charged
-    /// zero seconds.
-    pub fn take_tick_swap_pages(&mut self) -> usize {
-        std::mem::take(&mut self.tick_swap_pages)
-    }
-
-    /// Charges `dt` seconds of host-link transfer for this tick's swapped
-    /// pages.
-    pub fn charge_swap(&mut self, dt: f64) {
-        self.clock += dt;
-        self.swap_time += dt;
     }
 
     /// Charges `dt` seconds of peer-link transfer for a migrated-in prefix
@@ -1481,8 +1537,7 @@ impl Scheduler {
     /// still in chunked prefill do not grow — their prompt footprint was
     /// reserved at admission. `preempted` is cleared and refilled with the
     /// recompute-preempted ids (swap victims are not listed: their KV state
-    /// survives). Call once per tick, before pricing the decode step, so the
-    /// step is costed on the surviving batch.
+    /// survives).
     ///
     /// One in-place pass in admission order; a refusal evicts a victim from
     /// the not-yet-grown suffix (see [`SchedulingPolicy::victim`]) and
@@ -1491,8 +1546,8 @@ impl Scheduler {
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
     /// even one request, which admission should have refused.
-    pub fn make_room(&mut self, budget: &mut dyn KvBudget, preempted: &mut Vec<RequestId>) {
-        preempted.clear();
+    fn make_room(&mut self, budget: &mut dyn KvBudget) {
+        self.preempted.clear();
         let mut i = 0;
         while i < self.running.len() {
             // With nobody prefilling, the dense handle column is all the
@@ -1527,7 +1582,7 @@ impl Scheduler {
                     continue;
                 }
             }
-            preempted.push(self.running[victim].id);
+            self.preempted.push(self.running[victim].id);
             self.preempt(victim, budget);
             // `victim == i` removed the refused resident itself: whoever
             // shifted into slot `i` is next. Otherwise retry `i`.
@@ -1560,22 +1615,14 @@ impl Scheduler {
     /// One decode step for the decodable part of the running batch: charges
     /// `dt`, advances every fully-prefilled resident by one token, stamps
     /// TTFTs, retires finished requests (releasing their budget) and lists
-    /// their ids in `done`, cleared first. Residents still in chunked
+    /// their ids in `retired`, cleared first. Residents still in chunked
     /// prefill are untouched.
-    ///
-    /// # Panics
-    /// Panics if no resident is ready to decode.
-    pub fn decode_step(
-        &mut self,
-        dt: f64,
-        budget: &mut dyn KvBudget,
-        done: &mut Vec<RequestId>,
-    ) {
+    fn decode_step(&mut self, dt: f64, budget: &mut dyn KvBudget) {
         assert!(self.running.len() > self.prefilling, "decode_step with no decodable resident");
         self.clock += dt;
         self.decode_time += dt;
         let clock = self.clock;
-        done.clear();
+        self.retired.clear();
         let mut decoded = 0usize;
         let mut retired_tokens = 0usize;
         let mut retiring = false;
@@ -1614,7 +1661,7 @@ impl Scheduler {
                     // with the very float the exact path reads from
                     // `finished` later.
                     self.latency_sketch.insert(req.latency_s().expect("finished"));
-                    done.push(req.id);
+                    self.retired.push(req.id);
                     self.finished.push(req);
                 } else {
                     self.retire_scratch.push(req);
@@ -1634,16 +1681,6 @@ impl Scheduler {
             .outstanding
             .checked_sub(decoded)
             .expect("outstanding-token counter underflow in decode");
-    }
-
-    /// Advances the clock to the next pending arrival (no-op when something
-    /// has already arrived).
-    ///
-    /// # Panics
-    /// Panics if nothing is pending.
-    pub fn idle_until_arrival(&mut self) {
-        assert!(!self.pending.is_empty(), "idle with nothing pending");
-        self.clock = self.clock.max(self.pending[0].ready_s);
     }
 
     /// The streaming latency accumulator, fed once per retirement — what
@@ -1715,6 +1752,42 @@ mod tests {
     use super::*;
     use crate::request::WorkloadSpec;
 
+    /// Flat prices — `prefill` per admitted request or chunk, `decode` per
+    /// step, swaps free — with `probe` shown the scheduler at every hook.
+    struct Flat<P: FnMut(&Scheduler)> {
+        prefill: f64,
+        decode: f64,
+        probe: P,
+    }
+
+    impl<P: FnMut(&Scheduler)> TickExecutor for Flat<P> {
+        fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+            (self.probe)(sched);
+            if sched.options().chunk_tokens.is_some() {
+                return 0.0;
+            }
+            self.prefill * wave.ids.len() as f64
+        }
+        fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+            (self.probe)(sched);
+            self.prefill * chunks.len() as f64
+        }
+        fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
+            0.0
+        }
+        fn decode(&mut self, sched: &Scheduler) -> f64 {
+            (self.probe)(sched);
+            self.decode
+        }
+        fn preempted(&mut self, sched: &Scheduler, _: &[RequestId]) {
+            (self.probe)(sched);
+        }
+    }
+
+    fn legacy(requests: Vec<Request>, batch_limit: usize, policy: Box<dyn SchedulingPolicy>) -> Scheduler {
+        Scheduler::with_options(requests, batch_limit, policy, SchedOptions::default())
+    }
+
     fn drive(
         mut sched: Scheduler,
         budget: &mut dyn KvBudget,
@@ -1722,23 +1795,11 @@ mod tests {
         decode_cost: f64,
     ) -> SchedulerStats {
         let mut guard = 0usize;
-        let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
+        let mut exec = Flat { prefill: prefill_cost, decode: decode_cost, probe: |_| {} };
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 1_000_000, "scheduler failed to converge");
-            sched.admit(budget, &mut wave);
-            if !wave.ids.is_empty() {
-                sched.charge_prefill(prefill_cost * wave.ids.len() as f64);
-            }
-            if sched.running().is_empty() {
-                sched.idle_until_arrival();
-                continue;
-            }
-            sched.make_room(budget, &mut Vec::new());
-            if sched.running().is_empty() {
-                continue;
-            }
-            sched.decode_step(decode_cost, budget, &mut done);
+            sched.tick(budget, &mut exec);
         }
         sched.stats()
     }
@@ -1746,7 +1807,7 @@ mod tests {
     #[test]
     fn fcfs_completes_everything_in_order() {
         let reqs = WorkloadSpec::fixed(8, 4, 10).sample();
-        let sched = Scheduler::new(reqs, 3, Box::new(Fcfs));
+        let sched = legacy(reqs, 3, Box::new(Fcfs));
         let stats = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.generated_tokens, 40);
@@ -1765,9 +1826,9 @@ mod tests {
         for i in 1..5u64 {
             reqs.push(crate::request::Request::new(crate::request::RequestId(i), 8, 2, 0.0));
         }
-        let sched = Scheduler::new(reqs.clone(), 1, Box::new(ShortestJobFirst));
+        let sched = legacy(reqs.clone(), 1, Box::new(ShortestJobFirst));
         let sjf = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
-        let sched = Scheduler::new(reqs, 1, Box::new(Fcfs));
+        let sched = legacy(reqs, 1, Box::new(Fcfs));
         let fcfs = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
         assert!(
             sjf.mean_latency_s < fcfs.mean_latency_s,
@@ -1857,7 +1918,7 @@ mod tests {
         // preempt as they grow toward 4×34 = 136 > 64.
         let reqs = WorkloadSpec::fixed(2, 32, 4).sample();
         let mut budget = PageBudget::new(4, 1, 16, Reservation::OnDemand);
-        let sched = Scheduler::new(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
+        let sched = legacy(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
         let stats = drive(sched, &mut budget, 0.1, 0.01);
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.generated_tokens, 128);
@@ -1921,18 +1982,18 @@ mod tests {
             Box::new(Fcfs),
             SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() },
         );
-        let mut wave = AdmittedWave::default();
-        sched.admit(&mut UnboundedBudget, &mut wave);
-        assert_eq!(wave.prefill_lens, vec![12, 12, 12, 12]);
+        let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {} };
+        sched.tick(&mut UnboundedBudget, &mut exec);
+        assert_eq!(sched.wave.prefill_lens, vec![12, 12, 12, 12]);
         assert_eq!(
-            wave.shared_lens,
+            sched.wave.shared_lens,
             vec![0, 8, 0, 8],
             "group 0's prefix is aliased once resident; group 1 pays its own"
         );
         // Sharing off: no grants.
-        let mut sched = Scheduler::new(reqs, 4, Box::new(Fcfs));
-        sched.admit(&mut UnboundedBudget, &mut wave);
-        assert_eq!(wave.shared_lens, vec![0, 0, 0, 0]);
+        let mut sched = legacy(reqs, 4, Box::new(Fcfs));
+        sched.tick(&mut UnboundedBudget, &mut exec);
+        assert_eq!(sched.wave.shared_lens, vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -1946,30 +2007,34 @@ mod tests {
             Box::new(Fcfs),
             SchedOptions { share_prefixes: false, chunk_tokens: Some(4), ..SchedOptions::default() },
         );
-        let budget: &mut dyn KvBudget = &mut UnboundedBudget;
+        struct Chunked;
+        impl TickExecutor for Chunked {
+            fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+                // Chunked admission materializes nothing up front.
+                for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
+                    let r = sched.running().iter().find(|r| r.id == id).unwrap();
+                    assert_eq!(r.prefilled, shared);
+                }
+                0.0
+            }
+            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+                for &(_, new, past) in chunks {
+                    assert!(new <= 4 && past + new <= 10);
+                }
+                0.1 * chunks.len() as f64
+            }
+            fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
+                0.0
+            }
+            fn decode(&mut self, _: &Scheduler) -> f64 {
+                0.01
+            }
+        }
         let mut guard = 0;
-        let (mut wave, mut chunks, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 10_000);
-            sched.admit(budget, &mut wave);
-            // Chunked admission materializes nothing up front.
-            for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
-                let r = sched.running().iter().find(|r| r.id == id).unwrap();
-                assert_eq!(r.prefilled, shared);
-            }
-            sched.prefill_chunks(4, &mut chunks);
-            for &(_, new, past) in &chunks {
-                assert!(new <= 4 && past + new <= 10);
-            }
-            if !chunks.is_empty() {
-                sched.charge_prefill(0.1 * chunks.len() as f64);
-            }
-            sched.make_room(budget, &mut Vec::new());
-            if sched.decode_totals().0 == 0 {
-                continue;
-            }
-            sched.decode_step(0.01, budget, &mut done);
+            sched.tick(&mut UnboundedBudget, &mut Chunked);
         }
         let stats = sched.stats();
         assert_eq!(stats.completed, 3);
@@ -2004,7 +2069,7 @@ mod tests {
     #[test]
     fn single_request_stats_have_degenerate_percentiles() {
         let reqs = WorkloadSpec::fixed(8, 4, 1).sample();
-        let sched = Scheduler::new(reqs, 2, Box::new(Fcfs));
+        let sched = legacy(reqs, 2, Box::new(Fcfs));
         let stats = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.p50_latency_s, stats.max_latency_s);
@@ -2021,7 +2086,7 @@ mod tests {
         let reqs = WorkloadSpec::mixed(12, 9)
             .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 4.0 })
             .sample();
-        let constructed = Scheduler::new(reqs.clone(), 3, Box::new(Fcfs));
+        let constructed = legacy(reqs.clone(), 3, Box::new(Fcfs));
         let mut open = Scheduler::open(3, Box::new(Fcfs), SchedOptions::default());
         assert!(open.is_done(), "an open scheduler starts drained");
         assert_eq!(open.outstanding_tokens(), 0);
@@ -2038,12 +2103,13 @@ mod tests {
     #[test]
     fn outstanding_tokens_counts_owed_work() {
         let reqs = vec![crate::request::Request::new(crate::request::RequestId(0), 8, 4, 0.0)];
-        let mut sched = Scheduler::new(reqs, 1, Box::new(Fcfs));
+        let mut sched = legacy(reqs, 1, Box::new(Fcfs));
         assert_eq!(sched.outstanding_tokens(), 12);
-        sched.admit(&mut UnboundedBudget, &mut AdmittedWave::default());
+        let mut owed_at_hooks = Vec::new();
+        let probe = |s: &Scheduler| owed_at_hooks.push(s.outstanding_tokens());
+        sched.tick(&mut UnboundedBudget, &mut Flat { prefill: 0.1, decode: 0.01, probe });
         // Whole-prompt prefill materialized at admission: output remains.
-        assert_eq!(sched.outstanding_tokens(), 4);
-        sched.decode_step(0.01, &mut UnboundedBudget, &mut Vec::new());
+        assert_eq!(owed_at_hooks, vec![4; 3], "after admission, make-room and before the decode");
         assert_eq!(sched.outstanding_tokens(), 3);
     }
 
@@ -2055,24 +2121,15 @@ mod tests {
         // two agree at every probe.
         let reqs = WorkloadSpec::fixed(2, 32, 4).sample();
         let mut budget = PageBudget::new(4, 1, 16, Reservation::OnDemand);
-        let mut sched = Scheduler::new(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
+        let mut sched = legacy(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
         let mut guard = 0usize;
-        let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
+        // After admission, after make-room and (below) after the decode step.
+        let probe = |s: &Scheduler| assert_eq!(s.outstanding_tokens(), s.outstanding_tokens_scan());
+        let mut exec = Flat { prefill: 0.0, decode: 0.01, probe };
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000);
-            sched.admit(&mut budget, &mut wave);
-            assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
-            if sched.running().is_empty() {
-                sched.idle_until_arrival();
-                continue;
-            }
-            sched.make_room(&mut budget, &mut Vec::new());
-            assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
-            if sched.running().is_empty() {
-                continue;
-            }
-            sched.decode_step(0.01, &mut budget, &mut done);
+            sched.tick(&mut budget, &mut exec);
             assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
         }
         assert!(sched.stats().preemptions > 0, "the churn path was not exercised");
@@ -2084,7 +2141,7 @@ mod tests {
         let reqs = WorkloadSpec::mixed(64, 9)
             .with_arrivals(crate::request::ArrivalPattern::Poisson { rate_rps: 8.0 })
             .sample();
-        let sched = Scheduler::new(reqs, 4, Box::new(Fcfs));
+        let sched = legacy(reqs, 4, Box::new(Fcfs));
         let stats = drive(sched, &mut UnboundedBudget, 0.05, 0.01);
         // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
         // must agree to within one bucket width (2.2%) from below.
@@ -2104,7 +2161,7 @@ mod tests {
         let reqs = WorkloadSpec::fixed(4, 2, 3)
             .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 0.5 })
             .sample();
-        let sched = Scheduler::new(reqs, 2, Box::new(Fcfs));
+        let sched = legacy(reqs, 2, Box::new(Fcfs));
         let stats = drive(sched, &mut UnboundedBudget, 0.0, 0.1);
         assert_eq!(stats.completed, 3);
         // Last arrival at t=4s; the clock must have idled past it.

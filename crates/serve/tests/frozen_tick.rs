@@ -5,7 +5,7 @@
 //!
 //! The golden CSVs and the event-vs-step oracle both run through the one
 //! scheduler, so neither can see a change *inside* it; these constants can.
-//! The driver below prices every phase from the scheduler's observable
+//! The executor below prices every phase from the scheduler's observable
 //! state (wave sizes, chunk shapes, swapped pages, decodable count and
 //! Σ seq_len), so a different admission, growth order or eviction decision
 //! moves the clock's bits, not just a counter.
@@ -15,7 +15,7 @@ use qserve_serve::request::{
 };
 use qserve_serve::scheduler::{
     AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
-    SchedOptions, Scheduler, SchedulingPolicy,
+    SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
 
 struct Scenario {
@@ -35,6 +35,34 @@ struct Scenario {
 /// `(clock bits, preemptions, swap_outs, swap_out_pages, swap_in_pages,
 /// peak_pages, FNV-1a of the finished-id order)`.
 type Outcome = (u64, usize, usize, usize, usize, usize, u64);
+
+struct Priced;
+
+impl TickExecutor for Priced {
+    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+        if sched.options().chunk_tokens.is_some() {
+            return 0.0;
+        }
+        let computed: usize =
+            wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(f, s)| f - s).sum();
+        1e-3 + 1e-4 * computed as f64
+    }
+    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+        let work: usize = chunks.iter().map(|&(_, new, past)| new * 8 + past).sum();
+        1e-3 + 1e-5 * work as f64
+    }
+    fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
+        1e-5 * pages as f64
+    }
+    fn decode(&mut self, sched: &Scheduler) -> f64 {
+        let (batch, tokens) = sched
+            .running()
+            .iter()
+            .filter(|r| r.prefill_remaining() == 0)
+            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.seq_len));
+        2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64
+    }
+}
 
 fn run(s: &Scenario) -> Outcome {
     let spec = WorkloadSpec {
@@ -70,50 +98,11 @@ fn run(s: &Scenario) -> Outcome {
         preemption: s.preemption,
     };
     let mut sched = Scheduler::with_options(spec.sample(), 8, policy, opts);
-    let mut wave = AdmittedWave::default();
-    let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
-    let mut preempted: Vec<RequestId> = Vec::new();
-    let mut done: Vec<RequestId> = Vec::new();
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 1_000_000, "scheduler failed to converge");
-        sched.admit(&mut budget, &mut wave);
-        match s.chunk_tokens {
-            None => {
-                if !wave.ids.is_empty() {
-                    let computed: usize =
-                        wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(f, s)| f - s).sum();
-                    sched.charge_prefill(1e-3 + 1e-4 * computed as f64);
-                }
-            }
-            Some(c) => {
-                sched.prefill_chunks(c, &mut chunks);
-                if !chunks.is_empty() {
-                    let work: usize = chunks.iter().map(|&(_, new, past)| new * 8 + past).sum();
-                    sched.charge_prefill(1e-3 + 1e-5 * work as f64);
-                }
-            }
-        }
-        if sched.running().is_empty() {
-            sched.idle_until_arrival();
-            continue;
-        }
-        sched.make_room(&mut budget, &mut preempted);
-        let pages = sched.take_tick_swap_pages();
-        if pages > 0 {
-            sched.charge_swap(1e-5 * pages as f64);
-        }
-        let (batch, tokens) = sched
-            .running()
-            .iter()
-            .filter(|r| r.prefill_remaining() == 0)
-            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.seq_len));
-        if batch == 0 {
-            continue;
-        }
-        let dt = 2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64;
-        sched.decode_step(dt, &mut budget, &mut done);
+        sched.tick(&mut budget, &mut Priced);
     }
     budget.assert_consistent();
     assert_eq!(budget.free_pages(), budget.total_pages(), "every page returned");

@@ -23,7 +23,7 @@ use qserve_serve::request::{
 };
 use qserve_serve::scheduler::{
     AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulingPolicy,
+    Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 
@@ -103,6 +103,25 @@ fn draw(rng: &mut TensorRng) -> Case {
     }
 }
 
+/// Whole prompts free, 0.01 s per chunk and per decode step, 1e-4 s per page
+/// over the host link.
+struct Flat;
+
+impl TickExecutor for Flat {
+    fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
+        0.0
+    }
+    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+        0.01 * chunks.len() as f64
+    }
+    fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
+        1e-4 * pages as f64
+    }
+    fn decode(&mut self, _: &Scheduler) -> f64 {
+        0.01
+    }
+}
+
 /// Drives `case` to completion, auditing after every tick. Returns
 /// `(preemptions, swap_outs)`.
 fn drive_audited(case: &Case) -> (usize, usize) {
@@ -115,8 +134,6 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim) };
     let n = case.spec.num_requests;
     let mut sched = Scheduler::with_options(case.spec.sample(), case.batch_limit, policy, case.opts);
-    let (mut wave, mut chunks) = (AdmittedWave::default(), Vec::new());
-    let (mut preempted, mut done) = (Vec::new(), Vec::new());
     let mut ticks = 0usize;
     while !sched.is_done() {
         ticks += 1;
@@ -131,23 +148,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
                 sched.submit(req);
             }
         }
-        sched.admit(&mut budget, &mut wave);
-        if let Some(c) = case.opts.chunk_tokens {
-            sched.prefill_chunks(c, &mut chunks);
-            if !chunks.is_empty() {
-                sched.charge_prefill(0.01 * chunks.len() as f64);
-            }
-        }
-        if sched.running().is_empty() {
-            sched.idle_until_arrival();
-            continue;
-        }
-        sched.make_room(&mut budget, &mut preempted);
-        let swap_pages = sched.take_tick_swap_pages();
-        sched.charge_swap(1e-4 * swap_pages as f64);
-        if sched.decode_totals().0 > 0 {
-            sched.decode_step(0.01, &mut budget, &mut done);
-        }
+        sched.tick(&mut budget, &mut Flat);
         budget.assert_consistent();
         sched.assert_mirrors_ledger(&budget);
         // The O(1) aggregates the tick prices from, against the scan.
@@ -211,12 +212,8 @@ fn a_victim_before_the_cursor_is_never_parked_a_token_ahead() {
     budget.enable_host_tier(64);
     let opts = SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() };
     let mut sched = Scheduler::with_options(reqs, 6, Box::new(SecondOldest), opts);
-    let (mut wave, mut preempted, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
     while !sched.is_done() {
-        sched.admit(&mut budget, &mut wave);
-        sched.make_room(&mut budget, &mut preempted);
-        sched.take_tick_swap_pages();
-        sched.decode_step(0.01, &mut budget, &mut done);
+        sched.tick(&mut budget, &mut Flat);
         sched.assert_mirrors_ledger(&budget);
     }
     assert!(sched.swap_outs() > 0, "the pool must force swaps");

@@ -7,133 +7,15 @@
 //! prefill from token 0 without double-counting the discarded chunks in
 //! TTFT or the chunk metering. These tests drive those exact scenarios on
 //! tiny page pools that force preemption and audit the
-//! [`PageBudget`] ledger from first principles at every tick
-//! (`assert_consistent`, a hard-assert audit that bites in release builds
-//! too).
+//! [`PageBudget`] ledger from first principles after every ledger call of
+//! every tick (`assert_consistent`, a hard-assert audit that bites in
+//! release builds too).
 
+mod common;
+
+use common::{drive, shared_reqs};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, PageBudget, Reservation, SchedOptions, Scheduler, SchedulerStats,
-};
-use std::collections::HashMap;
-
-/// Drives a scheduler to completion against `budget`, auditing the ledger
-/// step-wise and recording per-request first-token clocks and the total
-/// chunk tokens metered (prefill work actually performed, recompute
-/// included). Chunk cost: 0.1 s per request-chunk; decode: 0.01 s per tick.
-struct Driven {
-    stats: SchedulerStats,
-    /// Total prompt/recompute tokens fed through `prefill_chunks`.
-    chunk_tokens_metered: usize,
-    /// Preemption victims that were still mid-chunked-prefill when evicted.
-    mid_prefill_preemptions: usize,
-    /// Re-admissions of previously-preempted grouped requests that received
-    /// a shared-prefix grant while a sibling was resident.
-    regranted_shares: usize,
-}
-
-fn drive(
-    mut sched: Scheduler,
-    budget: &mut PageBudget,
-    chunk: Option<usize>,
-) -> Driven {
-    let total = budget.total_pages();
-    let mut first_token_seen = HashMap::new();
-    let mut chunk_tokens_metered = 0usize;
-    let mut mid_prefill_preemptions = 0usize;
-    let mut regranted_shares = 0usize;
-    let mut evicted_once: std::collections::HashSet<RequestId> = Default::default();
-    let audit = |budget: &PageBudget| {
-        budget.assert_consistent();
-        assert_eq!(
-            budget.used_pages() + budget.free_pages(),
-            total,
-            "used + free must equal total step-wise"
-        );
-    };
-    let mut wave = AdmittedWave::default();
-    let mut chunks: Vec<(RequestId, usize, usize)> = Vec::new();
-    let mut preempted: Vec<RequestId> = Vec::new();
-    let mut done: Vec<RequestId> = Vec::new();
-    let mut guard = 0usize;
-    while !sched.is_done() {
-        guard += 1;
-        assert!(guard < 100_000, "scheduler failed to converge");
-        sched.admit(budget, &mut wave);
-        audit(budget);
-        for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
-            if evicted_once.contains(&id) && shared > 0 {
-                regranted_shares += 1;
-            }
-        }
-        match chunk {
-            None => {
-                if !wave.ids.is_empty() {
-                    sched.charge_prefill(0.1 * wave.ids.len() as f64);
-                }
-            }
-            Some(c) => {
-                sched.prefill_chunks(c, &mut chunks);
-                chunk_tokens_metered += chunks.iter().map(|&(_, n, _)| n).sum::<usize>();
-                if !chunks.is_empty() {
-                    sched.charge_prefill(0.1 * chunks.len() as f64);
-                }
-            }
-        }
-        if sched.running().is_empty() {
-            sched.idle_until_arrival();
-            continue;
-        }
-        let mid_prefill: Vec<RequestId> = sched
-            .running()
-            .iter()
-            .filter(|r| r.prefill_remaining() > 0)
-            .map(|r| r.id)
-            .collect();
-        sched.make_room(budget, &mut preempted);
-        for &id in &preempted {
-            if mid_prefill.contains(&id) {
-                mid_prefill_preemptions += 1;
-            }
-            evicted_once.insert(id);
-        }
-        audit(budget);
-        if sched.decode_totals().0 == 0 {
-            continue;
-        }
-        sched.decode_step(0.01, budget, &mut done);
-        audit(budget);
-        for r in sched.running().iter().chain(sched.finished()) {
-            if r.generated > 0 {
-                first_token_seen.entry(r.id).or_insert(sched.clock());
-            }
-        }
-    }
-    assert_eq!(budget.free_pages(), total, "every page returned at the end");
-    // TTFT stamped exactly once, at the true first token: the scheduler's
-    // per-request stamp must equal the clock the driver observed live, and
-    // must never move when a preempted request recomputes.
-    for r in sched.finished() {
-        assert_eq!(
-            r.first_token_s.expect("finished"),
-            first_token_seen[&r.id],
-            "request {:?} TTFT re-stamped",
-            r.id
-        );
-    }
-    Driven {
-        stats: sched.stats(),
-        chunk_tokens_metered,
-        mid_prefill_preemptions,
-        regranted_shares,
-    }
-}
-
-fn shared_reqs(n: u64, prefix: usize, input: usize, output: usize) -> Vec<Request> {
-    (0..n)
-        .map(|i| Request::new(RequestId(i), input, output, 0.0).with_prefix(0, prefix))
-        .collect()
-}
+use qserve_serve::scheduler::{Fcfs, PageBudget, Reservation, SchedOptions, Scheduler};
 
 #[test]
 fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
@@ -150,7 +32,6 @@ fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
     let baseline = drive(
         Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
         &mut roomy,
-        None,
     );
     assert_eq!(baseline.stats.preemptions, 0, "the roomy pool must not preempt");
     let mut preempted_somewhere = false;
@@ -160,7 +41,6 @@ fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
         let run = drive(
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
-            None,
         );
         assert_eq!(run.stats.completed, 4, "pool {}", total);
         assert_eq!(
@@ -192,7 +72,6 @@ fn preempt_mid_chunked_prefill_restarts_from_token_zero() {
     let baseline = drive(
         Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
         &mut roomy,
-        Some(16),
     );
     // Undisturbed, the chunk loop meters each prompt exactly once.
     assert_eq!(baseline.chunk_tokens_metered, 4 * 48);
@@ -202,7 +81,6 @@ fn preempt_mid_chunked_prefill_restarts_from_token_zero() {
         let run = drive(
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
-            Some(16),
         );
         assert_eq!(run.stats.completed, 4, "pool {}", total);
         assert_eq!(run.stats.generated_tokens, 4 * 32, "pool {}", total);
@@ -237,7 +115,6 @@ fn shared_and_chunked_preemption_combined() {
     let baseline = drive(
         Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
         &mut roomy,
-        Some(16),
     );
     let mut preempted_somewhere = false;
     for total in [9usize, 10, 11, 12, 13] {
@@ -245,7 +122,6 @@ fn shared_and_chunked_preemption_combined() {
         let run = drive(
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
-            Some(16),
         );
         assert_eq!(run.stats.completed, 4, "pool {}", total);
         assert_eq!(
@@ -269,7 +145,6 @@ fn multi_layer_budget_preemption_balances_per_layer_pages() {
         let run = drive(
             Scheduler::with_options(reqs.clone(), 3, Box::new(Fcfs), opts),
             &mut tight,
-            None,
         );
         assert_eq!(run.stats.completed, 3, "pool {}", total);
     }

@@ -10,83 +10,16 @@
 //! back holdings that were released in the meantime is ledger
 //! corruption that must fail loudly — not return `None`. These tests
 //! drive tiny pools that force swapping and audit
-//! [`PageBudget::assert_consistent`] at every tick, exactly as the
-//! recompute suite does.
+//! [`PageBudget::assert_consistent`] after every ledger call of every tick,
+//! exactly as the recompute suite does.
 
+mod common;
+
+use common::{drive, shared_reqs};
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulerStats,
+    Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler,
 };
-
-/// Drives a swap-mode scheduler to completion, pricing host-link
-/// transfers at a flat per-page cost and auditing the two-tier ledger
-/// step-wise. Mirrors `preemption_accounting::drive`.
-struct Driven {
-    stats: SchedulerStats,
-    swap_outs: usize,
-    swap_out_pages: usize,
-}
-
-fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
-    let total = budget.total_pages();
-    let audit = |budget: &PageBudget| {
-        budget.assert_consistent();
-        assert_eq!(
-            budget.used_pages() + budget.free_pages(),
-            total,
-            "device used + free must equal total step-wise"
-        );
-    };
-    let (mut wave, mut done) = (AdmittedWave::default(), Vec::new());
-    let mut guard = 0usize;
-    while !sched.is_done() {
-        guard += 1;
-        assert!(guard < 100_000, "scheduler failed to converge");
-        sched.admit(budget, &mut wave);
-        audit(budget);
-        if !wave.ids.is_empty() {
-            sched.charge_prefill(0.1 * wave.ids.len() as f64);
-        }
-        if sched.running().is_empty() {
-            // Re-admission swap-ins may have been charged even when the
-            // batch stayed empty; price them before idling.
-            let pages = sched.take_tick_swap_pages();
-            if pages > 0 {
-                sched.charge_swap(0.001 * pages as f64);
-            }
-            sched.idle_until_arrival();
-            continue;
-        }
-        sched.make_room(budget, &mut Vec::new());
-        audit(budget);
-        // The engine's contract: drain the tick's page movement once and
-        // price it; zero pages must cost zero seconds.
-        let pages = sched.take_tick_swap_pages();
-        if pages > 0 {
-            sched.charge_swap(0.001 * pages as f64);
-        }
-        if sched.decode_totals().0 == 0 {
-            continue;
-        }
-        sched.decode_step(0.01, budget, &mut done);
-        audit(budget);
-    }
-    assert_eq!(budget.free_pages(), total, "every device page returned at the end");
-    assert!(budget.host_capacity_pages() > 0, "swap-mode budget has a host tier");
-    assert_eq!(budget.host_used_pages(), 0, "the host tier must drain by the end");
-    assert_eq!(
-        sched.swap_out_pages(),
-        sched.swap_in_pages(),
-        "every page that left the device must come back: finished requests \
-         release on device, crashes are not part of this drive"
-    );
-    Driven {
-        stats: sched.stats(),
-        swap_outs: sched.swap_outs(),
-        swap_out_pages: sched.swap_out_pages(),
-    }
-}
 
 fn swap_opts() -> SchedOptions {
     SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() }
@@ -96,12 +29,6 @@ fn swap_budget(page_tokens: usize, layers: usize, total: usize) -> PageBudget {
     let mut b = PageBudget::new(page_tokens, layers, total, Reservation::OnDemand);
     b.enable_host_tier(4 * total);
     b
-}
-
-fn shared_reqs(n: u64, prefix: usize, input: usize, output: usize) -> Vec<Request> {
-    (0..n)
-        .map(|i| Request::new(RequestId(i), input, output, 0.0).with_prefix(0, prefix))
-        .collect()
 }
 
 #[test]

@@ -6,10 +6,12 @@ use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
 use qserve::serve::engine::ServeConfig;
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
-use qserve::serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
+use qserve::serve::request::{
+    ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
+};
 use qserve::serve::scheduler::{
     AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
-    SchedulingPolicy, ShortestJobFirst, UnboundedBudget,
+    SchedulingPolicy, ShortestJobFirst, TickExecutor, UnboundedBudget,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
 use qserve::tensor::{prop, props};
@@ -371,27 +373,27 @@ props! {
         };
         let batch_limit = rng.int_in(1, 4) as usize;
         let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
-        let (mut wave, mut chunks, mut done) = (AdmittedWave::default(), Vec::new(), Vec::new());
+        /// Whole prompts free, 0.01 s per chunk and per decode step.
+        struct Flat;
+        impl TickExecutor for Flat {
+            fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
+                0.0
+            }
+            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
+                0.01 * chunks.len() as f64
+            }
+            fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
+                unreachable!("recompute preemption moves no pages")
+            }
+            fn decode(&mut self, _: &Scheduler) -> f64 {
+                0.01
+            }
+        }
         let mut guard = 0;
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000, "scheduler failed to converge");
-            sched.admit(budget, &mut wave);
-            if let Some(c) = opts.chunk_tokens {
-                sched.prefill_chunks(c, &mut chunks);
-                if !chunks.is_empty() {
-                    sched.charge_prefill(0.01 * chunks.len() as f64);
-                }
-            }
-            if sched.running().is_empty() {
-                sched.idle_until_arrival();
-                continue;
-            }
-            sched.make_room(budget, &mut Vec::new());
-            if sched.decode_totals().0 == 0 {
-                continue;
-            }
-            sched.decode_step(0.01, budget, &mut done);
+            sched.tick(budget, &mut Flat);
         }
         let finished = sched.finished();
         assert_eq!(finished.len(), n, "every request finishes");
