@@ -58,12 +58,14 @@ done
 # The benchmark is a package of its own (own [workspace] and lock file, so
 # no --locked: see benchmark/run.sh): its contract tests, then quick runs
 # through the driver's entry point — the functional data plane (outputs
-# checked against solo greedy generation inside the run) and the paged
-# simulator under swap preemption + chunked prefill. run.sh exits 0 even
+# checked against solo greedy generation inside the run), the paged
+# simulator under swap preemption + chunked prefill, the streamed front door
+# under overload, and the fault / autoscale cells (the only workload that
+# reaches the driver's shed, requeue and park paths). run.sh exits 0 even
 # when an output check fails; the verdict is the JSON on the last stdout
 # line, so that line is what gets asserted.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in func_serve longctx_pressure; do
+for workload in func_serve longctx_pressure mega_chat control_churn; do
     verdict=$(bash benchmark/run.sh --workload "$workload" --quick --seconds 1 --trace 0 | tail -n 1)
     case "$verdict" in
     *'"correct": true'*'"failed": 0,'*) ;;

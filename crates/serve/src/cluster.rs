@@ -43,7 +43,7 @@ use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
-use crate::request::{Request, WorkloadSpec};
+use crate::request::{Request, RequestId, Tier, WorkloadSpec};
 use crate::scheduler::{
     KvBudget, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
 };
@@ -318,14 +318,6 @@ impl Cluster {
             .collect()
     }
 
-    /// The workload trace in front-door order, `(arrival_s, id)` — the order
-    /// [`WorkloadSpec::sample`] emits (a tested postcondition of it).
-    fn sorted_trace(spec: &WorkloadSpec) -> Vec<Request> {
-        let requests = spec.sample();
-        debug_assert!(requests.windows(2).all(|w| (w[0].arrival_s, w[0].id) <= (w[1].arrival_s, w[1].id)));
-        requests
-    }
-
     /// Serves `spec` across the cluster with paged admission on every
     /// replica — the **event-driven core**. One deterministic
     /// [`EventQueue`] (keyed `(time.to_bits(), lane, seq)`; lane 0 is the
@@ -421,8 +413,11 @@ impl Cluster {
         if let Some(auto) = &mut self.autoscale {
             auto.policy.reset();
         }
+        // The trace is streamed, never held: validated here, drawn one
+        // request per `Arrival` event.
+        let arrivals = spec.arrivals();
         let reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
-        let mut driver = Driver::new(self, reps, Self::sorted_trace(spec), plan);
+        let mut driver = Driver::new(self, reps, arrivals, plan);
         driver.run();
         Ok(driver.finish())
     }
@@ -435,7 +430,7 @@ impl Cluster {
 /// One run of the event loop: the state `serve_paged_faulty` builds, pops
 /// events against and folds into a report. Each event kind has one handler
 /// method; everything a handler touches is a field here.
-struct Driver<'a> {
+struct Driver<'a, A: Iterator<Item = Request>> {
     control: &'a mut ControlPlane,
     autoscale: Option<&'a mut AutoscaleConfig>,
     pool: &'a Pool,
@@ -448,11 +443,12 @@ struct Driver<'a> {
     /// rolling-upgrade hops and autoscaler decisions appended as the run
     /// discovers them.
     faults: Vec<Fault>,
-    /// The trace in front-door order; `next_arrival` is the one request
-    /// whose `Arrival` event is queued.
-    arrivals: std::vec::IntoIter<Request>,
+    /// The trace in front-door order, drawn as it is consumed;
+    /// `next_arrival` is the one request whose `Arrival` event is queued.
+    arrivals: A,
     next_arrival: Option<Request>,
-    shed: Vec<Request>,
+    /// What a report says of a shed request: its id and its tier.
+    shed: Vec<(RequestId, Tier)>,
     /// Admitted-then-crashed requests with nowhere to go (no replica
     /// accepting): they wait for a restart instead of being shed.
     parked: Vec<Request>,
@@ -467,7 +463,7 @@ struct Driver<'a> {
     sorted_window: Vec<usize>,
 }
 
-impl<'a> Driver<'a> {
+impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
     /// Seeds the queue: every plan fault, the autoscaler's first decision
     /// point, the first arrival.
     ///
@@ -476,7 +472,7 @@ impl<'a> Driver<'a> {
     fn new(
         cluster: &'a mut Cluster,
         reps: Vec<Replica>,
-        trace: Vec<Request>,
+        mut arrivals: A,
         plan: &FaultPlan,
     ) -> Self {
         let Cluster { control, autoscale, pool, .. } = cluster;
@@ -496,7 +492,6 @@ impl<'a> Driver<'a> {
                 .faults()
                 .iter()
                 .any(|f| matches!(f.kind, FaultKind::Upgrade { .. }));
-        let mut arrivals = trace.into_iter();
         let next_arrival = arrivals.next();
         let mut driver = Self {
             control,
@@ -551,7 +546,7 @@ impl<'a> Driver<'a> {
         // A run that ends with work still parked had no restart to deliver
         // it to: those requests are shed, keeping the workload partition
         // (finished ∪ shed) exact.
-        self.shed.append(&mut self.parked);
+        self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo.tier)));
         // End-of-run ledger audit: migration charged pages on two ledgers,
         // the autoscaler opened and closed replicas — every budget must
         // still balance from first principles.
@@ -713,9 +708,10 @@ impl<'a> Driver<'a> {
     /// or migrate-then-route; then the next arrival is queued.
     fn on_arrival(&mut self, now: f64) {
         let req = self.next_arrival.take().expect("arrival event without a request");
+        let key = (req.arrival_s, req.id);
         self.refresh_views();
         match self.control.place(&req, &self.views) {
-            Placement::Shed => self.shed.push(req),
+            Placement::Shed => self.shed.push((req.id, req.slo.tier)),
             Placement::Route(choice) => {
                 let choice = self.checked(choice);
                 self.deliver(choice, req);
@@ -727,6 +723,16 @@ impl<'a> Driver<'a> {
             }
         }
         self.next_arrival = self.arrivals.next();
+        // The stream is consumed as is, never sorted: a source out of
+        // `(arrival_s, id)` order would silently reorder the event loop.
+        if let Some(next) = &self.next_arrival {
+            assert!(
+                (next.arrival_s, next.id) >= key,
+                "arrivals out of (arrival_s, id) order: {:?} follows {:?}",
+                (next.arrival_s, next.id),
+                key
+            );
+        }
         self.arm_arrival();
     }
 
@@ -998,8 +1004,8 @@ mod tests {
 
             self.control.reset();
             let mut reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
-            let mut shed: Vec<Request> = Vec::new();
-            for req in Self::sorted_trace(spec) {
+            let mut shed: Vec<(RequestId, Tier)> = Vec::new();
+            for req in spec.sample() {
                 // Advance every replica that still has work and lags this
                 // arrival (lowest clock first, ties to the lowest index), so
                 // the decision observes each replica as of the arrival
@@ -1010,7 +1016,7 @@ mod tests {
                 let views: Vec<ReplicaView> =
                     reps.iter().enumerate().map(|(i, r)| r.view(i)).collect();
                 match self.control.place(&req, &views) {
-                    Placement::Shed => shed.push(req),
+                    Placement::Shed => shed.push((req.id, req.slo.tier)),
                     Placement::Route(choice) => reps[choice].submit(req),
                     Placement::Migrate { .. } => {
                         panic!("the step reference models no page migration")

@@ -92,7 +92,7 @@ pub use request::{
     Tier, WorkloadSpec,
 };
 pub use scheduler::{
-    Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation, Scheduler,
-    SchedulingPolicy, ShortestJobFirst, UnboundedBudget,
+    Fcfs, FinishedRequest, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
+    Scheduler, SchedulingPolicy, ShortestJobFirst, UnboundedBudget,
 };
 pub use sketch::{PercentileSketch, EXACT_STATS_MAX};

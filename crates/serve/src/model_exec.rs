@@ -418,8 +418,8 @@ impl ModelRuntime {
                 id: r.id,
                 prompt: exec.prompts[&r.id].clone(),
                 output: exec.outputs.remove(&r.id).unwrap_or_default(),
-                first_token_step: r.first_token_s.expect("finished") as usize,
-                finish_step: r.finish_s.expect("finished") as usize,
+                first_token_step: r.first_token_s as usize,
+                finish_step: r.finish_s as usize,
             })
             .collect();
         done.sort_by_key(|r| r.id);

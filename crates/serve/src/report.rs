@@ -9,9 +9,17 @@
 //! provisioned replica time). Aggregation is a pure fold over immutable
 //! replica slices — it never mutates a scheduler — so moving it cannot
 //! change a single bit of any report.
+//!
+//! No per-request float is computed here. Each replica's scheduler built a
+//! [`crate::scheduler::FinishedRequest`] per completion — latency, TTFT, the
+//! achieved ÷ deadline ratio, the SLO verdict — and this module sums them
+//! (TTFT, tokens, goodput) and sorts them (latencies, ratios) in
+//! replica-then-completion order, the one order in which no sum is
+//! re-associated. Shed requests arrive as `(id, tier)`, all a report says
+//! of them.
 
 use crate::engine::ServingReport;
-use crate::request::{Request, RequestId};
+use crate::request::{RequestId, Tier};
 use crate::scheduler::{percentile, Scheduler};
 use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 
@@ -183,7 +191,7 @@ impl ClusterReport {
 /// driver stays free to reshape its internal struct without touching the
 /// report math.
 pub(crate) struct ReplicaSlice<'a> {
-    /// The replica's scheduler (finished requests, sketches, counters).
+    /// The replica's scheduler (finished records, sketches, counters).
     pub sched: &'a Scheduler,
     /// GPU name of the replica's spec.
     pub gpu: &'static str,
@@ -217,7 +225,7 @@ pub(crate) fn aggregate(
     routing: &str,
     admission: &str,
     reps: &[ReplicaSlice<'_>],
-    shed: &[Request],
+    shed: &[(RequestId, Tier)],
     requeued: usize,
     lost_prefill_tokens: usize,
     migration: MigrationTotals,
@@ -252,38 +260,24 @@ pub(crate) fn aggregate(
         let finished = rep.sched.finished();
         let mut rep_generated = 0usize;
         for r in finished {
-            rep_generated += r.generated;
+            rep_generated += r.generated();
             if exact {
-                latencies.push(r.latency_s().expect("finished"));
+                latencies.push(r.latency_s());
             }
-            ttft_sum += r.ttft_s().expect("finished");
-            if r.met_slo().expect("finished") {
+            ttft_sum += r.ttft_s();
+            if r.met_slo {
                 met += 1;
-                good_tokens += r.generated;
+                good_tokens += r.generated();
             }
-            // Worst achieved ÷ deadline ratio across the deadlines the
-            // request carries (≤ 1 ⇔ SLO met).
-            let ttft_ratio = r
-                .slo
-                .ttft_deadline_s
-                .map(|d| r.ttft_s().expect("finished") / d);
-            let lat_ratio = r
-                .slo
-                .latency_deadline_s
-                .map(|d| r.latency_s().expect("finished") / d);
-            if let Some(ratio) = match (ttft_ratio, lat_ratio) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            } {
+            if let Some(ratio) = r.slo_ratio() {
                 if exact {
                     slo_ratios.push(ratio);
                 } else {
                     slo_sketch.insert(ratio);
                 }
             }
-            if r.requeues > 0 {
-                last_requeued_finish =
-                    last_requeued_finish.max(r.finish_s.expect("finished"));
+            if r.requeued {
+                last_requeued_finish = last_requeued_finish.max(r.finish_s);
             }
         }
         generated += rep_generated;
@@ -328,8 +322,8 @@ pub(crate) fn aggregate(
     }
     let gpu_seconds: f64 = per_replica.iter().map(|r| r.provisioned_s).sum();
     let mut shed_by_tier = [0usize; 3];
-    for r in shed {
-        shed_by_tier[r.slo.tier.index()] += 1;
+    for (_, tier) in shed {
+        shed_by_tier[tier.index()] += 1;
     }
     latencies.sort_by(f64::total_cmp);
     slo_ratios.sort_by(f64::total_cmp);
@@ -368,7 +362,7 @@ pub(crate) fn aggregate(
         slo_ratio_p99,
         shed: shed.len(),
         shed_by_tier,
-        shed_ids: shed.iter().map(|r| r.id).collect(),
+        shed_ids: shed.iter().map(|&(id, _)| id).collect(),
         mean_ttft_s: if completed > 0 { ttft_sum / completed as f64 } else { 0.0 },
         p50_latency_s,
         p99_latency_s,

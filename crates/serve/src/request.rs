@@ -103,17 +103,20 @@ impl Slo {
     /// Whether the given achieved `(ttft_s, latency_s)` pair satisfies
     /// every deadline this SLO carries — the one deadline-satisfaction
     /// predicate shared by admission feasibility ([`crate::cluster`]) and
-    /// goodput/attainment accounting ([`Request::met_slo`]).
+    /// goodput/attainment accounting
+    /// ([`crate::scheduler::FinishedRequest::met_slo`]).
     pub fn met_by(&self, ttft_s: f64, latency_s: f64) -> bool {
         self.ttft_deadline_s.is_none_or(|d| ttft_s <= d)
             && self.latency_deadline_s.is_none_or(|d| latency_s <= d)
     }
 }
 
-/// Where a request is in its life.
+/// Where a request is in its life. There is no finished state: at its last
+/// token a request leaves the scheduler and a
+/// [`crate::scheduler::FinishedRequest`] record stays.
 ///
 /// ```text
-/// Queued ──admit──▶ Running ──last token──▶ Finished
+/// Queued ──admit──▶ Running ──last token──▶ (retired: a record remains)
 ///    ▲                 │
 ///    └──── preempt ────┘   (re-queued as Preempted; recompute on re-admit)
 /// ```
@@ -131,8 +134,6 @@ pub enum RequestState {
     /// the host tier; on re-admission the pages are swapped back at link
     /// cost instead of recomputed, so `seq_len`/`prefilled` survive.
     Swapped,
-    /// All output tokens generated.
-    Finished,
 }
 
 /// One serving request with its lifecycle accounting.
@@ -178,8 +179,6 @@ pub struct Request {
     pub shared_len: usize,
     /// Clock at which the first output token completed (TTFT marker).
     pub first_token_s: Option<f64>,
-    /// Clock at which the last output token completed.
-    pub finish_s: Option<f64>,
     /// Times this request was preempted.
     pub preemptions: usize,
     /// Times this request was requeued off a crashed/restarting replica.
@@ -206,7 +205,6 @@ impl Request {
             prefilled: 0,
             shared_len: 0,
             first_token_s: None,
-            finish_s: None,
             preemptions: 0,
             requeues: 0,
         }
@@ -232,15 +230,6 @@ impl Request {
         self
     }
 
-    /// Whether the finished request met its SLO (`None` until finished):
-    /// every deadline it carries must be satisfied; a deadline-free SLO is
-    /// always met.
-    pub fn met_slo(&self) -> Option<bool> {
-        let latency = self.latency_s()?;
-        let ttft = self.ttft_s()?;
-        Some(self.slo.met_by(ttft, latency))
-    }
-
     /// Peak KV footprint in tokens (prompt + full output).
     pub fn peak_len(&self) -> usize {
         self.input_len + self.output_len
@@ -260,16 +249,6 @@ impl Request {
     /// Prefill tokens still to materialize this residency (0 once decoding).
     pub fn prefill_remaining(&self) -> usize {
         self.prefill_len() - self.prefilled
-    }
-
-    /// End-to-end latency (arrival → last token), once finished.
-    pub fn latency_s(&self) -> Option<f64> {
-        self.finish_s.map(|t| t - self.arrival_s)
-    }
-
-    /// Time to first token (arrival → first output token), once produced.
-    pub fn ttft_s(&self) -> Option<f64> {
-        self.first_token_s.map(|t| t - self.arrival_s)
     }
 }
 
@@ -605,12 +584,26 @@ impl WorkloadSpec {
         }
     }
 
-    /// Samples the workload: `num_requests` requests with ids `0..n`, lengths
-    /// drawn from the distributions, arrival times from the pattern and
-    /// prefix groups from the sharing structure. Deterministic in `seed`,
-    /// and emitted in `(arrival_s, id)` order — the front-door order the
-    /// cluster consumes as is.
+    /// The whole workload in one vector: [`WorkloadSpec::arrivals`],
+    /// collected. For callers that need the trace more than once or out of
+    /// order (prompt synthesis, hand-built schedulers, tests); the cluster
+    /// streams `arrivals()` instead and never holds the trace.
     pub fn sample(&self) -> Vec<Request> {
+        self.arrivals().collect()
+    }
+
+    /// Streams the workload: `num_requests` requests with ids `0..n`, lengths
+    /// drawn from the distributions, arrival times from the pattern and
+    /// prefix groups from the sharing structure. One sequential RNG stream,
+    /// deterministic in `seed`, emitted in `(arrival_s, id)` order — the
+    /// front-door order the cluster consumes one `next()` at a time, so a
+    /// trace costs the generator's state, not its length.
+    ///
+    /// # Panics
+    /// Panics on a malformed spec (a non-positive rate, a trough above the
+    /// peak, a multi-turn grid that disagrees with `num_requests`) — here,
+    /// when called, not on the first `next()`.
+    pub fn arrivals(&self) -> impl Iterator<Item = Request> + '_ {
         match self.arrival {
             ArrivalPattern::Uniform { rate_rps } | ArrivalPattern::Poisson { rate_rps } => {
                 assert!(rate_rps > 0.0, "arrival rate must be positive");
@@ -639,62 +632,60 @@ impl WorkloadSpec {
             PrefixSharing::MultiTurn { conversations, .. } => vec![0; conversations],
             _ => Vec::new(),
         };
-        (0..self.num_requests)
-            .map(|i| {
-                let suffix = self.input.sample(&mut rng);
-                let output = self.output.sample(&mut rng);
-                let sharing = match self.sharing {
-                    PrefixSharing::None => None,
-                    PrefixSharing::Groups { groups, prefix_len } => {
-                        let g = rng.int_in(0, groups as i64 - 1) as u64;
-                        Some((g, prefix_len, prefix_len + suffix))
-                    }
-                    PrefixSharing::MultiTurn { conversations, .. } => {
-                        // Turn-major ids: conversation c's turns are requests
-                        // c, c+conversations, … so turns arrive in order.
-                        let c = i % conversations;
-                        let prefix = history[c];
-                        history[c] += suffix + output;
-                        Some((c as u64, prefix, prefix + suffix))
-                    }
-                };
-                let arrival = match self.arrival {
-                    ArrivalPattern::Batch => 0.0,
-                    ArrivalPattern::Uniform { rate_rps } => i as f64 / rate_rps,
-                    ArrivalPattern::Poisson { rate_rps } => {
-                        // Exponential gap via inverse CDF; clamp the uniform
-                        // away from 0 so ln() stays finite.
+        (0..self.num_requests).map(move |i| {
+            let suffix = self.input.sample(&mut rng);
+            let output = self.output.sample(&mut rng);
+            let sharing = match self.sharing {
+                PrefixSharing::None => None,
+                PrefixSharing::Groups { groups, prefix_len } => {
+                    let g = rng.int_in(0, groups as i64 - 1) as u64;
+                    Some((g, prefix_len, prefix_len + suffix))
+                }
+                PrefixSharing::MultiTurn { conversations, .. } => {
+                    // Turn-major ids: conversation c's turns are requests
+                    // c, c+conversations, … so turns arrive in order.
+                    let c = i % conversations;
+                    let prefix = history[c];
+                    history[c] += suffix + output;
+                    Some((c as u64, prefix, prefix + suffix))
+                }
+            };
+            let arrival = match self.arrival {
+                ArrivalPattern::Batch => 0.0,
+                ArrivalPattern::Uniform { rate_rps } => i as f64 / rate_rps,
+                ArrivalPattern::Poisson { rate_rps } => {
+                    // Exponential gap via inverse CDF; clamp the uniform
+                    // away from 0 so ln() stays finite.
+                    let u = f64::from(rng.next_f32()).max(f64::EPSILON);
+                    clock += -u.ln() / rate_rps;
+                    clock
+                }
+                ArrivalPattern::Diurnal { trough_rps, peak_rps, period_s } => {
+                    // Thinning (Lewis–Shedler): draw candidates from a
+                    // homogeneous peak-rate process and keep each with
+                    // probability rate(t)/peak — an exact sampler for
+                    // the non-homogeneous process.
+                    loop {
                         let u = f64::from(rng.next_f32()).max(f64::EPSILON);
-                        clock += -u.ln() / rate_rps;
-                        clock
-                    }
-                    ArrivalPattern::Diurnal { trough_rps, peak_rps, period_s } => {
-                        // Thinning (Lewis–Shedler): draw candidates from a
-                        // homogeneous peak-rate process and keep each with
-                        // probability rate(t)/peak — an exact sampler for
-                        // the non-homogeneous process.
-                        loop {
-                            let u = f64::from(rng.next_f32()).max(f64::EPSILON);
-                            clock += -u.ln() / peak_rps;
-                            let phase = 2.0 * std::f64::consts::PI * clock / period_s;
-                            let rate = trough_rps
-                                + (peak_rps - trough_rps) * 0.5 * (1.0 - phase.cos());
-                            if f64::from(rng.next_f32()) < rate / peak_rps {
-                                break clock;
-                            }
+                        clock += -u.ln() / peak_rps;
+                        let phase = 2.0 * std::f64::consts::PI * clock / period_s;
+                        let rate = trough_rps
+                            + (peak_rps - trough_rps) * 0.5 * (1.0 - phase.cos());
+                        if f64::from(rng.next_f32()) < rate / peak_rps {
+                            break clock;
                         }
                     }
-                };
-                let req = match sharing {
-                    None => Request::new(RequestId(i as u64), suffix, output, arrival),
-                    Some((group, prefix, total_input)) => {
-                        Request::new(RequestId(i as u64), total_input, output, arrival)
-                            .with_prefix(group, prefix)
-                    }
-                };
-                req.with_slo(self.slo.assign(i))
-            })
-            .collect()
+                }
+            };
+            let req = match sharing {
+                None => Request::new(RequestId(i as u64), suffix, output, arrival),
+                Some((group, prefix, total_input)) => {
+                    Request::new(RequestId(i as u64), total_input, output, arrival)
+                        .with_prefix(group, prefix)
+                }
+            };
+            req.with_slo(self.slo.assign(i))
+        })
     }
 
     /// Synthesizes a deterministic prompt per request over a `vocab`-token
@@ -785,14 +776,17 @@ mod tests {
         assert_eq!(r.peak_len(), 120);
         assert_eq!(r.remaining(), 20);
         assert_eq!(r.prefill_len(), 100);
-        assert_eq!(r.latency_s(), None);
         r.generated = 5;
         assert_eq!(r.remaining(), 15);
         assert_eq!(r.prefill_len(), 105); // recompute includes generated
-        r.first_token_s = Some(2.0);
-        r.finish_s = Some(4.0);
-        assert_eq!(r.ttft_s(), Some(0.5));
-        assert_eq!(r.latency_s(), Some(2.5));
+    }
+
+    /// Growth of the resident record is a visible diff: every pending and
+    /// running request costs this many bytes (README, "What a request costs
+    /// in memory").
+    #[test]
+    fn request_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Request>(), 176);
     }
 
     #[test]
@@ -928,22 +922,13 @@ mod tests {
     }
 
     #[test]
-    fn met_slo_checks_every_deadline() {
-        let mut r = Request::new(RequestId(0), 8, 4, 0.0).with_slo(Slo::interactive(1.0, 5.0));
-        assert_eq!(r.met_slo(), None, "unfinished requests have no verdict");
-        r.first_token_s = Some(0.5);
-        r.finish_s = Some(4.0);
-        assert_eq!(r.met_slo(), Some(true));
-        r.first_token_s = Some(2.0);
-        assert_eq!(r.met_slo(), Some(false), "TTFT deadline missed");
-        r.first_token_s = Some(0.5);
-        r.finish_s = Some(6.0);
-        assert_eq!(r.met_slo(), Some(false), "latency deadline missed");
-        // Deadline-free SLOs are always met once finished.
-        let mut b = Request::new(RequestId(1), 8, 4, 0.0).with_slo(Slo::best_effort());
-        b.first_token_s = Some(100.0);
-        b.finish_s = Some(1000.0);
-        assert_eq!(b.met_slo(), Some(true));
+    fn met_by_checks_every_deadline() {
+        let slo = Slo::interactive(1.0, 5.0);
+        assert!(slo.met_by(0.5, 4.0));
+        assert!(!slo.met_by(2.0, 4.0), "TTFT deadline missed");
+        assert!(!slo.met_by(0.5, 6.0), "latency deadline missed");
+        // Deadline-free SLOs are always met.
+        assert!(Slo::best_effort().met_by(100.0, 1000.0));
         assert!(!Slo::best_effort().has_deadline());
         assert_eq!(Tier::ALL.map(Tier::index), [0, 1, 2]);
     }
@@ -1003,10 +988,18 @@ mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn arrivals_validates_the_spec_before_the_first_next() {
+        let spec = WorkloadSpec::chat(4, 1).with_arrivals(ArrivalPattern::Poisson { rate_rps: 0.0 });
+        let _unpolled = spec.arrivals();
+    }
+
     qserve_tensor::props! {
-        /// The postcondition `Cluster::sorted_trace` relies on instead of
+        /// The postcondition the cluster driver relies on instead of
         /// sorting: every arrival pattern × sharing structure samples in
-        /// `(arrival_s, id)` order, ids `0..n`, arrivals finite from `0.0`.
+        /// `(arrival_s, id)` order, ids `0..n`, arrivals finite from `0.0` —
+        /// and the stream consumed one `next()` at a time is that sample.
         fn sample_emits_front_door_order(rng, cases = 64) {
             let rate_rps = 0.5 + 40.0 * f64::from(rng.next_f32());
             let arrival = match rng.int_in(0, 3) {
@@ -1031,6 +1024,11 @@ mod tests {
                 ..WorkloadSpec::chat(0, rng.next_u64()).with_arrivals(arrival)
             };
             let reqs = spec.sample();
+            let mut stream = spec.arrivals();
+            for (i, r) in reqs.iter().enumerate() {
+                assert_eq!(stream.next().as_ref(), Some(r), "{:?} × {:?}: request {i}", arrival, sharing);
+            }
+            assert_eq!(stream.next(), None, "the stream outran the sample");
             assert_eq!(reqs.len(), spec.num_requests);
             assert!(reqs.iter().enumerate().all(|(i, r)| r.id == RequestId(i as u64)));
             assert!(reqs.iter().all(|r| r.arrival_s.is_finite() && r.arrival_s >= 0.0));

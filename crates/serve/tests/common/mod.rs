@@ -144,10 +144,9 @@ pub fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
         assert!(guard < 100_000, "scheduler failed to converge");
         sched.tick(&mut Audited(budget, audit), &mut exec);
         audit(budget);
-        for r in sched.running().iter().chain(sched.finished()) {
-            if r.generated > 0 {
-                first_token_seen.entry(r.id).or_insert(sched.clock());
-            }
+        let decoded = sched.running().iter().filter(|r| r.generated > 0).map(|r| r.id);
+        for id in decoded.chain(sched.finished().iter().map(|r| r.id)) {
+            first_token_seen.entry(id).or_insert(sched.clock());
         }
     }
     assert_eq!(budget.free_pages(), total, "every device page returned at the end");
@@ -166,7 +165,7 @@ pub fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
     // must never move when a preempted request recomputes.
     for r in sched.finished() {
         assert_eq!(
-            r.first_token_s.expect("finished"),
+            r.first_token_s,
             first_token_seen[&r.id],
             "request {:?} TTFT re-stamped",
             r.id
