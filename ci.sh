@@ -25,8 +25,9 @@ QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden
 # CSV again with a 4-thread pool (sweep grids fan out cell-per-task and
-# the cluster driver ticks replicas in barrier windows — same bytes or
-# this fails naming the experiment that drifted).
+# the cluster driver ticks every replica due before the next queue event
+# concurrently — same bytes or this fails naming the experiment that
+# drifted).
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --test golden_snapshots
 
 # The functional data plane has a parallel arm too: the W4A8 GEMMs fork

@@ -13,8 +13,9 @@
 //! * a [`Replica`] is one [`ServingEngine`] (its own [`qserve_gpusim`] spec
 //!   and TP group — an A100 and an L40S can share one fleet) driving its
 //!   own [`Scheduler`] against its own [`PageBudget`], with a
-//!   [`Lifecycle`] tracking its accepting/online/epoch state and its
-//!   provisioned-time windows (the fleet-cost integral);
+//!   [`Lifecycle`] tracking its accepting/online state and its
+//!   provisioned-time windows (the fleet-cost integral), and the key its
+//!   next tick is due at;
 //! * the [`ControlPlane`] owns each arrival's fate: admission
 //!   ([`AdmitAll`], [`DeadlineFeasible`], [`PriorityShed`]), routing
 //!   ([`RoundRobin`], [`LeastOutstanding`], [`PrefixAffinity`],
@@ -29,9 +30,10 @@
 //!   machinery* — scale-down injects a `Drain` fault, scale-up a `Restart`
 //!   fault — so autoscaled lifecycles are exactly fault-plan lifecycles;
 //! * [`Cluster::serve_paged`] replays the workload in arrival order through
-//!   a private [`Driver`] — one pop loop, one handler method per event
-//!   kind — and hands the end-of-run state to [`crate::report`] for
-//!   aggregation into a [`ClusterReport`].
+//!   a private [`Driver`] — a loop of horizon, advance, pop: replicas tick
+//!   between queue events, and each event kind has one handler method —
+//!   and hands the end-of-run state to [`crate::report`] for aggregation
+//!   into a [`ClusterReport`].
 //!
 //! A 1-replica cluster performs exactly the ticks [`ServingEngine::serve`]
 //! performs, so its numbers are bit-identical to the single-engine report;
@@ -61,16 +63,12 @@ pub use crate::report::{ClusterReport, ReplicaReport};
 // ---------------------------------------------------------------------------
 
 /// What the cluster's event queue is waiting on — one kind per handler.
+/// Replica ticks are not events: a busy replica's next tick is its
+/// [`Replica::due`] key, and [`Driver::run`] ticks replicas between pops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// Lane 0: the next request reaches the front door.
     Arrival,
-    /// Lane `i + 1`: replica `i`'s next scheduling tick — a decode step that
-    /// retires or advances residents, or a chunked prefill's next chunk.
-    /// Carries the replica's lifecycle epoch at arming time: a crash or
-    /// restart bumps the epoch, so any event armed before it pops as stale
-    /// and is dropped instead of ticking a dead incarnation.
-    Tick(u64),
     /// Lane `u64::MAX`: a scheduled lifecycle event — index into the run's
     /// fault table (plan faults plus dynamically chained restarts).
     Fault(usize),
@@ -80,19 +78,24 @@ enum Event {
     Autoscale,
 }
 
-/// The front-door lane sorts before every replica lane at an equal
+/// The front-door lane sorts before every replica tick at an equal
 /// timestamp: the arrival is routed first, then replicas tick by index.
 const ARRIVAL_LANE: u64 = 0;
 
-/// The fault lane sorts after every arrival (lane 0) and replica lane
-/// (`i + 1`) at an equal timestamp: a crash at `t` observes the world with
-/// that instant's arrival routed and every tick due at `t` taken.
+/// Where a replica tick sorts against a queue key at an equal timestamp:
+/// after the arrival, before any fault. Replica ticks order among
+/// themselves by index, which no queue key needs to see.
+const REPLICA_LANE: u64 = 1;
+
+/// The fault lane sorts after every arrival and replica tick at an equal
+/// timestamp: a crash at `t` observes the world with that instant's
+/// arrival routed and every tick due at `t` taken.
 const FAULT_LANE: u64 = u64::MAX;
 
 /// One engine replica: its own scheduler core, page ledger and clock,
 /// advanced one tick at a time — the incremental form of the loop under
-/// [`ServingEngine::serve`]. Lifecycle flags (accepting/online/epoch) and
-/// the provisioned-time bill live in [`Lifecycle`], shared with the fault
+/// [`ServingEngine::serve`]. Lifecycle flags (accepting/online) and the
+/// provisioned-time bill live in [`Lifecycle`], shared with the fault
 /// layer.
 struct Replica {
     engine: ServingEngine,
@@ -102,12 +105,22 @@ struct Replica {
     routed: usize,
     /// The cost model's pair buffer, reused across the replica's whole run.
     pairs: Vec<(usize, usize)>,
-    /// Accepting/online/epoch state plus the GPU-seconds windows — one
-    /// state machine for fault plans and the autoscaler alike.
+    /// Accepting/online state plus the GPU-seconds windows — one state
+    /// machine for fault plans and the autoscaler alike.
     life: Lifecycle,
     /// Requests routed here but requeued away by a crash — keeps the
     /// `waiting` arithmetic honest (`routed` is never decremented).
     requeued_away: usize,
+    /// The [`time_key`] of the next tick while the replica has work, `None`
+    /// once it drained or crashed (so nothing stale can tick). It is the
+    /// key the tick was *armed* at — by a delivery to a drained replica or
+    /// by the previous tick — not the current clock: a migration charges a
+    /// busy destination's clock without re-arming it, so that replica ticks
+    /// once more at the old key, possibly before the next arrival, and only
+    /// then re-arms at its advanced clock. Keying on `clock()` instead moves
+    /// every later tick of such a replica (`frozen_driver`'s
+    /// `migrate_onto_a_busy_replica` pins the rule).
+    due: Option<u64>,
 }
 
 impl Replica {
@@ -157,22 +170,29 @@ impl Replica {
         self.sched.tick(&mut self.budget, &mut exec);
     }
 
-    /// Replays this replica's slice of the event loop up to `barrier` (a
-    /// `(time key, lane)` queue key): tick after tick while the event the
-    /// queue *would* re-arm — `(clock, lane)`, the clock keyed by
-    /// [`time_key`] as [`EventQueue::push`] keys it — still precedes the
-    /// barrier key. Exactly the ticks the sequential loop would pop before
-    /// reaching the barrier event, because between them this replica's
-    /// events outrank everything else in the queue and touch only
-    /// replica-local state. A replica that drains mid-window stops there;
-    /// the merge settles it as the sequential arm would.
-    fn advance_to_barrier(&mut self, lane: u64, barrier: Option<(u64, u64)>) {
+    /// Arms the next tick at the current clock.
+    fn arm(&mut self) {
+        self.due = Some(time_key(self.clock()));
+    }
+
+    /// Whether the next tick sorts before `barrier`, a `(time key, lane)`
+    /// queue key (`None`: nothing left to sort before).
+    fn due_before(&self, barrier: Option<(u64, u64)>) -> bool {
+        self.due.is_some_and(|key| barrier.is_none_or(|b| (key, REPLICA_LANE) < b))
+    }
+
+    /// Ticks a due replica up to `barrier`: tick after tick, each re-armed
+    /// at the advanced clock, while the next one still sorts before the
+    /// barrier. A replica that drains stops there and keeps the key of its
+    /// last tick, which orders its settling.
+    fn advance_to_barrier(&mut self, barrier: Option<(u64, u64)>) {
         loop {
             self.tick();
             if self.done() {
                 return;
             }
-            if barrier.is_some_and(|key| (time_key(self.clock()), lane) >= key) {
+            self.arm();
+            if !self.due_before(barrier) {
                 return;
             }
         }
@@ -313,6 +333,7 @@ impl Cluster {
                     pairs: Vec::new(),
                     life: Lifecycle::fresh(i < initial_online),
                     requeued_away: 0,
+                    due: None,
                 })
             })
             .collect()
@@ -321,23 +342,24 @@ impl Cluster {
     /// Serves `spec` across the cluster with paged admission on every
     /// replica — the **event-driven core**. One deterministic
     /// [`EventQueue`] (keyed `(time.to_bits(), lane, seq)`; lane 0 is the
-    /// front-door arrival stream, lane `i + 1` is replica `i`) holds at
-    /// most one entry per busy replica plus the next arrival, and the run
-    /// is a single pop loop:
+    /// front-door arrival stream) holds the next arrival, and each busy
+    /// replica holds the key its next tick is due at. The run alternates
+    /// two steps:
     ///
+    /// * **replica ticks** — every replica due before the queue head runs
+    ///   scheduling ticks (scratch-reusing, allocation-free) up to it,
+    ///   re-armed at its advanced clock after each, until it drains;
     /// * **next-arrival** — the control plane sees an O(1)-per-replica
     ///   snapshot as of the arrival instant and decides shed / route /
     ///   migrate-then-route; the owning replica is armed at its clock (if
-    ///   it was drained);
-    /// * **replica tick** — the replica runs exactly one scheduling tick
-    ///   (scratch-reusing, allocation-free) and is re-armed at its advanced
-    ///   clock until it drains.
+    ///   it was drained).
     ///
-    /// Because the heap pops `(time, lane)` in the same order the retired
-    /// step driver's min-clock scans selected (arrivals win time-ties, then
-    /// replicas by index), every replica performs the identical tick
-    /// sequence — bit-identical reports — at O(log replicas) per event
-    /// instead of O(replicas) per step and O(residents) per load probe.
+    /// Replica ticks sort against queue keys exactly as the retired step
+    /// driver's min-clock scans did (arrivals win time-ties, then replicas
+    /// by index), and between queue events they touch only replica-local
+    /// state, so every replica performs the identical tick sequence —
+    /// bit-identical reports — at O(replicas) per event instead of per
+    /// step, and O(1) per load probe instead of O(residents).
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
@@ -356,7 +378,7 @@ impl Cluster {
     }
 
     /// [`Cluster::serve_paged`] with a deterministic lifecycle [`FaultPlan`]
-    /// injected as a third event lane (`u64::MAX`, so at equal timestamps a
+    /// injected as a second event lane (`u64::MAX`, so at equal timestamps a
     /// fault fires *after* the arrival and every replica tick at that
     /// instant — replicas observe the world as of the fault time first):
     ///
@@ -364,8 +386,8 @@ impl Cluster {
     ///   loses its pages (and its prefill progress — accounted as
     ///   `lost_prefill_tokens`) and is requeued through the control plane
     ///   to the surviving replicas with `ready_s` re-stamped to the crash
-    ///   instant. The replica goes offline and non-accepting; its epoch
-    ///   bump drops any in-flight queue event.
+    ///   instant. The replica goes offline and non-accepting, and is no
+    ///   longer due to tick.
     /// * **drain** — admission-only: the replica stops accepting, residents
     ///   finish normally (what an operator does before maintenance).
     /// * **restart** — a drained replica re-opens; a crashed or upgrading
@@ -387,9 +409,9 @@ impl Cluster {
     /// once, so it waits for the next restart rather than being dropped,
     /// and only a run that *ends* with no restart sheds it.
     ///
-    /// With [`FaultPlan::none`] the fault lane is empty, every epoch stays
-    /// 0, every replica accepts throughout — the run is bit-identical to
-    /// the fault-free driver by construction.
+    /// With [`FaultPlan::none`] the fault lane is empty and every replica
+    /// accepts throughout — the run is bit-identical to the fault-free
+    /// driver by construction.
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
@@ -427,16 +449,15 @@ impl Cluster {
 // The driver
 // ---------------------------------------------------------------------------
 
-/// One run of the event loop: the state `serve_paged_faulty` builds, pops
-/// events against and folds into a report. Each event kind has one handler
-/// method; everything a handler touches is a field here.
+/// One run of the event loop: the state `serve_paged_faulty` builds, ticks
+/// replicas and pops events against, and folds into a report. Each event
+/// kind has one handler method; everything a handler touches is a field
+/// here.
 struct Driver<'a, A: Iterator<Item = Request>> {
     control: &'a mut ControlPlane,
     autoscale: Option<&'a mut AutoscaleConfig>,
+    /// Advances two or more due replicas concurrently when it has threads.
     pool: &'a Pool,
-    /// Whether consecutive replica ticks may advance concurrently (see
-    /// [`Driver::new`] for the gate's soundness argument).
-    windows_enabled: bool,
     reps: Vec<Replica>,
     queue: EventQueue<Event>,
     /// The runtime fault table: plan faults up front, chained restarts,
@@ -457,10 +478,6 @@ struct Driver<'a, A: Iterator<Item = Request>> {
     requeued: usize,
     lost_prefill: usize,
     migrations: MigrationTotals,
-    /// The barrier window being formed, in pop order, and the same replica
-    /// indices ascending (reused buffers).
-    window: Vec<usize>,
-    sorted_window: Vec<usize>,
 }
 
 impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
@@ -477,30 +494,12 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
     ) -> Self {
         let Cluster { control, autoscale, pool, .. } = cluster;
         let pool = pool.as_ref().unwrap_or_else(|| qserve_tensor::pool::global());
-        // Intra-run replica parallelism: consecutive fresh replica-lane
-        // events form a *window* bounded by the next arrival/fault/autoscale
-        // key (or a second event on a lane already windowed). Replicas in a
-        // window touch only replica-local state until the barrier, so they
-        // advance concurrently and merge back bit-identically. Upgrade
-        // completions are the one replica-tick outcome that mutates shared
-        // state (`begin_upgrade_downtime` appends faults mid-arm), and the
-        // only sources of new `Upgrade` entries at runtime are rolling
-        // chains of *planned* upgrades — the autoscaler injects only
-        // `Drain`/`Restart` — so a plan-level scan is a sound gate.
-        let windows_enabled = pool.threads() > 1
-            && !plan
-                .faults()
-                .iter()
-                .any(|f| matches!(f.kind, FaultKind::Upgrade { .. }));
         let next_arrival = arrivals.next();
         let mut driver = Self {
             control,
             autoscale: autoscale.as_mut(),
             pool,
-            windows_enabled,
             views: Vec::with_capacity(reps.len()),
-            window: Vec::with_capacity(reps.len()),
-            sorted_window: Vec::with_capacity(reps.len()),
             reps,
             queue: EventQueue::new(),
             faults: Vec::with_capacity(plan.faults().len()),
@@ -528,16 +527,68 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         driver
     }
 
-    /// The pop loop: one handler per event kind.
+    /// The driver loop. **Horizon:** the earliest key at which anything
+    /// outside a replica can act. **Advance:** every replica due before it
+    /// ticks up to it. **Pop:** the queue head, one handler per event kind
+    /// — unless an upgrade bound set the horizon, in which case the round
+    /// repeats against the moved bound or the restart now queued.
     fn run(&mut self) {
-        while let Some((now, lane, event)) = self.queue.pop() {
+        loop {
+            let head = self.queue.peek().map(|(t, lane)| (time_key(t), lane));
+            let horizon = self.horizon(head);
+            self.advance(horizon);
+            if horizon != head {
+                continue;
+            }
+            let Some((now, _, event)) = self.queue.pop() else {
+                return;
+            };
             match event {
                 Event::Arrival => self.on_arrival(now),
-                // lint: allow(raw-cast) -- lane = replica index + 1 by construction, so the u64 → usize round trip is exact
-                Event::Tick(epoch) => self.on_tick((lane - 1) as usize, epoch),
                 Event::Fault(idx) => self.on_fault(now, idx),
                 Event::Autoscale => self.on_autoscale(now),
             }
+        }
+    }
+
+    /// The queue `head`, lowered for every busy replica with a pending
+    /// upgrade to `(clock + downtime, FAULT_LANE)`. The restart that
+    /// replica's drain injects is the only event a tick can create, and it
+    /// lands no earlier than that bound because clocks only advance — so
+    /// every tick before the horizon is one the queue would have ordered
+    /// before every event still to come.
+    fn horizon(&self, head: Option<(u64, u64)>) -> Option<(u64, u64)> {
+        self.reps
+            .iter()
+            .filter(|r| r.due.is_some())
+            .filter_map(|r| {
+                let (downtime_s, _) = r.life.pending_upgrade()?;
+                Some((time_key(r.clock() + downtime_s), FAULT_LANE))
+            })
+            .fold(head, |h, bound| Some(h.map_or(bound, |h| h.min(bound))))
+    }
+
+    /// Ticks every replica due before `horizon` up to it — concurrently
+    /// when two or more are due and the pool has threads, since until the
+    /// horizon a replica touches only its own state — then settles the
+    /// ones that drained in `(last tick key, index)` order: the order an
+    /// event-per-tick queue would have popped those ticks, so restarts they
+    /// inject at one instant keep their FIFO `seq`.
+    fn advance(&mut self, horizon: Option<(u64, u64)>) {
+        let due = self.reps.iter_mut().filter(|r| r.due_before(horizon));
+        if self.pool.threads() > 1 {
+            // The pool runs a single due replica inline.
+            let mut due: Vec<&mut Replica> = due.collect();
+            self.pool.par_map_mut(&mut due, |_, rep| rep.advance_to_barrier(horizon));
+        } else {
+            due.for_each(|rep| rep.advance_to_barrier(horizon));
+        }
+        // Drained this round: no work left, still holding a due key.
+        while let Some(i) = (0..self.reps.len())
+            .filter(|&i| self.reps[i].due.is_some() && self.reps[i].done())
+            .min_by_key(|&i| (self.reps[i].due, i))
+        {
+            self.settle(i);
         }
     }
 
@@ -575,13 +626,6 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         }
     }
 
-    /// Queues replica `i`'s next tick at its clock, stamped with its
-    /// current epoch.
-    fn arm(&mut self, i: usize) {
-        let rep = &self.reps[i];
-        self.queue.push(rep.clock(), i as u64 + 1, Event::Tick(rep.life.epoch()));
-    }
-
     /// Appends a lifecycle event to the fault table and schedules it on the
     /// fault lane.
     fn inject(&mut self, at_s: f64, replica: usize, kind: FaultKind) {
@@ -608,15 +652,16 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         choice
     }
 
-    /// Hands `req` to replica `choice`, arming its event lane if it was
-    /// drained (a drained replica had no queue entry; it re-enters at its
+    /// Hands `req` to replica `choice`, arming its next tick if it was
+    /// drained (a drained replica was due at nothing; it re-enters at its
     /// current clock — its first tick idles it forward to the new
     /// request's arrival if needed).
     fn deliver(&mut self, choice: usize, req: Request) {
-        let was_drained = self.reps[choice].done();
-        self.reps[choice].submit(req);
+        let rep = &mut self.reps[choice];
+        let was_drained = rep.done();
+        rep.submit(req);
         if was_drained {
-            self.arm(choice);
+            rep.arm();
         }
     }
 
@@ -636,24 +681,24 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         }
     }
 
-    /// After replica `i` ticked: re-arm it while it has work; once it runs
-    /// dry, start the downtime of a pending upgrade (its last resident just
-    /// finished) or let a drained (non-accepting) replica leave the fleet
-    /// bill — accepting replicas stay provisioned (no-op).
+    /// Replica `i` ran dry: it is due at nothing; start the downtime of a
+    /// pending upgrade (its last resident just finished) or let a drained
+    /// (non-accepting) replica leave the fleet bill — accepting replicas
+    /// stay provisioned (no-op).
     fn settle(&mut self, i: usize) {
-        if !self.reps[i].done() {
-            self.arm(i);
-        } else if self.reps[i].life.pending_upgrade().is_some() {
+        let rep = &mut self.reps[i];
+        rep.due = None;
+        if rep.life.pending_upgrade().is_some() {
             self.begin_upgrade_downtime(i);
         } else {
-            let idle_at = self.reps[i].clock();
-            self.reps[i].life.release_idle(idle_at);
+            let idle_at = rep.clock();
+            rep.life.release_idle(idle_at);
         }
     }
 
     /// A replica that drained with an upgrade pending goes offline for its
-    /// downtime: bump the epoch (stale events drop) and chain a restart
-    /// fault at `clock + downtime` on the fault lane.
+    /// downtime and chains a restart fault at `clock + downtime` on the
+    /// fault lane.
     fn begin_upgrade_downtime(&mut self, replica: usize) {
         let rep = &mut self.reps[replica];
         let (downtime_s, _) =
@@ -736,82 +781,6 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         self.arm_arrival();
     }
 
-    /// Replica `i`'s tick event: one scheduling tick — or, when barrier
-    /// windows are on and other replicas' ticks follow in the queue, every
-    /// tick of all of them up to the next barrier.
-    fn on_tick(&mut self, i: usize, epoch: u64) {
-        if epoch != self.reps[i].life.epoch() {
-            // Armed by a previous incarnation; the crash or restart that
-            // bumped the epoch already decided this replica's future.
-            return;
-        }
-        if self.windows_enabled && self.form_window(i) {
-            self.advance_window();
-            return;
-        }
-        // Singleton window: the sequential arm is already the exact replay.
-        self.reps[i].tick();
-        self.settle(i);
-    }
-
-    /// Widens a window from replica `first`: pulls every queue head that is
-    /// a *fresh* replica event on a lane not yet in the window. Stale-epoch
-    /// heads drop here exactly as [`Driver::on_tick`] would drop them; a
-    /// head on a windowed lane stops the scan (it could depend on this
-    /// window's outcome), as does any arrival/fault/autoscale key. Returns
-    /// whether more than one replica joined.
-    fn form_window(&mut self, first: usize) -> bool {
-        self.window.clear();
-        self.window.push(first);
-        while let Some((_, lane)) = self.queue.peek() {
-            if lane == ARRIVAL_LANE || lane == FAULT_LANE {
-                break;
-            }
-            // lint: allow(raw-cast) -- replica lane, exact as in `run`
-            let j = (lane - 1) as usize;
-            if self.window.contains(&j) {
-                break;
-            }
-            let Some((_, _, Event::Tick(epoch))) = self.queue.pop() else {
-                unreachable!("non-replica event on replica lane {lane}")
-            };
-            if epoch == self.reps[j].life.epoch() {
-                self.window.push(j);
-            }
-        }
-        self.window.len() > 1
-    }
-
-    /// Advances every replica of the formed window concurrently up to the
-    /// barrier (the queue's new head), then merges them back.
-    fn advance_window(&mut self) {
-        let barrier = self.queue.peek().map(|(t, lane)| (time_key(t), lane));
-        self.sorted_window.clear();
-        self.sorted_window.extend_from_slice(&self.window);
-        self.sorted_window.sort_unstable();
-        // Carve disjoint `&mut Replica`s out of the fleet (ascending order
-        // makes each split valid) and advance them concurrently to the
-        // barrier.
-        let mut lanes: Vec<(u64, &mut Replica)> = Vec::with_capacity(self.sorted_window.len());
-        let mut tail = self.reps.as_mut_slice();
-        let mut base = 0usize;
-        for &j in &self.sorted_window {
-            let (_, rest) = tail.split_at_mut(j - base);
-            let (one, rest) = rest.split_at_mut(1);
-            lanes.push((j as u64 + 1, &mut one[0]));
-            tail = rest;
-            base = j + 1;
-        }
-        self.pool.par_map_mut(&mut lanes, |_, (lane, rep)| {
-            rep.advance_to_barrier(*lane, barrier);
-        });
-        // Sequential merge: one re-arm per still-busy replica. Lanes are
-        // distinct, so push order (and thus `seq`) cannot affect pop order.
-        for k in 0..self.window.len() {
-            self.settle(self.window[k]);
-        }
-    }
-
     /// A lifecycle event from the fault table fires.
     fn on_fault(&mut self, now: f64, idx: usize) {
         let Fault { replica, kind, .. } = self.faults[idx];
@@ -832,6 +801,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         if !rep.life.crash(now) {
             return;
         }
+        rep.due = None;
         let (victims, lost) = rep.sched.evict_all(&mut rep.budget);
         // Anchored (migrated-in) pools die with the replica: release the
         // control plane's refs, then audit that every page the crash
@@ -1477,10 +1447,11 @@ mod tests {
     qserve_tensor::props! {
         /// Thread-count invariance oracle: across random fleet sizes,
         /// workloads, arrival patterns, scheduling policies, routers and
-        /// fault plans (including rolling upgrades, which disable barrier
-        /// windows entirely), a parallel cluster produces a
+        /// fault plans (seeded crashes and drains, rolling upgrades, and
+        /// both at once — a zero downtime puts an upgrade's horizon bound
+        /// at its replica's own clock), a parallel cluster produces a
         /// [`ClusterReport`] bit-identical to the single-threaded run.
-        fn thread_count_never_changes_the_report(rng, cases = 8) {
+        fn thread_count_never_changes_the_report(rng, cases = 16) {
             let replicas = rng.int_in(2, 4) as usize;
             let n = rng.int_in(24, 64) as usize;
             let seed = rng.int_in(0, 1 << 20) as u64;
@@ -1499,10 +1470,12 @@ mod tests {
                 chunk_tokens: if rng.int_in(0, 1) == 1 { Some(256) } else { None },
                 ..SchedOptions::default()
             };
+            let downtime_s = if rng.int_in(0, 1) == 0 { 0.0 } else { 1.0 };
+            let seeded = FaultPlan::seeded(seed ^ 0x5eed, replicas, 30.0, 3);
             let plan = match rng.int_in(0, 2) {
                 0 => FaultPlan::none(),
-                1 => FaultPlan::seeded(seed ^ 0x5eed, replicas, 30.0, 3),
-                _ => FaultPlan::none().rolling_upgrade(replicas, 4.0, 1.0),
+                1 => seeded,
+                _ => seeded.rolling_upgrade(replicas, 2.0, downtime_s),
             };
             let mk_policy = {
                 let pick = rng.int_in(0, 1);
@@ -1538,13 +1511,13 @@ mod tests {
 
     #[test]
     fn equal_timestamp_cross_lane_ticks_merge_in_lane_order() {
-        // The adversarial tie case for barrier windows: an offline batch
+        // The adversarial tie case for concurrent advance: an offline batch
         // split round-robin across identical replicas makes every replica's
-        // chunk boundaries collide at bit-equal timestamps, so each window
+        // chunk boundaries collide at bit-equal timestamps, so each round
         // is all ties and the `(time bits, lane)` comparison alone decides
         // who stops at the barrier. Any off-by-one in the tie-break (`>` vs
-        // `>=`, or ticking *at* the barrier time) reorders merged events
-        // and shows up as a report diff against the sequential driver.
+        // `>=`, or ticking *at* the barrier time) reorders events and shows
+        // up as a report diff against the sequential driver.
         let spec = WorkloadSpec::chat(60, 9);
         let run = |threads: usize| {
             Cluster::new(engine(), 3, Box::new(RoundRobin::default()))
@@ -1559,11 +1532,41 @@ mod tests {
         };
         let sequential = run(1);
         let parallel = run(3);
-        // The scenario must actually exercise concurrent lanes…
+        // The scenario must actually exercise concurrent replicas…
         assert_eq!(sequential.completed, 60);
         assert!(sequential.per_replica.iter().all(|r| r.routed == 20));
-        // …and the tie-heavy windows must not reorder a single event.
-        assert_eq!(sequential, parallel, "equal-timestamp windows reordered events");
+        // …and the tie-heavy rounds must not reorder a single event.
+        assert_eq!(sequential, parallel, "equal-timestamp rounds reordered events");
+    }
+
+    #[test]
+    fn zero_downtime_rolling_upgrade_makes_progress_at_any_thread_count() {
+        // A zero downtime puts a busy upgrading replica's horizon bound at
+        // its own clock. Its due key still sorts before the fault lane at
+        // an equal time, so every round ticks it at least once — otherwise
+        // the driver would spin on the same horizon.
+        let spec = WorkloadSpec::mixed(64, 5)
+            .with_arrivals(ArrivalPattern::Poisson { rate_rps: 16.0 });
+        let plan = FaultPlan::none().rolling_upgrade(3, 0.5, 0.0);
+        let run = |threads: usize| {
+            Cluster::new(engine(), 3, Box::new(LeastOutstanding))
+                .with_threads(threads)
+                .serve_paged_faulty(
+                    &spec,
+                    || Box::new(MemoryAware::default()),
+                    Reservation::OnDemand,
+                    SchedOptions::default(),
+                    &plan,
+                )
+                .expect("cluster serves")
+        };
+        let sequential = run(1);
+        assert_eq!(sequential.completed, 64);
+        assert!(
+            sequential.per_replica.iter().all(|r| r.restarts == 1),
+            "the wave must reach every replica"
+        );
+        assert_eq!(sequential, run(3), "zero-downtime upgrades diverged across thread counts");
     }
 
     #[test]

@@ -620,7 +620,7 @@ impl ControlPlane {
 /// fleet snapshot routing sees. The cluster driver polls the policy on a
 /// fixed interval and closes the gap through the *fault machinery* —
 /// scale-down is a `Drain` fault, scale-up is a `Restart` fault — so an
-/// autoscaled replica's lifecycle (epochs, parked-work delivery,
+/// autoscaled replica's lifecycle (due ticks, parked-work delivery,
 /// provisioned-time windows) is exactly a fault-plan replica's.
 pub trait AutoscalePolicy: Send {
     /// Policy name for reports.

@@ -17,10 +17,12 @@
 //!   bit ordering is total over everything the queue can hold.
 //! * `lane` — the tie-break between simultaneous events. The cluster
 //!   driver uses lane 0 for the front-door arrival stream and lane
-//!   `i + 1` for replica `i`, which reproduces the retired step driver's
-//!   semantics exactly: a replica whose clock has *reached* the next
-//!   arrival time stops ticking (strict `<` horizon), so at equal times
-//!   the arrival is processed first, then replicas in index order.
+//!   `u64::MAX` for lifecycle events; replica ticks, which the driver
+//!   keys by the same [`time_key`] but keeps out of the queue, sort
+//!   between the two at an equal time. That reproduces the retired step
+//!   driver's semantics exactly: a replica whose clock has *reached* the
+//!   next arrival time stops ticking (strict `<` horizon), so at equal
+//!   times the arrival is processed first, then replicas in index order.
 //! * `seq` — a monotone push counter, making same-time same-lane events
 //!   FIFO and the whole key strictly total. No two live entries compare
 //!   equal, so `BinaryHeap`'s lack of stability can never matter.
@@ -28,38 +30,35 @@
 //! ## Event kinds
 //!
 //! The queue is payload-generic; the serving core schedules three kinds
-//! of wake-up through it, all represented as "this lane is runnable at
-//! time t" entries:
+//! of event through it:
 //!
 //! * **next-arrival** — lane 0: the front door hands the next request of
-//!   the sorted trace to routing at its arrival time.
-//! * **replica tick** — replica lanes: a busy replica's next scheduling
-//!   tick, at its advanced clock — a decode step that retires or advances
-//!   resident sequences, or under chunked prefill a chunk edge.
+//!   the trace to routing at its arrival time.
 //! * **fault** — lane `u64::MAX`: injected lifecycle events (crash,
-//!   drain, restart, upgrade) from a [`crate::fault::FaultPlan`]. The
-//!   maximal lane means a fault scheduled at time `t` fires *after* the
-//!   arrival and every replica tick at `t`: a request arriving at the
-//!   instant of a crash is still routed by the pre-crash fleet, and a
-//!   replica whose completion lands exactly at its crash time retires
-//!   that work before losing it. Fault entries are all pushed up front
-//!   in plan order, so same-time faults resolve FIFO by `seq`, exactly
-//!   the order the plan lists them.
+//!   drain, restart, upgrade) from a [`crate::fault::FaultPlan`], and the
+//!   restarts the driver chains at run time. The maximal lane means a
+//!   fault scheduled at time `t` fires *after* the arrival and every
+//!   replica tick at `t`: a request arriving at the instant of a crash is
+//!   still routed by the pre-crash fleet, and a replica whose completion
+//!   lands exactly at its crash time retires that work before losing it.
+//!   Plan faults are all pushed up front in plan order, so same-time
+//!   faults resolve FIFO by `seq`, exactly the order the plan lists them.
+//! * **autoscale** — lane `u64::MAX`: the autoscaler's next decision
+//!   point.
 //!
-//! A replica has **exactly one** live entry while it has work and none
-//! when drained — re-armed by the driver after every event it consumes —
-//! so the heap holds at most `replicas + faults + 1` entries and every
-//! push/pop is O(log(replicas + faults)). Replica entries are stamped
-//! with the replica's lifecycle *epoch*; a crash or upgrade bumps the
-//! epoch, turning any still-queued pre-fault entry into a stale no-op
-//! the driver drops on pop — cancellation without heap surgery.
+//! A busy replica's next tick is not an entry: it would be the queue's
+//! most frequent pop by far, and between two queue events a replica
+//! touches only its own state. The driver ticks every replica due before
+//! the queue head up to it, so the heap holds the next arrival, the
+//! pending faults and the next autoscale decision — no live entry per
+//! busy replica, and nothing stale to cancel when a replica crashes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The queue's time key: `time`'s bit pattern, which for the non-negative
 /// finite floats the queue holds orders exactly like the value. The cluster
-/// driver's barrier-window replay compares clocks under this same key.
+/// driver keys replica ticks against the queue head by this same function.
 pub(crate) fn time_key(time: f64) -> u64 {
     let bits = time.to_bits();
     // −0.0 passes the `>= 0.0` gate but has the sign bit set; fold it
@@ -210,7 +209,7 @@ mod tests {
         // And it orders as zero: a +0.0 on a lower lane wins the tie.
         q.push(0.0, 2, ());
         assert_eq!(q.pop().map(|(_, l, _)| l), Some(2));
-        // The one key both the queue and the window replay order by.
+        // The one key both the queue and the replica ticks order by.
         assert_eq!(time_key(-0.0), time_key(0.0));
         assert!(time_key(0.0) < time_key(f64::MIN_POSITIVE));
     }

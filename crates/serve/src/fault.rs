@@ -10,8 +10,8 @@
 //! reproducible numbers rather than flaky observations.
 //!
 //! Ordering contract: fault events ride lane `u64::MAX`, so at an equal
-//! timestamp every arrival (lane 0) and every replica tick (lane `i+1`)
-//! fires *before* the fault. A crash at `t` therefore never swallows an
+//! timestamp every arrival (lane 0) and every replica tick fires *before*
+//! the fault. A crash at `t` therefore never swallows an
 //! arrival stamped `t` — the arrival routes first, then the crash
 //! requeues it like any other resident.
 //!
@@ -178,15 +178,15 @@ impl FaultPlan {
 }
 
 /// The per-replica lifecycle state machine — **the one code path** for
-/// admission gating, liveness, epoch stamping and provisioned-time
-/// accounting, shared by plan-injected faults and the autoscaler alike.
-/// The cluster driver used to flip these flags inline per fault kind;
-/// factoring the transitions here means a scale-down drain literally *is*
-/// [`FaultPlan::drain_at`]'s drain — the two cannot diverge.
+/// admission gating, liveness and provisioned-time accounting, shared by
+/// plan-injected faults and the autoscaler alike. The cluster driver used
+/// to flip these flags inline per fault kind; factoring the transitions
+/// here means a scale-down drain literally *is* [`FaultPlan::drain_at`]'s
+/// drain — the two cannot diverge.
 ///
-/// Transitions mirror the PR-8 driver exactly (same epoch bump points, same
-/// flag order), so a fault-free or static-plan run is bit-identical to the
-/// inline-flag driver by construction.
+/// Transitions mirror the PR-8 driver exactly (same flag order), so a
+/// fault-free or static-plan run is bit-identical to the inline-flag driver
+/// by construction.
 ///
 /// Provisioned time (the fleet-cost number): a replica accrues GPU-seconds
 /// while its *provisioned window* is open — from the moment it accepts work
@@ -202,10 +202,6 @@ pub struct Lifecycle {
     /// Liveness: an offline replica (crashed, or in its upgrade downtime)
     /// ticks nothing until a restart.
     online: bool,
-    /// Lifecycle incarnation counter, stamped into the replica's queue
-    /// events; bumped on crash, on going offline for an upgrade, and on
-    /// restart, so in-flight events from a previous life pop as stale.
-    epoch: u64,
     /// Times this replica came back from offline.
     restarts: usize,
     /// A pending upgrade: `(downtime_s, rolling)`. Set when the upgrade
@@ -227,7 +223,6 @@ impl Lifecycle {
         Self {
             accepting,
             online: true,
-            epoch: 0,
             restarts: 0,
             pending_upgrade: None,
             provisioned_s: 0.0,
@@ -243,11 +238,6 @@ impl Lifecycle {
     /// Whether the replica is live (ticking) at all.
     pub fn online(&self) -> bool {
         self.online
-    }
-
-    /// The current lifecycle incarnation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Times this replica came back from offline.
@@ -293,17 +283,16 @@ impl Lifecycle {
         }
     }
 
-    /// Hard failure at `now`: offline, gated closed, epoch bumped (stale
-    /// events drop), any pending upgrade cancelled, provisioned window
-    /// closed. Returns whether the replica was online — a crash on an
-    /// already-dead replica is a no-op and the caller evicts nothing.
+    /// Hard failure at `now`: offline, gated closed, any pending upgrade
+    /// cancelled, provisioned window closed. Returns whether the replica
+    /// was online — a crash on an already-dead replica is a no-op and the
+    /// caller evicts nothing.
     pub fn crash(&mut self, now: f64) -> bool {
         if !self.online {
             return false;
         }
         self.accepting = false;
         self.online = false;
-        self.epoch += 1;
         self.pending_upgrade = None;
         self.close_window(now);
         true
@@ -317,25 +306,23 @@ impl Lifecycle {
     }
 
     /// The drained replica begins its upgrade downtime at `now`: offline,
-    /// epoch bumped, provisioned window closed. The pending upgrade stays
-    /// set — [`Lifecycle::restart`] consumes it.
+    /// provisioned window closed. The pending upgrade stays set —
+    /// [`Lifecycle::restart`] consumes it.
     pub fn go_offline(&mut self, now: f64) {
         self.online = false;
-        self.epoch += 1;
         self.close_window(now);
     }
 
     /// Restart at `now`. A still-online (drained or untouched) replica just
-    /// re-opens admission; an offline replica bumps its epoch, comes back
-    /// online and counts a restart. Either way the provisioned window
-    /// re-opens. Returns the pending upgrade consumed by an offline
-    /// restart, so the driver can chain a rolling wave.
+    /// re-opens admission; an offline replica comes back online and counts
+    /// a restart. Either way the provisioned window re-opens. Returns the
+    /// pending upgrade consumed by an offline restart, so the driver can
+    /// chain a rolling wave.
     pub fn restart(&mut self, now: f64) -> Option<(f64, bool)> {
         let chained = if self.online {
             self.accepting = true;
             None
         } else {
-            self.epoch += 1;
             self.online = true;
             self.accepting = true;
             self.restarts += 1;
@@ -438,32 +425,29 @@ mod tests {
 
     #[test]
     fn lifecycle_epochs_match_the_inline_driver() {
-        // The exact bump points of the PR-8 inline flags: crash +1,
-        // go-offline-for-upgrade +1, offline restart +1, online restart +0.
+        // The transitions of the PR-8 inline flags (whose epoch counter
+        // left with the replica tick events: a crash now clears the
+        // replica's due key instead).
         let mut l = Lifecycle::fresh(true);
         assert!(l.accepting() && l.online());
-        assert_eq!(l.epoch(), 0);
         l.drain();
         assert!(!l.accepting() && l.online());
-        assert_eq!(l.epoch(), 0, "drain must not bump the epoch");
         assert_eq!(l.restart(1.0), None);
         assert!(l.accepting());
-        assert_eq!((l.epoch(), l.restarts()), (0, 0), "online restart is admission-only");
+        assert_eq!(l.restarts(), 0, "online restart is admission-only");
         assert!(l.crash(2.0));
         assert!(!l.accepting() && !l.online());
-        assert_eq!(l.epoch(), 1);
         assert!(!l.crash(2.5), "crashing a dead replica is a no-op");
-        assert_eq!(l.epoch(), 1);
         assert_eq!(l.restart(3.0), None);
         assert!(l.online() && l.accepting());
-        assert_eq!((l.epoch(), l.restarts()), (2, 1));
+        assert_eq!(l.restarts(), 1);
         l.begin_upgrade(0.5, true);
         assert!(!l.accepting());
         assert_eq!(l.pending_upgrade(), Some((0.5, true)));
         l.go_offline(4.0);
-        assert_eq!(l.epoch(), 3);
+        assert!(!l.online());
         assert_eq!(l.restart(4.5), Some((0.5, true)), "offline restart consumes the upgrade");
-        assert_eq!(l.epoch(), 4);
+        assert_eq!(l.restarts(), 2);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Frozen cluster-driver behaviour: ten small fixed fleets that between them
-//! reach every event handler of `Cluster::serve_paged_faulty` — shed, route,
-//! migrate-then-route, crash with requeue, crash with nobody left (parked
-//! work delivered at a restart, or shed when none comes), drain and re-open,
-//! rolling upgrade, an upgrade aimed at a dead replica, autoscale up and
-//! down, recompute preemption, chunked prefill under swap preemption, stale
-//! epoch-stamped ticks — with outcomes recorded on the commit *before* the
-//! 430-line event loop was split into `Driver` methods, and reproduced bit
-//! for bit by every later driver.
+//! Frozen cluster-driver behaviour: eleven small fixed fleets that between
+//! them reach every event handler of `Cluster::serve_paged_faulty` — shed,
+//! route, migrate-then-route (onto an idle and onto a busy replica), crash
+//! with requeue, crash with nobody left (parked work delivered at a restart,
+//! or shed when none comes), drain and re-open, rolling upgrade, an upgrade
+//! aimed at a dead replica, autoscale up and down, recompute preemption,
+//! chunked prefill under swap preemption, a crash while a tick is due — with
+//! outcomes recorded on the commit *before* the 430-line event loop was split
+//! into `Driver` methods (the eleventh on the commit before replica ticks
+//! left the event queue), and reproduced bit for bit by every later driver.
 //!
 //! The golden CSVs pin these paths to three decimals and the committed
 //! benchmark's fault plans contain no upgrade; these constants pin them to
-//! the bit, at one pool thread and at four (barrier windows on).
+//! the bit, at one pool thread and at four (due replicas advance
+//! concurrently).
 
 use qserve_gpusim::{GpuSpec, HostLink};
 use qserve_model::ModelConfig;
@@ -154,7 +156,7 @@ fn drain_and_reopen(threads: usize) -> ClusterReport {
 
 /// The upgrade wave walks the whole fleet, one replica down at a time — one
 /// hop finds its replica already idle, so that downtime starts at the fault
-/// instant (plans with an upgrade run with barrier windows disabled).
+/// instant (each busy upgrading replica bounds how far the others advance).
 fn rolling_upgrade(threads: usize) -> ClusterReport {
     let cluster = Cluster::new(a100(), 3, Box::new(LeastOutstanding));
     let spec = mixed(96, 23, 24.0);
@@ -208,6 +210,32 @@ fn chunked_prefill_under_swap(threads: usize) -> ClusterReport {
     serve(cluster, threads, &spec, fcfs, opts, &FaultPlan::none())
 }
 
+/// Three tenants' long prefixes under heavy load, copied over PCIe: a
+/// saturated home moves its pool onto a replica that is itself busy. The
+/// copy charges that replica's clock without re-arming its next tick, so it
+/// ticks once more at the key it was armed at — ahead of the next arrival
+/// when that key precedes it. Re-arming the destination at its charged
+/// clock moves this fleet's outcome and no other's.
+fn migrate_onto_a_busy_replica(threads: usize) -> ClusterReport {
+    let cluster = Cluster::new(a100(), 3, Box::new(LeastOutstanding)).with_migration(
+        MigrationConfig {
+            saturation_queue_s: 0.5,
+            relief_ratio: 0.5,
+            migrate_pages: true,
+            link: HostLink::pcie4(),
+        },
+    );
+    let spec = mixed(240, 67, 64.0)
+        .with_sharing(PrefixSharing::Groups { groups: 3, prefix_len: 2048 })
+        .with_slos(slo_cycle());
+    let opts = SchedOptions {
+        share_prefixes: true,
+        chunk_tokens: Some(512),
+        preemption: PreemptionMode::Swap,
+    };
+    serve(cluster, threads, &spec, memory_aware, opts, &FaultPlan::none())
+}
+
 /// `(makespan bits, p99 bits, gpu_seconds bits, completed, shed, requeued,
 /// lost_prefill_tokens, migrations, preemptions, FNV-1a over per-replica
 /// routed / completed / restarts)`.
@@ -233,7 +261,7 @@ fn outcome(r: &ClusterReport) -> Outcome {
     )
 }
 
-const FLEETS: [(&str, fn(usize) -> ClusterReport); 10] = [
+const FLEETS: [(&str, fn(usize) -> ClusterReport); 11] = [
     ("shed_and_route", shed_and_route),
     ("migrate_then_route", migrate_then_route),
     ("crash_requeues_onto_survivors", crash_requeues_onto_survivors),
@@ -244,10 +272,12 @@ const FLEETS: [(&str, fn(usize) -> ClusterReport); 10] = [
     ("upgrade_skips_a_dead_replica", upgrade_skips_a_dead_replica),
     ("autoscale_up_and_down", autoscale_up_and_down),
     ("chunked_prefill_under_swap", chunked_prefill_under_swap),
+    ("migrate_onto_a_busy_replica", migrate_onto_a_busy_replica),
 ];
 
-/// Recorded on commit fa929d6 (the parent of the `Driver` split).
-const FROZEN: [Outcome; 10] = [
+/// Recorded on commit fa929d6 (the parent of the `Driver` split); the last
+/// row on b4e9859 (the parent of the tickless event queue).
+const FROZEN: [Outcome; 11] = [
     (0x40203eff0c60c27c, 0x401ec54a5dd2d41a, 0x40303eff0c60c27c, 130, 30, 0, 0, 0, 0, 0xd23c230e972518f5),
     (0x4007898c27ee51e1, 0x3ff6b2400730fc77, 0x4017898c27ee51e1, 96, 0, 0, 0, 1, 0, 0xb42d84048128fd21),
     (0x4053a17d332086ef, 0x4051f859c859df5c, 0x406d323bccb0ca66, 300, 0, 23, 59732, 0, 15, 0xf596bf45e7d564af),
@@ -258,6 +288,7 @@ const FROZEN: [Outcome; 10] = [
     (0x4027b2a51a53d850, 0x40127e8e06f08bda, 0x403e0bf7a77dc478, 48, 0, 0, 0, 0, 0, 0xd2c30adb830876fa),
     (0x4032e8ea38327668, 0x401d69becfec4a20, 0x405038bc56cfc0c5, 360, 0, 0, 0, 0, 0, 0x8f6fb18637ff989d),
     (0x405b26ce70b0120d, 0x405a7d71960fc57e, 0x406b26ce70b0120d, 400, 0, 0, 0, 0, 0, 0xd93d7b7a0873edad),
+    (0x403028f549567d12, 0x402df6cd6730d81b, 0x40483d6fee01bb9b, 240, 0, 0, 0, 6, 0, 0x165902619d261aeb),
 ];
 
 fn assert_frozen(threads: usize) -> Vec<ClusterReport> {
@@ -283,7 +314,7 @@ fn driver_reproduces_the_frozen_outcomes_sequentially() {
     // The table is only worth freezing if each fleet reaches the handler it
     // was built for (each branch was also confirmed by instrumenting the
     // recording commit's driver).
-    let sent = [160, 96, 300, 64, 48, 64, 96, 48, 360, 400];
+    let sent = [160, 96, 300, 64, 48, 64, 96, 48, 360, 400, 240];
     for ((name, _), (r, n)) in FLEETS.iter().zip(r.iter().zip(sent)) {
         assert_eq!(r.completed + r.shed, n, "'{name}' lost a request");
     }
@@ -317,9 +348,13 @@ fn driver_reproduces_the_frozen_outcomes_sequentially() {
         r[9].swap_outs > 0 && r[9].swap_in_pages == r[9].swap_out_pages,
         "fleet 10 must swap out and back"
     );
+    assert!(
+        r[10].migrations > 1 && r[10].per_replica.iter().all(|p| p.completed > 0),
+        "fleet 11 must migrate between replicas that all serve"
+    );
 }
 
 #[test]
-fn driver_reproduces_the_frozen_outcomes_with_barrier_windows() {
+fn driver_reproduces_the_frozen_outcomes_at_four_threads() {
     assert_frozen(4);
 }
