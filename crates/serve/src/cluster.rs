@@ -35,11 +35,11 @@
 //!   and hands the end-of-run state to [`crate::report`] for aggregation
 //!   into a [`ClusterReport`].
 //!
-//! A 1-replica cluster performs exactly the ticks [`ServingEngine::serve`]
-//! performs, so its numbers are bit-identical to the single-engine report;
-//! a static fleet under the extracted control plane replays the inline
-//! PR-8 driver decision for decision — the invariants that pin this layer
-//! to the golden-snapshot CSVs.
+//! [`ServingEngine::serve`] is the same driver over one replica ([`serve_one`]),
+//! so a 1-replica cluster's numbers are the single-engine report by
+//! construction; a static fleet under the extracted control plane replays
+//! the inline PR-8 driver decision for decision — the invariants that pin
+//! this layer to the golden-snapshot CSVs.
 
 use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};
@@ -92,13 +92,12 @@ const REPLICA_LANE: u64 = 1;
 /// arrival routed and every tick due at `t` taken.
 const FAULT_LANE: u64 = u64::MAX;
 
-/// One engine replica: its own scheduler core, page ledger and clock,
-/// advanced one tick at a time — the incremental form of the loop under
-/// [`ServingEngine::serve`]. Lifecycle flags (accepting/online) and the
-/// provisioned-time bill live in [`Lifecycle`], shared with the fault
-/// layer.
-struct Replica {
-    engine: ServingEngine,
+/// One engine replica: a borrowed engine's cost model over the replica's
+/// own scheduler core, page ledger and clock, advanced one tick at a time.
+/// Lifecycle flags (accepting/online) and the provisioned-time bill live in
+/// [`Lifecycle`], shared with the fault layer.
+struct Replica<'e> {
+    engine: &'e ServingEngine,
     speed: SpeedProfile,
     sched: Scheduler,
     budget: PageBudget,
@@ -123,7 +122,23 @@ struct Replica {
     due: Option<u64>,
 }
 
-impl Replica {
+impl<'e> Replica<'e> {
+    /// A fresh replica of `engine` running `sched` against `budget`; a
+    /// replica that is not `online` starts as a standby.
+    fn new(engine: &'e ServingEngine, sched: Scheduler, budget: PageBudget, online: bool) -> Self {
+        Self {
+            engine,
+            speed: engine.speed_profile(),
+            sched,
+            budget,
+            routed: 0,
+            pairs: Vec::new(),
+            life: Lifecycle::fresh(online),
+            requeued_away: 0,
+            due: None,
+        }
+    }
+
     fn done(&self) -> bool {
         self.sched.is_done()
     }
@@ -162,11 +177,10 @@ impl Replica {
     }
 
     /// One scheduling tick — [`Scheduler::tick`] priced by this replica's
-    /// engine, the same loop body [`ServingEngine::serve`] drives, so a lone
-    /// replica replays the single-engine run exactly by construction — on
-    /// scheduler- and replica-owned buffers: zero per-tick allocation.
+    /// engine — on scheduler- and replica-owned buffers: zero per-tick
+    /// allocation.
     fn tick(&mut self) {
-        let mut exec = CostModel { engine: &self.engine, pairs: &mut self.pairs };
+        let mut exec = CostModel { engine: self.engine, pairs: &mut self.pairs };
         self.sched.tick(&mut self.budget, &mut exec);
     }
 
@@ -196,6 +210,14 @@ impl Replica {
                 return;
             }
         }
+    }
+
+    /// End-of-run ledger audit: migration charged pages on two ledgers, the
+    /// autoscaler opened and closed replicas — the budget must still balance
+    /// from first principles and hold exactly the scheduler's residents.
+    fn audit(&self) {
+        self.budget.assert_consistent();
+        self.sched.assert_mirrors_ledger(&self.budget);
     }
 
     /// End-of-run borrow for [`crate::report::aggregate`].
@@ -304,41 +326,6 @@ impl Cluster {
         self
     }
 
-    /// Builds one fresh replica per engine, each sized by *its own*
-    /// [`ServingEngine::paged_budget`] — shared by the event-driven driver
-    /// and the step-driven reference so both serve the same fleet.
-    /// Replicas past the autoscaler's initial online count start as
-    /// standbys.
-    fn build_replicas(
-        &self,
-        spec: &WorkloadSpec,
-        mk_policy: &impl Fn() -> Box<dyn SchedulingPolicy>,
-        reservation: Reservation,
-        opts: SchedOptions,
-    ) -> Result<Vec<Replica>, EngineUnavailable> {
-        let initial_online =
-            self.autoscale.as_ref().map_or(self.engines.len(), |a| a.initial_online);
-        self.engines
-            .iter()
-            .enumerate()
-            .map(|(i, engine)| -> Result<Replica, EngineUnavailable> {
-                let (budget, batch_limit) =
-                    engine.paged_budget(spec, reservation, opts.preemption)?;
-                Ok(Replica {
-                    engine: engine.clone(),
-                    speed: engine.speed_profile(),
-                    sched: Scheduler::open(batch_limit, mk_policy(), opts),
-                    budget,
-                    routed: 0,
-                    pairs: Vec::new(),
-                    life: Lifecycle::fresh(i < initial_online),
-                    requeued_away: 0,
-                    due: None,
-                })
-            })
-            .collect()
-    }
-
     /// Serves `spec` across the cluster with paged admission on every
     /// replica — the **event-driven core**. One deterministic
     /// [`EventQueue`] (keyed `(time.to_bits(), lane, seq)`; lane 0 is the
@@ -438,27 +425,76 @@ impl Cluster {
         // The trace is streamed, never held: validated here, drawn one
         // request per `Arrival` event.
         let arrivals = spec.arrivals();
-        let reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
-        let mut driver = Driver::new(self, reps, arrivals, plan);
+        let Self { engines, control, autoscale, pool } = self;
+        let initial_online = autoscale.as_ref().map_or(engines.len(), |a| a.initial_online);
+        let reps = build_replicas(engines, initial_online, spec, &mk_policy, reservation, opts)?;
+        let pool = pool.as_ref().unwrap_or_else(|| qserve_tensor::pool::global());
+        let mut driver = Driver::new(control, autoscale.as_mut(), pool, reps, arrivals, plan);
         driver.run();
         Ok(driver.finish())
     }
+}
+
+/// Builds one fresh replica per engine, each sized by *its own*
+/// [`ServingEngine::paged_budget`] — shared by the event-driven driver and
+/// the step-driven reference so both serve the same fleet. Replicas from
+/// `initial_online` on (the autoscaler's initial online count) start as
+/// standbys.
+fn build_replicas<'e>(
+    engines: &'e [ServingEngine],
+    initial_online: usize,
+    spec: &WorkloadSpec,
+    mk_policy: &impl Fn() -> Box<dyn SchedulingPolicy>,
+    reservation: Reservation,
+    opts: SchedOptions,
+) -> Result<Vec<Replica<'e>>, EngineUnavailable> {
+    engines
+        .iter()
+        .enumerate()
+        .map(|(i, engine)| {
+            let (budget, batch_limit) = engine.paged_budget(spec, reservation, opts.preemption)?;
+            let sched = Scheduler::open(batch_limit, mk_policy(), opts);
+            Ok(Replica::new(engine, sched, budget, i < initial_online))
+        })
+        .collect()
+}
+
+/// [`ServingEngine::serve`]'s run: the driver over one replica of `engine`,
+/// `sched` against `budget`, behind a round-robin, admit-all control plane
+/// with no fault plan, on a one-thread pool (which spawns no thread).
+/// Nothing is left to decide, so the run is that replica's ticks between
+/// arrivals. Returns the replica's scheduler and ledger, audited.
+pub(crate) fn serve_one(
+    engine: &ServingEngine,
+    spec: &WorkloadSpec,
+    sched: Scheduler,
+    budget: PageBudget,
+) -> (Scheduler, PageBudget) {
+    let mut control = ControlPlane::new(Box::new(RoundRobin::default()), Box::new(AdmitAll));
+    let pool = Pool::new(1);
+    let reps = vec![Replica::new(engine, sched, budget, true)];
+    let arrivals = spec.arrivals();
+    let mut driver = Driver::new(&mut control, None, &pool, reps, arrivals, &FaultPlan::none());
+    driver.run();
+    let rep = driver.reps.pop().expect("the driver keeps its replica");
+    rep.audit();
+    (rep.sched, rep.budget)
 }
 
 // ---------------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------------
 
-/// One run of the event loop: the state `serve_paged_faulty` builds, ticks
-/// replicas and pops events against, and folds into a report. Each event
-/// kind has one handler method; everything a handler touches is a field
-/// here.
+/// One run of the event loop: the state `serve_paged_faulty` (or
+/// [`serve_one`]) builds, ticks replicas and pops events against, and folds
+/// into a report. Each event kind has one handler method; everything a
+/// handler touches is a field here.
 struct Driver<'a, A: Iterator<Item = Request>> {
     control: &'a mut ControlPlane,
     autoscale: Option<&'a mut AutoscaleConfig>,
     /// Advances two or more due replicas concurrently when it has threads.
     pool: &'a Pool,
-    reps: Vec<Replica>,
+    reps: Vec<Replica<'a>>,
     queue: EventQueue<Event>,
     /// The runtime fault table: plan faults up front, chained restarts,
     /// rolling-upgrade hops and autoscaler decisions appended as the run
@@ -487,17 +523,17 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
     /// # Panics
     /// Panics if the plan targets a replica the fleet doesn't have.
     fn new(
-        cluster: &'a mut Cluster,
-        reps: Vec<Replica>,
+        control: &'a mut ControlPlane,
+        autoscale: Option<&'a mut AutoscaleConfig>,
+        pool: &'a Pool,
+        reps: Vec<Replica<'a>>,
         mut arrivals: A,
         plan: &FaultPlan,
     ) -> Self {
-        let Cluster { control, autoscale, pool, .. } = cluster;
-        let pool = pool.as_ref().unwrap_or_else(|| qserve_tensor::pool::global());
         let next_arrival = arrivals.next();
         let mut driver = Self {
             control,
-            autoscale: autoscale.as_mut(),
+            autoscale,
             pool,
             views: Vec::with_capacity(reps.len()),
             reps,
@@ -578,7 +614,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         let due = self.reps.iter_mut().filter(|r| r.due_before(horizon));
         if self.pool.threads() > 1 {
             // The pool runs a single due replica inline.
-            let mut due: Vec<&mut Replica> = due.collect();
+            let mut due: Vec<&mut Replica<'_>> = due.collect();
             self.pool.par_map_mut(&mut due, |_, rep| rep.advance_to_barrier(horizon));
         } else {
             due.for_each(|rep| rep.advance_to_barrier(horizon));
@@ -598,13 +634,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         // it to: those requests are shed, keeping the workload partition
         // (finished ∪ shed) exact.
         self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo.tier)));
-        // End-of-run ledger audit: migration charged pages on two ledgers,
-        // the autoscaler opened and closed replicas — every budget must
-        // still balance from first principles.
-        for rep in &self.reps {
-            rep.budget.assert_consistent();
-            rep.sched.assert_mirrors_ledger(&rep.budget);
-        }
+        self.reps.iter().for_each(Replica::audit);
         let slices: Vec<ReplicaSlice<'_>> = self.reps.iter().map(Replica::slice).collect();
         aggregate(
             self.control.routing_name(),
@@ -959,7 +989,7 @@ mod tests {
             /// Index of the lowest-clock replica that still has work and
             /// whose clock is strictly below `horizon` (ties to the lowest
             /// index) — the linear scan the event queue's ordering subsumes.
-            fn laggard(reps: &[Replica], horizon: f64) -> Option<usize> {
+            fn laggard(reps: &[Replica<'_>], horizon: f64) -> Option<usize> {
                 let mut best: Option<usize> = None;
                 for (i, r) in reps.iter().enumerate() {
                     if r.done() || r.clock() >= horizon {
@@ -973,7 +1003,8 @@ mod tests {
             }
 
             self.control.reset();
-            let mut reps = self.build_replicas(spec, &mk_policy, reservation, opts)?;
+            let mut reps =
+                build_replicas(&self.engines, self.engines.len(), spec, &mk_policy, reservation, opts)?;
             let mut shed: Vec<(RequestId, Tier)> = Vec::new();
             for req in spec.sample() {
                 // Advance every replica that still has work and lags this

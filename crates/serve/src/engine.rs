@@ -12,18 +12,20 @@
 //! (admission order, memory gating, preemption, latency accounting) lives in
 //! the shared [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the
 //! order of a step; the engine is its pricing [`TickExecutor`]
-//! ([`CostModel`]) behind [`ServingEngine::serve`]. Every protocol —
-//! the fixed-batch Figure 17 runs, worst-case-sized heterogeneous serving,
-//! paged on-demand admission — is a declarative [`ServeConfig`] over that
-//! one entry point, so making the engine spec-parametric (heterogeneous
-//! fleets) changes a single code path.
+//! ([`CostModel`]). [`ServingEngine::serve`] runs it as a one-replica fleet
+//! of the [`crate::cluster`] driver, so the single engine and every cluster
+//! replica are one loop over one page ledger. Every protocol — the
+//! fixed-batch Figure 17 runs, worst-case-sized heterogeneous serving, paged
+//! on-demand admission — is a declarative [`ServeConfig`] over that one
+//! entry point, so making the engine spec-parametric (heterogeneous fleets)
+//! changes a single code path.
 
 use crate::baselines::SystemConfig;
 use crate::memory::MemoryPlan;
-use crate::request::{Request, RequestId, WorkloadSpec};
+use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
     AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulerStats, SchedulingPolicy, TickExecutor, UnboundedBudget,
+    Scheduler, SchedulerStats, SchedulingPolicy, TickExecutor,
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency_chunked,
@@ -75,9 +77,10 @@ pub struct ServingReport {
     pub p99_latency_s: f64,
     /// Preemption events during the run (0 under peak-reserving admission).
     pub preemptions: usize,
-    /// High-water mark of unique KV pages in use (0 when the run was not
-    /// gated by a page budget) — prefix sharing lowers this, more requests
-    /// fit, and that is the capacity story of the `prefix_sweep` grid.
+    /// High-water mark of unique KV pages in use (0 under
+    /// [`KvModel::BatchOnly`], whose ledger is sized never to bind) — prefix
+    /// sharing lowers this, more requests fit, and that is the capacity
+    /// story of the `prefix_sweep` grid.
     pub peak_unique_pages: usize,
     /// Median latency from the streaming percentile sketch — always
     /// computed, and the authoritative percentile source above
@@ -167,10 +170,10 @@ struct GemmMemo {
 
 /// The memo's interior-mutability cell. A `Mutex` rather than a `RefCell`
 /// so `ServingEngine` stays `Sync` (sweep cells run on pool workers); each
-/// replica owns its engine clone, so the lock is never contended in
-/// practice. Cloning deliberately starts an *empty* cache: memo contents
-/// are pure derived data, and a fresh clone re-derives the identical
-/// `f64`s on first use.
+/// replica borrows an engine of its own (`Cluster::new` clones one per
+/// replica), so the lock is never contended in practice. Cloning
+/// deliberately starts an *empty* cache: memo contents are pure derived
+/// data, and a fresh clone re-derives the identical `f64`s on first use.
 #[derive(Debug, Default)]
 // lint: allow(nondeterministic-parallel) -- pure memo cache, not an accumulator: cached values are the exact f64s the model returns, so hit order cannot change any result
 struct MemoCell(std::sync::Mutex<GemmMemo>);
@@ -236,8 +239,9 @@ pub enum BatchLimit {
 /// How KV memory is modeled during a [`ServingEngine::serve`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvModel {
-    /// No ledger: the batch limit alone encodes memory (the legacy
-    /// fixed-shape protocol, where the limit is already peak-derived).
+    /// The batch limit alone encodes memory (the legacy fixed-shape
+    /// protocol, where the limit is already peak-derived): the run's page
+    /// ledger reserves each resident's peak and is sized never to bind.
     BatchOnly,
     /// A page-granular ledger mirroring [`crate::PagedKvCache`] geometry.
     Paged(Reservation),
@@ -257,7 +261,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The Figure 17 same-batch protocol: explicit limit, no page ledger.
+    /// The Figure 17 same-batch protocol: explicit limit, memory encoded in
+    /// it.
     pub fn fixed_batch(limit: usize) -> Self {
         Self {
             batch: BatchLimit::Fixed(limit),
@@ -564,34 +569,11 @@ impl ServingEngine {
         self.step_latency(self.layer_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s))
     }
 
-    /// Drives the shared scheduler core over this engine's cost model to
-    /// completion: [`Scheduler::tick`] in a loop with [`CostModel`] as its
-    /// executor, the one continuous-batching simulation under
-    /// [`ServingEngine::serve`]. With the default options this is the legacy
-    /// loop tick for tick; with sharing on, admitted requests skip the
-    /// aliased part of their prompt; with chunking on, prompts prefill in
-    /// `chunk_tokens`-sized slices interleaved with decode steps for the
-    /// already-full residents.
-    fn drive(
-        &self,
-        requests: Vec<Request>,
-        batch_limit: usize,
-        policy: Box<dyn SchedulingPolicy>,
-        budget: &mut dyn KvBudget,
-        opts: SchedOptions,
-    ) -> ServingReport {
-        let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
-        let mut exec = CostModel { engine: self, pairs: &mut Vec::new() };
-        while !sched.is_done() {
-            sched.tick(budget, &mut exec);
-        }
-        ServingReport::from_stats(sched.stats(), batch_limit, budget.peak_pages())
-    }
-
     /// The one entry point: serves `spec` under the batch-limit derivation,
     /// memory model and scheduler options `cfg` declares. It sizes the limit
-    /// and the budget, then runs [`Scheduler::tick`] in a loop — so
-    /// there is exactly one serving code path to keep spec-parametric.
+    /// and the page ledger, then runs them as a one-replica fleet of the
+    /// [`crate::cluster`] driver — so there is exactly one serving code path
+    /// to keep spec-parametric.
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when the config's sizing cannot
@@ -602,40 +584,50 @@ impl ServingEngine {
         policy: Box<dyn SchedulingPolicy>,
         cfg: ServeConfig,
     ) -> Result<ServingReport, EngineUnavailable> {
-        match cfg.memory {
+        let (limit, budget) = match cfg.memory {
             KvModel::BatchOnly => {
+                // The ledger below never binds, so nothing catches an
+                // over-optimistic limit: "not even the smallest request fits"
+                // must error rather than clamp to 1.
                 let limit = match cfg.batch {
                     BatchLimit::Fixed(n) => n,
-                    BatchLimit::WorstCase => {
-                        let b = self.plan.max_batch(spec.max_peak_len());
-                        if b == 0 {
-                            return Err(EngineUnavailable::OutOfMemory);
-                        }
-                        b
-                    }
-                    BatchLimit::Optimistic => {
-                        // With no page ledger there is nothing to catch an
-                        // over-optimistic limit, so "not even the smallest
-                        // request fits" must error rather than clamp to 1.
-                        let b = self.plan.max_batch(spec.min_peak_len());
-                        if b == 0 {
-                            return Err(EngineUnavailable::OutOfMemory);
-                        }
-                        b
-                    }
+                    BatchLimit::WorstCase => self.peak_sized_batch(spec.max_peak_len())?,
+                    BatchLimit::Optimistic => self.peak_sized_batch(spec.min_peak_len())?,
                 };
-                Ok(self.drive(spec.sample(), limit, policy, &mut UnboundedBudget, cfg.opts))
+                // Every resident reserves at most its own peak, so a pool of
+                // `limit` worst-case peaks fills only after the limit does.
+                let layers = self.model.layers;
+                let pages = (spec.max_peak_len().div_ceil(SIM_PAGE_TOKENS) * layers)
+                    .checked_mul(limit)
+                    .expect("the batch limit's page pool fits usize");
+                (limit, PageBudget::new(SIM_PAGE_TOKENS, layers, pages, Reservation::Peak))
             }
             KvModel::Paged(reservation) => {
-                let (mut budget, optimistic) =
+                let (budget, optimistic) =
                     self.paged_budget(spec, reservation, cfg.opts.preemption)?;
                 let limit = match cfg.batch {
                     BatchLimit::Fixed(n) => n,
                     BatchLimit::WorstCase => self.plan.max_batch(spec.max_peak_len()).max(1),
                     BatchLimit::Optimistic => optimistic,
                 };
-                Ok(self.drive(spec.sample(), limit, policy, &mut budget, cfg.opts))
+                (limit, budget)
             }
+        };
+        let sched = Scheduler::open(limit, policy, cfg.opts);
+        let (sched, budget) = crate::cluster::serve_one(self, spec, sched, budget);
+        let peak_unique_pages = match cfg.memory {
+            KvModel::BatchOnly => 0,
+            KvModel::Paged(_) => budget.peak_pages(),
+        };
+        Ok(ServingReport::from_stats(sched.stats(), limit, peak_unique_pages))
+    }
+
+    /// [`MemoryPlan::max_batch`] for requests peaking at `peak_len` tokens,
+    /// or [`EngineUnavailable::OutOfMemory`] when not even one fits.
+    fn peak_sized_batch(&self, peak_len: usize) -> Result<usize, EngineUnavailable> {
+        match self.plan.max_batch(peak_len) {
+            0 => Err(EngineUnavailable::OutOfMemory),
+            b => Ok(b),
         }
     }
 
@@ -650,9 +642,8 @@ impl ServingEngine {
 
     /// Sizes the page ledger — with its host tier attached under
     /// [`PreemptionMode::Swap`] — and the optimistic batch limit this engine
-    /// uses for paged serving of `spec`: the sizing behind
-    /// [`ServingEngine::serve`], shared with [`crate::cluster`] so every
-    /// replica mirrors the single-engine math.
+    /// uses for paged serving of `spec`: what every [`crate::cluster`]
+    /// replica runs against, [`ServingEngine::serve`]'s lone one included.
     ///
     /// # Errors
     /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
@@ -691,10 +682,7 @@ impl ServingEngine {
     /// [`EngineUnavailable::OutOfMemory`] when not even one sequence fits.
     pub fn max_throughput(&self, spec: &WorkloadSpec) -> Result<ServingReport, EngineUnavailable> {
         // Memory-derived batch limit: every request sized at its peak.
-        let batch = self.plan.max_batch(spec.max_peak_len());
-        if batch == 0 {
-            return Err(EngineUnavailable::OutOfMemory);
-        }
+        let batch = self.peak_sized_batch(spec.max_peak_len())?;
         // Serve enough requests for steady state (≥2 full waves).
         let spec = WorkloadSpec { num_requests: spec.num_requests.max(batch * 2), ..spec.clone() };
         self.serve(&spec, Box::new(Fcfs), ServeConfig::fixed_batch(batch))
@@ -1143,7 +1131,7 @@ mod tests {
             let mut reqs = WorkloadSpec::fixed(64, 48, 24)
                 .with_arrivals(ArrivalPattern::Uniform { rate_rps: 8.0 })
                 .sample();
-            reqs[4] = Request::new(crate::request::RequestId(4), 4096, 48, reqs[4].arrival_s);
+            reqs[4] = crate::request::Request::new(RequestId(4), 4096, 48, reqs[4].arrival_s);
             reqs
         };
         let worst_gap = |chunk_tokens: Option<usize>| -> f64 {
@@ -1167,9 +1155,11 @@ mod tests {
                 }
             }
             let mut exec = Watched(CostModel { engine: &e, pairs: &mut Vec::new() }, false);
+            // A ledger the 24 requests cannot fill: the batch limit gates.
+            let mut budget = PageBudget::new(SIM_PAGE_TOKENS, 1, 1 << 40, Reservation::OnDemand);
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);
             while !sched.is_done() {
-                sched.tick(&mut UnboundedBudget, &mut exec);
+                sched.tick(&mut budget, &mut exec);
                 if std::mem::take(&mut exec.1) {
                     if let Some(t) = last_decode {
                         worst = worst.max(sched.clock() - t);

@@ -93,6 +93,6 @@ pub use request::{
 };
 pub use scheduler::{
     Fcfs, FinishedRequest, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
-    Scheduler, SchedulingPolicy, ShortestJobFirst, UnboundedBudget,
+    Scheduler, SchedulingPolicy, ShortestJobFirst,
 };
 pub use sketch::{PercentileSketch, EXACT_STATS_MAX};

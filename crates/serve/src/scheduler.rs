@@ -43,10 +43,11 @@ use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 pub struct KvHandle(usize);
 
 /// Abstracts "is there KV memory for this?" so admission and growth can be
-/// gated by a real page pool, a simulated one, or nothing at all.
+/// gated by a page pool — the simulated ledger ([`PageBudget`]) or one a
+/// caller wraps around it.
 pub trait KvBudget {
     /// Tokens that could still be cached before the pool runs out
-    /// (page-granular approximation; `usize::MAX` when unbounded).
+    /// (page-granular approximation).
     fn free_tokens(&self) -> usize;
 
     /// Reserves what admitting a request needs: it starts at `start_tokens`
@@ -59,8 +60,7 @@ pub trait KvBudget {
     /// request's prompt belong to prefix-sharing group `group`: a budget
     /// that models page sharing charges those pages once per *group* (fully
     /// covered pages only — the partial boundary page is private, mirroring
-    /// the copy-on-write duplicate in [`crate::PagedKvCache`]). The default
-    /// ignores sharing and reserves the full footprint.
+    /// the copy-on-write duplicate in [`crate::PagedKvCache`]).
     fn admit_shared(
         &mut self,
         id: RequestId,
@@ -68,10 +68,7 @@ pub trait KvBudget {
         shared_tokens: usize,
         start_tokens: usize,
         peak_tokens: usize,
-    ) -> Option<KvHandle> {
-        let _ = (group, shared_tokens);
-        self.admit(id, start_tokens, peak_tokens)
-    }
+    ) -> Option<KvHandle>;
 
     /// Accounts one more cached token for the resident behind `handle`;
     /// `false` means the pool is exhausted (nothing was charged) and someone
@@ -87,9 +84,7 @@ pub trait KvBudget {
     /// Returns the device pages freed, or `None` when the budget has no
     /// host tier or the tier is full — the caller must fall back to
     /// recompute preemption.
-    fn swap_out(&mut self, _id: RequestId) -> Option<usize> {
-        None
-    }
+    fn swap_out(&mut self, id: RequestId) -> Option<usize>;
 
     /// Brings a swapped-out request's pages back on device. Returns its
     /// new ledger handle and the device pages re-acquired, or `None` when
@@ -97,34 +92,11 @@ pub trait KvBudget {
     /// loudly (panic, not `None`) when `id` was never swapped out or its
     /// holdings were released in the meantime — that is ledger corruption,
     /// not back-pressure.
-    fn swap_in(&mut self, _id: RequestId) -> Option<(KvHandle, usize)> {
-        None
-    }
+    fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)>;
 
-    /// High-water mark of unique pages in use (0 for budgets that do not
-    /// track pages) — the true-residency number `prefix_sweep` reports.
-    fn peak_pages(&self) -> usize {
-        0
-    }
-}
-
-/// No memory gating: admission is limited by the batch limit alone. This is
-/// the legacy engine behavior, where the batch limit is already derived from
-/// peak-sized KV budgeting ([`crate::memory::MemoryPlan::max_batch`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnboundedBudget;
-
-impl KvBudget for UnboundedBudget {
-    fn free_tokens(&self) -> usize {
-        usize::MAX
-    }
-    fn admit(&mut self, _id: RequestId, _start: usize, _peak: usize) -> Option<KvHandle> {
-        Some(KvHandle::default())
-    }
-    fn grow(&mut self, _handle: KvHandle) -> bool {
-        true
-    }
-    fn release(&mut self, _id: RequestId) {}
+    /// High-water mark of unique pages in use — the true-residency number
+    /// `prefix_sweep` reports.
+    fn peak_pages(&self) -> usize;
 }
 
 /// How a [`PageBudget`] reserves pages at admission time.
@@ -1319,11 +1291,11 @@ impl Scheduler {
     /// and prefill the wave, advance chunked prefills, idle when nothing
     /// runs, make room, price the host-link traffic, decode. `exec` runs or
     /// prices each step; the tick sequences and gates them and charges the
-    /// clock. Every serving path — [`crate::ServingEngine`]'s `serve`, each
-    /// [`crate::cluster`] replica, [`crate::ModelRuntime::serve_with`] — is
-    /// this in a loop, so a 1-replica cluster is bit-identical to the
-    /// single-engine run by construction. Statically dispatched: the hooks
-    /// inline into the replica hot path.
+    /// clock. It has two callers: a [`crate::cluster`] replica —
+    /// [`crate::ServingEngine::serve`] included, as a one-replica fleet —
+    /// and [`crate::ModelRuntime::serve_with`]'s loop over the functional
+    /// executor. Statically dispatched: the hooks inline into the replica
+    /// hot path.
     pub fn tick<E: TickExecutor>(&mut self, budget: &mut dyn KvBudget, exec: &mut E) {
         self.admit(budget);
         if !self.wave.ids.is_empty() {
@@ -1875,6 +1847,12 @@ mod tests {
         Scheduler::with_options(requests, batch_limit, policy, SchedOptions::default())
     }
 
+    /// A ledger no test workload comes near filling: admission is gated by
+    /// the batch limit alone.
+    fn roomy() -> PageBudget {
+        PageBudget::new(16, 1, 1 << 40, Reservation::OnDemand)
+    }
+
     fn drive(
         mut sched: Scheduler,
         budget: &mut dyn KvBudget,
@@ -1895,7 +1873,7 @@ mod tests {
     fn fcfs_completes_everything_in_order() {
         let reqs = WorkloadSpec::fixed(8, 4, 10).sample();
         let sched = legacy(reqs, 3, Box::new(Fcfs));
-        let stats = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
+        let stats = drive(sched, &mut roomy(), 0.1, 0.01);
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.generated_tokens, 40);
         assert!(stats.p50_latency_s <= stats.p95_latency_s);
@@ -1914,9 +1892,9 @@ mod tests {
             reqs.push(crate::request::Request::new(crate::request::RequestId(i), 8, 2, 0.0));
         }
         let sched = legacy(reqs.clone(), 1, Box::new(ShortestJobFirst));
-        let sjf = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
+        let sjf = drive(sched, &mut roomy(), 0.1, 0.01);
         let sched = legacy(reqs, 1, Box::new(Fcfs));
-        let fcfs = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
+        let fcfs = drive(sched, &mut roomy(), 0.1, 0.01);
         assert!(
             sjf.mean_latency_s < fcfs.mean_latency_s,
             "SJF mean {} should beat FCFS {}",
@@ -2070,7 +2048,7 @@ mod tests {
             SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() },
         );
         let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {} };
-        sched.tick(&mut UnboundedBudget, &mut exec);
+        sched.tick(&mut roomy(), &mut exec);
         assert_eq!(sched.wave.prefill_lens, vec![12, 12, 12, 12]);
         assert_eq!(
             sched.wave.shared_lens,
@@ -2079,7 +2057,7 @@ mod tests {
         );
         // Sharing off: no grants.
         let mut sched = legacy(reqs, 4, Box::new(Fcfs));
-        sched.tick(&mut UnboundedBudget, &mut exec);
+        sched.tick(&mut roomy(), &mut exec);
         assert_eq!(sched.wave.shared_lens, vec![0, 0, 0, 0]);
     }
 
@@ -2117,11 +2095,11 @@ mod tests {
                 0.01
             }
         }
-        let mut guard = 0;
+        let (mut budget, mut guard) = (roomy(), 0);
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 10_000);
-            sched.tick(&mut UnboundedBudget, &mut Chunked);
+            sched.tick(&mut budget, &mut Chunked);
         }
         let stats = sched.stats();
         assert_eq!(stats.completed, 3);
@@ -2157,7 +2135,7 @@ mod tests {
     fn single_request_stats_have_degenerate_percentiles() {
         let reqs = WorkloadSpec::fixed(8, 4, 1).sample();
         let sched = legacy(reqs, 2, Box::new(Fcfs));
-        let stats = drive(sched, &mut UnboundedBudget, 0.1, 0.01);
+        let stats = drive(sched, &mut roomy(), 0.1, 0.01);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.p50_latency_s, stats.max_latency_s);
         assert_eq!(stats.p95_latency_s, stats.max_latency_s);
@@ -2182,8 +2160,8 @@ mod tests {
         }
         assert!(!open.is_done());
         assert!(open.outstanding_tokens() > 0);
-        let a = drive(constructed, &mut UnboundedBudget, 0.1, 0.01);
-        let b = drive(open, &mut UnboundedBudget, 0.1, 0.01);
+        let a = drive(constructed, &mut roomy(), 0.1, 0.01);
+        let b = drive(open, &mut roomy(), 0.1, 0.01);
         assert_eq!(a, b);
     }
 
@@ -2194,7 +2172,7 @@ mod tests {
         assert_eq!(sched.outstanding_tokens(), 12);
         let mut owed_at_hooks = Vec::new();
         let probe = |s: &Scheduler| owed_at_hooks.push(s.outstanding_tokens());
-        sched.tick(&mut UnboundedBudget, &mut Flat { prefill: 0.1, decode: 0.01, probe });
+        sched.tick(&mut roomy(), &mut Flat { prefill: 0.1, decode: 0.01, probe });
         // Whole-prompt prefill materialized at admission: output remains.
         assert_eq!(owed_at_hooks, vec![4; 3], "after admission, make-room and before the decode");
         assert_eq!(sched.outstanding_tokens(), 3);
@@ -2229,7 +2207,7 @@ mod tests {
             .with_arrivals(crate::request::ArrivalPattern::Poisson { rate_rps: 8.0 })
             .sample();
         let sched = legacy(reqs, 4, Box::new(Fcfs));
-        let stats = drive(sched, &mut UnboundedBudget, 0.05, 0.01);
+        let stats = drive(sched, &mut roomy(), 0.05, 0.01);
         // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
         // must agree to within one bucket width (2.2%) from below.
         for (exact, sketch) in [
@@ -2348,7 +2326,7 @@ mod tests {
             .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 0.5 })
             .sample();
         let sched = legacy(reqs, 2, Box::new(Fcfs));
-        let stats = drive(sched, &mut UnboundedBudget, 0.0, 0.1);
+        let stats = drive(sched, &mut roomy(), 0.0, 0.1);
         assert_eq!(stats.completed, 3);
         // Last arrival at t=4s; the clock must have idled past it.
         assert!(stats.clock_s >= 4.0);

@@ -196,7 +196,10 @@ fn outcome(r: &ServingReport) -> Outcome {
     )
 }
 
-const ROWS: [(&str, fn() -> ServingReport); 12] = [
+/// A row's name and the serve it runs.
+type Row = (&'static str, fn() -> ServingReport);
+
+const ROWS: [Row; 12] = [
     ("max_throughput_table4", max_throughput_table4),
     ("fixed_batch_fig17", fixed_batch_fig17),
     ("worst_case_fcfs_poisson", worst_case_fcfs_poisson),

@@ -1,6 +1,7 @@
 //! Memory is proportional to what is resident, not to the trace: a cluster
-//! run holds its residents, its backlog and one small record per completion
-//! — never the workload, never a retired request.
+//! run — and a single engine's `serve`, which is a one-replica cluster run —
+//! holds its residents, its backlog and one small record per completion —
+//! never the workload, never a retired request.
 //!
 //! One `#[test]` in a binary of its own, because the counting allocator is
 //! process-global: the harness runs the lone test on one thread while the
@@ -16,7 +17,7 @@ use qserve_model::ModelConfig;
 use qserve_serve::cluster::{Cluster, LeastOutstanding};
 use qserve_serve::request::WorkloadSpec;
 use qserve_serve::scheduler::{MemoryAware, Reservation, SchedOptions};
-use qserve_serve::{ServingEngine, SystemConfig};
+use qserve_serve::{ServeConfig, ServingEngine, SystemConfig};
 
 /// Bytes the heap holds now, and the most it has held.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -61,38 +62,63 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static HEAP: Counting = Counting;
 
-/// Peak live heap, over what was live at entry, of serving `n` requests of
-/// the `mega_sweep` trace on four A100 replicas below their capacity
-/// (≈ 595 rps), so residents and backlog do not grow with `n`.
-fn peak_heap_of_serving(n: usize) -> usize {
-    let a100 = ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel)
-        .expect("A100 serves Llama-2-7B");
-    let mut cluster = Cluster::new(a100, 4, Box::new(LeastOutstanding)).with_threads(1);
-    let spec = WorkloadSpec::production(n, 400.0, 11);
+fn a100() -> ServingEngine {
+    ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel)
+        .expect("A100 serves Llama-2-7B")
+}
+
+/// Peak live heap, over what was live at entry, of `run`.
+fn peak_heap_of(run: impl FnOnce()) -> usize {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
-    let report = cluster
-        .serve_paged(
-            &spec,
-            || Box::new(MemoryAware::default()),
-            Reservation::OnDemand,
-            SchedOptions::default(),
-        )
-        .expect("the trace is servable");
-    assert_eq!((report.completed, report.shed), (n, 0));
+    run();
     PEAK.load(Relaxed) - base
+}
+
+/// Serving `n` requests of the `mega_sweep` trace on four A100 replicas
+/// below their capacity (≈ 595 rps), so residents and backlog do not grow
+/// with `n`.
+fn peak_heap_of_fleet(n: usize) -> usize {
+    let mut cluster = Cluster::new(a100(), 4, Box::new(LeastOutstanding)).with_threads(1);
+    let spec = WorkloadSpec::production(n, 400.0, 11);
+    peak_heap_of(|| {
+        let report = cluster
+            .serve_paged(
+                &spec,
+                || Box::new(MemoryAware::default()),
+                Reservation::OnDemand,
+                SchedOptions::default(),
+            )
+            .expect("the trace is servable");
+        assert_eq!((report.completed, report.shed), (n, 0));
+    })
+}
+
+/// The same trace at a quarter of the rate on one engine's `serve`.
+fn peak_heap_of_engine(n: usize) -> usize {
+    let engine = a100();
+    let spec = WorkloadSpec::production(n, 100.0, 11);
+    peak_heap_of(|| {
+        let report = engine
+            .serve(&spec, Box::new(MemoryAware::default()), ServeConfig::paged(Reservation::OnDemand))
+            .expect("the trace is servable");
+        assert_eq!(report.completed, n);
+    })
 }
 
 #[test]
 fn peak_heap_grows_by_a_finished_record_per_request_not_by_the_trace() {
     let (small, large) = (1 << 12, 1 << 14);
-    let (peak_small, peak_large) = (peak_heap_of_serving(small), peak_heap_of_serving(large));
-    let per_request = (peak_large as f64 - peak_small as f64) / (large - small) as f64;
-    println!("peak live heap: {peak_small} B at n = {small}, {peak_large} B at n = {large}: {per_request:.1} B per additional request");
-    assert!(
-        per_request <= 128.0,
-        "peak live heap grew by {per_request:.1} B per additional request ({peak_small} B at n = {small}, \
-         {peak_large} B at n = {large}); a finished request should leave a 48-byte record and its \
-         report columns, not itself"
-    );
+    let runs = [("cluster", peak_heap_of_fleet as fn(usize) -> usize), ("serve", peak_heap_of_engine)];
+    for (what, peak_heap_of_serving) in runs {
+        let (peak_small, peak_large) = (peak_heap_of_serving(small), peak_heap_of_serving(large));
+        let per_request = (peak_large as f64 - peak_small as f64) / (large - small) as f64;
+        println!("{what}: peak live heap {peak_small} B at n = {small}, {peak_large} B at n = {large}: {per_request:.1} B per additional request");
+        assert!(
+            per_request <= 128.0,
+            "{what}: peak live heap grew by {per_request:.1} B per additional request ({peak_small} B at \
+             n = {small}, {peak_large} B at n = {large}); a finished request should leave a 48-byte \
+             record and its report columns, not itself"
+        );
+    }
 }

@@ -10,8 +10,8 @@ use qserve::serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve::serve::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
-    SchedulingPolicy, ShortestJobFirst, TickExecutor, UnboundedBudget,
+    AdmittedWave, Fcfs, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
+    SchedulingPolicy, ShortestJobFirst, TickExecutor,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
 use qserve::tensor::{prop, props};
@@ -351,16 +351,14 @@ props! {
             1 => Box::new(ShortestJobFirst),
             _ => Box::new(MemoryAware { headroom: 0.25 }),
         };
-        // A pool tight enough to preempt sometimes but able to hold any
-        // single request (peak ≤ 30 tokens = 8 pages ≤ 12).
-        let mut paged;
-        let mut unbounded = UnboundedBudget;
-        let budget: &mut dyn KvBudget = if rng.int_in(0, 1) == 0 {
-            &mut unbounded
+        // A pool no request here comes near filling (the batch limit alone
+        // gates admission), or one tight enough to preempt sometimes but
+        // able to hold any single request (peak ≤ 30 tokens = 8 pages ≤ 12).
+        let mut budget = if rng.int_in(0, 1) == 0 {
+            PageBudget::new(4, 1, 1 << 40, Reservation::OnDemand)
         } else {
             let mode = if rng.int_in(0, 1) == 0 { Reservation::Peak } else { Reservation::OnDemand };
-            paged = PageBudget::new(4, 1, 12, mode);
-            &mut paged
+            PageBudget::new(4, 1, 12, mode)
         };
         let opts = SchedOptions {
             share_prefixes: rng.int_in(0, 1) == 1,
@@ -393,7 +391,7 @@ props! {
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000, "scheduler failed to converge");
-            sched.tick(budget, &mut Flat);
+            sched.tick(&mut budget, &mut Flat);
         }
         let finished = sched.finished();
         assert_eq!(finished.len(), n, "every request finishes");
