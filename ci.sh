@@ -30,7 +30,8 @@ QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 # drifted). Sweep cells call `ServingEngine::serve` from pool workers, and
 # `serve` is a one-replica driver run on a one-thread pool of its own: its
 # reports must not depend on the pool width either, so `frozen_serve` runs
-# at four threads below, beside the frozen tick.
+# at four threads below, beside the frozen tick — and `frozen_report`,
+# whose fleets advance their replicas on the global pool, beside it.
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --test golden_snapshots
 
 # The functional data plane has a parallel arm too: the W4A8 GEMMs fork
@@ -42,7 +43,7 @@ QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --te
 # `Scheduler::tick`, so the frozen tick and the functional-vs-counts
 # lockstep differential run on this arm too.
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-kernels
-QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func --test frozen_tick --test frozen_serve
+QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --test frozen_func --test frozen_tick --test frozen_serve --test frozen_report
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-serve --lib functional_serve_ticks_in_lockstep
 QSERVE_THREADS=4 cargo test -q --offline --locked --release --test deployed_is_what_is_evaluated
 

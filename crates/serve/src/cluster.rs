@@ -36,10 +36,10 @@
 //!   into a [`ClusterReport`].
 //!
 //! [`ServingEngine::serve`] is the same driver over one replica ([`serve_one`]),
-//! so a 1-replica cluster's numbers are the single-engine report by
-//! construction; a static fleet under the extracted control plane replays
-//! the inline PR-8 driver decision for decision — the invariants that pin
-//! this layer to the golden-snapshot CSVs.
+//! and its report comes from the same fold, so a 1-replica cluster's numbers
+//! are the single-engine report by construction; a static fleet under the
+//! extracted control plane replays the original inline driver decision for
+//! decision — the invariants that pin this layer to the golden-snapshot CSVs.
 
 use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};

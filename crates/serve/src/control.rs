@@ -234,14 +234,7 @@ impl RoutingPolicy for PrefixAffinity {
 /// deadline is fine: `total_cmp` orders it last).
 fn deadline_pressure(req: &Request, v: &ReplicaView) -> f64 {
     let (ttft, latency) = v.estimate(req);
-    let mut worst = 0.0f64;
-    if let Some(d) = req.slo.ttft_deadline_s {
-        worst = worst.max(ttft / d);
-    }
-    if let Some(d) = req.slo.latency_deadline_s {
-        worst = worst.max(latency / d);
-    }
-    worst
+    req.slo.worst_ratio(ttft, latency)
 }
 
 /// Deadline-aware routing: the per-replica `(TTFT, latency)` estimate that

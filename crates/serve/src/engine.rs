@@ -9,12 +9,13 @@
 //! The engine itself owns only the *cost model* — what a prefill wave or a
 //! decode step costs on this (GPU, model, system) triple, charged
 //! per-sequence at each sequence's true KV length. The request lifecycle
-//! (admission order, memory gating, preemption, latency accounting) lives in
+//! (admission order, memory gating, preemption, per-request timing) lives in
 //! the shared [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the
 //! order of a step; the engine is its pricing [`TickExecutor`]
 //! ([`CostModel`]). [`ServingEngine::serve`] runs it as a one-replica fleet
 //! of the [`crate::cluster`] driver, so the single engine and every cluster
-//! replica are one loop over one page ledger. Every protocol — the
+//! replica are one loop over one page ledger, and [`crate::report`] folds
+//! both kinds of run into their reports the same way. Every protocol — the
 //! fixed-batch Figure 17 runs, worst-case-sized heterogeneous serving, paged
 //! on-demand admission — is a declarative [`ServeConfig`] over that one
 //! entry point, so making the engine spec-parametric (heterogeneous fleets)
@@ -25,7 +26,7 @@ use crate::memory::MemoryPlan;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
     AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulerStats, SchedulingPolicy, TickExecutor,
+    Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency_chunked,
@@ -47,7 +48,7 @@ const SIM_PAGE_TOKENS: usize = 16;
 /// capacity, decides preemption outcomes.
 const HOST_TIER_FACTOR: usize = 4;
 
-/// Result of one serving simulation.
+/// Result of one serving simulation, folded by [`crate::report`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingReport {
     /// Output tokens per second — the headline number of Table 4.
@@ -88,30 +89,6 @@ pub struct ServingReport {
     pub sketch_p50_latency_s: f64,
     /// 99th-percentile latency from the streaming percentile sketch.
     pub sketch_p99_latency_s: f64,
-}
-
-impl ServingReport {
-    /// Builds the report from the scheduler's timing statistics.
-    fn from_stats(stats: SchedulerStats, max_batch: usize, peak_unique_pages: usize) -> Self {
-        Self {
-            throughput_tps: stats.generated_tokens as f64 / stats.clock_s,
-            total_time_s: stats.clock_s,
-            prefill_time_s: stats.prefill_time_s,
-            decode_time_s: stats.decode_time_s,
-            max_batch,
-            completed: stats.completed,
-            mean_request_latency_s: stats.mean_latency_s,
-            max_request_latency_s: stats.max_latency_s,
-            mean_ttft_s: stats.mean_ttft_s,
-            p50_latency_s: stats.p50_latency_s,
-            p95_latency_s: stats.p95_latency_s,
-            p99_latency_s: stats.p99_latency_s,
-            preemptions: stats.preemptions,
-            peak_unique_pages,
-            sketch_p50_latency_s: stats.sketch_p50_latency_s,
-            sketch_p99_latency_s: stats.sketch_p99_latency_s,
-        }
-    }
 }
 
 /// The analytic [`TickExecutor`]: nothing runs, every step of
@@ -619,7 +596,7 @@ impl ServingEngine {
             KvModel::BatchOnly => 0,
             KvModel::Paged(_) => budget.peak_pages(),
         };
-        Ok(ServingReport::from_stats(sched.stats(), limit, peak_unique_pages))
+        Ok(ServingReport::fold(&sched, limit, peak_unique_pages))
     }
 
     /// [`MemoryPlan::max_batch`] for requests peaking at `peak_len` tokens,
@@ -919,7 +896,7 @@ mod tests {
             }
             sched.tick(&mut budget, &mut exec);
         }
-        assert!(sched.stats().preemptions > 0 && compared > 100, "the run must churn");
+        assert!(sched.preemptions() > 0 && compared > 100, "the run must churn");
     }
 
     #[test]
@@ -1170,7 +1147,7 @@ mod tests {
                     last_decode = None; // idled
                 }
             }
-            assert_eq!(sched.stats().completed, 24);
+            assert_eq!(sched.finished().len(), 24);
             worst
         };
         let whole = worst_gap(None);

@@ -16,11 +16,11 @@
 //! * [`scheduler`] — the request-lifecycle scheduler core: pluggable
 //!   [`SchedulingPolicy`] admission (FCFS, shortest-job-first,
 //!   memory-aware), KV page budgets with optional recompute preemption, and
-//!   latency/TTFT statistics. Shared by the analytic engine and the real
-//!   execution path — the single continuous-batching implementation. The
-//!   page ledger ([`PageBudget`]) also holds the modeled host-memory KV
-//!   tier behind swap-style preemption, where victims spill private pages
-//!   at PCIe cost instead of recomputing.
+//!   one [`FinishedRequest`] record per completion. Shared by the analytic
+//!   engine and the real execution path — the single continuous-batching
+//!   implementation. The page ledger ([`PageBudget`]) also holds the
+//!   modeled host-memory KV tier behind swap-style preemption, where
+//!   victims spill private pages at PCIe cost instead of recomputing.
 //! * [`engine`] — a continuous-batching serving engine running against the
 //!   `qserve-gpusim` cost model: the scheduler core driven by per-sequence
 //!   prefill/decode costs (each sequence charged at its true KV length),
@@ -34,8 +34,10 @@
 //!   least-outstanding, prefix-affinity, deadline-aware) behind a
 //!   [`ControlPlane`] that also decides cross-replica prefix migration,
 //!   plus the [`AutoscalePolicy`] elastic-fleet layer.
-//! * [`report`] — end-of-run aggregation: per-replica slices folded into a
-//!   [`ClusterReport`] (throughput/goodput, SLO attainment, latency
+//! * [`report`] — end-of-run reporting: one fold over finished records
+//!   (exact percentiles below [`EXACT_STATS_MAX`] completions, sketches
+//!   above) builds both the single engine's [`ServingReport`] and the
+//!   fleet's [`ClusterReport`] (throughput/goodput, SLO attainment, latency
 //!   percentiles, migration and fleet-cost accounting).
 //! * [`event`] — the deterministic priority event queue behind the
 //!   event-driven core: `(time.to_bits(), lane, seq)` total ordering over

@@ -1,26 +1,29 @@
-//! Cluster report assembly: turning per-replica scheduler state into the
-//! [`ClusterReport`] every sweep and golden CSV reads.
+//! Report assembly: the one module that turns finished records into
+//! numbers. The single engine's [`ServingReport`] and the fleet's
+//! [`ClusterReport`] — what every sweep and golden CSV reads — are both
+//! built here, from one fold.
 //!
 //! Split out of [`crate::cluster`] so the event-loop driver owns *when*
 //! things happen and this module owns *what the run meant*: percentile
 //! assembly (exact below [`EXACT_STATS_MAX`] completions, streaming
-//! sketches above), goodput/SLO attainment, shed accounting, swap and
-//! migration byte totals, and the fleet-cost integral (GPU-seconds of
-//! provisioned replica time). Aggregation is a pure fold over immutable
-//! replica slices — it never mutates a scheduler — so moving it cannot
-//! change a single bit of any report.
+//! sketches above — decided once, in `Fold::of`), goodput/SLO
+//! attainment, shed accounting, swap and migration byte totals, and the
+//! fleet-cost integral (GPU-seconds of provisioned replica time).
+//! Reporting is a pure fold over immutable scheduler state — it never
+//! mutates a scheduler — so moving it cannot change a single bit of any
+//! report.
 //!
-//! No per-request float is computed here. Each replica's scheduler built a
-//! [`crate::scheduler::FinishedRequest`] per completion — latency, TTFT, the
-//! achieved ÷ deadline ratio, the SLO verdict — and this module sums them
-//! (TTFT, tokens, goodput) and sorts them (latencies, ratios) in
-//! replica-then-completion order, the one order in which no sum is
+//! No per-request float is computed here. Each scheduler built a
+//! [`FinishedRequest`] per completion — latency, TTFT, the achieved ÷
+//! deadline ratio, the SLO verdict — and this module sums them (TTFT,
+//! tokens, goodput) and sorts them (latencies, ratios) in
+//! scheduler-then-completion order, the one order in which no sum is
 //! re-associated. Shed requests arrive as `(id, tier)`, all a report says
 //! of them.
 
 use crate::engine::ServingReport;
 use crate::request::{RequestId, Tier};
-use crate::scheduler::{percentile, Scheduler};
+use crate::scheduler::{FinishedRequest, Scheduler};
 use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
 
 /// Per-replica slice of a [`ClusterReport`].
@@ -166,7 +169,11 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// The 1-replica degenerate case as a single-engine [`ServingReport`]
-    /// comparison: every shared field must match bit for bit.
+    /// comparison: every shared field must match bit for bit. Both reports
+    /// come from this module's one fold over finished records, so for
+    /// [`crate::ServingEngine::serve`] — itself a one-replica driver run —
+    /// it holds by construction whenever the two runs size the replica
+    /// alike.
     ///
     /// # Panics
     /// Panics unless the cluster has exactly one replica.
@@ -220,6 +227,167 @@ pub(crate) struct MigrationTotals {
     pub bytes: u64,
 }
 
+/// Nearest-rank percentile of an ascending-sorted slice (`q` in `(0, 1]`):
+/// the smallest element with at least a `q` fraction of the sample at or
+/// below it. Well-defined for every sample size — a single-element slice
+/// returns that element for every `q` (so p50/p95/p99 of a one-request run
+/// all equal its latency), and `q = 1` returns the maximum; no index
+/// arithmetic at the array edge.
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "percentile of empty sample");
+    assert!(q > 0.0 && q <= 1.0, "q must be in (0, 1]");
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    // `q > 0` makes rank ≥ 1 and `q ≤ 1` makes rank ≤ len, but float
+    // rounding could break either bound; saturate instead of trusting it.
+    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
+    sorted[idx]
+}
+
+/// The `q` quantile of a sample held either exactly (`sorted`, when
+/// `exact`) or as a `sketch` — 0 for an empty sample.
+fn quantile(exact: bool, sorted: &[f64], sketch: &PercentileSketch, q: f64) -> f64 {
+    match exact {
+        true if !sorted.is_empty() => percentile(sorted, q),
+        false if !sketch.is_empty() => sketch.quantile(q),
+        _ => 0.0,
+    }
+}
+
+/// `tokens` per second over `seconds` (0 over a run that never started).
+fn rate(tokens: usize, seconds: f64) -> f64 {
+    if seconds > 0.0 { tokens as f64 / seconds } else { 0.0 }
+}
+
+/// What a set of schedulers' finished records and latency sketches say —
+/// the one fold both reports read. Every statistic of an empty set is 0.
+struct Fold {
+    completed: usize,
+    generated: usize,
+    /// Output tokens of the requests that met their SLO.
+    good_tokens: usize,
+    /// Requests that met their SLO.
+    met: usize,
+    mean_ttft_s: f64,
+    mean_latency_s: f64,
+    max_latency_s: f64,
+    p50_latency_s: f64,
+    p95_latency_s: f64,
+    p99_latency_s: f64,
+    /// The merged sketch's view, on both paths, so the two can be compared
+    /// on any run.
+    sketch_p50_latency_s: f64,
+    sketch_p99_latency_s: f64,
+    slo_ratio_p50: f64,
+    slo_ratio_p99: f64,
+    last_requeued_finish_s: f64,
+}
+
+impl Fold {
+    /// Folds `scheds` in order. At or below [`EXACT_STATS_MAX`] completions
+    /// in total the latency and SLO-ratio statistics come from exact sorted
+    /// buffers (byte-stable with every golden CSV); above it from the
+    /// streaming sketches, merged in scheduler order, and the O(n log n)
+    /// sorts never run.
+    fn of<'s>(scheds: impl Iterator<Item = &'s Scheduler> + Clone) -> Self {
+        let completed: usize = scheds.clone().map(|s| s.finished().len()).sum();
+        let exact = completed <= EXACT_STATS_MAX;
+        let mut lat_sketch = PercentileSketch::new();
+        let mut slo_sketch = PercentileSketch::new();
+        let mut latencies: Vec<f64> = Vec::new();
+        let mut slo_ratios: Vec<f64> = Vec::new();
+        let (mut generated, mut good_tokens, mut met) = (0usize, 0usize, 0usize);
+        let mut ttft_sum = 0.0;
+        let mut last_requeued_finish_s = 0.0f64;
+        for sched in scheds {
+            debug_assert_eq!(
+                sched.latency_sketch().len() as usize,
+                sched.finished().len(),
+                "latency sketch missed a retirement"
+            );
+            // Scheduler-index merge order: deterministic by construction.
+            // One pass over each finished list — everything below reads
+            // borrowed state; no per-scheduler vector is copied.
+            lat_sketch.merge(sched.latency_sketch());
+            for r in sched.finished() {
+                generated += r.generated();
+                if exact {
+                    latencies.push(r.latency_s());
+                }
+                ttft_sum += r.ttft_s();
+                if r.met_slo {
+                    met += 1;
+                    good_tokens += r.generated();
+                }
+                if let Some(ratio) = r.slo_ratio() {
+                    if exact {
+                        slo_ratios.push(ratio);
+                    } else {
+                        slo_sketch.insert(ratio);
+                    }
+                }
+                if r.requeued {
+                    last_requeued_finish_s = last_requeued_finish_s.max(r.finish_s);
+                }
+            }
+        }
+        latencies.sort_by(f64::total_cmp);
+        slo_ratios.sort_by(f64::total_cmp);
+        // The mean sums the *sorted* latencies and the max is the last one.
+        let (mean_latency_s, max_latency_s) = match (exact, latencies.last()) {
+            (true, None) => (0.0, 0.0),
+            (true, Some(&max)) => (latencies.iter().sum::<f64>() / completed as f64, max),
+            (false, _) => (lat_sketch.mean(), lat_sketch.max()),
+        };
+        let latency = |q| quantile(exact, &latencies, &lat_sketch, q);
+        let slo_ratio = |q| quantile(exact, &slo_ratios, &slo_sketch, q);
+        Self {
+            completed,
+            generated,
+            good_tokens,
+            met,
+            mean_ttft_s: if completed > 0 { ttft_sum / completed as f64 } else { 0.0 },
+            mean_latency_s,
+            max_latency_s,
+            p50_latency_s: latency(0.50),
+            p95_latency_s: latency(0.95),
+            p99_latency_s: latency(0.99),
+            sketch_p50_latency_s: quantile(false, &[], &lat_sketch, 0.50),
+            sketch_p99_latency_s: quantile(false, &[], &lat_sketch, 0.99),
+            slo_ratio_p50: slo_ratio(0.50),
+            slo_ratio_p99: slo_ratio(0.99),
+            last_requeued_finish_s,
+        }
+    }
+}
+
+impl ServingReport {
+    /// The single engine's report: the fold over its one scheduler, with
+    /// the scheduler's clock, phase times and preemptions, and the sizing
+    /// [`crate::ServingEngine::serve`] ran it under — the batch limit and
+    /// the page high-water mark it reports.
+    pub(crate) fn fold(sched: &Scheduler, max_batch: usize, peak_unique_pages: usize) -> Self {
+        let f = Fold::of(std::iter::once(sched));
+        Self {
+            throughput_tps: rate(f.generated, sched.clock()),
+            total_time_s: sched.clock(),
+            prefill_time_s: sched.prefill_time_s(),
+            decode_time_s: sched.decode_time_s(),
+            max_batch,
+            completed: f.completed,
+            mean_request_latency_s: f.mean_latency_s,
+            max_request_latency_s: f.max_latency_s,
+            mean_ttft_s: f.mean_ttft_s,
+            p50_latency_s: f.p50_latency_s,
+            p95_latency_s: f.p95_latency_s,
+            p99_latency_s: f.p99_latency_s,
+            preemptions: sched.preemptions(),
+            peak_unique_pages,
+            sketch_p50_latency_s: f.sketch_p50_latency_s,
+            sketch_p99_latency_s: f.sketch_p99_latency_s,
+        }
+    }
+}
+
 /// Folds per-replica end-of-run state into one [`ClusterReport`].
 pub(crate) fn aggregate(
     routing: &str,
@@ -230,58 +398,16 @@ pub(crate) fn aggregate(
     lost_prefill_tokens: usize,
     migration: MigrationTotals,
 ) -> ClusterReport {
-    // Below the sample threshold the exact sorted-buffer path is
-    // authoritative (golden CSVs live here); above it percentiles come
-    // from the streaming sketches and the O(n log n) sorts never run.
-    let total_finished: usize = reps.iter().map(|rep| rep.sched.finished().len()).sum();
-    let exact = total_finished <= EXACT_STATS_MAX;
-    let mut lat_sketch = PercentileSketch::new();
-    let mut slo_sketch = PercentileSketch::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut slo_ratios: Vec<f64> = Vec::new();
-    let mut ttft_sum = 0.0;
-    let mut generated = 0usize;
-    let mut good_tokens = 0usize;
-    let mut met = 0usize;
-    let mut completed = 0usize;
+    let f = Fold::of(reps.iter().map(|rep| rep.sched));
     let mut preemptions = 0usize;
     let mut swap_outs = 0usize;
     let mut swap_out_pages = 0usize;
     let mut swap_in_pages = 0usize;
     let mut swap_bytes = 0u64;
-    let mut last_requeued_finish = 0.0f64;
     let mut makespan = 0.0f64;
     let mut per_replica = Vec::with_capacity(reps.len());
     for rep in reps {
-        // Replica-index merge order: deterministic by construction. One
-        // pass over each replica's finished list — everything below reads
-        // borrowed state; no per-replica vector is copied.
-        lat_sketch.merge(rep.sched.latency_sketch());
         let finished = rep.sched.finished();
-        let mut rep_generated = 0usize;
-        for r in finished {
-            rep_generated += r.generated();
-            if exact {
-                latencies.push(r.latency_s());
-            }
-            ttft_sum += r.ttft_s();
-            if r.met_slo {
-                met += 1;
-                good_tokens += r.generated();
-            }
-            if let Some(ratio) = r.slo_ratio() {
-                if exact {
-                    slo_ratios.push(ratio);
-                } else {
-                    slo_sketch.insert(ratio);
-                }
-            }
-            if r.requeued {
-                last_requeued_finish = last_requeued_finish.max(r.finish_s);
-            }
-        }
-        generated += rep_generated;
-        completed += finished.len();
         preemptions += rep.sched.preemptions();
         swap_outs += rep.sched.swap_outs();
         swap_out_pages += rep.sched.swap_out_pages();
@@ -296,7 +422,7 @@ pub(crate) fn aggregate(
             gpu: rep.gpu,
             routed: rep.routed,
             completed: finished.len(),
-            generated_tokens: rep_generated,
+            generated_tokens: finished.iter().map(FinishedRequest::generated).sum(),
             clock_s: rep.sched.clock(),
             busy_s: rep.sched.busy_time_s(),
             utilization: 0.0, // filled in once the makespan is known
@@ -325,57 +451,26 @@ pub(crate) fn aggregate(
     for (_, tier) in shed {
         shed_by_tier[tier.index()] += 1;
     }
-    latencies.sort_by(f64::total_cmp);
-    slo_ratios.sort_by(f64::total_cmp);
-    let (slo_ratio_p50, slo_ratio_p99) = if exact {
-        if slo_ratios.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (percentile(&slo_ratios, 0.50), percentile(&slo_ratios, 0.99))
-        }
-    } else if slo_sketch.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (slo_sketch.quantile(0.50), slo_sketch.quantile(0.99))
-    };
-    let (p50_latency_s, p99_latency_s) = if exact {
-        if latencies.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (percentile(&latencies, 0.50), percentile(&latencies, 0.99))
-        }
-    } else {
-        (lat_sketch.quantile(0.50), lat_sketch.quantile(0.99))
-    };
-    let rate = |tokens: usize| if makespan > 0.0 { tokens as f64 / makespan } else { 0.0 };
     ClusterReport {
         routing: routing.to_string(),
         admission: admission.to_string(),
         replicas: reps.len(),
-        completed,
-        generated_tokens: generated,
+        completed: f.completed,
+        generated_tokens: f.generated,
         makespan_s: makespan,
-        throughput_tps: rate(generated),
-        goodput_tps: rate(good_tokens),
-        slo_attainment: if completed > 0 { met as f64 / completed as f64 } else { 0.0 },
-        slo_ratio_p50,
-        slo_ratio_p99,
+        throughput_tps: rate(f.generated, makespan),
+        goodput_tps: rate(f.good_tokens, makespan),
+        slo_attainment: if f.completed > 0 { f.met as f64 / f.completed as f64 } else { 0.0 },
+        slo_ratio_p50: f.slo_ratio_p50,
+        slo_ratio_p99: f.slo_ratio_p99,
         shed: shed.len(),
         shed_by_tier,
         shed_ids: shed.iter().map(|&(id, _)| id).collect(),
-        mean_ttft_s: if completed > 0 { ttft_sum / completed as f64 } else { 0.0 },
-        p50_latency_s,
-        p99_latency_s,
-        sketch_p50_latency_s: if lat_sketch.is_empty() {
-            0.0
-        } else {
-            lat_sketch.quantile(0.50)
-        },
-        sketch_p99_latency_s: if lat_sketch.is_empty() {
-            0.0
-        } else {
-            lat_sketch.quantile(0.99)
-        },
+        mean_ttft_s: f.mean_ttft_s,
+        p50_latency_s: f.p50_latency_s,
+        p99_latency_s: f.p99_latency_s,
+        sketch_p50_latency_s: f.sketch_p50_latency_s,
+        sketch_p99_latency_s: f.sketch_p99_latency_s,
         preemptions,
         requeued,
         lost_prefill_tokens,
@@ -387,12 +482,177 @@ pub(crate) fn aggregate(
         migrated_pages: migration.pages,
         migrated_bytes: migration.bytes,
         gpu_seconds,
-        last_requeued_finish_s: last_requeued_finish,
+        last_requeued_finish_s: f.last_requeued_finish_s,
         max_replica_peak_pages: per_replica
             .iter()
             .map(|r| r.peak_unique_pages)
             .max()
             .unwrap_or(0),
         per_replica,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, RoundRobin};
+    use crate::engine::ServeConfig;
+    use crate::request::{ArrivalPattern, Request, WorkloadSpec};
+    use crate::scheduler::{AdmittedWave, Fcfs, PageBudget, Reservation, SchedOptions, TickExecutor};
+    use crate::{ServingEngine, SystemConfig};
+    use qserve_gpusim::GpuSpec;
+    use qserve_model::ModelConfig;
+
+    /// Flat prices: `prefill` per admitted request, `decode` per step.
+    struct Flat {
+        prefill: f64,
+        decode: f64,
+    }
+
+    impl TickExecutor for Flat {
+        fn prefill_wave(&mut self, _: &Scheduler, wave: &AdmittedWave) -> f64 {
+            self.prefill * wave.ids.len() as f64
+        }
+        fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
+            unreachable!("whole-prompt prefill")
+        }
+        fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
+            unreachable!("the pool never runs dry")
+        }
+        fn decode(&mut self, _: &Scheduler) -> f64 {
+            self.decode
+        }
+    }
+
+    /// `requests` served FCFS at batch limit `limit` on a ledger no test
+    /// workload comes near filling, at flat prices.
+    fn served(requests: Vec<Request>, limit: usize, prefill: f64, decode: f64) -> Scheduler {
+        let mut sched =
+            Scheduler::with_options(requests, limit, Box::new(Fcfs), SchedOptions::default());
+        let mut budget = PageBudget::new(16, 1, 1 << 40, Reservation::OnDemand);
+        let mut exec = Flat { prefill, decode };
+        while !sched.is_done() {
+            sched.tick(&mut budget, &mut exec);
+        }
+        sched
+    }
+
+    fn fold(sched: &Scheduler) -> Fold {
+        Fold::of(std::iter::once(sched))
+    }
+
+    #[test]
+    fn fcfs_completes_everything_in_order() {
+        let sched = served(WorkloadSpec::fixed(8, 4, 10).sample(), 3, 0.1, 0.01);
+        let f = fold(&sched);
+        assert_eq!(f.completed, 10);
+        assert_eq!(f.generated, 40);
+        assert!(f.p50_latency_s <= f.p95_latency_s);
+        assert!(f.p95_latency_s <= f.p99_latency_s);
+        assert!(f.p99_latency_s <= f.max_latency_s);
+        assert!(f.mean_ttft_s > 0.0 && f.mean_ttft_s <= f.mean_latency_s);
+        assert_eq!(sched.preemptions(), 0);
+    }
+
+    #[test]
+    fn percentile_nearest_rank() {
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.50), 50.0);
+        assert_eq!(percentile(&xs, 0.95), 95.0);
+        assert_eq!(percentile(&xs, 0.99), 99.0);
+        assert_eq!(percentile(&xs, 1.0), 100.0);
+        assert_eq!(percentile(&[7.0], 0.5), 7.0);
+    }
+
+    #[test]
+    fn percentile_single_sample_well_defined_for_all_q() {
+        // The single-request edge case: every percentile of a one-element
+        // sample is that element — p50 == p95 == p99 == max, no index
+        // arithmetic at the array edge.
+        for q in [0.001, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(percentile(&[3.25], q), 3.25, "q = {}", q);
+        }
+        // Two samples: the nearest-rank split lands between them.
+        assert_eq!(percentile(&[1.0, 2.0], 0.5), 1.0);
+        assert_eq!(percentile(&[1.0, 2.0], 0.51), 2.0);
+        assert_eq!(percentile(&[1.0, 2.0], 0.99), 2.0);
+    }
+
+    #[test]
+    fn single_request_stats_have_degenerate_percentiles() {
+        let f = fold(&served(WorkloadSpec::fixed(8, 4, 1).sample(), 2, 0.1, 0.01));
+        assert_eq!(f.completed, 1);
+        assert_eq!(f.p50_latency_s, f.max_latency_s);
+        assert_eq!(f.p95_latency_s, f.max_latency_s);
+        assert_eq!(f.p99_latency_s, f.max_latency_s);
+        assert_eq!(f.mean_latency_s, f.max_latency_s);
+    }
+
+    #[test]
+    fn stats_sketch_fields_track_exact_percentiles() {
+        let reqs = WorkloadSpec::mixed(64, 9)
+            .with_arrivals(ArrivalPattern::Poisson { rate_rps: 8.0 })
+            .sample();
+        let f = fold(&served(reqs, 4, 0.05, 0.01));
+        // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
+        // must agree to within one bucket width (2.2%) from below.
+        for (exact, sketch) in [
+            (f.p50_latency_s, f.sketch_p50_latency_s),
+            (f.p99_latency_s, f.sketch_p99_latency_s),
+        ] {
+            assert!(
+                sketch <= exact && exact <= sketch * (1.0 + 1.0 / 32.0),
+                "sketch {sketch} vs exact {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_workload_reports_all_zero_through_both_entry_points() {
+        let engine =
+            ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel)
+                .expect("A100 serves Llama-2-7B");
+        let spec = WorkloadSpec::chat(0, 1);
+        let r = engine.serve(&spec, Box::new(Fcfs), ServeConfig::worst_case()).expect("serves");
+        assert!(r.max_batch > 0, "the sizing still ran");
+        let zero = ServingReport {
+            throughput_tps: 0.0,
+            total_time_s: 0.0,
+            prefill_time_s: 0.0,
+            decode_time_s: 0.0,
+            max_batch: r.max_batch,
+            completed: 0,
+            mean_request_latency_s: 0.0,
+            max_request_latency_s: 0.0,
+            mean_ttft_s: 0.0,
+            p50_latency_s: 0.0,
+            p95_latency_s: 0.0,
+            p99_latency_s: 0.0,
+            preemptions: 0,
+            peak_unique_pages: 0,
+            sketch_p50_latency_s: 0.0,
+            sketch_p99_latency_s: 0.0,
+        };
+        assert_eq!(r, zero);
+        let c = Cluster::new(engine, 2, Box::new(RoundRobin::default()))
+            .serve_paged(&spec, || Box::new(Fcfs), Reservation::OnDemand, SchedOptions::default())
+            .expect("serves");
+        assert_eq!((c.completed, c.generated_tokens, c.shed, c.preemptions), (0, 0, 0, 0));
+        for x in [
+            c.makespan_s,
+            c.throughput_tps,
+            c.goodput_tps,
+            c.slo_attainment,
+            c.slo_ratio_p50,
+            c.slo_ratio_p99,
+            c.mean_ttft_s,
+            c.p50_latency_s,
+            c.p99_latency_s,
+            c.gpu_seconds,
+            c.sketch_p50_latency_s,
+            c.sketch_p99_latency_s,
+        ] {
+            assert_eq!(x, 0.0);
+        }
     }
 }

@@ -109,6 +109,22 @@ impl Slo {
         self.ttft_deadline_s.is_none_or(|d| ttft_s <= d)
             && self.latency_deadline_s.is_none_or(|d| latency_s <= d)
     }
+
+    /// Worst `achieved ÷ deadline` ratio of `(ttft_s, latency_s)` over the
+    /// deadlines this SLO carries (≤ 1 ⇔ met; 0 with none) — the one
+    /// spelling shared by retirement
+    /// ([`crate::scheduler::FinishedRequest::slo_ratio`]) and deadline-aware
+    /// routing's estimate of a replica ([`crate::cluster::DeadlineAware`]).
+    pub(crate) fn worst_ratio(&self, ttft_s: f64, latency_s: f64) -> f64 {
+        let mut worst = 0.0f64;
+        if let Some(d) = self.ttft_deadline_s {
+            worst = worst.max(ttft_s / d);
+        }
+        if let Some(d) = self.latency_deadline_s {
+            worst = worst.max(latency_s / d);
+        }
+        worst
+    }
 }
 
 /// Where a request is in its life. There is no finished state: at its last

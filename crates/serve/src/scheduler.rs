@@ -4,10 +4,10 @@
 //! The core owns the queue → running → finished lifecycle of
 //! [`Request`]s — admission order (delegated to a pluggable
 //! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`]),
-//! recompute- and swap-style preemption, clock/phase accounting, latency
-//! statistics — and the *order* of a tick: [`Scheduler::tick`] is the only
-//! place the steps are sequenced and gated, and the steps themselves are
-//! private. It deliberately does *not* know what a step costs or what
+//! recompute- and swap-style preemption, clock/phase accounting — and the
+//! *order* of a tick: [`Scheduler::tick`] is the only place the steps are
+//! sequenced and gated, and the steps themselves are private. It
+//! deliberately does *not* know what a step costs or what
 //! executes it. That is a [`TickExecutor`], and the tree has two: the
 //! analytic engine prices each step with its cost model
 //! ([`crate::ServingEngine`]), the functional path runs it as real quantized
@@ -22,13 +22,13 @@
 //! every per-request float a report reads — TTFT and latency (`t −
 //! arrival_s`), the worst achieved ÷ deadline ratio, the SLO verdict — once,
 //! at retirement, and feeds the latency sketch with the same float.
-//! [`Scheduler::stats`] and [`crate::report`] only sum and sort what the
-//! records carry, in completion order.
+//! [`crate::report`] only sums and sorts what the records carry, in
+//! completion order; it is the one place they become a report.
 
 use std::collections::VecDeque;
 
 use crate::request::{Request, RequestId, RequestState};
-use crate::sketch::{PercentileSketch, EXACT_STATS_MAX};
+use crate::sketch::PercentileSketch;
 
 // ---------------------------------------------------------------------------
 // KV memory budgets
@@ -857,13 +857,7 @@ impl FinishedRequest {
         };
         let (ttft_s, latency_s) = (done.ttft_s(), done.latency_s());
         done.met_slo = req.slo.met_by(ttft_s, latency_s);
-        done.worst_ratio = match (
-            req.slo.ttft_deadline_s.map(|d| ttft_s / d),
-            req.slo.latency_deadline_s.map(|d| latency_s / d),
-        ) {
-            (Some(a), Some(b)) => a.max(b),
-            (a, b) => a.or(b).unwrap_or(0.0),
-        };
+        done.worst_ratio = req.slo.worst_ratio(ttft_s, latency_s);
         done
     }
 
@@ -888,65 +882,6 @@ impl FinishedRequest {
     pub fn slo_ratio(&self) -> Option<f64> {
         self.has_deadline.then_some(self.worst_ratio)
     }
-}
-
-/// Aggregate timing statistics over the finished requests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerStats {
-    /// Final clock, seconds.
-    pub clock_s: f64,
-    /// Time spent in prefill.
-    pub prefill_time_s: f64,
-    /// Time spent in decode.
-    pub decode_time_s: f64,
-    /// Requests finished.
-    pub completed: usize,
-    /// Output tokens generated across finished requests.
-    pub generated_tokens: usize,
-    /// Mean end-to-end latency (arrival → last token).
-    pub mean_latency_s: f64,
-    /// Worst end-to-end latency.
-    pub max_latency_s: f64,
-    /// Median end-to-end latency.
-    pub p50_latency_s: f64,
-    /// 95th-percentile end-to-end latency.
-    pub p95_latency_s: f64,
-    /// 99th-percentile end-to-end latency.
-    pub p99_latency_s: f64,
-    /// Mean time-to-first-token.
-    pub mean_ttft_s: f64,
-    /// Preemption events over the run.
-    pub preemptions: usize,
-    /// Swap-out preemption events over the run (victims spilled to the
-    /// host tier instead of wiped).
-    pub swap_outs: usize,
-    /// Device pages moved host-ward by swap-out preemptions.
-    pub swap_out_pages: usize,
-    /// Device pages moved back by swap-in re-admissions.
-    pub swap_in_pages: usize,
-    /// Time spent moving pages across the host link.
-    pub swap_time_s: f64,
-    /// Median latency from the streaming sketch (always computed; the
-    /// authoritative percentile source above [`EXACT_STATS_MAX`] finishes).
-    pub sketch_p50_latency_s: f64,
-    /// 99th-percentile latency from the streaming sketch.
-    pub sketch_p99_latency_s: f64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (`q` in `(0, 1]`):
-/// the smallest element with at least a `q` fraction of the sample at or
-/// below it. Well-defined for every sample size — a single-element slice
-/// returns that element for every `q` (so p50/p95/p99 of a one-request run
-/// all equal its latency), and `q = 1` returns the maximum; no index
-/// arithmetic at the array edge.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample");
-    assert!(q > 0.0 && q <= 1.0, "q must be in (0, 1]");
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    // `q > 0` makes rank ≥ 1 and `q ≤ 1` makes rank ≤ len, but float
-    // rounding could break either bound; saturate instead of trusting it.
-    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// The continuous-batching lifecycle state machine, advanced by
@@ -1275,10 +1210,19 @@ impl Scheduler {
         &self.finished
     }
 
-    /// Preemption events so far (available before anything finishes,
-    /// unlike [`Scheduler::stats`]).
+    /// Preemption events so far.
     pub fn preemptions(&self) -> usize {
         self.preemptions
+    }
+
+    /// Seconds the clock was charged for prefill (waves and chunks).
+    pub(crate) fn prefill_time_s(&self) -> f64 {
+        self.prefill_time
+    }
+
+    /// Seconds the clock was charged for decode steps.
+    pub(crate) fn decode_time_s(&self) -> f64 {
+        self.decode_time
     }
 
     /// Number of pending requests that are eligible by the current clock.
@@ -1548,7 +1492,7 @@ impl Scheduler {
     /// returned in id order for the caller to requeue elsewhere. The
     /// second return is the materialized tokens lost to the crash.
     ///
-    /// The scheduler itself survives (clock, finished list, statistics):
+    /// The scheduler itself survives (clock, finished list, counters):
     /// a restarted replica resumes reporting where it left off.
     pub fn evict_all(&mut self, budget: &mut dyn KvBudget) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
@@ -1743,66 +1687,10 @@ impl Scheduler {
     }
 
     /// The streaming latency accumulator, fed once per retirement — what
-    /// cluster aggregation merges (in replica order) instead of re-reading
-    /// every finished request.
+    /// [`crate::report`] merges (in scheduler order) instead of sorting
+    /// every finished latency once a run is past its exact-path threshold.
     pub fn latency_sketch(&self) -> &PercentileSketch {
         &self.latency_sketch
-    }
-
-    /// Timing statistics over the finished requests. At or below
-    /// [`EXACT_STATS_MAX`] completions the percentiles come from the exact
-    /// sorted buffer (byte-stable with every golden CSV); above it the
-    /// O(n log n) sort is skipped and the streaming sketch is authoritative.
-    /// The `sketch_*` fields always carry the sketch's view, so the two
-    /// paths can be compared on any run.
-    ///
-    /// # Panics
-    /// Panics if nothing has finished yet.
-    pub fn stats(&self) -> SchedulerStats {
-        assert!(!self.finished.is_empty(), "stats before any completion");
-        debug_assert_eq!(
-            self.latency_sketch.len() as usize,
-            self.finished.len(),
-            "latency sketch missed a retirement"
-        );
-        let n = self.finished.len() as f64;
-        let ttft_sum: f64 = self.finished.iter().map(FinishedRequest::ttft_s).sum();
-        let (mean_latency_s, max_latency_s, p50, p95, p99) =
-            if self.finished.len() <= EXACT_STATS_MAX {
-                let mut latencies: Vec<f64> =
-                    self.finished.iter().map(FinishedRequest::latency_s).collect();
-                latencies.sort_by(f64::total_cmp);
-                (
-                    latencies.iter().sum::<f64>() / n,
-                    *latencies.last().unwrap(),
-                    percentile(&latencies, 0.50),
-                    percentile(&latencies, 0.95),
-                    percentile(&latencies, 0.99),
-                )
-            } else {
-                let sk = &self.latency_sketch;
-                (sk.mean(), sk.max(), sk.quantile(0.50), sk.quantile(0.95), sk.quantile(0.99))
-            };
-        SchedulerStats {
-            clock_s: self.clock,
-            prefill_time_s: self.prefill_time,
-            decode_time_s: self.decode_time,
-            completed: self.finished.len(),
-            generated_tokens: self.finished.iter().map(FinishedRequest::generated).sum(),
-            mean_latency_s,
-            max_latency_s,
-            p50_latency_s: p50,
-            p95_latency_s: p95,
-            p99_latency_s: p99,
-            mean_ttft_s: ttft_sum / n,
-            preemptions: self.preemptions,
-            swap_outs: self.swap_outs,
-            swap_out_pages: self.swap_out_pages,
-            swap_in_pages: self.swap_in_pages,
-            swap_time_s: self.swap_time,
-            sketch_p50_latency_s: self.latency_sketch.quantile(0.50),
-            sketch_p99_latency_s: self.latency_sketch.quantile(0.99),
-        }
     }
 }
 
@@ -1853,12 +1741,13 @@ mod tests {
         PageBudget::new(16, 1, 1 << 40, Reservation::OnDemand)
     }
 
+    /// Ticks `sched` to completion at flat prices and hands it back.
     fn drive(
         mut sched: Scheduler,
         budget: &mut dyn KvBudget,
         prefill_cost: f64,
         decode_cost: f64,
-    ) -> SchedulerStats {
+    ) -> Scheduler {
         let mut guard = 0usize;
         let mut exec = Flat { prefill: prefill_cost, decode: decode_cost, probe: |_| {} };
         while !sched.is_done() {
@@ -1866,21 +1755,18 @@ mod tests {
             assert!(guard < 1_000_000, "scheduler failed to converge");
             sched.tick(budget, &mut exec);
         }
-        sched.stats()
+        sched
     }
 
-    #[test]
-    fn fcfs_completes_everything_in_order() {
-        let reqs = WorkloadSpec::fixed(8, 4, 10).sample();
-        let sched = legacy(reqs, 3, Box::new(Fcfs));
-        let stats = drive(sched, &mut roomy(), 0.1, 0.01);
-        assert_eq!(stats.completed, 10);
-        assert_eq!(stats.generated_tokens, 40);
-        assert!(stats.p50_latency_s <= stats.p95_latency_s);
-        assert!(stats.p95_latency_s <= stats.p99_latency_s);
-        assert!(stats.p99_latency_s <= stats.max_latency_s);
-        assert!(stats.mean_ttft_s > 0.0 && stats.mean_ttft_s <= stats.mean_latency_s);
-        assert_eq!(stats.preemptions, 0);
+    /// Output tokens over every finished request.
+    fn generated(sched: &Scheduler) -> usize {
+        sched.finished().iter().map(FinishedRequest::generated).sum()
+    }
+
+    /// Mean end-to-end latency over the finished requests.
+    fn mean_latency(sched: &Scheduler) -> f64 {
+        let total: f64 = sched.finished().iter().map(FinishedRequest::latency_s).sum();
+        total / sched.finished().len() as f64
     }
 
     #[test]
@@ -1896,10 +1782,10 @@ mod tests {
         let sched = legacy(reqs, 1, Box::new(Fcfs));
         let fcfs = drive(sched, &mut roomy(), 0.1, 0.01);
         assert!(
-            sjf.mean_latency_s < fcfs.mean_latency_s,
+            mean_latency(&sjf) < mean_latency(&fcfs),
             "SJF mean {} should beat FCFS {}",
-            sjf.mean_latency_s,
-            fcfs.mean_latency_s
+            mean_latency(&sjf),
+            mean_latency(&fcfs)
         );
     }
 
@@ -1984,10 +1870,10 @@ mod tests {
         let reqs = WorkloadSpec::fixed(2, 32, 4).sample();
         let mut budget = PageBudget::new(4, 1, 16, Reservation::OnDemand);
         let sched = legacy(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
-        let stats = drive(sched, &mut budget, 0.1, 0.01);
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.generated_tokens, 128);
-        assert!(stats.preemptions > 0, "tight pool must force preemption");
+        let sched = drive(sched, &mut budget, 0.1, 0.01);
+        assert_eq!(sched.finished().len(), 4);
+        assert_eq!(generated(&sched), 128);
+        assert!(sched.preemptions() > 0, "tight pool must force preemption");
         assert_eq!(budget.free_pages(), budget.total_pages(), "all pages returned");
     }
 
@@ -2101,46 +1987,9 @@ mod tests {
             assert!(guard < 10_000);
             sched.tick(&mut budget, &mut Chunked);
         }
-        let stats = sched.stats();
-        assert_eq!(stats.completed, 3);
-        assert_eq!(stats.generated_tokens, 15);
-        assert!(stats.prefill_time_s > 0.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&xs, 0.50), 50.0);
-        assert_eq!(percentile(&xs, 0.95), 95.0);
-        assert_eq!(percentile(&xs, 0.99), 99.0);
-        assert_eq!(percentile(&xs, 1.0), 100.0);
-        assert_eq!(percentile(&[7.0], 0.5), 7.0);
-    }
-
-    #[test]
-    fn percentile_single_sample_well_defined_for_all_q() {
-        // The single-request edge case: every percentile of a one-element
-        // sample is that element — p50 == p95 == p99 == max, no index
-        // arithmetic at the array edge.
-        for q in [0.001, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(percentile(&[3.25], q), 3.25, "q = {}", q);
-        }
-        // Two samples: the nearest-rank split lands between them.
-        assert_eq!(percentile(&[1.0, 2.0], 0.5), 1.0);
-        assert_eq!(percentile(&[1.0, 2.0], 0.51), 2.0);
-        assert_eq!(percentile(&[1.0, 2.0], 0.99), 2.0);
-    }
-
-    #[test]
-    fn single_request_stats_have_degenerate_percentiles() {
-        let reqs = WorkloadSpec::fixed(8, 4, 1).sample();
-        let sched = legacy(reqs, 2, Box::new(Fcfs));
-        let stats = drive(sched, &mut roomy(), 0.1, 0.01);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.p50_latency_s, stats.max_latency_s);
-        assert_eq!(stats.p95_latency_s, stats.max_latency_s);
-        assert_eq!(stats.p99_latency_s, stats.max_latency_s);
-        assert_eq!(stats.mean_latency_s, stats.max_latency_s);
+        assert_eq!(sched.finished().len(), 3);
+        assert_eq!(generated(&sched), 15);
+        assert!(sched.prefill_time_s() > 0.0);
     }
 
     #[test]
@@ -2162,7 +2011,12 @@ mod tests {
         assert!(open.outstanding_tokens() > 0);
         let a = drive(constructed, &mut roomy(), 0.1, 0.01);
         let b = drive(open, &mut roomy(), 0.1, 0.01);
-        assert_eq!(a, b);
+        assert_eq!(a.finished(), b.finished(), "same records, in the same completion order");
+        let totals = |s: &Scheduler| {
+            [s.clock, s.prefill_time, s.decode_time, s.swap_time].map(f64::to_bits)
+        };
+        assert_eq!(totals(&a), totals(&b));
+        assert_eq!(a.preemptions(), b.preemptions());
     }
 
     #[test]
@@ -2197,28 +2051,8 @@ mod tests {
             sched.tick(&mut budget, &mut exec);
             assert_eq!(sched.outstanding_tokens(), sched.outstanding_tokens_scan());
         }
-        assert!(sched.stats().preemptions > 0, "the churn path was not exercised");
+        assert!(sched.preemptions() > 0, "the churn path was not exercised");
         assert_eq!(sched.outstanding_tokens(), 0);
-    }
-
-    #[test]
-    fn stats_sketch_fields_track_exact_percentiles() {
-        let reqs = WorkloadSpec::mixed(64, 9)
-            .with_arrivals(crate::request::ArrivalPattern::Poisson { rate_rps: 8.0 })
-            .sample();
-        let sched = legacy(reqs, 4, Box::new(Fcfs));
-        let stats = drive(sched, &mut roomy(), 0.05, 0.01);
-        // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
-        // must agree to within one bucket width (2.2%) from below.
-        for (exact, sketch) in [
-            (stats.p50_latency_s, stats.sketch_p50_latency_s),
-            (stats.p99_latency_s, stats.sketch_p99_latency_s),
-        ] {
-            assert!(
-                sketch <= exact && exact <= sketch * (1.0 + 1.0 / 32.0),
-                "sketch {sketch} vs exact {exact}"
-            );
-        }
     }
 
     /// One record per completion is all a scheduler keeps; growth is a
@@ -2326,9 +2160,9 @@ mod tests {
             .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 0.5 })
             .sample();
         let sched = legacy(reqs, 2, Box::new(Fcfs));
-        let stats = drive(sched, &mut roomy(), 0.0, 0.1);
-        assert_eq!(stats.completed, 3);
+        let sched = drive(sched, &mut roomy(), 0.0, 0.1);
+        assert_eq!(sched.finished().len(), 3);
         // Last arrival at t=4s; the clock must have idled past it.
-        assert!(stats.clock_s >= 4.0);
+        assert!(sched.clock() >= 4.0);
     }
 }

@@ -150,8 +150,8 @@ impl PercentileSketch {
         self.max
     }
 
-    /// Nearest-rank quantile (`q` in `(0, 1]`), mirroring
-    /// [`crate::scheduler::percentile`]: the first bucket whose cumulative
+    /// Nearest-rank quantile (`q` in `(0, 1]`), mirroring the exact
+    /// `percentile` of [`crate::report`]: the first bucket whose cumulative
     /// count reaches `ceil(q·n)`, reported as that bucket's lower edge
     /// (≤ 2.2% below the true order statistic). `q = 1` returns the exact
     /// maximum; a rank landing in the underflow bucket returns the exact
@@ -205,7 +205,7 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_by(f64::total_cmp);
         for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999] {
-            let exact = crate::scheduler::percentile(&sorted, q);
+            let exact = crate::report::percentile(&sorted, q);
             let approx = sk.quantile(q);
             assert!(
                 approx <= exact && exact <= approx * (1.0 + 1.0 / 32.0) + f64::MIN_POSITIVE,

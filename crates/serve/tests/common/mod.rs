@@ -8,7 +8,7 @@
 
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    AdmittedWave, KvBudget, KvHandle, PageBudget, PreemptionMode, Scheduler, SchedulerStats,
+    AdmittedWave, FinishedRequest, KvBudget, KvHandle, PageBudget, PreemptionMode, Scheduler,
     TickExecutor,
 };
 use std::collections::{HashMap, HashSet};
@@ -111,7 +111,12 @@ impl TickExecutor for Metered {
 /// What one drive did.
 #[allow(dead_code)] // each suite reads the fields of its own preemption flavor
 pub struct Driven {
-    pub stats: SchedulerStats,
+    /// Requests finished.
+    pub completed: usize,
+    /// Output tokens generated across finished requests.
+    pub generated_tokens: usize,
+    /// Preemption events over the run.
+    pub preemptions: usize,
     pub swap_outs: usize,
     pub swap_out_pages: usize,
     /// Total prompt/recompute tokens fed through chunked prefill (prefill
@@ -172,7 +177,9 @@ pub fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
         );
     }
     Driven {
-        stats: sched.stats(),
+        completed: sched.finished().len(),
+        generated_tokens: sched.finished().iter().map(FinishedRequest::generated).sum(),
+        preemptions: sched.preemptions(),
         swap_outs: sched.swap_outs(),
         swap_out_pages: sched.swap_out_pages(),
         chunk_tokens_metered: exec.chunk_tokens_metered,

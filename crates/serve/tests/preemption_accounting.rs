@@ -33,7 +33,7 @@ fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
         Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
         &mut roomy,
     );
-    assert_eq!(baseline.stats.preemptions, 0, "the roomy pool must not preempt");
+    assert_eq!(baseline.preemptions, 0, "the roomy pool must not preempt");
     let mut preempted_somewhere = false;
     let mut regranted_somewhere = false;
     for total in [8usize, 9, 10, 11, 12, 13] {
@@ -42,13 +42,13 @@ fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 4, "pool {}", total);
+        assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
-            run.stats.generated_tokens, baseline.stats.generated_tokens,
+            run.generated_tokens, baseline.generated_tokens,
             "pool {}: preemption changed the served tokens",
             total
         );
-        preempted_somewhere |= run.stats.preemptions > 0;
+        preempted_somewhere |= run.preemptions > 0;
         regranted_somewhere |= run.regranted_shares > 0;
     }
     assert!(preempted_somewhere, "the tight pools must force preemption");
@@ -82,9 +82,9 @@ fn preempt_mid_chunked_prefill_restarts_from_token_zero() {
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 4, "pool {}", total);
-        assert_eq!(run.stats.generated_tokens, 4 * 32, "pool {}", total);
-        if run.stats.preemptions > 0 {
+        assert_eq!(run.completed, 4, "pool {}", total);
+        assert_eq!(run.generated_tokens, 4 * 32, "pool {}", total);
+        if run.preemptions > 0 {
             // Recompute is real work: the meter must count the evicted
             // prompts again — never less than one full pass, and more
             // exactly when something was evicted after chunking started.
@@ -123,13 +123,13 @@ fn shared_and_chunked_preemption_combined() {
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 4, "pool {}", total);
+        assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
-            run.stats.generated_tokens, baseline.stats.generated_tokens,
+            run.generated_tokens, baseline.generated_tokens,
             "pool {}",
             total
         );
-        preempted_somewhere |= run.stats.preemptions > 0;
+        preempted_somewhere |= run.preemptions > 0;
     }
     assert!(preempted_somewhere);
 }
@@ -146,6 +146,6 @@ fn multi_layer_budget_preemption_balances_per_layer_pages() {
             Scheduler::with_options(reqs.clone(), 3, Box::new(Fcfs), opts),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 3, "pool {}", total);
+        assert_eq!(run.completed, 3, "pool {}", total);
     }
 }

@@ -44,7 +44,7 @@ fn swap_preemption_conserves_pages_and_tokens_stepwise() {
         Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
         &mut roomy,
     );
-    assert_eq!(baseline.stats.preemptions, 0, "the roomy pool must not preempt");
+    assert_eq!(baseline.preemptions, 0, "the roomy pool must not preempt");
     assert_eq!(baseline.swap_outs, 0, "the roomy pool must not swap");
     let mut swapped_somewhere = false;
     for total in [8usize, 9, 10, 11, 12] {
@@ -53,9 +53,9 @@ fn swap_preemption_conserves_pages_and_tokens_stepwise() {
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 4, "pool {}", total);
+        assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
-            run.stats.generated_tokens, baseline.stats.generated_tokens,
+            run.generated_tokens, baseline.generated_tokens,
             "pool {}: swapping changed the served tokens",
             total
         );
@@ -88,9 +88,9 @@ fn cow_shared_swap_keeps_pool_refcounts_balanced() {
             Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 4, "pool {}", total);
+        assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
-            run.stats.generated_tokens, baseline.stats.generated_tokens,
+            run.generated_tokens, baseline.generated_tokens,
             "pool {}: swapping a group-mate changed the served tokens",
             total
         );
@@ -110,7 +110,7 @@ fn multi_layer_swap_balances_per_layer_pages() {
             Scheduler::with_options(reqs.clone(), 3, Box::new(Fcfs), swap_opts()),
             &mut tight,
         );
-        assert_eq!(run.stats.completed, 3, "pool {}", total);
+        assert_eq!(run.completed, 3, "pool {}", total);
     }
 }
 
