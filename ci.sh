@@ -21,6 +21,14 @@ cargo run --release --offline --locked -p qserve-lint
 # suites fast. QSERVE_THREADS=1 pins the golden suite to the sequential
 # driver: the reference arm of the determinism contract.
 QSERVE_THREADS=1 cargo test -q --offline --locked
+
+# The scheduler audits its O(1) counters (`outstanding`, `prefilling`, the
+# decodable `(count, Σ prefilled)`) against full scans with `debug_assert`,
+# which release compiles out. The preemption / swap churn suites and the
+# ledger audit therefore run in debug too (about a second, reusing the
+# debug libraries built above), so those audits see eviction and re-admission.
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
+    --test preemption_accounting --test swap_accounting --test ledger_audit
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden

@@ -46,9 +46,7 @@ use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, RequestId, Tier, WorkloadSpec};
-use crate::scheduler::{
-    KvBudget, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
-};
+use crate::scheduler::{PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy};
 use qserve_tensor::pool::Pool;
 
 pub use crate::control::{
@@ -849,7 +847,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
             // Requeued work becomes eligible at the crash instant;
             // TTFT/latency still run from the original arrival.
             req.ready_s = now;
-            req.requeues += 1;
+            req.requeued = true;
             self.requeued += 1;
             self.route_requeued(req);
         }

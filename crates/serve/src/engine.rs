@@ -25,7 +25,7 @@ use crate::baselines::SystemConfig;
 use crate::memory::MemoryPlan;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
+    AdmittedWave, Fcfs, PageBudget, PreemptionMode, Reservation, SchedOptions,
     Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_gpusim::attention_model::{
@@ -867,14 +867,17 @@ mod tests {
 
     #[test]
     fn totals_priced_step_equals_the_per_sequence_price_bit_for_bit() {
-        // The tick prices decode from the scheduler's `(count, Σ seq_len)`
+        // The tick prices decode from the scheduler's `(count, Σ prefilled)`
         // counters; the lengths themselves are never materialized. On every
         // tick of a chunked, preempting run the two spellings must agree to
         // the bit — the counters and the adapter in one check.
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         let opts = SchedOptions { chunk_tokens: Some(64), ..SchedOptions::default() };
         let reqs = WorkloadSpec::chat(24, 5).sample();
-        let mut sched = Scheduler::with_options(reqs, 6, Box::new(Fcfs), opts);
+        let mut sched = Scheduler::open(6, Box::new(Fcfs), opts);
+        for r in reqs {
+            sched.submit(r);
+        }
         let mut budget = PageBudget::new(16, 2, 160, Reservation::OnDemand);
         let mut exec = CostModel { engine: &e, pairs: &mut Vec::new() };
         let mut compared = 0usize;
@@ -883,7 +886,7 @@ mod tests {
                 .running()
                 .iter()
                 .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.seq_len)
+                .map(|r| r.prefilled)
                 .collect();
             let (batch, total_tokens) = sched.decode_totals();
             assert_eq!((batch, total_tokens), (lens.len(), lens.iter().sum()));
@@ -1113,7 +1116,10 @@ mod tests {
         };
         let worst_gap = |chunk_tokens: Option<usize>| -> f64 {
             let opts = crate::scheduler::SchedOptions { share_prefixes: false, chunk_tokens, ..SchedOptions::default() };
-            let mut sched = Scheduler::with_options(mk_reqs(), 8, Box::new(Fcfs), opts);
+            let mut sched = Scheduler::open(8, Box::new(Fcfs), opts);
+            for r in mk_reqs() {
+                sched.submit(r);
+            }
             // The engine's own pricing, plus a note of which ticks decoded.
             struct Watched<'a>(CostModel<'a>, bool);
             impl TickExecutor for Watched<'_> {

@@ -215,9 +215,6 @@ struct FunctionalExecutor<'a> {
     rt: &'a mut ModelRuntime,
     prompts: HashMap<RequestId, Vec<u32>>,
     index: PrefixIndex,
-    /// Prompt/recompute tokens still to run through the model, per live
-    /// request (the post-fork remainder).
-    pending: HashMap<RequestId, Vec<u32>>,
     outputs: HashMap<RequestId, Vec<u32>>,
     logits: HashMap<RequestId, Vec<f32>>,
     /// The first cache error a hook met (hooks return costs, not results):
@@ -232,8 +229,19 @@ impl<'a> FunctionalExecutor<'a> {
         let total_pages = rt.cache.free_pages() + rt.cache.used_pages();
         let budget = PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
         let (index, failed) = (PrefixIndex::new(), None);
-        let (pending, outputs, logits) = (HashMap::new(), HashMap::new(), HashMap::new());
-        (Self { rt, prompts, index, pending, outputs, logits, failed }, budget)
+        let (outputs, logits) = (HashMap::new(), HashMap::new());
+        (Self { rt, prompts, index, outputs, logits, failed }, budget)
+    }
+
+    /// Tokens `past..past + n` of `id`'s prefill feed — its prompt followed
+    /// by what it has generated (recomputed after a preemption) — and
+    /// whether they end it, i.e. reach [`crate::request::Request::prefill_len`].
+    fn feed(&self, id: RequestId, past: usize, n: usize) -> (Vec<u32>, bool) {
+        let prompt = &self.prompts[&id];
+        let outputs = self.outputs.get(&id).map_or(&[][..], Vec::as_slice);
+        let slice: Vec<u32> = prompt.iter().chain(outputs).skip(past).take(n).copied().collect();
+        assert_eq!(slice.len(), n, "request {:?}: a slice past the end of its prefill", id);
+        (slice, past + n == prompt.len() + outputs.len())
     }
 
     /// Runs `step` unless an earlier one failed; a failure costs nothing.
@@ -282,21 +290,16 @@ impl TickExecutor for FunctionalExecutor<'_> {
                     this.rt.cache.register(seq)?;
                 }
                 this.index.insert(seq, prompt.clone());
-                // Recompute-style remainder: un-aliased prompt plus any
-                // generated tokens (peak reservation means none in practice).
-                let mut feed: Vec<u32> = prompt[shared..].to_vec();
-                feed.extend(this.outputs.get(&id).into_iter().flatten().copied());
-                debug_assert_eq!(shared + feed.len(), full);
                 if sched.options().chunk_tokens.is_none() {
-                    // Whole remainder runs right here, member by member — so
-                    // a same-wave sibling's prefix is cached before the next
-                    // member's fork (the cascade the scheduler's grants
-                    // assume).
+                    // The whole un-aliased remainder runs right here, member
+                    // by member — so a same-wave sibling's prefix is cached
+                    // before the next member's fork (the cascade the
+                    // scheduler's grants assume).
+                    let (feed, ends) = this.feed(id, shared, full - shared);
+                    debug_assert!(ends, "the wave's prefill target is the whole feed");
                     this.logits.insert(id, this.rt.prefill_slice(seq, &feed, true)?);
                     prefill_steps += feed.len();
-                    feed.clear();
                 }
-                this.pending.insert(id, feed);
             }
             Ok(prefill_steps as f64)
         })
@@ -307,10 +310,8 @@ impl TickExecutor for FunctionalExecutor<'_> {
     fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
         self.attempt(|this| {
             let mut prefill_steps = 0usize;
-            for &(id, n, _past) in chunks {
-                let feed = this.pending.get_mut(&id).expect("chunk for a live request");
-                let slice: Vec<u32> = feed.drain(..n).collect();
-                let finished = feed.is_empty();
+            for &(id, n, past) in chunks {
+                let (slice, finished) = this.feed(id, past, n);
                 let last = this.rt.prefill_slice(SequenceId(id.0), &slice, finished)?;
                 prefill_steps += n;
                 if finished {
@@ -359,7 +360,6 @@ impl TickExecutor for FunctionalExecutor<'_> {
                 this.rt.finish_sequence(SequenceId(id.0))?;
                 this.index.remove(SequenceId(id.0));
                 this.logits.remove(&id);
-                this.pending.remove(&id);
             }
             Ok(0.0)
         });
@@ -403,7 +403,10 @@ impl ModelRuntime {
     ) -> Result<Vec<ServedRequest>, KvCacheError> {
         let requests = spec.sample();
         let prompts = spec.synth_prompts(&requests, self.model.config.vocab);
-        let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
+        let mut sched = Scheduler::open(batch_limit, policy, opts);
+        for r in requests {
+            sched.submit(r);
+        }
         let (mut exec, mut budget) = FunctionalExecutor::new(self, prompts);
         while !sched.is_done() {
             sched.tick(&mut budget, &mut exec);
@@ -726,12 +729,17 @@ mod tests {
             (shared_spec(6, 33), sharing),
             (shared_spec(6, 33), SchedOptions { chunk_tokens: Some(8), ..sharing }),
             (multi_turn_spec(), sharing),
+            (multi_turn_spec(), SchedOptions { chunk_tokens: Some(8), ..sharing }),
         ] {
             let (_, mut rt) = deploy_small();
             let requests = spec.sample();
             let prompts = spec.synth_prompts(&requests, rt.model.config.vocab);
-            let mut counted = Scheduler::with_options(requests.clone(), 3, Box::new(Fcfs), opts);
-            let mut served = Scheduler::with_options(requests, 3, Box::new(Fcfs), opts);
+            let mut counted = Scheduler::open(3, Box::new(Fcfs), opts);
+            let mut served = Scheduler::open(3, Box::new(Fcfs), opts);
+            for r in requests {
+                counted.submit(r.clone());
+                served.submit(r);
+            }
             let (mut exec, mut ledger) = FunctionalExecutor::new(&mut rt, prompts);
             let mut counted_ledger = ledger.clone();
             let mut ticks = 0usize;

@@ -527,8 +527,10 @@ mod tests {
     /// `requests` served FCFS at batch limit `limit` on a ledger no test
     /// workload comes near filling, at flat prices.
     fn served(requests: Vec<Request>, limit: usize, prefill: f64, decode: f64) -> Scheduler {
-        let mut sched =
-            Scheduler::with_options(requests, limit, Box::new(Fcfs), SchedOptions::default());
+        let mut sched = Scheduler::open(limit, Box::new(Fcfs), SchedOptions::default());
+        for r in requests {
+            sched.submit(r);
+        }
         let mut budget = PageBudget::new(16, 1, 1 << 40, Reservation::OnDemand);
         let mut exec = Flat { prefill, decode };
         while !sched.is_done() {
@@ -654,5 +656,19 @@ mod tests {
         ] {
             assert_eq!(x, 0.0);
         }
+    }
+
+    /// The third serve entry point, beside the two above: the functional
+    /// stack serves an empty workload as no requests, not a panic.
+    #[test]
+    fn an_empty_workload_serves_nothing_through_the_functional_stack() {
+        use qserve_core::pipeline::QoqConfig;
+        use qserve_model::synth::SyntheticModel;
+        let model = SyntheticModel::small(1);
+        let calib = qserve_tensor::rng::TensorRng::seed(1).token_sequence(16, model.config.vocab);
+        let mut rt = crate::ModelRuntime::deploy(&model, &QoqConfig::w4a8kv4_g128(), &calib, 64);
+        let served = rt.serve_with(&WorkloadSpec::chat(0, 1), 4, Box::new(Fcfs), SchedOptions::default());
+        assert_eq!(served, Ok(vec![]));
+        assert_eq!(rt.cache().used_pages(), 0);
     }
 }

@@ -133,22 +133,21 @@ impl Slo {
 ///
 /// ```text
 /// Queued ──admit──▶ Running ──last token──▶ (retired: a record remains)
-///    ▲                 │
-///    └──── preempt ────┘   (re-queued as Preempted; recompute on re-admit)
+///    ▲               │ ▲ │
+///    └── preempt ────┘ │ └── swap out ──▶ Swapped  (private pages on the host tier)
+///    (recompute)       └──── swap in ────────┘
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestState {
-    /// Waiting for admission (has arrived or will arrive later).
+    /// Waiting for admission (has arrived or will arrive later) — also a
+    /// recompute-preempted request, whose prompt *and* already-generated
+    /// tokens are recomputed on re-admission (vLLM-style).
     Queued,
     /// Admitted: prefilled and decoding.
     Running,
-    /// Evicted under memory pressure; waits to be re-admitted, at which point
-    /// its prompt *and* already-generated tokens are recomputed
-    /// (vLLM-style recompute preemption).
-    Preempted,
     /// Evicted under memory pressure with its private KV pages spilled to
     /// the host tier; on re-admission the pages are swapped back at link
-    /// cost instead of recomputed, so `seq_len`/`prefilled` survive.
+    /// cost instead of recomputed, so `prefilled` survives.
     Swapped,
 }
 
@@ -182,23 +181,17 @@ pub struct Request {
     pub slo: Slo,
     /// Lifecycle state.
     pub state: RequestState,
-    /// Tokens currently resident in the KV cache (0 unless running).
-    pub seq_len: usize,
     /// Output tokens generated so far (survives preemption).
     pub generated: usize,
-    /// Prompt/recompute tokens materialized this residency: aliased via
-    /// prefix fork or computed by (possibly chunked) prefill. Decode starts
+    /// Tokens materialized in the KV cache this residency: aliased via
+    /// prefix fork, computed by (possibly chunked) prefill, then one per
+    /// decoded token — the sequence length (0 while queued). Decode starts
     /// once this reaches [`Request::prefill_len`].
     pub prefilled: usize,
-    /// Tokens of this residency's prefill that were aliased from a resident
-    /// group member's pages instead of computed.
-    pub shared_len: usize,
     /// Clock at which the first output token completed (TTFT marker).
     pub first_token_s: Option<f64>,
-    /// Times this request was preempted.
-    pub preemptions: usize,
-    /// Times this request was requeued off a crashed/restarting replica.
-    pub requeues: usize,
+    /// Whether a crash ever requeued this request off a replica.
+    pub requeued: bool,
 }
 
 impl Request {
@@ -216,13 +209,10 @@ impl Request {
             prefix_len: 0,
             slo: Slo::default(),
             state: RequestState::Queued,
-            seq_len: 0,
             generated: 0,
             prefilled: 0,
-            shared_len: 0,
             first_token_s: None,
-            preemptions: 0,
-            requeues: 0,
+            requeued: false,
         }
     }
 
@@ -802,7 +792,7 @@ mod tests {
     /// in memory").
     #[test]
     fn request_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Request>(), 176);
+        assert_eq!(std::mem::size_of::<Request>(), 144);
     }
 
     #[test]

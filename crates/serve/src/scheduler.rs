@@ -51,17 +51,14 @@ pub trait KvBudget {
     fn free_tokens(&self) -> usize;
 
     /// Reserves what admitting a request needs: it starts at `start_tokens`
-    /// (prompt + recomputed output) and may reach `peak_tokens`. Returns
-    /// the resident's ledger handle, or `None` to refuse admission.
-    fn admit(&mut self, id: RequestId, start_tokens: usize, peak_tokens: usize)
-        -> Option<KvHandle>;
-
-    /// Like [`KvBudget::admit`], but the first `shared_tokens` of the
-    /// request's prompt belong to prefix-sharing group `group`: a budget
-    /// that models page sharing charges those pages once per *group* (fully
-    /// covered pages only — the partial boundary page is private, mirroring
-    /// the copy-on-write duplicate in [`crate::PagedKvCache`]).
-    fn admit_shared(
+    /// (prompt + recomputed output) and may reach `peak_tokens`, and its
+    /// first `shared_tokens` prompt tokens belong to prefix-sharing group
+    /// `group` (`None, 0` for a private request). A budget that models page
+    /// sharing charges those pages once per *group* (fully covered pages
+    /// only — the partial boundary page is private, mirroring the
+    /// copy-on-write duplicate in [`crate::PagedKvCache`]). Returns the
+    /// resident's ledger handle, or `None` to refuse admission.
+    fn admit(
         &mut self,
         id: RequestId,
         group: Option<u64>,
@@ -93,10 +90,6 @@ pub trait KvBudget {
     /// holdings were released in the meantime — that is ledger corruption,
     /// not back-pressure.
     fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)>;
-
-    /// High-water mark of unique pages in use — the true-residency number
-    /// `prefix_sweep` reports.
-    fn peak_pages(&self) -> usize;
 }
 
 /// How a [`PageBudget`] reserves pages at admission time.
@@ -471,6 +464,12 @@ impl PageBudget {
     pub fn host_capacity_pages(&self) -> usize {
         self.host_capacity.unwrap_or(0)
     }
+
+    /// High-water mark of unique pages in use — the true-residency number
+    /// `prefix_sweep` reports.
+    pub fn peak_pages(&self) -> usize {
+        self.peak_used
+    }
 }
 
 impl KvBudget for PageBudget {
@@ -478,11 +477,7 @@ impl KvBudget for PageBudget {
         self.free_pages / self.layers * self.page_tokens
     }
 
-    fn admit(&mut self, id: RequestId, start: usize, peak: usize) -> Option<KvHandle> {
-        self.admit_shared(id, None, 0, start, peak)
-    }
-
-    fn admit_shared(
+    fn admit(
         &mut self,
         id: RequestId,
         group: Option<u64>,
@@ -607,10 +602,6 @@ impl KvBudget for PageBudget {
         let entry = self.unpark(id).expect("checked above");
         self.take(pages);
         Some((self.seat(entry), pages))
-    }
-
-    fn peak_pages(&self) -> usize {
-        self.peak_used
     }
 }
 
@@ -853,7 +844,7 @@ impl FinishedRequest {
             generated: u32::try_from(req.generated).expect("output length fits u32"),
             has_deadline: req.slo.has_deadline(),
             met_slo: false,
-            requeued: req.requeues > 0,
+            requeued: req.requeued,
         };
         let (ttft_s, latency_s) = (done.ttft_s(), done.latency_s());
         done.met_slo = req.slo.met_by(ttft_s, latency_s);
@@ -907,8 +898,9 @@ pub struct Scheduler {
     /// Residents with `prefill_remaining() > 0` — incremental twin of the
     /// scan, like `outstanding`. The rest of `running` is decodable.
     prefilling: usize,
-    /// Σ `seq_len` over the decodable residents: with their count, all the
-    /// cost model needs to price a decode step.
+    /// Σ `prefilled` (each one's sequence length) over the decodable
+    /// residents: with their count, all the cost model needs to price a
+    /// decode step.
     decode_tokens: usize,
     /// One record per completion, in completion order — never the request.
     finished: Vec<FinishedRequest>,
@@ -959,32 +951,10 @@ fn owed(r: &Request) -> usize {
 }
 
 impl Scheduler {
-    /// Builds a scheduler with explicit prefix-sharing / chunked-prefill
-    /// options.
-    ///
-    /// # Panics
-    /// Panics if `batch_limit` is zero, `requests` is empty, or a chunk size
-    /// of zero tokens is requested.
-    pub fn with_options(
-        mut requests: Vec<Request>,
-        batch_limit: usize,
-        policy: Box<dyn SchedulingPolicy>,
-        opts: SchedOptions,
-    ) -> Self {
-        assert!(!requests.is_empty(), "nothing to schedule");
-        requests.sort_by(|a, b| {
-            a.ready_s.total_cmp(&b.ready_s).then(a.id.cmp(&b.id))
-        });
-        let mut sched = Self::open(batch_limit, policy, opts);
-        sched.outstanding = requests.iter().map(owed).sum();
-        sched.pending = requests.into();
-        sched
-    }
-
     /// Builds an *open* scheduler with no requests yet: callers submit work
-    /// incrementally via [`Scheduler::submit`] — how a cluster replica
-    /// receives requests one routing decision at a time. Starts in the done
-    /// state ([`Scheduler::is_done`]) until the first submission.
+    /// via [`Scheduler::submit`] — all at once, or one routing decision at a
+    /// time as a cluster replica does. Starts in the done state
+    /// ([`Scheduler::is_done`]) until the first submission.
     ///
     /// # Panics
     /// Panics if `batch_limit` is zero or a chunk size of zero tokens is
@@ -1093,7 +1063,7 @@ impl Scheduler {
         self.prefilling
     }
 
-    /// `(count, Σ seq_len)` of the sequences that will decode this tick —
+    /// `(count, Σ prefilled)` of the sequences that will decode this tick —
     /// the residents whose (possibly chunked) prefill has completed; all a
     /// cost model needs to price the step. O(1), audited like
     /// [`Scheduler::prefilling`].
@@ -1103,7 +1073,7 @@ impl Scheduler {
             self.running
                 .iter()
                 .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.seq_len)
+                .map(|r| r.prefilled)
                 .sum::<usize>(),
             "decodable-token counter drifted from the ground-truth scan"
         );
@@ -1116,7 +1086,7 @@ impl Scheduler {
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
-            self.decode_tokens += req.seq_len;
+            self.decode_tokens += req.prefilled;
         }
         self.running.push(req);
         self.handles.push(handle);
@@ -1132,7 +1102,7 @@ impl Scheduler {
         } else {
             self.decode_tokens = self
                 .decode_tokens
-                .checked_sub(req.seq_len)
+                .checked_sub(req.prefilled)
                 .expect("decodable-token counter underflow at eviction");
         }
         req
@@ -1334,13 +1304,13 @@ impl Scheduler {
                 self.push_resident(req, handle);
                 continue;
             }
+            let shared = if self.opts.share_prefixes { self.shared_grant(candidate) } else { 0 };
             // Prefix-aware admission hold: when a resident sibling is still
             // chunk-prefilling a prefix this candidate could alias, admitting
             // now would recompute it privately. Holding a tick gets the
             // prefix for free — strictly less total work. (Whole-prompt
             // prefill materializes at admission, so it never holds.)
             if self.opts.share_prefixes && !self.running.is_empty() {
-                let grant = self.shared_grant(candidate);
                 let potential = candidate
                     .prefix_group
                     .map(|g| {
@@ -1352,24 +1322,22 @@ impl Scheduler {
                             .unwrap_or(0)
                     })
                     .unwrap_or(0);
-                if potential > grant {
+                if potential > shared {
                     break;
                 }
             }
-            let (group, shared) = if self.opts.share_prefixes {
-                let grant = self.shared_grant(candidate);
+            let group = if self.opts.share_prefixes {
                 let resident = candidate.prefix_group.is_some_and(|g| {
                     self.running.iter().any(|r| r.prefix_group == Some(g))
                 });
                 // Share the group's page pool when actually aliasing
-                // (grant > 0) or when founding it (no resident member). A
+                // (shared > 0) or when founding it (no resident member). A
                 // member that must recompute the prefix *while* a sibling is
                 // still chunk-prefilling it holds a private copy — exactly
                 // what the cache would do.
-                let group = if grant > 0 || !resident { candidate.prefix_group } else { None };
-                (group, grant)
+                if shared > 0 || !resident { candidate.prefix_group } else { None }
             } else {
-                (None, 0)
+                None
             };
             // Pages-wise, a founder's pool covers its whole prefix (it will
             // compute it); a joiner's coverage is exactly what it aliases.
@@ -1378,7 +1346,7 @@ impl Scheduler {
                 (Some(_), 0) => candidate.prefix_len,
                 (Some(_), grant) => grant,
             };
-            let Some(handle) = budget.admit_shared(
+            let Some(handle) = budget.admit(
                 candidate.id,
                 group,
                 pool_tokens,
@@ -1395,21 +1363,19 @@ impl Scheduler {
             };
             let mut req = self.pending.remove(idx).expect("policy index in bounds");
             req.state = RequestState::Running;
-            req.shared_len = shared;
             // Whole-prompt prefill materializes at admission; chunked
             // prefill starts from the aliased prefix and catches up via
             // `prefill_chunks` ticks.
-            let was_prefilled = req.prefilled;
             req.prefilled = match self.opts.chunk_tokens {
                 None => req.prefill_len(),
                 Some(_) => shared,
             };
-            req.seq_len = req.prefilled;
-            // `prefilled` moved forward: the owed-work counter shrinks by
-            // exactly the tokens materialized (or aliased) at admission.
+            // A queued request held nothing (eviction wipes `prefilled`), so
+            // the owed-work counter shrinks by exactly the tokens
+            // materialized (or aliased) at admission.
             self.outstanding = self
                 .outstanding
-                .checked_sub(req.prefilled - was_prefilled)
+                .checked_sub(req.prefilled)
                 .expect("outstanding-token counter underflow at admission");
             self.wave.ids.push(req.id);
             self.wave.prefill_lens.push(req.prefill_len());
@@ -1435,7 +1401,6 @@ impl Scheduler {
                 let take = remaining.min(chunk_tokens);
                 self.chunks.push((r.id, take, r.prefilled));
                 r.prefilled += take;
-                r.seq_len = r.prefilled;
                 taken += take;
                 if take == remaining {
                     // Last chunk: the resident joins the decodable set.
@@ -1443,7 +1408,7 @@ impl Scheduler {
                         .prefilling
                         .checked_sub(1)
                         .expect("prefilling counter underflow in chunked prefill");
-                    self.decode_tokens += r.seq_len;
+                    self.decode_tokens += r.prefilled;
                 }
             }
         }
@@ -1502,17 +1467,14 @@ impl Scheduler {
         self.decode_tokens = 0;
         let mut lost = 0usize;
         for req in &mut victims {
-            match req.state {
-                RequestState::Running | RequestState::Swapped => budget.release(req.id),
-                _ => {}
+            if req.state != RequestState::Queued {
+                budget.release(req.id);
             }
             // Wiping `prefilled` re-owes the work; queued victims had
             // nothing materialized, so they contribute zero.
             lost += req.prefilled;
             req.state = RequestState::Queued;
-            req.seq_len = 0;
             req.prefilled = 0;
-            req.shared_len = 0;
         }
         // Nothing is pending or running any more, so nothing is owed here;
         // the requeued requests will re-owe their work wherever they land.
@@ -1573,9 +1535,9 @@ impl Scheduler {
                     self.swap_out_pages += pages;
                     self.swap_outs += 1;
                     let mut req = self.remove_resident(victim);
-                    // KV state survives on the host tier: `seq_len` /
-                    // `prefilled` are kept, so nothing is re-owed — the
-                    // driver pays the page transfer, not recompute.
+                    // KV state survives on the host tier: `prefilled` is
+                    // kept, so nothing is re-owed — the driver pays the
+                    // page transfer, not recompute.
                     req.state = RequestState::Swapped;
                     self.enqueue(req);
                     continue;
@@ -1599,14 +1561,11 @@ impl Scheduler {
     fn preempt(&mut self, idx: usize, budget: &mut dyn KvBudget) {
         let mut req = self.remove_resident(idx);
         budget.release(req.id);
-        req.state = RequestState::Preempted;
-        req.seq_len = 0;
+        req.state = RequestState::Queued;
         // Resetting `prefilled` re-owes the recompute work (prompt plus the
         // tokens generated so far): the counter grows by what was wiped.
         self.outstanding += req.prefilled;
         req.prefilled = 0;
-        req.shared_len = 0;
-        req.preemptions += 1;
         self.preemptions += 1;
         self.enqueue(req);
     }
@@ -1629,7 +1588,6 @@ impl Scheduler {
             if r.prefill_remaining() > 0 {
                 continue;
             }
-            r.seq_len += 1;
             r.generated += 1;
             // The decoded token is materialized context too: `prefilled`
             // tracks it so `prefill_remaining()` stays 0 while decoding.
@@ -1662,7 +1620,7 @@ impl Scheduler {
                     kept += 1;
                     return true;
                 }
-                retired_tokens += req.seq_len;
+                retired_tokens += req.prefilled;
                 budget.release(req.id);
                 // A retiring request owes nothing (its final token was just
                 // counted), so only the sketch needs feeding here — with
@@ -1731,8 +1689,22 @@ mod tests {
         }
     }
 
+    /// An open scheduler with `requests` submitted.
+    fn submitted(
+        requests: Vec<Request>,
+        batch_limit: usize,
+        policy: Box<dyn SchedulingPolicy>,
+        opts: SchedOptions,
+    ) -> Scheduler {
+        let mut sched = Scheduler::open(batch_limit, policy, opts);
+        for r in requests {
+            sched.submit(r);
+        }
+        sched
+    }
+
     fn legacy(requests: Vec<Request>, batch_limit: usize, policy: Box<dyn SchedulingPolicy>) -> Scheduler {
-        Scheduler::with_options(requests, batch_limit, policy, SchedOptions::default())
+        submitted(requests, batch_limit, policy, SchedOptions::default())
     }
 
     /// A ledger no test workload comes near filling: admission is gated by
@@ -1793,7 +1765,7 @@ mod tests {
     fn page_budget_tracks_cache_arithmetic() {
         let mut b = PageBudget::new(4, 2, 8, Reservation::OnDemand);
         let id = RequestId(0);
-        let h = b.admit(id, 5, 16).expect("fits"); // 2 pages × 2 layers
+        let h = b.admit(id, None, 0, 5, 16).expect("fits"); // 2 pages × 2 layers
         assert_eq!(b.free_pages(), 4);
         for _ in 0..3 {
             assert!(b.grow(h)); // 6,7,8 tokens: still 2 pages
@@ -1854,8 +1826,8 @@ mod tests {
     fn peak_reservation_never_fails_growth() {
         let mut b = PageBudget::new(4, 1, 4, Reservation::Peak);
         let id = RequestId(1);
-        let h = b.admit(id, 1, 16).expect("fits"); // all 4 pages reserved up front
-        assert!(b.admit(RequestId(2), 1, 4).is_none(), "pool exhausted by the peak hold");
+        let h = b.admit(id, None, 0, 1, 16).expect("fits"); // all 4 pages reserved up front
+        assert!(b.admit(RequestId(2), None, 0, 1, 4).is_none(), "pool exhausted by the peak hold");
         for _ in 0..15 {
             assert!(b.grow(h));
         }
@@ -1884,12 +1856,12 @@ mod tests {
         // 6 suffix+output... (peak 40 - 32 covered = 8 tokens = 2 pages ×
         // 2 layers = 4 pages).
         let mut b = PageBudget::new(4, 2, 64, Reservation::Peak);
-        assert!(b.admit_shared(RequestId(0), Some(7), 32, 36, 40).is_some());
+        assert!(b.admit(RequestId(0), Some(7), 32, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 4, "pool + first private part");
-        assert!(b.admit_shared(RequestId(1), Some(7), 32, 36, 40).is_some());
+        assert!(b.admit(RequestId(1), Some(7), 32, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 8, "second member joins the pool free");
         // An unshared admission of the same shape pays full freight.
-        assert!(b.admit_shared(RequestId(2), None, 0, 36, 40).is_some());
+        assert!(b.admit(RequestId(2), None, 0, 36, 40).is_some());
         assert_eq!(b.free_pages(), 64 - 16 - 8 - 20);
         // Pool pages outlive the first member and free with the last.
         b.release(RequestId(0));
@@ -1906,11 +1878,11 @@ mod tests {
         // A 5-token prefix over 4-token pages shares only the one full page;
         // the boundary page is private (the cache would COW it).
         let mut b = PageBudget::new(4, 1, 16, Reservation::OnDemand);
-        assert!(b.admit_shared(RequestId(0), Some(1), 5, 8, 8).is_some());
+        assert!(b.admit(RequestId(0), Some(1), 5, 8, 8).is_some());
         // Pool: 1 page; private: 8 - 4 covered = 4 tokens = 1 page.
         assert_eq!(b.free_pages(), 14);
         // Below one page of sharing, the group is ignored outright.
-        assert!(b.admit_shared(RequestId(1), Some(2), 3, 8, 8).is_some());
+        assert!(b.admit(RequestId(1), Some(2), 3, 8, 8).is_some());
         assert_eq!(b.free_pages(), 12);
         b.release(RequestId(0));
         b.release(RequestId(1));
@@ -1927,7 +1899,7 @@ mod tests {
                 .with_prefix(group, 8)
         };
         let reqs = vec![mk(0, 0), mk(1, 0), mk(2, 1), mk(3, 0)];
-        let mut sched = Scheduler::with_options(
+        let mut sched = submitted(
             reqs.clone(),
             4,
             Box::new(Fcfs),
@@ -1952,7 +1924,7 @@ mod tests {
         // Prompts of 10 tokens, chunk 4: prefill takes ticks 1-3 (4+4+2)
         // while earlier-finished... then 5 decode ticks.
         let reqs = WorkloadSpec::fixed(10, 5, 3).sample();
-        let mut sched = Scheduler::with_options(
+        let mut sched = submitted(
             reqs,
             2,
             Box::new(Fcfs),
@@ -1990,33 +1962,6 @@ mod tests {
         assert_eq!(sched.finished().len(), 3);
         assert_eq!(generated(&sched), 15);
         assert!(sched.prefill_time_s() > 0.0);
-    }
-
-    #[test]
-    fn open_scheduler_with_submissions_matches_constructed() {
-        // Submitting the same requests one by one to an open scheduler must
-        // replay the constructed scheduler tick for tick — the identity the
-        // 1-replica cluster equivalence rests on.
-        let reqs = WorkloadSpec::mixed(12, 9)
-            .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 4.0 })
-            .sample();
-        let constructed = legacy(reqs.clone(), 3, Box::new(Fcfs));
-        let mut open = Scheduler::open(3, Box::new(Fcfs), SchedOptions::default());
-        assert!(open.is_done(), "an open scheduler starts drained");
-        assert_eq!(open.outstanding_tokens(), 0);
-        for r in reqs {
-            open.submit(r);
-        }
-        assert!(!open.is_done());
-        assert!(open.outstanding_tokens() > 0);
-        let a = drive(constructed, &mut roomy(), 0.1, 0.01);
-        let b = drive(open, &mut roomy(), 0.1, 0.01);
-        assert_eq!(a.finished(), b.finished(), "same records, in the same completion order");
-        let totals = |s: &Scheduler| {
-            [s.clock, s.prefill_time, s.decode_time, s.swap_time].map(f64::to_bits)
-        };
-        assert_eq!(totals(&a), totals(&b));
-        assert_eq!(a.preemptions(), b.preemptions());
     }
 
     #[test]
@@ -2106,7 +2051,7 @@ mod tests {
                 .map(|(i, &(input, output))| Request::new(RequestId(i as u64), input, output, 0.0))
                 .collect();
             let opts = SchedOptions { chunk_tokens, ..SchedOptions::default() };
-            let mut sched = Scheduler::with_options(requests, 3, Box::new(Fcfs), opts);
+            let mut sched = submitted(requests, 3, Box::new(Fcfs), opts);
             let mut budget = PageBudget::new(4, 1, 64, Reservation::OnDemand);
             let mut exec = Recording::default();
             let ids = |rs: &[Request]| rs.iter().map(|r| r.id.0).collect::<Vec<_>>();
@@ -2139,7 +2084,7 @@ mod tests {
         let mut r = Request::new(RequestId(7), 8, 4, 1.0).with_slo(Slo::interactive(1.0, 4.0));
         r.first_token_s = Some(1.5);
         r.generated = 4;
-        r.requeues = 1;
+        r.requeued = true;
         let done = FinishedRequest::retire(&r, 4.0);
         assert_eq!((done.id, done.generated(), done.requeued), (RequestId(7), 4, true));
         assert_eq!((done.ttft_s(), done.latency_s()), (0.5, 3.0));

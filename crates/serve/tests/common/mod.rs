@@ -8,8 +8,8 @@
 
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    AdmittedWave, FinishedRequest, KvBudget, KvHandle, PageBudget, PreemptionMode, Scheduler,
-    TickExecutor,
+    AdmittedWave, Fcfs, FinishedRequest, KvBudget, KvHandle, PageBudget, PreemptionMode,
+    SchedOptions, Scheduler, TickExecutor,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -28,10 +28,7 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
     fn free_tokens(&self) -> usize {
         self.0.free_tokens()
     }
-    fn admit(&mut self, id: RequestId, start: usize, peak: usize) -> Option<KvHandle> {
-        self.audited(|b| b.admit(id, start, peak))
-    }
-    fn admit_shared(
+    fn admit(
         &mut self,
         id: RequestId,
         group: Option<u64>,
@@ -39,7 +36,7 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
         start: usize,
         peak: usize,
     ) -> Option<KvHandle> {
-        self.audited(|b| b.admit_shared(id, group, shared, start, peak))
+        self.audited(|b| b.admit(id, group, shared, start, peak))
     }
     fn grow(&mut self, handle: KvHandle) -> bool {
         self.audited(|b| b.grow(handle))
@@ -52,9 +49,6 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
     }
     fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
         self.audited(|b| b.swap_in(id))
-    }
-    fn peak_pages(&self) -> usize {
-        self.0.peak_pages()
     }
 }
 
@@ -129,9 +123,14 @@ pub struct Driven {
     pub regranted_shares: usize,
 }
 
-/// Drives `sched` to completion against `budget`, auditing the (two-tier)
-/// ledger step-wise and recording per-request first-token clocks.
-pub fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
+/// Drives `reqs` FCFS at `batch_limit` under `opts` to completion against
+/// `budget`, auditing the (two-tier) ledger step-wise and recording
+/// per-request first-token clocks.
+pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &mut PageBudget) -> Driven {
+    let mut sched = Scheduler::open(batch_limit, Box::new(Fcfs), opts);
+    for r in reqs {
+        sched.submit(r.clone());
+    }
     let total = budget.total_pages();
     let mut first_token_seen = HashMap::new();
     let audit = |budget: &PageBudget| {
@@ -149,6 +148,10 @@ pub fn drive(mut sched: Scheduler, budget: &mut PageBudget) -> Driven {
         assert!(guard < 100_000, "scheduler failed to converge");
         sched.tick(&mut Audited(budget, audit), &mut exec);
         audit(budget);
+        // Both accessors audit their O(1) counters (`outstanding`,
+        // `prefilling`, the decodable `(count, Σ prefilled)`) against a full
+        // scan in debug builds.
+        let _ = (sched.outstanding_tokens(), sched.decode_totals());
         let decoded = sched.running().iter().filter(|r| r.generated > 0).map(|r| r.id);
         for id in decoded.chain(sched.finished().iter().map(|r| r.id)) {
             first_token_seen.entry(id).or_insert(sched.clock());

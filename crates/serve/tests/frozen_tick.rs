@@ -7,14 +7,14 @@
 //! scheduler, so neither can see a change *inside* it; these constants can.
 //! The executor below prices every phase from the scheduler's observable
 //! state (wave sizes, chunk shapes, swapped pages, decodable count and
-//! Σ seq_len), so a different admission, growth order or eviction decision
+//! Σ prefilled), so a different admission, growth order or eviction decision
 //! moves the clock's bits, not just a counter.
 
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
+    AdmittedWave, Fcfs, MemoryAware, PageBudget, PreemptionMode, Reservation,
     SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
 
@@ -59,7 +59,7 @@ impl TickExecutor for Priced {
             .running()
             .iter()
             .filter(|r| r.prefill_remaining() == 0)
-            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.seq_len));
+            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled));
         2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64
     }
 }
@@ -97,7 +97,10 @@ fn run(s: &Scenario) -> Outcome {
         chunk_tokens: s.chunk_tokens,
         preemption: s.preemption,
     };
-    let mut sched = Scheduler::with_options(spec.sample(), 8, policy, opts);
+    let mut sched = Scheduler::open(8, policy, opts);
+    for r in spec.sample() {
+        sched.submit(r);
+    }
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;

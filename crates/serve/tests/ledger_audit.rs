@@ -133,7 +133,10 @@ fn drive_audited(case: &Case) -> (usize, usize) {
     let policy: Box<dyn SchedulingPolicy> =
         if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim) };
     let n = case.spec.num_requests;
-    let mut sched = Scheduler::with_options(case.spec.sample(), case.batch_limit, policy, case.opts);
+    let mut sched = Scheduler::open(case.batch_limit, policy, case.opts);
+    for r in case.spec.sample() {
+        sched.submit(r);
+    }
     let mut ticks = 0usize;
     while !sched.is_done() {
         ticks += 1;
@@ -156,7 +159,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         assert_eq!(sched.prefilling(), sched.running().len() - decodable().count());
         assert_eq!(
             sched.decode_totals(),
-            (decodable().count(), decodable().map(|r| r.seq_len).sum::<usize>())
+            (decodable().count(), decodable().map(|r| r.prefilled).sum::<usize>())
         );
     }
     assert_eq!(sched.finished().len(), n, "every request finishes exactly once");
@@ -211,7 +214,10 @@ fn a_victim_before_the_cursor_is_never_parked_a_token_ahead() {
     let mut budget = PageBudget::new(16, 1, 14, Reservation::OnDemand);
     budget.enable_host_tier(64);
     let opts = SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() };
-    let mut sched = Scheduler::with_options(reqs, 6, Box::new(SecondOldest), opts);
+    let mut sched = Scheduler::open(6, Box::new(SecondOldest), opts);
+    for r in reqs {
+        sched.submit(r);
+    }
     while !sched.is_done() {
         sched.tick(&mut budget, &mut Flat);
         sched.assert_mirrors_ledger(&budget);
@@ -292,7 +298,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
             // Admit an ungrouped sequence and prefill it.
             0 | 1 if live.len() < MAX_LIVE => {
                 let start = 1 + pick(rng, 3 * page_tokens);
-                match ledger.admit(RequestId(next_id), start, start) {
+                match ledger.admit(RequestId(next_id), None, 0, start, start) {
                     Some(handle) => {
                         cache.register(SequenceId(next_id)).unwrap();
                         append(&mut cache, SequenceId(next_id), start);
@@ -320,7 +326,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
                 }
                 let id = next_id;
                 next_id += 1;
-                let Some(handle) = ledger.admit_shared(RequestId(id), Some(group), shared, start, start)
+                let Some(handle) = ledger.admit(RequestId(id), Some(group), shared, start, start)
                 else {
                     reached.refusals += 1;
                     continue;

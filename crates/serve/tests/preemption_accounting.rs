@@ -15,7 +15,7 @@ mod common;
 
 use common::{drive, shared_reqs};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{Fcfs, PageBudget, Reservation, SchedOptions, Scheduler};
+use qserve_serve::scheduler::{PageBudget, Reservation, SchedOptions};
 
 #[test]
 fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
@@ -29,19 +29,13 @@ fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {
     let reqs = shared_reqs(4, 32, 40, 32);
     let opts = SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() };
     let mut roomy = PageBudget::new(16, 1, 1000, Reservation::OnDemand);
-    let baseline = drive(
-        Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-        &mut roomy,
-    );
+    let baseline = drive(&reqs, 4, opts, &mut roomy);
     assert_eq!(baseline.preemptions, 0, "the roomy pool must not preempt");
     let mut preempted_somewhere = false;
     let mut regranted_somewhere = false;
     for total in [8usize, 9, 10, 11, 12, 13] {
         let mut tight = PageBudget::new(16, 1, total, Reservation::OnDemand);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-            &mut tight,
-        );
+        let run = drive(&reqs, 4, opts, &mut tight);
         assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
             run.generated_tokens, baseline.generated_tokens,
@@ -69,19 +63,13 @@ fn preempt_mid_chunked_prefill_restarts_from_token_zero() {
     let reqs: Vec<Request> = (0..4).map(|i| Request::new(RequestId(i), 48, 32, 0.0)).collect();
     let opts = SchedOptions { share_prefixes: false, chunk_tokens: Some(16), ..SchedOptions::default() };
     let mut roomy = PageBudget::new(16, 1, 1000, Reservation::OnDemand);
-    let baseline = drive(
-        Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-        &mut roomy,
-    );
+    let baseline = drive(&reqs, 4, opts, &mut roomy);
     // Undisturbed, the chunk loop meters each prompt exactly once.
     assert_eq!(baseline.chunk_tokens_metered, 4 * 48);
     let mut saw_mid_prefill_eviction = false;
     for total in [6usize, 7, 8, 9, 10] {
         let mut tight = PageBudget::new(16, 1, total, Reservation::OnDemand);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-            &mut tight,
-        );
+        let run = drive(&reqs, 4, opts, &mut tight);
         assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(run.generated_tokens, 4 * 32, "pool {}", total);
         if run.preemptions > 0 {
@@ -112,17 +100,11 @@ fn shared_and_chunked_preemption_combined() {
     let reqs = shared_reqs(4, 32, 48, 32);
     let opts = SchedOptions { share_prefixes: true, chunk_tokens: Some(16), ..SchedOptions::default() };
     let mut roomy = PageBudget::new(16, 1, 1000, Reservation::OnDemand);
-    let baseline = drive(
-        Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-        &mut roomy,
-    );
+    let baseline = drive(&reqs, 4, opts, &mut roomy);
     let mut preempted_somewhere = false;
     for total in [9usize, 10, 11, 12, 13] {
         let mut tight = PageBudget::new(16, 1, total, Reservation::OnDemand);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), opts),
-            &mut tight,
-        );
+        let run = drive(&reqs, 4, opts, &mut tight);
         assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
             run.generated_tokens, baseline.generated_tokens,
@@ -142,10 +124,7 @@ fn multi_layer_budget_preemption_balances_per_layer_pages() {
     let opts = SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() };
     for total in [14usize, 16, 18, 20] {
         let mut tight = PageBudget::new(16, 2, total, Reservation::OnDemand);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 3, Box::new(Fcfs), opts),
-            &mut tight,
-        );
+        let run = drive(&reqs, 3, opts, &mut tight);
         assert_eq!(run.completed, 3, "pool {}", total);
     }
 }

@@ -17,9 +17,7 @@ mod common;
 
 use common::{drive, shared_reqs};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{
-    Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions, Scheduler,
-};
+use qserve_serve::scheduler::{KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions};
 
 fn swap_opts() -> SchedOptions {
     SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() }
@@ -40,19 +38,13 @@ fn swap_preemption_conserves_pages_and_tokens_stepwise() {
     let reqs: Vec<Request> =
         (0..4).map(|i| Request::new(RequestId(i), 40, 32, 0.0)).collect();
     let mut roomy = swap_budget(16, 1, 1000);
-    let baseline = drive(
-        Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
-        &mut roomy,
-    );
+    let baseline = drive(&reqs, 4, swap_opts(), &mut roomy);
     assert_eq!(baseline.preemptions, 0, "the roomy pool must not preempt");
     assert_eq!(baseline.swap_outs, 0, "the roomy pool must not swap");
     let mut swapped_somewhere = false;
     for total in [8usize, 9, 10, 11, 12] {
         let mut tight = swap_budget(16, 1, total);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
-            &mut tight,
-        );
+        let run = drive(&reqs, 4, swap_opts(), &mut tight);
         assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
             run.generated_tokens, baseline.generated_tokens,
@@ -77,17 +69,11 @@ fn cow_shared_swap_keeps_pool_refcounts_balanced() {
     // the resident + swapped refcount identity at every tick of the drive.
     let reqs = shared_reqs(4, 32, 40, 32);
     let mut roomy = swap_budget(16, 1, 1000);
-    let baseline = drive(
-        Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
-        &mut roomy,
-    );
+    let baseline = drive(&reqs, 4, swap_opts(), &mut roomy);
     let mut swapped_somewhere = false;
     for total in [8usize, 9, 10, 11, 12, 13] {
         let mut tight = swap_budget(16, 1, total);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 4, Box::new(Fcfs), swap_opts()),
-            &mut tight,
-        );
+        let run = drive(&reqs, 4, swap_opts(), &mut tight);
         assert_eq!(run.completed, 4, "pool {}", total);
         assert_eq!(
             run.generated_tokens, baseline.generated_tokens,
@@ -106,10 +92,7 @@ fn multi_layer_swap_balances_per_layer_pages() {
     let reqs = shared_reqs(3, 32, 40, 24);
     for total in [14usize, 16, 18, 20] {
         let mut tight = swap_budget(16, 2, total);
-        let run = drive(
-            Scheduler::with_options(reqs.clone(), 3, Box::new(Fcfs), swap_opts()),
-            &mut tight,
-        );
+        let run = drive(&reqs, 3, swap_opts(), &mut tight);
         assert_eq!(run.completed, 3, "pool {}", total);
     }
 }
@@ -122,7 +105,7 @@ fn swap_refuses_when_the_host_tier_is_full() {
     let mut b = PageBudget::new(16, 1, 8, Reservation::OnDemand);
     b.enable_host_tier(1);
     let id = RequestId(7);
-    assert!(b.admit(id, 40, 72).is_some(), "the pool holds one 40-token request");
+    assert!(b.admit(id, None, 0, 40, 72).is_some(), "the pool holds one 40-token request");
     let used = b.used_pages();
     assert!(used > 1, "the request must need more pages than the tier holds");
     assert_eq!(b.swap_out(id), None, "a full host tier refuses the swap");
@@ -139,7 +122,7 @@ fn swap_back_of_released_holdings_fails_loudly() {
     // return None.
     let mut b = swap_budget(16, 1, 8);
     let id = RequestId(3);
-    assert!(b.admit(id, 40, 72).is_some());
+    assert!(b.admit(id, None, 0, 40, 72).is_some());
     let moved = b.swap_out(id).expect("the roomy tier accepts the swap");
     assert!(moved > 0);
     b.release(id);

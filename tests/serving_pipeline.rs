@@ -320,8 +320,8 @@ props! {
 
     /// Scheduler conservation over random policy × workload × budget ×
     /// option grids: every generated request finishes exactly once, no
-    /// request is both Finished and Preempted at exit, and each request's
-    /// output length matches its spec.
+    /// request is both finished and still queued or running at exit, and
+    /// each request's output length matches its spec.
     fn prop_scheduler_conserves_requests(rng, cases = 24) {
         let n = rng.int_in(2, 14) as usize;
         let seed = rng.next_u64();
@@ -370,7 +370,10 @@ props! {
             ..SchedOptions::default()
         };
         let batch_limit = rng.int_in(1, 4) as usize;
-        let mut sched = Scheduler::with_options(requests, batch_limit, policy, opts);
+        let mut sched = Scheduler::open(batch_limit, policy, opts);
+        for r in requests {
+            sched.submit(r);
+        }
         /// Whole prompts free, 0.01 s per chunk and per decode step.
         struct Flat;
         impl TickExecutor for Flat {
