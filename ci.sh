@@ -23,12 +23,16 @@ cargo run --release --offline --locked -p qserve-lint
 QSERVE_THREADS=1 cargo test -q --offline --locked
 
 # The scheduler audits its O(1) counters (`outstanding`, `prefilling`, the
-# decodable `(count, Σ prefilled)`) against full scans with `debug_assert`,
-# which release compiles out. The preemption / swap churn suites and the
-# ledger audit therefore run in debug too (about a second, reusing the
-# debug libraries built above), so those audits see eviction and re-admission.
+# decodable `(count, Σ prefilled)`) and its headroom column against full
+# scans and the ledger with `debug_assert`, which release compiles out. The
+# preemption / swap churn suites, the ledger audit and the scheduler's own
+# unit tests (their preemption corners) therefore run in debug too (a few
+# seconds, reusing the debug libraries built above), so those audits see
+# eviction and re-admission. The lib filter is a line of its own: cargo
+# applies a test-name filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib scheduler::
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden

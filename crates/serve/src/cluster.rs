@@ -90,18 +90,17 @@ const REPLICA_LANE: u64 = 1;
 /// arrival routed and every tick due at `t` taken.
 const FAULT_LANE: u64 = u64::MAX;
 
-/// One engine replica: a borrowed engine's cost model over the replica's
-/// own scheduler core, page ledger and clock, advanced one tick at a time.
-/// Lifecycle flags (accepting/online) and the provisioned-time bill live in
-/// [`Lifecycle`], shared with the fault layer.
+/// One engine replica: a borrowed engine's cost model (with the replica's
+/// own GEMM memo) over the replica's own scheduler core, page ledger and
+/// clock, advanced one tick at a time. Lifecycle flags (accepting/online)
+/// and the provisioned-time bill live in [`Lifecycle`], shared with the
+/// fault layer.
 struct Replica<'e> {
-    engine: &'e ServingEngine,
+    cost: CostModel<'e>,
     speed: SpeedProfile,
     sched: Scheduler,
     budget: PageBudget,
     routed: usize,
-    /// The cost model's pair buffer, reused across the replica's whole run.
-    pairs: Vec<(usize, usize)>,
     /// Accepting/online state plus the GPU-seconds windows — one state
     /// machine for fault plans and the autoscaler alike.
     life: Lifecycle,
@@ -125,12 +124,11 @@ impl<'e> Replica<'e> {
     /// replica that is not `online` starts as a standby.
     fn new(engine: &'e ServingEngine, sched: Scheduler, budget: PageBudget, online: bool) -> Self {
         Self {
-            engine,
+            cost: CostModel::new(engine),
             speed: engine.speed_profile(),
             sched,
             budget,
             routed: 0,
-            pairs: Vec::new(),
             life: Lifecycle::fresh(online),
             requeued_away: 0,
             due: None,
@@ -175,11 +173,10 @@ impl<'e> Replica<'e> {
     }
 
     /// One scheduling tick — [`Scheduler::tick`] priced by this replica's
-    /// engine — on scheduler- and replica-owned buffers: zero per-tick
-    /// allocation.
+    /// cost model — on scheduler- and replica-owned buffers: zero per-tick
+    /// allocation once the memo has seen the run's token counts.
     fn tick(&mut self) {
-        let mut exec = CostModel { engine: self.engine, pairs: &mut self.pairs };
-        self.sched.tick(&mut self.budget, &mut exec);
+        self.sched.tick(&mut self.budget, &mut self.cost);
     }
 
     /// Arms the next tick at the current clock.
@@ -223,7 +220,7 @@ impl<'e> Replica<'e> {
         ReplicaSlice {
             sched: &self.sched,
             gpu: self.speed.gpu,
-            kv_page_bytes: self.engine.kv_page_bytes(),
+            kv_page_bytes: self.cost.engine.kv_page_bytes(),
             routed: self.routed,
             requeued_away: self.requeued_away,
             restarts: self.life.restarts(),
@@ -764,7 +761,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         let warm_tokens = pages_per_layer * dest.budget.page_tokens();
         dest.sched.install_warm_prefix(group, warm_tokens);
         let bytes =
-            u64::try_from(pages).expect("page count fits u64") * dest.engine.kv_page_bytes();
+            u64::try_from(pages).expect("page count fits u64") * dest.cost.engine.kv_page_bytes();
         // The copy lands as of the arrival instant and occupies the
         // destination for the transfer time — identical cost shape to a
         // swap, but across the replica fabric.

@@ -94,12 +94,41 @@ pub struct ServingReport {
 /// The analytic [`TickExecutor`]: nothing runs, every step of
 /// [`Scheduler::tick`] is priced by `engine`'s cost model. Pricing reads the
 /// chunking knob off the scheduler itself ([`Scheduler::options`]), so it can
-/// never disagree with the admission behavior those options drive.
-pub(crate) struct CostModel<'a> {
-    pub(crate) engine: &'a ServingEngine,
-    /// `(new_tokens, past_tokens)` pairs handed to the cost model — the
-    /// owner's buffer, reused across ticks so pricing allocates nothing.
-    pub(crate) pairs: &'a mut Vec<(usize, usize)>,
+/// never disagree with the admission behavior those options drive. Owned by
+/// one replica for its whole run, with that replica's GEMM memo: the engine
+/// itself stays immutable data, and its public pricing methods evaluate
+/// cold to the same `f64`s.
+pub(crate) struct CostModel<'e> {
+    pub(crate) engine: &'e ServingEngine,
+    memo: GemmMemo,
+    /// `(new_tokens, past_tokens)` pairs handed to the cost model, reused
+    /// across ticks so pricing allocates nothing.
+    pairs: Vec<(usize, usize)>,
+}
+
+impl<'e> CostModel<'e> {
+    /// A cost model over `engine` with a cold memo.
+    pub(crate) fn new(engine: &'e ServingEngine) -> Self {
+        Self { engine, memo: GemmMemo::default(), pairs: Vec::new() }
+    }
+
+    /// [`ServingEngine::decode_step_latency_hetero`] of `batch` sequences
+    /// holding `total_tokens` cached tokens — what the tick prices from,
+    /// straight off [`Scheduler::decode_totals`] — its GEMM term from the
+    /// memo.
+    fn decode_step_latency(&mut self, batch: usize, total_tokens: usize) -> f64 {
+        let (engine, memo) = (self.engine, &mut self.memo);
+        engine.step_latency(engine.decode_layer_cost_with(batch, total_tokens, |tokens| {
+            memo.get(engine, tokens)
+        }))
+    }
+
+    /// [`ServingEngine::prefill_latency_chunked`] of the chunks in `pairs`,
+    /// its GEMM term from the memo.
+    fn prefill_latency(&mut self) -> f64 {
+        let (engine, memo) = (self.engine, &mut self.memo);
+        engine.prefill_latency_with(&self.pairs, |tokens| memo.get(engine, tokens))
+    }
 }
 
 impl TickExecutor for CostModel<'_> {
@@ -111,13 +140,13 @@ impl TickExecutor for CostModel<'_> {
         self.pairs.extend(
             wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(&full, &shared)| (full - shared, shared)),
         );
-        self.engine.prefill_latency_chunked(self.pairs)
+        self.prefill_latency()
     }
 
     fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
         self.pairs.clear();
         self.pairs.extend(chunks.iter().map(|&(_, c, p)| (c, p)));
-        self.engine.prefill_latency_chunked(self.pairs)
+        self.prefill_latency()
     }
 
     /// A PCIe round trip per page.
@@ -127,37 +156,37 @@ impl TickExecutor for CostModel<'_> {
 
     fn decode(&mut self, sched: &Scheduler) -> f64 {
         let (batch, total_tokens) = sched.decode_totals();
-        self.engine.decode_step_latency_totals(batch, total_tokens)
+        self.decode_step_latency(batch, total_tokens)
     }
 }
 
-/// Memo table for [`ServingEngine::layer_gemm_latency`]: the GEMM model is
-/// a pure function of `(engine spec, batch)`, and the cluster driver prices
-/// the same handful of batch sizes millions of times per sweep. Small batch
-/// sizes (decode batches, chunk slices) hit a dense direct-indexed table;
-/// large prefill-wave totals spill to a sparse map. Cached values are the
-/// very `f64`s the model produced, so memoized runs are bit-identical.
+/// One replica's memo of [`ServingEngine::layer_gemm_latency`]: the GEMM
+/// model is a pure function of `(engine spec, tokens)`, and a replica prices
+/// the same handful of token counts millions of times per run. Small counts
+/// (decode batches, chunk slices) hit a dense direct-indexed table; large
+/// prefill-wave totals spill to a sparse map. Cached values are the very
+/// `f64`s the model produced, so memoized runs are bit-identical. A plain
+/// field of the replica's [`CostModel`], borrowed `&mut` by its tick.
 #[derive(Debug, Default)]
 struct GemmMemo {
-    /// Direct-indexed slots for batch sizes below [`GEMM_MEMO_DENSE`].
+    /// Direct-indexed slots for token counts below [`GEMM_MEMO_DENSE`].
     dense: Vec<Option<f64>>,
-    /// Overflow for larger (rarer) batch sizes.
+    /// Overflow for larger (rarer) token counts.
     sparse: std::collections::BTreeMap<usize, f64>,
 }
 
-/// The memo's interior-mutability cell. A `Mutex` rather than a `RefCell`
-/// so `ServingEngine` stays `Sync` (sweep cells run on pool workers); each
-/// replica borrows an engine of its own (`Cluster::new` clones one per
-/// replica), so the lock is never contended in practice. Cloning
-/// deliberately starts an *empty* cache: memo contents are pure derived
-/// data, and a fresh clone re-derives the identical `f64`s on first use.
-#[derive(Debug, Default)]
-// lint: allow(nondeterministic-parallel) -- pure memo cache, not an accumulator: cached values are the exact f64s the model returns, so hit order cannot change any result
-struct MemoCell(std::sync::Mutex<GemmMemo>);
-
-impl Clone for MemoCell {
-    fn clone(&self) -> Self {
-        Self::default()
+impl GemmMemo {
+    /// `engine`'s layer GEMM latency at `tokens`, from the table or, on a
+    /// miss, from the model (and then kept).
+    fn get(&mut self, engine: &ServingEngine, tokens: usize) -> f64 {
+        if tokens < GEMM_MEMO_DENSE {
+            if self.dense.len() <= tokens {
+                self.dense.resize(tokens + 1, None);
+            }
+            *self.dense[tokens].get_or_insert_with(|| engine.layer_gemm_latency(tokens))
+        } else {
+            *self.sparse.entry(tokens).or_insert_with(|| engine.layer_gemm_latency(tokens))
+        }
     }
 }
 
@@ -174,8 +203,6 @@ pub struct ServingEngine {
     system: SystemConfig,
     plan: MemoryPlan,
     tp: TpGroup,
-    /// Interior-mutable so `&self` costing entry points stay `&self`.
-    gemm_memo: MemoCell,
 }
 
 /// Why an engine could not be constructed (the `OOM` / `N.S.` cells of
@@ -364,14 +391,7 @@ impl ServingEngine {
         let plan =
             MemoryPlan::plan_tp(&model, &gpu, system.weight_bits(), system.kv_bits(), tp.ways)
                 .ok_or(EngineUnavailable::OutOfMemory)?;
-        Ok(Self {
-            gpu,
-            model,
-            system,
-            plan,
-            tp,
-            gemm_memo: MemoCell::default(),
-        })
+        Ok(Self { gpu, model, system, plan, tp })
     }
 
     /// The memory plan in force.
@@ -400,39 +420,16 @@ impl ServingEngine {
         }
     }
 
-    /// GEMM latency of one decoder layer at token batch `batch`, memoized
-    /// in [`GemmMemo`] (the model is pure in `(spec, batch)`, and every
-    /// tick prices 4–8 GEMM shapes at a recurring handful of batch sizes).
-    fn layer_gemm_latency(&self, batch: usize) -> f64 {
-        let mut memo = self.gemm_memo.0.lock().expect("gemm memo poisoned");
-        if batch < GEMM_MEMO_DENSE {
-            if memo.dense.len() <= batch {
-                memo.dense.resize(batch + 1, None);
-            }
-            if let Some(t) = memo.dense[batch] {
-                return t;
-            }
-            let t = self.layer_gemm_latency_model(batch);
-            memo.dense[batch] = Some(t);
-            t
-        } else {
-            if let Some(&t) = memo.sparse.get(&batch) {
-                return t;
-            }
-            let t = self.layer_gemm_latency_model(batch);
-            memo.sparse.insert(batch, t);
-            t
-        }
-    }
-
-    /// The uncached GEMM model behind [`Self::layer_gemm_latency`].
+    /// GEMM latency of one decoder layer at token batch `batch` — 4–8 GEMM
+    /// shapes, evaluated cold; a replica's tick reads it through its
+    /// [`GemmMemo`].
     ///
     /// Dense models run four fused GEMMs per layer: QKV, attention out, FFN
     /// gate+up, FFN down. MoE models route each token to
     /// `active_experts` of `experts` FFNs: every touched expert's weights
     /// stream from HBM while each processes only its share of tokens — the
     /// memory-bound regime that makes Mixtral expensive to serve.
-    fn layer_gemm_latency_model(&self, batch: usize) -> f64 {
+    fn layer_gemm_latency(&self, batch: usize) -> f64 {
         let cfg = self.system.gemm_config();
         let h = self.model.hidden;
         let kv = self.model.kv_heads * self.model.head_dim();
@@ -466,12 +463,19 @@ impl ServingEngine {
     }
 
     /// The one step price: a step pushing `tokens` tokens through every layer
-    /// — a decode batch or a prefill wave — around the given attention launch.
-    fn layer_cost(&self, tokens: usize, attention_s: f64) -> LayerCost {
+    /// — a decode batch or a prefill wave — around the given attention
+    /// launch, its GEMM term from `gemm` ([`Self::layer_gemm_latency`], or a
+    /// replica's memo of it).
+    fn layer_cost(
+        &self,
+        tokens: usize,
+        attention_s: f64,
+        gemm: impl FnOnce(usize) -> f64,
+    ) -> LayerCost {
         // One FP16 activation tile.
         let tile_bytes = 2.0 * tokens as f64 * self.model.hidden as f64;
         LayerCost {
-            gemm_s: self.layer_gemm_latency(tokens),
+            gemm_s: gemm(tokens),
             attention_s,
             // Each auxiliary kernel reads and writes the tile and is launched.
             misc_s: MISC_KERNELS_PER_LAYER
@@ -506,6 +510,16 @@ impl ServingEngine {
     /// `total_tokens` cached tokens between them — what Figure 2a splits
     /// into attention / GEMM / others.
     pub fn decode_layer_cost(&self, batch: usize, total_tokens: usize) -> LayerCost {
+        self.decode_layer_cost_with(batch, total_tokens, |t| self.layer_gemm_latency(t))
+    }
+
+    /// [`ServingEngine::decode_layer_cost`], its GEMM term from `gemm`.
+    fn decode_layer_cost_with(
+        &self,
+        batch: usize,
+        total_tokens: usize,
+        gemm: impl FnOnce(usize) -> f64,
+    ) -> LayerCost {
         let attn = attention_decode_latency_totals(
             &self.gpu,
             self.system.attention_kernel(),
@@ -515,13 +529,12 @@ impl ServingEngine {
             self.tp.shard(self.model.kv_heads),
             self.model.head_dim(),
         );
-        self.layer_cost(batch, attn.total_s)
+        self.layer_cost(batch, attn.total_s, gemm)
     }
 
     /// [`ServingEngine::decode_step_latency_hetero`] from the two integers
     /// it reduces its argument to: `batch` sequences holding `total_tokens`
-    /// cached tokens between them. What the tick prices from, straight off
-    /// [`Scheduler::decode_totals`].
+    /// cached tokens between them.
     fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
         self.step_latency(self.decode_layer_cost(batch, total_tokens))
     }
@@ -532,6 +545,15 @@ impl ServingEngine {
     /// prefix and/or earlier chunks). A wave of whole prompts is one `(s, 0)`
     /// chunk each.
     pub fn prefill_latency_chunked(&self, chunks: &[(usize, usize)]) -> f64 {
+        self.prefill_latency_with(chunks, |t| self.layer_gemm_latency(t))
+    }
+
+    /// [`ServingEngine::prefill_latency_chunked`], its GEMM term from `gemm`.
+    fn prefill_latency_with(
+        &self,
+        chunks: &[(usize, usize)],
+        gemm: impl FnOnce(usize) -> f64,
+    ) -> f64 {
         if chunks.is_empty() {
             return 0.0;
         }
@@ -543,7 +565,7 @@ impl ServingEngine {
             self.tp.shard(self.model.kv_heads),
             self.model.head_dim(),
         );
-        self.step_latency(self.layer_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s))
+        self.step_latency(self.layer_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s, gemm))
     }
 
     /// The one entry point: serves `spec` under the batch-limit derivation,
@@ -868,9 +890,10 @@ mod tests {
     #[test]
     fn totals_priced_step_equals_the_per_sequence_price_bit_for_bit() {
         // The tick prices decode from the scheduler's `(count, Σ prefilled)`
-        // counters; the lengths themselves are never materialized. On every
-        // tick of a chunked, preempting run the two spellings must agree to
-        // the bit — the counters and the adapter in one check.
+        // counters, through its memo; the lengths themselves are never
+        // materialized. On every tick of a chunked, preempting run that price
+        // and the cold per-sequence one must agree to the bit — the
+        // counters, the adapter and the memo in one check.
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
         let opts = SchedOptions { chunk_tokens: Some(64), ..SchedOptions::default() };
         let reqs = WorkloadSpec::chat(24, 5).sample();
@@ -879,7 +902,7 @@ mod tests {
             sched.submit(r);
         }
         let mut budget = PageBudget::new(16, 2, 160, Reservation::OnDemand);
-        let mut exec = CostModel { engine: &e, pairs: &mut Vec::new() };
+        let mut exec = CostModel::new(&e);
         let mut compared = 0usize;
         while !sched.is_done() {
             let lens: Vec<usize> = sched
@@ -892,7 +915,7 @@ mod tests {
             assert_eq!((batch, total_tokens), (lens.len(), lens.iter().sum()));
             if batch > 0 {
                 assert_eq!(
-                    e.decode_step_latency_totals(batch, total_tokens).to_bits(),
+                    exec.decode_step_latency(batch, total_tokens).to_bits(),
                     e.decode_step_latency_hetero(&lens).to_bits()
                 );
                 compared += 1;
@@ -900,6 +923,45 @@ mod tests {
             sched.tick(&mut budget, &mut exec);
         }
         assert!(sched.preemptions() > 0 && compared > 100, "the run must churn");
+    }
+
+    qserve_tensor::props! {
+        /// A replica's memo is invisible in the prices: a warm `CostModel`
+        /// quotes every decode step and chunked prefill wave with the very
+        /// bits of the engine's cold methods — dense and MoE layers, TP 1
+        /// and 4, token counts repeating (hits) and fresh (misses), GEMM
+        /// totals on both sides of `GEMM_MEMO_DENSE`.
+        fn the_memo_returns_exactly_the_cold_price(rng, cases = 24) {
+            let (model, tp) = match rng.index(3) {
+                0 => (ModelConfig::llama2_7b(), TpGroup::single()),
+                1 => (ModelConfig::mixtral_8x7b(), TpGroup::single()),
+                _ => (ModelConfig::llama2_70b(), TpGroup::nvlink(4)),
+            };
+            let e = ServingEngine::with_tp(GpuSpec::a100(), model, SystemConfig::QServePerChannel, tp)
+                .expect("builds");
+            let mut cost = CostModel::new(&e);
+            for _ in 0..48 {
+                // Few distinct batch sizes, so most decode prices are hits.
+                let lens: Vec<usize> = (0..1 + rng.index(24)).map(|_| 1 + rng.index(4096)).collect();
+                let cold = e.decode_step_latency_hetero(&lens).to_bits();
+                for _ in 0..2 {
+                    assert_eq!(cost.decode_step_latency(lens.len(), lens.iter().sum()).to_bits(), cold);
+                }
+                // Chunk slices (dense) or a few wide chunk sizes whose
+                // totals repeat above the dense ceiling (sparse).
+                let wide = rng.index(2) == 1;
+                cost.pairs.clear();
+                for _ in 0..1 + rng.index(8) {
+                    let new = if wide { [511, 1024, 1537, 2048][rng.index(4)] } else { 1 + rng.index(32) };
+                    cost.pairs.push((new, rng.index(4096)));
+                }
+                let cold = e.prefill_latency_chunked(&cost.pairs).to_bits();
+                for _ in 0..2 {
+                    assert_eq!(cost.prefill_latency().to_bits(), cold);
+                }
+            }
+            assert!(!cost.memo.sparse.is_empty(), "no GEMM total reached the sparse map");
+        }
     }
 
     #[test]
@@ -1137,7 +1199,7 @@ mod tests {
                     self.0.decode(s)
                 }
             }
-            let mut exec = Watched(CostModel { engine: &e, pairs: &mut Vec::new() }, false);
+            let mut exec = Watched(CostModel::new(&e), false);
             // A ledger the 24 requests cannot fill: the batch limit gates.
             let mut budget = PageBudget::new(SIM_PAGE_TOKENS, 1, 1 << 40, Reservation::OnDemand);
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);

@@ -35,10 +35,11 @@ use crate::sketch::PercentileSketch;
 // ---------------------------------------------------------------------------
 
 /// A resident's seat in its budget's ledger, handed out by admission and
-/// swap-in and passed back to [`KvBudget::grow`] every tick — the per-token
-/// hot path indexes with it instead of looking the request id up. Opaque to
-/// the scheduler; valid until the request is released, swapped out or
-/// evicted (slots are reused afterwards).
+/// swap-in and passed back to [`KvBudget::settle`] and [`KvBudget::grow`]
+/// when the resident reaches a page boundary — those calls index with it
+/// instead of looking the request id up. Opaque to the scheduler; valid
+/// until the request is released, swapped out or evicted (slots are reused
+/// afterwards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvHandle(usize);
 
@@ -69,8 +70,18 @@ pub trait KvBudget {
 
     /// Accounts one more cached token for the resident behind `handle`;
     /// `false` means the pool is exhausted (nothing was charged) and someone
-    /// must be preempted.
+    /// must be preempted. Per token, against the ledger's count: a caller
+    /// that caches tokens in the resident's headroom without telling the
+    /// budget (the scheduler does, 15 tokens in 16) calls
+    /// [`KvBudget::settle`] first, so it only grows past a full page.
     fn grow(&mut self, handle: KvHandle) -> bool;
+
+    /// Brings the ledger up to `tokens` cached tokens (pool-covered prefix
+    /// included) for the resident behind `handle` and returns its headroom:
+    /// how many more tokens fit the pages it already holds. Never charges —
+    /// the tokens past the ledger's last count landed in those pages — so
+    /// `tokens` may neither fall below that count nor exceed the pages.
+    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize;
 
     /// Returns everything `id` holds to the pool.
     fn release(&mut self, id: RequestId);
@@ -110,7 +121,10 @@ struct PageEntry {
     /// The resident this slot belongs to — lets the audit prove a handle
     /// and the id map name the same entry.
     id: RequestId,
-    /// Tokens in the entry's *private* region (beyond any shared pool pages).
+    /// Tokens in the entry's *private* region (beyond any shared pool
+    /// pages), as of the last call that told the ledger — a scheduler
+    /// growing through its headroom settles it only at page boundaries and
+    /// before a swap-out parks the entry.
     tokens: usize,
     reserved_per_layer: usize,
     /// Prefix-sharing pool this entry holds a reference on.
@@ -139,9 +153,10 @@ pub struct PageBudget {
     free_pages: usize,
     peak_used: usize,
     mode: Reservation,
-    /// Resident entries in a dense slab indexed by [`KvHandle`]: the
-    /// per-token [`KvBudget::grow`] is an index, not a map walk. Vacated
-    /// slots are `None` and reused through `free_slots`.
+    /// Resident entries in a dense slab indexed by [`KvHandle`]: a page
+    /// boundary's [`KvBudget::settle`] and [`KvBudget::grow`] are an index,
+    /// not a map walk. Vacated slots are `None` and reused through
+    /// `free_slots`.
     slab: Vec<Option<PageEntry>>,
     free_slots: Vec<usize>,
     /// `RequestId → slab slot`, for the per-request events (release, swap,
@@ -373,17 +388,17 @@ impl PageBudget {
         Some(entry)
     }
 
-    /// Audit hook: the tokens the ledger holds for resident `id` (private +
-    /// pool-covered), after checking that `handle` and the id map resolve
-    /// to the same live entry.
+    /// Audit hook: resident `id`'s `(footprint, capacity)` in tokens, both
+    /// counting its pool-covered prefix — what the ledger last heard it
+    /// caches, and what the pages it holds can — after checking that
+    /// `handle` and the id map resolve to the same live entry.
     ///
     /// # Panics
     /// Panics when `handle` is stale or belongs to another request.
-    #[doc(hidden)]
-    fn resident_footprint(&self, handle: KvHandle, id: RequestId) -> usize {
+    fn resident_tokens(&self, handle: KvHandle, id: RequestId) -> (usize, usize) {
         assert_eq!(self.slots.get(&id), Some(&handle.0), "request {:?}: handle/id-map drift", id);
         let e = self.slab[handle.0].as_ref().expect("handle names a vacant ledger slot");
-        e.tokens + e.covered_tokens
+        (e.tokens + e.covered_tokens, e.reserved_per_layer * self.page_tokens + e.covered_tokens)
     }
 
     /// Audit hook: number of resident (on-device) entries.
@@ -530,24 +545,36 @@ impl KvBudget for PageBudget {
 
     fn grow(&mut self, handle: KvHandle) -> bool {
         let entry = self.slab[handle.0].as_mut().expect("grow() on a vacant ledger slot");
-        // Fifteen tokens in sixteen land inside the pages already held:
-        // one compare against the reserved capacity, no division.
-        if entry.tokens < entry.reserved_per_layer * self.page_tokens {
+        let capacity = entry.reserved_per_layer * self.page_tokens;
+        // A token inside the pages already held is one compare against the
+        // reserved capacity (the scheduler settles first, so it only ever
+        // arrives here with those pages full).
+        if entry.tokens < capacity {
             entry.tokens += 1;
             return true;
         }
-        let need_per_layer = (entry.tokens + 1).div_ceil(self.page_tokens);
-        let need = need_per_layer
-            .checked_sub(entry.reserved_per_layer)
-            .expect("entry holds more tokens than it reserved")
-            * self.layers;
-        if need > self.free_pages {
+        // A full entry's next token opens exactly one page per layer.
+        assert_eq!(entry.tokens, capacity, "entry holds more tokens than it reserved");
+        if self.layers > self.free_pages {
             return false;
         }
         entry.tokens += 1;
-        entry.reserved_per_layer = need_per_layer;
-        self.take(need);
+        entry.reserved_per_layer += 1;
+        self.take(self.layers);
         true
+    }
+
+    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize {
+        let page_tokens = self.page_tokens;
+        let entry = self.slab[handle.0].as_mut().expect("settle() on a vacant ledger slot");
+        let private = tokens
+            .checked_sub(entry.covered_tokens)
+            .expect("settled below the pool-covered prefix");
+        assert!(private >= entry.tokens, "settled below the ledger's count");
+        entry.tokens = private;
+        (entry.reserved_per_layer * page_tokens)
+            .checked_sub(private)
+            .expect("settled past the pages the entry holds")
     }
 
     fn release(&mut self, id: RequestId) {
@@ -895,6 +922,12 @@ pub struct Scheduler {
     /// than a `Request` field: a request's public shape (and its `Debug`
     /// text, which run digests hash) stays independent of the budget.
     handles: Vec<KvHandle>,
+    /// Each resident's headroom — tokens still free in the pages it holds —
+    /// parallel to `handles`. Make-room spends it a token per tick without
+    /// a ledger call, so the ledger hears from a resident only when this
+    /// reaches zero: at a page boundary, about one resident-tick in
+    /// sixteen.
+    headroom: Vec<usize>,
     /// Residents with `prefill_remaining() > 0` — incremental twin of the
     /// scan, like `outstanding`. The rest of `running` is decodable.
     prefilling: usize,
@@ -969,6 +1002,7 @@ impl Scheduler {
             pending: VecDeque::new(),
             running: Vec::new(),
             handles: Vec::new(),
+            headroom: Vec::new(),
             prefilling: 0,
             decode_tokens: 0,
             finished: Vec::new(),
@@ -1080,22 +1114,26 @@ impl Scheduler {
         (self.running.len() - self.prefilling(), self.decode_tokens)
     }
 
-    /// Appends an admitted (or swapped-back) resident and its ledger handle,
-    /// filing it under the aggregate it belongs to.
-    fn push_resident(&mut self, req: Request, handle: KvHandle) {
+    /// Appends an admitted (or swapped-back) resident, its ledger handle and
+    /// the headroom the ledger reports for it, filing it under the
+    /// aggregate it belongs to.
+    fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
             self.decode_tokens += req.prefilled;
         }
+        self.headroom.push(budget.settle(handle, req.prefill_len()));
         self.running.push(req);
         self.handles.push(handle);
     }
 
-    /// Removes resident `idx` and its handle, keeping the aggregates honest.
+    /// Removes resident `idx` and its columns, keeping the aggregates
+    /// honest.
     fn remove_resident(&mut self, idx: usize) -> Request {
         let req = self.running.remove(idx);
         self.handles.remove(idx);
+        self.headroom.remove(idx);
         if req.prefill_remaining() > 0 {
             self.prefilling =
                 self.prefilling.checked_sub(1).expect("prefilling counter underflow at eviction");
@@ -1110,24 +1148,36 @@ impl Scheduler {
 
     /// Differential audit of the scheduler against its page ledger: every
     /// resident's handle and id resolve to the same ledger entry, that
-    /// entry's footprint (private + pool-covered tokens) equals the tokens
-    /// the request has materialized or reserved (`prefill_len()`), every
-    /// swapped-out request's parked footprint says the same, and the ledger
-    /// holds no resident the scheduler does not run. Holds between ticks
-    /// (after [`Scheduler::decode_step`] or an early-out tick).
+    /// entry's capacity (the tokens its pages and pool-covered prefix hold)
+    /// less the resident's headroom column equals the tokens the request
+    /// has materialized or reserved (`prefill_len()`), the ledger's own
+    /// count never runs ahead of that (it lags by the headroom spent since
+    /// the last page boundary), every swapped-out request's parked
+    /// footprint equals its `prefill_len()` exactly, and the ledger holds
+    /// no resident the scheduler does not run. Holds between ticks (after
+    /// [`Scheduler::decode_step`] or an early-out tick).
     ///
     /// # Panics
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn assert_mirrors_ledger(&self, budget: &PageBudget) {
         assert_eq!(self.handles.len(), self.running.len(), "handle column out of step");
+        assert_eq!(self.headroom.len(), self.running.len(), "headroom column out of step");
         assert_eq!(budget.resident_count(), self.running.len(), "ledger holds a stranger");
-        for (r, &h) in self.running.iter().zip(&self.handles) {
+        for ((r, &h), &room) in self.running.iter().zip(&self.handles).zip(&self.headroom) {
+            let (footprint, capacity) = budget.resident_tokens(h, r.id);
             assert_eq!(
-                budget.resident_footprint(h, r.id),
-                r.prefill_len(),
-                "request {:?}: ledger footprint != sequence length",
+                capacity,
+                r.prefill_len() + room,
+                "request {:?}: ledger capacity − headroom != sequence length",
                 r.id
+            );
+            assert!(
+                footprint <= r.prefill_len(),
+                "request {:?}: the ledger counts {} tokens, the sequence holds {}",
+                r.id,
+                footprint,
+                r.prefill_len()
             );
         }
         if budget.host_capacity.is_some() {
@@ -1208,9 +1258,10 @@ impl Scheduler {
     /// clock. It has two callers: a [`crate::cluster`] replica —
     /// [`crate::ServingEngine::serve`] included, as a one-replica fleet —
     /// and [`crate::ModelRuntime::serve_with`]'s loop over the functional
-    /// executor. Statically dispatched: the hooks inline into the replica
-    /// hot path.
-    pub fn tick<E: TickExecutor>(&mut self, budget: &mut dyn KvBudget, exec: &mut E) {
+    /// executor. Statically dispatched over both the budget and the
+    /// executor: the ledger calls and the hooks inline into the replica hot
+    /// path.
+    pub fn tick<B: KvBudget, E: TickExecutor>(&mut self, budget: &mut B, exec: &mut E) {
         self.admit(budget);
         if !self.wave.ids.is_empty() {
             let dt = exec.prefill_wave(self, &self.wave);
@@ -1256,7 +1307,7 @@ impl Scheduler {
     /// arrived request is force-admitted past a holding policy — a policy
     /// may shape order, not deadlock the system. `wave` is cleared and
     /// refilled with what was admitted.
-    fn admit(&mut self, budget: &mut dyn KvBudget) {
+    fn admit<B: KvBudget>(&mut self, budget: &mut B) {
         self.wave.ids.clear();
         self.wave.prefill_lens.clear();
         self.wave.shared_lens.clear();
@@ -1301,7 +1352,7 @@ impl Scheduler {
                 self.swap_in_pages += pages;
                 let mut req = self.pending.remove(idx).expect("policy index in bounds");
                 req.state = RequestState::Running;
-                self.push_resident(req, handle);
+                self.push_resident(req, handle, budget);
                 continue;
             }
             let shared = if self.opts.share_prefixes { self.shared_grant(candidate) } else { 0 };
@@ -1380,7 +1431,7 @@ impl Scheduler {
             self.wave.ids.push(req.id);
             self.wave.prefill_lens.push(req.prefill_len());
             self.wave.shared_lens.push(shared);
-            self.push_resident(req, handle);
+            self.push_resident(req, handle, budget);
         }
     }
 
@@ -1459,10 +1510,11 @@ impl Scheduler {
     ///
     /// The scheduler itself survives (clock, finished list, counters):
     /// a restarted replica resumes reporting where it left off.
-    pub fn evict_all(&mut self, budget: &mut dyn KvBudget) -> (Vec<Request>, usize) {
+    pub fn evict_all<B: KvBudget>(&mut self, budget: &mut B) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
         victims.append(&mut self.running);
         self.handles.clear();
+        self.headroom.clear();
         self.prefilling = 0;
         self.decode_tokens = 0;
         let mut lost = 0usize;
@@ -1500,21 +1552,32 @@ impl Scheduler {
     /// recompute-preempted ids (swap victims are not listed: their KV state
     /// survives).
     ///
-    /// One in-place pass in admission order; a refusal evicts a victim from
-    /// the not-yet-grown suffix (see [`SchedulingPolicy::victim`]) and
-    /// retries, so the cursor never moves backwards.
+    /// One in-place pass in admission order. A resident with headroom
+    /// spends a token of it; one whose pages are full asks the ledger for
+    /// the next page. A refusal evicts a victim from the not-yet-grown
+    /// suffix (see [`SchedulingPolicy::victim`]) and retries, so the cursor
+    /// never moves backwards and growth is charged in admission order.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
     /// even one request, which admission should have refused.
-    fn make_room(&mut self, budget: &mut dyn KvBudget) {
+    fn make_room<B: KvBudget>(&mut self, budget: &mut B) {
         self.preempted.clear();
         let mut i = 0;
         while i < self.running.len() {
-            // With nobody prefilling, the dense handle column is all the
+            // With nobody prefilling, the dense headroom column is all the
             // pass reads.
             let decodable = self.prefilling == 0 || self.running[i].prefill_remaining() == 0;
-            if !decodable || budget.grow(self.handles[i]) {
+            if !decodable {
+                i += 1;
+                continue;
+            }
+            if let Some(spare) = self.headroom[i].checked_sub(1) {
+                self.headroom[i] = spare;
+                i += 1;
+                continue;
+            }
+            if self.grow_past_page(i, budget) {
                 i += 1;
                 continue;
             }
@@ -1530,6 +1593,9 @@ impl Scheduler {
             let chosen = self.policy.victim(&self.running).filter(|&v| v <= last);
             let victim = chosen.unwrap_or(last).max(i).max(1);
             if self.opts.preemption == PreemptionMode::Swap {
+                // The ledger parks the entry whole: bring its count up to the
+                // tokens the victim holds (it has not grown this tick).
+                budget.settle(self.handles[victim], self.running[victim].prefill_len());
                 if let Some(pages) = budget.swap_out(self.running[victim].id) {
                     self.tick_swap_pages += pages;
                     self.swap_out_pages += pages;
@@ -1550,6 +1616,21 @@ impl Scheduler {
         }
     }
 
+    /// Charges resident `i`'s next token, whose pages are full, to the
+    /// ledger — first bringing the ledger's count up to the headroom spent
+    /// since it last heard — and refills the headroom column from the page
+    /// that token opens. `false` (nothing charged): the pool is dry.
+    fn grow_past_page<B: KvBudget>(&mut self, i: usize, budget: &mut B) -> bool {
+        let (handle, held) = (self.handles[i], self.running[i].prefill_len());
+        let spare = budget.settle(handle, held);
+        debug_assert_eq!(spare, 0, "headroom column drifted from the ledger");
+        let grown = budget.grow(handle);
+        if grown {
+            self.headroom[i] = budget.settle(handle, held + 1);
+        }
+        grown
+    }
+
     /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an
     /// evicted resident that is its original place, so FCFS re-admits it
     /// first.
@@ -1558,7 +1639,7 @@ impl Scheduler {
         self.pending.insert(at, req);
     }
 
-    fn preempt(&mut self, idx: usize, budget: &mut dyn KvBudget) {
+    fn preempt<B: KvBudget>(&mut self, idx: usize, budget: &mut B) {
         let mut req = self.remove_resident(idx);
         budget.release(req.id);
         req.state = RequestState::Queued;
@@ -1575,7 +1656,7 @@ impl Scheduler {
     /// TTFTs, retires finished requests (releasing their budget) and lists
     /// their ids in `retired`, cleared first. Residents still in chunked
     /// prefill are untouched.
-    fn decode_step(&mut self, dt: f64, budget: &mut dyn KvBudget) {
+    fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
         assert!(self.running.len() > self.prefilling, "decode_step with no decodable resident");
         self.clock += dt;
         self.decode_time += dt;
@@ -1607,8 +1688,8 @@ impl Scheduler {
             // better on a ~1,900-resident batch that retires someone every
             // tick, but measured +10% wall on a ~13-resident batch with
             // rare retirements, where the closure and the per-element
-            // handle store cost more than the second pass saves.
-            let handles = &mut self.handles;
+            // column stores cost more than the second pass saves.
+            let (handles, headroom) = (&mut self.handles, &mut self.headroom);
             let (mut at, mut kept) = (0, 0);
             self.running.retain_mut(|req| {
                 let i = at;
@@ -1617,6 +1698,7 @@ impl Scheduler {
                 // never linger at their output length across ticks).
                 if req.generated != req.output_len {
                     handles[kept] = handles[i];
+                    headroom[kept] = headroom[i];
                     kept += 1;
                     return true;
                 }
@@ -1632,6 +1714,7 @@ impl Scheduler {
                 false
             });
             handles.truncate(kept);
+            headroom.truncate(kept);
         }
         // Every decodable sequence grew by one token; the retired ones left
         // with everything they held.
@@ -1716,7 +1799,7 @@ mod tests {
     /// Ticks `sched` to completion at flat prices and hands it back.
     fn drive(
         mut sched: Scheduler,
-        budget: &mut dyn KvBudget,
+        budget: &mut PageBudget,
         prefill_cost: f64,
         decode_cost: f64,
     ) -> Scheduler {

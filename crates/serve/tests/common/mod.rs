@@ -3,8 +3,9 @@
 //!
 //! The steps of a tick are private to the scheduler, so the step-wise ledger
 //! audit rides on the budget instead: [`Audited`] runs it after *every*
-//! ledger call a tick makes — admission, each growth, each swap, each
-//! release — which is strictly more often than once per step.
+//! ledger call a tick makes — admission, each settle and growth, each swap,
+//! each release — which is strictly more often than once per step. It also
+//! counts what growth asked of the ledger.
 
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
@@ -13,20 +14,36 @@ use qserve_serve::scheduler::{
 };
 use std::collections::{HashMap, HashSet};
 
-/// `.0` with `.1` run on it after each mutating call.
-struct Audited<'a, A: Fn(&PageBudget)>(&'a mut PageBudget, A);
+/// What the drive's [`KvBudget::grow`] calls did.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Growth {
+    /// `grow` calls.
+    pub calls: usize,
+    /// Device pages those calls acquired.
+    pub pages: usize,
+    /// Calls the pool refused.
+    pub refusals: usize,
+}
+
+/// `budget` with `audit` run on it after each mutating call, and its growth
+/// counted into `growth`.
+struct Audited<'a, A: Fn(&PageBudget)> {
+    budget: &'a mut PageBudget,
+    audit: A,
+    growth: &'a mut Growth,
+}
 
 impl<A: Fn(&PageBudget)> Audited<'_, A> {
     fn audited<T>(&mut self, call: impl FnOnce(&mut PageBudget) -> T) -> T {
-        let out = call(self.0);
-        (self.1)(self.0);
+        let out = call(self.budget);
+        (self.audit)(self.budget);
         out
     }
 }
 
 impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
     fn free_tokens(&self) -> usize {
-        self.0.free_tokens()
+        self.budget.free_tokens()
     }
     fn admit(
         &mut self,
@@ -39,7 +56,15 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
         self.audited(|b| b.admit(id, group, shared, start, peak))
     }
     fn grow(&mut self, handle: KvHandle) -> bool {
-        self.audited(|b| b.grow(handle))
+        let used = self.budget.used_pages();
+        let grown = self.audited(|b| b.grow(handle));
+        self.growth.calls += 1;
+        self.growth.pages += self.budget.used_pages().checked_sub(used).expect("growth freed pages");
+        self.growth.refusals += usize::from(!grown);
+        grown
+    }
+    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize {
+        self.audited(|b| b.settle(handle, tokens))
     }
     fn release(&mut self, id: RequestId) {
         self.audited(|b| b.release(id))
@@ -121,11 +146,13 @@ pub struct Driven {
     /// Re-admissions of previously-preempted grouped requests that received
     /// a shared-prefix grant while a sibling was resident.
     pub regranted_shares: usize,
+    /// What growth asked of the ledger over the run.
+    pub growth: Growth,
 }
 
 /// Drives `reqs` FCFS at `batch_limit` under `opts` to completion against
-/// `budget`, auditing the (two-tier) ledger step-wise and recording
-/// per-request first-token clocks.
+/// `budget`, auditing the (two-tier) ledger step-wise, the scheduler against
+/// it after every tick, and recording per-request first-token clocks.
 pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &mut PageBudget) -> Driven {
     let mut sched = Scheduler::open(batch_limit, Box::new(Fcfs), opts);
     for r in reqs {
@@ -142,12 +169,14 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         );
     };
     let mut exec = Metered::default();
+    let mut growth = Growth::default();
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 100_000, "scheduler failed to converge");
-        sched.tick(&mut Audited(budget, audit), &mut exec);
+        sched.tick(&mut Audited { budget, audit, growth: &mut growth }, &mut exec);
         audit(budget);
+        sched.assert_mirrors_ledger(budget);
         // Both accessors audit their O(1) counters (`outstanding`,
         // `prefilling`, the decodable `(count, Σ prefilled)`) against a full
         // scan in debug builds.
@@ -188,6 +217,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         chunk_tokens_metered: exec.chunk_tokens_metered,
         mid_prefill_preemptions: exec.mid_prefill_preemptions,
         regranted_shares: exec.regranted_shares,
+        growth,
     }
 }
 

@@ -98,6 +98,47 @@ fn multi_layer_swap_balances_per_layer_pages() {
 }
 
 #[test]
+fn growth_reaches_the_ledger_only_at_page_boundaries() {
+    // The scheduler spends each resident's headroom itself and calls `grow`
+    // only when the pages it holds are full, so every call either opens one
+    // page per layer or is refused: calls = pages ÷ layers + refusals. A
+    // call for a token that fits a held page would do neither. Host tiers
+    // from roomy to one page make the drives swap and fall back to
+    // recompute; the drive audits the headroom column after every tick.
+    // Four private requests and three group-mates over a 32-token prefix.
+    let reqs: Vec<Request> = (0..7)
+        .map(|i| match i {
+            0..4 => Request::new(RequestId(i), 40, 32, 0.0),
+            _ => Request::new(RequestId(i), 40, 24, 0.0).with_prefix(0, 32),
+        })
+        .collect();
+    let (mut swap_outs, mut preemptions, mut refusals) = (0, 0, 0);
+    let (mut calls, mut tokens) = (0, 0);
+    for layers in [1usize, 2] {
+        for (total, host) in [(10, 40), (12, 40), (10, 1), (12, 2)] {
+            let mut budget = PageBudget::new(16, layers, total * layers, Reservation::OnDemand);
+            budget.enable_host_tier(host * layers);
+            let run = drive(&reqs, 5, swap_opts(), &mut budget);
+            let g = run.growth;
+            assert_eq!(g.pages % layers, 0, "layers {layers}, pool {total}: a page per layer");
+            assert_eq!(
+                g.calls,
+                g.pages / layers + g.refusals,
+                "layers {layers}, pool {total}, host {host}: a grow call inside a held page"
+            );
+            swap_outs += run.swap_outs;
+            preemptions += run.preemptions;
+            refusals += g.refusals;
+            calls += g.calls;
+            tokens += run.generated_tokens;
+        }
+    }
+    assert!(swap_outs > 0 && preemptions > 0 && refusals > 0, "the drives must swap and recompute");
+    // About one decoded token in sixteen meets a page boundary.
+    assert!(calls * 8 < tokens, "{calls} grow calls for {tokens} generated tokens");
+}
+
+#[test]
 fn swap_refuses_when_the_host_tier_is_full() {
     // A host tier with no room: swap_out must return None (back-pressure,
     // the caller falls back to recompute), leaving the device ledger
