@@ -350,8 +350,8 @@ impl TickExecutor for FunctionalExecutor<'_> {
     /// Peak reservation means growth can never fail; if this driver ever
     /// moves to on-demand reservation, preempted ids must also be released
     /// from the real cache here.
-    fn preempted(&mut self, _: &Scheduler, ids: &[RequestId]) {
-        assert!(ids.is_empty(), "peak-reserving budget cannot preempt");
+    fn preempted(&mut self, _: &Scheduler, recomputed: &[RequestId], swapped: &[RequestId]) {
+        assert!(recomputed.is_empty() && swapped.is_empty(), "peak-reserving budget cannot preempt");
     }
 
     fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {

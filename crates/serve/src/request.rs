@@ -151,8 +151,9 @@ pub enum RequestState {
     Swapped,
 }
 
-/// One serving request with its lifecycle accounting.
-#[derive(Debug, Clone, PartialEq)]
+/// One serving request with its lifecycle accounting. `Copy`, so retirement
+/// moves each run of surviving residents down as one block.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Stable identity (also used as the KV-cache [`crate::SequenceId`]).
     pub id: RequestId,

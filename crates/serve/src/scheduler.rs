@@ -36,10 +36,13 @@ use crate::sketch::PercentileSketch;
 
 /// A resident's seat in its budget's ledger, handed out by admission and
 /// swap-in and passed back to [`KvBudget::settle`] and [`KvBudget::grow`]
-/// when the resident reaches a page boundary — those calls index with it
-/// instead of looking the request id up. Opaque to the scheduler; valid
-/// until the request is released, swapped out or evicted (slots are reused
-/// afterwards).
+/// at a page boundary and to [`KvBudget::release`] and
+/// [`KvBudget::swap_out`] when the resident leaves the device — every
+/// per-resident ledger call indexes with it; the ledger keeps no id map.
+/// Opaque to the scheduler; valid until the request is released, swapped
+/// out or evicted. Slots are reused afterwards, so a stale handle may name
+/// another request's seat: the calls that take the id beside the handle
+/// check that the seat still holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvHandle(usize);
 
@@ -83,16 +86,20 @@ pub trait KvBudget {
     /// `tokens` may neither fall below that count nor exceed the pages.
     fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize;
 
-    /// Returns everything `id` holds to the pool.
-    fn release(&mut self, id: RequestId);
+    /// Returns everything `id` holds to the pool: the resident entry seated
+    /// at `handle`, or with `None` its swapped-out (parked) holdings, if
+    /// any. Implementations must fail loudly when `handle`'s seat does not
+    /// hold `id` — a handle kept past its request's release or swap-out.
+    fn release(&mut self, id: RequestId, handle: Option<KvHandle>);
 
-    /// Spills `id`'s *private* pages to a modeled host-memory tier,
-    /// freeing them on device while keeping any shared-pool reference
-    /// (shared prefix pages stay resident — siblings are reading them).
-    /// Returns the device pages freed, or `None` when the budget has no
-    /// host tier or the tier is full — the caller must fall back to
-    /// recompute preemption.
-    fn swap_out(&mut self, id: RequestId) -> Option<usize>;
+    /// Spills resident `id`'s *private* pages (its entry seated at
+    /// `handle`) to a modeled host-memory tier, freeing them on device
+    /// while keeping any shared-pool reference (shared prefix pages stay
+    /// resident — siblings are reading them). Returns the device pages
+    /// freed, or `None` when the budget has no host tier or the tier is
+    /// full — the caller must fall back to recompute preemption. A seat
+    /// that does not hold `id` fails loudly, as in [`KvBudget::release`].
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize>;
 
     /// Brings a swapped-out request's pages back on device. Returns its
     /// new ledger handle and the device pages re-acquired, or `None` when
@@ -118,8 +125,8 @@ pub enum Reservation {
 
 #[derive(Debug, Clone, Copy)]
 struct PageEntry {
-    /// The resident this slot belongs to — lets the audit prove a handle
-    /// and the id map name the same entry.
+    /// The request this entry belongs to — what a handle-indexed call
+    /// checks its seat against, and the key it is parked under.
     id: RequestId,
     /// Tokens in the entry's *private* region (beyond any shared pool
     /// pages), as of the last call that told the ledger — a scheduler
@@ -153,15 +160,12 @@ pub struct PageBudget {
     free_pages: usize,
     peak_used: usize,
     mode: Reservation,
-    /// Resident entries in a dense slab indexed by [`KvHandle`]: a page
-    /// boundary's [`KvBudget::settle`] and [`KvBudget::grow`] are an index,
+    /// Resident entries in a dense slab indexed by [`KvHandle`]: every
+    /// per-resident call — settle, grow, release, swap-out — is an index,
     /// not a map walk. Vacated slots are `None` and reused through
     /// `free_slots`.
     slab: Vec<Option<PageEntry>>,
     free_slots: Vec<usize>,
-    /// `RequestId → slab slot`, for the per-request events (release, swap,
-    /// audit) that only know the id.
-    slots: std::collections::BTreeMap<RequestId, usize>,
     pools: std::collections::BTreeMap<u64, SharedPool>,
     /// Pools holding a control-plane *anchor* reference: prefix pages
     /// imported by a cross-replica migration stay resident (and the pool
@@ -199,7 +203,6 @@ impl PageBudget {
             mode,
             slab: Vec::new(),
             free_slots: Vec::new(),
-            slots: std::collections::BTreeMap::new(),
             pools: std::collections::BTreeMap::new(),
             anchors: std::collections::BTreeSet::new(),
             host_capacity: None,
@@ -252,17 +255,14 @@ impl PageBudget {
     /// Panics on any drift between the counters and the entry/pool maps.
     pub fn assert_consistent(&self) {
         assert_eq!(
-            self.slots.len() + self.free_slots.len(),
+            self.entries().count() + self.free_slots.len(),
             self.slab.len(),
             "ledger slab drift: live + free slots != slab"
         );
-        for (&id, &slot) in &self.slots {
-            assert_eq!(
-                self.slab[slot].map(|e| e.id),
-                Some(id),
-                "request {:?} maps to a slot it does not own",
-                id
-            );
+        // No id map keeps a request to one seat, so the audit does.
+        let mut resident = std::collections::BTreeSet::new();
+        for e in self.entries() {
+            assert!(resident.insert(e.id), "request {:?} is seated twice in the ledger", e.id);
         }
         let reserved: usize = self
             .entries()
@@ -316,11 +316,7 @@ impl PageBudget {
             self.host_capacity_pages()
         );
         for (id, e) in &self.parked {
-            assert!(
-                !self.slots.contains_key(id),
-                "request {:?} is both resident and swapped out",
-                id
-            );
+            assert!(!resident.contains(id), "request {:?} is both resident and swapped out", id);
             if let Some(g) = e.group {
                 assert!(
                     self.pools.contains_key(&g),
@@ -336,24 +332,39 @@ impl PageBudget {
         self.slab.iter().flatten()
     }
 
-    /// Seats `entry` in a free slab slot (reusing vacated ones first) and
-    /// records it under its id.
+    /// Seats `entry` in a free slab slot, reusing vacated ones first.
     fn seat(&mut self, entry: PageEntry) -> KvHandle {
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.slab.push(None);
             self.slab.len() - 1
         });
         self.slab[slot] = Some(entry);
-        let prev = self.slots.insert(entry.id, slot);
-        assert!(prev.is_none(), "request {:?} is already resident in the ledger", entry.id);
         KvHandle(slot)
     }
 
-    /// Vacates `id`'s slot, returning its entry (`None` when not resident).
-    fn unseat(&mut self, id: RequestId) -> Option<PageEntry> {
-        let slot = self.slots.remove(&id)?;
-        self.free_slots.push(slot);
-        Some(self.slab[slot].take().expect("id map names a vacant ledger slot"))
+    /// The entry seated at `handle`, checked to belong to `id`.
+    ///
+    /// # Panics
+    /// Panics, naming `id`, when the seat is vacant or holds another
+    /// request — `handle` outlived `id`'s release or swap-out.
+    fn seated(&self, id: RequestId, handle: KvHandle) -> &PageEntry {
+        match self.slab.get(handle.0) {
+            Some(Some(e)) if e.id == id => e,
+            seat => panic!(
+                "request {:?}: stale ledger handle (seat {} holds {:?})",
+                id,
+                handle.0,
+                seat.and_then(|e| e.map(|e| e.id))
+            ),
+        }
+    }
+
+    /// Vacates `id`'s seat at `handle`, returning its entry.
+    fn unseat(&mut self, id: RequestId, handle: KvHandle) -> PageEntry {
+        let entry = *self.seated(id, handle);
+        self.slab[handle.0] = None;
+        self.free_slots.push(handle.0);
+        entry
     }
 
     /// Host pages still free (`None` without a tier).
@@ -391,20 +402,18 @@ impl PageBudget {
     /// Audit hook: resident `id`'s `(footprint, capacity)` in tokens, both
     /// counting its pool-covered prefix — what the ledger last heard it
     /// caches, and what the pages it holds can — after checking that
-    /// `handle` and the id map resolve to the same live entry.
+    /// `handle`'s seat holds `id`.
     ///
     /// # Panics
     /// Panics when `handle` is stale or belongs to another request.
     fn resident_tokens(&self, handle: KvHandle, id: RequestId) -> (usize, usize) {
-        assert_eq!(self.slots.get(&id), Some(&handle.0), "request {:?}: handle/id-map drift", id);
-        let e = self.slab[handle.0].as_ref().expect("handle names a vacant ledger slot");
+        let e = self.seated(id, handle);
         (e.tokens + e.covered_tokens, e.reserved_per_layer * self.page_tokens + e.covered_tokens)
     }
 
     /// Audit hook: number of resident (on-device) entries.
-    #[doc(hidden)]
     fn resident_count(&self) -> usize {
-        self.slots.len()
+        self.slab.len() - self.free_slots.len()
     }
 
     /// Pages one sequence of `tokens` needs per layer.
@@ -577,8 +586,9 @@ impl KvBudget for PageBudget {
             .expect("settled past the pages the entry holds")
     }
 
-    fn release(&mut self, id: RequestId) {
-        if let Some(entry) = self.unseat(id) {
+    fn release(&mut self, id: RequestId, handle: Option<KvHandle>) {
+        if let Some(handle) = handle {
+            let entry = self.unseat(id, handle);
             self.free_pages += entry.reserved_per_layer * self.layers;
             if let Some(g) = entry.group {
                 self.unref_pool(g);
@@ -595,16 +605,13 @@ impl KvBudget for PageBudget {
         }
     }
 
-    fn swap_out(&mut self, id: RequestId) -> Option<usize> {
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize> {
+        let pages = self.seated(id, handle).reserved_per_layer * self.layers;
         // No tier attached → the caller falls back to recompute.
-        let host_free = self.host_free_pages()?;
-        let slot = *self.slots.get(&id).expect("swap_out() on unadmitted request");
-        let entry = self.slab[slot].expect("id map names a vacant ledger slot");
-        let pages = entry.reserved_per_layer * self.layers;
-        if pages > host_free {
+        if pages > self.host_free_pages()? {
             return None;
         }
-        self.unseat(id);
+        let entry = self.unseat(id, handle);
         self.park(entry);
         // The pool reference (if any) is deliberately kept: the swapped
         // member still pins its shared prefix pages on device.
@@ -658,10 +665,11 @@ pub trait SchedulingPolicy: Send {
     ///
     /// The answer is a *preference*: [`Scheduler::make_room`] clamps it up
     /// to the resident whose growth was just refused (and never below
-    /// index 1). Residents before that one have already been charged this
-    /// tick's token and will decode it; evicting one of them would park or
-    /// wipe a token that was never generated, so only the not-yet-charged
-    /// suffix is evictable. The LIFO default always lands in that suffix.
+    /// index 1). Residents before that one have room for this tick's token
+    /// — their headroom covers it or their next page was granted — and
+    /// will decode it; evicting one of them would park or wipe a token
+    /// that was never generated, so only the suffix from the refused
+    /// resident on is evictable. The LIFO default always lands in it.
     fn victim(&self, running: &[Request]) -> Option<usize> {
         running.len().checked_sub(1)
     }
@@ -788,10 +796,11 @@ pub trait TickExecutor {
     /// before the scheduler advances anyone.
     fn decode(&mut self, sched: &Scheduler) -> f64;
 
-    /// Make-room recompute-preempted `ids` (possibly none): their KV state
-    /// is gone. Swap victims are not listed — theirs survives on the host
-    /// tier.
-    fn preempted(&mut self, _sched: &Scheduler, _ids: &[RequestId]) {}
+    /// Make-room evicted these residents (either slice possibly empty), each
+    /// in eviction order: `recomputed` lost their KV state and re-prefill
+    /// on re-admission; `swapped` had their private pages spilled to the
+    /// host tier and swap back in. Every eviction is listed exactly once.
+    fn preempted(&mut self, _sched: &Scheduler, _recomputed: &[RequestId], _swapped: &[RequestId]) {}
 
     /// The decode step just charged retired `ids` (possibly none), in
     /// admission order; the budget has already released them.
@@ -923,10 +932,13 @@ pub struct Scheduler {
     /// text, which run digests hash) stays independent of the budget.
     handles: Vec<KvHandle>,
     /// Each resident's headroom — tokens still free in the pages it holds —
-    /// parallel to `handles`. Make-room spends it a token per tick without
-    /// a ledger call, so the ledger hears from a resident only when this
-    /// reaches zero: at a page boundary, about one resident-tick in
-    /// sixteen.
+    /// parallel to `handles`. The decode pass spends it a token per step
+    /// without a ledger call, so the ledger hears from a resident only when
+    /// this is zero as a tick's make-room starts: at a page boundary, about
+    /// one resident-tick in sixteen. Make-room finds those by scanning this
+    /// column and refills a grown one with its new page's headroom plus the
+    /// token the same tick's decode pass spends. Between ticks, a
+    /// resident's ledger capacity is its `prefill_len()` plus this.
     headroom: Vec<usize>,
     /// Residents with `prefill_remaining() > 0` — incremental twin of the
     /// scan, like `outstanding`. The rest of `running` is decodable.
@@ -971,11 +983,16 @@ pub struct Scheduler {
     /// The tick's out-buffers, each cleared and refilled by its step and
     /// lent to the executor's hook: what admission seated, this tick's
     /// chunked-prefill slices `(id, new, past)`, the ids make-room
-    /// recompute-preempted and the ids the decode step retired.
+    /// recompute-preempted and swapped out, and the ids the decode step
+    /// retired.
     wave: AdmittedWave,
     chunks: Vec<(RequestId, usize, usize)>,
     preempted: Vec<RequestId>,
+    swapped: Vec<RequestId>,
     retired: Vec<RequestId>,
+    /// The decode pass's retirees, as indices into `running` (ascending):
+    /// retirement compacts the batch around them.
+    retiring: Vec<usize>,
 }
 
 /// Tokens of work still owed to one queued or running request.
@@ -1022,7 +1039,9 @@ impl Scheduler {
             wave: AdmittedWave::default(),
             chunks: Vec::new(),
             preempted: Vec::new(),
+            swapped: Vec::new(),
             retired: Vec::new(),
+            retiring: Vec::new(),
         }
     }
 
@@ -1129,10 +1148,10 @@ impl Scheduler {
     }
 
     /// Removes resident `idx` and its columns, keeping the aggregates
-    /// honest.
-    fn remove_resident(&mut self, idx: usize) -> Request {
+    /// honest; returns the request and its ledger handle.
+    fn remove_resident(&mut self, idx: usize) -> (Request, KvHandle) {
         let req = self.running.remove(idx);
-        self.handles.remove(idx);
+        let handle = self.handles.remove(idx);
         self.headroom.remove(idx);
         if req.prefill_remaining() > 0 {
             self.prefilling =
@@ -1143,11 +1162,11 @@ impl Scheduler {
                 .checked_sub(req.prefilled)
                 .expect("decodable-token counter underflow at eviction");
         }
-        req
+        (req, handle)
     }
 
     /// Differential audit of the scheduler against its page ledger: every
-    /// resident's handle and id resolve to the same ledger entry, that
+    /// resident's handle names a ledger seat that holds its id, that
     /// entry's capacity (the tokens its pages and pool-covered prefix hold)
     /// less the resident's headroom column equals the tokens the request
     /// has materialized or reserved (`prefill_len()`), the ledger's own
@@ -1247,8 +1266,13 @@ impl Scheduler {
 
     /// Number of pending requests that are eligible by the current clock.
     fn arrived(&self) -> usize {
-        // `pending` is sorted by ready time, so the eligible set is a prefix.
-        self.pending.partition_point(|r| r.ready_s <= self.clock)
+        // `pending` is sorted by ready time, so the eligible set is a prefix
+        // — under a backlog, usually all of it, which the last request says
+        // without a search.
+        match self.pending.back() {
+            Some(last) if last.ready_s <= self.clock => self.pending.len(),
+            _ => self.pending.partition_point(|r| r.ready_s <= self.clock),
+        }
     }
 
     /// One scheduling tick, the only spelling of the driver contract: admit
@@ -1283,7 +1307,7 @@ impl Scheduler {
             return;
         }
         self.make_room(budget);
-        exec.preempted(self, &self.preempted);
+        exec.preempted(self, &self.preempted, &self.swapped);
         // This tick's host-link traffic (swap-ins at admission, swap-outs
         // from make-room) goes into the clock: preemption by swap is not
         // free. Zero pages, zero seconds.
@@ -1512,6 +1536,12 @@ impl Scheduler {
     /// a restarted replica resumes reporting where it left off.
     pub fn evict_all<B: KvBudget>(&mut self, budget: &mut B) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
+        for r in victims.iter().filter(|r| r.state == RequestState::Swapped) {
+            budget.release(r.id, None);
+        }
+        for (r, &handle) in self.running.iter().zip(&self.handles) {
+            budget.release(r.id, Some(handle));
+        }
         victims.append(&mut self.running);
         self.handles.clear();
         self.headroom.clear();
@@ -1519,9 +1549,6 @@ impl Scheduler {
         self.decode_tokens = 0;
         let mut lost = 0usize;
         for req in &mut victims {
-            if req.state != RequestState::Queued {
-                budget.release(req.id);
-            }
             // Wiping `prefilled` re-owes the work; queued victims had
             // nothing materialized, so they contribute zero.
             lost += req.prefilled;
@@ -1545,35 +1572,32 @@ impl Scheduler {
         self.clock = self.clock.max(t);
     }
 
-    /// Accounts one token of KV growth for every resident about to decode,
-    /// preempting (policy-chosen victims) until the budget fits. Residents
-    /// still in chunked prefill do not grow — their prompt footprint was
-    /// reserved at admission. `preempted` is cleared and refilled with the
-    /// recompute-preempted ids (swap victims are not listed: their KV state
-    /// survives).
+    /// Makes sure every resident about to decode has room for its next
+    /// token, preempting (policy-chosen victims) until the budget fits.
+    /// Residents still in chunked prefill do not grow — their prompt
+    /// footprint was reserved at admission. `preempted` and `swapped` are
+    /// cleared and refilled with the recompute and swap victims, each in
+    /// eviction order.
     ///
-    /// One in-place pass in admission order. A resident with headroom
-    /// spends a token of it; one whose pages are full asks the ledger for
-    /// the next page. A refusal evicts a victim from the not-yet-grown
-    /// suffix (see [`SchedulingPolicy::victim`]) and retries, so the cursor
-    /// never moves backwards and growth is charged in admission order.
+    /// Only a resident whose headroom is already spent needs the ledger
+    /// (the decode pass spends everyone else's), so make-room visits just
+    /// those, found by scanning the dense headroom column in admission
+    /// order: each asks the ledger for its next page. A refusal evicts a
+    /// victim from the suffix at or after the cursor (see
+    /// [`SchedulingPolicy::victim`]) — its token for this tick unspent —
+    /// and retries, so the cursor never moves backwards and growth is
+    /// charged in admission order.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
     /// even one request, which admission should have refused.
     fn make_room<B: KvBudget>(&mut self, budget: &mut B) {
         self.preempted.clear();
+        self.swapped.clear();
         let mut i = 0;
-        while i < self.running.len() {
-            // With nobody prefilling, the dense headroom column is all the
-            // pass reads.
-            let decodable = self.prefilling == 0 || self.running[i].prefill_remaining() == 0;
-            if !decodable {
-                i += 1;
-                continue;
-            }
-            if let Some(spare) = self.headroom[i].checked_sub(1) {
-                self.headroom[i] = spare;
+        while let Some(spent) = self.headroom[i..].iter().position(|&room| room == 0) {
+            i += spent;
+            if self.prefilling > 0 && self.running[i].prefill_remaining() > 0 {
                 i += 1;
                 continue;
             }
@@ -1587,20 +1611,22 @@ impl Scheduler {
                 self.running[i].id
             );
             let last = self.running.len() - 1;
-            // At or after the cursor (nobody already charged this tick), and
-            // never the oldest resident: someone always finishes, so
-            // preemption cannot livelock.
+            // At or after the cursor (nobody before it will be denied this
+            // tick's token), and never the oldest resident: someone always
+            // finishes, so preemption cannot livelock.
             let chosen = self.policy.victim(&self.running).filter(|&v| v <= last);
             let victim = chosen.unwrap_or(last).max(i).max(1);
             if self.opts.preemption == PreemptionMode::Swap {
                 // The ledger parks the entry whole: bring its count up to the
-                // tokens the victim holds (it has not grown this tick).
-                budget.settle(self.handles[victim], self.running[victim].prefill_len());
-                if let Some(pages) = budget.swap_out(self.running[victim].id) {
+                // tokens the victim holds (it has not decoded this tick).
+                let (id, handle) = (self.running[victim].id, self.handles[victim]);
+                budget.settle(handle, self.running[victim].prefill_len());
+                if let Some(pages) = budget.swap_out(id, handle) {
                     self.tick_swap_pages += pages;
                     self.swap_out_pages += pages;
                     self.swap_outs += 1;
-                    let mut req = self.remove_resident(victim);
+                    self.swapped.push(id);
+                    let (mut req, _) = self.remove_resident(victim);
                     // KV state survives on the host tier: `prefilled` is
                     // kept, so nothing is re-owed — the driver pays the
                     // page transfer, not recompute.
@@ -1619,29 +1645,36 @@ impl Scheduler {
     /// Charges resident `i`'s next token, whose pages are full, to the
     /// ledger — first bringing the ledger's count up to the headroom spent
     /// since it last heard — and refills the headroom column from the page
-    /// that token opens. `false` (nothing charged): the pool is dry.
+    /// that token opens, plus the token itself, which this tick's decode
+    /// pass spends. `false` (nothing charged): the pool is dry.
     fn grow_past_page<B: KvBudget>(&mut self, i: usize, budget: &mut B) -> bool {
         let (handle, held) = (self.handles[i], self.running[i].prefill_len());
         let spare = budget.settle(handle, held);
         debug_assert_eq!(spare, 0, "headroom column drifted from the ledger");
         let grown = budget.grow(handle);
         if grown {
-            self.headroom[i] = budget.settle(handle, held + 1);
+            self.headroom[i] = budget.settle(handle, held + 1) + 1;
         }
         grown
     }
 
     /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an
     /// evicted resident that is its original place, so FCFS re-admits it
-    /// first.
+    /// first. A request that sorts last (every fresh arrival, in order) is
+    /// pushed without a search.
     fn enqueue(&mut self, req: Request) {
-        let at = self.pending.partition_point(|r| (r.ready_s, r.id) <= (req.ready_s, req.id));
-        self.pending.insert(at, req);
+        let key = (req.ready_s, req.id);
+        if self.pending.back().is_none_or(|r| (r.ready_s, r.id) <= key) {
+            self.pending.push_back(req);
+        } else {
+            let at = self.pending.partition_point(|r| (r.ready_s, r.id) <= key);
+            self.pending.insert(at, req);
+        }
     }
 
     fn preempt<B: KvBudget>(&mut self, idx: usize, budget: &mut B) {
-        let mut req = self.remove_resident(idx);
-        budget.release(req.id);
+        let (mut req, handle) = self.remove_resident(idx);
+        budget.release(req.id, Some(handle));
         req.state = RequestState::Queued;
         // Resetting `prefilled` re-owes the recompute work (prompt plus the
         // tokens generated so far): the counter grows by what was wiped.
@@ -1652,23 +1685,26 @@ impl Scheduler {
     }
 
     /// One decode step for the decodable part of the running batch: charges
-    /// `dt`, advances every fully-prefilled resident by one token, stamps
-    /// TTFTs, retires finished requests (releasing their budget) and lists
-    /// their ids in `retired`, cleared first. Residents still in chunked
-    /// prefill are untouched.
+    /// `dt`, and in one pass advances every fully-prefilled resident by one
+    /// token, spends that token from its headroom column (make-room left
+    /// each at least one) and stamps TTFTs, collecting the indices of the
+    /// residents that reach their output length. Those retire (see
+    /// [`Scheduler::retire`]) and are listed in `retired`. Residents still
+    /// in chunked prefill are untouched.
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
         assert!(self.running.len() > self.prefilling, "decode_step with no decodable resident");
         self.clock += dt;
         self.decode_time += dt;
         let clock = self.clock;
-        self.retired.clear();
+        self.retiring.clear();
         let mut decoded = 0usize;
-        let mut retired_tokens = 0usize;
-        let mut retiring = false;
-        for r in &mut self.running {
+        for (i, (r, room)) in self.running.iter_mut().zip(&mut self.headroom).enumerate() {
             if r.prefill_remaining() > 0 {
                 continue;
             }
+            // Make-room left every decodable resident at least this token.
+            debug_assert!(*room > 0, "request {:?} decodes with its headroom spent", r.id);
+            *room -= 1;
             r.generated += 1;
             // The decoded token is materialized context too: `prefilled`
             // tracks it so `prefill_remaining()` stays 0 while decoding.
@@ -1677,45 +1713,11 @@ impl Scheduler {
             if r.first_token_s.is_none() {
                 r.first_token_s = Some(clock);
             }
-            retiring |= r.generated == r.output_len;
+            if r.generated == r.output_len {
+                self.retiring.push(i);
+            }
         }
-        if retiring {
-            // Stable in-place compaction: residents before the first retiree
-            // do not move, survivors keep their admission order, and the
-            // retirees reach the budget, the sketch, `retired` and
-            // `finished` in that same order. Deliberately a second pass
-            // rather than fused into the increment loop above: fusing reads
-            // better on a ~1,900-resident batch that retires someone every
-            // tick, but measured +10% wall on a ~13-resident batch with
-            // rare retirements, where the closure and the per-element
-            // column stores cost more than the second pass saves.
-            let (handles, headroom) = (&mut self.handles, &mut self.headroom);
-            let (mut at, mut kept) = (0, 0);
-            self.running.retain_mut(|req| {
-                let i = at;
-                at += 1;
-                // Only a token decoded this tick can satisfy this (residents
-                // never linger at their output length across ticks).
-                if req.generated != req.output_len {
-                    handles[kept] = handles[i];
-                    headroom[kept] = headroom[i];
-                    kept += 1;
-                    return true;
-                }
-                retired_tokens += req.prefilled;
-                budget.release(req.id);
-                // A retiring request owes nothing (its final token was just
-                // counted), so only the sketch needs feeding here — with
-                // the very float the exact path reads from `finished` later.
-                let done = FinishedRequest::retire(req, clock);
-                self.latency_sketch.insert(done.latency_s());
-                self.retired.push(done.id);
-                self.finished.push(done);
-                false
-            });
-            handles.truncate(kept);
-            headroom.truncate(kept);
-        }
+        let retired_tokens = self.retire(budget);
         // Every decodable sequence grew by one token; the retired ones left
         // with everything they held.
         self.decode_tokens = (self.decode_tokens + decoded)
@@ -1725,6 +1727,43 @@ impl Scheduler {
             .outstanding
             .checked_sub(decoded)
             .expect("outstanding-token counter underflow in decode");
+    }
+
+    /// Retires the residents the decode pass listed in `retiring` and
+    /// returns the tokens they held. `retired` is cleared and refilled.
+    ///
+    /// The retirees reach the budget, the sketch, `retired` and `finished`
+    /// in admission order. The batch and its two columns are compacted by
+    /// runs: each run of survivors between two retirees (or after the last)
+    /// moves down as one block, so residents before the first retiree do
+    /// not move and survivors keep their admission order.
+    fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
+        self.retired.clear();
+        let Some(&first) = self.retiring.first() else { return 0 };
+        let (clock, len) = (self.clock, self.running.len());
+        let mut retired_tokens = 0usize;
+        let mut kept = first;
+        for (k, &at) in self.retiring.iter().enumerate() {
+            let req = &self.running[at];
+            retired_tokens += req.prefilled;
+            budget.release(req.id, Some(self.handles[at]));
+            // A retiring request owes nothing (its final token was just
+            // counted), so only the sketch needs feeding here — with the
+            // very float the exact path reads from `finished` later.
+            let done = FinishedRequest::retire(req, clock);
+            self.latency_sketch.insert(done.latency_s());
+            self.retired.push(done.id);
+            self.finished.push(done);
+            let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
+            self.running.copy_within(survivors.clone(), kept);
+            self.handles.copy_within(survivors.clone(), kept);
+            self.headroom.copy_within(survivors.clone(), kept);
+            kept += survivors.len();
+        }
+        self.running.truncate(kept);
+        self.handles.truncate(kept);
+        self.headroom.truncate(kept);
+        retired_tokens
     }
 
     /// The streaming latency accumulator, fed once per retirement — what
@@ -1767,7 +1806,7 @@ mod tests {
             (self.probe)(sched);
             self.decode
         }
-        fn preempted(&mut self, sched: &Scheduler, _: &[RequestId]) {
+        fn preempted(&mut self, sched: &Scheduler, _: &[RequestId], _: &[RequestId]) {
             (self.probe)(sched);
         }
     }
@@ -1856,7 +1895,7 @@ mod tests {
         assert_eq!(b.free_pages(), 4);
         assert!(b.grow(h)); // 9 tokens: 3rd page on both layers
         assert_eq!(b.free_pages(), 2);
-        b.release(id);
+        b.release(id, Some(h));
         assert_eq!(b.free_pages(), 8);
     }
 
@@ -1939,19 +1978,19 @@ mod tests {
         // 6 suffix+output... (peak 40 - 32 covered = 8 tokens = 2 pages ×
         // 2 layers = 4 pages).
         let mut b = PageBudget::new(4, 2, 64, Reservation::Peak);
-        assert!(b.admit(RequestId(0), Some(7), 32, 36, 40).is_some());
+        let h0 = b.admit(RequestId(0), Some(7), 32, 36, 40);
         assert_eq!(b.free_pages(), 64 - 16 - 4, "pool + first private part");
-        assert!(b.admit(RequestId(1), Some(7), 32, 36, 40).is_some());
+        let h1 = b.admit(RequestId(1), Some(7), 32, 36, 40);
         assert_eq!(b.free_pages(), 64 - 16 - 8, "second member joins the pool free");
         // An unshared admission of the same shape pays full freight.
-        assert!(b.admit(RequestId(2), None, 0, 36, 40).is_some());
+        let h2 = b.admit(RequestId(2), None, 0, 36, 40);
         assert_eq!(b.free_pages(), 64 - 16 - 8 - 20);
         // Pool pages outlive the first member and free with the last.
-        b.release(RequestId(0));
+        b.release(RequestId(0), Some(h0.expect("fits")));
         assert_eq!(b.free_pages(), 64 - 16 - 4 - 20);
-        b.release(RequestId(1));
+        b.release(RequestId(1), Some(h1.expect("fits")));
         assert_eq!(b.free_pages(), 64 - 20);
-        b.release(RequestId(2));
+        b.release(RequestId(2), Some(h2.expect("fits")));
         assert_eq!(b.free_pages(), 64);
         assert_eq!(b.peak_pages(), 16 + 8 + 20, "high-water of unique pages");
     }
@@ -1961,14 +2000,14 @@ mod tests {
         // A 5-token prefix over 4-token pages shares only the one full page;
         // the boundary page is private (the cache would COW it).
         let mut b = PageBudget::new(4, 1, 16, Reservation::OnDemand);
-        assert!(b.admit(RequestId(0), Some(1), 5, 8, 8).is_some());
+        let h0 = b.admit(RequestId(0), Some(1), 5, 8, 8);
         // Pool: 1 page; private: 8 - 4 covered = 4 tokens = 1 page.
         assert_eq!(b.free_pages(), 14);
         // Below one page of sharing, the group is ignored outright.
-        assert!(b.admit(RequestId(1), Some(2), 3, 8, 8).is_some());
+        let h1 = b.admit(RequestId(1), Some(2), 3, 8, 8);
         assert_eq!(b.free_pages(), 12);
-        b.release(RequestId(0));
-        b.release(RequestId(1));
+        b.release(RequestId(0), Some(h0.expect("fits")));
+        b.release(RequestId(1), Some(h1.expect("fits")));
         assert_eq!(b.free_pages(), 16);
     }
 
@@ -2115,11 +2154,23 @@ mod tests {
         // (input, output) per request, all admitted on tick 1 in id order,
         // and the (survivors, finished) ids expected after each leading tick.
         type Trace = &'static [(&'static [u64], &'static [u64])];
-        let corners: [(&str, &[(usize, usize)], Option<usize>, Trace); 5] = [
+        let corners: [(&str, &[(usize, usize)], Option<usize>, Trace); 8] = [
             ("first retires", &[(4, 1), (4, 2), (4, 2)], None, &[(&[1, 2], &[0]), (&[], &[0, 1, 2])]),
             ("last retires", &[(4, 2), (4, 2), (4, 1)], None, &[(&[0, 1], &[2]), (&[], &[2, 0, 1])]),
             ("middle retires", &[(4, 3), (4, 1), (4, 3)], None, &[(&[0, 2], &[1]), (&[0, 2], &[1])]),
             ("all retire at once", &[(4, 1), (4, 1), (4, 1)], None, &[(&[], &[0, 1, 2])]),
+            ("adjacent retirees", &[(4, 2), (4, 1), (4, 1), (4, 2)], None, &[
+                (&[0, 3], &[1, 2]),
+                (&[], &[1, 2, 0, 3]),
+            ]),
+            ("two survivor runs move", &[(4, 1), (4, 2), (4, 2), (4, 1), (4, 2), (4, 2)], None, &[
+                (&[1, 2, 4, 5], &[0, 3]),
+                (&[], &[0, 3, 1, 2, 4, 5]),
+            ]),
+            ("retirees at both ends", &[(4, 1), (4, 2), (4, 2), (4, 1)], None, &[
+                (&[1, 2], &[0, 3]),
+                (&[], &[0, 3, 1, 2]),
+            ]),
             // Chunk 2: requests 0 and 2 finish prefill, decode and retire on
             // tick 1 while request 1 sits between them, eight tokens short.
             ("a prefilling resident between two retirees", &[(2, 1), (10, 1), (2, 1)], Some(2), &[
@@ -2134,7 +2185,7 @@ mod tests {
                 .map(|(i, &(input, output))| Request::new(RequestId(i as u64), input, output, 0.0))
                 .collect();
             let opts = SchedOptions { chunk_tokens, ..SchedOptions::default() };
-            let mut sched = submitted(requests, 3, Box::new(Fcfs), opts);
+            let mut sched = submitted(requests, shapes.len(), Box::new(Fcfs), opts);
             let mut budget = PageBudget::new(4, 1, 64, Reservation::OnDemand);
             let mut exec = Recording::default();
             let ids = |rs: &[Request]| rs.iter().map(|r| r.id.0).collect::<Vec<_>>();
@@ -2159,6 +2210,137 @@ mod tests {
             }
             assert_eq!(budget.free_pages(), budget.total_pages(), "{corner}: pages returned");
         }
+    }
+
+    /// Flat prices. At the decode hook it records the batch about to decode
+    /// — each id, and whether this step retires it: the input of a
+    /// stable-filter reference for retirement — and it records what the
+    /// `retired` hook is told.
+    #[derive(Default)]
+    struct Reference {
+        batch: Vec<(u64, bool)>,
+        retired: Vec<u64>,
+    }
+
+    impl TickExecutor for Reference {
+        fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
+            0.0
+        }
+        fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
+            0.1
+        }
+        fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
+            1e-3 * pages as f64
+        }
+        fn decode(&mut self, sched: &Scheduler) -> f64 {
+            let retires = |r: &Request| r.prefill_remaining() == 0 && r.generated + 1 == r.output_len;
+            self.batch = sched.running().iter().map(|r| (r.id.0, retires(r))).collect();
+            0.01
+        }
+        fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
+            self.retired = ids.iter().map(|id| id.0).collect();
+        }
+    }
+
+    qserve_tensor::props! {
+        /// Run compaction against a stable filter, on random batches of
+        /// 1–64 residents, chunked and unchunked, in pools from one
+        /// worst-case request (evicting by swap or recompute) to never
+        /// binding. After every tick the survivors are the batch the decode
+        /// step saw less its retirees, in order; the retirees reach the
+        /// `retired` hook and `finished` in that same order; and the ledger
+        /// mirrors the scheduler.
+        fn retirement_compacts_like_a_stable_filter(rng) {
+            let mut pick = |lo: i64, hi: i64| rng.int_in(lo, hi) as usize;
+            let n = pick(1, 64);
+            let requests: Vec<Request> = (0..n)
+                .map(|i| Request::new(RequestId(i as u64), pick(1, 12), pick(1, 12), 0.0))
+                .collect();
+            let chunk_tokens = [None, Some(1), Some(3)][pick(0, 2)];
+            let page_tokens = [1, 2, 4, 16][pick(0, 3)];
+            // Every request peaks at most 24 tokens.
+            let total = 24usize.div_ceil(page_tokens) * pick(1, 2 * n as i64);
+            let swap = pick(0, 1) == 1;
+            let mut budget = PageBudget::new(page_tokens, 1, total, Reservation::OnDemand);
+            let preemption = if swap {
+                budget.enable_host_tier(total);
+                PreemptionMode::Swap
+            } else {
+                PreemptionMode::Recompute
+            };
+            let opts = SchedOptions { chunk_tokens, preemption, ..SchedOptions::default() };
+            let mut sched = submitted(requests, n, Box::new(Fcfs), opts);
+            let mut exec = Reference::default();
+            let ids = |rs: &[Request]| rs.iter().map(|r| r.id.0).collect::<Vec<_>>();
+            let mut ticks = 0usize;
+            while !sched.is_done() {
+                exec.batch.clear();
+                exec.retired.clear();
+                let done = sched.finished().len();
+                sched.tick(&mut budget, &mut exec);
+                budget.assert_consistent();
+                sched.assert_mirrors_ledger(&budget);
+                let (gone, kept): (Vec<_>, Vec<_>) = exec.batch.iter().partition(|&&(_, retires)| retires);
+                if !exec.batch.is_empty() {
+                    let kept: Vec<u64> = kept.iter().map(|&&(id, _)| id).collect();
+                    assert_eq!(ids(sched.running()), kept, "tick {ticks}: survivors");
+                }
+                let gone: Vec<u64> = gone.iter().map(|&&(id, _)| id).collect();
+                assert_eq!(exec.retired, gone, "tick {ticks}: retired hook");
+                let finished: Vec<u64> = sched.finished()[done..].iter().map(|r| r.id.0).collect();
+                assert_eq!(finished, gone, "tick {ticks}: finished order");
+                ticks += 1;
+                assert!(ticks < 10_000, "failed to converge");
+            }
+            assert_eq!(sched.finished().len(), n);
+            assert_eq!(budget.free_pages(), budget.total_pages(), "pages returned");
+        }
+    }
+
+    #[test]
+    fn make_room_reports_each_eviction_once_in_its_own_slice() {
+        // Swap mode over a host tier too small for some victims, so one run
+        // both swaps and falls back to recompute. Every swap-out reaches the
+        // `swapped` slice exactly once and every recompute the other, after
+        // the victim has left the batch.
+        #[derive(Default)]
+        struct Evictions {
+            recomputed: usize,
+            swapped: usize,
+        }
+        impl TickExecutor for Evictions {
+            fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
+                0.1
+            }
+            fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
+                unreachable!("whole-prompt prefill")
+            }
+            fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
+                1e-3 * pages as f64
+            }
+            fn decode(&mut self, _: &Scheduler) -> f64 {
+                0.01
+            }
+            fn preempted(&mut self, sched: &Scheduler, recomputed: &[RequestId], swapped: &[RequestId]) {
+                for id in recomputed.iter().chain(swapped) {
+                    assert!(sched.running().iter().all(|r| r.id != *id), "{id:?} evicted yet running");
+                }
+                self.recomputed += recomputed.len();
+                self.swapped += swapped.len();
+            }
+        }
+        let reqs: Vec<Request> = (0..6).map(|i| Request::new(RequestId(i), 30, 40, 0.0)).collect();
+        let mut budget = PageBudget::new(16, 1, 14, Reservation::OnDemand);
+        budget.enable_host_tier(3);
+        let opts = SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() };
+        let mut sched = submitted(reqs, 6, Box::new(Fcfs), opts);
+        let mut exec = Evictions::default();
+        while !sched.is_done() {
+            sched.tick(&mut budget, &mut exec);
+        }
+        assert!(exec.swapped > 0 && exec.recomputed > 0, "the run must swap and recompute");
+        assert_eq!(exec.swapped, sched.swap_outs(), "swap victims reported");
+        assert_eq!(exec.recomputed, sched.preemptions(), "recompute victims reported");
     }
 
     #[test]

@@ -66,11 +66,11 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
     fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize {
         self.audited(|b| b.settle(handle, tokens))
     }
-    fn release(&mut self, id: RequestId) {
-        self.audited(|b| b.release(id))
+    fn release(&mut self, id: RequestId, handle: Option<KvHandle>) {
+        self.audited(|b| b.release(id, handle))
     }
-    fn swap_out(&mut self, id: RequestId) -> Option<usize> {
-        self.audited(|b| b.swap_out(id))
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize> {
+        self.audited(|b| b.swap_out(id, handle))
     }
     fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
         self.audited(|b| b.swap_in(id))
@@ -116,8 +116,10 @@ impl TickExecutor for Metered {
     fn decode(&mut self, _: &Scheduler) -> f64 {
         0.01
     }
-    fn preempted(&mut self, _: &Scheduler, ids: &[RequestId]) {
-        for &id in ids {
+    /// Meters recompute victims only: a swap victim keeps its KV state, so
+    /// it loses no prefill and re-admits by swap-in, never with a grant.
+    fn preempted(&mut self, _: &Scheduler, recomputed: &[RequestId], _swapped: &[RequestId]) {
+        for &id in recomputed {
             if self.mid_prefill.contains(&id) {
                 self.mid_prefill_preemptions += 1;
             }

@@ -2,7 +2,7 @@
 //! audit instead of "mirrored by construction".
 //!
 //! After every tick, for every resident: the handle the scheduler keeps
-//! beside `running` and the ledger's id map name the same slab entry, and
+//! beside `running` names a slab entry that holds the resident's id, and
 //! that entry's footprint (private + pool-covered tokens) equals the tokens
 //! the request holds (`prefill_len()`); swapped-out requests' parked
 //! footprints say the same. [`Scheduler::assert_mirrors_ledger`] checks it;
@@ -360,7 +360,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
             // Release, resident or swapped out.
             7 if !live.is_empty() => {
                 let gone = live.swap_remove(who);
-                ledger.release(RequestId(gone.id));
+                ledger.release(RequestId(gone.id), gone.handle);
                 cache.release(SequenceId(gone.id)).unwrap();
             }
             // Swap out a resident / swap a parked sequence back in.
@@ -370,8 +370,8 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
                 if shares && !swap_sharers {
                     continue;
                 }
-                let (ledger_pages, cache_pages) = if seq.handle.take().is_some() {
-                    let out = ledger.swap_out(RequestId(seq.id)).expect("the host tier is roomy");
+                let (ledger_pages, cache_pages) = if let Some(handle) = seq.handle.take() {
+                    let out = ledger.swap_out(RequestId(seq.id), handle).expect("the host tier is roomy");
                     (out, cache.swap_out(SequenceId(seq.id)).unwrap())
                 } else {
                     match ledger.swap_in(RequestId(seq.id)) {
@@ -411,7 +411,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
         }
     }
     for seq in live {
-        ledger.release(RequestId(seq.id));
+        ledger.release(RequestId(seq.id), seq.handle);
         cache.release(SequenceId(seq.id)).unwrap();
     }
     assert_eq!((ledger.used_pages(), cache.used_pages()), (0, 0), "both sides drain");

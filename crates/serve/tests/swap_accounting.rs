@@ -17,7 +17,9 @@ mod common;
 
 use common::{drive, shared_reqs};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions};
+use qserve_serve::scheduler::{
+    KvBudget, KvHandle, PageBudget, PreemptionMode, Reservation, SchedOptions,
+};
 
 fn swap_opts() -> SchedOptions {
     SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() }
@@ -146,10 +148,10 @@ fn swap_refuses_when_the_host_tier_is_full() {
     let mut b = PageBudget::new(16, 1, 8, Reservation::OnDemand);
     b.enable_host_tier(1);
     let id = RequestId(7);
-    assert!(b.admit(id, None, 0, 40, 72).is_some(), "the pool holds one 40-token request");
+    let handle = b.admit(id, None, 0, 40, 72).expect("the pool holds one 40-token request");
     let used = b.used_pages();
     assert!(used > 1, "the request must need more pages than the tier holds");
-    assert_eq!(b.swap_out(id), None, "a full host tier refuses the swap");
+    assert_eq!(b.swap_out(id, handle), None, "a full host tier refuses the swap");
     assert_eq!(b.used_pages(), used, "a refused swap must not touch the ledger");
     b.assert_consistent();
 }
@@ -163,10 +165,53 @@ fn swap_back_of_released_holdings_fails_loudly() {
     // return None.
     let mut b = swap_budget(16, 1, 8);
     let id = RequestId(3);
-    assert!(b.admit(id, None, 0, 40, 72).is_some());
-    let moved = b.swap_out(id).expect("the roomy tier accepts the swap");
+    let handle = b.admit(id, None, 0, 40, 72).expect("fits");
+    let moved = b.swap_out(id, handle).expect("the roomy tier accepts the swap");
     assert!(moved > 0);
-    b.release(id);
+    b.release(id, None);
     b.assert_consistent();
     let _ = b.swap_in(id);
+}
+
+/// A handle kept past its request's departure, whose seat the ledger has
+/// since given to `RequestId(2)`: request 1's id and its stale handle.
+fn reseated(swapped: bool) -> (PageBudget, RequestId, KvHandle) {
+    let mut b = swap_budget(16, 1, 8);
+    let (gone, next) = (RequestId(1), RequestId(2));
+    let stale = b.admit(gone, None, 0, 20, 20).expect("fits");
+    if swapped {
+        b.swap_out(gone, stale).expect("the roomy tier accepts the swap");
+    } else {
+        b.release(gone, Some(stale));
+    }
+    let seat = b.admit(next, None, 0, 20, 20).expect("fits");
+    assert_eq!(seat, stale, "the vacated seat is reused");
+    (b, gone, stale)
+}
+
+#[test]
+#[should_panic(expected = "request RequestId(1): stale ledger handle")]
+fn release_through_a_reseated_handle_fails_loudly() {
+    // Without an id map, the handle is all release has to go on: a seat
+    // that now holds another request must not be freed in its name.
+    let (mut b, gone, stale) = reseated(false);
+    b.release(gone, Some(stale));
+}
+
+#[test]
+#[should_panic(expected = "request RequestId(1): stale ledger handle")]
+fn swap_out_through_a_reseated_handle_fails_loudly() {
+    let (mut b, gone, stale) = reseated(true);
+    b.swap_out(gone, stale);
+}
+
+#[test]
+#[should_panic(expected = "request RequestId(5) is seated twice in the ledger")]
+fn a_request_seated_twice_fails_the_audit() {
+    // Nothing keeps a request to one seat at admission any more; the
+    // audit is what catches a double admission.
+    let mut b = swap_budget(16, 1, 8);
+    b.admit(RequestId(5), None, 0, 8, 8).expect("fits");
+    b.admit(RequestId(5), None, 0, 8, 8).expect("fits");
+    b.assert_consistent();
 }
