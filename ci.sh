@@ -27,13 +27,15 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # scans and the ledger with `debug_assert`, which release compiles out —
 # the decode pass's no-underflow check on the headroom column included. The
 # preemption / swap churn suites, the ledger audit, the twelve pinned
-# tight-pool scenarios of the frozen tick and the scheduler's own unit tests
-# (their preemption corners) therefore run in debug too (a few seconds,
-# reusing the debug libraries built above), so those audits see eviction
-# and re-admission. The lib filter is a line of its own: cargo applies a
-# test-name filter to every target it runs.
+# tight-pool scenarios of the frozen tick, the tick-against-its-reference
+# property and the scheduler's own unit tests (their preemption corners)
+# therefore run in debug too (a few seconds, reusing the debug libraries
+# built above), so those audits see eviction and re-admission. The lib
+# filter is a line of its own: cargo applies a test-name filter to every
+# target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
-    --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick
+    --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
+    --test reference_tick
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib scheduler::
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
