@@ -907,7 +907,6 @@ mod tests {
         while !sched.is_done() {
             let lens: Vec<usize> = sched
                 .running()
-                .iter()
                 .filter(|r| r.prefill_remaining() == 0)
                 .map(|r| r.prefilled)
                 .collect();
@@ -1211,7 +1210,7 @@ mod tests {
                     }
                     // Survivors: someone who decoded this tick is still mid-decode.
                     last_decode = (sched.decode_totals().0 > 0).then_some(sched.clock());
-                } else if sched.running().is_empty() {
+                } else if sched.running().len() == 0 {
                     last_decode = None; // idled
                 }
             }

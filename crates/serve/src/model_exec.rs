@@ -276,7 +276,7 @@ impl TickExecutor for FunctionalExecutor<'_> {
                         .filter(|&(d, lcp)| lcp >= shared && this.rt.cache.seq_len(d) >= shared)
                         .map(|(d, _)| d)
                         .or_else(|| {
-                            sched.running().iter().map(|r| SequenceId(r.id.0)).find(|&d| {
+                            sched.running().map(|r| SequenceId(r.id.0)).find(|&d| {
                                 this.rt.cache.seq_len(d) >= shared
                                     && this
                                         .prompts
@@ -332,7 +332,7 @@ impl TickExecutor for FunctionalExecutor<'_> {
     fn decode(&mut self, sched: &Scheduler) -> f64 {
         self.attempt(|this| {
             let mut rows = Vec::new();
-            for r in sched.running().iter().filter(|r| r.prefill_remaining() == 0) {
+            for r in sched.running().filter(|r| r.prefill_remaining() == 0) {
                 let next = argmax(&this.logits[&r.id]) as u32;
                 this.outputs.entry(r.id).or_default().push(next);
                 if r.remaining() > 1 {
@@ -748,7 +748,8 @@ mod tests {
                 served.tick(&mut ledger, &mut exec);
                 assert_eq!(exec.failed, None, "tick {ticks}: the cache refused what the ledger admitted");
                 counted.tick(&mut counted_ledger, &mut Counts);
-                assert_eq!(served.running(), counted.running(), "tick {ticks}: residents");
+                let residents = |s: &Scheduler| s.running().collect::<Vec<_>>();
+                assert_eq!(residents(&served), residents(&counted), "tick {ticks}: residents");
                 assert_eq!(served.finished(), counted.finished(), "tick {ticks}: finished records");
                 assert_eq!(served.clock().to_bits(), counted.clock().to_bits(), "tick {ticks}: clock");
                 assert_eq!(ledger.used_pages(), counted_ledger.used_pages(), "tick {ticks}: ledgers");

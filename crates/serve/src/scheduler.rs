@@ -39,10 +39,11 @@ use crate::sketch::PercentileSketch;
 /// at a page boundary and to [`KvBudget::release`] and
 /// [`KvBudget::swap_out`] when the resident leaves the device — every
 /// per-resident ledger call indexes with it; the ledger keeps no id map.
-/// Opaque to the scheduler; valid until the request is released, swapped
-/// out or evicted. Slots are reused afterwards, so a stale handle may name
-/// another request's seat: the calls that take the id beside the handle
-/// check that the seat still holds it.
+/// Distinct residents hold distinct handles, and the scheduler files each
+/// resident's request at its handle's index. Valid until the request is
+/// released, swapped out or evicted. Slots are reused afterwards, so a stale
+/// handle may name another request's seat: the calls that take the id beside
+/// the handle check that the seat still holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KvHandle(usize);
 
@@ -656,12 +657,12 @@ pub trait SchedulingPolicy: Send {
 
     /// Index into `waiting` (arrived requests, FCFS order) of the next
     /// request to admit, or `None` to hold admission this tick.
-    fn select(&self, waiting: &[Request], running: &[Request], budget: &dyn KvBudget)
-        -> Option<usize>;
+    fn select(&self, waiting: &[Request], budget: &dyn KvBudget) -> Option<usize>;
 
-    /// Index into `running` of the preemption victim when the pool runs dry.
-    /// Default: the most recently admitted resident (LIFO, protects the
-    /// oldest request's progress).
+    /// Index into the running batch — `residents` requests, in admission
+    /// order — of the preemption victim when the pool runs dry. Default:
+    /// the most recently admitted resident (LIFO, protects the oldest
+    /// request's progress).
     ///
     /// The answer is a *preference*: [`Scheduler::make_room`] clamps it up
     /// to the resident whose growth was just refused (and never below
@@ -670,8 +671,8 @@ pub trait SchedulingPolicy: Send {
     /// will decode it; evicting one of them would park or wipe a token
     /// that was never generated, so only the suffix from the refused
     /// resident on is evictable. The LIFO default always lands in it.
-    fn victim(&self, running: &[Request]) -> Option<usize> {
-        running.len().checked_sub(1)
+    fn victim(&self, residents: usize) -> Option<usize> {
+        residents.checked_sub(1)
     }
 }
 
@@ -684,8 +685,7 @@ impl SchedulingPolicy for Fcfs {
     fn name(&self) -> &'static str {
         "fcfs"
     }
-    fn select(&self, waiting: &[Request], _running: &[Request], _budget: &dyn KvBudget)
-        -> Option<usize> {
+    fn select(&self, waiting: &[Request], _budget: &dyn KvBudget) -> Option<usize> {
         (!waiting.is_empty()).then_some(0)
     }
 }
@@ -700,8 +700,7 @@ impl SchedulingPolicy for ShortestJobFirst {
     fn name(&self) -> &'static str {
         "sjf"
     }
-    fn select(&self, waiting: &[Request], _running: &[Request], _budget: &dyn KvBudget)
-        -> Option<usize> {
+    fn select(&self, waiting: &[Request], _budget: &dyn KvBudget) -> Option<usize> {
         waiting
             .iter()
             .enumerate()
@@ -733,8 +732,7 @@ impl SchedulingPolicy for MemoryAware {
     fn name(&self) -> &'static str {
         "memory-aware"
     }
-    fn select(&self, waiting: &[Request], _running: &[Request], budget: &dyn KvBudget)
-        -> Option<usize> {
+    fn select(&self, waiting: &[Request], budget: &dyn KvBudget) -> Option<usize> {
         let r = waiting.first()?;
         // lint: allow(raw-cast) -- admission headroom is a deliberate f64 estimate; ceil() is finite and non-negative, so the cast is exact
         let need = r.prefill_len() + (r.remaining() as f64 * self.headroom).ceil() as usize;
@@ -765,7 +763,8 @@ pub struct AdmittedWave {
 /// model, model steps from the functional runtime. Nothing here is about
 /// order or conditions; the tick owns those. Every hook sees the scheduler
 /// read-only, as the step left it ([`Scheduler::running`],
-/// [`Scheduler::decode_totals`], [`Scheduler::clock`]). Return the cost of
+/// [`Scheduler::decode_totals`], [`Scheduler::clock`]); `running()` syncs
+/// each resident as it yields it, a pass over the batch. Return the cost of
 /// what you ran: the tick charges exactly that, and having run nothing
 /// costs `0.0`.
 pub trait TickExecutor {
@@ -793,7 +792,7 @@ pub trait TickExecutor {
     /// One decode step over the decodable residents — those of `running()`
     /// with `prefill_remaining() == 0`, at least one. Called after growth
     /// and preemption, so the step is costed on the surviving batch, and
-    /// before the scheduler advances anyone.
+    /// before the step count advances.
     fn decode(&mut self, sched: &Scheduler) -> f64;
 
     /// Make-room evicted these residents (either slice possibly empty), each
@@ -924,24 +923,35 @@ pub struct Scheduler {
     /// common FCFS admission (`remove(0)`) is O(1) instead of shifting
     /// the whole backlog.
     pending: VecDeque<Request>,
-    /// Admitted requests, in admission order (LIFO preemption indexes this).
-    running: Vec<Request>,
-    /// Each resident's ledger handle, parallel to `running` and kept in
-    /// step at every push and removal. A column beside the requests rather
-    /// than a `Request` field: a request's public shape (and its `Debug`
-    /// text, which run digests hash) stays independent of the budget.
+    /// Each resident's request, at its handle's index for its residency:
+    /// retirement and eviction never move one. A decodable resident's
+    /// `generated` and `prefilled` date from its last sync (see `done_at`).
+    requests: Vec<Request>,
+    /// The residents' ledger handles in admission order (LIFO preemption
+    /// indexes this); with the two step columns, all a retirement moves.
+    /// Columns, not `Request` fields: a request's public shape and `Debug`
+    /// text (hashed into run digests) stay free of budget and step count.
     handles: Vec<KvHandle>,
-    /// Each resident's headroom — tokens still free in the pages it holds —
-    /// parallel to `handles`. The decode pass spends it a token per step
-    /// without a ledger call, so the ledger hears from a resident only when
-    /// this is zero as a tick's make-room starts: at a page boundary, about
-    /// one resident-tick in sixteen. Make-room finds those by scanning this
-    /// column and refills a grown one with its new page's headroom plus the
-    /// token the same tick's decode pass spends. Between ticks, a
-    /// resident's ledger capacity is its `prefill_len()` plus this.
-    headroom: Vec<usize>,
+    /// Decode steps taken: a decodable resident gains one token a step, so its
+    /// progress is this counter's; the columns below say when it needs a visit.
+    steps: usize,
+    /// The step at which a decodable resident's pages fill (its headroom is
+    /// `page_end − steps`); make-room visits only the residents whose entry
+    /// is `steps`. A prefilling resident keeps its headroom here, re-based
+    /// when it arms.
+    page_end: Vec<usize>,
+    /// The step at which a decodable resident retires: its true `generated`
+    /// is `output_len − (done_at − steps)`. [`NEVER`] while prefilling,
+    /// which is how the chunk pass finds those.
+    done_at: Vec<usize>,
+    /// No `done_at` is below this, so the decode step scans that column only
+    /// on the steps that reach it.
+    next_done: usize,
+    /// Seats of residents armed this tick without a first token, for this
+    /// tick's decode to stamp (admission clears a decode-less tick's).
+    fresh: Vec<usize>,
     /// Residents with `prefill_remaining() > 0` — incremental twin of the
-    /// scan, like `outstanding`. The rest of `running` is decodable.
+    /// scan, like `outstanding`. The rest of the batch is decodable.
     prefilling: usize,
     /// Σ `prefilled` (each one's sequence length) over the decodable
     /// residents: with their count, all the cost model needs to price a
@@ -990,7 +1000,7 @@ pub struct Scheduler {
     preempted: Vec<RequestId>,
     swapped: Vec<RequestId>,
     retired: Vec<RequestId>,
-    /// The decode pass's retirees, as indices into `running` (ascending):
+    /// The decode step's retirees, as batch indices (ascending):
     /// retirement compacts the batch around them.
     retiring: Vec<usize>,
 }
@@ -998,6 +1008,20 @@ pub struct Scheduler {
 /// Tokens of work still owed to one queued or running request.
 fn owed(r: &Request) -> usize {
     r.prefill_remaining() + r.remaining()
+}
+
+/// The `done_at` of a resident that is not decoding: a step never reached.
+const NEVER: usize = usize::MAX;
+
+/// Brings `r` up to `steps` decode steps: a decodable resident gains the
+/// tokens it decoded since it was last written, which `done_at` tells.
+fn catch_up(r: &mut Request, done_at: usize, steps: usize) {
+    if r.prefill_remaining() == 0 {
+        let owed = done_at.checked_sub(steps).expect("a resident decoded past its output length");
+        let behind = r.remaining().checked_sub(owed).expect("a resident ran ahead of the step count");
+        r.generated += behind;
+        r.prefilled += behind; // decoded tokens are materialized context too
+    }
 }
 
 impl Scheduler {
@@ -1017,9 +1041,13 @@ impl Scheduler {
             batch_limit,
             opts,
             pending: VecDeque::new(),
-            running: Vec::new(),
+            requests: Vec::new(),
             handles: Vec::new(),
-            headroom: Vec::new(),
+            steps: 0,
+            page_end: Vec::new(),
+            done_at: Vec::new(),
+            next_done: NEVER,
+            fresh: Vec::new(),
             prefilling: 0,
             decode_tokens: 0,
             finished: Vec::new(),
@@ -1078,7 +1106,7 @@ impl Scheduler {
     /// scanning every queued + running request — O(residents); what the
     /// counter is audited against.
     fn outstanding_tokens_scan(&self) -> usize {
-        self.pending.iter().chain(&self.running).map(owed).sum()
+        self.pending.iter().copied().chain(self.running()).map(|r| owed(&r)).sum()
     }
 
     /// Current simulation clock, seconds.
@@ -1097,12 +1125,33 @@ impl Scheduler {
 
     /// All requests finished?
     pub fn is_done(&self) -> bool {
-        self.pending.is_empty() && self.running.is_empty()
+        self.pending.is_empty() && self.handles.is_empty()
     }
 
-    /// The running batch, in admission order.
-    pub fn running(&self) -> &[Request] {
-        &self.running
+    /// The running batch, in admission order, each resident synced as it is
+    /// yielded (its `generated` and `prefilled` count every step decoded).
+    pub fn running(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
+        let steps = self.steps;
+        self.handles.iter().zip(&self.done_at).map(move |(h, &done_at)| {
+            let mut r = self.requests[h.0];
+            catch_up(&mut r, done_at, steps);
+            r
+        })
+    }
+
+    /// The residents' requests as stored (unsynced), in admission order.
+    fn residents(&self) -> impl Iterator<Item = &Request> {
+        self.handles.iter().map(|h| &self.requests[h.0])
+    }
+
+    /// Resident `i`'s request as stored.
+    fn resident(&mut self, i: usize) -> &mut Request {
+        &mut self.requests[self.handles[i].0]
+    }
+
+    /// Writes resident `i`'s synced counters into its request.
+    fn sync(&mut self, i: usize) {
+        catch_up(&mut self.requests[self.handles[i].0], self.done_at[i], self.steps);
     }
 
     /// Residents still in (chunked) prefill. O(1) — a counter, audited
@@ -1110,7 +1159,7 @@ impl Scheduler {
     pub fn prefilling(&self) -> usize {
         debug_assert_eq!(
             self.prefilling,
-            self.running.iter().filter(|r| r.prefill_remaining() > 0).count(),
+            self.residents().filter(|r| r.prefill_remaining() > 0).count(),
             "prefilling counter drifted from the ground-truth scan"
         );
         self.prefilling
@@ -1123,36 +1172,48 @@ impl Scheduler {
     pub fn decode_totals(&self) -> (usize, usize) {
         debug_assert_eq!(
             self.decode_tokens,
-            self.running
-                .iter()
-                .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.prefilled)
-                .sum::<usize>(),
+            self.running().filter(|r| r.prefill_remaining() == 0).map(|r| r.prefilled).sum::<usize>(),
             "decodable-token counter drifted from the ground-truth scan"
         );
-        (self.running.len() - self.prefilling(), self.decode_tokens)
+        (self.handles.len() - self.prefilling(), self.decode_tokens)
     }
 
-    /// Appends an admitted (or swapped-back) resident, its ledger handle and
-    /// the headroom the ledger reports for it, filing it under the
-    /// aggregate it belongs to.
+    /// Seats an admitted (or swapped-back) resident with the headroom the
+    /// ledger reports for it, filing it under its aggregate; arms it if it
+    /// arrives decodable.
     fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
+        self.requests.resize(self.requests.len().max(handle.0 + 1), req);
+        self.requests[handle.0] = req;
+        self.page_end.push(budget.settle(handle, req.prefill_len()));
+        self.done_at.push(NEVER);
+        self.handles.push(handle);
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
             self.decode_tokens += req.prefilled;
+            self.arm(self.handles.len() - 1);
         }
-        self.headroom.push(budget.settle(handle, req.prefill_len()));
-        self.running.push(req);
-        self.handles.push(handle);
     }
 
-    /// Removes resident `idx` and its columns, keeping the aggregates
-    /// honest; returns the request and its ledger handle.
+    /// Starts resident `i`'s step clock as it becomes decodable (its stored
+    /// counters exact): re-bases its headroom to the step its pages fill at.
+    fn arm(&mut self, i: usize) {
+        let r = &self.requests[self.handles[i].0];
+        self.page_end[i] += self.steps;
+        self.done_at[i] = self.steps + r.remaining();
+        self.next_done = self.next_done.min(self.done_at[i]);
+        if r.first_token_s.is_none() {
+            self.fresh.push(self.handles[i].0);
+        }
+    }
+
+    /// Removes resident `idx` (synced by the caller) and its columns, keeping
+    /// the aggregates honest; returns the request and its ledger handle.
     fn remove_resident(&mut self, idx: usize) -> (Request, KvHandle) {
-        let req = self.running.remove(idx);
         let handle = self.handles.remove(idx);
-        self.headroom.remove(idx);
+        let req = self.requests[handle.0];
+        self.page_end.remove(idx);
+        self.done_at.remove(idx);
         if req.prefill_remaining() > 0 {
             self.prefilling =
                 self.prefilling.checked_sub(1).expect("prefilling counter underflow at eviction");
@@ -1168,10 +1229,11 @@ impl Scheduler {
     /// Differential audit of the scheduler against its page ledger: every
     /// resident's handle names a ledger seat that holds its id, that
     /// entry's capacity (the tokens its pages and pool-covered prefix hold)
-    /// less the resident's headroom column equals the tokens the request
-    /// has materialized or reserved (`prefill_len()`), the ledger's own
-    /// count never runs ahead of that (it lags by the headroom spent since
-    /// the last page boundary), every swapped-out request's parked
+    /// less the resident's headroom (`page_end − steps` once decodable)
+    /// equals the tokens the synced request has materialized or reserved
+    /// (`prefill_len()`), the ledger's own count never runs ahead of that
+    /// (it lags by the headroom spent since the last page boundary), every
+    /// swapped-out request's parked
     /// footprint equals its `prefill_len()` exactly, and the ledger holds
     /// no resident the scheduler does not run. Holds between ticks (after
     /// [`Scheduler::decode_step`] or an early-out tick).
@@ -1180,10 +1242,12 @@ impl Scheduler {
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn assert_mirrors_ledger(&self, budget: &PageBudget) {
-        assert_eq!(self.handles.len(), self.running.len(), "handle column out of step");
-        assert_eq!(self.headroom.len(), self.running.len(), "headroom column out of step");
-        assert_eq!(budget.resident_count(), self.running.len(), "ledger holds a stranger");
-        for ((r, &h), &room) in self.running.iter().zip(&self.handles).zip(&self.headroom) {
+        let len = self.handles.len();
+        assert_eq!([self.page_end.len(), self.done_at.len()], [len; 2], "step columns out of step");
+        assert_eq!(budget.resident_count(), len, "ledger holds a stranger");
+        for ((r, &h), &end) in self.running().zip(&self.handles).zip(&self.page_end) {
+            let decoding = r.prefill_remaining() == 0;
+            let room = end.checked_sub(if decoding { self.steps } else { 0 }).expect("decoded past its pages");
             let (footprint, capacity) = budget.resident_tokens(h, r.id);
             assert_eq!(
                 capacity,
@@ -1217,7 +1281,8 @@ impl Scheduler {
 
     /// Longest prefix of `candidate`'s prompt already materialized by a
     /// resident member of its sharing group — the tokens a fork can alias
-    /// instead of recomputing.
+    /// instead of recomputing. Unsynced reads suffice: a decoding sibling's
+    /// `prefilled` is past its prefix either way.
     fn shared_grant(&self, candidate: &Request) -> usize {
         let Some(group) = candidate.prefix_group else { return 0 };
         // A migrated-in prefix is aliasable even with no resident sibling:
@@ -1226,8 +1291,7 @@ impl Scheduler {
             .warm_prefixes
             .get(&group)
             .map_or(0, |&t| t.min(candidate.prefix_len));
-        self.running
-            .iter()
+        self.residents()
             .filter(|r| r.prefix_group == Some(group))
             .map(|r| candidate.prefix_len.min(r.prefix_len).min(r.prefilled))
             .max()
@@ -1298,7 +1362,7 @@ impl Scheduler {
                 self.charge_prefill(dt);
             }
         }
-        if self.running.is_empty() {
+        if self.handles.is_empty() {
             // Idle forward to the next arrival. A drained-but-open scheduler
             // (cluster replica between routing decisions) has none.
             if let Some(next) = self.pending.front() {
@@ -1317,7 +1381,7 @@ impl Scheduler {
             self.clock += dt;
             self.swap_time += dt;
         }
-        if self.running.len() == self.prefilling {
+        if self.handles.len() == self.prefilling {
             return; // every resident is still chunk-prefilling
         }
         let dt = exec.decode(self);
@@ -1332,12 +1396,13 @@ impl Scheduler {
     /// may shape order, not deadlock the system. `wave` is cleared and
     /// refilled with what was admitted.
     fn admit<B: KvBudget>(&mut self, budget: &mut B) {
+        self.fresh.clear();
         self.wave.ids.clear();
         self.wave.prefill_lens.clear();
         self.wave.shared_lens.clear();
         // An empty backlog (the steady state of a draining replica) skips
         // the arrival search, the policy call and its free-token division.
-        while self.running.len() < self.batch_limit && !self.pending.is_empty() {
+        while self.handles.len() < self.batch_limit && !self.pending.is_empty() {
             let arrived = self.arrived();
             if arrived == 0 {
                 break;
@@ -1348,14 +1413,10 @@ impl Scheduler {
             if self.pending.as_slices().0.len() < arrived {
                 self.pending.make_contiguous();
             }
-            let choice = self
-                .policy
-                .select(&self.pending.as_slices().0[..arrived], &self.running, budget)
-                .or_else(|| {
-                    // Idle machine: progress beats policy caution.
-                    (self.running.is_empty() && self.wave.ids.is_empty()).then_some(0)
-                });
-            let Some(idx) = choice else { break };
+            // Idle machine: progress beats policy caution.
+            let idle = self.handles.is_empty() && self.wave.ids.is_empty();
+            let choice = self.policy.select(&self.pending.as_slices().0[..arrived], budget);
+            let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
             let candidate = &self.pending[idx];
             // A swapped-out candidate re-admits by swapping its pages back,
@@ -1366,7 +1427,7 @@ impl Scheduler {
                 let id = candidate.id;
                 let Some((handle, pages)) = budget.swap_in(id) else {
                     assert!(
-                        !(self.running.is_empty() && self.wave.ids.is_empty()),
+                        !idle,
                         "request {:?} can never swap back onto an idle device",
                         id
                     );
@@ -1385,12 +1446,11 @@ impl Scheduler {
             // now would recompute it privately. Holding a tick gets the
             // prefix for free — strictly less total work. (Whole-prompt
             // prefill materializes at admission, so it never holds.)
-            if self.opts.share_prefixes && !self.running.is_empty() {
+            if self.opts.share_prefixes && !self.handles.is_empty() {
                 let potential = candidate
                     .prefix_group
                     .map(|g| {
-                        self.running
-                            .iter()
+                        self.residents()
                             .filter(|r| r.prefix_group == Some(g))
                             .map(|r| candidate.prefix_len.min(r.prefix_len))
                             .max()
@@ -1403,7 +1463,7 @@ impl Scheduler {
             }
             let group = if self.opts.share_prefixes {
                 let resident = candidate.prefix_group.is_some_and(|g| {
-                    self.running.iter().any(|r| r.prefix_group == Some(g))
+                    self.residents().any(|r| r.prefix_group == Some(g))
                 });
                 // Share the group's page pool when actually aliasing
                 // (shared > 0) or when founding it (no resident member). A
@@ -1429,7 +1489,7 @@ impl Scheduler {
                 candidate.peak_len(),
             ) else {
                 assert!(
-                    !(self.running.is_empty() && self.wave.ids.is_empty()),
+                    !idle,
                     "request {:?} (peak {} tokens) can never fit the KV budget",
                     candidate.id,
                     candidate.peak_len()
@@ -1463,28 +1523,38 @@ impl Scheduler {
     /// advances by at most `chunk_tokens` tokens and is reported as
     /// `(id, new_tokens, past_tokens)` — `past_tokens` being the context
     /// those new tokens attend over (aliased prefix + earlier chunks) —
-    /// into `chunks`, cleared first.
+    /// into `chunks`, cleared first. Residents prefill only from their
+    /// seating (always at the back), so the walk starts at the oldest
+    /// prefilling one, found from the back by its [`NEVER`] `done_at`.
     fn prefill_chunks(&mut self, chunk_tokens: usize) {
         self.chunks.clear();
         if self.prefilling == 0 {
             return; // pure-decode tick: no resident to walk for
         }
+        let mut unseen = self.prefilling;
+        let oldest = self.done_at.iter().rposition(|&done| {
+            unseen -= usize::from(done == NEVER);
+            unseen == 0
+        });
         let mut taken = 0usize;
-        for r in &mut self.running {
+        for i in oldest.expect("prefilling counter drifted from `done_at`")..self.handles.len() {
+            if self.done_at[i] != NEVER {
+                continue;
+            }
+            let r = &mut self.requests[self.handles[i].0];
             let remaining = r.prefill_remaining();
-            if remaining > 0 {
-                let take = remaining.min(chunk_tokens);
-                self.chunks.push((r.id, take, r.prefilled));
-                r.prefilled += take;
-                taken += take;
-                if take == remaining {
-                    // Last chunk: the resident joins the decodable set.
-                    self.prefilling = self
-                        .prefilling
-                        .checked_sub(1)
-                        .expect("prefilling counter underflow in chunked prefill");
-                    self.decode_tokens += r.prefilled;
-                }
+            let take = remaining.min(chunk_tokens);
+            self.chunks.push((r.id, take, r.prefilled));
+            r.prefilled += take;
+            taken += take;
+            if take == remaining {
+                // Last chunk: the resident joins the decodable set.
+                self.prefilling = self
+                    .prefilling
+                    .checked_sub(1)
+                    .expect("prefilling counter underflow in chunked prefill");
+                self.decode_tokens += r.prefilled;
+                self.arm(i);
             }
         }
         self.outstanding = self
@@ -1539,12 +1609,13 @@ impl Scheduler {
         for r in victims.iter().filter(|r| r.state == RequestState::Swapped) {
             budget.release(r.id, None);
         }
-        for (r, &handle) in self.running.iter().zip(&self.handles) {
+        for (r, &handle) in self.residents().zip(&self.handles) {
             budget.release(r.id, Some(handle));
         }
-        victims.append(&mut self.running);
+        victims.extend(self.running()); // synced: each keeps every token generated here
         self.handles.clear();
-        self.headroom.clear();
+        self.page_end.clear();
+        self.done_at.clear();
         self.prefilling = 0;
         self.decode_tokens = 0;
         let mut lost = 0usize;
@@ -1579,14 +1650,13 @@ impl Scheduler {
     /// cleared and refilled with the recompute and swap victims, each in
     /// eviction order.
     ///
-    /// Only a resident whose headroom is already spent needs the ledger
-    /// (the decode pass spends everyone else's), so make-room visits just
-    /// those, found by scanning the dense headroom column in admission
-    /// order: each asks the ledger for its next page. A refusal evicts a
-    /// victim from the suffix at or after the cursor (see
-    /// [`SchedulingPolicy::victim`]) — its token for this tick unspent —
-    /// and retries, so the cursor never moves backwards and growth is
-    /// charged in admission order.
+    /// Only a resident whose pages are full needs the ledger, so make-room
+    /// visits just those whose page end is this step, found by scanning the
+    /// dense `page_end` column in admission order: each is synced, settles,
+    /// asks the ledger for its next page and moves its page end past it. A
+    /// refusal evicts a victim from the suffix at or after the cursor (see
+    /// [`SchedulingPolicy::victim`]) — synced, its token for this tick
+    /// unspent — and retries, so growth is charged in admission order.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
@@ -1594,10 +1664,12 @@ impl Scheduler {
     fn make_room<B: KvBudget>(&mut self, budget: &mut B) {
         self.preempted.clear();
         self.swapped.clear();
+        let steps = self.steps;
         let mut i = 0;
-        while let Some(spent) = self.headroom[i..].iter().position(|&room| room == 0) {
-            i += spent;
-            if self.prefilling > 0 && self.running[i].prefill_remaining() > 0 {
+        while let Some(due) = self.page_end[i..].iter().position(|&end| end == steps) {
+            i += due;
+            // A prefilling resident's frozen headroom can equal the count.
+            if self.prefilling > 0 && self.resident(i).prefill_remaining() > 0 {
                 i += 1;
                 continue;
             }
@@ -1606,21 +1678,22 @@ impl Scheduler {
                 continue;
             }
             assert!(
-                self.running.len() > 1,
+                self.handles.len() > 1,
                 "KV budget cannot hold even one growing sequence (request {:?})",
-                self.running[i].id
+                self.resident(i).id
             );
-            let last = self.running.len() - 1;
+            let last = self.handles.len() - 1;
             // At or after the cursor (nobody before it will be denied this
             // tick's token), and never the oldest resident: someone always
             // finishes, so preemption cannot livelock.
-            let chosen = self.policy.victim(&self.running).filter(|&v| v <= last);
+            let chosen = self.policy.victim(self.handles.len()).filter(|&v| v <= last);
             let victim = chosen.unwrap_or(last).max(i).max(1);
+            self.sync(victim); // everything below reads what it holds
+            let (id, handle) = (self.resident(victim).id, self.handles[victim]);
             if self.opts.preemption == PreemptionMode::Swap {
                 // The ledger parks the entry whole: bring its count up to the
                 // tokens the victim holds (it has not decoded this tick).
-                let (id, handle) = (self.running[victim].id, self.handles[victim]);
-                budget.settle(handle, self.running[victim].prefill_len());
+                budget.settle(handle, self.resident(victim).prefill_len());
                 if let Some(pages) = budget.swap_out(id, handle) {
                     self.tick_swap_pages += pages;
                     self.swap_out_pages += pages;
@@ -1635,7 +1708,7 @@ impl Scheduler {
                     continue;
                 }
             }
-            self.preempted.push(self.running[victim].id);
+            self.preempted.push(id);
             self.preempt(victim, budget);
             // `victim == i` removed the refused resident itself: whoever
             // shifted into slot `i` is next. Otherwise retry `i`.
@@ -1643,17 +1716,18 @@ impl Scheduler {
     }
 
     /// Charges resident `i`'s next token, whose pages are full, to the
-    /// ledger — first bringing the ledger's count up to the headroom spent
-    /// since it last heard — and refills the headroom column from the page
-    /// that token opens, plus the token itself, which this tick's decode
-    /// pass spends. `false` (nothing charged): the pool is dry.
+    /// ledger — syncing it and settling the tokens decoded since the ledger
+    /// last heard — and moves its page end past the page that token opens,
+    /// less the token, which this tick's decode spends. `false` (nothing
+    /// charged): the pool is dry.
     fn grow_past_page<B: KvBudget>(&mut self, i: usize, budget: &mut B) -> bool {
-        let (handle, held) = (self.handles[i], self.running[i].prefill_len());
+        self.sync(i);
+        let (handle, held) = (self.handles[i], self.resident(i).prefill_len());
         let spare = budget.settle(handle, held);
-        debug_assert_eq!(spare, 0, "headroom column drifted from the ledger");
+        debug_assert_eq!(spare, 0, "page-end column drifted from the ledger");
         let grown = budget.grow(handle);
         if grown {
-            self.headroom[i] = budget.settle(handle, held + 1) + 1;
+            self.page_end[i] = self.steps + budget.settle(handle, held + 1) + 1;
         }
         grown
     }
@@ -1684,67 +1758,73 @@ impl Scheduler {
         self.enqueue(req);
     }
 
-    /// One decode step for the decodable part of the running batch: charges
-    /// `dt`, and in one pass advances every fully-prefilled resident by one
-    /// token, spends that token from its headroom column (make-room left
-    /// each at least one) and stamps TTFTs, collecting the indices of the
-    /// residents that reach their output length. Those retire (see
-    /// [`Scheduler::retire`]) and are listed in `retired`. Residents still
-    /// in chunked prefill are untouched.
+    /// One decode step: charges `dt` and advances the step count — every
+    /// decodable resident's token, so the aggregates move in O(1) and no
+    /// request is written. It visits only residents whose state changes:
+    /// the `fresh` get their first token and, on a step reaching
+    /// `next_done`, one scan of `done_at` lists (and syncs) the retirees,
+    /// who retire (see [`Scheduler::retire`]) into `retired`.
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
-        assert!(self.running.len() > self.prefilling, "decode_step with no decodable resident");
+        let decodable = self.handles.len() - self.prefilling;
+        assert!(decodable > 0, "decode_step with no decodable resident");
+        debug_assert!(
+            !self.page_end.iter().zip(&self.done_at).any(|(&e, &d)| d != NEVER && e <= self.steps),
+            "a resident reached decode with its pages full"
+        );
         self.clock += dt;
         self.decode_time += dt;
-        let clock = self.clock;
+        self.steps += 1;
+        self.decode_tokens += decodable;
+        self.outstanding =
+            self.outstanding.checked_sub(decodable).expect("outstanding-token counter underflow in decode");
+        let (clock, steps) = (self.clock, self.steps);
+        // A seat make-room vacated is stamped harmlessly: nobody sits there.
+        for seat in self.fresh.drain(..) {
+            self.requests[seat].first_token_s = Some(clock);
+        }
         self.retiring.clear();
-        let mut decoded = 0usize;
-        for (i, (r, room)) in self.running.iter_mut().zip(&mut self.headroom).enumerate() {
-            if r.prefill_remaining() > 0 {
-                continue;
+        if steps >= self.next_done {
+            let mut next = NEVER;
+            for (i, &done) in self.done_at.iter().enumerate() {
+                if done == steps {
+                    self.retiring.push(i);
+                } else {
+                    next = next.min(done);
+                }
             }
-            // Make-room left every decodable resident at least this token.
-            debug_assert!(*room > 0, "request {:?} decodes with its headroom spent", r.id);
-            *room -= 1;
-            r.generated += 1;
-            // The decoded token is materialized context too: `prefilled`
-            // tracks it so `prefill_remaining()` stays 0 while decoding.
-            r.prefilled += 1;
-            decoded += 1;
-            if r.first_token_s.is_none() {
-                r.first_token_s = Some(clock);
-            }
-            if r.generated == r.output_len {
-                self.retiring.push(i);
+            self.next_done = next;
+            for k in 0..self.retiring.len() {
+                self.sync(self.retiring[k]);
             }
         }
+        // The retired left with everything they held.
         let retired_tokens = self.retire(budget);
-        // Every decodable sequence grew by one token; the retired ones left
-        // with everything they held.
-        self.decode_tokens = (self.decode_tokens + decoded)
+        self.decode_tokens = self
+            .decode_tokens
             .checked_sub(retired_tokens)
             .expect("decodable-token counter underflow at retirement");
-        self.outstanding = self
-            .outstanding
-            .checked_sub(decoded)
-            .expect("outstanding-token counter underflow in decode");
+        debug_assert!(
+            !self.done_at.iter().any(|&done| done <= steps || done < self.next_done),
+            "a resident's next visit is not ahead of the step count and its bound"
+        );
     }
 
-    /// Retires the residents the decode pass listed in `retiring` and
-    /// returns the tokens they held. `retired` is cleared and refilled.
+    /// Retires the residents the decode step listed in `retiring` (synced)
+    /// and returns the tokens they held. `retired` is cleared and refilled.
     ///
     /// The retirees reach the budget, the sketch, `retired` and `finished`
-    /// in admission order. The batch and its two columns are compacted by
-    /// runs: each run of survivors between two retirees (or after the last)
-    /// moves down as one block, so residents before the first retiree do
-    /// not move and survivors keep their admission order.
+    /// in admission order. The three columns are compacted by runs — the
+    /// requests stay in their seats: each run of survivors between two
+    /// retirees (or after the last) moves down as one block, so residents
+    /// before the first retiree do not move and survivors keep their order.
     fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
         self.retired.clear();
         let Some(&first) = self.retiring.first() else { return 0 };
-        let (clock, len) = (self.clock, self.running.len());
+        let (clock, len) = (self.clock, self.handles.len());
         let mut retired_tokens = 0usize;
         let mut kept = first;
         for (k, &at) in self.retiring.iter().enumerate() {
-            let req = &self.running[at];
+            let req = &self.requests[self.handles[at].0];
             retired_tokens += req.prefilled;
             budget.release(req.id, Some(self.handles[at]));
             // A retiring request owes nothing (its final token was just
@@ -1755,14 +1835,14 @@ impl Scheduler {
             self.retired.push(done.id);
             self.finished.push(done);
             let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
-            self.running.copy_within(survivors.clone(), kept);
             self.handles.copy_within(survivors.clone(), kept);
-            self.headroom.copy_within(survivors.clone(), kept);
+            self.page_end.copy_within(survivors.clone(), kept);
+            self.done_at.copy_within(survivors.clone(), kept);
             kept += survivors.len();
         }
-        self.running.truncate(kept);
         self.handles.truncate(kept);
-        self.headroom.truncate(kept);
+        self.page_end.truncate(kept);
+        self.done_at.truncate(kept);
         retired_tokens
     }
 
@@ -2057,7 +2137,7 @@ mod tests {
             fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
                 // Chunked admission materializes nothing up front.
                 for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
-                    let r = sched.running().iter().find(|r| r.id == id).unwrap();
+                    let r = sched.running().find(|r| r.id == id).unwrap();
                     assert_eq!(r.prefilled, shared);
                 }
                 0.0
@@ -2188,7 +2268,7 @@ mod tests {
             let mut sched = submitted(requests, shapes.len(), Box::new(Fcfs), opts);
             let mut budget = PageBudget::new(4, 1, 64, Reservation::OnDemand);
             let mut exec = Recording::default();
-            let ids = |rs: &[Request]| rs.iter().map(|r| r.id.0).collect::<Vec<_>>();
+            let ids = |s: &Scheduler| s.running().map(|r| r.id.0).collect::<Vec<_>>();
             let mut ticks = 0usize;
             while !sched.is_done() {
                 sched.tick(&mut budget, &mut exec);
@@ -2197,7 +2277,7 @@ mod tests {
                 let finished: Vec<u64> = sched.finished().iter().map(|r| r.id.0).collect();
                 assert_eq!(exec.0, finished, "{corner}, tick {ticks}: retired hook vs finished");
                 if let Some(&(survivors, done)) = trace.get(ticks) {
-                    assert_eq!(ids(sched.running()), survivors, "{corner}, tick {ticks}: survivors");
+                    assert_eq!(ids(&sched), survivors, "{corner}, tick {ticks}: survivors");
                     assert_eq!(finished, done, "{corner}, tick {ticks}: finished order");
                 }
                 ticks += 1;
@@ -2234,7 +2314,7 @@ mod tests {
         }
         fn decode(&mut self, sched: &Scheduler) -> f64 {
             let retires = |r: &Request| r.prefill_remaining() == 0 && r.generated + 1 == r.output_len;
-            self.batch = sched.running().iter().map(|r| (r.id.0, retires(r))).collect();
+            self.batch = sched.running().map(|r| (r.id.0, retires(&r))).collect();
             0.01
         }
         fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
@@ -2271,7 +2351,7 @@ mod tests {
             let opts = SchedOptions { chunk_tokens, preemption, ..SchedOptions::default() };
             let mut sched = submitted(requests, n, Box::new(Fcfs), opts);
             let mut exec = Reference::default();
-            let ids = |rs: &[Request]| rs.iter().map(|r| r.id.0).collect::<Vec<_>>();
+            let ids = |s: &Scheduler| s.running().map(|r| r.id.0).collect::<Vec<_>>();
             let mut ticks = 0usize;
             while !sched.is_done() {
                 exec.batch.clear();
@@ -2283,7 +2363,7 @@ mod tests {
                 let (gone, kept): (Vec<_>, Vec<_>) = exec.batch.iter().partition(|&&(_, retires)| retires);
                 if !exec.batch.is_empty() {
                     let kept: Vec<u64> = kept.iter().map(|&&(id, _)| id).collect();
-                    assert_eq!(ids(sched.running()), kept, "tick {ticks}: survivors");
+                    assert_eq!(ids(&sched), kept, "tick {ticks}: survivors");
                 }
                 let gone: Vec<u64> = gone.iter().map(|&&(id, _)| id).collect();
                 assert_eq!(exec.retired, gone, "tick {ticks}: retired hook");
@@ -2323,7 +2403,7 @@ mod tests {
             }
             fn preempted(&mut self, sched: &Scheduler, recomputed: &[RequestId], swapped: &[RequestId]) {
                 for id in recomputed.iter().chain(swapped) {
-                    assert!(sched.running().iter().all(|r| r.id != *id), "{id:?} evicted yet running");
+                    assert!(sched.running().all(|r| r.id != *id), "{id:?} evicted yet running");
                 }
                 self.recomputed += recomputed.len();
                 self.swapped += swapped.len();

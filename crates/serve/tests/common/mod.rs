@@ -107,7 +107,7 @@ impl TickExecutor for Metered {
     fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
         self.chunk_tokens_metered += chunks.iter().map(|&(_, n, _)| n).sum::<usize>();
         self.mid_prefill =
-            sched.running().iter().filter(|r| r.prefill_remaining() > 0).map(|r| r.id).collect();
+            sched.running().filter(|r| r.prefill_remaining() > 0).map(|r| r.id).collect();
         0.1 * chunks.len() as f64
     }
     fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
@@ -183,7 +183,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         // `prefilling`, the decodable `(count, Σ prefilled)`) against a full
         // scan in debug builds.
         let _ = (sched.outstanding_tokens(), sched.decode_totals());
-        let decoded = sched.running().iter().filter(|r| r.generated > 0).map(|r| r.id);
+        let decoded = sched.running().filter(|r| r.generated > 0).map(|r| r.id);
         for id in decoded.chain(sched.finished().iter().map(|r| r.id)) {
             first_token_seen.entry(id).or_insert(sched.clock());
         }

@@ -241,7 +241,7 @@ impl Reference {
                 break;
             }
             let idle = self.running.is_empty() && ids.is_empty();
-            let choice = self.policy.select(&self.pending[..arrived], &self.running, &*budget);
+            let choice = self.policy.select(&self.pending[..arrived], &*budget);
             let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
             let c = self.pending[idx];
@@ -283,7 +283,7 @@ impl Reference {
             let r = self.running.last_mut().expect("just seated");
             r.prefilled = if self.opts.chunk_tokens.is_some() { shared } else { r.prefill_len() };
         }
-        (!ids.is_empty()).then(|| Hook::Wave(ids, full, shared_lens))
+        (!ids.is_empty()).then_some(Hook::Wave(ids, full, shared_lens))
     }
 
     /// Moves `pending[idx]` to the back of the batch, seated at `handle`.
@@ -308,7 +308,7 @@ impl Reference {
             }
             assert!(self.running.len() > 1, "a lone resident cannot grow");
             let last = self.running.len() - 1;
-            let chosen = self.policy.victim(&self.running).filter(|&v| v <= last);
+            let chosen = self.policy.victim(self.running.len()).filter(|&v| v <= last);
             let mut victim = self.running.remove(chosen.unwrap_or(last).max(i).max(1));
             let handle = self.handles.remove(&victim.id).expect("a resident has a seat");
             if self.opts.preemption == PreemptionMode::Swap {

@@ -26,22 +26,25 @@ use qserve_serve::scheduler::{
     Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
+use std::cell::Cell;
 
 /// FCFS admission, but the preemption victim wanders over the whole batch
 /// — the oldest resident, residents already grown this tick, out-of-range
-/// indices — everything the LIFO default never proposes.
-struct WanderingVictim;
+/// indices — everything the LIFO default never proposes. It draws from a
+/// state of its own: a policy sees only how many residents there are.
+struct WanderingVictim(Cell<u64>);
 
 impl SchedulingPolicy for WanderingVictim {
     fn name(&self) -> &'static str {
         "wandering-victim"
     }
-    fn select(&self, waiting: &[Request], _: &[Request], _: &dyn KvBudget) -> Option<usize> {
+    fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
         (!waiting.is_empty()).then_some(0)
     }
-    fn victim(&self, running: &[Request]) -> Option<usize> {
-        let mix = running.iter().fold(running.len() as u64, |h, r| h.wrapping_mul(31) ^ r.id.0);
-        Some((mix % (running.len() as u64 + 1)) as usize)
+    fn victim(&self, residents: usize) -> Option<usize> {
+        let mix = self.0.get().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ residents as u64;
+        self.0.set(mix);
+        Some(((mix >> 32) % (residents as u64 + 1)) as usize)
     }
 }
 
@@ -131,7 +134,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         budget.enable_host_tier(case.host_pages);
     }
     let policy: Box<dyn SchedulingPolicy> =
-        if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim) };
+        if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim(Cell::new(case.spec.seed))) };
     let n = case.spec.num_requests;
     let mut sched = Scheduler::open(case.batch_limit, policy, case.opts);
     for r in case.spec.sample() {
@@ -155,7 +158,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         budget.assert_consistent();
         sched.assert_mirrors_ledger(&budget);
         // The O(1) aggregates the tick prices from, against the scan.
-        let decodable = || sched.running().iter().filter(|r| r.prefill_remaining() == 0);
+        let decodable = || sched.running().filter(|r| r.prefill_remaining() == 0);
         assert_eq!(sched.prefilling(), sched.running().len() - decodable().count());
         assert_eq!(
             sched.decode_totals(),
@@ -203,10 +206,10 @@ fn a_victim_before_the_cursor_is_never_parked_a_token_ahead() {
         fn name(&self) -> &'static str {
             "second-oldest"
         }
-        fn select(&self, waiting: &[Request], _: &[Request], _: &dyn KvBudget) -> Option<usize> {
+        fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
             (!waiting.is_empty()).then_some(0)
         }
-        fn victim(&self, _: &[Request]) -> Option<usize> {
+        fn victim(&self, _: usize) -> Option<usize> {
             Some(1)
         }
     }

@@ -33,13 +33,13 @@ impl SchedulingPolicy for Wandering {
     fn name(&self) -> &'static str {
         "wandering"
     }
-    fn select(&self, waiting: &[Request], _: &[Request], _: &dyn KvBudget) -> Option<usize> {
+    fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
         (!waiting.is_empty()).then_some(0)
     }
-    fn victim(&self, running: &[Request]) -> Option<usize> {
+    fn victim(&self, residents: usize) -> Option<usize> {
         let s = self.0.get().wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         self.0.set(s);
-        Some((s >> 33) as usize % (running.len() + 2))
+        Some((s >> 33) as usize % (residents + 2))
     }
 }
 
@@ -50,7 +50,7 @@ struct Recorder(Vec<Seen>);
 
 impl Recorder {
     fn see(&mut self, sched: &Scheduler, hook: Hook) -> f64 {
-        let batch: Vec<Request> = sched.running().to_vec();
+        let batch: Vec<Request> = sched.running().collect();
         let dt = price(&hook, &batch);
         self.0.push((hook, batch));
         dt
@@ -221,7 +221,7 @@ fn lockstep(case: &Case) -> Reached {
         for ((hook, batch), (_, expected)) in exec.0.iter().zip(&seen) {
             assert_eq!(batch, expected, "tick {tick}: the batch {hook:?} saw");
         }
-        assert_eq!(sched.running(), &oracle.running[..], "tick {tick}: running");
+        assert_eq!(sched.running().collect::<Vec<_>>(), oracle.running, "tick {tick}: running");
         let finished: Vec<_> = sched.finished().iter().map(done_of).collect();
         assert_eq!(finished, oracle.finished, "tick {tick}: finished records");
         assert_eq!(sched.clock().to_bits(), oracle.clock.to_bits(), "tick {tick}: clock");
