@@ -1139,7 +1139,7 @@ impl Scheduler {
         })
     }
 
-    /// The residents' requests as stored (unsynced), in admission order.
+    /// The residents' requests as stored, in admission order: unsynced, so read ids, lengths, groups.
     fn residents(&self) -> impl Iterator<Item = &Request> {
         self.handles.iter().map(|h| &self.requests[h.0])
     }
@@ -1246,8 +1246,8 @@ impl Scheduler {
         assert_eq!([self.page_end.len(), self.done_at.len()], [len; 2], "step columns out of step");
         assert_eq!(budget.resident_count(), len, "ledger holds a stranger");
         for ((r, &h), &end) in self.running().zip(&self.handles).zip(&self.page_end) {
-            let decoding = r.prefill_remaining() == 0;
-            let room = end.checked_sub(if decoding { self.steps } else { 0 }).expect("decoded past its pages");
+            let room = end.checked_sub(if r.prefill_remaining() == 0 { self.steps } else { 0 });
+            let room = room.expect("a resident decoded past its pages");
             let (footprint, capacity) = budget.resident_tokens(h, r.id);
             assert_eq!(
                 capacity,
