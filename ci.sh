@@ -36,7 +36,7 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
-QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib scheduler::
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger::
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden

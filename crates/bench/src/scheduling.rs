@@ -11,12 +11,12 @@ use qserve_serve::cluster::{
     LeastOutstanding, MigrationConfig, PrefixAffinity, PriorityShed, QueuePressureScaler,
     RoundRobin, RoutingPolicy,
 };
+use qserve_serve::ledger::Reservation;
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Slo, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
-    ShortestJobFirst,
+    Fcfs, MemoryAware, PreemptionMode, SchedOptions, SchedulingPolicy, ShortestJobFirst,
 };
 use qserve_serve::{
     ClusterReport, FaultPlan, ServeConfig, ServingEngine, SystemConfig,

@@ -161,6 +161,7 @@ fn classify(rel: &str) -> Option<FileKind> {
     let accounting = matches!(
         rel,
         "crates/serve/src/scheduler.rs"
+            | "crates/serve/src/ledger.rs"
             | "crates/serve/src/kv_cache.rs"
             | "crates/serve/src/memory.rs"
             | "crates/serve/src/engine.rs"
@@ -406,6 +407,8 @@ mod tests {
     #[test]
     fn classification_scopes_rules_by_path() {
         assert!(matches!(classify("crates/serve/src/scheduler.rs"),
+            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
+        assert!(matches!(classify("crates/serve/src/ledger.rs"),
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/serve/src/fault.rs"),
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));

@@ -44,9 +44,10 @@
 use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
+use crate::ledger::{PageBudget, Reservation};
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, RequestId, Tier, WorkloadSpec};
-use crate::scheduler::{PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy};
+use crate::scheduler::{SchedOptions, Scheduler, SchedulingPolicy};
 use qserve_tensor::pool::Pool;
 
 pub use crate::control::{

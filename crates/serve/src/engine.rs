@@ -22,11 +22,11 @@
 //! changes a single code path.
 
 use crate::baselines::SystemConfig;
+use crate::ledger::{PageBudget, Reservation};
 use crate::memory::MemoryPlan;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
-    AdmittedWave, Fcfs, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulingPolicy, TickExecutor,
+    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency_chunked,

@@ -15,12 +15,15 @@
 //!   generation ([`WorkloadSpec`]).
 //! * [`scheduler`] — the request-lifecycle scheduler core: pluggable
 //!   [`SchedulingPolicy`] admission (FCFS, shortest-job-first,
-//!   memory-aware), KV page budgets with optional recompute preemption, and
-//!   one [`FinishedRequest`] record per completion. Shared by the analytic
-//!   engine and the real execution path — the single continuous-batching
-//!   implementation. The page ledger ([`PageBudget`]) also holds the
-//!   modeled host-memory KV tier behind swap-style preemption, where
-//!   victims spill private pages at PCIe cost instead of recomputing.
+//!   memory-aware), KV-gated admission with recompute or swap preemption,
+//!   and one [`FinishedRequest`] record per completion. Shared by the
+//!   analytic engine and the real execution path — the single
+//!   continuous-batching implementation.
+//! * [`ledger`] — the page ledger the scheduler admits and preempts against:
+//!   [`PageBudget`], the paged cache's page arithmetic without the bytes,
+//!   behind the [`KvBudget`] trait, including the modeled host-memory KV
+//!   tier behind swap-style preemption, where victims spill private pages
+//!   at PCIe cost instead of recomputing.
 //! * [`engine`] — a continuous-batching serving engine running against the
 //!   `qserve-gpusim` cost model: the scheduler core driven by per-sequence
 //!   prefill/decode costs (each sequence charged at its true KV length),
@@ -63,6 +66,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod kv_cache;
+pub mod ledger;
 pub mod memory;
 pub mod model_exec;
 pub mod prefix;
@@ -88,13 +92,14 @@ pub use engine::{
 pub use event::EventQueue;
 pub use fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 pub use kv_cache::{KvPageExport, PagedKvCache, SequenceId};
+pub use ledger::{KvBudget, PageBudget, Reservation};
 pub use prefix::PrefixIndex;
 pub use request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, RequestState, Slo, SloSpec,
     Tier, WorkloadSpec,
 };
 pub use scheduler::{
-    Fcfs, FinishedRequest, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
-    Scheduler, SchedulingPolicy, ShortestJobFirst,
+    Fcfs, FinishedRequest, MemoryAware, PreemptionMode, Scheduler, SchedulingPolicy,
+    ShortestJobFirst,
 };
 pub use sketch::{PercentileSketch, EXACT_STATS_MAX};

@@ -5,12 +5,10 @@
 
 use crate::block_exec::BlockRuntime;
 use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId};
+use crate::ledger::{PageBudget, Reservation};
 use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
-use crate::scheduler::{
-    AdmittedWave, PageBudget, Reservation, SchedOptions, Scheduler, SchedulingPolicy,
-    TickExecutor,
-};
+use crate::scheduler::{AdmittedWave, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
 use qserve_core::pipeline::QoqConfig;
 use qserve_kernels::attention::HeadTile;
 use qserve_model::eval::{argmax, quantize_blocks};

@@ -497,8 +497,9 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, RoundRobin};
     use crate::engine::ServeConfig;
+    use crate::ledger::{PageBudget, Reservation};
     use crate::request::{ArrivalPattern, Request, WorkloadSpec};
-    use crate::scheduler::{AdmittedWave, Fcfs, PageBudget, Reservation, SchedOptions, TickExecutor};
+    use crate::scheduler::{AdmittedWave, Fcfs, SchedOptions, TickExecutor};
     use crate::{ServingEngine, SystemConfig};
     use qserve_gpusim::GpuSpec;
     use qserve_model::ModelConfig;

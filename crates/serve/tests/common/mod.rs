@@ -7,10 +7,10 @@
 //! each release — which is strictly more often than once per step. It also
 //! counts what growth asked of the ledger.
 
+use qserve_serve::ledger::{KvBudget, KvHandle, PageBudget};
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, FinishedRequest, KvBudget, KvHandle, PageBudget, PreemptionMode,
-    SchedOptions, Scheduler, TickExecutor,
+    AdmittedWave, Fcfs, FinishedRequest, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
 use std::collections::{HashMap, HashSet};
 

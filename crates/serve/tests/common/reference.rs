@@ -21,11 +21,9 @@
 //!
 //! [`Scheduler::tick`]: qserve_serve::scheduler::Scheduler::tick
 
+use qserve_serve::ledger::{KvBudget, KvHandle, PageBudget};
 use qserve_serve::request::{Request, RequestId, RequestState};
-use qserve_serve::scheduler::{
-    FinishedRequest, KvBudget, KvHandle, PageBudget, PreemptionMode, SchedOptions,
-    SchedulingPolicy,
-};
+use qserve_serve::scheduler::{FinishedRequest, PreemptionMode, SchedOptions, SchedulingPolicy};
 use std::collections::BTreeMap;
 
 /// One executor hook call and the arguments it was handed.

@@ -20,12 +20,11 @@ use qserve_serve::cluster::{
     AutoscaleConfig, Cluster, DeadlineAware, DeadlineFeasible, LeastOutstanding, MigrationConfig,
     QueuePressureScaler, RoundRobin,
 };
+use qserve_serve::ledger::Reservation;
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Slo, SloSpec, WorkloadSpec,
 };
-use qserve_serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
-};
+use qserve_serve::scheduler::{Fcfs, MemoryAware, PreemptionMode, SchedOptions, SchedulingPolicy};
 use qserve_serve::{ClusterReport, FaultPlan, ServingEngine, SystemConfig};
 
 fn a100() -> ServingEngine {

@@ -15,8 +15,9 @@ use qserve_model::ModelConfig;
 use qserve_serve::cluster::{
     Cluster, DeadlineAware, DeadlineFeasible, LeastOutstanding, RoundRobin,
 };
+use qserve_serve::ledger::Reservation;
 use qserve_serve::request::{ArrivalPattern, LengthDist, PrefixSharing, Slo, SloSpec, WorkloadSpec};
-use qserve_serve::scheduler::{Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions};
+use qserve_serve::scheduler::{Fcfs, MemoryAware, PreemptionMode, SchedOptions};
 use qserve_serve::{FaultPlan, ServeConfig, ServingEngine, SystemConfig, EXACT_STATS_MAX};
 
 fn a100() -> ServingEngine {

@@ -13,10 +13,10 @@ use qserve_gpusim::{GpuSpec, TpGroup};
 use qserve_model::synth::SyntheticModel;
 use qserve_model::ModelConfig;
 use qserve_serve::cluster::{Cluster, RoundRobin};
+use qserve_serve::ledger::Reservation;
 use qserve_serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
 use qserve_serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
-    ShortestJobFirst,
+    Fcfs, MemoryAware, PreemptionMode, SchedOptions, SchedulingPolicy, ShortestJobFirst,
 };
 use qserve_serve::{BatchLimit, KvModel, ServeConfig, ServingEngine, ServingReport, SystemConfig};
 

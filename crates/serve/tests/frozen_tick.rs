@@ -10,12 +10,13 @@
 //! Σ prefilled), so a different admission, growth order or eviction decision
 //! moves the clock's bits, not just a counter.
 
+use qserve_serve::ledger::{PageBudget, Reservation};
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, MemoryAware, PageBudget, PreemptionMode, Reservation,
-    SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
+    AdmittedWave, Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
+    TickExecutor,
 };
 
 struct Scenario {

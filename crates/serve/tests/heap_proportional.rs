@@ -15,8 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use qserve_gpusim::GpuSpec;
 use qserve_model::ModelConfig;
 use qserve_serve::cluster::{Cluster, LeastOutstanding};
+use qserve_serve::ledger::Reservation;
 use qserve_serve::request::WorkloadSpec;
-use qserve_serve::scheduler::{MemoryAware, Reservation, SchedOptions};
+use qserve_serve::scheduler::{MemoryAware, SchedOptions};
 use qserve_serve::{ServeConfig, ServingEngine, SystemConfig};
 
 /// Bytes the heap holds now, and the most it has held.

@@ -18,12 +18,12 @@
 
 use qserve_core::kv_quant::KvPrecision;
 use qserve_serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
+use qserve_serve::ledger::{KvBudget, PageBudget, Reservation};
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, PageBudget, PreemptionMode, Reservation, SchedOptions,
-    Scheduler, SchedulingPolicy, TickExecutor,
+    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 use std::cell::Cell;

@@ -14,8 +14,9 @@
 mod common;
 
 use common::{drive, shared_reqs};
+use qserve_serve::ledger::{PageBudget, Reservation};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{PageBudget, Reservation, SchedOptions};
+use qserve_serve::scheduler::SchedOptions;
 
 #[test]
 fn preempt_then_readmit_shared_grant_conserves_pages_and_tokens() {

@@ -13,12 +13,13 @@
 #[path = "common/reference.rs"]
 mod reference;
 
+use qserve_serve::ledger::{KvBudget, PageBudget, Reservation};
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, Slo, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, KvBudget, MemoryAware, PageBudget, PreemptionMode, Reservation,
-    SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst, TickExecutor,
+    AdmittedWave, Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
+    ShortestJobFirst, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 use reference::{done_of, price, Hook, Reference, Seen};

@@ -16,10 +16,9 @@
 mod common;
 
 use common::{drive, shared_reqs};
+use qserve_serve::ledger::{KvBudget, KvHandle, PageBudget, Reservation};
 use qserve_serve::request::{Request, RequestId};
-use qserve_serve::scheduler::{
-    KvBudget, KvHandle, PageBudget, PreemptionMode, Reservation, SchedOptions,
-};
+use qserve_serve::scheduler::{PreemptionMode, SchedOptions};
 
 fn swap_opts() -> SchedOptions {
     SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() }

@@ -13,8 +13,9 @@ use qserve::model::ModelConfig;
 use qserve::serve::cluster::{
     Cluster, LeastOutstanding, PrefixAffinity, RoundRobin, RoutingPolicy,
 };
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::WorkloadSpec;
-use qserve::serve::scheduler::{MemoryAware, Reservation, SchedOptions};
+use qserve::serve::scheduler::{MemoryAware, SchedOptions};
 use qserve::serve::{ServingEngine, SystemConfig};
 
 fn main() {

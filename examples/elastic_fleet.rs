@@ -22,8 +22,9 @@ use qserve::model::ModelConfig;
 use qserve::serve::cluster::{
     AutoscaleConfig, Cluster, LeastOutstanding, MigrationConfig, QueuePressureScaler,
 };
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::{ArrivalPattern, Slo, SloSpec, WorkloadSpec};
-use qserve::serve::scheduler::{MemoryAware, Reservation, SchedOptions};
+use qserve::serve::scheduler::{MemoryAware, SchedOptions};
 use qserve::serve::{ServingEngine, SystemConfig};
 
 fn main() {

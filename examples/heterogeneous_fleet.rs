@@ -13,8 +13,9 @@ use qserve::serve::cluster::{
     AdmissionPolicy, AdmitAll, Cluster, DeadlineFeasible, LeastOutstanding, RoundRobin,
     RoutingPolicy,
 };
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::{ArrivalPattern, Slo, SloSpec, WorkloadSpec};
-use qserve::serve::scheduler::{MemoryAware, Reservation, SchedOptions};
+use qserve::serve::scheduler::{MemoryAware, SchedOptions};
 use qserve::serve::{ServingEngine, SystemConfig};
 
 fn main() {

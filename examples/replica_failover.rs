@@ -13,8 +13,9 @@
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
 use qserve::serve::cluster::{Cluster, LeastOutstanding};
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::{ArrivalPattern, LengthDist, PrefixSharing, SloSpec, WorkloadSpec};
-use qserve::serve::scheduler::{MemoryAware, Reservation, SchedOptions};
+use qserve::serve::scheduler::{MemoryAware, SchedOptions};
 use qserve::serve::{FaultPlan, ServingEngine, SystemConfig};
 
 fn main() {

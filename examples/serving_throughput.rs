@@ -11,8 +11,9 @@
 use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
 use qserve::serve::engine::ServeConfig;
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::WorkloadSpec;
-use qserve::serve::scheduler::{Fcfs, MemoryAware, Reservation, ShortestJobFirst};
+use qserve::serve::scheduler::{Fcfs, MemoryAware, ShortestJobFirst};
 use qserve::serve::{ServingEngine, SystemConfig};
 
 fn main() {

@@ -7,12 +7,11 @@ use qserve::serve::cluster::{
     AdmissionPolicy, AdmitAll, Cluster, DeadlineFeasible, LeastOutstanding, PrefixAffinity,
     PriorityShed, RoundRobin, RoutingPolicy,
 };
+use qserve::serve::ledger::Reservation;
 use qserve::serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Slo, SloSpec, WorkloadSpec,
 };
-use qserve::serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, Reservation, SchedOptions, SchedulingPolicy,
-};
+use qserve::serve::scheduler::{Fcfs, MemoryAware, PreemptionMode, SchedOptions, SchedulingPolicy};
 use qserve::serve::{FaultPlan, ServeConfig, ServingEngine, SystemConfig};
 use qserve::tensor::props;
 

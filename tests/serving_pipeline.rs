@@ -6,12 +6,13 @@ use qserve::gpusim::GpuSpec;
 use qserve::model::ModelConfig;
 use qserve::serve::engine::ServeConfig;
 use qserve::serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
+use qserve::serve::ledger::{PageBudget, Reservation};
 use qserve::serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve::serve::scheduler::{
-    AdmittedWave, Fcfs, MemoryAware, PageBudget, Reservation, SchedOptions, Scheduler,
-    SchedulingPolicy, ShortestJobFirst, TickExecutor,
+    AdmittedWave, Fcfs, MemoryAware, SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst,
+    TickExecutor,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
 use qserve::tensor::{prop, props};
