@@ -7,10 +7,10 @@
 use crate::request::RequestId;
 
 /// A resident's seat in its budget's ledger, handed out by admission and
-/// swap-in and passed back to [`KvBudget::settle`] and [`KvBudget::grow`]
-/// at a page boundary and to [`KvBudget::release`] and
-/// [`KvBudget::swap_out`] when the resident leaves the device — every
-/// per-resident ledger call indexes with it; the ledger keeps no id map.
+/// swap-in and passed back to [`KvBudget::grow`] while the resident runs and
+/// to [`KvBudget::release`] and [`KvBudget::swap_out`] when it leaves the
+/// device — every per-resident ledger call indexes with it; the ledger
+/// keeps no id map.
 /// Distinct residents hold distinct handles, and the scheduler files each
 /// resident's request at its handle's index. Valid until the request is
 /// released, swapped out or evicted. Slots are reused afterwards, so a stale
@@ -44,20 +44,19 @@ pub trait KvBudget {
         peak_tokens: usize,
     ) -> Option<KvHandle>;
 
-    /// Accounts one more cached token for the resident behind `handle`;
-    /// `false` means the pool is exhausted (nothing was charged) and someone
-    /// must be preempted. Per token, against the ledger's count: a caller
-    /// that caches tokens in the resident's headroom without telling the
-    /// budget (the scheduler does, 15 tokens in 16) calls
-    /// [`KvBudget::settle`] first, so it only grows past a full page.
-    fn grow(&mut self, handle: KvHandle) -> bool;
-
-    /// Brings the ledger up to `tokens` cached tokens (pool-covered prefix
-    /// included) for the resident behind `handle` and returns its headroom:
-    /// how many more tokens fit the pages it already holds. Never charges —
-    /// the tokens past the ledger's last count landed in those pages — so
-    /// `tokens` may neither fall below that count nor exceed the pages.
-    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize;
+    /// Brings the resident behind `handle` to `tokens` cached tokens
+    /// (pool-covered prefix included) and returns its headroom: how many
+    /// more tokens fit the pages it then holds. Tokens inside the pages it
+    /// holds cost nothing; `tokens` one past them opens one page per layer,
+    /// and `None` means the pool cannot (nothing was charged) and someone
+    /// must be preempted. A caller may cache tokens in the headroom without
+    /// telling the budget — the scheduler does, 15 tokens in 16, and calls
+    /// only when a resident starts decoding and at each page boundary.
+    ///
+    /// # Panics
+    /// Panics when `tokens` falls below the ledger's count or is more than
+    /// one past the pages held.
+    fn grow(&mut self, handle: KvHandle, tokens: usize) -> Option<usize>;
 
     /// Returns everything `id` holds to the pool: the resident entry seated
     /// at `handle`, or with `None` its swapped-out (parked) holdings, if
@@ -66,13 +65,14 @@ pub trait KvBudget {
     fn release(&mut self, id: RequestId, handle: Option<KvHandle>);
 
     /// Spills resident `id`'s *private* pages (its entry seated at
-    /// `handle`) to a modeled host-memory tier, freeing them on device
-    /// while keeping any shared-pool reference (shared prefix pages stay
-    /// resident — siblings are reading them). Returns the device pages
-    /// freed, or `None` when the budget has no host tier or the tier is
-    /// full — the caller must fall back to recompute preemption. A seat
-    /// that does not hold `id` fails loudly, as in [`KvBudget::release`].
-    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize>;
+    /// `handle`, parked at `tokens` cached tokens, which its pages must
+    /// hold) to a modeled host-memory tier, freeing them on device while
+    /// keeping any shared-pool reference (shared prefix pages stay resident
+    /// — siblings are reading them). Returns the device pages freed, or
+    /// `None` when the budget has no host tier or the tier is full — the
+    /// caller must fall back to recompute preemption. A seat that does not
+    /// hold `id` fails loudly, as in [`KvBudget::release`].
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle, tokens: usize) -> Option<usize>;
 
     /// Brings a swapped-out request's pages back on device. Returns its
     /// new ledger handle and the device pages re-acquired, or `None` when
@@ -103,14 +103,24 @@ struct PageEntry {
     id: RequestId,
     /// Tokens in the entry's *private* region (beyond any shared pool
     /// pages), as of the last call that told the ledger — a scheduler
-    /// growing through its headroom settles it only at page boundaries and
-    /// before a swap-out parks the entry.
+    /// growing through its headroom tells it only when the resident starts
+    /// decoding, at page boundaries and when a swap-out parks the entry.
     tokens: usize,
     reserved_per_layer: usize,
     /// Prefix-sharing pool this entry holds a reference on.
     group: Option<u64>,
     /// Prompt tokens served by that pool's pages instead of private ones.
     covered_tokens: usize,
+}
+
+impl PageEntry {
+    /// The private count of `tokens` cached tokens, checked to reach the
+    /// pool-covered prefix and the ledger's count.
+    fn private_of(&self, tokens: usize) -> usize {
+        let private = tokens.checked_sub(self.covered_tokens).expect("a count below the pool-covered prefix");
+        assert!(private >= self.tokens, "a count below the ledger's");
+        private
+    }
 }
 
 /// One prefix-sharing group's pooled pages: charged once, refcounted by the
@@ -134,7 +144,7 @@ pub struct PageBudget {
     peak_used: usize,
     mode: Reservation,
     /// Resident entries in a dense slab indexed by [`KvHandle`]: every
-    /// per-resident call — settle, grow, release, swap-out — is an index,
+    /// per-resident call — grow, release, swap-out — is an index,
     /// not a map walk. Vacated slots are `None` and reused through
     /// `free_slots`.
     slab: Vec<Option<PageEntry>>,
@@ -545,38 +555,23 @@ impl KvBudget for PageBudget {
         }))
     }
 
-    fn grow(&mut self, handle: KvHandle) -> bool {
-        let entry = self.slab[handle.0].as_mut().expect("grow() on a vacant ledger slot");
-        let capacity = entry.reserved_per_layer * self.page_tokens;
-        // A token inside the pages already held is one compare against the
-        // reserved capacity (the scheduler settles first, so it only ever
-        // arrives here with those pages full).
-        if entry.tokens < capacity {
-            entry.tokens += 1;
-            return true;
+    fn grow(&mut self, handle: KvHandle, tokens: usize) -> Option<usize> {
+        let mut entry = self.slab[handle.0].expect("grow() on a vacant ledger slot");
+        let private = entry.private_of(tokens);
+        let held = entry.reserved_per_layer * self.page_tokens;
+        if private > held {
+            // One token past a full entry opens exactly one page per layer.
+            assert_eq!(private, held + 1, "grew more than one token past the pages held");
+            if self.layers > self.free_pages {
+                return None;
+            }
+            self.take(self.layers);
+            entry.reserved_per_layer += 1;
         }
-        // A full entry's next token opens exactly one page per layer.
-        assert_eq!(entry.tokens, capacity, "entry holds more tokens than it reserved");
-        if self.layers > self.free_pages {
-            return false;
-        }
-        entry.tokens += 1;
-        entry.reserved_per_layer += 1;
-        self.take(self.layers);
-        true
-    }
-
-    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize {
-        let page_tokens = self.page_tokens;
-        let entry = self.slab[handle.0].as_mut().expect("settle() on a vacant ledger slot");
-        let private = tokens
-            .checked_sub(entry.covered_tokens)
-            .expect("settled below the pool-covered prefix");
-        assert!(private >= entry.tokens, "settled below the ledger's count");
         entry.tokens = private;
-        (entry.reserved_per_layer * page_tokens)
-            .checked_sub(private)
-            .expect("settled past the pages the entry holds")
+        self.slab[handle.0] = Some(entry);
+        let capacity = entry.reserved_per_layer * self.page_tokens;
+        Some(capacity.checked_sub(private).expect("the pages hold the tokens"))
     }
 
     fn release(&mut self, id: RequestId, handle: Option<KvHandle>) {
@@ -598,13 +593,15 @@ impl KvBudget for PageBudget {
         }
     }
 
-    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize> {
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle, tokens: usize) -> Option<usize> {
         let pages = self.seated(id, handle).reserved_per_layer * self.layers;
         // No tier attached → the caller falls back to recompute.
         if pages > self.host_free_pages()? {
             return None;
         }
-        let entry = self.unseat(id, handle);
+        let mut entry = self.unseat(id, handle);
+        entry.tokens = entry.private_of(tokens);
+        assert!(entry.tokens <= entry.reserved_per_layer * self.page_tokens, "parked past the pages held");
         self.park(entry);
         // The pool reference (if any) is deliberately kept: the swapped
         // member still pins its shared prefix pages on device.
@@ -642,14 +639,76 @@ mod tests {
         let id = RequestId(0);
         let h = b.admit(id, None, 0, 5, 16).expect("fits"); // 2 pages × 2 layers
         assert_eq!(b.free_pages(), 4);
-        for _ in 0..3 {
-            assert!(b.grow(h)); // 6,7,8 tokens: still 2 pages
+        for tokens in 6..=8 {
+            assert_eq!(b.grow(h, tokens), Some(8 - tokens)); // still 2 pages
         }
         assert_eq!(b.free_pages(), 4);
-        assert!(b.grow(h)); // 9 tokens: 3rd page on both layers
+        assert_eq!(b.grow(h, 9), Some(3)); // 3rd page on both layers
         assert_eq!(b.free_pages(), 2);
         b.release(id, Some(h));
         assert_eq!(b.free_pages(), 8);
+    }
+
+    #[test]
+    fn grow_inside_the_held_pages_charges_nothing_and_returns_the_headroom() {
+        // An 8-token prefix over 4-token pages is two pool pages; the 10-token
+        // start leaves 2 private tokens in one private page per layer.
+        let mut b = PageBudget::new(4, 2, 16, Reservation::OnDemand);
+        let h = b.admit(RequestId(0), Some(3), 8, 10, 32).expect("fits");
+        let used = b.used_pages();
+        assert_eq!(b.grow(h, 10), Some(2), "the count it holds: headroom only");
+        assert_eq!(b.grow(h, 12), Some(0), "a jump to the end of the held page");
+        assert_eq!((b.used_pages(), b.peak_pages()), (used, used), "nothing charged");
+        b.assert_consistent();
+    }
+
+    #[test]
+    fn grow_one_token_past_the_held_pages_opens_one_page_per_layer() {
+        let mut b = PageBudget::new(4, 3, 12, Reservation::OnDemand);
+        let h = b.admit(RequestId(0), None, 0, 4, 16).expect("fits"); // 1 page × 3 layers
+        assert_eq!(b.grow(h, 5), Some(3));
+        assert_eq!(b.free_pages(), 12 - 2 * 3);
+        b.assert_consistent();
+    }
+
+    #[test]
+    fn a_dry_pool_refuses_the_next_page_and_charges_nothing() {
+        // Five pages over two layers: the second page per layer needs two.
+        let mut b = PageBudget::new(4, 2, 5, Reservation::OnDemand);
+        let h = b.admit(RequestId(0), None, 0, 3, 16).expect("fits"); // 1 page × 2 layers
+        b.admit(RequestId(1), None, 0, 3, 16).expect("fits");
+        assert_eq!(b.grow(h, 4), Some(0), "a jump to the last token of the held page");
+        assert_eq!(b.grow(h, 5), None, "the next page would need 2 pages, 1 is free");
+        assert_eq!((b.free_pages(), b.peak_pages()), (1, 4), "nothing charged");
+        b.assert_consistent();
+        assert_eq!(b.grow(h, 4), Some(0), "the refusal left the count where it was");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one token past the pages held")]
+    fn grow_two_tokens_past_the_held_pages_fails_loudly() {
+        let mut b = PageBudget::new(4, 1, 8, Reservation::OnDemand);
+        let h = b.admit(RequestId(0), None, 0, 4, 16).expect("fits");
+        b.grow(h, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "a count below the ledger's")]
+    fn grow_below_the_ledgers_count_fails_loudly() {
+        let mut b = PageBudget::new(4, 1, 8, Reservation::OnDemand);
+        let h = b.admit(RequestId(0), None, 0, 6, 16).expect("fits");
+        b.grow(h, 5);
+    }
+
+    #[test]
+    fn swap_out_parks_the_entry_at_the_tokens_it_is_given() {
+        let mut b = host_budget(8);
+        let id = RequestId(0);
+        let h = b.admit(id, None, 0, 5, 16).expect("fits"); // 2 pages
+        assert_eq!(b.swap_out(id, h, 7), Some(2));
+        b.assert_mirrors(std::iter::empty(), [(id, 7)].into_iter());
+        let (h, pages) = b.swap_in(id).expect("the device has room");
+        assert_eq!((pages, b.grow(h, 7)), (2, Some(1)), "back at 7 tokens");
     }
 
     /// A parked entry of `pages` private pages per layer.
@@ -703,8 +762,8 @@ mod tests {
         let id = RequestId(1);
         let h = b.admit(id, None, 0, 1, 16).expect("fits"); // all 4 pages reserved up front
         assert!(b.admit(RequestId(2), None, 0, 1, 4).is_none(), "pool exhausted by the peak hold");
-        for _ in 0..15 {
-            assert!(b.grow(h));
+        for tokens in 2..=16 {
+            assert_eq!(b.grow(h, tokens), Some(16 - tokens));
         }
     }
 

@@ -575,7 +575,7 @@ impl Scheduler {
     fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
         self.requests.resize(self.requests.len().max(handle.0 + 1), req);
         self.requests[handle.0] = req;
-        self.page_end.push(budget.settle(handle, req.prefill_len()));
+        self.page_end.push(budget.grow(handle, req.prefill_len()).expect("a seated resident's pages hold it"));
         self.done_at.push(NEVER);
         self.handles.push(handle);
         if req.prefill_remaining() > 0 {
@@ -1010,8 +1010,8 @@ impl Scheduler {
     ///
     /// Only a resident whose pages are full needs the ledger, so make-room
     /// visits just those whose page end is this step, found by scanning the
-    /// dense `page_end` column in admission order: each is synced, settles,
-    /// asks the ledger for its next page and moves its page end past it. A
+    /// dense `page_end` column in admission order: each is synced, asks the
+    /// ledger for its next page in one call and moves its page end past it. A
     /// refusal evicts a victim from the suffix at or after the cursor (see
     /// [`SchedulingPolicy::victim`]) — synced, its token for this tick
     /// unspent — and retries, so growth is charged in admission order.
@@ -1049,10 +1049,8 @@ impl Scheduler {
             self.sync(victim); // everything below reads what it holds
             let (id, handle) = (self.resident(victim).id, self.handles[victim]);
             if self.opts.preemption == PreemptionMode::Swap {
-                // The ledger parks the entry whole: bring its count up to the
-                // tokens the victim holds (it has not decoded this tick).
-                budget.settle(handle, self.resident(victim).prefill_len());
-                if let Some(pages) = budget.swap_out(id, handle) {
+                // Parked at the tokens it holds: it has not decoded this tick.
+                if let Some(pages) = budget.swap_out(id, handle, self.resident(victim).prefill_len()) {
                     self.tick_swap_pages += pages;
                     self.swap_out_pages += pages;
                     self.swap_outs += 1;
@@ -1074,20 +1072,22 @@ impl Scheduler {
     }
 
     /// Charges resident `i`'s next token, whose pages are full, to the
-    /// ledger — syncing it and settling the tokens decoded since the ledger
-    /// last heard — and moves its page end past the page that token opens,
-    /// less the token, which this tick's decode spends. `false` (nothing
-    /// charged): the pool is dry.
+    /// ledger in one call — syncing it first, so the call also counts the
+    /// tokens decoded since the ledger last heard — and moves its page end
+    /// past the page that token opens, less the token, which this tick's
+    /// decode spends. `false` (nothing charged): the pool is dry.
     fn grow_past_page<B: KvBudget>(&mut self, i: usize, budget: &mut B) -> bool {
         self.sync(i);
         let (handle, held) = (self.handles[i], self.resident(i).prefill_len());
-        let spare = budget.settle(handle, held);
-        debug_assert_eq!(spare, 0, "page-end column drifted from the ledger");
-        let grown = budget.grow(handle);
-        if grown {
-            self.page_end[i] = self.steps + budget.settle(handle, held + 1) + 1;
-        }
-        grown
+        let free = cfg!(debug_assertions).then(|| budget.free_tokens());
+        let Some(room) = budget.grow(handle, held + 1) else { return false };
+        debug_assert_eq!(
+            free.and_then(|free| free.checked_sub(budget.free_tokens())),
+            Some(room + 1),
+            "page-end column drifted from the ledger: a boundary opens one page per layer"
+        );
+        self.page_end[i] = self.steps + room + 1;
+        true
     }
 
     /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an

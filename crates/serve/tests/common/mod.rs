@@ -3,9 +3,9 @@
 //!
 //! The steps of a tick are private to the scheduler, so the step-wise ledger
 //! audit rides on the budget instead: [`Audited`] runs it after *every*
-//! ledger call a tick makes — admission, each settle and growth, each swap,
-//! each release — which is strictly more often than once per step. It also
-//! counts what growth asked of the ledger.
+//! ledger call a tick makes — admission, each growth, each swap, each
+//! release — which is strictly more often than once per step. It also counts
+//! what growth asked of the ledger.
 
 use qserve_serve::ledger::{KvBudget, KvHandle, PageBudget};
 use qserve_serve::request::{Request, RequestId};
@@ -17,7 +17,10 @@ use std::collections::{HashMap, HashSet};
 /// What the drive's [`KvBudget::grow`] calls did.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Growth {
-    /// `grow` calls.
+    /// Calls that armed a resident: the first since it was seated, which
+    /// reads its headroom and must charge nothing.
+    pub arms: usize,
+    /// The other `grow` calls: the growth.
     pub calls: usize,
     /// Device pages those calls acquired.
     pub pages: usize,
@@ -31,6 +34,8 @@ struct Audited<'a, A: Fn(&PageBudget)> {
     budget: &'a mut PageBudget,
     audit: A,
     growth: &'a mut Growth,
+    /// Seats admitted or swapped in whose resident has not armed yet.
+    unarmed: &'a mut Vec<KvHandle>,
 }
 
 impl<A: Fn(&PageBudget)> Audited<'_, A> {
@@ -38,6 +43,12 @@ impl<A: Fn(&PageBudget)> Audited<'_, A> {
         let out = call(self.budget);
         (self.audit)(self.budget);
         out
+    }
+
+    /// Whether `handle`'s resident had yet to arm; forgets it either way.
+    fn arming(&mut self, handle: KvHandle) -> bool {
+        let at = self.unarmed.iter().position(|&h| h == handle);
+        at.map(|at| self.unarmed.swap_remove(at)).is_some()
     }
 }
 
@@ -53,27 +64,41 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
         start: usize,
         peak: usize,
     ) -> Option<KvHandle> {
-        self.audited(|b| b.admit(id, group, shared, start, peak))
+        let handle = self.audited(|b| b.admit(id, group, shared, start, peak));
+        self.unarmed.extend(handle);
+        handle
     }
-    fn grow(&mut self, handle: KvHandle) -> bool {
+    fn grow(&mut self, handle: KvHandle, tokens: usize) -> Option<usize> {
         let used = self.budget.used_pages();
-        let grown = self.audited(|b| b.grow(handle));
-        self.growth.calls += 1;
-        self.growth.pages += self.budget.used_pages().checked_sub(used).expect("growth freed pages");
-        self.growth.refusals += usize::from(!grown);
-        grown
-    }
-    fn settle(&mut self, handle: KvHandle, tokens: usize) -> usize {
-        self.audited(|b| b.settle(handle, tokens))
+        let room = self.audited(|b| b.grow(handle, tokens));
+        let pages = self.budget.used_pages().checked_sub(used).expect("growth freed pages");
+        if self.arming(handle) {
+            assert!(room.is_some() && pages == 0, "arming {handle:?} charged {pages} pages or was refused");
+            self.growth.arms += 1;
+        } else {
+            self.growth.calls += 1;
+            self.growth.pages += pages;
+            self.growth.refusals += usize::from(room.is_none());
+        }
+        room
     }
     fn release(&mut self, id: RequestId, handle: Option<KvHandle>) {
+        if let Some(h) = handle {
+            self.arming(h);
+        }
         self.audited(|b| b.release(id, handle))
     }
-    fn swap_out(&mut self, id: RequestId, handle: KvHandle) -> Option<usize> {
-        self.audited(|b| b.swap_out(id, handle))
+    fn swap_out(&mut self, id: RequestId, handle: KvHandle, tokens: usize) -> Option<usize> {
+        let pages = self.audited(|b| b.swap_out(id, handle, tokens));
+        if pages.is_some() {
+            self.arming(handle);
+        }
+        pages
     }
     fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
-        self.audited(|b| b.swap_in(id))
+        let seated = self.audited(|b| b.swap_in(id));
+        self.unarmed.extend(seated.map(|(h, _)| h));
+        seated
     }
 }
 
@@ -171,12 +196,12 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         );
     };
     let mut exec = Metered::default();
-    let mut growth = Growth::default();
+    let (mut growth, mut unarmed) = (Growth::default(), Vec::new());
     let mut guard = 0usize;
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 100_000, "scheduler failed to converge");
-        sched.tick(&mut Audited { budget, audit, growth: &mut growth }, &mut exec);
+        sched.tick(&mut Audited { budget, audit, growth: &mut growth, unarmed: &mut unarmed }, &mut exec);
         audit(budget);
         sched.assert_mirrors_ledger(budget);
         // Both accessors audit their O(1) counters (`outstanding`,

@@ -7,9 +7,8 @@
 //! [`PageBudget`] of its own, a policy of its own), and keeps nothing the
 //! real tick keeps for speed:
 //!
-//! - every decodable resident asks the ledger for every token through
-//!   [`KvBudget::grow`]'s per-token contract, so there is no headroom and no
-//!   `settle`;
+//! - every decodable resident asks the ledger for every token, one
+//!   [`KvBudget::grow`] per token, so there is no headroom;
 //! - retirement is [`Vec::retain`], the backlog a sorted `Vec` searched
 //!   front to back, and each resident's handle sits in a map by id;
 //! - every aggregate (`outstanding`, `prefilling`, the decodable totals) is
@@ -300,7 +299,7 @@ impl Reference {
         let mut i = 0;
         while i < self.running.len() {
             let r = self.running[i];
-            if r.prefill_remaining() > 0 || budget.grow(self.handles[&r.id]) {
+            if r.prefill_remaining() > 0 || budget.grow(self.handles[&r.id], r.prefill_len() + 1).is_some() {
                 i += 1;
                 continue;
             }
@@ -310,7 +309,7 @@ impl Reference {
             let mut victim = self.running.remove(chosen.unwrap_or(last).max(i).max(1));
             let handle = self.handles.remove(&victim.id).expect("a resident has a seat");
             if self.opts.preemption == PreemptionMode::Swap {
-                if let Some(pages) = budget.swap_out(victim.id, handle) {
+                if let Some(pages) = budget.swap_out(victim.id, handle, victim.prefill_len()) {
                     self.tick_swap_pages += pages;
                     self.swap_out_pages += pages;
                     self.swap_outs += 1;

@@ -239,6 +239,8 @@ struct Live<H> {
     id: u64,
     /// The ledger seat while resident; `None` while swapped out.
     handle: Option<H>,
+    /// Tokens cached, the pool-covered prefix included.
+    len: usize,
     /// The prefix group it founded or forked into.
     group: Option<u64>,
 }
@@ -305,7 +307,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
                     Some(handle) => {
                         cache.register(SequenceId(next_id)).unwrap();
                         append(&mut cache, SequenceId(next_id), start);
-                        live.push(Live { id: next_id, handle: Some(handle), group: None });
+                        live.push(Live { id: next_id, handle: Some(handle), len: start, group: None });
                     }
                     None => {
                         let need = start.div_ceil(page_tokens) * layers;
@@ -347,13 +349,14 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
                         append(&mut cache, SequenceId(id), start);
                     }
                 }
-                live.push(Live { id, handle: Some(handle), group: Some(group) });
+                live.push(Live { id, handle: Some(handle), len: start, group: Some(group) });
             }
             // Grow a resident by one token in every layer.
             4 | 5 | 6 if !live.is_empty() => {
                 let Some(handle) = live[who].handle else { continue };
-                if ledger.grow(handle) {
+                if ledger.grow(handle, live[who].len + 1).is_some() {
                     append(&mut cache, SequenceId(live[who].id), 1);
+                    live[who].len += 1;
                 } else {
                     // Only a page boundary can refuse: one page per layer.
                     assert!(swap_sharers || layers > cache.free_pages(), "the ledger refused a token the cache had room for");
@@ -374,7 +377,7 @@ fn drive_ledger_and_cache(rng: &mut TensorRng, swap_sharers: bool) -> Reached {
                     continue;
                 }
                 let (ledger_pages, cache_pages) = if let Some(handle) = seq.handle.take() {
-                    let out = ledger.swap_out(RequestId(seq.id), handle).expect("the host tier is roomy");
+                    let out = ledger.swap_out(RequestId(seq.id), handle, seq.len).expect("the host tier is roomy");
                     (out, cache.swap_out(SequenceId(seq.id)).unwrap())
                 } else {
                     match ledger.swap_in(RequestId(seq.id)) {

@@ -100,12 +100,14 @@ fn multi_layer_swap_balances_per_layer_pages() {
 
 #[test]
 fn growth_reaches_the_ledger_only_at_page_boundaries() {
-    // The scheduler spends each resident's headroom itself and calls `grow`
-    // only when the pages it holds are full, so every call either opens one
-    // page per layer or is refused: calls = pages ÷ layers + refusals. A
-    // call for a token that fits a held page would do neither. Host tiers
-    // from roomy to one page make the drives swap and fall back to
-    // recompute; the drive audits the headroom column after every tick.
+    // The scheduler spends each resident's headroom itself. Past the call
+    // that arms a resident (its first since it was seated, which reads the
+    // headroom and charges nothing: `Audited` checks), it calls `grow` only
+    // when the pages the resident holds are full, so every such call either
+    // opens one page per layer or is refused: calls = pages ÷ layers +
+    // refusals. A call for a token that fits a held page would do neither.
+    // Host tiers from roomy to one page make the drives swap and fall back
+    // to recompute; the drive audits the headroom column after every tick.
     // Four private requests and three group-mates over a 32-token prefix.
     let reqs: Vec<Request> = (0..7)
         .map(|i| match i {
@@ -113,7 +115,7 @@ fn growth_reaches_the_ledger_only_at_page_boundaries() {
             _ => Request::new(RequestId(i), 40, 24, 0.0).with_prefix(0, 32),
         })
         .collect();
-    let (mut swap_outs, mut preemptions, mut refusals) = (0, 0, 0);
+    let (mut swap_outs, mut preemptions, mut refusals, mut arms) = (0, 0, 0, 0);
     let (mut calls, mut tokens) = (0, 0);
     for layers in [1usize, 2] {
         for (total, host) in [(10, 40), (12, 40), (10, 1), (12, 2)] {
@@ -130,11 +132,13 @@ fn growth_reaches_the_ledger_only_at_page_boundaries() {
             swap_outs += run.swap_outs;
             preemptions += run.preemptions;
             refusals += g.refusals;
+            arms += g.arms;
             calls += g.calls;
             tokens += run.generated_tokens;
         }
     }
     assert!(swap_outs > 0 && preemptions > 0 && refusals > 0, "the drives must swap and recompute");
+    assert!(arms > 0, "no resident armed through the ledger");
     // About one decoded token in sixteen meets a page boundary.
     assert!(calls * 8 < tokens, "{calls} grow calls for {tokens} generated tokens");
 }
@@ -150,7 +154,7 @@ fn swap_refuses_when_the_host_tier_is_full() {
     let handle = b.admit(id, None, 0, 40, 72).expect("the pool holds one 40-token request");
     let used = b.used_pages();
     assert!(used > 1, "the request must need more pages than the tier holds");
-    assert_eq!(b.swap_out(id, handle), None, "a full host tier refuses the swap");
+    assert_eq!(b.swap_out(id, handle, 40), None, "a full host tier refuses the swap");
     assert_eq!(b.used_pages(), used, "a refused swap must not touch the ledger");
     b.assert_consistent();
 }
@@ -165,7 +169,7 @@ fn swap_back_of_released_holdings_fails_loudly() {
     let mut b = swap_budget(16, 1, 8);
     let id = RequestId(3);
     let handle = b.admit(id, None, 0, 40, 72).expect("fits");
-    let moved = b.swap_out(id, handle).expect("the roomy tier accepts the swap");
+    let moved = b.swap_out(id, handle, 40).expect("the roomy tier accepts the swap");
     assert!(moved > 0);
     b.release(id, None);
     b.assert_consistent();
@@ -179,7 +183,7 @@ fn reseated(swapped: bool) -> (PageBudget, RequestId, KvHandle) {
     let (gone, next) = (RequestId(1), RequestId(2));
     let stale = b.admit(gone, None, 0, 20, 20).expect("fits");
     if swapped {
-        b.swap_out(gone, stale).expect("the roomy tier accepts the swap");
+        b.swap_out(gone, stale, 20).expect("the roomy tier accepts the swap");
     } else {
         b.release(gone, Some(stale));
     }
@@ -201,7 +205,7 @@ fn release_through_a_reseated_handle_fails_loudly() {
 #[should_panic(expected = "request RequestId(1): stale ledger handle")]
 fn swap_out_through_a_reseated_handle_fails_loudly() {
     let (mut b, gone, stale) = reseated(true);
-    b.swap_out(gone, stale);
+    b.swap_out(gone, stale, 20);
 }
 
 #[test]
