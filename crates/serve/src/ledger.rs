@@ -384,10 +384,11 @@ impl PageBudget {
 
     /// The ledger half of [`crate::scheduler::Scheduler::assert_mirrors_ledger`].
     /// `residents` are the scheduler's residents as `(handle, id, tokens,
-    /// headroom)`: the tokens the request holds (`prefill_len()`) and the
-    /// headroom the scheduler keeps for it. Each handle's seat holds its id;
-    /// that entry's capacity (the tokens its pages and pool-covered prefix
-    /// hold) less the headroom equals `tokens`; and the ledger's own count
+    /// headroom)`: the tokens the request holds (`prefill_len()`) and, once
+    /// it decodes, the headroom the scheduler keeps for it. Each handle's
+    /// seat holds its id; that entry's capacity (the tokens its pages and
+    /// pool-covered prefix hold) less the headroom equals `tokens` — or,
+    /// while the request prefills, covers them; and the ledger's own count
     /// never runs ahead of `tokens` (it lags by the headroom spent since the
     /// last page boundary). `swapped` are the swapped-out requests as `(id,
     /// tokens)`, each parked footprint equal to its `tokens` exactly. The
@@ -397,7 +398,7 @@ impl PageBudget {
     /// Panics on any disagreement.
     pub(crate) fn assert_mirrors(
         &self,
-        residents: impl Iterator<Item = (KvHandle, RequestId, usize, usize)>,
+        residents: impl Iterator<Item = (KvHandle, RequestId, usize, Option<usize>)>,
         swapped: impl Iterator<Item = (RequestId, usize)>,
     ) {
         let mut seated = 0usize;
@@ -405,7 +406,10 @@ impl PageBudget {
             let e = self.seated(id, handle);
             let footprint = e.tokens + e.covered_tokens;
             let capacity = e.reserved_per_layer * self.page_tokens + e.covered_tokens;
-            assert_eq!(capacity, tokens + headroom, "request {id:?}: ledger capacity − headroom != sequence length");
+            match headroom {
+                Some(room) => assert_eq!(capacity, tokens + room, "request {id:?}: ledger capacity − headroom != sequence length"),
+                None => assert!(tokens <= capacity, "request {id:?}: prefills {tokens} tokens into a capacity of {capacity}"),
+            }
             assert!(footprint <= tokens, "request {id:?}: the ledger counts {footprint} tokens, the sequence holds {tokens}");
             seated += 1;
         }

@@ -328,8 +328,7 @@ pub struct Scheduler {
     steps: usize,
     /// The step at which a decodable resident's pages fill (its headroom is
     /// `page_end − steps`); make-room visits only the residents whose entry
-    /// is `steps`. A prefilling resident keeps its headroom here, re-based
-    /// when it arms.
+    /// is `steps`. [`NEVER`] while prefilling.
     page_end: Vec<usize>,
     /// The step at which a decodable resident retires: its true `generated`
     /// is `output_len − (done_at − steps)`. [`NEVER`] while prefilling,
@@ -401,7 +400,8 @@ fn owed(r: &Request) -> usize {
     r.prefill_remaining() + r.remaining()
 }
 
-/// The `done_at` of a resident that is not decoding: a step never reached.
+/// The `page_end` and `done_at` of a resident that is not decoding: a step
+/// never reached.
 const NEVER: usize = usize::MAX;
 
 /// Brings `r` up to `steps` decode steps: a decodable resident gains the
@@ -569,28 +569,29 @@ impl Scheduler {
         (self.handles.len() - self.prefilling(), self.decode_tokens)
     }
 
-    /// Seats an admitted (or swapped-back) resident with the headroom the
-    /// ledger reports for it, filing it under its aggregate; arms it if it
-    /// arrives decodable.
+    /// Seats an admitted (or swapped-back) resident, filing it under its
+    /// aggregate; arms it if it arrives decodable.
     fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
         self.requests.resize(self.requests.len().max(handle.0 + 1), req);
         self.requests[handle.0] = req;
-        self.page_end.push(budget.grow(handle, req.prefill_len()).expect("a seated resident's pages hold it"));
+        self.page_end.push(NEVER);
         self.done_at.push(NEVER);
         self.handles.push(handle);
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
             self.decode_tokens += req.prefilled;
-            self.arm(self.handles.len() - 1);
+            self.arm(self.handles.len() - 1, budget);
         }
     }
 
     /// Starts resident `i`'s step clock as it becomes decodable (its stored
-    /// counters exact): re-bases its headroom to the step its pages fill at.
-    fn arm(&mut self, i: usize) {
+    /// counters exact): its pages fill after the headroom the ledger reports
+    /// for them, its output after its remaining tokens.
+    fn arm<B: KvBudget>(&mut self, i: usize, budget: &mut B) {
         let r = &self.requests[self.handles[i].0];
-        self.page_end[i] += self.steps;
+        let room = budget.grow(self.handles[i], r.prefill_len()).expect("a resident's pages hold its prompt");
+        self.page_end[i] = self.steps + room;
         self.done_at[i] = self.steps + r.remaining();
         self.next_done = self.next_done.min(self.done_at[i]);
         if r.first_token_s.is_none() {
@@ -630,8 +631,10 @@ impl Scheduler {
         let len = self.handles.len();
         assert_eq!([self.page_end.len(), self.done_at.len()], [len; 2], "step columns out of step");
         let residents = self.running().zip(&self.handles).zip(&self.page_end).map(|((r, &h), &end)| {
-            let room = end.checked_sub(if r.prefill_remaining() == 0 { self.steps } else { 0 });
-            (h, r.id, r.prefill_len(), room.expect("a resident decoded past its pages"))
+            let room = (r.prefill_remaining() == 0)
+                .then(|| end.checked_sub(self.steps).expect("a resident decoded past its pages"));
+            assert!(room.is_some() || end == NEVER, "request {:?}: a page end before it decodes", r.id);
+            (h, r.id, r.prefill_len(), room)
         });
         let swapped = self.pending.iter().filter(|r| r.state == RequestState::Swapped);
         budget.assert_mirrors(residents, swapped.map(|r| (r.id, r.prefill_len())));
@@ -714,7 +717,7 @@ impl Scheduler {
             self.charge_prefill(dt);
         }
         if let Some(chunk_tokens) = self.opts.chunk_tokens {
-            self.prefill_chunks(chunk_tokens);
+            self.prefill_chunks(chunk_tokens, budget);
             if !self.chunks.is_empty() {
                 let dt = exec.prefill_chunks(self, &self.chunks);
                 self.charge_prefill(dt);
@@ -884,7 +887,7 @@ impl Scheduler {
     /// into `chunks`, cleared first. Residents prefill only from their
     /// seating (always at the back), so the walk starts at the oldest
     /// prefilling one, found from the back by its [`NEVER`] `done_at`.
-    fn prefill_chunks(&mut self, chunk_tokens: usize) {
+    fn prefill_chunks<B: KvBudget>(&mut self, chunk_tokens: usize, budget: &mut B) {
         self.chunks.clear();
         if self.prefilling == 0 {
             return; // pure-decode tick: no resident to walk for
@@ -912,7 +915,7 @@ impl Scheduler {
                     .checked_sub(1)
                     .expect("prefilling counter underflow in chunked prefill");
                 self.decode_tokens += r.prefilled;
-                self.arm(i);
+                self.arm(i, budget);
             }
         }
         self.outstanding = self
@@ -1026,11 +1029,6 @@ impl Scheduler {
         let mut i = 0;
         while let Some(due) = self.page_end[i..].iter().position(|&end| end == steps) {
             i += due;
-            // A prefilling resident's frozen headroom can equal the count.
-            if self.prefilling > 0 && self.resident(i).prefill_remaining() > 0 {
-                i += 1;
-                continue;
-            }
             if self.grow_past_page(i, budget) {
                 i += 1;
                 continue;
@@ -1126,7 +1124,7 @@ impl Scheduler {
         let decodable = self.handles.len() - self.prefilling;
         assert!(decodable > 0, "decode_step with no decodable resident");
         debug_assert!(
-            !self.page_end.iter().zip(&self.done_at).any(|(&e, &d)| d != NEVER && e <= self.steps),
+            !self.page_end.iter().any(|&end| end <= self.steps),
             "a resident reached decode with its pages full"
         );
         self.clock += dt;
