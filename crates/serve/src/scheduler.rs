@@ -35,9 +35,9 @@ use crate::sketch::PercentileSketch;
 // Scheduling policies
 // ---------------------------------------------------------------------------
 
-/// Decides *which* queued request is admitted next and *who* gets preempted
-/// under memory pressure. Policies see only arrived requests; batch-limit
-/// and budget gating stay in the core.
+/// Decides *which* queued request is admitted next. Policies see only
+/// arrived requests; batch-limit and budget gating, and preemption, stay in
+/// the core.
 ///
 /// `Send` so a replica (which owns its policy) can be advanced on a pool
 /// worker between cluster barriers; policies are consulted from exactly one
@@ -49,22 +49,6 @@ pub trait SchedulingPolicy: Send {
     /// Index into `waiting` (arrived requests, FCFS order) of the next
     /// request to admit, or `None` to hold admission this tick.
     fn select(&self, waiting: &[Request], budget: &dyn KvBudget) -> Option<usize>;
-
-    /// Index into the running batch — `residents` requests, in admission
-    /// order — of the preemption victim when the pool runs dry. Default:
-    /// the most recently admitted resident (LIFO, protects the oldest
-    /// request's progress).
-    ///
-    /// The answer is a *preference*: [`Scheduler::make_room`] clamps it up
-    /// to the resident whose growth was just refused (and never below
-    /// index 1). Residents before that one have room for this tick's token
-    /// — their headroom covers it or their next page was granted — and
-    /// will decode it; evicting one of them would park or wipe a token
-    /// that was never generated, so only the suffix from the refused
-    /// resident on is evictable. The LIFO default always lands in it.
-    fn victim(&self, residents: usize) -> Option<usize> {
-        residents.checked_sub(1)
-    }
 }
 
 /// First-come-first-served continuous batching — the classic (and legacy)
@@ -1005,7 +989,7 @@ impl Scheduler {
     }
 
     /// Makes sure every resident about to decode has room for its next
-    /// token, preempting (policy-chosen victims) until the budget fits.
+    /// token, preempting the newest resident until the budget fits.
     /// Residents still in chunked prefill do not grow — their prompt
     /// footprint was reserved at admission. `preempted` and `swapped` are
     /// cleared and refilled with the recompute and swap victims, each in
@@ -1015,9 +999,9 @@ impl Scheduler {
     /// visits just those whose page end is this step, found by scanning the
     /// dense `page_end` column in admission order: each is synced, asks the
     /// ledger for its next page in one call and moves its page end past it. A
-    /// refusal evicts a victim from the suffix at or after the cursor (see
-    /// [`SchedulingPolicy::victim`]) — synced, its token for this tick
-    /// unspent — and retries, so growth is charged in admission order.
+    /// refusal evicts the newest resident — synced, its token for this tick
+    /// unspent, since it is never before the cursor — and retries, so growth
+    /// is charged in admission order.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
@@ -1038,12 +1022,9 @@ impl Scheduler {
                 "KV budget cannot hold even one growing sequence (request {:?})",
                 self.resident(i).id
             );
-            let last = self.handles.len() - 1;
-            // At or after the cursor (nobody before it will be denied this
-            // tick's token), and never the oldest resident: someone always
-            // finishes, so preemption cannot livelock.
-            let chosen = self.policy.victim(self.handles.len()).filter(|&v| v <= last);
-            let victim = chosen.unwrap_or(last).max(i).max(1);
+            // LIFO, which protects the oldest request's progress: it is never
+            // evicted, so someone always finishes and preemption cannot livelock.
+            let victim = self.handles.len() - 1;
             self.sync(victim); // everything below reads what it holds
             let (id, handle) = (self.resident(victim).id, self.handles[victim]);
             if self.opts.preemption == PreemptionMode::Swap {

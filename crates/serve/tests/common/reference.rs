@@ -292,8 +292,7 @@ impl Reference {
     }
 
     /// Charges one token to every decodable resident, in admission order.
-    /// A refusal evicts the policy's victim, clamped to the not-yet-charged
-    /// suffix and never the oldest resident, and retries.
+    /// A refusal evicts the newest resident and retries.
     fn make_room(&mut self, budget: &mut PageBudget) -> Hook {
         let (mut recomputed, mut swapped) = (Vec::new(), Vec::new());
         let mut i = 0;
@@ -304,9 +303,7 @@ impl Reference {
                 continue;
             }
             assert!(self.running.len() > 1, "a lone resident cannot grow");
-            let last = self.running.len() - 1;
-            let chosen = self.policy.victim(self.running.len()).filter(|&v| v <= last);
-            let mut victim = self.running.remove(chosen.unwrap_or(last).max(i).max(1));
+            let mut victim = self.running.pop().expect("a resident to evict");
             let handle = self.handles.remove(&victim.id).expect("a resident has a seat");
             if self.opts.preemption == PreemptionMode::Swap {
                 if let Some(pages) = budget.swap_out(victim.id, handle, victim.prefill_len()) {

@@ -7,9 +7,8 @@
 //! the request holds (`prefill_len()`); swapped-out requests' parked
 //! footprints say the same. [`Scheduler::assert_mirrors_ledger`] checks it;
 //! the property below drives it across pool size × reservation ×
-//! preemption mode × chunking × sharing, under a victim policy that is
-//! deliberately *not* LIFO, with crashes (`evict_all`) in the middle so
-//! slab slots are reused after release, swap-out and crash alike.
+//! preemption mode × chunking × sharing, with crashes (`evict_all`) in the
+//! middle so slab slots are reused after release, swap-out and crash alike.
 //!
 //! The other half — the ledger against the cache it stands for — is the
 //! pair of properties at the bottom: one random op stream applied to a
@@ -20,33 +19,12 @@ use qserve_core::kv_quant::KvPrecision;
 use qserve_serve::kv_cache::{KvCacheConfig, PagedKvCache, SequenceId};
 use qserve_serve::ledger::{KvBudget, PageBudget, Reservation};
 use qserve_serve::request::{
-    ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, SloSpec, WorkloadSpec,
+    ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
+    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
-use std::cell::Cell;
-
-/// FCFS admission, but the preemption victim wanders over the whole batch
-/// — the oldest resident, residents already grown this tick, out-of-range
-/// indices — everything the LIFO default never proposes. It draws from a
-/// state of its own: a policy sees only how many residents there are.
-struct WanderingVictim(Cell<u64>);
-
-impl SchedulingPolicy for WanderingVictim {
-    fn name(&self) -> &'static str {
-        "wandering-victim"
-    }
-    fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
-        (!waiting.is_empty()).then_some(0)
-    }
-    fn victim(&self, residents: usize) -> Option<usize> {
-        let mix = self.0.get().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ residents as u64;
-        self.0.set(mix);
-        Some(((mix >> 32) % (residents as u64 + 1)) as usize)
-    }
-}
 
 struct Case {
     spec: WorkloadSpec,
@@ -55,7 +33,6 @@ struct Case {
     host_pages: usize,
     opts: SchedOptions,
     batch_limit: usize,
-    lifo: bool,
     /// Crash (evict everything, resubmit) after this many ticks.
     crash_at: Option<usize>,
 }
@@ -101,7 +78,6 @@ fn draw(rng: &mut TensorRng) -> Case {
             preemption,
         },
         batch_limit: 2 + pick(rng, 5),
-        lifo: pick(rng, 3) == 0,
         crash_at: (pick(rng, 2) == 1).then(|| 3 + pick(rng, 40)),
     }
 }
@@ -133,10 +109,8 @@ fn drive_audited(case: &Case) -> (usize, usize) {
     if case.opts.preemption == PreemptionMode::Swap {
         budget.enable_host_tier(case.host_pages);
     }
-    let policy: Box<dyn SchedulingPolicy> =
-        if case.lifo { Box::new(Fcfs) } else { Box::new(WanderingVictim(Cell::new(case.spec.seed))) };
     let n = case.spec.num_requests;
-    let mut sched = Scheduler::open(case.batch_limit, policy, case.opts);
+    let mut sched = Scheduler::open(case.batch_limit, Box::new(Fcfs), case.opts);
     for r in case.spec.sample() {
         sched.submit(r);
     }
@@ -178,55 +152,17 @@ qserve_tensor::props! {
 }
 
 #[test]
-fn the_property_reaches_eviction_under_a_non_lifo_victim() {
-    // Not vacuous: across the same generator, non-LIFO cases must actually
-    // preempt and swap (the paths where a stale handle or an early-charged
-    // victim would show).
+fn the_property_reaches_eviction_and_swaps() {
+    // Not vacuous: across the same generator, cases must actually preempt
+    // and swap (the paths where a stale handle or a mis-parked victim would
+    // show).
     let (mut preempts, mut swaps) = (0usize, 0usize);
     for case in 0..64u64 {
-        let mut rng = TensorRng::seed(0xA0D1 ^ case);
-        let c = draw(&mut rng);
-        if !c.lifo {
-            let (p, s) = drive_audited(&c);
-            preempts += p;
-            swaps += s;
-        }
+        let (p, s) = drive_audited(&draw(&mut TensorRng::seed(0xA0D1 ^ case)));
+        preempts += p;
+        swaps += s;
     }
     assert!(preempts > 50 && swaps > 50, "only {preempts} preemptions / {swaps} swaps");
-}
-
-#[test]
-fn a_victim_before_the_cursor_is_never_parked_a_token_ahead() {
-    // The latent drift this audit exists for: a policy that always names
-    // resident 1 asks make_room to swap out someone whose growth this tick
-    // was already charged. The pass clamps the choice to the uncharged
-    // suffix, so what is parked is exactly what the victim holds.
-    struct SecondOldest;
-    impl SchedulingPolicy for SecondOldest {
-        fn name(&self) -> &'static str {
-            "second-oldest"
-        }
-        fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
-            (!waiting.is_empty()).then_some(0)
-        }
-        fn victim(&self, _: usize) -> Option<usize> {
-            Some(1)
-        }
-    }
-    let reqs: Vec<Request> = (0..6).map(|i| Request::new(RequestId(i), 30, 40, 0.0)).collect();
-    let mut budget = PageBudget::new(16, 1, 14, Reservation::OnDemand);
-    budget.enable_host_tier(64);
-    let opts = SchedOptions { preemption: PreemptionMode::Swap, ..SchedOptions::default() };
-    let mut sched = Scheduler::open(6, Box::new(SecondOldest), opts);
-    for r in reqs {
-        sched.submit(r);
-    }
-    while !sched.is_done() {
-        sched.tick(&mut budget, &mut Flat);
-        sched.assert_mirrors_ledger(&budget);
-    }
-    assert!(sched.swap_outs() > 0, "the pool must force swaps");
-    assert_eq!(budget.free_pages(), budget.total_pages());
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 #[path = "common/reference.rs"]
 mod reference;
 
-use qserve_serve::ledger::{KvBudget, PageBudget, Reservation};
+use qserve_serve::ledger::{PageBudget, Reservation};
 use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, Slo, SloSpec, WorkloadSpec,
 };
@@ -23,26 +23,6 @@ use qserve_serve::scheduler::{
 };
 use qserve_tensor::rng::TensorRng;
 use reference::{done_of, price, Hook, Reference, Seen};
-use std::cell::Cell;
-
-/// FCFS admission; the preemption victim wanders — out of range, the
-/// oldest resident, residents already grown this tick — from a seeded
-/// state of its own, so two instances with one seed propose alike.
-struct Wandering(Cell<u64>);
-
-impl SchedulingPolicy for Wandering {
-    fn name(&self) -> &'static str {
-        "wandering"
-    }
-    fn select(&self, waiting: &[Request], _: &dyn KvBudget) -> Option<usize> {
-        (!waiting.is_empty()).then_some(0)
-    }
-    fn victim(&self, residents: usize) -> Option<usize> {
-        let s = self.0.get().wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0.set(s);
-        Some((s >> 33) as usize % (residents + 2))
-    }
-}
 
 /// Logs each hook call the real tick makes, with the batch it saw, and
 /// charges what [`price`] says — the reference's own prices.
@@ -82,9 +62,8 @@ impl TickExecutor for Recorder {
 
 struct Case {
     spec: WorkloadSpec,
-    /// Fcfs, SJF, memory-aware, wandering victim.
+    /// Fcfs, SJF, memory-aware.
     policy: usize,
-    policy_seed: u64,
     opts: SchedOptions,
     /// `(page_tokens, layers, total_pages)`.
     pool: (usize, usize, usize),
@@ -147,8 +126,7 @@ impl Case {
         }
         Self {
             spec,
-            policy: pick(0, 3),
-            policy_seed: pick(0, 1 << 30) as u64,
+            policy: pick(0, 2),
             opts,
             pool: (page_tokens, layers, total_pages),
             reservation: [Reservation::OnDemand, Reservation::Peak][usize::from(pick(0, 3) == 0)],
@@ -162,8 +140,7 @@ impl Case {
         match self.policy {
             0 => Box::new(Fcfs),
             1 => Box::new(ShortestJobFirst),
-            2 => Box::new(MemoryAware { headroom: 0.25 }),
-            _ => Box::new(Wandering(Cell::new(self.policy_seed))),
+            _ => Box::new(MemoryAware { headroom: 0.25 }),
         }
     }
 
@@ -257,7 +234,7 @@ qserve_tensor::props! {
 #[test]
 fn the_reference_property_reaches_eviction_swaps_and_crashes() {
     let mut sum = Reached::default();
-    for case in 0..256u64 {
+    for case in 0..1024u64 {
         let r = lockstep(&Case::draw(&mut TensorRng::seed(0x7E1C ^ case)));
         sum.ticks += r.ticks;
         sum.preemptions += r.preemptions;
