@@ -624,24 +624,33 @@ impl Scheduler {
         budget.assert_mirrors(residents, swapped.map(|r| (r.id, r.prefill_len())));
     }
 
-    /// Longest prefix of `candidate`'s prompt already materialized by a
-    /// resident member of its sharing group — the tokens a fork can alias
-    /// instead of recomputing. Unsynced reads suffice: a decoding sibling's
-    /// `prefilled` is past its prefix either way.
-    fn shared_grant(&self, candidate: &Request) -> usize {
-        let Some(group) = candidate.prefix_group else { return 0 };
+    /// What `candidate`'s sharing group offers it, read in one pass over the
+    /// residents: the tokens a fork can alias instead of recomputing — the
+    /// longest prefix of its prompt a resident member has materialized, or a
+    /// migration warmed — and the group whose page pool it joins (aliasing)
+    /// or founds (no resident member). A member that must recompute the
+    /// prefix *while* a sibling is still chunk-prefilling it holds a private
+    /// copy, in no pool — exactly what the cache would do. Unsynced reads
+    /// suffice: a decoding sibling's `prefilled` is past its prefix either
+    /// way.
+    ///
+    /// `None` holds admission: a resident sibling is still chunk-prefilling
+    /// a prefix the candidate could alias, so admitting now would recompute
+    /// it privately, and holding a tick gets it for free — strictly less
+    /// total work. (Whole-prompt prefill materializes at admission, so it
+    /// never holds.)
+    fn share(&self, candidate: &Request) -> Option<(usize, Option<u64>)> {
+        let Some(group) = candidate.prefix_group else { return Some((0, None)) };
+        let (mut aliased, mut potential, mut resident) = (0, 0, false);
+        for r in self.residents().filter(|r| r.prefix_group == Some(group)) {
+            let reach = candidate.prefix_len.min(r.prefix_len);
+            (aliased, potential, resident) = (aliased.max(reach.min(r.prefilled)), potential.max(reach), true);
+        }
         // A migrated-in prefix is aliasable even with no resident sibling:
         // its pages arrived warm over the peer link.
-        let warm = self
-            .warm_prefixes
-            .get(&group)
-            .map_or(0, |&t| t.min(candidate.prefix_len));
-        self.residents()
-            .filter(|r| r.prefix_group == Some(group))
-            .map(|r| candidate.prefix_len.min(r.prefix_len).min(r.prefilled))
-            .max()
-            .unwrap_or(0)
-            .max(warm)
+        let warm = self.warm_prefixes.get(&group).map_or(0, |&t| t.min(candidate.prefix_len));
+        let shared = aliased.max(warm);
+        (potential <= shared).then_some((shared, (shared > 0 || !resident).then_some(group)))
     }
 
     /// Marks `tokens` of sharing group `group`'s prefix as warm: admitted
@@ -785,39 +794,12 @@ impl Scheduler {
                 self.push_resident(req, handle, budget);
                 continue;
             }
-            let shared = if self.opts.share_prefixes { self.shared_grant(candidate) } else { 0 };
-            // Prefix-aware admission hold: when a resident sibling is still
-            // chunk-prefilling a prefix this candidate could alias, admitting
-            // now would recompute it privately. Holding a tick gets the
-            // prefix for free — strictly less total work. (Whole-prompt
-            // prefill materializes at admission, so it never holds.)
-            if self.opts.share_prefixes && !self.handles.is_empty() {
-                let potential = candidate
-                    .prefix_group
-                    .map(|g| {
-                        self.residents()
-                            .filter(|r| r.prefix_group == Some(g))
-                            .map(|r| candidate.prefix_len.min(r.prefix_len))
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0);
-                if potential > shared {
-                    break;
-                }
-            }
-            let group = if self.opts.share_prefixes {
-                let resident = candidate.prefix_group.is_some_and(|g| {
-                    self.residents().any(|r| r.prefix_group == Some(g))
-                });
-                // Share the group's page pool when actually aliasing
-                // (shared > 0) or when founding it (no resident member). A
-                // member that must recompute the prefix *while* a sibling is
-                // still chunk-prefilling it holds a private copy — exactly
-                // what the cache would do.
-                if shared > 0 || !resident { candidate.prefix_group } else { None }
+            // Prefix-aware admission: alias what the group offers, or hold.
+            let (shared, group) = if self.opts.share_prefixes {
+                let Some(grant) = self.share(candidate) else { break };
+                grant
             } else {
-                None
+                (0, None)
             };
             // Pages-wise, a founder's pool covers its whole prefix (it will
             // compute it); a joiner's coverage is exactly what it aliases.
