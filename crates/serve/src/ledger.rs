@@ -117,7 +117,8 @@ impl PageEntry {
     /// The private count of `tokens` cached tokens, checked to reach the
     /// pool-covered prefix and the ledger's count.
     fn private_of(&self, tokens: usize) -> usize {
-        let private = tokens.checked_sub(self.covered_tokens).expect("a count below the pool-covered prefix");
+        let private = tokens.checked_sub(self.covered_tokens);
+        let private = private.expect("a count below the pool-covered prefix");
         assert!(private >= self.tokens, "a count below the ledger's");
         private
     }
@@ -407,17 +408,25 @@ impl PageBudget {
             let footprint = e.tokens + e.covered_tokens;
             let capacity = e.reserved_per_layer * self.page_tokens + e.covered_tokens;
             match headroom {
-                Some(room) => assert_eq!(capacity, tokens + room, "request {id:?}: ledger capacity − headroom != sequence length"),
-                None => assert!(tokens <= capacity, "request {id:?}: prefills {tokens} tokens into a capacity of {capacity}"),
+                Some(room) => assert_eq!(
+                    capacity,
+                    tokens + room,
+                    "request {id:?}: ledger capacity − headroom != sequence length"
+                ),
+                None => assert!(tokens <= capacity, "request {id:?}: prefills past its pages"),
             }
-            assert!(footprint <= tokens, "request {id:?}: the ledger counts {footprint} tokens, the sequence holds {tokens}");
+            assert!(
+                footprint <= tokens,
+                "request {id:?}: the ledger counts {footprint} tokens, the sequence holds {tokens}"
+            );
             seated += 1;
         }
         assert_eq!(self.slab.len() - self.free_slots.len(), seated, "ledger holds a stranger");
         let mut parked = 0usize;
         for (id, tokens) in swapped {
             let e = self.parked.get(&id).expect("swapped request has no host-tier holdings");
-            assert_eq!(e.tokens + e.covered_tokens, tokens, "request {id:?}: parked footprint != sequence length");
+            let footprint = e.tokens + e.covered_tokens;
+            assert_eq!(footprint, tokens, "request {id:?}: parked footprint != sequence length");
             parked += 1;
         }
         assert_eq!(parked, self.parked.len(), "host tier holds a stranger");
@@ -643,8 +652,8 @@ mod tests {
         let id = RequestId(0);
         let h = b.admit(id, None, 0, 5, 16).expect("fits"); // 2 pages × 2 layers
         assert_eq!(b.free_pages(), 4);
-        for tokens in 6..=8 {
-            assert_eq!(b.grow(h, tokens), Some(8 - tokens)); // still 2 pages
+        for (tokens, room) in [(6, 2), (7, 1), (8, 0)] {
+            assert_eq!(b.grow(h, tokens), Some(room)); // still 2 pages
         }
         assert_eq!(b.free_pages(), 4);
         assert_eq!(b.grow(h, 9), Some(3)); // 3rd page on both layers
@@ -766,8 +775,8 @@ mod tests {
         let id = RequestId(1);
         let h = b.admit(id, None, 0, 1, 16).expect("fits"); // all 4 pages reserved up front
         assert!(b.admit(RequestId(2), None, 0, 1, 4).is_none(), "pool exhausted by the peak hold");
-        for tokens in 2..=16 {
-            assert_eq!(b.grow(h, tokens), Some(16 - tokens));
+        for (tokens, room) in (2..=16).zip((0..=14).rev()) {
+            assert_eq!(b.grow(h, tokens), Some(room));
         }
     }
 

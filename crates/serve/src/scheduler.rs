@@ -3,8 +3,10 @@
 //!
 //! The core owns the queue → running → finished lifecycle of
 //! [`Request`]s — admission order (delegated to a pluggable
-//! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`]),
-//! recompute- and swap-style preemption, clock/phase accounting — and the
+//! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`],
+//! the page ledger of [`crate::ledger`], which hears from a decoding
+//! resident once when it starts decoding and then once per page boundary),
+//! LIFO recompute- and swap-style preemption, clock/phase accounting — and the
 //! *order* of a tick: [`Scheduler::tick`] is the only place the steps are
 //! sequenced and gated, and the steps themselves are private. It
 //! deliberately does *not* know what a step costs or what
@@ -88,7 +90,7 @@ impl SchedulingPolicy for ShortestJobFirst {
 /// the free page pool covers its prefill footprint plus `headroom` of its
 /// remaining output — aggressive enough to beat peak reservation, cautious
 /// enough to keep preemption storms rare. Pair with an
-/// [`crate::ledger::Reservation::OnDemand`] [`PageBudget`]; preemption (LIFO victim)
+/// [`crate::ledger::Reservation::OnDemand`] [`PageBudget`]; LIFO preemption
 /// backstops the optimism.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryAware {
@@ -574,7 +576,8 @@ impl Scheduler {
     /// for them, its output after its remaining tokens.
     fn arm<B: KvBudget>(&mut self, i: usize, budget: &mut B) {
         let r = &self.requests[self.handles[i].0];
-        let room = budget.grow(self.handles[i], r.prefill_len()).expect("a resident's pages hold its prompt");
+        let room = budget.grow(self.handles[i], r.prefill_len());
+        let room = room.expect("a resident's pages hold its prompt");
         self.page_end[i] = self.steps + room;
         self.done_at[i] = self.steps + r.remaining();
         self.next_done = self.next_done.min(self.done_at[i]);
@@ -644,7 +647,8 @@ impl Scheduler {
         let (mut aliased, mut potential, mut resident) = (0, 0, false);
         for r in self.residents().filter(|r| r.prefix_group == Some(group)) {
             let reach = candidate.prefix_len.min(r.prefix_len);
-            (aliased, potential, resident) = (aliased.max(reach.min(r.prefilled)), potential.max(reach), true);
+            aliased = aliased.max(reach.min(r.prefilled));
+            (potential, resident) = (potential.max(reach), true);
         }
         // A migrated-in prefix is aliasable even with no resident sibling:
         // its pages arrived warm over the peer link.
