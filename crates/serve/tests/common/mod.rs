@@ -201,7 +201,8 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 100_000, "scheduler failed to converge");
-        sched.tick(&mut Audited { budget, audit, growth: &mut growth, unarmed: &mut unarmed }, &mut exec);
+        let mut audited = Audited { budget, audit, growth: &mut growth, unarmed: &mut unarmed };
+        sched.tick(&mut audited, &mut exec);
         audit(budget);
         sched.assert_mirrors_ledger(budget);
         // Both accessors audit their O(1) counters (`outstanding`,
