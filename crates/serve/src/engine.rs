@@ -26,7 +26,7 @@ use crate::ledger::{PageBudget, Reservation};
 use crate::memory::MemoryPlan;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
-    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
+    Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
 use qserve_gpusim::attention_model::{
     attention_decode_latency_totals, attention_prefill_latency_chunked,
@@ -92,12 +92,11 @@ pub struct ServingReport {
 }
 
 /// The analytic [`TickExecutor`]: nothing runs, every step of
-/// [`Scheduler::tick`] is priced by `engine`'s cost model. Pricing reads the
-/// chunking knob off the scheduler itself ([`Scheduler::options`]), so it can
-/// never disagree with the admission behavior those options drive. Owned by
-/// one replica for its whole run, with that replica's GEMM memo: the engine
-/// itself stays immutable data, and its public pricing methods evaluate
-/// cold to the same `f64`s.
+/// [`Scheduler::tick`] is priced by `engine`'s cost model from the hook's
+/// arguments alone — whole prompts and chunks are the same `(new, past)`
+/// slices. Owned by one replica for its whole run, with that replica's GEMM
+/// memo: the engine itself stays immutable data, and its public pricing
+/// methods evaluate cold to the same `f64`s.
 pub(crate) struct CostModel<'e> {
     pub(crate) engine: &'e ServingEngine,
     memo: GemmMemo,
@@ -122,31 +121,16 @@ impl<'e> CostModel<'e> {
             memo.get(engine, tokens)
         }))
     }
-
-    /// [`ServingEngine::prefill_latency_chunked`] of the chunks in `pairs`,
-    /// its GEMM term from the memo.
-    fn prefill_latency(&mut self) -> f64 {
-        let (engine, memo) = (self.engine, &mut self.memo);
-        engine.prefill_latency_with(&self.pairs, |tokens| memo.get(engine, tokens))
-    }
 }
 
 impl TickExecutor for CostModel<'_> {
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-        if sched.options().chunk_tokens.is_some() {
-            return 0.0; // priced chunk by chunk
-        }
+    /// [`ServingEngine::prefill_latency_chunked`] of the slices, its GEMM
+    /// term from the memo.
+    fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
         self.pairs.clear();
-        self.pairs.extend(
-            wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(&full, &shared)| (full - shared, shared)),
-        );
-        self.prefill_latency()
-    }
-
-    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        self.pairs.clear();
-        self.pairs.extend(chunks.iter().map(|&(_, c, p)| (c, p)));
-        self.prefill_latency()
+        self.pairs.extend(slices.iter().map(|&(_, new, past)| (new, past)));
+        let (engine, memo) = (self.engine, &mut self.memo);
+        engine.prefill_latency_with(&self.pairs, |tokens| memo.get(engine, tokens))
     }
 
     /// A PCIe round trip per page.
@@ -939,6 +923,7 @@ mod tests {
             let e = ServingEngine::with_tp(GpuSpec::a100(), model, SystemConfig::QServePerChannel, tp)
                 .expect("builds");
             let mut cost = CostModel::new(&e);
+            let unused = Scheduler::open(1, Box::new(Fcfs), SchedOptions::default());
             for _ in 0..48 {
                 // Few distinct batch sizes, so most decode prices are hits.
                 let lens: Vec<usize> = (0..1 + rng.index(24)).map(|_| 1 + rng.index(4096)).collect();
@@ -949,14 +934,16 @@ mod tests {
                 // Chunk slices (dense) or a few wide chunk sizes whose
                 // totals repeat above the dense ceiling (sparse).
                 let wide = rng.index(2) == 1;
-                cost.pairs.clear();
-                for _ in 0..1 + rng.index(8) {
-                    let new = if wide { [511, 1024, 1537, 2048][rng.index(4)] } else { 1 + rng.index(32) };
-                    cost.pairs.push((new, rng.index(4096)));
-                }
-                let cold = e.prefill_latency_chunked(&cost.pairs).to_bits();
+                let slices: Vec<(RequestId, usize, usize)> = (0..1 + rng.index(8))
+                    .map(|i| {
+                        let new = if wide { [511, 1024, 1537, 2048][rng.index(4)] } else { 1 + rng.index(32) };
+                        (RequestId(i as u64), new, rng.index(4096))
+                    })
+                    .collect();
+                let pairs: Vec<(usize, usize)> = slices.iter().map(|&(_, new, past)| (new, past)).collect();
+                let cold = e.prefill_latency_chunked(&pairs).to_bits();
                 for _ in 0..2 {
-                    assert_eq!(cost.prefill_latency().to_bits(), cold);
+                    assert_eq!(cost.prefill(&unused, &slices).to_bits(), cold);
                 }
             }
             assert!(!cost.memo.sparse.is_empty(), "no GEMM total reached the sparse map");
@@ -1184,11 +1171,8 @@ mod tests {
             // The engine's own pricing, plus a note of which ticks decoded.
             struct Watched<'a>(CostModel<'a>, bool);
             impl TickExecutor for Watched<'_> {
-                fn prefill_wave(&mut self, s: &Scheduler, wave: &AdmittedWave) -> f64 {
-                    self.0.prefill_wave(s, wave)
-                }
-                fn prefill_chunks(&mut self, s: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-                    self.0.prefill_chunks(s, chunks)
+                fn prefill(&mut self, s: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+                    self.0.prefill(s, slices)
                 }
                 fn swap(&mut self, s: &Scheduler, pages: usize) -> f64 {
                     self.0.swap(s, pages)

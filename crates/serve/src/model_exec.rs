@@ -8,7 +8,7 @@ use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId};
 use crate::ledger::{PageBudget, Reservation};
 use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
-use crate::scheduler::{AdmittedWave, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
+use crate::scheduler::{SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
 use qserve_core::pipeline::QoqConfig;
 use qserve_kernels::attention::HeadTile;
 use qserve_model::eval::{argmax, quantize_blocks};
@@ -252,65 +252,55 @@ impl<'a> FunctionalExecutor<'a> {
             0.0
         })
     }
+
+    /// Seats `id` in the cache for its first slice: a fork of the `shared`
+    /// tokens the scheduler granted, from a live donor holding at least that
+    /// prefix — found by longest-prefix match with a same-group fallback
+    /// (the index may surface a sibling that matches further but is not yet
+    /// fully cached) — or a fresh sequence when nothing is aliased.
+    fn seat(&mut self, sched: &Scheduler, id: RequestId, shared: usize) -> Result<(), KvCacheError> {
+        let seq = SequenceId(id.0);
+        let prompt = &self.prompts[&id];
+        if shared > 0 {
+            let donor = self
+                .index
+                .longest_shared_prefix(prompt)
+                .filter(|&(d, lcp)| lcp >= shared && self.rt.cache.seq_len(d) >= shared)
+                .map(|(d, _)| d)
+                .or_else(|| {
+                    sched.running().map(|r| SequenceId(r.id.0)).find(|&d| {
+                        self.rt.cache.seq_len(d) >= shared
+                            && self
+                                .prompts
+                                .get(&RequestId(d.0))
+                                .is_some_and(|p| p.len() >= shared && p[..shared] == prompt[..shared])
+                    })
+                })
+                .expect("scheduler granted a prefix no live sequence can donate");
+            self.rt.cache.fork(donor, seq, shared)?;
+        } else {
+            self.rt.cache.register(seq)?;
+        }
+        self.index.insert(seq, prompt.clone());
+        Ok(())
+    }
 }
 
 impl TickExecutor for FunctionalExecutor<'_> {
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+    /// Each slice runs as one `m = new` batch, in order — seating its
+    /// request first when nothing of it is cached yet, so a same-tick
+    /// joiner forks after its founder's slice has run (the cascade the
+    /// scheduler's grants assume).
+    fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
         self.attempt(|this| {
             let mut prefill_steps = 0usize;
-            for ((&id, &full), &shared) in
-                wave.ids.iter().zip(&wave.prefill_lens).zip(&wave.shared_lens)
-            {
+            for &(id, n, past) in slices {
                 let seq = SequenceId(id.0);
-                let prompt = &this.prompts[&id];
-                if shared > 0 {
-                    // The prefix layer: a live donor holding at least the
-                    // granted prefix, found by longest-prefix match with a
-                    // same-group fallback (the index may surface a sibling
-                    // that matches further but is not yet fully cached).
-                    let donor = this
-                        .index
-                        .longest_shared_prefix(prompt)
-                        .filter(|&(d, lcp)| lcp >= shared && this.rt.cache.seq_len(d) >= shared)
-                        .map(|(d, _)| d)
-                        .or_else(|| {
-                            sched.running().map(|r| SequenceId(r.id.0)).find(|&d| {
-                                this.rt.cache.seq_len(d) >= shared
-                                    && this
-                                        .prompts
-                                        .get(&RequestId(d.0))
-                                        .is_some_and(|p| p.len() >= shared && p[..shared] == prompt[..shared])
-                            })
-                        })
-                        .expect("scheduler granted a prefix no live sequence can donate");
-                    this.rt.cache.fork(donor, seq, shared)?;
-                } else {
-                    this.rt.cache.register(seq)?;
+                if this.rt.cache.seq_len(seq) == 0 {
+                    this.seat(sched, id, past)?;
                 }
-                this.index.insert(seq, prompt.clone());
-                if sched.options().chunk_tokens.is_none() {
-                    // The whole un-aliased remainder runs right here, member
-                    // by member — so a same-wave sibling's prefix is cached
-                    // before the next member's fork (the cascade the
-                    // scheduler's grants assume).
-                    let (feed, ends) = this.feed(id, shared, full - shared);
-                    debug_assert!(ends, "the wave's prefill target is the whole feed");
-                    this.logits.insert(id, this.rt.prefill_slice(seq, &feed, true)?);
-                    prefill_steps += feed.len();
-                }
-            }
-            Ok(prefill_steps as f64)
-        })
-    }
-
-    /// Chunked work is metered by the scheduler and interleaved with decode
-    /// steps for the already-full residents.
-    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        self.attempt(|this| {
-            let mut prefill_steps = 0usize;
-            for &(id, n, past) in chunks {
                 let (slice, finished) = this.feed(id, past, n);
-                let last = this.rt.prefill_slice(SequenceId(id.0), &slice, finished)?;
+                let last = this.rt.prefill_slice(seq, &slice, finished)?;
                 prefill_steps += n;
                 if finished {
                     this.logits.insert(id, last);
@@ -703,16 +693,8 @@ mod tests {
         use crate::scheduler::Fcfs;
         struct Counts;
         impl TickExecutor for Counts {
-            fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-                if sched.options().chunk_tokens.is_some() {
-                    return 0.0;
-                }
-                let computed: usize =
-                    wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(full, shared)| full - shared).sum();
-                computed as f64
-            }
-            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-                chunks.iter().map(|&(_, new, _)| new).sum::<usize>() as f64
+            fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+                slices.iter().map(|&(_, new, _)| new).sum::<usize>() as f64
             }
             fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
                 unreachable!("peak-reserving budget cannot swap")

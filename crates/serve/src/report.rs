@@ -499,23 +499,21 @@ mod tests {
     use crate::engine::ServeConfig;
     use crate::ledger::{PageBudget, Reservation};
     use crate::request::{ArrivalPattern, Request, WorkloadSpec};
-    use crate::scheduler::{AdmittedWave, Fcfs, SchedOptions, TickExecutor};
+    use crate::scheduler::{Fcfs, SchedOptions, TickExecutor};
     use crate::{ServingEngine, SystemConfig};
     use qserve_gpusim::GpuSpec;
     use qserve_model::ModelConfig;
 
-    /// Flat prices: `prefill` per admitted request, `decode` per step.
+    /// Flat prices: `prefill` per admitted request (whole prompts: one
+    /// slice each), `decode` per step.
     struct Flat {
         prefill: f64,
         decode: f64,
     }
 
     impl TickExecutor for Flat {
-        fn prefill_wave(&mut self, _: &Scheduler, wave: &AdmittedWave) -> f64 {
-            self.prefill * wave.ids.len() as f64
-        }
-        fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
-            unreachable!("whole-prompt prefill")
+        fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+            self.prefill * slices.len() as f64
         }
         fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
             unreachable!("the pool never runs dry")

@@ -17,7 +17,9 @@
 //! ([`crate::ModelRuntime::serve_with`]). The scheduler owns the order, the
 //! executor owns the price — that split is what keeps exactly one
 //! decode/prefill accounting implementation, and exactly one driver loop, in
-//! the tree. The per-step obligations live on the trait's hooks.
+//! the tree. The per-step obligations live on the trait's hooks. Prefill is
+//! one pass in both modes: admission seats a request at its aliased prefix,
+//! and whole-prompt prefill is the chunk pass with an unbounded chunk.
 //!
 //! A [`Request`] lives here only while it is pending or running. At its last
 //! token it is dropped and a [`FinishedRequest`] stays: this module computes
@@ -121,20 +123,6 @@ impl SchedulingPolicy for MemoryAware {
 // The scheduler core
 // ---------------------------------------------------------------------------
 
-/// One admitted wave: ids plus the per-request token counts the driver must
-/// prefill (prompt + recomputed output for re-admitted preemptees).
-#[derive(Debug, Clone, Default)]
-pub struct AdmittedWave {
-    /// Admitted request ids, in admission order.
-    pub ids: Vec<RequestId>,
-    /// Matching prefill token counts (the *full* target, shared included).
-    pub prefill_lens: Vec<usize>,
-    /// Tokens of each prefill aliased from a resident group member's prefix
-    /// pages — already cached, so the driver must not charge compute for
-    /// them (all zeros unless sharing is enabled).
-    pub shared_lens: Vec<usize>,
-}
-
 /// What a driver contributes to [`Scheduler::tick`]: it runs or prices each
 /// step and returns what the clock is charged for it — seconds from a cost
 /// model, model steps from the functional runtime. Nothing here is about
@@ -145,21 +133,15 @@ pub struct AdmittedWave {
 /// what you ran: the tick charges exactly that, and having run nothing
 /// costs `0.0`.
 pub trait TickExecutor {
-    /// Admission seated `wave` (never empty). Under whole-prompt prefill
-    /// member `i` runs `prefill_lens[i] − shared_lens[i]` new tokens over
-    /// `shared_lens[i]` already-cached ones — a resident sibling's aliased
-    /// prefix, never charged compute — here, in wave order: a later member's
-    /// grant may alias an earlier member of the same wave. Under chunked
-    /// prefill ([`SchedOptions::chunk_tokens`]) nothing of a prompt runs at
-    /// admission — its tokens arrive through
-    /// [`TickExecutor::prefill_chunks`] — so seat the members and return
-    /// `0.0`.
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64;
-
-    /// One slice per resident still prefilling (never empty), as
-    /// `(id, new, past)`: run `new` tokens attending over the `past` tokens
-    /// already cached for `id` — its aliased prefix plus earlier chunks.
-    fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64;
+    /// One slice per resident still prefilling (never empty), in admission
+    /// order, as `(id, new, past)`: run `new` tokens attending over the
+    /// `past` tokens already cached for `id` — its aliased prefix, never
+    /// charged compute, plus earlier slices. A request's first slice since
+    /// admission seats it, with `past` aliased from a live sibling; a later
+    /// slice of the same list may alias an earlier one's tokens, so run them
+    /// in order. Under whole-prompt prefill every slice is a just-admitted
+    /// prompt's whole remainder.
+    fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64;
 
     /// `pages` KV pages crossed the host link this tick: swap-ins at
     /// admission plus swap-outs in make-room. Only asked for a positive
@@ -367,12 +349,10 @@ pub struct Scheduler {
     /// with the same `latency_s()` float the exact path reads later.
     latency_sketch: PercentileSketch,
     /// The tick's out-buffers, each cleared and refilled by its step and
-    /// lent to the executor's hook: what admission seated, this tick's
-    /// chunked-prefill slices `(id, new, past)`, the ids make-room
-    /// recompute-preempted and swapped out, and the ids the decode step
-    /// retired.
-    wave: AdmittedWave,
-    chunks: Vec<(RequestId, usize, usize)>,
+    /// lent to the executor's hook: this tick's prefill slices
+    /// `(id, new, past)`, the ids make-room recompute-preempted and swapped
+    /// out, and the ids the decode step retired.
+    slices: Vec<(RequestId, usize, usize)>,
     preempted: Vec<RequestId>,
     swapped: Vec<RequestId>,
     retired: Vec<RequestId>,
@@ -441,8 +421,7 @@ impl Scheduler {
             warm_prefixes: std::collections::BTreeMap::new(),
             migration_time: 0.0,
             latency_sketch: PercentileSketch::new(),
-            wave: AdmittedWave::default(),
-            chunks: Vec::new(),
+            slices: Vec::new(),
             preempted: Vec::new(),
             swapped: Vec::new(),
             retired: Vec::new(),
@@ -459,8 +438,9 @@ impl Scheduler {
         self.enqueue(req);
     }
 
-    /// The sharing/chunking options this scheduler runs under — the single
-    /// source of truth a driver must price ticks against.
+    /// The sharing, chunking and preemption options this scheduler runs
+    /// under. Executors need not read them: the hooks' arguments already
+    /// say what ran.
     pub fn options(&self) -> SchedOptions {
         self.opts
     }
@@ -531,7 +511,7 @@ impl Scheduler {
         catch_up(&mut self.requests[self.handles[i].0], self.done_at[i], self.steps);
     }
 
-    /// Residents still in (chunked) prefill. O(1) — a counter, audited
+    /// Residents still in prefill. O(1) — a counter, audited
     /// against the scan in debug builds.
     pub fn prefilling(&self) -> usize {
         debug_assert_eq!(
@@ -640,14 +620,17 @@ impl Scheduler {
     /// `None` holds admission: a resident sibling is still chunk-prefilling
     /// a prefix the candidate could alias, so admitting now would recompute
     /// it privately, and holding a tick gets it for free — strictly less
-    /// total work. (Whole-prompt prefill materializes at admission, so it
-    /// never holds.)
+    /// total work. Under whole-prompt prefill a sibling counts as holding
+    /// its whole `prefill_len()`, since this tick's pass completes it first,
+    /// so whole-prompt admission never holds.
     fn share(&self, candidate: &Request) -> Option<(usize, Option<u64>)> {
         let Some(group) = candidate.prefix_group else { return Some((0, None)) };
+        let whole = self.opts.chunk_tokens.is_none();
         let (mut aliased, mut potential, mut resident) = (0, 0, false);
         for r in self.residents().filter(|r| r.prefix_group == Some(group)) {
             let reach = candidate.prefix_len.min(r.prefix_len);
-            aliased = aliased.max(reach.min(r.prefilled));
+            let held = if whole { r.prefill_len() } else { r.prefilled };
+            aliased = aliased.max(reach.min(held));
             (potential, resident) = (potential.max(reach), true);
         }
         // A migrated-in prefix is aliasable even with no resident sibling:
@@ -676,7 +659,7 @@ impl Scheduler {
         self.preemptions
     }
 
-    /// Seconds the clock was charged for prefill (waves and chunks).
+    /// Seconds the clock was charged for prefill.
     pub(crate) fn prefill_time_s(&self) -> f64 {
         self.prefill_time
     }
@@ -697,11 +680,10 @@ impl Scheduler {
         }
     }
 
-    /// One scheduling tick, the only spelling of the driver contract: admit
-    /// and prefill the wave, advance chunked prefills, idle when nothing
-    /// runs, make room, price the host-link traffic, decode. `exec` runs or
-    /// prices each step; the tick sequences and gates them and charges the
-    /// clock. It has two callers: a [`crate::cluster`] replica —
+    /// One scheduling tick, the only spelling of the driver contract: admit,
+    /// run the prefill pass, idle when nothing runs, make room, price the
+    /// host-link traffic, decode. `exec` runs or prices each step; the tick
+    /// sequences and gates them and charges the clock. It has two callers: a [`crate::cluster`] replica —
     /// [`crate::ServingEngine::serve`] included, as a one-replica fleet —
     /// and [`crate::ModelRuntime::serve_with`]'s loop over the functional
     /// executor. Statically dispatched over both the budget and the
@@ -709,16 +691,11 @@ impl Scheduler {
     /// path.
     pub fn tick<B: KvBudget, E: TickExecutor>(&mut self, budget: &mut B, exec: &mut E) {
         self.admit(budget);
-        if !self.wave.ids.is_empty() {
-            let dt = exec.prefill_wave(self, &self.wave);
-            self.charge_prefill(dt);
-        }
-        if let Some(chunk_tokens) = self.opts.chunk_tokens {
-            self.prefill_chunks(chunk_tokens, budget);
-            if !self.chunks.is_empty() {
-                let dt = exec.prefill_chunks(self, &self.chunks);
-                self.charge_prefill(dt);
-            }
+        self.prefill_pass(budget);
+        if !self.slices.is_empty() {
+            let dt = exec.prefill(self, &self.slices);
+            self.clock += dt;
+            self.prefill_time += dt;
         }
         if self.handles.is_empty() {
             // Idle forward to the next arrival. A drained-but-open scheduler
@@ -751,13 +728,10 @@ impl Scheduler {
     /// and the budget confirm, until the batch limit is hit, the policy
     /// holds, or the budget refuses. When the machine is idle the first
     /// arrived request is force-admitted past a holding policy — a policy
-    /// may shape order, not deadlock the system. `wave` is cleared and
-    /// refilled with what was admitted.
+    /// may shape order, not deadlock the system. A new resident is seated
+    /// at its aliased prefix; the prefill pass runs the rest.
     fn admit<B: KvBudget>(&mut self, budget: &mut B) {
         self.fresh.clear();
-        self.wave.ids.clear();
-        self.wave.prefill_lens.clear();
-        self.wave.shared_lens.clear();
         // An empty backlog (the steady state of a draining replica) skips
         // the arrival search, the policy call and its free-token division.
         while self.handles.len() < self.batch_limit && !self.pending.is_empty() {
@@ -772,15 +746,15 @@ impl Scheduler {
                 self.pending.make_contiguous();
             }
             // Idle machine: progress beats policy caution.
-            let idle = self.handles.is_empty() && self.wave.ids.is_empty();
+            let idle = self.handles.is_empty();
             let choice = self.policy.select(&self.pending.as_slices().0[..arrived], budget);
             let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
             let candidate = &self.pending[idx];
             // A swapped-out candidate re-admits by swapping its pages back,
             // not by prefilling: its KV state survived eviction, so it joins
-            // the batch directly (never part of the prefill wave) and the
-            // driver prices the page transfer instead of recompute.
+            // the batch where it left off and the driver prices the page
+            // transfer instead of recompute.
             if candidate.state == RequestState::Swapped {
                 let id = candidate.id;
                 let Some((handle, pages)) = budget.swap_in(id) else {
@@ -829,39 +803,31 @@ impl Scheduler {
             };
             let mut req = self.pending.remove(idx).expect("policy index in bounds");
             req.state = RequestState::Running;
-            // Whole-prompt prefill materializes at admission; chunked
-            // prefill starts from the aliased prefix and catches up via
-            // `prefill_chunks` ticks.
-            req.prefilled = match self.opts.chunk_tokens {
-                None => req.prefill_len(),
-                Some(_) => shared,
-            };
             // A queued request held nothing (eviction wipes `prefilled`), so
-            // the owed-work counter shrinks by exactly the tokens
-            // materialized (or aliased) at admission.
+            // the owed-work counter shrinks by exactly the tokens aliased.
+            req.prefilled = shared;
             self.outstanding = self
                 .outstanding
-                .checked_sub(req.prefilled)
+                .checked_sub(shared)
                 .expect("outstanding-token counter underflow at admission");
-            self.wave.ids.push(req.id);
-            self.wave.prefill_lens.push(req.prefill_len());
-            self.wave.shared_lens.push(shared);
             self.push_resident(req, handle, budget);
         }
     }
 
-    /// One chunked-prefill step: every running request still prefilling
-    /// advances by at most `chunk_tokens` tokens and is reported as
-    /// `(id, new_tokens, past_tokens)` — `past_tokens` being the context
-    /// those new tokens attend over (aliased prefix + earlier chunks) —
-    /// into `chunks`, cleared first. Residents prefill only from their
-    /// seating (always at the back), so the walk starts at the oldest
-    /// prefilling one, found from the back by its [`NEVER`] `done_at`.
-    fn prefill_chunks<B: KvBudget>(&mut self, chunk_tokens: usize, budget: &mut B) {
-        self.chunks.clear();
+    /// The prefill pass: every resident still prefilling advances by at
+    /// most [`SchedOptions::chunk_tokens`] tokens — its whole remainder
+    /// without chunking — and is reported as `(id, new_tokens, past_tokens)`
+    /// — `past_tokens` being the context those new tokens attend over
+    /// (aliased prefix + earlier slices) — into `slices`, cleared first.
+    /// Residents prefill only from their seating (always at the back), so
+    /// the walk starts at the oldest prefilling one, found from the back by
+    /// its [`NEVER`] `done_at`.
+    fn prefill_pass<B: KvBudget>(&mut self, budget: &mut B) {
+        self.slices.clear();
         if self.prefilling == 0 {
             return; // pure-decode tick: no resident to walk for
         }
+        let chunk_tokens = self.opts.chunk_tokens.unwrap_or(usize::MAX);
         let mut unseen = self.prefilling;
         let oldest = self.done_at.iter().rposition(|&done| {
             unseen -= usize::from(done == NEVER);
@@ -875,15 +841,15 @@ impl Scheduler {
             let r = &mut self.requests[self.handles[i].0];
             let remaining = r.prefill_remaining();
             let take = remaining.min(chunk_tokens);
-            self.chunks.push((r.id, take, r.prefilled));
+            self.slices.push((r.id, take, r.prefilled));
             r.prefilled += take;
             taken += take;
             if take == remaining {
-                // Last chunk: the resident joins the decodable set.
+                // Last slice: the resident joins the decodable set.
                 self.prefilling = self
                     .prefilling
                     .checked_sub(1)
-                    .expect("prefilling counter underflow in chunked prefill");
+                    .expect("prefilling counter underflow in prefill");
                 self.decode_tokens += r.prefilled;
                 self.arm(i, budget);
             }
@@ -891,13 +857,7 @@ impl Scheduler {
         self.outstanding = self
             .outstanding
             .checked_sub(taken)
-            .expect("outstanding-token counter underflow in chunked prefill");
-    }
-
-    /// Charges `dt` of prefill work.
-    fn charge_prefill(&mut self, dt: f64) {
-        self.clock += dt;
-        self.prefill_time += dt;
+            .expect("outstanding-token counter underflow in prefill");
     }
 
     /// Charges `dt` seconds of peer-link transfer for a migrated-in prefix
@@ -976,7 +936,7 @@ impl Scheduler {
 
     /// Makes sure every resident about to decode has room for its next
     /// token, preempting the newest resident until the budget fits.
-    /// Residents still in chunked prefill do not grow — their prompt
+    /// Residents still in prefill do not grow — their prompt
     /// footprint was reserved at admission. `preempted` and `swapped` are
     /// cleared and refilled with the recompute and swap victims, each in
     /// eviction order.
@@ -1183,8 +1143,8 @@ mod tests {
     use crate::ledger::Reservation;
     use crate::request::WorkloadSpec;
 
-    /// Flat prices — `prefill` per admitted request or chunk, `decode` per
-    /// step, swaps free — with `probe` shown the scheduler at every hook.
+    /// Flat prices — `prefill` per slice, `decode` per step, swaps free —
+    /// with `probe` shown the scheduler at every hook.
     struct Flat<P: FnMut(&Scheduler)> {
         prefill: f64,
         decode: f64,
@@ -1192,16 +1152,9 @@ mod tests {
     }
 
     impl<P: FnMut(&Scheduler)> TickExecutor for Flat<P> {
-        fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
+        fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
             (self.probe)(sched);
-            if sched.options().chunk_tokens.is_some() {
-                return 0.0;
-            }
-            self.prefill * wave.ids.len() as f64
-        }
-        fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-            (self.probe)(sched);
-            self.prefill * chunks.len() as f64
+            self.prefill * slices.len() as f64
         }
         fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
             0.0
@@ -1303,34 +1256,51 @@ mod tests {
         assert_eq!(budget.free_pages(), budget.total_pages(), "all pages returned");
     }
 
+    /// Two tenants (groups 0 and 1), prefix 8, suffix 4, output 4, group 0
+    /// first and last.
+    fn two_tenants() -> Vec<Request> {
+        let mk = |id: u64, group: u64| Request::new(RequestId(id), 12, 4, 0.0).with_prefix(group, 8);
+        vec![mk(0, 0), mk(1, 0), mk(2, 1), mk(3, 0)]
+    }
+
+    /// `(id, new, past)` of a tick's prefill slices.
+    fn slices(sched: &Scheduler) -> Vec<(u64, usize, usize)> {
+        sched.slices.iter().map(|&(id, new, past)| (id.0, new, past)).collect()
+    }
+
     #[test]
     fn shared_admission_grants_resident_prefixes() {
-        // Two tenants (groups 0 and 1), prefix 8, suffix 4, output 4. With
-        // sharing on, the wave's later same-group members alias the first's
-        // prefix.
-        let mk = |id: u64, group: u64| {
-            crate::request::Request::new(crate::request::RequestId(id), 12, 4, 0.0)
-                .with_prefix(group, 8)
-        };
-        let reqs = vec![mk(0, 0), mk(1, 0), mk(2, 1), mk(3, 0)];
-        let mut sched = submitted(
-            reqs.clone(),
-            4,
-            Box::new(Fcfs),
-            SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() },
-        );
+        // With sharing on, the later same-group members of one admission
+        // alias the first's prefix: its whole prompt runs first in the pass.
+        let opts = SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() };
+        let mut sched = submitted(two_tenants(), 4, Box::new(Fcfs), opts);
         let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {} };
         sched.tick(&mut roomy(), &mut exec);
-        assert_eq!(sched.wave.prefill_lens, vec![12, 12, 12, 12]);
         assert_eq!(
-            sched.wave.shared_lens,
-            vec![0, 8, 0, 8],
+            slices(&sched),
+            [(0, 12, 0), (1, 4, 8), (2, 12, 0), (3, 4, 8)],
             "group 0's prefix is aliased once resident; group 1 pays its own"
         );
         // Sharing off: no grants.
-        let mut sched = legacy(reqs, 4, Box::new(Fcfs));
+        let mut sched = legacy(two_tenants(), 4, Box::new(Fcfs));
         sched.tick(&mut roomy(), &mut exec);
-        assert_eq!(sched.wave.shared_lens, vec![0, 0, 0, 0]);
+        assert_eq!(slices(&sched), [(0, 12, 0), (1, 12, 0), (2, 12, 0), (3, 12, 0)]);
+    }
+
+    #[test]
+    fn chunked_shared_admission_holds_joiners_until_the_prefix_lands() {
+        // The same four under 4-token chunks: a joiner that would recompute
+        // the founder's half-prefilled prefix holds (and FCFS with it) until
+        // the founder's chunks cover the prefix, then aliases all of it.
+        let opts = SchedOptions { share_prefixes: true, chunk_tokens: Some(4), ..SchedOptions::default() };
+        let mut sched = submitted(two_tenants(), 4, Box::new(Fcfs), opts);
+        let (mut budget, mut exec) = (roomy(), Flat { prefill: 0.1, decode: 0.01, probe: |_| {} });
+        let expected: [&[(u64, usize, usize)]; 3] =
+            [&[(0, 4, 0)], &[(0, 4, 4)], &[(0, 4, 8), (1, 4, 8), (2, 4, 0), (3, 4, 8)]];
+        for (tick, slices_then) in expected.into_iter().enumerate() {
+            sched.tick(&mut budget, &mut exec);
+            assert_eq!(slices(&sched), slices_then, "tick {tick}");
+        }
     }
 
     #[test]
@@ -1346,19 +1316,13 @@ mod tests {
         );
         struct Chunked;
         impl TickExecutor for Chunked {
-            fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-                // Chunked admission materializes nothing up front.
-                for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
-                    let r = sched.running().find(|r| r.id == id).unwrap();
-                    assert_eq!(r.prefilled, shared);
-                }
-                0.0
-            }
-            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-                for &(_, new, past) in chunks {
+            fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+                for &(id, new, past) in slices {
                     assert!(new <= 4 && past + new <= 10);
+                    let r = sched.running().find(|r| r.id == id).unwrap();
+                    assert_eq!(r.prefilled, past + new, "the pass advanced {id:?} by its slice");
                 }
-                0.1 * chunks.len() as f64
+                0.1 * slices.len() as f64
             }
             fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
                 0.0
@@ -1427,10 +1391,7 @@ mod tests {
         #[derive(Default)]
         struct Recording(Vec<u64>);
         impl TickExecutor for Recording {
-            fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
-                0.0
-            }
-            fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
+            fn prefill(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
                 0.1
             }
             fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
@@ -1515,10 +1476,7 @@ mod tests {
     }
 
     impl TickExecutor for Reference {
-        fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
-            0.0
-        }
-        fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
+        fn prefill(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
             0.1
         }
         fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
@@ -1601,11 +1559,8 @@ mod tests {
             swapped: usize,
         }
         impl TickExecutor for Evictions {
-            fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
+            fn prefill(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
                 0.1
-            }
-            fn prefill_chunks(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
-                unreachable!("whole-prompt prefill")
             }
             fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
                 1e-3 * pages as f64

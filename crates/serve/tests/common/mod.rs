@@ -10,7 +10,7 @@
 use qserve_serve::ledger::{KvBudget, KvHandle, PageBudget};
 use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, FinishedRequest, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
+    Fcfs, FinishedRequest, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -102,8 +102,8 @@ impl<A: Fn(&PageBudget)> KvBudget for Audited<'_, A> {
     }
 }
 
-/// The drive's executor and what it meters. Prefill: 0.1 s per admitted
-/// request, or per request-chunk when chunking; host link: 0.001 s per page
+/// The drive's executor and what it meters. Prefill: 0.1 s per slice (one
+/// per admitted request without chunking); host link: 0.001 s per page
 /// (the tick drains the page movement once and asks only for a positive
 /// count — zero pages cost zero seconds); decode: 0.01 s per tick.
 #[derive(Default)]
@@ -111,29 +111,25 @@ struct Metered {
     chunk_tokens_metered: usize,
     mid_prefill_preemptions: usize,
     regranted_shares: usize,
-    evicted_once: HashSet<RequestId>,
+    /// Recompute victims whose first slice since re-admission has not run.
+    readmitting: HashSet<RequestId>,
     /// Residents still mid-prefill as make-room starts (after this tick's
-    /// chunks, the last step before it).
+    /// slices, the last step before it).
     mid_prefill: Vec<RequestId>,
 }
 
 impl TickExecutor for Metered {
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-        for (&id, &shared) in wave.ids.iter().zip(&wave.shared_lens) {
-            if self.evicted_once.contains(&id) && shared > 0 {
+    fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+        for &(id, _, past) in slices {
+            // A re-admission's first slice runs over exactly its grant.
+            if self.readmitting.remove(&id) && past > 0 {
                 self.regranted_shares += 1;
             }
         }
-        if sched.options().chunk_tokens.is_some() {
-            return 0.0;
-        }
-        0.1 * wave.ids.len() as f64
-    }
-    fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        self.chunk_tokens_metered += chunks.iter().map(|&(_, n, _)| n).sum::<usize>();
+        self.chunk_tokens_metered += slices.iter().map(|&(_, n, _)| n).sum::<usize>();
         self.mid_prefill =
             sched.running().filter(|r| r.prefill_remaining() > 0).map(|r| r.id).collect();
-        0.1 * chunks.len() as f64
+        0.1 * slices.len() as f64
     }
     fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
         0.001 * pages as f64
@@ -148,7 +144,7 @@ impl TickExecutor for Metered {
             if self.mid_prefill.contains(&id) {
                 self.mid_prefill_preemptions += 1;
             }
-            self.evicted_once.insert(id);
+            self.readmitting.insert(id);
         }
         self.mid_prefill.clear();
     }
@@ -165,7 +161,7 @@ pub struct Driven {
     pub preemptions: usize,
     pub swap_outs: usize,
     pub swap_out_pages: usize,
-    /// Total prompt/recompute tokens fed through chunked prefill (prefill
+    /// Total prompt/recompute tokens fed through prefill slices (prefill
     /// work actually performed, recompute included).
     pub chunk_tokens_metered: usize,
     /// Preemption victims that were still mid-chunked-prefill when evicted.

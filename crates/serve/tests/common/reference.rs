@@ -1,12 +1,15 @@
 //! The reference tick: [`Scheduler::tick`] spelled as simply as it can be,
 //! kept as the oracle the real tick is held to after every tick.
 //!
-//! It sequences the same steps in the same order — admit and price the wave,
-//! advance chunked prefills, idle when nothing runs, make room, price the
-//! host-link pages, decode and retire — over the same public types (a
-//! [`PageBudget`] of its own, a policy of its own), and keeps nothing the
-//! real tick keeps for speed:
+//! It sequences the same steps in the same order — admit, price the prefill
+//! slices, idle when nothing runs, make room, price the host-link pages,
+//! decode and retire — over the same public types (a [`PageBudget`] of its
+//! own, a policy of its own), and keeps nothing the real tick keeps for
+//! speed:
 //!
+//! - whole-prompt prefill materializes each prompt at admission, as a
+//!   `(id, full − shared, shared)` slice, and only chunked prefill walks
+//!   the batch: the real tick's single pass is held to both spellings;
 //! - every decodable resident asks the ledger for every token, one
 //!   [`KvBudget::grow`] per token, so there is no headroom;
 //! - retirement is [`Vec::retain`], the backlog a sorted `Vec` searched
@@ -28,10 +31,8 @@ use std::collections::BTreeMap;
 /// One executor hook call and the arguments it was handed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Hook {
-    /// `prefill_wave`: the admitted ids, prefill targets and aliased tokens.
-    Wave(Vec<RequestId>, Vec<usize>, Vec<usize>),
-    /// `prefill_chunks`: `(id, new, past)` per prefilling resident.
-    Chunks(Vec<(RequestId, usize, usize)>),
+    /// `prefill`: `(id, new, past)` per prefilling resident.
+    Prefill(Vec<(RequestId, usize, usize)>),
     /// `swap`: pages that crossed the host link this tick.
     Swap(usize),
     /// `decode`.
@@ -48,13 +49,9 @@ pub type Seen = (Hook, Vec<Request>);
 /// What a hook costs, from what it saw. Hooks that return nothing cost 0.
 pub fn price(hook: &Hook, batch: &[Request]) -> f64 {
     match hook {
-        Hook::Wave(ids, full, shared) => {
-            let computed: usize = full.iter().zip(shared).map(|(f, s)| f - s).sum();
-            1e-3 * ids.len() as f64 + 1e-4 * computed as f64
-        }
-        Hook::Chunks(chunks) => {
-            let work: usize = chunks.iter().map(|&(_, new, past)| new * 8 + past).sum();
-            1e-3 + 1e-5 * work as f64
+        Hook::Prefill(slices) => {
+            let work: usize = slices.iter().map(|&(_, new, past)| new * 8 + past).sum();
+            1e-3 * slices.len() as f64 + 1e-5 * work as f64
         }
         Hook::Swap(pages) => 1e-5 * *pages as f64,
         Hook::Decode => {
@@ -174,21 +171,18 @@ impl Reference {
 
     /// One tick, each hook call appended to `log`.
     pub fn tick(&mut self, budget: &mut PageBudget, log: &mut Vec<Seen>) {
-        if let Some(wave) = self.admit(budget) {
-            self.clock += self.see(wave, log);
-        }
+        let mut slices = self.admit(budget);
         if let Some(chunk_tokens) = self.opts.chunk_tokens {
-            let mut chunks = Vec::new();
             for r in &mut self.running {
                 let take = r.prefill_remaining().min(chunk_tokens);
                 if take > 0 {
-                    chunks.push((r.id, take, r.prefilled));
+                    slices.push((r.id, take, r.prefilled));
                     r.prefilled += take;
                 }
             }
-            if !chunks.is_empty() {
-                self.clock += self.see(Hook::Chunks(chunks), log);
-            }
+        }
+        if !slices.is_empty() {
+            self.clock += self.see(Hook::Prefill(slices), log);
         }
         if self.running.is_empty() {
             if let Some(next) = self.pending.first() {
@@ -228,16 +222,17 @@ impl Reference {
 
     /// Admits while the batch has room, the policy picks and the budget
     /// agrees; an idle machine admits the first arrival past a holding
-    /// policy. Returns the wave, if any (swap-ins join the batch, not the
-    /// wave).
-    fn admit(&mut self, budget: &mut PageBudget) -> Option<Hook> {
-        let (mut ids, mut full, mut shared_lens) = (Vec::new(), Vec::new(), Vec::new());
+    /// policy. Without chunking, each admitted prompt materializes here and
+    /// its `(id, full − shared, shared)` slice is returned (swap-ins join the
+    /// batch, not the slices); with chunking, none is.
+    fn admit(&mut self, budget: &mut PageBudget) -> Vec<(RequestId, usize, usize)> {
+        let mut slices = Vec::new();
         while self.running.len() < self.batch_limit {
             let arrived = self.pending.iter().take_while(|r| r.ready_s <= self.clock).count();
             if arrived == 0 {
                 break;
             }
-            let idle = self.running.is_empty() && ids.is_empty();
+            let idle = self.running.is_empty();
             let choice = self.policy.select(&self.pending[..arrived], &*budget);
             let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
@@ -273,14 +268,16 @@ impl Reference {
             };
             let admitted = budget.admit(c.id, group, pool_tokens, c.prefill_len(), c.peak_len());
             let Some(handle) = admitted else { break };
-            ids.push(c.id);
-            full.push(c.prefill_len());
-            shared_lens.push(shared);
             self.seat(idx, handle);
             let r = self.running.last_mut().expect("just seated");
-            r.prefilled = if self.opts.chunk_tokens.is_some() { shared } else { r.prefill_len() };
+            if self.opts.chunk_tokens.is_some() {
+                r.prefilled = shared;
+            } else {
+                r.prefilled = r.prefill_len();
+                slices.push((r.id, r.prefill_len() - shared, shared));
+            }
         }
-        (!ids.is_empty()).then_some(Hook::Wave(ids, full, shared_lens))
+        slices
     }
 
     /// Moves `pending[idx]` to the back of the batch, seated at `handle`.

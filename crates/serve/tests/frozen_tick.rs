@@ -6,7 +6,7 @@
 //! The golden CSVs and the event-vs-step oracle both run through the one
 //! scheduler, so neither can see a change *inside* it; these constants can.
 //! The executor below prices every phase from the scheduler's observable
-//! state (wave sizes, chunk shapes, swapped pages, decodable count and
+//! state (prefill slices, swapped pages, decodable count and
 //! Σ prefilled), so a different admission, growth order or eviction decision
 //! moves the clock's bits, not just a counter.
 
@@ -15,7 +15,7 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
+    Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
     TickExecutor,
 };
 
@@ -40,16 +40,13 @@ type Outcome = (u64, usize, usize, usize, usize, usize, u64);
 struct Priced;
 
 impl TickExecutor for Priced {
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-        if sched.options().chunk_tokens.is_some() {
-            return 0.0;
+    /// Whole prompts and chunks keep the two prices they were recorded with.
+    fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+        if sched.options().chunk_tokens.is_none() {
+            let computed: usize = slices.iter().map(|&(_, new, _)| new).sum();
+            return 1e-3 + 1e-4 * computed as f64;
         }
-        let computed: usize =
-            wave.prefill_lens.iter().zip(&wave.shared_lens).map(|(f, s)| f - s).sum();
-        1e-3 + 1e-4 * computed as f64
-    }
-    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        let work: usize = chunks.iter().map(|&(_, new, past)| new * 8 + past).sum();
+        let work: usize = slices.iter().map(|&(_, new, past)| new * 8 + past).sum();
         1e-3 + 1e-5 * work as f64
     }
     fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {

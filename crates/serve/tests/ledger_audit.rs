@@ -22,7 +22,7 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
+    Fcfs, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 
@@ -82,16 +82,13 @@ fn draw(rng: &mut TensorRng) -> Case {
     }
 }
 
-/// Whole prompts free, 0.01 s per chunk and per decode step, 1e-4 s per page
-/// over the host link.
+/// 0.01 s per prefill slice and per decode step, 1e-4 s per page over the
+/// host link.
 struct Flat;
 
 impl TickExecutor for Flat {
-    fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
-        0.0
-    }
-    fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        0.01 * chunks.len() as f64
+    fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+        0.01 * slices.len() as f64
     }
     fn swap(&mut self, _: &Scheduler, pages: usize) -> f64 {
         1e-4 * pages as f64

@@ -18,7 +18,7 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, Slo, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    AdmittedWave, Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
+    Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
     ShortestJobFirst, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
@@ -39,12 +39,8 @@ impl Recorder {
 }
 
 impl TickExecutor for Recorder {
-    fn prefill_wave(&mut self, sched: &Scheduler, wave: &AdmittedWave) -> f64 {
-        let hook = Hook::Wave(wave.ids.clone(), wave.prefill_lens.clone(), wave.shared_lens.clone());
-        self.see(sched, hook)
-    }
-    fn prefill_chunks(&mut self, sched: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-        self.see(sched, Hook::Chunks(chunks.to_vec()))
+    fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+        self.see(sched, Hook::Prefill(slices.to_vec()))
     }
     fn swap(&mut self, sched: &Scheduler, pages: usize) -> f64 {
         self.see(sched, Hook::Swap(pages))

@@ -11,8 +11,7 @@ use qserve::serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve::serve::scheduler::{
-    AdmittedWave, Fcfs, MemoryAware, SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst,
-    TickExecutor,
+    Fcfs, MemoryAware, SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst, TickExecutor,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
 use qserve::tensor::{prop, props};
@@ -375,14 +374,11 @@ props! {
         for r in requests {
             sched.submit(r);
         }
-        /// Whole prompts free, 0.01 s per chunk and per decode step.
+        /// 0.01 s per prefill slice and per decode step.
         struct Flat;
         impl TickExecutor for Flat {
-            fn prefill_wave(&mut self, _: &Scheduler, _: &AdmittedWave) -> f64 {
-                0.0
-            }
-            fn prefill_chunks(&mut self, _: &Scheduler, chunks: &[(RequestId, usize, usize)]) -> f64 {
-                0.01 * chunks.len() as f64
+            fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+                0.01 * slices.len() as f64
             }
             fn swap(&mut self, _: &Scheduler, _: usize) -> f64 {
                 unreachable!("recompute preemption moves no pages")
