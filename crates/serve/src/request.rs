@@ -608,9 +608,21 @@ impl WorkloadSpec {
     ///
     /// # Panics
     /// Panics on a malformed spec (a non-positive rate, a trough above the
-    /// peak, a multi-turn grid that disagrees with `num_requests`) — here,
+    /// peak, a multi-turn grid that disagrees with `num_requests`, zero
+    /// sharing groups, an empty length range or one admitting 0) — here,
     /// when called, not on the first `next()`.
     pub fn arrivals(&self) -> impl Iterator<Item = Request> + '_ {
+        for (dist, what) in [(&self.input, "input"), (&self.output, "output")] {
+            let ranges = match *dist {
+                LengthDist::Fixed(n) => [(n, n); 2],
+                LengthDist::Uniform { lo, hi } => [(lo, hi); 2],
+                LengthDist::Bimodal { short, long, .. } => [short, long],
+            };
+            for (lo, hi) in ranges {
+                assert!(lo <= hi, "{what} length range [{lo}, {hi}] is empty");
+                assert!(lo > 0, "{what} lengths must be positive");
+            }
+        }
         match self.arrival {
             ArrivalPattern::Uniform { rate_rps } | ArrivalPattern::Poisson { rate_rps } => {
                 assert!(rate_rps > 0.0, "arrival rate must be positive");
@@ -625,12 +637,14 @@ impl WorkloadSpec {
             }
             ArrivalPattern::Batch => {}
         }
-        if let PrefixSharing::MultiTurn { conversations, turns } = self.sharing {
-            assert_eq!(
+        match self.sharing {
+            PrefixSharing::MultiTurn { conversations, turns } => assert_eq!(
                 conversations * turns,
                 self.num_requests,
                 "conversations × turns must equal num_requests"
-            );
+            ),
+            PrefixSharing::Groups { groups, .. } => assert!(groups > 0, "prefix sharing needs a group"),
+            PrefixSharing::None => {}
         }
         let mut rng = TensorRng::seed(self.seed);
         let mut clock = 0.0f64;
@@ -999,6 +1013,38 @@ mod tests {
     #[should_panic(expected = "arrival rate must be positive")]
     fn arrivals_validates_the_spec_before_the_first_next() {
         let spec = WorkloadSpec::chat(4, 1).with_arrivals(ArrivalPattern::Poisson { rate_rps: 0.0 });
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix sharing needs a group")]
+    fn arrivals_refuses_zero_sharing_groups_before_the_first_next() {
+        let sharing = PrefixSharing::Groups { groups: 0, prefix_len: 8 };
+        let spec = WorkloadSpec { sharing, ..WorkloadSpec::chat(4, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "input length range [9, 8] is empty")]
+    fn arrivals_refuses_an_empty_uniform_range_before_the_first_next() {
+        let input = LengthDist::Uniform { lo: 9, hi: 8 };
+        let spec = WorkloadSpec { input, ..WorkloadSpec::chat(4, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "output length range [64, 32] is empty")]
+    fn arrivals_refuses_an_empty_bimodal_mode_before_the_first_next() {
+        let output = LengthDist::Bimodal { short: (1, 8), long: (64, 32), long_weight: 0.5 };
+        let spec = WorkloadSpec { output, ..WorkloadSpec::chat(4, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "output lengths must be positive")]
+    fn arrivals_refuses_a_zero_length_bound_before_the_first_next() {
+        let output = LengthDist::Uniform { lo: 0, hi: 4 };
+        let spec = WorkloadSpec { output, ..WorkloadSpec::chat(4, 1) };
         let _unpolled = spec.arrivals();
     }
 
