@@ -31,12 +31,15 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # property and the scheduler's and the ledger's own unit tests (their
 # preemption and growth corners) therefore run in debug too (a few seconds,
 # reusing the debug libraries built above), so those audits see eviction
-# and re-admission. The lib filters are a line of their own: cargo applies
-# a test-name filter to every target it runs.
+# and re-admission — and so does the functional-vs-counts lockstep
+# differential (~8 s), so they also see the functional executor, which
+# seats each request on its first prefill slice. The lib filters are a line
+# of their own: cargo applies a test-name filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
-QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger::
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: \
+    model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden
