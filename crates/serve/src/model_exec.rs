@@ -361,11 +361,11 @@ impl ModelRuntime {
     /// geometry gates it (peak-reserving, so the cache can never run out of
     /// pages mid-flight), and every decode tick runs one true batched step
     /// ([`ModelRuntime::step_batch`]) — W4A8 GEMMs at `m = B`, paged KV4
-    /// attention — over all decodable sequences; each prefill remainder or
-    /// chunk slice runs as one `m = tokens` batch of its own.
+    /// attention — over all decodable sequences; each prefill slice (a
+    /// whole remainder or a chunk) runs as one `m = tokens` batch of its own.
     ///
-    /// With [`SchedOptions::share_prefixes`] on, admission consults a
-    /// [`PrefixIndex`] over the live sequences' prompts and *forks* the
+    /// With [`SchedOptions::share_prefixes`] on, a request's first slice
+    /// consults a [`PrefixIndex`] over the live sequences' prompts and *forks* the
     /// scheduler-granted shared prefix (copy-on-write pages, stored once)
     /// instead of recomputing it; with [`SchedOptions::chunk_tokens`] set,
     /// prompts run through the model in chunks interleaved with decode
