@@ -168,6 +168,12 @@ fn classify(rel: &str) -> Option<FileKind> {
             | "crates/serve/src/fault.rs"
             | "crates/serve/src/control.rs"
             | "crates/serve/src/report.rs"
+            | "crates/serve/src/cluster.rs"
+            | "crates/serve/src/request.rs"
+            | "crates/serve/src/model_exec.rs"
+            | "crates/serve/src/event.rs"
+            | "crates/serve/src/sketch.rs"
+            | "crates/serve/src/prefix.rs"
     ) || rel.starts_with("crates/gpusim/src/");
     let numeric = rel.strip_prefix("crates/").is_some_and(|r| {
         ["tensor/", "quant/", "core/", "kernels/", "model/"].iter().any(|k| r.starts_with(k))
@@ -416,8 +422,14 @@ mod tests {
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/serve/src/report.rs"),
             Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/cluster.rs"),
-            Some(FileKind::Rust(s)) if s.sim && !s.accounting && s.wall_clock));
+        for accounting in ["cluster", "request", "model_exec", "event", "sketch", "prefix"] {
+            assert!(matches!(classify(&format!("crates/serve/src/{accounting}.rs")),
+                Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
+        }
+        for other in ["attention_exec", "block_exec", "lib"] {
+            assert!(matches!(classify(&format!("crates/serve/src/{other}.rs")),
+                Some(FileKind::Rust(s)) if s.sim && !s.accounting && s.wall_clock));
+        }
         assert!(matches!(classify("crates/core/src/rotation.rs"),
             Some(FileKind::Rust(s)) if !s.sim && !s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/bench/src/timing.rs"),

@@ -105,8 +105,8 @@ struct Replica<'e> {
     /// Accepting/online state plus the GPU-seconds windows — one state
     /// machine for fault plans and the autoscaler alike.
     life: Lifecycle,
-    /// Requests routed here but requeued away by a crash — keeps the
-    /// `waiting` arithmetic honest (`routed` is never decremented).
+    /// Requests routed here but requeued away by a crash (`routed` is never
+    /// decremented); summed over replicas, the report's requeue count.
     requeued_away: usize,
     /// The [`time_key`] of the next tick while the replica has work, `None`
     /// once it drained or crashed (so nothing stale can tick). It is the
@@ -152,13 +152,7 @@ impl<'e> Replica<'e> {
             index,
             clock_s: self.clock(),
             outstanding_tokens: self.sched.outstanding_tokens(),
-            // Requests requeued away by a crash never finish here, so they
-            // leave the waiting arithmetic with `requeued_away`, not
-            // `finished`.
-            waiting: self.routed
-                - self.requeued_away
-                - self.sched.running().len()
-                - self.sched.finished().len(),
+            waiting: self.sched.waiting(),
             running: self.sched.running().len(),
             accepting: self.life.accepting(),
             online: self.life.online(),
@@ -507,7 +501,6 @@ struct Driver<'a, A: Iterator<Item = Request>> {
     parked: Vec<Request>,
     /// One views buffer reused across every control-plane decision.
     views: Vec<ReplicaView>,
-    requeued: usize,
     lost_prefill: usize,
     migrations: MigrationTotals,
 }
@@ -539,7 +532,6 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
             next_arrival,
             shed: Vec::new(),
             parked: Vec::new(),
-            requeued: 0,
             lost_prefill: 0,
             migrations: MigrationTotals::default(),
         };
@@ -637,7 +629,6 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
             self.control.admission_name(),
             &slices,
             &self.shed,
-            self.requeued,
             self.lost_prefill,
             self.migrations,
         )
@@ -846,7 +837,6 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
             // TTFT/latency still run from the original arrival.
             req.ready_s = now;
             req.requeued = true;
-            self.requeued += 1;
             self.route_requeued(req);
         }
     }
@@ -1031,7 +1021,6 @@ mod tests {
                 self.control.admission_name(),
                 &slices,
                 &shed,
-                0,
                 0,
                 MigrationTotals::default(),
             ))

@@ -48,7 +48,8 @@ pub struct ReplicaView {
     pub clock_s: f64,
     /// Tokens of work still owed to its queued + running requests.
     pub outstanding_tokens: usize,
-    /// Requests waiting (queued or preempted).
+    /// Requests submitted and not running: queued, preempted or swapped
+    /// out — the scheduler's pending queue, read from it.
     pub waiting: usize,
     /// Requests currently running.
     pub running: usize,

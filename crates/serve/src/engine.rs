@@ -22,6 +22,7 @@
 //! changes a single code path.
 
 use crate::baselines::SystemConfig;
+use crate::kv_cache::PAGE_TOKENS;
 use crate::ledger::{PageBudget, Reservation};
 use crate::memory::MemoryPlan;
 use crate::request::{RequestId, WorkloadSpec};
@@ -40,9 +41,6 @@ use qserve_model::ModelConfig;
 const STEP_OVERHEAD_S: f64 = 2.5e-4;
 /// Auxiliary kernels per layer (norms, activation quant, RoPE, residual).
 const MISC_KERNELS_PER_LAYER: f64 = 4.0;
-/// Page size (tokens) of the simulated KV page ledger — matches the
-/// functional cache's default geometry ([`crate::ModelRuntime`]).
-const SIM_PAGE_TOKENS: usize = 16;
 /// Host-tier pages per device page under swap preemption. Host DRAM dwarfs
 /// device HBM: a deliberately generous tier, so swap policy, not host
 /// capacity, decides preemption outcomes.
@@ -580,10 +578,10 @@ impl ServingEngine {
                 // Every resident reserves at most its own peak, so a pool of
                 // `limit` worst-case peaks fills only after the limit does.
                 let layers = self.model.layers;
-                let pages = (spec.max_peak_len().div_ceil(SIM_PAGE_TOKENS) * layers)
+                let pages = (spec.max_peak_len().div_ceil(PAGE_TOKENS) * layers)
                     .checked_mul(limit)
                     .expect("the batch limit's page pool fits usize");
-                (limit, PageBudget::new(SIM_PAGE_TOKENS, layers, pages, Reservation::Peak))
+                (limit, PageBudget::new(PAGE_TOKENS, layers, pages, Reservation::Peak))
             }
             KvModel::Paged(reservation) => {
                 let (budget, optimistic) =
@@ -614,11 +612,11 @@ impl ServingEngine {
         }
     }
 
-    /// Bytes one simulated KV page holds: [`SIM_PAGE_TOKENS`] tokens of one
+    /// Bytes one simulated KV page holds: [`PAGE_TOKENS`] tokens of one
     /// layer's K+V at this engine's KV precision — what a page's trip over
     /// the host link is priced at.
     pub fn kv_page_bytes(&self) -> u64 {
-        let page_tokens = u64::try_from(SIM_PAGE_TOKENS).expect("page size fits u64");
+        let page_tokens = u64::try_from(PAGE_TOKENS).expect("page size fits u64");
         let layers = u64::try_from(self.model.layers).expect("layer count fits u64");
         page_tokens * self.plan.kv_bytes_per_token / layers
     }
@@ -642,9 +640,9 @@ impl ServingEngine {
         // every layer's page table.
         let total_pages = (usize::try_from(self.plan.max_tokens).expect("KV token budget fits usize")
             * layers)
-            / SIM_PAGE_TOKENS;
-        let mut budget = PageBudget::new(SIM_PAGE_TOKENS, layers, total_pages, reservation);
-        let worst = spec.max_peak_len().div_ceil(SIM_PAGE_TOKENS) * layers;
+            / PAGE_TOKENS;
+        let mut budget = PageBudget::new(PAGE_TOKENS, layers, total_pages, reservation);
+        let worst = spec.max_peak_len().div_ceil(PAGE_TOKENS) * layers;
         if worst > total_pages {
             return Err(EngineUnavailable::OutOfMemory);
         }
@@ -1184,7 +1182,7 @@ mod tests {
             }
             let mut exec = Watched(CostModel::new(&e), false);
             // A ledger the 24 requests cannot fill: the batch limit gates.
-            let mut budget = PageBudget::new(SIM_PAGE_TOKENS, 1, 1 << 40, Reservation::OnDemand);
+            let mut budget = PageBudget::new(PAGE_TOKENS, 1, 1 << 40, Reservation::OnDemand);
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);
             while !sched.is_done() {
                 sched.tick(&mut budget, &mut exec);

@@ -67,6 +67,10 @@ impl KvCacheConfig {
     }
 }
 
+/// Tokens per page of the cache [`crate::ModelRuntime::deploy`] allocates,
+/// and of the simulated page ledger: one geometry for both.
+pub(crate) const PAGE_TOKENS: usize = 16;
+
 /// One page: raw storage plus the count of filled token slots — on device,
 /// parked in host memory, or inside an exported image, a page is this.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,11 +4,11 @@
 //! tokens autoregressively.
 
 use crate::block_exec::BlockRuntime;
-use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId};
+use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId, PAGE_TOKENS};
 use crate::ledger::{PageBudget, Reservation};
 use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
-use crate::scheduler::{SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
+use crate::scheduler::{FinishedRequest, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
 use qserve_core::pipeline::QoqConfig;
 use qserve_kernels::attention::HeadTile;
 use qserve_model::eval::{argmax, quantize_blocks};
@@ -34,7 +34,7 @@ impl ModelRuntime {
         let blocks = quantize_blocks(model, cfg, calib_tokens).iter().map(BlockRuntime::new).collect();
         let cache = PagedKvCache::new(
             KvCacheConfig {
-                page_tokens: 16,
+                page_tokens: PAGE_TOKENS,
                 kv_heads: model.config.kv_heads,
                 head_dim: model.config.head_dim(),
                 layers: model.config.layers,
@@ -342,16 +342,24 @@ impl TickExecutor for FunctionalExecutor<'_> {
         assert!(recomputed.is_empty() && swapped.is_empty(), "peak-reserving budget cannot preempt");
     }
 
-    fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
+    fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
         self.attempt(|this| {
-            for &id in ids {
-                this.rt.finish_sequence(SequenceId(id.0))?;
-                this.index.remove(SequenceId(id.0));
-                this.logits.remove(&id);
+            for r in done {
+                this.rt.finish_sequence(SequenceId(r.id.0))?;
+                this.index.remove(SequenceId(r.id.0));
+                this.logits.remove(&r.id);
             }
             Ok(0.0)
         });
     }
+}
+
+/// The model step a functional serve's clock reading names: a finite,
+/// non-negative whole number, or the step accounting is broken.
+fn model_step(clock: f64) -> usize {
+    let step = clock as usize; // saturating, so the round trip below decides
+    assert!((step as f64).to_bits() == clock.to_bits(), "step clock {clock} is not a whole model step");
+    step
 }
 
 impl ModelRuntime {
@@ -409,8 +417,8 @@ impl ModelRuntime {
                 id: r.id,
                 prompt: exec.prompts[&r.id].clone(),
                 output: exec.outputs.remove(&r.id).unwrap_or_default(),
-                first_token_step: r.first_token_s as usize,
-                finish_step: r.finish_s as usize,
+                first_token_step: model_step(r.first_token_s),
+                finish_step: model_step(r.finish_s),
             })
             .collect();
         done.sort_by_key(|r| r.id);
@@ -921,6 +929,14 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn model_steps_are_whole_clock_readings() {
+        assert_eq!((model_step(0.0), model_step(17.0)), (0, 17));
+        for bad in [2.5, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(std::panic::catch_unwind(|| model_step(bad)).is_err(), "{bad} passed");
         }
     }
 }

@@ -15,11 +15,11 @@
 //!
 //! No per-request float is computed here. Each scheduler built a
 //! [`FinishedRequest`] per completion — latency, TTFT, the achieved ÷
-//! deadline ratio, the SLO verdict — and this module sums them (TTFT,
-//! tokens, goodput) and sorts them (latencies, ratios) in
-//! scheduler-then-completion order, the one order in which no sum is
-//! re-associated. Shed requests arrive as `(id, tier)`, all a report says
-//! of them.
+//! deadline ratio, the SLO verdict, each held nowhere else — and this module
+//! sums them (TTFT, tokens, goodput), sorts and sketches them (latencies,
+//! ratios) in scheduler-then-completion order, the one order in which no
+//! sum is re-associated. Shed requests arrive as `(id, tier)`, all a
+//! report says of them.
 
 use crate::engine::ServingReport;
 use crate::request::{RequestId, Tier};
@@ -120,8 +120,8 @@ pub struct ClusterReport {
     /// Preemption events summed over replicas.
     pub preemptions: usize,
     /// Requeue events: each time a crash moved an in-flight request to
-    /// another replica (a request crashed twice counts twice). 0 in
-    /// fault-free runs.
+    /// another replica (a request crashed twice counts twice) — the sum of
+    /// [`ReplicaReport::requeued_away`]. 0 in fault-free runs.
     pub requeued: usize,
     /// Prefill tokens thrown away by crashes — work the cluster had done
     /// for requests whose KV pages died with their replica. 0 in
@@ -156,12 +156,12 @@ pub struct ClusterReport {
     /// Worst per-replica unique-page high-water mark — the number a
     /// capacity planner provisions each replica's HBM against.
     pub max_replica_peak_pages: usize,
-    /// Median latency from the per-replica streaming sketches, merged in
-    /// replica order — always populated, and the authoritative percentile
-    /// source above [`EXACT_STATS_MAX`] total completions (0 when nothing
-    /// finished).
+    /// Median latency from the streaming sketch over every finished
+    /// record, in replica-then-completion order — always populated, and the
+    /// authoritative percentile source above [`EXACT_STATS_MAX`] total
+    /// completions (0 when nothing finished).
     pub sketch_p50_latency_s: f64,
-    /// 99th-percentile latency from the merged streaming sketches.
+    /// 99th-percentile latency from the same sketch.
     pub sketch_p99_latency_s: f64,
     /// Per-replica breakdown, indexed by replica.
     pub per_replica: Vec<ReplicaReport>,
@@ -198,7 +198,7 @@ impl ClusterReport {
 /// driver stays free to reshape its internal struct without touching the
 /// report math.
 pub(crate) struct ReplicaSlice<'a> {
-    /// The replica's scheduler (finished records, sketches, counters).
+    /// The replica's scheduler (finished records, counters).
     pub sched: &'a Scheduler,
     /// GPU name of the replica's spec.
     pub gpu: &'static str,
@@ -258,8 +258,8 @@ fn rate(tokens: usize, seconds: f64) -> f64 {
     if seconds > 0.0 { tokens as f64 / seconds } else { 0.0 }
 }
 
-/// What a set of schedulers' finished records and latency sketches say —
-/// the one fold both reports read. Every statistic of an empty set is 0.
+/// What a set of schedulers' finished records say — the one fold both
+/// reports read. Every statistic of an empty set is 0.
 struct Fold {
     completed: usize,
     generated: usize,
@@ -273,8 +273,8 @@ struct Fold {
     p50_latency_s: f64,
     p95_latency_s: f64,
     p99_latency_s: f64,
-    /// The merged sketch's view, on both paths, so the two can be compared
-    /// on any run.
+    /// The latency sketch's view, on both paths, so the two can be
+    /// compared on any run.
     sketch_p50_latency_s: f64,
     sketch_p99_latency_s: f64,
     slo_ratio_p50: f64,
@@ -283,11 +283,11 @@ struct Fold {
 }
 
 impl Fold {
-    /// Folds `scheds` in order. At or below [`EXACT_STATS_MAX`] completions
-    /// in total the latency and SLO-ratio statistics come from exact sorted
-    /// buffers (byte-stable with every golden CSV); above it from the
-    /// streaming sketches, merged in scheduler order, and the O(n log n)
-    /// sorts never run.
+    /// Folds `scheds` in order, feeding every record's `latency_s()` to one
+    /// sketch. At or below [`EXACT_STATS_MAX`] completions in total the
+    /// latency and SLO-ratio statistics come from exact sorted buffers
+    /// (byte-stable with every golden CSV); above it from the sketches, fed
+    /// in scheduler-then-completion order, and the O(n log n) sorts never run.
     fn of<'s>(scheds: impl Iterator<Item = &'s Scheduler> + Clone) -> Self {
         let completed: usize = scheds.clone().map(|s| s.finished().len()).sum();
         let exact = completed <= EXACT_STATS_MAX;
@@ -298,36 +298,26 @@ impl Fold {
         let (mut generated, mut good_tokens, mut met) = (0usize, 0usize, 0usize);
         let mut ttft_sum = 0.0;
         let mut last_requeued_finish_s = 0.0f64;
-        for sched in scheds {
-            debug_assert_eq!(
-                sched.latency_sketch().len() as usize,
-                sched.finished().len(),
-                "latency sketch missed a retirement"
-            );
-            // Scheduler-index merge order: deterministic by construction.
-            // One pass over each finished list — everything below reads
-            // borrowed state; no per-scheduler vector is copied.
-            lat_sketch.merge(sched.latency_sketch());
-            for r in sched.finished() {
-                generated += r.generated();
+        for r in scheds.flat_map(Scheduler::finished) {
+            generated += r.generated();
+            lat_sketch.insert(r.latency_s());
+            if exact {
+                latencies.push(r.latency_s());
+            }
+            ttft_sum += r.ttft_s();
+            if r.met_slo {
+                met += 1;
+                good_tokens += r.generated();
+            }
+            if let Some(ratio) = r.slo_ratio() {
                 if exact {
-                    latencies.push(r.latency_s());
+                    slo_ratios.push(ratio);
+                } else {
+                    slo_sketch.insert(ratio);
                 }
-                ttft_sum += r.ttft_s();
-                if r.met_slo {
-                    met += 1;
-                    good_tokens += r.generated();
-                }
-                if let Some(ratio) = r.slo_ratio() {
-                    if exact {
-                        slo_ratios.push(ratio);
-                    } else {
-                        slo_sketch.insert(ratio);
-                    }
-                }
-                if r.requeued {
-                    last_requeued_finish_s = last_requeued_finish_s.max(r.finish_s);
-                }
+            }
+            if r.requeued {
+                last_requeued_finish_s = last_requeued_finish_s.max(r.finish_s);
             }
         }
         latencies.sort_by(f64::total_cmp);
@@ -394,7 +384,6 @@ pub(crate) fn aggregate(
     admission: &str,
     reps: &[ReplicaSlice<'_>],
     shed: &[(RequestId, Tier)],
-    requeued: usize,
     lost_prefill_tokens: usize,
     migration: MigrationTotals,
 ) -> ClusterReport {
@@ -472,7 +461,7 @@ pub(crate) fn aggregate(
         sketch_p50_latency_s: f.sketch_p50_latency_s,
         sketch_p99_latency_s: f.sketch_p99_latency_s,
         preemptions,
-        requeued,
+        requeued: per_replica.iter().map(|r| r.requeued_away).sum(),
         lost_prefill_tokens,
         swap_outs,
         swap_out_pages,

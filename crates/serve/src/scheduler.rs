@@ -25,15 +25,14 @@
 //! token it is dropped and a [`FinishedRequest`] stays: this module computes
 //! every per-request float a report reads — TTFT and latency (`t −
 //! arrival_s`), the worst achieved ÷ deadline ratio, the SLO verdict — once,
-//! at retirement, and feeds the latency sketch with the same float.
-//! [`crate::report`] only sums and sorts what the records carry, in
-//! completion order; it is the one place they become a report.
+//! at retirement. [`crate::report`] only sums, sorts and sketches what the
+//! records carry, in completion order; it is the one place they become a
+//! report.
 
 use std::collections::VecDeque;
 
 use crate::ledger::{KvBudget, KvHandle, PageBudget};
 use crate::request::{Request, RequestId, RequestState};
-use crate::sketch::PercentileSketch;
 
 // ---------------------------------------------------------------------------
 // Scheduling policies
@@ -160,9 +159,9 @@ pub trait TickExecutor {
     /// host tier and swap back in. Every eviction is listed exactly once.
     fn preempted(&mut self, _sched: &Scheduler, _recomputed: &[RequestId], _swapped: &[RequestId]) {}
 
-    /// The decode step just charged retired `ids` (possibly none), in
-    /// admission order; the budget has already released them.
-    fn retired(&mut self, _sched: &Scheduler, _ids: &[RequestId]) {}
+    /// The records the decode step just appended to [`Scheduler::finished`]
+    /// (possibly none), in admission order; the budget has already released them.
+    fn retired(&mut self, _sched: &Scheduler, _done: &[FinishedRequest]) {}
 }
 
 /// What happens to a preemption victim when the page pool runs dry.
@@ -345,17 +344,13 @@ pub struct Scheduler {
     warm_prefixes: std::collections::BTreeMap<u64, usize>,
     /// Time spent receiving migrated prefix pages over the peer link.
     migration_time: f64,
-    /// Streaming end-to-end latency accumulator, fed once per retirement
-    /// with the same `latency_s()` float the exact path reads later.
-    latency_sketch: PercentileSketch,
     /// The tick's out-buffers, each cleared and refilled by its step and
     /// lent to the executor's hook: this tick's prefill slices
-    /// `(id, new, past)`, the ids make-room recompute-preempted and swapped
-    /// out, and the ids the decode step retired.
+    /// `(id, new, past)` and the ids make-room recompute-preempted and
+    /// swapped out.
     slices: Vec<(RequestId, usize, usize)>,
     preempted: Vec<RequestId>,
     swapped: Vec<RequestId>,
-    retired: Vec<RequestId>,
     /// The decode step's retirees, as batch indices (ascending):
     /// retirement compacts the batch around them.
     retiring: Vec<usize>,
@@ -420,11 +415,9 @@ impl Scheduler {
             outstanding: 0,
             warm_prefixes: std::collections::BTreeMap::new(),
             migration_time: 0.0,
-            latency_sketch: PercentileSketch::new(),
             slices: Vec::new(),
             preempted: Vec::new(),
             swapped: Vec::new(),
-            retired: Vec::new(),
             retiring: Vec::new(),
         }
     }
@@ -654,6 +647,11 @@ impl Scheduler {
         &self.finished
     }
 
+    /// Requests submitted here and not running: queued, preempted or swapped out.
+    pub(crate) fn waiting(&self) -> usize {
+        self.pending.len()
+    }
+
     /// Preemption events so far.
     pub fn preemptions(&self) -> usize {
         self.preemptions
@@ -720,8 +718,9 @@ impl Scheduler {
             return; // every resident is still chunk-prefilling
         }
         let dt = exec.decode(self);
+        let before = self.finished.len();
         self.decode_step(dt, budget);
-        exec.retired(self, &self.retired);
+        exec.retired(self, &self.finished[before..]);
     }
 
     /// Admission step: repeatedly let the policy pick among arrived requests
@@ -1046,7 +1045,7 @@ impl Scheduler {
     /// request is written. It visits only residents whose state changes:
     /// the `fresh` get their first token and, on a step reaching
     /// `next_done`, one scan of `done_at` lists (and syncs) the retirees,
-    /// who retire (see [`Scheduler::retire`]) into `retired`.
+    /// who retire (see [`Scheduler::retire`]) into `finished`.
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
         let decodable = self.handles.len() - self.prefilling;
         assert!(decodable > 0, "decode_step with no decodable resident");
@@ -1093,15 +1092,13 @@ impl Scheduler {
     }
 
     /// Retires the residents the decode step listed in `retiring` (synced)
-    /// and returns the tokens they held. `retired` is cleared and refilled.
+    /// and returns the tokens they held.
     ///
-    /// The retirees reach the budget, the sketch, `retired` and `finished`
-    /// in admission order. The three columns are compacted by runs — the
+    /// The retirees reach the budget and `finished` in admission order. The three columns are compacted by runs — the
     /// requests stay in their seats: each run of survivors between two
     /// retirees (or after the last) moves down as one block, so residents
     /// before the first retiree do not move and survivors keep their order.
     fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
-        self.retired.clear();
         let Some(&first) = self.retiring.first() else { return 0 };
         let (clock, len) = (self.clock, self.handles.len());
         let mut retired_tokens = 0usize;
@@ -1110,13 +1107,9 @@ impl Scheduler {
             let req = &self.requests[self.handles[at].0];
             retired_tokens += req.prefilled;
             budget.release(req.id, Some(self.handles[at]));
-            // A retiring request owes nothing (its final token was just
-            // counted), so only the sketch needs feeding here — with the
-            // very float the exact path reads from `finished` later.
-            let done = FinishedRequest::retire(req, clock);
-            self.latency_sketch.insert(done.latency_s());
-            self.retired.push(done.id);
-            self.finished.push(done);
+            // A retiring request owes nothing: its final token was just
+            // counted.
+            self.finished.push(FinishedRequest::retire(req, clock));
             let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
             self.handles.copy_within(survivors.clone(), kept);
             self.page_end.copy_within(survivors.clone(), kept);
@@ -1127,13 +1120,6 @@ impl Scheduler {
         self.page_end.truncate(kept);
         self.done_at.truncate(kept);
         retired_tokens
-    }
-
-    /// The streaming latency accumulator, fed once per retirement — what
-    /// [`crate::report`] merges (in scheduler order) instead of sorting
-    /// every finished latency once a run is past its exact-path threshold.
-    pub fn latency_sketch(&self) -> &PercentileSketch {
-        &self.latency_sketch
     }
 }
 
@@ -1400,8 +1386,8 @@ mod tests {
             fn decode(&mut self, _: &Scheduler) -> f64 {
                 0.01
             }
-            fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
-                self.0.extend(ids.iter().map(|id| id.0));
+            fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+                self.0.extend(done.iter().map(|r| r.id.0));
             }
         }
         // (input, output) per request, all admitted on tick 1 in id order,
@@ -1487,8 +1473,8 @@ mod tests {
             self.batch = sched.running().map(|r| (r.id.0, retires(&r))).collect();
             0.01
         }
-        fn retired(&mut self, _: &Scheduler, ids: &[RequestId]) {
-            self.retired = ids.iter().map(|id| id.0).collect();
+        fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+            self.retired = done.iter().map(|r| r.id.0).collect();
         }
     }
 
@@ -1498,8 +1484,9 @@ mod tests {
         /// worst-case request (evicting by swap or recompute) to never
         /// binding. After every tick the survivors are the batch the decode
         /// step saw less its retirees, in order; the retirees reach the
-        /// `retired` hook and `finished` in that same order; and the ledger
-        /// mirrors the scheduler.
+        /// `retired` hook and `finished` in that same order; every request is
+        /// waiting (swapped-out ones included), running or finished; and the
+        /// ledger mirrors the scheduler.
         fn retirement_compacts_like_a_stable_filter(rng) {
             let mut pick = |lo: i64, hi: i64| rng.int_in(lo, hi) as usize;
             let n = pick(1, 64);
@@ -1539,6 +1526,8 @@ mod tests {
                 assert_eq!(exec.retired, gone, "tick {ticks}: retired hook");
                 let finished: Vec<u64> = sched.finished()[done..].iter().map(|r| r.id.0).collect();
                 assert_eq!(finished, gone, "tick {ticks}: finished order");
+                let books = sched.waiting() + sched.running().len() + sched.finished().len();
+                assert_eq!(books, n, "tick {ticks}: waiting + running + finished");
                 ticks += 1;
                 assert!(ticks < 10_000, "failed to converge");
             }

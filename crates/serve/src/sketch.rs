@@ -7,8 +7,8 @@
 //!
 //! 1. **Deterministic.** Bucket indexing is pure integer arithmetic on the
 //!    value's IEEE-754 bits; insertion order cannot change any count, and
-//!    merging per-replica sketches in replica order is reproducible bit for
-//!    bit. No randomized compression (GK/t-digest style) anywhere.
+//!    inserting (or merging) in a fixed order is reproducible bit for bit.
+//!    No randomized compression (GK/t-digest style) anywhere.
 //! 2. **Fixed memory.** One `u64` count per bucket, sized at construction:
 //!    [`PercentileSketch::SUB_BUCKET_BITS`] sub-buckets per power of two
 //!    across a clamped value range — a few KiB regardless of sample count.
@@ -177,8 +177,7 @@ impl PercentileSketch {
     }
 
     /// Folds `other` into `self` bucket-wise. Deterministic as long as the
-    /// merge *order* is fixed (cluster aggregation merges replicas in
-    /// replica-index order).
+    /// merge *order* is fixed.
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

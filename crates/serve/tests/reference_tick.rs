@@ -18,8 +18,8 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, Request, RequestId, Slo, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
-    ShortestJobFirst, TickExecutor,
+    Fcfs, FinishedRequest, MemoryAware, PreemptionMode, SchedOptions, Scheduler,
+    SchedulingPolicy, ShortestJobFirst, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 use reference::{done_of, price, Hook, Reference, Seen};
@@ -51,8 +51,8 @@ impl TickExecutor for Recorder {
     fn preempted(&mut self, sched: &Scheduler, recomputed: &[RequestId], swapped: &[RequestId]) {
         self.see(sched, Hook::Preempted(recomputed.to_vec(), swapped.to_vec()));
     }
-    fn retired(&mut self, sched: &Scheduler, ids: &[RequestId]) {
-        self.see(sched, Hook::Retired(ids.to_vec()));
+    fn retired(&mut self, sched: &Scheduler, done: &[FinishedRequest]) {
+        self.see(sched, Hook::Retired(done.iter().map(|r| r.id).collect()));
     }
 }
 
