@@ -33,12 +33,15 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # reusing the debug libraries built above), so those audits see eviction
 # and re-admission — and so does the functional-vs-counts lockstep
 # differential (~8 s), so they also see the functional executor, which
-# seats each request on its first prefill slice. The lib filters are a line
-# of their own: cargo applies a test-name filter to every target it runs.
+# seats each request on its first prefill slice. The KV page pool's own
+# unit tests join them: its allocator checks that a popped page is free and
+# that storage is handed out at the high-water mark are `debug_assert`s
+# too. The lib filters are a line of their own: cargo applies a test-name
+# filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
-QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: \
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: kv_cache:: \
     model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 

@@ -17,6 +17,14 @@
 //! divergence is private while the common prefix stays deduplicated.
 //! [`PagedKvCache::used_pages`] / [`PagedKvCache::free_pages`] count
 //! *unique* pages, which is what memory-aware admission must gate on.
+//!
+//! Capacity costs metadata, not storage: a page gets its bytes the first
+//! time the free list pops it. The free list hands out never-used pages in
+//! ascending order and only once every recycled page is back in use, so the
+//! pages holding storage are always the first
+//! [`PagedKvCache::peak_used_pages`] — storage follows the high-water mark,
+//! and a pool sized for thousands of pages that serves a few dozen holds a
+//! few dozen pages of bytes.
 
 use qserve_core::kv_quant::{quantize_head_into, KvPrecision, QuantizedHeadToken};
 use qserve_kernels::attention::{HeadTile, KvLane, LaneCodes};
@@ -117,12 +125,18 @@ impl<S> SeqRecord<S> {
 /// refcounts that let several sequences alias one page.
 #[derive(Debug)]
 struct PagePool {
+    /// Every page of the pool; a page's `data` is empty until it is first
+    /// popped, so exactly the pages below `peak_used` hold storage.
     pages: Vec<KvPage>,
+    /// Popped from the back: recycled pages above the never-used ones,
+    /// which lie in descending order (so pop ascending).
     free_list: Vec<usize>,
     /// Sequences referencing each page (0 = free).
     refcounts: Vec<u32>,
     /// High-water mark of unique allocated pages over the cache's life.
     peak_used: usize,
+    /// Storage bytes of one page.
+    page_bytes: usize,
 }
 
 impl PagePool {
@@ -135,12 +149,23 @@ impl PagePool {
     }
 
     /// Pops a free page, resetting its state and tracking the high-water
-    /// mark of unique residency.
+    /// mark of unique residency. A page popped for the first time gets its
+    /// storage here: by the free list's order it is the page at the
+    /// high-water mark.
     fn alloc(&mut self) -> Result<usize, KvCacheError> {
         let page = self.free_list.pop().ok_or(KvCacheError::OutOfPages)?;
+        debug_assert_eq!(self.refcounts[page], 0, "free list held page {page} while referenced");
+        if page == self.peak_used {
+            self.pages[page].data = vec![0; self.page_bytes];
+        }
         self.pages[page].filled = 0;
         self.refcounts[page] = 1;
         self.peak_used = self.peak_used.max(self.used());
+        debug_assert!(
+            page < self.peak_used && self.pages[page].data.len() == self.page_bytes,
+            "page {page} popped without storage (high-water mark {})",
+            self.peak_used
+        );
         Ok(page)
     }
 
@@ -151,6 +176,16 @@ impl PagePool {
         self.pages[page].data.copy_from_slice(&image.data);
         self.pages[page].filled = image.filled;
         page
+    }
+
+    /// Pops a free page and copies `src`'s bytes into its storage, with
+    /// `filled` of them counted as filled: the copy of copy-on-write.
+    fn alloc_copy(&mut self, src: usize, filled: usize) -> Result<usize, KvCacheError> {
+        let page = self.alloc()?;
+        let mut data = std::mem::take(&mut self.pages[page].data);
+        data.copy_from_slice(&self.pages[src].data);
+        self.pages[page] = KvPage { data, filled };
+        Ok(page)
     }
 
     /// Drops one reference to `page`, recycling it when nobody is left.
@@ -249,21 +284,23 @@ impl std::fmt::Display for KvCacheError {
 impl std::error::Error for KvCacheError {}
 
 impl PagedKvCache {
-    /// Creates a cache with a fixed page pool.
+    /// Creates a cache with a fixed page pool of `total_pages` pages.
+    ///
+    /// Capacity costs only per-page metadata (a few dozen bytes a page): a
+    /// page's [`KvCacheConfig::page_bytes`] of storage are allocated the
+    /// first time it is handed out, and never-used pages are handed out in
+    /// ascending order only after every recycled page is back in use, so the
+    /// storage held is [`PagedKvCache::peak_used_pages`] pages, not
+    /// `total_pages`.
     pub fn new(config: KvCacheConfig, total_pages: usize) -> Self {
-        let pages = (0..total_pages)
-            .map(|_| KvPage {
-                data: vec![0u8; config.page_bytes()],
-                filled: 0,
-            })
-            .collect();
         Self {
             config,
             pool: PagePool {
-                pages,
+                pages: vec![KvPage { data: Vec::new(), filled: 0 }; total_pages],
                 free_list: (0..total_pages).rev().collect(),
                 refcounts: vec![0; total_pages],
                 peak_used: 0,
+                page_bytes: config.page_bytes(),
             },
             seqs: HashMap::new(),
             host: HashMap::new(),
@@ -306,14 +343,25 @@ impl PagedKvCache {
         &self.seqs[&seq].table[layer]
     }
 
+    /// `Ok` when `seq` names no sequence, resident or parked on the host
+    /// tier — the id a new sequence may take.
+    ///
+    /// # Errors
+    /// [`KvCacheError::DuplicateSequence`].
+    fn check_new(&self, seq: SequenceId) -> Result<(), KvCacheError> {
+        if self.seqs.contains_key(&seq) || self.host.contains_key(&seq) {
+            return Err(KvCacheError::DuplicateSequence(seq));
+        }
+        Ok(())
+    }
+
     /// Registers a new sequence.
     ///
     /// # Errors
-    /// [`KvCacheError::DuplicateSequence`] if already present.
+    /// [`KvCacheError::DuplicateSequence`] if already present, resident or
+    /// swapped out.
     pub fn register(&mut self, seq: SequenceId) -> Result<(), KvCacheError> {
-        if self.seqs.contains_key(&seq) {
-            return Err(KvCacheError::DuplicateSequence(seq));
-        }
+        self.check_new(seq)?;
         let layers = self.config.layers;
         self.seqs.insert(seq, SeqRecord { table: vec![Vec::new(); layers], layer_lens: vec![0; layers] });
         Ok(())
@@ -328,7 +376,8 @@ impl PagedKvCache {
     ///
     /// # Errors
     /// [`KvCacheError::UnknownSequence`] for the parent,
-    /// [`KvCacheError::DuplicateSequence`] for the child, and
+    /// [`KvCacheError::DuplicateSequence`] for a child id already present
+    /// (resident or swapped out), and
     /// [`KvCacheError::PrefixTooLong`] when the parent has cached fewer than
     /// `prefix_tokens` tokens.
     pub fn fork(
@@ -338,9 +387,7 @@ impl PagedKvCache {
         prefix_tokens: usize,
     ) -> Result<(), KvCacheError> {
         let source = self.seqs.get(&parent).ok_or(KvCacheError::UnknownSequence(parent))?;
-        if self.seqs.contains_key(&child) {
-            return Err(KvCacheError::DuplicateSequence(child));
-        }
+        self.check_new(child)?;
         let have = source.len();
         if prefix_tokens > have {
             return Err(KvCacheError::PrefixTooLong { have, want: prefix_tokens });
@@ -435,13 +482,7 @@ impl PagedKvCache {
             if pool.refcounts[page] > 1 {
                 // Copy-on-write: duplicate the shared prefix bytes we own,
                 // then diverge privately.
-                let copy = pool.alloc()?;
-                let (src_data, src_filled) = {
-                    let src = &pool.pages[page];
-                    (src.data.clone(), slot.min(src.filled))
-                };
-                pool.pages[copy].data = src_data;
-                pool.pages[copy].filled = src_filled;
+                let copy = pool.alloc_copy(page, slot.min(pool.pages[page].filled))?;
                 table[tail_idx] = copy;
                 pool.unref(page);
                 copy
@@ -682,9 +723,7 @@ impl PagedKvCache {
         if image.config != self.config {
             return Err(KvCacheError::GeometryMismatch { image: image.config, cache: self.config });
         }
-        if self.seqs.contains_key(&seq) || self.host.contains_key(&seq) {
-            return Err(KvCacheError::DuplicateSequence(seq));
-        }
+        self.check_new(seq)?;
         let needed = image.pages();
         if needed > self.pool.free_list.len() {
             return Err(KvCacheError::OutOfPages);
@@ -1008,6 +1047,103 @@ mod tests {
         c.release(b).unwrap();
         conserve(&c);
         assert_eq!(c.free_pages(), total);
+
+        // Every page now holds `b`'s bytes. A copy-on-write copy and a
+        // swap-in restore land on such recycled storage and must read back
+        // byte-identical to their source, stale bytes and all overwritten.
+        let mut rng = TensorRng::seed(31);
+        let mut token = || -> Vec<f32> { (0..16).map(|_| rng.normal(1.0)).collect() };
+        let slot_bytes = c.config().token_slot_bytes();
+        let (parent, child, other) = (SequenceId(300), SequenceId(301), SequenceId(302));
+        c.register(parent).unwrap();
+        for _ in 0..6 {
+            let (k, v) = (token(), token());
+            c.append_token(parent, 0, &k, &v).unwrap();
+        }
+        c.fork(parent, child, 6).unwrap();
+        let shared_tail = c.layer_pages(parent, 0)[1];
+        let recycled = *c.pool.free_list.last().unwrap();
+        let owned = 2 * slot_bytes;
+        assert_ne!(c.pool.pages[recycled].data[..owned], c.pool.pages[shared_tail].data[..owned]);
+        let (k, v) = (token(), token());
+        c.append_token(child, 0, &k, &v).unwrap();
+        let copy = c.layer_pages(child, 0)[1];
+        assert_eq!(copy, recycled, "the copy-on-write copy lands on recycled storage");
+        assert_eq!(c.pool.pages[copy].data[..owned], c.pool.pages[shared_tail].data[..owned]);
+        let (parent_keys, parent_values) = c.read_head(parent, 0, 1).unwrap();
+        let (child_keys, child_values) = c.read_head(child, 0, 1).unwrap();
+        assert_eq!((&child_keys[..6], &child_values[..6]), (&parent_keys[..], &parent_values[..]));
+        conserve(&c);
+
+        let image = c.pool.pages[copy].data.clone();
+        let before: Vec<_> = (0..2).map(|head| c.read_head(child, 0, head).unwrap()).collect();
+        assert_eq!(c.swap_out(child).unwrap(), 1, "only the private copy moves");
+        // Another sequence overwrites the freed page before it is restored.
+        c.register(other).unwrap();
+        let (k, v) = (token(), token());
+        c.append_token(other, 0, &k, &v).unwrap();
+        assert_eq!(c.layer_pages(other, 0), [copy]);
+        c.release(other).unwrap();
+        assert_ne!(c.pool.pages[copy].data, image, "the page holds the other sequence's bytes");
+        assert_eq!(c.swap_in(child).unwrap(), 1);
+        let restored = c.layer_pages(child, 0)[1];
+        assert_eq!(restored, copy, "the swap-in restore lands on recycled storage");
+        assert_eq!(c.pool.pages[restored].data, image);
+        let after: Vec<_> = (0..2).map(|head| c.read_head(child, 0, head).unwrap()).collect();
+        assert_eq!(before, after);
+        c.release(parent).unwrap();
+        c.release(child).unwrap();
+        conserve(&c);
+        assert_eq!(c.free_pages(), total);
+    }
+
+    #[test]
+    fn a_swapped_out_id_is_not_free_to_register_or_fork_onto() {
+        // A second record under a parked id would be overwritten by the
+        // parked one's swap-in, leaking every page it held.
+        let mut c = PagedKvCache::new(cfg(KvPrecision::Int4), 16);
+        let (parked, other) = (SequenceId(1), SequenceId(2));
+        let k = vec![0.5f32; 16];
+        for s in [parked, other] {
+            c.register(s).unwrap();
+            for _ in 0..6 {
+                for layer in 0..2 {
+                    c.append_token(s, layer, &k, &k).unwrap();
+                }
+            }
+        }
+        c.swap_out(parked).unwrap();
+        assert_eq!(c.register(parked), Err(KvCacheError::DuplicateSequence(parked)));
+        assert_eq!(c.fork(other, parked, 5), Err(KvCacheError::DuplicateSequence(parked)));
+        assert_eq!(c.append_token(parked, 0, &k, &k), Err(KvCacheError::UnknownSequence(parked)));
+        c.swap_in(parked).unwrap();
+        assert_eq!(c.seq_len(parked), 6);
+        c.release(parked).unwrap();
+        c.release(other).unwrap();
+        assert_eq!(c.used_pages(), 0, "no page outlives its sequences");
+    }
+
+    #[test]
+    fn storage_follows_the_high_water_mark_not_the_capacity() {
+        let mut c = PagedKvCache::new(cfg(KvPrecision::Int4), 64);
+        let backed = |c: &PagedKvCache| c.pool.pages.iter().filter(|p| !p.data.is_empty()).count();
+        assert_eq!(backed(&c), 0, "capacity alone holds no storage");
+        let k = vec![1.0f32; 16];
+        for round in 0..3 {
+            let s = SequenceId(round);
+            c.register(s).unwrap();
+            for _ in 0..(5 + 4 * round) {
+                for layer in 0..2 {
+                    c.append_token(s, layer, &k, &k).unwrap();
+                }
+            }
+            if round == 1 {
+                c.release(SequenceId(0)).unwrap();
+            }
+            assert_eq!(backed(&c), c.peak_used_pages());
+            let page_bytes = c.config().page_bytes();
+            assert!(c.pool.pages[..c.peak_used_pages()].iter().all(|p| p.data.len() == page_bytes));
+        }
     }
 
     #[test]

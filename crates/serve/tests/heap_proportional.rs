@@ -3,14 +3,8 @@
 //! holds its residents, its backlog and one small record per completion —
 //! never the workload, never a retired request.
 //!
-//! One `#[test]` in a binary of its own, because the counting allocator is
-//! process-global: the harness runs the lone test on one thread while the
-//! main thread sleeps on its result, so exactly one thread allocates and the
-//! counters need no read-modify-write — plain atomic loads and stores. No
-//! clock, no `/proc` read: the numbers are exact and repeat.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+//! One `#[test]` in a binary of its own, because the counting allocator
+//! (`common/counting_alloc.rs`) is process-global.
 
 use qserve_gpusim::GpuSpec;
 use qserve_model::ModelConfig;
@@ -20,60 +14,13 @@ use qserve_serve::request::WorkloadSpec;
 use qserve_serve::scheduler::{MemoryAware, SchedOptions};
 use qserve_serve::{ServeConfig, ServingEngine, SystemConfig};
 
-/// Bytes the heap holds now, and the most it has held.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn moved(freed: usize, taken: usize) {
-    let live = LIVE.load(Relaxed) - freed + taken;
-    LIVE.store(live, Relaxed);
-    if live > PEAK.load(Relaxed) {
-        PEAK.store(live, Relaxed);
-    }
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` with the caller's own
-// arguments, so `System`'s contract is the caller's; the counters touch no
-// allocation.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            moved(0, layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        moved(layout.size(), 0);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            moved(layout.size(), new_size);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static HEAP: Counting = Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::peak_heap_of;
 
 fn a100() -> ServingEngine {
     ServingEngine::new(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel)
         .expect("A100 serves Llama-2-7B")
-}
-
-/// Peak live heap, over what was live at entry, of `run`.
-fn peak_heap_of(run: impl FnOnce()) -> usize {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    run();
-    PEAK.load(Relaxed) - base
 }
 
 /// Serving `n` requests of the `mega_sweep` trace on four A100 replicas
