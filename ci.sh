@@ -36,13 +36,16 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # seats each request on its first prefill slice. The KV page pool's own
 # unit tests join them: its allocator checks that a popped page is free and
 # that storage is handed out at the high-water mark are `debug_assert`s
-# too. The lib filters are a line of their own: cargo applies a test-name
+# too. So do `Request`'s: its lifecycle setters `debug_assert` that
+# `generated <= output_len`, that `prefilled <= prefill_len()` and that a
+# first token is stamped once, which every suite on these two lines drives.
+# The lib filters are a line of their own: cargo applies a test-name
 # filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: kv_cache:: \
-    model_exec::tests::functional_serve_ticks_in_lockstep
+    request:: model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden

@@ -621,7 +621,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         // A run that ends with work still parked had no restart to deliver
         // it to: those requests are shed, keeping the workload partition
         // (finished ∪ shed) exact.
-        self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo.tier)));
+        self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo().tier)));
         self.reps.iter().for_each(Replica::audit);
         let slices: Vec<ReplicaSlice<'_>> = self.reps.iter().map(Replica::slice).collect();
         aggregate(
@@ -773,7 +773,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         let key = (req.arrival_s, req.id);
         self.refresh_views();
         match self.control.place(&req, &self.views) {
-            Placement::Shed => self.shed.push((req.id, req.slo.tier)),
+            Placement::Shed => self.shed.push((req.id, req.slo().tier)),
             Placement::Route(choice) => {
                 let choice = self.checked(choice);
                 self.deliver(choice, req);
@@ -1003,7 +1003,7 @@ mod tests {
                 let views: Vec<ReplicaView> =
                     reps.iter().enumerate().map(|(i, r)| r.view(i)).collect();
                 match self.control.place(&req, &views) {
-                    Placement::Shed => shed.push((req.id, req.slo.tier)),
+                    Placement::Shed => shed.push((req.id, req.slo().tier)),
                     Placement::Route(choice) => reps[choice].submit(req),
                     Placement::Migrate { .. } => {
                         panic!("the step reference models no page migration")
@@ -1314,7 +1314,7 @@ mod tests {
         // everything is shed, nothing runs, and the report stays finite.
         let e = engine();
         let spec = WorkloadSpec::chat(12, 3).with_slos(SloSpec::Cycle(vec![
-            Slo::interactive(0.0, 0.0),
+            Slo::interactive(1e-9, 1e-9),
         ]));
         let report = Cluster::new(e, 2, Box::new(RoundRobin::default()))
             .with_admission(Box::new(DeadlineFeasible))

@@ -95,12 +95,12 @@ impl ReplicaView {
     fn estimate(&self, req: &Request) -> (f64, f64) {
         let wait_s = if self.waiting > 0 { self.est_queue_s() } else { 0.0 };
         let ttft =
-            wait_s + req.input_len as f64 / self.speed.prefill_tps + self.speed.decode_step_s;
+            wait_s + req.input_len() as f64 / self.speed.prefill_tps + self.speed.decode_step_s;
         // Whatever drain the TTFT term already charged as admission wait
         // must not be charged again as decode-time sharing.
         let drain_s =
-            (self.outstanding_tokens + req.output_len) as f64 / self.speed.decode_tps - wait_s;
-        let decode_s = (req.output_len as f64 * self.speed.decode_step_s).max(drain_s);
+            (self.outstanding_tokens + req.output_len()) as f64 / self.speed.decode_tps - wait_s;
+        let decode_s = (req.output_len() as f64 * self.speed.decode_step_s).max(drain_s);
         (ttft, ttft + decode_s)
     }
 }
@@ -219,7 +219,7 @@ impl RoutingPolicy for PrefixAffinity {
         "prefix-affinity"
     }
     fn route(&mut self, req: &Request, replicas: &[ReplicaView]) -> usize {
-        match req.prefix_group {
+        match req.prefix_group() {
             Some(g) => follow_pin(&mut self.pinned, g, replicas),
             None => least_outstanding(replicas),
         }
@@ -231,11 +231,11 @@ impl RoutingPolicy for PrefixAffinity {
 
 /// Worst `achieved ÷ deadline` ratio `req` would see on `v`, over the
 /// deadlines it carries — the scalar [`DeadlineAware`] minimizes when no
-/// replica can meet the SLO outright (an infinite ratio for a 0-second
-/// deadline is fine: `total_cmp` orders it last).
+/// replica can meet the SLO outright (deadlines are positive, so the ratio
+/// is finite wherever the estimate is).
 fn deadline_pressure(req: &Request, v: &ReplicaView) -> f64 {
     let (ttft, latency) = v.estimate(req);
-    req.slo.worst_ratio(ttft, latency)
+    req.slo().worst_ratio(ttft, latency)
 }
 
 /// Deadline-aware routing: the per-replica `(TTFT, latency)` estimate that
@@ -261,7 +261,7 @@ impl RoutingPolicy for DeadlineAware {
         "deadline-aware"
     }
     fn route(&mut self, req: &Request, replicas: &[ReplicaView]) -> usize {
-        if !req.slo.has_deadline() {
+        if !req.slo().has_deadline() {
             return least_outstanding(replicas);
         }
         // Least-loaded replica that can meet the deadline, ties to the
@@ -272,7 +272,7 @@ impl RoutingPolicy for DeadlineAware {
             .filter(|v| v.accepting)
             .filter(|v| {
                 let (ttft, latency) = v.estimate(req);
-                req.slo.met_by(ttft, latency)
+                req.slo().met_by(ttft, latency)
             })
             .min_by(|a, b| {
                 a.est_queue_s()
@@ -356,14 +356,14 @@ impl AdmissionPolicy for DeadlineFeasible {
         "deadline"
     }
     fn decide(&mut self, req: &Request, replicas: &[ReplicaView]) -> Admission {
-        if !req.slo.has_deadline() {
+        if !req.slo().has_deadline() {
             return Admission::Admit;
         }
         // Only a replica accepting work can serve the request — a drained
         // or crashed replica's estimate is not a feasible plan.
         let feasible = replicas.iter().filter(|v| v.accepting).any(|v| {
             let (ttft, latency) = v.estimate(req);
-            req.slo.met_by(ttft, latency)
+            req.slo().met_by(ttft, latency)
         });
         if feasible {
             Admission::Admit
@@ -403,7 +403,7 @@ impl AdmissionPolicy for PriorityShed {
             .filter(|v| v.accepting)
             .map(ReplicaView::est_queue_s)
             .fold(f64::INFINITY, f64::min);
-        let tolerance = match req.slo.tier {
+        let tolerance = match req.slo().tier {
             Tier::Interactive => f64::INFINITY,
             Tier::Standard => 2.0 * self.queue_budget_s,
             Tier::Batch => self.queue_budget_s,
@@ -549,7 +549,7 @@ impl ControlPlane {
         if self.admission.decide(req, views) == Admission::Shed {
             return Placement::Shed;
         }
-        if let (Some(cfg), Some(group)) = (self.migration, req.prefix_group) {
+        if let (Some(cfg), Some(group)) = (self.migration, req.prefix_group()) {
             return Self::place_pinned(&mut self.pins, &cfg, group, views);
         }
         Placement::Route(self.routing.route(req, views))
@@ -566,7 +566,7 @@ impl ControlPlane {
         if !views.iter().any(|v| v.accepting) {
             return None;
         }
-        if let (Some(cfg), Some(group)) = (self.migration, req.prefix_group) {
+        if let (Some(cfg), Some(group)) = (self.migration, req.prefix_group()) {
             return Some(match Self::place_pinned(&mut self.pins, &cfg, group, views) {
                 Placement::Route(i) => i,
                 Placement::Migrate { to, .. } => to,

@@ -890,7 +890,7 @@ mod tests {
             let lens: Vec<usize> = sched
                 .running()
                 .filter(|r| r.prefill_remaining() == 0)
-                .map(|r| r.prefilled)
+                .map(|r| r.prefilled())
                 .collect();
             let (batch, total_tokens) = sched.decode_totals();
             assert_eq!((batch, total_tokens), (lens.len(), lens.iter().sum()));

@@ -69,20 +69,36 @@ impl Default for Slo {
 
 impl Slo {
     /// An interactive-tier SLO with both deadlines set.
+    ///
+    /// # Panics
+    /// Panics unless both deadlines are finite and positive.
     pub fn interactive(ttft_deadline_s: f64, latency_deadline_s: f64) -> Self {
-        Self {
-            tier: Tier::Interactive,
-            ttft_deadline_s: Some(ttft_deadline_s),
-            latency_deadline_s: Some(latency_deadline_s),
-        }
+        Self::with_tier(Tier::Interactive, ttft_deadline_s, latency_deadline_s)
     }
 
     /// A standard-tier SLO with both deadlines set.
+    ///
+    /// # Panics
+    /// Panics unless both deadlines are finite and positive.
     pub fn standard(ttft_deadline_s: f64, latency_deadline_s: f64) -> Self {
-        Self {
-            tier: Tier::Standard,
+        Self::with_tier(Tier::Standard, ttft_deadline_s, latency_deadline_s)
+    }
+
+    fn with_tier(tier: Tier, ttft_deadline_s: f64, latency_deadline_s: f64) -> Self {
+        let slo = Self {
+            tier,
             ttft_deadline_s: Some(ttft_deadline_s),
             latency_deadline_s: Some(latency_deadline_s),
+        };
+        slo.assert_deadlines();
+        slo
+    }
+
+    /// Every deadline this SLO carries is finite and positive — so a
+    /// [`Request`] can store "no deadline" as +∞ without aliasing one.
+    fn assert_deadlines(&self) {
+        for d in [self.ttft_deadline_s, self.latency_deadline_s].into_iter().flatten() {
+            assert!(d.is_finite() && d > 0.0, "an SLO deadline must be finite and positive, not {d}");
         }
     }
 
@@ -153,14 +169,21 @@ pub enum RequestState {
 
 /// One serving request with its lifecycle accounting. `Copy`, so retirement
 /// moves each run of surviving residents down as one block.
+///
+/// Every pending and running request is one of these, so its size is what
+/// a backlog costs (README, "What a request costs in memory"): identity,
+/// times and lifecycle state are plain fields, while the token counts, the
+/// sharing group, the first-token stamp and the SLO are stored narrow and
+/// read through accessors that return their natural types — `usize`
+/// counts, an `Option<f64>` first token, a [`Slo`]. Counts are `u32`
+/// ([`Request::new`] refuses a peak that does not fit), the group a `u32`
+/// ([`Request::with_prefix`] refuses a wider one), and the three optional
+/// times plain `f64`s with non-NaN sentinels — −∞ for "no token yet", +∞
+/// for "no deadline" — so `PartialEq` stays reflexive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Stable identity (also used as the KV-cache [`crate::SequenceId`]).
     pub id: RequestId,
-    /// Prompt tokens.
-    pub input_len: usize,
-    /// Tokens to generate.
-    pub output_len: usize,
     /// When the request becomes available to the scheduler, seconds.
     pub arrival_s: f64,
     /// When the request becomes *eligible* for admission, seconds. Equals
@@ -169,50 +192,57 @@ pub struct Request {
     /// failure that displaced it. Latency and TTFT still measure from
     /// `arrival_s` — the user started waiting then.
     pub ready_s: f64,
-    /// Prefix-sharing group this request belongs to (`None` = no sharing):
-    /// requests of one group open with the same `prefix_len`-token prompt
-    /// prefix, so a resident group member's KV pages can be forked instead
-    /// of recomputed.
-    pub prefix_group: Option<u64>,
-    /// Leading prompt tokens shared with the rest of the group (≤
-    /// `input_len`; 0 when `prefix_group` is `None`).
-    pub prefix_len: usize,
-    /// Service-level objective: deadlines and priority tier. Routers and
-    /// admission policies read it; the scheduler core ignores it.
-    pub slo: Slo,
+    /// −∞ until stamped.
+    first_token_s: f64,
+    /// The SLO, read back by [`Request::slo`]: its deadlines (+∞ for none)
+    /// and its tier.
+    ttft_deadline_s: f64,
+    latency_deadline_s: f64,
+    tier: Tier,
+    // Each read back as `usize` (`Option<u64>`) by its namesake accessor.
+    input_len: u32,
+    output_len: u32,
+    prefix_len: u32,
+    generated: u32,
+    prefilled: u32,
+    prefix_group: Option<u32>,
     /// Lifecycle state.
     pub state: RequestState,
-    /// Output tokens generated so far (survives preemption).
-    pub generated: usize,
-    /// Tokens materialized in the KV cache this residency: aliased via
-    /// prefix fork, computed by (possibly chunked) prefill, then one per
-    /// decoded token — the sequence length (0 while queued). Decode starts
-    /// once this reaches [`Request::prefill_len`].
-    pub prefilled: usize,
-    /// Clock at which the first output token completed (TTFT marker).
-    pub first_token_s: Option<f64>,
     /// Whether a crash ever requeued this request off a replica.
     pub requeued: bool,
 }
 
+/// A token count as a [`Request`] stores it.
+fn narrow(count: usize) -> u32 {
+    u32::try_from(count).expect("a request's token counts fit u32")
+}
+
 impl Request {
     /// A fresh queued request.
+    ///
+    /// # Panics
+    /// Panics on an empty prompt or output, or a peak (`input_len +
+    /// output_len`, the longest the sequence grows) above `u32::MAX`.
     pub fn new(id: RequestId, input_len: usize, output_len: usize, arrival_s: f64) -> Self {
         assert!(input_len > 0, "request needs at least one prompt token");
         assert!(output_len > 0, "request must generate at least one token");
+        let peak = input_len.checked_add(output_len).and_then(|peak| u32::try_from(peak).ok());
+        assert!(peak.is_some(), "request peak of {input_len} + {output_len} tokens exceeds u32::MAX");
         Self {
             id,
-            input_len,
-            output_len,
             arrival_s,
             ready_s: arrival_s,
-            prefix_group: None,
+            first_token_s: f64::NEG_INFINITY,
+            ttft_deadline_s: f64::INFINITY,
+            latency_deadline_s: f64::INFINITY,
+            tier: Tier::Standard,
+            input_len: narrow(input_len),
+            output_len: narrow(output_len),
             prefix_len: 0,
-            slo: Slo::default(),
-            state: RequestState::Queued,
             generated: 0,
             prefilled: 0,
-            first_token_s: None,
+            prefix_group: None,
+            state: RequestState::Queued,
             requeued: false,
         }
     }
@@ -223,39 +253,125 @@ impl Request {
     /// # Panics
     /// Panics if the prefix exceeds the prompt, or leaves no private suffix
     /// (a request must contribute at least one token of its own so the last
-    /// prompt position always produces fresh logits).
+    /// prompt position always produces fresh logits), or if `group` is
+    /// above `u32::MAX`.
     pub fn with_prefix(mut self, group: u64, prefix_len: usize) -> Self {
-        assert!(prefix_len < self.input_len, "prefix must leave a private suffix");
+        assert!(prefix_len < self.input_len(), "prefix must leave a private suffix");
+        let group = u32::try_from(group).unwrap_or_else(|_| panic!("prefix group {group} exceeds u32::MAX"));
         self.prefix_group = Some(group);
-        self.prefix_len = prefix_len;
+        self.prefix_len = narrow(prefix_len);
         self
     }
 
     /// Attaches a service-level objective (builder-style).
+    ///
+    /// # Panics
+    /// Panics on a deadline that is not finite and positive (a struct
+    /// literal can build one; [`Slo`]'s constructors cannot).
     pub fn with_slo(mut self, slo: Slo) -> Self {
-        self.slo = slo;
+        slo.assert_deadlines();
+        self.tier = slo.tier;
+        self.ttft_deadline_s = slo.ttft_deadline_s.unwrap_or(f64::INFINITY);
+        self.latency_deadline_s = slo.latency_deadline_s.unwrap_or(f64::INFINITY);
         self
+    }
+
+    /// Prompt tokens.
+    pub fn input_len(&self) -> usize {
+        self.input_len as usize
+    }
+
+    /// Tokens to generate.
+    pub fn output_len(&self) -> usize {
+        self.output_len as usize
+    }
+
+    /// Prefix-sharing group this request belongs to (`None` = no sharing):
+    /// requests of one group open with the same `prefix_len`-token prompt
+    /// prefix, so a resident group member's KV pages can be forked instead
+    /// of recomputed.
+    pub fn prefix_group(&self) -> Option<u64> {
+        self.prefix_group.map(u64::from)
+    }
+
+    /// Leading prompt tokens shared with the rest of the group (<
+    /// `input_len`; 0 when `prefix_group` is `None`).
+    pub fn prefix_len(&self) -> usize {
+        self.prefix_len as usize
+    }
+
+    /// Service-level objective: deadlines and priority tier. Routers and
+    /// admission policies read it; the scheduler core ignores it.
+    pub fn slo(&self) -> Slo {
+        let deadline = |d: f64| d.is_finite().then_some(d);
+        Slo {
+            tier: self.tier,
+            ttft_deadline_s: deadline(self.ttft_deadline_s),
+            latency_deadline_s: deadline(self.latency_deadline_s),
+        }
+    }
+
+    /// Output tokens generated so far (survives preemption).
+    pub fn generated(&self) -> usize {
+        self.generated as usize
+    }
+
+    /// Tokens materialized in the KV cache this residency: aliased via
+    /// prefix fork, computed by (possibly chunked) prefill, then one per
+    /// decoded token — the sequence length (0 while queued). Decode starts
+    /// once this reaches [`Request::prefill_len`].
+    pub fn prefilled(&self) -> usize {
+        self.prefilled as usize
+    }
+
+    /// Clock at which the first output token completed (TTFT marker).
+    pub fn first_token_s(&self) -> Option<f64> {
+        self.first_token_s.is_finite().then_some(self.first_token_s)
+    }
+
+    /// Sets the tokens materialized this residency: what admission aliased,
+    /// prefill advanced to, or eviction wiped (0).
+    pub fn set_prefilled(&mut self, tokens: usize) {
+        self.prefilled = narrow(tokens);
+        debug_assert!(self.prefilled() <= self.prefill_len(), "request {:?} prefilled past its prompt", self.id);
+    }
+
+    /// Records `tokens` decoded: each is one more output token and one more
+    /// materialized token of context.
+    pub fn decoded(&mut self, tokens: usize) {
+        self.generated = narrow(self.generated() + tokens);
+        self.prefilled = narrow(self.prefilled() + tokens);
+        debug_assert!(self.generated <= self.output_len, "request {:?} decoded past its output", self.id);
+        debug_assert!(self.prefilled() <= self.prefill_len(), "request {:?} prefilled past its prompt", self.id);
+    }
+
+    /// Stamps the clock at which the first output token completed — once
+    /// per request, whatever its preemptions.
+    pub fn stamp_first_token(&mut self, clock_s: f64) {
+        debug_assert!(self.first_token_s().is_none(), "request {:?}: a first token stamped twice", self.id);
+        debug_assert!(clock_s.is_finite(), "request {:?}: a first token at {clock_s}", self.id);
+        self.first_token_s = clock_s;
     }
 
     /// Peak KV footprint in tokens (prompt + full output).
     pub fn peak_len(&self) -> usize {
-        self.input_len + self.output_len
+        self.input_len() + self.output_len()
     }
 
     /// Output tokens still to generate.
     pub fn remaining(&self) -> usize {
-        self.output_len - self.generated
+        self.output_len() - self.generated()
     }
 
     /// Tokens to prefill on (re-)admission: the prompt plus any already
     /// generated tokens that must be recomputed after a preemption.
     pub fn prefill_len(&self) -> usize {
-        self.input_len + self.generated
+        self.input_len() + self.generated()
     }
 
     /// Prefill tokens still to materialize this residency (0 once decoding).
     pub fn prefill_remaining(&self) -> usize {
-        self.prefill_len() - self.prefilled
+        self.prefill_len() - self.prefilled()
     }
 }
 
@@ -609,8 +725,10 @@ impl WorkloadSpec {
     /// # Panics
     /// Panics on a malformed spec (a non-positive rate, a trough above the
     /// peak, a multi-turn grid that disagrees with `num_requests`, zero
-    /// sharing groups, an empty length range or one admitting 0) — here,
-    /// when called, not on the first `next()`.
+    /// sharing groups, an empty length range or one admitting 0) or one a
+    /// [`Request`] cannot hold (a group id, or a longest request — multi-turn
+    /// history included — above `u32::MAX`) — here, when called, not on the
+    /// first `next()`.
     pub fn arrivals(&self) -> impl Iterator<Item = Request> + '_ {
         for (dist, what) in [(&self.input, "input"), (&self.output, "output")] {
             let ranges = match *dist {
@@ -637,14 +755,40 @@ impl WorkloadSpec {
             }
             ArrivalPattern::Batch => {}
         }
+        // The longest request any draw makes, and every group id, must fit
+        // the `u32`s a `Request` holds them in.
+        let (suffix_hi, output_hi) = (self.input.bounds().1, self.output.bounds().1);
+        let fits = |tokens: Option<usize>| tokens.is_some_and(|t| u32::try_from(t).is_ok());
         match self.sharing {
-            PrefixSharing::MultiTurn { conversations, turns } => assert_eq!(
-                conversations * turns,
-                self.num_requests,
-                "conversations × turns must equal num_requests"
+            PrefixSharing::MultiTurn { conversations, turns } => {
+                assert_eq!(
+                    conversations * turns,
+                    self.num_requests,
+                    "conversations × turns must equal num_requests"
+                );
+                assert!(
+                    u32::try_from(conversations.saturating_sub(1)).is_ok(),
+                    "{conversations} conversations exceed u32 group ids"
+                );
+                let history = suffix_hi.checked_add(output_hi).and_then(|turn| turn.checked_mul(turns));
+                assert!(
+                    fits(history),
+                    "multi-turn history of {turns} turns × ({suffix_hi} + {output_hi}) tokens exceeds u32::MAX"
+                );
+            }
+            PrefixSharing::Groups { groups, prefix_len } => {
+                assert!(groups > 0, "prefix sharing needs a group");
+                assert!(u32::try_from(groups - 1).is_ok(), "{groups} sharing groups exceed u32 group ids");
+                let peak = prefix_len.checked_add(suffix_hi).and_then(|p| p.checked_add(output_hi));
+                assert!(
+                    fits(peak),
+                    "a {prefix_len}-token prefix + {suffix_hi} + {output_hi} tokens exceeds u32::MAX"
+                );
+            }
+            PrefixSharing::None => assert!(
+                fits(suffix_hi.checked_add(output_hi)),
+                "lengths up to {suffix_hi} in + {output_hi} out exceed u32::MAX"
             ),
-            PrefixSharing::Groups { groups, .. } => assert!(groups > 0, "prefix sharing needs a group"),
-            PrefixSharing::None => {}
         }
         let mut rng = TensorRng::seed(self.seed);
         let mut clock = 0.0f64;
@@ -730,12 +874,12 @@ impl WorkloadSpec {
         let mut stream_len: std::collections::BTreeMap<u64, usize> =
             std::collections::BTreeMap::new();
         for r in requests {
-            if let Some(g) = r.prefix_group {
+            if let Some(g) = r.prefix_group() {
                 let need = match self.sharing {
                     // Group prefixes are fixed-length; suffixes are private.
                     PrefixSharing::Groups { prefix_len, .. } => prefix_len,
                     // Conversation streams carry whole prompts.
-                    _ => r.input_len,
+                    _ => r.input_len(),
                 };
                 let e = stream_len.entry(g).or_insert(0);
                 *e = (*e).max(need);
@@ -753,16 +897,16 @@ impl WorkloadSpec {
                 let private = |len: usize| {
                     TensorRng::seed(sub_seed(0x5355_4646, r.id.0)).token_sequence(len, vocab)
                 };
-                let prompt = match (r.prefix_group, self.sharing) {
+                let prompt = match (r.prefix_group(), self.sharing) {
                     (Some(g), PrefixSharing::Groups { prefix_len, .. }) => {
                         let mut p = streams[&g][..prefix_len].to_vec();
-                        p.extend(private(r.input_len - prefix_len));
+                        p.extend(private(r.input_len() - prefix_len));
                         p
                     }
                     (Some(g), PrefixSharing::MultiTurn { .. }) => {
-                        streams[&g][..r.input_len].to_vec()
+                        streams[&g][..r.input_len()].to_vec()
                     }
-                    _ => private(r.input_len),
+                    _ => private(r.input_len()),
                 };
                 (r.id, prompt)
             })
@@ -797,7 +941,7 @@ mod tests {
         assert_eq!(r.peak_len(), 120);
         assert_eq!(r.remaining(), 20);
         assert_eq!(r.prefill_len(), 100);
-        r.generated = 5;
+        r.decoded(5);
         assert_eq!(r.remaining(), 15);
         assert_eq!(r.prefill_len(), 105); // recompute includes generated
     }
@@ -807,7 +951,7 @@ mod tests {
     /// in memory").
     #[test]
     fn request_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Request>(), 144);
+        assert_eq!(std::mem::size_of::<Request>(), 80);
     }
 
     #[test]
@@ -815,7 +959,7 @@ mod tests {
         let reqs = WorkloadSpec::paper(8).sample();
         assert_eq!(reqs.len(), 8);
         for r in &reqs {
-            assert_eq!((r.input_len, r.output_len), (1024, 512));
+            assert_eq!((r.input_len(), r.output_len()), (1024, 512));
             assert_eq!(r.arrival_s, 0.0);
             assert_eq!(r.state, RequestState::Queued);
         }
@@ -827,8 +971,8 @@ mod tests {
         let (ilo, ihi) = spec.input.bounds();
         let (olo, ohi) = spec.output.bounds();
         for r in spec.sample() {
-            assert!((ilo..=ihi).contains(&r.input_len));
-            assert!((olo..=ohi).contains(&r.output_len));
+            assert!((ilo..=ihi).contains(&r.input_len()));
+            assert!((olo..=ohi).contains(&r.output_len()));
         }
         assert_eq!(spec.max_peak_len(), 4096 + 1024);
     }
@@ -836,8 +980,8 @@ mod tests {
     #[test]
     fn bimodal_hits_both_modes() {
         let reqs = WorkloadSpec::mixed(200, 5).sample();
-        assert!(reqs.iter().any(|r| r.input_len <= 512), "short mode unused");
-        assert!(reqs.iter().any(|r| r.input_len >= 2048), "long mode unused");
+        assert!(reqs.iter().any(|r| r.input_len() <= 512), "short mode unused");
+        assert!(reqs.iter().any(|r| r.input_len() >= 2048), "long mode unused");
     }
 
     #[test]
@@ -847,12 +991,12 @@ mod tests {
         assert_eq!(reqs.len(), 64);
         let mut groups_seen = std::collections::HashSet::new();
         for r in &reqs {
-            let g = r.prefix_group.expect("every request belongs to a group");
+            let g = r.prefix_group().expect("every request belongs to a group");
             assert!(g < 4);
             groups_seen.insert(g);
-            assert_eq!(r.prefix_len, 256);
-            assert!(r.input_len > 256, "prefix + private suffix");
-            assert!(r.input_len <= 256 + 128);
+            assert_eq!(r.prefix_len(), 256);
+            assert!(r.input_len() > 256, "prefix + private suffix");
+            assert!(r.input_len() <= 256 + 128);
         }
         assert!(groups_seen.len() > 1, "more than one tenant must appear");
         assert_eq!(spec.max_peak_len(), 256 + 128 + 128);
@@ -868,16 +1012,16 @@ mod tests {
         for c in 0..3usize {
             let turns: Vec<&Request> =
                 (0..4).map(|t| &reqs[t * 3 + c]).collect();
-            assert_eq!(turns[0].prefix_len, 0, "first turn has no history");
+            assert_eq!(turns[0].prefix_len(), 0, "first turn has no history");
             for w in turns.windows(2) {
                 let (prev, next) = (w[0], w[1]);
-                assert_eq!(prev.prefix_group, next.prefix_group);
+                assert_eq!(prev.prefix_group(), next.prefix_group());
                 assert_eq!(
-                    next.prefix_len,
-                    prev.input_len + prev.output_len,
+                    next.prefix_len(),
+                    prev.input_len() + prev.output_len(),
                     "turn history = whole previous context"
                 );
-                assert!(next.input_len > next.prefix_len);
+                assert!(next.input_len() > next.prefix_len());
             }
         }
     }
@@ -890,17 +1034,17 @@ mod tests {
         for a in &reqs {
             for b in &reqs {
                 let (pa, pb) = (&prompts[&a.id], &prompts[&b.id]);
-                if a.id != b.id && a.prefix_group == b.prefix_group {
+                if a.id != b.id && a.prefix_group() == b.prefix_group() {
                     assert_eq!(pa[..32], pb[..32], "group prefix must be byte-equal");
                     assert_ne!(pa[32..], pb[32..], "suffixes are private");
                 }
             }
-            assert_eq!(prompts[&a.id].len(), a.input_len);
+            assert_eq!(prompts[&a.id].len(), a.input_len());
         }
         // Distinct groups get distinct prefixes.
         let (a, b) = (
-            reqs.iter().find(|r| r.prefix_group == Some(0)).unwrap(),
-            reqs.iter().find(|r| r.prefix_group == Some(1)).unwrap(),
+            reqs.iter().find(|r| r.prefix_group() == Some(0)).unwrap(),
+            reqs.iter().find(|r| r.prefix_group() == Some(1)).unwrap(),
         );
         assert_ne!(prompts[&a.id][..32], prompts[&b.id][..32]);
     }
@@ -935,10 +1079,10 @@ mod tests {
         assert_eq!(plain.len(), slod.len());
         for (a, b) in plain.iter().zip(&slod) {
             // Lengths and arrivals must be bit-identical; only the SLO moves.
-            assert_eq!((a.input_len, a.output_len), (b.input_len, b.output_len));
+            assert_eq!((a.input_len(), a.output_len()), (b.input_len(), b.output_len()));
             assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
-            assert_eq!(a.slo, Slo::default());
-            assert_eq!(b.slo, classes[b.id.0 as usize % 3]);
+            assert_eq!(a.slo(), Slo::default());
+            assert_eq!(b.slo(), classes[b.id.0 as usize % 3]);
         }
     }
 
@@ -1046,6 +1190,75 @@ mod tests {
         let output = LengthDist::Uniform { lo: 0, hi: 4 };
         let spec = WorkloadSpec { output, ..WorkloadSpec::chat(4, 1) };
         let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths up to 4294967296 in + 256 out exceed u32::MAX")]
+    fn arrivals_refuses_a_length_above_u32_before_the_first_next() {
+        let input = LengthDist::Uniform { lo: 1, hi: 1 << 32 };
+        let spec = WorkloadSpec { input, ..WorkloadSpec::chat(4, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967297 sharing groups exceed u32 group ids")]
+    fn arrivals_refuses_group_ids_above_u32_before_the_first_next() {
+        let sharing = PrefixSharing::Groups { groups: (1 << 32) + 1, prefix_len: 8 };
+        let spec = WorkloadSpec { sharing, ..WorkloadSpec::chat(4, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-turn history of 16777216 turns × (512 + 256) tokens exceeds u32::MAX")]
+    fn arrivals_refuses_a_multi_turn_history_above_u32_before_the_first_next() {
+        let sharing = PrefixSharing::MultiTurn { conversations: 1, turns: 1 << 24 };
+        let spec = WorkloadSpec { num_requests: 1 << 24, sharing, ..WorkloadSpec::chat(0, 1) };
+        let _unpolled = spec.arrivals();
+    }
+
+    #[test]
+    #[should_panic(expected = "request peak of 4294967295 + 1 tokens exceeds u32::MAX")]
+    fn new_refuses_a_peak_above_u32() {
+        let _ = Request::new(RequestId(0), u32::MAX.try_into().unwrap(), 1, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix group 4294967296 exceeds u32::MAX")]
+    fn with_prefix_refuses_a_group_above_u32() {
+        let _ = Request::new(RequestId(0), 8, 1, 0.0).with_prefix(1 << 32, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "an SLO deadline must be finite and positive, not inf")]
+    fn slo_refuses_an_infinite_deadline() {
+        let _ = Slo::interactive(f64::INFINITY, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "an SLO deadline must be finite and positive, not 0")]
+    fn slo_refuses_a_zero_deadline() {
+        let _ = Slo::standard(1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "an SLO deadline must be finite and positive, not NaN")]
+    fn with_slo_refuses_a_literal_nan_deadline() {
+        let slo = Slo { ttft_deadline_s: Some(f64::NAN), ..Slo::default() };
+        let _ = Request::new(RequestId(0), 8, 1, 0.0).with_slo(slo);
+    }
+
+    #[test]
+    fn narrow_fields_read_back_as_stored() {
+        let slo = Slo { latency_deadline_s: Some(3.5), ..Slo::best_effort() };
+        let mut r = Request::new(RequestId(9), 12, 5, 0.25).with_prefix(u32::MAX.into(), 11).with_slo(slo);
+        assert_eq!((r.input_len(), r.output_len(), r.prefix_len()), (12, 5, 11));
+        assert_eq!((r.prefix_group(), r.slo()), (Some(u64::from(u32::MAX)), slo));
+        assert_eq!((r.generated(), r.prefilled(), r.first_token_s()), (0, 0, None));
+        r.set_prefilled(12);
+        r.stamp_first_token(0.0);
+        r.decoded(2);
+        assert_eq!((r.generated(), r.prefilled(), r.first_token_s()), (2, 14, Some(0.0)));
+        assert_eq!(r, r, "sentinels keep equality reflexive");
     }
 
     qserve_tensor::props! {

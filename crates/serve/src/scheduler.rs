@@ -82,7 +82,7 @@ impl SchedulingPolicy for ShortestJobFirst {
         waiting
             .iter()
             .enumerate()
-            .min_by_key(|(_, r)| (r.remaining(), r.input_len, r.id))
+            .min_by_key(|(_, r)| (r.remaining(), r.input_len(), r.id))
             .map(|(i, _)| i)
     }
 }
@@ -228,20 +228,21 @@ impl FinishedRequest {
     /// the record's own accessors — the floats every report reads later —
     /// and the achieved ÷ deadline ratio is computed here and nowhere else.
     fn retire(req: &Request, clock: f64) -> Self {
+        let slo = req.slo();
         let mut done = Self {
             id: req.id,
             arrival_s: req.arrival_s,
-            first_token_s: req.first_token_s.expect("a retiring request decoded a token"),
+            first_token_s: req.first_token_s().expect("a retiring request decoded a token"),
             finish_s: clock,
             worst_ratio: 0.0,
-            generated: u32::try_from(req.generated).expect("output length fits u32"),
-            has_deadline: req.slo.has_deadline(),
+            generated: u32::try_from(req.generated()).expect("output length fits u32"),
+            has_deadline: slo.has_deadline(),
             met_slo: false,
             requeued: req.requeued,
         };
         let (ttft_s, latency_s) = (done.ttft_s(), done.latency_s());
-        done.met_slo = req.slo.met_by(ttft_s, latency_s);
-        done.worst_ratio = req.slo.worst_ratio(ttft_s, latency_s);
+        done.met_slo = slo.met_by(ttft_s, latency_s);
+        done.worst_ratio = slo.worst_ratio(ttft_s, latency_s);
         done
     }
 
@@ -371,8 +372,7 @@ fn catch_up(r: &mut Request, done_at: usize, steps: usize) {
     if r.prefill_remaining() == 0 {
         let owed = done_at.checked_sub(steps).expect("a resident decoded past its output length");
         let behind = r.remaining().checked_sub(owed).expect("a resident ran ahead of the step count");
-        r.generated += behind;
-        r.prefilled += behind; // decoded tokens are materialized context too
+        r.decoded(behind);
     }
 }
 
@@ -522,7 +522,7 @@ impl Scheduler {
     pub fn decode_totals(&self) -> (usize, usize) {
         debug_assert_eq!(
             self.decode_tokens,
-            self.running().filter(|r| r.prefill_remaining() == 0).map(|r| r.prefilled).sum::<usize>(),
+            self.running().filter(|r| r.prefill_remaining() == 0).map(|r| r.prefilled()).sum::<usize>(),
             "decodable-token counter drifted from the ground-truth scan"
         );
         (self.handles.len() - self.prefilling(), self.decode_tokens)
@@ -539,7 +539,7 @@ impl Scheduler {
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
-            self.decode_tokens += req.prefilled;
+            self.decode_tokens += req.prefilled();
             self.arm(self.handles.len() - 1, budget);
         }
     }
@@ -554,7 +554,7 @@ impl Scheduler {
         self.page_end[i] = self.steps + room;
         self.done_at[i] = self.steps + r.remaining();
         self.next_done = self.next_done.min(self.done_at[i]);
-        if r.first_token_s.is_none() {
+        if r.first_token_s().is_none() {
             self.fresh.push(self.handles[i].0);
         }
     }
@@ -572,7 +572,7 @@ impl Scheduler {
         } else {
             self.decode_tokens = self
                 .decode_tokens
-                .checked_sub(req.prefilled)
+                .checked_sub(req.prefilled())
                 .expect("decodable-token counter underflow at eviction");
         }
         (req, handle)
@@ -617,18 +617,18 @@ impl Scheduler {
     /// its whole `prefill_len()`, since this tick's pass completes it first,
     /// so whole-prompt admission never holds.
     fn share(&self, candidate: &Request) -> Option<(usize, Option<u64>)> {
-        let Some(group) = candidate.prefix_group else { return Some((0, None)) };
+        let Some(group) = candidate.prefix_group() else { return Some((0, None)) };
         let whole = self.opts.chunk_tokens.is_none();
         let (mut aliased, mut potential, mut resident) = (0, 0, false);
-        for r in self.residents().filter(|r| r.prefix_group == Some(group)) {
-            let reach = candidate.prefix_len.min(r.prefix_len);
-            let held = if whole { r.prefill_len() } else { r.prefilled };
+        for r in self.residents().filter(|r| r.prefix_group() == Some(group)) {
+            let reach = candidate.prefix_len().min(r.prefix_len());
+            let held = if whole { r.prefill_len() } else { r.prefilled() };
             aliased = aliased.max(reach.min(held));
             (potential, resident) = (potential.max(reach), true);
         }
         // A migrated-in prefix is aliasable even with no resident sibling:
         // its pages arrived warm over the peer link.
-        let warm = self.warm_prefixes.get(&group).map_or(0, |&t| t.min(candidate.prefix_len));
+        let warm = self.warm_prefixes.get(&group).map_or(0, |&t| t.min(candidate.prefix_len()));
         let shared = aliased.max(warm);
         (potential <= shared).then_some((shared, (shared > 0 || !resident).then_some(group)))
     }
@@ -782,7 +782,7 @@ impl Scheduler {
             // compute it); a joiner's coverage is exactly what it aliases.
             let pool_tokens = match (group, shared) {
                 (None, _) => 0,
-                (Some(_), 0) => candidate.prefix_len,
+                (Some(_), 0) => candidate.prefix_len(),
                 (Some(_), grant) => grant,
             };
             let Some(handle) = budget.admit(
@@ -804,7 +804,7 @@ impl Scheduler {
             req.state = RequestState::Running;
             // A queued request held nothing (eviction wipes `prefilled`), so
             // the owed-work counter shrinks by exactly the tokens aliased.
-            req.prefilled = shared;
+            req.set_prefilled(shared);
             self.outstanding = self
                 .outstanding
                 .checked_sub(shared)
@@ -840,8 +840,8 @@ impl Scheduler {
             let r = &mut self.requests[self.handles[i].0];
             let remaining = r.prefill_remaining();
             let take = remaining.min(chunk_tokens);
-            self.slices.push((r.id, take, r.prefilled));
-            r.prefilled += take;
+            self.slices.push((r.id, take, r.prefilled()));
+            r.set_prefilled(r.prefilled() + take);
             taken += take;
             if take == remaining {
                 // Last slice: the resident joins the decodable set.
@@ -849,7 +849,7 @@ impl Scheduler {
                     .prefilling
                     .checked_sub(1)
                     .expect("prefilling counter underflow in prefill");
-                self.decode_tokens += r.prefilled;
+                self.decode_tokens += r.prefilled();
                 self.arm(i, budget);
             }
         }
@@ -912,9 +912,9 @@ impl Scheduler {
         for req in &mut victims {
             // Wiping `prefilled` re-owes the work; queued victims had
             // nothing materialized, so they contribute zero.
-            lost += req.prefilled;
+            lost += req.prefilled();
             req.state = RequestState::Queued;
-            req.prefilled = 0;
+            req.set_prefilled(0);
         }
         // Nothing is pending or running any more, so nothing is owed here;
         // the requeued requests will re-owe their work wherever they land.
@@ -1017,15 +1017,34 @@ impl Scheduler {
     /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an
     /// evicted resident that is its original place, so FCFS re-admits it
     /// first. A request that sorts last (every fresh arrival, in order) is
-    /// pushed without a search.
+    /// pushed without a search. Any other gallops from the front — probes
+    /// 0, 1, 3, 7, … until one sorts after it, then bisects that bracket:
+    /// a LIFO victim re-enters behind only the earlier victims, so the
+    /// search reads O(log slot) records, not O(log backlog) cold ones.
     fn enqueue(&mut self, req: Request) {
         let key = (req.ready_s, req.id);
-        if self.pending.back().is_none_or(|r| (r.ready_s, r.id) <= key) {
+        let before = |r: &Request| (r.ready_s, r.id) <= key;
+        if self.pending.back().is_none_or(before) {
             self.pending.push_back(req);
-        } else {
-            let at = self.pending.partition_point(|r| (r.ready_s, r.id) <= key);
-            self.pending.insert(at, req);
+            return;
         }
+        // The back sorts after `req`, so the probe stops by the last index.
+        let last = self.pending.len() - 1;
+        let (mut lo, mut hi) = (0, 0);
+        while before(&self.pending[hi]) {
+            lo = hi + 1;
+            hi = (2 * hi + 1).min(last);
+        }
+        // `pending[..lo]` sorts before or with `req`, `pending[hi]` after it.
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(&self.pending[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.pending.insert(lo, req);
     }
 
     fn preempt<B: KvBudget>(&mut self, idx: usize, budget: &mut B) {
@@ -1034,8 +1053,8 @@ impl Scheduler {
         req.state = RequestState::Queued;
         // Resetting `prefilled` re-owes the recompute work (prompt plus the
         // tokens generated so far): the counter grows by what was wiped.
-        self.outstanding += req.prefilled;
-        req.prefilled = 0;
+        self.outstanding += req.prefilled();
+        req.set_prefilled(0);
         self.preemptions += 1;
         self.enqueue(req);
     }
@@ -1062,7 +1081,7 @@ impl Scheduler {
         let (clock, steps) = (self.clock, self.steps);
         // A seat make-room vacated is stamped harmlessly: nobody sits there.
         for seat in self.fresh.drain(..) {
-            self.requests[seat].first_token_s = Some(clock);
+            self.requests[seat].stamp_first_token(clock);
         }
         self.retiring.clear();
         if steps >= self.next_done {
@@ -1105,7 +1124,7 @@ impl Scheduler {
         let mut kept = first;
         for (k, &at) in self.retiring.iter().enumerate() {
             let req = &self.requests[self.handles[at].0];
-            retired_tokens += req.prefilled;
+            retired_tokens += req.prefilled();
             budget.release(req.id, Some(self.handles[at]));
             // A retiring request owes nothing: its final token was just
             // counted.
@@ -1306,7 +1325,7 @@ mod tests {
                 for &(id, new, past) in slices {
                     assert!(new <= 4 && past + new <= 10);
                     let r = sched.running().find(|r| r.id == id).unwrap();
-                    assert_eq!(r.prefilled, past + new, "the pass advanced {id:?} by its slice");
+                    assert_eq!(r.prefilled(), past + new, "the pass advanced {id:?} by its slice");
                 }
                 0.1 * slices.len() as f64
             }
@@ -1469,7 +1488,7 @@ mod tests {
             1e-3 * pages as f64
         }
         fn decode(&mut self, sched: &Scheduler) -> f64 {
-            let retires = |r: &Request| r.prefill_remaining() == 0 && r.generated + 1 == r.output_len;
+            let retires = |r: &Request| r.prefill_remaining() == 0 && r.generated() + 1 == r.output_len();
             self.batch = sched.running().map(|r| (r.id.0, retires(&r))).collect();
             0.01
         }
@@ -1583,8 +1602,8 @@ mod tests {
     fn finished_record_carries_the_floats_reports_read() {
         use crate::request::Slo;
         let mut r = Request::new(RequestId(7), 8, 4, 1.0).with_slo(Slo::interactive(1.0, 4.0));
-        r.first_token_s = Some(1.5);
-        r.generated = 4;
+        r.stamp_first_token(1.5);
+        r.decoded(4);
         r.requeued = true;
         let done = FinishedRequest::retire(&r, 4.0);
         assert_eq!((done.id, done.generated(), done.requeued), (RequestId(7), 4, true));

@@ -205,7 +205,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         // `prefilling`, the decodable `(count, Σ prefilled)`) against a full
         // scan in debug builds.
         let _ = (sched.outstanding_tokens(), sched.decode_totals());
-        let decoded = sched.running().filter(|r| r.generated > 0).map(|r| r.id);
+        let decoded = sched.running().filter(|r| r.generated() > 0).map(|r| r.id);
         for id in decoded.chain(sched.finished().iter().map(|r| r.id)) {
             first_token_seen.entry(id).or_insert(sched.clock());
         }

@@ -56,7 +56,7 @@ pub fn price(hook: &Hook, batch: &[Request]) -> f64 {
         Hook::Swap(pages) => 1e-5 * *pages as f64,
         Hook::Decode => {
             let decodable = batch.iter().filter(|r| r.prefill_remaining() == 0);
-            let (n, tokens) = decodable.fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled));
+            let (n, tokens) = decodable.fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled()));
             2e-3 + 1e-5 * n as f64 + 1e-6 * tokens as f64
         }
         Hook::Preempted(..) | Hook::Retired(_) => 0.0,
@@ -83,15 +83,15 @@ pub fn done_of(f: &FinishedRequest) -> Done {
 
 /// `r`'s record, retiring at `clock`.
 fn retire(r: &Request, clock: f64) -> Done {
-    let first = r.first_token_s.expect("a retiring request decoded a token");
+    let first = r.first_token_s().expect("a retiring request decoded a token");
     let (ttft, latency) = (first - r.arrival_s, clock - r.arrival_s);
-    let ratio = r.slo.has_deadline().then(|| {
-        let ttft = r.slo.ttft_deadline_s.map_or(0.0, |d| ttft / d);
-        let latency = r.slo.latency_deadline_s.map_or(0.0, |d| latency / d);
+    let ratio = r.slo().has_deadline().then(|| {
+        let ttft = r.slo().ttft_deadline_s.map_or(0.0, |d| ttft / d);
+        let latency = r.slo().latency_deadline_s.map_or(0.0, |d| latency / d);
         0.0f64.max(ttft).max(latency).to_bits()
     });
-    let met = r.slo.met_by(ttft, latency);
-    (r.id, r.arrival_s.to_bits(), first.to_bits(), clock.to_bits(), r.generated, met, r.requeued, ratio)
+    let met = r.slo().met_by(ttft, latency);
+    (r.id, r.arrival_s.to_bits(), first.to_bits(), clock.to_bits(), r.generated(), met, r.requeued, ratio)
 }
 
 /// The reference scheduler.
@@ -159,7 +159,7 @@ impl Reference {
     /// `(count, Σ prefilled)` over the decodable residents.
     pub fn decode_totals(&self) -> (usize, usize) {
         let decodable = self.running.iter().filter(|r| r.prefill_remaining() == 0);
-        decodable.fold((0, 0), |(n, t), r| (n + 1, t + r.prefilled))
+        decodable.fold((0, 0), |(n, t), r| (n + 1, t + r.prefilled()))
     }
 
     /// Logs `hook` with the batch as it stands and returns its price.
@@ -176,8 +176,8 @@ impl Reference {
             for r in &mut self.running {
                 let take = r.prefill_remaining().min(chunk_tokens);
                 if take > 0 {
-                    slices.push((r.id, take, r.prefilled));
-                    r.prefilled += take;
+                    slices.push((r.id, take, r.prefilled()));
+                    r.set_prefilled(r.prefilled() + take);
                 }
             }
         }
@@ -202,14 +202,15 @@ impl Reference {
         self.clock += self.see(Hook::Decode, log);
         let clock = self.clock;
         for r in self.running.iter_mut().filter(|r| r.prefill_remaining() == 0) {
-            r.generated += 1;
-            r.prefilled += 1;
-            r.first_token_s.get_or_insert(clock);
+            r.decoded(1);
+            if r.first_token_s().is_none() {
+                r.stamp_first_token(clock);
+            }
         }
         let mut retired = Vec::new();
         let (handles, finished) = (&mut self.handles, &mut self.finished);
         self.running.retain(|r| {
-            if r.generated < r.output_len {
+            if r.generated() < r.output_len() {
                 return true;
             }
             budget.release(r.id, Some(handles.remove(&r.id).expect("a resident has a seat")));
@@ -245,25 +246,25 @@ impl Reference {
                 continue;
             }
             let share = self.opts.share_prefixes;
-            let siblings: Vec<&Request> = match c.prefix_group {
-                Some(g) if share => self.running.iter().filter(|r| r.prefix_group == Some(g)).collect(),
+            let siblings: Vec<&Request> = match c.prefix_group() {
+                Some(g) if share => self.running.iter().filter(|r| r.prefix_group() == Some(g)).collect(),
                 _ => Vec::new(),
             };
             let shared = siblings
                 .iter()
-                .map(|r| c.prefix_len.min(r.prefix_len).min(r.prefilled))
+                .map(|r| c.prefix_len().min(r.prefix_len()).min(r.prefilled()))
                 .max()
                 .unwrap_or(0);
             // Hold while a sibling could give more once its chunks land.
-            let potential = siblings.iter().map(|r| c.prefix_len.min(r.prefix_len)).max().unwrap_or(0);
+            let potential = siblings.iter().map(|r| c.prefix_len().min(r.prefix_len())).max().unwrap_or(0);
             if potential > shared {
                 break;
             }
             // Join the pool when aliasing, found it when no sibling runs.
-            let group = if share && (shared > 0 || siblings.is_empty()) { c.prefix_group } else { None };
+            let group = if share && (shared > 0 || siblings.is_empty()) { c.prefix_group() } else { None };
             let pool_tokens = match (group, shared) {
                 (None, _) => 0,
-                (Some(_), 0) => c.prefix_len,
+                (Some(_), 0) => c.prefix_len(),
                 (Some(_), grant) => grant,
             };
             let admitted = budget.admit(c.id, group, pool_tokens, c.prefill_len(), c.peak_len());
@@ -271,9 +272,9 @@ impl Reference {
             self.seat(idx, handle);
             let r = self.running.last_mut().expect("just seated");
             if self.opts.chunk_tokens.is_some() {
-                r.prefilled = shared;
+                r.set_prefilled(shared);
             } else {
-                r.prefilled = r.prefill_len();
+                r.set_prefilled(r.prefill_len());
                 slices.push((r.id, r.prefill_len() - shared, shared));
             }
         }
@@ -317,7 +318,7 @@ impl Reference {
             recomputed.push(victim.id);
             self.preemptions += 1;
             victim.state = RequestState::Queued;
-            victim.prefilled = 0;
+            victim.set_prefilled(0);
             self.submit(victim);
         }
         Hook::Preempted(recomputed, swapped)
@@ -334,10 +335,10 @@ impl Reference {
             budget.release(r.id, Some(self.handles.remove(&r.id).expect("a resident has a seat")));
             victims.push(r);
         }
-        let lost = victims.iter().map(|r| r.prefilled).sum();
+        let lost = victims.iter().map(|r| r.prefilled()).sum();
         for r in &mut victims {
             r.state = RequestState::Queued;
-            r.prefilled = 0;
+            r.set_prefilled(0);
         }
         victims.sort_by_key(|r| r.id);
         (victims, lost)

@@ -56,7 +56,7 @@ impl TickExecutor for Priced {
         let (batch, tokens) = sched
             .running()
             .filter(|r| r.prefill_remaining() == 0)
-            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled));
+            .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled()));
         2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64
     }
 }

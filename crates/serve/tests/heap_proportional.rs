@@ -1,7 +1,9 @@
 //! Memory is proportional to what is resident, not to the trace: a cluster
 //! run — and a single engine's `serve`, which is a one-replica cluster run —
 //! holds its residents, its backlog and one small record per completion —
-//! never the workload, never a retired request.
+//! never the workload, never a retired request. Over capacity the backlog
+//! itself grows with the trace, and then what a pending `Request` costs is
+//! what the run costs.
 //!
 //! One `#[test]` in a binary of its own, because the counting allocator
 //! (`common/counting_alloc.rs`) is process-global.
@@ -23,12 +25,13 @@ fn a100() -> ServingEngine {
         .expect("A100 serves Llama-2-7B")
 }
 
-/// Serving `n` requests of the `mega_sweep` trace on four A100 replicas
-/// below their capacity (≈ 595 rps), so residents and backlog do not grow
-/// with `n`.
-fn peak_heap_of_fleet(n: usize) -> usize {
+/// Serving `n` requests of the `mega_sweep` trace on four A100 replicas at
+/// `rate_rps`. Below their capacity (≈ 595 rps) residents and backlog do
+/// not grow with `n`; at `mega_chat`'s 800 rps (≈ 1.35×) the backlog does,
+/// and it is resident at the peak.
+fn peak_heap_of_fleet(n: usize, rate_rps: f64) -> usize {
     let mut cluster = Cluster::new(a100(), 4, Box::new(LeastOutstanding)).with_threads(1);
-    let spec = WorkloadSpec::production(n, 400.0, 11);
+    let spec = WorkloadSpec::production(n, rate_rps, 11);
     peak_heap_of(|| {
         let report = cluster
             .serve_paged(
@@ -42,7 +45,7 @@ fn peak_heap_of_fleet(n: usize) -> usize {
     })
 }
 
-/// The same trace at a quarter of the rate on one engine's `serve`.
+/// The same trace at 100 rps on one engine's `serve`.
 fn peak_heap_of_engine(n: usize) -> usize {
     let engine = a100();
     let spec = WorkloadSpec::production(n, 100.0, 11);
@@ -54,19 +57,37 @@ fn peak_heap_of_engine(n: usize) -> usize {
     })
 }
 
+/// `size_of::<Request>()` as `request::tests::request_size_is_pinned` pins
+/// it. Over capacity every backlogged request is one of these, so the
+/// overload run's bound is figured from it: a `Request` that grows back
+/// fails here, not only at the size pin.
+const REQUEST_BYTES: f64 = 80.0;
+
+/// Per additional request, the overload run holds ≈ 1.15 `Request`s at its
+/// peak (the backlog and its deques' slack) over ≈ 188 B of everything
+/// else — 279 B at 80-byte requests, 353 B at the 144-byte layout before.
+/// With a 4 B and 0.1-request margin, an 88-byte `Request` passes and a
+/// 96-byte one fails.
+const OVERLOAD_BYTES_PER_REQUEST: f64 = 192.0 + 1.25 * REQUEST_BYTES;
+
 #[test]
 fn peak_heap_grows_by_a_finished_record_per_request_not_by_the_trace() {
     let (small, large) = (1 << 12, 1 << 14);
-    let runs = [("cluster", peak_heap_of_fleet as fn(usize) -> usize), ("serve", peak_heap_of_engine)];
-    for (what, peak_heap_of_serving) in runs {
+    let runs = [
+        ("cluster", (|n| peak_heap_of_fleet(n, 400.0)) as fn(usize) -> usize, 128.0),
+        ("serve", peak_heap_of_engine, 128.0),
+        ("overload", |n| peak_heap_of_fleet(n, 800.0), OVERLOAD_BYTES_PER_REQUEST),
+    ];
+    for (what, peak_heap_of_serving, bound) in runs {
         let (peak_small, peak_large) = (peak_heap_of_serving(small), peak_heap_of_serving(large));
         let per_request = (peak_large as f64 - peak_small as f64) / (large - small) as f64;
         println!("{what}: peak live heap {peak_small} B at n = {small}, {peak_large} B at n = {large}: {per_request:.1} B per additional request");
         assert!(
-            per_request <= 128.0,
+            per_request <= bound,
             "{what}: peak live heap grew by {per_request:.1} B per additional request ({peak_small} B at \
-             n = {small}, {peak_large} B at n = {large}); a finished request should leave a 48-byte \
-             record and its report columns, not itself"
+             n = {small}, {peak_large} B at n = {large}; at most {bound} B): a finished request should \
+             leave a 48-byte record and its report columns, not itself, and a backlogged one its \
+             `Request` ({REQUEST_BYTES} B)"
         );
     }
 }

@@ -133,7 +133,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
         assert_eq!(sched.prefilling(), sched.running().len() - decodable().count());
         assert_eq!(
             sched.decode_totals(),
-            (decodable().count(), decodable().map(|r| r.prefilled).sum::<usize>())
+            (decodable().count(), decodable().map(|r| r.prefilled()).sum::<usize>())
         );
     }
     assert_eq!(sched.finished().len(), n, "every request finishes exactly once");

@@ -278,7 +278,7 @@ props! {
             assert!(seen.contains(&id), "request {} never finished", id);
         }
         // Token conservation: aggregate generated == Σ spec outputs.
-        let expected: usize = spec.sample().iter().map(|r| r.output_len).sum();
+        let expected: usize = spec.sample().iter().map(|r| r.output_len()).sum();
         assert_eq!(report.generated_tokens, expected);
     }
 
@@ -363,7 +363,7 @@ props! {
         }
         // Shed tokens are really never generated.
         let by_id: std::collections::HashMap<u64, usize> =
-            spec.sample().iter().map(|r| (r.id.0, r.output_len)).collect();
+            spec.sample().iter().map(|r| (r.id.0, r.output_len())).collect();
         let expected: usize = by_id
             .iter()
             .filter(|(id, _)| !report.shed_ids.iter().any(|s| s.0 == **id))

@@ -165,8 +165,8 @@ props! {
         let (olo, ohi) = spec.output.bounds();
         let mut prev_arrival = 0.0f64;
         for r in &a {
-            assert!((ilo..=ihi).contains(&r.input_len), "input {} outside bounds", r.input_len);
-            assert!((olo..=ohi).contains(&r.output_len), "output {} outside bounds", r.output_len);
+            assert!((ilo..=ihi).contains(&r.input_len()), "input {} outside bounds", r.input_len());
+            assert!((olo..=ohi).contains(&r.output_len()), "output {} outside bounds", r.output_len());
             assert!(r.arrival_s >= prev_arrival, "arrivals must be non-decreasing");
             prev_arrival = r.arrival_s;
         }
@@ -345,7 +345,7 @@ props! {
         };
         let requests = spec.sample();
         let expected: Vec<(u64, usize)> =
-            requests.iter().map(|r| (r.id.0, r.output_len)).collect();
+            requests.iter().map(|r| (r.id.0, r.output_len())).collect();
         let policy: Box<dyn SchedulingPolicy> = match rng.int_in(0, 2) {
             0 => Box::new(Fcfs),
             1 => Box::new(ShortestJobFirst),
