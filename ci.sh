@@ -39,13 +39,17 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # too. So do `Request`'s: its lifecycle setters `debug_assert` that
 # `generated <= output_len`, that `prefilled <= prefill_len()` and that a
 # first token is stamped once, which every suite on these two lines drives.
+# `report::` joins them for its fold-merge properties: they draw records
+# through those same setters, and the merge that crosses `EXACT_STATS_MAX`
+# (columns dropped, sketches merged) runs there under the sketch's bucket
+# `debug_assert`s and with overflow checks on the folds' counts.
 # The lib filters are a line of their own: cargo applies a test-name
 # filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: kv_cache:: \
-    request:: model_exec::tests::functional_serve_ticks_in_lockstep
+    request:: report:: model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # The parallel arm of the contract: regenerate and byte-diff every golden

@@ -45,7 +45,7 @@ use crate::engine::{CostModel, EngineUnavailable, ServingEngine, SpeedProfile};
 use crate::event::{time_key, EventQueue};
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
 use crate::ledger::{PageBudget, Reservation};
-use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
+use crate::report::{aggregate, IdTally, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, RequestId, Tier, WorkloadSpec};
 use crate::scheduler::{SchedOptions, Scheduler, SchedulingPolicy};
 use qserve_tensor::pool::Pool;
@@ -453,7 +453,8 @@ fn build_replicas<'e>(
 /// `sched` against `budget`, behind a round-robin, admit-all control plane
 /// with no fault plan, on a one-thread pool (which spawns no thread).
 /// Nothing is left to decide, so the run is that replica's ticks between
-/// arrivals. Returns the replica's scheduler and ledger, audited.
+/// arrivals. Returns the replica's scheduler and ledger, audited with the
+/// workload's partition.
 pub(crate) fn serve_one(
     engine: &ServingEngine,
     spec: &WorkloadSpec,
@@ -466,8 +467,8 @@ pub(crate) fn serve_one(
     let arrivals = spec.arrivals();
     let mut driver = Driver::new(&mut control, None, &pool, reps, arrivals, &FaultPlan::none());
     driver.run();
+    driver.close();
     let rep = driver.reps.pop().expect("the driver keeps its replica");
-    rep.audit();
     (rep.sched, rep.budget)
 }
 
@@ -494,6 +495,9 @@ struct Driver<'a, A: Iterator<Item = Request>> {
     /// `next_arrival` is the one request whose `Arrival` event is queued.
     arrivals: A,
     next_arrival: Option<Request>,
+    /// The ids that came through the front door, which the closing audit
+    /// holds finished ∪ shed to.
+    arrived: IdTally,
     /// What a report says of a shed request: its id and its tier.
     shed: Vec<(RequestId, Tier)>,
     /// Admitted-then-crashed requests with nowhere to go (no replica
@@ -530,6 +534,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
             faults: Vec::with_capacity(plan.faults().len()),
             arrivals,
             next_arrival,
+            arrived: IdTally::default(),
             shed: Vec::new(),
             parked: Vec::new(),
             lost_prefill: 0,
@@ -616,13 +621,21 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         }
     }
 
-    /// Audits every ledger and folds the run into its report.
-    fn finish(mut self) -> ClusterReport {
-        // A run that ends with work still parked had no restart to deliver
-        // it to: those requests are shed, keeping the workload partition
-        // (finished ∪ shed) exact.
+    /// Ends the run's books: parked work had no restart to go to and is
+    /// shed, every ledger is audited, and finished ∪ shed must be exactly
+    /// the arrivals — none lost to a crash, none served twice.
+    fn close(&mut self) {
         self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo().tier)));
         self.reps.iter().for_each(Replica::audit);
+        let mut accounted = IdTally::default();
+        self.reps.iter().for_each(|rep| accounted.merge(rep.sched.fold().retired));
+        self.shed.iter().for_each(|&(id, _)| accounted.add(id));
+        assert_eq!(accounted, self.arrived, "finished ∪ shed is not the arrivals");
+    }
+
+    /// Closes the run's books and folds the run into its report.
+    fn finish(mut self) -> ClusterReport {
+        self.close();
         let slices: Vec<ReplicaSlice<'_>> = self.reps.iter().map(Replica::slice).collect();
         aggregate(
             self.control.routing_name(),
@@ -770,6 +783,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
     /// or migrate-then-route; then the next arrival is queued.
     fn on_arrival(&mut self, now: f64) {
         let req = self.next_arrival.take().expect("arrival event without a request");
+        self.arrived.add(req.id);
         let key = (req.arrival_s, req.id);
         self.refresh_views();
         match self.control.place(&req, &self.views) {
@@ -1782,8 +1796,8 @@ mod tests {
         /// saturation-triggered migrations, finished ∪ shed still
         /// partitions the workload exactly, nothing is lost, the migrated
         /// byte accounting matches the copied pages, and the run is
-        /// deterministic (the end-of-run `assert_consistent` audit inside
-        /// the driver checks both ledgers on every serve).
+        /// deterministic (the driver's closing audit checks the partition
+        /// by id, and both ledgers, on every serve).
         fn migration_conserves_requests_and_pages(rng, cases = 8) {
             let replicas = rng.int_in(2, 4) as usize;
             let n = rng.int_in(24, 64) as usize;
@@ -1821,17 +1835,10 @@ mod tests {
                 .expect("serves");
             // Partition: every request finished on exactly one replica or
             // was shed — never both, never neither.
-            let mut seen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-            for rep in &report.per_replica {
-                for id in &rep.finished {
-                    assert!(seen.insert(id.0), "request {} finished twice", id.0);
-                }
-            }
-            for id in &report.shed_ids {
-                assert!(seen.insert(id.0), "request {} both finished and shed", id.0);
-            }
-            assert_eq!(seen.len(), n, "finished ∪ shed must partition the workload");
-            assert_eq!(report.completed + report.shed, n);
+            let shed: std::collections::BTreeSet<u64> = report.shed_ids.iter().map(|id| id.0).collect();
+            assert_eq!(shed.len(), report.shed, "a request was shed twice");
+            let completed: usize = report.per_replica.iter().map(|r| r.completed).sum();
+            assert_eq!((completed, report.completed + report.shed), (report.completed, n));
             // Byte accounting: every migrated page priced exactly once.
             if !cfg.migrate_pages {
                 assert_eq!(report.migrations, 0, "repin-only must copy nothing");

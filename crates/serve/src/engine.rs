@@ -674,7 +674,7 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::request::ArrivalPattern;
-    use crate::scheduler::{MemoryAware, ShortestJobFirst};
+    use crate::scheduler::{FinishedRequest, MemoryAware, ShortestJobFirst};
 
     fn engine(gpu: GpuSpec, model: ModelConfig, sys: SystemConfig) -> ServingEngine {
         ServingEngine::new(gpu, model, sys).expect("engine must build")
@@ -1166,8 +1166,9 @@ mod tests {
             for r in mk_reqs() {
                 sched.submit(r);
             }
-            // The engine's own pricing, plus a note of which ticks decoded.
-            struct Watched<'a>(CostModel<'a>, bool);
+            // The engine's own pricing, plus a note of which ticks decoded
+            // and a count of retirements.
+            struct Watched<'a>(CostModel<'a>, bool, usize);
             impl TickExecutor for Watched<'_> {
                 fn prefill(&mut self, s: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
                     self.0.prefill(s, slices)
@@ -1179,8 +1180,11 @@ mod tests {
                     self.1 = true;
                     self.0.decode(s)
                 }
+                fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+                    self.2 += done.len();
+                }
             }
-            let mut exec = Watched(CostModel::new(&e), false);
+            let mut exec = Watched(CostModel::new(&e), false, 0);
             // A ledger the 24 requests cannot fill: the batch limit gates.
             let mut budget = PageBudget::new(PAGE_TOKENS, 1, 1 << 40, Reservation::OnDemand);
             let (mut last_decode, mut worst) = (None::<f64>, 0.0f64);
@@ -1196,7 +1200,7 @@ mod tests {
                     last_decode = None; // idled
                 }
             }
-            assert_eq!(sched.finished().len(), 24);
+            assert_eq!(exec.2, 24);
             worst
         };
         let whole = worst_gap(None);

@@ -37,10 +37,10 @@
 //!   least-outstanding, prefix-affinity, deadline-aware) behind a
 //!   [`ControlPlane`] that also decides cross-replica prefix migration,
 //!   plus the [`AutoscalePolicy`] elastic-fleet layer.
-//! * [`report`] — end-of-run reporting: one fold over finished records
-//!   (exact percentiles below [`EXACT_STATS_MAX`] completions, sketches
-//!   above) builds both the single engine's [`ServingReport`] and the
-//!   fleet's [`ClusterReport`] (throughput/goodput, SLO attainment, latency
+//! * [`report`] — per-scheduler folds of the retirements, merged (exact
+//!   percentiles up to [`EXACT_STATS_MAX`] completions, sketches above) into
+//!   both the single engine's [`ServingReport`] and the fleet's
+//!   [`ClusterReport`] (throughput/goodput, SLO attainment, latency
 //!   percentiles, migration and fleet-cost accounting).
 //! * [`event`] — the deterministic priority event queue behind the
 //!   event-driven core: `(time.to_bits(), lane, seq)` total ordering over

@@ -215,6 +215,8 @@ struct FunctionalExecutor<'a> {
     index: PrefixIndex,
     outputs: HashMap<RequestId, Vec<u32>>,
     logits: HashMap<RequestId, Vec<f32>>,
+    /// Every request retired so far, in completion order.
+    served: Vec<ServedRequest>,
     /// The first cache error a hook met (hooks return costs, not results):
     /// every later hook is a no-op and `serve_with` returns it after the tick.
     failed: Option<KvCacheError>,
@@ -227,8 +229,8 @@ impl<'a> FunctionalExecutor<'a> {
         let total_pages = rt.cache.free_pages() + rt.cache.used_pages();
         let budget = PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
         let (index, failed) = (PrefixIndex::new(), None);
-        let (outputs, logits) = (HashMap::new(), HashMap::new());
-        (Self { rt, prompts, index, outputs, logits, failed }, budget)
+        let (outputs, logits, served) = (HashMap::new(), HashMap::new(), Vec::new());
+        (Self { rt, prompts, index, outputs, logits, served, failed }, budget)
     }
 
     /// Tokens `past..past + n` of `id`'s prefill feed — its prompt followed
@@ -342,12 +344,21 @@ impl TickExecutor for FunctionalExecutor<'_> {
         assert!(recomputed.is_empty() && swapped.is_empty(), "peak-reserving budget cannot preempt");
     }
 
+    /// Frees each retiree's cache sequence and hands its prompt and output
+    /// to the serve's result.
     fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
         self.attempt(|this| {
             for r in done {
                 this.rt.finish_sequence(SequenceId(r.id.0))?;
                 this.index.remove(SequenceId(r.id.0));
                 this.logits.remove(&r.id);
+                this.served.push(ServedRequest {
+                    id: r.id,
+                    prompt: this.prompts.remove(&r.id).expect("a retiree was prompted"),
+                    output: this.outputs.remove(&r.id).unwrap_or_default(),
+                    first_token_step: model_step(r.first_token_s),
+                    finish_step: model_step(r.finish_s),
+                });
             }
             Ok(0.0)
         });
@@ -410,19 +421,8 @@ impl ModelRuntime {
                 return Err(e);
             }
         }
-        let mut done: Vec<ServedRequest> = sched
-            .finished()
-            .iter()
-            .map(|r| ServedRequest {
-                id: r.id,
-                prompt: exec.prompts[&r.id].clone(),
-                output: exec.outputs.remove(&r.id).unwrap_or_default(),
-                first_token_step: model_step(r.first_token_s),
-                finish_step: model_step(r.finish_s),
-            })
-            .collect();
-        done.sort_by_key(|r| r.id);
-        Ok(done)
+        exec.served.sort_by_key(|r| r.id);
+        Ok(exec.served)
     }
 }
 
@@ -693,9 +693,10 @@ mod tests {
     /// functional clock: tokens per prefill, `1.0` per decode) tick the same
     /// workload through `Scheduler::tick` side by side. Tick by tick the
     /// two schedulers hold equal residents (so equal admitted ids and equal
-    /// per-request progress), equal finished records (`first_token_s`,
-    /// `finish_s`) and the same clock bits; the peak-reserving ledger books
-    /// ahead of the cache throughout; and everything drains.
+    /// per-request progress), hand their executors' `retired` hooks equal
+    /// records (`first_token_s`, `finish_s`) and keep the same clock bits;
+    /// the peak-reserving ledger books ahead of the cache throughout; and
+    /// everything drains.
     #[test]
     fn functional_serve_ticks_in_lockstep_with_a_counts_only_twin() {
         use crate::scheduler::Fcfs;
@@ -709,6 +710,26 @@ mod tests {
             }
             fn decode(&mut self, _: &Scheduler) -> f64 {
                 1.0
+            }
+        }
+        /// `E`, keeping every record its `retired` hook is handed.
+        struct Tap<E>(E, Vec<FinishedRequest>);
+        impl<E: TickExecutor> TickExecutor for Tap<E> {
+            fn prefill(&mut self, s: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
+                self.0.prefill(s, slices)
+            }
+            fn swap(&mut self, s: &Scheduler, pages: usize) -> f64 {
+                self.0.swap(s, pages)
+            }
+            fn decode(&mut self, s: &Scheduler) -> f64 {
+                self.0.decode(s)
+            }
+            fn preempted(&mut self, s: &Scheduler, recomputed: &[RequestId], swapped: &[RequestId]) {
+                self.0.preempted(s, recomputed, swapped);
+            }
+            fn retired(&mut self, s: &Scheduler, done: &[FinishedRequest]) {
+                self.1.extend_from_slice(done);
+                self.0.retired(s, done);
             }
         }
         let sharing = SchedOptions { share_prefixes: true, ..SchedOptions::default() };
@@ -728,27 +749,29 @@ mod tests {
                 counted.submit(r.clone());
                 served.submit(r);
             }
-            let (mut exec, mut ledger) = FunctionalExecutor::new(&mut rt, prompts);
+            let (exec, mut ledger) = FunctionalExecutor::new(&mut rt, prompts);
+            let (mut exec, mut counts) = (Tap(exec, Vec::new()), Tap(Counts, Vec::new()));
             let mut counted_ledger = ledger.clone();
             let mut ticks = 0usize;
             while !served.is_done() {
                 ticks += 1;
                 served.tick(&mut ledger, &mut exec);
-                assert_eq!(exec.failed, None, "tick {ticks}: the cache refused what the ledger admitted");
-                counted.tick(&mut counted_ledger, &mut Counts);
+                assert_eq!(exec.0.failed, None, "tick {ticks}: the cache refused what the ledger admitted");
+                counted.tick(&mut counted_ledger, &mut counts);
                 let residents = |s: &Scheduler| s.running().collect::<Vec<_>>();
                 assert_eq!(residents(&served), residents(&counted), "tick {ticks}: residents");
-                assert_eq!(served.finished(), counted.finished(), "tick {ticks}: finished records");
+                assert_eq!(exec.1, counts.1, "tick {ticks}: retired records");
                 assert_eq!(served.clock().to_bits(), counted.clock().to_bits(), "tick {ticks}: clock");
                 assert_eq!(ledger.used_pages(), counted_ledger.used_pages(), "tick {ticks}: ledgers");
                 assert!(
-                    ledger.used_pages() >= exec.rt.cache.used_pages(),
+                    ledger.used_pages() >= exec.0.rt.cache.used_pages(),
                     "tick {ticks}: ledger books {} pages, the cache holds {}",
                     ledger.used_pages(),
-                    exec.rt.cache.used_pages()
+                    exec.0.rt.cache.used_pages()
                 );
             }
-            assert!(counted.is_done() && served.finished().len() == spec.num_requests);
+            assert!(counted.is_done() && exec.1.len() == spec.num_requests);
+            assert_eq!(exec.0.served.len(), spec.num_requests, "the serve's result kept every retiree");
             for drained in [&ledger, &counted_ledger] {
                 assert_eq!(drained.free_pages(), drained.total_pages(), "a ledger kept pages");
             }

@@ -1,25 +1,25 @@
 //! Report assembly: the one module that turns finished records into
 //! numbers. The single engine's [`ServingReport`] and the fleet's
 //! [`ClusterReport`] — what every sweep and golden CSV reads — are both
-//! built here, from one fold.
+//! built here, from one merge of per-scheduler folds.
 //!
 //! Split out of [`crate::cluster`] so the event-loop driver owns *when*
 //! things happen and this module owns *what the run meant*: percentile
-//! assembly (exact below [`EXACT_STATS_MAX`] completions, streaming
-//! sketches above — decided once, in `Fold::of`), goodput/SLO
-//! attainment, shed accounting, swap and migration byte totals, and the
-//! fleet-cost integral (GPU-seconds of provisioned replica time).
-//! Reporting is a pure fold over immutable scheduler state — it never
-//! mutates a scheduler — so moving it cannot change a single bit of any
-//! report.
+//! assembly (exact up to [`EXACT_STATS_MAX`] completions, streaming
+//! sketches above), goodput/SLO attainment, shed accounting, swap and
+//! migration byte totals, and the fleet-cost integral (GPU-seconds of
+//! provisioned replica time).
 //!
-//! No per-request float is computed here. Each scheduler built a
-//! [`FinishedRequest`] per completion — latency, TTFT, the achieved ÷
-//! deadline ratio, the SLO verdict, each held nowhere else — and this module
-//! sums them (TTFT, tokens, goodput), sorts and sketches them (latencies,
-//! ratios) in scheduler-then-completion order, the one order in which no
-//! sum is re-associated. Shed requests arrive as `(id, tier)`, all a
-//! report says of them.
+//! No per-request float is computed here, and no record is kept. Each
+//! scheduler builds a [`FinishedRequest`] per completion — latency, TTFT,
+//! the achieved ÷ deadline ratio, the SLO verdict, each held nowhere else —
+//! and folds it into its own `Fold` as it retires: sums, both sketches,
+//! and the exact columns only while that fold has seen at most
+//! [`EXACT_STATS_MAX`] records. A report merges the folds in
+//! scheduler order; up to the threshold that concatenates the columns, so
+//! every statistic is what one fold over the records in
+//! scheduler-then-completion order gives, to the bit. Shed requests arrive
+//! as `(id, tier)`, all a report says of them.
 
 use crate::engine::ServingReport;
 use crate::request::{RequestId, Tier};
@@ -62,9 +62,6 @@ pub struct ReplicaReport {
     /// makespan; an autoscaled standby is billed only between its wake and
     /// its drain going idle.
     pub provisioned_s: f64,
-    /// Ids of the requests that finished here, in completion order — what
-    /// conservation properties audit (each id on exactly one replica).
-    pub finished: Vec<RequestId>,
 }
 
 /// Aggregate result of one cluster serve.
@@ -108,8 +105,8 @@ pub struct ClusterReport {
     pub shed: usize,
     /// Shed counts per priority tier, indexed by [`crate::request::Tier::index`].
     pub shed_by_tier: [usize; 3],
-    /// Ids of the shed requests — the other half of the workload partition
-    /// conservation properties audit.
+    /// Ids of the shed requests, in shed order. The driver audits that they
+    /// and the finished requests are exactly the arrivals.
     pub shed_ids: Vec<RequestId>,
     /// Mean time-to-first-token across all finished requests, seconds.
     pub mean_ttft_s: f64,
@@ -170,7 +167,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// The 1-replica degenerate case as a single-engine [`ServingReport`]
     /// comparison: every shared field must match bit for bit. Both reports
-    /// come from this module's one fold over finished records, so for
+    /// come from this module's one merge of scheduler folds, so for
     /// [`crate::ServingEngine::serve`] — itself a one-replica driver run —
     /// it holds by construction whenever the two runs size the replica
     /// alike.
@@ -198,7 +195,7 @@ impl ClusterReport {
 /// driver stays free to reshape its internal struct without touching the
 /// report math.
 pub(crate) struct ReplicaSlice<'a> {
-    /// The replica's scheduler (finished records, counters).
+    /// The replica's scheduler (its fold, counters).
     pub sched: &'a Scheduler,
     /// GPU name of the replica's spec.
     pub gpu: &'static str,
@@ -258,94 +255,161 @@ fn rate(tokens: usize, seconds: f64) -> f64 {
     if seconds > 0.0 { tokens as f64 / seconds } else { 0.0 }
 }
 
-/// What a set of schedulers' finished records say — the one fold both
-/// reports read. Every statistic of an empty set is 0.
-struct Fold {
-    completed: usize,
+/// An order-free digest of a multiset of request ids: how many, and the
+/// wrapping sum of a 64-bit mix of each. Equal tallies mean equal
+/// multisets up to a 2⁻⁶⁴ collision — how the cluster driver audits that
+/// finished ∪ shed is exactly what arrived, without a column of ids.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct IdTally {
+    pub(crate) count: usize,
+    print: u64,
+}
+
+impl IdTally {
+    pub(crate) fn add(&mut self, id: RequestId) {
+        // SplitMix64's finalizer: every id bit reaches every print bit.
+        let mut z = id.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.merge(Self { count: 1, print: z ^ (z >> 31) });
+    }
+
+    pub(crate) fn merge(&mut self, other: Self) {
+        self.count += other.count;
+        self.print = self.print.wrapping_add(other.print);
+    }
+}
+
+/// One scheduler's retirements, folded as they happen: counts and sums,
+/// the latency and SLO-ratio sketches, the retired ids' tally, and — while
+/// the fold has seen at most [`EXACT_STATS_MAX`] records — the exact
+/// latency, TTFT and SLO-ratio columns, in completion order. Past the
+/// threshold the columns go, so a fold never grows with the trace.
+#[derive(Default)]
+pub(crate) struct Fold {
+    pub(crate) retired: IdTally,
     generated: usize,
     /// Output tokens of the requests that met their SLO.
     good_tokens: usize,
     /// Requests that met their SLO.
     met: usize,
-    mean_ttft_s: f64,
-    mean_latency_s: f64,
-    max_latency_s: f64,
-    p50_latency_s: f64,
-    p95_latency_s: f64,
-    p99_latency_s: f64,
-    /// The latency sketch's view, on both paths, so the two can be
-    /// compared on any run.
-    sketch_p50_latency_s: f64,
-    sketch_p99_latency_s: f64,
-    slo_ratio_p50: f64,
-    slo_ratio_p99: f64,
+    /// TTFTs summed in completion order.
+    ttft_sum: f64,
     last_requeued_finish_s: f64,
+    lat_sketch: PercentileSketch,
+    slo_sketch: PercentileSketch,
+    latencies: Vec<f64>,
+    ttfts: Vec<f64>,
+    slo_ratios: Vec<f64>,
 }
 
 impl Fold {
-    /// Folds `scheds` in order, feeding every record's `latency_s()` to one
-    /// sketch. At or below [`EXACT_STATS_MAX`] completions in total the
-    /// latency and SLO-ratio statistics come from exact sorted buffers
-    /// (byte-stable with every golden CSV); above it from the sketches, fed
-    /// in scheduler-then-completion order, and the O(n log n) sorts never run.
-    fn of<'s>(scheds: impl Iterator<Item = &'s Scheduler> + Clone) -> Self {
-        let completed: usize = scheds.clone().map(|s| s.finished().len()).sum();
-        let exact = completed <= EXACT_STATS_MAX;
-        let mut lat_sketch = PercentileSketch::new();
-        let mut slo_sketch = PercentileSketch::new();
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut slo_ratios: Vec<f64> = Vec::new();
-        let (mut generated, mut good_tokens, mut met) = (0usize, 0usize, 0usize);
-        let mut ttft_sum = 0.0;
-        let mut last_requeued_finish_s = 0.0f64;
-        for r in scheds.flat_map(Scheduler::finished) {
-            generated += r.generated();
-            lat_sketch.insert(r.latency_s());
-            if exact {
-                latencies.push(r.latency_s());
-            }
-            ttft_sum += r.ttft_s();
-            if r.met_slo {
-                met += 1;
-                good_tokens += r.generated();
-            }
-            if let Some(ratio) = r.slo_ratio() {
-                if exact {
-                    slo_ratios.push(ratio);
-                } else {
-                    slo_sketch.insert(ratio);
-                }
-            }
-            if r.requeued {
-                last_requeued_finish_s = last_requeued_finish_s.max(r.finish_s);
-            }
+    /// Folds one retirement in.
+    pub(crate) fn add(&mut self, r: &FinishedRequest) {
+        self.retired.add(r.id);
+        self.generated += r.generated();
+        if r.met_slo {
+            self.met += 1;
+            self.good_tokens += r.generated();
         }
-        latencies.sort_by(f64::total_cmp);
-        slo_ratios.sort_by(f64::total_cmp);
-        // The mean sums the *sorted* latencies and the max is the last one.
-        let (mean_latency_s, max_latency_s) = match (exact, latencies.last()) {
+        if r.requeued {
+            self.last_requeued_finish_s = self.last_requeued_finish_s.max(r.finish_s);
+        }
+        self.ttft_sum += r.ttft_s();
+        self.lat_sketch.insert(r.latency_s());
+        let ratio = r.slo_ratio();
+        if let Some(ratio) = ratio {
+            self.slo_sketch.insert(ratio);
+        }
+        if self.exact() {
+            self.latencies.push(r.latency_s());
+            self.ttfts.push(r.ttft_s());
+            self.slo_ratios.extend(ratio);
+        } else if self.retired.count == EXACT_STATS_MAX + 1 {
+            self.drop_columns();
+        }
+    }
+
+    /// Whether the exact columns hold every record folded in.
+    fn exact(&self) -> bool {
+        self.retired.count <= EXACT_STATS_MAX
+    }
+
+    fn drop_columns(&mut self) {
+        (self.latencies, self.ttfts, self.slo_ratios) = Default::default();
+    }
+
+    /// Folds `other`'s records in after this fold's, as if one fold had
+    /// seen both sequences — exactly, while the merged columns stay within
+    /// the threshold. The TTFT sum continues through `other`'s column, in
+    /// completion order, so it re-associates only where `other` is past
+    /// the threshold and adds its own partial sum.
+    fn absorb(&mut self, other: &Self) {
+        match other.exact() {
+            true => other.ttfts.iter().for_each(|t| self.ttft_sum += t),
+            false => self.ttft_sum += other.ttft_sum,
+        }
+        self.retired.merge(other.retired);
+        self.generated += other.generated;
+        self.good_tokens += other.good_tokens;
+        self.met += other.met;
+        self.last_requeued_finish_s = self.last_requeued_finish_s.max(other.last_requeued_finish_s);
+        self.lat_sketch.merge(&other.lat_sketch);
+        self.slo_sketch.merge(&other.slo_sketch);
+        if self.exact() {
+            self.latencies.extend(&other.latencies);
+            self.ttfts.extend(&other.ttfts);
+            self.slo_ratios.extend(&other.slo_ratios);
+        } else {
+            self.drop_columns();
+        }
+    }
+}
+
+/// What a set of folds say together — the one summary both reports read:
+/// the folds merged in order, columns sorted. Up to [`EXACT_STATS_MAX`]
+/// completions in total the latency and SLO-ratio statistics come from the
+/// sorted columns (byte-stable with every golden CSV); above it from the
+/// merged sketches, whose bucket counts, minimum and maximum do not depend
+/// on order. Every statistic of an empty set is 0.
+struct Stats(Fold);
+
+impl Stats {
+    fn of<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Self {
+        let mut all = Fold::default();
+        folds.into_iter().for_each(|f| all.absorb(f));
+        // Unstable sorts are exact here: `total_cmp` ties only equal bits.
+        all.latencies.sort_unstable_by(f64::total_cmp);
+        all.slo_ratios.sort_unstable_by(f64::total_cmp);
+        Self(all)
+    }
+
+    fn latency(&self, q: f64) -> f64 {
+        quantile(self.0.exact(), &self.0.latencies, &self.0.lat_sketch, q)
+    }
+
+    fn slo_ratio(&self, q: f64) -> f64 {
+        quantile(self.0.exact(), &self.0.slo_ratios, &self.0.slo_sketch, q)
+    }
+
+    /// The latency sketch's view, on both paths, so the two can be
+    /// compared on any run.
+    fn sketch_latency(&self, q: f64) -> f64 {
+        quantile(false, &[], &self.0.lat_sketch, q)
+    }
+
+    fn mean_ttft_s(&self) -> f64 {
+        let n = self.0.retired.count;
+        if n > 0 { self.0.ttft_sum / n as f64 } else { 0.0 }
+    }
+
+    /// Mean and maximum latency: the mean sums the *sorted* column and the
+    /// max is its last entry.
+    fn mean_max_latency_s(&self) -> (f64, f64) {
+        match (self.0.exact(), self.0.latencies.last()) {
             (true, None) => (0.0, 0.0),
-            (true, Some(&max)) => (latencies.iter().sum::<f64>() / completed as f64, max),
-            (false, _) => (lat_sketch.mean(), lat_sketch.max()),
-        };
-        let latency = |q| quantile(exact, &latencies, &lat_sketch, q);
-        let slo_ratio = |q| quantile(exact, &slo_ratios, &slo_sketch, q);
-        Self {
-            completed,
-            generated,
-            good_tokens,
-            met,
-            mean_ttft_s: if completed > 0 { ttft_sum / completed as f64 } else { 0.0 },
-            mean_latency_s,
-            max_latency_s,
-            p50_latency_s: latency(0.50),
-            p95_latency_s: latency(0.95),
-            p99_latency_s: latency(0.99),
-            sketch_p50_latency_s: quantile(false, &[], &lat_sketch, 0.50),
-            sketch_p99_latency_s: quantile(false, &[], &lat_sketch, 0.99),
-            slo_ratio_p50: slo_ratio(0.50),
-            slo_ratio_p99: slo_ratio(0.99),
-            last_requeued_finish_s,
+            (true, Some(&max)) => (self.0.latencies.iter().sum::<f64>() / self.0.retired.count as f64, max),
+            (false, _) => (self.0.lat_sketch.mean(), self.0.lat_sketch.max()),
         }
     }
 }
@@ -356,24 +420,25 @@ impl ServingReport {
     /// [`crate::ServingEngine::serve`] ran it under — the batch limit and
     /// the page high-water mark it reports.
     pub(crate) fn fold(sched: &Scheduler, max_batch: usize, peak_unique_pages: usize) -> Self {
-        let f = Fold::of(std::iter::once(sched));
+        let f = Stats::of([sched.fold()]);
+        let (mean_request_latency_s, max_request_latency_s) = f.mean_max_latency_s();
         Self {
-            throughput_tps: rate(f.generated, sched.clock()),
+            throughput_tps: rate(f.0.generated, sched.clock()),
             total_time_s: sched.clock(),
             prefill_time_s: sched.prefill_time_s(),
             decode_time_s: sched.decode_time_s(),
             max_batch,
-            completed: f.completed,
-            mean_request_latency_s: f.mean_latency_s,
-            max_request_latency_s: f.max_latency_s,
-            mean_ttft_s: f.mean_ttft_s,
-            p50_latency_s: f.p50_latency_s,
-            p95_latency_s: f.p95_latency_s,
-            p99_latency_s: f.p99_latency_s,
+            completed: f.0.retired.count,
+            mean_request_latency_s,
+            max_request_latency_s,
+            mean_ttft_s: f.mean_ttft_s(),
+            p50_latency_s: f.latency(0.50),
+            p95_latency_s: f.latency(0.95),
+            p99_latency_s: f.latency(0.99),
             preemptions: sched.preemptions(),
             peak_unique_pages,
-            sketch_p50_latency_s: f.sketch_p50_latency_s,
-            sketch_p99_latency_s: f.sketch_p99_latency_s,
+            sketch_p50_latency_s: f.sketch_latency(0.50),
+            sketch_p99_latency_s: f.sketch_latency(0.99),
         }
     }
 }
@@ -387,7 +452,8 @@ pub(crate) fn aggregate(
     lost_prefill_tokens: usize,
     migration: MigrationTotals,
 ) -> ClusterReport {
-    let f = Fold::of(reps.iter().map(|rep| rep.sched));
+    let f = Stats::of(reps.iter().map(|rep| rep.sched.fold()));
+    let (completed, generated) = (f.0.retired.count, f.0.generated);
     let mut preemptions = 0usize;
     let mut swap_outs = 0usize;
     let mut swap_out_pages = 0usize;
@@ -396,7 +462,6 @@ pub(crate) fn aggregate(
     let mut makespan = 0.0f64;
     let mut per_replica = Vec::with_capacity(reps.len());
     for rep in reps {
-        let finished = rep.sched.finished();
         preemptions += rep.sched.preemptions();
         swap_outs += rep.sched.swap_outs();
         swap_out_pages += rep.sched.swap_out_pages();
@@ -410,8 +475,8 @@ pub(crate) fn aggregate(
         per_replica.push(ReplicaReport {
             gpu: rep.gpu,
             routed: rep.routed,
-            completed: finished.len(),
-            generated_tokens: finished.iter().map(FinishedRequest::generated).sum(),
+            completed: rep.sched.fold().retired.count,
+            generated_tokens: rep.sched.fold().generated,
             clock_s: rep.sched.clock(),
             busy_s: rep.sched.busy_time_s(),
             utilization: 0.0, // filled in once the makespan is known
@@ -420,7 +485,6 @@ pub(crate) fn aggregate(
             requeued_away: rep.requeued_away,
             restarts: rep.restarts,
             provisioned_s: 0.0, // filled in once the makespan is known
-            finished: finished.iter().map(|r| r.id).collect(),
         });
     }
     for (r, slice) in per_replica.iter_mut().zip(reps) {
@@ -444,22 +508,22 @@ pub(crate) fn aggregate(
         routing: routing.to_string(),
         admission: admission.to_string(),
         replicas: reps.len(),
-        completed: f.completed,
-        generated_tokens: f.generated,
+        completed,
+        generated_tokens: generated,
         makespan_s: makespan,
-        throughput_tps: rate(f.generated, makespan),
-        goodput_tps: rate(f.good_tokens, makespan),
-        slo_attainment: if f.completed > 0 { f.met as f64 / f.completed as f64 } else { 0.0 },
-        slo_ratio_p50: f.slo_ratio_p50,
-        slo_ratio_p99: f.slo_ratio_p99,
+        throughput_tps: rate(generated, makespan),
+        goodput_tps: rate(f.0.good_tokens, makespan),
+        slo_attainment: if completed > 0 { f.0.met as f64 / completed as f64 } else { 0.0 },
+        slo_ratio_p50: f.slo_ratio(0.50),
+        slo_ratio_p99: f.slo_ratio(0.99),
         shed: shed.len(),
         shed_by_tier,
         shed_ids: shed.iter().map(|&(id, _)| id).collect(),
-        mean_ttft_s: f.mean_ttft_s,
-        p50_latency_s: f.p50_latency_s,
-        p99_latency_s: f.p99_latency_s,
-        sketch_p50_latency_s: f.sketch_p50_latency_s,
-        sketch_p99_latency_s: f.sketch_p99_latency_s,
+        mean_ttft_s: f.mean_ttft_s(),
+        p50_latency_s: f.latency(0.50),
+        p99_latency_s: f.latency(0.99),
+        sketch_p50_latency_s: f.sketch_latency(0.50),
+        sketch_p99_latency_s: f.sketch_latency(0.99),
         preemptions,
         requeued: per_replica.iter().map(|r| r.requeued_away).sum(),
         lost_prefill_tokens,
@@ -471,7 +535,7 @@ pub(crate) fn aggregate(
         migrated_pages: migration.pages,
         migrated_bytes: migration.bytes,
         gpu_seconds,
-        last_requeued_finish_s: f.last_requeued_finish_s,
+        last_requeued_finish_s: f.0.last_requeued_finish_s,
         max_replica_peak_pages: per_replica
             .iter()
             .map(|r| r.peak_unique_pages)
@@ -487,11 +551,12 @@ mod tests {
     use crate::cluster::{Cluster, RoundRobin};
     use crate::engine::ServeConfig;
     use crate::ledger::{PageBudget, Reservation};
-    use crate::request::{ArrivalPattern, Request, WorkloadSpec};
+    use crate::request::{ArrivalPattern, Request, Slo, WorkloadSpec};
     use crate::scheduler::{Fcfs, SchedOptions, TickExecutor};
     use crate::{ServingEngine, SystemConfig};
     use qserve_gpusim::GpuSpec;
     use qserve_model::ModelConfig;
+    use qserve_tensor::rng::TensorRng;
 
     /// Flat prices: `prefill` per admitted request (whole prompts: one
     /// slice each), `decode` per step.
@@ -527,21 +592,113 @@ mod tests {
         sched
     }
 
-    fn fold(sched: &Scheduler) -> Fold {
-        Fold::of(std::iter::once(sched))
+    fn report(sched: &Scheduler) -> ServingReport {
+        ServingReport::fold(sched, 0, 0)
     }
 
     #[test]
     fn fcfs_completes_everything_in_order() {
         let sched = served(WorkloadSpec::fixed(8, 4, 10).sample(), 3, 0.1, 0.01);
-        let f = fold(&sched);
+        let f = report(&sched);
         assert_eq!(f.completed, 10);
-        assert_eq!(f.generated, 40);
+        assert_eq!(sched.fold().generated, 40);
         assert!(f.p50_latency_s <= f.p95_latency_s);
         assert!(f.p95_latency_s <= f.p99_latency_s);
-        assert!(f.p99_latency_s <= f.max_latency_s);
-        assert!(f.mean_ttft_s > 0.0 && f.mean_ttft_s <= f.mean_latency_s);
+        assert!(f.p99_latency_s <= f.max_request_latency_s);
+        assert!(f.mean_ttft_s > 0.0 && f.mean_ttft_s <= f.mean_request_latency_s);
         assert_eq!(sched.preemptions(), 0);
+    }
+
+    /// A drawn retirement `id`: arrival, TTFT and latency with full
+    /// 53-bit mantissas (so sums round), 1–64 output tokens, one of the
+    /// three SLO tiers (tight enough that some miss), and now and then a
+    /// crash requeue.
+    fn record(rng: &mut TensorRng, id: u64) -> FinishedRequest {
+        let mut seconds = |hi: f64| (rng.next_u64() >> 11) as f64 * hi / (1u64 << 53) as f64;
+        let (arrival, ttft, decode) = (seconds(100.0), 0.01 + seconds(4.0), seconds(20.0));
+        let slo = match rng.int_in(0, 2) {
+            0 => Slo::interactive(0.5, 4.0),
+            1 => Slo::standard(2.0, 16.0),
+            _ => Slo::best_effort(),
+        };
+        let output = rng.int_in(1, 64) as usize;
+        let mut r = Request::new(RequestId(id), 8, output, arrival).with_slo(slo);
+        r.stamp_first_token(arrival + ttft);
+        r.decoded(output);
+        r.requeued = rng.int_in(0, 7) == 0;
+        FinishedRequest::retire(&r, arrival + ttft + decode)
+    }
+
+    /// `records` cut into `k` consecutive runs, each folded on its own; the
+    /// first cut falls below `first_below`.
+    fn split(rng: &mut TensorRng, records: &[FinishedRequest], k: usize, first_below: usize) -> Vec<Fold> {
+        let mut cuts: Vec<usize> = (1..k).map(|_| rng.index(records.len() + 1)).collect();
+        if let Some(first) = cuts.first_mut() {
+            *first = rng.index(first_below + 1);
+        }
+        cuts.extend([0, records.len()]);
+        cuts.sort_unstable();
+        cuts.windows(2).map(|w| fold_all(&records[w[0]..w[1]])).collect()
+    }
+
+    fn fold_all(records: &[FinishedRequest]) -> Fold {
+        let mut fold = Fold::default();
+        records.iter().for_each(|r| fold.add(r));
+        fold
+    }
+
+    /// Every statistic either report reads off `s` — as text, which pins
+    /// each `f64`'s bits — but the two means, which come back apart.
+    fn read(s: &Stats) -> (String, [f64; 2]) {
+        let (f, (mean_latency, max_latency)) = (&s.0, s.mean_max_latency_s());
+        let text = format!(
+            "{:?}",
+            (
+                (f.retired, f.generated, f.good_tokens, f.met, f.last_requeued_finish_s, max_latency),
+                [0.50, 0.95, 0.99].map(|q| s.latency(q)),
+                [0.50, 0.99].map(|q| (s.sketch_latency(q), s.slo_ratio(q))),
+            )
+        );
+        (text, [s.mean_ttft_s(), mean_latency])
+    }
+
+    qserve_tensor::props! {
+        /// Merging folds in order is one fold over the whole sequence, bit
+        /// for bit on every statistic either report reads, for k = 1..4
+        /// runs (empty runs included), while the total is within
+        /// `EXACT_STATS_MAX`.
+        fn merged_folds_are_one_fold_over_the_whole_sequence(rng) {
+            let n = rng.int_in(0, 600) as usize;
+            let records: Vec<FinishedRequest> = (0..n).map(|i| record(rng, i as u64)).collect();
+            let whole = format!("{:?}", read(&Stats::of([&fold_all(&records)])));
+            for k in 1..=4 {
+                let merged = read(&Stats::of(&split(rng, &records, k, n)));
+                assert_eq!(format!("{merged:?}"), whole, "{k} folds of {n} records");
+            }
+        }
+
+        /// Past `EXACT_STATS_MAX` every statistic but the two means is still
+        /// the one fold's, bit for bit: sketch counts, minimum and maximum
+        /// do not depend on order. The means re-associate where a later fold
+        /// is itself past the threshold (the first cut leaves the rest that
+        /// long) and adds its partial sum — the mean TTFT, and the latency
+        /// sketch's mean, which only the single engine's report reads, from
+        /// one scheduler's fold. Two recursive sums of `n` positive terms
+        /// differ by at most `2(n − 1)u` of the total, so the means by under
+        /// `2n` ulps.
+        fn merged_folds_past_the_threshold_move_only_the_means(rng, cases = 3) {
+            let n = EXACT_STATS_MAX + 1 + rng.index(EXACT_STATS_MAX);
+            let records: Vec<FinishedRequest> = (0..n).map(|i| record(rng, i as u64)).collect();
+            let (whole, whole_means) = read(&Stats::of([&fold_all(&records)]));
+            for k in 1..=4 {
+                let (merged, means) = read(&Stats::of(&split(rng, &records, k, n - EXACT_STATS_MAX - 1)));
+                assert_eq!(merged, whole, "{k} folds of {n} records");
+                for (mean, whole_mean) in means.into_iter().zip(whole_means) {
+                    let ulps = mean.to_bits().abs_diff(whole_mean.to_bits());
+                    assert!(ulps < 2 * n as u64, "{k} folds of {n}: a mean {ulps} ulps away");
+                }
+            }
+        }
     }
 
     #[test]
@@ -570,12 +727,12 @@ mod tests {
 
     #[test]
     fn single_request_stats_have_degenerate_percentiles() {
-        let f = fold(&served(WorkloadSpec::fixed(8, 4, 1).sample(), 2, 0.1, 0.01));
+        let f = report(&served(WorkloadSpec::fixed(8, 4, 1).sample(), 2, 0.1, 0.01));
         assert_eq!(f.completed, 1);
-        assert_eq!(f.p50_latency_s, f.max_latency_s);
-        assert_eq!(f.p95_latency_s, f.max_latency_s);
-        assert_eq!(f.p99_latency_s, f.max_latency_s);
-        assert_eq!(f.mean_latency_s, f.max_latency_s);
+        assert_eq!(f.p50_latency_s, f.max_request_latency_s);
+        assert_eq!(f.p95_latency_s, f.max_request_latency_s);
+        assert_eq!(f.p99_latency_s, f.max_request_latency_s);
+        assert_eq!(f.mean_request_latency_s, f.max_request_latency_s);
     }
 
     #[test]
@@ -583,7 +740,7 @@ mod tests {
         let reqs = WorkloadSpec::mixed(64, 9)
             .with_arrivals(ArrivalPattern::Poisson { rate_rps: 8.0 })
             .sample();
-        let f = fold(&served(reqs, 4, 0.05, 0.01));
+        let f = report(&served(reqs, 4, 0.05, 0.01));
         // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
         // must agree to within one bucket width (2.2%) from below.
         for (exact, sketch) in [

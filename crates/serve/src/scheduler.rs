@@ -22,16 +22,16 @@
 //! and whole-prompt prefill is the chunk pass with an unbounded chunk.
 //!
 //! A [`Request`] lives here only while it is pending or running. At its last
-//! token it is dropped and a [`FinishedRequest`] stays: this module computes
-//! every per-request float a report reads — TTFT and latency (`t −
-//! arrival_s`), the worst achieved ÷ deadline ratio, the SLO verdict — once,
-//! at retirement. [`crate::report`] only sums, sorts and sketches what the
-//! records carry, in completion order; it is the one place they become a
-//! report.
+//! token this module computes every per-request float a report reads — TTFT
+//! and latency (`t − arrival_s`), the worst achieved ÷ deadline ratio, the
+//! SLO verdict — once, into a [`FinishedRequest`] that the scheduler's
+//! [`crate::report`] fold takes in and the `retired` hook sees; nothing of
+//! the request outlives the tick.
 
 use std::collections::VecDeque;
 
 use crate::ledger::{KvBudget, KvHandle, PageBudget};
+use crate::report::Fold;
 use crate::request::{Request, RequestId, RequestState};
 
 // ---------------------------------------------------------------------------
@@ -159,8 +159,9 @@ pub trait TickExecutor {
     /// host tier and swap back in. Every eviction is listed exactly once.
     fn preempted(&mut self, _sched: &Scheduler, _recomputed: &[RequestId], _swapped: &[RequestId]) {}
 
-    /// The records the decode step just appended to [`Scheduler::finished`]
-    /// (possibly none), in admission order; the budget has already released them.
+    /// The records of the requests the decode step just retired (possibly
+    /// none), in admission order, already released by the budget and folded
+    /// into the report. The tick's scratch: copy what must outlive the call.
     fn retired(&mut self, _sched: &Scheduler, _done: &[FinishedRequest]) {}
 }
 
@@ -194,9 +195,9 @@ pub struct SchedOptions {
     pub preemption: PreemptionMode,
 }
 
-/// What a request leaves behind when it retires: the few facts reports
-/// read, instead of the request itself — the scheduler holds one of these
-/// per completion and a [`Request`] only while it is pending or running.
+/// What a request says when it retires: the few facts reports read,
+/// instead of the request itself. Made once per completion, folded into the
+/// scheduler's report fold and shown to the `retired` hook, then dropped.
 /// Every per-request float a report reads is computed here, once, at
 /// retirement (`t − arrival_s`, `achieved ÷ deadline`); consumers only sum
 /// and sort.
@@ -227,7 +228,7 @@ impl FinishedRequest {
     /// The record of `req` retiring at `clock`. The achieved times come from
     /// the record's own accessors — the floats every report reads later —
     /// and the achieved ÷ deadline ratio is computed here and nowhere else.
-    fn retire(req: &Request, clock: f64) -> Self {
+    pub(crate) fn retire(req: &Request, clock: f64) -> Self {
         let slo = req.slo();
         let mut done = Self {
             id: req.id,
@@ -315,8 +316,8 @@ pub struct Scheduler {
     /// residents: with their count, all the cost model needs to price a
     /// decode step.
     decode_tokens: usize,
-    /// One record per completion, in completion order — never the request.
-    finished: Vec<FinishedRequest>,
+    /// What every retirement so far says, for the report.
+    fold: Fold,
     clock: f64,
     prefill_time: f64,
     decode_time: f64,
@@ -353,8 +354,10 @@ pub struct Scheduler {
     preempted: Vec<RequestId>,
     swapped: Vec<RequestId>,
     /// The decode step's retirees, as batch indices (ascending):
-    /// retirement compacts the batch around them.
+    /// retirement compacts the batch around them; then their records, for
+    /// the `retired` hook.
     retiring: Vec<usize>,
+    done: Vec<FinishedRequest>,
 }
 
 /// Tokens of work still owed to one queued or running request.
@@ -402,7 +405,7 @@ impl Scheduler {
             fresh: Vec::new(),
             prefilling: 0,
             decode_tokens: 0,
-            finished: Vec::new(),
+            fold: Fold::default(),
             clock: 0.0,
             prefill_time: 0.0,
             decode_time: 0.0,
@@ -419,6 +422,7 @@ impl Scheduler {
             preempted: Vec::new(),
             swapped: Vec::new(),
             retiring: Vec::new(),
+            done: Vec::new(),
         }
     }
 
@@ -642,9 +646,9 @@ impl Scheduler {
         *slot = (*slot).max(tokens);
     }
 
-    /// One record per finished request, in completion order.
-    pub fn finished(&self) -> &[FinishedRequest] {
-        &self.finished
+    /// The report fold over every retirement so far.
+    pub(crate) fn fold(&self) -> &Fold {
+        &self.fold
     }
 
     /// Requests submitted here and not running: queued, preempted or swapped out.
@@ -718,9 +722,8 @@ impl Scheduler {
             return; // every resident is still chunk-prefilling
         }
         let dt = exec.decode(self);
-        let before = self.finished.len();
         self.decode_step(dt, budget);
-        exec.retired(self, &self.finished[before..]);
+        exec.retired(self, &self.done);
     }
 
     /// Admission step: repeatedly let the policy pick among arrived requests
@@ -892,7 +895,7 @@ impl Scheduler {
     /// returned in id order for the caller to requeue elsewhere. The
     /// second return is the materialized tokens lost to the crash.
     ///
-    /// The scheduler itself survives (clock, finished list, counters):
+    /// The scheduler itself survives (clock, report fold, counters):
     /// a restarted replica resumes reporting where it left off.
     pub fn evict_all<B: KvBudget>(&mut self, budget: &mut B) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
@@ -1064,7 +1067,7 @@ impl Scheduler {
     /// request is written. It visits only residents whose state changes:
     /// the `fresh` get their first token and, on a step reaching
     /// `next_done`, one scan of `done_at` lists (and syncs) the retirees,
-    /// who retire (see [`Scheduler::retire`]) into `finished`.
+    /// who retire (see [`Scheduler::retire`]).
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
         let decodable = self.handles.len() - self.prefilling;
         assert!(decodable > 0, "decode_step with no decodable resident");
@@ -1111,13 +1114,15 @@ impl Scheduler {
     }
 
     /// Retires the residents the decode step listed in `retiring` (synced)
-    /// and returns the tokens they held.
+    /// and returns the tokens they held; `done` is left holding their
+    /// records, which the report fold has counted.
     ///
-    /// The retirees reach the budget and `finished` in admission order. The three columns are compacted by runs — the
+    /// The retirees reach the budget, the fold and `done` in admission order. The three columns are compacted by runs — the
     /// requests stay in their seats: each run of survivors between two
     /// retirees (or after the last) moves down as one block, so residents
     /// before the first retiree do not move and survivors keep their order.
     fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
+        self.done.clear();
         let Some(&first) = self.retiring.first() else { return 0 };
         let (clock, len) = (self.clock, self.handles.len());
         let mut retired_tokens = 0usize;
@@ -1128,7 +1133,9 @@ impl Scheduler {
             budget.release(req.id, Some(self.handles[at]));
             // A retiring request owes nothing: its final token was just
             // counted.
-            self.finished.push(FinishedRequest::retire(req, clock));
+            let record = FinishedRequest::retire(req, clock);
+            self.fold.add(&record);
+            self.done.push(record);
             let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
             self.handles.copy_within(survivors.clone(), kept);
             self.page_end.copy_within(survivors.clone(), kept);
@@ -1149,11 +1156,13 @@ mod tests {
     use crate::request::WorkloadSpec;
 
     /// Flat prices — `prefill` per slice, `decode` per step, swaps free —
-    /// with `probe` shown the scheduler at every hook.
+    /// with `probe` shown the scheduler at every hook; keeps every retired
+    /// record.
     struct Flat<P: FnMut(&Scheduler)> {
         prefill: f64,
         decode: f64,
         probe: P,
+        done: Vec<FinishedRequest>,
     }
 
     impl<P: FnMut(&Scheduler)> TickExecutor for Flat<P> {
@@ -1170,6 +1179,9 @@ mod tests {
         }
         fn preempted(&mut self, sched: &Scheduler, _: &[RequestId], _: &[RequestId]) {
             (self.probe)(sched);
+        }
+        fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+            self.done.extend_from_slice(done);
         }
     }
 
@@ -1197,32 +1209,33 @@ mod tests {
         PageBudget::new(16, 1, 1 << 40, Reservation::OnDemand)
     }
 
-    /// Ticks `sched` to completion at flat prices and hands it back.
+    /// Ticks `sched` to completion at flat prices and hands it back with
+    /// its retired records, in completion order.
     fn drive(
         mut sched: Scheduler,
         budget: &mut PageBudget,
         prefill_cost: f64,
         decode_cost: f64,
-    ) -> Scheduler {
+    ) -> (Scheduler, Vec<FinishedRequest>) {
         let mut guard = 0usize;
-        let mut exec = Flat { prefill: prefill_cost, decode: decode_cost, probe: |_| {} };
+        let mut exec = Flat { prefill: prefill_cost, decode: decode_cost, probe: |_| {}, done: Vec::new() };
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 1_000_000, "scheduler failed to converge");
             sched.tick(budget, &mut exec);
         }
-        sched
+        (sched, exec.done)
     }
 
-    /// Output tokens over every finished request.
-    fn generated(sched: &Scheduler) -> usize {
-        sched.finished().iter().map(FinishedRequest::generated).sum()
+    /// Output tokens over `done`.
+    fn generated(done: &[FinishedRequest]) -> usize {
+        done.iter().map(FinishedRequest::generated).sum()
     }
 
-    /// Mean end-to-end latency over the finished requests.
-    fn mean_latency(sched: &Scheduler) -> f64 {
-        let total: f64 = sched.finished().iter().map(FinishedRequest::latency_s).sum();
-        total / sched.finished().len() as f64
+    /// Mean end-to-end latency over `done`.
+    fn mean_latency(done: &[FinishedRequest]) -> f64 {
+        let total: f64 = done.iter().map(FinishedRequest::latency_s).sum();
+        total / done.len() as f64
     }
 
     #[test]
@@ -1234,9 +1247,9 @@ mod tests {
             reqs.push(crate::request::Request::new(crate::request::RequestId(i), 8, 2, 0.0));
         }
         let sched = legacy(reqs.clone(), 1, Box::new(ShortestJobFirst));
-        let sjf = drive(sched, &mut roomy(), 0.1, 0.01);
+        let (_, sjf) = drive(sched, &mut roomy(), 0.1, 0.01);
         let sched = legacy(reqs, 1, Box::new(Fcfs));
-        let fcfs = drive(sched, &mut roomy(), 0.1, 0.01);
+        let (_, fcfs) = drive(sched, &mut roomy(), 0.1, 0.01);
         assert!(
             mean_latency(&sjf) < mean_latency(&fcfs),
             "SJF mean {} should beat FCFS {}",
@@ -1254,9 +1267,9 @@ mod tests {
         let reqs = WorkloadSpec::fixed(2, 32, 4).sample();
         let mut budget = PageBudget::new(4, 1, 16, Reservation::OnDemand);
         let sched = legacy(reqs, 4, Box::new(MemoryAware { headroom: 0.0 }));
-        let sched = drive(sched, &mut budget, 0.1, 0.01);
-        assert_eq!(sched.finished().len(), 4);
-        assert_eq!(generated(&sched), 128);
+        let (sched, done) = drive(sched, &mut budget, 0.1, 0.01);
+        assert_eq!(done.len(), 4);
+        assert_eq!(generated(&done), 128);
         assert!(sched.preemptions() > 0, "tight pool must force preemption");
         assert_eq!(budget.free_pages(), budget.total_pages(), "all pages returned");
     }
@@ -1279,7 +1292,7 @@ mod tests {
         // alias the first's prefix: its whole prompt runs first in the pass.
         let opts = SchedOptions { share_prefixes: true, chunk_tokens: None, ..SchedOptions::default() };
         let mut sched = submitted(two_tenants(), 4, Box::new(Fcfs), opts);
-        let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {} };
+        let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {}, done: Vec::new() };
         sched.tick(&mut roomy(), &mut exec);
         assert_eq!(
             slices(&sched),
@@ -1299,7 +1312,8 @@ mod tests {
         // the founder's chunks cover the prefix, then aliases all of it.
         let opts = SchedOptions { share_prefixes: true, chunk_tokens: Some(4), ..SchedOptions::default() };
         let mut sched = submitted(two_tenants(), 4, Box::new(Fcfs), opts);
-        let (mut budget, mut exec) = (roomy(), Flat { prefill: 0.1, decode: 0.01, probe: |_| {} });
+        let (mut budget, mut exec) =
+            (roomy(), Flat { prefill: 0.1, decode: 0.01, probe: |_| {}, done: Vec::new() });
         let expected: [&[(u64, usize, usize)]; 3] =
             [&[(0, 4, 0)], &[(0, 4, 4)], &[(0, 4, 8), (1, 4, 8), (2, 4, 0), (3, 4, 8)]];
         for (tick, slices_then) in expected.into_iter().enumerate() {
@@ -1319,7 +1333,7 @@ mod tests {
             Box::new(Fcfs),
             SchedOptions { share_prefixes: false, chunk_tokens: Some(4), ..SchedOptions::default() },
         );
-        struct Chunked;
+        struct Chunked(Vec<FinishedRequest>);
         impl TickExecutor for Chunked {
             fn prefill(&mut self, sched: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
                 for &(id, new, past) in slices {
@@ -1335,15 +1349,18 @@ mod tests {
             fn decode(&mut self, _: &Scheduler) -> f64 {
                 0.01
             }
+            fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+                self.0.extend_from_slice(done);
+            }
         }
-        let (mut budget, mut guard) = (roomy(), 0);
+        let (mut budget, mut guard, mut exec) = (roomy(), 0, Chunked(Vec::new()));
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 10_000);
-            sched.tick(&mut budget, &mut Chunked);
+            sched.tick(&mut budget, &mut exec);
         }
-        assert_eq!(sched.finished().len(), 3);
-        assert_eq!(generated(&sched), 15);
+        assert_eq!(exec.0.len(), 3);
+        assert_eq!(generated(&exec.0), 15);
         assert!(sched.prefill_time_s() > 0.0);
     }
 
@@ -1354,7 +1371,7 @@ mod tests {
         assert_eq!(sched.outstanding_tokens(), 12);
         let mut owed_at_hooks = Vec::new();
         let probe = |s: &Scheduler| owed_at_hooks.push(s.outstanding_tokens());
-        sched.tick(&mut roomy(), &mut Flat { prefill: 0.1, decode: 0.01, probe });
+        sched.tick(&mut roomy(), &mut Flat { prefill: 0.1, decode: 0.01, probe, done: Vec::new() });
         // Whole-prompt prefill materialized at admission: output remains.
         assert_eq!(owed_at_hooks, vec![4; 3], "after admission, make-room and before the decode");
         assert_eq!(sched.outstanding_tokens(), 3);
@@ -1372,7 +1389,7 @@ mod tests {
         let mut guard = 0usize;
         // After admission, after make-room and (below) after the decode step.
         let probe = |s: &Scheduler| assert_eq!(s.outstanding_tokens(), s.outstanding_tokens_scan());
-        let mut exec = Flat { prefill: 0.0, decode: 0.01, probe };
+        let mut exec = Flat { prefill: 0.0, decode: 0.01, probe, done: Vec::new() };
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000);
@@ -1383,8 +1400,9 @@ mod tests {
         assert_eq!(sched.outstanding_tokens(), 0);
     }
 
-    /// One record per completion is all a scheduler keeps; growth is a
-    /// visible diff (README, "What a request costs in memory").
+    /// Every retirement makes one record, kept until the tick ends and
+    /// passed by value to the fold and the hook; growth is a visible diff
+    /// (README, "What a request costs in memory").
     #[test]
     fn finished_record_size_is_pinned() {
         assert_eq!(std::mem::size_of::<FinishedRequest>(), 48);
@@ -1394,7 +1412,7 @@ mod tests {
     fn in_place_retirement_keeps_order_at_every_corner() {
         /// Flat prices; collects what the `retired` hook is told.
         #[derive(Default)]
-        struct Recording(Vec<u64>);
+        struct Recording(Vec<FinishedRequest>);
         impl TickExecutor for Recording {
             fn prefill(&mut self, _: &Scheduler, _: &[(RequestId, usize, usize)]) -> f64 {
                 0.1
@@ -1406,7 +1424,7 @@ mod tests {
                 0.01
             }
             fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
-                self.0.extend(done.iter().map(|r| r.id.0));
+                self.0.extend_from_slice(done);
             }
         }
         // (input, output) per request, all admitted on tick 1 in id order,
@@ -1452,8 +1470,7 @@ mod tests {
                 sched.tick(&mut budget, &mut exec);
                 budget.assert_consistent();
                 sched.assert_mirrors_ledger(&budget);
-                let finished: Vec<u64> = sched.finished().iter().map(|r| r.id.0).collect();
-                assert_eq!(exec.0, finished, "{corner}, tick {ticks}: retired hook vs finished");
+                let finished: Vec<u64> = exec.0.iter().map(|r| r.id.0).collect();
                 if let Some(&(survivors, done)) = trace.get(ticks) {
                     assert_eq!(ids(&sched), survivors, "{corner}, tick {ticks}: survivors");
                     assert_eq!(finished, done, "{corner}, tick {ticks}: finished order");
@@ -1462,8 +1479,8 @@ mod tests {
                 assert!(ticks < 100, "{corner}: failed to converge");
             }
             assert!(ticks >= trace.len(), "{corner}: the trace outran the run");
-            assert_eq!(sched.finished().len(), shapes.len(), "{corner}");
-            for r in sched.finished() {
+            assert_eq!(exec.0.len(), shapes.len(), "{corner}");
+            for r in &exec.0 {
                 assert_eq!(r.generated(), shapes[r.id.0 as usize].1, "{corner}: output of {:?}", r.id);
             }
             assert_eq!(budget.free_pages(), budget.total_pages(), "{corner}: pages returned");
@@ -1503,9 +1520,9 @@ mod tests {
         /// worst-case request (evicting by swap or recompute) to never
         /// binding. After every tick the survivors are the batch the decode
         /// step saw less its retirees, in order; the retirees reach the
-        /// `retired` hook and `finished` in that same order; every request is
-        /// waiting (swapped-out ones included), running or finished; and the
-        /// ledger mirrors the scheduler.
+        /// `retired` hook in that same order; every request is waiting
+        /// (swapped-out ones included), running or retired; and the ledger
+        /// mirrors the scheduler.
         fn retirement_compacts_like_a_stable_filter(rng) {
             let mut pick = |lo: i64, hi: i64| rng.int_in(lo, hi) as usize;
             let n = pick(1, 64);
@@ -1528,11 +1545,10 @@ mod tests {
             let mut sched = submitted(requests, n, Box::new(Fcfs), opts);
             let mut exec = Reference::default();
             let ids = |s: &Scheduler| s.running().map(|r| r.id.0).collect::<Vec<_>>();
-            let mut ticks = 0usize;
+            let (mut ticks, mut retired) = (0usize, 0usize);
             while !sched.is_done() {
                 exec.batch.clear();
                 exec.retired.clear();
-                let done = sched.finished().len();
                 sched.tick(&mut budget, &mut exec);
                 budget.assert_consistent();
                 sched.assert_mirrors_ledger(&budget);
@@ -1543,14 +1559,13 @@ mod tests {
                 }
                 let gone: Vec<u64> = gone.iter().map(|&&(id, _)| id).collect();
                 assert_eq!(exec.retired, gone, "tick {ticks}: retired hook");
-                let finished: Vec<u64> = sched.finished()[done..].iter().map(|r| r.id.0).collect();
-                assert_eq!(finished, gone, "tick {ticks}: finished order");
-                let books = sched.waiting() + sched.running().len() + sched.finished().len();
-                assert_eq!(books, n, "tick {ticks}: waiting + running + finished");
+                retired += gone.len();
+                let books = sched.waiting() + sched.running().len() + retired;
+                assert_eq!(books, n, "tick {ticks}: waiting + running + retired");
                 ticks += 1;
                 assert!(ticks < 10_000, "failed to converge");
             }
-            assert_eq!(sched.finished().len(), n);
+            assert_eq!(retired, n);
             assert_eq!(budget.free_pages(), budget.total_pages(), "pages returned");
         }
     }
@@ -1625,8 +1640,8 @@ mod tests {
             .with_arrivals(crate::request::ArrivalPattern::Uniform { rate_rps: 0.5 })
             .sample();
         let sched = legacy(reqs, 2, Box::new(Fcfs));
-        let sched = drive(sched, &mut roomy(), 0.0, 0.1);
-        assert_eq!(sched.finished().len(), 3);
+        let (sched, done) = drive(sched, &mut roomy(), 0.0, 0.1);
+        assert_eq!(done.len(), 3);
         // Last arrival at t=4s; the clock must have idled past it.
         assert!(sched.clock() >= 4.0);
     }

@@ -116,6 +116,8 @@ struct Metered {
     /// Residents still mid-prefill as make-room starts (after this tick's
     /// slices, the last step before it).
     mid_prefill: Vec<RequestId>,
+    /// Every record the `retired` hook was handed, in completion order.
+    finished: Vec<FinishedRequest>,
 }
 
 impl TickExecutor for Metered {
@@ -147,6 +149,9 @@ impl TickExecutor for Metered {
             self.readmitting.insert(id);
         }
         self.mid_prefill.clear();
+    }
+    fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+        self.finished.extend_from_slice(done);
     }
 }
 
@@ -206,7 +211,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         // scan in debug builds.
         let _ = (sched.outstanding_tokens(), sched.decode_totals());
         let decoded = sched.running().filter(|r| r.generated() > 0).map(|r| r.id);
-        for id in decoded.chain(sched.finished().iter().map(|r| r.id)) {
+        for id in decoded.chain(exec.finished.iter().map(|r| r.id)) {
             first_token_seen.entry(id).or_insert(sched.clock());
         }
     }
@@ -224,7 +229,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
     // TTFT stamped exactly once, at the true first token: the scheduler's
     // per-request stamp must equal the clock the driver observed live, and
     // must never move when a preempted request recomputes.
-    for r in sched.finished() {
+    for r in &exec.finished {
         assert_eq!(
             r.first_token_s,
             first_token_seen[&r.id],
@@ -233,8 +238,8 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         );
     }
     Driven {
-        completed: sched.finished().len(),
-        generated_tokens: sched.finished().iter().map(FinishedRequest::generated).sum(),
+        completed: exec.finished.len(),
+        generated_tokens: exec.finished.iter().map(FinishedRequest::generated).sum(),
         preemptions: sched.preemptions(),
         swap_outs: sched.swap_outs(),
         swap_out_pages: sched.swap_out_pages(),

@@ -15,7 +15,7 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
+    Fcfs, FinishedRequest, MemoryAware, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy,
     TickExecutor,
 };
 
@@ -37,7 +37,8 @@ struct Scenario {
 /// peak_pages, FNV-1a of the finished-id order)`.
 type Outcome = (u64, usize, usize, usize, usize, usize, u64);
 
-struct Priced;
+/// Keeps the ids the `retired` hook is handed, in completion order.
+struct Priced(Vec<RequestId>);
 
 impl TickExecutor for Priced {
     /// Whole prompts and chunks keep the two prices they were recorded with.
@@ -58,6 +59,9 @@ impl TickExecutor for Priced {
             .filter(|r| r.prefill_remaining() == 0)
             .fold((0usize, 0usize), |(n, t), r| (n + 1, t + r.prefilled()));
         2e-3 + 1e-5 * batch as f64 + 1e-6 * tokens as f64
+    }
+    fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+        self.0.extend(done.iter().map(|r| r.id));
     }
 }
 
@@ -98,18 +102,18 @@ fn run(s: &Scenario) -> Outcome {
     for r in spec.sample() {
         sched.submit(r);
     }
-    let mut guard = 0usize;
+    let (mut guard, mut exec) = (0usize, Priced(Vec::new()));
     while !sched.is_done() {
         guard += 1;
         assert!(guard < 1_000_000, "scheduler failed to converge");
-        sched.tick(&mut budget, &mut Priced);
+        sched.tick(&mut budget, &mut exec);
     }
     budget.assert_consistent();
     assert_eq!(budget.free_pages(), budget.total_pages(), "every page returned");
-    let order = sched.finished().iter().fold(0xCBF2_9CE4_8422_2325u64, |h, r| {
-        (h ^ r.id.0).wrapping_mul(0x0000_0100_0000_01B3)
+    let order = exec.0.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, id| {
+        (h ^ id.0).wrapping_mul(0x0000_0100_0000_01B3)
     });
-    assert_eq!(sched.finished().len(), 40);
+    assert_eq!(exec.0.len(), 40);
     (
         sched.clock().to_bits(),
         sched.preemptions(),

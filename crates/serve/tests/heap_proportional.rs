@@ -1,9 +1,10 @@
 //! Memory is proportional to what is resident, not to the trace: a cluster
 //! run — and a single engine's `serve`, which is a one-replica cluster run —
-//! holds its residents, its backlog and one small record per completion —
-//! never the workload, never a retired request. Over capacity the backlog
-//! itself grows with the trace, and then what a pending `Request` costs is
-//! what the run costs.
+//! holds its residents, its backlog and, per scheduler, a report fold whose
+//! exact columns stop at `EXACT_STATS_MAX` completions — never the
+//! workload, never a retired request or a record of one. Over capacity the
+//! backlog itself grows with the trace, and then what a pending `Request`
+//! costs is what the run costs.
 //!
 //! One `#[test]` in a binary of its own, because the counting allocator
 //! (`common/counting_alloc.rs`) is process-global.
@@ -64,21 +65,39 @@ fn peak_heap_of_engine(n: usize) -> usize {
 const REQUEST_BYTES: f64 = 80.0;
 
 /// Per additional request, the overload run holds ≈ 1.15 `Request`s at its
-/// peak (the backlog and its deques' slack) over ≈ 188 B of everything
-/// else — 279 B at 80-byte requests, 353 B at the 144-byte layout before.
-/// With a 4 B and 0.1-request margin, an 88-byte `Request` passes and a
-/// 96-byte one fails.
-const OVERLOAD_BYTES_PER_REQUEST: f64 = 192.0 + 1.25 * REQUEST_BYTES;
+/// peak (the backlog and its deques' slack) over ≈ 151 B of everything
+/// else — 243 B at 80-byte requests. With a 5 B and 0.1-request margin, an
+/// 88-byte `Request` passes and a 96-byte one fails.
+const OVERLOAD_BYTES_PER_REQUEST: f64 = 156.0 + 1.25 * REQUEST_BYTES;
+
+/// The exact columns a report fold keeps per completion up to
+/// `EXACT_STATS_MAX` on this trace: a latency and a TTFT, 8 B each (the
+/// `production` trace carries no deadlines, so no SLO ratio).
+const COLUMN_BYTES: f64 = 2.0 * 8.0;
+
+/// Below the threshold, per additional request: the folds' columns, and the
+/// copy the report merges them into at the end, each at most half empty
+/// under `Vec` doubling — 64 B (32.0 B for `serve` and 29.5 B for `cluster`
+/// today).
+const BELOW_THRESHOLD_BYTES_PER_REQUEST: f64 = 2.0 * 2.0 * COLUMN_BYTES;
+
+/// Past the threshold a fold has dropped its columns and holds only sums
+/// and two fixed-size sketches: nothing may grow with the trace. 0.0 B
+/// today; the bound leaves room for one word per request and no more.
+const PAST_THRESHOLD_BYTES_PER_REQUEST: f64 = 8.0;
 
 #[test]
-fn peak_heap_grows_by_a_finished_record_per_request_not_by_the_trace() {
+fn peak_heap_holds_no_record_of_a_finished_request() {
     let (small, large) = (1 << 12, 1 << 14);
+    let below = BELOW_THRESHOLD_BYTES_PER_REQUEST;
     let runs = [
-        ("cluster", (|n| peak_heap_of_fleet(n, 400.0)) as fn(usize) -> usize, 128.0),
-        ("serve", peak_heap_of_engine, 128.0),
-        ("overload", |n| peak_heap_of_fleet(n, 800.0), OVERLOAD_BYTES_PER_REQUEST),
+        ("cluster", (|n| peak_heap_of_fleet(n, 400.0)) as fn(usize) -> usize, below, small, large),
+        ("serve", peak_heap_of_engine, below, small, large),
+        ("overload", |n| peak_heap_of_fleet(n, 800.0), OVERLOAD_BYTES_PER_REQUEST, small, large),
+        // One engine past `EXACT_STATS_MAX` = 2^16 at both sizes.
+        ("serve past the threshold", peak_heap_of_engine, PAST_THRESHOLD_BYTES_PER_REQUEST, 1 << 17, 1 << 18),
     ];
-    for (what, peak_heap_of_serving, bound) in runs {
+    for (what, peak_heap_of_serving, bound, small, large) in runs {
         let (peak_small, peak_large) = (peak_heap_of_serving(small), peak_heap_of_serving(large));
         let per_request = (peak_large as f64 - peak_small as f64) / (large - small) as f64;
         println!("{what}: peak live heap {peak_small} B at n = {small}, {peak_large} B at n = {large}: {per_request:.1} B per additional request");
@@ -86,8 +105,8 @@ fn peak_heap_grows_by_a_finished_record_per_request_not_by_the_trace() {
             per_request <= bound,
             "{what}: peak live heap grew by {per_request:.1} B per additional request ({peak_small} B at \
              n = {small}, {peak_large} B at n = {large}; at most {bound} B): a finished request should \
-             leave a 48-byte record and its report columns, not itself, and a backlogged one its \
-             `Request` ({REQUEST_BYTES} B)"
+             leave no record, only its report fold's columns up to the exact-statistics threshold, \
+             and a backlogged one its `Request` ({REQUEST_BYTES} B)"
         );
     }
 }

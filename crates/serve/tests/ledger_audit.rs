@@ -22,7 +22,7 @@ use qserve_serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve_serve::scheduler::{
-    Fcfs, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
+    Fcfs, FinishedRequest, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
 
@@ -83,8 +83,8 @@ fn draw(rng: &mut TensorRng) -> Case {
 }
 
 /// 0.01 s per prefill slice and per decode step, 1e-4 s per page over the
-/// host link.
-struct Flat;
+/// host link; keeps the ids the `retired` hook is handed.
+struct Flat(Vec<RequestId>);
 
 impl TickExecutor for Flat {
     fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
@@ -95,6 +95,9 @@ impl TickExecutor for Flat {
     }
     fn decode(&mut self, _: &Scheduler) -> f64 {
         0.01
+    }
+    fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+        self.0.extend(done.iter().map(|r| r.id));
     }
 }
 
@@ -111,7 +114,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
     for r in case.spec.sample() {
         sched.submit(r);
     }
-    let mut ticks = 0usize;
+    let (mut ticks, mut exec) = (0usize, Flat(Vec::new()));
     while !sched.is_done() {
         ticks += 1;
         assert!(ticks < 200_000, "scheduler failed to converge");
@@ -125,7 +128,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
                 sched.submit(req);
             }
         }
-        sched.tick(&mut budget, &mut Flat);
+        sched.tick(&mut budget, &mut exec);
         budget.assert_consistent();
         sched.assert_mirrors_ledger(&budget);
         // The O(1) aggregates the tick prices from, against the scan.
@@ -136,7 +139,8 @@ fn drive_audited(case: &Case) -> (usize, usize) {
             (decodable().count(), decodable().map(|r| r.prefilled()).sum::<usize>())
         );
     }
-    assert_eq!(sched.finished().len(), n, "every request finishes exactly once");
+    let finished: std::collections::HashSet<RequestId> = exec.0.iter().copied().collect();
+    assert_eq!((exec.0.len(), finished.len()), (n, n), "every request finishes exactly once");
     assert_eq!(budget.free_pages(), total_pages, "every page returned");
     assert_eq!(budget.host_used_pages(), 0, "the host tier drained");
     (sched.preemptions(), sched.swap_outs())

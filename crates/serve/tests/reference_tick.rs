@@ -22,12 +22,13 @@ use qserve_serve::scheduler::{
     SchedulingPolicy, ShortestJobFirst, TickExecutor,
 };
 use qserve_tensor::rng::TensorRng;
-use reference::{done_of, price, Hook, Reference, Seen};
+use reference::{done_of, price, Done, Hook, Reference, Seen};
 
 /// Logs each hook call the real tick makes, with the batch it saw, and
-/// charges what [`price`] says — the reference's own prices.
+/// charges what [`price`] says — the reference's own prices; keeps every
+/// record the `retired` hook is handed, as bits, in completion order.
 #[derive(Default)]
-struct Recorder(Vec<Seen>);
+struct Recorder(Vec<Seen>, Vec<Done>);
 
 impl Recorder {
     fn see(&mut self, sched: &Scheduler, hook: Hook) -> f64 {
@@ -52,6 +53,7 @@ impl TickExecutor for Recorder {
         self.see(sched, Hook::Preempted(recomputed.to_vec(), swapped.to_vec()));
     }
     fn retired(&mut self, sched: &Scheduler, done: &[FinishedRequest]) {
+        self.1.extend(done.iter().map(done_of));
         self.see(sched, Hook::Retired(done.iter().map(|r| r.id).collect()));
     }
 }
@@ -196,8 +198,7 @@ fn lockstep(case: &Case) -> Reached {
             assert_eq!(batch, expected, "tick {tick}: the batch {hook:?} saw");
         }
         assert_eq!(sched.running().collect::<Vec<_>>(), oracle.running, "tick {tick}: running");
-        let finished: Vec<_> = sched.finished().iter().map(done_of).collect();
-        assert_eq!(finished, oracle.finished, "tick {tick}: finished records");
+        assert_eq!(exec.1, oracle.finished, "tick {tick}: finished records");
         assert_eq!(sched.clock().to_bits(), oracle.clock.to_bits(), "tick {tick}: clock");
         assert_eq!(
             (sched.preemptions(), sched.swap_outs(), sched.swap_out_pages(), sched.swap_in_pages()),
@@ -214,7 +215,7 @@ fn lockstep(case: &Case) -> Reached {
         budget.assert_consistent();
         sched.assert_mirrors_ledger(&budget);
     }
-    assert_eq!(sched.finished().len(), case.spec.num_requests, "every request finishes once");
+    assert_eq!(exec.1.len(), case.spec.num_requests, "every request finishes once");
     assert_eq!(budget.free_pages(), budget.total_pages(), "every page returned");
     reached.preemptions = sched.preemptions();
     reached.swap_outs = sched.swap_outs();

@@ -97,8 +97,11 @@ fn main() {
         recovery,
         dead.completed,
     );
+    // `serve_paged_faulty` returns only if the driver's closing audit found
+    // finished ∪ shed to be exactly the arrivals, by id.
     println!(
-        "goodput dip: {:.0} → {:.0} tok/s; every request still finished exactly once",
+        "goodput dip: {:.0} → {:.0} tok/s; the driver's audit found every request \
+         finished or shed exactly once",
         healthy.throughput_tps, crashed.throughput_tps
     );
 }

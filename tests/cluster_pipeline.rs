@@ -144,8 +144,10 @@ props! {
     /// recompute and swap preemption modes — every generated request is
     /// finished exactly once or shed exactly once, never lost, never
     /// duplicated; requeue accounting balances per replica and
-    /// fleet-wide. (The driver additionally audits each crashed
-    /// replica's page ledger via `PageBudget::assert_consistent`.)
+    /// fleet-wide. (Which ids finished is the driver's closing audit: the
+    /// serve panics unless finished ∪ shed is exactly the arrivals. It
+    /// also audits each crashed replica's page ledger via
+    /// `PageBudget::assert_consistent`.)
     fn prop_faults_never_lose_or_duplicate_requests(rng, cases = 10) {
         let n = rng.int_in(8, 32) as usize;
         let seed = rng.next_u64();
@@ -180,7 +182,7 @@ props! {
         );
         let mut seen = std::collections::HashSet::new();
         for id in &report.shed_ids {
-            assert!(seen.insert(id.0), "request {} shed twice", id.0);
+            assert!(id.0 < n as u64 && seen.insert(id.0), "request {} shed twice or unknown", id.0);
         }
         for rep in &report.per_replica {
             // The fault-aware ledger: work routed here either finished
@@ -189,19 +191,9 @@ props! {
                 rep.completed + rep.requeued_away, rep.routed,
                 "replica ledger must balance: completed + requeued_away == routed"
             );
-            assert_eq!(rep.completed, rep.finished.len());
-            for id in &rep.finished {
-                assert!(
-                    seen.insert(id.0),
-                    "request {} finished twice or was both shed and finished",
-                    id.0
-                );
-            }
         }
-        assert_eq!(seen.len(), n, "a request was lost under faults");
-        for id in 0..n as u64 {
-            assert!(seen.contains(&id), "request {} vanished", id);
-        }
+        let completed: usize = report.per_replica.iter().map(|r| r.completed).sum();
+        assert_eq!(completed, report.completed, "replica completions must sum to the fleet's");
         // Every requeue event left exactly one replica and was counted
         // exactly once fleet-wide.
         let away: usize = report.per_replica.iter().map(|r| r.requeued_away).sum();
@@ -263,20 +255,13 @@ props! {
             .expect("workload must be servable");
         assert_eq!(report.completed, n, "every request finishes");
         assert_eq!(report.replicas, replicas);
-        // Exactly-once across the fleet: the union of per-replica finished
-        // ids is the workload's id set with no duplicates.
-        let mut seen = std::collections::HashSet::new();
+        // Exactly-once across the fleet: every replica finished what it was
+        // routed, and the driver's closing audit held the finished ids to
+        // the workload's.
         for rep in &report.per_replica {
             assert_eq!(rep.completed, rep.routed, "a replica lost a routed request");
-            assert_eq!(rep.completed, rep.finished.len());
-            for id in &rep.finished {
-                assert!(seen.insert(id.0), "request {} finished on two replicas", id.0);
-            }
         }
-        assert_eq!(seen.len(), n);
-        for id in 0..n as u64 {
-            assert!(seen.contains(&id), "request {} never finished", id);
-        }
+        assert_eq!(report.per_replica.iter().map(|r| r.completed).sum::<usize>(), n);
         // Token conservation: aggregate generated == Σ spec outputs.
         let expected: usize = spec.sample().iter().map(|r| r.output_len()).sum();
         assert_eq!(report.generated_tokens, expected);
@@ -341,21 +326,11 @@ props! {
         assert_eq!(report.shed_by_tier.iter().sum::<usize>(), report.shed);
         let mut seen = std::collections::HashSet::new();
         for id in &report.shed_ids {
-            assert!(seen.insert(id.0), "request {} shed twice", id.0);
+            assert!(id.0 < n as u64 && seen.insert(id.0), "request {} shed twice or unknown", id.0);
         }
+        // Which ids finished is the driver's closing audit.
         for rep in &report.per_replica {
             assert_eq!(rep.completed, rep.routed, "a replica lost a routed request");
-            for id in &rep.finished {
-                assert!(
-                    seen.insert(id.0),
-                    "request {} both shed and finished, or finished twice",
-                    id.0
-                );
-            }
-        }
-        assert_eq!(seen.len(), n, "a request was neither shed nor finished");
-        for id in 0..n as u64 {
-            assert!(seen.contains(&id), "request {} vanished", id);
         }
         if admit_all {
             assert_eq!(report.shed, 0, "admit-all must shed nothing");

@@ -11,7 +11,8 @@ use qserve::serve::request::{
     ArrivalPattern, LengthDist, PrefixSharing, RequestId, SloSpec, WorkloadSpec,
 };
 use qserve::serve::scheduler::{
-    Fcfs, MemoryAware, SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst, TickExecutor,
+    Fcfs, FinishedRequest, MemoryAware, SchedOptions, Scheduler, SchedulingPolicy, ShortestJobFirst,
+    TickExecutor,
 };
 use qserve::serve::{ServingEngine, SystemConfig};
 use qserve::tensor::{prop, props};
@@ -374,8 +375,8 @@ props! {
         for r in requests {
             sched.submit(r);
         }
-        /// 0.01 s per prefill slice and per decode step.
-        struct Flat;
+        /// 0.01 s per prefill slice and per decode step; keeps what retires.
+        struct Flat(Vec<FinishedRequest>);
         impl TickExecutor for Flat {
             fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
                 0.01 * slices.len() as f64
@@ -386,17 +387,19 @@ props! {
             fn decode(&mut self, _: &Scheduler) -> f64 {
                 0.01
             }
+            fn retired(&mut self, _: &Scheduler, done: &[FinishedRequest]) {
+                self.0.extend_from_slice(done);
+            }
         }
-        let mut guard = 0;
+        let (mut guard, mut exec) = (0, Flat(Vec::new()));
         while !sched.is_done() {
             guard += 1;
             assert!(guard < 100_000, "scheduler failed to converge");
-            sched.tick(&mut budget, &mut Flat);
+            sched.tick(&mut budget, &mut exec);
         }
-        let finished = sched.finished();
-        assert_eq!(finished.len(), n, "every request finishes");
+        assert_eq!(exec.0.len(), n, "every request finishes");
         let mut seen = std::collections::HashSet::new();
-        for r in finished {
+        for r in &exec.0 {
             assert!(seen.insert(r.id.0), "request {} finished twice", r.id.0);
             let (_, expect_out) = expected
                 .iter()
