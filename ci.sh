@@ -25,7 +25,9 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # The scheduler audits its O(1) counters (`outstanding`, `prefilling`, the
 # decodable `(count, Σ prefilled)`) and its headroom column against full
 # scans and the ledger with `debug_assert`, which release compiles out —
-# the check that a page boundary opens exactly one page per layer included.
+# the check that a page boundary opens exactly one page per layer included,
+# and the debug oracle of make-room's calendar (`Scheduler::take_due`: the
+# day's due set must equal the old scan of `page_end`, in admission order).
 # The preemption / swap churn suites, the ledger audit, the twelve pinned
 # tight-pool scenarios of the frozen tick, the tick-against-its-reference
 # property and the scheduler's and the ledger's own unit tests (their

@@ -103,15 +103,8 @@ pub struct AttentionShape {
 
 impl AttentionShape {
     fn latency(&self, gpu: &GpuSpec, row: AttentionRow) -> AttentionLatency {
-        decode_latency(
-            gpu,
-            row,
-            self.batch,
-            self.batch * self.seq_len,
-            self.query_heads,
-            self.kv_heads,
-            self.head_dim,
-        )
+        DecodeAttention::of_row(gpu, row, self.query_heads, self.kv_heads, self.head_dim)
+            .latency(self.batch, self.batch * self.seq_len)
     }
 }
 
@@ -198,41 +191,93 @@ impl AttentionOptimizations {
     }
 }
 
-/// The one decode formula, over batch-level totals.
-fn decode_latency(
-    gpu: &GpuSpec,
-    row: AttentionRow,
-    batch: usize,
-    total_tokens: usize,
-    query_heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> AttentionLatency {
-    let (batch, total_tokens) = (batch as f64, total_tokens as f64);
-    let elems = 2.0 * total_tokens * kv_heads as f64 * head_dim as f64;
-    let tokens_heads = total_tokens * kv_heads as f64;
+/// One kernel design's decode-attention price on one GPU for one head
+/// layout: every constant the decode formula reads, resolved once — the
+/// (sharded) query and KV heads, `head_dim`, the GQA group, the kernel row's
+/// bits and op count, and the two throughput denominators — so a caller that
+/// prices millions of steps (a replica's cost model) pays only the part that
+/// depends on the batch. [`DecodeAttention::latency`] is the one spelling of
+/// the formula.
+#[derive(Debug, Clone, Copy)]
+pub struct DecodeAttention {
+    query_heads: f64,
+    kv_heads: f64,
+    head_dim: f64,
+    /// Query heads per KV head: GQA replays each KV element for each.
+    group: f64,
+    /// KV storage bits per element.
+    kv_bits: f64,
+    /// Dynamic parameter bytes per (token, head).
+    param_bytes_per_token_head: f64,
+    /// CUDA-core ops the fused loop spends per KV element.
+    ops: f64,
+    /// Achieved gather bandwidth, bytes/s.
+    bytes_per_s: f64,
+    /// Achieved CUDA-core throughput on the kernel's pipe, ops/s.
+    ops_per_s: f64,
+    kernel_overhead_s: f64,
+}
 
-    // Memory: quantized KV + dynamic params + queries/outputs/scores.
-    let kv_bytes = elems * f64::from(row.kv_bits) / 8.0;
-    let param_bytes = tokens_heads * row.param_bytes_per_token_head;
-    let qo_bytes = 2.0 * 2.0 * batch * query_heads as f64 * head_dim as f64;
-    let score_bytes = 4.0 * total_tokens * query_heads as f64;
-    let memory_s =
-        (kv_bytes + param_bytes + qo_bytes + score_bytes) / (gpu.dram_bytes_per_s * ATTN_BW_EFFICIENCY);
+impl DecodeAttention {
+    /// `kernel` on `gpu` over `query_heads` query and `kv_heads` KV heads of
+    /// width `head_dim`.
+    pub fn new(
+        gpu: &GpuSpec,
+        kernel: AttentionKernel,
+        query_heads: usize,
+        kv_heads: usize,
+        head_dim: usize,
+    ) -> Self {
+        Self::of_row(gpu, kernel.row(), query_heads, kv_heads, head_dim)
+    }
 
-    // Compute: per-element fused-kernel work. GQA replays each KV element
-    // for every query head in its group.
-    let ops = row.dequant_ops + row.mac_ops + row.control_ops + row.address_ops;
-    let rate = if row.fp16_pipe { gpu.fp16_cuda_ops } else { gpu.fp32_cuda_ops };
-    let group = (query_heads / kv_heads).max(1) as f64;
-    let compute_s = ops * elems * group / (rate * ATTN_CUDA_EFFICIENCY);
+    fn of_row(
+        gpu: &GpuSpec,
+        row: AttentionRow,
+        query_heads: usize,
+        kv_heads: usize,
+        head_dim: usize,
+    ) -> Self {
+        let rate = if row.fp16_pipe { gpu.fp16_cuda_ops } else { gpu.fp32_cuda_ops };
+        Self {
+            query_heads: query_heads as f64,
+            kv_heads: kv_heads as f64,
+            head_dim: head_dim as f64,
+            group: (query_heads / kv_heads).max(1) as f64,
+            kv_bits: f64::from(row.kv_bits),
+            param_bytes_per_token_head: row.param_bytes_per_token_head,
+            ops: row.dequant_ops + row.mac_ops + row.control_ops + row.address_ops,
+            bytes_per_s: gpu.dram_bytes_per_s * ATTN_BW_EFFICIENCY,
+            ops_per_s: rate * ATTN_CUDA_EFFICIENCY,
+            kernel_overhead_s: gpu.kernel_overhead_s,
+        }
+    }
 
-    let total_s = memory_s.max(compute_s) + gpu.kernel_overhead_s;
-    AttentionLatency {
-        memory_s,
-        compute_s,
-        total_s,
-        compute_bound: compute_s > memory_s,
+    /// One launch over `batch` sequences holding `total_tokens` cached
+    /// tokens between them.
+    pub fn latency(&self, batch: usize, total_tokens: usize) -> AttentionLatency {
+        let (batch, total_tokens) = (batch as f64, total_tokens as f64);
+        let elems = 2.0 * total_tokens * self.kv_heads * self.head_dim;
+        let tokens_heads = total_tokens * self.kv_heads;
+
+        // Memory: quantized KV + dynamic params + queries/outputs/scores.
+        let kv_bytes = elems * self.kv_bits / 8.0;
+        let param_bytes = tokens_heads * self.param_bytes_per_token_head;
+        let qo_bytes = 2.0 * 2.0 * batch * self.query_heads * self.head_dim;
+        let score_bytes = 4.0 * total_tokens * self.query_heads;
+        let memory_s = (kv_bytes + param_bytes + qo_bytes + score_bytes) / self.bytes_per_s;
+
+        // Compute: per-element fused-kernel work. GQA replays each KV element
+        // for every query head in its group.
+        let compute_s = self.ops * elems * self.group / self.ops_per_s;
+
+        let total_s = memory_s.max(compute_s) + self.kernel_overhead_s;
+        AttentionLatency {
+            memory_s,
+            compute_s,
+            total_s,
+            compute_bound: compute_s > memory_s,
+        }
     }
 }
 
@@ -251,7 +296,7 @@ pub fn attention_decode_latency_totals(
     kv_heads: usize,
     head_dim: usize,
 ) -> AttentionLatency {
-    decode_latency(gpu, kernel.row(), batch, total_tokens, query_heads, kv_heads, head_dim)
+    DecodeAttention::new(gpu, kernel, query_heads, kv_heads, head_dim).latency(batch, total_tokens)
 }
 
 /// Models one decode-attention launch.

@@ -29,9 +29,7 @@ use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{
     Fcfs, PreemptionMode, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor,
 };
-use qserve_gpusim::attention_model::{
-    attention_decode_latency_totals, attention_prefill_latency_chunked,
-};
+use qserve_gpusim::attention_model::{attention_prefill_latency_chunked, DecodeAttention};
 use qserve_gpusim::gemm_model::{gemm_latency, GemmShape};
 use qserve_gpusim::tp::{HostLink, TpGroup};
 use qserve_gpusim::GpuSpec;
@@ -98,6 +96,8 @@ pub struct ServingReport {
 pub(crate) struct CostModel<'e> {
     pub(crate) engine: &'e ServingEngine,
     memo: GemmMemo,
+    /// The engine's decode-attention price, its constants resolved once.
+    attention: DecodeAttention,
     /// `(new_tokens, past_tokens)` pairs handed to the cost model, reused
     /// across ticks so pricing allocates nothing.
     pairs: Vec<(usize, usize)>,
@@ -106,7 +106,7 @@ pub(crate) struct CostModel<'e> {
 impl<'e> CostModel<'e> {
     /// A cost model over `engine` with a cold memo.
     pub(crate) fn new(engine: &'e ServingEngine) -> Self {
-        Self { engine, memo: GemmMemo::default(), pairs: Vec::new() }
+        Self { engine, memo: GemmMemo::default(), attention: engine.decode_attention(), pairs: Vec::new() }
     }
 
     /// [`ServingEngine::decode_step_latency_hetero`] of `batch` sequences
@@ -114,8 +114,8 @@ impl<'e> CostModel<'e> {
     /// straight off [`Scheduler::decode_totals`] — its GEMM term from the
     /// memo.
     fn decode_step_latency(&mut self, batch: usize, total_tokens: usize) -> f64 {
-        let (engine, memo) = (self.engine, &mut self.memo);
-        engine.step_latency(engine.decode_layer_cost_with(batch, total_tokens, |tokens| {
+        let (engine, memo, attention) = (self.engine, &mut self.memo, &self.attention);
+        engine.step_latency(engine.decode_layer_cost_with(attention, batch, total_tokens, |tokens| {
             memo.get(engine, tokens)
         }))
     }
@@ -492,26 +492,32 @@ impl ServingEngine {
     /// `total_tokens` cached tokens between them — what Figure 2a splits
     /// into attention / GEMM / others.
     pub fn decode_layer_cost(&self, batch: usize, total_tokens: usize) -> LayerCost {
-        self.decode_layer_cost_with(batch, total_tokens, |t| self.layer_gemm_latency(t))
+        let attention = self.decode_attention();
+        self.decode_layer_cost_with(&attention, batch, total_tokens, |t| self.layer_gemm_latency(t))
     }
 
-    /// [`ServingEngine::decode_layer_cost`], its GEMM term from `gemm`.
+    /// This engine's decode-attention launch: its kernel on its GPU over the
+    /// heads one TP shard holds.
+    fn decode_attention(&self) -> DecodeAttention {
+        DecodeAttention::new(
+            &self.gpu,
+            self.system.attention_kernel(),
+            self.tp.shard(self.model.heads),
+            self.tp.shard(self.model.kv_heads),
+            self.model.head_dim(),
+        )
+    }
+
+    /// [`ServingEngine::decode_layer_cost`] with `attention` (this engine's
+    /// [`ServingEngine::decode_attention`]), its GEMM term from `gemm`.
     fn decode_layer_cost_with(
         &self,
+        attention: &DecodeAttention,
         batch: usize,
         total_tokens: usize,
         gemm: impl FnOnce(usize) -> f64,
     ) -> LayerCost {
-        let attn = attention_decode_latency_totals(
-            &self.gpu,
-            self.system.attention_kernel(),
-            batch,
-            total_tokens,
-            self.tp.shard(self.model.heads),
-            self.tp.shard(self.model.kv_heads),
-            self.model.head_dim(),
-        );
-        self.layer_cost(batch, attn.total_s, gemm)
+        self.layer_cost(batch, attention.latency(batch, total_tokens).total_s, gemm)
     }
 
     /// [`ServingEngine::decode_step_latency_hetero`] from the two integers

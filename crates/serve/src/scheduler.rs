@@ -5,7 +5,9 @@
 //! [`Request`]s — admission order (delegated to a pluggable
 //! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`],
 //! the page ledger of [`crate::ledger`], which hears from a decoding
-//! resident once when it starts decoding and then once per page boundary),
+//! resident once when it starts decoding and then once per page boundary —
+//! make-room finds the residents at a boundary in a calendar keyed by step,
+//! not by scanning the batch),
 //! LIFO recompute- and swap-style preemption, clock/phase accounting — and the
 //! *order* of a tick: [`Scheduler::tick`] is the only place the steps are
 //! sequenced and gated, and the steps themselves are private. It
@@ -30,6 +32,7 @@
 
 use std::collections::VecDeque;
 
+use crate::kv_cache::PAGE_TOKENS;
 use crate::ledger::{KvBudget, KvHandle, PageBudget};
 use crate::report::Fold;
 use crate::request::{Request, RequestId, RequestState};
@@ -283,29 +286,44 @@ pub struct Scheduler {
     /// common FCFS admission (`remove(0)`) is O(1) instead of shifting
     /// the whole backlog.
     pending: VecDeque<Request>,
-    /// Each resident's request, at its handle's index for its residency:
-    /// retirement and eviction never move one. A decodable resident's
-    /// `generated` and `prefilled` date from its last sync (see `done_at`).
+    /// Each resident's request, at its *seat* — its handle's index — for its
+    /// residency: retirement and eviction never move one. A decodable
+    /// resident's `generated` and `prefilled` date from its last sync (see
+    /// `done_at`).
     requests: Vec<Request>,
-    /// The residents' ledger handles in admission order (LIFO preemption
-    /// indexes this); with the two step columns, all a retirement moves.
-    /// Columns, not `Request` fields: a request's public shape and `Debug`
-    /// text (hashed into run digests) stay free of budget and step count.
-    handles: Vec<KvHandle>,
+    /// Per seat, beside `requests`: the step at which the seated resident's
+    /// pages fill (its headroom is `page_end − steps`). [`NEVER`] while the
+    /// resident prefills and while the seat is vacant.
+    page_end: Vec<Step>,
+    /// Per seat: the seating's stamp, from `seated` — it orders residents as
+    /// admission does, and tells a booking for this residency from one an
+    /// earlier occupant of the seat left behind.
+    stamps: Vec<u32>,
+    /// Seatings so far: the next stamp.
+    seated: u32,
+    /// Make-room's calendar queue (Brown, "Calendar queues", CACM 1988): a
+    /// ring of [`CALENDAR_DAYS`] days of [`Booking`]s, one per decodable
+    /// resident that fills its pages before it retires, filed on the day of
+    /// its page end when it arms and at each growth. A booking whose seat
+    /// empties or is re-seated goes stale and is dropped when its day comes.
+    calendar: [Vec<Booking>; CALENDAR_DAYS],
+    /// Make-room's scratch: this step's due bookings, in admission order.
+    due: Vec<Booking>,
+    /// The residents' seats in admission order (LIFO preemption indexes
+    /// this); with `done_at`, all a retirement moves. Columns, not `Request`
+    /// fields: a request's public shape and `Debug` text (hashed into run
+    /// digests) stay free of budget and step count.
+    seats: Vec<u32>,
     /// Decode steps taken: a decodable resident gains one token a step, so its
-    /// progress is this counter's; the columns below say when it needs a visit.
-    steps: usize,
-    /// The step at which a decodable resident's pages fill (its headroom is
-    /// `page_end − steps`); make-room visits only the residents whose entry
-    /// is `steps`. [`NEVER`] while prefilling.
-    page_end: Vec<usize>,
-    /// The step at which a decodable resident retires: its true `generated`
-    /// is `output_len − (done_at − steps)`. [`NEVER`] while prefilling,
-    /// which is how the chunk pass finds those.
-    done_at: Vec<usize>,
+    /// progress is this counter's; the step columns say when it needs a visit.
+    steps: Step,
+    /// Beside `seats`: the step at which a decodable resident retires: its
+    /// true `generated` is `output_len − (done_at − steps)`. [`NEVER`] while
+    /// prefilling, which is how the chunk pass finds those.
+    done_at: Vec<Step>,
     /// No `done_at` is below this, so the decode step scans that column only
     /// on the steps that reach it.
-    next_done: usize,
+    next_done: Step,
     /// Seats of residents armed this tick without a first token, for this
     /// tick's decode to stamp (admission clears a decode-less tick's).
     fresh: Vec<usize>,
@@ -360,20 +378,49 @@ pub struct Scheduler {
     done: Vec<FinishedRequest>,
 }
 
+/// A decodable resident's entry in make-room's calendar: what a visit reads
+/// without the admission-order columns. 12 B.
+#[derive(Debug, Clone, Copy)]
+struct Booking {
+    /// The residency's stamp: admission order, and the check that the seat
+    /// still holds this residency.
+    stamp: u32,
+    /// The resident's seat (its ledger handle's index).
+    seat: u32,
+    /// The resident's `done_at`, fixed while it decodes: what its sync reads.
+    done_at: Step,
+}
+
 /// Tokens of work still owed to one queued or running request.
 fn owed(r: &Request) -> usize {
     r.prefill_remaining() + r.remaining()
 }
 
-/// The `page_end` and `done_at` of a resident that is not decoding: a step
-/// never reached.
-const NEVER: usize = usize::MAX;
+/// A decode-step count: a scheduler's steps stay below [`NEVER`] (checked
+/// where they are written), so a step column entry is half a `usize`.
+type Step = u32;
+
+/// The `page_end` and `done_at` of a resident that is not decoding (and a
+/// vacant seat's `page_end`): a step never reached.
+const NEVER: Step = Step::MAX;
+
+/// Days in make-room's calendar: one more than the farthest a page end
+/// under on-demand reservation lies ahead, so such a booking is due the
+/// first time its day comes round; a farther one (a page longer than the
+/// ring) waits out whole laps.
+const CALENDAR_DAYS: usize = PAGE_TOKENS + 1;
+
+/// The calendar day of `step`.
+fn day(step: Step) -> usize {
+    usize::try_from(step).expect("a step fits usize") % CALENDAR_DAYS
+}
 
 /// Brings `r` up to `steps` decode steps: a decodable resident gains the
 /// tokens it decoded since it was last written, which `done_at` tells.
-fn catch_up(r: &mut Request, done_at: usize, steps: usize) {
+fn catch_up(r: &mut Request, done_at: Step, steps: Step) {
     if r.prefill_remaining() == 0 {
         let owed = done_at.checked_sub(steps).expect("a resident decoded past its output length");
+        let owed = usize::try_from(owed).expect("a step count fits usize");
         let behind = r.remaining().checked_sub(owed).expect("a resident ran ahead of the step count");
         r.decoded(behind);
     }
@@ -397,9 +444,13 @@ impl Scheduler {
             opts,
             pending: VecDeque::new(),
             requests: Vec::new(),
-            handles: Vec::new(),
-            steps: 0,
             page_end: Vec::new(),
+            stamps: Vec::new(),
+            seated: 0,
+            calendar: Default::default(),
+            due: Vec::new(),
+            seats: Vec::new(),
+            steps: 0,
             done_at: Vec::new(),
             next_done: NEVER,
             fresh: Vec::new(),
@@ -479,15 +530,15 @@ impl Scheduler {
 
     /// All requests finished?
     pub fn is_done(&self) -> bool {
-        self.pending.is_empty() && self.handles.is_empty()
+        self.pending.is_empty() && self.seats.is_empty()
     }
 
     /// The running batch, in admission order, each resident synced as it is
     /// yielded (its `generated` and `prefilled` count every step decoded).
     pub fn running(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
         let steps = self.steps;
-        self.handles.iter().zip(&self.done_at).map(move |(h, &done_at)| {
-            let mut r = self.requests[h.0];
+        self.seats.iter().zip(&self.done_at).map(move |(&seat, &done_at)| {
+            let mut r = self.requests[seat as usize];
             catch_up(&mut r, done_at, steps);
             r
         })
@@ -495,17 +546,17 @@ impl Scheduler {
 
     /// The residents' requests as stored, in admission order: unsynced, so read ids, lengths, groups.
     fn residents(&self) -> impl Iterator<Item = &Request> {
-        self.handles.iter().map(|h| &self.requests[h.0])
+        self.seats.iter().map(|&seat| &self.requests[seat as usize])
     }
 
     /// Resident `i`'s request as stored.
     fn resident(&mut self, i: usize) -> &mut Request {
-        &mut self.requests[self.handles[i].0]
+        &mut self.requests[self.seats[i] as usize]
     }
 
     /// Writes resident `i`'s synced counters into its request.
     fn sync(&mut self, i: usize) {
-        catch_up(&mut self.requests[self.handles[i].0], self.done_at[i], self.steps);
+        catch_up(&mut self.requests[self.seats[i] as usize], self.done_at[i], self.steps);
     }
 
     /// Residents still in prefill. O(1) — a counter, audited
@@ -529,22 +580,26 @@ impl Scheduler {
             self.running().filter(|r| r.prefill_remaining() == 0).map(|r| r.prefilled()).sum::<usize>(),
             "decodable-token counter drifted from the ground-truth scan"
         );
-        (self.handles.len() - self.prefilling(), self.decode_tokens)
+        (self.seats.len() - self.prefilling(), self.decode_tokens)
     }
 
     /// Seats an admitted (or swapped-back) resident, filing it under its
     /// aggregate; arms it if it arrives decodable.
     fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
-        self.requests.resize(self.requests.len().max(handle.0 + 1), req);
-        self.requests[handle.0] = req;
-        self.page_end.push(NEVER);
+        let (seat, seats) = (handle.0, self.requests.len().max(handle.0 + 1));
+        self.requests.resize(seats, req);
+        self.page_end.resize(seats, NEVER);
+        self.stamps.resize(seats, 0);
+        self.requests[seat] = req;
+        self.stamps[seat] = self.seated;
+        self.seated = self.seated.checked_add(1).expect("a scheduler's seatings fit u32");
         self.done_at.push(NEVER);
-        self.handles.push(handle);
+        self.seats.push(u32::try_from(seat).expect("a seat index fits u32"));
         if req.prefill_remaining() > 0 {
             self.prefilling += 1;
         } else {
             self.decode_tokens += req.prefilled();
-            self.arm(self.handles.len() - 1, budget);
+            self.arm(self.seats.len() - 1, budget);
         }
     }
 
@@ -552,23 +607,43 @@ impl Scheduler {
     /// counters exact): its pages fill after the headroom the ledger reports
     /// for them, its output after its remaining tokens.
     fn arm<B: KvBudget>(&mut self, i: usize, budget: &mut B) {
-        let r = &self.requests[self.handles[i].0];
-        let room = budget.grow(self.handles[i], r.prefill_len());
-        let room = room.expect("a resident's pages hold its prompt");
-        self.page_end[i] = self.steps + room;
-        self.done_at[i] = self.steps + r.remaining();
-        self.next_done = self.next_done.min(self.done_at[i]);
-        if r.first_token_s().is_none() {
-            self.fresh.push(self.handles[i].0);
+        let seat = self.seats[i];
+        let r = &self.requests[seat as usize];
+        let (held, remaining, fresh) = (r.prefill_len(), r.remaining(), r.first_token_s().is_none());
+        let room = budget.grow(KvHandle(seat as usize), held).expect("a resident's pages hold its prompt");
+        let done_at = self.step_after(remaining);
+        self.done_at[i] = done_at;
+        self.next_done = self.next_done.min(done_at);
+        self.book(seat, self.step_after(room), done_at);
+        if fresh {
+            self.fresh.push(seat as usize);
+        }
+    }
+
+    /// The step `n` decode steps from now.
+    fn step_after(&self, n: usize) -> Step {
+        let step = Step::try_from(n).ok().and_then(|n| self.steps.checked_add(n));
+        step.filter(|&step| step != NEVER).expect("a scheduler's decode steps fit u32")
+    }
+
+    /// Sets the page end of the resident at `seat`, which retires at
+    /// `done_at`, and books it on that step's calendar day — unless its
+    /// pages outlast its output: it retires first, so make-room never needs
+    /// it (a `Peak` reservation's residents are never booked).
+    fn book(&mut self, seat: u32, page_end: Step, done_at: Step) {
+        self.page_end[seat as usize] = page_end;
+        if page_end < done_at {
+            let booking = Booking { stamp: self.stamps[seat as usize], seat, done_at };
+            self.calendar[day(page_end)].push(booking);
         }
     }
 
     /// Removes resident `idx` (synced by the caller) and its columns, keeping
     /// the aggregates honest; returns the request and its ledger handle.
     fn remove_resident(&mut self, idx: usize) -> (Request, KvHandle) {
-        let handle = self.handles.remove(idx);
+        let handle = KvHandle(self.seats.remove(idx) as usize);
         let req = self.requests[handle.0];
-        self.page_end.remove(idx);
+        self.page_end[handle.0] = NEVER;
         self.done_at.remove(idx);
         if req.prefill_remaining() > 0 {
             self.prefilling =
@@ -592,13 +667,15 @@ impl Scheduler {
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn assert_mirrors_ledger(&self, budget: &PageBudget) {
-        let len = self.handles.len();
-        assert_eq!([self.page_end.len(), self.done_at.len()], [len; 2], "step columns out of step");
-        let residents = self.running().zip(&self.handles).zip(&self.page_end).map(|((r, &h), &end)| {
-            let room = (r.prefill_remaining() == 0)
-                .then(|| end.checked_sub(self.steps).expect("a resident decoded past its pages"));
+        assert_eq!(self.done_at.len(), self.seats.len(), "step column out of step");
+        let residents = self.running().zip(&self.seats).map(|(r, &seat)| {
+            let end = self.page_end[seat as usize];
+            let room = (r.prefill_remaining() == 0).then(|| {
+                let room = end.checked_sub(self.steps).expect("a resident decoded past its pages");
+                usize::try_from(room).expect("a step count fits usize")
+            });
             assert!(room.is_some() || end == NEVER, "request {:?}: a page end before it decodes", r.id);
-            (h, r.id, r.prefill_len(), room)
+            (KvHandle(seat as usize), r.id, r.prefill_len(), room)
         });
         let swapped = self.pending.iter().filter(|r| r.state == RequestState::Swapped);
         budget.assert_mirrors(residents, swapped.map(|r| (r.id, r.prefill_len())));
@@ -699,7 +776,7 @@ impl Scheduler {
             self.clock += dt;
             self.prefill_time += dt;
         }
-        if self.handles.is_empty() {
+        if self.seats.is_empty() {
             // Idle forward to the next arrival. A drained-but-open scheduler
             // (cluster replica between routing decisions) has none.
             if let Some(next) = self.pending.front() {
@@ -718,7 +795,7 @@ impl Scheduler {
             self.clock += dt;
             self.swap_time += dt;
         }
-        if self.handles.len() == self.prefilling {
+        if self.seats.len() == self.prefilling {
             return; // every resident is still chunk-prefilling
         }
         let dt = exec.decode(self);
@@ -736,7 +813,7 @@ impl Scheduler {
         self.fresh.clear();
         // An empty backlog (the steady state of a draining replica) skips
         // the arrival search, the policy call and its free-token division.
-        while self.handles.len() < self.batch_limit && !self.pending.is_empty() {
+        while self.seats.len() < self.batch_limit && !self.pending.is_empty() {
             let arrived = self.arrived();
             if arrived == 0 {
                 break;
@@ -748,7 +825,7 @@ impl Scheduler {
                 self.pending.make_contiguous();
             }
             // Idle machine: progress beats policy caution.
-            let idle = self.handles.is_empty();
+            let idle = self.seats.is_empty();
             let choice = self.policy.select(&self.pending.as_slices().0[..arrived], budget);
             let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
@@ -836,11 +913,11 @@ impl Scheduler {
             unseen == 0
         });
         let mut taken = 0usize;
-        for i in oldest.expect("prefilling counter drifted from `done_at`")..self.handles.len() {
+        for i in oldest.expect("prefilling counter drifted from `done_at`")..self.seats.len() {
             if self.done_at[i] != NEVER {
                 continue;
             }
-            let r = &mut self.requests[self.handles[i].0];
+            let r = &mut self.requests[self.seats[i] as usize];
             let remaining = r.prefill_remaining();
             let take = remaining.min(chunk_tokens);
             self.slices.push((r.id, take, r.prefilled()));
@@ -902,13 +979,17 @@ impl Scheduler {
         for r in victims.iter().filter(|r| r.state == RequestState::Swapped) {
             budget.release(r.id, None);
         }
-        for (r, &handle) in self.residents().zip(&self.handles) {
-            budget.release(r.id, Some(handle));
+        for (r, &seat) in self.residents().zip(&self.seats) {
+            budget.release(r.id, Some(KvHandle(seat as usize)));
         }
         victims.extend(self.running()); // synced: each keeps every token generated here
-        self.handles.clear();
-        self.page_end.clear();
+        for seat in self.seats.drain(..) {
+            self.page_end[seat as usize] = NEVER;
+        }
         self.done_at.clear();
+        for bookings in &mut self.calendar {
+            bookings.clear();
+        }
         self.prefilling = 0;
         self.decode_tokens = 0;
         let mut lost = 0usize;
@@ -944,12 +1025,13 @@ impl Scheduler {
     /// eviction order.
     ///
     /// Only a resident whose pages are full needs the ledger, so make-room
-    /// visits just those whose page end is this step, found by scanning the
-    /// dense `page_end` column in admission order: each is synced, asks the
-    /// ledger for its next page in one call and moves its page end past it. A
-    /// refusal evicts the newest resident — synced, its token for this tick
-    /// unspent, since it is never before the cursor — and retries, so growth
-    /// is charged in admission order.
+    /// visits just those whose page end is this step: this step's calendar
+    /// day lists them (see [`Scheduler::take_due`]), in admission order. Each
+    /// is synced, asks the ledger for its next page in one call and moves its
+    /// page end past it, booking the new one. A refusal evicts the newest
+    /// resident — synced, its token for this tick unspent, since it is never
+    /// before the cursor — and retries, so growth is charged in admission
+    /// order; a due resident evicted before its turn is skipped.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
@@ -957,55 +1039,103 @@ impl Scheduler {
     fn make_room<B: KvBudget>(&mut self, budget: &mut B) {
         self.preempted.clear();
         self.swapped.clear();
+        self.take_due();
         let steps = self.steps;
-        let mut i = 0;
-        while let Some(due) = self.page_end[i..].iter().position(|&end| end == steps) {
-            i += due;
-            if self.grow_past_page(i, budget) {
-                i += 1;
-                continue;
+        for k in 0..self.due.len() {
+            let due = self.due[k];
+            let seat = due.seat as usize;
+            if self.page_end[seat] != steps {
+                continue; // evicted by an earlier resident's refusal
             }
-            assert!(
-                self.handles.len() > 1,
-                "KV budget cannot hold even one growing sequence (request {:?})",
-                self.resident(i).id
-            );
-            // LIFO, which protects the oldest request's progress: it is never
-            // evicted, so someone always finishes and preemption cannot livelock.
-            let victim = self.handles.len() - 1;
-            self.sync(victim); // everything below reads what it holds
-            let (id, handle) = (self.resident(victim).id, self.handles[victim]);
-            if self.opts.preemption == PreemptionMode::Swap {
-                // Parked at the tokens it holds: it has not decoded this tick.
-                if let Some(pages) = budget.swap_out(id, handle, self.resident(victim).prefill_len()) {
-                    self.tick_swap_pages += pages;
-                    self.swap_out_pages += pages;
-                    self.swap_outs += 1;
-                    self.swapped.push(id);
-                    let (mut req, _) = self.remove_resident(victim);
-                    // KV state survives on the host tier: `prefilled` is
-                    // kept, so nothing is re-owed — the driver pays the
-                    // page transfer, not recompute.
-                    req.state = RequestState::Swapped;
-                    self.enqueue(req);
-                    continue;
+            while !self.grow_past_page(due, budget) {
+                assert!(
+                    self.seats.len() > 1,
+                    "KV budget cannot hold even one growing sequence (request {:?})",
+                    self.requests[seat].id
+                );
+                // LIFO, which protects the oldest request's progress: it is never
+                // evicted, so someone always finishes and preemption cannot livelock.
+                let victim = self.seats.len() - 1;
+                let newest = self.seats[victim];
+                self.evict(victim, budget);
+                if newest == due.seat {
+                    break; // the refused resident was the newest: nothing due is left
                 }
             }
-            self.preempted.push(id);
-            self.preempt(victim, budget);
-            // `victim == i` removed the refused resident itself: whoever
-            // shifted into slot `i` is next. Otherwise retry `i`.
         }
     }
 
-    /// Charges resident `i`'s next token, whose pages are full, to the
+    /// Fills `due` with this step's due bookings in admission order, and
+    /// drops the stale ones from the day: the seat is vacant or holds
+    /// another residency (the stamp differs). A residency's page end moves
+    /// only as it is booked again, so a live booking's page end is on its
+    /// day: this step, or a later lap, and then the booking stays. In debug
+    /// builds the result is held to the scan it replaces: the residents
+    /// whose page end is this step, in admission order.
+    fn take_due(&mut self) {
+        let Self { calendar, due, page_end, stamps, steps, .. } = self;
+        let (steps, today) = (*steps, day(*steps));
+        due.clear();
+        calendar[today].retain(|&booking| {
+            let seat = booking.seat as usize;
+            let end = page_end[seat];
+            if stamps[seat] != booking.stamp || end == NEVER {
+                return false; // stale
+            }
+            debug_assert_eq!(day(end), today, "a booking off its page end's day");
+            if end == steps {
+                due.push(booking);
+                return false;
+            }
+            true // a later lap
+        });
+        due.sort_unstable_by_key(|booking| booking.stamp);
+        debug_assert!(
+            self.due.iter().map(|b| (b.seat, b.done_at)).eq(self
+                .seats
+                .iter()
+                .zip(&self.done_at)
+                .filter(|(&seat, _)| self.page_end[seat as usize] == steps)
+                .map(|(&seat, &done_at)| (seat, done_at))),
+            "make-room's calendar drifted from the page-end scan"
+        );
+    }
+
+    /// Preempts resident `victim` (the newest) to make room: parks it on the
+    /// host tier in swap mode if the tier takes it, else wipes it for
+    /// recompute; either way it is reported in its slice.
+    fn evict<B: KvBudget>(&mut self, victim: usize, budget: &mut B) {
+        self.sync(victim); // everything below reads what it holds
+        let (id, handle) = (self.resident(victim).id, KvHandle(self.seats[victim] as usize));
+        if self.opts.preemption == PreemptionMode::Swap {
+            // Parked at the tokens it holds: it has not decoded this tick.
+            if let Some(pages) = budget.swap_out(id, handle, self.resident(victim).prefill_len()) {
+                self.tick_swap_pages += pages;
+                self.swap_out_pages += pages;
+                self.swap_outs += 1;
+                self.swapped.push(id);
+                let (mut req, _) = self.remove_resident(victim);
+                // KV state survives on the host tier: `prefilled` is
+                // kept, so nothing is re-owed — the driver pays the
+                // page transfer, not recompute.
+                req.state = RequestState::Swapped;
+                self.enqueue(req);
+                return;
+            }
+        }
+        self.preempted.push(id);
+        self.preempt(victim, budget);
+    }
+
+    /// Charges the `due` resident's next token, whose pages are full, to the
     /// ledger in one call — syncing it first, so the call also counts the
     /// tokens decoded since the ledger last heard — and moves its page end
     /// past the page that token opens, less the token, which this tick's
     /// decode spends. `false` (nothing charged): the pool is dry.
-    fn grow_past_page<B: KvBudget>(&mut self, i: usize, budget: &mut B) -> bool {
-        self.sync(i);
-        let (handle, held) = (self.handles[i], self.resident(i).prefill_len());
+    fn grow_past_page<B: KvBudget>(&mut self, due: Booking, budget: &mut B) -> bool {
+        let seat = due.seat as usize;
+        catch_up(&mut self.requests[seat], due.done_at, self.steps);
+        let (handle, held) = (KvHandle(seat), self.requests[seat].prefill_len());
         let free = cfg!(debug_assertions).then(|| budget.free_tokens());
         let Some(room) = budget.grow(handle, held + 1) else { return false };
         debug_assert_eq!(
@@ -1013,7 +1143,7 @@ impl Scheduler {
             Some(room + 1),
             "page-end column drifted from the ledger: a boundary opens one page per layer"
         );
-        self.page_end[i] = self.steps + room + 1;
+        self.book(due.seat, self.step_after(room + 1), due.done_at);
         true
     }
 
@@ -1069,7 +1199,7 @@ impl Scheduler {
     /// `next_done`, one scan of `done_at` lists (and syncs) the retirees,
     /// who retire (see [`Scheduler::retire`]).
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
-        let decodable = self.handles.len() - self.prefilling;
+        let decodable = self.seats.len() - self.prefilling;
         assert!(decodable > 0, "decode_step with no decodable resident");
         debug_assert!(
             !self.page_end.iter().any(|&end| end <= self.steps),
@@ -1077,7 +1207,7 @@ impl Scheduler {
         );
         self.clock += dt;
         self.decode_time += dt;
-        self.steps += 1;
+        self.steps = self.step_after(1);
         self.decode_tokens += decodable;
         self.outstanding =
             self.outstanding.checked_sub(decodable).expect("outstanding-token counter underflow in decode");
@@ -1117,33 +1247,35 @@ impl Scheduler {
     /// and returns the tokens they held; `done` is left holding their
     /// records, which the report fold has counted.
     ///
-    /// The retirees reach the budget, the fold and `done` in admission order. The three columns are compacted by runs — the
-    /// requests stay in their seats: each run of survivors between two
-    /// retirees (or after the last) moves down as one block, so residents
-    /// before the first retiree do not move and survivors keep their order.
+    /// The retirees reach the budget, the fold and `done` in admission order,
+    /// and leave their seats vacant. The two admission-order columns are
+    /// compacted by runs — the requests and the per-seat columns stay put:
+    /// each run of survivors between two retirees (or after the last) moves
+    /// down as one block, so residents before the first retiree do not move
+    /// and survivors keep their order.
     fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
         self.done.clear();
         let Some(&first) = self.retiring.first() else { return 0 };
-        let (clock, len) = (self.clock, self.handles.len());
+        let (clock, len) = (self.clock, self.seats.len());
         let mut retired_tokens = 0usize;
         let mut kept = first;
         for (k, &at) in self.retiring.iter().enumerate() {
-            let req = &self.requests[self.handles[at].0];
+            let seat = self.seats[at] as usize;
+            self.page_end[seat] = NEVER;
+            let req = &self.requests[seat];
             retired_tokens += req.prefilled();
-            budget.release(req.id, Some(self.handles[at]));
+            budget.release(req.id, Some(KvHandle(seat)));
             // A retiring request owes nothing: its final token was just
             // counted.
             let record = FinishedRequest::retire(req, clock);
             self.fold.add(&record);
             self.done.push(record);
             let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
-            self.handles.copy_within(survivors.clone(), kept);
-            self.page_end.copy_within(survivors.clone(), kept);
+            self.seats.copy_within(survivors.clone(), kept);
             self.done_at.copy_within(survivors.clone(), kept);
             kept += survivors.len();
         }
-        self.handles.truncate(kept);
-        self.page_end.truncate(kept);
+        self.seats.truncate(kept);
         self.done_at.truncate(kept);
         retired_tokens
     }
@@ -1644,5 +1776,178 @@ mod tests {
         assert_eq!(done.len(), 3);
         // Last arrival at t=4s; the clock must have idled past it.
         assert!(sched.clock() >= 4.0);
+    }
+
+    /// A page ledger that logs every `grow` call as `(seat, step, tokens,
+    /// granted)`, the step being the scheduler's step count, which
+    /// [`GrowLog::tick`] records before each tick.
+    struct GrowLog {
+        pages: PageBudget,
+        step: Step,
+        grows: Vec<(usize, Step, usize, bool)>,
+    }
+
+    impl GrowLog {
+        fn new(pages: PageBudget) -> Self {
+            Self { pages, step: 0, grows: Vec::new() }
+        }
+
+        /// One tick of `sched` at flat prices against this ledger.
+        fn tick(&mut self, sched: &mut Scheduler) {
+            self.step = sched.steps;
+            let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {}, done: Vec::new() };
+            sched.tick(self, &mut exec);
+            self.pages.assert_consistent();
+            sched.assert_mirrors_ledger(&self.pages);
+        }
+
+        /// Ticks `sched` until it is done.
+        fn drive(&mut self, sched: &mut Scheduler) {
+            for _ in 0..10_000 {
+                if sched.is_done() {
+                    return;
+                }
+                self.tick(sched);
+            }
+            panic!("scheduler failed to converge");
+        }
+    }
+
+    impl KvBudget for GrowLog {
+        fn free_tokens(&self) -> usize {
+            self.pages.free_tokens()
+        }
+        fn admit(
+            &mut self,
+            id: RequestId,
+            group: Option<u64>,
+            shared: usize,
+            start: usize,
+            peak: usize,
+        ) -> Option<KvHandle> {
+            self.pages.admit(id, group, shared, start, peak)
+        }
+        fn grow(&mut self, handle: KvHandle, tokens: usize) -> Option<usize> {
+            let room = self.pages.grow(handle, tokens);
+            self.grows.push((handle.0, self.step, tokens, room.is_some()));
+            room
+        }
+        fn release(&mut self, id: RequestId, handle: Option<KvHandle>) {
+            self.pages.release(id, handle);
+        }
+        fn swap_out(&mut self, id: RequestId, handle: KvHandle, tokens: usize) -> Option<usize> {
+            self.pages.swap_out(id, handle, tokens)
+        }
+        fn swap_in(&mut self, id: RequestId) -> Option<(KvHandle, usize)> {
+            self.pages.swap_in(id)
+        }
+    }
+
+    /// Bookings in the whole calendar.
+    fn bookings(sched: &Scheduler) -> usize {
+        sched.calendar.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn a_refusal_evicts_a_resident_due_on_the_same_step_before_it_grows() {
+        // Two one-page prompts fill a two-page pool and arm with full pages,
+        // so both are due at step 0. The first is refused, evicts the second
+        // (the newest) and is granted; the second is never grown.
+        let reqs = (0..2).map(|i| Request::new(RequestId(i), 4, 3, 0.0)).collect();
+        let mut sched = legacy(reqs, 2, Box::new(Fcfs));
+        let mut log = GrowLog::new(PageBudget::new(4, 1, 2, Reservation::OnDemand));
+        log.tick(&mut sched);
+        assert_eq!(log.grows, [(0, 0, 4, true), (1, 0, 4, true), (0, 0, 5, false), (0, 0, 5, true)]);
+        assert_eq!(sched.preemptions(), 1);
+        assert_eq!(sched.running().map(|r| r.id.0).collect::<Vec<_>>(), [0]);
+        log.drive(&mut sched);
+        assert_eq!(log.pages.free_pages(), log.pages.total_pages(), "pages returned");
+    }
+
+    #[test]
+    fn a_page_end_laps_ahead_is_visited_exactly_at_its_step() {
+        // Forty-token pages, more than two laps of the calendar: a prompt
+        // that fills its page grows at steps 0, 40 and 80, and at no other.
+        let reqs = vec![Request::new(RequestId(0), 40, 100, 0.0)];
+        let mut sched = legacy(reqs, 1, Box::new(Fcfs));
+        let mut log = GrowLog::new(PageBudget::new(40, 1, 16, Reservation::OnDemand));
+        log.drive(&mut sched);
+        assert_eq!(log.grows, [(0, 0, 40, true), (0, 0, 41, true), (0, 40, 81, true), (0, 80, 121, true)]);
+        // A `Peak` reservation's page end (here 60 steps out) is at or past
+        // the step its resident retires: it is never booked, never grown.
+        let reqs = vec![Request::new(RequestId(0), 4, 60, 0.0)];
+        let mut sched = legacy(reqs, 1, Box::new(Fcfs));
+        let mut log = GrowLog::new(PageBudget::new(4, 1, 16, Reservation::Peak));
+        while !sched.is_done() {
+            log.tick(&mut sched);
+            assert_eq!(bookings(&sched), 0, "step {}", sched.steps);
+        }
+        assert_eq!(sched.steps, 60);
+        assert_eq!(log.grows, [(0, 0, 4, true)]);
+    }
+
+    #[test]
+    fn a_seat_vacated_and_reseated_within_a_lap_is_visited_once() {
+        // Request 1 arms at step 0 on seat 1 and books step 8; request 0's
+        // refusal evicts it at once, and at step 1 shortest-job-first seats
+        // request 2, which arrived meanwhile, on the vacated seat with its
+        // page end at step 8 too. Step 8 finds both bookings and grows the
+        // seat once, for request 2.
+        let reqs = vec![
+            Request::new(RequestId(0), 16, 20, 0.0),
+            Request::new(RequestId(1), 56, 24, 0.0),
+            Request::new(RequestId(2), 9, 20, 0.15),
+        ];
+        let mut sched = submitted(reqs, 2, Box::new(ShortestJobFirst), SchedOptions::default());
+        let mut log = GrowLog::new(PageBudget::new(16, 1, 5, Reservation::OnDemand));
+        log.tick(&mut sched);
+        assert_eq!(sched.preemptions(), 1);
+        log.tick(&mut sched);
+        assert_eq!(sched.running().map(|r| r.id.0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(sched.calendar[day(8)].len(), 2, "the stale booking and the live one");
+        while sched.steps <= 8 {
+            log.tick(&mut sched);
+        }
+        assert_eq!(log.grows, [
+            (0, 0, 16, true),
+            (1, 0, 56, true),
+            (0, 0, 17, false),
+            (0, 0, 17, true),
+            (1, 1, 9, true),
+            (1, 8, 17, true),
+        ]);
+        log.drive(&mut sched);
+    }
+
+    #[test]
+    fn evict_all_mid_lap_then_readmission_grows_as_a_fresh_scheduler_would() {
+        // Four residents under page pressure are evicted five steps into a
+        // lap and submitted again: the calendar empties, and from there on
+        // the ledger hears exactly what a fresh scheduler serving the same
+        // victims would tell it — same tokens, same refusals.
+        let reqs = (0..4).map(|i| Request::new(RequestId(i), 5, 30, 0.0)).collect();
+        let mut sched = legacy(reqs, 4, Box::new(Fcfs));
+        let mut log = GrowLog::new(PageBudget::new(4, 1, 24, Reservation::OnDemand));
+        for _ in 0..5 {
+            log.tick(&mut sched);
+        }
+        assert_eq!(sched.steps, 5, "mid-lap");
+        let (victims, _) = sched.evict_all(&mut log);
+        assert_eq!(bookings(&sched), 0);
+        assert!(sched.page_end.iter().all(|&end| end == NEVER), "every seat vacant");
+        let mut fresh = legacy(victims.clone(), 4, Box::new(Fcfs));
+        let mut fresh_log = GrowLog::new(PageBudget::new(4, 1, 24, Reservation::OnDemand));
+        fresh_log.drive(&mut fresh);
+        log.grows.clear();
+        for v in victims {
+            sched.submit(v);
+        }
+        log.drive(&mut sched);
+        let told = |log: &GrowLog| {
+            log.grows.iter().map(|&(_, _, tokens, granted)| (tokens, granted)).collect::<Vec<_>>()
+        };
+        assert!(fresh.preemptions() > 0, "the re-admitted residents contend for pages");
+        assert_eq!(told(&log), told(&fresh_log));
+        assert_eq!(log.pages.free_pages(), log.pages.total_pages(), "pages returned");
     }
 }

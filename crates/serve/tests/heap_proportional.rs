@@ -65,9 +65,10 @@ fn peak_heap_of_engine(n: usize) -> usize {
 const REQUEST_BYTES: f64 = 80.0;
 
 /// Per additional request, the overload run holds ≈ 1.15 `Request`s at its
-/// peak (the backlog and its deques' slack) over ≈ 151 B of everything
-/// else — 243 B at 80-byte requests. With a 5 B and 0.1-request margin, an
-/// 88-byte `Request` passes and a 96-byte one fails.
+/// peak (the backlog and its deques' slack) over ≈ 157 B of everything
+/// else — 248.7 B at 80-byte requests, ≈ 5 B of it make-room's calendar
+/// bookings (a larger backlog packs larger batches). The 7 B margin left is
+/// less than 1.15 × 8 B, so a `Request` of 88 B or more fails.
 const OVERLOAD_BYTES_PER_REQUEST: f64 = 156.0 + 1.25 * REQUEST_BYTES;
 
 /// The exact columns a report fold keeps per completion up to
@@ -77,7 +78,7 @@ const COLUMN_BYTES: f64 = 2.0 * 8.0;
 
 /// Below the threshold, per additional request: the folds' columns, and the
 /// copy the report merges them into at the end, each at most half empty
-/// under `Vec` doubling — 64 B (32.0 B for `serve` and 29.5 B for `cluster`
+/// under `Vec` doubling — 64 B (32.0 B for `serve` and 29.8 B for `cluster`
 /// today).
 const BELOW_THRESHOLD_BYTES_PER_REQUEST: f64 = 2.0 * 2.0 * COLUMN_BYTES;
 
