@@ -22,16 +22,18 @@ cargo run --release --offline --locked -p qserve-lint
 # driver: the reference arm of the determinism contract.
 QSERVE_THREADS=1 cargo test -q --offline --locked
 
-# The scheduler audits its O(1) counters (`outstanding`, `prefilling`, the
-# decodable `(count, Σ prefilled)`) and its headroom column against full
-# scans and the ledger with `debug_assert`, which release compiles out —
-# the check that a page boundary opens exactly one page per layer included,
-# and the debug oracle of make-room's calendar (`Scheduler::take_due`: the
-# day's due set must equal the old scan of `page_end`, in admission order).
+# The scheduler audits its `outstanding` counter, and the resident set
+# (`crates/serve/src/resident.rs`) its `prefilling` counter, its decodable
+# `(count, Σ prefilled)` and its step columns, against full scans with
+# `debug_assert`, which release compiles out — with the scheduler's check
+# that a page boundary opens exactly one page per layer, and the debug
+# oracle of make-room's calendar (`Residents::take_due`: the day's due set
+# must equal the scan of `page_end`, in admission order).
 # The preemption / swap churn suites, the ledger audit, the twelve pinned
 # tight-pool scenarios of the frozen tick, the tick-against-its-reference
-# property and the scheduler's and the ledger's own unit tests (their
-# preemption and growth corners) therefore run in debug too (a few seconds,
+# property, the scheduler's, the resident set's (its naive-model property)
+# and the ledger's own unit tests (their preemption and growth corners)
+# therefore run in debug too (a few seconds,
 # reusing the debug libraries built above), so those audits see eviction
 # and re-admission — and so does the functional-vs-counts lockstep
 # differential (~8 s), so they also see the functional executor, which
@@ -50,7 +52,7 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
-QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: ledger:: kv_cache:: \
+QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: resident:: ledger:: kv_cache:: \
     request:: report:: model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 

@@ -1,9 +1,9 @@
 //! Accuracy experiments: Tables 2, 3, 5 and the accuracy axis of Figure 16.
 //!
-//! Runs on reduced-scale synthetic models (DESIGN.md §1): each full model is
-//! mapped to a 128-hidden, 2-layer synthetic twin preserving its GQA head
-//! structure; schemes are compared by pseudo-perplexity, FP16-agreement and
-//! logit distortion. Absolute values differ from the paper; orderings are
+//! Runs on reduced-scale synthetic models (README, "What is synthetic
+//! here"): each full model is mapped to a 128-hidden, 2-layer synthetic twin
+//! preserving its GQA head structure; schemes are compared by
+//! pseudo-perplexity, FP16-agreement and logit distortion. Absolute values differ from the paper; orderings are
 //! the reproduced quantity.
 
 use crate::report::{fnum, Table};

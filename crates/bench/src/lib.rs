@@ -1,5 +1,6 @@
 //! Benchmark harness regenerating every table and figure in the QServe
-//! paper's evaluation (§6). See DESIGN.md §4 for the experiment index.
+//! paper's evaluation (§6). The README's "Reproduce the paper's evaluation"
+//! is the experiment index.
 //!
 //! Each experiment is a function returning a [`report::Table`]; the
 //! `reproduce` binary prints them (`cargo run --release -p qserve-bench

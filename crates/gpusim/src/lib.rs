@@ -19,7 +19,7 @@
 //!
 //! Absolute times are model outputs, not measurements; the calibrated
 //! quantities are the *ratios* the paper's figures argue about (who wins,
-//! where the crossovers sit). See DESIGN.md §1.
+//! where the crossovers sit). See the README's "What is synthetic here".
 
 pub mod attention_model;
 pub mod gemm_model;

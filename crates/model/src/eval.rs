@@ -1,7 +1,7 @@
 //! Accuracy evaluation: pseudo-perplexity and output-agreement proxies.
 //!
 //! The real WikiText2 / lm-eval / LongBench datasets and checkpoints are
-//! unavailable here (DESIGN.md §1). The substitution:
+//! unavailable here (README, "What is synthetic here"). The substitution:
 //!
 //! * **Pseudo-perplexity** — exp(mean next-token cross-entropy) of the
 //!   synthetic model on synthetic token streams. Quantization damage raises

@@ -10,7 +10,8 @@
 //!   synthetic transformers with the outlier pathologies of real LLMs,
 //!   small enough to run a real forward pass, used for the accuracy
 //!   experiments (Tables 2/3/5, Figure 16). The real checkpoints are
-//!   unavailable in this environment; DESIGN.md §1 records the substitution.
+//!   unavailable offline; the README's "What is synthetic here" records
+//!   the substitution.
 
 pub mod config;
 pub mod eval;

@@ -2,10 +2,10 @@
 //! pathologies.
 //!
 //! Each generated model carries the three distributional features QoQ's
-//! techniques target (see `qserve-tensor::rng` and DESIGN.md §1):
-//! heavy-tailed weights, fixed activation outlier channels (realised through
-//! outlier input embeddings), and fixed Key outlier channels per head
-//! (realised through outsized rows in `W_K`).
+//! techniques target (see `qserve-tensor::rng` and the README's "What is
+//! synthetic here"): heavy-tailed weights, fixed activation outlier channels
+//! (realised through outlier input embeddings), and fixed Key outlier
+//! channels per head (realised through outsized rows in `W_K`).
 
 use crate::config::ModelConfig;
 use qserve_core::pipeline::BlockWeights;

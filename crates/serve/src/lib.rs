@@ -55,7 +55,7 @@
 //!
 //! The engine's scheduler/cache logic is real (allocation, batching,
 //! accounting all execute); only kernel *wall-clock* comes from the cost
-//! model (DESIGN.md §1).
+//! model (README, "What is synthetic here").
 
 pub mod attention_exec;
 pub mod baselines;
@@ -72,6 +72,7 @@ pub mod model_exec;
 pub mod prefix;
 pub mod report;
 pub mod request;
+mod resident;
 pub mod scheduler;
 pub mod sketch;
 

@@ -2,26 +2,20 @@
 //! state machine shared by every serving path.
 //!
 //! The core owns the queue → running → finished lifecycle of
-//! [`Request`]s — admission order (delegated to a pluggable
-//! [`SchedulingPolicy`]), KV-memory gating (delegated to a [`KvBudget`],
-//! the page ledger of [`crate::ledger`], which hears from a decoding
-//! resident once when it starts decoding and then once per page boundary —
-//! make-room finds the residents at a boundary in a calendar keyed by step,
-//! not by scanning the batch),
+//! [`Request`]s — admission order (a pluggable [`SchedulingPolicy`]),
+//! KV-memory gating (a [`KvBudget`], the page ledger of [`crate::ledger`]),
 //! LIFO recompute- and swap-style preemption, clock/phase accounting — and the
 //! *order* of a tick: [`Scheduler::tick`] is the only place the steps are
-//! sequenced and gated, and the steps themselves are private. It
-//! deliberately does *not* know what a step costs or what
-//! executes it. That is a [`TickExecutor`], and the tree has two: the
-//! analytic engine prices each step with its cost model
-//! ([`crate::ServingEngine`]), the functional path runs it as real quantized
-//! forward passes over the paged KV4 cache
-//! ([`crate::ModelRuntime::serve_with`]). The scheduler owns the order, the
-//! executor owns the price — that split is what keeps exactly one
-//! decode/prefill accounting implementation, and exactly one driver loop, in
-//! the tree. The per-step obligations live on the trait's hooks. Prefill is
-//! one pass in both modes: admission seats a request at its aliased prefix,
-//! and whole-prompt prefill is the chunk pass with an unbounded chunk.
+//! sequenced and gated, and the steps themselves are private. The running
+//! batch and its step clock are the `resident` module's bookkeeping. What a
+//! step costs, or what executes it, is a [`TickExecutor`]: the analytic
+//! engine prices each step with its cost model ([`crate::ServingEngine`]),
+//! the functional path runs it as real quantized forward passes over the
+//! paged KV4 cache ([`crate::ModelRuntime::serve_with`]). The scheduler owns
+//! the order, the executor owns the price, so the tree has one accounting
+//! implementation and one driver loop. Prefill is one pass in both modes:
+//! admission seats a request at its aliased prefix, and whole-prompt prefill
+//! is the chunk pass with an unbounded chunk.
 //!
 //! A [`Request`] lives here only while it is pending or running. At its last
 //! token this module computes every per-request float a report reads — TTFT
@@ -32,10 +26,10 @@
 
 use std::collections::VecDeque;
 
-use crate::kv_cache::PAGE_TOKENS;
 use crate::ledger::{KvBudget, KvHandle, PageBudget};
 use crate::report::Fold;
 use crate::request::{Request, RequestId, RequestState};
+use crate::resident::Residents;
 
 // ---------------------------------------------------------------------------
 // Scheduling policies
@@ -280,60 +274,12 @@ pub struct Scheduler {
     batch_limit: usize,
     opts: SchedOptions,
     /// Not-yet-running requests (queued + preempted + swapped), sorted by
-    /// `(ready_s, id)` so the eligible prefix is FCFS-ordered (`ready_s`
-    /// equals `arrival_s` except for requests requeued off a crashed
-    /// replica, which become eligible at the crash time). A deque so the
-    /// common FCFS admission (`remove(0)`) is O(1) instead of shifting
-    /// the whole backlog.
+    /// `(ready_s, id)` so the eligible prefix is FCFS-ordered (`ready_s` is
+    /// `arrival_s` unless a crash requeued the request). A deque, so FCFS
+    /// admission (`remove(0)`) is O(1).
     pending: VecDeque<Request>,
-    /// Each resident's request, at its *seat* — its handle's index — for its
-    /// residency: retirement and eviction never move one. A decodable
-    /// resident's `generated` and `prefilled` date from its last sync (see
-    /// `done_at`).
-    requests: Vec<Request>,
-    /// Per seat, beside `requests`: the step at which the seated resident's
-    /// pages fill (its headroom is `page_end − steps`). [`NEVER`] while the
-    /// resident prefills and while the seat is vacant.
-    page_end: Vec<Step>,
-    /// Per seat: the seating's stamp, from `seated` — it orders residents as
-    /// admission does, and tells a booking for this residency from one an
-    /// earlier occupant of the seat left behind.
-    stamps: Vec<u32>,
-    /// Seatings so far: the next stamp.
-    seated: u32,
-    /// Make-room's calendar queue (Brown, "Calendar queues", CACM 1988): a
-    /// ring of [`CALENDAR_DAYS`] days of [`Booking`]s, one per decodable
-    /// resident that fills its pages before it retires, filed on the day of
-    /// its page end when it arms and at each growth. A booking whose seat
-    /// empties or is re-seated goes stale and is dropped when its day comes.
-    calendar: [Vec<Booking>; CALENDAR_DAYS],
-    /// Make-room's scratch: this step's due bookings, in admission order.
-    due: Vec<Booking>,
-    /// The residents' seats in admission order (LIFO preemption indexes
-    /// this); with `done_at`, all a retirement moves. Columns, not `Request`
-    /// fields: a request's public shape and `Debug` text (hashed into run
-    /// digests) stay free of budget and step count.
-    seats: Vec<u32>,
-    /// Decode steps taken: a decodable resident gains one token a step, so its
-    /// progress is this counter's; the step columns say when it needs a visit.
-    steps: Step,
-    /// Beside `seats`: the step at which a decodable resident retires: its
-    /// true `generated` is `output_len − (done_at − steps)`. [`NEVER`] while
-    /// prefilling, which is how the chunk pass finds those.
-    done_at: Vec<Step>,
-    /// No `done_at` is below this, so the decode step scans that column only
-    /// on the steps that reach it.
-    next_done: Step,
-    /// Seats of residents armed this tick without a first token, for this
-    /// tick's decode to stamp (admission clears a decode-less tick's).
-    fresh: Vec<usize>,
-    /// Residents with `prefill_remaining() > 0` — incremental twin of the
-    /// scan, like `outstanding`. The rest of the batch is decodable.
-    prefilling: usize,
-    /// Σ `prefilled` (each one's sequence length) over the decodable
-    /// residents: with their count, all the cost model needs to price a
-    /// decode step.
-    decode_tokens: usize,
+    /// The running batch and its step clock.
+    residents: Residents,
     /// What every retirement so far says, for the report.
     fold: Fold,
     clock: f64,
@@ -350,80 +296,29 @@ pub struct Scheduler {
     /// Pages moved across the host link and not yet priced — drained once
     /// per tick, after make-room.
     tick_swap_pages: usize,
-    /// Incremental twin of the `outstanding_tokens_scan` walk: for every
-    /// queued/running request, `owed = prefill_remaining() + remaining()`
-    /// collapses to `input_len + output_len − prefilled`, so the counter
-    /// only moves when `prefilled` changes or a request enters/leaves the
-    /// pending∪running set. Keeping it current makes the router's per-
-    /// arrival load probe O(1) instead of O(residents).
+    /// Incremental twin of `outstanding_tokens_scan`: a request's owed work
+    /// is `input_len + output_len − prefilled`, so the counter moves only
+    /// when `prefilled` changes or a request enters/leaves pending∪running.
     outstanding: usize,
     /// Prefix tokens warmed by a cross-replica page migration, per sharing
-    /// group: an imported pool's fully covered tokens are aliasable by new
-    /// members even before any sibling runs here — the compute half of the
-    /// migration (the page half lives in [`PageBudget::import_pool`]).
+    /// group: aliasable by new members before any sibling runs here (the
+    /// pages themselves arrive through [`PageBudget::import_pool`]).
     warm_prefixes: std::collections::BTreeMap<u64, usize>,
     /// Time spent receiving migrated prefix pages over the peer link.
     migration_time: f64,
-    /// The tick's out-buffers, each cleared and refilled by its step and
-    /// lent to the executor's hook: this tick's prefill slices
-    /// `(id, new, past)` and the ids make-room recompute-preempted and
-    /// swapped out.
+    /// The tick's out-buffers, each refilled by its step and lent to the
+    /// executor's hook: the prefill slices `(id, new, past)` and the ids
+    /// make-room recompute-preempted and swapped out.
     slices: Vec<(RequestId, usize, usize)>,
     preempted: Vec<RequestId>,
     swapped: Vec<RequestId>,
-    /// The decode step's retirees, as batch indices (ascending):
-    /// retirement compacts the batch around them; then their records, for
-    /// the `retired` hook.
-    retiring: Vec<usize>,
+    /// The decode step's retirees' records, for the `retired` hook.
     done: Vec<FinishedRequest>,
-}
-
-/// A decodable resident's entry in make-room's calendar: what a visit reads
-/// without the admission-order columns. 12 B.
-#[derive(Debug, Clone, Copy)]
-struct Booking {
-    /// The residency's stamp: admission order, and the check that the seat
-    /// still holds this residency.
-    stamp: u32,
-    /// The resident's seat (its ledger handle's index).
-    seat: u32,
-    /// The resident's `done_at`, fixed while it decodes: what its sync reads.
-    done_at: Step,
 }
 
 /// Tokens of work still owed to one queued or running request.
 fn owed(r: &Request) -> usize {
     r.prefill_remaining() + r.remaining()
-}
-
-/// A decode-step count: a scheduler's steps stay below [`NEVER`] (checked
-/// where they are written), so a step column entry is half a `usize`.
-type Step = u32;
-
-/// The `page_end` and `done_at` of a resident that is not decoding (and a
-/// vacant seat's `page_end`): a step never reached.
-const NEVER: Step = Step::MAX;
-
-/// Days in make-room's calendar: one more than the farthest a page end
-/// under on-demand reservation lies ahead, so such a booking is due the
-/// first time its day comes round; a farther one (a page longer than the
-/// ring) waits out whole laps.
-const CALENDAR_DAYS: usize = PAGE_TOKENS + 1;
-
-/// The calendar day of `step`.
-fn day(step: Step) -> usize {
-    usize::try_from(step).expect("a step fits usize") % CALENDAR_DAYS
-}
-
-/// Brings `r` up to `steps` decode steps: a decodable resident gains the
-/// tokens it decoded since it was last written, which `done_at` tells.
-fn catch_up(r: &mut Request, done_at: Step, steps: Step) {
-    if r.prefill_remaining() == 0 {
-        let owed = done_at.checked_sub(steps).expect("a resident decoded past its output length");
-        let owed = usize::try_from(owed).expect("a step count fits usize");
-        let behind = r.remaining().checked_sub(owed).expect("a resident ran ahead of the step count");
-        r.decoded(behind);
-    }
 }
 
 impl Scheduler {
@@ -443,19 +338,7 @@ impl Scheduler {
             batch_limit,
             opts,
             pending: VecDeque::new(),
-            requests: Vec::new(),
-            page_end: Vec::new(),
-            stamps: Vec::new(),
-            seated: 0,
-            calendar: Default::default(),
-            due: Vec::new(),
-            seats: Vec::new(),
-            steps: 0,
-            done_at: Vec::new(),
-            next_done: NEVER,
-            fresh: Vec::new(),
-            prefilling: 0,
-            decode_tokens: 0,
+            residents: Residents::default(),
             fold: Fold::default(),
             clock: 0.0,
             prefill_time: 0.0,
@@ -472,7 +355,6 @@ impl Scheduler {
             slices: Vec::new(),
             preempted: Vec::new(),
             swapped: Vec::new(),
-            retiring: Vec::new(),
             done: Vec::new(),
         }
     }
@@ -493,11 +375,9 @@ impl Scheduler {
         self.opts
     }
 
-    /// Tokens of work still owed to queued + running requests: un-prefilled
-    /// prompt/recompute tokens plus un-generated output tokens. The
-    /// "outstanding work" a cluster router balances replicas by. O(1) — an
-    /// incrementally maintained counter, audited against the full scan in
-    /// debug builds.
+    /// Tokens of work still owed to queued + running requests (un-prefilled
+    /// plus un-generated): what a cluster router balances replicas by. O(1),
+    /// audited against the full scan in debug builds.
     pub fn outstanding_tokens(&self) -> usize {
         debug_assert_eq!(
             self.outstanding,
@@ -530,178 +410,69 @@ impl Scheduler {
 
     /// All requests finished?
     pub fn is_done(&self) -> bool {
-        self.pending.is_empty() && self.seats.is_empty()
+        self.pending.is_empty() && self.residents.is_empty()
     }
 
     /// The running batch, in admission order, each resident synced as it is
     /// yielded (its `generated` and `prefilled` count every step decoded).
     pub fn running(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
-        let steps = self.steps;
-        self.seats.iter().zip(&self.done_at).map(move |(&seat, &done_at)| {
-            let mut r = self.requests[seat as usize];
-            catch_up(&mut r, done_at, steps);
-            r
-        })
+        self.residents.running()
     }
 
-    /// The residents' requests as stored, in admission order: unsynced, so read ids, lengths, groups.
-    fn residents(&self) -> impl Iterator<Item = &Request> {
-        self.seats.iter().map(|&seat| &self.requests[seat as usize])
-    }
-
-    /// Resident `i`'s request as stored.
-    fn resident(&mut self, i: usize) -> &mut Request {
-        &mut self.requests[self.seats[i] as usize]
-    }
-
-    /// Writes resident `i`'s synced counters into its request.
-    fn sync(&mut self, i: usize) {
-        catch_up(&mut self.requests[self.seats[i] as usize], self.done_at[i], self.steps);
-    }
-
-    /// Residents still in prefill. O(1) — a counter, audited
-    /// against the scan in debug builds.
+    /// Residents still in prefill. O(1), audited against the scan in debug
+    /// builds.
     pub fn prefilling(&self) -> usize {
-        debug_assert_eq!(
-            self.prefilling,
-            self.residents().filter(|r| r.prefill_remaining() > 0).count(),
-            "prefilling counter drifted from the ground-truth scan"
-        );
-        self.prefilling
+        self.residents.prefilling()
     }
 
-    /// `(count, Σ prefilled)` of the sequences that will decode this tick —
-    /// the residents whose (possibly chunked) prefill has completed; all a
-    /// cost model needs to price the step. O(1), audited like
+    /// `(count, Σ prefilled)` of the residents that will decode this tick:
+    /// all a cost model needs to price the step. O(1), audited like
     /// [`Scheduler::prefilling`].
     pub fn decode_totals(&self) -> (usize, usize) {
-        debug_assert_eq!(
-            self.decode_tokens,
-            self.running().filter(|r| r.prefill_remaining() == 0).map(|r| r.prefilled()).sum::<usize>(),
-            "decodable-token counter drifted from the ground-truth scan"
-        );
-        (self.seats.len() - self.prefilling(), self.decode_tokens)
+        self.residents.decode_totals()
     }
 
-    /// Seats an admitted (or swapped-back) resident, filing it under its
-    /// aggregate; arms it if it arrives decodable.
-    fn push_resident<B: KvBudget>(&mut self, req: Request, handle: KvHandle, budget: &mut B) {
-        let (seat, seats) = (handle.0, self.requests.len().max(handle.0 + 1));
-        self.requests.resize(seats, req);
-        self.page_end.resize(seats, NEVER);
-        self.stamps.resize(seats, 0);
-        self.requests[seat] = req;
-        self.stamps[seat] = self.seated;
-        self.seated = self.seated.checked_add(1).expect("a scheduler's seatings fit u32");
-        self.done_at.push(NEVER);
-        self.seats.push(u32::try_from(seat).expect("a seat index fits u32"));
-        if req.prefill_remaining() > 0 {
-            self.prefilling += 1;
-        } else {
-            self.decode_tokens += req.prefilled();
-            self.arm(self.seats.len() - 1, budget);
+    /// Arms resident `i` if its prefill is complete, with the headroom the
+    /// ledger reports over its prompt.
+    fn arm_if_ready<B: KvBudget>(&mut self, i: usize, budget: &mut B) {
+        if let Some((handle, held)) = self.residents.unarmed(i) {
+            let room = budget.grow(handle, held).expect("a resident's pages hold its prompt");
+            self.residents.arm(i, room);
         }
-    }
-
-    /// Starts resident `i`'s step clock as it becomes decodable (its stored
-    /// counters exact): its pages fill after the headroom the ledger reports
-    /// for them, its output after its remaining tokens.
-    fn arm<B: KvBudget>(&mut self, i: usize, budget: &mut B) {
-        let seat = self.seats[i];
-        let r = &self.requests[seat as usize];
-        let (held, remaining, fresh) = (r.prefill_len(), r.remaining(), r.first_token_s().is_none());
-        let room = budget.grow(KvHandle(seat as usize), held).expect("a resident's pages hold its prompt");
-        let done_at = self.step_after(remaining);
-        self.done_at[i] = done_at;
-        self.next_done = self.next_done.min(done_at);
-        self.book(seat, self.step_after(room), done_at);
-        if fresh {
-            self.fresh.push(seat as usize);
-        }
-    }
-
-    /// The step `n` decode steps from now.
-    fn step_after(&self, n: usize) -> Step {
-        let step = Step::try_from(n).ok().and_then(|n| self.steps.checked_add(n));
-        step.filter(|&step| step != NEVER).expect("a scheduler's decode steps fit u32")
-    }
-
-    /// Sets the page end of the resident at `seat`, which retires at
-    /// `done_at`, and books it on that step's calendar day — unless its
-    /// pages outlast its output: it retires first, so make-room never needs
-    /// it (a `Peak` reservation's residents are never booked).
-    fn book(&mut self, seat: u32, page_end: Step, done_at: Step) {
-        self.page_end[seat as usize] = page_end;
-        if page_end < done_at {
-            let booking = Booking { stamp: self.stamps[seat as usize], seat, done_at };
-            self.calendar[day(page_end)].push(booking);
-        }
-    }
-
-    /// Removes resident `idx` (synced by the caller) and its columns, keeping
-    /// the aggregates honest; returns the request and its ledger handle.
-    fn remove_resident(&mut self, idx: usize) -> (Request, KvHandle) {
-        let handle = KvHandle(self.seats.remove(idx) as usize);
-        let req = self.requests[handle.0];
-        self.page_end[handle.0] = NEVER;
-        self.done_at.remove(idx);
-        if req.prefill_remaining() > 0 {
-            self.prefilling =
-                self.prefilling.checked_sub(1).expect("prefilling counter underflow at eviction");
-        } else {
-            self.decode_tokens = self
-                .decode_tokens
-                .checked_sub(req.prefilled())
-                .expect("decodable-token counter underflow at eviction");
-        }
-        (req, handle)
     }
 
     /// Differential audit of the scheduler against its page ledger: every
-    /// resident, synced, with its `prefill_len()` and its headroom
-    /// (`page_end − steps` once decodable), and every swapped-out request,
-    /// checked by [`PageBudget::assert_mirrors`]. Holds between ticks (after
-    /// [`Scheduler::decode_step`] or an early-out tick).
+    /// resident, synced, with its `prefill_len()` and its headroom once
+    /// decodable, and every swapped-out request, checked by
+    /// [`PageBudget::assert_mirrors`]. Holds between ticks.
     ///
     /// # Panics
     /// Panics on any disagreement.
     #[doc(hidden)]
     pub fn assert_mirrors_ledger(&self, budget: &PageBudget) {
-        assert_eq!(self.done_at.len(), self.seats.len(), "step column out of step");
-        let residents = self.running().zip(&self.seats).map(|(r, &seat)| {
-            let end = self.page_end[seat as usize];
-            let room = (r.prefill_remaining() == 0).then(|| {
-                let room = end.checked_sub(self.steps).expect("a resident decoded past its pages");
-                usize::try_from(room).expect("a step count fits usize")
-            });
-            assert!(room.is_some() || end == NEVER, "request {:?}: a page end before it decodes", r.id);
-            (KvHandle(seat as usize), r.id, r.prefill_len(), room)
-        });
+        let residents = self.residents.mirror().map(|(seat, r, room)| (seat, r.id, r.prefill_len(), room));
         let swapped = self.pending.iter().filter(|r| r.state == RequestState::Swapped);
         budget.assert_mirrors(residents, swapped.map(|r| (r.id, r.prefill_len())));
     }
 
     /// What `candidate`'s sharing group offers it, read in one pass over the
-    /// residents: the tokens a fork can alias instead of recomputing — the
-    /// longest prefix of its prompt a resident member has materialized, or a
-    /// migration warmed — and the group whose page pool it joins (aliasing)
-    /// or founds (no resident member). A member that must recompute the
-    /// prefix *while* a sibling is still chunk-prefilling it holds a private
-    /// copy, in no pool — exactly what the cache would do. Unsynced reads
-    /// suffice: a decoding sibling's `prefilled` is past its prefix either
-    /// way.
+    /// residents (unsynced: a decoding sibling is past its prefix anyway):
+    /// the tokens a fork can alias — the longest prefix of its prompt a
+    /// resident member has materialized, or a migration warmed — and the
+    /// group whose page pool it joins (aliasing) or founds (no resident
+    /// member). A member that recomputes the prefix *while* a sibling is
+    /// still chunk-prefilling it holds a private copy, in no pool.
     ///
     /// `None` holds admission: a resident sibling is still chunk-prefilling
-    /// a prefix the candidate could alias, so admitting now would recompute
-    /// it privately, and holding a tick gets it for free — strictly less
-    /// total work. Under whole-prompt prefill a sibling counts as holding
-    /// its whole `prefill_len()`, since this tick's pass completes it first,
-    /// so whole-prompt admission never holds.
+    /// a prefix the candidate could alias, and holding a tick gets it for
+    /// free. Under whole-prompt prefill a sibling counts as holding its whole
+    /// `prefill_len()` (this tick's pass completes it first), so whole-prompt
+    /// admission never holds.
     fn share(&self, candidate: &Request) -> Option<(usize, Option<u64>)> {
         let Some(group) = candidate.prefix_group() else { return Some((0, None)) };
         let whole = self.opts.chunk_tokens.is_none();
         let (mut aliased, mut potential, mut resident) = (0, 0, false);
-        for r in self.residents().filter(|r| r.prefix_group() == Some(group)) {
+        for (_, r) in self.residents.iter().filter(|(_, r)| r.prefix_group() == Some(group)) {
             let reach = candidate.prefix_len().min(r.prefix_len());
             let held = if whole { r.prefill_len() } else { r.prefilled() };
             aliased = aliased.max(reach.min(held));
@@ -762,12 +533,10 @@ impl Scheduler {
     /// One scheduling tick, the only spelling of the driver contract: admit,
     /// run the prefill pass, idle when nothing runs, make room, price the
     /// host-link traffic, decode. `exec` runs or prices each step; the tick
-    /// sequences and gates them and charges the clock. It has two callers: a [`crate::cluster`] replica —
-    /// [`crate::ServingEngine::serve`] included, as a one-replica fleet —
-    /// and [`crate::ModelRuntime::serve_with`]'s loop over the functional
-    /// executor. Statically dispatched over both the budget and the
-    /// executor: the ledger calls and the hooks inline into the replica hot
-    /// path.
+    /// sequences and gates them and charges the clock. Its callers are a
+    /// [`crate::cluster`] replica ([`crate::ServingEngine::serve`] included)
+    /// and [`crate::ModelRuntime::serve_with`]. Generic over the budget and
+    /// the executor, so ledger calls and hooks inline into the hot path.
     pub fn tick<B: KvBudget, E: TickExecutor>(&mut self, budget: &mut B, exec: &mut E) {
         self.admit(budget);
         self.prefill_pass(budget);
@@ -776,7 +545,7 @@ impl Scheduler {
             self.clock += dt;
             self.prefill_time += dt;
         }
-        if self.seats.is_empty() {
+        if self.residents.is_empty() {
             // Idle forward to the next arrival. A drained-but-open scheduler
             // (cluster replica between routing decisions) has none.
             if let Some(next) = self.pending.front() {
@@ -795,7 +564,7 @@ impl Scheduler {
             self.clock += dt;
             self.swap_time += dt;
         }
-        if self.seats.len() == self.prefilling {
+        if self.residents.decodable() == 0 {
             return; // every resident is still chunk-prefilling
         }
         let dt = exec.decode(self);
@@ -810,10 +579,9 @@ impl Scheduler {
     /// may shape order, not deadlock the system. A new resident is seated
     /// at its aliased prefix; the prefill pass runs the rest.
     fn admit<B: KvBudget>(&mut self, budget: &mut B) {
-        self.fresh.clear();
         // An empty backlog (the steady state of a draining replica) skips
         // the arrival search, the policy call and its free-token division.
-        while self.seats.len() < self.batch_limit && !self.pending.is_empty() {
+        while self.residents.len() < self.batch_limit && !self.pending.is_empty() {
             let arrived = self.arrived();
             if arrived == 0 {
                 break;
@@ -825,7 +593,7 @@ impl Scheduler {
                 self.pending.make_contiguous();
             }
             // Idle machine: progress beats policy caution.
-            let idle = self.seats.is_empty();
+            let idle = self.residents.is_empty();
             let choice = self.policy.select(&self.pending.as_slices().0[..arrived], budget);
             let Some(idx) = choice.or(idle.then_some(0)) else { break };
             assert!(idx < arrived, "policy selected an unarrived request");
@@ -834,62 +602,50 @@ impl Scheduler {
             // not by prefilling: its KV state survived eviction, so it joins
             // the batch where it left off and the driver prices the page
             // transfer instead of recompute.
-            if candidate.state == RequestState::Swapped {
+            let (handle, shared) = if candidate.state == RequestState::Swapped {
                 let id = candidate.id;
                 let Some((handle, pages)) = budget.swap_in(id) else {
-                    assert!(
-                        !idle,
-                        "request {:?} can never swap back onto an idle device",
-                        id
-                    );
+                    assert!(!idle, "request {:?} can never swap back onto an idle device", id);
                     break;
                 };
                 self.tick_swap_pages += pages;
                 self.swap_in_pages += pages;
-                let mut req = self.pending.remove(idx).expect("policy index in bounds");
-                req.state = RequestState::Running;
-                self.push_resident(req, handle, budget);
-                continue;
-            }
-            // Prefix-aware admission: alias what the group offers, or hold.
-            let (shared, group) = if self.opts.share_prefixes {
-                let Some(grant) = self.share(candidate) else { break };
-                grant
+                (handle, None)
             } else {
-                (0, None)
-            };
-            // Pages-wise, a founder's pool covers its whole prefix (it will
-            // compute it); a joiner's coverage is exactly what it aliases.
-            let pool_tokens = match (group, shared) {
-                (None, _) => 0,
-                (Some(_), 0) => candidate.prefix_len(),
-                (Some(_), grant) => grant,
-            };
-            let Some(handle) = budget.admit(
-                candidate.id,
-                group,
-                pool_tokens,
-                candidate.prefill_len(),
-                candidate.peak_len(),
-            ) else {
-                assert!(
-                    !idle,
-                    "request {:?} (peak {} tokens) can never fit the KV budget",
-                    candidate.id,
-                    candidate.peak_len()
-                );
-                break;
+                // Prefix-aware admission: alias what the group offers, or hold.
+                let (shared, group) = if self.opts.share_prefixes {
+                    let Some(grant) = self.share(candidate) else { break };
+                    grant
+                } else {
+                    (0, None)
+                };
+                // Pages-wise, a founder's pool covers its whole prefix (it will
+                // compute it); a joiner's coverage is exactly what it aliases.
+                let pool_tokens = match (group, shared) {
+                    (None, _) => 0,
+                    (Some(_), 0) => candidate.prefix_len(),
+                    (Some(_), grant) => grant,
+                };
+                let (id, peak) = (candidate.id, candidate.peak_len());
+                let Some(handle) = budget.admit(id, group, pool_tokens, candidate.prefill_len(), peak) else {
+                    assert!(!idle, "request {:?} (peak {} tokens) can never fit the KV budget", id, peak);
+                    break;
+                };
+                (handle, Some(shared))
             };
             let mut req = self.pending.remove(idx).expect("policy index in bounds");
             req.state = RequestState::Running;
-            // A queued request held nothing (eviction wipes `prefilled`), so
-            // the owed-work counter shrinks by exactly the tokens aliased.
-            req.set_prefilled(shared);
-            self.outstanding = self
-                .outstanding
-                .checked_sub(shared)
-                .expect("outstanding-token counter underflow at admission");
-            self.push_resident(req, handle, budget);
+            if let Some(shared) = shared {
+                // A queued request held nothing (eviction wipes `prefilled`),
+                // so the owed-work counter shrinks by exactly the tokens aliased.
+                req.set_prefilled(shared);
+                self.outstanding = self
+                    .outstanding
+                    .checked_sub(shared)
+                    .expect("outstanding-token counter underflow at admission");
+            }
+            let i = self.residents.seat(req, handle);
+            self.arm_if_ready(i, budget); // a swapped-back resident arrives decodable
         }
     }
 
@@ -897,41 +653,17 @@ impl Scheduler {
     /// most [`SchedOptions::chunk_tokens`] tokens — its whole remainder
     /// without chunking — and is reported as `(id, new_tokens, past_tokens)`
     /// — `past_tokens` being the context those new tokens attend over
-    /// (aliased prefix + earlier slices) — into `slices`, cleared first.
-    /// Residents prefill only from their seating (always at the back), so
-    /// the walk starts at the oldest prefilling one, found from the back by
-    /// its [`NEVER`] `done_at`.
+    /// (aliased prefix + earlier slices) — into `slices`, cleared first. A
+    /// resident whose last slice this is joins the decodable set.
     fn prefill_pass<B: KvBudget>(&mut self, budget: &mut B) {
         self.slices.clear();
-        if self.prefilling == 0 {
-            return; // pure-decode tick: no resident to walk for
-        }
         let chunk_tokens = self.opts.chunk_tokens.unwrap_or(usize::MAX);
-        let mut unseen = self.prefilling;
-        let oldest = self.done_at.iter().rposition(|&done| {
-            unseen -= usize::from(done == NEVER);
-            unseen == 0
-        });
         let mut taken = 0usize;
-        for i in oldest.expect("prefilling counter drifted from `done_at`")..self.seats.len() {
-            if self.done_at[i] != NEVER {
-                continue;
-            }
-            let r = &mut self.requests[self.seats[i] as usize];
-            let remaining = r.prefill_remaining();
-            let take = remaining.min(chunk_tokens);
-            self.slices.push((r.id, take, r.prefilled()));
-            r.set_prefilled(r.prefilled() + take);
-            taken += take;
-            if take == remaining {
-                // Last slice: the resident joins the decodable set.
-                self.prefilling = self
-                    .prefilling
-                    .checked_sub(1)
-                    .expect("prefilling counter underflow in prefill");
-                self.decode_tokens += r.prefilled();
-                self.arm(i, budget);
-            }
+        for i in self.residents.prefill_tail() {
+            let Some(slice) = self.residents.prefill(i, chunk_tokens) else { continue };
+            self.slices.push(slice);
+            taken += slice.1;
+            self.arm_if_ready(i, budget);
         }
         self.outstanding = self
             .outstanding
@@ -966,32 +698,21 @@ impl Scheduler {
 
     /// Evicts *everything* — running, swapped, and queued alike — exactly
     /// as a replica crash does: every budget holding is released, each
-    /// victim's materialized state is wiped (KV gone; `generated` tokens
-    /// are kept and re-owed honestly — re-admission recomputes prompt +
-    /// generated, like recompute preemption), and the drained requests are
-    /// returned in id order for the caller to requeue elsewhere. The
-    /// second return is the materialized tokens lost to the crash.
-    ///
-    /// The scheduler itself survives (clock, report fold, counters):
-    /// a restarted replica resumes reporting where it left off.
+    /// victim's KV state is wiped (its `generated` tokens kept, to be
+    /// recomputed on re-admission), and the drained requests are returned in
+    /// id order for the caller to requeue, with the materialized tokens lost.
+    /// The clock, report fold and counters survive: a restarted replica
+    /// resumes reporting where it left off.
     pub fn evict_all<B: KvBudget>(&mut self, budget: &mut B) -> (Vec<Request>, usize) {
         let mut victims: Vec<Request> = std::mem::take(&mut self.pending).into();
         for r in victims.iter().filter(|r| r.state == RequestState::Swapped) {
             budget.release(r.id, None);
         }
-        for (r, &seat) in self.residents().zip(&self.seats) {
-            budget.release(r.id, Some(KvHandle(seat as usize)));
+        for (handle, r) in self.residents.iter() {
+            budget.release(r.id, Some(handle));
         }
         victims.extend(self.running()); // synced: each keeps every token generated here
-        for seat in self.seats.drain(..) {
-            self.page_end[seat as usize] = NEVER;
-        }
-        self.done_at.clear();
-        for bookings in &mut self.calendar {
-            bookings.clear();
-        }
-        self.prefilling = 0;
-        self.decode_tokens = 0;
+        self.residents.clear();
         let mut lost = 0usize;
         for req in &mut victims {
             // Wiping `prefilled` re-owes the work; queued victims had
@@ -1018,20 +739,14 @@ impl Scheduler {
     }
 
     /// Makes sure every resident about to decode has room for its next
-    /// token, preempting the newest resident until the budget fits.
-    /// Residents still in prefill do not grow — their prompt
-    /// footprint was reserved at admission. `preempted` and `swapped` are
-    /// cleared and refilled with the recompute and swap victims, each in
-    /// eviction order.
-    ///
-    /// Only a resident whose pages are full needs the ledger, so make-room
-    /// visits just those whose page end is this step: this step's calendar
-    /// day lists them (see [`Scheduler::take_due`]), in admission order. Each
-    /// is synced, asks the ledger for its next page in one call and moves its
-    /// page end past it, booking the new one. A refusal evicts the newest
-    /// resident — synced, its token for this tick unspent, since it is never
-    /// before the cursor — and retries, so growth is charged in admission
-    /// order; a due resident evicted before its turn is skipped.
+    /// token, preempting the newest resident until the budget fits;
+    /// `preempted` and `swapped` are refilled with the recompute and swap
+    /// victims, each in eviction order. Only a resident whose pages fill
+    /// this step needs the ledger: make-room visits those the resident set
+    /// lists ([`Residents::take_due`]), in admission order, with one ledger
+    /// call each. A refusal evicts the newest resident — its token for this
+    /// tick unspent, since it is never before the cursor — and retries; a due
+    /// resident evicted before its turn is skipped.
     ///
     /// # Panics
     /// Panics if a lone resident cannot grow — the pool is too small for
@@ -1039,117 +754,74 @@ impl Scheduler {
     fn make_room<B: KvBudget>(&mut self, budget: &mut B) {
         self.preempted.clear();
         self.swapped.clear();
-        self.take_due();
-        let steps = self.steps;
-        for k in 0..self.due.len() {
-            let due = self.due[k];
-            let seat = due.seat as usize;
-            if self.page_end[seat] != steps {
+        for k in 0..self.residents.take_due() {
+            let Some((handle, id, held)) = self.residents.due(k) else {
                 continue; // evicted by an earlier resident's refusal
-            }
-            while !self.grow_past_page(due, budget) {
+            };
+            while !self.grow_past_page(k, handle, held, budget) {
                 assert!(
-                    self.seats.len() > 1,
-                    "KV budget cannot hold even one growing sequence (request {:?})",
-                    self.requests[seat].id
+                    self.residents.len() > 1,
+                    "KV budget cannot hold even one growing sequence (request {id:?})"
                 );
                 // LIFO, which protects the oldest request's progress: it is never
                 // evicted, so someone always finishes and preemption cannot livelock.
-                let victim = self.seats.len() - 1;
-                let newest = self.seats[victim];
-                self.evict(victim, budget);
-                if newest == due.seat {
+                if self.evict(self.residents.len() - 1, budget) == handle {
                     break; // the refused resident was the newest: nothing due is left
                 }
             }
         }
     }
 
-    /// Fills `due` with this step's due bookings in admission order, and
-    /// drops the stale ones from the day: the seat is vacant or holds
-    /// another residency (the stamp differs). A residency's page end moves
-    /// only as it is booked again, so a live booking's page end is on its
-    /// day: this step, or a later lap, and then the booking stays. In debug
-    /// builds the result is held to the scan it replaces: the residents
-    /// whose page end is this step, in admission order.
-    fn take_due(&mut self) {
-        let Self { calendar, due, page_end, stamps, steps, .. } = self;
-        let (steps, today) = (*steps, day(*steps));
-        due.clear();
-        calendar[today].retain(|&booking| {
-            let seat = booking.seat as usize;
-            let end = page_end[seat];
-            if stamps[seat] != booking.stamp || end == NEVER {
-                return false; // stale
-            }
-            debug_assert_eq!(day(end), today, "a booking off its page end's day");
-            if end == steps {
-                due.push(booking);
-                return false;
-            }
-            true // a later lap
-        });
-        due.sort_unstable_by_key(|booking| booking.stamp);
-        debug_assert!(
-            self.due.iter().map(|b| (b.seat, b.done_at)).eq(self
-                .seats
-                .iter()
-                .zip(&self.done_at)
-                .filter(|(&seat, _)| self.page_end[seat as usize] == steps)
-                .map(|(&seat, &done_at)| (seat, done_at))),
-            "make-room's calendar drifted from the page-end scan"
-        );
-    }
-
-    /// Preempts resident `victim` (the newest) to make room: parks it on the
-    /// host tier in swap mode if the tier takes it, else wipes it for
-    /// recompute; either way it is reported in its slice.
-    fn evict<B: KvBudget>(&mut self, victim: usize, budget: &mut B) {
-        self.sync(victim); // everything below reads what it holds
-        let (id, handle) = (self.resident(victim).id, KvHandle(self.seats[victim] as usize));
+    /// Preempts resident `victim` (the newest): parks it on the host tier in
+    /// swap mode if the tier takes it, else wipes it for recompute; either
+    /// way it is reported in its slice. Returns the handle it held.
+    fn evict<B: KvBudget>(&mut self, victim: usize, budget: &mut B) -> KvHandle {
+        let (mut req, handle) = self.residents.evict(victim); // synced
         if self.opts.preemption == PreemptionMode::Swap {
             // Parked at the tokens it holds: it has not decoded this tick.
-            if let Some(pages) = budget.swap_out(id, handle, self.resident(victim).prefill_len()) {
+            if let Some(pages) = budget.swap_out(req.id, handle, req.prefill_len()) {
                 self.tick_swap_pages += pages;
                 self.swap_out_pages += pages;
                 self.swap_outs += 1;
-                self.swapped.push(id);
-                let (mut req, _) = self.remove_resident(victim);
+                self.swapped.push(req.id);
                 // KV state survives on the host tier: `prefilled` is
                 // kept, so nothing is re-owed — the driver pays the
                 // page transfer, not recompute.
                 req.state = RequestState::Swapped;
                 self.enqueue(req);
-                return;
+                return handle;
             }
         }
-        self.preempted.push(id);
-        self.preempt(victim, budget);
+        self.preempted.push(req.id);
+        budget.release(req.id, Some(handle));
+        req.state = RequestState::Queued;
+        // Resetting `prefilled` re-owes the recompute work (prompt plus the
+        // tokens generated so far): the counter grows by what was wiped.
+        self.outstanding += req.prefilled();
+        req.set_prefilled(0);
+        self.preemptions += 1;
+        self.enqueue(req);
+        handle
     }
 
-    /// Charges the `due` resident's next token, whose pages are full, to the
-    /// ledger in one call — syncing it first, so the call also counts the
-    /// tokens decoded since the ledger last heard — and moves its page end
-    /// past the page that token opens, less the token, which this tick's
-    /// decode spends. `false` (nothing charged): the pool is dry.
-    fn grow_past_page<B: KvBudget>(&mut self, due: Booking, budget: &mut B) -> bool {
-        let seat = due.seat as usize;
-        catch_up(&mut self.requests[seat], due.done_at, self.steps);
-        let (handle, held) = (KvHandle(seat), self.requests[seat].prefill_len());
+    /// Charges due resident `k`'s next token to the ledger in one call — at
+    /// `held` tokens, synced, the call also counts those decoded since the
+    /// ledger last heard. `false` (nothing charged): the pool is dry.
+    fn grow_past_page<B: KvBudget>(&mut self, k: usize, seat: KvHandle, held: usize, budget: &mut B) -> bool {
         let free = cfg!(debug_assertions).then(|| budget.free_tokens());
-        let Some(room) = budget.grow(handle, held + 1) else { return false };
+        let Some(room) = budget.grow(seat, held + 1) else { return false };
         debug_assert_eq!(
             free.and_then(|free| free.checked_sub(budget.free_tokens())),
             Some(room + 1),
             "page-end column drifted from the ledger: a boundary opens one page per layer"
         );
-        self.book(due.seat, self.step_after(room + 1), due.done_at);
+        self.residents.grow(k, room);
         true
     }
 
     /// Inserts `req` into `pending` at its `(ready_s, id)` slot — for an
     /// evicted resident that is its original place, so FCFS re-admits it
-    /// first. A request that sorts last (every fresh arrival, in order) is
+    /// first. A request that sorts last (every new arrival, in order) is
     /// pushed without a search. Any other gallops from the front — probes
     /// 0, 1, 3, 7, … until one sorts after it, then bisects that bracket:
     /// a LIFO victim re-enters behind only the earlier victims, so the
@@ -1180,104 +852,24 @@ impl Scheduler {
         self.pending.insert(lo, req);
     }
 
-    fn preempt<B: KvBudget>(&mut self, idx: usize, budget: &mut B) {
-        let (mut req, handle) = self.remove_resident(idx);
-        budget.release(req.id, Some(handle));
-        req.state = RequestState::Queued;
-        // Resetting `prefilled` re-owes the recompute work (prompt plus the
-        // tokens generated so far): the counter grows by what was wiped.
-        self.outstanding += req.prefilled();
-        req.set_prefilled(0);
-        self.preemptions += 1;
-        self.enqueue(req);
-    }
-
-    /// One decode step: charges `dt` and advances the step count — every
-    /// decodable resident's token, so the aggregates move in O(1) and no
-    /// request is written. It visits only residents whose state changes:
-    /// the `fresh` get their first token and, on a step reaching
-    /// `next_done`, one scan of `done_at` lists (and syncs) the retirees,
-    /// who retire (see [`Scheduler::retire`]).
+    /// One decode step, charged `dt` ([`Residents::decode`]): each retiree,
+    /// in admission order, is released by the budget and leaves a record in
+    /// `done`, which the report fold has counted.
     fn decode_step<B: KvBudget>(&mut self, dt: f64, budget: &mut B) {
-        let decodable = self.seats.len() - self.prefilling;
-        assert!(decodable > 0, "decode_step with no decodable resident");
-        debug_assert!(
-            !self.page_end.iter().any(|&end| end <= self.steps),
-            "a resident reached decode with its pages full"
-        );
         self.clock += dt;
         self.decode_time += dt;
-        self.steps = self.step_after(1);
-        self.decode_tokens += decodable;
-        self.outstanding =
-            self.outstanding.checked_sub(decodable).expect("outstanding-token counter underflow in decode");
-        let (clock, steps) = (self.clock, self.steps);
-        // A seat make-room vacated is stamped harmlessly: nobody sits there.
-        for seat in self.fresh.drain(..) {
-            self.requests[seat].stamp_first_token(clock);
-        }
-        self.retiring.clear();
-        if steps >= self.next_done {
-            let mut next = NEVER;
-            for (i, &done) in self.done_at.iter().enumerate() {
-                if done == steps {
-                    self.retiring.push(i);
-                } else {
-                    next = next.min(done);
-                }
-            }
-            self.next_done = next;
-            for k in 0..self.retiring.len() {
-                self.sync(self.retiring[k]);
-            }
-        }
-        // The retired left with everything they held.
-        let retired_tokens = self.retire(budget);
-        self.decode_tokens = self
-            .decode_tokens
-            .checked_sub(retired_tokens)
-            .expect("decodable-token counter underflow at retirement");
-        debug_assert!(
-            !self.done_at.iter().any(|&done| done <= steps || done < self.next_done),
-            "a resident's next visit is not ahead of the step count and its bound"
-        );
-    }
-
-    /// Retires the residents the decode step listed in `retiring` (synced)
-    /// and returns the tokens they held; `done` is left holding their
-    /// records, which the report fold has counted.
-    ///
-    /// The retirees reach the budget, the fold and `done` in admission order,
-    /// and leave their seats vacant. The two admission-order columns are
-    /// compacted by runs — the requests and the per-seat columns stay put:
-    /// each run of survivors between two retirees (or after the last) moves
-    /// down as one block, so residents before the first retiree do not move
-    /// and survivors keep their order.
-    fn retire<B: KvBudget>(&mut self, budget: &mut B) -> usize {
         self.done.clear();
-        let Some(&first) = self.retiring.first() else { return 0 };
-        let (clock, len) = (self.clock, self.seats.len());
-        let mut retired_tokens = 0usize;
-        let mut kept = first;
-        for (k, &at) in self.retiring.iter().enumerate() {
-            let seat = self.seats[at] as usize;
-            self.page_end[seat] = NEVER;
-            let req = &self.requests[seat];
-            retired_tokens += req.prefilled();
-            budget.release(req.id, Some(KvHandle(seat)));
+        let Self { residents, fold, done, clock, .. } = self;
+        let decodable = residents.decode(*clock, |req, handle| {
+            budget.release(req.id, Some(handle));
             // A retiring request owes nothing: its final token was just
             // counted.
-            let record = FinishedRequest::retire(req, clock);
-            self.fold.add(&record);
-            self.done.push(record);
-            let survivors = at + 1..self.retiring.get(k + 1).copied().unwrap_or(len);
-            self.seats.copy_within(survivors.clone(), kept);
-            self.done_at.copy_within(survivors.clone(), kept);
-            kept += survivors.len();
-        }
-        self.seats.truncate(kept);
-        self.done_at.truncate(kept);
-        retired_tokens
+            let record = FinishedRequest::retire(req, *clock);
+            fold.add(&record);
+            done.push(record);
+        });
+        self.outstanding =
+            self.outstanding.checked_sub(decodable).expect("outstanding-token counter underflow in decode");
     }
 }
 
@@ -1286,6 +878,7 @@ mod tests {
     use super::*;
     use crate::ledger::Reservation;
     use crate::request::WorkloadSpec;
+    use crate::resident::{day, Step, NEVER};
 
     /// Flat prices — `prefill` per slice, `decode` per step, swaps free —
     /// with `probe` shown the scheduler at every hook; keeps every retired
@@ -1794,7 +1387,7 @@ mod tests {
 
         /// One tick of `sched` at flat prices against this ledger.
         fn tick(&mut self, sched: &mut Scheduler) {
-            self.step = sched.steps;
+            self.step = sched.residents.steps;
             let mut exec = Flat { prefill: 0.1, decode: 0.01, probe: |_| {}, done: Vec::new() };
             sched.tick(self, &mut exec);
             self.pages.assert_consistent();
@@ -1845,7 +1438,7 @@ mod tests {
 
     /// Bookings in the whole calendar.
     fn bookings(sched: &Scheduler) -> usize {
-        sched.calendar.iter().map(Vec::len).sum()
+        sched.residents.calendar.iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -1880,9 +1473,9 @@ mod tests {
         let mut log = GrowLog::new(PageBudget::new(4, 1, 16, Reservation::Peak));
         while !sched.is_done() {
             log.tick(&mut sched);
-            assert_eq!(bookings(&sched), 0, "step {}", sched.steps);
+            assert_eq!(bookings(&sched), 0, "step {}", sched.residents.steps);
         }
-        assert_eq!(sched.steps, 60);
+        assert_eq!(sched.residents.steps, 60);
         assert_eq!(log.grows, [(0, 0, 4, true)]);
     }
 
@@ -1904,8 +1497,8 @@ mod tests {
         assert_eq!(sched.preemptions(), 1);
         log.tick(&mut sched);
         assert_eq!(sched.running().map(|r| r.id.0).collect::<Vec<_>>(), [0, 2]);
-        assert_eq!(sched.calendar[day(8)].len(), 2, "the stale booking and the live one");
-        while sched.steps <= 8 {
+        assert_eq!(sched.residents.calendar[day(8)].len(), 2, "the stale booking and the live one");
+        while sched.residents.steps <= 8 {
             log.tick(&mut sched);
         }
         assert_eq!(log.grows, [
@@ -1931,10 +1524,10 @@ mod tests {
         for _ in 0..5 {
             log.tick(&mut sched);
         }
-        assert_eq!(sched.steps, 5, "mid-lap");
+        assert_eq!(sched.residents.steps, 5, "mid-lap");
         let (victims, _) = sched.evict_all(&mut log);
         assert_eq!(bookings(&sched), 0);
-        assert!(sched.page_end.iter().all(|&end| end == NEVER), "every seat vacant");
+        assert!(sched.residents.page_end.iter().all(|&end| end == NEVER), "every seat vacant");
         let mut fresh = legacy(victims.clone(), 4, Box::new(Fcfs));
         let mut fresh_log = GrowLog::new(PageBudget::new(4, 1, 24, Reservation::OnDemand));
         fresh_log.drive(&mut fresh);

@@ -13,7 +13,7 @@
 //! Since the real checkpoints are unavailable in this environment, these
 //! generators synthesize tensors exhibiting exactly those pathologies so each
 //! QoQ technique is exercised against the phenomenon it was designed for
-//! (see DESIGN.md §1 for the substitution rationale).
+//! (the README's "What is synthetic here" gives the substitution).
 //!
 //! The generator is built on an in-repo xoshiro256++ PRNG (seeded via
 //! SplitMix64) so the workspace needs no external crates: same-seed streams

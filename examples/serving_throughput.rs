@@ -104,6 +104,7 @@ fn main() {
     println!();
     println!(
         "Note: latencies come from the analytical A100/L40S cost model \
-         (see DESIGN.md §1); ratios, not absolutes, are the reproduced quantity."
+         (README, \"What is synthetic here\"); ratios, not absolutes, are the \
+         reproduced quantity."
     );
 }
