@@ -46,7 +46,11 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # `report::` joins them for its fold-merge properties: they draw records
 # through those same setters, and the merge that crosses `EXACT_STATS_MAX`
 # (columns dropped, sketches merged) runs there under the sketch's bucket
-# `debug_assert`s and with overflow checks on the folds' counts.
+# `debug_assert`s and with overflow checks on the folds' counts — beside
+# `selection_is_the_sorted_concatenations_percentile`, which holds the
+# percentile selected across each fold's sorted column, in place, to the
+# bits of the sorted concatenation's, with its index arithmetic
+# overflow-checked.
 # The lib filters are a line of their own: cargo applies a test-name
 # filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
@@ -55,6 +59,11 @@ QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: resident:: ledger:: kv_cache:: \
     request:: report:: model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
+
+# Memory follows the resident set: the counting-allocator test prints its
+# four per-request heap readings (cluster, serve, overload, past the
+# threshold), so every log shows the figures the docs quote.
+cargo test -q --offline --locked --release -p qserve-serve --test heap_proportional -- --nocapture
 
 # The parallel arm of the contract: regenerate and byte-diff every golden
 # CSV again with a 4-thread pool (sweep grids fan out cell-per-task and

@@ -211,9 +211,9 @@ impl<'e> Replica<'e> {
     }
 
     /// End-of-run borrow for [`crate::report::aggregate`].
-    fn slice(&self) -> ReplicaSlice<'_> {
+    fn slice(&mut self) -> ReplicaSlice<'_> {
         ReplicaSlice {
-            sched: &self.sched,
+            sched: &mut self.sched,
             gpu: self.speed.gpu,
             kv_page_bytes: self.cost.engine.kv_page_bytes(),
             routed: self.routed,
@@ -628,7 +628,7 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
         self.shed.extend(self.parked.drain(..).map(|r| (r.id, r.slo().tier)));
         self.reps.iter().for_each(Replica::audit);
         let mut accounted = IdTally::default();
-        self.reps.iter().for_each(|rep| accounted.merge(rep.sched.fold().retired));
+        self.reps.iter_mut().for_each(|rep| accounted.merge(rep.sched.fold().retired));
         self.shed.iter().for_each(|&(id, _)| accounted.add(id));
         assert_eq!(accounted, self.arrived, "finished ∪ shed is not the arrivals");
     }
@@ -636,11 +636,11 @@ impl<'a, A: Iterator<Item = Request>> Driver<'a, A> {
     /// Closes the run's books and folds the run into its report.
     fn finish(mut self) -> ClusterReport {
         self.close();
-        let slices: Vec<ReplicaSlice<'_>> = self.reps.iter().map(Replica::slice).collect();
+        let mut slices: Vec<ReplicaSlice<'_>> = self.reps.iter_mut().map(Replica::slice).collect();
         aggregate(
             self.control.routing_name(),
             self.control.admission_name(),
-            &slices,
+            &mut slices,
             &self.shed,
             self.lost_prefill,
             self.migrations,
@@ -1029,11 +1029,11 @@ mod tests {
             while let Some(i) = laggard(&reps, f64::INFINITY) {
                 reps[i].tick();
             }
-            let slices: Vec<ReplicaSlice<'_>> = reps.iter().map(Replica::slice).collect();
+            let mut slices: Vec<ReplicaSlice<'_>> = reps.iter_mut().map(Replica::slice).collect();
             Ok(aggregate(
                 self.control.routing_name(),
                 self.control.admission_name(),
-                &slices,
+                &mut slices,
                 &shed,
                 0,
                 MigrationTotals::default(),

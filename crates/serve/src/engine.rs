@@ -601,12 +601,12 @@ impl ServingEngine {
             }
         };
         let sched = Scheduler::open(limit, policy, cfg.opts);
-        let (sched, budget) = crate::cluster::serve_one(self, spec, sched, budget);
+        let (mut sched, budget) = crate::cluster::serve_one(self, spec, sched, budget);
         let peak_unique_pages = match cfg.memory {
             KvModel::BatchOnly => 0,
             KvModel::Paged(_) => budget.peak_pages(),
         };
-        Ok(ServingReport::fold(&sched, limit, peak_unique_pages))
+        Ok(ServingReport::fold(&mut sched, limit, peak_unique_pages))
     }
 
     /// [`MemoryPlan::max_batch`] for requests peaking at `peak_len` tokens,

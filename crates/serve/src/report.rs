@@ -15,11 +15,14 @@
 //! the achieved ÷ deadline ratio, the SLO verdict, each held nowhere else —
 //! and folds it into its own `Fold` as it retires: sums, both sketches,
 //! and the exact columns only while that fold has seen at most
-//! [`EXACT_STATS_MAX`] records. A report merges the folds in
-//! scheduler order; up to the threshold that concatenates the columns, so
-//! every statistic is what one fold over the records in
-//! scheduler-then-completion order gives, to the bit. Shed requests arrive
-//! as `(id, tier)`, all a report says of them.
+//! [`EXACT_STATS_MAX`] records. A report merges the folds' sums and
+//! sketches in scheduler order; up to the threshold it sorts each fold's
+//! columns in place and selects each percentile across them where they
+//! lie, copying none, so every statistic a report reads is what one fold
+//! over the records in scheduler-then-completion order gives, to the bit.
+//! Shed requests arrive as `(id, tier)`, all a report says of them.
+
+use std::cmp::Ordering;
 
 use crate::engine::ServingReport;
 use crate::request::{RequestId, Tier};
@@ -195,8 +198,8 @@ impl ClusterReport {
 /// driver stays free to reshape its internal struct without touching the
 /// report math.
 pub(crate) struct ReplicaSlice<'a> {
-    /// The replica's scheduler (its fold, counters).
-    pub sched: &'a Scheduler,
+    /// The replica's scheduler (its counters, and its fold to sort in place).
+    pub sched: &'a mut Scheduler,
     /// GPU name of the replica's spec.
     pub gpu: &'static str,
     /// Bytes per KV page on this replica — prices its swap traffic.
@@ -224,29 +227,41 @@ pub(crate) struct MigrationTotals {
     pub bytes: u64,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (`q` in `(0, 1]`):
-/// the smallest element with at least a `q` fraction of the sample at or
-/// below it. Well-defined for every sample size — a single-element slice
-/// returns that element for every `q` (so p50/p95/p99 of a one-request run
-/// all equal its latency), and `q = 1` returns the maximum; no index
-/// arithmetic at the array edge.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample");
+/// Nearest-rank percentile (`q` in `(0, 1]`) of the union of the sorted
+/// `cols` in `f64::total_cmp` order — what a sorted concatenation holds at
+/// that rank, found by bisecting each column on its elements' ranks in the
+/// union (each a bisection of every column): O(k² log² n) comparisons over
+/// k columns, no copy. `q = 1` gives the maximum; an empty union gives 0.
+pub(crate) fn select(cols: &[&[f64]], q: f64) -> f64 {
     assert!(q > 0.0 && q <= 1.0, "q must be in (0, 1]");
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    // `q > 0` makes rank ≥ 1 and `q ≤ 1` makes rank ≤ len, but float
+    let n: usize = cols.iter().map(|c| c.len()).sum();
+    if n == 0 {
+        return 0.0;
+    }
+    // `q > 0` makes the rank ≥ 1 and `q ≤ 1` makes it ≤ n, but float
     // rounding could break either bound; saturate instead of trusting it.
-    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
-    sorted[idx]
+    let idx = ((q * n as f64).ceil() as usize).saturating_sub(1).min(n - 1);
+    // How many of the union's elements stand in relation `keep` to `x`.
+    let rank = |x: f64, keep: fn(Ordering) -> bool| -> usize {
+        cols.iter().map(|c| c.partition_point(|y| keep(y.total_cmp(&x)))).sum()
+    };
+    // A column's first element with more than `idx` of the union at or
+    // below it is the answer when at most `idx` lie below it.
+    cols.iter()
+        .find_map(|c| {
+            let &x = c.get(c.partition_point(|&y| rank(y, Ordering::is_le) <= idx))?;
+            (rank(x, Ordering::is_lt) <= idx).then_some(x)
+        })
+        .expect("the element of every rank lies in some column")
 }
 
-/// The `q` quantile of a sample held either exactly (`sorted`, when
-/// `exact`) or as a `sketch` — 0 for an empty sample.
-fn quantile(exact: bool, sorted: &[f64], sketch: &PercentileSketch, q: f64) -> f64 {
+/// The `q` quantile of a sample held either exactly (the sorted `cols`,
+/// when `exact`) or as a `sketch` — 0 for an empty sample.
+fn quantile(exact: bool, cols: &[&[f64]], sketch: &PercentileSketch, q: f64) -> f64 {
     match exact {
-        true if !sorted.is_empty() => percentile(sorted, q),
+        true => select(cols, q),
         false if !sketch.is_empty() => sketch.quantile(q),
-        _ => 0.0,
+        false => 0.0,
     }
 }
 
@@ -280,11 +295,16 @@ impl IdTally {
     }
 }
 
+/// Records past which an exact column grows by this many slots, not by
+/// doubling: at most one block of slack however long the column gets.
+const COLUMN_BLOCK: usize = 4096;
+
 /// One scheduler's retirements, folded as they happen: counts and sums,
 /// the latency and SLO-ratio sketches, the retired ids' tally, and — while
 /// the fold has seen at most [`EXACT_STATS_MAX`] records — the exact
-/// latency, TTFT and SLO-ratio columns, in completion order. Past the
-/// threshold the columns go, so a fold never grows with the trace.
+/// latency, TTFT and SLO-ratio columns, in completion order until a report
+/// sorts the latency and SLO-ratio ones in place. Past the threshold the
+/// columns go, so a fold never grows with the trace.
 #[derive(Default)]
 pub(crate) struct Fold {
     pub(crate) retired: IdTally,
@@ -322,9 +342,11 @@ impl Fold {
             self.slo_sketch.insert(ratio);
         }
         if self.exact() {
-            self.latencies.push(r.latency_s());
-            self.ttfts.push(r.ttft_s());
-            self.slo_ratios.extend(ratio);
+            push(&mut self.latencies, r.latency_s());
+            push(&mut self.ttfts, r.ttft_s());
+            if let Some(ratio) = ratio {
+                push(&mut self.slo_ratios, ratio);
+            }
         } else if self.retired.count == EXACT_STATS_MAX + 1 {
             self.drop_columns();
         }
@@ -339,11 +361,11 @@ impl Fold {
         (self.latencies, self.ttfts, self.slo_ratios) = Default::default();
     }
 
-    /// Folds `other`'s records in after this fold's, as if one fold had
-    /// seen both sequences — exactly, while the merged columns stay within
-    /// the threshold. The TTFT sum continues through `other`'s column, in
-    /// completion order, so it re-associates only where `other` is past
-    /// the threshold and adds its own partial sum.
+    /// Folds `other`'s counts, sums and sketches in after this fold's, as
+    /// if one fold had seen both sequences; the columns stay where they
+    /// are. The TTFT sum continues through `other`'s column, in completion
+    /// order, so it re-associates only where `other` is past the threshold
+    /// and adds its own partial sum.
     fn absorb(&mut self, other: &Self) {
         match other.exact() {
             true => other.ttfts.iter().for_each(|t| self.ttft_sum += t),
@@ -356,60 +378,74 @@ impl Fold {
         self.last_requeued_finish_s = self.last_requeued_finish_s.max(other.last_requeued_finish_s);
         self.lat_sketch.merge(&other.lat_sketch);
         self.slo_sketch.merge(&other.slo_sketch);
-        if self.exact() {
-            self.latencies.extend(&other.latencies);
-            self.ttfts.extend(&other.ttfts);
-            self.slo_ratios.extend(&other.slo_ratios);
-        } else {
-            self.drop_columns();
-        }
     }
 }
 
-/// What a set of folds say together — the one summary both reports read:
-/// the folds merged in order, columns sorted. Up to [`EXACT_STATS_MAX`]
-/// completions in total the latency and SLO-ratio statistics come from the
-/// sorted columns (byte-stable with every golden CSV); above it from the
-/// merged sketches, whose bucket counts, minimum and maximum do not depend
-/// on order. Every statistic of an empty set is 0.
-struct Stats(Fold);
+/// Appends `x` to an exact column: by `Vec`'s doubling up to
+/// [`COLUMN_BLOCK`] records, a block at a time past it.
+fn push(col: &mut Vec<f64>, x: f64) {
+    if col.len() == col.capacity() && col.len() >= COLUMN_BLOCK {
+        col.reserve_exact(COLUMN_BLOCK);
+    }
+    col.push(x);
+}
 
-impl Stats {
-    fn of<'f>(folds: impl IntoIterator<Item = &'f Fold>) -> Self {
-        let mut all = Fold::default();
-        folds.into_iter().for_each(|f| all.absorb(f));
-        // Unstable sorts are exact here: `total_cmp` ties only equal bits.
-        all.latencies.sort_unstable_by(f64::total_cmp);
-        all.slo_ratios.sort_unstable_by(f64::total_cmp);
-        Self(all)
+/// What a set of folds say together — the one summary both reports read:
+/// the folds' counts, sums and sketches merged in order, and each fold's
+/// own latency and SLO-ratio columns, sorted in place. Up to
+/// [`EXACT_STATS_MAX`] completions in total the percentiles are selected
+/// across those columns (byte-stable with every golden CSV); above it they
+/// come from the merged sketches, whose bucket counts, minimum and maximum
+/// do not depend on order. Every statistic of an empty set is 0.
+struct Stats<'f> {
+    all: Fold,
+    latencies: Vec<&'f [f64]>,
+    slo_ratios: Vec<&'f [f64]>,
+}
+
+impl<'f> Stats<'f> {
+    fn of(folds: impl IntoIterator<Item = &'f mut Fold>) -> Self {
+        let (mut all, mut latencies, mut slo_ratios) = (Fold::default(), Vec::new(), Vec::new());
+        for f in folds {
+            all.absorb(f);
+            // Unstable sorts are exact here: `total_cmp` ties only equal
+            // bits. A second report's sorts find the columns sorted.
+            f.latencies.sort_unstable_by(f64::total_cmp);
+            f.slo_ratios.sort_unstable_by(f64::total_cmp);
+            let f: &'f Fold = f;
+            latencies.push(&f.latencies[..]);
+            slo_ratios.push(&f.slo_ratios[..]);
+        }
+        Self { all, latencies, slo_ratios }
     }
 
     fn latency(&self, q: f64) -> f64 {
-        quantile(self.0.exact(), &self.0.latencies, &self.0.lat_sketch, q)
+        quantile(self.all.exact(), &self.latencies, &self.all.lat_sketch, q)
     }
 
     fn slo_ratio(&self, q: f64) -> f64 {
-        quantile(self.0.exact(), &self.0.slo_ratios, &self.0.slo_sketch, q)
+        quantile(self.all.exact(), &self.slo_ratios, &self.all.slo_sketch, q)
     }
 
     /// The latency sketch's view, on both paths, so the two can be
     /// compared on any run.
     fn sketch_latency(&self, q: f64) -> f64 {
-        quantile(false, &[], &self.0.lat_sketch, q)
+        quantile(false, &[], &self.all.lat_sketch, q)
     }
 
     fn mean_ttft_s(&self) -> f64 {
-        let n = self.0.retired.count;
-        if n > 0 { self.0.ttft_sum / n as f64 } else { 0.0 }
+        let n = self.all.retired.count;
+        if n > 0 { self.all.ttft_sum / n as f64 } else { 0.0 }
     }
 
-    /// Mean and maximum latency: the mean sums the *sorted* column and the
-    /// max is its last entry.
+    /// Mean and maximum latency: the mean sums the *sorted* columns fold by
+    /// fold (the single engine's report, its only reader, has one fold) and
+    /// the max is the union's last element.
     fn mean_max_latency_s(&self) -> (f64, f64) {
-        match (self.0.exact(), self.0.latencies.last()) {
-            (true, None) => (0.0, 0.0),
-            (true, Some(&max)) => (self.0.latencies.iter().sum::<f64>() / self.0.retired.count as f64, max),
-            (false, _) => (self.0.lat_sketch.mean(), self.0.lat_sketch.max()),
+        match (self.all.exact(), self.all.retired.count) {
+            (true, 0) => (0.0, 0.0),
+            (true, n) => (self.latencies.iter().copied().flatten().sum::<f64>() / n as f64, self.latency(1.0)),
+            (false, _) => (self.all.lat_sketch.mean(), self.all.lat_sketch.max()),
         }
     }
 }
@@ -419,23 +455,25 @@ impl ServingReport {
     /// the scheduler's clock, phase times and preemptions, and the sizing
     /// [`crate::ServingEngine::serve`] ran it under — the batch limit and
     /// the page high-water mark it reports.
-    pub(crate) fn fold(sched: &Scheduler, max_batch: usize, peak_unique_pages: usize) -> Self {
+    pub(crate) fn fold(sched: &mut Scheduler, max_batch: usize, peak_unique_pages: usize) -> Self {
+        let (clock, prefill_time_s, decode_time_s, preemptions) =
+            (sched.clock(), sched.prefill_time_s(), sched.decode_time_s(), sched.preemptions());
         let f = Stats::of([sched.fold()]);
         let (mean_request_latency_s, max_request_latency_s) = f.mean_max_latency_s();
         Self {
-            throughput_tps: rate(f.0.generated, sched.clock()),
-            total_time_s: sched.clock(),
-            prefill_time_s: sched.prefill_time_s(),
-            decode_time_s: sched.decode_time_s(),
+            throughput_tps: rate(f.all.generated, clock),
+            total_time_s: clock,
+            prefill_time_s,
+            decode_time_s,
             max_batch,
-            completed: f.0.retired.count,
+            completed: f.all.retired.count,
             mean_request_latency_s,
             max_request_latency_s,
             mean_ttft_s: f.mean_ttft_s(),
             p50_latency_s: f.latency(0.50),
             p95_latency_s: f.latency(0.95),
             p99_latency_s: f.latency(0.99),
-            preemptions: sched.preemptions(),
+            preemptions,
             peak_unique_pages,
             sketch_p50_latency_s: f.sketch_latency(0.50),
             sketch_p99_latency_s: f.sketch_latency(0.99),
@@ -447,13 +485,11 @@ impl ServingReport {
 pub(crate) fn aggregate(
     routing: &str,
     admission: &str,
-    reps: &[ReplicaSlice<'_>],
+    reps: &mut [ReplicaSlice<'_>],
     shed: &[(RequestId, Tier)],
     lost_prefill_tokens: usize,
     migration: MigrationTotals,
 ) -> ClusterReport {
-    let f = Stats::of(reps.iter().map(|rep| rep.sched.fold()));
-    let (completed, generated) = (f.0.retired.count, f.0.generated);
     let mut preemptions = 0usize;
     let mut swap_outs = 0usize;
     let mut swap_out_pages = 0usize;
@@ -461,7 +497,7 @@ pub(crate) fn aggregate(
     let mut swap_bytes = 0u64;
     let mut makespan = 0.0f64;
     let mut per_replica = Vec::with_capacity(reps.len());
-    for rep in reps {
+    for rep in reps.iter_mut() {
         preemptions += rep.sched.preemptions();
         swap_outs += rep.sched.swap_outs();
         swap_out_pages += rep.sched.swap_out_pages();
@@ -487,7 +523,7 @@ pub(crate) fn aggregate(
             provisioned_s: 0.0, // filled in once the makespan is known
         });
     }
-    for (r, slice) in per_replica.iter_mut().zip(reps) {
+    for (r, slice) in per_replica.iter_mut().zip(reps.iter()) {
         r.utilization = if makespan > 0.0 { r.busy_s / makespan } else { 0.0 };
         // A window still open at the end of the run bills to the cluster
         // makespan (a static replica bills the whole run by construction —
@@ -500,6 +536,8 @@ pub(crate) fn aggregate(
                 .map_or(0.0, |since| (makespan - since).max(0.0));
     }
     let gpu_seconds: f64 = per_replica.iter().map(|r| r.provisioned_s).sum();
+    let f = Stats::of(reps.iter_mut().map(|rep| rep.sched.fold()));
+    let (completed, generated) = (f.all.retired.count, f.all.generated);
     let mut shed_by_tier = [0usize; 3];
     for (_, tier) in shed {
         shed_by_tier[tier.index()] += 1;
@@ -507,13 +545,13 @@ pub(crate) fn aggregate(
     ClusterReport {
         routing: routing.to_string(),
         admission: admission.to_string(),
-        replicas: reps.len(),
+        replicas: per_replica.len(),
         completed,
         generated_tokens: generated,
         makespan_s: makespan,
         throughput_tps: rate(generated, makespan),
-        goodput_tps: rate(f.0.good_tokens, makespan),
-        slo_attainment: if completed > 0 { f.0.met as f64 / completed as f64 } else { 0.0 },
+        goodput_tps: rate(f.all.good_tokens, makespan),
+        slo_attainment: if completed > 0 { f.all.met as f64 / completed as f64 } else { 0.0 },
         slo_ratio_p50: f.slo_ratio(0.50),
         slo_ratio_p99: f.slo_ratio(0.99),
         shed: shed.len(),
@@ -535,7 +573,7 @@ pub(crate) fn aggregate(
         migrated_pages: migration.pages,
         migrated_bytes: migration.bytes,
         gpu_seconds,
-        last_requeued_finish_s: f.0.last_requeued_finish_s,
+        last_requeued_finish_s: f.all.last_requeued_finish_s,
         max_replica_peak_pages: per_replica
             .iter()
             .map(|r| r.peak_unique_pages)
@@ -592,14 +630,22 @@ mod tests {
         sched
     }
 
-    fn report(sched: &Scheduler) -> ServingReport {
+    fn report(sched: &mut Scheduler) -> ServingReport {
         ServingReport::fold(sched, 0, 0)
+    }
+
+    /// Nearest-rank percentile of one ascending-sorted slice (`q` in
+    /// `(0, 1]`), by index — the oracle [`select`] is held to.
+    fn percentile(sorted: &[f64], q: f64) -> f64 {
+        assert!(!sorted.is_empty(), "percentile of empty sample");
+        let rank = (q * sorted.len() as f64).ceil() as usize;
+        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
     }
 
     #[test]
     fn fcfs_completes_everything_in_order() {
-        let sched = served(WorkloadSpec::fixed(8, 4, 10).sample(), 3, 0.1, 0.01);
-        let f = report(&sched);
+        let mut sched = served(WorkloadSpec::fixed(8, 4, 10).sample(), 3, 0.1, 0.01);
+        let f = report(&mut sched);
         assert_eq!(f.completed, 10);
         assert_eq!(sched.fold().generated, 40);
         assert!(f.p50_latency_s <= f.p95_latency_s);
@@ -650,7 +696,7 @@ mod tests {
     /// Every statistic either report reads off `s` — as text, which pins
     /// each `f64`'s bits — but the two means, which come back apart.
     fn read(s: &Stats) -> (String, [f64; 2]) {
-        let (f, (mean_latency, max_latency)) = (&s.0, s.mean_max_latency_s());
+        let (f, (mean_latency, max_latency)) = (&s.all, s.mean_max_latency_s());
         let text = format!(
             "{:?}",
             (
@@ -662,18 +708,30 @@ mod tests {
         (text, [s.mean_ttft_s(), mean_latency])
     }
 
+    /// Two recursive sums of the same `n` positive terms differ by at most
+    /// `2(n − 1)u` of the total, so their means by under `2n` ulps.
+    fn assert_near(mean: f64, whole: f64, n: usize, what: &str) {
+        let ulps = mean.to_bits().abs_diff(whole.to_bits());
+        assert!(ulps < 2 * n as u64, "{what}: a mean {ulps} ulps away");
+    }
+
     qserve_tensor::props! {
         /// Merging folds in order is one fold over the whole sequence, bit
         /// for bit on every statistic either report reads, for k = 1..4
         /// runs (empty runs included), while the total is within
-        /// `EXACT_STATS_MAX`.
+        /// `EXACT_STATS_MAX` — all but the mean latency, which only the
+        /// single engine's report reads (of one fold): over several folds it
+        /// sums each one's sorted column in turn, so it re-associates and is
+        /// held within `2n` ulps.
         fn merged_folds_are_one_fold_over_the_whole_sequence(rng) {
             let n = rng.int_in(0, 600) as usize;
             let records: Vec<FinishedRequest> = (0..n).map(|i| record(rng, i as u64)).collect();
-            let whole = format!("{:?}", read(&Stats::of([&fold_all(&records)])));
+            let (whole, [whole_ttft, whole_latency]) = read(&Stats::of([&mut fold_all(&records)]));
             for k in 1..=4 {
-                let merged = read(&Stats::of(&split(rng, &records, k, n)));
-                assert_eq!(format!("{merged:?}"), whole, "{k} folds of {n} records");
+                let what = format!("{k} folds of {n} records");
+                let (merged, [ttft, latency]) = read(&Stats::of(&mut split(rng, &records, k, n)));
+                assert_eq!((merged, ttft.to_bits()), (whole.clone(), whole_ttft.to_bits()), "{what}");
+                assert_near(latency, whole_latency, n, &what);
             }
         }
 
@@ -683,19 +741,91 @@ mod tests {
         /// is itself past the threshold (the first cut leaves the rest that
         /// long) and adds its partial sum — the mean TTFT, and the latency
         /// sketch's mean, which only the single engine's report reads, from
-        /// one scheduler's fold. Two recursive sums of `n` positive terms
-        /// differ by at most `2(n − 1)u` of the total, so the means by under
-        /// `2n` ulps.
+        /// one scheduler's fold.
         fn merged_folds_past_the_threshold_move_only_the_means(rng, cases = 3) {
             let n = EXACT_STATS_MAX + 1 + rng.index(EXACT_STATS_MAX);
             let records: Vec<FinishedRequest> = (0..n).map(|i| record(rng, i as u64)).collect();
-            let (whole, whole_means) = read(&Stats::of([&fold_all(&records)]));
+            let (whole, whole_means) = read(&Stats::of([&mut fold_all(&records)]));
             for k in 1..=4 {
-                let (merged, means) = read(&Stats::of(&split(rng, &records, k, n - EXACT_STATS_MAX - 1)));
-                assert_eq!(merged, whole, "{k} folds of {n} records");
+                let what = format!("{k} folds of {n} records");
+                let (merged, means) = read(&Stats::of(&mut split(rng, &records, k, n - EXACT_STATS_MAX - 1)));
+                assert_eq!(merged, whole, "{what}");
                 for (mean, whole_mean) in means.into_iter().zip(whole_means) {
-                    let ulps = mean.to_bits().abs_diff(whole_mean.to_bits());
-                    assert!(ulps < 2 * n as u64, "{k} folds of {n}: a mean {ulps} ulps away");
+                    assert_near(mean, whole_mean, n, &what);
+                }
+            }
+        }
+
+        /// Selecting across sorted columns is `percentile` of their sorted
+        /// concatenation, bit for bit, for k = 0..=6 columns — empty and
+        /// one-element columns, duplicates, ±0.0 and subnormals among them
+        /// (`total_cmp` orders −0.0 below +0.0) — and 0 for an empty union.
+        fn selection_is_the_sorted_concatenations_percentile(rng) {
+            let odd = [0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE / 3.0, 1.0, -1.0];
+            let mut cols: Vec<Vec<f64>> = (0..rng.int_in(0, 6))
+                .map(|_| {
+                    let len = match rng.int_in(0, 3) {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.index(40),
+                    };
+                    (0..len)
+                        .map(|_| match rng.int_in(0, 2) {
+                            0 => rng.choose(&odd),
+                            1 => rng.int_in(-3, 3) as f64 / 4.0,
+                            _ => (rng.next_u64() >> 11) as f64 / (1u64 << 40) as f64,
+                        })
+                        .collect()
+                })
+                .collect();
+            cols.iter_mut().for_each(|c| c.sort_unstable_by(f64::total_cmp));
+            let mut union = cols.concat();
+            union.sort_unstable_by(f64::total_cmp);
+            let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            for q in [0.5, 0.95, 0.99, 1.0] {
+                let want = if union.is_empty() { 0.0 } else { percentile(&union, q) };
+                assert_eq!(select(&cols, q).to_bits(), want.to_bits(), "q = {q} over {cols:?}");
+            }
+        }
+    }
+
+    /// Sorting a fold's columns in place twice sorts nothing the second
+    /// time: a second report off the same scheduler reads the same bits.
+    #[test]
+    fn a_second_report_off_one_scheduler_is_the_first() {
+        let reqs = WorkloadSpec::mixed(48, 3)
+            .with_arrivals(ArrivalPattern::Poisson { rate_rps: 8.0 })
+            .sample();
+        let mut sched = served(reqs, 4, 0.05, 0.01);
+        let first = format!("{:?}", report(&mut sched));
+        assert_eq!(format!("{:?}", report(&mut sched)), first);
+    }
+
+    /// A report sorts the latency and SLO-ratio columns, never the TTFT
+    /// column, whose order later folds' TTFT sums continue through.
+    #[test]
+    fn a_report_leaves_the_ttft_column_in_completion_order() {
+        let mut rng = TensorRng::seed(5);
+        let records: Vec<FinishedRequest> = (0..300).map(|i| record(&mut rng, i)).collect();
+        let mut folds = [fold_all(&records[..120]), fold_all(&records[120..])];
+        Stats::of(&mut folds);
+        let ttfts: Vec<f64> = folds.iter().flat_map(|f| f.ttfts.iter().copied()).collect();
+        assert_eq!(ttfts, records.iter().map(FinishedRequest::ttft_s).collect::<Vec<_>>());
+        assert!(folds.iter().all(|f| f.latencies.is_sorted_by(|a, b| a.total_cmp(b).is_le())));
+    }
+
+    /// A column doubles up to `COLUMN_BLOCK` records and grows a block at a
+    /// time past it, so it holds at most one block of slack.
+    #[test]
+    fn columns_grow_by_doubling_then_by_blocks() {
+        let mut rng = TensorRng::seed(9);
+        let mut fold = Fold::default();
+        for n in 1..=5 * COLUMN_BLOCK + 1 {
+            fold.add(&record(&mut rng, n as u64));
+            for col in [&fold.latencies, &fold.ttfts] {
+                match n <= COLUMN_BLOCK {
+                    true => assert_eq!(col.capacity(), n.next_power_of_two().max(4), "n = {n}"),
+                    false => assert!((n..=n + COLUMN_BLOCK).contains(&col.capacity()), "n = {n}"),
                 }
             }
         }
@@ -727,7 +857,7 @@ mod tests {
 
     #[test]
     fn single_request_stats_have_degenerate_percentiles() {
-        let f = report(&served(WorkloadSpec::fixed(8, 4, 1).sample(), 2, 0.1, 0.01));
+        let f = report(&mut served(WorkloadSpec::fixed(8, 4, 1).sample(), 2, 0.1, 0.01));
         assert_eq!(f.completed, 1);
         assert_eq!(f.p50_latency_s, f.max_request_latency_s);
         assert_eq!(f.p95_latency_s, f.max_request_latency_s);
@@ -740,7 +870,7 @@ mod tests {
         let reqs = WorkloadSpec::mixed(64, 9)
             .with_arrivals(ArrivalPattern::Poisson { rate_rps: 8.0 })
             .sample();
-        let f = report(&served(reqs, 4, 0.05, 0.01));
+        let f = report(&mut served(reqs, 4, 0.05, 0.01));
         // Below EXACT_STATS_MAX the exact path is authoritative; the sketch
         // must agree to within one bucket width (2.2%) from below.
         for (exact, sketch) in [

@@ -494,9 +494,10 @@ impl Scheduler {
         *slot = (*slot).max(tokens);
     }
 
-    /// The report fold over every retirement so far.
-    pub(crate) fn fold(&self) -> &Fold {
-        &self.fold
+    /// The report fold over every retirement so far — mutable, so a report
+    /// sorts its columns in place.
+    pub(crate) fn fold(&mut self) -> &mut Fold {
+        &mut self.fold
     }
 
     /// Requests submitted here and not running: queued, preempted or swapped out.

@@ -204,7 +204,7 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_by(f64::total_cmp);
         for q in [0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999] {
-            let exact = crate::report::percentile(&sorted, q);
+            let exact = crate::report::select(&[&sorted], q);
             let approx = sk.quantile(q);
             assert!(
                 approx <= exact && exact <= approx * (1.0 + 1.0 / 32.0) + f64::MIN_POSITIVE,

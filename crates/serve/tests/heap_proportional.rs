@@ -65,10 +65,13 @@ fn peak_heap_of_engine(n: usize) -> usize {
 const REQUEST_BYTES: f64 = 80.0;
 
 /// Per additional request, the overload run holds ≈ 1.15 `Request`s at its
-/// peak (the backlog and its deques' slack) over ≈ 157 B of everything
-/// else — 248.7 B at 80-byte requests, ≈ 5 B of it make-room's calendar
-/// bookings (a larger backlog packs larger batches). The 7 B margin left is
-/// less than 1.15 × 8 B, so a `Request` of 88 B or more fails.
+/// peak (the backlog and its deques' slack) over ≈ 120 B of everything
+/// else — 211.4 B at 80-byte requests, ≈ 5 B of it make-room's calendar
+/// bookings (a larger backlog packs larger batches). The bound is left where
+/// it was when the run read 248.7 B (then the report copied every fold's
+/// columns into one merged set at the end): the ≈ 44 B margin is what a
+/// per-request field such as a queued-since stamp may spend, and a `Request`
+/// of 120 B or more still fails.
 const OVERLOAD_BYTES_PER_REQUEST: f64 = 156.0 + 1.25 * REQUEST_BYTES;
 
 /// The exact columns a report fold keeps per completion up to
@@ -76,11 +79,13 @@ const OVERLOAD_BYTES_PER_REQUEST: f64 = 156.0 + 1.25 * REQUEST_BYTES;
 /// `production` trace carries no deadlines, so no SLO ratio).
 const COLUMN_BYTES: f64 = 2.0 * 8.0;
 
-/// Below the threshold, per additional request: the folds' columns, and the
-/// copy the report merges them into at the end, each at most half empty
-/// under `Vec` doubling — 64 B (32.0 B for `serve` and 29.8 B for `cluster`
-/// today).
-const BELOW_THRESHOLD_BYTES_PER_REQUEST: f64 = 2.0 * 2.0 * COLUMN_BYTES;
+/// Below the threshold, per additional request: the folds' columns, held
+/// once (a report sorts and reads them in place, copying none), and a
+/// quarter more for their growth slack — a column past 4,096 records grows
+/// by one 4,096-record block at a time, not by doubling — 20 B (16.0 B for
+/// `serve` and 18.9 B for `cluster` today; 32.0 B and 29.8 B while the
+/// report merged the columns into a copy and every column doubled).
+const BELOW_THRESHOLD_BYTES_PER_REQUEST: f64 = 1.25 * COLUMN_BYTES;
 
 /// Past the threshold a fold has dropped its columns and holds only sums
 /// and two fixed-size sketches: nothing may grow with the trace. 0.0 B
