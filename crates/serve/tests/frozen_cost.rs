@@ -9,6 +9,11 @@
 //! paper's shape; the cells below price single steps at many shapes —
 //! including the 70B TP-4 all-reduce term and the Mixtral expert routing no
 //! golden touches — and record an unsupported or out-of-memory cell as such.
+//!
+//! A second table pins the Figure 2a split itself: the four fields of
+//! `decode_layer_cost` (GEMM, attention, auxiliary kernels, all-reduce) over
+//! the same decode batches, which the step totals sum away and the golden
+//! `fig2a` CSV prints only to a tenth of a percent.
 
 use qserve_gpusim::{GpuSpec, TpGroup};
 use qserve_model::ModelConfig;
@@ -96,6 +101,22 @@ fn price(gpu: &GpuSpec, model: &ModelConfig, tp: TpGroup, sys: SystemConfig) -> 
     // Asked twice: the second answer comes out of the engine's GEMM memo.
     h = fold(h, e.decode_step_latency_hetero(&[1024; 32]).to_bits());
     Cell::Priced(plan_digest, e.kv_page_bytes(), h)
+}
+
+/// The Figure 2a split of every decode batch above: each field of
+/// `decode_layer_cost` (GEMM, attention, auxiliary kernels, all-reduce),
+/// folded by its bits. `None` where the engine does not build (the step
+/// table pins which cells those are).
+fn layer_split(gpu: &GpuSpec, model: &ModelConfig, tp: TpGroup, sys: SystemConfig) -> Option<u64> {
+    let e = ServingEngine::with_tp(gpu.clone(), model.clone(), sys, tp).ok()?;
+    let mut h = FNV_OFFSET;
+    for lens in decode_batches() {
+        let c = e.decode_layer_cost(lens.len(), lens.iter().sum());
+        for v in [c.gemm_s, c.attention_s, c.misc_s, c.all_reduce_s] {
+            h = fold(h, v.to_bits());
+        }
+    }
+    Some(h)
 }
 
 /// `(GPU, model, TP group)` columns; rows are `SystemConfig::all()`.
@@ -212,4 +233,98 @@ fn step_prices_reproduce_the_bits_frozen_before_the_rewrite() {
     assert_eq!(FROZEN[row(SystemConfig::TrtFp16)][5], OOM, "FP16 Mixtral exceeds one L40S");
     assert!(matches!(FROZEN[row(SystemConfig::TrtFp16)][1], P(..)), "TP 4 rescues FP16 70B");
     assert!(matches!(FROZEN[row(SystemConfig::QServePerGroup)][5], P(..)));
+}
+
+/// Recorded on commit 360e5c6, before the engine's prices were folded into
+/// one implementation behind its cost model. Same rows and columns as
+/// `FROZEN`.
+const FROZEN_SPLIT: [[Option<u64>; 6]; 7] = [
+    [
+        Some(0x4676941552884d56),
+        Some(0xe593293f03d78e2c),
+        None,
+        Some(0x41c4bdcb39bbb2dd),
+        Some(0x8c3d64a0f043b9d3),
+        None,
+    ],
+    [
+        Some(0x06095c667b5cfa5d),
+        Some(0xe01511dcdee15303),
+        Some(0x98b2900c4ae9bfc6),
+        Some(0xe1a6109add46cca2),
+        Some(0x8fb67c8b078a12f1),
+        Some(0x31403f4fddce23f0),
+    ],
+    [
+        Some(0xdb36cea611bdf8f4),
+        Some(0xa804601f7cf9f582),
+        Some(0x0c4cf9eeca96b80b),
+        Some(0x2f91d13c2203ca0f),
+        Some(0x2b2cc49b6394e558),
+        None,
+    ],
+    [
+        Some(0xfd5b0d969f38bbda),
+        None,
+        None,
+        Some(0x8221cdf937993f42),
+        None,
+        None,
+    ],
+    [
+        Some(0x364e7eae5f7c4aa3),
+        None,
+        None,
+        Some(0x8221cdf937993f42),
+        None,
+        None,
+    ],
+    [
+        Some(0x50f46c1362385f8e),
+        Some(0x094b44e6de3a6785),
+        Some(0xb5aa461ff38759b8),
+        Some(0x9564d3dccbedfe4e),
+        Some(0x3d618919c2ef3af0),
+        Some(0x708149f71132d26c),
+    ],
+    [
+        Some(0x1f4619398f0730a4),
+        Some(0x73140a0105e4484e),
+        Some(0x0e8a6a1896fca40e),
+        Some(0x43a9d7f52670be9f),
+        Some(0x2ddebc0a585f2c69),
+        Some(0x23abdd97c4be15b2),
+    ],
+];
+
+#[test]
+fn layer_splits_reproduce_the_bits_frozen_before_the_rewrite() {
+    let columns = columns();
+    let actual: Vec<Vec<Option<u64>>> = SystemConfig::all()
+        .into_iter()
+        .map(|sys| columns.iter().map(|(gpu, model, tp)| layer_split(gpu, model, *tp, sys)).collect())
+        .collect();
+    if actual != FROZEN_SPLIT {
+        for row in &actual {
+            let cells: Vec<String> = row
+                .iter()
+                .map(|c| c.map_or("None".to_string(), |h| format!("Some({h:#018x})")))
+                .collect();
+            eprintln!("    [\n        {},\n    ],", cells.join(",\n        "));
+        }
+    }
+    for (r, sys) in SystemConfig::all().into_iter().enumerate() {
+        for (c, (gpu, model, tp)) in columns.iter().enumerate() {
+            assert_eq!(
+                actual[r][c], FROZEN_SPLIT[r][c],
+                "{} serving {} on {}×{} drifted from its frozen layer split",
+                sys.name(), model.name, tp.ways, gpu.name
+            );
+            assert_eq!(
+                actual[r][c].is_some(),
+                matches!(FROZEN[r][c], P(..)),
+                "the split and step tables agree on which cells build"
+            );
+        }
+    }
 }
