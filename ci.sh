@@ -50,14 +50,19 @@ QSERVE_THREADS=1 cargo test -q --offline --locked
 # `selection_is_the_sorted_concatenations_percentile`, which holds the
 # percentile selected across each fold's sorted column, in place, to the
 # bits of the sorted concatenation's, with its index arithmetic
-# overflow-checked.
+# overflow-checked. `engine::` joins them for
+# `totals_priced_step_equals_the_per_sequence_price_bit_for_bit`: its
+# chunked, preempting run drives the cost model (`CostModel`, the one
+# implementation of every step price) under the scheduler's and the resident
+# set's debug scans, holding each decode price to the public per-sequence
+# one (about a second).
 # The lib filters are a line of their own: cargo applies a test-name
 # filter to every target it runs.
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test preemption_accounting --test swap_accounting --test ledger_audit --test frozen_tick \
     --test reference_tick
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: resident:: ledger:: kv_cache:: \
-    request:: report:: model_exec::tests::functional_serve_ticks_in_lockstep
+    request:: report:: engine:: model_exec::tests::functional_serve_ticks_in_lockstep
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # Memory follows the resident set: the counting-allocator test prints its

@@ -197,7 +197,8 @@ impl AttentionOptimizations {
 /// bits and op count, and the two throughput denominators — so a caller that
 /// prices millions of steps (a replica's cost model) pays only the part that
 /// depends on the batch. [`DecodeAttention::latency`] is the one spelling of
-/// the formula.
+/// the formula: every decode-attention price — [`AttentionShape`]'s, the
+/// heterogeneous batch's, the serving engine's — builds one and calls it.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeAttention {
     query_heads: f64,
@@ -254,7 +255,10 @@ impl DecodeAttention {
     }
 
     /// One launch over `batch` sequences holding `total_tokens` cached
-    /// tokens between them.
+    /// tokens between them. One launch serves the whole batch, so its
+    /// overhead is charged once however the tokens are spread: a caller
+    /// that tracks the two integers (the scheduler does) never materializes
+    /// the per-sequence lengths.
     pub fn latency(&self, batch: usize, total_tokens: usize) -> AttentionLatency {
         let (batch, total_tokens) = (batch as f64, total_tokens as f64);
         let elems = 2.0 * total_tokens * self.kv_heads * self.head_dim;
@@ -279,24 +283,6 @@ impl DecodeAttention {
             compute_bound: compute_s > memory_s,
         }
     }
-}
-
-/// Decode-attention latency from batch-level totals: `batch` sequences with
-/// `total_tokens` cached KV tokens between them. One kernel launch serves the
-/// whole batch, so the per-launch overhead is charged once regardless of how
-/// the tokens are distributed across sequences — which is why a caller that
-/// already tracks the two integers (the scheduler does) can price a step
-/// without materializing the per-sequence lengths.
-pub fn attention_decode_latency_totals(
-    gpu: &GpuSpec,
-    kernel: AttentionKernel,
-    batch: usize,
-    total_tokens: usize,
-    query_heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> AttentionLatency {
-    DecodeAttention::new(gpu, kernel, query_heads, kv_heads, head_dim).latency(batch, total_tokens)
 }
 
 /// Models one decode-attention launch.
@@ -330,15 +316,8 @@ pub fn attention_decode_latency_hetero(
     kv_heads: usize,
     head_dim: usize,
 ) -> AttentionLatency {
-    attention_decode_latency_totals(
-        gpu,
-        kernel,
-        seq_lens.len(),
-        seq_lens.iter().sum(),
-        query_heads,
-        kv_heads,
-        head_dim,
-    )
+    DecodeAttention::new(gpu, kernel, query_heads, kv_heads, head_dim)
+        .latency(seq_lens.len(), seq_lens.iter().sum())
 }
 
 /// Prefill attention latency from totals: `total_tokens` = Σ sᵢ and

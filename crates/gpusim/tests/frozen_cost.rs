@@ -12,9 +12,8 @@
 //! caused it.
 
 use qserve_gpusim::attention_model::{
-    attention_decode_latency, attention_decode_latency_hetero, attention_decode_latency_totals,
-    attention_decode_latency_with, attention_prefill_latency_chunked, AttentionLatency,
-    AttentionOptimizations,
+    attention_decode_latency, attention_decode_latency_hetero, attention_decode_latency_with,
+    attention_prefill_latency_chunked, AttentionLatency, AttentionOptimizations, DecodeAttention,
 };
 use qserve_gpusim::{gemm_latency, AttentionKernel, AttentionShape, GemmConfig, GemmShape, GpuSpec};
 
@@ -95,15 +94,10 @@ const DECODE_LEN: [usize; 4] = [1, 77, 1024, 4096];
 fn decode_digest(gpu: &GpuSpec, kernel: AttentionKernel) -> u64 {
     let mut h = FNV_OFFSET;
     for (query_heads, kv_heads, head_dim) in HEADS {
+        let decode = DecodeAttention::new(gpu, kernel, query_heads, kv_heads, head_dim);
         for batch in DECODE_BATCH {
             for len in DECODE_LEN {
-                let total = batch * len + batch / 3;
-                h = fold_attn(
-                    h,
-                    attention_decode_latency_totals(
-                        gpu, kernel, batch, total, query_heads, kv_heads, head_dim,
-                    ),
-                );
+                h = fold_attn(h, decode.latency(batch, batch * len + batch / 3));
             }
         }
         // The two wrappers, on shapes of their own.

@@ -8,11 +8,12 @@
 //!
 //! The engine itself owns only the *cost model* — what a prefill wave or a
 //! decode step costs on this (GPU, model, system) triple, charged
-//! per-sequence at each sequence's true KV length. The request lifecycle
-//! (admission order, memory gating, preemption, per-request timing) lives in
-//! the shared [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the
-//! order of a step; the engine is its pricing [`TickExecutor`]
-//! ([`CostModel`]). [`ServingEngine::serve`] runs it as a one-replica fleet
+//! per-sequence at each sequence's true KV length. Every such price has one
+//! implementation, [`CostModel`]: a replica's [`TickExecutor`] and, fresh,
+//! behind each public pricing method. The request lifecycle (admission
+//! order, memory gating, preemption, per-request timing) lives in the shared
+//! [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the order of a
+//! step. [`ServingEngine::serve`] runs it as a one-replica fleet
 //! of the [`crate::cluster`] driver, so the single engine and every cluster
 //! replica are one loop over one page ledger, and [`crate::report`] folds
 //! both kinds of run into their reports the same way. Every protocol — the
@@ -87,12 +88,12 @@ pub struct ServingReport {
     pub sketch_p99_latency_s: f64,
 }
 
-/// The analytic [`TickExecutor`]: nothing runs, every step of
-/// [`Scheduler::tick`] is priced by `engine`'s cost model from the hook's
-/// arguments alone — whole prompts and chunks are the same `(new, past)`
-/// slices. Owned by one replica for its whole run, with that replica's GEMM
-/// memo: the engine itself stays immutable data, and its public pricing
-/// methods evaluate cold to the same `f64`s.
+/// The analytic [`TickExecutor`] and the one implementation of every price
+/// the engine quotes: nothing runs, each step of [`Scheduler::tick`] is
+/// priced from the hook's arguments alone (whole prompts and chunks are the
+/// same `(new, past)` slices), its GEMM term through a [`GemmMemo`]. A
+/// replica owns one for its whole run; each public pricing method quotes
+/// through a fresh one, so warm and cold prices are the same `f64`s.
 pub(crate) struct CostModel<'e> {
     pub(crate) engine: &'e ServingEngine,
     memo: GemmMemo,
@@ -106,29 +107,58 @@ pub(crate) struct CostModel<'e> {
 impl<'e> CostModel<'e> {
     /// A cost model over `engine` with a cold memo.
     pub(crate) fn new(engine: &'e ServingEngine) -> Self {
-        Self { engine, memo: GemmMemo::default(), attention: engine.decode_attention(), pairs: Vec::new() }
+        let (model, tp) = (&engine.model, &engine.tp);
+        let attention = DecodeAttention::new(
+            &engine.gpu,
+            engine.system.attention_kernel(),
+            tp.shard(model.heads),
+            tp.shard(model.kv_heads),
+            model.head_dim(),
+        );
+        Self { engine, memo: GemmMemo::default(), attention, pairs: Vec::new() }
+    }
+
+    /// [`ServingEngine::decode_layer_cost`], its GEMM term from the memo.
+    #[inline]
+    fn decode_layer(&mut self, batch: usize, total_tokens: usize) -> LayerCost {
+        let gemm_s = self.memo.get(self.engine, batch);
+        self.engine.layer_cost(batch, self.attention.latency(batch, total_tokens).total_s, gemm_s)
     }
 
     /// [`ServingEngine::decode_step_latency_hetero`] of `batch` sequences
     /// holding `total_tokens` cached tokens — what the tick prices from,
-    /// straight off [`Scheduler::decode_totals`] — its GEMM term from the
-    /// memo.
-    fn decode_step_latency(&mut self, batch: usize, total_tokens: usize) -> f64 {
-        let (engine, memo, attention) = (self.engine, &mut self.memo, &self.attention);
-        engine.step_latency(engine.decode_layer_cost_with(attention, batch, total_tokens, |tokens| {
-            memo.get(engine, tokens)
-        }))
+    /// straight off [`Scheduler::decode_totals`].
+    fn decode_step(&mut self, batch: usize, total_tokens: usize) -> f64 {
+        self.engine.step_latency(self.decode_layer(batch, total_tokens))
+    }
+
+    /// [`ServingEngine::prefill_latency_chunked`].
+    fn prefill_wave(&mut self, chunks: &[(usize, usize)]) -> f64 {
+        if chunks.is_empty() {
+            return 0.0;
+        }
+        let (e, model) = (self.engine, &self.engine.model);
+        let attention_s = attention_prefill_latency_chunked(
+            &e.gpu,
+            e.system.attention_kernel(),
+            chunks,
+            e.tp.shard(model.heads),
+            e.tp.shard(model.kv_heads),
+            model.head_dim(),
+        );
+        let tokens = chunks.iter().map(|&(c, _)| c).sum();
+        e.step_latency(e.layer_cost(tokens, attention_s, self.memo.get(e, tokens)))
     }
 }
 
 impl TickExecutor for CostModel<'_> {
-    /// [`ServingEngine::prefill_latency_chunked`] of the slices, its GEMM
-    /// term from the memo.
     fn prefill(&mut self, _: &Scheduler, slices: &[(RequestId, usize, usize)]) -> f64 {
-        self.pairs.clear();
-        self.pairs.extend(slices.iter().map(|&(_, new, past)| (new, past)));
-        let (engine, memo) = (self.engine, &mut self.memo);
-        engine.prefill_latency_with(&self.pairs, |tokens| memo.get(engine, tokens))
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        pairs.extend(slices.iter().map(|&(_, new, past)| (new, past)));
+        let price = self.prefill_wave(&pairs);
+        self.pairs = pairs;
+        price
     }
 
     /// A PCIe round trip per page.
@@ -138,17 +168,16 @@ impl TickExecutor for CostModel<'_> {
 
     fn decode(&mut self, sched: &Scheduler) -> f64 {
         let (batch, total_tokens) = sched.decode_totals();
-        self.decode_step_latency(batch, total_tokens)
+        self.decode_step(batch, total_tokens)
     }
 }
 
-/// One replica's memo of [`ServingEngine::layer_gemm_latency`]: the GEMM
-/// model is a pure function of `(engine spec, tokens)`, and a replica prices
-/// the same handful of token counts millions of times per run. Small counts
-/// (decode batches, chunk slices) hit a dense direct-indexed table; large
-/// prefill-wave totals spill to a sparse map. Cached values are the very
-/// `f64`s the model produced, so memoized runs are bit-identical. A plain
-/// field of the replica's [`CostModel`], borrowed `&mut` by its tick.
+/// A [`CostModel`]'s memo of [`ServingEngine::layer_gemm_latency`]: the
+/// GEMM model is a pure function of `(engine spec, tokens)`, and a replica
+/// prices the same handful of token counts millions of times per run. Small
+/// counts (decode batches, chunk slices) hit a dense direct-indexed table;
+/// large prefill-wave totals spill to a sparse map. Cached values are the
+/// very `f64`s the model produced, so memoized runs are bit-identical.
 #[derive(Debug, Default)]
 struct GemmMemo {
     /// Direct-indexed slots for token counts below [`GEMM_MEMO_DENSE`].
@@ -393,18 +422,19 @@ impl ServingEngine {
     pub fn speed_profile(&self) -> SpeedProfile {
         const REF_BATCH: usize = 32;
         const REF_LEN: usize = 1024;
-        let step_s = self.decode_step_latency(REF_BATCH, REF_LEN);
+        let mut cost = CostModel::new(self);
+        let step_s = cost.decode_step(REF_BATCH, REF_BATCH * REF_LEN);
         SpeedProfile {
             gpu: self.gpu.name,
             decode_tps: REF_BATCH as f64 / step_s,
-            prefill_tps: REF_LEN as f64 / self.prefill_latency_chunked(&[(REF_LEN, 0)]),
+            prefill_tps: REF_LEN as f64 / cost.prefill_wave(&[(REF_LEN, 0)]),
             decode_step_s: step_s,
         }
     }
 
     /// GEMM latency of one decoder layer at token batch `batch` — 4–8 GEMM
-    /// shapes, evaluated cold; a replica's tick reads it through its
-    /// [`GemmMemo`].
+    /// shapes, evaluated cold; every price reads it through a
+    /// [`CostModel`]'s [`GemmMemo`].
     ///
     /// Dense models run four fused GEMMs per layer: QKV, attention out, FFN
     /// gate+up, FFN down. MoE models route each token to
@@ -446,18 +476,12 @@ impl ServingEngine {
 
     /// The one step price: a step pushing `tokens` tokens through every layer
     /// — a decode batch or a prefill wave — around the given attention
-    /// launch, its GEMM term from `gemm` ([`Self::layer_gemm_latency`], or a
-    /// replica's memo of it).
-    fn layer_cost(
-        &self,
-        tokens: usize,
-        attention_s: f64,
-        gemm: impl FnOnce(usize) -> f64,
-    ) -> LayerCost {
+    /// launch and GEMM seconds.
+    fn layer_cost(&self, tokens: usize, attention_s: f64, gemm_s: f64) -> LayerCost {
         // One FP16 activation tile.
         let tile_bytes = 2.0 * tokens as f64 * self.model.hidden as f64;
         LayerCost {
-            gemm_s: gemm(tokens),
+            gemm_s,
             attention_s,
             // Each auxiliary kernel reads and writes the tile and is launched.
             misc_s: MISC_KERNELS_PER_LAYER
@@ -474,57 +498,18 @@ impl ServingEngine {
             + STEP_OVERHEAD_S
     }
 
-    /// Latency of one decode step with `batch` sequences all at KV length
-    /// `seq_len` (the homogeneous special case of
-    /// [`ServingEngine::decode_step_latency_hetero`]).
-    pub fn decode_step_latency(&self, batch: usize, seq_len: usize) -> f64 {
-        self.decode_step_latency_totals(batch, batch * seq_len)
-    }
-
     /// Latency of one decode step over a heterogeneous batch: attention is
     /// charged per-sequence at each sequence's true KV length (summed), not
     /// at the batch-mean length, so mixed-length batches are costed honestly.
     pub fn decode_step_latency_hetero(&self, seq_lens: &[usize]) -> f64 {
-        self.decode_step_latency_totals(seq_lens.len(), seq_lens.iter().sum())
+        CostModel::new(self).decode_step(seq_lens.len(), seq_lens.iter().sum())
     }
 
     /// The per-layer cost of a decode step over `batch` sequences holding
     /// `total_tokens` cached tokens between them — what Figure 2a splits
     /// into attention / GEMM / others.
     pub fn decode_layer_cost(&self, batch: usize, total_tokens: usize) -> LayerCost {
-        let attention = self.decode_attention();
-        self.decode_layer_cost_with(&attention, batch, total_tokens, |t| self.layer_gemm_latency(t))
-    }
-
-    /// This engine's decode-attention launch: its kernel on its GPU over the
-    /// heads one TP shard holds.
-    fn decode_attention(&self) -> DecodeAttention {
-        DecodeAttention::new(
-            &self.gpu,
-            self.system.attention_kernel(),
-            self.tp.shard(self.model.heads),
-            self.tp.shard(self.model.kv_heads),
-            self.model.head_dim(),
-        )
-    }
-
-    /// [`ServingEngine::decode_layer_cost`] with `attention` (this engine's
-    /// [`ServingEngine::decode_attention`]), its GEMM term from `gemm`.
-    fn decode_layer_cost_with(
-        &self,
-        attention: &DecodeAttention,
-        batch: usize,
-        total_tokens: usize,
-        gemm: impl FnOnce(usize) -> f64,
-    ) -> LayerCost {
-        self.layer_cost(batch, attention.latency(batch, total_tokens).total_s, gemm)
-    }
-
-    /// [`ServingEngine::decode_step_latency_hetero`] from the two integers
-    /// it reduces its argument to: `batch` sequences holding `total_tokens`
-    /// cached tokens between them.
-    fn decode_step_latency_totals(&self, batch: usize, total_tokens: usize) -> f64 {
-        self.step_latency(self.decode_layer_cost(batch, total_tokens))
+        CostModel::new(self).decode_layer(batch, total_tokens)
     }
 
     /// Latency to prefill a wave of prompt chunks `(new_tokens,
@@ -533,27 +518,7 @@ impl ServingEngine {
     /// prefix and/or earlier chunks). A wave of whole prompts is one `(s, 0)`
     /// chunk each.
     pub fn prefill_latency_chunked(&self, chunks: &[(usize, usize)]) -> f64 {
-        self.prefill_latency_with(chunks, |t| self.layer_gemm_latency(t))
-    }
-
-    /// [`ServingEngine::prefill_latency_chunked`], its GEMM term from `gemm`.
-    fn prefill_latency_with(
-        &self,
-        chunks: &[(usize, usize)],
-        gemm: impl FnOnce(usize) -> f64,
-    ) -> f64 {
-        if chunks.is_empty() {
-            return 0.0;
-        }
-        let attn_s = attention_prefill_latency_chunked(
-            &self.gpu,
-            self.system.attention_kernel(),
-            chunks,
-            self.tp.shard(self.model.heads),
-            self.tp.shard(self.model.kv_heads),
-            self.model.head_dim(),
-        );
-        self.step_latency(self.layer_cost(chunks.iter().map(|&(c, _)| c).sum(), attn_s, gemm))
+        CostModel::new(self).prefill_wave(chunks)
     }
 
     /// The one entry point: serves `spec` under the batch-limit derivation,
@@ -860,19 +825,8 @@ mod tests {
     #[test]
     fn decode_latency_increases_with_seq_len() {
         let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        assert!(e.decode_step_latency(64, 2048) > e.decode_step_latency(64, 256));
-    }
-
-    #[test]
-    fn hetero_accounting_matches_homogeneous_exactly() {
-        // The per-sequence path must be *bit-identical* on homogeneous
-        // batches — this is what keeps the Table 4 / Figure 15 protocol
-        // outputs unchanged by the scheduler refactor.
-        let e = engine(GpuSpec::a100(), ModelConfig::llama2_7b(), SystemConfig::QServePerChannel);
-        for (batch, len) in [(1usize, 1024usize), (16, 1024), (64, 1536), (7, 129)] {
-            let lens = vec![len; batch];
-            assert_eq!(e.decode_step_latency_hetero(&lens), e.decode_step_latency(batch, len));
-        }
+        let step = |len| e.decode_step_latency_hetero(&[len; 64]);
+        assert!(step(2048) > step(256));
     }
 
     #[test]
@@ -902,7 +856,7 @@ mod tests {
             assert_eq!((batch, total_tokens), (lens.len(), lens.iter().sum()));
             if batch > 0 {
                 assert_eq!(
-                    exec.decode_step_latency(batch, total_tokens).to_bits(),
+                    exec.decode_step(batch, total_tokens).to_bits(),
                     e.decode_step_latency_hetero(&lens).to_bits()
                 );
                 compared += 1;
@@ -914,10 +868,12 @@ mod tests {
 
     qserve_tensor::props! {
         /// A replica's memo is invisible in the prices: a warm `CostModel`
-        /// quotes every decode step and chunked prefill wave with the very
-        /// bits of the engine's cold methods — dense and MoE layers, TP 1
-        /// and 4, token counts repeating (hits) and fresh (misses), GEMM
-        /// totals on both sides of `GEMM_MEMO_DENSE`.
+        /// quotes every decode step, its layer split field by field, and
+        /// every chunked prefill wave with the very bits of the engine's
+        /// public methods, each of which quotes through a fresh (cold) one —
+        /// dense and MoE layers, TP 1 and 4, token counts repeating (hits)
+        /// and fresh (misses), GEMM totals on both sides of
+        /// `GEMM_MEMO_DENSE`.
         fn the_memo_returns_exactly_the_cold_price(rng, cases = 24) {
             let (model, tp) = match rng.index(3) {
                 0 => (ModelConfig::llama2_7b(), TpGroup::single()),
@@ -928,12 +884,16 @@ mod tests {
                 .expect("builds");
             let mut cost = CostModel::new(&e);
             let unused = Scheduler::open(1, Box::new(Fcfs), SchedOptions::default());
+            let bits = |c: LayerCost| [c.gemm_s, c.attention_s, c.misc_s, c.all_reduce_s].map(f64::to_bits);
             for _ in 0..48 {
                 // Few distinct batch sizes, so most decode prices are hits.
                 let lens: Vec<usize> = (0..1 + rng.index(24)).map(|_| 1 + rng.index(4096)).collect();
+                let (batch, total_tokens) = (lens.len(), lens.iter().sum());
                 let cold = e.decode_step_latency_hetero(&lens).to_bits();
+                let cold_layer = bits(e.decode_layer_cost(batch, total_tokens));
                 for _ in 0..2 {
-                    assert_eq!(cost.decode_step_latency(lens.len(), lens.iter().sum()).to_bits(), cold);
+                    assert_eq!(cost.decode_step(batch, total_tokens).to_bits(), cold);
+                    assert_eq!(bits(cost.decode_layer(batch, total_tokens)), cold_layer);
                 }
                 // Chunk slices (dense) or a few wide chunk sizes whose
                 // totals repeat above the dense ceiling (sparse).
@@ -960,8 +920,8 @@ mod tests {
         // A mixed batch must cost more than its shortest-uniform batch and
         // less than its longest-uniform batch.
         let mixed = e.decode_step_latency_hetero(&[256, 512, 1024, 2048]);
-        assert!(mixed > e.decode_step_latency(4, 256));
-        assert!(mixed < e.decode_step_latency(4, 2048));
+        assert!(mixed > e.decode_step_latency_hetero(&[256; 4]));
+        assert!(mixed < e.decode_step_latency_hetero(&[2048; 4]));
     }
 
     #[test]
@@ -971,8 +931,8 @@ mod tests {
         // cost more than a dense model of the same *active* compute.
         let moe = engine(GpuSpec::a100(), ModelConfig::mixtral_8x7b(), SystemConfig::QServePerChannel);
         let dense = engine(GpuSpec::a100(), ModelConfig::mistral_7b(), SystemConfig::QServePerChannel);
-        let t_moe = moe.decode_step_latency(64, 1024);
-        let t_dense = dense.decode_step_latency(64, 1024);
+        let t_moe = moe.decode_step_latency_hetero(&[1024; 64]);
+        let t_dense = dense.decode_step_latency_hetero(&[1024; 64]);
         assert!(
             t_moe > t_dense * 1.5,
             "MoE step {} should clearly exceed dense step {}",
@@ -1235,9 +1195,10 @@ mod tests {
         .expect("builds");
         assert_eq!(legacy.plan(), tp1.plan());
         for (batch, len) in [(1usize, 128usize), (16, 1024), (64, 1536)] {
+            let lens = vec![len; batch];
             assert_eq!(
-                legacy.decode_step_latency(batch, len).to_bits(),
-                tp1.decode_step_latency(batch, len).to_bits()
+                legacy.decode_step_latency_hetero(&lens).to_bits(),
+                tp1.decode_step_latency_hetero(&lens).to_bits()
             );
             let whole_prompts = vec![(len, 0); batch];
             assert_eq!(
@@ -1260,12 +1221,12 @@ mod tests {
         let tp4 = mk(TpGroup::nvlink(4));
         // Sharding must speed a step up, but sublinearly: the all-reduce
         // and the unsharded auxiliary kernels don't scale.
-        let t1 = tp1.decode_step_latency(64, 1024);
-        let t4 = tp4.decode_step_latency(64, 1024);
+        let t1 = tp1.decode_step_latency_hetero(&[1024; 64]);
+        let t4 = tp4.decode_step_latency_hetero(&[1024; 64]);
         assert!(t4 < t1, "TP=4 step {} must beat TP=1 {}", t4, t1);
         assert!(t4 > t1 / 4.0, "TP=4 speedup cannot be ideal: {} vs {}", t4, t1);
         // A slow interconnect erodes the gain.
-        let pcie = mk(TpGroup::pcie(4)).decode_step_latency(64, 1024);
+        let pcie = mk(TpGroup::pcie(4)).decode_step_latency_hetero(&[1024; 64]);
         assert!(pcie > t4, "PCIe all-reduce {} must cost more than NVLink {}", pcie, t4);
         // And the group holds more KV tokens than one GPU.
         assert!(tp4.plan().max_tokens > tp1.plan().max_tokens);

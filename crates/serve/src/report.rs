@@ -303,8 +303,8 @@ const COLUMN_BLOCK: usize = 4096;
 /// the latency and SLO-ratio sketches, the retired ids' tally, and — while
 /// the fold has seen at most [`EXACT_STATS_MAX`] records — the exact
 /// latency, TTFT and SLO-ratio columns, in completion order until a report
-/// sorts the latency and SLO-ratio ones in place. Past the threshold the
-/// columns go, so a fold never grows with the trace.
+/// that reads them sorts the latency and SLO-ratio ones in place. Past the
+/// threshold the columns go, so a fold never grows with the trace.
 #[derive(Default)]
 pub(crate) struct Fold {
     pub(crate) retired: IdTally,
@@ -392,10 +392,10 @@ fn push(col: &mut Vec<f64>, x: f64) {
 
 /// What a set of folds say together — the one summary both reports read:
 /// the folds' counts, sums and sketches merged in order, and each fold's
-/// own latency and SLO-ratio columns, sorted in place. Up to
-/// [`EXACT_STATS_MAX`] completions in total the percentiles are selected
-/// across those columns (byte-stable with every golden CSV); above it they
-/// come from the merged sketches, whose bucket counts, minimum and maximum
+/// own latency and SLO-ratio columns. Up to [`EXACT_STATS_MAX`] completions
+/// in total the columns are sorted in place and the percentiles selected
+/// across them (byte-stable with every golden CSV); above it, unsorted, they
+/// yield to the merged sketches, whose bucket counts, minimum and maximum
 /// do not depend on order. Every statistic of an empty set is 0.
 struct Stats<'f> {
     all: Fold,
@@ -405,13 +405,17 @@ struct Stats<'f> {
 
 impl<'f> Stats<'f> {
     fn of(folds: impl IntoIterator<Item = &'f mut Fold>) -> Self {
+        let folds: Vec<&'f mut Fold> = folds.into_iter().collect();
+        let exact = folds.iter().map(|f| f.retired.count).sum::<usize>() <= EXACT_STATS_MAX;
         let (mut all, mut latencies, mut slo_ratios) = (Fold::default(), Vec::new(), Vec::new());
         for f in folds {
             all.absorb(f);
             // Unstable sorts are exact here: `total_cmp` ties only equal
             // bits. A second report's sorts find the columns sorted.
-            f.latencies.sort_unstable_by(f64::total_cmp);
-            f.slo_ratios.sort_unstable_by(f64::total_cmp);
+            if exact {
+                f.latencies.sort_unstable_by(f64::total_cmp);
+                f.slo_ratios.sort_unstable_by(f64::total_cmp);
+            }
             let f: &'f Fold = f;
             latencies.push(&f.latencies[..]);
             slo_ratios.push(&f.slo_ratios[..]);
@@ -812,6 +816,26 @@ mod tests {
         let ttfts: Vec<f64> = folds.iter().flat_map(|f| f.ttfts.iter().copied()).collect();
         assert_eq!(ttfts, records.iter().map(FinishedRequest::ttft_s).collect::<Vec<_>>());
         assert!(folds.iter().all(|f| f.latencies.is_sorted_by(|a, b| a.total_cmp(b).is_le())));
+    }
+
+    /// Past `EXACT_STATS_MAX` completions in total the sketches answer, so
+    /// a report sorts no column even where every fold still holds its own.
+    #[test]
+    fn a_report_past_the_threshold_leaves_every_column_in_completion_order() {
+        let mut rng = TensorRng::seed(13);
+        let n = EXACT_STATS_MAX + 2;
+        let records: Vec<FinishedRequest> = (0..n as u64).map(|i| record(&mut rng, i)).collect();
+        let mut folds = [fold_all(&records[..n / 2]), fold_all(&records[n / 2..])];
+        assert!(folds.iter().all(Fold::exact), "each fold holds its columns");
+        let stats = Stats::of(&mut folds);
+        assert!(!stats.all.exact());
+        let column = |col: fn(&Fold) -> &Vec<f64>| -> Vec<f64> {
+            folds.iter().flat_map(|f| col(f).iter().copied()).collect()
+        };
+        let latencies: Vec<f64> = records.iter().map(FinishedRequest::latency_s).collect();
+        let slo_ratios: Vec<f64> = records.iter().filter_map(FinishedRequest::slo_ratio).collect();
+        assert_eq!(column(|f| &f.latencies), latencies);
+        assert_eq!(column(|f| &f.slo_ratios), slo_ratios);
     }
 
     /// A column doubles up to `COLUMN_BLOCK` records and grows a block at a

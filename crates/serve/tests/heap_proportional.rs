@@ -29,11 +29,12 @@ fn a100() -> ServingEngine {
 /// Serving `n` requests of the `mega_sweep` trace on four A100 replicas at
 /// `rate_rps`. Below their capacity (≈ 595 rps) residents and backlog do
 /// not grow with `n`; at `mega_chat`'s 800 rps (≈ 1.35×) the backlog does,
-/// and it is resident at the peak.
-fn peak_heap_of_fleet(n: usize, rate_rps: f64) -> usize {
+/// and it is resident at the peak. Also returns each replica's completions.
+fn peak_heap_of_fleet(n: usize, rate_rps: f64) -> (usize, Vec<usize>) {
     let mut cluster = Cluster::new(a100(), 4, Box::new(LeastOutstanding)).with_threads(1);
     let spec = WorkloadSpec::production(n, rate_rps, 11);
-    peak_heap_of(|| {
+    let mut completed = [0; 4];
+    let peak = peak_heap_of(|| {
         let report = cluster
             .serve_paged(
                 &spec,
@@ -43,19 +44,24 @@ fn peak_heap_of_fleet(n: usize, rate_rps: f64) -> usize {
             )
             .expect("the trace is servable");
         assert_eq!((report.completed, report.shed), (n, 0));
-    })
+        for (c, r) in completed.iter_mut().zip(&report.per_replica) {
+            *c = r.completed;
+        }
+    });
+    (peak, completed.to_vec())
 }
 
-/// The same trace at 100 rps on one engine's `serve`.
-fn peak_heap_of_engine(n: usize) -> usize {
+/// The same trace at 100 rps on one engine's `serve`, and its completions.
+fn peak_heap_of_engine(n: usize) -> (usize, Vec<usize>) {
     let engine = a100();
     let spec = WorkloadSpec::production(n, 100.0, 11);
-    peak_heap_of(|| {
+    let peak = peak_heap_of(|| {
         let report = engine
             .serve(&spec, Box::new(MemoryAware::default()), ServeConfig::paged(Reservation::OnDemand))
             .expect("the trace is servable");
         assert_eq!(report.completed, n);
-    })
+    });
+    (peak, vec![n])
 }
 
 /// `size_of::<Request>()` as `request::tests::request_size_is_pinned` pins
@@ -84,7 +90,13 @@ const COLUMN_BYTES: f64 = 2.0 * 8.0;
 /// quarter more for their growth slack — a column past 4,096 records grows
 /// by one 4,096-record block at a time, not by doubling — 20 B (16.0 B for
 /// `serve` and 18.9 B for `cluster` today; 32.0 B and 29.8 B while the
-/// report merged the columns into a copy and every column doubled).
+/// report merged the columns into a copy and every column doubled). The
+/// cluster run sits on a block edge: at n = 2^14 each of its four folds holds
+/// about one block's records, so whether one fold passes `COLUMN_BLOCK` =
+/// 4,096 completions moves its reading by 4,096 × 16 B / 12,288 ≈ 5.3 B per
+/// request, with no change to what a request costs. The test prints each
+/// replica's completions beside the reading, at both sizes, to show which
+/// side of the block each fold landed on.
 const BELOW_THRESHOLD_BYTES_PER_REQUEST: f64 = 1.25 * COLUMN_BYTES;
 
 /// Past the threshold a fold has dropped its columns and holds only sums
@@ -97,16 +109,20 @@ fn peak_heap_holds_no_record_of_a_finished_request() {
     let (small, large) = (1 << 12, 1 << 14);
     let below = BELOW_THRESHOLD_BYTES_PER_REQUEST;
     let runs = [
-        ("cluster", (|n| peak_heap_of_fleet(n, 400.0)) as fn(usize) -> usize, below, small, large),
+        ("cluster", (|n| peak_heap_of_fleet(n, 400.0)) as fn(usize) -> (usize, Vec<usize>), below, small, large),
         ("serve", peak_heap_of_engine, below, small, large),
         ("overload", |n| peak_heap_of_fleet(n, 800.0), OVERLOAD_BYTES_PER_REQUEST, small, large),
         // One engine past `EXACT_STATS_MAX` = 2^16 at both sizes.
         ("serve past the threshold", peak_heap_of_engine, PAST_THRESHOLD_BYTES_PER_REQUEST, 1 << 17, 1 << 18),
     ];
     for (what, peak_heap_of_serving, bound, small, large) in runs {
-        let (peak_small, peak_large) = (peak_heap_of_serving(small), peak_heap_of_serving(large));
+        let ((peak_small, done_small), (peak_large, done_large)) =
+            (peak_heap_of_serving(small), peak_heap_of_serving(large));
         let per_request = (peak_large as f64 - peak_small as f64) / (large - small) as f64;
-        println!("{what}: peak live heap {peak_small} B at n = {small}, {peak_large} B at n = {large}: {per_request:.1} B per additional request");
+        println!(
+            "{what}: peak live heap {peak_small} B at n = {small}, {peak_large} B at n = {large}: \
+             {per_request:.1} B per additional request (completed per replica: {done_small:?}, {done_large:?})"
+        );
         assert!(
             per_request <= bound,
             "{what}: peak live heap grew by {per_request:.1} B per additional request ({peak_small} B at \

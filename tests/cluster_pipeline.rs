@@ -77,8 +77,8 @@ fn tp1_engine_unchanged_and_tp_group_memory_plan_scales() {
     .expect("builds");
     assert_eq!(e1.plan(), etp.plan());
     assert_eq!(
-        e1.decode_step_latency(32, 1024).to_bits(),
-        etp.decode_step_latency(32, 1024).to_bits()
+        e1.decode_step_latency_hetero(&[1024; 32]).to_bits(),
+        etp.decode_step_latency_hetero(&[1024; 32]).to_bits()
     );
     let e4 = ServingEngine::with_tp(
         GpuSpec::a100(),

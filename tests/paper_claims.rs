@@ -2,7 +2,7 @@
 
 use qserve::core::progressive::ProgressiveWeight;
 use qserve::gpusim::attention_model::{
-    attention_decode_latency, attention_decode_latency_totals, AttentionKernel, AttentionShape,
+    attention_decode_latency, AttentionKernel, AttentionShape, DecodeAttention,
 };
 use qserve::gpusim::gemm_model::{gemm_latency, GemmConfig, GemmShape};
 use qserve::gpusim::roofline::{attainable_attention_ops, attainable_gemm_ops, crossover_batch};
@@ -180,10 +180,9 @@ props! {
         let total_tokens = batch * dim(rng, 8192);
         let kv_elements = 2.0 * total_tokens as f64 * kv_heads as f64 * head_dim as f64;
         let floor_s = 2.0 * kv_elements / attainable_attention_ops(&gpu, kernel.kv_bits());
-        let modelled = attention_decode_latency_totals(
-            &gpu, kernel, batch, total_tokens, query_heads, kv_heads, head_dim,
-        )
-        .total_s;
+        let modelled = DecodeAttention::new(&gpu, kernel, query_heads, kv_heads, head_dim)
+            .latency(batch, total_tokens)
+            .total_s;
         assert!(
             modelled >= floor_s,
             "{:?} b={} tokens={} {}:{}x{} on {}: {} s beats its roofline {} s",
