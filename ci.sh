@@ -63,6 +63,11 @@ QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve \
     --test reference_tick
 QSERVE_THREADS=1 cargo test -q --offline --locked -p qserve-serve --lib -- scheduler:: resident:: ledger:: kv_cache:: \
     request:: report:: engine:: model_exec::tests::functional_serve_ticks_in_lockstep
+
+# The API docs build warning-free: an intra-doc link that names a private
+# item or does not resolve fails here, not silently in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
+
 QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 
 # Memory follows the resident set: the counting-allocator test prints its

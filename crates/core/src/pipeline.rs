@@ -72,7 +72,7 @@ pub struct QoqConfig {
     pub smooth_attention: bool,
     /// Enable block output smoothing (§4.3.2). The migration strength is
     /// grid-searched per layer with a quantization-aware objective
-    /// ([`search_smoothing`]; the paper fixes it near 0 for the real
+    /// (`search_smoothing`; the paper fixes it near 0 for the real
     /// checkpoints).
     pub output_smoothing: bool,
     /// Enable activation-aware channel reordering (§4.3.3).

@@ -6,7 +6,7 @@
 //! crates.io dependency. Those contracts used to be enforced by review
 //! vigilance; this crate makes them machine-checked. It is dependency-free
 //! by construction: a hand-rolled lexer (see [`lexer`]), token-level rules
-//! (see [`rules`]), and a line-level manifest checker (see [`manifest`]).
+//! (see `rules`), and a line-level manifest checker (see [`manifest`]).
 //!
 //! Rules:
 //!

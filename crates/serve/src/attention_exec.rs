@@ -6,7 +6,7 @@ use crate::kv_cache::{KvCacheError, PagedKvCache, SequenceId};
 use qserve_kernels::attention::HeadTile;
 
 /// Runs QServe's decode attention for one sequence and one layer directly
-/// over the paged cache: a run of one row (see [`paged_run_attention`]).
+/// over the paged cache: a run of one row (see `paged_run_attention`).
 ///
 /// `query` is the full-width query row (`query_heads × head_dim`); which
 /// query heads read which KV head is [`qserve_core::pipeline::gqa_kv_map`]'s

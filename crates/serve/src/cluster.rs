@@ -10,7 +10,7 @@
 //! *whether* to serve each arriving request at all, and if so *where*. The
 //! split of responsibilities:
 //!
-//! * a [`Replica`] is one [`ServingEngine`] (its own [`qserve_gpusim`] spec
+//! * a `Replica` is one [`ServingEngine`] (its own [`qserve_gpusim`] spec
 //!   and TP group — an A100 and an L40S can share one fleet) driving its
 //!   own [`Scheduler`] against its own [`PageBudget`], with a
 //!   [`Lifecycle`] tracking its accepting/online state and its
@@ -30,12 +30,12 @@
 //!   machinery* — scale-down injects a `Drain` fault, scale-up a `Restart`
 //!   fault — so autoscaled lifecycles are exactly fault-plan lifecycles;
 //! * [`Cluster::serve_paged`] replays the workload in arrival order through
-//!   a private [`Driver`] — a loop of horizon, advance, pop: replicas tick
+//!   a private `Driver` — a loop of horizon, advance, pop: replicas tick
 //!   between queue events, and each event kind has one handler method —
 //!   and hands the end-of-run state to [`crate::report`] for aggregation
 //!   into a [`ClusterReport`].
 //!
-//! [`ServingEngine::serve`] is the same driver over one replica ([`serve_one`]),
+//! [`ServingEngine::serve`] is the same driver over one replica (`serve_one`),
 //! and its report comes from the same fold, so a 1-replica cluster's numbers
 //! are the single-engine report by construction; a static fleet under the
 //! extracted control plane replays the original inline driver decision for

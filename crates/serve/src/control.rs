@@ -344,7 +344,7 @@ impl AdmissionPolicy for AdmitAll {
 }
 
 /// Sheds a request unless at least one replica's cost model says its
-/// deadlines are feasible ([`ReplicaView::estimate`]): an infeasible
+/// deadlines are feasible (`ReplicaView::estimate`): an infeasible
 /// request would burn prefill/decode on tokens that miss their SLO anyway
 /// *and* queue-delay everyone behind it — shedding it early protects
 /// goodput. Deadline-free requests are always admitted.

@@ -9,7 +9,7 @@
 //! The engine itself owns only the *cost model* — what a prefill wave or a
 //! decode step costs on this (GPU, model, system) triple, charged
 //! per-sequence at each sequence's true KV length. Every such price has one
-//! implementation, [`CostModel`]: a replica's [`TickExecutor`] and, fresh,
+//! implementation, `CostModel`: a replica's [`TickExecutor`] and, fresh,
 //! behind each public pricing method. The request lifecycle (admission
 //! order, memory gating, preemption, per-request timing) lives in the shared
 //! [`crate::scheduler`] core, whose [`Scheduler::tick`] owns the order of a
@@ -583,7 +583,7 @@ impl ServingEngine {
         }
     }
 
-    /// Bytes one simulated KV page holds: [`PAGE_TOKENS`] tokens of one
+    /// Bytes one simulated KV page holds: `PAGE_TOKENS` tokens of one
     /// layer's K+V at this engine's KV precision — what a page's trip over
     /// the host link is priced at.
     pub fn kv_page_bytes(&self) -> u64 {

@@ -18,7 +18,7 @@
 //! * `lane` — the tie-break between simultaneous events. The cluster
 //!   driver uses lane 0 for the front-door arrival stream and lane
 //!   `u64::MAX` for lifecycle events; replica ticks, which the driver
-//!   keys by the same [`time_key`] but keeps out of the queue, sort
+//!   keys by the same `time_key` but keeps out of the queue, sort
 //!   between the two at an equal time. That reproduces the retired step
 //!   driver's semantics exactly: a replica whose clock has *reached* the
 //!   next arrival time stops ticking (strict `<` horizon), so at equal

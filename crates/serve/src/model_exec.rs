@@ -6,7 +6,6 @@
 use crate::block_exec::BlockRuntime;
 use crate::kv_cache::{KvCacheConfig, KvCacheError, PagedKvCache, SequenceId, PAGE_TOKENS};
 use crate::ledger::{PageBudget, Reservation};
-use crate::prefix::PrefixIndex;
 use crate::request::{RequestId, WorkloadSpec};
 use crate::scheduler::{FinishedRequest, SchedOptions, Scheduler, SchedulingPolicy, TickExecutor};
 use qserve_core::pipeline::QoqConfig;
@@ -212,7 +211,6 @@ pub struct ServedRequest {
 struct FunctionalExecutor<'a> {
     rt: &'a mut ModelRuntime,
     prompts: HashMap<RequestId, Vec<u32>>,
-    index: PrefixIndex,
     outputs: HashMap<RequestId, Vec<u32>>,
     logits: HashMap<RequestId, Vec<f32>>,
     /// Every request retired so far, in completion order.
@@ -228,9 +226,8 @@ impl<'a> FunctionalExecutor<'a> {
         let cfg = *rt.cache.config();
         let total_pages = rt.cache.free_pages() + rt.cache.used_pages();
         let budget = PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
-        let (index, failed) = (PrefixIndex::new(), None);
         let (outputs, logits, served) = (HashMap::new(), HashMap::new(), Vec::new());
-        (Self { rt, prompts, index, outputs, logits, served, failed }, budget)
+        (Self { rt, prompts, outputs, logits, served, failed: None }, budget)
     }
 
     /// Tokens `past..past + n` of `id`'s prefill feed — its prompt followed
@@ -255,36 +252,25 @@ impl<'a> FunctionalExecutor<'a> {
         })
     }
 
-    /// Seats `id` in the cache for its first slice: a fork of the `shared`
-    /// tokens the scheduler granted, from a live donor holding at least that
-    /// prefix — found by longest-prefix match with a same-group fallback
-    /// (the index may surface a sibling that matches further but is not yet
-    /// fully cached) — or a fresh sequence when nothing is aliased.
+    /// Seats `id` in the cache for its first slice: a fresh sequence, or a
+    /// fork of the `shared` tokens the scheduler granted, from a sibling that
+    /// holds them — the first resident, in admission order, with at least
+    /// `shared` tokens cached and a prompt that opens with the same tokens.
     fn seat(&mut self, sched: &Scheduler, id: RequestId, shared: usize) -> Result<(), KvCacheError> {
         let seq = SequenceId(id.0);
-        let prompt = &self.prompts[&id];
-        if shared > 0 {
-            let donor = self
-                .index
-                .longest_shared_prefix(prompt)
-                .filter(|&(d, lcp)| lcp >= shared && self.rt.cache.seq_len(d) >= shared)
-                .map(|(d, _)| d)
-                .or_else(|| {
-                    sched.running().map(|r| SequenceId(r.id.0)).find(|&d| {
-                        self.rt.cache.seq_len(d) >= shared
-                            && self
-                                .prompts
-                                .get(&RequestId(d.0))
-                                .is_some_and(|p| p.len() >= shared && p[..shared] == prompt[..shared])
-                    })
-                })
-                .expect("scheduler granted a prefix no live sequence can donate");
-            self.rt.cache.fork(donor, seq, shared)?;
-        } else {
-            self.rt.cache.register(seq)?;
+        if shared == 0 {
+            return self.rt.cache.register(seq);
         }
-        self.index.insert(seq, prompt.clone());
-        Ok(())
+        let prefix = &self.prompts[&id][..shared];
+        let donor = sched
+            .running()
+            .map(|r| SequenceId(r.id.0))
+            .find(|&d| {
+                self.rt.cache.seq_len(d) >= shared
+                    && self.prompts.get(&RequestId(d.0)).is_some_and(|p| p.starts_with(prefix))
+            })
+            .expect("scheduler granted a prefix no live sequence can donate");
+        self.rt.cache.fork(donor, seq, shared)
     }
 }
 
@@ -350,7 +336,6 @@ impl TickExecutor for FunctionalExecutor<'_> {
         self.attempt(|this| {
             for r in done {
                 this.rt.finish_sequence(SequenceId(r.id.0))?;
-                this.index.remove(SequenceId(r.id.0));
                 this.logits.remove(&r.id);
                 this.served.push(ServedRequest {
                     id: r.id,
@@ -384,9 +369,9 @@ impl ModelRuntime {
     /// whole remainder or a chunk) runs as one `m = tokens` batch of its own.
     ///
     /// With [`SchedOptions::share_prefixes`] on, a request's first slice
-    /// consults a [`PrefixIndex`] over the live sequences' prompts and *forks* the
-    /// scheduler-granted shared prefix (copy-on-write pages, stored once)
-    /// instead of recomputing it; with [`SchedOptions::chunk_tokens`] set,
+    /// *forks* the scheduler-granted shared prefix (copy-on-write pages,
+    /// stored once) from a resident sibling that holds it, instead of
+    /// recomputing it; with [`SchedOptions::chunk_tokens`] set,
     /// prompts run through the model in chunks interleaved with decode
     /// steps for the already-full residents.
     ///
@@ -396,8 +381,9 @@ impl ModelRuntime {
     /// seed and sharing structure), making the whole serve reproducible.
     ///
     /// # Errors
-    /// Propagates cache errors (which indicate a ledger/cache divergence —
-    /// the budget is sized to prevent them).
+    /// [`KvCacheError::NotQuantized`] on a runtime deployed with an FP16 KV
+    /// cache; any other cache error is a ledger/cache divergence, which the
+    /// budget is sized to prevent.
     ///
     /// # Panics
     /// Panics if a request's peak footprint exceeds the whole cache.
@@ -953,6 +939,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_kv16_serve_is_a_typed_error_not_a_panic() {
+        // The KV4/KV8 kernels cannot read an FP16 cache: the first prefill
+        // slice fails, and the serve returns that error instead of panicking.
+        use crate::scheduler::Fcfs;
+        use qserve_core::kv_quant::KvPrecision;
+        let model = SyntheticModel::small(2);
+        let calib = TensorRng::seed(1).token_sequence(32, model.config.vocab);
+        let cfg = QoqConfig {
+            weight_granularity: WeightGranularity::PerGroup(32),
+            kv_precision: KvPrecision::Fp16,
+            ..QoqConfig::w4a8kv4_g128()
+        };
+        let mut rt = ModelRuntime::deploy(&model, &cfg, &calib, 1024);
+        let served = rt.serve_with(&tiny_spec(3, 5), 2, Box::new(Fcfs), SchedOptions::default());
+        assert_eq!(served, Err(KvCacheError::NotQuantized(KvPrecision::Fp16)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Prefix reuse index: finds, for an incoming prompt, the resident sequence
-//! whose cached prompt shares the longest token prefix — the lookup the
-//! scheduler performs at admission to decide whether to
-//! [`crate::PagedKvCache::fork`] instead of recomputing a shared prefix.
+//! Prefix reuse index: finds, for an incoming prompt, the registered
+//! sequence whose prompt shares the longest token prefix — a content lookup
+//! for a caller deciding whether to [`crate::PagedKvCache::fork`] instead of
+//! recomputing a shared prefix. No serving path uses it: the scheduler
+//! grants prefix shares by group, and the functional serve forks from a
+//! resident sibling that holds the granted tokens.
 //!
 //! The index keeps the registered prompts sorted lexicographically. For any
 //! query, the longest common prefix against the *whole* set is achieved by

@@ -10,7 +10,7 @@
 //!    inserting (or merging) in a fixed order is reproducible bit for bit.
 //!    No randomized compression (GK/t-digest style) anywhere.
 //! 2. **Fixed memory.** One `u64` count per bucket, sized at construction:
-//!    [`PercentileSketch::SUB_BUCKET_BITS`] sub-buckets per power of two
+//!    `PercentileSketch::SUB_BUCKET_BITS` sub-buckets per power of two
 //!    across a clamped value range — a few KiB regardless of sample count.
 //! 3. **Bounded relative error.** A quantile lands in the right bucket
 //!    exactly (nearest-rank over exact counts); the reported value is the

@@ -329,7 +329,7 @@ fn configured_threads() -> usize {
     }
 }
 
-/// The process-wide pool, built on first use from [`configured_threads`].
+/// The process-wide pool, built on first use from `configured_threads`.
 /// All production call sites (sweep grids, replica ticking, kernel row
 /// blocks) share this pool; tests that need a specific width build their
 /// own [`Pool`].

@@ -43,13 +43,13 @@ std::thread_local! {
 }
 
 /// Marks the current case as skipped by a failed assumption — called by
-/// [`props_assume!`], not directly.
+/// [`props_assume!`](crate::props_assume!), not directly.
 pub fn mark_skipped() {
     CASE_SKIPPED.with(|s| s.set(true));
 }
 
 /// Runs one case body, annotating any panic with the case number and seed.
-/// Returns `false` when the body bailed out via [`props_assume!`].
+/// Returns `false` when the body bailed out via [`props_assume!`](crate::props_assume!).
 pub fn run_case(name: &str, case: u64, seed: u64, body: impl FnOnce(&mut TensorRng)) -> bool {
     CASE_SKIPPED.with(|s| s.set(false));
     let mut rng = TensorRng::seed(seed);
