@@ -60,7 +60,8 @@ pub fn fig2b() -> Table {
 }
 
 /// **Figure 3**: A100 roofline — attainable TOPS vs computation intensity
-/// for the four GEMM precision pairs and the attention KV rooflines.
+/// for five GEMM precision pairs (weights × activations), FP16×FP16 to
+/// INT4×INT4.
 pub fn fig3() -> Table {
     let mut t = Table::new(
         "Figure 3",

@@ -51,9 +51,7 @@ const EXPERIMENTS: &[(&str, bool, fn() -> Vec<Table>)] = &[
     ("hetero_sweep", true, || vec![scheduling::hetero_sweep()]),
     ("mega_sweep_smoke", true, || vec![scheduling::mega_sweep_smoke()]),
     ("failure_sweep", true, || vec![scheduling::failure_sweep()]),
-    ("failure_sweep_smoke", true, || vec![scheduling::failure_sweep_smoke()]),
     ("elastic_sweep", true, || vec![scheduling::elastic_sweep()]),
-    ("elastic_sweep_smoke", true, || vec![scheduling::elastic_sweep_smoke()]),
     ("table2quick", false, || {
         vec![accuracy::table2(&[ModelConfig::llama3_8b(), ModelConfig::llama2_7b()])]
     }),
@@ -92,7 +90,7 @@ mod tests {
                 "fig1", "fig2a", "fig2b", "fig3", "table1", "table2", "table3", "table5", "table4",
                 "fig16", "fig17", "fig18", "table6", "attn_breakdown", "microbench", "sched_sweep",
                 "prefix_sweep", "cluster_sweep", "hetero_sweep", "mega_sweep_smoke",
-                "failure_sweep", "failure_sweep_smoke", "elastic_sweep", "elastic_sweep_smoke",
+                "failure_sweep", "elastic_sweep",
             ]
         );
         for outside_all in ["table2quick", "mega_sweep"] {

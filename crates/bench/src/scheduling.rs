@@ -309,7 +309,7 @@ fn hetero_fleets() -> Vec<(&'static str, Vec<ServingEngine>)> {
     let (a100, l40s) = (a100_qserve(), l40s_qserve());
     vec![
         ("4xA100", vec![a100.clone(); 4]),
-        ("1xA100+3xL40S", vec![a100.clone(), a100, l40s.clone(), l40s]),
+        ("2xA100+2xL40S", vec![a100.clone(), a100, l40s.clone(), l40s]),
     ]
 }
 
@@ -496,9 +496,9 @@ const UPGRADE_DOWNTIME_S: f64 = 1.5;
 /// (recompute vs swap) is actually exercised, not latent — under the
 /// standard interactive/standard/best-effort SLO cycle so goodput and
 /// attainment react when a replica goes away.
-fn failure_workload(num_requests: usize) -> WorkloadSpec {
+fn failure_workload() -> WorkloadSpec {
     WorkloadSpec {
-        num_requests,
+        num_requests: 384,
         input: LengthDist::Uniform { lo: 4800, hi: 6400 },
         output: LengthDist::Uniform { lo: 256, hi: 512 },
         arrival: ArrivalPattern::Poisson { rate_rps: 64.0 },
@@ -529,13 +529,23 @@ fn failure_scenarios(fleet: usize) -> Vec<(&'static str, FaultPlan, Option<f64>)
     ]
 }
 
-/// Shared core of `failure_sweep` / `failure_sweep_smoke`: scenario ×
-/// preemption-mode grid on the 4×A100 [`mega_fleet`]. Every cell asserts
-/// the fault-conservation contract — finished ∪ shed covers the workload
-/// exactly, so a crash moves work but never loses it.
-fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
+/// **failure_sweep**: the replica failure & lifecycle reproduce — crash,
+/// drain and rolling upgrade against a 4×A100 fleet under KV pressure, in
+/// both preemption modes. Three stories: (1) a crash loses KV pages and
+/// in-flight work but never requests — everything requeues through routing
+/// and finishes (the `Lost tok` column is the prefill honestly re-owed);
+/// (2) a drain degrades goodput gracefully — no requeues, no lost work —
+/// and the rolling upgrade holds the fleet at n−1 capacity as the wave
+/// walks the replicas; (3) under memory pressure, swap-mode preemption
+/// pays PCIe transfer instead of recomputing long prompts, and wins
+/// goodput over recompute.
+///
+/// The grid is scenario × preemption mode on the 4×A100 [`mega_fleet`].
+/// Every cell asserts the fault-conservation contract — finished ∪ shed
+/// covers the workload exactly, so a crash moves work but never loses it.
+pub fn failure_sweep() -> Table {
     let mut t = Table::new(
-        name,
+        "failure_sweep",
         "replica failure & lifecycle × preemption mode: 4xA100 Llama-2-7B QServe \
          (recovery from the fault instant; swap traffic in MB)",
         &[
@@ -554,7 +564,7 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
             "Swap MB",
         ],
     );
-    let spec = failure_workload(num_requests);
+    let spec = failure_workload();
     let fleet = mega_fleet();
     let mut cells: Vec<(&'static str, FaultPlan, Option<f64>, &'static str, PreemptionMode)> =
         Vec::new();
@@ -573,13 +583,26 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
         // never lose it.
         assert_eq!(
             r.completed + r.shed,
-            num_requests,
-            "{name}/{scenario}/{pname}: a request was lost"
+            spec.num_requests,
+            "failure_sweep/{scenario}/{pname}: a request was lost"
         );
         if fault_at.is_some() {
+            // The crash destroys replica 0's pages and re-owes their
+            // prefill; the replica restarts exactly once. (That it then
+            // serves again is checked in `tests/cluster_pipeline.rs`: this
+            // trace has ended by the restart.)
+            let dead = &r.per_replica[0];
             assert!(
-                r.requeued > 0,
-                "{name}/{scenario}/{pname}: the crash caught no in-flight work"
+                r.requeued > 0 && dead.requeued_away > 0,
+                "failure_sweep/{scenario}/{pname}: the crash caught no in-flight work"
+            );
+            assert!(
+                r.lost_prefill_tokens > 0,
+                "failure_sweep/{scenario}/{pname}: destroyed pages re-owed no prefill"
+            );
+            assert_eq!(
+                dead.restarts, 1,
+                "failure_sweep/{scenario}/{pname}: replica 0 must restart exactly once"
             );
         }
         let recovery = match fault_at {
@@ -607,26 +630,6 @@ fn failure_sweep_sized(name: &'static str, num_requests: usize) -> Table {
     t
 }
 
-/// **failure_sweep**: the replica failure & lifecycle reproduce — crash,
-/// drain and rolling upgrade against a 4×A100 fleet under KV pressure, in
-/// both preemption modes. Three stories: (1) a crash loses KV pages and
-/// in-flight work but never requests — everything requeues through routing
-/// and finishes (the `Lost tok` column is the prefill honestly re-owed);
-/// (2) a drain degrades goodput gracefully — no requeues, no lost work —
-/// and the rolling upgrade holds the fleet at n−1 capacity as the wave
-/// walks the replicas; (3) under memory pressure, swap-mode preemption
-/// pays PCIe transfer instead of recomputing long prompts, and wins
-/// goodput over recompute.
-pub fn failure_sweep() -> Table {
-    failure_sweep_sized("failure_sweep", 384)
-}
-
-/// **failure_sweep_smoke**: the CI-sized `failure_sweep` (64 requests, same
-/// fleet, fault schedule and seed).
-pub fn failure_sweep_smoke() -> Table {
-    failure_sweep_sized("failure_sweep_smoke", 64)
-}
-
 /// The control plane's migration trigger for the elastic sweep: a pinned
 /// home is saturated past half a second of estimated queue, relief must
 /// halve the backlog, and the copy is priced on the NVLink peer fabric.
@@ -639,15 +642,18 @@ fn migration_config(migrate_pages: bool) -> MigrationConfig {
     }
 }
 
-/// Shared core of `elastic_sweep` / `elastic_sweep_smoke`: three
-/// control-plane scenarios in one grid, each cell asserting the
-/// zero-lost-requests contract (`completed + shed == n`).
+/// **elastic_sweep**: the control-plane reproduce — deadline-aware routing
+/// under overload, cross-replica prefix migration off a saturated pin, and
+/// the elastic autoscaler on a diurnal trace, with goodput, SLO
+/// attainment, migration traffic and fleet-cost (GPU-seconds) per arm.
+/// Three scenarios in one grid, each cell asserting the zero-lost-requests
+/// contract (`completed + shed == n`).
 ///
-/// * **deadline-routing** — the mixed 2×A100 + 2×L40S fleet under the
+/// * **deadline-routing** — the mixed 1×A100 + 3×L40S fleet under the
 ///   overloaded SLO trace: [`DeadlineAware`] placement folds each
 ///   replica's deadline-feasibility estimate into routing and must beat
 ///   work-normalized [`LeastOutstanding`] on SLO attainment.
-/// * **prefix-migration** — one tenant's 2048-token system prompt,
+/// * **prefix-migration** — one tenant's 4096-token system prompt,
 ///   arrivals past a single replica's capacity on a 2×A100 fleet:
 ///   affinity queues at the saturated home, priority shedding drops work,
 ///   re-pinning re-prefills on the relief replica; page migration copies
@@ -656,9 +662,9 @@ fn migration_config(migrate_pages: bool) -> MigrationConfig {
 ///   the [`QueuePressureScaler`] wakes standbys into the crest and drains
 ///   them after, landing between static-min attainment and static-max
 ///   fleet-cost (GPU-seconds).
-fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
+pub fn elastic_sweep() -> Table {
     let mut t = Table::new(
-        name,
+        "elastic_sweep",
         "control-plane scenarios: deadline routing, prefix migration, elastic \
          autoscaling (Llama-2-7B QServe; migration traffic in MB; fleet cost in GPU-s)",
         &[
@@ -680,7 +686,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
         assert_eq!(
             r.completed + r.shed,
             n,
-            "{name}/{scenario}/{arm}: a request was lost"
+            "elastic_sweep/{scenario}/{arm}: a request was lost"
         );
         // lint: allow(raw-cast) -- u64 byte count → f64 for MB display only
         let migr_mb = r.migrated_bytes as f64 / 1e6;
@@ -708,7 +714,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     // to. Misses here are latency-deadline misses — batching keeps TTFT low
     // but stretches decode — so the feasibility estimate's decode term is
     // what earns the attainment gap.
-    let n_deadline = 384 / div;
+    let n_deadline = 384;
     let deadline_spec = WorkloadSpec::mixed(n_deadline, SWEEP_SEED)
         .with_arrivals(ArrivalPattern::Poisson { rate_rps: 48.0 })
         .with_slos(slo_cycle());
@@ -725,7 +731,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     let lo = reports.pop().expect("least-outstanding arm");
     assert!(
         da.slo_attainment > lo.slo_attainment,
-        "{name}: deadline-aware routing must beat least-outstanding on attainment: \
+        "elastic_sweep: deadline-aware routing must beat least-outstanding on attainment: \
          {} vs {}",
         da.slo_attainment,
         lo.slo_attainment
@@ -737,7 +743,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     // 4096-token system prompt is what makes the copy-vs-rebuild choice
     // real: re-prefilling it on the relief replica costs a full prefill
     // pass every time the pin moves, the NVLink copy costs milliseconds.
-    let n_migrate = 96 / div;
+    let n_migrate = 96;
     let migrate_spec = WorkloadSpec::shared_prefix(1, 4096, n_migrate, SWEEP_SEED)
         .with_arrivals(ArrivalPattern::Poisson { rate_rps: 48.0 })
         .with_slos(slo_cycle());
@@ -757,23 +763,23 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     let repin = reports.pop().expect("repin arm");
     let shed = reports.pop().expect("shed arm");
     let affinity = reports.pop().expect("affinity arm");
-    assert!(migrate.migrations > 0, "{name}: the saturated home never migrated");
-    assert_eq!(migrate.shed, 0, "{name}: migration must absorb, not shed");
+    assert!(migrate.migrations > 0, "elastic_sweep: the saturated home never migrated");
+    assert_eq!(migrate.shed, 0, "elastic_sweep: migration must absorb, not shed");
     assert!(
         migrate.goodput_tps > affinity.goodput_tps,
-        "{name}: migration must out-serve a saturated pin: {} vs {}",
+        "elastic_sweep: migration must out-serve a saturated pin: {} vs {}",
         migrate.goodput_tps,
         affinity.goodput_tps
     );
     assert!(
         migrate.goodput_tps > shed.goodput_tps,
-        "{name}: migration must out-serve load shedding: {} vs {}",
+        "elastic_sweep: migration must out-serve load shedding: {} vs {}",
         migrate.goodput_tps,
         shed.goodput_tps
     );
     assert!(
         migrate.goodput_tps >= repin.goodput_tps,
-        "{name}: copying pages must not lose to re-prefilling: {} vs {}",
+        "elastic_sweep: copying pages must not lose to re-prefilling: {} vs {}",
         migrate.goodput_tps,
         repin.goodput_tps
     );
@@ -786,7 +792,7 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     // overloads a lone A100 on the mixed length distribution (the
     // static-min arm visibly misses deadlines); the trough is near-idle,
     // which is what the always-on static-max arm pays for.
-    let n_elastic = 480 / div;
+    let n_elastic = 480;
     let elastic_spec = WorkloadSpec::mixed(n_elastic, SWEEP_SEED)
         .with_arrivals(ArrivalPattern::Diurnal {
             trough_rps: 2.0,
@@ -816,13 +822,13 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     let static_min = reports.pop().expect("static-min arm");
     assert!(
         elastic.gpu_seconds < static_max.gpu_seconds,
-        "{name}: the autoscaler must bill less than the always-on fleet: {} vs {}",
+        "elastic_sweep: the autoscaler must bill less than the always-on fleet: {} vs {}",
         elastic.gpu_seconds,
         static_max.gpu_seconds
     );
     assert!(
         elastic.slo_attainment > static_min.slo_attainment,
-        "{name}: the autoscaler must out-serve the static minimum: {} vs {}",
+        "elastic_sweep: the autoscaler must out-serve the static minimum: {} vs {}",
         elastic.slo_attainment,
         static_min.slo_attainment
     );
@@ -830,20 +836,6 @@ fn elastic_sweep_sized(name: &'static str, div: usize) -> Table {
     push("autoscale", "static-max", "4xA100", n_elastic, &static_max);
     push("autoscale", "elastic", "1..4xA100", n_elastic, &elastic);
     t
-}
-
-/// **elastic_sweep**: the control-plane reproduce — deadline-aware routing
-/// under overload, cross-replica prefix migration off a saturated pin, and
-/// the elastic autoscaler on a diurnal trace, with goodput, SLO
-/// attainment, migration traffic and fleet-cost (GPU-seconds) per arm.
-pub fn elastic_sweep() -> Table {
-    elastic_sweep_sized("elastic_sweep", 1)
-}
-
-/// **elastic_sweep_smoke**: the CI-sized `elastic_sweep` — same scenarios,
-/// fleets, rates and seed at half the trace lengths.
-pub fn elastic_sweep_smoke() -> Table {
-    elastic_sweep_sized("elastic_sweep_smoke", 2)
 }
 
 #[cfg(test)]
@@ -1009,8 +1001,8 @@ mod tests {
         }
         // Story 1: on the mixed fleet, work-normalized routing beats
         // round-robin on goodput — it stops treating an L40S like an A100.
-        let rr = pick("1xA100+3xL40S", "round-robin", "admit-all");
-        let lo = pick("1xA100+3xL40S", "least-outstanding", "admit-all");
+        let rr = pick("2xA100+2xL40S", "round-robin", "admit-all");
+        let lo = pick("2xA100+2xL40S", "least-outstanding", "admit-all");
         assert!(
             goodput(&lo) > goodput(&rr),
             "work-normalized routing must lift mixed-fleet goodput: {} vs {}",
@@ -1028,7 +1020,7 @@ mod tests {
         );
         // Story 2: deadline admission raises SLO attainment *and* goodput
         // over admit-all under overload, on both fleets.
-        for fleet in ["4xA100", "1xA100+3xL40S"] {
+        for fleet in ["4xA100", "2xA100+2xL40S"] {
             let all = pick(fleet, "least-outstanding", "admit-all");
             let gated = pick(fleet, "least-outstanding", "deadline");
             assert!(shed(&gated) > 0, "overload must force deadline shedding on {}", fleet);

@@ -109,11 +109,6 @@ impl SystemConfig {
         }
     }
 
-    /// Whether this is one of the two QServe configurations.
-    pub fn is_qserve(self) -> bool {
-        matches!(self, Self::QServePerChannel | Self::QServePerGroup)
-    }
-
     /// The paper's per-GPU QServe choice: per-channel on A100, per-group on
     /// L40S ("L40S has stronger CUDA cores for dequantization").
     pub fn qserve_for(gpu_name: &str) -> Self {
@@ -170,7 +165,7 @@ mod tests {
                 format!("W{}A{}", gemm.weight_bits(), gemm.act_bits())
             };
             assert!(sys.name().contains(&advertised), "{} is not {}", sys.name(), advertised);
-            if sys.is_qserve() {
+            if matches!(sys, SystemConfig::QServePerChannel | SystemConfig::QServePerGroup) {
                 assert!(sys.name().contains(&format!("KV{}", attn.kv_bits())));
             }
         }

@@ -1259,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_fleet_serves_and_reports_per_replica_specs() {
+    fn mixed_fleet_serves_and_reports_per_replica_specs() {
         // 1×A100 + 1×L40S: both serve, the report names each replica's GPU,
         // and work-normalized routing sends the A100 more work than the
         // slower L40S.

@@ -856,8 +856,9 @@ impl WorkloadSpec {
     /// Synthesizes a deterministic prompt per request over a `vocab`-token
     /// vocabulary, honoring the sharing structure: requests of one group
     /// open with identical prefix tokens, and a conversation's turns are
-    /// literal prefixes of the next turn's prompt — so the functional
-    /// serving path's prefix index finds real, byte-equal overlaps.
+    /// literal prefixes of the next turn's prompt — so when the functional
+    /// serving path forks a granted prefix from a resident sibling, the
+    /// sibling's prompt really starts with those tokens.
     pub fn synth_prompts(
         &self,
         requests: &[Request],

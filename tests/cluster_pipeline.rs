@@ -138,6 +138,39 @@ fn empty_fault_plan_is_bit_identical_to_the_fault_free_driver() {
     }
 }
 
+#[test]
+fn a_crashed_replica_rejoins_the_rotation_after_its_restart() {
+    // Replica 0 of four crashes at t = 2 s with long prompts in flight and
+    // restarts at t = 5 s, while the ~8 s trace is still arriving: its work
+    // moves to the survivors, and once back it is routed to and finishes
+    // new work. (`failure_sweep`'s crash restarts after its last arrival,
+    // so only this case sees the rejoin.)
+    let spec = WorkloadSpec {
+        num_requests: 128,
+        input: LengthDist::Uniform { lo: 3000, hi: 4000 },
+        output: LengthDist::Uniform { lo: 128, hi: 256 },
+        arrival: ArrivalPattern::Poisson { rate_rps: 16.0 },
+        sharing: PrefixSharing::None,
+        slo: SloSpec::None,
+        seed: 7,
+    };
+    let plan = FaultPlan::none().crash_at(0, 2.0).restart_at(0, 5.0);
+    let report = Cluster::new(engine(), 4, Box::new(LeastOutstanding))
+        .serve_paged_faulty(
+            &spec,
+            || Box::new(MemoryAware::default()),
+            Reservation::OnDemand,
+            SchedOptions::default(),
+            &plan,
+        )
+        .expect("serves");
+    assert_eq!(report.completed + report.shed, 128, "no request may be lost");
+    let dead = &report.per_replica[0];
+    assert!(dead.requeued_away > 0, "the crash must catch in-flight work");
+    assert_eq!(dead.restarts, 1, "replica 0 comes back exactly once");
+    assert!(dead.completed > 0, "the restarted replica serves again");
+}
+
 props! {
     /// Faults conserve the workload: under a random seeded plan of
     /// crashes, drains, restarts and rolling upgrades — in both
