@@ -485,8 +485,12 @@ pub fn mega_sweep_smoke() -> Table {
 
 /// When replica 0 dies / drains / upgrades in the failure sweep, seconds.
 const FAULT_S: f64 = 3.0;
-/// When the crashed or drained replica comes back, seconds.
+/// When the drained replica comes back, seconds.
 const RECOVER_S: f64 = 6.0;
+/// When the crashed replica comes back, seconds: halfway from the crash to
+/// the trace's expected last arrival (384 requests at 64 rps end near 6 s),
+/// so new work still arrives for it to rejoin.
+const CRASH_RECOVER_S: f64 = 4.5;
 /// Per-replica offline window of the rolling upgrade, seconds.
 const UPGRADE_DOWNTIME_S: f64 = 1.5;
 
@@ -517,7 +521,7 @@ fn failure_scenarios(fleet: usize) -> Vec<(&'static str, FaultPlan, Option<f64>)
         ("none", FaultPlan::none(), None),
         (
             "crash",
-            FaultPlan::none().crash_at(0, FAULT_S).restart_at(0, RECOVER_S),
+            FaultPlan::none().crash_at(0, FAULT_S).restart_at(0, CRASH_RECOVER_S),
             Some(FAULT_S),
         ),
         ("drain", FaultPlan::none().drain_at(0, FAULT_S).restart_at(0, RECOVER_S), None),
@@ -533,7 +537,8 @@ fn failure_scenarios(fleet: usize) -> Vec<(&'static str, FaultPlan, Option<f64>)
 /// drain and rolling upgrade against a 4×A100 fleet under KV pressure, in
 /// both preemption modes. Three stories: (1) a crash loses KV pages and
 /// in-flight work but never requests — everything requeues through routing
-/// and finishes (the `Lost tok` column is the prefill honestly re-owed);
+/// and finishes (the `Lost tok` column is the prefill honestly re-owed),
+/// and the replica, back while the trace still arrives, serves again;
 /// (2) a drain degrades goodput gracefully — no requeues, no lost work —
 /// and the rolling upgrade holds the fleet at n−1 capacity as the wave
 /// walks the replicas; (3) under memory pressure, swap-mode preemption
@@ -542,7 +547,9 @@ fn failure_scenarios(fleet: usize) -> Vec<(&'static str, FaultPlan, Option<f64>)
 ///
 /// The grid is scenario × preemption mode on the 4×A100 [`mega_fleet`].
 /// Every cell asserts the fault-conservation contract — finished ∪ shed
-/// covers the workload exactly, so a crash moves work but never loses it.
+/// covers the workload exactly, so a crash moves work but never loses it —
+/// and each crash cell that the crash caught in-flight work and re-owed its
+/// prefill, and that replica 0 restarted once and completed work after.
 pub fn failure_sweep() -> Table {
     let mut t = Table::new(
         "failure_sweep",
@@ -588,9 +595,8 @@ pub fn failure_sweep() -> Table {
         );
         if fault_at.is_some() {
             // The crash destroys replica 0's pages and re-owes their
-            // prefill; the replica restarts exactly once. (That it then
-            // serves again is checked in `tests/cluster_pipeline.rs`: this
-            // trace has ended by the restart.)
+            // prefill; the replica restarts exactly once, while the trace
+            // still arrives, and is routed to and finishes new work.
             let dead = &r.per_replica[0];
             assert!(
                 r.requeued > 0 && dead.requeued_away > 0,
@@ -603,6 +609,10 @@ pub fn failure_sweep() -> Table {
             assert_eq!(
                 dead.restarts, 1,
                 "failure_sweep/{scenario}/{pname}: replica 0 must restart exactly once"
+            );
+            assert!(
+                dead.completed > 0,
+                "failure_sweep/{scenario}/{pname}: the restarted replica must serve again"
             );
         }
         let recovery = match fault_at {

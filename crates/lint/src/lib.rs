@@ -12,9 +12,10 @@
 //!
 //! - `manifest-policy` — every `[dependencies]`/`[dev-dependencies]` entry
 //!   in every `Cargo.toml` must be a workspace-internal `path` dependency.
-//! - `unordered-iteration` — `HashMap`/`HashSet` iteration in the
-//!   simulation crates (`serve`, `gpusim`, `bench`); unordered iteration is
-//!   how bit-identical goldens die.
+//! - `unordered-iteration` — any `HashMap`/`HashSet` identifier, anywhere:
+//!   unordered iteration is how bit-identical goldens die, and a token scan
+//!   cannot see every expression that iterates one, so the workspace names
+//!   none (`BTreeMap`/`BTreeSet` iterate in key order).
 //! - `wall-clock` — `std::time::{Instant, SystemTime}`, `std::env`, and
 //!   `std::thread` outside the `qserve_tensor::pool` worker pool (the one
 //!   sanctioned home for OS threads and for `QSERVE_THREADS`; everything
@@ -31,9 +32,11 @@
 //!   on page/token counter expressions in ledger and cost-model files.
 //! - `float-eq` — `==`/`!=` against float literals anywhere (`to_bits`
 //!   identity comparisons are the sanctioned form).
-//! - `float-sort` — `partial_cmp(..).unwrap()`/`.expect(..)` anywhere: a
-//!   NaN panics mid-comparison and partial orders are how float sorts go
-//!   non-deterministic (`f64::total_cmp` is the sanctioned form).
+//! - `float-sort` — any `.partial_cmp` / `::partial_cmp` call, anywhere (a
+//!   `fn partial_cmp` in a `PartialOrd` impl is no call): unwrapped it
+//!   panics on a NaN, and a NaN mapped to `Ordering::Equal` is no total
+//!   order, which std's sort may panic on (`f64::total_cmp` is the
+//!   sanctioned form).
 //! - `fused-accumulate` — `.mul_add(..)` / `f32::mul_add` / `f64::mul_add`
 //!   in the numeric crates (`tensor`, `quant`, `core`, `kernels`, `model`):
 //!   a fused multiply-add rounds once where `a * b + c` rounds twice, and
@@ -124,8 +127,6 @@ pub struct FileOutcome {
 /// Which rule families apply to a Rust file, derived from its path.
 #[derive(Debug, Clone, Copy)]
 pub struct FileScope {
-    /// Simulation crate: unordered-iteration applies.
-    pub sim: bool,
     /// Wall-clock isolation applies (everything but `qserve_tensor::pool`
     /// and this lint crate itself). The same flag
     /// gates `nondeterministic-parallel`: the files allowed to spawn
@@ -154,9 +155,6 @@ fn classify(rel: &str) -> Option<FileKind> {
     if !rel.ends_with(".rs") {
         return None;
     }
-    let sim = rel.starts_with("crates/serve/")
-        || rel.starts_with("crates/gpusim/")
-        || rel.starts_with("crates/bench/");
     let wall_clock = !rel.starts_with("crates/lint/") && rel != "crates/tensor/src/pool.rs";
     let accounting = matches!(
         rel,
@@ -178,7 +176,7 @@ fn classify(rel: &str) -> Option<FileKind> {
     let numeric = rel.strip_prefix("crates/").is_some_and(|r| {
         ["tensor/", "quant/", "core/", "kernels/", "model/"].iter().any(|k| r.starts_with(k))
     });
-    Some(FileKind::Rust(FileScope { sim, wall_clock, accounting, numeric }))
+    Some(FileKind::Rust(FileScope { wall_clock, accounting, numeric }))
 }
 
 /// Lints one file given as a string, classified by its (pseudo-)path.
@@ -412,30 +410,23 @@ mod tests {
 
     #[test]
     fn classification_scopes_rules_by_path() {
-        assert!(matches!(classify("crates/serve/src/scheduler.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/ledger.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/fault.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/control.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        assert!(matches!(classify("crates/serve/src/report.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
-        for accounting in ["cluster", "request", "model_exec", "event", "sketch", "prefix"] {
+        for accounting in [
+            "scheduler", "ledger", "fault", "control", "report", "cluster", "request",
+            "model_exec", "event", "sketch", "prefix",
+        ] {
             assert!(matches!(classify(&format!("crates/serve/src/{accounting}.rs")),
-                Some(FileKind::Rust(s)) if s.sim && s.accounting && s.wall_clock));
+                Some(FileKind::Rust(s)) if s.accounting && s.wall_clock));
         }
         for other in ["attention_exec", "block_exec", "lib"] {
             assert!(matches!(classify(&format!("crates/serve/src/{other}.rs")),
-                Some(FileKind::Rust(s)) if s.sim && !s.accounting && s.wall_clock));
+                Some(FileKind::Rust(s)) if !s.accounting && s.wall_clock));
         }
         assert!(matches!(classify("crates/core/src/rotation.rs"),
-            Some(FileKind::Rust(s)) if !s.sim && !s.accounting && s.wall_clock));
+            Some(FileKind::Rust(s)) if !s.accounting && s.wall_clock));
         assert!(matches!(classify("crates/bench/src/timing.rs"),
-            Some(FileKind::Rust(s)) if s.sim && s.wall_clock));
+            Some(FileKind::Rust(s)) if s.wall_clock));
         assert!(matches!(classify("crates/tensor/src/pool.rs"),
-            Some(FileKind::Rust(s)) if !s.sim && !s.wall_clock));
+            Some(FileKind::Rust(s)) if !s.wall_clock));
         assert!(matches!(classify("crates/tensor/src/matrix.rs"),
             Some(FileKind::Rust(s)) if s.wall_clock && s.numeric));
         for numeric in ["quant/src/rounding.rs", "core/src/pipeline.rs", "model/tests/x.rs"] {

@@ -1,29 +1,16 @@
 //! Token-level lint rules over the [`crate::lexer`] stream.
 //!
 //! Every rule is a linear scan with a little local context — no AST, no
-//! type information. Where a rule needs "is this a map?" or "is this a
-//! counter?", it uses the conventions this workspace already follows
-//! (declared types on bindings/fields, counter-style identifier names), and
-//! the false-positive escape hatch is an allow comment with a mandatory
-//! reason.
+//! type information. Where a rule would need types ("is this a map?", "is
+//! this a float comparison?") it bans a name instead, and the workspace names
+//! none of them; where it needs "is this a counter?", it uses the workspace's
+//! counter-style identifier names. The false-positive escape hatch is an
+//! allow comment with a mandatory reason.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::{apply_allows, parse_directives, FileOutcome, FileScope, Finding};
-
-/// Methods whose call on a `HashMap`/`HashSet` observes iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
 
 /// Integer targets for the raw-cast rule; `as f64` widening for reporting
 /// is allowed, truncating integer casts on counters are not.
@@ -64,12 +51,10 @@ pub(crate) fn lint_lexed(
     hygiene(rel, toks, &mut findings);
     float_eq(rel, toks, &mut findings);
     float_sort(rel, toks, &mut findings);
+    unordered_iteration(rel, toks, &mut findings);
     if scope.wall_clock {
         wall_clock(rel, toks, &mut findings);
         nondeterministic_parallel(rel, toks, &mut findings);
-    }
-    if scope.sim {
-        unordered_iteration(rel, toks, &mut findings);
     }
     if scope.accounting {
         unchecked_sub(rel, toks, &mut findings);
@@ -126,8 +111,8 @@ fn pub_item(toks: &[Tok], i: usize) -> Option<(&str, &Tok)> {
 /// Items an exported macro of this file names as `$crate::path::item`: the
 /// macro expands in other crates, so every file that invokes it references
 /// the item — through tokens only the expansion holds.
-fn named_by_exported_macros(toks: &[Tok]) -> HashSet<&str> {
-    let mut names = HashSet::new();
+fn named_by_exported_macros(toks: &[Tok]) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
     for i in 0..toks.len() {
         if toks[i].text != "$" || text(toks, i as isize + 1) != "crate" {
             continue;
@@ -146,7 +131,7 @@ fn named_by_exported_macros(toks: &[Tok]) -> HashSet<&str> {
 /// reference site; only definitions under `crates/<name>/src/` are flagged
 /// (`benchmark/`, `tests/` and `examples/` are callers, not API).
 pub(crate) fn unreferenced_pub(files: &[(&str, &[Tok])]) -> Vec<Vec<Finding>> {
-    let idents: Vec<HashSet<&str>> = files
+    let idents: Vec<BTreeSet<&str>> = files
         .iter()
         .map(|(_, toks)| {
             toks.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str()).collect()
@@ -245,50 +230,21 @@ fn float_eq(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// float-sort: `.partial_cmp(..).unwrap()` / `.expect(..)` in comparator
-// position — panics on NaN mid-sort; `f64::total_cmp` is the sanctioned
-// total order (explicit `unwrap_or(Ordering::..)` fallbacks stay legal)
+// float-sort: every `.partial_cmp` / `::partial_cmp` (a `fn partial_cmp` in
+// a `PartialOrd` impl is no call). On floats it is no total order:
+// `.unwrap()` panics on NaN, and a NaN mapped to `unwrap_or(Ordering::Equal)`
+// lets std's sort panic instead; `f64::total_cmp` is the sanctioned order
 // ---------------------------------------------------------------------------
 
 fn float_sort(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident
-            || toks[i].text != "partial_cmp"
-            || text(toks, i as isize - 1) != "."
-            || text(toks, i as isize + 1) != "("
-        {
-            continue;
-        }
-        // Depth-match the argument list, then look for `.unwrap(` /
-        // `.expect(` immediately on the comparison's result.
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if text(toks, j as isize + 1) == "."
-            && kind(toks, j as isize + 2) == Some(TokKind::Ident)
-            && matches!(text(toks, j as isize + 2), "unwrap" | "expect")
-            && text(toks, j as isize + 3) == "("
-        {
+    for (i, t) in toks.iter().enumerate() {
+        let called = matches!(text(toks, i as isize - 1), "." | "::");
+        if t.kind == TokKind::Ident && t.text == "partial_cmp" && called {
             out.push(finding(
                 rel,
-                &toks[i],
+                t,
                 "float-sort",
-                format!(
-                    "`partial_cmp(..).{}(..)` panics on NaN mid-comparison; use `f64::total_cmp` for a deterministic total order",
-                    text(toks, j as isize + 2)
-                ),
+                "`partial_cmp` is no total order on floats: unwrapped it panics on NaN, and a NaN mapped to `Equal` makes a sort panic; use `total_cmp`".to_string(),
             ));
         }
     }
@@ -423,90 +379,25 @@ fn nondeterministic_parallel(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// unordered-iteration: iterating a HashMap/HashSet-typed binding in the
-// simulation crates
+// unordered-iteration: any `HashMap`/`HashSet` identifier, anywhere. A token
+// scan cannot see every expression that is a hash collection (a map a call
+// returns, one behind a getter, a `collect::<HashSet<_>>()`), so the
+// workspace names none, and `BTreeMap`/`BTreeSet` iterate in key order
 // ---------------------------------------------------------------------------
 
-/// Collects identifiers declared with a `HashMap`/`HashSet` type in this
-/// file: `name: [std::collections::]HashMap<..>` (fields, params, lets) and
-/// `name = [std::collections::]HashMap::new()`.
-fn hash_typed_names(toks: &[Tok]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident
-            || (toks[i].text != "HashMap" && toks[i].text != "HashSet")
-        {
-            continue;
-        }
-        // Walk back over a `std :: collections ::`-style path prefix.
-        let mut j = i as isize - 1;
-        while text(toks, j) == "::" && kind(toks, j - 1) == Some(TokKind::Ident) {
-            j -= 2;
-        }
-        while matches!(text(toks, j), "&" | "mut") {
-            j -= 1;
-        }
-        if matches!(text(toks, j), ":" | "=") && kind(toks, j - 1) == Some(TokKind::Ident) {
-            let name = &toks[(j - 1) as usize].text;
-            if !names.iter().any(|n| n == name) {
-                names.push(name.clone());
-            }
-        }
-    }
-    names
-}
-
 fn unordered_iteration(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    let names = hash_typed_names(toks);
-    if names.is_empty() {
-        return;
-    }
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || !names.iter().any(|n| *n == toks[i].text) {
-            continue;
-        }
-        let at = i as isize;
-        // `name.iter()` / `.keys()` / `.values()` / `.drain()` / ...
-        if text(toks, at + 1) == "."
-            && kind(toks, at + 2) == Some(TokKind::Ident)
-            && ITER_METHODS.contains(&text(toks, at + 2))
-            && text(toks, at + 3) == "("
-        {
+    for t in toks {
+        if t.kind == TokKind::Ident && matches!(t.text.as_str(), "HashMap" | "HashSet") {
             out.push(finding(
                 rel,
-                &toks[(at + 2) as usize],
+                t,
                 "unordered-iteration",
                 format!(
-                    "`.{}()` on `{}` (HashMap/HashSet) iterates in unspecified order; use BTreeMap/BTreeSet or sort first",
-                    text(toks, at + 2),
-                    toks[i].text
+                    "`{}` iterates in unspecified order wherever it is reached; use `BTree{}`",
+                    t.text,
+                    &t.text[4..]
                 ),
             ));
-            continue;
-        }
-        // `for pat in [&][mut] [self.]name {`
-        if text(toks, at + 1) == "{" {
-            let mut j = at - 1;
-            if text(toks, j) == "." && text(toks, j - 1) == "self" {
-                j -= 2;
-            }
-            if text(toks, j) == "mut" {
-                j -= 1;
-            }
-            if text(toks, j) == "&" {
-                j -= 1;
-            }
-            if text(toks, j) == "in" {
-                out.push(finding(
-                    rel,
-                    &toks[i],
-                    "unordered-iteration",
-                    format!(
-                        "`for .. in` over `{}` (HashMap/HashSet) iterates in unspecified order; use BTreeMap/BTreeSet or sort first",
-                        toks[i].text
-                    ),
-                ));
-            }
         }
     }
 }
@@ -681,7 +572,7 @@ mod tests {
     use super::*;
 
     fn scope_all() -> FileScope {
-        FileScope { sim: true, wall_clock: true, accounting: true, numeric: true }
+        FileScope { wall_clock: true, accounting: true, numeric: true }
     }
 
     fn lints_of(src: &str) -> Vec<(&'static str, u32, u32)> {
@@ -707,29 +598,27 @@ mod tests {
     }
 
     #[test]
-    fn float_sort_fires_on_unwrapped_comparators() {
+    fn float_sort_fires_on_every_partial_cmp_call() {
         let got =
             lints_of("fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }");
         assert_eq!(got, vec![("float-sort", 1, 42)]);
+        // The NaN-to-`Equal` fallback is no total order either, and an
+        // `Option` handed on still compares partially.
         let got = lints_of(
-            "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).expect(\"no NaN\")); }",
+            "v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));",
         );
-        assert_eq!(got, vec![("float-sort", 1, 42)]);
-        // A parenthesized argument must not fool the depth matcher.
-        let got = lints_of("let o = x.partial_cmp(&(y + z.min(1.0))).unwrap();");
-        assert_eq!(got, vec![("float-sort", 1, 11)]);
+        assert_eq!(got, vec![("float-sort", 1, 20)]);
+        assert_eq!(lints_of("let o = a.partial_cmp(&b);"), vec![("float-sort", 1, 11)]);
+        assert_eq!(lints_of("let o = f64::partial_cmp(&a, &b);"), vec![("float-sort", 1, 14)]);
     }
 
     #[test]
-    fn float_sort_leaves_sanctioned_forms_alone() {
-        // total_cmp is the fix; a bare partial_cmp (e.g. propagated as an
-        // Option) and an explicit Ordering fallback both stay legal.
+    fn float_sort_leaves_total_cmp_and_partial_ord_impls_alone() {
         assert!(lints_of("fn f(v: &mut [f64]) { v.sort_by(f64::total_cmp); }").is_empty());
-        assert!(lints_of("let o = a.partial_cmp(&b);").is_empty());
-        assert!(lints_of(
-            "v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));"
-        )
-        .is_empty());
+        let imp = "impl PartialOrd for E {\n\
+                   fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) }\n}";
+        assert!(lints_of(imp).is_empty());
+        assert!(lints_of("let s = \"a.partial_cmp(b)\"; // a.partial_cmp(b)").is_empty());
     }
 
     #[test]
@@ -765,31 +654,28 @@ mod tests {
         assert!(lints_of("let x = flag.load(Ordering::Relaxed);").is_empty());
         assert!(lints_of("let fetch_add = 3; let y = fetch_add + 1;").is_empty());
         // The pool itself is out of scope entirely.
-        let scope = FileScope { sim: false, wall_clock: false, accounting: false, numeric: false };
+        let scope = FileScope { wall_clock: false, accounting: false, numeric: false };
         let src = "use std::sync::Mutex;\nlet n = next.fetch_add(1, Ordering::Relaxed);\n";
         assert!(lint_rust("crates/tensor/src/pool.rs", src, &scope).findings.is_empty());
     }
 
     #[test]
-    fn unordered_iteration_tracks_declared_maps() {
+    fn unordered_iteration_flags_every_hash_collection_name() {
         let src = "use std::collections::HashMap;\n\
-                   struct S { pinned: HashMap<u64, usize> }\n\
-                   impl S { fn f(&self) { for (k, v) in &self.pinned { let _ = (k, v); } } }\n";
+                   fn f(m: &HashMap<u64, u32>) -> usize { m.len() }\n\
+                   let ids = xs.iter().collect::<std::collections::HashSet<_>>();\n";
         let got = lints_of(src);
-        assert_eq!(got, vec![("unordered-iteration", 3, 44)]);
-        // Lookups are fine; Vec iteration is fine.
-        assert!(lints_of("fn f(v: Vec<u32>) { for x in &v { let _ = x; } }").is_empty());
-        assert!(lints_of(
-            "use std::collections::HashMap;\nfn f(m: &HashMap<u64, u32>) { let _ = m.get(&1); }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn unordered_iteration_catches_method_calls() {
-        let src = "let mut seen = std::collections::HashSet::new();\nseen.insert(1);\nlet n = seen.iter().count();\n";
-        let got = lints_of(src);
-        assert_eq!(got, vec![("unordered-iteration", 3, 14)]);
+        assert_eq!(
+            got,
+            vec![
+                ("unordered-iteration", 1, 23),
+                ("unordered-iteration", 2, 10),
+                ("unordered-iteration", 3, 49),
+            ]
+        );
+        // Ordered collections, and the names in strings and comments, are fine.
+        assert!(lints_of("fn f(m: &BTreeMap<u64, u32>) { for _ in m {} }").is_empty());
+        assert!(lints_of("let s = \"HashMap\"; // HashSet").is_empty());
     }
 
     #[test]
@@ -841,9 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn scope_gates_rules() {
-        let off = FileScope { sim: false, wall_clock: false, accounting: false, numeric: false };
-        let src = "use std::collections::HashMap;\nlet m: HashMap<u32,u32> = HashMap::new();\nfor x in &m {}\nlet y = free_pages - 1;\n";
+    fn scope_gates_rules_but_not_the_name_bans() {
+        let off = FileScope { wall_clock: false, accounting: false, numeric: false };
+        let src = "let y = free_pages - 1;\nlet t = std::time::Instant::now();\na.mul_add(b, c);\n";
         assert!(lint_rust("crates/core/src/x.rs", src, &off).findings.is_empty());
+        let banned = "let m: HashSet<u32> = s;\nlet o = a.partial_cmp(&b);\n";
+        let got: Vec<_> =
+            lint_rust("crates/core/src/x.rs", banned, &off).findings.iter().map(|f| f.lint).collect();
+        assert_eq!(got, vec!["float-sort", "unordered-iteration"]);
     }
 }

@@ -1,12 +1,20 @@
 //@ path: crates/tensor/src/widget.rs
+use std::cmp::Ordering;
+
 pub fn sort_latencies(v: &mut [f64]) {
     v.sort_by(f64::total_cmp);
 }
 
-pub fn maybe_order(a: f64, b: f64) -> Option<std::cmp::Ordering> {
-    a.partial_cmp(&b)
+pub struct Stamp(u64);
+
+impl PartialOrd for Stamp {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.0.cmp(&other.0))
+    }
 }
 
-pub fn sort_lenient(v: &mut [f64]) {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+impl PartialEq for Stamp {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
 }

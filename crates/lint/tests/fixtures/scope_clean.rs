@@ -1,7 +1,7 @@
 //@ path: crates/quant/src/widget.rs
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-pub fn total(pages: &HashMap<u64, usize>) -> usize {
+pub fn total(pages: &BTreeMap<u64, usize>) -> usize {
     let used_pages: usize = pages.values().sum();
     let free_pages = 2usize;
     used_pages - free_pages

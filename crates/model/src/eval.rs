@@ -40,13 +40,15 @@ pub fn pseudo_perplexity_from_logits(logits: &Matrix, tokens: &[u32]) -> f64 {
     (nll / count as f64).exp()
 }
 
-/// Index of the largest logit — the greedy sampler. Among equal maxima the
-/// last wins (`Iterator::max_by`); 0 for an empty row.
+/// Index of the largest logit — the greedy sampler — in `f32::total_cmp`
+/// order, so a positive NaN (`f32::NAN`) outranks every number and the last
+/// such NaN wins. Among equal maxima the last wins (`Iterator::max_by`); 0
+/// for an empty row.
 pub fn argmax(logits: &[f32]) -> usize {
     logits
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
@@ -192,6 +194,13 @@ mod tests {
             logits[(t, toks[t + 1] as usize)] = 50.0;
         }
         assert!(pseudo_perplexity_from_logits(&logits, &toks) < 1.01);
+    }
+
+    #[test]
+    fn argmax_picks_a_nan_wherever_it_sits() {
+        assert_eq!(argmax(&[0.5, f32::NAN, 2.0, 1.0]), 1);
+        assert_eq!(argmax(&[f32::NAN, 0.5, 2.0, f32::INFINITY]), 0);
+        assert_eq!(argmax(&[0.5, 2.0, 1.0]), 1);
     }
 
     #[test]

@@ -315,18 +315,20 @@ mod tests {
         }
     }
 
-    /// An FP16 cache holds features, not codes: the quantized kernel must
-    /// refuse it by name at the door — it used to die inside the kernel
-    /// with `head_dim mismatch` — and a step must refuse before it appends.
+    /// An FP16 cache holds no codes: the quantized kernel must refuse it by
+    /// name at the door — it used to die inside the kernel with `head_dim
+    /// mismatch` — and so must every read and the append, which touches no
+    /// page.
     #[test]
     fn an_fp16_cache_is_rejected_by_name_not_inside_the_kernel() {
         let cfg = KvCacheConfig { page_tokens: 8, kv_heads: 2, head_dim: 16, layers: 1, precision: KvPrecision::Fp16 };
         let mut cache = PagedKvCache::new(cfg, 8);
         cache.register(SequenceId(0)).unwrap();
-        cache.append_token(SequenceId(0), 0, &[0.5; 32], &[0.25; 32]).unwrap();
-        let refused = paged_decode_attention(&cache, SequenceId(0), 0, &[0.0; 32]).unwrap_err();
+        let refused = cache.append_token(SequenceId(0), 0, &[0.5; 32], &[0.25; 32]).unwrap_err();
         assert_eq!(refused, KvCacheError::NotQuantized(KvPrecision::Fp16));
         assert!(refused.to_string().contains("Fp16"), "the message names the precision: {refused}");
+        assert_eq!((cache.seq_len(SequenceId(0)), cache.used_pages()), (0, 0));
+        assert_eq!(paged_decode_attention(&cache, SequenceId(0), 0, &[0.0; 32]).unwrap_err(), refused);
         assert_eq!(cache.read_head(SequenceId(0), 0, 0).unwrap_err(), refused);
         assert_eq!(cache.head_view(SequenceId(0), 0, 0).unwrap_err(), refused);
     }

@@ -30,7 +30,7 @@ use qserve_core::kv_quant::{quantize_head_into, KvPrecision, QuantizedHeadToken}
 use qserve_kernels::attention::{HeadTile, KvLane, LaneCodes};
 use qserve_quant::params::QParams;
 use qserve_tensor::fp16::{f16_bits_to_f32, f32_to_f16_bits};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifies a serving sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -227,10 +227,9 @@ pub struct PagedKvCache {
     config: KvCacheConfig,
     pool: PagePool,
     /// Resident sequences.
-    seqs: HashMap<SequenceId, SeqRecord<usize>>,
-    /// Swapped-out sequences (never iterated — keyed access only, so
-    /// determinism is safe).
-    host: HashMap<SequenceId, SeqRecord<SwappedSlot>>,
+    seqs: BTreeMap<SequenceId, SeqRecord<usize>>,
+    /// Swapped-out sequences.
+    host: BTreeMap<SequenceId, SeqRecord<SwappedSlot>>,
 }
 
 /// Errors from cache operations.
@@ -302,8 +301,8 @@ impl PagedKvCache {
                 peak_used: 0,
                 page_bytes: config.page_bytes(),
             },
-            seqs: HashMap::new(),
-            host: HashMap::new(),
+            seqs: BTreeMap::new(),
+            host: BTreeMap::new(),
         }
     }
 
@@ -449,6 +448,8 @@ impl PagedKvCache {
     /// corrupts its siblings' prefix.
     ///
     /// # Errors
+    /// [`KvCacheError::NotQuantized`] on an FP16 cache, before any page is
+    /// touched (nothing could read what it stored);
     /// [`KvCacheError::UnknownSequence`] or [`KvCacheError::OutOfPages`].
     ///
     /// # Panics
@@ -464,6 +465,7 @@ impl PagedKvCache {
         assert_eq!(k.len(), width, "K width mismatch");
         assert_eq!(v.len(), width, "V width mismatch");
         assert!(layer < self.config.layers, "layer out of range");
+        self.require_quantized()?;
         let Self { config, pool, seqs, .. } = self;
         let record = seqs.get_mut(&seq).ok_or(KvCacheError::UnknownSequence(seq))?;
         // This sequence's write position in this layer — distinct from the
@@ -502,26 +504,16 @@ impl PagedKvCache {
         let page = &mut pool.pages[page_idx];
         for half in [k, v] {
             for head in half.chunks(head_dim) {
-                if precision == KvPrecision::Fp16 {
-                    for &x in head {
-                        let bits = f32_to_f16_bits(x);
-                        page.data[cursor..cursor + 2].copy_from_slice(&bits.to_le_bytes());
-                        cursor += 2;
-                    }
-                } else {
-                    // One dynamic quantization per head, straight into the
-                    // slot: its codes and its (scale, zero) come from the
-                    // same token.
-                    let params =
-                        quantize_head_into(head, precision, &mut page.data[cursor..cursor + lane_bytes]);
-                    cursor += lane_bytes;
-                    let s = f32_to_f16_bits(params.scale);
-                    let z = f32_to_f16_bits(params.zero as f32);
-                    page.data[params_cursor..params_cursor + 2].copy_from_slice(&s.to_le_bytes());
-                    page.data[params_cursor + 2..params_cursor + 4]
-                        .copy_from_slice(&z.to_le_bytes());
-                    params_cursor += 4;
-                }
+                // One dynamic quantization per head, straight into the slot:
+                // its codes and its (scale, zero) come from the same token.
+                let params =
+                    quantize_head_into(head, precision, &mut page.data[cursor..cursor + lane_bytes]);
+                cursor += lane_bytes;
+                let s = f32_to_f16_bits(params.scale);
+                let z = f32_to_f16_bits(params.zero as f32);
+                page.data[params_cursor..params_cursor + 2].copy_from_slice(&s.to_le_bytes());
+                page.data[params_cursor + 2..params_cursor + 4].copy_from_slice(&z.to_le_bytes());
+                params_cursor += 4;
             }
         }
         page.filled = slot + 1;
@@ -547,7 +539,7 @@ impl PagedKvCache {
     ///
     /// # Errors
     /// [`KvCacheError::UnknownSequence`]; [`KvCacheError::NotQuantized`] on
-    /// an FP16 cache, whose slots hold features, not lanes.
+    /// an FP16 cache, which holds no lanes.
     ///
     /// # Panics
     /// Panics if `layer` or `head` is out of range.

@@ -14,7 +14,7 @@ use qserve_model::eval::{argmax, quantize_blocks};
 use qserve_model::forward::{embed, lm_head};
 use qserve_model::synth::SyntheticModel;
 use qserve_tensor::Matrix;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A fully-deployed synthetic model: per-block runtimes plus one paged KV
 /// cache per layer.
@@ -103,7 +103,7 @@ impl ModelRuntime {
         let (seqs, tokens): (Vec<SequenceId>, Vec<u32>) = rows.iter().copied().unzip();
         let mut x = embed(&self.model, &tokens);
         let mut positions = Vec::with_capacity(rows.len());
-        let mut next_pos: HashMap<SequenceId, usize> = HashMap::new();
+        let mut next_pos: BTreeMap<SequenceId, usize> = BTreeMap::new();
         for &seq in &seqs {
             let pos = next_pos.entry(seq).or_insert_with(|| self.cache.seq_len(seq));
             positions.push(*pos);
@@ -210,9 +210,9 @@ pub struct ServedRequest {
 /// prefilled token, `1.0` per decode.
 struct FunctionalExecutor<'a> {
     rt: &'a mut ModelRuntime,
-    prompts: HashMap<RequestId, Vec<u32>>,
-    outputs: HashMap<RequestId, Vec<u32>>,
-    logits: HashMap<RequestId, Vec<f32>>,
+    prompts: BTreeMap<RequestId, Vec<u32>>,
+    outputs: BTreeMap<RequestId, Vec<u32>>,
+    logits: BTreeMap<RequestId, Vec<f32>>,
     /// Every request retired so far, in completion order.
     served: Vec<ServedRequest>,
     /// The first cache error a hook met (hooks return costs, not results):
@@ -222,11 +222,11 @@ struct FunctionalExecutor<'a> {
 
 impl<'a> FunctionalExecutor<'a> {
     /// The executor, and the peak-reserving page ledger that gates it.
-    fn new(rt: &'a mut ModelRuntime, prompts: HashMap<RequestId, Vec<u32>>) -> (Self, PageBudget) {
+    fn new(rt: &'a mut ModelRuntime, prompts: BTreeMap<RequestId, Vec<u32>>) -> (Self, PageBudget) {
         let cfg = *rt.cache.config();
         let total_pages = rt.cache.free_pages() + rt.cache.used_pages();
         let budget = PageBudget::new(cfg.page_tokens, cfg.layers, total_pages, Reservation::Peak);
-        let (outputs, logits, served) = (HashMap::new(), HashMap::new(), Vec::new());
+        let (outputs, logits, served) = (BTreeMap::new(), BTreeMap::new(), Vec::new());
         (Self { rt, prompts, outputs, logits, served, failed: None }, budget)
     }
 

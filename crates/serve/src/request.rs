@@ -10,6 +10,7 @@
 //! bit).
 
 use qserve_tensor::rng::TensorRng;
+use std::collections::BTreeMap;
 
 /// Identifies one serving request across the scheduler, cache and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -858,12 +859,13 @@ impl WorkloadSpec {
     /// open with identical prefix tokens, and a conversation's turns are
     /// literal prefixes of the next turn's prompt — so when the functional
     /// serving path forks a granted prefix from a resident sibling, the
-    /// sibling's prompt really starts with those tokens.
+    /// sibling's prompt really starts with those tokens. Keyed by request id,
+    /// in id order wherever it is iterated.
     pub fn synth_prompts(
         &self,
         requests: &[Request],
         vocab: usize,
-    ) -> std::collections::HashMap<RequestId, Vec<u32>> {
+    ) -> BTreeMap<RequestId, Vec<u32>> {
         let sub_seed = |salt: u64, idx: u64| -> u64 {
             (self.seed ^ salt)
                 .wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -872,8 +874,7 @@ impl WorkloadSpec {
         };
         // One shared token stream per group/conversation, long enough for
         // the longest prompt that draws on it.
-        let mut stream_len: std::collections::BTreeMap<u64, usize> =
-            std::collections::BTreeMap::new();
+        let mut stream_len: BTreeMap<u64, usize> = BTreeMap::new();
         for r in requests {
             if let Some(g) = r.prefix_group() {
                 let need = match self.sharing {
@@ -886,7 +887,7 @@ impl WorkloadSpec {
                 *e = (*e).max(need);
             }
         }
-        let streams: std::collections::BTreeMap<u64, Vec<u32>> = stream_len
+        let streams: BTreeMap<u64, Vec<u32>> = stream_len
             .into_iter()
             .map(|(g, len)| {
                 (g, TensorRng::seed(sub_seed(0x5052_4546, g)).token_sequence(len, vocab))
@@ -990,7 +991,7 @@ mod tests {
         let spec = WorkloadSpec::shared_prefix(4, 256, 64, 9);
         let reqs = spec.sample();
         assert_eq!(reqs.len(), 64);
-        let mut groups_seen = std::collections::HashSet::new();
+        let mut groups_seen = std::collections::BTreeSet::new();
         for r in &reqs {
             let g = r.prefix_group().expect("every request belongs to a group");
             assert!(g < 4);

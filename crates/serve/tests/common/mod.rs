@@ -12,7 +12,7 @@ use qserve_serve::request::{Request, RequestId};
 use qserve_serve::scheduler::{
     Fcfs, FinishedRequest, PreemptionMode, SchedOptions, Scheduler, TickExecutor,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the drive's [`KvBudget::grow`] calls did.
 #[derive(Debug, Default, Clone, Copy)]
@@ -112,7 +112,7 @@ struct Metered {
     mid_prefill_preemptions: usize,
     regranted_shares: usize,
     /// Recompute victims whose first slice since re-admission has not run.
-    readmitting: HashSet<RequestId>,
+    readmitting: BTreeSet<RequestId>,
     /// Residents still mid-prefill as make-room starts (after this tick's
     /// slices, the last step before it).
     mid_prefill: Vec<RequestId>,
@@ -187,7 +187,7 @@ pub fn drive(reqs: &[Request], batch_limit: usize, opts: SchedOptions, budget: &
         sched.submit(r.clone());
     }
     let total = budget.total_pages();
-    let mut first_token_seen = HashMap::new();
+    let mut first_token_seen = BTreeMap::new();
     let audit = |budget: &PageBudget| {
         budget.assert_consistent();
         assert_eq!(

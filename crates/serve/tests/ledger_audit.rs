@@ -139,7 +139,7 @@ fn drive_audited(case: &Case) -> (usize, usize) {
             (decodable().count(), decodable().map(|r| r.prefilled()).sum::<usize>())
         );
     }
-    let finished: std::collections::HashSet<RequestId> = exec.0.iter().copied().collect();
+    let finished: std::collections::BTreeSet<RequestId> = exec.0.iter().copied().collect();
     assert_eq!((exec.0.len(), finished.len()), (n, n), "every request finishes exactly once");
     assert_eq!(budget.free_pages(), total_pages, "every page returned");
     assert_eq!(budget.host_used_pages(), 0, "the host tier drained");

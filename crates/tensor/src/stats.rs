@@ -92,14 +92,12 @@ pub fn relative_error(reference: &Matrix, approx: &Matrix) -> f64 {
 }
 
 /// Argsort of `values` in descending order — used by activation-aware channel
-/// reordering (§4.3.3: "AbsMax → ArgSort → Reorder").
+/// reordering (§4.3.3: "AbsMax → ArgSort → Reorder"). The order is
+/// `f32::total_cmp`'s, so a NaN never breaks the sort: a positive NaN ranks
+/// above every number, and equal values keep their index order.
 pub fn argsort_desc(values: &[f32]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[b]
-            .partial_cmp(&values[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    idx.sort_by(|&a, &b| values[b].total_cmp(&values[a]));
     idx
 }
 
@@ -162,5 +160,16 @@ mod tests {
     fn argsort_handles_ties() {
         let idx = argsort_desc(&[2.0, 2.0, 1.0]);
         assert_eq!(idx[2], 2);
+    }
+
+    #[test]
+    fn argsort_desc_ranks_nans_first_and_never_panics() {
+        // Long enough for std's sort to notice a comparator that maps a NaN
+        // to `Equal`, which is no total order: that one panicked here.
+        let values: Vec<f32> =
+            (0..64).map(|i| if i % 3 == 0 { f32::NAN } else { i as f32 }).collect();
+        let nans = (0..64).step_by(3);
+        let numbers_desc = (0..64).rev().filter(|i| i % 3 != 0);
+        assert_eq!(argsort_desc(&values), nans.chain(numbers_desc).collect::<Vec<_>>());
     }
 }

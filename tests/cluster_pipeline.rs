@@ -138,39 +138,6 @@ fn empty_fault_plan_is_bit_identical_to_the_fault_free_driver() {
     }
 }
 
-#[test]
-fn a_crashed_replica_rejoins_the_rotation_after_its_restart() {
-    // Replica 0 of four crashes at t = 2 s with long prompts in flight and
-    // restarts at t = 5 s, while the ~8 s trace is still arriving: its work
-    // moves to the survivors, and once back it is routed to and finishes
-    // new work. (`failure_sweep`'s crash restarts after its last arrival,
-    // so only this case sees the rejoin.)
-    let spec = WorkloadSpec {
-        num_requests: 128,
-        input: LengthDist::Uniform { lo: 3000, hi: 4000 },
-        output: LengthDist::Uniform { lo: 128, hi: 256 },
-        arrival: ArrivalPattern::Poisson { rate_rps: 16.0 },
-        sharing: PrefixSharing::None,
-        slo: SloSpec::None,
-        seed: 7,
-    };
-    let plan = FaultPlan::none().crash_at(0, 2.0).restart_at(0, 5.0);
-    let report = Cluster::new(engine(), 4, Box::new(LeastOutstanding))
-        .serve_paged_faulty(
-            &spec,
-            || Box::new(MemoryAware::default()),
-            Reservation::OnDemand,
-            SchedOptions::default(),
-            &plan,
-        )
-        .expect("serves");
-    assert_eq!(report.completed + report.shed, 128, "no request may be lost");
-    let dead = &report.per_replica[0];
-    assert!(dead.requeued_away > 0, "the crash must catch in-flight work");
-    assert_eq!(dead.restarts, 1, "replica 0 comes back exactly once");
-    assert!(dead.completed > 0, "the restarted replica serves again");
-}
-
 props! {
     /// Faults conserve the workload: under a random seeded plan of
     /// crashes, drains, restarts and rolling upgrades — in both
@@ -213,7 +180,7 @@ props! {
             report.completed + report.shed, n,
             "finished ∪ shed must cover the workload under faults"
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in &report.shed_ids {
             assert!(id.0 < n as u64 && seen.insert(id.0), "request {} shed twice or unknown", id.0);
         }
@@ -357,7 +324,7 @@ props! {
         assert_eq!(report.completed + report.shed, n, "admitted ∪ shed must cover the workload");
         assert_eq!(report.shed_ids.len(), report.shed);
         assert_eq!(report.shed_by_tier.iter().sum::<usize>(), report.shed);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for id in &report.shed_ids {
             assert!(id.0 < n as u64 && seen.insert(id.0), "request {} shed twice or unknown", id.0);
         }
@@ -370,7 +337,7 @@ props! {
             assert!(report.shed_ids.is_empty());
         }
         // Shed tokens are really never generated.
-        let by_id: std::collections::HashMap<u64, usize> =
+        let by_id: std::collections::BTreeMap<u64, usize> =
             spec.sample().iter().map(|r| (r.id.0, r.output_len())).collect();
         let expected: usize = by_id
             .iter()

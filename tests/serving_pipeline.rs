@@ -248,7 +248,7 @@ props! {
         let check = |cache: &PagedKvCache, live: &[SequenceId]| {
             assert_eq!(cache.used_pages() + cache.free_pages(), total, "conservation");
             // Refcounts must equal the number of live referencing sequences.
-            let mut refs = std::collections::HashMap::new();
+            let mut refs = std::collections::BTreeMap::new();
             for &s in live {
                 for layer in 0..cfg.layers {
                     for &p in cache.layer_pages(s, layer) {
@@ -398,7 +398,7 @@ props! {
             sched.tick(&mut budget, &mut exec);
         }
         assert_eq!(exec.0.len(), n, "every request finishes");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in &exec.0 {
             assert!(seen.insert(r.id.0), "request {} finished twice", r.id.0);
             let (_, expect_out) = expected
